@@ -14,7 +14,7 @@
 
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
-use symi_model::expert::ExpertFfn;
+use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::adam::{f16_to_f32, f32_to_f16};
 use symi_tensor::ops::softmax_rows;
@@ -90,6 +90,8 @@ pub struct DeepSpeedMoeEngine {
     nodes: usize,
     placement: StripedPlacement,
     slots: Vec<ExpertFfn>,
+    /// The slots' persistent input/output/gradient matrices.
+    batches: SlotBatches,
     /// ZeRO-1 shard of each *local* class's optimizer (one per local slot),
     /// covering this rank's position within the class's EDP group.
     opt_shards: Vec<AdamShard>,
@@ -139,6 +141,7 @@ impl DeepSpeedMoeEngine {
             nodes,
             placement,
             slots,
+            batches: SlotBatches::new(slots_per_rank, d_model),
             opt_shards,
             router_w,
             iteration: 0,
@@ -241,39 +244,17 @@ impl DeepSpeedMoeEngine {
         let in_meta =
             ctx.alltoallv_u64(&world, tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
 
-        let mut slot_inputs: Vec<Vec<f32>> = vec![Vec::new(); s];
-        let mut routing_map: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for (j, &slot_id) in in_meta[src].iter().enumerate() {
-                let local = slot_id as usize - self.rank * s;
-                let row = slot_inputs[local].len() / d;
-                slot_inputs[local].extend_from_slice(&in_rows[src][j * d..(j + 1) * d]);
-                routing_map[src].push((local, row));
-            }
-        }
+        self.batches.assemble_inputs(self.rank * s, &in_meta, &in_rows);
         drop(dispatch_span);
 
         // Forward + return.
         let ffn_span = tele.span(Phase::ExpertFfn);
-        let slot_outputs: Vec<Matrix> = self
-            .slots
-            .iter_mut()
-            .zip(&slot_inputs)
-            .map(|(expert, flat)| {
-                if flat.is_empty() {
-                    Matrix::zeros(0, d)
-                } else {
-                    expert.forward(&Matrix::from_vec(flat.len() / d, d, flat.clone()))
-                }
-            })
-            .collect();
+        self.batches.forward(&mut self.slots);
         drop(ffn_span);
         let combine_span = tele.span(Phase::Combine);
         let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for &(slot, row) in &routing_map[src] {
-                back_bufs[src].extend_from_slice(slot_outputs[slot].row(row));
-            }
+        for (src, buf) in back_bufs.iter_mut().enumerate() {
+            self.batches.append_outputs(src, buf);
         }
         let returned =
             ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::CombineReturn), back_bufs)?;
@@ -310,23 +291,12 @@ impl DeepSpeedMoeEngine {
             gbufs[dest].extend(dy.row(t).iter().map(|&v| v * gates[t]));
         }
         let in_grads = ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::GradReturn), gbufs)?;
-        let mut slot_dys: Vec<Vec<f32>> =
-            slot_inputs.iter().map(|f| vec![0.0f32; f.len()]).collect();
-        for src in 0..n {
-            for (j, &(slot, row)) in routing_map[src].iter().enumerate() {
-                slot_dys[slot][row * d..(row + 1) * d]
-                    .copy_from_slice(&in_grads[src][j * d..(j + 1) * d]);
-            }
-        }
+        self.batches.assemble_grads(&in_grads);
         drop(grad_dispatch_span);
         {
             let _span = tele.span(Phase::ExpertFfn);
             for (local, expert) in self.slots.iter_mut().enumerate() {
-                expert.zero_grad();
-                if !slot_dys[local].is_empty() {
-                    let rows = slot_dys[local].len() / d;
-                    let _ = expert.backward(&Matrix::from_vec(rows, d, slot_dys[local].clone()));
-                }
+                self.batches.backward(local, expert);
             }
         }
 
@@ -334,14 +304,13 @@ impl DeepSpeedMoeEngine {
         // (non-contiguous) host group — the group DeepSpeed created at init.
         let gradsync_span = tele.span(Phase::GradComm);
         let classes = self.placement.classes_on_rank(self.rank);
+        let mut synced: Vec<Vec<f32>> = vec![Vec::new(); s];
         for &(class, local) in &classes {
             let hosts = self.placement.host_ranks(class);
             let group = CommGroup::new(hosts);
             let mut grads = self.slots[local].flat_grads();
             ctx.allreduce_sum(&group, tags.tag(WirePhase::GradSync, class, 0), &mut grads)?;
-            // Write the synchronized gradient back through the flat layout:
-            // reuse load/step below, so stash in slot_dys space instead.
-            slot_dys[local] = grads;
+            synced[local] = grads;
         }
         drop(gradsync_span);
 
@@ -353,7 +322,7 @@ impl DeepSpeedMoeEngine {
             let my_idx = hosts.iter().position(|&h| h == self.rank).expect("hosted");
             let updated = {
                 let _span = tele.span(Phase::OptimizerStep);
-                let grads = &slot_dys[local];
+                let grads = &synced[local];
                 let (a, b) = chunk_range(grads.len(), r, my_idx);
                 // Staging the fp32 gradient shard to host and the fp16
                 // weights back (PCIe).

@@ -13,6 +13,15 @@
 //! 1 thread. Results (ns/iter, GFLOP/s, speedups, the active SIMD path)
 //! land in `BENCH_kernels.json` at the repo root.
 //!
+//! Below the GEMM rows sit the **activation rows** — GELU forward, GELU
+//! backward and row softmax at the repository benchmark's own expert batch
+//! shapes (240×256 from `engine_tokens`, 32×1024 from `engine_params`), in
+//! ns per element for the vector-math path, the forced-scalar encoding of
+//! the same math, and a libm reference loop that exists only in this file —
+//! and an **in-situ-shaped `ExpertFfn` row** (m 240, d 64, ff 256: forward
+//! and backward, whole-call GFLOP/s), so "expert FFN vs the GEMM roof" is
+//! answered from the JSON.
+//!
 //! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate:
 //! every shape at 1 thread and at max threads (min-of-reps), asserting
 //!   1. the blocked kernel beats naive on the d256 shape,
@@ -21,14 +30,18 @@
 //!      on the forced-scalar path), and
 //!   3. **scaling**: no shape is >10% slower at max threads than at
 //!      1 thread (plus a small absolute grace for timer noise) — the
-//!      regression this PR fixes must stay fixed.
+//!      regression this PR fixes must stay fixed,
+//!   4. **activations**: vector GELU matches the libm reference within
+//!      `1e-6·max(1, |x|)` and, on the AVX2 path, runs ≥ 4× faster.
 
 use std::path::Path;
 use std::time::Instant;
 
 use symi_bench::{bench, group};
+use symi_model::expert::ExpertFfn;
 use symi_telemetry::json::{Obj, Value};
-use symi_tensor::kernels::{self, naive};
+use symi_tensor::kernels::{self, naive, SimdPath};
+use symi_tensor::ops::{gelu_backward_into, gelu_into, softmax_rows_into};
 use symi_tensor::{pool, HalfMatrix, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
@@ -141,6 +154,190 @@ fn bench_shapes() -> Value {
     Value::Arr(rows)
 }
 
+/// (label, rows, cols): the repository benchmark's expert batches —
+/// `engine_tokens` feeds a slot ≈240 rows at d_ff 256, `engine_params`
+/// ≈32 rows at d_ff 1024.
+const ACT_SHAPES: &[(&str, usize, usize)] =
+    &[("engine_tokens/240x256", 240, 256), ("engine_params/32x1024", 32, 1024)];
+
+/// The in-situ expert shape of `engine_tokens`: (rows, d_model, d_ff).
+const EXPERT_SHAPE: (usize, usize, usize) = (240, 64, 256);
+
+/// The pre-vector-math activation loops (libm `tanhf`/`expf` per element),
+/// kept only here as the speed reference.
+mod libm_ref {
+    use symi_tensor::Matrix;
+
+    const C: f32 = 0.797_884_6;
+
+    pub fn gelu(x: &Matrix, out: &mut Matrix) {
+        out.resize_to(x.rows(), x.cols());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *o = 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh());
+        }
+    }
+
+    pub fn gelu_backward(x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
+        dx.resize_to(x.rows(), x.cols());
+        for ((o, &v), &g) in dx.as_mut_slice().iter_mut().zip(x.as_slice()).zip(dy.as_slice()) {
+            let t = (C * (v + 0.044715 * v * v * v)).tanh();
+            let slope = 0.5 * v * (1.0 - t * t) * C * (1.0 + 3.0 * 0.044715 * v * v);
+            *o = g * (0.5 * (1.0 + t) + slope);
+        }
+    }
+
+    pub fn softmax(x: &Matrix, out: &mut Matrix) {
+        out.resize_to(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            let max = x.row(r).iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let row = out.row_mut(r);
+            let mut sum = 0.0;
+            for (o, &v) in row.iter_mut().zip(x.row(r)) {
+                *o = (v - max).exp();
+                sum += *o;
+            }
+            let inv = 1.0 / sum;
+            row.iter_mut().for_each(|v| *v *= inv);
+        }
+    }
+}
+
+fn act_inputs(rows: usize, cols: usize) -> (Matrix, Matrix) {
+    // Pre-activations spread over ±4: both tanh branches, no saturation.
+    let x = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37).sin() * 4.0);
+    let dy = Matrix::from_fn(rows, cols, |r, c| ((r + 3 * c) as f32 * 0.11).cos());
+    (x, dy)
+}
+
+/// Min-of-reps wall time of each closure, **interleaved**: every rep runs
+/// every closure once, so a throttled window degrades all of them alike.
+fn interleaved_min_ns(reps: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; fs.len()];
+    for _ in 0..reps {
+        for (f, b) in fs.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            f();
+            *b = b.min(t.elapsed().as_nanos() as f64);
+        }
+    }
+    best
+}
+
+/// Runs `f` with the dispatch forced to the scalar family.
+fn forced_scalar(f: impl FnOnce()) {
+    let active = kernels::active_path();
+    kernels::force_simd_path(SimdPath::Scalar);
+    f();
+    kernels::force_simd_path(active);
+}
+
+/// `[vector, forced scalar, libm]` ns per element of one activation op.
+fn act_triple(elems: usize, ns: &[f64]) -> Value {
+    let mut o = Obj::new();
+    o.set("vector", Value::Num(ns[0] / elems as f64));
+    o.set("scalar", Value::Num(ns[1] / elems as f64));
+    o.set("libm", Value::Num(ns[2] / elems as f64));
+    o.set("vector_speedup_vs_libm", Value::Num(ns[2] / ns[0]));
+    Value::Obj(o)
+}
+
+fn bench_activations() -> Value {
+    const REPS: usize = 25;
+    pool::set_threads(1);
+    let mut rows_out = Vec::new();
+    for &(label, rows, cols) in ACT_SHAPES {
+        group(label);
+        let (x, dy) = act_inputs(rows, cols);
+        let (mut a, mut b, mut c) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let fwd = interleaved_min_ns(
+            REPS,
+            &mut [
+                &mut || gelu_into(&x, &mut a),
+                &mut || forced_scalar(|| gelu_into(&x, &mut b)),
+                &mut || libm_ref::gelu(&x, &mut c),
+            ],
+        );
+        let bwd = interleaved_min_ns(
+            REPS,
+            &mut [
+                &mut || gelu_backward_into(&x, &dy, &mut a),
+                &mut || forced_scalar(|| gelu_backward_into(&x, &dy, &mut b)),
+                &mut || libm_ref::gelu_backward(&x, &dy, &mut c),
+            ],
+        );
+        let sm = interleaved_min_ns(
+            REPS,
+            &mut [
+                &mut || softmax_rows_into(&x, &mut a),
+                &mut || forced_scalar(|| softmax_rows_into(&x, &mut b)),
+                &mut || libm_ref::softmax(&x, &mut c),
+            ],
+        );
+        let elems = rows * cols;
+        let mut row = Obj::new();
+        row.set("shape", Value::str(label));
+        row.set("rows", Value::u64(rows as u64));
+        row.set("cols", Value::u64(cols as u64));
+        row.set("gelu_fwd_ns_per_elem", act_triple(elems, &fwd));
+        row.set("gelu_bwd_ns_per_elem", act_triple(elems, &bwd));
+        row.set("softmax_ns_per_elem", act_triple(elems, &sm));
+        for (name, ns) in [("gelu_fwd", &fwd), ("gelu_bwd", &bwd), ("softmax", &sm)] {
+            println!(
+                "{label} {name}: vector {:.2} ns/elem, scalar {:.2}, libm {:.2} ({:.1}x)",
+                ns[0] / elems as f64,
+                ns[1] / elems as f64,
+                ns[2] / elems as f64,
+                ns[2] / ns[0]
+            );
+        }
+        rows_out.push(Value::Obj(row));
+    }
+    Value::Arr(rows_out)
+}
+
+/// `ExpertFfn` forward and backward at the `engine_tokens` slot shape:
+/// whole-call time (GEMMs + bias + GELU + the cached-input copy) against
+/// the FLOPs of its 2 forward / 4 backward GEMMs.
+fn bench_expert_ffn() -> Value {
+    const REPS: usize = 25;
+    let (m, d, ff) = EXPERT_SHAPE;
+    group(&format!("expert_ffn/{m}x{d}x{ff}"));
+    pool::set_threads(1);
+    let mut expert = ExpertFfn::new(d, ff, 7);
+    let x = Matrix::from_fn(m, d, |r, c| ((r * d + c) as f32 * 0.013).sin());
+    let dy = Matrix::from_fn(m, d, |r, c| ((r + 5 * c) as f32 * 0.021).cos() * 0.01);
+    let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    expert.forward_into(&x, &mut y);
+    let mut fwd_ns = f64::INFINITY;
+    let mut bwd_ns = f64::INFINITY;
+    for _ in 0..REPS {
+        let t = Instant::now();
+        expert.forward_into(&x, &mut y);
+        fwd_ns = fwd_ns.min(t.elapsed().as_nanos() as f64);
+        expert.zero_grad();
+        let t = Instant::now();
+        expert.backward_into(&dy, &mut dx);
+        bwd_ns = bwd_ns.min(t.elapsed().as_nanos() as f64);
+    }
+    let gemm_flops = (2 * m * d * ff) as f64;
+    let mut o = Obj::new();
+    o.set("m", Value::u64(m as u64));
+    o.set("d_model", Value::u64(d as u64));
+    o.set("d_ff", Value::u64(ff as u64));
+    o.set("fwd_ns", Value::Num(fwd_ns));
+    o.set("bwd_ns", Value::Num(bwd_ns));
+    o.set("fwd_gflops", Value::Num(2.0 * gemm_flops / fwd_ns));
+    o.set("bwd_gflops", Value::Num(4.0 * gemm_flops / bwd_ns));
+    println!(
+        "expert_ffn {m}x{d}x{ff}: fwd {:.1} us ({:.1} GFLOP/s), bwd {:.1} us ({:.1} GFLOP/s)",
+        fwd_ns / 1e3,
+        2.0 * gemm_flops / fwd_ns,
+        bwd_ns / 1e3,
+        4.0 * gemm_flops / bwd_ns
+    );
+    Value::Obj(o)
+}
+
 /// Assert `got` matches the naive oracle within the kernel tolerance gate:
 /// per element, ≤ 8 ULPs apart or within `4·k·ε` of the magnitude bound
 /// `|A|·|B|`. The active path may reassociate via FMA; bitwise equality is
@@ -170,14 +367,17 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
     best
 }
 
-/// CI gate. Three checks, all cheap enough for every PR:
+/// CI gate. Four checks, all cheap enough for every PR:
 ///   correctness — tolerance-gated oracle comparison on the d256 shape;
 ///   throughput — blocked beats naive on d256;
 ///   scaling — for every benchmark shape, max-threads must not be >10%
 ///   slower than 1 thread (min over reps, plus 150 µs absolute grace for
 ///   scheduler noise on shared runners). The cost-model gate makes small
 ///   shapes run sequentially regardless of the pool size, so this holds
-///   even on single-core runners.
+///   even on single-core runners;
+///   activations — vector GELU within `1e-6·max(1, |x|)` of the libm
+///   reference at the `engine_tokens` shape, and ≥ 4× faster when the
+///   AVX2 path is active (the scalar encoding only has to be correct).
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -238,6 +438,35 @@ fn smoke() {
         "shapes >10% slower at {max_t} threads than at 1 thread:\n  {}",
         failures.join("\n  ")
     );
+
+    // Activation correctness + speed against the libm reference.
+    {
+        let (label, rows, cols) = ACT_SHAPES[0];
+        let (x, _) = act_inputs(rows, cols);
+        let (mut got, mut want) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let ns = interleaved_min_ns(
+            15,
+            &mut [&mut || gelu_into(&x, &mut got), &mut || libm_ref::gelu(&x, &mut want)],
+        );
+        for ((&g, &w), &xv) in got.as_slice().iter().zip(want.as_slice()).zip(x.as_slice()) {
+            let tol = 1e-6 * xv.abs().max(1.0);
+            assert!((g - w).abs() <= tol, "{label}: gelu({xv}) = {g:e}, libm {w:e}");
+        }
+        println!(
+            "smoke {label} gelu: vector {:.2} ns/elem, libm {:.2} ns/elem ({:.1}x)",
+            ns[0] / (rows * cols) as f64,
+            ns[1] / (rows * cols) as f64,
+            ns[1] / ns[0]
+        );
+        if kernels::active_path() == SimdPath::Avx2 {
+            assert!(
+                ns[1] >= 4.0 * ns[0],
+                "vector GELU under 4x libm: {:.0} ns vs {:.0} ns",
+                ns[0],
+                ns[1]
+            );
+        }
+    }
 }
 
 fn main() {
@@ -247,12 +476,16 @@ fn main() {
     }
 
     let shapes = bench_shapes();
+    let activations = bench_activations();
+    let expert_ffn = bench_expert_ffn();
 
     let mut o = Obj::new();
     o.set("bench", Value::str("gemm_kernels"));
     o.set("simd_path", Value::str(kernels::simd_path_name()));
     o.set("threads_swept", Value::arr_u64(&THREADS.iter().map(|&t| t as u64).collect::<Vec<_>>()));
     o.set("shapes", shapes);
+    o.set("activations", activations);
+    o.set("expert_ffn", expert_ffn);
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json");
     std::fs::write(&out, Value::Obj(o).to_string()).expect("write kernels json");
     println!("wrote {}", out.display());

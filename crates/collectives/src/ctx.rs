@@ -414,6 +414,17 @@ impl Mailbox {
             return Ok(true);
         }
         let (from, tagv) = (entry.from, entry.tag);
+        // FIFO pairing across posted ops: while an earlier-posted op on the
+        // same (from, tag) stream is still unmatched, the next arrival is
+        // its, not ours — taking it here would pair a later receive with an
+        // earlier message whenever the arrival lands between the two polls.
+        let earlier_unmatched = self
+            .pending
+            .iter()
+            .any(|(&other, e)| other < id && e.ready.is_none() && e.from == from && e.tag == tagv);
+        if earlier_unmatched {
+            return Ok(false);
+        }
         self.drain_channel();
         let Some(payload) = self.take_from_stash(from, tagv) else {
             return Ok(false);

@@ -135,7 +135,8 @@ impl Payload {
 }
 
 /// Elements per worker share below which fp16 conversion stays sequential
-/// (the conversion is ~1 ns/element; smaller chunks don't amortize a wake).
+/// (the software codec measures 4–5 ns/element, so a share is ≥ ~70 µs of
+/// work; smaller chunks don't amortize a wake).
 const MIN_F16_ELEMS_PER_SHARE: usize = 16 * 1024;
 
 /// Narrows an fp32 buffer to IEEE binary16 wire format (round-to-nearest-

@@ -36,7 +36,7 @@ use symi_collectives::hier::ReduceMode;
 use symi_collectives::{
     CommError, MembershipView, OverlapStats, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
-use symi_model::expert::ExpertFfn;
+use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
@@ -255,6 +255,8 @@ pub struct MoeLayerEngine {
     lrank: usize,
     /// Physical expert instances, one per local slot.
     slots: Vec<ExpertFfn>,
+    /// The slots' persistent input/output/gradient matrices.
+    batches: SlotBatches,
     pub placement: ExpertPlacement,
     optimizer: SymiOptimizer,
     pub metadata: LayerMetadataStore,
@@ -338,6 +340,7 @@ impl MoeLayerEngine {
             view,
             lrank: rank,
             slots,
+            batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
             placement,
             optimizer,
             metadata: LayerMetadataStore::new(1, 64),
@@ -854,6 +857,7 @@ impl MoeLayerEngine {
             view: new_view,
             lrank,
             slots: Vec::new(),
+            batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
             placement,
             optimizer,
             metadata,
@@ -925,6 +929,7 @@ impl MoeLayerEngine {
             view,
             lrank: snap.logical_rank,
             slots,
+            batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
             placement,
             optimizer,
             metadata,
@@ -1084,45 +1089,23 @@ impl MoeLayerEngine {
         let in_meta =
             ctx.alltoallv_u64(&world, tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
 
-        // Assemble per-slot inputs; remember (src, j) → (slot, row).
+        // Assemble the rows straight into the slots' input matrices.
         let d = self.cfg.d_model;
-        let mut slot_inputs: Vec<Vec<f32>> = vec![Vec::new(); s];
-        let mut routing_map: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for (j, &slot_id) in in_meta[src].iter().enumerate() {
-                let local_slot = slot_id as usize - self.lrank * s;
-                let row = slot_inputs[local_slot].len() / d;
-                slot_inputs[local_slot].extend_from_slice(&in_rows[src][j * d..(j + 1) * d]);
-                routing_map[src].push((local_slot, row));
-            }
-        }
+        self.batches.assemble_inputs(self.lrank * s, &in_meta, &in_rows);
         drop(dispatch_span);
         graph.complete(t_dispatch);
 
         // ---- Step 3: expert forward + combine. ----
         let ffn_span = tele.span(Phase::ExpertFfn);
-        let slot_outputs: Vec<Matrix> = self
-            .slots
-            .iter_mut()
-            .zip(&slot_inputs)
-            .map(|(expert, flat)| {
-                if flat.is_empty() {
-                    Matrix::zeros(0, d)
-                } else {
-                    expert.forward(&Matrix::from_vec(flat.len() / d, d, flat.clone()))
-                }
-            })
-            .collect();
+        self.batches.forward(&mut self.slots);
         drop(ffn_span);
         graph.complete(t_forward);
 
         // Return outputs in each source's original send order.
         let combine_span = tele.span(Phase::Combine);
         let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for src in 0..n {
-            for &(slot, row) in &routing_map[src] {
-                back_bufs[src].extend_from_slice(slot_outputs[slot].row(row));
-            }
+        for (src, buf) in back_bufs.iter_mut().enumerate() {
+            self.batches.append_outputs(src, buf);
         }
         let returned =
             ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::CombineReturn), back_bufs)?;
@@ -1167,15 +1150,8 @@ impl MoeLayerEngine {
             gbufs[dest].extend(dy.row(t).iter().map(|&v| v * g));
         }
         let in_grads = ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::GradReturn), gbufs)?;
-        // Scatter into per-slot upstream matrices using the same map.
-        let mut slot_dys: Vec<Vec<f32>> =
-            slot_inputs.iter().map(|f| vec![0.0f32; f.len()]).collect();
-        for src in 0..n {
-            for (j, &(slot, row)) in routing_map[src].iter().enumerate() {
-                slot_dys[slot][row * d..(row + 1) * d]
-                    .copy_from_slice(&in_grads[src][j * d..(j + 1) * d]);
-            }
-        }
+        // Scatter into the slots' upstream matrices using the same map.
+        self.batches.assemble_grads(&in_grads);
         drop(grad_dispatch_span);
         graph.complete(t_grad_dispatch);
 
@@ -1207,16 +1183,7 @@ impl MoeLayerEngine {
                 {
                     let _span = tele.span(Phase::ExpertFfn);
                     for &local in &locals {
-                        let expert = &mut self.slots[local];
-                        expert.zero_grad();
-                        if !slot_dys[local].is_empty() {
-                            let rows = slot_dys[local].len() / d;
-                            let _ = expert.backward(&Matrix::from_vec(
-                                rows,
-                                d,
-                                slot_dys[local].clone(),
-                            ));
-                        }
+                        self.batches.backward(local, &mut self.slots[local]);
                     }
                 }
                 let mut tensors: Vec<Vec<f32>> =
@@ -1275,12 +1242,7 @@ impl MoeLayerEngine {
             {
                 let _span = tele.span(Phase::ExpertFfn);
                 for (local, expert) in self.slots.iter_mut().enumerate() {
-                    expert.zero_grad();
-                    if !slot_dys[local].is_empty() {
-                        let rows = slot_dys[local].len() / d;
-                        let _ =
-                            expert.backward(&Matrix::from_vec(rows, d, slot_dys[local].clone()));
-                    }
+                    self.batches.backward(local, expert);
                 }
             }
             graph.complete(t_backward);

@@ -220,6 +220,108 @@ impl ExpertFfn {
     }
 }
 
+/// Persistent per-slot I/O of a distributed engine's expert phase.
+///
+/// A rank hosts a fixed number of expert slots and, every iteration, feeds
+/// each slot the token rows the dispatch all-to-all delivered for it, returns
+/// the outputs in each source's send order, and later runs the backward pass
+/// on the upstream gradients that arrive in that same order. The input,
+/// output and gradient matrices live here across iterations and the dispatch
+/// rows are assembled straight into them, so at a steady batch shape the
+/// assemble → forward → backward section performs no heap allocation and no
+/// copy beyond the one that places each row (`tests/slot_batches.rs`).
+pub struct SlotBatches {
+    d_model: usize,
+    io: Vec<SlotIo>,
+    /// `routing[src][j]` = (local slot, row) of source rank `src`'s `j`-th
+    /// dispatched token.
+    routing: Vec<Vec<(usize, usize)>>,
+}
+
+struct SlotIo {
+    x: Matrix,
+    y: Matrix,
+    dy: Matrix,
+    dx: Matrix,
+}
+
+impl SlotBatches {
+    pub fn new(slots: usize, d_model: usize) -> Self {
+        let empty = || Matrix::zeros(0, d_model);
+        let io = (0..slots)
+            .map(|_| SlotIo { x: empty(), y: empty(), dy: empty(), dx: empty() })
+            .collect();
+        Self { d_model, io, routing: Vec::new() }
+    }
+
+    /// Assembles the dispatched token rows into the per-slot input matrices,
+    /// in arrival order (source rank ascending, then send order).
+    /// `meta[src][j]` is the global slot id of the row
+    /// `rows[src][j·d .. (j+1)·d]`; `first_slot` is this rank's first global
+    /// slot.
+    pub fn assemble_inputs(&mut self, first_slot: usize, meta: &[Vec<u64>], rows: &[Vec<f32>]) {
+        let d = self.d_model;
+        for io in &mut self.io {
+            io.x.resize_to(0, d);
+        }
+        self.routing.resize_with(meta.len(), Vec::new);
+        for ((route, meta), rows) in self.routing.iter_mut().zip(meta).zip(rows) {
+            route.clear();
+            for (j, &slot_id) in meta.iter().enumerate() {
+                let local = slot_id as usize - first_slot;
+                let x = &mut self.io[local].x;
+                let row = x.rows();
+                x.resize_to(row + 1, d);
+                x.row_mut(row).copy_from_slice(&rows[j * d..(j + 1) * d]);
+                route.push((local, row));
+            }
+        }
+    }
+
+    /// Runs every slot's expert on its assembled input (idle slots skip).
+    pub fn forward(&mut self, experts: &mut [ExpertFfn]) {
+        assert_eq!(experts.len(), self.io.len(), "one expert per slot");
+        for (io, expert) in self.io.iter_mut().zip(experts) {
+            if io.x.rows() == 0 {
+                io.y.resize_to(0, self.d_model);
+            } else {
+                expert.forward_into(&io.x, &mut io.y);
+            }
+        }
+    }
+
+    /// Appends the outputs owed to source rank `src`, in its send order.
+    pub fn append_outputs(&self, src: usize, out: &mut Vec<f32>) {
+        for &(slot, row) in &self.routing[src] {
+            out.extend_from_slice(self.io[slot].y.row(row));
+        }
+    }
+
+    /// Scatters the returned upstream gradients (`grads[src]` in source
+    /// `src`'s send order) into the per-slot `dy` matrices.
+    pub fn assemble_grads(&mut self, grads: &[Vec<f32>]) {
+        let d = self.d_model;
+        for io in &mut self.io {
+            io.dy.resize_to(io.x.rows(), d);
+        }
+        for (route, grads) in self.routing.iter().zip(grads) {
+            for (j, &(slot, row)) in route.iter().enumerate() {
+                self.io[slot].dy.row_mut(row).copy_from_slice(&grads[j * d..(j + 1) * d]);
+            }
+        }
+    }
+
+    /// Zeroes `expert`'s gradients and, unless slot `local` sat idle,
+    /// backpropagates its assembled upstream gradient.
+    pub fn backward(&mut self, local: usize, expert: &mut ExpertFfn) {
+        let io = &mut self.io[local];
+        expert.zero_grad();
+        if io.dy.rows() > 0 {
+            expert.backward_into(&io.dy, &mut io.dx);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

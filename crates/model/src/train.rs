@@ -14,7 +14,9 @@ use crate::config::ModelConfig;
 use crate::model::{GptMoe, StepStats};
 use std::sync::Arc;
 use symi_telemetry::{ClusterTelemetry, IterationReport, Phase};
-use symi_tensor::{kernel_stats, pool, AdamConfig, AdamState, KernelStats, PoolStats};
+use symi_tensor::{
+    act_stats, kernel_stats, pool, ActStats, AdamConfig, AdamState, KernelStats, PoolStats,
+};
 use symi_workload::{DriftingCorpus, PopularityTrace};
 
 /// Decides each layer's replica allocation for the next iteration.
@@ -142,6 +144,7 @@ pub struct Trainer {
     /// Kernel/pool counter snapshots from the end of the previous step, so
     /// each iteration's gauges report per-step deltas.
     last_kernel: KernelStats,
+    last_act: ActStats,
     last_pool: PoolStats,
     /// Cross-iteration pipelining hook (`SYMI_OVERLAP=on`): the allocation
     /// the policy computed at the end of step *i*, not installed until the
@@ -190,6 +193,7 @@ impl Trainer {
             scratch_grads: Vec::new(),
             scratch_updated: Vec::new(),
             last_kernel: kernel_stats(),
+            last_act: act_stats(),
             last_pool: pool::stats(),
             pending_replicas: None,
             pipeline: pipeline_from_env(),
@@ -355,6 +359,10 @@ impl Trainer {
                 .set(kern.seq_fallback.saturating_sub(self.last_kernel.seq_fallback) as f64);
             tele.gauge("kernel.b_packs")
                 .set(kern.b_packs.saturating_sub(self.last_kernel.b_packs) as f64);
+            let act = act_stats();
+            tele.gauge("kernel.act_ns").set(act.act_ns.saturating_sub(self.last_act.act_ns) as f64);
+            tele.gauge("kernel.act_elems")
+                .set(act.act_elems.saturating_sub(self.last_act.act_elems) as f64);
             tele.gauge("pool.threads").set(pstats.threads as f64);
             tele.gauge("pool.jobs").set(pstats.jobs.saturating_sub(self.last_pool.jobs) as f64);
             tele.gauge("pool.busy_ms")
@@ -363,6 +371,7 @@ impl Trainer {
             self.telemetry.emit(&report);
         }
         self.last_kernel = kernel_stats();
+        self.last_act = act_stats();
         self.last_pool = pool::stats();
 
         self.iteration += 1;

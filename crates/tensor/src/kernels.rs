@@ -87,11 +87,15 @@ static GEMM_NS: AtomicU64 = AtomicU64::new(0);
 static GEMM_FLOPS: AtomicU64 = AtomicU64::new(0);
 static SEQ_FALLBACK: AtomicU64 = AtomicU64::new(0);
 static B_PACKS: AtomicU64 = AtomicU64::new(0);
+static ACT_NS: AtomicU64 = AtomicU64::new(0);
+static ACT_ELEMS: AtomicU64 = AtomicU64::new(0);
 
 /// Cumulative kernel counters (monotonic; consumers diff between reads).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelStats {
-    /// Wall nanoseconds spent inside GEMM drivers (submitting thread).
+    /// Wall nanoseconds spent inside GEMM drivers (submitting thread) —
+    /// GEMM work only: the fused activation epilogue of
+    /// [`gemm_nn_bias_gelu`] is timed into [`ActStats::act_ns`] instead.
     pub gemm_ns: u64,
     /// Multiply-add FLOPs issued (2·m·n·k per GEMM).
     pub gemm_flops: u64,
@@ -114,9 +118,39 @@ pub fn kernel_stats() -> KernelStats {
     }
 }
 
+/// Cumulative activation counters (monotonic, like [`KernelStats`]): the
+/// elementwise transcendental passes — GELU forward/backward, the fused
+/// GELU epilogue, row softmax — that run on [`crate::vmath`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ActStats {
+    /// Wall nanoseconds spent in activation passes (submitting thread; for
+    /// the fused epilogue, the slowest share's epilogue time).
+    pub act_ns: u64,
+    /// Elements those passes produced.
+    pub act_elems: u64,
+}
+
+/// Snapshot of the process-wide activation counters.
+pub fn act_stats() -> ActStats {
+    ActStats {
+        act_ns: ACT_NS.load(Ordering::Relaxed),
+        act_elems: ACT_ELEMS.load(Ordering::Relaxed),
+    }
+}
+
 fn record(t0: Instant, m: usize, n: usize, k: usize) {
-    GEMM_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    record_ns(t0.elapsed().as_nanos() as u64, m, n, k);
+}
+
+fn record_ns(ns: u64, m: usize, n: usize, k: usize) {
+    GEMM_NS.fetch_add(ns, Ordering::Relaxed);
     GEMM_FLOPS.fetch_add(2 * (m as u64) * (n as u64) * (k as u64), Ordering::Relaxed);
+}
+
+/// Adds one activation pass over `elems` elements that took `ns`.
+pub(crate) fn record_act(ns: u64, elems: usize) {
+    ACT_NS.fetch_add(ns, Ordering::Relaxed);
+    ACT_ELEMS.fetch_add(elems as u64, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -737,7 +771,10 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option
 
 /// `pre = a·b + bias`, `act = gelu(pre)` — the fused FFN epilogue. The
 /// activation is applied per completed row range inside the same parallel
-/// region, so `pre` rows are still cache-hot when `act` is produced.
+/// region, so `pre` rows are still cache-hot when `act` is produced. The
+/// epilogue is timed per share; the slowest share's time is what the
+/// submitting thread waited for, so that much of the call's wall time is
+/// booked as activation time and the rest as GEMM time.
 pub fn gemm_nn_bias_gelu(
     a: &Matrix,
     b: &Matrix,
@@ -761,6 +798,7 @@ pub fn gemm_nn_bias_gelu(
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     let bsl = b.as_slice();
     let bias = bias.as_slice();
+    let act_ns = AtomicU64::new(0);
     par_rows2_planned(
         m,
         n,
@@ -770,12 +808,15 @@ pub fn gemm_nn_bias_gelu(
         act.as_mut_slice(),
         |rows, pre_chunk, act_chunk| {
             nn_rows_dispatch(path, a, rows, k, n, bsl, n, pre_chunk, false, Some(bias));
-            for (av, pv) in act_chunk.iter_mut().zip(pre_chunk.iter()) {
-                *av = crate::ops::gelu_scalar(*pv);
-            }
+            let t_act = Instant::now();
+            crate::vmath::gelu_slice(pre_chunk, act_chunk);
+            act_ns.fetch_max(t_act.elapsed().as_nanos() as u64, Ordering::Relaxed);
         },
     );
-    record(t0, m, n, k);
+    let total_ns = t0.elapsed().as_nanos() as u64;
+    let act_ns = act_ns.into_inner().min(total_ns);
+    record_act(act_ns, m * n);
+    record_ns(total_ns - act_ns, m, n, k);
 }
 
 /// `out (+)= a · bᵀ` (`b` is `n×k`): independent contiguous dot products.

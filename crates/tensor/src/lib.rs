@@ -22,7 +22,11 @@
 //!   worker pool ([`pool`]) behind a cost-model gate; within one process a
 //!   GEMM's result is bit-identical for **any** worker count (see the
 //!   determinism contract in [`kernels`]), and the scalar path is
-//!   additionally bit-exact vs the naive oracle. The workspace's `unsafe` is
+//!   additionally bit-exact vs the naive oracle. The transcendentals of the
+//!   hot loops (GELU, GELU′, the softmax exponent) run on [`vmath`]: one
+//!   IEEE operation sequence per function, encoded scalar and AVX2, whose
+//!   results are bit-identical across both encodings and any worker count —
+//!   libm is only the tests' reference. The workspace's `unsafe` is
 //!   confined to this crate: the pool's scoped-dispatch lifetime erasure
 //!   (documented in [`pool`]) and the feature-gated `std::arch` intrinsics
 //!   in [`simd`] behind safe runtime-detected wrappers.
@@ -42,10 +46,11 @@ pub mod pool;
 pub mod rng;
 #[cfg(target_arch = "x86_64")]
 pub mod simd;
+pub mod vmath;
 
 pub use adam::{AdamConfig, AdamShard, AdamState};
 pub use half::HalfMatrix;
-pub use kernels::{kernel_stats, KernelStats};
+pub use kernels::{act_stats, kernel_stats, ActStats, KernelStats};
 pub use matrix::Matrix;
 pub use pool::PoolStats;
 pub use rng::{Distribution, Normal, Rng, SplitMix64, StdRng, Uniform};

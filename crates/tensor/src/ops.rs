@@ -3,8 +3,11 @@
 //! Each `*_backward` takes exactly the values its forward pass produced (no
 //! hidden caches), so the model crate's layer objects decide what to retain.
 
+use crate::kernels::record_act;
 use crate::matrix::Matrix;
 use crate::pool::par_rows;
+use crate::vmath;
+use std::time::Instant;
 
 /// Row granularity for parallel elementwise/row-local ops: rows are cheap,
 /// so only split when each participant gets a meaningful batch.
@@ -18,19 +21,23 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
 }
 
 /// `out = softmax_rows(x)`, reusing `out`'s allocation. Each row is
-/// computed independently (row-local reductions only), so the result is
-/// bit-identical for any worker count.
+/// computed independently (row-local reductions only): the row max and the
+/// row sum are scalar folds in ascending column order and the exponent pass
+/// is [`vmath::exp_sub_slice`], so the result is bit-identical for any
+/// worker count and for either SIMD path. A non-finite logit poisons its
+/// whole row (NaN sum), which is what the routers count as `nan_logits`.
 pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
     let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
     out.resize_to(rows, cols);
     par_rows(rows, cols, MIN_ROWS_PER_SHARE, out.as_mut_slice(), |range, chunk| {
         for (local, r) in range.enumerate() {
+            let src = x.row(r);
             let row = &mut chunk[local * cols..(local + 1) * cols];
-            row.copy_from_slice(x.row(r));
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let max = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            vmath::exp_sub_slice(src, max, row);
             let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
+            for v in row.iter() {
                 sum += *v;
             }
             let inv = 1.0 / sum;
@@ -39,6 +46,7 @@ pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
             }
         }
     });
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
 /// Backward of row softmax: `dx = y ⊙ (dy − (dy·y) 1ᵀ)` per row, where `y`
@@ -77,29 +85,12 @@ pub fn gelu(x: &Matrix) -> Matrix {
 /// `out = gelu(x)`, reusing `out`'s allocation.
 pub fn gelu_into(x: &Matrix, out: &mut Matrix) {
     let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
     out.resize_to(rows, cols);
     par_rows(rows, cols, MIN_ROWS_PER_SHARE, out.as_mut_slice(), |range, chunk| {
-        let src = &x.as_slice()[range.start * cols..range.end * cols];
-        for (o, &v) in chunk.iter_mut().zip(src) {
-            *o = gelu_scalar(v);
-        }
+        vmath::gelu_slice(&x.as_slice()[range.start * cols..range.end * cols], chunk);
     });
-}
-
-#[inline]
-pub(crate) fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-#[inline]
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let x3 = x * x * x;
-    let inner = C * (x + 0.044715 * x3);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
 /// Backward of GELU given the forward *input* `x`.
@@ -113,14 +104,13 @@ pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
 pub fn gelu_backward_into(x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
     assert_eq!((x.rows(), x.cols()), (dy.rows(), dy.cols()), "gelu backward shape mismatch");
     let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
     dx.resize_to(rows, cols);
     par_rows(rows, cols, MIN_ROWS_PER_SHARE, dx.as_mut_slice(), |range, chunk| {
-        let xs = &x.as_slice()[range.start * cols..range.end * cols];
-        let dys = &dy.as_slice()[range.start * cols..range.end * cols];
-        for ((o, &xv), &dyv) in chunk.iter_mut().zip(xs).zip(dys) {
-            *o = dyv * gelu_grad_scalar(xv);
-        }
+        let span = range.start * cols..range.end * cols;
+        vmath::gelu_backward_slice(&x.as_slice()[span.clone()], &dy.as_slice()[span], chunk);
     });
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
 /// Fused linear layer: `out = x·w + bias` with the bias applied in the

@@ -36,6 +36,7 @@
 use crate::half::f16_to_f32;
 use crate::kernels::{kern_nn_edge, kern_nn_edge_f16, pack_a_strip};
 use crate::matrix::Matrix;
+use crate::vmath;
 use core::arch::x86_64::*;
 use std::ops::Range;
 
@@ -909,4 +910,184 @@ unsafe fn kern_tn_4x16(
     _mm256_storeu_ps(op.add(2 * ldc + 8), c21);
     _mm256_storeu_ps(op.add(3 * ldc), c30);
     _mm256_storeu_ps(op.add(3 * ldc + 8), c31);
+}
+
+// ---------------------------------------------------------------------------
+// Vector math: the 8-lane encoding of `crate::vmath`
+// ---------------------------------------------------------------------------
+//
+// Every function below performs, per lane, exactly the operation sequence of
+// its scalar twin in `crate::vmath` — same constants, same order, mul and add
+// never fused (the functions enable `avx2` only, so no FMA can be emitted) —
+// which is what makes the two encodings bit-identical. Change one, change
+// the other; `tests/vmath_oracle.rs` compares them bitwise.
+
+/// 8-lane [`vmath::exp`].
+#[target_feature(enable = "avx2")]
+unsafe fn exp_ps(x: __m256) -> __m256 {
+    let lo = _mm256_set1_ps(vmath::EXP_LO);
+    // MAXPS/MINPS return their *second* operand when either is NaN: with x
+    // second, a NaN lane survives the clamp (`vmath::max_sse`/`min_sse`).
+    let xc = _mm256_min_ps(_mm256_set1_ps(vmath::EXP_HI), _mm256_max_ps(lo, x));
+    let magic = _mm256_set1_ps(vmath::ROUND_MAGIC);
+    let t = _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(vmath::LOG2E)), magic);
+    let nf = _mm256_sub_ps(t, magic);
+    let r = _mm256_sub_ps(
+        _mm256_sub_ps(xc, _mm256_mul_ps(nf, _mm256_set1_ps(vmath::LN2_HI))),
+        _mm256_mul_ps(nf, _mm256_set1_ps(vmath::LN2_LO)),
+    );
+    let mut p = _mm256_set1_ps(vmath::EXP_POLY[0]);
+    for &c in &vmath::EXP_POLY[1..] {
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+    }
+    let p =
+        _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), _mm256_set1_ps(1.0));
+    let n = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_set1_epi32(vmath::ROUND_MAGIC_BITS));
+    let h = _mm256_srai_epi32::<1>(n);
+    let bias = _mm256_set1_epi32(127);
+    let s1 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(h, bias)));
+    let s2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+        _mm256_sub_epi32(n, h),
+        bias,
+    )));
+    let y = _mm256_mul_ps(_mm256_mul_ps(p, s1), s2);
+    _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(x, lo), y)
+}
+
+/// 8-lane [`vmath::tanh`].
+#[target_feature(enable = "avx2")]
+unsafe fn tanh_ps(u: __m256) -> __m256 {
+    let sign_mask = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
+    let a = _mm256_andnot_ps(sign_mask, u);
+    let z = _mm256_mul_ps(a, a);
+    let mut q = _mm256_set1_ps(vmath::TANH_POLY[0]);
+    for &c in &vmath::TANH_POLY[1..] {
+        q = _mm256_add_ps(_mm256_mul_ps(q, z), _mm256_set1_ps(c));
+    }
+    let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(q, z), a), a);
+    let e = exp_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), a));
+    let one = _mm256_set1_ps(1.0);
+    let big = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+    let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, _mm256_set1_ps(vmath::TANH_SMALL));
+    let r = _mm256_blendv_ps(big, small, is_small);
+    _mm256_or_ps(r, _mm256_and_ps(sign_mask, u))
+}
+
+/// `tanh(C·(x + A·x·x·x))` — the shared inner term of GELU and GELU′.
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_tanh_ps(x: __m256) -> __m256 {
+    let ax = _mm256_mul_ps(_mm256_set1_ps(vmath::GELU_A), x);
+    let ax3 = _mm256_mul_ps(_mm256_mul_ps(ax, x), x);
+    tanh_ps(_mm256_mul_ps(_mm256_set1_ps(vmath::GELU_C), _mm256_add_ps(x, ax3)))
+}
+
+/// 8-lane [`vmath::gelu`].
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_ps(x: __m256) -> __m256 {
+    let t = gelu_tanh_ps(x);
+    _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5), x), _mm256_add_ps(_mm256_set1_ps(1.0), t))
+}
+
+/// 8-lane [`vmath::gelu_grad`].
+#[target_feature(enable = "avx2")]
+unsafe fn gelu_grad_ps(x: __m256) -> __m256 {
+    let x = _mm256_min_ps(
+        _mm256_set1_ps(vmath::GELU_GRAD_CLAMP),
+        _mm256_max_ps(_mm256_set1_ps(-vmath::GELU_GRAD_CLAMP), x),
+    );
+    let t = gelu_tanh_ps(x);
+    let one = _mm256_set1_ps(1.0);
+    let half = _mm256_set1_ps(0.5);
+    let sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
+    let poly =
+        _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(vmath::GELU_3A), x), x));
+    let slope = _mm256_mul_ps(
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, x), sech2), _mm256_set1_ps(vmath::GELU_C)),
+        poly,
+    );
+    _mm256_add_ps(_mm256_mul_ps(half, _mm256_add_ps(one, t)), slope)
+}
+
+/// Loads `s` (fewer than 8 elements) into a zero-padded vector.
+#[target_feature(enable = "avx2")]
+unsafe fn load_tail(s: &[f32]) -> __m256 {
+    let mut buf = [0.0f32; 8];
+    buf[..s.len()].copy_from_slice(s);
+    _mm256_loadu_ps(buf.as_ptr())
+}
+
+/// Stores the first `d.len()` (fewer than 8) lanes of `v` into `d`.
+#[target_feature(enable = "avx2")]
+unsafe fn store_tail(v: __m256, d: &mut [f32]) {
+    let mut buf = [0.0f32; 8];
+    _mm256_storeu_ps(buf.as_mut_ptr(), v);
+    d.copy_from_slice(&buf[..d.len()]);
+}
+
+/// `dst[i] = f(src[i])`, 8 lanes at a time. The tail (`len % 8` elements)
+/// goes through a zero-padded vector, so every element — full chunk or tail
+/// — is computed by the same lane code. Loads and stores are unaligned and
+/// confined to `chunks_exact` slices and the 8-element stack buffers.
+#[target_feature(enable = "avx2")]
+unsafe fn map_ps(src: &[f32], dst: &mut [f32], f: impl Fn(__m256) -> __m256) {
+    assert_eq!(src.len(), dst.len());
+    let mut s8 = src.chunks_exact(8);
+    let mut d8 = dst.chunks_exact_mut(8);
+    for (s, d) in (&mut s8).zip(&mut d8) {
+        _mm256_storeu_ps(d.as_mut_ptr(), f(_mm256_loadu_ps(s.as_ptr())));
+    }
+    let s = s8.remainder();
+    if !s.is_empty() {
+        store_tail(f(load_tail(s)), d8.into_remainder());
+    }
+}
+
+/// Two-input [`map_ps`]: `dst[i] = f(a[i], b[i])`.
+#[target_feature(enable = "avx2")]
+unsafe fn map2_ps(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(__m256, __m256) -> __m256) {
+    assert_eq!(a.len(), dst.len());
+    assert_eq!(b.len(), dst.len());
+    let mut a8 = a.chunks_exact(8);
+    let mut b8 = b.chunks_exact(8);
+    let mut d8 = dst.chunks_exact_mut(8);
+    for ((a, b), d) in (&mut a8).zip(&mut b8).zip(&mut d8) {
+        let v = f(_mm256_loadu_ps(a.as_ptr()), _mm256_loadu_ps(b.as_ptr()));
+        _mm256_storeu_ps(d.as_mut_ptr(), v);
+    }
+    let (a, b) = (a8.remainder(), b8.remainder());
+    if !a.is_empty() {
+        store_tail(f(load_tail(a), load_tail(b)), d8.into_remainder());
+    }
+}
+
+/// AVX2 [`vmath::exp_sub_slice`].
+pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: the vmath dispatchers come here only after runtime AVX2
+    // detection (`active_path() == Avx2`).
+    unsafe {
+        let sh = _mm256_set1_ps(shift);
+        map_ps(x, out, |v| exp_ps(_mm256_sub_ps(v, sh)))
+    }
+}
+
+/// AVX2 [`vmath::tanh_slice`].
+pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: as in `exp_sub_slice`.
+    unsafe { map_ps(x, out, |v| tanh_ps(v)) }
+}
+
+/// AVX2 [`vmath::gelu_slice`].
+pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: as in `exp_sub_slice`.
+    unsafe { map_ps(x, out, |v| gelu_ps(v)) }
+}
+
+/// AVX2 [`vmath::gelu_backward_slice`].
+pub fn gelu_backward_slice(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: as in `exp_sub_slice`.
+    unsafe { map2_ps(x, dy, dx, |x, dy| _mm256_mul_ps(dy, gelu_grad_ps(x))) }
 }
