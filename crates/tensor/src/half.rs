@@ -23,7 +23,9 @@ pub fn quantize_f16(x: f32) -> f32 {
     f16_to_f32(f32_to_f16(x))
 }
 
-/// `f32` → IEEE-754 binary16 bits, round-to-nearest-even.
+/// `f32` → IEEE-754 binary16 bits, round-to-nearest-even — on every input
+/// the bits `VCVTPS2PH` produces (NaNs quieted, sign and top payload bits
+/// kept).
 pub fn f32_to_f16(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
@@ -31,9 +33,11 @@ pub fn f32_to_f16(x: f32) -> u16 {
     let mant = bits & 0x007f_ffff;
 
     if exp == 0xff {
-        // Inf or NaN.
-        let nan_bit = if mant != 0 { 0x0200 } else { 0 };
-        return sign | 0x7c00 | nan_bit;
+        if mant == 0 {
+            return sign | 0x7c00; // inf
+        }
+        // NaN: quieted, the payload's top ten bits kept (as `VCVTPS2PH`).
+        return sign | 0x7e00 | (mant >> 13) as u16;
     }
     let unbiased = exp - 127;
     if unbiased > 15 {
@@ -51,8 +55,11 @@ pub fn f32_to_f16(x: f32) -> u16 {
         }
         return h;
     }
-    if unbiased >= -24 {
-        // Subnormal half.
+    if unbiased >= -25 {
+        // Subnormal half. The lowest binade, [2^-25, 2^-24), has no half
+        // mantissa bit of its own and is decided by rounding alone: above
+        // 2^-25 it rounds up to the smallest subnormal, exactly 2^-25 ties
+        // to even (zero).
         let full_mant = mant | 0x0080_0000;
         let shift = (-unbiased - 14 + 13) as u32;
         let half_mant = (full_mant >> shift) as u16;
@@ -67,7 +74,8 @@ pub fn f32_to_f16(x: f32) -> u16 {
     sign // underflow → signed zero
 }
 
-/// IEEE-754 binary16 bits → `f32`.
+/// IEEE-754 binary16 bits → `f32` (exact; a signalling NaN comes out quiet,
+/// as from `VCVTPH2PS`).
 pub fn f16_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;
@@ -88,7 +96,9 @@ pub fn f16_to_f32(h: u16) -> f32 {
             sign | (((127 - 15 + e + 1) as u32) << 23) | (m << 13)
         }
     } else if exp == 0x1f {
-        sign | 0x7f80_0000 | (mant << 13)
+        // Inf, or NaN quieted as `VCVTPH2PS` quiets a signalling half.
+        let quiet = if mant != 0 { 0x0040_0000 } else { 0 };
+        sign | 0x7f80_0000 | quiet | (mant << 13)
     } else {
         sign | ((exp + 127 - 15) << 23) | (mant << 13)
     };
@@ -183,6 +193,32 @@ mod tests {
         let m = Matrix::from_fn(4, 4, |r, c| quantize_f16((r as f32 - 1.5) * 0.31 + c as f32));
         let h = HalfMatrix::from_matrix(&m);
         assert_eq!(h.to_matrix(), m);
+    }
+
+    #[test]
+    fn lowest_subnormal_binade_rounds_to_nearest_even() {
+        let tie = f32::from_bits(0x3300_0000); // 2^-25: halfway to the smallest subnormal
+        assert_eq!(f32_to_f16(tie), 0x0000, "the tie goes to even (zero)");
+        assert_eq!(f32_to_f16(-tie), 0x8000);
+        for bits in [0x3300_0001u32, 0x3340_0000, 0x337f_ffff] {
+            let x = f32::from_bits(bits); // inside (2^-25, 2^-24)
+            assert_eq!(f32_to_f16(x), 0x0001, "{x:e} is nearer 2^-24 than 0");
+            assert_eq!(f32_to_f16(-x), 0x8001);
+        }
+        assert_eq!(f32_to_f16(f32::from_bits(0x32ff_ffff)), 0x0000, "below the tie");
+        assert_eq!(f32_to_f16(f32::from_bits(0x3380_0000)), 0x0001, "2^-24 itself");
+    }
+
+    #[test]
+    fn nan_keeps_its_sign_and_top_payload_bits_and_is_quiet() {
+        assert_eq!(f32_to_f16(f32::from_bits(0x7fc0_0000)), 0x7e00);
+        assert_eq!(f32_to_f16(f32::from_bits(0xffc0_0000)), 0xfe00);
+        assert_eq!(f32_to_f16(f32::from_bits(0x7f80_2000)), 0x7e01, "signalling in, quiet out");
+        assert_eq!(f32_to_f16(f32::from_bits(0x7fff_ffff)), 0x7fff);
+        assert_eq!(f32_to_f16(f32::from_bits(0x7f80_0001)), 0x7e00, "low payload bits drop");
+        assert_eq!(f16_to_f32(0x7c01).to_bits(), 0x7fc0_2000, "decode quiets too");
+        assert_eq!(f16_to_f32(0xfe00).to_bits(), 0xffc0_0000);
+        assert_eq!(f16_to_f32(0x7c00), f32::INFINITY);
     }
 
     #[test]
