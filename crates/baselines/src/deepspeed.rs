@@ -12,11 +12,11 @@
 //!   non-contiguous) host group; weight updates are an all-gather of the
 //!   per-shard Adam results within the same group.
 
+use std::time::Instant;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
 use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::adam::{f16_to_f32, f32_to_f16};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, AdamShard, Matrix};
@@ -95,6 +95,12 @@ pub struct DeepSpeedMoeEngine {
     /// ZeRO-1 shard of each *local* class's optimizer (one per local slot),
     /// covering this rank's position within the class's EDP group.
     opt_shards: Vec<AdamShard>,
+    /// Per local slot: its flat gradient, staged for the EDP all-reduce.
+    /// Lives across iterations.
+    grad_staging: Vec<Vec<f32>>,
+    /// Per local slot: the updated fp16 shard the Adam step writes and the
+    /// all-gather contributes. Lives across iterations.
+    weight_shards: Vec<Vec<u16>>,
     router_w: Matrix,
     iteration: u64,
     telemetry: TelemetryHandle,
@@ -143,6 +149,8 @@ impl DeepSpeedMoeEngine {
             slots,
             batches: SlotBatches::new(slots_per_rank, d_model),
             opt_shards,
+            grad_staging: vec![Vec::new(); slots_per_rank],
+            weight_shards: vec![Vec::new(); slots_per_rank],
             router_w,
             iteration: 0,
             telemetry: TelemetryHandle::disabled(),
@@ -161,6 +169,12 @@ impl DeepSpeedMoeEngine {
 
     pub fn slot_weights(&self, local_slot: usize) -> Vec<f32> {
         self.slots[local_slot].flat_params()
+    }
+
+    /// The fp32 master weights of the ZeRO-1 shard this rank owns of local
+    /// slot `local_slot`'s class (testing support).
+    pub fn master_shard(&self, local_slot: usize) -> &[f32] {
+        self.opt_shards[local_slot].master_weights()
     }
 
     /// One training iteration on this rank's token shard (same contract as
@@ -219,11 +233,13 @@ impl DeepSpeedMoeEngine {
         let mut taken = vec![0usize; e];
         let mut kept = Vec::new();
         let mut kept_slot = Vec::new();
+        let slots_of_class: Vec<Vec<usize>> =
+            (0..e).map(|c| self.placement.slots_of_class(c)).collect();
         for (t, &class) in assignment.iter().enumerate().take(t_loc) {
             if taken[class] >= quota[class] {
                 continue;
             }
-            let class_slots = self.placement.slots_of_class(class);
+            let class_slots = &slots_of_class[class];
             let gid = self.rank * t_loc + t;
             kept_slot.push(class_slots[gid % class_slots.len()]);
             kept.push(t);
@@ -284,6 +300,7 @@ impl DeepSpeedMoeEngine {
         drop(combine_span);
 
         // Backward.
+        let t_return = Instant::now();
         let grad_dispatch_span = tele.span(Phase::GradComm);
         let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); n];
         for (i, &t) in kept.iter().enumerate() {
@@ -293,6 +310,7 @@ impl DeepSpeedMoeEngine {
         let in_grads = ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::GradReturn), gbufs)?;
         self.batches.assemble_grads(&in_grads);
         drop(grad_dispatch_span);
+        let grad_return = t_return.elapsed();
         {
             let _span = tele.span(Phase::ExpertFfn);
             for (local, expert) in self.slots.iter_mut().enumerate() {
@@ -302,53 +320,60 @@ impl DeepSpeedMoeEngine {
 
         // EDP gradient all-reduce per local class over the striped
         // (non-contiguous) host group — the group DeepSpeed created at init.
+        let t_sync = Instant::now();
         let gradsync_span = tele.span(Phase::GradComm);
         let classes = self.placement.classes_on_rank(self.rank);
-        let mut synced: Vec<Vec<f32>> = vec![Vec::new(); s];
         for &(class, local) in &classes {
-            let hosts = self.placement.host_ranks(class);
-            let group = CommGroup::new(hosts);
-            let mut grads = self.slots[local].flat_grads();
-            ctx.allreduce_sum(&group, tags.tag(WirePhase::GradSync, class, 0), &mut grads)?;
-            synced[local] = grads;
+            let group = CommGroup::new(self.placement.host_ranks(class));
+            let grads = &mut self.grad_staging[local];
+            self.slots[local].flat_grads_into(grads);
+            ctx.allreduce_sum(&group, tags.tag(WirePhase::GradSync, class, 0), grads)?;
         }
         drop(gradsync_span);
+        if tele.is_enabled() {
+            // The same split of `Phase::GradComm` the SYMI engine publishes
+            // (this system has no shard collection: the EDP group that
+            // synchronized the gradient also owns the optimizer shards).
+            tele.gauge("grad_return_ms").set(grad_return.as_secs_f64() * 1e3);
+            tele.gauge("grad_sync_ms").set(t_sync.elapsed().as_secs_f64() * 1e3);
+        }
 
-        // ZeRO-1 optimizer step: each EDP member steps its shard, then the
-        // group all-gathers the updated shards into full weights.
+        // ZeRO-1 optimizer step: each EDP member steps its shard — the
+        // kernel publishes the updated weights as binary16 bits — then the
+        // group all-gathers the fp16 shards and every member decodes them
+        // straight into its slot.
         for &(class, local) in &classes {
             let hosts = self.placement.host_ranks(class);
-            let group = CommGroup::new(hosts.clone());
             let my_idx = hosts.iter().position(|&h| h == self.rank).expect("hosted");
-            let updated = {
+            let group = CommGroup::new(hosts);
+            let mut half = std::mem::take(&mut self.weight_shards[local]);
+            {
                 let _span = tele.span(Phase::OptimizerStep);
-                let grads = &synced[local];
+                let grads = &self.grad_staging[local];
                 let (a, b) = chunk_range(grads.len(), r, my_idx);
                 // Staging the fp32 gradient shard to host and the fp16
                 // weights back (PCIe).
                 ctx.record_host_device_bytes((b - a) as u64 * 4);
-                let updated = self.opt_shards[local].step(&grads[a..b]);
-                ctx.record_host_device_bytes(updated.len() as u64 * 2);
-                updated
-            };
+                self.opt_shards[local].step_into(&grads[a..b], &mut half);
+                ctx.record_host_device_bytes(half.len() as u64 * 2);
+            }
             let _span = tele.span(Phase::WeightComm);
-            // Adam already emits fp16-representable weights, so the gather
-            // travels at 2 B/param with no extra rounding.
-            let half: Vec<u16> = updated.iter().map(|&v| f32_to_f16(v)).collect();
             let parts = ctx.all_gather_varsize_f16(
                 &group,
                 tags.tag(WirePhase::WeightDistribute, class, 0),
                 half,
             )?;
-            let mut full = self.slots[local].flat_params();
+            let slot = &mut self.slots[local];
             for (idx, part) in parts.into_iter().enumerate() {
-                let (pa, pb) = chunk_range(full.len(), r, idx);
+                let (pa, pb) = chunk_range(slot.param_count(), r, idx);
                 assert_eq!(part.len(), pb - pa, "shard shape mismatch");
-                for (dst, h) in full[pa..pb].iter_mut().zip(part) {
-                    *dst = f16_to_f32(h);
+                slot.load_f16_at(pa, &part);
+                if idx == my_idx {
+                    self.weight_shards[local] = part; // my own buffer, back for the next step
+                } else {
+                    ctx.recycle_f16(part);
                 }
             }
-            self.slots[local].load_flat(&full);
         }
 
         self.iteration += 1;

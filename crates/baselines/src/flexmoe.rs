@@ -21,7 +21,6 @@ use symi_collectives::p2p::{RecvOp, SendOp};
 use symi_collectives::{Cluster, ClusterSpec, TagSpace, TrafficReport, WirePhase};
 use symi_model::PlacementPolicy;
 use symi_telemetry::{Phase, ScopedTimer};
-use symi_tensor::adam::f32_to_f16;
 use symi_tensor::{AdamConfig, AdamShard};
 
 /// FlexMoE's interval-triggered, one-replica-at-a-time policy.
@@ -164,10 +163,10 @@ impl RebalanceCostHarness {
                 if rank == primary {
                     let mut shard =
                         AdamShard::new(AdamConfig::default(), 0, &vec![0.0f32; h.param_count]);
-                    let updated = shard.step(&vec![0.01f32; h.param_count]);
+                    let mut half = Vec::new();
+                    shard.step_into(&vec![0.01f32; h.param_count], &mut half);
                     // Weights travel (and stage over PCIe) at fp16 width.
-                    ctx.record_host_device_bytes(updated.len() as u64 * 2);
-                    let half: Vec<u16> = updated.iter().map(|&v| f32_to_f16(v)).collect();
+                    ctx.record_host_device_bytes(half.len() as u64 * 2);
                     let sends =
                         hosts[1..].iter().map(|&dst| SendOp::new(dst, tag, half.clone())).collect();
                     ctx.batch_isend_irecv(sends, &[]).unwrap();

@@ -22,6 +22,14 @@
 //! and backward, whole-call GFLOP/s), so "expert FFN vs the GEMM roof" is
 //! answered from the JSON.
 //!
+//! Then the **optimizer rows**: one Adam step over the repository
+//! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
+//! shard of one class; 16,544: `engine_tokens`') in ns per parameter, both
+//! stores (f32 on the fp16 grid, binary16 bits), vector path and forced
+//! scalar — the scalar column is the arithmetic and the speed every earlier
+//! revision ran at — and the **binary16 codec rows** (slice encode/decode,
+//! ns per element, vector / scalar) at the same sizes.
+//!
 //! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate:
 //! every shape at 1 thread and at max threads (min-of-reps), asserting
 //!   1. the blocked kernel beats naive on the d256 shape,
@@ -32,7 +40,10 @@
 //!      1 thread (plus a small absolute grace for timer noise) — the
 //!      regression this PR fixes must stay fixed,
 //!   4. **activations**: vector GELU matches the libm reference within
-//!      `1e-6·max(1, |x|)` and, on the AVX2 path, runs ≥ 4× faster.
+//!      `1e-6·max(1, |x|)` and, on the AVX2 path, runs ≥ 4× faster,
+//!   5. **optimizer**: the vector Adam step leaves bit for bit the state
+//!      and the published weights of the scalar one and, where AVX2+F16C
+//!      is present, runs ≥ 4× faster.
 
 use std::path::Path;
 use std::time::Instant;
@@ -42,7 +53,7 @@ use symi_model::expert::ExpertFfn;
 use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_into, gelu_into, softmax_rows_into};
-use symi_tensor::{pool, HalfMatrix, Matrix};
+use symi_tensor::{half, pool, AdamConfig, AdamShard, AdamState, HalfMatrix, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
@@ -338,6 +349,107 @@ fn bench_expert_ffn() -> Value {
     Value::Obj(o)
 }
 
+/// (label, parameters): one rank's optimizer shard of one expert class in
+/// the repository benchmark's two engine geometries.
+const ADAM_SIZES: &[(&str, usize)] =
+    &[("engine_params/shard", 262_784), ("engine_tokens/shard", 33_088 / 2)];
+
+/// Weights of the experts' scale and gradients a few orders below them.
+fn adam_inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
+    let params = (0..n).map(|i| (i as f32 * 0.37).sin() * 0.06).collect();
+    let grads = (0..n).map(|i| (i as f32 * 0.11).cos() * 1e-3).collect();
+    (params, grads)
+}
+
+/// `{"vector": .., "scalar": .., "vector_speedup": ..}` in ns per element.
+fn vector_scalar_pair(elems: usize, vector_ns: f64, scalar_ns: f64) -> Value {
+    let mut o = Obj::new();
+    o.set("vector", Value::Num(vector_ns / elems as f64));
+    o.set("scalar", Value::Num(scalar_ns / elems as f64));
+    o.set("vector_speedup", Value::Num(scalar_ns / vector_ns));
+    Value::Obj(o)
+}
+
+fn bench_adam() -> Value {
+    const REPS: usize = 15;
+    pool::set_threads(1);
+    let mut rows = Vec::new();
+    for &(label, n) in ADAM_SIZES {
+        group(&format!("adam/{label}"));
+        let (params, grads) = adam_inputs(n);
+        let cfg = AdamConfig::default();
+        let (mut state_v, mut shard_v) =
+            (AdamState::new(cfg, &params), AdamShard::new(cfg, 0, &params));
+        let (mut state_s, mut shard_s) = (state_v.clone(), shard_v.clone());
+        let (mut out_v, mut out_s) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let (mut half_v, mut half_s) = (Vec::new(), Vec::new());
+        let ns = interleaved_min_ns(
+            REPS,
+            &mut [
+                &mut || state_v.step(&grads, &mut out_v),
+                &mut || forced_scalar(|| state_s.step(&grads, &mut out_s)),
+                &mut || shard_v.step_into(&grads, &mut half_v),
+                &mut || forced_scalar(|| shard_s.step_into(&grads, &mut half_s)),
+            ],
+        );
+        let mut per_param = Obj::new();
+        per_param.set("f32_store", vector_scalar_pair(n, ns[0], ns[1]));
+        per_param.set("f16_store", vector_scalar_pair(n, ns[2], ns[3]));
+        let mut row = Obj::new();
+        row.set("shape", Value::str(label));
+        row.set("params", Value::u64(n as u64));
+        row.set("ns_per_param", Value::Obj(per_param));
+        println!(
+            "adam {label} ({n}): f32 store vector {:.2} ns/param, scalar {:.2}; \
+             f16 store vector {:.2}, scalar {:.2}",
+            ns[0] / n as f64,
+            ns[1] / n as f64,
+            ns[2] / n as f64,
+            ns[3] / n as f64
+        );
+        rows.push(Value::Obj(row));
+    }
+    Value::Arr(rows)
+}
+
+fn bench_f16_codec() -> Value {
+    const REPS: usize = 25;
+    pool::set_threads(1);
+    let mut rows = Vec::new();
+    for &(label, n) in ADAM_SIZES {
+        group(&format!("f16_codec/{label}"));
+        let (params, _) = adam_inputs(n);
+        let (mut enc_v, mut enc_s) = (vec![0u16; n], vec![0u16; n]);
+        half::encode(&params, &mut enc_v);
+        let wire = enc_v.clone();
+        let (mut dec_v, mut dec_s) = (vec![0.0f32; n], vec![0.0f32; n]);
+        let ns = interleaved_min_ns(
+            REPS,
+            &mut [
+                &mut || half::encode(&params, &mut enc_v),
+                &mut || forced_scalar(|| half::encode(&params, &mut enc_s)),
+                &mut || half::decode(&wire, &mut dec_v),
+                &mut || forced_scalar(|| half::decode(&wire, &mut dec_s)),
+            ],
+        );
+        let mut row = Obj::new();
+        row.set("shape", Value::str(label));
+        row.set("elems", Value::u64(n as u64));
+        row.set("encode_ns_per_elem", vector_scalar_pair(n, ns[0], ns[1]));
+        row.set("decode_ns_per_elem", vector_scalar_pair(n, ns[2], ns[3]));
+        println!(
+            "f16 codec {label} ({n}): encode vector {:.3} ns/elem, scalar {:.2}; \
+             decode vector {:.3}, scalar {:.2}",
+            ns[0] / n as f64,
+            ns[1] / n as f64,
+            ns[2] / n as f64,
+            ns[3] / n as f64
+        );
+        rows.push(Value::Obj(row));
+    }
+    Value::Arr(rows)
+}
+
 /// Assert `got` matches the naive oracle within the kernel tolerance gate:
 /// per element, ≤ 8 ULPs apart or within `4·k·ε` of the magnitude bound
 /// `|A|·|B|`. The active path may reassociate via FMA; bitwise equality is
@@ -377,7 +489,11 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   even on single-core runners;
 ///   activations — vector GELU within `1e-6·max(1, |x|)` of the libm
 ///   reference at the `engine_tokens` shape, and ≥ 4× faster when the
-///   AVX2 path is active (the scalar encoding only has to be correct).
+///   AVX2 path is active (the scalar encoding only has to be correct);
+///   optimizer — five Adam steps on the vector path and on the forced
+///   scalar path from one state leave identical bits in `(master, m, v)` and
+///   in the published binary16 shard, and the vector step is ≥ 4× faster
+///   where AVX2+F16C is present.
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -467,6 +583,40 @@ fn smoke() {
             );
         }
     }
+
+    // Adam: vector ≡ scalar bitwise, and faster.
+    {
+        let (label, n) = ADAM_SIZES[0];
+        let (params, grads) = adam_inputs(n);
+        let mut vector = AdamShard::new(AdamConfig::default(), 0, &params);
+        let mut scalar = vector.clone();
+        let (mut half_v, mut half_s) = (Vec::new(), Vec::new());
+        let ns = interleaved_min_ns(
+            5,
+            &mut [&mut || vector.step_into(&grads, &mut half_v), &mut || {
+                forced_scalar(|| scalar.step_into(&grads, &mut half_s))
+            }],
+        );
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(half_v, half_s, "{label}: published shards differ");
+        assert_eq!(bits(vector.master_weights()), bits(scalar.master_weights()), "{label}: master");
+        assert_eq!(bits(vector.moments().0), bits(scalar.moments().0), "{label}: m");
+        assert_eq!(bits(vector.moments().1), bits(scalar.moments().1), "{label}: v");
+        println!(
+            "smoke adam {label}: vector {:.2} ns/param, scalar {:.2} ns/param ({:.1}x), bit-identical",
+            ns[0] / n as f64,
+            ns[1] / n as f64,
+            ns[1] / ns[0]
+        );
+        if kernels::f16_fast_path() {
+            assert!(
+                ns[1] >= 4.0 * ns[0],
+                "vector Adam under 4x scalar: {:.0} ns vs {:.0} ns",
+                ns[0],
+                ns[1]
+            );
+        }
+    }
 }
 
 fn main() {
@@ -478,6 +628,8 @@ fn main() {
     let shapes = bench_shapes();
     let activations = bench_activations();
     let expert_ffn = bench_expert_ffn();
+    let adam = bench_adam();
+    let f16_codec = bench_f16_codec();
 
     let mut o = Obj::new();
     o.set("bench", Value::str("gemm_kernels"));
@@ -486,6 +638,8 @@ fn main() {
     o.set("shapes", shapes);
     o.set("activations", activations);
     o.set("expert_ffn", expert_ffn);
+    o.set("adam", adam);
+    o.set("f16_codec", f16_codec);
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json");
     std::fs::write(&out, Value::Obj(o).to_string()).expect("write kernels json");
     println!("wrote {}", out.display());

@@ -1,5 +1,6 @@
 //! Thread-per-rank cluster runtime.
 
+use crate::buffers::WireBuffers;
 use crate::ctx::{Mailbox, RankCtx};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::group::GroupRegistry;
@@ -117,6 +118,7 @@ impl Cluster {
         let traffic = TrafficStats::new(spec.ranks);
         let groups = Arc::new(GroupRegistry::contiguous(spec.ranks));
         let barrier = Arc::new(Barrier::new(spec.ranks));
+        let buffers = Arc::new(WireBuffers::new());
 
         let mut senders = Vec::with_capacity(spec.ranks);
         let mut receivers = Vec::with_capacity(spec.ranks);
@@ -134,6 +136,7 @@ impl Cluster {
                 let traffic = Arc::clone(&traffic);
                 let groups = Arc::clone(&groups);
                 let barrier = Arc::clone(&barrier);
+                let buffers = Arc::clone(&buffers);
                 let injector = plan.as_ref().map(|p| FaultInjector::new(Arc::clone(p), rank));
                 let f = &f;
                 handles.push(scope.spawn(move || {
@@ -144,6 +147,7 @@ impl Cluster {
                         barrier,
                         traffic,
                         groups,
+                        buffers,
                     );
                     let out = f(&mut ctx);
                     ctx.finish();

@@ -59,13 +59,15 @@ impl RankCtx {
             let send_chunk = (idx + m - step) % m;
             let recv_chunk = (idx + m - step - 1) % m;
             let (ss, se) = chunk_range(data.len(), m, send_chunk);
-            self.send(next, Self::step_tag(tag, step as u64), data[ss..se].to_vec())?;
+            let outgoing = self.pooled_copy_f32(&data[ss..se]);
+            self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
             let incoming = self.recv_f32(prev, Self::step_tag(tag, step as u64))?;
             let (rs, re) = chunk_range(data.len(), m, recv_chunk);
             debug_assert_eq!(incoming.len(), re - rs);
             for (d, v) in data[rs..re].iter_mut().zip(&incoming) {
                 *d += v;
             }
+            self.recycle_f32(incoming);
         }
         Ok(())
     }
@@ -86,11 +88,13 @@ impl RankCtx {
             let send_chunk = (idx + 1 + m - step) % m;
             let recv_chunk = (idx + m - step) % m;
             let (ss, se) = chunk_range(data.len(), m, send_chunk);
-            self.send(next, Self::step_tag(tag, step as u64), data[ss..se].to_vec())?;
+            let outgoing = self.pooled_copy_f32(&data[ss..se]);
+            self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
             let incoming = self.recv_f32(prev, Self::step_tag(tag, step as u64))?;
             let (rs, re) = chunk_range(data.len(), m, recv_chunk);
             debug_assert_eq!(incoming.len(), re - rs);
             data[rs..re].copy_from_slice(&incoming);
+            self.recycle_f32(incoming);
         }
         Ok(())
     }
@@ -159,7 +163,10 @@ impl RankCtx {
 
     /// [`RankCtx::all_gather_varsize`] over raw fp16 bit patterns —
     /// half-width weight shards move 2 B/element on the wire, matching the
-    /// fp16 working-weight accounting of the paper's cost model.
+    /// fp16 working-weight accounting of the paper's cost model. The hops'
+    /// outgoing copies come from the wire-buffer free list; the caller owns
+    /// the returned parts (its own chunk among them, moved, not copied) and
+    /// should [`RankCtx::recycle_f16`] what it does not keep.
     pub fn all_gather_varsize_f16(
         &mut self,
         group: &CommGroup,
@@ -175,7 +182,8 @@ impl RankCtx {
         for step in 0..m - 1 {
             let send_idx = (idx + m - step) % m;
             let recv_idx = (idx + m - step - 1) % m;
-            let outgoing = parts[send_idx].clone().expect("ring invariant: chunk present");
+            let held = parts[send_idx].as_ref().expect("ring invariant: chunk present");
+            let outgoing = self.pooled_copy_f16(held);
             self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
             let incoming = self.recv_f16(prev, Self::step_tag(tag, step as u64))?;
             parts[recv_idx] = Some(incoming);

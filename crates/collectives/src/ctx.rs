@@ -1,5 +1,6 @@
 //! Per-rank execution context: tagged point-to-point messaging and barriers.
 
+use crate::buffers::WireBuffers;
 use crate::cluster::ClusterSpec;
 use crate::error::{CommError, ProtocolFailure};
 use crate::fault::{FaultInjector, FaultStats, SendAction};
@@ -715,6 +716,7 @@ pub struct RankCtx {
     barrier: Arc<Barrier>,
     traffic: Arc<TrafficStats>,
     groups: Arc<GroupRegistry>,
+    buffers: Arc<WireBuffers>,
 }
 
 impl RankCtx {
@@ -725,8 +727,9 @@ impl RankCtx {
         barrier: Arc<Barrier>,
         traffic: Arc<TrafficStats>,
         groups: Arc<GroupRegistry>,
+        buffers: Arc<WireBuffers>,
     ) -> Self {
-        Self { rank, spec, mailbox, barrier, traffic, groups }
+        Self { rank, spec, mailbox, barrier, traffic, groups, buffers }
     }
 
     /// This rank's id in `[0, world_size)`.
@@ -961,6 +964,34 @@ impl RankCtx {
     /// leg of the paper's Grad/Weight Communication Phases).
     pub fn record_host_device_bytes(&self, bytes: u64) {
         self.traffic.record_host_device(self.rank, bytes);
+    }
+
+    /// A buffer holding a copy of `src`, drawn from the cluster's free list
+    /// of wire buffers ([`crate::buffers`]) when an idle one fits — what a
+    /// sender whose data must outlive the send should put on the wire.
+    pub fn pooled_copy_f32(&self, src: &[f32]) -> Vec<f32> {
+        self.buffers.f32s.copy_of(src)
+    }
+
+    /// [`RankCtx::pooled_copy_f32`] for binary16 bits.
+    pub fn pooled_copy_f16(&self, src: &[u16]) -> Vec<u16> {
+        self.buffers.f16s.copy_of(src)
+    }
+
+    /// Hands a consumed buffer (a received payload, typically) to the free
+    /// list; it is dropped instead if it is small or the list is full.
+    pub fn recycle_f32(&self, buf: Vec<f32>) {
+        self.buffers.f32s.put(buf);
+    }
+
+    /// [`RankCtx::recycle_f32`] for binary16 bits.
+    pub fn recycle_f16(&self, buf: Vec<u16>) {
+        self.buffers.f16s.put(buf);
+    }
+
+    /// `(f32, binary16)` wire buffers idle in the cluster's free list.
+    pub fn idle_wire_buffers(&self) -> (usize, usize) {
+        (self.buffers.f32s.idle(), self.buffers.f16s.idle())
     }
 
     /// The cluster-shared traffic counters. A telemetry driver drains

@@ -32,11 +32,16 @@
 //!   duplicate, delay or reorder tagged messages and stall or kill ranks,
 //!   paired with the mailbox's bounded retry-with-backoff and
 //!   [`ProtocolFailure`] escalation so recovery is testable.
+//! - A bounded, cluster-shared free list of wire buffers ([`buffers`]):
+//!   receivers return the megabyte-sized shards they consumed, the ring and
+//!   the optimizer phases send in them, and a steady iteration requests no
+//!   large block from the allocator.
 //! - Per-link-class traffic accounting ([`traffic`]): every payload byte is
 //!   attributed to the intra-node (PCIe/NVLink-class) or inter-node
 //!   (network-class) link it crossed, so `symi-netsim` can price a real
 //!   execution with the paper's α–β model.
 
+pub mod buffers;
 pub mod cluster;
 pub mod coll;
 pub mod ctx;

@@ -134,10 +134,11 @@ impl Payload {
     }
 }
 
-/// Elements per worker share below which fp16 conversion stays sequential
-/// (the software codec measures 4–5 ns/element, so a share is ≥ ~70 µs of
-/// work; smaller chunks don't amortize a wake).
-const MIN_F16_ELEMS_PER_SHARE: usize = 16 * 1024;
+/// Elements per worker share below which fp16 conversion stays sequential.
+/// The hardware codec streams ≈0.2 ns per element out of cache
+/// (`BENCH_kernels.json`, `f16_codec` rows), so a share is ≳50 µs of work;
+/// smaller chunks don't amortize a pool wake-up.
+const MIN_F16_ELEMS_PER_SHARE: usize = 256 * 1024;
 
 /// Narrows an fp32 buffer to IEEE binary16 wire format (round-to-nearest-
 /// even), converting disjoint chunks in parallel on the shared worker pool.
@@ -145,11 +146,12 @@ const MIN_F16_ELEMS_PER_SHARE: usize = 16 * 1024;
 /// count.
 pub fn encode_f16(src: &[f32]) -> Vec<u16> {
     let mut dst = vec![0u16; src.len()];
-    symi_tensor::pool::par_convert(src, &mut dst, MIN_F16_ELEMS_PER_SHARE, |s, d| {
-        for (h, &w) in d.iter_mut().zip(s) {
-            *h = symi_tensor::adam::f32_to_f16(w);
-        }
-    });
+    symi_tensor::pool::par_convert(
+        src,
+        &mut dst,
+        MIN_F16_ELEMS_PER_SHARE,
+        symi_tensor::half::encode,
+    );
     dst
 }
 
@@ -159,11 +161,7 @@ pub fn encode_f16(src: &[f32]) -> Vec<u16> {
 /// # Panics
 /// Panics if `src` and `dst` lengths differ.
 pub fn decode_f16_into(src: &[u16], dst: &mut [f32]) {
-    symi_tensor::pool::par_convert(src, dst, MIN_F16_ELEMS_PER_SHARE, |s, d| {
-        for (w, &h) in d.iter_mut().zip(s) {
-            *w = symi_tensor::adam::f16_to_f32(h);
-        }
-    });
+    symi_tensor::pool::par_convert(src, dst, MIN_F16_ELEMS_PER_SHARE, symi_tensor::half::decode);
 }
 
 impl From<Vec<f32>> for Payload {
@@ -224,7 +222,7 @@ mod tests {
     #[test]
     fn f16_helpers_match_scalar_conversion() {
         // Large enough to split across pool shares.
-        let src: Vec<f32> = (0..40_000).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+        let src: Vec<f32> = (0..600_000).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
         let enc = encode_f16(&src);
         let expect: Vec<u16> = src.iter().map(|&w| symi_tensor::adam::f32_to_f16(w)).collect();
         assert_eq!(enc, expect);
@@ -237,7 +235,7 @@ mod tests {
 
     #[test]
     fn f16_encode_is_worker_count_invariant() {
-        let src: Vec<f32> = (0..70_000).map(|i| ((i * 7) as f32 * 0.013).cos()).collect();
+        let src: Vec<f32> = (0..700_000).map(|i| ((i * 7) as f32 * 0.013).cos()).collect();
         let before = symi_tensor::pool::current_threads();
         symi_tensor::pool::set_threads(1);
         let one = encode_f16(&src);

@@ -31,10 +31,11 @@ use crate::optimizer::{ReshardReport, ShardState, SymiOptimizer, WeightDistribut
 use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
 use crate::taskgraph::TaskGraph;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use symi_collectives::hier::ReduceMode;
 use symi_collectives::{
-    CommError, MembershipView, OverlapStats, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
+    encode_f16, CommError, MembershipView, OverlapStats, RankCtx, TagSpace, WirePhase,
+    RECOVERY_LAYER,
 };
 use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
@@ -146,6 +147,18 @@ pub struct JoinStats {
     pub reshard: ReshardReport,
 }
 
+/// Wall time of the three things `Phase::GradComm` covers, for the
+/// `grad_return_ms` / `grad_sync_ms` / `grad_collect_ms` gauges.
+#[derive(Clone, Copy, Debug, Default)]
+struct GradCommTime {
+    /// The `GradReturn` all-to-all and its assembly into the slots.
+    ret: Duration,
+    /// Flat-gradient staging and the §4.1 intra+inter rank all-reduce.
+    sync: Duration,
+    /// Algorithm 2's shard collection (issue, serve, take — not Adam).
+    collect: Duration,
+}
+
 /// A rank's full training state: enough to rebuild a bit-identical engine
 /// on a fresh cluster via [`MoeLayerEngine::from_snapshot`]. Used by the
 /// recovery oracle tests and as the natural checkpoint payload.
@@ -193,8 +206,9 @@ pub fn assign_token_slots(
     let mut taken = vec![0usize; e];
     let mut kept = Vec::with_capacity(assignment.len());
     let mut kept_slot = Vec::with_capacity(assignment.len());
+    let slots_of_class: Vec<Vec<usize>> = (0..e).map(|c| placement.slots_of_class(c)).collect();
     for (t, &class) in assignment.iter().enumerate() {
-        let class_slots = placement.slots_of_class(class);
+        let class_slots = &slots_of_class[class];
         let start = (rank_token_offset + t) % class_slots.len();
         let chosen = (0..class_slots.len())
             .map(|probe| class_slots[(start + probe) % class_slots.len()])
@@ -257,6 +271,14 @@ pub struct MoeLayerEngine {
     slots: Vec<ExpertFfn>,
     /// The slots' persistent input/output/gradient matrices.
     batches: SlotBatches,
+    /// Per local slot: its flat gradient, staged for the §4.1 all-reduce
+    /// and the shard collection. Lives across iterations.
+    grad_staging: Vec<Vec<f32>>,
+    /// Per class: this rank's updated weight shard as binary16 bits, written
+    /// by the Adam step and read by both halves of the weight scatter (in
+    /// overlap mode the fence half runs an iteration later, before the next
+    /// step overwrites it). Lives across iterations.
+    weight_shards: Vec<Vec<u16>>,
     pub placement: ExpertPlacement,
     optimizer: SymiOptimizer,
     pub metadata: LayerMetadataStore,
@@ -341,6 +363,8 @@ impl MoeLayerEngine {
             lrank: rank,
             slots,
             batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
+            grad_staging: vec![Vec::new(); cfg.slots_per_rank],
+            weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
             metadata: LayerMetadataStore::new(1, 64),
@@ -391,13 +415,12 @@ impl MoeLayerEngine {
         let Some(pw) = self.pending_weights.take() else {
             return Ok(None);
         };
-        let (new_weights, stats) = self.optimizer.distribute_weights_finish(ctx, pw.state)?;
-        {
-            let _span = self.telemetry.span(Phase::WeightComm);
-            for (local, weights) in new_weights.into_iter().enumerate() {
-                self.slots[local].load_flat(&weights);
-            }
-        }
+        let stats = self.optimizer.distribute_weights_finish(
+            ctx,
+            pw.state,
+            &self.weight_shards,
+            &mut self.slots,
+        )?;
         self.placement = pw.placement;
         Ok(Some(stats))
     }
@@ -646,16 +669,17 @@ impl MoeLayerEngine {
     /// makes the post-recovery comparison bit-exact).
     pub fn materialize_slots(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
         let tags = TagSpace::new(RECOVERY_LAYER, self.iteration);
-        let shards = self.optimizer.master_weight_shards();
-        let new_weights = self.optimizer.distribute_weights(ctx, &self.placement, &shards, tags)?;
-        self.slots = new_weights
-            .into_iter()
-            .map(|w| {
-                let mut e = ExpertFfn::new(self.cfg.d_model, self.cfg.d_ff, 0);
-                e.load_flat(&w);
-                e
-            })
+        // The masters are off the fp16 grid: this is the one scatter that
+        // has to encode, with the codec the Adam kernel publishes through.
+        let shards: Vec<Vec<u16>> = (0..self.cfg.expert_classes)
+            .map(|class| encode_f16(self.optimizer.master_shard(class)))
             .collect();
+        self.slots = (0..self.cfg.slots_per_rank)
+            .map(|_| ExpertFfn::new(self.cfg.d_model, self.cfg.d_ff, 0))
+            .collect();
+        let pending =
+            self.optimizer.distribute_weights_begin(ctx, &self.placement, &shards, tags)?;
+        self.optimizer.distribute_weights_finish(ctx, pending, &shards, &mut self.slots)?;
         Ok(())
     }
 
@@ -858,6 +882,8 @@ impl MoeLayerEngine {
             lrank,
             slots: Vec::new(),
             batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
+            grad_staging: vec![Vec::new(); cfg.slots_per_rank],
+            weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
             metadata,
@@ -930,6 +956,8 @@ impl MoeLayerEngine {
             lrank: snap.logical_rank,
             slots,
             batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
+            grad_staging: vec![Vec::new(); cfg.slots_per_rank],
+            weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
             metadata,
@@ -941,6 +969,37 @@ impl MoeLayerEngine {
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
         }
+    }
+
+    /// §4.1 for one hosted class: stages its local slots' flat gradients
+    /// (persistent buffers, no allocation) and runs the intra+inter rank
+    /// all-reduce over them. On return `grad_staging[l]` of every listed
+    /// slot holds the class's synchronized gradient.
+    fn sync_class_grads(
+        &mut self,
+        ctx: &mut RankCtx,
+        class: usize,
+        locals: &[usize],
+        tags: TagSpace,
+    ) -> Result<(), CommError> {
+        let _span = self.telemetry.span(Phase::GradComm);
+        for &local in locals {
+            self.slots[local].flat_grads_into(&mut self.grad_staging[local]);
+        }
+        // A class's local slots are adjacent (placements are contiguous).
+        let (first, last) = (locals[0], locals[locals.len() - 1]);
+        debug_assert_eq!(last - first + 1, locals.len(), "local replicas are adjacent");
+        // The host range is logical; the view maps it onto the (possibly
+        // non-contiguous) surviving physical ranks.
+        let (start, len) = self.placement.host_range(class);
+        let group = self.view.subgroup(start, len);
+        ctx.expert_allreduce(
+            &group,
+            tags.tag(WirePhase::GradSync, class, 0),
+            &mut self.grad_staging[first..=last],
+            self.placement.replica_counts()[class],
+            ReduceMode::Sum,
+        )
     }
 
     /// Runs one full training iteration on this rank's token shard.
@@ -1142,6 +1201,12 @@ impl MoeLayerEngine {
         graph.complete(t_combine);
 
         // ---- Step 4: backward. Send gated upstream grads to the slots. ----
+        // `Phase::GradComm` covers three different things — this return of
+        // the upstream gradients, the §4.1 replica all-reduce, and
+        // Algorithm 2's shard collection — so each is also timed on its own
+        // and published as a gauge beside the overlap accounting.
+        let mut grad_time = GradCommTime::default();
+        let t_return = Instant::now();
         let grad_dispatch_span = tele.span(Phase::GradComm);
         let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); n];
         for (i, &t) in kept.iter().enumerate() {
@@ -1153,6 +1218,7 @@ impl MoeLayerEngine {
         // Scatter into the slots' upstream matrices using the same map.
         self.batches.assemble_grads(&in_grads);
         drop(grad_dispatch_span);
+        grad_time.ret = t_return.elapsed();
         graph.complete(t_grad_dispatch);
 
         // ---- Steps 3–7: backward, §4.1 grad all-reduce, Algorithm-2 grad
@@ -1175,49 +1241,46 @@ impl MoeLayerEngine {
         // per-class backward partitions exactly the slot set the sequential
         // loop walks.
         let mut grad_stats = OverlapStats::default();
-        let weight_shards: Vec<Vec<f32>> = if self.overlap {
+        let hosted = self.placement.classes_on_rank(self.lrank);
+        if self.overlap {
+            let t0 = Instant::now();
             let mut pending = self.optimizer.collect_grads_begin(ctx, &self.placement, tags);
+            grad_time.collect += t0.elapsed();
             graph.complete(t_grad_issue);
-            let mut shards: Vec<Option<Vec<f32>>> = vec![None; e];
-            for (class, locals) in self.placement.classes_on_rank(self.lrank) {
+            let mut stepped = vec![false; e];
+            for (class, locals) in &hosted {
                 {
                     let _span = tele.span(Phase::ExpertFfn);
-                    for &local in &locals {
+                    for &local in locals {
                         self.batches.backward(local, &mut self.slots[local]);
                     }
                 }
-                let mut tensors: Vec<Vec<f32>> =
-                    locals.iter().map(|&l| self.slots[l].flat_grads()).collect();
-                let (start, len) = self.placement.host_range(class);
-                let group = self.view.subgroup(start, len);
-                {
-                    let _span = tele.span(Phase::GradComm);
-                    ctx.expert_allreduce(
-                        &group,
-                        tags.tag(WirePhase::GradSync, class, 0),
-                        &mut tensors,
-                        self.placement.replica_counts()[class],
-                        ReduceMode::Sum,
-                    )?;
-                }
+                let t0 = Instant::now();
+                self.sync_class_grads(ctx, *class, locals, tags)?;
+                grad_time.sync += t0.elapsed();
+                let t0 = Instant::now();
                 self.optimizer.collect_grads_serve_class(
                     ctx,
                     &mut pending,
                     &self.placement,
-                    class,
-                    &tensors[0],
+                    *class,
+                    &self.grad_staging[locals[0]],
                     tags,
                 )?;
+                grad_time.collect += t0.elapsed();
                 // Opportunistic sweep: step every class whose shard has
                 // already landed — hidden behind the remaining backward
                 // GEMMs and grad-syncs.
-                for (c, shard) in shards.iter_mut().enumerate() {
-                    if shard.is_none() {
-                        if let Some(g) =
-                            self.optimizer.collect_grads_try_take(ctx, &mut pending, c)?
-                        {
+                for (c, done) in stepped.iter_mut().enumerate() {
+                    if !*done {
+                        let t0 = Instant::now();
+                        let taken = self.optimizer.collect_grads_try_take(ctx, &mut pending, c)?;
+                        grad_time.collect += t0.elapsed();
+                        if let Some(g) = taken {
                             grad_stats.hidden_bytes += g.len() as u64 * 4;
-                            *shard = Some(self.optimizer.step_class(c, &g));
+                            self.optimizer.step_class_into(c, &g, &mut self.weight_shards[c]);
+                            ctx.recycle_f32(g);
+                            *done = true;
                         }
                     }
                 }
@@ -1226,18 +1289,20 @@ impl MoeLayerEngine {
             graph.complete(t_grad_sync);
             graph.complete(t_grad_serve);
             // Whatever is still outstanding is exposed comm: wait it out.
-            for (c, shard) in shards.iter_mut().enumerate() {
-                if shard.is_none() {
+            for (c, done) in stepped.iter().enumerate() {
+                if !*done {
                     let t0 = Instant::now();
                     let g = self.optimizer.collect_grads_wait_take(ctx, &mut pending, c)?;
-                    grad_stats.exposed_ns += t0.elapsed().as_nanos() as u64;
+                    let waited = t0.elapsed();
+                    grad_time.collect += waited;
+                    grad_stats.exposed_ns += waited.as_nanos() as u64;
                     grad_stats.exposed_bytes += g.len() as u64 * 4;
-                    *shard = Some(self.optimizer.step_class(c, &g));
+                    self.optimizer.step_class_into(c, &g, &mut self.weight_shards[c]);
+                    ctx.recycle_f32(g);
                 }
             }
             self.optimizer.collect_grads_finish(ctx, pending);
             graph.complete(t_step);
-            shards.into_iter().map(|s| s.expect("every class stepped")).collect()
         } else {
             {
                 let _span = tele.span(Phase::ExpertFfn);
@@ -1248,36 +1313,28 @@ impl MoeLayerEngine {
             graph.complete(t_backward);
 
             // §4.1: intra+inter rank gradient all-reduce per class.
-            let gradsync_span = tele.span(Phase::GradComm);
-            let mut class_grads: Vec<Option<Vec<f32>>> = vec![None; e];
-            for (class, locals) in self.placement.classes_on_rank(self.lrank) {
-                let mut tensors: Vec<Vec<f32>> =
-                    locals.iter().map(|&l| self.slots[l].flat_grads()).collect();
-                // The host range is logical; the view maps it onto the
-                // (possibly non-contiguous) surviving physical ranks.
-                let (start, len) = self.placement.host_range(class);
-                let group = self.view.subgroup(start, len);
-                ctx.expert_allreduce(
-                    &group,
-                    tags.tag(WirePhase::GradSync, class, 0),
-                    &mut tensors,
-                    self.placement.replica_counts()[class],
-                    ReduceMode::Sum,
-                )?;
-                class_grads[class] = Some(tensors.swap_remove(0));
+            let t0 = Instant::now();
+            for (class, locals) in &hosted {
+                self.sync_class_grads(ctx, *class, locals, tags)?;
             }
-            drop(gradsync_span);
+            grad_time.sync = t0.elapsed();
             graph.complete(t_grad_sync);
 
             // (The optimizer times its own GradComm/OptimizerStep spans.)
             graph.complete(t_grad_issue);
+            let t0 = Instant::now();
+            let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
+            for (class, locals) in &hosted {
+                class_grads[*class] = Some(&self.grad_staging[locals[0]]);
+            }
             let grad_shards =
                 self.optimizer.collect_grads(ctx, &self.placement, &class_grads, tags)?;
+            grad_time.collect = t0.elapsed();
             graph.complete(t_grad_serve);
-            let shards = self.optimizer.step(&grad_shards);
+            self.optimizer.step_into(&grad_shards, &mut self.weight_shards);
+            grad_shards.into_iter().for_each(|g| ctx.recycle_f32(g));
             graph.complete(t_step);
-            shards
-        };
+        }
 
         let rebalance_span = tele.span(Phase::Rebalance);
         let (next_placement, placement_churn) = if degraded {
@@ -1309,21 +1366,16 @@ impl MoeLayerEngine {
         // slots/placement. Sequential mode fences immediately (the blocking
         // `distribute_weights` is exactly begin + finish, so the bytes on
         // the wire are identical).
-        let pending_w =
-            self.optimizer.distribute_weights_begin(ctx, &next_placement, &weight_shards, tags)?;
+        let pending_w = self.optimizer.distribute_weights_begin(
+            ctx,
+            &next_placement,
+            &self.weight_shards,
+            tags,
+        )?;
         graph.complete(t_weight_issue);
-        if self.overlap {
-            self.pending_weights =
-                Some(PendingWeights { state: pending_w, placement: next_placement });
-        } else {
-            let (new_weights, _) = self.optimizer.distribute_weights_finish(ctx, pending_w)?;
-            {
-                let _span = tele.span(Phase::WeightComm);
-                for (local, weights) in new_weights.into_iter().enumerate() {
-                    self.slots[local].load_flat(&weights);
-                }
-            }
-            self.placement = next_placement;
+        self.pending_weights = Some(PendingWeights { state: pending_w, placement: next_placement });
+        if !self.overlap {
+            self.complete_pending_weights(ctx)?;
         }
         self.iteration += 1;
 
@@ -1385,6 +1437,9 @@ impl MoeLayerEngine {
             tele.gauge("overlap_hidden_bytes").set(overlap_stats.hidden_bytes as f64);
             tele.gauge("overlap_exposed_bytes").set(overlap_stats.exposed_bytes as f64);
             tele.gauge("overlap_exposed_ms").set(overlap_stats.exposed_ns as f64 / 1e6);
+            tele.gauge("grad_return_ms").set(grad_time.ret.as_secs_f64() * 1e3);
+            tele.gauge("grad_sync_ms").set(grad_time.sync.as_secs_f64() * 1e3);
+            tele.gauge("grad_collect_ms").set(grad_time.collect.as_secs_f64() * 1e3);
         }
 
         Ok(IterStats {

@@ -9,11 +9,13 @@
 //!    otherwise from a source replica chosen by round-robin over the
 //!    class's host ranks, spreading load so no replica becomes a hotspot.
 //! 2. Steps Adam on each shard (host-side; the staging across PCIe is
-//!    accounted via the traffic counters).
-//! 3. **Weight Communication Phase**: scatters the updated fp16 weight
-//!    shards to each rank hosting the class under the **next** iteration's
-//!    placement. Because the slots must receive fresh weights anyway,
-//!    re-placement is free — the paper's central claim.
+//!    accounted via the traffic counters). The kernel publishes the updated
+//!    weights as binary16 bits in the same pass — the wire format.
+//! 3. **Weight Communication Phase**: scatters those fp16 shards to each
+//!    rank hosting the class under the **next** iteration's placement, where
+//!    they are decoded straight into the hosting slots. Because the slots
+//!    must receive fresh weights anyway, re-placement is free — the paper's
+//!    central claim.
 //!
 //! All geometry here runs over **logical** ranks `0..view.size()` of a
 //! [`MembershipView`]; physical ranks appear only at the wire (send/recv
@@ -31,6 +33,7 @@ use symi_collectives::{
     decode_f16_into, encode_f16, CommError, MembershipView, PendingRecv, RankCtx, TagSpace,
     WirePhase,
 };
+use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::{AdamConfig, AdamShard};
 
@@ -304,17 +307,14 @@ impl GradCollectPending {
 }
 
 /// The in-flight half of a split Weight Communication Phase: fp16 shards
-/// encoded and sent, every receive posted, assembly deferred to
+/// sent, every receive posted, the slot writes deferred to
 /// [`SymiOptimizer::distribute_weights_finish`]. Between the two calls the
 /// transfers ride under the caller's compute — for the cross-iteration
 /// double buffer, the *next* iteration's routing and popularity phases.
 pub struct WeightDistributePending {
     batch: PendingBatch,
-    /// This rank's own encoded shards (local assembly source).
-    half_shards: Vec<Vec<u16>>,
     /// `classes_on_rank(lrank)` of the target placement, captured at issue.
     my_classes: Vec<(usize, Vec<usize>)>,
-    slots_per_rank: usize,
     retries_before: u64,
 }
 
@@ -474,12 +474,6 @@ impl SymiOptimizer {
             .collect()
     }
 
-    /// fp32 master shards of every class (the weight-materialization input
-    /// after a restore or re-shard).
-    pub fn master_weight_shards(&self) -> Vec<Vec<f32>> {
-        self.shards.iter().map(|sh| sh.master_weights().to_vec()).collect()
-    }
-
     /// Grad Communication Phase: every rank ends up with its shard of every
     /// class's (already EDP-synchronized) gradient.
     ///
@@ -488,11 +482,15 @@ impl SymiOptimizer {
     /// is the iteration's structured tag space: every shard travels under
     /// `(GradCollect, class, src_physical)` with exclusive bit fields, and
     /// each receive validates the shard's element count at the wire.
-    pub fn collect_grads(
+    ///
+    /// Outgoing shards and the local copies are drawn from the wire-buffer
+    /// free list; the caller owns the returned shards and should hand them
+    /// back ([`RankCtx::recycle_f32`]) once Adam has consumed them.
+    pub fn collect_grads<G: AsRef<[f32]>>(
         &self,
         ctx: &mut RankCtx,
         placement: &ExpertPlacement,
-        local_grads: &[Option<Vec<f32>>],
+        local_grads: &[Option<G>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
@@ -507,7 +505,7 @@ impl SymiOptimizer {
         // the wire (both sides compute the same chunk geometry).
         let mut sends = Vec::new();
         for (class, maybe_grad) in local_grads.iter().enumerate() {
-            let Some(grad) = maybe_grad else { continue };
+            let Some(grad) = maybe_grad.as_ref().map(AsRef::as_ref) else { continue };
             let hosts = placement.host_ranks(class);
             debug_assert!(hosts.contains(&self.lrank), "have grads only for hosted classes");
             for dst in 0..n {
@@ -522,7 +520,7 @@ impl SymiOptimizer {
                     sends.push(SendOp::new(
                         self.view.physical_of(dst),
                         tags.tag(WirePhase::GradCollect, class, me_phys),
-                        grad[s..t].to_vec(),
+                        ctx.pooled_copy_f32(&grad[s..t]),
                     ));
                 }
             }
@@ -543,8 +541,9 @@ impl SymiOptimizer {
             if src == self.lrank {
                 let grad = local_grads[class]
                     .as_ref()
-                    .expect("get_source returned self, so the class is local");
-                local_copy[class] = Some(grad[ms..mt].to_vec());
+                    .expect("get_source returned self, so the class is local")
+                    .as_ref();
+                local_copy[class] = Some(ctx.pooled_copy_f32(&grad[ms..mt]));
             } else {
                 let src_phys = self.view.physical_of(src);
                 recvs.push(RecvOp::sized(
@@ -647,16 +646,17 @@ impl SymiOptimizer {
                 if s == t {
                     continue;
                 }
+                let shard = ctx.pooled_copy_f32(&grad[s..t]);
                 ctx.isend(
                     self.view.physical_of(dst),
                     tags.tag(WirePhase::GradCollect, class, me_phys),
-                    grad[s..t].to_vec(),
+                    shard,
                 )?;
             }
         }
         if matches!(pending.sources[class], GradSource::AwaitLocal) {
             let (ms, mt) = self.shard_range();
-            pending.sources[class] = GradSource::Ready(grad[ms..mt].to_vec());
+            pending.sources[class] = GradSource::Ready(ctx.pooled_copy_f32(&grad[ms..mt]));
         }
         Ok(())
     }
@@ -738,87 +738,100 @@ impl SymiOptimizer {
 
     /// Adam step over one class's shard — the eager per-class half of
     /// [`SymiOptimizer::step`], fired as soon as that class's gradient
-    /// shard lands. Per-class shards are independent, so any completion
-    /// order produces bit-identical state.
-    pub fn step_class(&mut self, class: usize, grad_shard: &[f32]) -> Vec<f32> {
+    /// shard lands. Writes the updated fp16 weight shard into `out`
+    /// (resized), reusing its allocation. Per-class shards are independent,
+    /// so any completion order produces bit-identical state.
+    pub fn step_class_into(&mut self, class: usize, grad_shard: &[f32], out: &mut Vec<u16>) {
         let _span = self.telemetry.span(Phase::OptimizerStep);
-        self.shards[class].step(grad_shard)
+        self.shards[class].step_into(grad_shard, out);
     }
 
-    /// Adam step over every class's shard; returns the updated fp16-rounded
-    /// weight shards. Each shard's elementwise update runs in parallel
-    /// chunks on the shared worker pool (`symi_tensor::pool`), bit-exact
-    /// for any worker count.
-    pub fn step(&mut self, grad_shards: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    /// Adam step over every class's shard; `out[class]` receives the updated
+    /// weight shard as binary16 bits — what the kernel wrote, ready for
+    /// [`SymiOptimizer::distribute_weights_begin`] with no conversion pass.
+    /// `out` is resized to one buffer per class and the buffers are reused.
+    /// Each shard's elementwise update runs in parallel chunks on the shared
+    /// worker pool (`symi_tensor::pool`), bit-exact for any worker count.
+    pub fn step_into(&mut self, grad_shards: &[Vec<f32>], out: &mut Vec<Vec<u16>>) {
         let _span = self.telemetry.span(Phase::OptimizerStep);
         assert_eq!(grad_shards.len(), self.shards.len(), "one gradient shard per class");
         if self.telemetry.is_enabled() {
             self.telemetry.gauge("optimizer_state_bytes").set(self.state_bytes() as f64);
         }
-        self.shards.iter_mut().zip(grad_shards).map(|(shard, grad)| shard.step(grad)).collect()
+        out.resize_with(self.shards.len(), Vec::new);
+        for ((shard, grad), half) in self.shards.iter_mut().zip(grad_shards).zip(out) {
+            shard.step_into(grad, half);
+        }
     }
 
-    /// Weight Communication Phase: sends this rank's updated weight shard of
-    /// every class **once per destination rank hosting the class** under the
-    /// *new* placement, and assembles the full weights for each local slot.
+    /// [`SymiOptimizer::step_into`] into fresh buffers.
+    pub fn step(&mut self, grad_shards: &[Vec<f32>]) -> Vec<Vec<u16>> {
+        let mut out = Vec::new();
+        self.step_into(grad_shards, &mut out);
+        out
+    }
+
+    /// Weight Communication Phase: sends this rank's updated fp16 weight
+    /// shard of every class **once per destination rank hosting the class**
+    /// under the *new* placement, and returns one flat f32 weight vector per
+    /// local slot (indexed by local slot id) — thereby *materializing* the
+    /// new placement with zero extra traffic relative to a static system's
+    /// weight update (§3.3-II).
     ///
-    /// Returns one flat weight vector per local slot (indexed by local slot
-    /// id), ready to load into the physical experts — thereby
-    /// *materializing* the new placement with zero extra traffic relative
-    /// to a static system's weight update (§3.3-II).
-    ///
-    /// The shard is fp16-encoded exactly once per class; a destination rank
-    /// hosting several sibling slots of one class receives the shard once
-    /// and fans it out locally, and this rank's own slots are served
-    /// straight from the encoded buffer without touching the wire. (The
-    /// previous implementation cloned and sent the encoded shard once per
-    /// *slot*, self-deliveries included — pure duplication, since sibling
-    /// slots hold bit-identical weights.) Zero-length shards are skipped on
-    /// the wire by both sides. The shards are fp16-quantized by
-    /// [`SymiOptimizer::step`], so they travel the wire (and the PCIe
-    /// staging leg) as 2 B/param [`Payload::F16`]; re-encoding is bit-exact
-    /// because the values are already on the fp16 grid.
-    ///
-    /// [`Payload::F16`]: symi_collectives::Payload::F16
+    /// This is [`SymiOptimizer::distribute_weights_begin`] +
+    /// [`SymiOptimizer::distribute_weights_finish`] with freshly allocated
+    /// vectors as the sink, for callers that hold no slots (traffic
+    /// harnesses, tests); the engine decodes into its slots instead.
     pub fn distribute_weights(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,
-        weight_shards: &[Vec<f32>],
+        half_shards: &[Vec<u16>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let pending = self.distribute_weights_begin(ctx, new_placement, weight_shards, tags)?;
-        Ok(self.distribute_weights_finish(ctx, pending)?.0)
+        let pending = self.distribute_weights_begin(ctx, new_placement, half_shards, tags)?;
+        let mut out = vec![vec![0.0f32; self.param_count]; new_placement.slots_per_rank()];
+        self.finish_into(ctx, pending, half_shards, |local, offset, half| {
+            decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
+        })?;
+        Ok(out)
     }
 
-    /// The issue half of [`SymiOptimizer::distribute_weights`]: advances
-    /// the fencing epoch, fp16-encodes and sends every shard, posts every
-    /// receive, and returns the in-flight state. The double-buffered
-    /// engine calls this at the end of iteration *i* and defers the finish
-    /// half past iteration *i+1*'s routing and popularity phases — the
-    /// weight traffic rides under that compute for free, and the epoch
-    /// carried in each structured tag keeps the cross-iteration traffic
-    /// fenced from every other phase.
+    /// The issue half of the Weight Communication Phase: advances the
+    /// fencing epoch, sends every shard, posts every receive, and returns
+    /// the in-flight state. The double-buffered engine calls this at the end
+    /// of iteration *i* and defers the finish half past iteration *i+1*'s
+    /// routing and popularity phases — the weight traffic rides under that
+    /// compute for free, and the epoch carried in each structured tag keeps
+    /// the cross-iteration traffic fenced from every other phase.
+    ///
+    /// `half_shards[class]` is this rank's shard of `class` as binary16
+    /// bits — what [`SymiOptimizer::step_into`] wrote; nothing is converted
+    /// here. A destination rank hosting several sibling slots of one class
+    /// receives the shard once and fans it out locally, and this rank's own
+    /// slots are served at finish straight from `half_shards` without
+    /// touching the wire. Zero-length shards are skipped on the wire by both
+    /// sides. The shards travel (and stage over PCIe) as 2 B/param
+    /// [`Payload::F16`], each send in a buffer from the wire-buffer free
+    /// list.
+    ///
+    /// [`Payload::F16`]: symi_collectives::Payload::F16
     pub fn distribute_weights_begin(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,
-        weight_shards: &[Vec<f32>],
+        half_shards: &[Vec<u16>],
         tags: TagSpace,
     ) -> Result<WeightDistributePending, CommError> {
         let _span = self.telemetry.span(Phase::WeightComm);
         let n = self.nodes();
-        assert_eq!(weight_shards.len(), self.shards.len(), "one weight shard per class");
+        assert_eq!(half_shards.len(), self.shards.len(), "one weight shard per class");
         assert_eq!(new_placement.ranks(), n, "placement rank count mismatch");
         ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
         let me_phys = self.my_phys();
 
-        // Narrow once per class (parallel chunks on the shared pool); the
-        // shard leaves host memory over PCIe at its true fp16 width
-        // (2 B/param).
-        let half_shards: Vec<Vec<u16>> =
-            weight_shards.iter().map(|shard| encode_f16(shard)).collect();
-        for shard in &half_shards {
+        // The shards leave host memory over PCIe at their fp16 width.
+        for shard in half_shards {
             ctx.record_host_device_bytes(shard.len() as u64 * 2);
         }
 
@@ -828,6 +841,7 @@ impl SymiOptimizer {
         let mut sends = Vec::new();
         if ms != mt {
             for (class, half) in half_shards.iter().enumerate() {
+                assert_eq!(half.len(), mt - ms, "class {class}: weight shard length");
                 for &dst in &new_placement.host_ranks(class) {
                     if dst == self.lrank {
                         continue;
@@ -835,7 +849,7 @@ impl SymiOptimizer {
                     sends.push(SendOp::new(
                         self.view.physical_of(dst),
                         tags.tag(WirePhase::WeightDistribute, class, me_phys),
-                        half.clone(),
+                        ctx.pooled_copy_f16(half),
                     ));
                 }
             }
@@ -864,13 +878,7 @@ impl SymiOptimizer {
         }
         let retries_before = ctx.protocol_stats().retries;
         let batch = ctx.batch_issue(sends, &recvs)?;
-        Ok(WeightDistributePending {
-            batch,
-            half_shards,
-            my_classes,
-            slots_per_rank: new_placement.slots_per_rank(),
-            retries_before,
-        })
+        Ok(WeightDistributePending { batch, my_classes, retries_before })
     }
 
     /// Nonblocking progress on an in-flight weight distribution; `true`
@@ -883,24 +891,38 @@ impl SymiOptimizer {
         pending.batch.poll(ctx)
     }
 
-    /// The fence half of [`SymiOptimizer::distribute_weights`]: blocks out
-    /// the remaining receives, assembles one full vector per distinct
-    /// class, and fans out to the sibling slots — exactly the blocking
-    /// path's assembly, plus the hidden/exposed accounting of the wait.
+    /// The fence half of the Weight Communication Phase: blocks out the
+    /// remaining receives and decodes every shard — received, or this rank's
+    /// own from `half_shards`, which must be the shards the issue half was
+    /// given — straight into each hosting slot's `W1 | b1 | W2 | b2`
+    /// ([`ExpertFfn::load_f16_at`]). `slots` is indexed by local slot id.
+    /// Returns the hidden/exposed accounting of the wait.
     pub fn distribute_weights_finish(
         &self,
         ctx: &mut RankCtx,
         pending: WeightDistributePending,
-    ) -> Result<(Vec<Vec<f32>>, OverlapStats), CommError> {
+        half_shards: &[Vec<u16>],
+        slots: &mut [ExpertFfn],
+    ) -> Result<OverlapStats, CommError> {
+        self.finish_into(ctx, pending, half_shards, |local, offset, half| {
+            slots[local].load_f16_at(offset, half);
+        })
+    }
+
+    /// Completes the receives and hands `sink` every `(local slot, offset
+    /// in the flat parameters, fp16 shard)` of the target placement, sibling
+    /// slots of a class one after another from the same buffer; consumed
+    /// wire buffers go back to the free list.
+    fn finish_into(
+        &self,
+        ctx: &mut RankCtx,
+        pending: WeightDistributePending,
+        half_shards: &[Vec<u16>],
+        mut sink: impl FnMut(usize, usize, &[u16]),
+    ) -> Result<OverlapStats, CommError> {
         let _span = self.telemetry.span(Phase::WeightComm);
         let n = self.nodes();
-        let WeightDistributePending {
-            batch,
-            half_shards,
-            my_classes,
-            slots_per_rank,
-            retries_before,
-        } = pending;
+        let WeightDistributePending { batch, my_classes, retries_before } = pending;
         let (payloads, stats) = batch.complete(ctx)?;
         let mut received = payloads.into_iter();
         if self.telemetry.is_enabled() {
@@ -911,37 +933,23 @@ impl SymiOptimizer {
             let delta = ctx.protocol_stats().retries - retries_before;
             self.telemetry.gauge("weight_distribute_retries").set(delta as f64);
         }
-
-        // Assemble one full vector per distinct class, then fan out to the
-        // sibling slots.
-        let mut assembled: Vec<Vec<f32>> = Vec::with_capacity(my_classes.len());
-        for &(class, _) in &my_classes {
-            let mut full = vec![0.0f32; self.param_count];
+        for (class, locals) in &my_classes {
             for src in 0..n {
                 let (a, b) = chunk_range(self.param_count, n, src);
                 if a == b {
                     continue;
                 }
                 if src == self.lrank {
-                    decode_f16_into(&half_shards[class], &mut full[a..b]);
+                    locals.iter().for_each(|&local| sink(local, a, &half_shards[*class]));
                 } else {
                     let shard =
                         received.next().expect("one receive per (class, src)").into_f16()?;
-                    decode_f16_into(&shard, &mut full[a..b]);
+                    locals.iter().for_each(|&local| sink(local, a, &shard));
+                    ctx.recycle_f16(shard);
                 }
             }
-            assembled.push(full);
         }
-
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); slots_per_rank];
-        for ((_, locals), full) in my_classes.iter().zip(assembled) {
-            let (&last, rest) = locals.split_last().expect("class listed only when hosted");
-            for &local in rest {
-                out[local] = full.clone();
-            }
-            out[last] = full;
-        }
-        Ok((out, stats))
+        Ok(stats)
     }
 
     /// Re-shards optimizer ownership over the survivors of `new_view` —

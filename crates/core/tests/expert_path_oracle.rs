@@ -21,6 +21,15 @@
 //! Runs under either overlap mode (`SYMI_OVERLAP=on` exercises the
 //! per-class backward branch): `drain` lands the in-flight scatter before
 //! the weights are read.
+//!
+//! The second test holds the *parameter* path to its old recipe the same
+//! way. The optimizer used to publish an f32 shard on the fp16 grid,
+//! `encode_f16` it, decode every source's chunk into a `full` vector per
+//! class, clone that per sibling slot and `load_flat` it; now the Adam
+//! kernel writes binary16 bits and the scatter decodes each chunk straight
+//! into the hosting slots. After every iteration, in both overlap modes,
+//! every slot's weights must equal the old recipe replayed — with the
+//! scalar conversions — from the masters the ranks hold.
 
 use std::sync::{Barrier, Mutex};
 
@@ -28,6 +37,7 @@ use symi::engine::assign_token_slots;
 use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_model::expert::ExpertFfn;
+use symi_tensor::half::{f16_to_f32, f32_to_f16, quantize_f16};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, Matrix};
@@ -236,4 +246,75 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
         "placement never rebalanced: {placements:?}"
     );
     assert!(per_rank.iter().all(|(_, busy)| *busy > 0));
+}
+
+/// The old parameter path for one class: every rank's f32 shard on the fp16
+/// grid → binary16 wire → `full` → `load_flat`. `master_shards[r]` is
+/// logical rank `r`'s fp32 master shard of the class.
+fn old_weight_path(cfg: &EngineConfig, master_shards: &[Vec<f32>]) -> Vec<f32> {
+    let mut full = Vec::new();
+    for master in master_shards {
+        let published: Vec<f32> = master.iter().map(|&w| quantize_f16(w)).collect();
+        let wire: Vec<u16> = published.iter().map(|&w| f32_to_f16(w)).collect();
+        full.extend(wire.iter().map(|&h| f16_to_f32(h)));
+    }
+    let mut slot = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
+    slot.load_flat(&full);
+    slot.flat_params()
+}
+
+#[test]
+fn slot_weights_match_the_f32_shard_encode_assemble_load_flat_recipe() {
+    let cfg = cfg();
+    let e = cfg.expert_classes;
+    for overlap in [false, true] {
+        // board[rank][class] = that rank's master shard after the step.
+        let board: Mutex<Vec<Vec<Vec<f32>>>> = Mutex::new(vec![Vec::new(); NODES]);
+        let barrier = Barrier::new(NODES);
+        let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+            let rank = ctx.rank();
+            let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
+            engine.set_overlap(overlap);
+            let mut placements = Vec::new();
+            let mut saw_colocated_siblings = false;
+            let mut saw_a_class_on_both_ranks = false;
+            for it in 0..ITERS {
+                engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
+                engine.drain(ctx).expect("drain");
+                board.lock().expect("board")[rank] =
+                    (0..e).map(|class| engine.master_shard(class).to_vec()).collect();
+                barrier.wait();
+                let masters = board.lock().expect("board").clone();
+                barrier.wait(); // nobody overwrites the board before all have read it
+
+                // The placement the scatter just materialised.
+                let placement = engine.placement.clone();
+                for (class, locals) in placement.classes_on_rank(rank) {
+                    let shards: Vec<Vec<f32>> =
+                        (0..NODES).map(|r| masters[r][class].clone()).collect();
+                    let want = old_weight_path(&cfg, &shards);
+                    for &local in &locals {
+                        assert_eq!(
+                            engine.slot_weights(local),
+                            want,
+                            "overlap {overlap} rank {rank} iteration {it}: slot {local} \
+                             (class {class}) differs from the old recipe"
+                        );
+                    }
+                    saw_colocated_siblings |= locals.len() > 1;
+                    saw_a_class_on_both_ranks |= placement.host_ranks(class).len() > 1;
+                }
+                placements.push(placement.replica_counts());
+            }
+            (placements, saw_colocated_siblings, saw_a_class_on_both_ranks)
+        });
+        // The scenario must actually exercise what it claims to.
+        let (placements, _, _) = &per_rank[0];
+        assert!(
+            placements.iter().any(|p| p != &placements[0]),
+            "placement never rebalanced: {placements:?}"
+        );
+        assert!(per_rank.iter().any(|r| r.1), "no rank ever hosted sibling replicas");
+        assert!(per_rank.iter().any(|r| r.2), "no class ever spanned both ranks");
+    }
 }

@@ -202,6 +202,31 @@ impl ExpertFfn {
         self.b2.as_mut_slice().copy_from_slice(d);
     }
 
+    /// Decodes binary16 `half` into parameters `offset .. offset + half.len()`
+    /// of the flat layout `[W1 | b1 | W2 | b2]` — the sink of the weight
+    /// scatter: each received shard lands in the matrices it belongs to
+    /// without a flat f32 staging vector in between. Same values as decoding
+    /// into a flat buffer and [`load_flat`]-ing it (the decode is exact).
+    ///
+    /// # Panics
+    /// Panics if the range runs past [`param_count`].
+    ///
+    /// [`load_flat`]: ExpertFfn::load_flat
+    /// [`param_count`]: ExpertFfn::param_count
+    pub fn load_f16_at(&mut self, offset: usize, half: &[u16]) {
+        let end = offset + half.len();
+        assert!(end <= self.param_count(), "f16 shard runs past the parameters");
+        let mut base = 0;
+        for param in [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2] {
+            let (a, b) = (offset.max(base), end.min(base + param.len()));
+            if a < b {
+                let dst = &mut param.as_mut_slice()[a - base..b - base];
+                symi_tensor::half::decode(&half[a - offset..b - offset], dst);
+            }
+            base += param.len();
+        }
+    }
+
     /// Visits `(param, grad)` pairs — used when an expert is trained as a
     /// *dense* parameter (the shared expert of Llama-4/DeepSeek-style
     /// architectures) rather than through the sharded expert optimizer.
@@ -361,6 +386,30 @@ mod tests {
         let x = Matrix::from_fn(2, 4, |r, c| (r + c) as f32 * 0.3);
         let mut b2 = ExpertFfn::new(4, 8, 2);
         assert!(a.forward(&x).max_abs_diff(&b2.forward(&x)) < 1e-6);
+    }
+
+    #[test]
+    fn f16_shards_land_where_load_flat_would_put_them() {
+        use symi_tensor::half::{f16_to_f32, f32_to_f16};
+        let mut direct = ExpertFfn::new(4, 8, 1);
+        let mut via_flat = ExpertFfn::new(4, 8, 2);
+        let n = direct.param_count();
+        let half: Vec<u16> = (0..n).map(|i| f32_to_f16((i as f32 * 0.37).sin())).collect();
+        via_flat.load_flat(&half.iter().map(|&h| f16_to_f32(h)).collect::<Vec<_>>());
+        // Uneven shards whose edges cut through every parameter matrix.
+        let cuts = [0, 5, 33, 39, 41, 70, n - 1, n];
+        for w in cuts.windows(2) {
+            direct.load_f16_at(w[0], &half[w[0]..w[1]]);
+        }
+        assert_eq!(direct.flat_params(), via_flat.flat_params());
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the parameters")]
+    fn f16_shard_past_the_end_panics() {
+        let mut e = ExpertFfn::new(4, 8, 0);
+        let n = e.param_count();
+        e.load_f16_at(n - 2, &[0; 3]);
     }
 
     #[test]

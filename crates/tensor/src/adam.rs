@@ -5,9 +5,35 @@
 //! parameter with fp32 gradients counted) is statically sharded across nodes,
 //! while the working fp16 weights (2 B/param) move freely. [`AdamShard`]
 //! models exactly one contiguous shard of one parameter group: it consumes a
-//! gradient shard and emits an updated fp16-quantized weight shard, which is
-//! the unit of communication in both the paper's *Grad Communication Phase*
-//! and *Weight Communication Phase*.
+//! gradient shard and emits the updated weights **as binary16 bits** — the
+//! wire format of the paper's *Weight Communication Phase* — in the same
+//! pass that updates `(master, m, v)`. No f32 copy of the published weights
+//! exists between the optimizer and the wire.
+//!
+//! # The kernel
+//!
+//! One update sequence (`update`, below), written twice: scalar here (the
+//! specification, the `SYMI_SIMD=scalar` and non-x86 path, and the tail
+//! handler of the vector loop) and AVX2 8-lane in [`crate::simd`]. Both
+//! perform, per element, the same IEEE-754 single-precision operations in
+//! the same order — add, mul (never fused: the vector code enables `avx2`
+//! and `f16c` only, so no FMA can be emitted), correctly rounded `div` and
+//! `sqrt` — so the two encodings agree **bit for bit** on `(master, m, v)`
+//! and on what they publish, and so does any split of the elements across
+//! pool workers (`tests/adam_oracle.rs`; a NaN counts as a NaN — which
+//! payload survives when two different ones meet is the compiler's operand
+//! order, which Rust leaves open). The updated master is published through
+//! one of two stores:
+//!
+//! - f32 on the fp16 grid ([`AdamState::step`], the single-process
+//!   `Trainer`'s dense and expert parameters): `f16_to_f32(f32_to_f16(w))`;
+//! - raw binary16 bits ([`AdamShard::step_into`]): `f32_to_f16(w)`,
+//!   `VCVTPS2PH` on the vector path.
+//!
+//! The first is by construction the exact decode of the second.
+
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::f16_fast_path;
 
 /// Adam hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -62,7 +88,8 @@ impl AdamState {
         self.t
     }
 
-    /// One Adam step. Writes fp16-quantized updated weights into `params_out`.
+    /// One Adam step. Writes the updated weights into `params_out` as f32
+    /// values on the fp16 grid.
     ///
     /// # Panics
     /// Panics if slice lengths disagree with the state length.
@@ -70,15 +97,8 @@ impl AdamState {
         assert_eq!(grads.len(), self.master.len(), "gradient length mismatch");
         assert_eq!(params_out.len(), self.master.len(), "param length mismatch");
         self.t += 1;
-        step_kernel(
-            &self.cfg,
-            self.t,
-            &mut self.master,
-            &mut self.m,
-            &mut self.v,
-            grads,
-            params_out,
-        );
+        let k = AdamCoeffs::new(&self.cfg, self.t);
+        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, grads, params_out, chunk_f32);
     }
 
     /// fp32 master weights (what the optimizer believes the model is).
@@ -178,21 +198,15 @@ impl AdamShard {
         self.t
     }
 
-    /// One Adam step over this shard: consumes the matching gradient shard,
-    /// returns the updated fp16-quantized weight shard.
-    pub fn step(&mut self, grad_shard: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.master.len()];
-        self.step_into(grad_shard, &mut out);
-        out
-    }
-
-    /// [`AdamShard::step`] into a caller-provided buffer (resized to the
-    /// shard length), so the steady-state loop reuses its allocation.
-    pub fn step_into(&mut self, grad_shard: &[f32], out: &mut Vec<f32>) {
+    /// One Adam step over this shard: consumes the matching gradient shard
+    /// and writes the updated weights into `out` (resized to the shard
+    /// length) as binary16 bits, ready for the wire.
+    pub fn step_into(&mut self, grad_shard: &[f32], out: &mut Vec<u16>) {
         assert_eq!(grad_shard.len(), self.master.len(), "gradient shard length mismatch");
         self.t += 1;
-        out.resize(self.master.len(), 0.0);
-        step_kernel(&self.cfg, self.t, &mut self.master, &mut self.m, &mut self.v, grad_shard, out);
+        out.resize(self.master.len(), 0);
+        let k = AdamCoeffs::new(&self.cfg, self.t);
+        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, grad_shard, out, chunk_f16);
     }
 
     /// fp32 master weights of this shard.
@@ -230,63 +244,141 @@ impl AdamShard {
     }
 }
 
-/// Per-element Adam update on one chunk; the math is purely elementwise,
-/// so chunking it across the pool cannot change any result bit.
-#[allow(clippy::too_many_arguments)]
-fn step_chunk(
-    cfg: &AdamConfig,
-    bc1: f32,
-    bc2: f32,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grads: &[f32],
-    params_out: &mut [f32],
-) {
-    for i in 0..master.len() {
-        let g = grads[i] + cfg.weight_decay * master[i];
-        m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g;
-        v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g * g;
-        let mhat = m[i] / bc1;
-        let vhat = v[i] / bc2;
-        master[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
-        params_out[i] = quantize_f16(master[i]);
+/// The constants of one step: the hyperparameters and step `t`'s bias
+/// corrections, each computed once in f32 exactly as the per-element
+/// expression would.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AdamCoeffs {
+    pub weight_decay: f32,
+    pub beta1: f32,
+    pub one_minus_beta1: f32,
+    pub beta2: f32,
+    pub one_minus_beta2: f32,
+    pub bias1: f32,
+    pub bias2: f32,
+    pub lr: f32,
+    pub eps: f32,
+}
+
+impl AdamCoeffs {
+    fn new(cfg: &AdamConfig, t: u64) -> Self {
+        Self {
+            weight_decay: cfg.weight_decay,
+            beta1: cfg.beta1,
+            one_minus_beta1: 1.0 - cfg.beta1,
+            beta2: cfg.beta2,
+            one_minus_beta2: 1.0 - cfg.beta2,
+            bias1: 1.0 - cfg.beta1.powi(t as i32),
+            bias2: 1.0 - cfg.beta2.powi(t as i32),
+            lr: cfg.lr,
+            eps: cfg.eps,
+        }
     }
 }
 
-/// Elements below which the Adam step is not worth splitting across shares.
-const MIN_ADAM_ELEMS_PER_SHARE: usize = 4096;
+/// The update sequence — the specification [`crate::simd`]'s 8-lane code
+/// follows operation for operation. Updates `(w, m, v)` in place and
+/// returns the new master weight.
+#[inline(always)]
+pub(crate) fn update(k: &AdamCoeffs, g: f32, w: &mut f32, m: &mut f32, v: &mut f32) -> f32 {
+    let g = g + k.weight_decay * *w;
+    *m = k.beta1 * *m + k.one_minus_beta1 * g;
+    *v = k.beta2 * *v + k.one_minus_beta2 * g * g;
+    let mhat = *m / k.bias1;
+    let vhat = *v / k.bias2;
+    *w -= k.lr * mhat / (vhat.sqrt() + k.eps);
+    *w
+}
 
-fn step_kernel(
-    cfg: &AdamConfig,
-    t: u64,
+/// Scalar encoding of one chunk; `publish` is the store.
+#[inline(always)]
+pub(crate) fn chunk_scalar<O>(
+    k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
     grads: &[f32],
-    params_out: &mut [f32],
+    out: &mut [O],
+    publish: impl Fn(f32) -> O,
+) {
+    for ((((w, m), v), &g), o) in master.iter_mut().zip(m).zip(v).zip(grads).zip(out) {
+        *o = publish(update(k, g, w, m, v));
+    }
+}
+
+/// One chunk, published as f32 on the fp16 grid.
+fn chunk_f32(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grads: &[f32],
+    out: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if f16_fast_path() {
+        return crate::simd::adam_chunk_f32(k, master, m, v, grads, out);
+    }
+    chunk_scalar(k, master, m, v, grads, out, quantize_f16);
+}
+
+/// One chunk, published as binary16 bits.
+fn chunk_f16(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grads: &[f32],
+    out: &mut [u16],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if f16_fast_path() {
+        return crate::simd::adam_chunk_f16(k, master, m, v, grads, out);
+    }
+    chunk_scalar(k, master, m, v, grads, out, f32_to_f16);
+}
+
+/// Elements per worker share below which the Adam step stays sequential. The
+/// vector kernel runs at ≈0.9 ns per parameter (`BENCH_kernels.json`, `adam`
+/// rows), so a share is ≳60 µs of work — a pool wake-up costs tens of
+/// microseconds, and anything smaller loses by splitting. (The scalar
+/// encoding is 10–25× slower per element; its shares are merely longer.)
+const MIN_ADAM_ELEMS_PER_SHARE: usize = 64 * 1024;
+
+/// One encoding of the update over one chunk: `(coefficients, master, m, v,
+/// grads, published)`.
+type ChunkFn<O> = fn(&AdamCoeffs, &mut [f32], &mut [f32], &mut [f32], &[f32], &mut [O]);
+
+/// Runs `chunk` over the state, split elementwise across the pool. Every
+/// element is computed by the same operation sequence whichever share (and
+/// whichever of a share's vector body or scalar tail) it falls in, so the
+/// split cannot change any result bit.
+fn step_kernel<O: Send>(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grads: &[f32],
+    out: &mut [O],
+    chunk: ChunkFn<O>,
 ) {
     use crate::pool::{self, share_bounds, Parts};
-    let bc1 = 1.0 - cfg.beta1.powi(t as i32);
-    let bc2 = 1.0 - cfg.beta2.powi(t as i32);
     let n = master.len();
     let p = pool::current_threads().min((n / MIN_ADAM_ELEMS_PER_SHARE).max(1));
     if p == 1 {
-        step_chunk(cfg, bc1, bc2, master, m, v, grads, params_out);
+        chunk(k, master, m, v, grads, out);
         return;
     }
     let (bounds, p) = share_bounds(n, p);
     let master = Parts::split(master, &bounds[..p], 1);
     let m = Parts::split(m, &bounds[..p], 1);
     let v = Parts::split(v, &bounds[..p], 1);
-    let out = Parts::split(params_out, &bounds[..p], 1);
+    let out = Parts::split(out, &bounds[..p], 1);
     pool::global().run(p, &|w| {
         let (a, b) = bounds[w];
         if a < b {
-            step_chunk(
-                cfg,
-                bc1,
-                bc2,
+            chunk(
+                k,
                 &mut master.lock(w),
                 &mut m.lock(w),
                 &mut v.lock(w),
@@ -337,10 +429,11 @@ mod tests {
         for _ in 0..5 {
             full.step(&grads, &mut full_out);
             let mut shard_out = vec![0.0f32; 64];
+            let mut half = Vec::new();
             for shard in &mut shards {
                 let o = shard.offset();
-                let upd = shard.step(&grads[o..o + shard.len()]);
-                shard_out[o..o + upd.len()].copy_from_slice(&upd);
+                shard.step_into(&grads[o..o + shard.len()], &mut half);
+                crate::half::decode(&half, &mut shard_out[o..o + half.len()]);
             }
             assert_eq!(full_out, shard_out, "sharded Adam diverged from reference");
         }

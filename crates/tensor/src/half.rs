@@ -12,8 +12,12 @@
 //!
 //! The scalar conversions here are the canonical ones for the whole
 //! workspace (the wire codec and baselines re-use them through the `adam`
-//! re-exports): round-to-nearest-even on encode, exact on decode.
+//! re-exports): round-to-nearest-even on encode, exact on decode. The slice
+//! forms [`encode`]/[`decode`] run them through `VCVTPS2PH`/`VCVTPH2PS`
+//! where the CPU has F16C; scalar and hardware agree on every input.
 
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::f16_fast_path;
 use crate::matrix::Matrix;
 
 /// Rounds an `f32` through IEEE-754 binary16 and back — the model weights in
@@ -105,6 +109,38 @@ pub fn f16_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
+/// `dst[i] = f32_to_f16(src[i])`: `VCVTPS2PH` eight at a time where the CPU
+/// has AVX2+F16C (the dispatch of the f16 GEMM family), the scalar
+/// conversion otherwise — the same bits either way.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn encode(src: &[f32], dst: &mut [u16]) {
+    assert_eq!(src.len(), dst.len(), "f16 encode length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if f16_fast_path() {
+        return crate::simd::encode_f16(src, dst);
+    }
+    for (h, &w) in dst.iter_mut().zip(src) {
+        *h = f32_to_f16(w);
+    }
+}
+
+/// `dst[i] = f16_to_f32(src[i])`, on the same dispatch as [`encode`].
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn decode(src: &[u16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "f16 decode length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if f16_fast_path() {
+        return crate::simd::decode_f16(src, dst);
+    }
+    for (w, &h) in dst.iter_mut().zip(src) {
+        *w = f16_to_f32(h);
+    }
+}
+
 /// A dense, row-major matrix stored as IEEE-754 binary16 bits.
 ///
 /// This is a *storage* format: arithmetic always widens to f32 (decode is
@@ -135,13 +171,15 @@ impl HalfMatrix {
     pub fn encode_from(&mut self, m: &Matrix) {
         self.rows = m.rows();
         self.cols = m.cols();
-        self.data.clear();
-        self.data.extend(m.as_slice().iter().map(|&v| f32_to_f16(v)));
+        self.data.resize(m.len(), 0);
+        encode(m.as_slice(), &mut self.data);
     }
 
     /// Decodes to an f32 matrix (exact).
     pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, self.data.iter().map(|&h| f16_to_f32(h)).collect())
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        decode(&self.data, out.as_mut_slice());
+        out
     }
 
     pub fn rows(&self) -> usize {

@@ -26,7 +26,11 @@
 //!   hot loops (GELU, GELU′, the softmax exponent) run on [`vmath`]: one
 //!   IEEE operation sequence per function, encoded scalar and AVX2, whose
 //!   results are bit-identical across both encodings and any worker count —
-//!   libm is only the tests' reference. The workspace's `unsafe` is
+//!   libm is only the tests' reference. The Adam step ([`adam`]) and the
+//!   binary16 codec ([`half`]) follow the same rule — scalar specification,
+//!   AVX2+F16C encoding, bit-identical — and the sharded optimizer publishes
+//!   its weights as binary16 bits in the pass that updates them. The
+//!   workspace's `unsafe` is
 //!   confined to this crate: the pool's scoped-dispatch lifetime erasure
 //!   (documented in [`pool`]) and the feature-gated `std::arch` intrinsics
 //!   in [`simd`] behind safe runtime-detected wrappers.

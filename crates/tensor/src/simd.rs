@@ -33,7 +33,8 @@
 //! share boundaries are tile-aligned, so worker count never changes which
 //! elements go through full vs edge kernels.
 
-use crate::half::f16_to_f32;
+use crate::adam::{self, AdamCoeffs};
+use crate::half::{f16_to_f32, f32_to_f16};
 use crate::kernels::{kern_nn_edge, kern_nn_edge_f16, pack_a_strip};
 use crate::matrix::Matrix;
 use crate::vmath;
@@ -1090,4 +1091,179 @@ pub fn gelu_backward_slice(x: &[f32], dy: &[f32], dx: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe { map2_ps(x, dy, dx, |x, dy| _mm256_mul_ps(dy, gelu_grad_ps(x))) }
+}
+
+// ---------------------------------------------------------------------------
+// Adam and the binary16 codec: the 8-lane encodings of `crate::adam::update`
+// and `crate::half::{f32_to_f16, f16_to_f32}`
+// ---------------------------------------------------------------------------
+//
+// Same contract as the vector math above: a lane performs exactly the scalar
+// specification's operations in its order. The functions enable `avx2` and
+// `f16c` only, so mul and add cannot be contracted into an FMA; `VDIVPS` and
+// `VSQRTPS` are correctly rounded like their scalar forms; `VCVTPS2PH` with
+// an explicit round-to-nearest-even control and `VCVTPH2PS` agree with the
+// scalar codec on every input (`tests/adam_oracle.rs`, exhaustively). Tails
+// (`len % 8` elements) run the scalar specification itself. Loads and stores
+// are unaligned and confined to `chunks_exact(8)` slices.
+
+/// `VCVTPS2PH` rounding control: nearest-even from the immediate itself
+/// (bit 2 clear), whatever MXCSR says.
+const F16_ROUND: i32 = _MM_FROUND_TO_NEAREST_INT;
+
+/// Narrows 8 lanes to binary16 and stores them into `dst` (8 elements).
+#[target_feature(enable = "avx2", enable = "f16c")]
+unsafe fn store_f16x8(v: __m256, dst: &mut [u16]) {
+    debug_assert_eq!(dst.len(), 8);
+    _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, _mm256_cvtps_ph::<F16_ROUND>(v));
+}
+
+/// 8 lanes of [`adam::update`] over 8-element slices: updates `(w, m, v)` in
+/// place and returns the new master weights.
+#[target_feature(enable = "avx2")]
+unsafe fn adam_update8(
+    k: &AdamCoeffs,
+    g: &[f32],
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+) -> __m256 {
+    debug_assert!(g.len() == 8 && w.len() == 8 && m.len() == 8 && v.len() == 8);
+    let w0 = _mm256_loadu_ps(w.as_ptr());
+    let g = _mm256_add_ps(
+        _mm256_loadu_ps(g.as_ptr()),
+        _mm256_mul_ps(_mm256_set1_ps(k.weight_decay), w0),
+    );
+    let m1 = _mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(k.beta1), _mm256_loadu_ps(m.as_ptr())),
+        _mm256_mul_ps(_mm256_set1_ps(k.one_minus_beta1), g),
+    );
+    let v1 = _mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(k.beta2), _mm256_loadu_ps(v.as_ptr())),
+        _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(k.one_minus_beta2), g), g),
+    );
+    let mhat = _mm256_div_ps(m1, _mm256_set1_ps(k.bias1));
+    let vhat = _mm256_div_ps(v1, _mm256_set1_ps(k.bias2));
+    let step = _mm256_div_ps(
+        _mm256_mul_ps(_mm256_set1_ps(k.lr), mhat),
+        _mm256_add_ps(_mm256_sqrt_ps(vhat), _mm256_set1_ps(k.eps)),
+    );
+    let w1 = _mm256_sub_ps(w0, step);
+    _mm256_storeu_ps(m.as_mut_ptr(), m1);
+    _mm256_storeu_ps(v.as_mut_ptr(), v1);
+    _mm256_storeu_ps(w.as_mut_ptr(), w1);
+    w1
+}
+
+/// One chunk of the Adam step: the vector body calls `store8` on each
+/// octet's new master weights, the tail runs the scalar specification with
+/// `publish` as its store.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2", enable = "f16c")]
+unsafe fn adam_chunk<O>(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grads: &[f32],
+    out: &mut [O],
+    store8: impl Fn(__m256, &mut [O]),
+    publish: impl Fn(f32) -> O,
+) {
+    let n = master.len();
+    assert!(m.len() == n && v.len() == n && grads.len() == n && out.len() == n);
+    let mut w8 = master.chunks_exact_mut(8);
+    let mut m8 = m.chunks_exact_mut(8);
+    let mut v8 = v.chunks_exact_mut(8);
+    let mut g8 = grads.chunks_exact(8);
+    let mut o8 = out.chunks_exact_mut(8);
+    for ((((w, m), v), g), o) in (&mut w8).zip(&mut m8).zip(&mut v8).zip(&mut g8).zip(&mut o8) {
+        store8(adam_update8(k, g, w, m, v), o);
+    }
+    adam::chunk_scalar(
+        k,
+        w8.into_remainder(),
+        m8.into_remainder(),
+        v8.into_remainder(),
+        g8.remainder(),
+        o8.into_remainder(),
+        publish,
+    );
+}
+
+/// AVX2+F16C encoding of an Adam chunk published as f32 on the fp16 grid.
+pub(crate) fn adam_chunk_f32(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grads: &[f32],
+    out: &mut [f32],
+) {
+    debug_assert!(have_avx2_fma() && have_f16c());
+    // SAFETY: `adam` dispatches here only when `f16_fast_path()` holds, i.e.
+    // after runtime AVX2+F16C detection; `adam_chunk` checks the lengths and
+    // touches memory through `chunks_exact(8)` slices only.
+    unsafe {
+        let store8 = |w: __m256, o: &mut [f32]| {
+            let grid = _mm256_cvtph_ps(_mm256_cvtps_ph::<F16_ROUND>(w));
+            _mm256_storeu_ps(o.as_mut_ptr(), grid)
+        };
+        adam_chunk(k, master, m, v, grads, out, store8, crate::half::quantize_f16)
+    }
+}
+
+/// AVX2+F16C encoding of an Adam chunk published as binary16 bits.
+pub(crate) fn adam_chunk_f16(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grads: &[f32],
+    out: &mut [u16],
+) {
+    debug_assert!(have_avx2_fma() && have_f16c());
+    // SAFETY: as in `adam_chunk_f32`.
+    unsafe { adam_chunk(k, master, m, v, grads, out, |w, o| store_f16x8(w, o), f32_to_f16) }
+}
+
+/// AVX2+F16C [`crate::half::encode`].
+pub(crate) fn encode_f16(src: &[f32], dst: &mut [u16]) {
+    debug_assert!(have_avx2_fma() && have_f16c());
+    // SAFETY: `half::encode` dispatches here only when `f16_fast_path()`
+    // holds; the implementation checks the lengths.
+    unsafe { encode_f16_impl(src, dst) }
+}
+
+#[target_feature(enable = "avx2", enable = "f16c")]
+unsafe fn encode_f16_impl(src: &[f32], dst: &mut [u16]) {
+    assert_eq!(src.len(), dst.len());
+    let mut s8 = src.chunks_exact(8);
+    let mut d8 = dst.chunks_exact_mut(8);
+    for (s, d) in (&mut s8).zip(&mut d8) {
+        store_f16x8(_mm256_loadu_ps(s.as_ptr()), d);
+    }
+    for (h, &w) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+        *h = f32_to_f16(w);
+    }
+}
+
+/// AVX2+F16C [`crate::half::decode`].
+pub(crate) fn decode_f16(src: &[u16], dst: &mut [f32]) {
+    debug_assert!(have_avx2_fma() && have_f16c());
+    // SAFETY: as in `encode_f16`.
+    unsafe { decode_f16_impl(src, dst) }
+}
+
+#[target_feature(enable = "avx2", enable = "f16c")]
+unsafe fn decode_f16_impl(src: &[u16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len());
+    let mut s8 = src.chunks_exact(8);
+    let mut d8 = dst.chunks_exact_mut(8);
+    for (s, d) in (&mut s8).zip(&mut d8) {
+        _mm256_storeu_ps(d.as_mut_ptr(), load_f16x8(s.as_ptr()));
+    }
+    for (w, &h) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+        *w = f16_to_f32(h);
+    }
 }

@@ -238,7 +238,7 @@ fn adam_step_is_invariant_across_worker_counts() {
     use symi_tensor::{AdamConfig, AdamState};
     let _g = lock();
     let mut rng = StdRng::seed_from_u64(507);
-    let len = 40_000; // crosses the pool's per-share threshold
+    let len = 600_000; // enough 64 Ki-element shares for every worker count below
     let params: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() - 0.5).collect();
     let grads: Vec<f32> = (0..len).map(|_| rng.gen::<f32>() * 0.1 - 0.05).collect();
     let before = pool::current_threads();

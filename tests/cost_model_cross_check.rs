@@ -21,7 +21,7 @@ fn measured_weight_phase(new_counts: &[usize]) -> (u64, u64) {
         let params: Vec<Vec<f32>> = (0..E).map(|_| vec![1.0f32; L]).collect();
         let opt = SymiOptimizer::new(ctx.rank(), NODES, AdamConfig::default(), &params);
         let (a, b) = opt.shard_range();
-        let shards: Vec<Vec<f32>> = (0..E).map(|_| vec![0.5f32; b - a]).collect();
+        let shards: Vec<Vec<u16>> = (0..E).map(|_| vec![0x3800u16; b - a]).collect(); // fp16 0.5
         let _ = opt.distribute_weights(ctx, &new, &shards, TagSpace::new(0, 0)).unwrap();
     });
     (report.inter_node_bytes, report.host_device_bytes)

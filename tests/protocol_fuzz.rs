@@ -394,9 +394,15 @@ fn symi_optimizer_is_bit_exact_against_a_single_rank_oracle() {
         // Single-rank oracle: one optimizer owns every shard; Adam is
         // elementwise, so chunked and whole-vector stepping agree exactly.
         let mut oracle_opt = SymiOptimizer::new(0, 1, AdamConfig::default(), &class_params);
-        let mut oracle_weights = Vec::new();
+        let mut oracle_weights: Vec<Vec<f32>> = Vec::new();
         for _ in 0..3 {
-            oracle_weights = oracle_opt.step(&grads);
+            // The optimizer publishes binary16 bits; widen them (exactly)
+            // to compare with what the distribute delivered.
+            oracle_weights = oracle_opt
+                .step(&grads)
+                .iter()
+                .map(|half| half.iter().map(|&h| symi_tensor::half::f16_to_f32(h)).collect())
+                .collect();
         }
         let final_p = &placements[1]; // distribute placement of it = 2
         for (rank, slots) in results.iter().enumerate() {
