@@ -95,9 +95,10 @@ pub struct DeepSpeedMoeEngine {
     /// ZeRO-1 shard of each *local* class's optimizer (one per local slot),
     /// covering this rank's position within the class's EDP group.
     opt_shards: Vec<AdamShard>,
-    /// Per local slot: its flat gradient, staged for the EDP all-reduce.
-    /// Lives across iterations.
-    grad_staging: Vec<Vec<f32>>,
+    /// Per local slot: `(class, this rank's index in the class's EDP group,
+    /// the group)`. The placement is static, so the groups DeepSpeed creates
+    /// at init are built once, here.
+    edp: Vec<(usize, usize, CommGroup)>,
     /// Per local slot: the updated fp16 shard the Adam step writes and the
     /// all-gather contributes. Lives across iterations.
     weight_shards: Vec<Vec<u16>>,
@@ -125,6 +126,7 @@ impl DeepSpeedMoeEngine {
             .collect();
         let mut slots = Vec::with_capacity(slots_per_rank);
         let mut opt_shards = Vec::with_capacity(slots_per_rank);
+        let mut edp = Vec::with_capacity(slots_per_rank);
         let r = placement.replicas();
         for (class, _local) in placement.classes_on_rank(rank) {
             let mut e = ExpertFfn::new(d_model, d_ff, 0);
@@ -135,6 +137,7 @@ impl DeepSpeedMoeEngine {
             let my_idx = hosts.iter().position(|&h| h == rank).expect("I host this class");
             let (a, b) = chunk_range(class_params[class].len(), r, my_idx);
             opt_shards.push(AdamShard::new(adam, a, &class_params[class][a..b]));
+            edp.push((class, my_idx, CommGroup::new(hosts)));
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70c7);
         let router_w = init::normal(d_model, expert_classes, 0.3, &mut rng);
@@ -149,7 +152,7 @@ impl DeepSpeedMoeEngine {
             slots,
             batches: SlotBatches::new(slots_per_rank, d_model),
             opt_shards,
-            grad_staging: vec![Vec::new(); slots_per_rank],
+            edp,
             weight_shards: vec![Vec::new(); slots_per_rank],
             router_w,
             iteration: 0,
@@ -319,15 +322,14 @@ impl DeepSpeedMoeEngine {
         }
 
         // EDP gradient all-reduce per local class over the striped
-        // (non-contiguous) host group — the group DeepSpeed created at init.
+        // (non-contiguous) host group — the group DeepSpeed created at init
+        // — in place on the slot's own flat gradient (an idle slot's zeros
+        // are materialized here: the ring ships them all the same).
         let t_sync = Instant::now();
         let gradsync_span = tele.span(Phase::GradComm);
-        let classes = self.placement.classes_on_rank(self.rank);
-        for &(class, local) in &classes {
-            let group = CommGroup::new(self.placement.host_ranks(class));
-            let grads = &mut self.grad_staging[local];
-            self.slots[local].flat_grads_into(grads);
-            ctx.allreduce_sum(&group, tags.tag(WirePhase::GradSync, class, 0), grads)?;
+        for (slot, (class, _, group)) in self.slots.iter_mut().zip(&self.edp) {
+            let tag = tags.tag(WirePhase::GradSync, *class, 0);
+            ctx.allreduce_sum(group, tag, slot.flat_grads_mut())?;
         }
         drop(gradsync_span);
         if tele.is_enabled() {
@@ -336,20 +338,18 @@ impl DeepSpeedMoeEngine {
             // synchronized the gradient also owns the optimizer shards).
             tele.gauge("grad_return_ms").set(grad_return.as_secs_f64() * 1e3);
             tele.gauge("grad_sync_ms").set(t_sync.elapsed().as_secs_f64() * 1e3);
+            self.batches.publish_load(&tele);
         }
 
         // ZeRO-1 optimizer step: each EDP member steps its shard — the
         // kernel publishes the updated weights as binary16 bits — then the
         // group all-gathers the fp16 shards and every member decodes them
         // straight into its slot.
-        for &(class, local) in &classes {
-            let hosts = self.placement.host_ranks(class);
-            let my_idx = hosts.iter().position(|&h| h == self.rank).expect("hosted");
-            let group = CommGroup::new(hosts);
+        for (local, &(class, my_idx, ref group)) in self.edp.iter().enumerate() {
             let mut half = std::mem::take(&mut self.weight_shards[local]);
             {
                 let _span = tele.span(Phase::OptimizerStep);
-                let grads = &self.grad_staging[local];
+                let grads = self.slots[local].flat_grads();
                 let (a, b) = chunk_range(grads.len(), r, my_idx);
                 // Staging the fp32 gradient shard to host and the fp16
                 // weights back (PCIe).
@@ -359,7 +359,7 @@ impl DeepSpeedMoeEngine {
             }
             let _span = tele.span(Phase::WeightComm);
             let parts = ctx.all_gather_varsize_f16(
-                &group,
+                group,
                 tags.tag(WirePhase::WeightDistribute, class, 0),
                 half,
             )?;

@@ -44,16 +44,18 @@ fn bench_hierarchical_vs_flat() {
         Cluster::run(ClusterSpec::flat(8), |ctx| {
             if ctx.rank() < 2 {
                 let group = ctx.groups().range(0, 2);
-                let mut locals: Vec<Vec<f32>> = (0..4).map(|_| vec![1.0f32; len]).collect();
-                ctx.expert_allreduce(&group, 1, &mut locals, 8, ReduceMode::Sum).unwrap();
+                let mut rep = vec![1.0f32; len];
+                let siblings = vec![vec![1.0f32; len]; 3];
+                let siblings = siblings.iter().map(Vec::as_slice);
+                ctx.expert_allreduce(&group, 1, &mut rep, siblings, 8, ReduceMode::Sum).unwrap();
             }
         })
     });
     bench("spread_8ranks_x1slot", || {
         Cluster::run(ClusterSpec::flat(8), |ctx| {
             let group = ctx.groups().range(0, 8);
-            let mut locals = vec![vec![1.0f32; len]];
-            ctx.expert_allreduce(&group, 1, &mut locals, 8, ReduceMode::Sum).unwrap();
+            let mut rep = vec![1.0f32; len];
+            ctx.expert_allreduce(&group, 1, &mut rep, [], 8, ReduceMode::Sum).unwrap();
         })
     });
 }

@@ -20,7 +20,13 @@
 //! the same math, and a libm reference loop that exists only in this file —
 //! and an **in-situ-shaped `ExpertFfn` row** (m 240, d 64, ff 256: forward
 //! and backward, whole-call GFLOP/s), so "expert FFN vs the GEMM roof" is
-//! answered from the JSON.
+//! answered from the JSON. `engine_params`' expert (d 256, ff 1024 at the
+//! m = 8 and m = 32 rows its slots see) gets its own **skinny rows**: that
+//! shape is bound by the parameter-sized streams — weights in, gradient out
+//! — not by FLOPs, so each of forward, write-mode backward (the first after
+//! `zero_grad`) and accumulate-mode backward is reported in GFLOP/s *and* in
+//! compulsory bytes per ns, and the `gemm_tn` rows under them isolate the
+//! one kernel whose store stream the write mode halves.
 //!
 //! Then the **optimizer rows**: one Adam step over the repository
 //! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
@@ -43,7 +49,10 @@
 //!      `1e-6·max(1, |x|)` and, on the AVX2 path, runs ≥ 4× faster,
 //!   5. **optimizer**: the vector Adam step leaves bit for bit the state
 //!      and the published weights of the scalar one and, where AVX2+F16C
-//!      is present, runs ≥ 4× faster.
+//!      is present, runs ≥ 4× faster,
+//!   6. **write mode**: a `gemm_tn` that overwrites its destination, and an
+//!      `ExpertFfn` backward after a lazy `zero_grad`, equal zero-fill +
+//!      accumulate bit for bit at the skinny shapes.
 
 use std::path::Path;
 use std::time::Instant;
@@ -349,6 +358,129 @@ fn bench_expert_ffn() -> Value {
     Value::Obj(o)
 }
 
+/// `engine_params`' expert at the row counts its slots see: (m, d, ff).
+const SKINNY_EXPERT_SHAPES: &[(usize, usize, usize)] = &[(8, 256, 1024), (32, 256, 1024)];
+
+/// That expert's two parameter-gradient GEMMs, `out[m×n] = a[r×m]ᵀ · b[r×n]`:
+/// (r, m, n).
+const SKINNY_TN_SHAPES: &[(usize, usize, usize)] =
+    &[(8, 256, 1024), (32, 256, 1024), (8, 1024, 256), (32, 1024, 256)];
+
+fn skinny_tn_inputs(r: usize, m: usize, n: usize) -> (Matrix, Matrix) {
+    let a = Matrix::from_fn(r, m, |i, c| ((i * m + c) as f32 * 0.013).sin());
+    let b = Matrix::from_fn(r, n, |i, c| ((i + 5 * c) as f32 * 0.021).cos() * 0.01);
+    (a, b)
+}
+
+fn skinny_expert_inputs(m: usize, d: usize) -> (Matrix, Matrix) {
+    let x = Matrix::from_fn(m, d, |r, c| ((r * d + c) as f32 * 0.013).sin());
+    let dy = Matrix::from_fn(m, d, |r, c| ((r + 5 * c) as f32 * 0.021).cos() * 0.01);
+    (x, dy)
+}
+
+/// Forward, write-mode backward and accumulate-mode backward of one expert
+/// call, single-threaded and interleaved. Three instances, so each pass
+/// streams its own 2 × 2.1 MB of parameters and gradient the way an engine's
+/// four slots evict one another, instead of re-reading a warm one. Bytes are
+/// the compulsory parameter-sized streams (activations are cache-resident at
+/// these m and left out): forward reads every weight once; backward reads
+/// every weight once (the `nt` GEMMs) and writes every gradient element once
+/// — or, accumulating, reads and writes it.
+fn bench_expert_ffn_skinny() -> Value {
+    const REPS: usize = 25;
+    pool::set_threads(1);
+    let mut rows = Vec::new();
+    for &(m, d, ff) in SKINNY_EXPERT_SHAPES {
+        group(&format!("expert_ffn_skinny/{m}x{d}x{ff}"));
+        let (x, dy) = skinny_expert_inputs(m, d);
+        let mut experts: Vec<ExpertFfn> = (0..3).map(|_| ExpertFfn::new(d, ff, 7)).collect();
+        let (mut y, mut dx_w, mut dx_a) =
+            (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for e in &mut experts {
+            e.forward_into(&x, &mut y);
+        }
+        let [fwd, write, acc] = &mut experts[..] else { unreachable!("three experts") };
+        acc.backward_into(&dy, &mut dx_a); // from here on it accumulates
+        let ns = interleaved_min_ns(
+            REPS,
+            &mut [
+                &mut || fwd.forward_into(&x, &mut y),
+                &mut || {
+                    write.zero_grad();
+                    write.backward_into(&dy, &mut dx_w)
+                },
+                &mut || acc.backward_into(&dy, &mut dx_a),
+            ],
+        );
+        let gemm_flops = (2 * m * d * ff) as f64;
+        let param_bytes = (4 * fwd.param_count()) as f64;
+        let mut o = Obj::new();
+        o.set("m", Value::u64(m as u64));
+        o.set("d_model", Value::u64(d as u64));
+        o.set("d_ff", Value::u64(ff as u64));
+        for (name, ns, flops, bytes) in [
+            ("fwd", ns[0], 2.0 * gemm_flops, param_bytes),
+            ("bwd_write", ns[1], 4.0 * gemm_flops, 2.0 * param_bytes),
+            ("bwd_acc", ns[2], 4.0 * gemm_flops, 3.0 * param_bytes),
+        ] {
+            o.set(&format!("{name}_ns"), Value::Num(ns));
+            o.set(&format!("{name}_gflops"), Value::Num(flops / ns));
+            o.set(&format!("{name}_bytes_per_ns"), Value::Num(bytes / ns));
+            println!(
+                "expert_ffn_skinny {m}x{d}x{ff} {name}: {:.1} us, {:.1} GFLOP/s, {:.1} B/ns",
+                ns / 1e3,
+                flops / ns,
+                bytes / ns
+            );
+        }
+        rows.push(Value::Obj(o));
+    }
+    Value::Arr(rows)
+}
+
+/// The parameter-gradient GEMM alone at the same shapes, overwriting its
+/// destination against accumulating into it. Bytes: the destination written
+/// once — or read and written — plus both operands read once.
+fn bench_gemm_tn_skinny() -> Value {
+    const REPS: usize = 25;
+    pool::set_threads(1);
+    let mut rows = Vec::new();
+    for &(r, m, n) in SKINNY_TN_SHAPES {
+        group(&format!("gemm_tn_skinny/r{r}_{m}x{n}"));
+        let (a, b) = skinny_tn_inputs(r, m, n);
+        let (mut out_w, mut out_a) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        let ns = interleaved_min_ns(
+            REPS,
+            &mut [&mut || a.matmul_tn_slice(&b, &mut out_w, false), &mut || {
+                a.matmul_tn_slice(&b, &mut out_a, true)
+            }],
+        );
+        let flops = (2 * r * m * n) as f64;
+        let operand_bytes = (4 * r * (m + n)) as f64;
+        let out_bytes = (4 * m * n) as f64;
+        let mut o = Obj::new();
+        o.set("r", Value::u64(r as u64));
+        o.set("m", Value::u64(m as u64));
+        o.set("n", Value::u64(n as u64));
+        for (name, ns, bytes) in [
+            ("write", ns[0], operand_bytes + out_bytes),
+            ("acc", ns[1], operand_bytes + 2.0 * out_bytes),
+        ] {
+            o.set(&format!("{name}_ns"), Value::Num(ns));
+            o.set(&format!("{name}_gflops"), Value::Num(flops / ns));
+            o.set(&format!("{name}_bytes_per_ns"), Value::Num(bytes / ns));
+        }
+        println!(
+            "gemm_tn_skinny r{r} {m}x{n}: write {:.1} us, accumulate {:.1} us ({:.2}x)",
+            ns[0] / 1e3,
+            ns[1] / 1e3,
+            ns[1] / ns[0]
+        );
+        rows.push(Value::Obj(o));
+    }
+    Value::Arr(rows)
+}
+
 /// (label, parameters): one rank's optimizer shard of one expert class in
 /// the repository benchmark's two engine geometries.
 const ADAM_SIZES: &[(&str, usize)] =
@@ -493,7 +625,11 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   optimizer — five Adam steps on the vector path and on the forced
 ///   scalar path from one state leave identical bits in `(master, m, v)` and
 ///   in the published binary16 shard, and the vector step is ≥ 4× faster
-///   where AVX2+F16C is present.
+///   where AVX2+F16C is present;
+///   write mode — at the skinny shapes a `gemm_tn` that overwrites stale
+///   values equals zero-fill + accumulate bit for bit, and so does an
+///   `ExpertFfn` backward after a lazy `zero_grad` against one after an
+///   eager fill.
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -617,6 +753,37 @@ fn smoke() {
             );
         }
     }
+
+    // Write mode ≡ zero-fill + accumulate, bitwise.
+    {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &(r, m, n) in SKINNY_TN_SHAPES {
+            let (a, b) = skinny_tn_inputs(r, m, n);
+            let (mut write, mut zero_acc) = (vec![f32::NAN; m * n], vec![0.0f32; m * n]);
+            a.matmul_tn_slice(&b, &mut write, false);
+            a.matmul_tn_slice(&b, &mut zero_acc, true);
+            assert_eq!(bits(&write), bits(&zero_acc), "gemm_tn r{r} {m}x{n}: write != zero + acc");
+        }
+        for &(m, d, ff) in SKINNY_EXPERT_SHAPES {
+            let (x, dy) = skinny_expert_inputs(m, d);
+            let (mut lazy, mut eager) = (ExpertFfn::new(d, ff, 7), ExpertFfn::new(d, ff, 7));
+            let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            for e in [&mut lazy, &mut eager] {
+                e.forward_into(&x, &mut y);
+                e.backward_into(&dy, &mut dx); // leave stale values behind
+            }
+            lazy.zero_grad();
+            eager.flat_grads_mut().fill(0.0);
+            lazy.backward_into(&dy, &mut dx);
+            eager.backward_into(&dy, &mut dx);
+            assert_eq!(
+                bits(lazy.flat_grads()),
+                bits(eager.flat_grads()),
+                "expert {m}x{d}x{ff}: lazy zero + backward != fill + backward"
+            );
+        }
+        println!("smoke write mode: gemm_tn and ExpertFfn backward equal zero-fill + accumulate");
+    }
 }
 
 fn main() {
@@ -628,6 +795,8 @@ fn main() {
     let shapes = bench_shapes();
     let activations = bench_activations();
     let expert_ffn = bench_expert_ffn();
+    let expert_ffn_skinny = bench_expert_ffn_skinny();
+    let gemm_tn_skinny = bench_gemm_tn_skinny();
     let adam = bench_adam();
     let f16_codec = bench_f16_codec();
 
@@ -638,6 +807,8 @@ fn main() {
     o.set("shapes", shapes);
     o.set("activations", activations);
     o.set("expert_ffn", expert_ffn);
+    o.set("expert_ffn_skinny", expert_ffn_skinny);
+    o.set("gemm_tn_skinny", gemm_tn_skinny);
     o.set("adam", adam);
     o.set("f16_codec", f16_codec);
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json");

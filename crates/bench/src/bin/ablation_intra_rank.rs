@@ -31,7 +31,9 @@ fn sync_bytes(nodes: usize, ranks_used: usize, instances: usize, len: usize) -> 
         let group = ctx.groups().range(0, ranks_used);
         let mut locals: Vec<Vec<f32>> =
             (0..local_count).map(|s| vec![(rank * 10 + s) as f32; len]).collect();
-        ctx.expert_allreduce(&group, 1, &mut locals, instances, ReduceMode::Sum).unwrap();
+        let (rep, rest) = locals.split_first_mut().expect("local_count > 0");
+        let siblings = rest.iter().map(Vec::as_slice);
+        ctx.expert_allreduce(&group, 1, rep, siblings, instances, ReduceMode::Sum).unwrap();
     });
     report.inter_node_bytes
 }

@@ -3,13 +3,18 @@
 //! Stock NCCL all-reduce synchronizes one tensor per *rank*, which forbids
 //! placing two replicas of the same expert class on the same GPU — a
 //! restriction the paper measured to cost up to 20% extra token drops.
-//! SYMI's variant removes it in three steps (Figure 6):
+//! SYMI's variant removes it (Figure 6):
 //!
 //! 1. each rank elects a *slot representative* for the expert class and sums
 //!    its other local replicas into it (HBM-local, no link traffic);
-//! 2. a standard ring all-reduce runs across the representative ranks only;
-//! 3. the representative writes the reduced (optionally normalized) tensor
-//!    back to its co-located replica slots.
+//! 2. a standard ring all-reduce runs across the representative ranks only.
+//!
+//! The paper's step 3 — the representative writing the reduced tensor back
+//! to its co-located replica slots — is deliberately absent: with the
+//! optimizer decoupled from the replicas, Algorithm 2 sources exactly one
+//! copy of a class's gradient per rank (the representative's), so nothing
+//! ever reads a sibling's synchronized copy. Siblings are read-only here and
+//! the wire carries the same bytes either way.
 //!
 //! Besides enabling arbitrary placements, step 2's ring spans fewer ranks
 //! than instances, so inter-node traffic shrinks whenever the scheduler
@@ -31,94 +36,77 @@ pub enum ReduceMode {
     Mean,
 }
 
+/// Step 1: adds each sibling into the representative, in the order given.
+fn fold_siblings<'a>(rep: &mut [f32], siblings: impl IntoIterator<Item = &'a [f32]>) {
+    for sibling in siblings {
+        assert_eq!(sibling.len(), rep.len(), "replica tensors must have equal shape");
+        for (r, v) in rep.iter_mut().zip(sibling) {
+            *r += v;
+        }
+    }
+}
+
+fn normalize(rep: &mut [f32], total_instances: usize, mode: ReduceMode) {
+    if mode == ReduceMode::Mean {
+        let inv = 1.0 / total_instances as f32;
+        for v in rep.iter_mut() {
+            *v *= inv;
+        }
+    }
+}
+
 impl RankCtx {
-    /// Synchronizes all instances of one expert class.
+    /// Reduces all instances of one expert class into this rank's
+    /// representative.
     ///
-    /// `locals` holds this rank's replica tensors for the class (one entry
-    /// per local slot hosting it; at least one — ranks without a replica are
-    /// not group members and must not call). `group` is the set of ranks
-    /// hosting ≥1 replica; `total_instances` is the global replica count
-    /// used by [`ReduceMode::Mean`].
+    /// `rep` is the tensor of this rank's representative replica (ranks
+    /// without a replica are not group members and must not call);
+    /// `siblings` are its co-located replicas' tensors, read-only, folded
+    /// into `rep` in iteration order (the caller fixes it — ascending slot
+    /// order keeps the sum reproducible — and may leave out a sibling whose
+    /// tensor is all zeros). `group` is the set of ranks hosting ≥1 replica;
+    /// `total_instances` is the global replica count used by
+    /// [`ReduceMode::Mean`].
     ///
-    /// On return every tensor in `locals` holds the synchronized value.
-    pub fn expert_allreduce(
+    /// On return `rep` holds the synchronized value; the siblings are
+    /// untouched (see the module docs for why nothing is written back).
+    pub fn expert_allreduce<'a>(
         &mut self,
         group: &CommGroup,
         tag: u64,
-        locals: &mut [Vec<f32>],
+        rep: &mut [f32],
+        siblings: impl IntoIterator<Item = &'a [f32]>,
         total_instances: usize,
         mode: ReduceMode,
     ) -> Result<(), CommError> {
-        assert!(!locals.is_empty(), "caller must hold at least one local replica");
-        let len = locals[0].len();
-        assert!(locals.iter().all(|l| l.len() == len), "replica tensors must have equal shape");
         assert!(total_instances >= 1, "total_instances must be positive");
-
-        // Step 1: fold local replicas into the representative (slot 0).
-        let (rep, rest) = locals.split_first_mut().expect("non-empty");
-        for other in rest.iter() {
-            for (r, v) in rep.iter_mut().zip(other) {
-                *r += v;
-            }
-        }
-
+        fold_siblings(rep, siblings);
         // Step 2: inter-rank ring all-reduce across representatives.
         self.allreduce_sum(group, tag, rep)?;
-
-        // Step 3: normalize and copy back to the remaining local slots.
-        if mode == ReduceMode::Mean {
-            let inv = 1.0 / total_instances as f32;
-            for v in rep.iter_mut() {
-                *v *= inv;
-            }
-        }
-        // `rep` and `rest` are disjoint borrows from `split_first_mut`, so
-        // the fan-out is a straight copy — no snapshot allocation on the
-        // per-class, per-iteration grad-sync hot path.
-        for other in rest.iter_mut() {
-            other.copy_from_slice(rep);
-        }
+        normalize(rep, total_instances, mode);
         Ok(())
     }
 
     /// [`RankCtx::expert_allreduce`] with the inter-rank step replaced by
     /// the topology-aware tree collective: local replicas fold into the
-    /// slot representative, representatives tree-reduce across tier cells
-    /// ([`RankCtx::tree_allreduce_sum`]), and the result fans back to the
-    /// local slots. Returns the per-tier byte attribution of this rank's
-    /// share of the tree.
-    pub fn tree_expert_allreduce(
+    /// slot representative and representatives tree-reduce across tier cells
+    /// ([`RankCtx::tree_allreduce_sum`]). Returns the per-tier byte
+    /// attribution of this rank's share of the tree.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tree_expert_allreduce<'a>(
         &mut self,
         group: &CommGroup,
         map: &TierMap,
         tag: u64,
-        locals: &mut [Vec<f32>],
+        rep: &mut [f32],
+        siblings: impl IntoIterator<Item = &'a [f32]>,
         total_instances: usize,
         mode: ReduceMode,
     ) -> Result<TreeStats, CommError> {
-        assert!(!locals.is_empty(), "caller must hold at least one local replica");
-        let len = locals[0].len();
-        assert!(locals.iter().all(|l| l.len() == len), "replica tensors must have equal shape");
         assert!(total_instances >= 1, "total_instances must be positive");
-
-        let (rep, rest) = locals.split_first_mut().expect("non-empty");
-        for other in rest.iter() {
-            for (r, v) in rep.iter_mut().zip(other) {
-                *r += v;
-            }
-        }
-
+        fold_siblings(rep, siblings);
         let stats = self.tree_allreduce_sum(group, map, tag, rep)?;
-
-        if mode == ReduceMode::Mean {
-            let inv = 1.0 / total_instances as f32;
-            for v in rep.iter_mut() {
-                *v *= inv;
-            }
-        }
-        for other in rest.iter_mut() {
-            other.copy_from_slice(rep);
-        }
+        normalize(rep, total_instances, mode);
         Ok(stats)
     }
 }
@@ -138,6 +126,21 @@ mod tests {
         }
     }
 
+    /// Syncs `locals[0]` (the representative) with `locals[1..]` as its
+    /// co-located siblings, in slot order.
+    fn sync(
+        ctx: &mut RankCtx,
+        group: &CommGroup,
+        tag: u64,
+        locals: &mut [Vec<f32>],
+        total_instances: usize,
+        mode: ReduceMode,
+    ) {
+        let (rep, rest) = locals.split_first_mut().expect("at least one local replica");
+        let siblings = rest.iter().map(Vec::as_slice);
+        ctx.expert_allreduce(group, tag, rep, siblings, total_instances, mode).unwrap();
+    }
+
     #[test]
     fn sums_across_and_within_ranks() {
         let (results, _) = Cluster::run(ClusterSpec::flat(4), |ctx| {
@@ -149,17 +152,18 @@ mod tests {
             // Instance value = 100*rank + slot.
             let mut locals: Vec<Vec<f32>> =
                 (0..n_local).map(|s| vec![(100 * ctx.rank() + s) as f32; 3]).collect();
-            ctx.expert_allreduce(&group, 77, &mut locals, 4, ReduceMode::Sum).unwrap();
-            locals.into_iter().flatten().collect::<Vec<f32>>()
+            sync(ctx, &group, 77, &mut locals, 4, ReduceMode::Sum);
+            locals
         });
-        // Sum = (100 + 101) + 200 + 300 = 701 in every element of every slot.
+        // Sum = (100 + 101) + 200 + 300 = 701 in every element of every
+        // representative.
         let expect = 701.0f32;
-        for (rank, result) in results.iter().enumerate().take(4).skip(1) {
-            for v in result {
+        for (rank, locals) in results.iter().enumerate().take(4).skip(1) {
+            for v in &locals[0] {
                 assert!((v - expect).abs() < 1e-3, "rank {rank}: {v}");
             }
         }
-        assert_eq!(results[1].len(), 6, "two local slots synchronized");
+        assert_eq!(results[1][1], vec![101.0; 3], "the sibling is read, never written");
         assert!(results[0].is_empty());
     }
 
@@ -172,7 +176,7 @@ mod tests {
             }
             let group = ctx.groups().range(1, 3);
             let mut locals: Vec<Vec<f32>> = (0..n_local).map(|_| vec![8.0f32]).collect();
-            ctx.expert_allreduce(&group, 78, &mut locals, 4, ReduceMode::Mean).unwrap();
+            sync(ctx, &group, 78, &mut locals, 4, ReduceMode::Mean);
             locals[0][0]
         });
         for r in results.iter().take(4).skip(1) {
@@ -188,8 +192,8 @@ mod tests {
             }
             let group = ctx.groups().range(0, 1);
             let mut locals = vec![vec![1.0f32], vec![2.0], vec![3.0]];
-            ctx.expert_allreduce(&group, 5, &mut locals, 3, ReduceMode::Sum).unwrap();
-            locals[2][0]
+            sync(ctx, &group, 5, &mut locals, 3, ReduceMode::Sum);
+            locals[0][0]
         });
         assert_eq!(results[0], 6.0);
         assert_eq!(report.total_bytes(), 0, "intra-rank folding must be link-free");
@@ -205,13 +209,13 @@ mod tests {
             if ctx.rank() < 2 {
                 let group = ctx.groups().range(0, 2);
                 let mut locals = vec![vec![1.0f32; len], vec![2.0f32; len]];
-                ctx.expert_allreduce(&group, 1, &mut locals, 4, ReduceMode::Sum).unwrap();
+                sync(ctx, &group, 1, &mut locals, 4, ReduceMode::Sum);
             }
         });
         let (_, spread) = Cluster::run(ClusterSpec::flat(4), |ctx| {
             let group = ctx.groups().range(0, 4);
             let mut locals = vec![vec![1.5f32; len]];
-            ctx.expert_allreduce(&group, 1, &mut locals, 4, ReduceMode::Sum).unwrap();
+            sync(ctx, &group, 1, &mut locals, 4, ReduceMode::Sum);
         });
         assert!(
             packed.inter_node_bytes < spread.inter_node_bytes,
@@ -233,7 +237,7 @@ mod tests {
             let group = ctx.groups().range(0, 3);
             let mut locals: Vec<Vec<f32>> =
                 (0..n_local).map(|s| vec![(ctx.rank() * 10 + s) as f32 * 0.5; 4]).collect();
-            ctx.expert_allreduce(&group, 3, &mut locals, 6, ReduceMode::Sum).unwrap();
+            sync(ctx, &group, 3, &mut locals, 6, ReduceMode::Sum);
             locals[0][0]
         });
         // Instances: 0.0 | 5.0, 5.5 | 10.0, 10.5, 11.0 -> sum 42.0.
@@ -252,11 +256,12 @@ mod tests {
             }
             let group = ctx.groups().range(0, 1);
             let mut locals = vec![vec![3.0f32, 9.0], vec![6.0, 0.0], vec![0.0, 3.0]];
-            ctx.expert_allreduce(&group, 21, &mut locals, 3, ReduceMode::Mean).unwrap();
+            sync(ctx, &group, 21, &mut locals, 3, ReduceMode::Mean);
             locals.into_iter().flatten().collect::<Vec<f32>>()
         });
-        // Sums (9, 12) / 3 instances = (3, 4), replicated to all slots.
-        assert_eq!(results[0], vec![3.0, 4.0, 3.0, 4.0, 3.0, 4.0]);
+        // Sums (9, 12) / 3 instances = (3, 4) in the representative; the
+        // siblings keep what they held.
+        assert_eq!(results[0], vec![3.0, 4.0, 6.0, 0.0, 0.0, 3.0]);
         assert_eq!(report.total_bytes(), 0, "single-member sync is link-free");
     }
 
@@ -276,7 +281,7 @@ mod tests {
                 let mut locals: Vec<Vec<f32>> = (0..replicas_of(ctx.rank()))
                     .map(|s| (0..len).map(|i| value_of(ctx.rank(), s, i)).collect())
                     .collect();
-                ctx.expert_allreduce(&group, 22, &mut locals, total, mode).unwrap();
+                sync(ctx, &group, 22, &mut locals, total, mode);
                 locals
             });
             // Oracle: gather every instance, sum, normalize.
@@ -293,11 +298,12 @@ mod tests {
                 })
                 .collect();
             for (rank, per_rank) in results.iter().enumerate() {
-                assert_eq!(per_rank.len(), replicas_of(rank), "every slot synchronized");
-                for slot in per_rank {
-                    for (a, b) in slot.iter().zip(&oracle) {
-                        assert!((a - b).abs() < 1e-4, "mode {mode:?} rank {rank}: {a} vs {b}");
-                    }
+                for (a, b) in per_rank[0].iter().zip(&oracle) {
+                    assert!((a - b).abs() < 1e-4, "mode {mode:?} rank {rank}: {a} vs {b}");
+                }
+                for (s, sibling) in per_rank.iter().enumerate().skip(1) {
+                    let untouched: Vec<f32> = (0..len).map(|i| value_of(rank, s, i)).collect();
+                    assert_eq!(sibling, &untouched, "mode {mode:?} rank {rank} sibling {s}");
                 }
             }
         }
@@ -305,7 +311,7 @@ mod tests {
 
     #[test]
     fn tree_variant_matches_ring_variant_bitwise_on_integer_data() {
-        // Same fold → reduce → fan-out pipeline, tree inter-rank step:
+        // Same fold → reduce pipeline, tree inter-rank step:
         // on exactly-representable data the two must agree bit for bit.
         let map = TierMap::new(vec![2, 2]);
         let map_ref = &map;
@@ -320,16 +326,11 @@ mod tests {
             };
             let mut ring_locals = mk(ctx.rank());
             let mut tree_locals = mk(ctx.rank());
-            ctx.expert_allreduce(&group, 23, &mut ring_locals, total, ReduceMode::Sum).unwrap();
+            sync(ctx, &group, 23, &mut ring_locals, total, ReduceMode::Sum);
+            let (rep, rest) = tree_locals.split_first_mut().expect("non-empty");
+            let siblings = rest.iter().map(Vec::as_slice);
             let stats = ctx
-                .tree_expert_allreduce(
-                    &group,
-                    map_ref,
-                    24,
-                    &mut tree_locals,
-                    total,
-                    ReduceMode::Sum,
-                )
+                .tree_expert_allreduce(&group, map_ref, 24, rep, siblings, total, ReduceMode::Sum)
                 .unwrap();
             (ring_locals, tree_locals, stats.total_bytes())
         });

@@ -326,6 +326,9 @@ mod tests {
         assert_eq!(decode(with_step(base, 0)).unwrap().step, Some(0));
     }
 
+    // The field-width checks are `debug_assert!`s: with debug assertions off
+    // (`cargo test --release`) there is no panic to expect.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "overflows")]
     fn entity_overflow_panics_in_debug() {

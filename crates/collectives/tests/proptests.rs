@@ -451,16 +451,16 @@ fn hierarchical_allreduce_matches_flat_sum() {
             let mut locals: Vec<Vec<f32>> = (0..slots_for(ctx.rank()))
                 .map(|s| vec![(ctx.rank() * 7 + s) as f32; len])
                 .collect();
-            ctx.expert_allreduce(&group, 5, &mut locals, total, ReduceMode::Sum).unwrap();
-            locals
+            let (rep, rest) = locals.split_first_mut().expect("at least one slot");
+            let siblings = rest.iter().map(Vec::as_slice);
+            ctx.expert_allreduce(&group, 5, rep, siblings, total, ReduceMode::Sum).unwrap();
+            locals.swap_remove(0)
         });
         let expect: f32 =
             (0..n).flat_map(|r| (0..slots_for(r)).map(move |s| (r * 7 + s) as f32)).sum();
-        for per_rank in &results {
-            for slot in per_rank {
-                for v in slot {
-                    assert!((v - expect).abs() < 1e-2);
-                }
+        for rep in &results {
+            for v in rep {
+                assert!((v - expect).abs() < 1e-2);
             }
         }
     }

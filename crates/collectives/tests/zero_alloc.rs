@@ -4,8 +4,8 @@
 //! `rep.to_vec()` before fanning it back out to the co-located replica
 //! slots — one heap allocation per expert class per iteration, exactly the
 //! kind of steady-state churn the training loop is engineered to avoid.
-//! The fix fans out through the disjoint borrows `split_first_mut` already
-//! provides. This test pins the property: after warm-up, repeated
+//! There is no fan-out any more (the siblings are read-only operands), and
+//! this test keeps pinning the property: after warm-up, repeated
 //! `expert_allreduce` calls perform **zero** heap allocations on the
 //! calling thread.
 //!
@@ -53,18 +53,20 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 #[test]
 fn expert_allreduce_steady_state_allocates_nothing() {
     // A single-rank group takes the HBM-local path (fold into the
-    // representative, normalize, fan back out) with no link traffic —
-    // precisely the code that held the `to_vec` snapshot.
+    // representative, normalize) with no link traffic — precisely the code
+    // that held the `to_vec` snapshot.
     let (deltas, _) = Cluster::run(ClusterSpec::flat(1), |ctx| {
         let group = ctx.groups().range(0, 1);
         let mut locals: Vec<Vec<f32>> = (0..3).map(|s| vec![s as f32 + 1.0; 256]).collect();
+        let (rep, rest) = locals.split_first_mut().expect("three replicas");
+        let siblings = || rest.iter().map(Vec::as_slice);
 
         // Warm-up: first call may lazily initialize runtime state.
-        ctx.expert_allreduce(&group, 1, &mut locals, 3, ReduceMode::Mean).unwrap();
+        ctx.expert_allreduce(&group, 1, rep, siblings(), 3, ReduceMode::Mean).unwrap();
 
         let before = allocs_on_this_thread();
         for step in 0..8u64 {
-            ctx.expert_allreduce(&group, 2 + step, &mut locals, 3, ReduceMode::Mean).unwrap();
+            ctx.expert_allreduce(&group, 2 + step, rep, siblings(), 3, ReduceMode::Mean).unwrap();
         }
         let after = allocs_on_this_thread();
         after - before

@@ -21,13 +21,23 @@
 //!    according to the **new** placement — materializing the rebalance for
 //!    free.
 //!
+//! Steps 4–5 run on one buffer per slot: each expert's flat
+//! `[W1 | b1 | W2 | b2]` gradient is what backward writes, what the §4.1
+//! sync folds co-located replicas into and ring-reduces (in the class's
+//! first local slot, its *representative*), what outgoing shards are cut
+//! from, and what Adam reads this rank's own shard out of. Nothing zeroes,
+//! flattens or copies it on the way, and a slot that received no token is
+//! never touched at all (DESIGN.md, "Gradient path in place").
+//!
 //! The engine trains the expert MLPs against a caller-supplied regression
 //! target (the surrounding dense transformer is orthogonal to SYMI's
 //! contribution and is exercised by the functional trainer in
 //! `symi-model`; the integration suite cross-checks the two).
 
 use crate::metadata::LayerMetadataStore;
-use crate::optimizer::{ReshardReport, ShardState, SymiOptimizer, WeightDistributePending};
+use crate::optimizer::{
+    GradShard, ReshardReport, ShardState, SymiOptimizer, WeightDistributePending,
+};
 use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
 use crate::taskgraph::TaskGraph;
@@ -153,7 +163,7 @@ pub struct JoinStats {
 struct GradCommTime {
     /// The `GradReturn` all-to-all and its assembly into the slots.
     ret: Duration,
-    /// Flat-gradient staging and the §4.1 intra+inter rank all-reduce.
+    /// The §4.1 intra+inter rank all-reduce into the representatives.
     sync: Duration,
     /// Algorithm 2's shard collection (issue, serve, take — not Adam).
     collect: Duration,
@@ -271,9 +281,6 @@ pub struct MoeLayerEngine {
     slots: Vec<ExpertFfn>,
     /// The slots' persistent input/output/gradient matrices.
     batches: SlotBatches,
-    /// Per local slot: its flat gradient, staged for the §4.1 all-reduce
-    /// and the shard collection. Lives across iterations.
-    grad_staging: Vec<Vec<f32>>,
     /// Per class: this rank's updated weight shard as binary16 bits, written
     /// by the Adam step and read by both halves of the weight scatter (in
     /// overlap mode the fence half runs an iteration later, before the next
@@ -363,7 +370,6 @@ impl MoeLayerEngine {
             lrank: rank,
             slots,
             batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
-            grad_staging: vec![Vec::new(); cfg.slots_per_rank],
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
@@ -484,10 +490,21 @@ impl MoeLayerEngine {
         self.optimizer.master_shard(class)
     }
 
-    /// Flat gradients accumulated in a local slot by the last backward
-    /// (testing support — the finite-difference probe reads these).
-    pub fn slot_grads(&self, local_slot: usize) -> Vec<f32> {
-        self.slots[local_slot].flat_grads()
+    /// A local slot's flat gradient buffer after the last iteration
+    /// (testing support — the finite-difference probe reads it). For a
+    /// class's *representative* (its first local slot) that is the class's
+    /// synchronized gradient, because the §4.1 sync reduces into it in
+    /// place; for every other slot it is what that slot's own backward
+    /// produced. `&mut` because reading an idle slot materializes its zeros.
+    pub fn slot_grads(&mut self, local_slot: usize) -> Vec<f32> {
+        self.slots[local_slot].flat_grads().to_vec()
+    }
+
+    /// Whether a local slot's gradient is still only *marked* zero: it sat
+    /// idle through the last iteration and nothing had to touch its buffer
+    /// (testing support).
+    pub fn slot_grad_is_zero(&self, local_slot: usize) -> bool {
+        self.slots[local_slot].grad_is_zero()
     }
 
     /// Whether an error is a candidate for **elastic recovery**: a dead
@@ -882,7 +899,6 @@ impl MoeLayerEngine {
             lrank,
             slots: Vec::new(),
             batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
-            grad_staging: vec![Vec::new(); cfg.slots_per_rank],
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
@@ -956,7 +972,6 @@ impl MoeLayerEngine {
             lrank: snap.logical_rank,
             slots,
             batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
-            grad_staging: vec![Vec::new(); cfg.slots_per_rank],
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
@@ -971,10 +986,13 @@ impl MoeLayerEngine {
         }
     }
 
-    /// §4.1 for one hosted class: stages its local slots' flat gradients
-    /// (persistent buffers, no allocation) and runs the intra+inter rank
-    /// all-reduce over them. On return `grad_staging[l]` of every listed
-    /// slot holds the class's synchronized gradient.
+    /// §4.1 for one hosted class, in place: the intra+inter rank all-reduce
+    /// reduces the class's local slots' gradients into the representative's
+    /// (`locals[0]`) own flat gradient buffer. Busy siblings are added in
+    /// ascending slot order; an idle sibling (gradient still marked zero) is
+    /// never read, and an idle representative materializes its zeros first.
+    /// On return `slots[locals[0]].flat_grads()` is the class's synchronized
+    /// gradient — bit for bit the sum over *all* local slots, idle included.
     fn sync_class_grads(
         &mut self,
         ctx: &mut RankCtx,
@@ -983,12 +1001,24 @@ impl MoeLayerEngine {
         tags: TagSpace,
     ) -> Result<(), CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
-        for &local in locals {
-            self.slots[local].flat_grads_into(&mut self.grad_staging[local]);
-        }
         // A class's local slots are adjacent (placements are contiguous).
         let (first, last) = (locals[0], locals[locals.len() - 1]);
         debug_assert_eq!(last - first + 1, locals.len(), "local replicas are adjacent");
+        let (rep, siblings) = self.slots[first..=last].split_first_mut().expect("hosted class");
+        // An idle sibling's contribution is `+0.0` per element, and
+        // `x + (+0.0)` is `x` for every `x` except `-0.0` (which an FMA
+        // chain reaches by underflow). So the zeros are not streamed
+        // through, but the one thing adding them does is kept: wherever in
+        // the sum the `+0.0` lands the result is the same, so it is added
+        // once, first, to the representative alone. (An idle
+        // representative's materialized `+0.0` does the same job.)
+        if !rep.grad_is_zero() && siblings.iter().any(|s| s.grad_is_zero()) {
+            for g in rep.flat_grads_mut() {
+                *g += 0.0;
+            }
+        }
+        let busy_siblings =
+            siblings.iter_mut().filter(|s| !s.grad_is_zero()).map(|s| s.flat_grads());
         // The host range is logical; the view maps it onto the (possibly
         // non-contiguous) surviving physical ranks.
         let (start, len) = self.placement.host_range(class);
@@ -996,10 +1026,36 @@ impl MoeLayerEngine {
         ctx.expert_allreduce(
             &group,
             tags.tag(WirePhase::GradSync, class, 0),
-            &mut self.grad_staging[first..=last],
+            rep.flat_grads_mut(),
+            busy_siblings,
             self.placement.replica_counts()[class],
             ReduceMode::Sum,
         )
+    }
+
+    /// Adam step of one class from its collected gradient shard: a
+    /// locally-sourced shard is read where it lies, in the gradient of the
+    /// class's representative slot `rep_slot`; a wire buffer goes back to
+    /// the free list afterwards.
+    fn step_class(
+        &mut self,
+        ctx: &mut RankCtx,
+        class: usize,
+        shard: GradShard,
+        rep_slot: Option<usize>,
+    ) {
+        let out = &mut self.weight_shards[class];
+        match shard {
+            GradShard::Local => {
+                let (ms, mt) = self.optimizer.shard_range();
+                let rep = rep_slot.expect("locally sourced, so hosted");
+                self.optimizer.step_class_into(class, &self.slots[rep].flat_grads()[ms..mt], out);
+            }
+            GradShard::Wire(buf) => {
+                self.optimizer.step_class_into(class, &buf, out);
+                ctx.recycle_f32(buf);
+            }
+        }
     }
 
     /// Runs one full training iteration on this rank's token shard.
@@ -1242,6 +1298,14 @@ impl MoeLayerEngine {
         // loop walks.
         let mut grad_stats = OverlapStats::default();
         let hosted = self.placement.classes_on_rank(self.lrank);
+        // Per class, the local slot whose gradient buffer holds the class's
+        // synchronized gradient once `sync_class_grads` has run.
+        let mut rep_slot: Vec<Option<usize>> = vec![None; e];
+        for (class, locals) in &hosted {
+            rep_slot[*class] = Some(locals[0]);
+        }
+        let (ms, mt) = self.optimizer.shard_range();
+        let shard_bytes = (mt - ms) as u64 * 4;
         if self.overlap {
             let t0 = Instant::now();
             let mut pending = self.optimizer.collect_grads_begin(ctx, &self.placement, tags);
@@ -1264,7 +1328,7 @@ impl MoeLayerEngine {
                     &mut pending,
                     &self.placement,
                     *class,
-                    &self.grad_staging[locals[0]],
+                    self.slots[locals[0]].flat_grads(),
                     tags,
                 )?;
                 grad_time.collect += t0.elapsed();
@@ -1276,10 +1340,9 @@ impl MoeLayerEngine {
                         let t0 = Instant::now();
                         let taken = self.optimizer.collect_grads_try_take(ctx, &mut pending, c)?;
                         grad_time.collect += t0.elapsed();
-                        if let Some(g) = taken {
-                            grad_stats.hidden_bytes += g.len() as u64 * 4;
-                            self.optimizer.step_class_into(c, &g, &mut self.weight_shards[c]);
-                            ctx.recycle_f32(g);
+                        if let Some(shard) = taken {
+                            grad_stats.hidden_bytes += shard_bytes;
+                            self.step_class(ctx, c, shard, rep_slot[c]);
                             *done = true;
                         }
                     }
@@ -1292,13 +1355,12 @@ impl MoeLayerEngine {
             for (c, done) in stepped.iter().enumerate() {
                 if !*done {
                     let t0 = Instant::now();
-                    let g = self.optimizer.collect_grads_wait_take(ctx, &mut pending, c)?;
+                    let shard = self.optimizer.collect_grads_wait_take(ctx, &mut pending, c)?;
                     let waited = t0.elapsed();
                     grad_time.collect += waited;
                     grad_stats.exposed_ns += waited.as_nanos() as u64;
-                    grad_stats.exposed_bytes += g.len() as u64 * 4;
-                    self.optimizer.step_class_into(c, &g, &mut self.weight_shards[c]);
-                    ctx.recycle_f32(g);
+                    grad_stats.exposed_bytes += shard_bytes;
+                    self.step_class(ctx, c, shard, rep_slot[c]);
                 }
             }
             self.optimizer.collect_grads_finish(ctx, pending);
@@ -1324,15 +1386,19 @@ impl MoeLayerEngine {
             graph.complete(t_grad_issue);
             let t0 = Instant::now();
             let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
-            for (class, locals) in &hosted {
-                class_grads[*class] = Some(&self.grad_staging[locals[0]]);
+            for (local, slot) in self.slots.iter_mut().enumerate() {
+                let class = self.placement.class_of_slot(self.lrank * s + local);
+                if rep_slot[class] == Some(local) {
+                    class_grads[class] = Some(slot.flat_grads());
+                }
             }
-            let grad_shards =
-                self.optimizer.collect_grads(ctx, &self.placement, &class_grads, tags)?;
+            let shards =
+                self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
             grad_time.collect = t0.elapsed();
             graph.complete(t_grad_serve);
-            self.optimizer.step_into(&grad_shards, &mut self.weight_shards);
-            grad_shards.into_iter().for_each(|g| ctx.recycle_f32(g));
+            for (class, shard) in shards.into_iter().enumerate() {
+                self.step_class(ctx, class, shard, rep_slot[class]);
+            }
             graph.complete(t_step);
         }
 
@@ -1440,6 +1506,8 @@ impl MoeLayerEngine {
             tele.gauge("grad_return_ms").set(grad_time.ret.as_secs_f64() * 1e3);
             tele.gauge("grad_sync_ms").set(grad_time.sync.as_secs_f64() * 1e3);
             tele.gauge("grad_collect_ms").set(grad_time.collect.as_secs_f64() * 1e3);
+            self.batches.publish_load(&tele);
+            tele.gauge("optimizer_state_bytes").set(self.optimizer.state_bytes() as f64);
         }
 
         Ok(IterStats {
@@ -1697,6 +1765,44 @@ mod tests {
                 "param {i}: analytic grad {g} vs finite difference {fd}"
             );
         }
+    }
+
+    #[test]
+    fn an_idle_sibling_still_turns_negative_zero_positive() {
+        // The one observable effect of adding an idle replica's `+0.0`s —
+        // `-0.0` becomes `+0.0` — must survive skipping the replica, or the
+        // in-place sync would differ from the fold over every slot in the
+        // sign of a zero. One rank, one class, three co-located replicas.
+        let one_class = EngineConfig { expert_classes: 1, slots_per_rank: 3, ..cfg() };
+        Cluster::run(ClusterSpec::flat(1), move |ctx| {
+            let mut engine = MoeLayerEngine::new(0, 1, one_class);
+            let tags = TagSpace::new(0, 0);
+            let seed = |engine: &mut MoeLayerEngine, idle: &[usize]| {
+                for (local, slot) in engine.slots.iter_mut().enumerate() {
+                    let g = slot.flat_grads_mut();
+                    g.fill(local as f32 + 1.0);
+                    g[0] = -0.0;
+                    if idle.contains(&local) {
+                        slot.zero_grad();
+                    }
+                }
+            };
+            // Everyone busy: (-0.0) + (-0.0) + (-0.0) stays -0.0.
+            seed(&mut engine, &[]);
+            engine.sync_class_grads(ctx, 0, &[0, 1, 2], tags).unwrap();
+            assert_eq!(engine.slot_grads(0)[..2], [-0.0, 6.0]);
+            assert!(engine.slot_grads(0)[0].is_sign_negative());
+            // An idle sibling anywhere, or an idle representative: +0.0, as
+            // adding its zeros would have given — and the idle one untouched.
+            for idle in [1, 2, 0] {
+                seed(&mut engine, &[idle]);
+                engine.sync_class_grads(ctx, 0, &[0, 1, 2], tags).unwrap();
+                let synced = engine.slot_grads(0);
+                assert!(synced[0] == 0.0 && synced[0].is_sign_positive(), "idle slot {idle}");
+                assert_eq!(synced[1], 6.0 - (idle as f32 + 1.0));
+                assert_eq!(engine.slot_grad_is_zero(idle), idle != 0);
+            }
+        });
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub mod taskgraph;
 pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
 pub use metadata::LayerMetadataStore;
 pub use optimizer::{
-    GradCollectPending, ReshardReport, ShardState, SymiOptimizer, WeightDistributePending,
+    GradCollectPending, GradShard, ReshardReport, ShardState, SymiOptimizer,
+    WeightDistributePending,
 };
 pub use placement::ExpertPlacement;
 pub use policies::{EmaPolicy, TracePolicy, WindowMaxPolicy};

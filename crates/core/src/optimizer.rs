@@ -267,6 +267,21 @@ fn grow_plan(
     plan
 }
 
+/// This rank's shard of one class's synchronized gradient, as Algorithm 2
+/// delivered it.
+#[derive(Debug)]
+pub enum GradShard {
+    /// Sourced from this rank's own replica: the shard is
+    /// [`SymiOptimizer::shard_range`] of the class's local synchronized
+    /// gradient and stays there — Adam steps from that slice, nothing is
+    /// copied.
+    Local,
+    /// Received from a remote host rank in a wire buffer (empty for a
+    /// zero-length shard); hand it back with [`RankCtx::recycle_f32`] once
+    /// Adam has consumed it.
+    Wire(Vec<f32>),
+}
+
 /// One class's gradient-shard source in a split (issue/complete) grad
 /// collection.
 enum GradSource {
@@ -275,8 +290,8 @@ enum GradSource {
     AwaitLocal,
     /// Wire receive posted at issue time, not yet completed.
     Wire(PendingRecv),
-    /// Shard available (local copy made, or wire op completed by a poll).
-    Ready(Vec<f32>),
+    /// Shard available: served locally, or nothing to collect (zero-length).
+    Ready(GradShard),
     /// Shard consumed by the caller (already stepped).
     Taken,
 }
@@ -483,9 +498,12 @@ impl SymiOptimizer {
     /// `(GradCollect, class, src_physical)` with exclusive bit fields, and
     /// each receive validates the shard's element count at the wire.
     ///
-    /// Outgoing shards and the local copies are drawn from the wire-buffer
-    /// free list; the caller owns the returned shards and should hand them
-    /// back ([`RankCtx::recycle_f32`]) once Adam has consumed them.
+    /// This is the owned-`Vec` convenience form for callers that hold no
+    /// slots (traffic harnesses, tests): [`SymiOptimizer::collect_grads_in_place`]
+    /// plus a copy of every locally-sourced shard. Outgoing shards and those
+    /// copies are drawn from the wire-buffer free list; the caller owns the
+    /// returned shards and should hand them back ([`RankCtx::recycle_f32`])
+    /// once Adam has consumed them.
     pub fn collect_grads<G: AsRef<[f32]>>(
         &self,
         ctx: &mut RankCtx,
@@ -493,6 +511,33 @@ impl SymiOptimizer {
         local_grads: &[Option<G>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
+        let shards = self.collect_grads_in_place(ctx, placement, local_grads, tags)?;
+        let (ms, mt) = self.shard_range();
+        Ok(shards
+            .into_iter()
+            .zip(local_grads)
+            .map(|(shard, local)| match shard {
+                GradShard::Wire(shard) => shard,
+                GradShard::Local => {
+                    let grad = local.as_ref().expect("locally sourced, so hosted").as_ref();
+                    ctx.pooled_copy_f32(&grad[ms..mt])
+                }
+            })
+            .collect())
+    }
+
+    /// The Grad Communication Phase as the engine runs it: same sends, same
+    /// receives, same accounting as [`SymiOptimizer::collect_grads`], but a
+    /// shard Algorithm 2 sources from this rank is reported as
+    /// [`GradShard::Local`] and left where it is — `shard_range` of
+    /// `local_grads[class]` — for Adam to step from.
+    pub fn collect_grads_in_place<G: AsRef<[f32]>>(
+        &self,
+        ctx: &mut RankCtx,
+        placement: &ExpertPlacement,
+        local_grads: &[Option<G>],
+        tags: TagSpace,
+    ) -> Result<Vec<GradShard>, CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
         let e = self.shards.len();
         assert_eq!(local_grads.len(), e, "one (optional) gradient per class");
@@ -529,21 +574,18 @@ impl SymiOptimizer {
         // Receives: my shard of every class, locally when possible.
         let (ms, mt) = self.shard_range();
         let mut recvs = Vec::new();
-        let mut local_copy: Vec<Option<Vec<f32>>> = vec![None; e];
-        for class in 0..e {
+        let mut out: Vec<Option<GradShard>> = Vec::with_capacity(e);
+        for (class, local) in local_grads.iter().enumerate() {
             if ms == mt {
                 // Zero-length shard: nothing to collect for any class.
-                local_copy[class] = Some(Vec::new());
+                out.push(Some(GradShard::Wire(Vec::new())));
                 continue;
             }
             let hosts = placement.host_ranks(class);
             let src = get_source(&hosts, self.lrank);
             if src == self.lrank {
-                let grad = local_grads[class]
-                    .as_ref()
-                    .expect("get_source returned self, so the class is local")
-                    .as_ref();
-                local_copy[class] = Some(ctx.pooled_copy_f32(&grad[ms..mt]));
+                debug_assert!(local.is_some(), "get_source returned self, so the class is local");
+                out.push(Some(GradShard::Local));
             } else {
                 let src_phys = self.view.physical_of(src);
                 recvs.push(RecvOp::sized(
@@ -551,6 +593,7 @@ impl SymiOptimizer {
                     tags.tag(WirePhase::GradCollect, class, src_phys),
                     mt - ms,
                 ));
+                out.push(None);
             }
         }
         let retries_before = ctx.protocol_stats().retries;
@@ -563,17 +606,19 @@ impl SymiOptimizer {
         }
 
         // Stage every collected shard into host memory (PCIe leg of T_G;
-        // gradients stay fp32 — only the weight phase travels fp16).
-        let mut out = Vec::with_capacity(e);
-        for slot in local_copy {
-            let shard = match slot {
-                Some(local) => local,
-                None => received.next().expect("one receive per remote class").into_f32()?,
-            };
-            ctx.record_host_device_bytes(shard.len() as u64 * 4);
-            out.push(shard);
-        }
-        Ok(out)
+        // gradients stay fp32 — only the weight phase travels fp16). Every
+        // class's shard is `mt - ms` long, wherever it came from.
+        ctx.record_host_device_bytes((e * (mt - ms)) as u64 * 4);
+        out.into_iter()
+            .map(|shard| match shard {
+                Some(shard) => Ok(shard),
+                None => received
+                    .next()
+                    .expect("one receive per remote class")
+                    .into_f32()
+                    .map(GradShard::Wire),
+            })
+            .collect()
     }
 
     /// The issue half of a split [`SymiOptimizer::collect_grads`]: advances
@@ -597,7 +642,7 @@ impl SymiOptimizer {
         for class in 0..e {
             if ms == mt {
                 // Zero-length shard: nothing to collect for any class.
-                sources.push(GradSource::Ready(Vec::new()));
+                sources.push(GradSource::Ready(GradShard::Wire(Vec::new())));
                 continue;
             }
             let hosts = placement.host_ranks(class);
@@ -619,10 +664,11 @@ impl SymiOptimizer {
 
     /// Serves one hosted class's synchronized gradient into a split
     /// collection: issues the shard sends to every rank whose `get_source`
-    /// picks this rank, and satisfies the local copy if this rank sources
-    /// the class for itself. Call exactly once per hosted class, as soon as
-    /// that class's gradient all-reduce completes — classes still in their
-    /// backward GEMMs are unaffected, which is the overlap.
+    /// picks this rank, and marks the class [`GradShard::Local`] if this
+    /// rank sources it for itself (the caller steps from `grad` directly).
+    /// Call exactly once per hosted class, as soon as that class's gradient
+    /// all-reduce completes — classes still in their backward GEMMs are
+    /// unaffected, which is the overlap.
     pub fn collect_grads_serve_class(
         &self,
         ctx: &mut RankCtx,
@@ -655,44 +701,46 @@ impl SymiOptimizer {
             }
         }
         if matches!(pending.sources[class], GradSource::AwaitLocal) {
-            let (ms, mt) = self.shard_range();
-            pending.sources[class] = GradSource::Ready(ctx.pooled_copy_f32(&grad[ms..mt]));
+            pending.sources[class] = GradSource::Ready(GradShard::Local);
         }
         Ok(())
     }
 
     /// Nonblocking completion attempt for one class of a split collection:
-    /// returns the shard if it is already available (local copy made, or
-    /// the wire payload arrived while compute ran), `None` if still in
-    /// flight or not yet served. The shard is staged host-side exactly as
-    /// the blocking path stages it.
+    /// returns the shard if it is already available (served locally, or the
+    /// wire payload arrived while compute ran), `None` if still in flight
+    /// or not yet served. The shard is staged host-side exactly as the
+    /// blocking path stages it.
     pub fn collect_grads_try_take(
         &self,
         ctx: &mut RankCtx,
         pending: &mut GradCollectPending,
         class: usize,
-    ) -> Result<Option<Vec<f32>>, CommError> {
-        match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
+    ) -> Result<Option<GradShard>, CommError> {
+        let shard = match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
             GradSource::Taken => panic!("class {class} gradient shard taken twice"),
             GradSource::AwaitLocal => {
                 pending.sources[class] = GradSource::AwaitLocal;
-                Ok(None)
+                return Ok(None);
             }
-            GradSource::Ready(shard) => {
-                ctx.record_host_device_bytes(shard.len() as u64 * 4);
-                Ok(Some(shard))
-            }
+            GradSource::Ready(shard) => shard,
             GradSource::Wire(op) => {
-                if op.poll(ctx)? {
-                    let shard = op.wait(ctx)?.into_f32()?;
-                    ctx.record_host_device_bytes(shard.len() as u64 * 4);
-                    Ok(Some(shard))
-                } else {
+                if !op.poll(ctx)? {
                     pending.sources[class] = GradSource::Wire(op);
-                    Ok(None)
+                    return Ok(None);
                 }
+                GradShard::Wire(op.wait(ctx)?.into_f32()?)
             }
-        }
+        };
+        self.record_staged_shard(ctx);
+        Ok(Some(shard))
+    }
+
+    /// Accounts one collected gradient shard's host staging (every class's
+    /// shard is `shard_range` long, wherever it came from).
+    fn record_staged_shard(&self, ctx: &RankCtx) {
+        let (ms, mt) = self.shard_range();
+        ctx.record_host_device_bytes((mt - ms) as u64 * 4);
     }
 
     /// Blocking completion for one class of a split collection. The class
@@ -702,23 +750,18 @@ impl SymiOptimizer {
         ctx: &mut RankCtx,
         pending: &mut GradCollectPending,
         class: usize,
-    ) -> Result<Vec<f32>, CommError> {
+    ) -> Result<GradShard, CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
-        match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
+        let shard = match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
             GradSource::Taken => panic!("class {class} gradient shard taken twice"),
             GradSource::AwaitLocal => {
                 panic!("class {class} waited on before its gradient was served")
             }
-            GradSource::Ready(shard) => {
-                ctx.record_host_device_bytes(shard.len() as u64 * 4);
-                Ok(shard)
-            }
-            GradSource::Wire(op) => {
-                let shard = op.wait(ctx)?.into_f32()?;
-                ctx.record_host_device_bytes(shard.len() as u64 * 4);
-                Ok(shard)
-            }
-        }
+            GradSource::Ready(shard) => shard,
+            GradSource::Wire(op) => GradShard::Wire(op.wait(ctx)?.into_f32()?),
+        };
+        self.record_staged_shard(ctx);
+        Ok(shard)
     }
 
     /// Closes out a split collection: every class must have been taken.

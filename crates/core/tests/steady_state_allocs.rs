@@ -6,9 +6,9 @@
 //! per destination, a `full` vector per hosted class and a clone of it per
 //! sibling slot — megabytes at the benchmark's param-heavy geometry, which
 //! the allocator returns to the kernel and faults back in every iteration.
-//! Now the staging buffers and the optimizer's fp16 shards live across
-//! iterations and wire buffers circulate through the cluster's free list
-//! (`symi_collectives::buffers`).
+//! Now the gradient never leaves the slot's own flat buffer, the optimizer's
+//! fp16 shards live across iterations and wire buffers circulate through the
+//! cluster's free list (`symi_collectives::buffers`).
 //!
 //! This test pins that with a counting allocator (pattern:
 //! `crates/model/tests/slot_batches.rs`): a 2-rank engine at the param-heavy

@@ -229,11 +229,11 @@ impl CausalAttention {
         dx
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.wq, &mut self.wq_grad);
-        f(&mut self.wk, &mut self.wk_grad);
-        f(&mut self.wv, &mut self.wv_grad);
-        f(&mut self.wo, &mut self.wo_grad);
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+        f(&mut self.wq, self.wq_grad.as_slice());
+        f(&mut self.wk, self.wk_grad.as_slice());
+        f(&mut self.wv, self.wv_grad.as_slice());
+        f(&mut self.wo, self.wo_grad.as_slice());
     }
 
     pub fn zero_grad(&mut self) {

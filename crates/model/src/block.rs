@@ -55,7 +55,7 @@ impl TransformerBlock {
         dx
     }
 
-    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         self.ln1.visit_params(f);
         self.attn.visit_params(f);
         self.ln2.visit_params(f);

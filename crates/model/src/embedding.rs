@@ -53,9 +53,9 @@ impl Embedding {
     }
 
     /// Visits `(param, grad)` pairs for the optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.tok, &mut self.tok_grad);
-        f(&mut self.pos, &mut self.pos_grad);
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+        f(&mut self.tok, self.tok_grad.as_slice());
+        f(&mut self.pos, self.pos_grad.as_slice());
     }
 
     pub fn zero_grad(&mut self) {
@@ -91,8 +91,8 @@ impl LmHead {
         dy.matmul_nt(&self.w)
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.w, &mut self.w_grad);
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+        f(&mut self.w, self.w_grad.as_slice());
     }
 
     pub fn zero_grad(&mut self) {

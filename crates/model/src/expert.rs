@@ -4,7 +4,13 @@
 //! must round-trip through flat `f32` buffers because that is what the
 //! optimizer shards, the gradient-collection phase gathers, and the
 //! weight-communication phase scatters.
+//!
+//! The gradient never round-trips: it *is* one flat `[W1 | b1 | W2 | b2]`
+//! buffer per expert. Backward writes it, the §4.1 replica sync folds and
+//! all-reduces it where it lies, and Adam steps from a slice of it
+//! ([`ExpertFfn::flat_grads`]); nothing copies it in between.
 
+use symi_telemetry::TelemetryHandle;
 use symi_tensor::ops::{gelu_backward_into, gelu_into, linear_gelu_into};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, HalfMatrix, Matrix};
@@ -30,10 +36,12 @@ pub struct ExpertFfn {
     pub b1: Matrix,
     pub w2: Matrix,
     pub b2: Matrix,
-    pub w1_grad: Matrix,
-    pub b1_grad: Matrix,
-    pub w2_grad: Matrix,
-    pub b2_grad: Matrix,
+    /// The gradient, flat in the parameters' layout `[W1 | b1 | W2 | b2]`.
+    grad: Vec<f32>,
+    /// Set by [`ExpertFfn::zero_grad`]: the gradient is all `+0.0` although
+    /// `grad` still holds the previous step's values. The next backward
+    /// overwrites them; any other reader zero-fills first.
+    grad_zero: bool,
     cached_x: Matrix,
     cached_pre: Matrix,
     cached_act: Matrix,
@@ -52,10 +60,8 @@ impl ExpertFfn {
             b1: Matrix::zeros(1, d_ff),
             w2: init::kaiming_normal(d_ff, d_model, &mut rng),
             b2: Matrix::zeros(1, d_model),
-            w1_grad: Matrix::zeros(d_model, d_ff),
-            b1_grad: Matrix::zeros(1, d_ff),
-            w2_grad: Matrix::zeros(d_ff, d_model),
-            b2_grad: Matrix::zeros(1, d_model),
+            grad: vec![0.0; 2 * d_model * d_ff + d_ff + d_model],
+            grad_zero: true,
             cached_x: Matrix::zeros(0, 0),
             cached_pre: Matrix::zeros(0, 0),
             cached_act: Matrix::zeros(0, 0),
@@ -129,22 +135,30 @@ impl ExpertFfn {
         dx
     }
 
-    /// Backward pass into a reusable `dx` buffer; gradients accumulate
-    /// into the `*_grad` fields. The f16 path differentiates through the
-    /// *encoded* weights the forward actually used (the `nt` GEMMs stream
-    /// the same shadows); parameter gradients are `tn` GEMMs over f32
-    /// activations either way.
+    /// Backward pass into a reusable `dx` buffer. The first call after
+    /// [`zero_grad`] *writes* the flat gradient — every element the fold
+    /// from `+0.0`, bit for bit what zero-filling and accumulating gives,
+    /// without the fill or the read-back — and later calls accumulate into
+    /// it. The f16 path differentiates through the *encoded* weights the
+    /// forward actually used (the `nt` GEMMs stream the same shadows);
+    /// parameter gradients are `tn` GEMMs over f32 activations either way.
+    ///
+    /// [`zero_grad`]: ExpertFfn::zero_grad
     pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
-        self.cached_act.matmul_tn_acc(dy, &mut self.w2_grad);
-        dy.sum_rows_acc(&mut self.b2_grad);
+        let acc = !std::mem::take(&mut self.grad_zero);
+        let (w1_grad, rest) = self.grad.split_at_mut(self.w1.len());
+        let (b1_grad, rest) = rest.split_at_mut(self.b1.len());
+        let (w2_grad, b2_grad) = rest.split_at_mut(self.w2.len());
+        self.cached_act.matmul_tn_slice(dy, w2_grad, acc);
+        dy.sum_rows_slice(b2_grad, acc);
         if self.f16_compute {
             dy.matmul_nt_f16_into(&self.w2_h, &mut self.scratch_dact);
         } else {
             dy.matmul_nt_into(&self.w2, &mut self.scratch_dact);
         }
         gelu_backward_into(&self.cached_pre, &self.scratch_dact, &mut self.scratch_dpre);
-        self.cached_x.matmul_tn_acc(&self.scratch_dpre, &mut self.w1_grad);
-        self.scratch_dpre.sum_rows_acc(&mut self.b1_grad);
+        self.cached_x.matmul_tn_slice(&self.scratch_dpre, w1_grad, acc);
+        self.scratch_dpre.sum_rows_slice(b1_grad, acc);
         if self.f16_compute {
             self.scratch_dpre.matmul_nt_f16_into(&self.w1_h, dx);
         } else {
@@ -168,20 +182,28 @@ impl ExpertFfn {
         out.extend_from_slice(self.b2.as_slice());
     }
 
-    /// Gradients in the same flat layout.
-    pub fn flat_grads(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.flat_grads_into(&mut out);
-        out
+    /// The gradient in the parameters' flat layout — the buffer backward
+    /// writes, not a copy of it. `&mut self` because a gradient still marked
+    /// zero by [`ExpertFfn::zero_grad`] is zero-filled before it is handed
+    /// out: no reader ever sees the previous step's values.
+    pub fn flat_grads(&mut self) -> &[f32] {
+        self.flat_grads_mut()
     }
 
-    /// [`ExpertFfn::flat_grads`] into a reusable buffer.
-    pub fn flat_grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(self.w1_grad.as_slice());
-        out.extend_from_slice(self.b1_grad.as_slice());
-        out.extend_from_slice(self.w2_grad.as_slice());
-        out.extend_from_slice(self.b2_grad.as_slice());
+    /// [`ExpertFfn::flat_grads`], mutable: the replica sync reduces into the
+    /// gradient in place.
+    pub fn flat_grads_mut(&mut self) -> &mut [f32] {
+        if std::mem::take(&mut self.grad_zero) {
+            self.grad.fill(0.0);
+        }
+        &mut self.grad
+    }
+
+    /// Whether the gradient is known to be all `+0.0` without looking at it:
+    /// [`ExpertFfn::zero_grad`] ran and neither a backward nor a reader has
+    /// touched it since. An engine skips such a slot instead of moving zeros.
+    pub fn grad_is_zero(&self) -> bool {
+        self.grad_zero
     }
 
     /// Loads parameters from a flat buffer produced by [`flat_params`].
@@ -230,18 +252,22 @@ impl ExpertFfn {
     /// Visits `(param, grad)` pairs — used when an expert is trained as a
     /// *dense* parameter (the shared expert of Llama-4/DeepSeek-style
     /// architectures) rather than through the sharded expert optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.w1, &mut self.w1_grad);
-        f(&mut self.b1, &mut self.b1_grad);
-        f(&mut self.w2, &mut self.w2_grad);
-        f(&mut self.b2, &mut self.b2_grad);
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+        self.flat_grads_mut(); // zero-fill a gradient that is only marked zero
+        let (w1_grad, rest) = self.grad.split_at(self.w1.len());
+        let (b1_grad, rest) = rest.split_at(self.b1.len());
+        let (w2_grad, b2_grad) = rest.split_at(self.w2.len());
+        f(&mut self.w1, w1_grad);
+        f(&mut self.b1, b1_grad);
+        f(&mut self.w2, w2_grad);
+        f(&mut self.b2, b2_grad);
     }
 
+    /// Marks the gradient zero without touching its memory (see
+    /// [`ExpertFfn::backward_into`] and [`ExpertFfn::flat_grads`] for who
+    /// pays for the zeros, and when nobody has to).
     pub fn zero_grad(&mut self) {
-        self.w1_grad.fill_zero();
-        self.b1_grad.fill_zero();
-        self.w2_grad.fill_zero();
-        self.b2_grad.fill_zero();
+        self.grad_zero = true;
     }
 }
 
@@ -315,6 +341,18 @@ impl SlotBatches {
         }
     }
 
+    /// Publishes how much expert work this rank drew this iteration as the
+    /// per-rank gauges `expert_busy_slots.rank{r}` (slots that were fed at
+    /// least one token row) and `expert_rows.rank{r}` (rows over all slots):
+    /// an uneven expert phase is per-rank load before it is per-rank speed.
+    pub fn publish_load(&self, telemetry: &TelemetryHandle) {
+        let rank = telemetry.rank();
+        let rows = || self.io.iter().map(|io| io.x.rows());
+        let busy = rows().filter(|&r| r > 0).count();
+        telemetry.gauge(&format!("expert_busy_slots.rank{rank}")).set(busy as f64);
+        telemetry.gauge(&format!("expert_rows.rank{rank}")).set(rows().sum::<usize>() as f64);
+    }
+
     /// Appends the outputs owed to source rank `src`, in its send order.
     pub fn append_outputs(&self, src: usize, out: &mut Vec<f32>) {
         for &(slot, row) in &self.routing[src] {
@@ -336,8 +374,9 @@ impl SlotBatches {
         }
     }
 
-    /// Zeroes `expert`'s gradients and, unless slot `local` sat idle,
-    /// backpropagates its assembled upstream gradient.
+    /// Marks `expert`'s gradient zero and, unless slot `local` sat idle,
+    /// backpropagates its assembled upstream gradient into it. An idle
+    /// slot's gradient stays marked ([`ExpertFfn::grad_is_zero`]).
     pub fn backward(&mut self, local: usize, expert: &mut ExpertFfn) {
         let io = &mut self.io[local];
         expert.zero_grad();
@@ -372,7 +411,9 @@ mod tests {
             p.w2 = wp.clone();
             p.forward(&x)
         });
-        assert!(e.w2_grad.max_abs_diff(&ndw2) < 2e-2);
+        let w2_at = e.w1.len() + e.b1.len();
+        let w2_grad = Matrix::from_vec(10, 6, e.flat_grads()[w2_at..w2_at + w2.len()].to_vec());
+        assert!(w2_grad.max_abs_diff(&ndw2) < 2e-2);
     }
 
     #[test]
@@ -414,7 +455,7 @@ mod tests {
 
     #[test]
     fn param_count_matches_formula() {
-        let e = ExpertFfn::new(16, 64, 0);
+        let mut e = ExpertFfn::new(16, 64, 0);
         assert_eq!(e.param_count(), 2 * 16 * 64 + 64 + 16);
         assert_eq!(e.flat_params().len(), e.param_count());
         assert_eq!(e.flat_grads().len(), e.param_count());
@@ -434,12 +475,76 @@ mod tests {
         let dy = Matrix::from_fn(2, 4, |_, _| 0.5);
         let _ = e.forward(&x);
         let _ = e.backward(&dy);
-        let once = e.flat_grads();
+        let once = e.flat_grads().to_vec();
         let _ = e.forward(&x);
         let _ = e.backward(&dy);
         let twice = e.flat_grads();
-        for (o, t) in once.iter().zip(&twice) {
+        for (o, t) in once.iter().zip(twice) {
             assert!((t - 2.0 * o).abs() < 1e-4);
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn zero_grad_reads_back_as_positive_zeros_whatever_the_buffer_held() {
+        let mut e = ExpertFfn::new(4, 6, 3);
+        assert!(e.grad_is_zero(), "a fresh expert has no gradient");
+        let x = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32 * 0.4).sin());
+        let _ = e.forward(&x);
+        let _ = e.backward(&x);
+        assert!(!e.grad_is_zero() && e.flat_grads().iter().any(|&g| g != 0.0));
+        // Poison what `zero_grad` leaves in memory: no reader may see it.
+        e.grad.fill(f32::NAN);
+        e.zero_grad();
+        assert!(e.grad_is_zero());
+        assert!(e.flat_grads().iter().all(|g| g.to_bits() == 0), "expected +0.0 everywhere");
+        assert!(!e.grad_is_zero(), "materialised zeros are ordinary values");
+        e.grad.fill(f32::NAN);
+        e.zero_grad();
+        let mut seen = 0;
+        e.visit_params(&mut |_, g| {
+            assert!(g.iter().all(|g| g.to_bits() == 0));
+            seen += g.len();
+        });
+        assert_eq!(seen, e.param_count());
+    }
+
+    #[test]
+    fn lazy_zero_then_backward_equals_eager_memset_then_backward_bitwise() {
+        // Shapes that cut through full and edge tiles of both kernel
+        // families; `-0.0` activations (deeply negative pre-activations)
+        // and a zero `dy` row put signed zeros into the products.
+        for (rows, d, ff) in [(1, 4, 6), (7, 5, 19), (33, 16, 40)] {
+            let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.37).sin() * 8.0 - 4.0);
+            let dy = Matrix::from_fn(rows, d, |r, c| {
+                if r == 0 {
+                    0.0
+                } else {
+                    ((r + 3 * c) as f32 * 0.23).cos() * 0.1
+                }
+            });
+            let mut lazy = ExpertFfn::new(d, ff, 11);
+            let mut eager = ExpertFfn::new(d, ff, 11);
+            for round in 0..2 {
+                // Stale values from the previous round are in both buffers.
+                lazy.zero_grad();
+                eager.flat_grads_mut().fill(0.0);
+                assert!(!eager.grad_is_zero(), "the eager side accumulates into its zeros");
+                for _ in 0..=round {
+                    let (_, _) = (lazy.forward(&x), eager.forward(&x));
+                    let dx_lazy = lazy.backward(&dy);
+                    let dx_eager = eager.backward(&dy);
+                    assert_eq!(bits(dx_lazy.as_slice()), bits(dx_eager.as_slice()));
+                }
+                assert_eq!(
+                    bits(lazy.flat_grads()),
+                    bits(eager.flat_grads()),
+                    "{rows}x{d}x{ff} round {round}"
+                );
+            }
         }
     }
 }

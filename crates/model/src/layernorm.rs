@@ -39,9 +39,9 @@ impl LayerNorm {
         dx
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.gamma, &mut self.gamma_grad);
-        f(&mut self.beta, &mut self.beta_grad);
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+        f(&mut self.gamma, self.gamma_grad.as_slice());
+        f(&mut self.beta, self.beta_grad.as_slice());
     }
 
     pub fn zero_grad(&mut self) {

@@ -106,7 +106,7 @@ impl GptMoe {
 
     /// Visits all dense (non-expert) `(param, grad)` pairs in a
     /// deterministic order.
-    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         self.embedding.visit_params(f);
         for b in &mut self.blocks {
             b.visit_dense_params(f);
@@ -170,7 +170,7 @@ mod tests {
         let mut total = 0.0f64;
         let mut count = 0usize;
         model.visit_dense_params(&mut |_, g| {
-            for v in g.as_slice() {
+            for v in g {
                 assert!(v.is_finite(), "gradient must be finite");
                 total += (*v as f64).abs();
                 count += 1;

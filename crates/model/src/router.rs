@@ -183,8 +183,8 @@ impl Router {
         self.scratch_dlogits.matmul_nt_into(&self.w, dx);
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
-        f(&mut self.w, &mut self.w_grad);
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+        f(&mut self.w, self.w_grad.as_slice());
     }
 
     pub fn zero_grad(&mut self) {

@@ -137,9 +137,8 @@ pub struct Trainer {
     /// Per-iteration observability (disabled by default; see
     /// [`Trainer::attach_telemetry`]).
     telemetry: Arc<ClusterTelemetry>,
-    /// Reused flat gradient / updated-weight buffers for the expert
-    /// optimizer loop (no per-class allocation in steady state).
-    scratch_grads: Vec<f32>,
+    /// Reused updated-weight buffer for the expert optimizer loop (no
+    /// per-class allocation in steady state).
     scratch_updated: Vec<f32>,
     /// Kernel/pool counter snapshots from the end of the previous step, so
     /// each iteration's gauges report per-step deltas.
@@ -190,7 +189,6 @@ impl Trainer {
             record,
             iteration: 0,
             telemetry: ClusterTelemetry::disabled(1),
-            scratch_grads: Vec::new(),
             scratch_updated: Vec::new(),
             last_kernel: kernel_stats(),
             last_act: act_stats(),
@@ -264,17 +262,17 @@ impl Trainer {
                 dense_opt.push(AdamState::new(adam, param.as_slice()));
             }
             let state = &mut dense_opt[idx];
-            state.step(grad.as_slice(), param.as_mut_slice());
+            state.step(grad, param.as_mut_slice());
             idx += 1;
         });
 
-        // Expert parameters: flat Adam per (layer, class), staged through
-        // the trainer's reusable flat buffers.
+        // Expert parameters: flat Adam per (layer, class), read from the
+        // expert's own flat gradient; the updated weights are staged through
+        // the trainer's reusable flat buffer.
         for (layer, block) in self.model.blocks.iter_mut().enumerate() {
             for (class, expert) in block.moe.experts.iter_mut().enumerate() {
-                expert.flat_grads_into(&mut self.scratch_grads);
-                self.scratch_updated.resize(self.scratch_grads.len(), 0.0);
-                self.expert_opt[layer][class].step(&self.scratch_grads, &mut self.scratch_updated);
+                self.scratch_updated.resize(expert.param_count(), 0.0);
+                self.expert_opt[layer][class].step(expert.flat_grads(), &mut self.scratch_updated);
                 expert.load_flat(&self.scratch_updated);
             }
         }

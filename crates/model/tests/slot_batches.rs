@@ -204,7 +204,7 @@ fn copy_free_path_is_bit_identical_to_the_from_vec_clone_path() {
 
         let want_back = old_path(&mut old_experts, &meta, &rows, &grads);
         assert_eq!(back, want_back, "round {it}: returned rows differ");
-        for (local, (new, old)) in new_experts.iter().zip(&old_experts).enumerate() {
+        for (local, (new, old)) in new_experts.iter_mut().zip(&mut old_experts).enumerate() {
             assert_eq!(
                 new.flat_grads(),
                 old.flat_grads(),

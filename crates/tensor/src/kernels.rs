@@ -854,6 +854,16 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
 /// each element. The A column block is packed into a k-major strip so the
 /// inner loop streams contiguously.
 pub fn gemm_tn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
+    out.resize_to(a.cols(), b.cols());
+    gemm_tn_slice(a, b, out.as_mut_slice(), acc);
+}
+
+/// [`gemm_tn`] into a caller-owned row-major `m·n` slice — a parameter
+/// gradient that lives inside a larger flat buffer is written (or
+/// accumulated) where it is, with no `Matrix` of its own. With `acc` unset
+/// every element is the fold from `+0.0`, exactly what zero-filling `out`
+/// and accumulating produces.
+pub fn gemm_tn_slice(a: &Matrix, b: &Matrix, out: &mut [f32], acc: bool) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -864,8 +874,8 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
         b.cols()
     );
     let (r, m, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(out.len(), m * n, "matmul_tn destination is not {m}x{n}");
     let t0 = Instant::now();
-    out.resize_to(m, n);
     if m == 0 || n == 0 {
         record(t0, m, n, r);
         return;
@@ -875,7 +885,7 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (r as u64));
     let asl = a.as_slice();
     let bsl = b.as_slice();
-    par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
+    par_rows_planned(m, n, mr, shares, out, |rows, chunk| {
         tn_rows_dispatch(path, asl, bsl, rows, r, m, n, chunk, acc);
     });
     record(t0, m, n, r);

@@ -200,6 +200,13 @@ impl Matrix {
         crate::kernels::gemm_tn(self, other, out, true);
     }
 
+    /// `out (+)= selfᵀ · other` into a row-major `cols × other.cols` slice —
+    /// a parameter gradient stored inside a larger flat buffer. With `acc`
+    /// unset `out` is overwritten (its previous contents are never read).
+    pub fn matmul_tn_slice(&self, other: &Matrix, out: &mut [f32], acc: bool) {
+        crate::kernels::gemm_tn_slice(self, other, out, acc);
+    }
+
     /// `out = self · w` with `w` stored as binary16 (f32 accumulation; the
     /// weight panels stream at 2 B/element — see `kernels::gemm_nn_f16`).
     pub fn matmul_f16_into(&self, w: &crate::half::HalfMatrix, out: &mut Matrix) {
@@ -281,15 +288,25 @@ impl Matrix {
     /// participants. It is O(rows·cols) against the GEMMs' O(rows·cols·k).
     pub fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize_to(1, self.cols);
-        out.fill_zero();
-        self.sum_rows_acc(out);
+        self.sum_rows_slice(out.as_mut_slice(), false);
     }
 
     /// `out += column-wise sum of self` (bias-gradient accumulation).
     pub fn sum_rows_acc(&self, out: &mut Matrix) {
         assert_eq!((out.rows, out.cols), (1, self.cols), "sum_rows_acc shape mismatch");
+        self.sum_rows_slice(out.as_mut_slice(), true);
+    }
+
+    /// `out (+)= column-wise sum of self` into a `cols`-long slice. With
+    /// `acc` unset the fold starts from `+0.0` — bit for bit what
+    /// zero-filling `out` and accumulating produces.
+    pub fn sum_rows_slice(&self, out: &mut [f32], acc: bool) {
+        assert_eq!(out.len(), self.cols, "sum_rows destination width mismatch");
+        if !acc {
+            out.fill(0.0);
+        }
         for r in 0..self.rows {
-            for (o, v) in out.data.iter_mut().zip(self.row(r)) {
+            for (o, v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }

@@ -296,3 +296,85 @@ fn b_prep_work_is_independent_of_share_count() {
         kernels::force_simd_path(prev);
     });
 }
+
+#[test]
+fn slice_destination_gemm_tn_equals_the_matrix_destination_bitwise() {
+    // `gemm_tn_slice` writes a gradient where it lives inside a larger flat
+    // buffer. It must be the `Matrix`-destination GEMM to the bit — in write
+    // mode and in accumulate mode, on full and edge tiles (m, n straddle the
+    // 4x8 scalar and 4x16 AVX2 tiles; r is the skinny reduction), on either
+    // kernel family, split across workers or not — and write mode must be
+    // exactly zero-fill + accumulate, which is what lets a lazily-zeroed
+    // gradient skip the fill.
+    with_split_pool(|| {
+        let detected = kernels::active_path();
+        let mut rng = StdRng::seed_from_u64(510);
+        for path in [SimdPath::Scalar, detected] {
+            kernels::force_simd_path(path);
+            for &r in &[1usize, 7, 8, 33] {
+                for &(m, n) in &[(4usize, 16usize), (5, 19), (37, 50), (64, 33)] {
+                    let a = random_matrix(&mut rng, r, m);
+                    let b = random_matrix(&mut rng, r, n);
+                    let stale = random_matrix(&mut rng, m, n);
+                    for &threads in &[1usize, 4] {
+                        pool::set_threads(threads);
+                        let at = format!("{path:?} r{r} {m}x{n} {threads} threads");
+                        // The slice sits mid-buffer; its neighbours must
+                        // come through untouched.
+                        let window = |acc: bool| {
+                            let mut flat = vec![7.5f32; 3 + m * n + 5];
+                            flat[3..3 + m * n].copy_from_slice(stale.as_slice());
+                            a.matmul_tn_slice(&b, &mut flat[3..3 + m * n], acc);
+                            assert!(flat[..3].iter().chain(&flat[3 + m * n..]).all(|&v| v == 7.5));
+                            flat[3..3 + m * n].to_vec()
+                        };
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+                        let mut write = stale.clone();
+                        a.matmul_tn_into(&b, &mut write);
+                        assert_eq!(bits(&window(false)), bits(write.as_slice()), "write {at}");
+
+                        let mut accumulate = stale.clone();
+                        a.matmul_tn_acc(&b, &mut accumulate);
+                        assert_eq!(bits(&window(true)), bits(accumulate.as_slice()), "acc {at}");
+
+                        let mut zero_then_acc = Matrix::zeros(m, n);
+                        a.matmul_tn_acc(&b, &mut zero_then_acc);
+                        assert_eq!(
+                            bits(write.as_slice()),
+                            bits(zero_then_acc.as_slice()),
+                            "write mode is not zero-fill + accumulate: {at}"
+                        );
+                    }
+                }
+            }
+        }
+        kernels::force_simd_path(detected);
+    });
+}
+
+#[test]
+fn slice_destination_sum_rows_equals_the_matrix_destination_bitwise() {
+    let mut rng = StdRng::seed_from_u64(511);
+    for &(rows, cols) in &[(0usize, 5usize), (1, 1), (7, 19), (33, 64)] {
+        // Signed zeros in play: a column of `-0.0`s sums to `+0.0` from a
+        // `+0.0` start, and write mode must agree.
+        let x =
+            Matrix::from_fn(rows, cols, |_, c| if c == 0 { -0.0 } else { rng.gen::<f32>() - 0.5 });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let stale: Vec<f32> = (0..cols).map(|c| c as f32 - 3.0).collect();
+
+        let mut write = stale.clone();
+        x.sum_rows_slice(&mut write, false);
+        assert_eq!(bits(&write), bits(x.sum_rows().as_slice()), "write {rows}x{cols}");
+        let mut zero_then_acc = vec![0.0f32; cols];
+        x.sum_rows_slice(&mut zero_then_acc, true);
+        assert_eq!(bits(&write), bits(&zero_then_acc), "zero + acc {rows}x{cols}");
+
+        let mut accumulate = Matrix::from_vec(1, cols, stale.clone());
+        x.sum_rows_acc(&mut accumulate);
+        let mut acc_slice = stale.clone();
+        x.sum_rows_slice(&mut acc_slice, true);
+        assert_eq!(bits(&acc_slice), bits(accumulate.as_slice()), "acc {rows}x{cols}");
+    }
+}

@@ -199,6 +199,53 @@ fn telemetry_reconstructs_paper_artifacts_for_all_systems() {
 }
 
 #[test]
+fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
+    // Both engines publish, per rank and per iteration, how many of their
+    // slots were fed and with how many rows. Over the cluster the rows are
+    // exactly the tokens that survived capacity.
+    let check = |telemetry: &ClusterTelemetry, system: &str, survived: usize| {
+        let gauge = |name: &str, rank: usize| {
+            telemetry.registry().gauge(&format!("{name}.rank{rank}")).get() as usize
+        };
+        let rows: Vec<usize> = (0..NODES).map(|r| gauge("expert_rows", r)).collect();
+        assert_eq!(rows.iter().sum::<usize>(), survived, "{system}: rows per rank {rows:?}");
+        for (rank, &rows) in rows.iter().enumerate() {
+            let busy = gauge("expert_busy_slots", rank);
+            assert!(busy <= 2 && busy <= rows && (rows == 0 || busy > 0), "{system} rank {rank}");
+        }
+    };
+    let telemetry = ClusterTelemetry::new(NODES);
+    let (survived, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let cfg = EngineConfig {
+            d_model: D,
+            d_ff: 16,
+            expert_classes: E,
+            slots_per_rank: 2,
+            slot_capacity: 8,
+            adam: AdamConfig::default(),
+            seed: 77,
+            layer_id: 0,
+        };
+        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
+        e.attach_telemetry(telemetry.handle(ctx.rank()));
+        let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
+        e.iteration(ctx, &x, &target).unwrap();
+        e.iteration(ctx, &x, &target).unwrap().survived
+    });
+    check(&telemetry, "symi", survived[0]);
+
+    let telemetry = ClusterTelemetry::new(NODES);
+    let (survived, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let mut e =
+            DeepSpeedMoeEngine::new(ctx.rank(), NODES, D, 16, E, 2, 8, AdamConfig::default(), 77);
+        e.attach_telemetry(telemetry.handle(ctx.rank()));
+        let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
+        e.iteration(ctx, &x, &target).unwrap().survived
+    });
+    check(&telemetry, "deepspeed", survived[0]);
+}
+
+#[test]
 fn deepspeed_pays_optimizer_bytes_symi_decouples() {
     // §3: the coupled baseline stages full optimizer state over host-device
     // per step; SYMI's decoupled optimizer pays gradient/weight network legs
