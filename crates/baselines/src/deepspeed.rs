@@ -13,11 +13,11 @@
 //!   per-shard Adam results within the same group.
 
 use std::time::Instant;
+use symi::token_path::{route, Routed, TokenPath};
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
 use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, AdamShard, Matrix};
 
@@ -84,7 +84,6 @@ pub struct IterStats {
 pub struct DeepSpeedMoeEngine {
     d_model: usize,
     expert_classes: usize,
-    slots_per_rank: usize,
     slot_capacity: usize,
     rank: usize,
     nodes: usize,
@@ -144,7 +143,6 @@ impl DeepSpeedMoeEngine {
         Self {
             d_model,
             expert_classes,
-            slots_per_rank,
             slot_capacity,
             rank,
             nodes,
@@ -190,32 +188,14 @@ impl DeepSpeedMoeEngine {
     ) -> Result<IterStats, CommError> {
         let e = self.expert_classes;
         let n = self.nodes;
-        let s = self.slots_per_rank;
-        let d = self.d_model;
         let world = ctx.groups().world();
         let t_loc = x_local.rows();
         let r = self.placement.replicas();
         let tele = self.telemetry.clone();
         let tags = TagSpace::new(0, self.iteration);
 
-        // Route.
-        let routing_span = tele.span(Phase::Routing);
-        let probs = softmax_rows(&x_local.matmul(&self.router_w));
-        let mut assignment = Vec::with_capacity(t_loc);
-        let mut gates = Vec::with_capacity(t_loc);
-        let mut popularity = vec![0u64; e];
-        for t in 0..t_loc {
-            let row = probs.row(t);
-            let (best, &p) = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .expect("non-empty");
-            assignment.push(best);
-            gates.push(p);
-            popularity[best] += 1;
-        }
-        drop(routing_span);
+        let Routed { assignment, gates, mut popularity, .. } =
+            route(x_local, &self.router_w, &tele);
         {
             let _span = tele.span(Phase::PopularityAllReduce);
             ctx.allreduce_u64_sum(
@@ -226,7 +206,7 @@ impl DeepSpeedMoeEngine {
         }
 
         // Static uniform capacity; sender-side even quota.
-        let dispatch_span = tele.span(Phase::Dispatch);
+        let assign_span = tele.span(Phase::Dispatch);
         let quota: Vec<usize> = (0..e)
             .map(|_| {
                 let cap = self.slot_capacity * r;
@@ -238,7 +218,7 @@ impl DeepSpeedMoeEngine {
         let mut kept_slot = Vec::new();
         let slots_of_class: Vec<Vec<usize>> =
             (0..e).map(|c| self.placement.slots_of_class(c)).collect();
-        for (t, &class) in assignment.iter().enumerate().take(t_loc) {
+        for (t, &class) in assignment.iter().enumerate() {
             if taken[class] >= quota[class] {
                 continue;
             }
@@ -249,77 +229,28 @@ impl DeepSpeedMoeEngine {
             taken[class] += 1;
         }
         let survived_local = kept.len();
+        drop(assign_span);
 
-        // Dispatch.
-        let mut row_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        let mut meta_bufs: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            row_bufs[dest].extend_from_slice(x_local.row(t));
-            meta_bufs[dest].push(kept_slot[i] as u64);
-        }
-        let in_rows =
-            ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::DispatchRows), row_bufs)?;
-        let in_meta =
-            ctx.alltoallv_u64(&world, tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
-
-        self.batches.assemble_inputs(self.rank * s, &in_meta, &in_rows);
-        drop(dispatch_span);
-
-        // Forward + return.
-        let ffn_span = tele.span(Phase::ExpertFfn);
-        self.batches.forward(&mut self.slots);
-        drop(ffn_span);
-        let combine_span = tele.span(Phase::Combine);
-        let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for (src, buf) in back_bufs.iter_mut().enumerate() {
-            self.batches.append_outputs(src, buf);
-        }
-        let returned =
-            ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::CombineReturn), back_bufs)?;
-
-        let mut y = Matrix::zeros(t_loc, d);
-        let mut cursor = vec![0usize; n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            let j = cursor[dest];
-            cursor[dest] += 1;
-            let row = &returned[dest][j * d..(j + 1) * d];
-            for (c, &v) in row.iter().enumerate() {
-                y[(t, c)] += gates[t] * v;
-            }
-        }
-
-        // Loss + upstream grad.
-        let t_global = (t_loc * n) as f32;
-        let mut dy = y.clone();
-        dy.axpy(-1.0, target_local);
-        let mut loss_acc = vec![dy.as_slice().iter().map(|v| v * v).sum::<f32>()];
-        // dLoss/dy = 2 (y - target) / (T_global · d), matching the SYMI
-        // engine's finite-difference-checked gradient.
-        dy.scale(2.0 / (t_global * d as f32));
-        ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut loss_acc)?;
-        let loss = loss_acc[0] / (t_global * d as f32);
-        drop(combine_span);
-
-        // Backward.
-        let t_return = Instant::now();
-        let grad_dispatch_span = tele.span(Phase::GradComm);
-        let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            gbufs[dest].extend(dy.row(t).iter().map(|&v| v * gates[t]));
-        }
-        let in_grads = ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::GradReturn), gbufs)?;
-        self.batches.assemble_grads(&in_grads);
-        drop(grad_dispatch_span);
-        let grad_return = t_return.elapsed();
+        // Dispatch, forward, combine and the loss gradient; the global loss
+        // is summed here, mid-step, before the gradients go back.
+        let path = TokenPath {
+            group: &world,
+            rank: self.rank,
+            tags,
+            gates: &gates,
+            kept: &kept,
+            kept_slot: &kept_slot,
+            telemetry: &tele,
+        };
+        let (dy, local_sq) =
+            path.forward(ctx, x_local, target_local, &mut self.slots, &mut self.batches)?;
+        let mut loss_acc = vec![local_sq];
         {
-            let _span = tele.span(Phase::ExpertFfn);
-            for (local, expert) in self.slots.iter_mut().enumerate() {
-                self.batches.backward(local, expert);
-            }
+            let _span = tele.span(Phase::Combine);
+            ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut loss_acc)?;
         }
+        let loss = loss_acc[0] / ((t_loc * n) as f32 * self.d_model as f32);
+        path.backward(ctx, &dy, &mut self.slots, &mut self.batches)?;
 
         // EDP gradient all-reduce per local class over the striped
         // (non-contiguous) host group — the group DeepSpeed created at init
@@ -336,9 +267,7 @@ impl DeepSpeedMoeEngine {
             // The same split of `Phase::GradComm` the SYMI engine publishes
             // (this system has no shard collection: the EDP group that
             // synchronized the gradient also owns the optimizer shards).
-            tele.gauge("grad_return_ms").set(grad_return.as_secs_f64() * 1e3);
             tele.gauge("grad_sync_ms").set(t_sync.elapsed().as_secs_f64() * 1e3);
-            self.batches.publish_load(&tele);
         }
 
         // ZeRO-1 optimizer step: each EDP member steps its shard — the
@@ -465,6 +394,29 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn nan_logits_do_not_panic_the_routing_argmax() {
+        // The SYMI engine's case on the baseline: a NaN token row makes every
+        // router probability NaN, and this engine's own argmax used to panic
+        // the rank on `partial_cmp(..).expect("finite")`. Both engines route
+        // through `symi::token_path::route` now, NaN last; the NaN loss the
+        // row produces is what reports it here.
+        let nodes = 2;
+        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+            let mut eng = engine(ctx.rank(), nodes, 1_000_000);
+            let mut x = token_matrix(ctx.rank(), 4, 8);
+            if ctx.rank() == 0 {
+                x[(2, 3)] = f32::NAN;
+            }
+            let target = Matrix::zeros(4, 8);
+            eng.iteration(ctx, &x, &target).expect("NaN must not abort")
+        });
+        for stats in &results {
+            assert_eq!(stats.popularity.iter().sum::<u64>(), 8, "every token routes somewhere");
+            assert!(stats.loss.is_nan(), "the NaN row surfaces in the global loss");
         }
     }
 

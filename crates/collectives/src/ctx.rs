@@ -162,29 +162,6 @@ struct PendingEntry {
     ready: Option<Payload>,
 }
 
-/// Handle to a nonblocking send issued with [`RankCtx::isend`].
-///
-/// Sends complete eagerly in this runtime (the mpsc channel buffers
-/// unboundedly), so the handle exists for schedule symmetry with
-/// [`PendingRecv`]: `poll` is always `true` and `wait` returns
-/// immediately. Overlap schedulers treat it uniformly anyway, which keeps
-/// them correct on a transport where sends *can* block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingSend {
-    pub to: usize,
-    pub tag: u64,
-}
-
-impl PendingSend {
-    /// Whether the send has completed (always, on this transport).
-    pub fn poll(&self, _ctx: &mut RankCtx) -> bool {
-        true
-    }
-
-    /// Blocks until the send completes (a no-op on this transport).
-    pub fn wait(self, _ctx: &mut RankCtx) {}
-}
-
 /// Handle to a nonblocking receive posted with [`RankCtx::irecv`].
 ///
 /// The op is matched exactly like a blocking receive — same `(from, tag)`
@@ -192,12 +169,11 @@ impl PendingSend {
 /// it via any interleaving of `poll` and `wait` yields the byte-identical
 /// payload the blocking path would have returned. Progress is made
 /// opportunistically: every `poll`/`wait` on the owning rank drains the
-/// inbound channel into the tag-matched stash, so compute running between
-/// polls is exactly the window in which communication is hidden.
+/// inbound channel into the tag-matched stash.
 ///
 /// Dropping the handle without `wait`/`cancel` leaks the table entry until
-/// a stale-epoch purge collects it; schedulers should always consume their
-/// handles.
+/// a stale-epoch purge collects it (what happens to the rest of a
+/// [`RankCtx::batch_isend_irecv`] whose earlier receive failed).
 #[derive(Debug, PartialEq, Eq)]
 pub struct PendingRecv {
     pub(crate) id: u64,
@@ -225,8 +201,7 @@ impl PendingRecv {
     }
 
     /// Abandons the op, removing it (and any parked payload) from the
-    /// pending table — the cleanup path recovery takes for in-flight
-    /// overlapped traffic of an aborted iteration.
+    /// pending table.
     pub fn cancel(self, ctx: &mut RankCtx) {
         ctx.cancel_pending(self.id);
     }
@@ -567,8 +542,8 @@ impl Mailbox {
     /// Decoded summary of every stashed message plus every
     /// posted-but-incomplete nonblocking receive, sorted for determinism —
     /// the payload of [`CommError::RecvTimeout`]. Naming the outstanding
-    /// overlapped ops is what turns a starved fence into a readable
-    /// diagnosis instead of a bare timeout.
+    /// posted ops is what turns a starved batch into a readable diagnosis
+    /// instead of a bare timeout.
     fn pending_summary(&self) -> Vec<String> {
         let mut entries: Vec<(&(usize, u64), &VecDeque<Stashed>)> = self.stash.iter().collect();
         entries.sort_by_key(|((from, tag), _)| (*from, *tag));
@@ -794,19 +769,6 @@ impl RankCtx {
         self.recv(from, tag)?.into_f16()
     }
 
-    /// Issues a nonblocking send. On this transport the send completes
-    /// eagerly, so the returned [`PendingSend`] is already done; the handle
-    /// keeps overlap schedules transport-agnostic.
-    pub fn isend(
-        &mut self,
-        to: usize,
-        tag: u64,
-        payload: impl Into<Payload>,
-    ) -> Result<PendingSend, CommError> {
-        self.send(to, tag, payload)?;
-        Ok(PendingSend { to, tag })
-    }
-
     /// Posts a nonblocking receive accepting any payload length. Complete
     /// it with [`PendingRecv::poll`] / [`PendingRecv::wait`].
     pub fn irecv(&mut self, from: usize, tag: u64) -> PendingRecv {
@@ -912,7 +874,7 @@ impl RankCtx {
         mb.stats.stash_depth -= discarded as usize;
         // Posted nonblocking receives of the aborted epochs are cancelled
         // with their parked payloads: a recovered protocol must never be
-        // satisfied by a pre-recovery overlapped op.
+        // satisfied by a pre-recovery posted op.
         discarded + mb.cancel_pending_below(epoch_threshold)
     }
 

@@ -18,10 +18,9 @@
 //!   the paper (e.g. ring all-reduce moves `2(r−1)/r · G` per rank).
 //! - Batched point-to-point transfers ([`p2p`]) — the paper's
 //!   `batch_isend_irecv` used by the SYMI optimizer's gradient-collection
-//!   and weight-materialization phases (§4.3–4.4), split into nonblocking
-//!   issue/complete halves ([`ctx::PendingRecv`], [`p2p::PendingBatch`])
-//!   so an overlap scheduler can hide the transfer latency behind compute
-//!   without breaking epoch fencing.
+//!   and weight-materialization phases (§4.3–4.4), run over posted
+//!   nonblocking receives ([`ctx::PendingRecv`]) so a starved batch names
+//!   everything it was still waiting for.
 //! - The **intra+inter rank all-reduce** of §4.1 ([`hier`]): elect a slot
 //!   representative inside each rank, all-reduce across representative
 //!   ranks only, then fan back out to local slots.
@@ -57,12 +56,12 @@ pub mod traffic;
 pub mod tree;
 
 pub use cluster::{Cluster, ClusterSpec};
-pub use ctx::{PendingRecv, PendingSend, ProtocolStats, RankCtx, RetryPolicy};
+pub use ctx::{PendingRecv, ProtocolStats, RankCtx, RetryPolicy};
 pub use error::{CommError, ProtocolFailure};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultStats, MsgMatch};
 pub use group::{CommGroup, GroupRegistry};
 pub use membership::{MembershipView, JOIN_BOOT_ITER, RECOVERY_LAYER};
-pub use p2p::{OverlapStats, PendingBatch, RecvOp, SendOp};
+pub use p2p::{RecvOp, SendOp};
 pub use payload::{decode_f16_into, encode_f16, Payload};
 pub use tag::{TagFields, TagSpace, WirePhase};
 pub use traffic::{LinkClass, TrafficReport, TrafficStats};

@@ -22,7 +22,6 @@
 use crate::ctx::{PendingRecv, RankCtx};
 use crate::error::CommError;
 use crate::payload::Payload;
-use std::time::Instant;
 
 /// One outbound transfer in a batch.
 #[derive(Debug, Clone)]
@@ -59,166 +58,15 @@ impl RecvOp {
     }
 }
 
-/// Where a batch's received bytes completed relative to the caller's
-/// compute: `hidden` bytes had already arrived when the completing call
-/// looked (their latency was covered by work done since the issue half),
-/// `exposed` bytes had to be blocked on, for `exposed_ns` of wall-clock.
-/// This is the accounting the overlap telemetry reports per iteration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OverlapStats {
-    pub hidden_bytes: u64,
-    pub exposed_bytes: u64,
-    pub exposed_ns: u64,
-}
-
-impl OverlapStats {
-    pub fn absorb(&mut self, other: OverlapStats) {
-        self.hidden_bytes += other.hidden_bytes;
-        self.exposed_bytes += other.exposed_bytes;
-        self.exposed_ns += other.exposed_ns;
-    }
-
-    /// Fraction of received bytes that were exposed (blocked on); 0 for an
-    /// empty batch.
-    pub fn exposed_fraction(&self) -> f64 {
-        let total = self.hidden_bytes + self.exposed_bytes;
-        if total == 0 {
-            0.0
-        } else {
-            self.exposed_bytes as f64 / total as f64
-        }
-    }
-}
-
-/// One receive slot of a [`PendingBatch`].
-enum BatchSlot {
-    Pending(PendingRecv),
-    Ready(Payload),
-}
-
-/// The in-flight half of a split `batch_isend_irecv`: every send issued,
-/// every receive posted, none yet required. `poll` makes progress without
-/// blocking; `complete` waits out the remainder and returns the payloads
-/// in the original receive order.
-///
-/// Slots are always polled in posting order, so two receives on the same
-/// `(from, tag)` stream pair with arrivals in exactly the FIFO order the
-/// blocking batch would have used — completion order cannot re-pair
-/// messages, which is what keeps any poll/wait interleaving bit-exact.
-pub struct PendingBatch {
-    slots: Vec<BatchSlot>,
-}
-
-impl PendingBatch {
-    /// Nonblocking progress over every incomplete slot (in posting order).
-    /// Returns `true` once the whole batch is complete.
-    pub fn poll(&mut self, ctx: &mut RankCtx) -> Result<bool, CommError> {
-        let mut all = true;
-        for slot in &mut self.slots {
-            let arrived = match slot {
-                BatchSlot::Ready(_) => continue,
-                BatchSlot::Pending(op) => op.poll(ctx)?,
-            };
-            if !arrived {
-                all = false;
-                continue;
-            }
-            // The payload is parked in the mailbox; this wait cannot block.
-            let placeholder = BatchSlot::Ready(Payload::from(Vec::<f32>::new()));
-            match std::mem::replace(slot, placeholder) {
-                BatchSlot::Pending(op) => *slot = BatchSlot::Ready(op.wait(ctx)?),
-                BatchSlot::Ready(_) => unreachable!("matched Pending above"),
-            }
-        }
-        Ok(all)
-    }
-
-    /// Whether every slot has completed (no progress attempted).
-    pub fn is_complete(&self) -> bool {
-        self.slots.iter().all(|s| matches!(s, BatchSlot::Ready(_)))
-    }
-
-    /// Outstanding (not yet completed) receive slots.
-    pub fn outstanding(&self) -> usize {
-        self.slots.iter().filter(|s| matches!(s, BatchSlot::Pending(_))).count()
-    }
-
-    /// Blocks out the remainder of the batch, returning the payloads in
-    /// receive order plus the hidden/exposed byte accounting: payloads that
-    /// were already in (or one nonblocking probe away from) the mailbox
-    /// count as hidden, payloads this call had to block for count as
-    /// exposed with their measured wait.
-    pub fn complete(self, ctx: &mut RankCtx) -> Result<(Vec<Payload>, OverlapStats), CommError> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        let mut stats = OverlapStats::default();
-        for slot in self.slots {
-            let payload = match slot {
-                BatchSlot::Ready(payload) => {
-                    stats.hidden_bytes += payload.byte_len();
-                    payload
-                }
-                BatchSlot::Pending(op) => {
-                    if op.poll(ctx)? {
-                        let payload = op.wait(ctx)?;
-                        stats.hidden_bytes += payload.byte_len();
-                        payload
-                    } else {
-                        let start = Instant::now();
-                        let payload = op.wait(ctx)?;
-                        stats.exposed_ns += start.elapsed().as_nanos() as u64;
-                        stats.exposed_bytes += payload.byte_len();
-                        payload
-                    }
-                }
-            };
-            out.push(payload);
-        }
-        Ok((out, stats))
-    }
-
-    /// Abandons every incomplete slot (recovery cleanup); completed
-    /// payloads are dropped.
-    pub fn cancel(self, ctx: &mut RankCtx) {
-        for slot in self.slots {
-            if let BatchSlot::Pending(op) = slot {
-                op.cancel(ctx);
-            }
-        }
-    }
-}
-
 impl RankCtx {
-    /// The issue half of [`RankCtx::batch_isend_irecv`]: performs every
-    /// send and posts every receive, returning immediately with the
-    /// in-flight batch. Compute run between this call and
-    /// [`PendingBatch::complete`] hides the transfer latency.
-    pub fn batch_issue(
-        &mut self,
-        sends: Vec<SendOp>,
-        recvs: &[RecvOp],
-    ) -> Result<PendingBatch, CommError> {
-        for op in sends {
-            self.send(op.to, op.tag, op.data)?;
-        }
-        let slots = recvs
-            .iter()
-            .map(|op| {
-                BatchSlot::Pending(match op.expect {
-                    Some(n) => self.irecv_sized(op.from, op.tag, n),
-                    None => self.irecv(op.from, op.tag),
-                })
-            })
-            .collect();
-        Ok(PendingBatch { slots })
-    }
-
-    /// Issues every send, then completes every receive, returning the
-    /// received payloads in the order of `recvs`.
+    /// Issues every send, posts every receive, then completes the receives
+    /// in posting order, returning the received payloads in the order of
+    /// `recvs`.
     ///
-    /// Implemented as [`RankCtx::batch_issue`] + [`PendingBatch::complete`]
-    /// with the overlap accounting discarded — the blocking path and the
-    /// overlapped path are the same code, which is half of the
-    /// bit-exactness argument.
+    /// Every receive is posted before the first is waited on, so a starved
+    /// wait names the whole outstanding batch in its diagnostics, and two
+    /// receives on one `(from, tag)` stream pair with arrivals in FIFO
+    /// order (see [`PendingRecv`]).
     ///
     /// Self-transfers (send to own rank) are legal and are delivered through
     /// the local mailbox without touching any link counter.
@@ -227,8 +75,17 @@ impl RankCtx {
         sends: Vec<SendOp>,
         recvs: &[RecvOp],
     ) -> Result<Vec<Payload>, CommError> {
-        let batch = self.batch_issue(sends, recvs)?;
-        Ok(batch.complete(self)?.0)
+        for op in sends {
+            self.send(op.to, op.tag, op.data)?;
+        }
+        let posted: Vec<PendingRecv> = recvs
+            .iter()
+            .map(|op| match op.expect {
+                Some(n) => self.irecv_sized(op.from, op.tag, n),
+                None => self.irecv(op.from, op.tag),
+            })
+            .collect();
+        posted.into_iter().map(|op| op.wait(self)).collect()
     }
 }
 

@@ -314,10 +314,10 @@ fn any_poll_interleaving_of_a_pending_batch_is_bit_exact_vs_blocking() {
     // Every rank sends a multi-message stream to every other rank, with
     // several messages reusing one (from, tag) pair so FIFO pairing is
     // actually load-bearing. One run completes the batch through
-    // `batch_isend_irecv` (the blocking oracle); the others drive the same
-    // batch through randomized poll / sleep / complete interleavings. The
-    // received payloads must be bit-identical in every schedule, and the
-    // hidden/exposed accounting must cover exactly the received bytes.
+    // `batch_isend_irecv` (the blocking oracle); the others post the same
+    // receives themselves and poll them in random order between sleeps
+    // before waiting them out. The received payloads must be bit-identical
+    // in every schedule.
     let mut rng = StdRng::seed_from_u64(209);
     for trial in 0..12u64 {
         let n = rng.gen_range(2..5usize);
@@ -362,20 +362,23 @@ fn any_poll_interleaving_of_a_pending_batch_is_bit_exact_vs_blocking() {
         }
 
         for round in 0..3u64 {
-            let (overlapped, _) = Cluster::run(ClusterSpec::flat(n), |ctx| {
+            let (polled, _) = Cluster::run(ClusterSpec::flat(n), |ctx| {
                 let mut local =
                     StdRng::seed_from_u64(trial * 1_000 + round * 100 + ctx.rank() as u64);
                 let (sends, recvs) = plan(ctx.rank());
-                let mut batch = ctx.batch_issue(sends, &recvs).unwrap();
-                // Random schedule: poll, stall, or give up and block.
+                for op in sends {
+                    ctx.send(op.to, op.tag, op.data).unwrap();
+                }
+                let posted: Vec<_> = recvs
+                    .iter()
+                    .map(|op| ctx.irecv_sized(op.from, op.tag, op.expect.expect("sized")))
+                    .collect();
+                // Random schedule: poll any op, stall, or give up and block.
                 loop {
                     match local.gen_range(0..4u32) {
                         0 => {
-                            if batch.poll(ctx).unwrap() {
-                                assert!(batch.is_complete());
-                                assert_eq!(batch.outstanding(), 0);
-                                break;
-                            }
+                            let op = &posted[local.gen_range(0..posted.len())];
+                            op.poll(ctx).unwrap();
                         }
                         1 => std::thread::sleep(std::time::Duration::from_micros(
                             local.gen_range(0..200u64),
@@ -384,17 +387,13 @@ fn any_poll_interleaving_of_a_pending_batch_is_bit_exact_vs_blocking() {
                         _ => break,
                     }
                 }
-                let (payloads, stats) = batch.complete(ctx).unwrap();
-                let byte_total: u64 = payloads.iter().map(|p| p.byte_len()).sum();
-                assert_eq!(
-                    stats.hidden_bytes + stats.exposed_bytes,
-                    byte_total,
-                    "overlap accounting must cover every received byte"
-                );
-                payloads.into_iter().map(|p| p.into_f32().unwrap()).collect::<Vec<_>>()
+                posted
+                    .into_iter()
+                    .map(|op| op.wait(ctx).unwrap().into_f32().unwrap())
+                    .collect::<Vec<_>>()
             });
             assert_eq!(
-                overlapped, oracle,
+                polled, oracle,
                 "trial {trial} round {round}: a poll/wait schedule changed the received data"
             );
         }
@@ -403,9 +402,9 @@ fn any_poll_interleaving_of_a_pending_batch_is_bit_exact_vs_blocking() {
 
 #[test]
 fn recv_timeout_diagnostic_names_pending_overlapped_ops() {
-    // A starved blocking receive that times out while overlapped irecvs
-    // are still posted must name those in-flight ops — that listing is how
-    // a wedged fence is diagnosed as "waiting on the wrong iteration's
+    // A starved blocking receive that times out while other receives are
+    // still posted must name those in-flight ops — that listing is how a
+    // wedged batch is diagnosed as "waiting on the wrong iteration's
     // scatter" instead of a bare timeout.
     use std::time::Duration;
 
@@ -414,11 +413,10 @@ fn recv_timeout_diagnostic_names_pending_overlapped_ops() {
             return None; // never sends anything: rank 1 starves
         }
         let tags = TagSpace::new(0, 7);
-        let scatter = RecvOp::sized(0, tags.tag(WirePhase::WeightDistribute, 3, 0), 16);
-        let batch = ctx.batch_issue(vec![], &[scatter]).unwrap();
+        let scatter = ctx.irecv_sized(0, tags.tag(WirePhase::WeightDistribute, 3, 0), 16);
         ctx.set_recv_timeout(Some(Duration::from_millis(10)));
         let err = ctx.recv_f32(0, tags.tag(WirePhase::GradCollect, 1, 0)).unwrap_err();
-        batch.cancel(ctx);
+        scatter.cancel(ctx);
         Some(err)
     });
     match results[1].as_ref().unwrap() {
@@ -429,7 +427,7 @@ fn recv_timeout_diagnostic_names_pending_overlapped_ops() {
                 posted
                     .iter()
                     .any(|line| line.contains("WeightDistribute") && line.contains("expect=16")),
-                "timeout must name the posted overlapped irecv: {pending:?}"
+                "timeout must name the posted irecv: {pending:?}"
             );
         }
         other => panic!("expected RecvTimeout with pending listing, got {other:?}"),

@@ -29,27 +29,29 @@
 //! flattens or copies it on the way, and a slot that received no token is
 //! never touched at all (DESIGN.md, "Gradient path in place").
 //!
+//! The iteration is one straight line with no schedule to choose. Its
+//! placement-independent middle — routing, and everything from the dispatch
+//! all-to-all to the per-slot backward — is [`crate::token_path`], shared
+//! with the static baseline; what is written here is what SYMI does
+//! differently.
+//!
 //! The engine trains the expert MLPs against a caller-supplied regression
 //! target (the surrounding dense transformer is orthogonal to SYMI's
 //! contribution and is exercised by the functional trainer in
 //! `symi-model`; the integration suite cross-checks the two).
 
 use crate::metadata::LayerMetadataStore;
-use crate::optimizer::{
-    GradShard, ReshardReport, ShardState, SymiOptimizer, WeightDistributePending,
-};
+use crate::optimizer::{GradShard, ReshardReport, ShardState, SymiOptimizer};
 use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
-use crate::taskgraph::TaskGraph;
-use std::time::{Duration, Instant};
+use crate::token_path::{route, Routed, TokenPath};
+use std::time::Instant;
 use symi_collectives::hier::ReduceMode;
 use symi_collectives::{
-    encode_f16, CommError, MembershipView, OverlapStats, RankCtx, TagSpace, WirePhase,
-    RECOVERY_LAYER,
+    encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
 use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, Matrix};
 
@@ -75,16 +77,6 @@ impl EngineConfig {
     pub fn total_slots(&self, nodes: usize) -> usize {
         self.slots_per_rank * nodes
     }
-}
-
-/// A weight scatter issued at the end of iteration *i* whose fence is
-/// deferred into iteration *i+1*: the receives complete under the cover of
-/// *i+1*'s routing and popularity phases, and the slot writes (plus the
-/// placement switch they realize) happen at the hard fence before *i+1*'s
-/// dispatch reads either.
-struct PendingWeights {
-    state: WeightDistributePending,
-    placement: ExpertPlacement,
 }
 
 /// Statistics from one engine iteration, identical on every rank.
@@ -155,18 +147,6 @@ pub struct JoinStats {
     /// and `reseeded_params` are always 0 and `transferred_params` counts
     /// the fp32 Adam slices moved to their new owners moments-and-all.
     pub reshard: ReshardReport,
-}
-
-/// Wall time of the three things `Phase::GradComm` covers, for the
-/// `grad_return_ms` / `grad_sync_ms` / `grad_collect_ms` gauges.
-#[derive(Clone, Copy, Debug, Default)]
-struct GradCommTime {
-    /// The `GradReturn` all-to-all and its assembly into the slots.
-    ret: Duration,
-    /// The §4.1 intra+inter rank all-reduce into the representatives.
-    sync: Duration,
-    /// Algorithm 2's shard collection (issue, serve, take — not Adam).
-    collect: Duration,
 }
 
 /// A rank's full training state: enough to rebuild a bit-identical engine
@@ -282,9 +262,8 @@ pub struct MoeLayerEngine {
     /// The slots' persistent input/output/gradient matrices.
     batches: SlotBatches,
     /// Per class: this rank's updated weight shard as binary16 bits, written
-    /// by the Adam step and read by both halves of the weight scatter (in
-    /// overlap mode the fence half runs an iteration later, before the next
-    /// step overwrites it). Lives across iterations.
+    /// by the Adam step and read by the weight scatter. Lives across
+    /// iterations.
     weight_shards: Vec<Vec<u16>>,
     pub placement: ExpertPlacement,
     optimizer: SymiOptimizer,
@@ -296,28 +275,11 @@ pub struct MoeLayerEngine {
     /// Iterations that fell back to the previous placement because a
     /// degradable collective (popularity/stats sync) starved.
     degraded_iterations: u64,
-    /// Overlap scheduler switch: when set, the weight scatter issued at the
-    /// end of each iteration stays in flight across the iteration boundary
-    /// and gradient collection interleaves with the backward GEMMs. Off by
-    /// default (`SYMI_OVERLAP=on` or [`MoeLayerEngine::set_overlap`]); both
-    /// modes are bit-exact.
-    overlap: bool,
-    /// The weight scatter currently in flight across an iteration boundary
-    /// (overlap mode only).
-    pending_weights: Option<PendingWeights>,
     /// Cumulative NaN router probabilities observed (exported as the
     /// `router.nan_logits` gauge). A NaN never panics the argmax — NaN
     /// sorts last — but it signals upstream numeric trouble loudly.
     nan_logits: u64,
     telemetry: TelemetryHandle,
-}
-
-/// `SYMI_OVERLAP` env switch: `on`/`1`/`true` enables the overlap
-/// scheduler, anything else (or unset) keeps the sequential pipeline.
-fn overlap_from_env() -> bool {
-    std::env::var("SYMI_OVERLAP")
-        .map(|v| matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true"))
-        .unwrap_or(false)
 }
 
 impl MoeLayerEngine {
@@ -377,8 +339,6 @@ impl MoeLayerEngine {
             router_w,
             iteration: 0,
             degraded_iterations: 0,
-            overlap: overlap_from_env(),
-            pending_weights: None,
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -395,49 +355,6 @@ impl MoeLayerEngine {
     /// routing survived by sorting NaN last.
     pub fn nan_logits(&self) -> u64 {
         self.nan_logits
-    }
-
-    /// Enables or disables the overlap scheduler (overrides `SYMI_OVERLAP`).
-    /// Takes effect at the next [`MoeLayerEngine::iteration`]; call
-    /// [`MoeLayerEngine::drain`] first when switching overlap → sequential
-    /// mid-run so no scatter is left in flight.
-    pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
-    }
-
-    /// Whether the overlap scheduler is active.
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap
-    }
-
-    /// Hard fence: completes the cross-iteration weight scatter, writes the
-    /// slots, and switches to the placement it materializes. Returns the
-    /// hidden/exposed transfer accounting, or `None` if nothing was in
-    /// flight.
-    fn complete_pending_weights(
-        &mut self,
-        ctx: &mut RankCtx,
-    ) -> Result<Option<OverlapStats>, CommError> {
-        let Some(pw) = self.pending_weights.take() else {
-            return Ok(None);
-        };
-        let stats = self.optimizer.distribute_weights_finish(
-            ctx,
-            pw.state,
-            &self.weight_shards,
-            &mut self.slots,
-        )?;
-        self.placement = pw.placement;
-        Ok(Some(stats))
-    }
-
-    /// Lands any weight scatter still in flight (overlap mode issues one at
-    /// the end of every iteration). Call before inspecting slot weights,
-    /// checkpointing the slots, or switching to sequential mode; a no-op
-    /// when nothing is pending.
-    pub fn drain(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
-        self.complete_pending_weights(ctx)?;
-        Ok(())
     }
 
     /// The membership view the engine's geometry is currently built over.
@@ -617,11 +534,10 @@ impl MoeLayerEngine {
         let popularity = best.map(|(_, pop)| pop);
 
         // Purge everything the aborted attempt (and older) left in flight:
-        // the resumed protocol starts from a clean fenced stream. An
-        // overlapped weight scatter from the old world is abandoned with
-        // it — `discard_stale_below` cancels its posted receives, and the
+        // the resumed protocol starts from a clean fenced stream. A weight
+        // scatter that failed half-way is abandoned with it —
+        // `discard_stale_below` cancels its posted receives, and the
         // re-sharded masters re-materialize the slots below.
-        self.pending_weights = None;
         let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
 
         // Algorithm 1 over the survivors: same classes, fewer slots.
@@ -694,10 +610,7 @@ impl MoeLayerEngine {
         self.slots = (0..self.cfg.slots_per_rank)
             .map(|_| ExpertFfn::new(self.cfg.d_model, self.cfg.d_ff, 0))
             .collect();
-        let pending =
-            self.optimizer.distribute_weights_begin(ctx, &self.placement, &shards, tags)?;
-        self.optimizer.distribute_weights_finish(ctx, pending, &shards, &mut self.slots)?;
-        Ok(())
+        self.optimizer.distribute_weights_into(ctx, &self.placement, &shards, tags, &mut self.slots)
     }
 
     /// The survivor side of **elastic scale-out** — the inverse of
@@ -707,26 +620,23 @@ impl MoeLayerEngine {
     /// [`MoeLayerEngine::join`] on the joiner.
     ///
     /// Driver order:
-    /// 1. land any in-flight overlapped weight scatter
-    ///    (`complete_pending_weights`) — the join must not race a scatter
-    ///    issued under the old world's geometry;
-    /// 2. bootstrap the joiner ([`RankCtx::send_join_bootstrap`]): it
+    /// 1. bootstrap the joiner ([`RankCtx::send_join_bootstrap`]): it
     ///    cannot know the current view/epoch on its own;
-    /// 3. all members — joiner included — agree on the grown membership
+    /// 2. all members — joiner included — agree on the grown membership
     ///    and a bumped epoch ([`RankCtx::agree_membership`]), survivors
     ///    exchanging `(completed iterations, Adam step, latest popularity)`
     ///    payloads;
-    /// 4. the membership generation bump namespaces every subsequent
+    /// 3. the membership generation bump namespaces every subsequent
     ///    message, and the epoch's world bound is registered with the
     ///    group registry so survivor↔joiner communicator groups resolve;
-    /// 5. Algorithm 1 re-runs over `total_slots` grown by the joiner's
+    /// 4. Algorithm 1 re-runs over `total_slots` grown by the joiner's
     ///    slots;
-    /// 6. optimizer ownership re-shards over `N+1` ranks
+    /// 5. optimizer ownership re-shards over `N+1` ranks
     ///    ([`SymiOptimizer::reshard`], growing direction): shed fp32
     ///    slices transfer to their new owners **moments and all** — a
     ///    join never degrades optimizer state the way acquire-on-shrink
     ///    legitimately does;
-    /// 7. the grown placement is materialized from the re-sharded masters
+    /// 6. the grown placement is materialized from the re-sharded masters
     ///    (the joiner's fp16 slots arrive through the same distribute
     ///    path every slot uses every iteration).
     ///
@@ -741,7 +651,6 @@ impl MoeLayerEngine {
     pub fn admit(&mut self, ctx: &mut RankCtx, joiner: usize) -> Result<JoinStats, CommError> {
         assert!(!self.view.is_alive(joiner), "rank {joiner} is already a member");
         let me_phys = self.view.physical_of(self.lrank);
-        self.complete_pending_weights(ctx)?;
         ctx.send_join_bootstrap(joiner, &self.view)?;
 
         // Payload: [completed iterations, Adam step, pop length, pop…].
@@ -770,7 +679,6 @@ impl MoeLayerEngine {
 
         // Purge strictly-older traffic; the boundary iteration itself was
         // never started, so nothing of it is in flight.
-        self.pending_weights = None;
         let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
 
         // Algorithm 1 over the grown world: same classes, more slots.
@@ -906,8 +814,6 @@ impl MoeLayerEngine {
             router_w,
             iteration: resume_iter,
             degraded_iterations: 0,
-            overlap: overlap_from_env(),
-            pending_weights: None,
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
         };
@@ -918,19 +824,11 @@ impl MoeLayerEngine {
     /// Captures this rank's full training state (snapshot support and the
     /// oracle side of the elastic recovery tests).
     pub fn snapshot(&self) -> EngineSnapshot {
-        // Fast-forward past an in-flight weight scatter: the fp32 masters
-        // have already stepped, so the authoritative placement is the
-        // pending one — a restart materializes from the masters and gets
-        // the exact fp16 image the fence would have installed.
-        let replica_counts = match &self.pending_weights {
-            Some(pw) => pw.placement.replica_counts(),
-            None => self.placement.replica_counts(),
-        };
         EngineSnapshot {
             iteration: self.iteration,
             world_size: self.view.size(),
             logical_rank: self.lrank,
-            replica_counts,
+            replica_counts: self.placement.replica_counts(),
             popularity: self.metadata.latest(0).map(|p| p.to_vec()),
             shards: self.optimizer.export_shard_states(),
         }
@@ -979,8 +877,6 @@ impl MoeLayerEngine {
             router_w,
             iteration: snap.iteration,
             degraded_iterations: 0,
-            overlap: overlap_from_env(),
-            pending_weights: None,
             nan_logits: 0,
             telemetry: TelemetryHandle::disabled(),
         }
@@ -1088,60 +984,10 @@ impl MoeLayerEngine {
         // bit fields, so no two phases can alias on the wire.
         let tags = TagSpace::new(self.cfg.layer_id, self.iteration);
 
-        // The iteration's ordering constraints as an explicit task graph,
-        // enforced live in both modes: completing a task before its
-        // dependencies panics. This is what lets the overlapped schedule
-        // move work around without silently crossing a fence — routing and
-        // the popularity sync read neither slots nor placement, so the
-        // previous iteration's weight scatter may land under them, but the
-        // fence MUST close before dispatch touches either.
-        let mut graph = TaskGraph::new();
-        let t_route = graph.task("route", &[]);
-        let t_pop = graph.task("popularity_sync", &[t_route]);
-        let t_fence = graph.task("weight_fence", &[]);
-        let t_dispatch = graph.task("dispatch", &[t_route, t_fence]);
-        let t_forward = graph.task("expert_forward", &[t_dispatch]);
-        let t_combine = graph.task("combine", &[t_forward]);
-        let t_grad_dispatch = graph.task("grad_dispatch", &[t_combine]);
-        let t_grad_issue = graph.task("grad_collect_issue", &[t_grad_dispatch]);
-        let t_backward = graph.task("backward", &[t_grad_dispatch]);
-        let t_grad_sync = graph.task("grad_sync", &[t_backward]);
-        let t_grad_serve = graph.task("grad_serve", &[t_grad_sync, t_grad_issue]);
-        let t_step = graph.task("adam_step", &[t_grad_issue, t_grad_serve]);
-        let t_rebalance = graph.task("rebalance", &[t_pop, t_step]);
-        let t_weight_issue = graph.task("weight_issue", &[t_rebalance, t_step]);
-        let t_advisory = graph.task("advisory_sync", &[t_weight_issue]);
-
         // ---- Step 1: route locally, aggregate popularity globally. ----
-        let routing_span = tele.span(Phase::Routing);
-        let logits = x_local.matmul(&self.router_w);
-        let probs = softmax_rows(&logits);
-        let mut assignment = Vec::with_capacity(t_loc);
-        let mut gates = Vec::with_capacity(t_loc);
-        let mut popularity = vec![0u64; e];
-        for t in 0..t_loc {
-            let row = probs.row(t);
-            // NaN-last argmax: a NaN probability (softmax of an inf/NaN
-            // logit) must not panic the iteration — it loses to every
-            // finite entry and is counted into the `router.nan_logits`
-            // gauge so the numeric trouble upstream stays loud.
-            self.nan_logits += row.iter().filter(|p| p.is_nan()).count() as u64;
-            let (best, &p) = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
-                    (true, true) => std::cmp::Ordering::Equal,
-                    (true, false) => std::cmp::Ordering::Less,
-                    (false, true) => std::cmp::Ordering::Greater,
-                    (false, false) => a.1.partial_cmp(b.1).expect("both finite"),
-                })
-                .expect("at least one class");
-            assignment.push(best);
-            gates.push(p);
-            popularity[best] += 1;
-        }
-        drop(routing_span);
-        graph.complete(t_route);
+        let Routed { assignment, gates, mut popularity, nan_probs } =
+            route(x_local, &self.router_w, &tele);
+        self.nan_logits += nan_probs;
         let mut degraded = false;
         {
             let _span = tele.span(Phase::PopularityAllReduce);
@@ -1166,19 +1012,9 @@ impl MoeLayerEngine {
                 Err(e) => return Err(e),
             }
         }
-        graph.complete(t_pop);
 
-        // ---- Hard fence: land the previous iteration's weight scatter. ----
-        // In overlap mode the scatter issued at the end of iteration i−1
-        // completed its transfers under the routing + popularity compute
-        // above; its slot writes and placement switch happen here, strictly
-        // before dispatch reads either. Sequential mode never has anything
-        // in flight and falls straight through.
-        let fence_stats = self.complete_pending_weights(ctx)?;
-        graph.complete(t_fence);
-
-        // ---- Step 2: capacity + replica load balancing + dispatch. ----
-        let dispatch_span = tele.span(Phase::Dispatch);
+        // ---- Step 2: capacity + replica load balancing. ----
+        let assign_span = tele.span(Phase::Dispatch);
         let replicas = self.placement.replica_counts();
         let (kept, kept_slot, taken) = assign_token_slots(
             &assignment,
@@ -1188,218 +1024,60 @@ impl MoeLayerEngine {
             self.lrank * t_loc,
         );
         let survived_local = kept.len();
+        drop(assign_span);
 
-        // Build per-destination buffers: token rows + slot metadata.
-        let s = self.cfg.slots_per_rank;
-        let mut row_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        let mut meta_bufs: Vec<Vec<u64>> = vec![Vec::new(); n];
-        for (i, &t) in kept.iter().enumerate() {
-            let slot = kept_slot[i];
-            let dest = slot / s;
-            row_bufs[dest].extend_from_slice(x_local.row(t));
-            meta_bufs[dest].push(slot as u64);
-        }
-        let in_rows =
-            ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::DispatchRows), row_bufs)?;
-        let in_meta =
-            ctx.alltoallv_u64(&world, tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
+        // ---- Steps 2–4: dispatch, expert forward, combine, loss, gradient
+        // return, expert backward — the same on every placement. The loss
+        // scalar is purely advisory, so its all-reduce is deferred into the
+        // single trailing advisory exchange (with the stats counts) instead
+        // of barriering between the two halves.
+        let path = TokenPath {
+            group: &world,
+            rank: self.lrank,
+            tags,
+            gates: &gates,
+            kept: &kept,
+            kept_slot: &kept_slot,
+            telemetry: &tele,
+        };
+        let (dy, local_sq) =
+            path.forward(ctx, x_local, target_local, &mut self.slots, &mut self.batches)?;
+        path.backward(ctx, &dy, &mut self.slots, &mut self.batches)?;
 
-        // Assemble the rows straight into the slots' input matrices.
-        let d = self.cfg.d_model;
-        self.batches.assemble_inputs(self.lrank * s, &in_meta, &in_rows);
-        drop(dispatch_span);
-        graph.complete(t_dispatch);
-
-        // ---- Step 3: expert forward + combine. ----
-        let ffn_span = tele.span(Phase::ExpertFfn);
-        self.batches.forward(&mut self.slots);
-        drop(ffn_span);
-        graph.complete(t_forward);
-
-        // Return outputs in each source's original send order.
-        let combine_span = tele.span(Phase::Combine);
-        let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for (src, buf) in back_bufs.iter_mut().enumerate() {
-            self.batches.append_outputs(src, buf);
-        }
-        let returned =
-            ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::CombineReturn), back_bufs)?;
-
-        // Combine: y[t] = gate_t · expert(x_t) for kept tokens; dropped
-        // tokens contribute zero (residual semantics live outside).
-        let mut y = Matrix::zeros(t_loc, d);
-        let mut cursor = vec![0usize; n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            let j = cursor[dest];
-            cursor[dest] += 1;
-            let row = &returned[dest][j * d..(j + 1) * d];
-            let g = gates[t];
-            for (c, &v) in row.iter().enumerate() {
-                y[(t, c)] += g * v;
-            }
-        }
-
-        // ---- Loss: global-mean squared error. ----
-        // The backward pass only needs the *local* dy — the loss scalar is
-        // purely advisory — so its all-reduce is deferred into the single
-        // trailing advisory exchange (with the stats counts) instead of
-        // barriering here mid-step.
-        let t_global = (t_loc * n) as f32;
-        let mut dy = y.clone();
-        dy.axpy(-1.0, target_local);
-        let local_sq: f32 = dy.as_slice().iter().map(|v| v * v).sum();
-        // dLoss/dy = 2 (y - target) / (T_global · d) for the mean of
-        // squares — the finite-difference probe in the tests pins the
-        // factor 2 the loss/gradient pair needs to stay consistent.
-        dy.scale(2.0 / (t_global * d as f32));
-        drop(combine_span);
-        graph.complete(t_combine);
-
-        // ---- Step 4: backward. Send gated upstream grads to the slots. ----
-        // `Phase::GradComm` covers three different things — this return of
-        // the upstream gradients, the §4.1 replica all-reduce, and
+        // ---- Step 4: §4.1 intra+inter rank gradient all-reduce per class.
+        // `Phase::GradComm` covers three different things — the return of
+        // the upstream gradients above, this replica all-reduce, and
         // Algorithm 2's shard collection — so each is also timed on its own
-        // and published as a gauge beside the overlap accounting.
-        let mut grad_time = GradCommTime::default();
-        let t_return = Instant::now();
-        let grad_dispatch_span = tele.span(Phase::GradComm);
-        let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for (i, &t) in kept.iter().enumerate() {
-            let dest = kept_slot[i] / s;
-            let g = gates[t];
-            gbufs[dest].extend(dy.row(t).iter().map(|&v| v * g));
-        }
-        let in_grads = ctx.alltoallv_f32(&world, tags.phase_tag(WirePhase::GradReturn), gbufs)?;
-        // Scatter into the slots' upstream matrices using the same map.
-        self.batches.assemble_grads(&in_grads);
-        drop(grad_dispatch_span);
-        grad_time.ret = t_return.elapsed();
-        graph.complete(t_grad_dispatch);
-
-        // ---- Steps 3–7: backward, §4.1 grad all-reduce, Algorithm-2 grad
-        // collection, Adam step. Two schedules over the same halves:
-        //
-        // Sequential: backward all slots → grad-sync all classes → collect
-        // all shards → step all shards.
-        //
-        // Overlapped: the collection receives are posted *first*, then per
-        // hosted class: backward its slots → grad-sync it → serve its shard
-        // sends → opportunistically take-and-step any class whose shard has
-        // already landed. The wire transfers for class c thus ride under
-        // the backward GEMMs of the classes after it; only shards still
-        // outstanding when the GEMMs run out are waited on (the exposed
-        // remainder, timed below).
-        //
-        // Bit-exact across both: the shard values are produced by the same
-        // sends/receives under the same tags, per-class Adam steps touch
-        // disjoint state (any completion order is the same math), and the
-        // per-class backward partitions exactly the slot set the sequential
-        // loop walks.
-        let mut grad_stats = OverlapStats::default();
+        // and published as a gauge.
         let hosted = self.placement.classes_on_rank(self.lrank);
+        let t0 = Instant::now();
+        for (class, locals) in &hosted {
+            self.sync_class_grads(ctx, *class, locals, tags)?;
+        }
+        let grad_sync = t0.elapsed();
+
+        // ---- Step 5: collect gradient shards (Algorithm 2), step Adam.
+        // (The optimizer times its own GradComm/OptimizerStep spans.)
         // Per class, the local slot whose gradient buffer holds the class's
-        // synchronized gradient once `sync_class_grads` has run.
+        // synchronized gradient now that `sync_class_grads` has run.
         let mut rep_slot: Vec<Option<usize>> = vec![None; e];
         for (class, locals) in &hosted {
             rep_slot[*class] = Some(locals[0]);
         }
-        let (ms, mt) = self.optimizer.shard_range();
-        let shard_bytes = (mt - ms) as u64 * 4;
-        if self.overlap {
-            let t0 = Instant::now();
-            let mut pending = self.optimizer.collect_grads_begin(ctx, &self.placement, tags);
-            grad_time.collect += t0.elapsed();
-            graph.complete(t_grad_issue);
-            let mut stepped = vec![false; e];
-            for (class, locals) in &hosted {
-                {
-                    let _span = tele.span(Phase::ExpertFfn);
-                    for &local in locals {
-                        self.batches.backward(local, &mut self.slots[local]);
-                    }
-                }
-                let t0 = Instant::now();
-                self.sync_class_grads(ctx, *class, locals, tags)?;
-                grad_time.sync += t0.elapsed();
-                let t0 = Instant::now();
-                self.optimizer.collect_grads_serve_class(
-                    ctx,
-                    &mut pending,
-                    &self.placement,
-                    *class,
-                    self.slots[locals[0]].flat_grads(),
-                    tags,
-                )?;
-                grad_time.collect += t0.elapsed();
-                // Opportunistic sweep: step every class whose shard has
-                // already landed — hidden behind the remaining backward
-                // GEMMs and grad-syncs.
-                for (c, done) in stepped.iter_mut().enumerate() {
-                    if !*done {
-                        let t0 = Instant::now();
-                        let taken = self.optimizer.collect_grads_try_take(ctx, &mut pending, c)?;
-                        grad_time.collect += t0.elapsed();
-                        if let Some(shard) = taken {
-                            grad_stats.hidden_bytes += shard_bytes;
-                            self.step_class(ctx, c, shard, rep_slot[c]);
-                            *done = true;
-                        }
-                    }
-                }
+        let s = self.cfg.slots_per_rank;
+        let t0 = Instant::now();
+        let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
+        for (local, slot) in self.slots.iter_mut().enumerate() {
+            let class = self.placement.class_of_slot(self.lrank * s + local);
+            if rep_slot[class] == Some(local) {
+                class_grads[class] = Some(slot.flat_grads());
             }
-            graph.complete(t_backward);
-            graph.complete(t_grad_sync);
-            graph.complete(t_grad_serve);
-            // Whatever is still outstanding is exposed comm: wait it out.
-            for (c, done) in stepped.iter().enumerate() {
-                if !*done {
-                    let t0 = Instant::now();
-                    let shard = self.optimizer.collect_grads_wait_take(ctx, &mut pending, c)?;
-                    let waited = t0.elapsed();
-                    grad_time.collect += waited;
-                    grad_stats.exposed_ns += waited.as_nanos() as u64;
-                    grad_stats.exposed_bytes += shard_bytes;
-                    self.step_class(ctx, c, shard, rep_slot[c]);
-                }
-            }
-            self.optimizer.collect_grads_finish(ctx, pending);
-            graph.complete(t_step);
-        } else {
-            {
-                let _span = tele.span(Phase::ExpertFfn);
-                for (local, expert) in self.slots.iter_mut().enumerate() {
-                    self.batches.backward(local, expert);
-                }
-            }
-            graph.complete(t_backward);
-
-            // §4.1: intra+inter rank gradient all-reduce per class.
-            let t0 = Instant::now();
-            for (class, locals) in &hosted {
-                self.sync_class_grads(ctx, *class, locals, tags)?;
-            }
-            grad_time.sync = t0.elapsed();
-            graph.complete(t_grad_sync);
-
-            // (The optimizer times its own GradComm/OptimizerStep spans.)
-            graph.complete(t_grad_issue);
-            let t0 = Instant::now();
-            let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
-            for (local, slot) in self.slots.iter_mut().enumerate() {
-                let class = self.placement.class_of_slot(self.lrank * s + local);
-                if rep_slot[class] == Some(local) {
-                    class_grads[class] = Some(slot.flat_grads());
-                }
-            }
-            let shards =
-                self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
-            grad_time.collect = t0.elapsed();
-            graph.complete(t_grad_serve);
-            for (class, shard) in shards.into_iter().enumerate() {
-                self.step_class(ctx, class, shard, rep_slot[class]);
-            }
-            graph.complete(t_step);
+        }
+        let shards =
+            self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
+        let grad_collect = t0.elapsed();
+        for (class, shard) in shards.into_iter().enumerate() {
+            self.step_class(ctx, class, shard, rep_slot[class]);
         }
 
         let rebalance_span = tele.span(Phase::Rebalance);
@@ -1423,37 +1101,26 @@ impl MoeLayerEngine {
             (p, churn)
         };
         drop(rebalance_span);
-        graph.complete(t_rebalance);
 
-        // ---- Step 8: issue the weight scatter under the new placement. ----
-        // Overlap mode leaves it in flight across the iteration boundary —
-        // the receives complete under iteration i+1's routing + popularity
-        // compute and the fence at the top of iteration i+1 installs the
-        // slots/placement. Sequential mode fences immediately (the blocking
-        // `distribute_weights` is exactly begin + finish, so the bytes on
-        // the wire are identical).
-        let pending_w = self.optimizer.distribute_weights_begin(
+        // ---- Step 8: scatter the updated weights under the new placement,
+        // which the slots hold from here on. ----
+        self.optimizer.distribute_weights_into(
             ctx,
             &next_placement,
             &self.weight_shards,
             tags,
+            &mut self.slots,
         )?;
-        graph.complete(t_weight_issue);
-        self.pending_weights = Some(PendingWeights { state: pending_w, placement: next_placement });
-        if !self.overlap {
-            self.complete_pending_weights(ctx)?;
-        }
+        self.placement = next_placement;
         self.iteration += 1;
 
         // ---- Single deferred advisory exchange (loss + stats). ----
         // One f32 ring all-reduce carries [Σdy², survived, dropped,
         // kept_0..kept_E) — the old mid-step LossSync barrier and trailing
-        // StatsSync are folded into it, and in overlap mode its ring gives
-        // the in-flight weight scatter one more compute-free window to
-        // drain under. The counts are small integers, exact in f32. The
-        // loss element is index 0 of chunk 0, so its per-element summation
-        // order is identical to the old 1-element LossSync buffer — the
-        // reported loss is bit-stable across the fold and across modes.
+        // StatsSync are folded into it. The counts are small integers, exact
+        // in f32. The loss element is index 0 of chunk 0, so its per-element
+        // summation order is identical to the old 1-element LossSync buffer
+        // — the reported loss is bit-stable across the fold.
         let mut advisory = vec![local_sq, survived_local as f32, (t_loc - survived_local) as f32];
         advisory.extend(taken.iter().map(|&k| k as f32));
         let local_advisory = advisory.clone();
@@ -1464,19 +1131,17 @@ impl MoeLayerEngine {
                 // mutation of this iteration is already committed, so fall
                 // back to the rank-local values rather than aborting a
                 // fully-trained iteration — even for a dead peer: the next
-                // iteration's mandatory collectives (popularity sync, the
-                // weight fence) surface a real death loudly.
+                // iteration's mandatory collectives surface a real death
+                // loudly.
                 degraded = true;
                 advisory = local_advisory;
             }
             Err(e) => return Err(e),
         }
-        graph.complete(t_advisory);
-        let loss = advisory[0] / (t_global * d as f32);
+        let loss = advisory[0] / ((t_loc * n) as f32 * self.cfg.d_model as f32);
         if degraded {
             self.degraded_iterations += 1;
         }
-        debug_assert!(graph.all_complete(), "iteration left tasks open: {:?}", graph.outstanding());
 
         // Wire-protocol health: fenced/stashed/timed-out messages flow into
         // the telemetry registry next to the phase timings.
@@ -1492,21 +1157,8 @@ impl MoeLayerEngine {
             if degraded {
                 tele.counter("degraded_iterations_total").inc();
             }
-            // Overlap accounting: bytes whose transfer completed under
-            // compute (hidden) vs bytes the schedule had to block on
-            // (exposed), plus the blocked wall-clock. The fence stats
-            // belong to the scatter issued *last* iteration, landed here.
-            let mut overlap_stats = grad_stats;
-            if let Some(fs) = fence_stats {
-                overlap_stats.absorb(fs);
-            }
-            tele.gauge("overlap_hidden_bytes").set(overlap_stats.hidden_bytes as f64);
-            tele.gauge("overlap_exposed_bytes").set(overlap_stats.exposed_bytes as f64);
-            tele.gauge("overlap_exposed_ms").set(overlap_stats.exposed_ns as f64 / 1e6);
-            tele.gauge("grad_return_ms").set(grad_time.ret.as_secs_f64() * 1e3);
-            tele.gauge("grad_sync_ms").set(grad_time.sync.as_secs_f64() * 1e3);
-            tele.gauge("grad_collect_ms").set(grad_time.collect.as_secs_f64() * 1e3);
-            self.batches.publish_load(&tele);
+            tele.gauge("grad_sync_ms").set(grad_sync.as_secs_f64() * 1e3);
+            tele.gauge("grad_collect_ms").set(grad_collect.as_secs_f64() * 1e3);
             tele.gauge("optimizer_state_bytes").set(self.optimizer.state_bytes() as f64);
         }
 
@@ -1574,7 +1226,6 @@ mod tests {
             let x = token_matrix(ctx.rank(), 6, 8);
             let target = token_matrix(ctx.rank() + 100, 6, 8);
             let stats = engine.iteration(ctx, &x, &target).unwrap();
-            engine.drain(ctx).unwrap();
             (stats.popularity, stats.loss, engine.placement.replica_counts())
         });
         for r in 1..nodes {
@@ -1592,9 +1243,6 @@ mod tests {
             let x = token_matrix(ctx.rank(), 16, 8);
             let target = Matrix::zeros(16, 8);
             let stats = engine.iteration(ctx, &x, &target).unwrap();
-            // Under SYMI_OVERLAP=on the rebalanced placement is still in
-            // flight after iteration(); the fence lands it.
-            engine.drain(ctx).unwrap();
             let hottest = (0..4).max_by_key(|&c| stats.popularity[c]).expect("non-empty");
             let counts = engine.placement.replica_counts();
             (hottest, counts)
@@ -1615,7 +1263,6 @@ mod tests {
             let x = token_matrix(ctx.rank(), 8, 8);
             let target = Matrix::zeros(8, 8);
             let _ = engine.iteration(ctx, &x, &target).unwrap();
-            engine.drain(ctx).unwrap();
             // Report (class, weights) of each local slot.
             let s = engine.placement.slots_per_rank();
             (0..s)

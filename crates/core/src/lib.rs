@@ -24,6 +24,10 @@
 //!   round-robin balanced), and the weight-materialization scatter that
 //!   realizes next iteration's placement using only the weight-update
 //!   traffic that static systems already pay (§3.3).
+//! - [`token_path`] — what happens to a rank's tokens once it is decided
+//!   which survive and where they go: routing, dispatch, expert
+//!   forward/backward, combine, loss, gradient return. Independent of
+//!   placement, and shared with the static baseline engine.
 //! - [`engine`] — the distributed per-rank MoE-layer engine tying it all
 //!   together over `symi-collectives`: route → popularity all-reduce →
 //!   dispatch (all-to-all) → expert compute → combine → backward →
@@ -36,15 +40,11 @@ pub mod optimizer;
 pub mod placement;
 pub mod policies;
 pub mod scheduler;
-pub mod taskgraph;
+pub mod token_path;
 
 pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
 pub use metadata::LayerMetadataStore;
-pub use optimizer::{
-    GradCollectPending, GradShard, ReshardReport, ShardState, SymiOptimizer,
-    WeightDistributePending,
-};
+pub use optimizer::{GradShard, ReshardReport, ShardState, SymiOptimizer};
 pub use placement::ExpertPlacement;
 pub use policies::{EmaPolicy, TracePolicy, WindowMaxPolicy};
 pub use scheduler::{compute_placement, supports_world, valid_replica_counts, SymiPolicy};
-pub use taskgraph::{TaskGraph, TaskId};

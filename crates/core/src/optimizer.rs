@@ -27,10 +27,9 @@
 
 use crate::placement::ExpertPlacement;
 use symi_collectives::coll::chunk_range;
-use symi_collectives::p2p::{OverlapStats, PendingBatch, RecvOp, SendOp};
 use symi_collectives::tag::with_step;
 use symi_collectives::{
-    decode_f16_into, encode_f16, CommError, MembershipView, PendingRecv, RankCtx, TagSpace,
+    decode_f16_into, encode_f16, CommError, MembershipView, RankCtx, RecvOp, SendOp, TagSpace,
     WirePhase,
 };
 use symi_model::expert::ExpertFfn;
@@ -280,64 +279,6 @@ pub enum GradShard {
     /// zero-length shard); hand it back with [`RankCtx::recycle_f32`] once
     /// Adam has consumed it.
     Wire(Vec<f32>),
-}
-
-/// One class's gradient-shard source in a split (issue/complete) grad
-/// collection.
-enum GradSource {
-    /// Class is hosted locally; its synchronized gradient has not been
-    /// handed over yet ([`SymiOptimizer::collect_grads_serve_class`]).
-    AwaitLocal,
-    /// Wire receive posted at issue time, not yet completed.
-    Wire(PendingRecv),
-    /// Shard available: served locally, or nothing to collect (zero-length).
-    Ready(GradShard),
-    /// Shard consumed by the caller (already stepped).
-    Taken,
-}
-
-/// The in-flight half of a split Grad Communication Phase: every receive
-/// for this rank's shard posted up-front, per-class sends issued as each
-/// class's synchronized gradient becomes available, per-class completions
-/// consumed in any order. Created by
-/// [`SymiOptimizer::collect_grads_begin`]; every class must end `Taken`
-/// before [`SymiOptimizer::collect_grads_finish`].
-pub struct GradCollectPending {
-    sources: Vec<GradSource>,
-    /// `ctx.protocol_stats().retries` at issue time, for the
-    /// `grad_collect_retries` gauge delta.
-    retries_before: u64,
-}
-
-impl GradCollectPending {
-    /// Classes whose shard has not been taken yet, in class order.
-    pub fn remaining(&self) -> Vec<usize> {
-        self.sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, GradSource::Taken))
-            .map(|(c, _)| c)
-            .collect()
-    }
-}
-
-/// The in-flight half of a split Weight Communication Phase: fp16 shards
-/// sent, every receive posted, the slot writes deferred to
-/// [`SymiOptimizer::distribute_weights_finish`]. Between the two calls the
-/// transfers ride under the caller's compute — for the cross-iteration
-/// double buffer, the *next* iteration's routing and popularity phases.
-pub struct WeightDistributePending {
-    batch: PendingBatch,
-    /// `classes_on_rank(lrank)` of the target placement, captured at issue.
-    my_classes: Vec<(usize, Vec<usize>)>,
-    retries_before: u64,
-}
-
-impl WeightDistributePending {
-    /// Wire receives not yet completed.
-    pub fn outstanding(&self) -> usize {
-        self.batch.outstanding()
-    }
 }
 
 /// Per-rank SYMI optimizer state: one Adam shard per expert class.
@@ -621,169 +562,10 @@ impl SymiOptimizer {
             .collect()
     }
 
-    /// The issue half of a split [`SymiOptimizer::collect_grads`]: advances
-    /// the fencing epoch and posts the wire receive for this rank's shard
-    /// of every class whose Algorithm-2 source is remote — *before* any
-    /// backward GEMM has run, so arrivals from faster peers drain into the
-    /// mailbox while this rank is still computing. Locally-sourced classes
-    /// wait for [`SymiOptimizer::collect_grads_serve_class`].
-    pub fn collect_grads_begin(
-        &self,
-        ctx: &mut RankCtx,
-        placement: &ExpertPlacement,
-        tags: TagSpace,
-    ) -> GradCollectPending {
-        let _span = self.telemetry.span(Phase::GradComm);
-        let e = self.shards.len();
-        ctx.begin_epoch(tags.iteration(), WirePhase::GradCollect);
-        let (ms, mt) = self.shard_range();
-        let retries_before = ctx.protocol_stats().retries;
-        let mut sources = Vec::with_capacity(e);
-        for class in 0..e {
-            if ms == mt {
-                // Zero-length shard: nothing to collect for any class.
-                sources.push(GradSource::Ready(GradShard::Wire(Vec::new())));
-                continue;
-            }
-            let hosts = placement.host_ranks(class);
-            let src = get_source(&hosts, self.lrank);
-            if src == self.lrank {
-                sources.push(GradSource::AwaitLocal);
-            } else {
-                let src_phys = self.view.physical_of(src);
-                let op = ctx.irecv_sized(
-                    src_phys,
-                    tags.tag(WirePhase::GradCollect, class, src_phys),
-                    mt - ms,
-                );
-                sources.push(GradSource::Wire(op));
-            }
-        }
-        GradCollectPending { sources, retries_before }
-    }
-
-    /// Serves one hosted class's synchronized gradient into a split
-    /// collection: issues the shard sends to every rank whose `get_source`
-    /// picks this rank, and marks the class [`GradShard::Local`] if this
-    /// rank sources it for itself (the caller steps from `grad` directly).
-    /// Call exactly once per hosted class, as soon as that class's gradient
-    /// all-reduce completes — classes still in their backward GEMMs are
-    /// unaffected, which is the overlap.
-    pub fn collect_grads_serve_class(
-        &self,
-        ctx: &mut RankCtx,
-        pending: &mut GradCollectPending,
-        placement: &ExpertPlacement,
-        class: usize,
-        grad: &[f32],
-        tags: TagSpace,
-    ) -> Result<(), CommError> {
-        let _span = self.telemetry.span(Phase::GradComm);
-        let n = self.nodes();
-        let me_phys = self.my_phys();
-        let hosts = placement.host_ranks(class);
-        debug_assert!(hosts.contains(&self.lrank), "serve only hosted classes");
-        for dst in 0..n {
-            if dst == self.lrank {
-                continue;
-            }
-            if get_source(&hosts, dst) == self.lrank {
-                let (s, t) = chunk_range(self.param_count, n, dst);
-                if s == t {
-                    continue;
-                }
-                let shard = ctx.pooled_copy_f32(&grad[s..t]);
-                ctx.isend(
-                    self.view.physical_of(dst),
-                    tags.tag(WirePhase::GradCollect, class, me_phys),
-                    shard,
-                )?;
-            }
-        }
-        if matches!(pending.sources[class], GradSource::AwaitLocal) {
-            pending.sources[class] = GradSource::Ready(GradShard::Local);
-        }
-        Ok(())
-    }
-
-    /// Nonblocking completion attempt for one class of a split collection:
-    /// returns the shard if it is already available (served locally, or the
-    /// wire payload arrived while compute ran), `None` if still in flight
-    /// or not yet served. The shard is staged host-side exactly as the
-    /// blocking path stages it.
-    pub fn collect_grads_try_take(
-        &self,
-        ctx: &mut RankCtx,
-        pending: &mut GradCollectPending,
-        class: usize,
-    ) -> Result<Option<GradShard>, CommError> {
-        let shard = match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
-            GradSource::Taken => panic!("class {class} gradient shard taken twice"),
-            GradSource::AwaitLocal => {
-                pending.sources[class] = GradSource::AwaitLocal;
-                return Ok(None);
-            }
-            GradSource::Ready(shard) => shard,
-            GradSource::Wire(op) => {
-                if !op.poll(ctx)? {
-                    pending.sources[class] = GradSource::Wire(op);
-                    return Ok(None);
-                }
-                GradShard::Wire(op.wait(ctx)?.into_f32()?)
-            }
-        };
-        self.record_staged_shard(ctx);
-        Ok(Some(shard))
-    }
-
-    /// Accounts one collected gradient shard's host staging (every class's
-    /// shard is `shard_range` long, wherever it came from).
-    fn record_staged_shard(&self, ctx: &RankCtx) {
-        let (ms, mt) = self.shard_range();
-        ctx.record_host_device_bytes((mt - ms) as u64 * 4);
-    }
-
-    /// Blocking completion for one class of a split collection. The class
-    /// must already have been served if its source is local.
-    pub fn collect_grads_wait_take(
-        &self,
-        ctx: &mut RankCtx,
-        pending: &mut GradCollectPending,
-        class: usize,
-    ) -> Result<GradShard, CommError> {
-        let _span = self.telemetry.span(Phase::GradComm);
-        let shard = match std::mem::replace(&mut pending.sources[class], GradSource::Taken) {
-            GradSource::Taken => panic!("class {class} gradient shard taken twice"),
-            GradSource::AwaitLocal => {
-                panic!("class {class} waited on before its gradient was served")
-            }
-            GradSource::Ready(shard) => shard,
-            GradSource::Wire(op) => GradShard::Wire(op.wait(ctx)?.into_f32()?),
-        };
-        self.record_staged_shard(ctx);
-        Ok(shard)
-    }
-
-    /// Closes out a split collection: every class must have been taken.
-    /// Publishes the same `grad_collect_retries` gauge delta as the
-    /// blocking path.
-    pub fn collect_grads_finish(&self, ctx: &RankCtx, pending: GradCollectPending) {
-        assert!(
-            pending.remaining().is_empty(),
-            "grad collection finished with classes outstanding: {:?}",
-            pending.remaining()
-        );
-        if self.telemetry.is_enabled() {
-            let delta = ctx.protocol_stats().retries - pending.retries_before;
-            self.telemetry.gauge("grad_collect_retries").set(delta as f64);
-        }
-    }
-
-    /// Adam step over one class's shard — the eager per-class half of
-    /// [`SymiOptimizer::step`], fired as soon as that class's gradient
-    /// shard lands. Writes the updated fp16 weight shard into `out`
-    /// (resized), reusing its allocation. Per-class shards are independent,
-    /// so any completion order produces bit-identical state.
+    /// Adam step over one class's shard — [`SymiOptimizer::step_into`] one
+    /// class at a time, for a caller whose gradient shards are not all
+    /// `Vec`s. Writes the updated fp16 weight shard into `out` (resized),
+    /// reusing its allocation.
     pub fn step_class_into(&mut self, class: usize, grad_shard: &[f32], out: &mut Vec<u16>) {
         let _span = self.telemetry.span(Phase::OptimizerStep);
         self.shards[class].step_into(grad_shard, out);
@@ -791,7 +573,7 @@ impl SymiOptimizer {
 
     /// Adam step over every class's shard; `out[class]` receives the updated
     /// weight shard as binary16 bits — what the kernel wrote, ready for
-    /// [`SymiOptimizer::distribute_weights_begin`] with no conversion pass.
+    /// [`SymiOptimizer::distribute_weights`] with no conversion pass.
     /// `out` is resized to one buffer per class and the buffers are reused.
     /// Each shard's elementwise update runs in parallel chunks on the shared
     /// worker pool (`symi_tensor::pool`), bit-exact for any worker count.
@@ -821,10 +603,9 @@ impl SymiOptimizer {
     /// new placement with zero extra traffic relative to a static system's
     /// weight update (§3.3-II).
     ///
-    /// This is [`SymiOptimizer::distribute_weights_begin`] +
-    /// [`SymiOptimizer::distribute_weights_finish`] with freshly allocated
-    /// vectors as the sink, for callers that hold no slots (traffic
-    /// harnesses, tests); the engine decodes into its slots instead.
+    /// This is [`SymiOptimizer::distribute_weights_into`] with freshly
+    /// allocated vectors as the sink, for callers that hold no slots
+    /// (traffic harnesses, tests).
     pub fn distribute_weights(
         &self,
         ctx: &mut RankCtx,
@@ -832,40 +613,54 @@ impl SymiOptimizer {
         half_shards: &[Vec<u16>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let pending = self.distribute_weights_begin(ctx, new_placement, half_shards, tags)?;
         let mut out = vec![vec![0.0f32; self.param_count]; new_placement.slots_per_rank()];
-        self.finish_into(ctx, pending, half_shards, |local, offset, half| {
+        self.scatter_weights(ctx, new_placement, half_shards, tags, |local, offset, half| {
             decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
         })?;
         Ok(out)
     }
 
-    /// The issue half of the Weight Communication Phase: advances the
-    /// fencing epoch, sends every shard, posts every receive, and returns
-    /// the in-flight state. The double-buffered engine calls this at the end
-    /// of iteration *i* and defers the finish half past iteration *i+1*'s
-    /// routing and popularity phases — the weight traffic rides under that
-    /// compute for free, and the epoch carried in each structured tag keeps
-    /// the cross-iteration traffic fenced from every other phase.
-    ///
-    /// `half_shards[class]` is this rank's shard of `class` as binary16
-    /// bits — what [`SymiOptimizer::step_into`] wrote; nothing is converted
-    /// here. A destination rank hosting several sibling slots of one class
-    /// receives the shard once and fans it out locally, and this rank's own
-    /// slots are served at finish straight from `half_shards` without
-    /// touching the wire. Zero-length shards are skipped on the wire by both
-    /// sides. The shards travel (and stage over PCIe) as 2 B/param
-    /// [`Payload::F16`], each send in a buffer from the wire-buffer free
-    /// list.
-    ///
-    /// [`Payload::F16`]: symi_collectives::Payload::F16
-    pub fn distribute_weights_begin(
+    /// The Weight Communication Phase as the engine runs it: every shard —
+    /// received, or this rank's own from `half_shards` — is decoded straight
+    /// into each hosting slot's `W1 | b1 | W2 | b2`
+    /// ([`ExpertFfn::load_f16_at`]). `slots` is indexed by local slot id.
+    pub fn distribute_weights_into(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,
         half_shards: &[Vec<u16>],
         tags: TagSpace,
-    ) -> Result<WeightDistributePending, CommError> {
+        slots: &mut [ExpertFfn],
+    ) -> Result<(), CommError> {
+        self.scatter_weights(ctx, new_placement, half_shards, tags, |local, offset, half| {
+            slots[local].load_f16_at(offset, half);
+        })
+    }
+
+    /// Advances the fencing epoch, sends every shard, receives this rank's
+    /// classes' shards, and hands `sink` every `(local slot, offset in the
+    /// flat parameters, fp16 shard)` of `new_placement`, sibling slots of a
+    /// class one after another from the same buffer.
+    ///
+    /// `half_shards[class]` is this rank's shard of `class` as binary16
+    /// bits — what [`SymiOptimizer::step_into`] wrote; nothing is converted
+    /// here. A destination rank hosting several sibling slots of one class
+    /// receives the shard once and fans it out locally, and this rank's own
+    /// slots are served straight from `half_shards` without touching the
+    /// wire. Zero-length shards are skipped on the wire by both sides. The
+    /// shards travel (and stage over PCIe) as 2 B/param [`Payload::F16`],
+    /// each send in a buffer from the wire-buffer free list, and consumed
+    /// wire buffers go back to it.
+    ///
+    /// [`Payload::F16`]: symi_collectives::Payload::F16
+    fn scatter_weights(
+        &self,
+        ctx: &mut RankCtx,
+        new_placement: &ExpertPlacement,
+        half_shards: &[Vec<u16>],
+        tags: TagSpace,
+        mut sink: impl FnMut(usize, usize, &[u16]),
+    ) -> Result<(), CommError> {
         let _span = self.telemetry.span(Phase::WeightComm);
         let n = self.nodes();
         assert_eq!(half_shards.len(), self.shards.len(), "one weight shard per class");
@@ -879,7 +674,7 @@ impl SymiOptimizer {
         }
 
         // One send per (class, distinct remote host rank); my own slots are
-        // fed locally at finish.
+        // fed locally below.
         let (ms, mt) = self.shard_range();
         let mut sends = Vec::new();
         if ms != mt {
@@ -920,54 +715,7 @@ impl SymiOptimizer {
             }
         }
         let retries_before = ctx.protocol_stats().retries;
-        let batch = ctx.batch_issue(sends, &recvs)?;
-        Ok(WeightDistributePending { batch, my_classes, retries_before })
-    }
-
-    /// Nonblocking progress on an in-flight weight distribution; `true`
-    /// once every receive has landed (the fence will not block).
-    pub fn distribute_weights_poll(
-        &self,
-        ctx: &mut RankCtx,
-        pending: &mut WeightDistributePending,
-    ) -> Result<bool, CommError> {
-        pending.batch.poll(ctx)
-    }
-
-    /// The fence half of the Weight Communication Phase: blocks out the
-    /// remaining receives and decodes every shard — received, or this rank's
-    /// own from `half_shards`, which must be the shards the issue half was
-    /// given — straight into each hosting slot's `W1 | b1 | W2 | b2`
-    /// ([`ExpertFfn::load_f16_at`]). `slots` is indexed by local slot id.
-    /// Returns the hidden/exposed accounting of the wait.
-    pub fn distribute_weights_finish(
-        &self,
-        ctx: &mut RankCtx,
-        pending: WeightDistributePending,
-        half_shards: &[Vec<u16>],
-        slots: &mut [ExpertFfn],
-    ) -> Result<OverlapStats, CommError> {
-        self.finish_into(ctx, pending, half_shards, |local, offset, half| {
-            slots[local].load_f16_at(offset, half);
-        })
-    }
-
-    /// Completes the receives and hands `sink` every `(local slot, offset
-    /// in the flat parameters, fp16 shard)` of the target placement, sibling
-    /// slots of a class one after another from the same buffer; consumed
-    /// wire buffers go back to the free list.
-    fn finish_into(
-        &self,
-        ctx: &mut RankCtx,
-        pending: WeightDistributePending,
-        half_shards: &[Vec<u16>],
-        mut sink: impl FnMut(usize, usize, &[u16]),
-    ) -> Result<OverlapStats, CommError> {
-        let _span = self.telemetry.span(Phase::WeightComm);
-        let n = self.nodes();
-        let WeightDistributePending { batch, my_classes, retries_before } = pending;
-        let (payloads, stats) = batch.complete(ctx)?;
-        let mut received = payloads.into_iter();
+        let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
         if self.telemetry.is_enabled() {
             // Retry attempts burned materializing the new placement — a
             // persistent nonzero here under a *healthy* plan would mean
@@ -992,7 +740,7 @@ impl SymiOptimizer {
                 }
             }
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Re-shards optimizer ownership over the survivors of `new_view` —

@@ -1,0 +1,205 @@
+//! The placement-independent part of an MoE-layer iteration: what happens
+//! to a rank's tokens between the router and the expert gradients.
+//!
+//! Every engine routes top-1 through the same frozen router, then decides
+//! for itself — from its own placement and capacity rule — which tokens
+//! survive and which global slot each goes to. From there the work is the
+//! same whatever made that decision: dispatch all-to-all into the hosting
+//! slots, expert forward, combine all-to-all, gated MSE against the target,
+//! gradient-return all-to-all, per-slot backward. That is [`route`] and
+//! [`TokenPath`]. `MoeLayerEngine` and the DeepSpeed-style baseline both run
+//! on it, so a comparison between them measures placement, gradient sync
+//! and optimizer strategy — the paper's claim about what differs — and
+//! nothing else.
+
+use std::time::Instant;
+use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
+use symi_model::expert::{ExpertFfn, SlotBatches};
+use symi_telemetry::{Phase, TelemetryHandle};
+use symi_tensor::ops::softmax_rows;
+use symi_tensor::Matrix;
+
+/// Top-1 routing of one rank's tokens.
+pub struct Routed {
+    /// Expert class of each token.
+    pub assignment: Vec<usize>,
+    /// Router probability of each token's chosen class.
+    pub gates: Vec<f32>,
+    /// Tokens per class on this rank (not yet aggregated).
+    pub popularity: Vec<u64>,
+    /// NaN router probabilities seen (softmax of an inf/NaN logit).
+    pub nan_probs: u64,
+}
+
+/// Routes every row of `x_local` to the class with the highest router
+/// probability under the frozen router `router_w` (`d_model × classes`).
+///
+/// The argmax sorts NaN last: a NaN probability must not panic the
+/// iteration — it loses to every finite entry and is counted, so the
+/// numeric trouble upstream stays loud. Ties go to the last class.
+pub fn route(x_local: &Matrix, router_w: &Matrix, telemetry: &TelemetryHandle) -> Routed {
+    let _span = telemetry.span(Phase::Routing);
+    let t_loc = x_local.rows();
+    let probs = softmax_rows(&x_local.matmul(router_w));
+    let mut routed = Routed {
+        assignment: Vec::with_capacity(t_loc),
+        gates: Vec::with_capacity(t_loc),
+        popularity: vec![0u64; router_w.cols()],
+        nan_probs: 0,
+    };
+    for t in 0..t_loc {
+        let row = probs.row(t);
+        routed.nan_probs += row.iter().filter(|p| p.is_nan()).count() as u64;
+        let (best, &p) = row
+            .iter()
+            .enumerate()
+            .max_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
+                (true, true) => std::cmp::Ordering::Equal,
+                (true, false) => std::cmp::Ordering::Less,
+                (false, true) => std::cmp::Ordering::Greater,
+                (false, false) => a.1.partial_cmp(b.1).expect("both finite"),
+            })
+            .expect("at least one class");
+        routed.assignment.push(best);
+        routed.gates.push(p);
+        routed.popularity[best] += 1;
+    }
+    routed
+}
+
+/// One iteration's token exchange on one rank: who takes part, under which
+/// tags, and where this rank's surviving tokens go. Slot `k` lives on member
+/// `k / slots_per_rank` of `group`.
+pub struct TokenPath<'a> {
+    /// The ranks exchanging tokens, in slot-owner order.
+    pub group: &'a CommGroup,
+    /// This rank's index in `group`.
+    pub rank: usize,
+    /// The iteration's tag space.
+    pub tags: TagSpace,
+    /// Gate of every local token ([`Routed::gates`]).
+    pub gates: &'a [f32],
+    /// Local indices of the tokens that survived capacity, ascending.
+    pub kept: &'a [usize],
+    /// Global slot of each kept token.
+    pub kept_slot: &'a [usize],
+    pub telemetry: &'a TelemetryHandle,
+}
+
+impl TokenPath<'_> {
+    /// Dispatches the kept rows of `x_local` to their slots, runs this
+    /// rank's experts (`slots`, one per local slot) on what arrived, and
+    /// combines the returned outputs: `y[t] = gate_t · expert(x_t)` for kept
+    /// tokens, zero for dropped ones (residual semantics live outside).
+    ///
+    /// Returns `dLoss/dy` of the global-mean squared error against
+    /// `target_local`, and this rank's `Σ (y − target)²`. The backward pass
+    /// needs only the local `dy`; the loss scalar is advisory, so summing it
+    /// over ranks is left to the caller.
+    pub fn forward(
+        &self,
+        ctx: &mut RankCtx,
+        x_local: &Matrix,
+        target_local: &Matrix,
+        slots: &mut [ExpertFfn],
+        batches: &mut SlotBatches,
+    ) -> Result<(Matrix, f32), CommError> {
+        let (n, s) = (self.group.size(), slots.len());
+        let (t_loc, d) = (x_local.rows(), x_local.cols());
+        let tele = self.telemetry;
+
+        let dispatch_span = tele.span(Phase::Dispatch);
+        let mut row_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
+        let mut meta_bufs: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for (&t, &slot) in self.kept.iter().zip(self.kept_slot) {
+            let dest = slot / s;
+            row_bufs[dest].extend_from_slice(x_local.row(t));
+            meta_bufs[dest].push(slot as u64);
+        }
+        let in_rows =
+            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::DispatchRows), row_bufs)?;
+        let in_meta =
+            ctx.alltoallv_u64(self.group, self.tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
+        // Assemble the rows straight into the slots' input matrices.
+        batches.assemble_inputs(self.rank * s, &in_meta, &in_rows);
+        drop(dispatch_span);
+
+        {
+            let _span = tele.span(Phase::ExpertFfn);
+            batches.forward(slots);
+        }
+
+        // Return outputs in each source's original send order.
+        let _span = tele.span(Phase::Combine);
+        let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
+        for (src, buf) in back_bufs.iter_mut().enumerate() {
+            batches.append_outputs(src, buf);
+        }
+        let returned = ctx.alltoallv_f32(
+            self.group,
+            self.tags.phase_tag(WirePhase::CombineReturn),
+            back_bufs,
+        )?;
+        let mut y = Matrix::zeros(t_loc, d);
+        let mut cursor = vec![0usize; n];
+        for (&t, &slot) in self.kept.iter().zip(self.kept_slot) {
+            let dest = slot / s;
+            let j = cursor[dest];
+            cursor[dest] += 1;
+            let row = &returned[dest][j * d..(j + 1) * d];
+            let g = self.gates[t];
+            for (c, &v) in row.iter().enumerate() {
+                y[(t, c)] += g * v;
+            }
+        }
+
+        let mut dy = y;
+        dy.axpy(-1.0, target_local);
+        let local_sq: f32 = dy.as_slice().iter().map(|v| v * v).sum();
+        // dLoss/dy = 2 (y - target) / (T_global · d) for the mean of
+        // squares — the finite-difference probe in the engine's tests pins
+        // the factor 2 the loss/gradient pair needs to stay consistent.
+        dy.scale(2.0 / ((t_loc * n) as f32 * d as f32));
+        Ok((dy, local_sq))
+    }
+
+    /// Sends each kept token's gated upstream gradient (`dy` from
+    /// [`TokenPath::forward`]) back to its slot and backpropagates every
+    /// local slot; a slot that received no token keeps its gradient marked
+    /// zero. Publishes the `grad_return_ms` gauge and the rank's expert-load
+    /// gauges.
+    pub fn backward(
+        &self,
+        ctx: &mut RankCtx,
+        dy: &Matrix,
+        slots: &mut [ExpertFfn],
+        batches: &mut SlotBatches,
+    ) -> Result<(), CommError> {
+        let tele = self.telemetry;
+        let t_return = Instant::now();
+        let return_span = tele.span(Phase::GradComm);
+        let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); self.group.size()];
+        for (&t, &slot) in self.kept.iter().zip(self.kept_slot) {
+            let g = self.gates[t];
+            gbufs[slot / slots.len()].extend(dy.row(t).iter().map(|&v| v * g));
+        }
+        let in_grads =
+            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::GradReturn), gbufs)?;
+        // Scatter into the slots' upstream matrices using the dispatch map.
+        batches.assemble_grads(&in_grads);
+        drop(return_span);
+        let grad_return = t_return.elapsed();
+
+        {
+            let _span = tele.span(Phase::ExpertFfn);
+            for (local, expert) in slots.iter_mut().enumerate() {
+                batches.backward(local, expert);
+            }
+        }
+        if tele.is_enabled() {
+            tele.gauge("grad_return_ms").set(grad_return.as_secs_f64() * 1e3);
+            batches.publish_load(tele);
+        }
+        Ok(())
+    }
+}

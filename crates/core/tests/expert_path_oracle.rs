@@ -19,8 +19,8 @@
 //! vector per slot, folded sibling by sibling (idle ones included), reduced,
 //! copied back out to every sibling, and its local shard copied once more
 //! for Adam. The first test holds the new path to the old one's *values* on
-//! 2 ranks, in both overlap modes and every iteration: the loss, every busy
-//! non-representative slot's gradient, every representative's synchronized
+//! 2 ranks, every iteration: the loss, every busy non-representative
+//! slot's gradient, every representative's synchronized
 //! gradient (the old fold in ascending slot order, then the ring's sum —
 //! one commutative add per element on two ranks), and `grad_is_zero()` on
 //! every idle non-representative. The third runs 3 ranks, where the ring's
@@ -30,17 +30,14 @@
 //! equal that optimizer's, bit for bit. Placement rebalances between
 //! iterations, so slots go busy and idle and change shape across the runs.
 //!
-//! `drain` lands the in-flight scatter before the weights are read, so the
-//! overlapped schedule is held to the same oracle.
-//!
 //! **Parameter path.** The second test holds the *parameter* path to its old
 //! recipe the same way. The optimizer used to publish an f32 shard on the fp16 grid,
 //! `encode_f16` it, decode every source's chunk into a `full` vector per
 //! class, clone that per sibling slot and `load_flat` it; now the Adam
 //! kernel writes binary16 bits and the scatter decodes each chunk straight
-//! into the hosting slots. After every iteration, in both overlap modes,
-//! every slot's weights must equal the old recipe replayed — with the
-//! scalar conversions — from the masters the ranks hold.
+//! into the hosting slots. After every iteration every slot's weights must
+//! equal the old recipe replayed — with the scalar conversions — from the
+//! masters the ranks hold.
 
 use std::sync::{Barrier, Mutex};
 
@@ -238,7 +235,7 @@ fn old_fold(grads: &[Vec<f32>], slots: &[usize]) -> Vec<f32> {
 }
 
 /// Publishes this rank's slot weights and returns every rank's, by global
-/// slot (`drain` first: an overlapped scatter may still be in flight).
+/// slot.
 fn exchange_slot_weights(
     engine: &MoeLayerEngine,
     rank: usize,
@@ -272,104 +269,99 @@ struct Seen {
 fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
     let cfg = cfg();
     let s = cfg.slots_per_rank;
-    for overlap in [false, true] {
-        let board: Mutex<Vec<Vec<f32>>> = Mutex::new(vec![Vec::new(); NODES * s]);
-        let barrier = Barrier::new(NODES);
-        let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let rank = ctx.rank();
-            let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
-            engine.set_overlap(overlap);
-            let mut placements = Vec::new();
-            let mut saw = Seen::default();
-            for it in 0..ITERS {
-                engine.drain(ctx).expect("drain");
-                let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
-                let placement = engine.placement.clone();
-                let want = old_path_oracle(&cfg, &placement, &weights, it);
+    let board: Mutex<Vec<Vec<f32>>> = Mutex::new(vec![Vec::new(); NODES * s]);
+    let barrier = Barrier::new(NODES);
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let rank = ctx.rank();
+        let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
+        let mut placements = Vec::new();
+        let mut saw = Seen::default();
+        for it in 0..ITERS {
+            let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
+            let placement = engine.placement.clone();
+            let want = old_path_oracle(&cfg, &placement, &weights, it);
 
-                let stats = engine
-                    .iteration(ctx, &tokens(rank, it), &targets(rank, it))
-                    .expect("iteration");
-                let at = format!("overlap {overlap} rank {rank} iteration {it}");
-                assert_eq!(
-                    stats.loss.to_bits(),
-                    want.loss.to_bits(),
-                    "{at}: loss {} vs oracle {}",
-                    stats.loss,
-                    want.loss
-                );
-                for (class, locals) in placement.classes_on_rank(rank) {
-                    // Every non-representative keeps its own backward's
-                    // gradient — or, idle, is never touched at all.
-                    for &local in &locals[1..] {
-                        let global = rank * s + local;
-                        if want.busy[global] {
-                            assert_eq!(
-                                bits(&engine.slot_grads(local)),
-                                bits(&want.grads[global]),
-                                "{at}: slot {local} gradients differ"
-                            );
-                            saw.busy_non_rep = true;
-                        } else {
-                            assert!(
-                                engine.slot_grad_is_zero(local),
-                                "{at}: idle slot {local} had its gradient touched"
-                            );
-                            assert!(engine.slot_grads(local).iter().all(|g| g.to_bits() == 0));
-                            saw.idle_sibling = true;
-                        }
+            let stats =
+                engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
+            let at = format!("rank {rank} iteration {it}");
+            assert_eq!(
+                stats.loss.to_bits(),
+                want.loss.to_bits(),
+                "{at}: loss {} vs oracle {}",
+                stats.loss,
+                want.loss
+            );
+            for (class, locals) in placement.classes_on_rank(rank) {
+                // Every non-representative keeps its own backward's
+                // gradient — or, idle, is never touched at all.
+                for &local in &locals[1..] {
+                    let global = rank * s + local;
+                    if want.busy[global] {
+                        assert_eq!(
+                            bits(&engine.slot_grads(local)),
+                            bits(&want.grads[global]),
+                            "{at}: slot {local} gradients differ"
+                        );
+                        saw.busy_non_rep = true;
+                    } else {
+                        assert!(
+                            engine.slot_grad_is_zero(local),
+                            "{at}: idle slot {local} had its gradient touched"
+                        );
+                        assert!(engine.slot_grads(local).iter().all(|g| g.to_bits() == 0));
+                        saw.idle_sibling = true;
                     }
-                    // The representative holds the old recipe's synchronized
-                    // gradient: each host rank's fold, then the ring's sum.
-                    let hosts = placement.host_ranks(class);
-                    let mut synced: Option<Vec<f32>> = None;
-                    for &host in &hosts {
-                        let slots: Vec<usize> = placement
-                            .slots_of_class(class)
-                            .into_iter()
-                            .filter(|slot| slot / s == host)
-                            .collect();
-                        let folded = old_fold(&want.grads, &slots);
-                        synced = Some(match synced {
-                            None => folded,
-                            Some(acc) => acc.iter().zip(&folded).map(|(a, b)| a + b).collect(),
-                        });
-                    }
-                    assert_eq!(
-                        bits(&engine.slot_grads(locals[0])),
-                        bits(&synced.expect("hosted somewhere")),
-                        "{at}: class {class}'s synchronized gradient differs"
-                    );
-                    let rep_busy = want.busy[rank * s + locals[0]];
-                    let siblings_busy = || locals[1..].iter().map(|l| want.busy[rank * s + l]);
-                    saw.idle_rep_beside_busy_sibling |= !rep_busy && siblings_busy().any(|b| b);
-                    saw.busy_rep_beside_idle_sibling |= rep_busy && siblings_busy().any(|b| !b);
-                    saw.class_on_both_ranks |= hosts.len() > 1;
                 }
-                assert!(stats.dropped > 0 && stats.survived > 0, "capacity must bind: {stats:?}");
-                placements.push(placement.replica_counts());
+                // The representative holds the old recipe's synchronized
+                // gradient: each host rank's fold, then the ring's sum.
+                let hosts = placement.host_ranks(class);
+                let mut synced: Option<Vec<f32>> = None;
+                for &host in &hosts {
+                    let slots: Vec<usize> = placement
+                        .slots_of_class(class)
+                        .into_iter()
+                        .filter(|slot| slot / s == host)
+                        .collect();
+                    let folded = old_fold(&want.grads, &slots);
+                    synced = Some(match synced {
+                        None => folded,
+                        Some(acc) => acc.iter().zip(&folded).map(|(a, b)| a + b).collect(),
+                    });
+                }
+                assert_eq!(
+                    bits(&engine.slot_grads(locals[0])),
+                    bits(&synced.expect("hosted somewhere")),
+                    "{at}: class {class}'s synchronized gradient differs"
+                );
+                let rep_busy = want.busy[rank * s + locals[0]];
+                let siblings_busy = || locals[1..].iter().map(|l| want.busy[rank * s + l]);
+                saw.idle_rep_beside_busy_sibling |= !rep_busy && siblings_busy().any(|b| b);
+                saw.busy_rep_beside_idle_sibling |= rep_busy && siblings_busy().any(|b| !b);
+                saw.class_on_both_ranks |= hosts.len() > 1;
             }
-            (placements, saw)
-        });
-        // The scenario must actually exercise what it claims to.
-        let (placements, _) = &per_rank[0];
-        assert!(
-            placements.iter().any(|p| p != &placements[0]),
-            "placement never rebalanced: {placements:?}"
-        );
-        let saw = |what: fn(&Seen) -> bool| per_rank.iter().any(|(_, seen)| what(seen));
-        assert!(saw(|s| s.idle_sibling), "no co-located sibling ever sat idle");
-        assert!(
-            saw(|s| s.idle_rep_beside_busy_sibling),
-            "no representative ever sat idle beside a busy sibling"
-        );
-        assert!(
-            saw(|s| s.busy_rep_beside_idle_sibling),
-            "no busy representative ever had an idle sibling to skip"
-        );
-        assert!(saw(|s| s.busy_non_rep), "no busy non-representative slot was ever compared");
-        assert!(saw(|s| s.class_on_both_ranks), "no class ever spanned both ranks");
-    }
+            assert!(stats.dropped > 0 && stats.survived > 0, "capacity must bind: {stats:?}");
+            placements.push(placement.replica_counts());
+        }
+        (placements, saw)
+    });
+    // The scenario must actually exercise what it claims to.
+    let (placements, _) = &per_rank[0];
+    assert!(
+        placements.iter().any(|p| p != &placements[0]),
+        "placement never rebalanced: {placements:?}"
+    );
+    let saw = |what: fn(&Seen) -> bool| per_rank.iter().any(|(_, seen)| what(seen));
+    assert!(saw(|s| s.idle_sibling), "no co-located sibling ever sat idle");
+    assert!(
+        saw(|s| s.idle_rep_beside_busy_sibling),
+        "no representative ever sat idle beside a busy sibling"
+    );
+    assert!(
+        saw(|s| s.busy_rep_beside_idle_sibling),
+        "no busy representative ever had an idle sibling to skip"
+    );
+    assert!(saw(|s| s.busy_non_rep), "no busy non-representative slot was ever compared");
+    assert!(saw(|s| s.class_on_both_ranks), "no class ever spanned both ranks");
 }
 
 /// 3 ranks: the ring's summation order is no longer one commutative add, so
@@ -382,70 +374,66 @@ fn three_rank_masters_match_the_staged_gradient_path_replayed() {
     const RANKS: usize = 3;
     let cfg = cfg();
     let (s, e) = (cfg.slots_per_rank, cfg.expert_classes);
-    for overlap in [false, true] {
-        let board: Mutex<Vec<Vec<f32>>> = Mutex::new(vec![Vec::new(); RANKS * s]);
-        let barrier = Barrier::new(RANKS);
-        let (per_rank, _) = Cluster::run(ClusterSpec::flat(RANKS), |ctx| {
-            let rank = ctx.rank();
-            let mut engine = MoeLayerEngine::new(rank, RANKS, cfg);
-            engine.set_overlap(overlap);
-            let class_params: Vec<Vec<f32>> = (0..e)
-                .map(|class| {
-                    ExpertFfn::new(cfg.d_model, cfg.d_ff, cfg.seed ^ (0xe0 + class as u64))
-                        .flat_params()
-                })
-                .collect();
-            let mut old_optimizer = SymiOptimizer::new(rank, RANKS, cfg.adam, &class_params);
-            let mut widest_ring = 0;
-            let mut saw_half_idle_class = false;
-            for it in 0..ITERS {
-                engine.drain(ctx).expect("drain");
-                let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
-                let placement = engine.placement.clone();
-                let want = old_path_oracle(&cfg, &placement, &weights, it);
-                engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
+    let board: Mutex<Vec<Vec<f32>>> = Mutex::new(vec![Vec::new(); RANKS * s]);
+    let barrier = Barrier::new(RANKS);
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(RANKS), |ctx| {
+        let rank = ctx.rank();
+        let mut engine = MoeLayerEngine::new(rank, RANKS, cfg);
+        let class_params: Vec<Vec<f32>> = (0..e)
+            .map(|class| {
+                ExpertFfn::new(cfg.d_model, cfg.d_ff, cfg.seed ^ (0xe0 + class as u64))
+                    .flat_params()
+            })
+            .collect();
+        let mut old_optimizer = SymiOptimizer::new(rank, RANKS, cfg.adam, &class_params);
+        let mut widest_ring = 0;
+        let mut saw_half_idle_class = false;
+        for it in 0..ITERS {
+            let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
+            let placement = engine.placement.clone();
+            let want = old_path_oracle(&cfg, &placement, &weights, it);
+            engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
 
-                let old_tags = TagSpace::new(cfg.layer_id + 1, it as u64);
-                let mut class_grads: Vec<Option<Vec<f32>>> = vec![None; e];
-                for (class, locals) in placement.classes_on_rank(rank) {
-                    let mut staging: Vec<Vec<f32>> =
-                        locals.iter().map(|l| want.grads[rank * s + l].clone()).collect();
-                    let busy = locals.iter().filter(|&l| want.busy[rank * s + l]).count();
-                    saw_half_idle_class |= 0 < busy && busy < locals.len();
-                    let (rep, rest) = staging.split_first_mut().expect("hosted class");
-                    for other in rest.iter() {
-                        for (r, v) in rep.iter_mut().zip(other) {
-                            *r += v;
-                        }
+            let old_tags = TagSpace::new(cfg.layer_id + 1, it as u64);
+            let mut class_grads: Vec<Option<Vec<f32>>> = vec![None; e];
+            for (class, locals) in placement.classes_on_rank(rank) {
+                let mut staging: Vec<Vec<f32>> =
+                    locals.iter().map(|l| want.grads[rank * s + l].clone()).collect();
+                let busy = locals.iter().filter(|&l| want.busy[rank * s + l]).count();
+                saw_half_idle_class |= 0 < busy && busy < locals.len();
+                let (rep, rest) = staging.split_first_mut().expect("hosted class");
+                for other in rest.iter() {
+                    for (r, v) in rep.iter_mut().zip(other) {
+                        *r += v;
                     }
-                    let (start, len) = placement.host_range(class);
-                    widest_ring = widest_ring.max(len);
-                    let group = ctx.groups().range(start, len);
-                    ctx.allreduce_sum(&group, old_tags.tag(WirePhase::GradSync, class, 0), rep)
-                        .expect("old grad sync");
-                    for other in rest.iter_mut() {
-                        other.copy_from_slice(rep);
-                    }
-                    class_grads[class] = Some(staging.swap_remove(0));
                 }
-                let shards = old_optimizer
-                    .collect_grads(ctx, &placement, &class_grads, old_tags)
-                    .expect("old grad collection");
-                old_optimizer.step(&shards);
-                for class in 0..e {
-                    assert_eq!(
-                        bits(engine.master_shard(class)),
-                        bits(old_optimizer.master_shard(class)),
-                        "overlap {overlap} rank {rank} iteration {it}: class {class}'s master \
-                         shard left the staged path's"
-                    );
+                let (start, len) = placement.host_range(class);
+                widest_ring = widest_ring.max(len);
+                let group = ctx.groups().range(start, len);
+                ctx.allreduce_sum(&group, old_tags.tag(WirePhase::GradSync, class, 0), rep)
+                    .expect("old grad sync");
+                for other in rest.iter_mut() {
+                    other.copy_from_slice(rep);
                 }
+                class_grads[class] = Some(staging.swap_remove(0));
             }
-            (widest_ring, saw_half_idle_class)
-        });
-        assert!(per_rank.iter().any(|r| r.0 == RANKS), "no class ever spanned all three ranks");
-        assert!(per_rank.iter().any(|r| r.1), "no class ever had busy and idle slots on one rank");
-    }
+            let shards = old_optimizer
+                .collect_grads(ctx, &placement, &class_grads, old_tags)
+                .expect("old grad collection");
+            old_optimizer.step(&shards);
+            for class in 0..e {
+                assert_eq!(
+                    bits(engine.master_shard(class)),
+                    bits(old_optimizer.master_shard(class)),
+                    "rank {rank} iteration {it}: class {class}'s master \
+                         shard left the staged path's"
+                );
+            }
+        }
+        (widest_ring, saw_half_idle_class)
+    });
+    assert!(per_rank.iter().any(|r| r.0 == RANKS), "no class ever spanned all three ranks");
+    assert!(per_rank.iter().any(|r| r.1), "no class ever had busy and idle slots on one rank");
 }
 
 /// The old parameter path for one class: every rank's f32 shard on the fp16
@@ -467,54 +455,49 @@ fn old_weight_path(cfg: &EngineConfig, master_shards: &[Vec<f32>]) -> Vec<f32> {
 fn slot_weights_match_the_f32_shard_encode_assemble_load_flat_recipe() {
     let cfg = cfg();
     let e = cfg.expert_classes;
-    for overlap in [false, true] {
-        // board[rank][class] = that rank's master shard after the step.
-        let board: Mutex<Vec<Vec<Vec<f32>>>> = Mutex::new(vec![Vec::new(); NODES]);
-        let barrier = Barrier::new(NODES);
-        let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let rank = ctx.rank();
-            let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
-            engine.set_overlap(overlap);
-            let mut placements = Vec::new();
-            let mut saw_colocated_siblings = false;
-            let mut saw_a_class_on_both_ranks = false;
-            for it in 0..ITERS {
-                engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
-                engine.drain(ctx).expect("drain");
-                board.lock().expect("board")[rank] =
-                    (0..e).map(|class| engine.master_shard(class).to_vec()).collect();
-                barrier.wait();
-                let masters = board.lock().expect("board").clone();
-                barrier.wait(); // nobody overwrites the board before all have read it
+    // board[rank][class] = that rank's master shard after the step.
+    let board: Mutex<Vec<Vec<Vec<f32>>>> = Mutex::new(vec![Vec::new(); NODES]);
+    let barrier = Barrier::new(NODES);
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let rank = ctx.rank();
+        let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
+        let mut placements = Vec::new();
+        let mut saw_colocated_siblings = false;
+        let mut saw_a_class_on_both_ranks = false;
+        for it in 0..ITERS {
+            engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
+            board.lock().expect("board")[rank] =
+                (0..e).map(|class| engine.master_shard(class).to_vec()).collect();
+            barrier.wait();
+            let masters = board.lock().expect("board").clone();
+            barrier.wait(); // nobody overwrites the board before all have read it
 
-                // The placement the scatter just materialised.
-                let placement = engine.placement.clone();
-                for (class, locals) in placement.classes_on_rank(rank) {
-                    let shards: Vec<Vec<f32>> =
-                        (0..NODES).map(|r| masters[r][class].clone()).collect();
-                    let want = old_weight_path(&cfg, &shards);
-                    for &local in &locals {
-                        assert_eq!(
-                            engine.slot_weights(local),
-                            want,
-                            "overlap {overlap} rank {rank} iteration {it}: slot {local} \
+            // The placement the scatter just materialised.
+            let placement = engine.placement.clone();
+            for (class, locals) in placement.classes_on_rank(rank) {
+                let shards: Vec<Vec<f32>> = (0..NODES).map(|r| masters[r][class].clone()).collect();
+                let want = old_weight_path(&cfg, &shards);
+                for &local in &locals {
+                    assert_eq!(
+                        engine.slot_weights(local),
+                        want,
+                        "rank {rank} iteration {it}: slot {local} \
                              (class {class}) differs from the old recipe"
-                        );
-                    }
-                    saw_colocated_siblings |= locals.len() > 1;
-                    saw_a_class_on_both_ranks |= placement.host_ranks(class).len() > 1;
+                    );
                 }
-                placements.push(placement.replica_counts());
+                saw_colocated_siblings |= locals.len() > 1;
+                saw_a_class_on_both_ranks |= placement.host_ranks(class).len() > 1;
             }
-            (placements, saw_colocated_siblings, saw_a_class_on_both_ranks)
-        });
-        // The scenario must actually exercise what it claims to.
-        let (placements, _, _) = &per_rank[0];
-        assert!(
-            placements.iter().any(|p| p != &placements[0]),
-            "placement never rebalanced: {placements:?}"
-        );
-        assert!(per_rank.iter().any(|r| r.1), "no rank ever hosted sibling replicas");
-        assert!(per_rank.iter().any(|r| r.2), "no class ever spanned both ranks");
-    }
+            placements.push(placement.replica_counts());
+        }
+        (placements, saw_colocated_siblings, saw_a_class_on_both_ranks)
+    });
+    // The scenario must actually exercise what it claims to.
+    let (placements, _, _) = &per_rank[0];
+    assert!(
+        placements.iter().any(|p| p != &placements[0]),
+        "placement never rebalanced: {placements:?}"
+    );
+    assert!(per_rank.iter().any(|r| r.1), "no rank ever hosted sibling replicas");
+    assert!(per_rank.iter().any(|r| r.2), "no class ever spanned both ranks");
 }

@@ -17,8 +17,8 @@
 //! until its placement settles (deliberately an uneven one: the ranks host
 //! different numbers of classes, so each sends a different number of
 //! buffers than it receives), and then no iteration may request a block of
-//! 64 KiB or more on either rank thread, in either overlap mode. The largest
-//! and the total request per iteration are printed.
+//! 64 KiB or more on either rank thread. The largest and the total request
+//! per iteration are printed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -110,43 +110,39 @@ fn a_steady_iteration_requests_no_block_of_64_kib_or_more() {
     let params = 2 * cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_model;
     assert!(params / NODES * 2 >= LARGE, "the fp16 weight shard must count as large");
     const { assert!(LARGE >= MIN_POOLED_BYTES, "what the test calls large, the free list keeps") };
-    for overlap in [false, true] {
-        let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let rank = ctx.rank();
-            let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
-            engine.set_overlap(overlap);
-            let (x, target) = (tokens(rank), targets(rank));
-            for _ in 0..WARMUP {
-                engine.iteration(ctx, &x, &target).expect("warm-up iteration");
-            }
-            let settled = engine.placement.replica_counts();
-            take_requests();
-            let mut worst = (0usize, 0usize);
-            for it in 0..MEASURED {
-                let stats = engine.iteration(ctx, &x, &target).expect("iteration");
-                let (largest, total) = take_requests();
-                assert_eq!(stats.placement_churn, 0, "iteration {it}: the placement moved");
-                assert!(
-                    largest < LARGE,
-                    "overlap {overlap} rank {rank} iteration {it}: a {largest}-byte request \
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let rank = ctx.rank();
+        let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
+        let (x, target) = (tokens(rank), targets(rank));
+        for _ in 0..WARMUP {
+            engine.iteration(ctx, &x, &target).expect("warm-up iteration");
+        }
+        let settled = engine.placement.replica_counts();
+        take_requests();
+        let mut worst = (0usize, 0usize);
+        for it in 0..MEASURED {
+            let stats = engine.iteration(ctx, &x, &target).expect("iteration");
+            let (largest, total) = take_requests();
+            assert_eq!(stats.placement_churn, 0, "iteration {it}: the placement moved");
+            assert!(
+                largest < LARGE,
+                "rank {rank} iteration {it}: a {largest}-byte request \
                      ({total} bytes requested in all)"
-                );
-                worst = (worst.0.max(largest), worst.1.max(total));
-            }
-            engine.drain(ctx).expect("drain");
-            let (f32s, f16s) = ctx.idle_wire_buffers();
-            assert!(f32s <= MAX_IDLE && f16s <= MAX_IDLE, "free list past its bound");
-            println!(
-                "overlap {overlap} rank {rank}: per steady iteration, largest request \
-                 {} B, total {} B; placement {settled:?}",
-                worst.0, worst.1
             );
-            (settled, engine.placement.classes_on_rank(rank).len())
-        });
-        // The scenario must be the uneven one it claims to be.
-        let hosted: Vec<usize> = per_rank.iter().map(|r| r.1).collect();
-        assert_ne!(hosted[0], hosted[1], "ranks host equally many classes: {per_rank:?}");
-    }
+            worst = (worst.0.max(largest), worst.1.max(total));
+        }
+        let (f32s, f16s) = ctx.idle_wire_buffers();
+        assert!(f32s <= MAX_IDLE && f16s <= MAX_IDLE, "free list past its bound");
+        println!(
+            "rank {rank}: per steady iteration, largest request \
+                 {} B, total {} B; placement {settled:?}",
+            worst.0, worst.1
+        );
+        (settled, engine.placement.classes_on_rank(rank).len())
+    });
+    // The scenario must be the uneven one it claims to be.
+    let hosted: Vec<usize> = per_rank.iter().map(|r| r.1).collect();
+    assert_ne!(hosted[0], hosted[1], "ranks host equally many classes: {per_rank:?}");
 }
 
 #[test]

@@ -145,23 +145,6 @@ pub struct Trainer {
     last_kernel: KernelStats,
     last_act: ActStats,
     last_pool: PoolStats,
-    /// Cross-iteration pipelining hook (`SYMI_OVERLAP=on`): the allocation
-    /// the policy computed at the end of step *i*, not installed until the
-    /// fence at the top of step *i+1* — mirroring the distributed engine,
-    /// where the placement a rebalance produces only becomes visible when
-    /// the overlapped weight scatter lands at the next iteration's fence.
-    /// The policy inputs and outputs are identical either way; only the
-    /// installation point moves, so both modes are bit-exact.
-    pending_replicas: Option<Vec<Vec<usize>>>,
-    pipeline: bool,
-}
-
-/// `SYMI_OVERLAP` env switch shared with the distributed engine: `on`/`1`/
-/// `true` defers rebalance installation across the step boundary.
-fn pipeline_from_env() -> bool {
-    std::env::var("SYMI_OVERLAP")
-        .map(|v| matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true"))
-        .unwrap_or(false)
 }
 
 impl Trainer {
@@ -193,18 +176,6 @@ impl Trainer {
             last_kernel: kernel_stats(),
             last_act: act_stats(),
             last_pool: pool::stats(),
-            pending_replicas: None,
-            pipeline: pipeline_from_env(),
-        }
-    }
-
-    /// Installs any allocation still pending from the previous step's
-    /// policy run (pipeline mode). Called automatically at the top of
-    /// [`Trainer::step`], before checkpointing, and before elastic
-    /// shrinking; a no-op otherwise.
-    pub fn fence_rebalance(&mut self) {
-        if let Some(next) = self.pending_replicas.take() {
-            self.replicas = next;
         }
     }
 
@@ -240,7 +211,6 @@ impl Trainer {
     /// Runs one training iteration: forward/backward, optimizer step,
     /// popularity bookkeeping, and placement update for the next iteration.
     pub fn step(&mut self, batch: &symi_workload::Batch) -> StepStats {
-        self.fence_rebalance();
         let tele = self.telemetry.handle(0);
         self.model.zero_grad();
         let stats = {
@@ -305,13 +275,7 @@ impl Trainer {
         for (layer, reps) in next_alloc.iter().enumerate() {
             self.record.replicas[layer].push(reps.clone());
         }
-        // Pipeline mode holds the new allocation at the fence until the
-        // next step begins; sequential mode installs it immediately.
-        if self.pipeline {
-            self.pending_replicas = Some(next_alloc);
-        } else {
-            self.replicas = next_alloc;
-        }
+        self.replicas = next_alloc;
         self.record.losses.push(stats.ce_loss);
         self.record.survival.push(stats.survival_rate());
         self.record.moved_replicas.push(moved_total);
@@ -388,7 +352,6 @@ impl Trainer {
     /// Panics when `new_total` cannot give every class one replica, or
     /// exceeds the current budget (elasticity here only shrinks).
     pub fn shrink_total_slots(&mut self, new_total: usize) {
-        self.fence_rebalance();
         let e = self.model.cfg.experts;
         assert!(new_total >= e, "need at least one slot per expert class");
         assert!(new_total <= self.model.cfg.total_slots, "shrink cannot grow the world");
@@ -418,7 +381,6 @@ impl Trainer {
     /// Panics when `new_total` is below the current budget (use
     /// [`Trainer::shrink_total_slots`] for that direction).
     pub fn grow_total_slots(&mut self, new_total: usize) {
-        self.fence_rebalance();
         let e = self.model.cfg.experts;
         assert!(new_total >= self.model.cfg.total_slots, "grow cannot shrink the world");
         self.model.cfg.total_slots = new_total;
@@ -442,10 +404,6 @@ impl Trainer {
     /// Snapshots everything needed to resume training exactly: parameters,
     /// optimizer states, the current placement, and the run record.
     pub fn checkpoint(&mut self) -> Checkpoint {
-        // Fast-forward the pending rebalance so the checkpointed allocation
-        // is the one the next step would run with (matching the distributed
-        // engine's snapshot fast-forward past an in-flight scatter).
-        self.fence_rebalance();
         let mut dense_params = Vec::new();
         self.model.visit_dense_params(&mut |param, _| dense_params.push(param.clone()));
         let expert_params: Vec<Vec<Vec<f32>>> = self
@@ -495,7 +453,6 @@ impl Trainer {
         self.replicas = ckpt.replicas;
         self.record = ckpt.record;
         self.iteration = ckpt.iteration;
-        self.pending_replicas = None;
     }
 }
 

@@ -422,131 +422,51 @@ fn elastic_recovery_during_weight_distribute() {
     // already applied locally, but its weight-distribute sends never leave.
     // Survivors starve in the distribute phase and must recover — this is
     // the worst case for state freshness (masters stepped, replicas stale),
-    // which recovery absorbs by re-sharding from surviving copies.
-    //
-    // Sequentially the fence is inside iteration 1, so every survivor
-    // fails there in lockstep. Under SYMI_OVERLAP=on the scatter stays in
-    // flight across the boundary: a survivor may finish iteration 1 with a
-    // degraded (rank-local, loudly flagged) advisory exchange and only hit
-    // the fatal fence at iteration 2 — so survivors can disagree by one on
-    // which iteration they completed, and the membership agreement's
-    // max+1 rule is what re-synchronizes them. The invariants below are
-    // the mode-independent contract; the sequential branch keeps the
-    // stricter lockstep pins.
-    let overlap = std::env::var("SYMI_OVERLAP")
-        .map(|v| matches!(v.to_ascii_lowercase().as_str(), "on" | "1" | "true"))
-        .unwrap_or(false);
+    // which recovery absorbs by re-sharding from surviving copies. The
+    // scatter completes inside iteration 1, so every survivor fails there
+    // in lockstep.
     let plan =
         FaultPlan::new(17).kill(2, MsgMatch::any().phase(WirePhase::WeightDistribute).iteration(1));
     let survivors = split_survivors(run_elastic(plan, Duration::from_millis(60), 1, None), 2);
-    let resume = survivors[0].1.recoveries[0].resume_iteration;
+    let reference = &survivors[0].1;
     for (rank, o) in &survivors {
         assert!(o.losses.iter().all(|l| l.is_finite()), "rank {rank}");
         assert_eq!(o.world, NODES - 1, "rank {rank}");
         assert_eq!(o.recoveries.len(), 1, "rank {rank}");
         assert_eq!(
-            o.recoveries[0].resume_iteration, resume,
-            "rank {rank}: survivors must agree on where to resume"
+            o.recoveries[0].resume_iteration, 2,
+            "rank {rank}: the torn iteration is skipped"
         );
-        // Every iteration from the agreed resume point ran on the shrunk
-        // world and must be present and non-degraded.
-        let post: Vec<u64> = o.loss_iters.iter().copied().filter(|&i| i >= resume).collect();
-        assert_eq!(
-            post,
-            (resume..ITERS as u64).collect::<Vec<u64>>(),
-            "rank {rank}: post-recovery iterations all complete"
-        );
-        for (i, &it) in o.loss_iters.iter().enumerate() {
-            assert!(
-                it >= resume || !o.loss_degraded[i] || overlap,
-                "rank {rank}: sequential pre-kill iterations never degrade"
-            );
-        }
-    }
-    if overlap {
-        assert!(resume == 2 || resume == 3, "the torn or the following iteration is skipped");
-    } else {
-        assert_eq!(resume, 2, "the torn iteration is skipped");
-    }
-    // Loud-or-exact: wherever two survivors both completed an iteration
-    // without degradation, their losses must agree bit for bit. (A
-    // degraded iteration's loss is rank-local and loudly flagged.)
-    let reference = &survivors[0].1;
-    for (rank, o) in &survivors[1..] {
-        for (i, &it) in o.loss_iters.iter().enumerate() {
-            if o.loss_degraded[i] {
-                continue;
-            }
-            if let Some(j) = reference.loss_iters.iter().position(|&ri| ri == it) {
-                if !reference.loss_degraded[j] {
-                    assert_eq!(
-                        o.losses[i], reference.losses[j],
-                        "rank {rank}: non-degraded losses at iteration {it} must be bit-exact"
-                    );
-                }
-            }
-        }
-        if !overlap {
-            assert_eq!(o.losses.len(), ITERS - 1, "rank {rank}: the torn iteration is skipped");
-            assert_eq!(&o.losses, &reference.losses, "rank {rank}: survivors agree on every loss");
-        }
+        // Iteration 0 before the kill, then every iteration from the resume
+        // point on the shrunk world.
+        let expected: Vec<u64> = (0..ITERS as u64).filter(|&it| it != 1).collect();
+        assert_eq!(o.loss_iters, expected, "rank {rank}: only the torn iteration is missing");
+        assert!(!o.loss_degraded[0], "rank {rank}: the pre-kill iteration never degrades");
+        assert_eq!(&o.losses, &reference.losses, "rank {rank}: survivors agree on every loss");
     }
 }
 
 #[test]
-fn overlapped_cross_iteration_weight_traffic_absorbs_delay_and_duplication() {
-    // The overlap scheduler keeps WeightDistribute traffic in flight across
-    // the iteration boundary, where it coexists with the *next* iteration's
-    // popularity and dispatch phases. Delay its messages past those phases
-    // and echo every one of them, run-wide: the structured tags' in-band
-    // epochs plus the per-sender sequence filter must keep every landed
-    // shard exact — stale-weight application would show up as a loss
-    // divergence, which is the forbidden silent outcome.
-    let oracle = {
-        let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
-            engine.set_overlap(true);
-            let x = tokens(ctx.rank());
-            let target = Matrix::zeros(T_LOC, D);
-            (0..ITERS)
-                .map(|_| engine.iteration(ctx, &x, &target).unwrap().loss)
-                .collect::<Vec<f32>>()
-        });
-        results.into_iter().next().expect("rank 0 result")
-    };
-    // The overlapped path must also be bit-exact vs the sequential oracle.
-    assert_eq!(oracle, oracle_losses(), "overlap on/off must be the same math");
-
+fn weight_distribute_traffic_absorbs_delay_and_duplication() {
+    // The weight scatter is the one phase whose messages install training
+    // state directly into the slots. Hold rank 0's shards for rank 1 back
+    // behind three later sends — the last of them past the end of the
+    // scatter, into the advisory ring — and echo every other shard: the
+    // structured tags' in-band epochs plus the per-sender sequence filter
+    // must keep every landed shard exact. Stale-weight application would
+    // show up as a loss divergence, which is the forbidden silent outcome.
     let plan = FaultPlan::new(23)
-        .delay(MsgMatch::any().phase(WirePhase::WeightDistribute), 3)
+        .delay(MsgMatch::any().from(0).to(1).phase(WirePhase::WeightDistribute), 3)
         .duplicate(MsgMatch::any().phase(WirePhase::WeightDistribute));
-    let (results, _) = Cluster::run_with_faults(ClusterSpec::flat(NODES), plan, |ctx| {
-        ctx.set_recv_timeout(Some(Duration::from_millis(200)));
-        ctx.set_retry_policy(Some(RetryPolicy::new(2, 2.0)));
-        let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
-        engine.set_overlap(true);
-        let x = tokens(ctx.rank());
-        let target = Matrix::zeros(T_LOC, D);
-        let mut losses = Vec::with_capacity(ITERS);
-        for _ in 0..ITERS {
-            losses.push(engine.iteration(ctx, &x, &target).map_err(|e| e.to_string())?.loss);
-        }
-        Ok::<(Vec<f32>, u64, FaultStats), String>((
-            losses,
-            engine.degraded_iterations(),
-            ctx.fault_stats(),
-        ))
-    });
-    let mut injected = 0u64;
-    for (rank, r) in results.into_iter().enumerate() {
-        let (losses, degraded, faults) = r
-            .unwrap_or_else(|p| panic!("rank {rank} panicked: {p}"))
-            .unwrap_or_else(|e| panic!("rank {rank} errored: {e}"));
-        assert_eq!(losses, oracle, "rank {rank}: faulted overlapped traffic must stay bit-exact");
-        assert_eq!(degraded, 0, "rank {rank}: delays/echoes are absorbed, not degraded");
-        injected += faults.message_faults();
+    let oracle = oracle_losses();
+    let outcomes = unwrap_ok(run_chaos(plan, Duration::from_millis(200), 2));
+    for (rank, o) in outcomes.iter().enumerate() {
+        assert_eq!(o.losses, oracle, "rank {rank}: faulted weight traffic must stay bit-exact");
+        assert_eq!(o.degraded, 0, "rank {rank}: delays/echoes are absorbed, not degraded");
+        assert!(o.faults.duplicated > 0, "rank {rank} scattered shards, so it echoed some");
     }
-    assert!(injected > 0, "the plan must actually have injected faults");
+    assert!(outcomes[0].faults.delayed > 0, "rank 0's shards for rank 1 were held back");
+    assert!(outcomes[1].proto.duplicates_dropped > 0, "the sequence filter absorbed echoes");
 }
 
 #[test]

@@ -83,9 +83,6 @@ fn symi_replication_tracks_the_hot_class() {
         let x = skewed_tokens(ctx.rank(), 16);
         let target = Matrix::zeros(16, D);
         let stats = e.iteration(ctx, &x, &target).unwrap();
-        // Land the (possibly still in-flight under SYMI_OVERLAP=on)
-        // weight scatter so the rebalanced placement is observable.
-        e.drain(ctx).unwrap();
         (stats.popularity, e.placement.replica_counts())
     });
     let (popularity, counts) = &results[0];
@@ -113,7 +110,6 @@ fn engine_handles_every_token_on_one_class() {
         let target = Matrix::zeros(8, D);
         let s1 = e.iteration(ctx, &x, &target).unwrap();
         let s2 = e.iteration(ctx, &x, &target).unwrap();
-        e.drain(ctx).unwrap();
         (s1, s2, e.placement.replica_counts())
     });
     let (s1, _s2, counts) = &results[0];

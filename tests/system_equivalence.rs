@@ -39,9 +39,6 @@ fn symi_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
         for _ in 0..iters {
             losses.push(engine.iteration(ctx, &x, &target).unwrap().loss);
         }
-        // Land the last iteration's weight scatter (in flight under
-        // SYMI_OVERLAP=on) so the final placement and weights are current.
-        engine.drain(ctx).unwrap();
         // Gather one representative weight vector per class from the final
         // placement (any replica — the engine guarantees they are equal).
         let mut class_weights: Vec<Option<Vec<f32>>> = vec![None; E];
