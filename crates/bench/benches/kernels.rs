@@ -8,9 +8,8 @@
 //! **interleaved** sweep (each rep measures every configuration once, mins
 //! accumulate per configuration, so a throttled window on a shared runner
 //! degrades all configurations equally): the active-path kernel at
-//! 1/2/4/8 worker threads, the forced-scalar family at 1 thread (the
-//! `simd_uplift` ratio), and the f16-storage/f32-accumulate kernel at
-//! 1 thread. Results (ns/iter, GFLOP/s, speedups, the active SIMD path)
+//! 1/2/4/8 worker threads and the forced-scalar family at 1 thread (the
+//! `simd_uplift` ratio). Results (ns/iter, GFLOP/s, speedups, the active SIMD path)
 //! land in `BENCH_kernels.json` at the repo root.
 //!
 //! Below the GEMM rows sit the **activation rows** — GELU forward, GELU
@@ -62,7 +61,7 @@ use symi_model::expert::ExpertFfn;
 use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_into, gelu_into, softmax_rows_into};
-use symi_tensor::{half, pool, AdamConfig, AdamShard, AdamState, HalfMatrix, Matrix};
+use symi_tensor::{half, pool, AdamConfig, AdamShard, AdamState, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
@@ -90,7 +89,6 @@ fn bench_shapes() -> Value {
     for &(label, m, k, n) in SHAPES {
         group(label);
         let (a, b) = inputs(m, k, n);
-        let bh = HalfMatrix::from_matrix(&b);
         let mut out = Matrix::zeros(m, n);
 
         let naive_ns = bench(&format!("{label}/naive"), || naive::matmul(&a, &b)[(0, 0)]).min_ns;
@@ -103,9 +101,9 @@ fn bench_shapes() -> Value {
         row.set("naive_ns", Value::Num(naive_ns));
         row.set("naive_gflops", Value::Num(gflops(m, k, n, naive_ns)));
 
-        // The thread sweep, the forced-scalar run, and the f16 run are
-        // INTERLEAVED: each rep measures every configuration once before
-        // moving on, and mins accumulate per configuration. On a shared
+        // The thread sweep and the forced-scalar run are INTERLEAVED: each
+        // rep measures every configuration once before moving on, and mins
+        // accumulate per configuration. On a shared
         // (frequency-throttled) runner a slow window then degrades all
         // configurations equally instead of whichever one it landed on,
         // so the speedup/uplift ratios stay meaningful.
@@ -113,7 +111,6 @@ fn bench_shapes() -> Value {
         let active = kernels::active_path();
         let mut thread_ns = vec![f64::INFINITY; THREADS.len()];
         let mut scalar_ns = f64::INFINITY;
-        let mut f16_ns = f64::INFINITY;
         a.matmul_into(&b, &mut out); // warm caches and the pool
         for _ in 0..REPS {
             for (i, &t) in THREADS.iter().enumerate() {
@@ -128,9 +125,6 @@ fn bench_shapes() -> Value {
             a.matmul_into(&b, &mut out);
             scalar_ns = scalar_ns.min(t0.elapsed().as_nanos() as f64);
             kernels::force_simd_path(active);
-            let t0 = Instant::now();
-            a.matmul_f16_into(&bh, &mut out);
-            f16_ns = f16_ns.min(t0.elapsed().as_nanos() as f64);
         }
 
         let single_ns = thread_ns[0];
@@ -153,21 +147,14 @@ fn bench_shapes() -> Value {
         row.set("scalar_gflops", Value::Num(gflops(m, k, n, scalar_ns)));
         row.set("simd_uplift", Value::Num(scalar_ns / single_ns));
 
-        // f16-storage / f32-accumulate path (1 thread): weight matrix B is
-        // binary16 so the kernel streams half the bytes per k-step.
-        row.set("f16_ns", Value::Num(f16_ns));
-        row.set("f16_gflops", Value::Num(gflops(m, k, n, f16_ns)));
-        row.set("f16_speedup_vs_f32", Value::Num(single_ns / f16_ns));
-
         println!(
             "{label}: naive {:.2} GFLOP/s, scalar(1t) {:.2} GFLOP/s, blocked(1t) {:.2} GFLOP/s \
-             ({:.2}x naive, {:.2}x scalar), f16(1t) {:.2} GFLOP/s",
+             ({:.2}x naive, {:.2}x scalar)",
             gflops(m, k, n, naive_ns),
             gflops(m, k, n, scalar_ns),
             gflops(m, k, n, single_ns),
             naive_ns / single_ns,
             scalar_ns / single_ns,
-            gflops(m, k, n, f16_ns),
         );
         rows.push(Value::Obj(row));
     }

@@ -45,7 +45,7 @@ impl LatencyInputs {
 
     /// Latency of iteration `t` of the given run (layer 0 drives the
     /// per-class shape; all layers share the same simulated geometry).
-    pub fn iteration_latency(&self, run: &RunResult, t: usize) -> f64 {
+    pub(crate) fn iteration_latency(&self, run: &RunResult, t: usize) -> f64 {
         let popularity = &run.popularity[0].iterations[t];
         let sim = self.sim_for(popularity.len());
         let tokens = self.scale_tokens(popularity);

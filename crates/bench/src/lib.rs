@@ -15,4 +15,4 @@ pub mod runs;
 pub use harness::{bench, group, BenchResult};
 pub use latency::{average_iteration_latency, LatencyInputs};
 pub use output::{write_csv, Table};
-pub use runs::{load_or_run, run_system, run_system_with_telemetry, SystemChoice};
+pub use runs::{load_or_run, run_system, SystemChoice};

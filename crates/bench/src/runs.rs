@@ -219,7 +219,7 @@ pub fn run_system(system: SystemChoice, cfg: ModelConfig, iterations: usize) -> 
 /// `jsonl_path` is given, to a JSONL file `symi-top` can tail. The figure
 /// binaries that reconstruct phase shares / drop rates / churn consume
 /// these reports instead of re-deriving them from `TrainRecord`.
-pub fn run_system_with_telemetry(
+pub(crate) fn run_system_with_telemetry(
     system: SystemChoice,
     cfg: ModelConfig,
     iterations: usize,
@@ -241,13 +241,13 @@ pub fn run_system_with_telemetry(
 }
 
 /// Canonical JSONL location for one system's telemetry run.
-pub fn telemetry_jsonl_path(dir: &Path, system: SystemChoice) -> PathBuf {
+pub(crate) fn telemetry_jsonl_path(dir: &Path, system: SystemChoice) -> PathBuf {
     dir.join(format!("telemetry_{}.jsonl", system.name().to_lowercase().replace('-', "_")))
 }
 
 /// Parses back a telemetry JSONL file written by
 /// [`run_system_with_telemetry`] (or any `JsonlSink`).
-pub fn read_telemetry_jsonl(path: &Path) -> Result<Vec<IterationReport>, String> {
+pub(crate) fn read_telemetry_jsonl(path: &Path) -> Result<Vec<IterationReport>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     text.lines().filter(|l| !l.trim().is_empty()).map(IterationReport::parse_jsonl).collect()
 }

@@ -25,7 +25,7 @@ const fn build_table() -> [u32; 256] {
 static TABLE: [u32; 256] = build_table();
 
 /// CRC-32 of `bytes` (IEEE reflected polynomial, init `!0`, final xor `!0`).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];

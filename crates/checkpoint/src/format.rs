@@ -35,10 +35,10 @@ use symi_workload::PopularityTrace;
 use crate::crc32::crc32;
 use crate::error::CkptError;
 
-pub const MAGIC: [u8; 8] = *b"SYMICKPT";
+pub(crate) const MAGIC: [u8; 8] = *b"SYMICKPT";
 pub const FORMAT_VERSION: u32 = 1;
-pub const KIND_ENGINE: u32 = 1;
-pub const KIND_TRAINER: u32 = 2;
+pub(crate) const KIND_ENGINE: u32 = 1;
+pub(crate) const KIND_TRAINER: u32 = 2;
 
 pub fn kind_name(kind: u32) -> &'static str {
     match kind {
@@ -207,7 +207,7 @@ pub struct RawCheckpoint<'a> {
     pub payload: &'a [u8],
 }
 
-pub fn encode_container(kind: u32, header: &[u8], payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_container(kind: u32, header: &[u8], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + 4 + 4 + 4 + header.len() + 4 + 8 + payload.len() + 4);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -221,7 +221,10 @@ pub fn encode_container(kind: u32, header: &[u8], payload: &[u8]) -> Vec<u8> {
     out
 }
 
-pub fn decode_container<'a>(file: &str, bytes: &'a [u8]) -> Result<RawCheckpoint<'a>, CkptError> {
+pub(crate) fn decode_container<'a>(
+    file: &str,
+    bytes: &'a [u8],
+) -> Result<RawCheckpoint<'a>, CkptError> {
     let mut r = Reader::new(file, bytes);
     let magic = r.take(8, "magic").map_err(|_| CkptError::BadMagic { file: file.into() })?;
     if magic != MAGIC {
@@ -300,7 +303,7 @@ pub struct EngineFile {
     pub snapshot: EngineSnapshot,
 }
 
-pub fn encode_engine(cfg: &EngineConfig, snap: &EngineSnapshot) -> Vec<u8> {
+pub(crate) fn encode_engine(cfg: &EngineConfig, snap: &EngineSnapshot) -> Vec<u8> {
     let mut h = ByteWriter::new();
     h.u64(snap.iteration);
     h.u64(snap.world_size as u64);
@@ -349,7 +352,7 @@ pub fn encode_engine(cfg: &EngineConfig, snap: &EngineSnapshot) -> Vec<u8> {
 /// `expected = Some(cfg)`, the stored geometry fingerprint must match the
 /// running engine's config field-for-field; without it (the `symi-ckpt`
 /// tool), only internal consistency is enforced.
-pub fn decode_engine(
+pub(crate) fn decode_engine(
     file: &str,
     bytes: &[u8],
     expected: Option<&EngineConfig>,
@@ -526,7 +529,7 @@ fn get_adam(r: &mut Reader<'_, '_>, field: &str) -> Result<AdamState, CkptError>
     Ok(AdamState::from_parts(cfg, master, m, v, t))
 }
 
-pub fn encode_trainer(cfg: &ModelConfig, ckpt: &Checkpoint) -> Vec<u8> {
+pub(crate) fn encode_trainer(cfg: &ModelConfig, ckpt: &Checkpoint) -> Vec<u8> {
     let mut h = ByteWriter::new();
     h.u64(ckpt.iteration);
     h.u64(cfg.vocab_size as u64);
@@ -617,7 +620,7 @@ pub fn encode_trainer(cfg: &ModelConfig, ckpt: &Checkpoint) -> Vec<u8> {
     encode_container(KIND_TRAINER, &h.buf, &p.buf)
 }
 
-pub fn decode_trainer(
+pub(crate) fn decode_trainer(
     file: &str,
     bytes: &[u8],
     expected: Option<&ModelConfig>,

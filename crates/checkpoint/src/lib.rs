@@ -36,16 +36,12 @@ pub mod manager;
 pub mod store;
 pub mod writer;
 
-pub use crc32::crc32;
 pub use error::CkptError;
 pub use format::{
-    decode_container, decode_engine, decode_trainer, encode_engine, encode_trainer,
     expert_param_count, inspect, kind_name, EngineFile, InspectInfo, RawCheckpoint, FORMAT_VERSION,
-    KIND_ENGINE, KIND_TRAINER, MAGIC,
 };
 pub use manager::{CheckpointConfig, CheckpointManager, CheckpointStats};
 pub use store::{
-    engine_file_name, parse_engine_file_name, parse_trainer_file_name, trainer_file_name,
-    write_atomic, CheckpointStore, LatestEngine, LatestTrainer,
+    parse_engine_file_name, parse_trainer_file_name, CheckpointStore, LatestEngine, LatestTrainer,
 };
 pub use writer::{AsyncCheckpointWriter, WriterStats};

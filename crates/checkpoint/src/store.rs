@@ -30,7 +30,7 @@ fn label(path: &Path) -> String {
 
 /// Writes `bytes` to `path` with the tmp + fsync + rename + dir-fsync
 /// protocol. Readers either see the old file or the complete new one.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp).map_err(|e| CkptError::io(label(&tmp), e))?;
@@ -48,23 +48,23 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CkptError> {
 }
 
 /// `ckpt-it{iteration:010}-rank{rank:03}.bin`
-pub fn engine_file_name(iteration: u64, rank: usize) -> String {
+pub(crate) fn engine_file_name(iteration: u64, rank: usize) -> String {
     format!("ckpt-it{iteration:010}-rank{rank:03}.bin")
 }
 
 /// `trainer-it{iteration:010}.bin`
-pub fn trainer_file_name(iteration: u64) -> String {
+pub(crate) fn trainer_file_name(iteration: u64) -> String {
     format!("trainer-it{iteration:010}.bin")
 }
 
-/// Inverse of [`engine_file_name`].
+/// Inverse of `engine_file_name`.
 pub fn parse_engine_file_name(name: &str) -> Option<(u64, usize)> {
     let rest = name.strip_prefix("ckpt-it")?.strip_suffix(".bin")?;
     let (it, rank) = rest.split_once("-rank")?;
     Some((it.parse().ok()?, rank.parse().ok()?))
 }
 
-/// Inverse of [`trainer_file_name`].
+/// Inverse of `trainer_file_name`.
 pub fn parse_trainer_file_name(name: &str) -> Option<u64> {
     name.strip_prefix("trainer-it")?.strip_suffix(".bin")?.parse().ok()
 }
@@ -110,7 +110,8 @@ impl CheckpointStore {
     /// Synchronous encode + atomic write of one rank's snapshot. The async
     /// path ([`crate::AsyncCheckpointWriter`]) does the same work off the
     /// training thread. Returns bytes written.
-    pub fn write_engine(
+    #[cfg(test)]
+    pub(crate) fn write_engine(
         &self,
         cfg: &EngineConfig,
         snap: &EngineSnapshot,
@@ -160,7 +161,7 @@ impl CheckpointStore {
     }
 
     /// Loads and validates every rank file of one iteration, in rank order.
-    pub fn load_engine_set(
+    pub(crate) fn load_engine_set(
         &self,
         iteration: u64,
         world_size: usize,
@@ -244,7 +245,7 @@ impl CheckpointStore {
     /// every engine file older than the oldest kept iteration, and sweeps
     /// stray `*.tmp` files. Files newer than the oldest kept set (e.g. an
     /// in-flight incomplete set) are never touched. Returns files removed.
-    pub fn prune_engine(&self, keep: usize, world_size: usize) -> Result<usize, CkptError> {
+    pub(crate) fn prune_engine(&self, keep: usize, world_size: usize) -> Result<usize, CkptError> {
         let complete = self.complete_engine_iterations(world_size)?;
         if complete.len() <= keep || keep == 0 {
             return Ok(0);

@@ -5,7 +5,7 @@
 //! background thread. The channel is bounded at one in-flight job — the
 //! double buffer: one checkpoint being written while the next is being
 //! produced. If the writer is still busy when the next cadence point
-//! arrives, [`AsyncCheckpointWriter::try_submit`] refuses and the caller
+//! arrives, `AsyncCheckpointWriter::try_submit` refuses and the caller
 //! skips that checkpoint (counted, never blocking the step).
 //!
 //! Dropping the writer flushes and joins, so every accepted job is durable
@@ -119,7 +119,12 @@ impl AsyncCheckpointWriter {
     /// Hands `encode` to the background thread for serialization + durable
     /// write to `path`. Returns `false` (and does nothing) if the previous
     /// checkpoint is still being written — the caller counts a skip.
-    pub fn try_submit(&self, path: PathBuf, encode: EncodeFn, after: Option<AfterFn>) -> bool {
+    pub(crate) fn try_submit(
+        &self,
+        path: PathBuf,
+        encode: EncodeFn,
+        after: Option<AfterFn>,
+    ) -> bool {
         let Some(tx) = &self.tx else { return false };
         // Count the submission before sending: the worker may finish the
         // job before we would otherwise get the lock, and `settled` must

@@ -28,12 +28,12 @@ impl ClusterSpec {
     }
 
     /// Node hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         rank / self.gpus_per_node
     }
 
     /// Whether two ranks share a node (→ intra-node link class).
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 

@@ -1,10 +1,10 @@
-//! Collective operations: ring all-reduce, reduce-scatter, all-gather,
-//! broadcast, and all-to-all(v).
+//! Collective operations: ring all-reduce, all-gather, and all-to-all(v).
 //!
-//! The ring algorithms are the ones whose volume the paper reasons about:
+//! The ring algorithm is the one whose volume the paper reasons about:
 //! a ring all-reduce over `r` ranks moves `2(r−1)/r` of the buffer per rank
-//! (§4.1), a reduce-scatter half of that. All operations are SPMD: every
-//! member of the group must call the same operation with the same base tag.
+//! (§4.1), half in its reduce-scatter and half in its all-gather. All
+//! operations are SPMD: every member of the group must call the same
+//! operation with the same base tag.
 
 use crate::ctx::RankCtx;
 use crate::error::CommError;
@@ -99,71 +99,11 @@ impl RankCtx {
         Ok(())
     }
 
-    /// Reduce-scatter (sum): each member contributes `data` and receives the
-    /// globally-summed chunk it owns, `chunk_range(len, m, idx)`, returned
-    /// together with its offset.
-    pub fn reduce_scatter_sum(
-        &mut self,
-        group: &CommGroup,
-        tag: u64,
-        data: &[f32],
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let m = group.size();
-        let mut scratch = data.to_vec();
-        if m > 1 && !data.is_empty() {
-            self.reduce_scatter_in_place(group, idx, tag, &mut scratch)?;
-        }
-        // reduce_scatter_in_place leaves rank idx owning chunk (idx+1)%m;
-        // rotate ownership so the public contract is "rank idx owns chunk idx",
-        // which costs one extra hop only when m > 1.
-        let owned = (idx + 1) % m;
-        let (os, oe) = chunk_range(data.len(), m, owned);
-        let owned_data = scratch[os..oe].to_vec();
-        if m == 1 {
-            return Ok((0, owned_data));
-        }
-        // Send the chunk we hold to the rank that should own it and receive
-        // ours from the rank holding it.
-        let holder_of_mine = (idx + m - 1) % m; // that rank reduced chunk idx
-        let dest = group.ranks()[owned]; // we reduced chunk `owned`
-        let src = group.ranks()[holder_of_mine];
-        let t = Self::subop_tag(tag, 2);
-        self.send(dest, t, owned_data)?;
-        let mine = self.recv_f32(src, t)?;
-        let (ms, _) = chunk_range(data.len(), m, idx);
-        Ok((ms, mine))
-    }
-
-    /// All-gather: each member contributes `chunk`; returns the
-    /// concatenation ordered by group index. Chunks may have different
-    /// lengths (implemented as a ring of variable-size hops).
-    pub fn all_gather_varsize(
-        &mut self,
-        group: &CommGroup,
-        tag: u64,
-        chunk: Vec<f32>,
-    ) -> Result<Vec<Vec<f32>>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let m = group.size();
-        let mut parts: Vec<Option<Vec<f32>>> = vec![None; m];
-        parts[idx] = Some(chunk);
-        let next = group.ranks()[(idx + 1) % m];
-        let prev = group.ranks()[(idx + m - 1) % m];
-        for step in 0..m - 1 {
-            let send_idx = (idx + m - step) % m;
-            let recv_idx = (idx + m - step - 1) % m;
-            let outgoing = parts[send_idx].clone().expect("ring invariant: chunk present");
-            self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
-            let incoming = self.recv_f32(prev, Self::step_tag(tag, step as u64))?;
-            parts[recv_idx] = Some(incoming);
-        }
-        Ok(parts.into_iter().map(|p| p.expect("all chunks gathered")).collect())
-    }
-
-    /// [`RankCtx::all_gather_varsize`] over raw fp16 bit patterns —
-    /// half-width weight shards move 2 B/element on the wire, matching the
-    /// fp16 working-weight accounting of the paper's cost model. The hops'
+    /// All-gather over raw fp16 bit patterns: each member contributes
+    /// `chunk`; returns the concatenation ordered by group index. Chunks may
+    /// have different lengths (a ring of variable-size hops). Half-width
+    /// weight shards move 2 B/element on the wire, matching the fp16
+    /// working-weight accounting of the paper's cost model. The hops'
     /// outgoing copies come from the wire-buffer free list; the caller owns
     /// the returned parts (its own chunk among them, moved, not copied) and
     /// should [`RankCtx::recycle_f16`] what it does not keep.
@@ -189,40 +129,6 @@ impl RankCtx {
             parts[recv_idx] = Some(incoming);
         }
         Ok(parts.into_iter().map(|p| p.expect("all chunks gathered")).collect())
-    }
-
-    /// Broadcast from the group member with global rank `root`.
-    /// The root passes `Some(data)`; everyone receives the root's buffer.
-    pub fn broadcast(
-        &mut self,
-        group: &CommGroup,
-        root: usize,
-        tag: u64,
-        data: Option<Vec<f32>>,
-    ) -> Result<Vec<f32>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let root_idx = group.index_of(root).ok_or(CommError::NotInGroup { rank: root })?;
-        let m = group.size();
-        // Binomial tree on indices rotated so the root is virtual index 0:
-        // in round i, every active node v < 2^i sends to v + 2^i.
-        let vidx = (idx + m - root_idx) % m;
-        let to_global = |v: usize| group.ranks()[(v + root_idx) % m];
-        let buf = if vidx == 0 {
-            data.expect("broadcast root must supply data")
-        } else {
-            // First become active: receive from vidx with its highest bit
-            // cleared, at round h = floor(log2(vidx)).
-            let h = usize::BITS - 1 - vidx.leading_zeros();
-            self.recv_f32(to_global(vidx - (1 << h)), tag)?
-        };
-        let mut bit = 1usize;
-        while bit < m {
-            if bit > vidx && vidx + bit < m {
-                self.send(to_global(vidx + bit), tag, buf.clone())?;
-            }
-            bit <<= 1;
-        }
-        Ok(buf)
     }
 
     /// All-reduce (sum) of small `u64` counters via gather-to-root +
@@ -257,58 +163,6 @@ impl RankCtx {
             data.copy_from_slice(&summed);
         }
         Ok(())
-    }
-
-    /// Gathers every member's buffer at `root` (ordered by group index);
-    /// non-root members receive an empty vector.
-    pub fn gather_f32(
-        &mut self,
-        group: &CommGroup,
-        root: usize,
-        tag: u64,
-        data: Vec<f32>,
-    ) -> Result<Vec<Vec<f32>>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let root_idx = group.index_of(root).ok_or(CommError::NotInGroup { rank: root })?;
-        if idx != root_idx {
-            self.send(root, Self::step_tag(tag, idx as u64), data)?;
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::with_capacity(group.size());
-        for (j, &peer) in group.ranks().iter().enumerate() {
-            if j == root_idx {
-                out.push(data.clone());
-            } else {
-                out.push(self.recv_f32(peer, Self::step_tag(tag, j as u64))?);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Scatters per-member buffers from `root`: member `i` receives
-    /// `bufs[i]`. Only the root passes `Some(bufs)`.
-    pub fn scatterv_f32(
-        &mut self,
-        group: &CommGroup,
-        root: usize,
-        tag: u64,
-        bufs: Option<Vec<Vec<f32>>>,
-    ) -> Result<Vec<f32>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let root_idx = group.index_of(root).ok_or(CommError::NotInGroup { rank: root })?;
-        if idx == root_idx {
-            let mut bufs = bufs.expect("scatter root must supply buffers");
-            assert_eq!(bufs.len(), group.size(), "one buffer per group member");
-            let own = std::mem::take(&mut bufs[root_idx]);
-            for (j, buf) in bufs.into_iter().enumerate() {
-                if j != root_idx {
-                    self.send(group.ranks()[j], Self::step_tag(tag, j as u64), buf)?;
-                }
-            }
-            Ok(own)
-        } else {
-            self.recv_f32(root, Self::step_tag(tag, idx as u64))
-        }
     }
 
     /// Variable-size all-to-all of `f32` buffers: member `i` of the group
@@ -434,68 +288,17 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_returns_owned_chunk() {
-        let n = 4;
-        let len = 8;
-        let (results, _) = Cluster::run(ClusterSpec::flat(n), |ctx| {
-            let group = ctx.groups().world();
-            let data: Vec<f32> = (0..len).map(|i| (i + ctx.rank()) as f32).collect();
-            ctx.reduce_scatter_sum(&group, 5, &data).unwrap()
-        });
-        for (rank, (offset, chunk)) in results.iter().enumerate() {
-            let (s, e) = chunk_range(len, n, rank);
-            assert_eq!(*offset, s);
-            assert_eq!(chunk.len(), e - s);
-            for (k, v) in chunk.iter().enumerate() {
-                let i = s + k;
-                let expect: f32 = (0..n).map(|r| (i + r) as f32).sum();
-                assert!((v - expect).abs() < 1e-4, "rank {rank} pos {i}");
-            }
-        }
-    }
-
-    #[test]
     fn all_gather_varsize_concatenates_in_order() {
         let (results, _) = Cluster::run(ClusterSpec::flat(3), |ctx| {
             let group = ctx.groups().world();
-            let chunk = vec![ctx.rank() as f32; ctx.rank() + 1];
-            ctx.all_gather_varsize(&group, 8, chunk).unwrap()
+            let chunk = vec![ctx.rank() as u16; ctx.rank() + 1];
+            ctx.all_gather_varsize_f16(&group, 8, chunk).unwrap()
         });
         for res in &results {
-            assert_eq!(res[0], vec![0.0]);
-            assert_eq!(res[1], vec![1.0, 1.0]);
-            assert_eq!(res[2], vec![2.0, 2.0, 2.0]);
+            assert_eq!(res[0], vec![0]);
+            assert_eq!(res[1], vec![1, 1]);
+            assert_eq!(res[2], vec![2, 2, 2]);
         }
-    }
-
-    #[test]
-    fn broadcast_delivers_root_buffer() {
-        for n in [1usize, 2, 3, 5, 8] {
-            for root in [0usize, n - 1, n / 2] {
-                let (results, _) = Cluster::run(ClusterSpec::flat(n), |ctx| {
-                    let group = ctx.groups().world();
-                    let data = (ctx.rank() == root).then(|| vec![3.25f32, -1.0, root as f32]);
-                    ctx.broadcast(&group, root, 11, data).unwrap()
-                });
-                for r in results {
-                    assert_eq!(r, vec![3.25, -1.0, root as f32], "n={n} root={root}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_on_subgroup() {
-        let (results, _) = Cluster::run(ClusterSpec::flat(5), |ctx| {
-            let group = ctx.groups().range(2, 3); // ranks 2,3,4
-            if group.contains(ctx.rank()) {
-                let data = (ctx.rank() == 3).then(|| vec![7.0f32]);
-                ctx.broadcast(&group, 3, 9, data).unwrap()[0]
-            } else {
-                -1.0
-            }
-        });
-        assert_eq!(results, vec![-1.0, -1.0, 7.0, 7.0, 7.0]);
     }
 
     #[test]
@@ -540,47 +343,6 @@ mod tests {
         assert_eq!(results[2][0], vec![5.0]);
         assert!(results[0].iter().all(|b| b.is_empty()));
         assert!(results[1].iter().all(|b| b.is_empty()));
-    }
-
-    #[test]
-    fn gather_collects_in_group_order() {
-        let (results, _) = Cluster::run(ClusterSpec::flat(4), |ctx| {
-            let group = ctx.groups().world();
-            let data = vec![ctx.rank() as f32; ctx.rank() + 1];
-            ctx.gather_f32(&group, 2, 17, data).unwrap()
-        });
-        assert!(results[0].is_empty() && results[1].is_empty() && results[3].is_empty());
-        let at_root = &results[2];
-        for (r, buf) in at_root.iter().enumerate() {
-            assert_eq!(buf, &vec![r as f32; r + 1]);
-        }
-    }
-
-    #[test]
-    fn scatter_delivers_per_member_buffers() {
-        let (results, _) = Cluster::run(ClusterSpec::flat(4), |ctx| {
-            let group = ctx.groups().world();
-            let bufs = (ctx.rank() == 1)
-                .then(|| (0..4).map(|j| vec![j as f32 * 10.0]).collect::<Vec<_>>());
-            ctx.scatterv_f32(&group, 1, 19, bufs).unwrap()
-        });
-        for (r, buf) in results.iter().enumerate() {
-            assert_eq!(buf, &vec![r as f32 * 10.0]);
-        }
-    }
-
-    #[test]
-    fn gather_then_scatter_round_trips() {
-        let (results, _) = Cluster::run(ClusterSpec::flat(3), |ctx| {
-            let group = ctx.groups().world();
-            let mine = vec![ctx.rank() as f32 + 0.5];
-            let gathered = ctx.gather_f32(&group, 0, 23, mine.clone()).unwrap();
-            let bufs = (ctx.rank() == 0).then_some(gathered);
-            ctx.scatterv_f32(&group, 0, 29, bufs).unwrap()
-        });
-        for (r, buf) in results.iter().enumerate() {
-            assert_eq!(buf, &vec![r as f32 + 0.5], "round trip must be identity");
-        }
     }
 
     #[test]

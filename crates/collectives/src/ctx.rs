@@ -760,12 +760,12 @@ impl RankCtx {
     }
 
     /// Convenience: receive and unwrap a `U64` payload.
-    pub fn recv_u64(&mut self, from: usize, tag: u64) -> Result<Vec<u64>, CommError> {
+    pub(crate) fn recv_u64(&mut self, from: usize, tag: u64) -> Result<Vec<u64>, CommError> {
         self.recv(from, tag)?.into_u64()
     }
 
     /// Convenience: receive and unwrap an `F16` payload (raw half bits).
-    pub fn recv_f16(&mut self, from: usize, tag: u64) -> Result<Vec<u16>, CommError> {
+    pub(crate) fn recv_f16(&mut self, from: usize, tag: u64) -> Result<Vec<u16>, CommError> {
         self.recv(from, tag)?.into_f16()
     }
 
@@ -831,12 +831,12 @@ impl RankCtx {
     }
 
     /// The installed retry policy, if any.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
+    pub(crate) fn retry_policy(&self) -> Option<RetryPolicy> {
         self.mailbox.retry
     }
 
     /// The installed receive timeout, if any.
-    pub fn recv_timeout(&self) -> Option<Duration> {
+    pub(crate) fn recv_timeout(&self) -> Option<Duration> {
         self.mailbox.recv_timeout
     }
 
@@ -894,7 +894,8 @@ impl RankCtx {
     }
 
     /// This rank's current send-side membership generation.
-    pub fn membership_gen(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn membership_gen(&self) -> u64 {
         self.mailbox.gen
     }
 

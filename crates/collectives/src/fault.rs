@@ -148,7 +148,7 @@ impl MsgMatch {
 
 /// One (kind, selector) pair of a [`FaultPlan`].
 #[derive(Clone, Copy, Debug)]
-pub struct FaultRule {
+pub(crate) struct FaultRule {
     pub kind: FaultKind,
     pub matcher: MsgMatch,
 }

@@ -46,7 +46,7 @@ impl CommGroup {
     }
 
     /// Position of `rank` inside the group, if a member.
-    pub fn index_of(&self, rank: usize) -> Option<usize> {
+    pub(crate) fn index_of(&self, rank: usize) -> Option<usize> {
         self.ranks.binary_search(&rank).ok()
     }
 
@@ -55,7 +55,8 @@ impl CommGroup {
     }
 
     /// Whether the group is a contiguous rank range.
-    pub fn is_contiguous(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_contiguous(&self) -> bool {
         self.ranks.windows(2).all(|w| w[1] == w[0] + 1)
     }
 }
@@ -104,7 +105,8 @@ impl GroupRegistry {
     }
 
     /// The world bound a registered membership epoch declared, if any.
-    pub fn world_of_epoch(&self, epoch: u64) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn world_of_epoch(&self, epoch: u64) -> Option<usize> {
         self.epochs
             .lock()
             .expect("registry lock")

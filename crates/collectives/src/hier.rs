@@ -24,7 +24,6 @@
 use crate::ctx::RankCtx;
 use crate::error::CommError;
 use crate::group::CommGroup;
-use crate::tree::{TierMap, TreeStats};
 
 /// Reduction semantics for replica synchronization.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,25 +33,6 @@ pub enum ReduceMode {
     Sum,
     /// Sum divided by the total instance count — classic data-parallel mean.
     Mean,
-}
-
-/// Step 1: adds each sibling into the representative, in the order given.
-fn fold_siblings<'a>(rep: &mut [f32], siblings: impl IntoIterator<Item = &'a [f32]>) {
-    for sibling in siblings {
-        assert_eq!(sibling.len(), rep.len(), "replica tensors must have equal shape");
-        for (r, v) in rep.iter_mut().zip(sibling) {
-            *r += v;
-        }
-    }
-}
-
-fn normalize(rep: &mut [f32], total_instances: usize, mode: ReduceMode) {
-    if mode == ReduceMode::Mean {
-        let inv = 1.0 / total_instances as f32;
-        for v in rep.iter_mut() {
-            *v *= inv;
-        }
-    }
 }
 
 impl RankCtx {
@@ -80,34 +60,22 @@ impl RankCtx {
         mode: ReduceMode,
     ) -> Result<(), CommError> {
         assert!(total_instances >= 1, "total_instances must be positive");
-        fold_siblings(rep, siblings);
+        // Step 1: add each sibling into the representative, in the order given.
+        for sibling in siblings {
+            assert_eq!(sibling.len(), rep.len(), "replica tensors must have equal shape");
+            for (r, v) in rep.iter_mut().zip(sibling) {
+                *r += v;
+            }
+        }
         // Step 2: inter-rank ring all-reduce across representatives.
         self.allreduce_sum(group, tag, rep)?;
-        normalize(rep, total_instances, mode);
+        if mode == ReduceMode::Mean {
+            let inv = 1.0 / total_instances as f32;
+            for v in rep.iter_mut() {
+                *v *= inv;
+            }
+        }
         Ok(())
-    }
-
-    /// [`RankCtx::expert_allreduce`] with the inter-rank step replaced by
-    /// the topology-aware tree collective: local replicas fold into the
-    /// slot representative and representatives tree-reduce across tier cells
-    /// ([`RankCtx::tree_allreduce_sum`]). Returns the per-tier byte
-    /// attribution of this rank's share of the tree.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tree_expert_allreduce<'a>(
-        &mut self,
-        group: &CommGroup,
-        map: &TierMap,
-        tag: u64,
-        rep: &mut [f32],
-        siblings: impl IntoIterator<Item = &'a [f32]>,
-        total_instances: usize,
-        mode: ReduceMode,
-    ) -> Result<TreeStats, CommError> {
-        assert!(total_instances >= 1, "total_instances must be positive");
-        fold_siblings(rep, siblings);
-        let stats = self.tree_allreduce_sum(group, map, tag, rep)?;
-        normalize(rep, total_instances, mode);
-        Ok(stats)
     }
 }
 
@@ -307,39 +275,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tree_variant_matches_ring_variant_bitwise_on_integer_data() {
-        // Same fold → reduce pipeline, tree inter-rank step:
-        // on exactly-representable data the two must agree bit for bit.
-        let map = TierMap::new(vec![2, 2]);
-        let map_ref = &map;
-        let replicas_of = |rank: usize| rank % 2 + 1;
-        let (results, _) = Cluster::run(ClusterSpec::flat(4), |ctx| {
-            let group = ctx.groups().range(0, 4);
-            let total: usize = (0..4).map(replicas_of).sum();
-            let mk = |rank: usize| -> Vec<Vec<f32>> {
-                (0..replicas_of(rank))
-                    .map(|s| (0..7).map(|i| ((rank * 5 + s * 3 + i) % 16) as f32).collect())
-                    .collect()
-            };
-            let mut ring_locals = mk(ctx.rank());
-            let mut tree_locals = mk(ctx.rank());
-            sync(ctx, &group, 23, &mut ring_locals, total, ReduceMode::Sum);
-            let (rep, rest) = tree_locals.split_first_mut().expect("non-empty");
-            let siblings = rest.iter().map(Vec::as_slice);
-            let stats = ctx
-                .tree_expert_allreduce(&group, map_ref, 24, rep, siblings, total, ReduceMode::Sum)
-                .unwrap();
-            (ring_locals, tree_locals, stats.total_bytes())
-        });
-        for (rank, (ring, tree, _)) in results.iter().enumerate() {
-            for (a, b) in ring.iter().flatten().zip(tree.iter().flatten()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "rank {rank}");
-            }
-        }
-        let moved: u64 = results.iter().map(|(_, _, b)| b).sum();
-        assert!(moved > 0, "the tree step must actually communicate");
     }
 }

@@ -13,9 +13,9 @@
 //!   closure on each, with panic propagation and deterministic teardown.
 //! - [`ctx::RankCtx`]: per-rank handle with tagged point-to-point `send` /
 //!   `recv`, barriers, and the collectives below.
-//! - Ring all-reduce, reduce-scatter, all-gather, broadcast, gather,
-//!   all-to-all(v) ([`coll`]), matching the volume formulas in §3.3/A.2 of
-//!   the paper (e.g. ring all-reduce moves `2(r−1)/r · G` per rank).
+//! - Ring all-reduce, all-gather and all-to-all(v) ([`coll`]), matching the
+//!   volume formulas in §3.3/A.2 of the paper (e.g. ring all-reduce moves
+//!   `2(r−1)/r · G` per rank).
 //! - Batched point-to-point transfers ([`p2p`]) — the paper's
 //!   `batch_isend_irecv` used by the SYMI optimizer's gradient-collection
 //!   and weight-materialization phases (§4.3–4.4), run over posted
@@ -53,16 +53,14 @@ pub mod p2p;
 pub mod payload;
 pub mod tag;
 pub mod traffic;
-pub mod tree;
 
 pub use cluster::{Cluster, ClusterSpec};
 pub use ctx::{PendingRecv, ProtocolStats, RankCtx, RetryPolicy};
 pub use error::{CommError, ProtocolFailure};
-pub use fault::{FaultKind, FaultPlan, FaultRule, FaultStats, MsgMatch};
+pub use fault::{FaultKind, FaultPlan, FaultStats, MsgMatch};
 pub use group::{CommGroup, GroupRegistry};
-pub use membership::{MembershipView, JOIN_BOOT_ITER, RECOVERY_LAYER};
+pub use membership::{MembershipView, RECOVERY_LAYER};
 pub use p2p::{RecvOp, SendOp};
 pub use payload::{decode_f16_into, encode_f16, Payload};
 pub use tag::{TagFields, TagSpace, WirePhase};
 pub use traffic::{LinkClass, TrafficReport, TrafficStats};
-pub use tree::{TierMap, TreeStats};

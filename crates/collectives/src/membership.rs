@@ -56,7 +56,7 @@ pub const RECOVERY_LAYER: usize = 63;
 /// epoch and `discard_stale_below` can never purge a bootstrap waiting in
 /// a standby rank's stash. The bootstrap payload carries the real
 /// membership epoch in-band.
-pub const JOIN_BOOT_ITER: u64 = (1 << 18) - 1;
+pub(crate) const JOIN_BOOT_ITER: u64 = (1 << 18) - 1;
 
 /// An agreed view of cluster membership: which physical ranks are alive,
 /// under which membership epoch. Logical ranks `0..size()` are the alive
@@ -196,7 +196,7 @@ fn decode_alive(words: &[u64], world: usize) -> Vec<bool> {
 
 /// Outcome of a membership agreement: the successor view plus each
 /// survivor's opaque payload indexed by physical rank (dead ranks `None`).
-pub type MembershipOutcome = (MembershipView, Vec<Option<Vec<u64>>>);
+pub(crate) type MembershipOutcome = (MembershipView, Vec<Option<Vec<u64>>>);
 
 impl RankCtx {
     /// A membership-round receive budget derived from the installed
@@ -348,7 +348,7 @@ impl RankCtx {
     /// Survivor side of the join handshake: hands `joiner` the current
     /// membership view (`[epoch, alive bitmap…]`) so it can enter the
     /// agreement round that admits it. Sent on the reserved
-    /// [`JOIN_BOOT_ITER`] tag plane, whose fencing epoch sits above every
+    /// `JOIN_BOOT_ITER` tag plane, whose fencing epoch sits above every
     /// training epoch — a standby rank can therefore receive it no matter
     /// how many stale-traffic purges happened while it waited.
     pub fn send_join_bootstrap(

@@ -9,7 +9,8 @@ use std::sync::Arc;
 pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    pub fn from_static(data: &'static [u8]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_static(data: &'static [u8]) -> Self {
         Bytes(Arc::from(data))
     }
 
@@ -80,7 +81,7 @@ impl Payload {
         }
     }
 
-    pub fn variant_name(&self) -> &'static str {
+    pub(crate) fn variant_name(&self) -> &'static str {
         match self {
             Payload::F32(_) => "F32",
             Payload::F16(_) => "F16",
@@ -112,22 +113,11 @@ impl Payload {
     }
 
     /// Extracts the `U64` payload.
-    pub fn into_u64(self) -> Result<Vec<u64>, crate::CommError> {
+    pub(crate) fn into_u64(self) -> Result<Vec<u64>, crate::CommError> {
         match self {
             Payload::U64(v) => Ok(v),
             other => Err(crate::CommError::PayloadMismatch {
                 expected: "U64",
-                got: other.variant_name(),
-            }),
-        }
-    }
-
-    /// Extracts the `Raw` payload.
-    pub fn into_raw(self) -> Result<Bytes, crate::CommError> {
-        match self {
-            Payload::Raw(b) => Ok(b),
-            other => Err(crate::CommError::PayloadMismatch {
-                expected: "Raw",
                 got: other.variant_name(),
             }),
         }

@@ -36,7 +36,7 @@
 use std::fmt;
 
 /// Marker bit distinguishing structured tags from raw legacy tags.
-pub const STRUCTURED: u64 = 1 << 63;
+pub(crate) const STRUCTURED: u64 = 1 << 63;
 
 const LAYER_BITS: u32 = 6;
 const ITER_BITS: u32 = 18;
@@ -196,7 +196,7 @@ impl TagFields {
 
     /// The fencing epoch this tag belongs to: `(iteration, phase)` packed
     /// so that wire order is numeric order.
-    pub fn epoch_key(&self) -> u64 {
+    pub(crate) fn epoch_key(&self) -> u64 {
         (self.iteration << PHASE_BITS) | self.phase_bits as u64
     }
 }
@@ -219,7 +219,7 @@ impl fmt::Display for TagFields {
 }
 
 /// Returns true when `tag` carries the structured marker bit.
-pub fn is_structured(tag: u64) -> bool {
+pub(crate) fn is_structured(tag: u64) -> bool {
     tag & STRUCTURED != 0
 }
 
@@ -241,7 +241,7 @@ pub fn decode(tag: u64) -> Option<TagFields> {
 }
 
 /// The fencing epoch a structured tag belongs to; `None` for raw tags.
-pub fn epoch_of(tag: u64) -> Option<u64> {
+pub(crate) fn epoch_of(tag: u64) -> Option<u64> {
     decode(tag).map(|f| f.epoch_key())
 }
 

@@ -70,7 +70,7 @@ impl TrafficStats {
 
     /// Records a host↔device staging transfer on `rank` (optimizer offload
     /// traffic; does not involve a peer).
-    pub fn record_host_device(&self, rank: usize, bytes: u64) {
+    pub(crate) fn record_host_device(&self, rank: usize, bytes: u64) {
         self.host_dev_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.attribute(LinkClass::HostDevice, bytes);
         self.per_rank_sent.lock().expect("traffic poisoned")[rank] += bytes;
@@ -149,7 +149,7 @@ impl TrafficReport {
 
     /// Maximum bytes sent by any single rank — a hotspot indicator used by
     /// the gradient-collection load-balance ablation (§4.3).
-    pub fn max_rank_sent(&self) -> u64 {
+    pub(crate) fn max_rank_sent(&self) -> u64 {
         self.per_rank_sent_bytes.iter().copied().max().unwrap_or(0)
     }
 

@@ -449,7 +449,7 @@ impl MoeLayerEngine {
     ///    epoch** ([`RankCtx::agree_membership`]), exchanging
     ///    `(completed iterations, latest popularity)` payloads;
     /// 2. viability check: the shrunk world must still hold every class at
-    ///    the one-replica floor ([`supports_world`] — if not, stop loudly);
+    ///    the one-replica floor (`supports_world` — if not, stop loudly);
     /// 3. the resume iteration is `max(completed) + 1`: the aborted
     ///    iteration is *skipped*, never re-run, so its half-delivered
     ///    traffic can never alias the resumed protocol; everything older is

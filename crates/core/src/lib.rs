@@ -44,7 +44,7 @@ pub mod token_path;
 
 pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
 pub use metadata::LayerMetadataStore;
-pub use optimizer::{GradShard, ReshardReport, ShardState, SymiOptimizer};
+pub use optimizer::{ReshardReport, ShardState, SymiOptimizer};
 pub use placement::ExpertPlacement;
-pub use policies::{EmaPolicy, TracePolicy, WindowMaxPolicy};
-pub use scheduler::{compute_placement, supports_world, valid_replica_counts, SymiPolicy};
+pub use policies::TracePolicy;
+pub use scheduler::{compute_placement, valid_replica_counts, SymiPolicy};

@@ -44,23 +44,10 @@ impl LayerMetadataStore {
     }
 
     /// Popularity `k` iterations ago (0 = latest).
-    pub fn lookback(&self, layer: usize, k: usize) -> Option<&[u64]> {
+    #[cfg(test)]
+    pub(crate) fn lookback(&self, layer: usize, k: usize) -> Option<&[u64]> {
         let h = &self.history[layer];
         h.len().checked_sub(1 + k).map(|i| h[i].as_slice())
-    }
-
-    /// Exponential moving average of popularity with decay `alpha`
-    /// (building block for the predictive policies of §6).
-    pub fn ema(&self, layer: usize, alpha: f64) -> Option<Vec<f64>> {
-        let h = &self.history[layer];
-        let first = h.front()?;
-        let mut ema: Vec<f64> = first.iter().map(|&v| v as f64).collect();
-        for row in h.iter().skip(1) {
-            for (e, &v) in ema.iter_mut().zip(row) {
-                *e = alpha * v as f64 + (1.0 - alpha) * *e;
-            }
-        }
-        Some(ema)
     }
 
     /// Iterations recorded for `layer` (≤ capacity).
@@ -96,15 +83,6 @@ mod tests {
         s.record(0, vec![3]);
         assert_eq!(s.len(0), 2);
         assert_eq!(s.lookback(0, 1), Some(&[2u64][..]));
-    }
-
-    #[test]
-    fn ema_weights_recent_iterations() {
-        let mut s = LayerMetadataStore::new(1, 8);
-        s.record(0, vec![0]);
-        s.record(0, vec![100]);
-        let ema = s.ema(0, 0.5).unwrap();
-        assert!((ema[0] - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -269,7 +269,7 @@ fn grow_plan(
 /// This rank's shard of one class's synchronized gradient, as Algorithm 2
 /// delivered it.
 #[derive(Debug)]
-pub enum GradShard {
+pub(crate) enum GradShard {
     /// Sourced from this rank's own replica: the shard is
     /// [`SymiOptimizer::shard_range`] of the class's local synchronized
     /// gradient and stays there — Adam steps from that slice, nothing is
@@ -304,7 +304,7 @@ impl SymiOptimizer {
     /// the standby-world entry point: a cluster can run `active < world`
     /// members (`MembershipView::partial`) with the idle ranks awaiting a
     /// later join.
-    pub fn with_view(
+    pub(crate) fn with_view(
         view: MembershipView,
         logical_rank: usize,
         adam: AdamConfig,
@@ -333,7 +333,7 @@ impl SymiOptimizer {
     /// # Panics
     /// Panics if a state blob's offset/length disagrees with the chunk
     /// geometry of `logical_rank` under `view`.
-    pub fn from_shard_states(
+    pub(crate) fn from_shard_states(
         view: MembershipView,
         logical_rank: usize,
         adam: AdamConfig,
@@ -404,7 +404,7 @@ impl SymiOptimizer {
     /// advances every class together; 0 before the first step). A join
     /// carries this in the agreement payload so the joiner's bias
     /// correction continues exactly where the cluster is.
-    pub fn adam_step_count(&self) -> u64 {
+    pub(crate) fn adam_step_count(&self) -> u64 {
         self.shards.first().map_or(0, AdamShard::step_count)
     }
 
@@ -414,7 +414,7 @@ impl SymiOptimizer {
     }
 
     /// Serializes every per-class shard (snapshot support).
-    pub fn export_shard_states(&self) -> Vec<ShardState> {
+    pub(crate) fn export_shard_states(&self) -> Vec<ShardState> {
         self.shards
             .iter()
             .map(|sh| {
@@ -440,7 +440,7 @@ impl SymiOptimizer {
     /// each receive validates the shard's element count at the wire.
     ///
     /// This is the owned-`Vec` convenience form for callers that hold no
-    /// slots (traffic harnesses, tests): [`SymiOptimizer::collect_grads_in_place`]
+    /// slots (traffic harnesses, tests): `SymiOptimizer::collect_grads_in_place`
     /// plus a copy of every locally-sourced shard. Outgoing shards and those
     /// copies are drawn from the wire-buffer free list; the caller owns the
     /// returned shards and should hand them back ([`RankCtx::recycle_f32`])
@@ -472,7 +472,7 @@ impl SymiOptimizer {
     /// shard Algorithm 2 sources from this rank is reported as
     /// [`GradShard::Local`] and left where it is — `shard_range` of
     /// `local_grads[class]` — for Adam to step from.
-    pub fn collect_grads_in_place<G: AsRef<[f32]>>(
+    pub(crate) fn collect_grads_in_place<G: AsRef<[f32]>>(
         &self,
         ctx: &mut RankCtx,
         placement: &ExpertPlacement,
@@ -566,7 +566,7 @@ impl SymiOptimizer {
     /// class at a time, for a caller whose gradient shards are not all
     /// `Vec`s. Writes the updated fp16 weight shard into `out` (resized),
     /// reusing its allocation.
-    pub fn step_class_into(&mut self, class: usize, grad_shard: &[f32], out: &mut Vec<u16>) {
+    pub(crate) fn step_class_into(&mut self, class: usize, grad_shard: &[f32], out: &mut Vec<u16>) {
         let _span = self.telemetry.span(Phase::OptimizerStep);
         self.shards[class].step_into(grad_shard, out);
     }
@@ -603,7 +603,7 @@ impl SymiOptimizer {
     /// new placement with zero extra traffic relative to a static system's
     /// weight update (§3.3-II).
     ///
-    /// This is [`SymiOptimizer::distribute_weights_into`] with freshly
+    /// This is `SymiOptimizer::distribute_weights_into` with freshly
     /// allocated vectors as the sink, for callers that hold no slots
     /// (traffic harnesses, tests).
     pub fn distribute_weights(
@@ -624,7 +624,7 @@ impl SymiOptimizer {
     /// received, or this rank's own from `half_shards` — is decoded straight
     /// into each hosting slot's `W1 | b1 | W2 | b2`
     /// ([`ExpertFfn::load_f16_at`]). `slots` is indexed by local slot id.
-    pub fn distribute_weights_into(
+    pub(crate) fn distribute_weights_into(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,

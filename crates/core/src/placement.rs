@@ -66,7 +66,7 @@ impl ExpertPlacement {
     }
 
     /// Global slot ids on `rank`.
-    pub fn slots_of_rank(&self, rank: usize) -> std::ops::Range<usize> {
+    pub(crate) fn slots_of_rank(&self, rank: usize) -> std::ops::Range<usize> {
         rank * self.slots_per_rank..(rank + 1) * self.slots_per_rank
     }
 

@@ -7,16 +7,17 @@
 //!
 //! - [`SymiPolicy`](crate::scheduler::SymiPolicy) (in `scheduler`):
 //!   previous iteration, the paper's choice;
-//! - [`EmaPolicy`]: exponential moving average — smoother, trades lag for
+//! - `EmaPolicy`: exponential moving average — smoother, trades lag for
 //!   noise rejection;
-//! - [`WindowMaxPolicy`]: per-class peak over a trailing window —
+//! - `WindowMaxPolicy`: per-class peak over a trailing window —
 //!   conservative over-provisioning for spiky experts;
-//! - [`evaluate_policy_on_trace`]: an offline evaluator that replays a
-//!   recorded popularity trace under any of these (plus the static and
+//! - [`evaluate_policy_on_trace`]: an offline evaluator that drives these
+//!   live policies over a recorded popularity trace (plus the static and
 //!   same-iteration-oracle bounds) and scores token survival — the
-//!   policy-ablation harness.
+//!   policy-ablation harness, and the two estimators' only caller until
+//!   one of them earns a training run.
 
-use crate::scheduler::compute_placement;
+use crate::scheduler::{compute_placement, SymiPolicy};
 use std::collections::HashMap;
 use symi_model::PlacementPolicy;
 use symi_workload::PopularityTrace;
@@ -58,7 +59,7 @@ fn ema_step(state: f64, alpha: f64, p: u64) -> f64 {
 }
 
 /// EMA-smoothed popularity estimate.
-pub struct EmaPolicy {
+pub(crate) struct EmaPolicy {
     pub total_slots: usize,
     /// Weight of the newest observation (1.0 degenerates to SymiPolicy).
     pub alpha: f64,
@@ -97,7 +98,7 @@ impl PlacementPolicy for EmaPolicy {
 }
 
 /// Peak-demand estimate over a trailing window.
-pub struct WindowMaxPolicy {
+pub(crate) struct WindowMaxPolicy {
     pub total_slots: usize,
     pub window: usize,
     history: HashMap<usize, Vec<Vec<u64>>>,
@@ -133,7 +134,11 @@ impl PlacementPolicy for WindowMaxPolicy {
 
 /// Token survival if class `e` is provisioned `replicas[e]` slots of
 /// capacity `slot_capacity` against demand `popularity[e]`.
-pub fn survival_for_replicas(popularity: &[u64], replicas: &[usize], slot_capacity: f64) -> f64 {
+pub(crate) fn survival_for_replicas(
+    popularity: &[u64],
+    replicas: &[usize],
+    slot_capacity: f64,
+) -> f64 {
     assert_eq!(popularity.len(), replicas.len(), "shape mismatch");
     // Saturating for the same reason as `compute_placement`: astronomically
     // large counts must flatten the ratio, not abort the evaluator.
@@ -179,7 +184,9 @@ impl TracePolicy {
 }
 
 /// Replays `trace` under `policy` and returns the mean token survival at
-/// the given geometry. Iteration 0 always runs uniform (no history yet).
+/// the given geometry. Iteration 0 always runs uniform (no history yet);
+/// the causal policies are the live [`PlacementPolicy`] objects, fed
+/// iteration `t − 1`'s popularity to place iteration `t`.
 pub fn evaluate_policy_on_trace(
     trace: &PopularityTrace,
     policy: TracePolicy,
@@ -189,50 +196,20 @@ pub fn evaluate_policy_on_trace(
     let e = trace.expert_classes();
     assert!(e > 0, "empty trace");
     let uniform = vec![total_slots / e; e];
+    let mut live: Option<Box<dyn PlacementPolicy>> = match policy {
+        TracePolicy::Static | TracePolicy::Oracle => None,
+        TracePolicy::PrevIteration => Some(Box::new(SymiPolicy { total_slots })),
+        TracePolicy::EmaPercent(a) => {
+            Some(Box::new(EmaPolicy::new(total_slots, sanitized_alpha(a as f64 / 100.0))))
+        }
+        TracePolicy::WindowMax(w) => Some(Box::new(WindowMaxPolicy::new(total_slots, w))),
+    };
     let mut survival_sum = 0.0;
-    let mut ema: Vec<f64> = vec![0.0; e];
-    let mut window: Vec<Vec<u64>> = Vec::new();
-
-    for t in 0..trace.len() {
-        let popularity = &trace.iterations[t];
-        let replicas = match policy {
-            TracePolicy::Static => uniform.clone(),
-            TracePolicy::Oracle => compute_placement(popularity, total_slots),
-            TracePolicy::PrevIteration => {
-                if t == 0 {
-                    uniform.clone()
-                } else {
-                    compute_placement(&trace.iterations[t - 1], total_slots)
-                }
-            }
-            TracePolicy::EmaPercent(a) => {
-                let alpha = sanitized_alpha(a as f64 / 100.0);
-                let r = if t == 0 {
-                    uniform.clone()
-                } else {
-                    let rounded: Vec<u64> = ema.iter().map(|&v| popularity_from_ema(v)).collect();
-                    compute_placement(&rounded, total_slots)
-                };
-                for (s, &p) in ema.iter_mut().zip(popularity) {
-                    *s = if t == 0 { p as f64 } else { ema_step(*s, alpha, p) };
-                }
-                r
-            }
-            TracePolicy::WindowMax(w) => {
-                let r = if window.is_empty() {
-                    uniform.clone()
-                } else {
-                    let peak: Vec<u64> = (0..e)
-                        .map(|c| window.iter().map(|row| row[c]).max().unwrap_or(0))
-                        .collect();
-                    compute_placement(&peak, total_slots)
-                };
-                window.push(popularity.clone());
-                if window.len() > w {
-                    window.remove(0);
-                }
-                r
-            }
+    for (t, popularity) in trace.iterations.iter().enumerate() {
+        let replicas = match &mut live {
+            Some(live) if t > 0 => live.next_replicas(0, &trace.iterations[t - 1], t as u64 - 1),
+            None if policy == TracePolicy::Oracle => compute_placement(popularity, total_slots),
+            _ => uniform.clone(),
         };
         survival_sum += survival_for_replicas(popularity, &replicas, slot_capacity);
     }

@@ -73,7 +73,7 @@ pub fn compute_placement(popularity: &[u64], total_slots: usize) -> Vec<usize> {
 /// still place `expert_classes` classes at the one-replica floor — the
 /// elastic-recovery viability check: a shrunk world that fails this cannot
 /// host every class and must stop loudly instead of re-placing.
-pub fn supports_world(expert_classes: usize, slots_per_rank: usize, ranks: usize) -> bool {
+pub(crate) fn supports_world(expert_classes: usize, slots_per_rank: usize, ranks: usize) -> bool {
     ranks > 0 && slots_per_rank * ranks >= expert_classes
 }
 
@@ -91,7 +91,7 @@ pub fn valid_replica_counts(counts: &[usize], total_slots: usize) -> bool {
 
 /// Expands replica counts into the contiguous slot assignment
 /// (`slot → class`), exactly Algorithm 1's final loop.
-pub fn contiguous_assignment(counts: &[usize]) -> Vec<usize> {
+pub(crate) fn contiguous_assignment(counts: &[usize]) -> Vec<usize> {
     let mut slots = Vec::with_capacity(counts.iter().sum());
     for (class, &c) in counts.iter().enumerate() {
         slots.extend(std::iter::repeat_n(class, c));

@@ -229,7 +229,7 @@ impl CausalAttention {
         dx
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         f(&mut self.wq, self.wq_grad.as_slice());
         f(&mut self.wk, self.wk_grad.as_slice());
         f(&mut self.wv, self.wv_grad.as_slice());

@@ -29,8 +29,7 @@ impl TransformerBlock {
                 cfg.slot_capacity(),
                 cfg.aux_loss_coef,
                 seed ^ 0xa5a5,
-            )
-            .with_f16_experts(cfg.f16_experts),
+            ),
         }
     }
 
@@ -55,7 +54,7 @@ impl TransformerBlock {
         dx
     }
 
-    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         self.ln1.visit_params(f);
         self.attn.visit_params(f);
         self.ln2.visit_params(f);

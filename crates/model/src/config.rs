@@ -29,11 +29,6 @@ pub struct ModelConfig {
     pub lr: f32,
     /// Parameter init seed.
     pub seed: u64,
-    /// Run routed-expert FFNs on the f16-storage/f32-accumulate GEMM path
-    /// (binary16 weight shadows streamed by the kernels — half the weight
-    /// traffic; see `symi_tensor::kernels::gemm_nn_f16`). Off by default:
-    /// the f32 path stays the bit-exactness reference.
-    pub f16_experts: bool,
 }
 
 impl ModelConfig {
@@ -54,7 +49,6 @@ impl ModelConfig {
             aux_loss_coef: 0.01,
             lr: 3e-3,
             seed: 42,
-            f16_experts: false,
         }
     }
 
@@ -85,7 +79,6 @@ impl ModelConfig {
             aux_loss_coef: 0.01,
             lr: 3e-3,
             seed: 42,
-            f16_experts: false,
         }
     }
 
@@ -113,12 +106,6 @@ impl ModelConfig {
         );
         self.total_slots / self.experts
     }
-
-    /// Head dimension.
-    pub fn d_head(&self) -> usize {
-        assert_eq!(self.d_model % self.n_heads, 0, "d_model must divide by n_heads");
-        self.d_model / self.n_heads
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +124,7 @@ mod tests {
     #[test]
     fn tiny_config_is_consistent() {
         let cfg = ModelConfig::tiny();
-        assert_eq!(cfg.d_head() * cfg.n_heads, cfg.d_model);
+        assert_eq!(cfg.d_model % cfg.n_heads, 0);
         assert_eq!(cfg.uniform_replicas(), 2);
     }
 

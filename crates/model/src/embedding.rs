@@ -53,7 +53,7 @@ impl Embedding {
     }
 
     /// Visits `(param, grad)` pairs for the optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         f(&mut self.tok, self.tok_grad.as_slice());
         f(&mut self.pos, self.pos_grad.as_slice());
     }
@@ -91,7 +91,7 @@ impl LmHead {
         dy.matmul_nt(&self.w)
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         f(&mut self.w, self.w_grad.as_slice());
     }
 

@@ -11,26 +11,15 @@
 //! ([`ExpertFfn::flat_grads`]); nothing copies it in between.
 
 use symi_telemetry::TelemetryHandle;
-use symi_tensor::ops::{gelu_backward_into, gelu_into, linear_gelu_into};
+use symi_tensor::ops::{gelu_backward_into, linear_gelu_into};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, HalfMatrix, Matrix};
+use symi_tensor::{init, Matrix};
 
 /// A two-layer GELU FFN: `y = gelu(x·W1 + b1)·W2 + b2`.
 ///
 /// Forward/backward run on the blocked kernels through persistent caches
 /// and scratch buffers (`*_into` entry points), so a steady-state training
 /// step performs no heap allocation inside the expert.
-///
-/// With [`set_f16_compute`] enabled, the weight matrices additionally keep
-/// binary16 shadows that the forward/backward GEMMs stream at 2 B/element
-/// (f32 accumulation — `kernels::gemm_nn_f16`/`gemm_nt_f16`), halving
-/// weight traffic in the bandwidth-bound `ffn_down` shape. The shadows are
-/// re-encoded from the f32 masters once per forward (O(params), amortized
-/// against the O(tokens·params) GEMMs); backward reuses the same shadows,
-/// so gradients are taken at exactly the weights the forward used.
-/// Parameter gradients (`tn` GEMMs over activations) stay f32.
-///
-/// [`set_f16_compute`]: ExpertFfn::set_f16_compute
 pub struct ExpertFfn {
     pub w1: Matrix,
     pub b1: Matrix,
@@ -47,9 +36,6 @@ pub struct ExpertFfn {
     cached_act: Matrix,
     scratch_dact: Matrix,
     scratch_dpre: Matrix,
-    f16_compute: bool,
-    w1_h: HalfMatrix,
-    w2_h: HalfMatrix,
 }
 
 impl ExpertFfn {
@@ -67,28 +53,7 @@ impl ExpertFfn {
             cached_act: Matrix::zeros(0, 0),
             scratch_dact: Matrix::zeros(0, 0),
             scratch_dpre: Matrix::zeros(0, 0),
-            f16_compute: false,
-            w1_h: HalfMatrix::zeros(0, 0),
-            w2_h: HalfMatrix::zeros(0, 0),
         }
-    }
-
-    /// Toggles the f16-storage compute path. Weights that already sit on
-    /// the fp16 grid (everything the SYMI optimizer publishes — the wire is
-    /// fp16 since the weight-distribute phase) encode losslessly, so for
-    /// distributed experts this changes memory traffic, not values; freshly
-    /// initialized f32 weights round-to-nearest on encode.
-    pub fn set_f16_compute(&mut self, enabled: bool) {
-        self.f16_compute = enabled;
-        if !enabled {
-            self.w1_h = HalfMatrix::zeros(0, 0);
-            self.w2_h = HalfMatrix::zeros(0, 0);
-        }
-    }
-
-    /// Whether the f16-storage compute path is active.
-    pub fn f16_compute(&self) -> bool {
-        self.f16_compute
     }
 
     pub fn d_model(&self) -> usize {
@@ -113,19 +78,9 @@ impl ExpertFfn {
     /// Forward pass into a reusable output buffer. The fused
     /// `linear_gelu` kernel fills both the pre-activation and activation
     /// caches in one pass; backward reuses them without recomputing GELU.
-    /// On the f16 path the weight shadows are re-encoded here, so forward
-    /// and the following backward see one consistent half-precision weight.
     pub fn forward_into(&mut self, x: &Matrix, y: &mut Matrix) {
-        if self.f16_compute {
-            self.w1_h.encode_from(&self.w1);
-            self.w2_h.encode_from(&self.w2);
-            x.matmul_f16_bias_into(&self.w1_h, &self.b1, &mut self.cached_pre);
-            gelu_into(&self.cached_pre, &mut self.cached_act);
-            self.cached_act.matmul_f16_bias_into(&self.w2_h, &self.b2, y);
-        } else {
-            linear_gelu_into(x, &self.w1, &self.b1, &mut self.cached_pre, &mut self.cached_act);
-            self.cached_act.matmul_bias_into(&self.w2, &self.b2, y);
-        }
+        linear_gelu_into(x, &self.w1, &self.b1, &mut self.cached_pre, &mut self.cached_act);
+        self.cached_act.matmul_bias_into(&self.w2, &self.b2, y);
         self.cached_x.copy_from(x);
     }
 
@@ -139,9 +94,7 @@ impl ExpertFfn {
     /// [`zero_grad`] *writes* the flat gradient — every element the fold
     /// from `+0.0`, bit for bit what zero-filling and accumulating gives,
     /// without the fill or the read-back — and later calls accumulate into
-    /// it. The f16 path differentiates through the *encoded* weights the
-    /// forward actually used (the `nt` GEMMs stream the same shadows);
-    /// parameter gradients are `tn` GEMMs over f32 activations either way.
+    /// it.
     ///
     /// [`zero_grad`]: ExpertFfn::zero_grad
     pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
@@ -151,19 +104,11 @@ impl ExpertFfn {
         let (w2_grad, b2_grad) = rest.split_at_mut(self.w2.len());
         self.cached_act.matmul_tn_slice(dy, w2_grad, acc);
         dy.sum_rows_slice(b2_grad, acc);
-        if self.f16_compute {
-            dy.matmul_nt_f16_into(&self.w2_h, &mut self.scratch_dact);
-        } else {
-            dy.matmul_nt_into(&self.w2, &mut self.scratch_dact);
-        }
+        dy.matmul_nt_into(&self.w2, &mut self.scratch_dact);
         gelu_backward_into(&self.cached_pre, &self.scratch_dact, &mut self.scratch_dpre);
         self.cached_x.matmul_tn_slice(&self.scratch_dpre, w1_grad, acc);
         self.scratch_dpre.sum_rows_slice(b1_grad, acc);
-        if self.f16_compute {
-            self.scratch_dpre.matmul_nt_f16_into(&self.w1_h, dx);
-        } else {
-            self.scratch_dpre.matmul_nt_into(&self.w1, dx);
-        }
+        self.scratch_dpre.matmul_nt_into(&self.w1, dx);
     }
 
     /// Parameters as one flat buffer: `[W1 | b1 | W2 | b2]`.
@@ -174,7 +119,7 @@ impl ExpertFfn {
     }
 
     /// [`ExpertFfn::flat_params`] into a reusable buffer.
-    pub fn flat_params_into(&self, out: &mut Vec<f32>) {
+    pub(crate) fn flat_params_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.extend_from_slice(self.w1.as_slice());
         out.extend_from_slice(self.b1.as_slice());
@@ -247,20 +192,6 @@ impl ExpertFfn {
             }
             base += param.len();
         }
-    }
-
-    /// Visits `(param, grad)` pairs — used when an expert is trained as a
-    /// *dense* parameter (the shared expert of Llama-4/DeepSeek-style
-    /// architectures) rather than through the sharded expert optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
-        self.flat_grads_mut(); // zero-fill a gradient that is only marked zero
-        let (w1_grad, rest) = self.grad.split_at(self.w1.len());
-        let (b1_grad, rest) = rest.split_at(self.b1.len());
-        let (w2_grad, b2_grad) = rest.split_at(self.w2.len());
-        f(&mut self.w1, w1_grad);
-        f(&mut self.b1, b1_grad);
-        f(&mut self.w2, w2_grad);
-        f(&mut self.b2, b2_grad);
     }
 
     /// Marks the gradient zero without touching its memory (see
@@ -502,14 +433,6 @@ mod tests {
         assert!(e.grad_is_zero());
         assert!(e.flat_grads().iter().all(|g| g.to_bits() == 0), "expected +0.0 everywhere");
         assert!(!e.grad_is_zero(), "materialised zeros are ordinary values");
-        e.grad.fill(f32::NAN);
-        e.zero_grad();
-        let mut seen = 0;
-        e.visit_params(&mut |_, g| {
-            assert!(g.iter().all(|g| g.to_bits() == 0));
-            seen += g.len();
-        });
-        assert_eq!(seen, e.param_count());
     }
 
     #[test]

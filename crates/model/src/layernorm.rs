@@ -39,7 +39,7 @@ impl LayerNorm {
         dx
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         f(&mut self.gamma, self.gamma_grad.as_slice());
         f(&mut self.beta, self.beta_grad.as_slice());
     }

@@ -21,11 +21,6 @@ pub struct StepStats {
 }
 
 impl StepStats {
-    /// The optimization objective (`ce + aux`).
-    pub fn total_loss(&self) -> f32 {
-        self.ce_loss + self.aux_loss
-    }
-
     /// Overall token survival rate across layers.
     pub fn survival_rate(&self) -> f64 {
         let survived: usize = self.layers.iter().map(|l| l.survived).sum();
@@ -61,7 +56,7 @@ impl GptMoe {
     /// Forward + backward over one batch under the given per-layer replica
     /// counts. Gradients accumulate into the layer objects; the caller owns
     /// zeroing and the optimizer step.
-    pub fn forward_backward(&mut self, batch: &Batch, replicas: &[Vec<usize>]) -> StepStats {
+    pub(crate) fn forward_backward(&mut self, batch: &Batch, replicas: &[Vec<usize>]) -> StepStats {
         assert_eq!(replicas.len(), self.blocks.len(), "one replica vector per layer");
         assert_eq!(batch.seq_len, self.cfg.seq_len, "sequence length mismatch");
 
@@ -89,24 +84,9 @@ impl GptMoe {
         StepStats { ce_loss, aux_loss, layers: layer_stats }
     }
 
-    /// Inference-only loss (no gradients consumed; still runs backward-free
-    /// forward internally by reusing forward_backward's plumbing would waste
-    /// work, so this recomputes forward only).
-    pub fn eval_loss(&mut self, batch: &Batch, replicas: &[Vec<usize>]) -> f32 {
-        let mut x = self.embedding.forward(&batch.tokens);
-        for (block, reps) in self.blocks.iter_mut().zip(replicas) {
-            let (y, _) = block.forward(&x, reps);
-            x = y;
-        }
-        let normed = self.final_ln.forward(&x);
-        let logits = self.head.forward(&normed);
-        let targets: Vec<usize> = batch.targets.iter().map(|&t| t as usize).collect();
-        cross_entropy(&logits, &targets).0
-    }
-
     /// Visits all dense (non-expert) `(param, grad)` pairs in a
     /// deterministic order.
-    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         self.embedding.visit_params(f);
         for b in &mut self.blocks {
             b.visit_dense_params(f);
@@ -188,14 +168,5 @@ mod tests {
         for l in &stats.layers {
             assert_eq!(l.popularity.iter().sum::<u64>() as usize, batch.token_count());
         }
-    }
-
-    #[test]
-    fn eval_loss_matches_training_loss_shape() {
-        let (mut model, mut corpus, replicas) = tiny_setup();
-        let batch = corpus.next_batch();
-        let train = model.forward_backward(&batch, &replicas);
-        let eval = model.eval_loss(&batch, &replicas);
-        assert!((train.ce_loss - eval).abs() < 1e-5);
     }
 }

@@ -61,11 +61,6 @@ impl MoeStats {
 pub struct MoeLayer {
     pub router: Router,
     pub experts: Vec<ExpertFfn>,
-    /// Optional shared expert (Llama-4/DeepSeek-V3 style, §6): processes
-    /// every token unconditionally, is trained as a dense parameter, and is
-    /// never replicated or re-placed — SYMI optimizes placement for the
-    /// routed experts only.
-    pub shared: Option<ExpertFfn>,
     slot_capacity: f32,
     /// Per expert: kept `(token, gate)` entries in processing order
     /// (the dispatch cache backprop replays).
@@ -78,7 +73,6 @@ pub struct MoeLayer {
     scratch_xin: Matrix,
     scratch_dexp: Matrix,
     scratch_dxin: Matrix,
-    scratch_shared: Matrix,
     scratch_dgates: Vec<Vec<(usize, f32)>>,
 }
 
@@ -97,7 +91,6 @@ impl MoeLayer {
             experts: (0..experts)
                 .map(|e| ExpertFfn::new(d_model, d_ff, seed ^ (0xe0 + e as u64)))
                 .collect(),
-            shared: None,
             slot_capacity,
             kept: (0..experts).map(|_| Vec::new()).collect(),
             expert_out: (0..experts).map(|_| Matrix::zeros(0, 0)).collect(),
@@ -107,31 +100,7 @@ impl MoeLayer {
             scratch_xin: Matrix::zeros(0, 0),
             scratch_dexp: Matrix::zeros(0, 0),
             scratch_dxin: Matrix::zeros(0, 0),
-            scratch_shared: Matrix::zeros(0, 0),
             scratch_dgates: Vec::new(),
-        }
-    }
-
-    /// Adds a shared expert that every token passes through in addition to
-    /// its routed expert(s).
-    pub fn with_shared_expert(mut self, d_ff: usize, seed: u64) -> Self {
-        let d_model = self.router.w.rows();
-        self.shared = Some(ExpertFfn::new(d_model, d_ff, seed ^ 0x5a4e));
-        self
-    }
-
-    /// Switches every *routed* expert to the f16-storage compute path (the
-    /// shared expert is dense state and stays f32). Builder form:
-    /// `MoeLayer::new(..).with_f16_experts(cfg.f16_experts)`.
-    pub fn with_f16_experts(mut self, enabled: bool) -> Self {
-        self.set_f16_experts(enabled);
-        self
-    }
-
-    /// See [`MoeLayer::with_f16_experts`].
-    pub fn set_f16_experts(&mut self, enabled: bool) {
-        for e in &mut self.experts {
-            e.set_f16_compute(enabled);
         }
     }
 
@@ -190,11 +159,6 @@ impl MoeLayer {
             }
         }
 
-        if let Some(shared) = &mut self.shared {
-            shared.forward_into(x, &mut self.scratch_shared);
-            y.axpy(1.0, &self.scratch_shared);
-        }
-
         let stats = MoeStats {
             popularity: routing.popularity.clone(),
             survived,
@@ -240,14 +204,8 @@ impl MoeLayer {
             }
         }
 
-        // Shared-expert path: every token, ungated.
-        if let Some(shared) = &mut self.shared {
-            shared.backward_into(dy, &mut self.scratch_dxin);
-            dx.axpy(1.0, &self.scratch_dxin);
-        }
-
         // Router path (gate + aux gradients): dX += dX_router, reusing the
-        // shared scratch as the router's output buffer.
+        // experts' scratch as the router's output buffer.
         self.router.backward_into(&self.scratch_dgates, &mut self.scratch_dxin);
         dx.axpy(1.0, &self.scratch_dxin);
         dx
@@ -258,19 +216,12 @@ impl MoeLayer {
         for e in &mut self.experts {
             e.zero_grad();
         }
-        if let Some(shared) = &mut self.shared {
-            shared.zero_grad();
-        }
     }
 
-    /// Visits dense parameters (router and, if present, the shared expert)
-    /// — routed expert parameters are owned by the expert optimizer
-    /// machinery.
-    pub fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    /// Visits dense parameters (the router) — expert parameters are owned
+    /// by the expert optimizer machinery.
+    pub(crate) fn visit_dense_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         self.router.visit_params(f);
-        if let Some(shared) = &mut self.shared {
-            shared.visit_params(f);
-        }
     }
 }
 
@@ -381,39 +332,6 @@ mod tests {
             stats.survived >= stats.assignments_kept.min(9) / 2,
             "kept assignments imply surviving tokens"
         );
-    }
-
-    #[test]
-    fn shared_expert_processes_every_token_even_dropped_ones() {
-        let mut l = layer(0.0).with_shared_expert(10, 77); // all routed drops
-        let x = Matrix::from_fn(6, 6, |r, c| ((r + c) as f32 * 0.3).cos());
-        let (y, stats) = l.forward(&x, &[1, 1, 1]);
-        assert_eq!(stats.survived, 0, "routed path fully dropped");
-        assert!(
-            y.as_slice().iter().any(|&v| v != 0.0),
-            "shared expert must still transform dropped tokens"
-        );
-        // Gradient reaches the shared expert for every token.
-        let dy = Matrix::from_fn(6, 6, |_, _| 1.0);
-        let _ = l.backward(&dy);
-        let shared = l.shared.as_mut().unwrap();
-        let w1_len = shared.w1.len();
-        assert!(shared.flat_grads()[..w1_len].iter().any(|&g| g != 0.0));
-    }
-
-    #[test]
-    fn shared_expert_backward_matches_numeric() {
-        let mut l = layer(100.0).with_shared_expert(10, 5);
-        let x = Matrix::from_fn(4, 6, |r, c| ((r * 6 + c) as f32 * 0.23).sin());
-        let dy = Matrix::from_fn(4, 6, |r, c| ((r + 2 * c) as f32 * 0.35).cos());
-        let (_, _) = l.forward(&x, &[1, 1, 1]);
-        let dx = l.backward(&dy);
-        let ndx = numerical_grad_scalar(&x, |xp| {
-            let mut probe = layer(100.0).with_shared_expert(10, 5);
-            let (y, _) = probe.forward(xp, &[1, 1, 1]);
-            y.as_slice().iter().zip(dy.as_slice()).map(|(a, b)| a * b).sum()
-        });
-        assert!(dx.max_abs_diff(&ndx) < 3e-2, "diff {}", dx.max_abs_diff(&ndx));
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub struct Routing {
 
 impl Routing {
     /// The primary (top-1) class of every token.
-    pub fn top1(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn top1(&self) -> Vec<usize> {
         self.assignment.iter().map(|a| a[0].0).collect()
     }
 }
@@ -183,7 +184,7 @@ impl Router {
         self.scratch_dlogits.matmul_nt_into(&self.w, dx);
     }
 
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
         f(&mut self.w, self.w_grad.as_slice());
     }
 

@@ -115,12 +115,6 @@ impl TrainRecord {
         }
         self.survival.iter().sum::<f64>() / self.survival.len() as f64
     }
-
-    /// Total dropped-token fraction complement, for Figure 8-style
-    /// comparisons ("dropped X% fewer tokens").
-    pub fn total_drop_fraction(&self) -> f64 {
-        1.0 - self.mean_survival()
-    }
 }
 
 /// The training driver.
@@ -190,11 +184,6 @@ impl Trainer {
     /// The installed telemetry cluster (disabled unless attached).
     pub fn telemetry(&self) -> &Arc<ClusterTelemetry> {
         &self.telemetry
-    }
-
-    /// System name of the installed policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Current per-layer replica allocation.

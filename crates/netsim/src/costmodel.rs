@@ -209,7 +209,7 @@ pub enum ShardScope {
 /// Per-tier byte attribution plus the bottleneck-rank α–β time of one
 /// communication phase on a hierarchical topology.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TierPhase {
+pub(crate) struct TierPhase {
     /// Cluster-wide bytes crossing each tier (innermost first).
     pub bytes_by_tier: Vec<f64>,
     /// PCIe staging bytes on the busiest rank.
@@ -226,18 +226,9 @@ impl TierPhase {
     }
 
     /// Total network bytes across all tiers.
+    #[cfg(test)]
     pub fn total_bytes(&self) -> f64 {
         self.bytes_by_tier.iter().sum()
-    }
-
-    /// Element-wise accumulation (phases chain serially).
-    pub fn accumulate(&mut self, other: &TierPhase) {
-        assert_eq!(self.bytes_by_tier.len(), other.bytes_by_tier.len());
-        for (a, b) in self.bytes_by_tier.iter_mut().zip(&other.bytes_by_tier) {
-            *a += b;
-        }
-        self.pci_bytes_per_rank += other.pci_bytes_per_rank;
-        self.seconds += other.seconds;
     }
 }
 
@@ -259,7 +250,7 @@ impl<'a> TieredCostModel<'a> {
     ///
     /// # Panics
     /// Panics when the topology's rank count differs from the model's.
-    pub fn from_flat(flat: &CommCostModel, topo: &'a Topology) -> Self {
+    pub(crate) fn from_flat(flat: &CommCostModel, topo: &'a Topology) -> Self {
         assert_eq!(flat.nodes, topo.ranks(), "topology must match the model's rank count");
         Self { topo, expert_classes: flat.expert_classes, bw_pci: flat.hw.bw_pci }
     }
@@ -273,7 +264,7 @@ impl<'a> TieredCostModel<'a> {
     /// system (each host assembles the class from the other hosts' shards);
     /// its gradient phase is link-free after the EDP sync and should be
     /// priced as [`TierPhase::zero`] plus PCIe.
-    pub fn shard_exchange(
+    pub(crate) fn shard_exchange(
         &self,
         placement: &SlotPlacement,
         scope: ShardScope,
@@ -411,7 +402,7 @@ impl<'a> TieredCostModel<'a> {
     /// Every step is gated by the slowest link in the ring, so one strided
     /// hop across the spine poisons all `2(m−1)` steps — the failure mode
     /// the tree collective removes.
-    pub fn ring_allreduce(&self, hosts: &[usize], bytes: f64) -> TierPhase {
+    pub(crate) fn ring_allreduce(&self, hosts: &[usize], bytes: f64) -> TierPhase {
         let tiers = self.topo.num_tiers();
         let m = hosts.len();
         let mut out = TierPhase::zero(tiers);
@@ -437,10 +428,11 @@ impl<'a> TieredCostModel<'a> {
 
     /// α–β cost and per-tier bytes of the topology-aware tree all-reduce
     /// (ring within each tier cell, representatives recurse up, fan back
-    /// down — the collective implemented in `symi-collectives::tree`).
+    /// down). Priced only: no transport here has tiers, so the runtime
+    /// executes the ring (DESIGN.md, *Hierarchical topology*).
     /// Moves `3(m_c−1)` buffers per cell instead of the flat ring's
     /// `2(m−1)`, but each stays on the fastest tier that contains it.
-    pub fn tree_allreduce(&self, hosts: &[usize], bytes: f64) -> TierPhase {
+    pub(crate) fn tree_allreduce(&self, hosts: &[usize], bytes: f64) -> TierPhase {
         let tiers = self.topo.num_tiers();
         let mut out = TierPhase::zero(tiers);
         if hosts.len() <= 1 || bytes <= 0.0 {

@@ -1,9 +1,9 @@
 //! Per-iteration latency simulation for the three systems under study.
 //!
-//! The simulator composes one training iteration as a task graph whose
-//! durations come from byte/FLOP accounting (α–β model for communication,
-//! throughput model for compute). It produces the makespan (Figure 11's
-//! iteration latency), the per-component breakdown (Figure 12), the token
+//! The simulator composes one training iteration as a serial chain of
+//! phases whose durations come from byte/FLOP accounting (α–β model for
+//! communication, throughput model for compute). It produces the iteration
+//! latency (Figure 11), the per-component breakdown (Figure 12), the token
 //! survival fraction (Table 1 / Figure 8's analytic counterpart), and the
 //! per-rank GPU memory footprint used for FlexMoE's OOM check (§5.3).
 //!
@@ -12,7 +12,6 @@
 //! placement (contiguous slot assignment, as Algorithm 1 produces).
 
 use crate::costmodel::{CommCostModel, ShardScope, TierPhase, TieredCostModel};
-use crate::event::TaskGraph;
 use crate::placement::SlotPlacement;
 use crate::topology::{HardwareSpec, ModelCostConfig, Topology};
 
@@ -53,8 +52,8 @@ pub struct IterationBreakdown {
     /// Peak GPU bytes on the most loaded rank.
     pub gpu_peak_bytes: f64,
     /// Cluster-wide network bytes attributed to each topology tier
-    /// (innermost first). Empty for the flat [`IterationSim::simulate`],
-    /// which has no tiers to attribute to.
+    /// (innermost first); one entry on the single-tier
+    /// [`IterationSim::simulate`].
     pub comm_bytes_by_tier: Vec<f64>,
 }
 
@@ -121,12 +120,9 @@ impl IterationSim {
         self.capacity_factor * self.model.tokens_per_batch as f64 / self.total_slots() as f64
     }
 
-    /// Simulates one iteration.
-    ///
-    /// `tokens_per_class[i]` is the router's global assignment for class
-    /// `i`; `replicas_per_class[i]` its replica count this iteration
-    /// (uniform `sN/E` for the static baseline). Replica counts must sum to
-    /// `sN`.
+    /// Simulates one iteration on the paper's single-tier cluster: the
+    /// tiered body on [`Topology::flat`] with SYMI's optimizer sharded
+    /// cluster-wide (`k = 1`, §3.3).
     pub fn simulate(
         &self,
         tokens_per_class: &[f64],
@@ -134,232 +130,9 @@ impl IterationSim {
         system: SimSystem,
         rebalance: RebalanceSpec,
     ) -> IterationBreakdown {
-        assert_eq!(tokens_per_class.len(), self.expert_classes, "one token count per class");
-        assert_eq!(replicas_per_class.len(), self.expert_classes, "one replica count per class");
-        let total_replicas: usize = replicas_per_class.iter().sum();
-        assert_eq!(total_replicas, self.total_slots(), "replicas must fill all slots");
-        assert!(replicas_per_class.iter().all(|&r| r >= 1), "every class needs ≥1 replica");
-
-        let hw = &self.hw;
-        let m = &self.model;
-        let n = self.nodes;
-        let s = self.slots_per_rank;
-        let e = self.expert_classes;
-        let layers = m.layers as f64;
-        let g_bytes = m.expert_grad_bytes();
-        let w_bytes = m.expert_weight_bytes();
-        let o_bytes = m.expert_optimizer_bytes();
-
-        // ---- Token survival under per-class capacity (§3.4). ----
-        let slot_cap = self.slot_capacity();
-        let survived: Vec<f64> = tokens_per_class
-            .iter()
-            .zip(replicas_per_class)
-            .map(|(&t, &r)| t.min(slot_cap * r as f64))
-            .collect();
-        let total_tokens: f64 = tokens_per_class.iter().sum();
-        let total_survived: f64 = survived.iter().sum();
-        let survived_fraction =
-            if total_tokens > 0.0 { total_survived / total_tokens } else { 1.0 };
-
-        // ---- Placement: slot k hosts `slot_class[k]`. ----
-        // SYMI packs each class's replicas contiguously (Algorithm 1);
-        // DeepSpeed stripes classes round-robin so replicas land on distinct
-        // ranks (it has no intra-rank EDP, §4.1); FlexMoE likewise spreads
-        // replicas across ranks, greedily.
-        let placement = self.placement(replicas_per_class, system);
-        debug_assert_eq!(placement.total_slots(), self.total_slots());
-
-        // Per-class distinct host ranks (EDP ring sizes) and per-rank load.
-        let host_ranks = placement.host_ranks(e);
-        let rank_classes = placement.rank_classes(e);
-        let mut rank_tokens = vec![0.0f64; n];
-        for slot in 0..placement.total_slots() {
-            let class = placement.class_of_slot(slot);
-            rank_tokens[placement.rank_of_slot(slot)] +=
-                survived[class] / replicas_per_class[class] as f64;
-        }
-        let ranks_hosting: Vec<usize> = host_ranks.iter().map(Vec::len).collect();
-        let static_ring = self.total_slots() / e;
-
-        // ---- Phase durations. ----
-        let tokens_per_rank = m.tokens_per_batch as f64 / n as f64;
-        let emb = m.token_embedding_bytes();
-        let gpu = hw.gpu_flops;
-
-        let dense_fwd = layers
-            * (tokens_per_rank * m.dense_flops_per_token(self.seq_len) / gpu
-                + hw.framework_layer_overhead);
-        let dense_bwd = 2.0 * dense_fwd;
-
-        // All-to-all: every rank sends its local survived tokens; the busiest
-        // rank receives `max(rank_tokens)`; α per peer message.
-        let max_recv_tokens = rank_tokens.iter().copied().fold(0.0, f64::max);
-        let sent_tokens = total_survived / n as f64;
-        let a2a_once =
-            max_recv_tokens.max(sent_tokens) * emb / hw.bw_net + hw.net_latency * (n as f64 - 1.0);
-        let a2a_fwd = layers * 2.0 * a2a_once; // dispatch + combine
-        let a2a_bwd = layers * 2.0 * a2a_once; // grad scatter + gather
-
-        let max_rank_flops = max_recv_tokens * m.expert_flops_per_token();
-        let expert_fwd = layers * max_rank_flops / gpu;
-        let expert_bwd = 2.0 * expert_fwd;
-
-        // Expert-data-parallel gradient synchronization (ring all-reduce,
-        // volume 2(m−1)/m · G per participating rank). SYMI's hierarchical
-        // variant rings over *ranks hosting the class* (fewer when packed);
-        // DeepSpeed rings over all r replicas (each on its own rank);
-        // FlexMoE inherits the spread-out placement constraint as well.
-        let ring = |mm: usize| {
-            if mm <= 1 {
-                0.0
-            } else {
-                2.0 * (mm as f64 - 1.0) / mm as f64 * g_bytes / hw.bw_net
-                    + 2.0 * hw.net_latency * (mm as f64 - 1.0)
-            }
-        };
-        // The ring size is the number of distinct host ranks per class —
-        // this is where SYMI's intra-rank packing pays off (rings shrink to
-        // 1 when a whole class fits on one rank) while DeepSpeed/FlexMoE
-        // ring over every replica.
-        let edp_sync = layers
-            * (0..n)
-                .map(|rank| rank_classes[rank].iter().map(|&c| ring(ranks_hosting[c])).sum::<f64>())
-                .fold(0.0, f64::max);
-
-        // Grad Communication Phase (§3.3/A.2): shards → optimizer.
-        let (grad_net, grad_pcie) = match system {
-            SimSystem::Symi => (
-                // Shards of non-local classes fetched over the network,
-                // round-robin balanced (Algorithm 2).
-                (0..n)
-                    .map(|rank| {
-                        (e - rank_classes[rank].len()) as f64 * g_bytes / n as f64 / hw.bw_net
-                    })
-                    .fold(0.0, f64::max),
-                e as f64 * g_bytes / n as f64 / hw.bw_pci,
-            ),
-            // Coupled designs: the shard is local after the EDP all-reduce.
-            SimSystem::DeepSpeedStatic | SimSystem::FlexMoE => {
-                (0.0, s as f64 * g_bytes / static_ring as f64 / hw.bw_pci)
-            }
-        };
-        let grad_comm = layers * (grad_net + grad_pcie);
-
-        // Offloaded optimizer step over this rank's share of state:
-        // E·O/N bytes for every system (footprints are equal, §3.3-I).
-        let opt_step = layers * (e as f64 * o_bytes / n as f64) / hw.host_opt_bytes_per_s;
-
-        // Weight Communication Phase: updated weights → slots (new placement
-        // for SYMI — same volume either way, §3.3-II).
-        let (weight_net, weight_pcie) = match system {
-            SimSystem::Symi => (
-                (s as f64 * n as f64 - s as f64) / n as f64 * w_bytes / hw.bw_net,
-                e as f64 * w_bytes / n as f64 / hw.bw_pci,
-            ),
-            SimSystem::DeepSpeedStatic | SimSystem::FlexMoE => (
-                s as f64 * (static_ring as f64 - 1.0) / static_ring as f64 * w_bytes / hw.bw_net,
-                s as f64 * w_bytes / static_ring as f64 / hw.bw_pci,
-            ),
-        };
-        let weight_comm = layers * (weight_net + weight_pcie);
-
-        // SYMI's new components: popularity all-reduce + placement scheduler
-        // + metadata updates (§5.3 reports ~1% of iteration in aggregate).
-        let router_meta = match system {
-            SimSystem::Symi => {
-                let pop_ar =
-                    2.0 * (n as f64).log2().ceil() * hw.net_latency + e as f64 * 8.0 / hw.bw_net;
-                let scheduler = e as f64 * 2.0e-6 + 1.0e-4;
-                let metadata = 5.0e-5;
-                layers * (pop_ar + scheduler + metadata)
-            }
-            _ => 0.0,
-        };
-
-        // FlexMoE's blocking rebalancing shuffle: each moved replica drags
-        // its weights AND coupled optimizer state across the network and
-        // through PCIe (§2.2), and the affected expert's communicator group
-        // must be re-created — a blocking synchronization (§4.2).
-        let migration = match system {
-            SimSystem::FlexMoE => {
-                let state_move = rebalance.moved_replicas_per_layer as f64
-                    * ((w_bytes + o_bytes) / hw.bw_net + (w_bytes + o_bytes) / hw.bw_pci);
-                let group_rebuild = rebalance.moved_replicas_per_layer as f64
-                    * hw.group_init_per_rank
-                    * (static_ring as f64 + 1.0);
-                layers * (state_move + group_rebuild)
-            }
-            _ => 0.0,
-        };
-
-        // ---- GPU memory on the most loaded rank. ----
-        // Weights+grads of the hosted slots, dense parameters, activations,
-        // plus FlexMoE's transient double-buffer of migrated coupled state.
-        let dense_params_bytes = layers * 12.0 * (m.d_model * m.d_model) as f64 * 2.0;
-        let activations = tokens_per_rank * m.d_model as f64 * layers * 34.0 * 2.0;
-        let expert_mem = layers * s as f64 * (w_bytes + g_bytes);
-        let coupled_opt_on_gpu = match system {
-            // FlexMoE couples optimizer state to the instance's device slot.
-            SimSystem::FlexMoE => layers * s as f64 * o_bytes / static_ring as f64,
-            _ => 0.0,
-        };
-        let migration_transient = match system {
-            SimSystem::FlexMoE if rebalance.moved_replicas_per_layer > 0 => {
-                // Current AND future state co-located during the move (§5.3).
-                layers * (w_bytes + o_bytes)
-            }
-            _ => 0.0,
-        };
-        let gpu_peak_bytes = dense_params_bytes
-            + activations
-            + expert_mem
-            + coupled_opt_on_gpu
-            + migration_transient;
-
-        // ---- Assemble the iteration as a serial task chain and read the
-        // breakdown back from the graph (keeps the graph machinery honest).
-        let phases: [(&'static str, f64); 11] = [
-            ("dense_fwd", dense_fwd),
-            ("router_meta", router_meta),
-            ("a2a_fwd", a2a_fwd),
-            ("expert_fwd", expert_fwd),
-            ("dense_bwd", dense_bwd),
-            ("a2a_bwd", a2a_bwd),
-            ("expert_bwd", expert_bwd),
-            ("edp_sync", edp_sync),
-            ("grad_comm", grad_comm),
-            ("opt_step", opt_step),
-            ("weight_comm", weight_comm),
-        ];
-        let mut graph = TaskGraph::new();
-        let mut prev = None;
-        for (name, dur) in phases {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(graph.add(name, dur, &deps));
-        }
-        if migration > 0.0 {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(graph.add("migration", migration, &deps));
-        }
-        let schedule = graph.schedule();
-        let _ = prev;
-
-        let mut components: Vec<Component> =
-            phases.iter().map(|&(name, seconds)| Component { name, seconds }).collect();
-        if migration > 0.0 {
-            components.push(Component { name: "migration", seconds: migration });
-        }
-        debug_assert!(
-            (schedule.makespan() - components.iter().map(|c| c.seconds).sum::<f64>()).abs() < 1e-9
-        );
-
-        IterationBreakdown {
-            components,
-            survived_fraction,
-            gpu_peak_bytes,
-            comm_bytes_by_tier: Vec::new(),
-        }
+        let topo = Topology::flat(self.nodes, &self.hw);
+        let scope = ShardScope::Cluster;
+        self.simulate_hier(&topo, tokens_per_class, replicas_per_class, system, rebalance, scope)
     }
 
     /// The slot placement each system's scheduler would produce.
@@ -386,9 +159,12 @@ impl IterationSim {
     /// variant of Appendix A.1. It is ignored for the coupled baselines,
     /// whose shard lives inside the EDP group by construction.
     ///
-    /// The flat [`IterationSim::simulate`] remains the 16-rank oracle; on a
-    /// single-tier [`Topology::flat`] with zero latency the two agree on the
-    /// phases they price identically (see tests).
+    /// `tokens_per_class[i]` is the router's global assignment for class
+    /// `i`; `replicas_per_class[i]` its replica count this iteration
+    /// (uniform `sN/E` for the static baseline). Replica counts must be ≥ 1
+    /// and sum to `sN`. On a single-tier [`Topology::flat`] with zero
+    /// latency the grad and weight phases are §3.3's
+    /// [`CommCostModel::costs`] (see tests).
     pub fn simulate_hier(
         &self,
         topo: &Topology,
@@ -403,6 +179,7 @@ impl IterationSim {
         assert_eq!(replicas_per_class.len(), self.expert_classes, "one replica count per class");
         let total_replicas: usize = replicas_per_class.iter().sum();
         assert_eq!(total_replicas, self.total_slots(), "replicas must fill all slots");
+        assert!(replicas_per_class.iter().all(|&r| r >= 1), "every class needs ≥1 replica");
 
         let hw = &self.hw;
         let m = &self.model;
@@ -427,7 +204,7 @@ impl IterationSim {
         let tiered = TieredCostModel::from_flat(&flat_model, topo);
         let mut bytes_by_tier = vec![0.0f64; tiers];
 
-        // ---- Token survival (identical to the flat path). ----
+        // ---- Token survival under per-class capacity (§3.4). ----
         let slot_cap = self.slot_capacity();
         let survived: Vec<f64> = tokens_per_class
             .iter()
@@ -439,6 +216,10 @@ impl IterationSim {
         let survived_fraction =
             if total_tokens > 0.0 { total_survived / total_tokens } else { 1.0 };
 
+        // ---- Placement: SYMI packs each class's replicas contiguously
+        // (Algorithm 1); DeepSpeed stripes classes round-robin so replicas
+        // land on distinct ranks (it has no intra-rank EDP, §4.1); FlexMoE
+        // likewise spreads replicas across ranks, greedily.
         let placement = self.placement(replicas_per_class, system);
         let host_ranks = placement.host_ranks(e);
         let rank_classes = placement.rank_classes(e);
@@ -469,8 +250,9 @@ impl IterationSim {
         let sent_tokens = total_survived / n as f64;
         let a2a_bytes = max_recv_tokens.max(sent_tokens) * emb;
         let mut a2a_once = 0.0;
+        let peers = (n - 1).max(1) as f64; // a lone rank has no peers: shares are 0, not 0/0
         for t in 0..tiers {
-            let share = a2a_bytes * census[t] as f64 / (n as f64 - 1.0);
+            let share = a2a_bytes * census[t] as f64 / peers;
             a2a_once += share / topo.bw(t) + census[t] as f64 * topo.latency(t);
             // dispatch+combine, forward and backward: 4 traversals/layer.
             bytes_by_tier[t] += layers * 4.0 * n as f64 * share;
@@ -480,9 +262,11 @@ impl IterationSim {
 
         // ---- EDP gradient sync, priced per class over its host ranks.
         // The packed contiguous groups SYMI produces ring over fast inner
-        // tiers; the striped/spread baselines ring across the spine. SYMI's
-        // runtime picks the cheaper of ring and tier-tree per group (§4.1's
-        // hierarchical all-reduce generalized to the topology).
+        // tiers (the ring shrinks to nothing when a whole class fits on one
+        // rank); the striped/spread baselines ring across the spine. SYMI is
+        // priced at the cheaper of ring and tier-tree per group — §4.1's
+        // hierarchical all-reduce generalized to the topology; on one tier
+        // the ring always wins.
         let mut class_sync: Vec<TierPhase> = Vec::with_capacity(e);
         for hosts in &host_ranks {
             let ring = tiered.ring_allreduce(hosts, g_bytes);
@@ -536,10 +320,14 @@ impl IterationSim {
             *acc += layers * (grad_phase.bytes_by_tier[t] + weight_phase.bytes_by_tier[t]);
         }
 
+        // Offloaded optimizer step over this rank's share of state: E·O/N
+        // bytes for every system (footprints are equal, §3.3-I).
         let opt_step = layers * (e as f64 * o_bytes / n as f64) / hw.host_opt_bytes_per_s;
 
-        // ---- SYMI's control plane: the popularity all-reduce crosses the
-        // whole cluster, so it pays the outermost tier's α and β.
+        // ---- SYMI's control plane (popularity all-reduce + placement
+        // scheduler + metadata updates, ~1% of the iteration in §5.3): the
+        // all-reduce crosses the whole cluster, so it pays the outermost
+        // tier's α and β.
         let router_meta = match system {
             SimSystem::Symi => {
                 let pop_ar = 2.0 * (n as f64).log2().ceil() * topo.max_latency()
@@ -551,8 +339,11 @@ impl IterationSim {
             _ => 0.0,
         };
 
-        // ---- FlexMoE migration: coupled state drags across whatever tier
-        // separates source and destination — worst case, the spine.
+        // ---- FlexMoE's blocking rebalancing shuffle: each moved replica
+        // drags its weights AND coupled optimizer state (§2.2) across
+        // whatever tier separates source and destination — worst case, the
+        // spine — and through PCIe, and the affected expert's communicator
+        // group must be re-created, a blocking synchronization (§4.2).
         let migration = match system {
             SimSystem::FlexMoE => {
                 let moved = rebalance.moved_replicas_per_layer as f64;
@@ -565,7 +356,11 @@ impl IterationSim {
             _ => 0.0,
         };
 
-        // ---- GPU memory: same accounting as the flat path. ----
+        // ---- GPU memory on the most loaded rank: weights+grads of the
+        // hosted slots, dense parameters, activations, FlexMoE's optimizer
+        // state coupled to the instance's device slot, and its transient
+        // double-buffer of migrated state (current AND future copies
+        // co-located during the move, §5.3).
         let dense_params_bytes = layers * 12.0 * (m.d_model * m.d_model) as f64 * 2.0;
         let activations = tokens_per_rank * m.d_model as f64 * layers * 34.0 * 2.0;
         let expert_mem = layers * s as f64 * (w_bytes + g_bytes);
@@ -621,6 +416,7 @@ impl IterationSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costmodel::SystemKind;
 
     fn sim() -> IterationSim {
         IterationSim::paper_eval(ModelCostConfig::gpt_small())
@@ -759,27 +555,30 @@ mod tests {
     fn symi_iteration_beats_deepspeed_on_uniform_load() {
         // §5.3: SYMI is slightly faster than DeepSpeed thanks to the packed
         // hierarchical all-reduce (intra-rank replicas shrink the rings).
-        let s = sim();
-        let tokens = uniform_tokens(&s);
-        let symi =
-            s.simulate(&tokens, &s.uniform_replicas(), SimSystem::Symi, RebalanceSpec::default());
-        let ds = s.simulate(
-            &tokens,
-            &s.uniform_replicas(),
-            SimSystem::DeepSpeedStatic,
-            RebalanceSpec::default(),
-        );
-        assert!(
-            symi.total_seconds() < ds.total_seconds(),
-            "symi {} vs deepspeed {}",
-            symi.total_seconds(),
-            ds.total_seconds()
-        );
-        let gain = 1.0 - symi.total_seconds() / ds.total_seconds();
-        assert!(
-            (0.005..0.2).contains(&gain),
-            "the win must be modest (paper: 2.8–9.3%), got {gain}"
-        );
+        for cfg in [
+            ModelCostConfig::gpt_small(),
+            ModelCostConfig::gpt_medium(),
+            ModelCostConfig::gpt_large(),
+        ] {
+            let s = IterationSim::paper_eval(cfg);
+            let tokens = uniform_tokens(&s);
+            let r = s.uniform_replicas();
+            let symi = s.simulate(&tokens, &r, SimSystem::Symi, RebalanceSpec::default());
+            let ds = s.simulate(&tokens, &r, SimSystem::DeepSpeedStatic, RebalanceSpec::default());
+            assert!(
+                symi.total_seconds() < ds.total_seconds(),
+                "{}: symi {} vs deepspeed {}",
+                cfg.name,
+                symi.total_seconds(),
+                ds.total_seconds()
+            );
+            let gain = 1.0 - symi.total_seconds() / ds.total_seconds();
+            assert!(
+                (0.005..0.2).contains(&gain),
+                "{}: the win must be modest (paper: 2.8–9.3%), got {gain}",
+                cfg.name
+            );
+        }
     }
 
     #[test]
@@ -830,37 +629,84 @@ mod tests {
     }
 
     #[test]
-    fn hier_on_flat_topology_matches_flat_simulate_for_deepspeed() {
-        // On a single-tier topology the tiered pricing must collapse to the
-        // flat formulas. DeepSpeed's phases are priced identically in both
-        // paths (the flat weight phase carries no α term, so zero latency).
-        let mut s = sim();
-        s.hw.net_latency = 0.0;
-        let topo = crate::topology::Topology::flat(s.nodes, &s.hw);
-        let tokens = uniform_tokens(&s);
-        let r = s.uniform_replicas();
-        let flat = s.simulate(&tokens, &r, SimSystem::DeepSpeedStatic, RebalanceSpec::default());
-        let hier = s.simulate_hier(
+    fn a_single_rank_has_no_network_phases_and_stays_finite() {
+        let s = IterationSim { nodes: 1, expert_classes: 4, ..sim() };
+        for system in [SimSystem::DeepSpeedStatic, SimSystem::Symi, SimSystem::FlexMoE] {
+            let b = s.simulate(
+                &uniform_tokens(&s),
+                &s.uniform_replicas(),
+                system,
+                RebalanceSpec::default(),
+            );
+            assert!(b.total_seconds().is_finite(), "{system:?}");
+            assert_eq!(b.component("a2a_fwd") + b.component("edp_sync"), 0.0, "{system:?}");
+            assert_eq!(b.comm_bytes_by_tier, vec![0.0], "{system:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "every class needs ≥1 replica")]
+    fn zero_replica_class_panics_on_a_tiered_topology() {
+        let s = sim();
+        let topo = Topology::superpod(s.nodes);
+        let mut r = s.uniform_replicas();
+        r[1] += r[0];
+        r[0] = 0;
+        let _ = s.simulate_hier(
             &topo,
-            &tokens,
+            &uniform_tokens(&s),
             &r,
-            SimSystem::DeepSpeedStatic,
+            SimSystem::Symi,
             RebalanceSpec::default(),
             ShardScope::Cluster,
         );
-        for c in &flat.components {
-            let h = hier.component(c.name);
-            assert!(
-                (h - c.seconds).abs() <= 1e-9 * c.seconds.max(1.0),
-                "{}: hier {} vs flat {}",
-                c.name,
-                h,
-                c.seconds
-            );
+    }
+
+    #[test]
+    fn flat_topology_prices_grad_and_weight_phases_by_section_3_3() {
+        // On one tier at α = 0 the grad and weight phases are the paper's
+        // per-rank expressions: SYMI pays T_G + T_W of `costs(Symi)`; the
+        // coupled systems pay the static T_W and, their grad shard being
+        // local after the EDP all-reduce, only T_G's PCIe term (E/N)·G/BW_pci.
+        for cfg in [
+            ModelCostConfig::gpt_small(),
+            ModelCostConfig::gpt_medium(),
+            ModelCostConfig::gpt_large(),
+        ] {
+            let mut s = IterationSim::paper_eval(cfg);
+            s.hw.net_latency = 0.0;
+            let model = CommCostModel {
+                nodes: s.nodes,
+                expert_classes: s.expert_classes,
+                slots_per_rank: s.slots_per_rank,
+                grad_bytes: cfg.expert_grad_bytes(),
+                weight_bytes: cfg.expert_weight_bytes(),
+                optimizer_bytes: cfg.expert_optimizer_bytes(),
+                hw: s.hw,
+            };
+            let close = |got: f64, want: f64, what: &str| {
+                assert!((got - want).abs() <= 1e-12 * want, "{} {what}: {got} vs {want}", cfg.name);
+            };
+            let layers = cfg.layers as f64;
+            let tokens = uniform_tokens(&s);
+            let r = s.uniform_replicas();
+            let per_layer = |system, name| {
+                let b = s.simulate(&tokens, &r, system, RebalanceSpec::default());
+                assert_eq!(b.comm_bytes_by_tier.len(), 1);
+                assert!(b.comm_bytes_by_tier[0].is_finite() && b.comm_bytes_by_tier[0] > 0.0);
+                b.component(name) / layers
+            };
+            let symi =
+                per_layer(SimSystem::Symi, "grad_comm") + per_layer(SimSystem::Symi, "weight_comm");
+            close(symi, model.costs(SystemKind::Symi).total(), "symi grad+weight");
+            let static_costs = model.costs(SystemKind::StaticBaseline);
+            let grad_pci =
+                s.expert_classes as f64 / s.nodes as f64 * model.grad_bytes / s.hw.bw_pci;
+            for system in [SimSystem::DeepSpeedStatic, SimSystem::FlexMoE] {
+                close(per_layer(system, "weight_comm"), static_costs.t_weight, "coupled weight");
+                close(per_layer(system, "grad_comm"), grad_pci, "coupled grad");
+            }
         }
-        assert_eq!(hier.comm_bytes_by_tier.len(), 1);
-        assert!(hier.comm_bytes_by_tier[0].is_finite() && hier.comm_bytes_by_tier[0] > 0.0);
-        assert!(flat.comm_bytes_by_tier.is_empty());
     }
 
     #[test]
@@ -868,7 +714,7 @@ mod tests {
         // The packed-placement win survives (and grows) once the striped
         // baseline's EDP rings have to cross real tier boundaries.
         let s = sim();
-        let topo = crate::topology::Topology::superpod(s.nodes);
+        let topo = Topology::superpod(s.nodes);
         let tokens = uniform_tokens(&s);
         let r = s.uniform_replicas();
         let symi = s.simulate_hier(

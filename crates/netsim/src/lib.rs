@@ -2,8 +2,8 @@
 //!
 //! Performance modeling for the SYMI reproduction: the cluster/hardware
 //! descriptions, the paper's analytic communication-cost formulas (§3.3
-//! items I–III, Appendix A.1 and A.2), and a task-graph latency simulator
-//! that turns byte and FLOP counts into the per-iteration latencies and
+//! items I–III, Appendix A.1 and A.2), and a per-iteration latency simulator
+//! that turns byte and FLOP counts into the iteration latencies and
 //! component breakdowns reported in Table 1, Table 3, Figure 11 and
 //! Figure 12.
 //!
@@ -12,13 +12,11 @@
 //! `symi-collectives`, whose traffic reports this crate prices.
 
 pub mod costmodel;
-pub mod event;
 pub mod iteration;
 pub mod placement;
 pub mod topology;
 
-pub use costmodel::{CommCostModel, CommCosts, ShardScope, SystemKind, TierPhase, TieredCostModel};
-pub use event::{GraphError, TaskGraph, TaskId};
+pub use costmodel::{CommCostModel, CommCosts, ShardScope, SystemKind, TieredCostModel};
 pub use iteration::{IterationBreakdown, IterationSim, RebalanceSpec, SimSystem};
 pub use placement::SlotPlacement;
 pub use topology::{HardwareSpec, ModelCostConfig, TierSpec, Topology};

@@ -18,7 +18,7 @@ pub struct SlotPlacement {
 impl SlotPlacement {
     /// SYMI's contiguous packing: class `c`'s replicas occupy consecutive
     /// slots (Algorithm 1's output shape).
-    pub fn symi_contiguous(replicas_per_class: &[usize], slots_per_rank: usize) -> Self {
+    pub(crate) fn symi_contiguous(replicas_per_class: &[usize], slots_per_rank: usize) -> Self {
         let mut slot_class = Vec::with_capacity(replicas_per_class.iter().sum());
         for (class, &r) in replicas_per_class.iter().enumerate() {
             slot_class.extend(std::iter::repeat_n(class, r));
@@ -36,7 +36,7 @@ impl SlotPlacement {
     /// FlexMoE's greedy spread: replicas of each class (most-replicated
     /// first) go to the currently emptiest ranks, avoiding ranks already
     /// hosting the class.
-    pub fn greedy_spread(
+    pub(crate) fn greedy_spread(
         replicas_per_class: &[usize],
         ranks: usize,
         slots_per_rank: usize,
@@ -108,7 +108,7 @@ impl SlotPlacement {
     }
 
     /// Per-class `(host rank, local replica count)` pairs.
-    pub fn hosts_with_counts(&self, expert_classes: usize) -> Vec<Vec<(usize, usize)>> {
+    pub(crate) fn hosts_with_counts(&self, expert_classes: usize) -> Vec<Vec<(usize, usize)>> {
         let mut hosts: Vec<Vec<(usize, usize)>> = vec![Vec::new(); expert_classes];
         for (slot, &class) in self.slot_class.iter().enumerate() {
             let rank = slot / self.slots_per_rank;
@@ -121,7 +121,7 @@ impl SlotPlacement {
     }
 
     /// Per-rank distinct classes hosted, in first-seen order.
-    pub fn rank_classes(&self, expert_classes: usize) -> Vec<Vec<usize>> {
+    pub(crate) fn rank_classes(&self, expert_classes: usize) -> Vec<Vec<usize>> {
         let _ = expert_classes;
         let mut out: Vec<Vec<usize>> = vec![Vec::new(); self.ranks()];
         for (slot, &class) in self.slot_class.iter().enumerate() {

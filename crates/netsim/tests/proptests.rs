@@ -3,7 +3,7 @@
 
 use symi_netsim::iteration::{RebalanceSpec, SimSystem};
 use symi_netsim::topology::HardwareSpec;
-use symi_netsim::{CommCostModel, IterationSim, ModelCostConfig, SystemKind, TaskGraph};
+use symi_netsim::{CommCostModel, IterationSim, ModelCostConfig, SystemKind};
 use symi_tensor::rng::{Rng, StdRng};
 
 fn replicas_summing_to(tokens: &[f64], slots: usize) -> Vec<usize> {
@@ -108,30 +108,5 @@ fn analytic_costs_scale_linearly_in_bytes() {
         }
         // The overhead ratio is scale-free.
         assert!((base.symi_overhead_ratio() - scaled.symi_overhead_ratio()).abs() < 1e-12);
-    }
-}
-
-#[test]
-fn task_graph_makespan_bounds() {
-    let mut rng = StdRng::seed_from_u64(504);
-    for _ in 0..32 {
-        let n = rng.gen_range(1..20usize);
-        let durations: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 10.0).collect();
-        // Serial chain: makespan = sum; parallel: makespan = max.
-        let mut serial = TaskGraph::new();
-        let mut prev = None;
-        for &d in &durations {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(serial.add("t", d, &deps));
-        }
-        let sum: f64 = durations.iter().sum();
-        assert!((serial.schedule().makespan() - sum).abs() < 1e-9);
-
-        let mut parallel = TaskGraph::new();
-        for &d in &durations {
-            parallel.add("t", d, &[]);
-        }
-        let max = durations.iter().cloned().fold(0.0, f64::max);
-        assert!((parallel.schedule().makespan() - max).abs() < 1e-12);
     }
 }

@@ -49,10 +49,6 @@ impl ClusterTelemetry {
         self.enabled
     }
 
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
     pub fn registry(&self) -> &Arc<MetricRegistry> {
         &self.registry
     }

@@ -59,16 +59,8 @@ impl Obj {
 }
 
 impl Value {
-    pub fn obj() -> Obj {
-        Obj::new()
-    }
-
     pub fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())
-    }
-
-    pub fn num(n: f64) -> Value {
-        Value::Num(n)
     }
 
     /// Lossless for integers up to 2^53 — all values this workspace emits.

@@ -30,10 +30,10 @@ pub mod sink;
 
 pub use cluster::{ClusterTelemetry, TelemetryHandle};
 pub use json::Value;
-pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, MetricRegistry};
 pub use phase::{
-    current_phase, LinkClass, Phase, PhaseAccumulator, ScopedTimer, LINK_CLASSES, NUM_LINK_CLASSES,
-    NUM_PHASES, PHASES,
+    current_phase, LinkClass, Phase, ScopedTimer, LINK_CLASSES, NUM_LINK_CLASSES, NUM_PHASES,
+    PHASES,
 };
 pub use report::IterationReport;
-pub use sink::{CsvSink, JsonlSink, RingBufferSink, Sink};
+pub use sink::{JsonlSink, RingBufferSink, Sink};

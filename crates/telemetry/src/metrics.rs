@@ -62,7 +62,7 @@ impl Gauge {
     }
 }
 
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Fixed-bucket log₂ histogram over `u64` samples.
 ///
@@ -87,7 +87,7 @@ impl Default for Histogram {
 }
 
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -142,7 +142,7 @@ impl Histogram {
     }
 
     /// Upper edge (exclusive-ish representative) of bucket `i`: 2^(i+1)-1.
-    pub fn bucket_upper(i: usize) -> u64 {
+    pub(crate) fn bucket_upper(i: usize) -> u64 {
         if i >= 63 {
             u64::MAX
         } else {
@@ -151,7 +151,7 @@ impl Histogram {
     }
 
     /// Approximate quantile from bucket upper edges; q in [0,1].
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;

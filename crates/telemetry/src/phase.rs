@@ -75,7 +75,8 @@ impl Phase {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Phase> {
+    #[cfg(test)]
+    pub(crate) fn from_name(name: &str) -> Option<Phase> {
         PHASES.iter().copied().find(|p| p.name() == name)
     }
 
@@ -117,7 +118,8 @@ impl LinkClass {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<LinkClass> {
+    #[cfg(test)]
+    pub(crate) fn from_name(name: &str) -> Option<LinkClass> {
         LINK_CLASSES.iter().copied().find(|c| c.name() == name)
     }
 }
@@ -138,7 +140,7 @@ pub fn current_phase() -> Phase {
 /// Written by that rank's `ScopedTimer`s; read (and drained) by whoever
 /// assembles the cluster-wide `IterationReport`.
 #[derive(Debug)]
-pub struct PhaseAccumulator {
+pub(crate) struct PhaseAccumulator {
     ns: [AtomicU64; NUM_PHASES],
 }
 
@@ -160,11 +162,6 @@ impl PhaseAccumulator {
 
     pub fn get(&self, phase: Phase) -> u64 {
         self.ns[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot all phases (index order) without resetting.
-    pub fn snapshot(&self) -> [u64; NUM_PHASES] {
-        std::array::from_fn(|i| self.ns[i].load(Ordering::Relaxed))
     }
 
     /// Snapshot all phases and reset to zero (per-iteration drain).
@@ -189,7 +186,7 @@ pub struct ScopedTimer<'a> {
 
 impl<'a> ScopedTimer<'a> {
     /// Open a span that records into `acc` when dropped.
-    pub fn with_accumulator(phase: Phase, acc: &'a PhaseAccumulator) -> Self {
+    pub(crate) fn with_accumulator(phase: Phase, acc: &'a PhaseAccumulator) -> Self {
         Self::build(phase, Some(acc))
     }
 

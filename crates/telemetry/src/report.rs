@@ -87,7 +87,7 @@ impl IterationReport {
     }
 
     /// Total ns one rank spent across all phases.
-    pub fn rank_total_ns(&self, rank: usize) -> u64 {
+    pub(crate) fn rank_total_ns(&self, rank: usize) -> u64 {
         self.phase_ns.get(rank).map(|p| p.iter().sum()).unwrap_or(0)
     }
 
@@ -103,15 +103,6 @@ impl IterationReport {
     /// Critical-path time of a phase: max across ranks.
     pub fn phase_ns_max(&self, phase: Phase) -> u64 {
         self.phase_ns.iter().map(|p| p[phase.index()]).max().unwrap_or(0)
-    }
-
-    /// Mean across ranks of a phase's time.
-    pub fn phase_ns_mean(&self, phase: Phase) -> f64 {
-        if self.phase_ns.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.phase_ns.iter().map(|p| p[phase.index()]).sum();
-        sum as f64 / self.phase_ns.len() as f64
     }
 
     /// Iteration wall time proxy: the slowest rank's total.

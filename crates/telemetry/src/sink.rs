@@ -1,4 +1,4 @@
-//! Pluggable report sinks: JSONL stream, CSV summary, in-memory ring buffer.
+//! Pluggable report sinks: JSONL stream, in-memory ring buffer.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -6,7 +6,6 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-use crate::phase::{LINK_CLASSES, PHASES};
 use crate::report::IterationReport;
 
 /// Destination for completed iteration reports. Implementations must be
@@ -34,16 +33,6 @@ impl JsonlSink {
             }
         }
         let file = File::create(path)?;
-        Ok(Self { out: Mutex::new(BufWriter::new(file)), write_through: false })
-    }
-
-    pub fn append(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        if let Some(parent) = path.as_ref().parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Self { out: Mutex::new(BufWriter::new(file)), write_through: false })
     }
 
@@ -87,61 +76,6 @@ impl Sink for JsonlSink {
 
     fn flush(&self) {
         let _ = self.out.lock().expect("jsonl sink poisoned").flush();
-    }
-}
-
-/// Flat CSV with one row per iteration: scalar metrics plus per-phase
-/// critical-path ns and per-class byte totals.
-pub struct CsvSink {
-    out: Mutex<BufWriter<File>>,
-}
-
-impl CsvSink {
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        if let Some(parent) = path.as_ref().parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let file = File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let mut header: Vec<String> = vec![
-            "system".into(),
-            "iteration".into(),
-            "loss".into(),
-            "popularity_entropy".into(),
-            "total_drop_rate".into(),
-            "placement_churn".into(),
-            "straggler_spread_ns".into(),
-            "iteration_ns".into(),
-        ];
-        header.extend(PHASES.iter().map(|p| format!("ns_{}", p.name())));
-        header.extend(LINK_CLASSES.iter().map(|c| format!("bytes_{}", c.name())));
-        writeln!(w, "{}", header.join(","))?;
-        Ok(Self { out: Mutex::new(w) })
-    }
-}
-
-impl Sink for CsvSink {
-    fn emit(&self, r: &IterationReport) {
-        let mut row: Vec<String> = vec![
-            r.system.clone(),
-            r.iteration.to_string(),
-            format!("{:.6}", r.loss),
-            format!("{:.6}", r.popularity_entropy()),
-            format!("{:.6}", r.total_drop_rate()),
-            r.placement_churn.to_string(),
-            r.straggler_spread_ns().to_string(),
-            r.iteration_ns().to_string(),
-        ];
-        row.extend(PHASES.iter().map(|&p| r.phase_ns_max(p).to_string()));
-        row.extend(LINK_CLASSES.iter().map(|&c| r.bytes_for_class(c).to_string()));
-        let mut out = self.out.lock().expect("csv sink poisoned");
-        let _ = writeln!(out, "{}", row.join(","));
-    }
-
-    fn flush(&self) {
-        let _ = self.out.lock().expect("csv sink poisoned").flush();
     }
 }
 
@@ -264,22 +198,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(IterationReport::parse_jsonl(text.trim()).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn csv_sink_has_header_and_rows() {
-        let dir = std::env::temp_dir().join("symi_telemetry_test_csv");
-        let path = dir.join("run.csv");
-        let sink = CsvSink::create(&path).unwrap();
-        sink.emit(&IterationReport::new("symi", 0));
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("system,iteration,loss"));
-        assert!(lines[0].contains("ns_expert_ffn"));
-        assert!(lines[0].contains("bytes_inter_node"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

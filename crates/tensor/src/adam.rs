@@ -225,17 +225,6 @@ impl AdamShard {
         out
     }
 
-    /// Restores state exported by [`AdamShard::export_state`]; the step
-    /// counter is carried in `t`.
-    pub fn import_state(&mut self, state: &[f32], t: u64) {
-        let len = self.master.len();
-        assert_eq!(state.len(), 3 * len, "state blob length mismatch");
-        self.master.copy_from_slice(&state[..len]);
-        self.m.copy_from_slice(&state[len..2 * len]);
-        self.v.copy_from_slice(&state[2 * len..]);
-        self.t = t;
-    }
-
     /// Optimizer-state bytes this shard occupies under the paper's
     /// accounting (16 B per parameter: fp32 master weight, fp32 m, fp32 v,
     /// fp32 gradient staging).

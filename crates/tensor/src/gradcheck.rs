@@ -49,18 +49,6 @@ fn contract(y: &Matrix, dy: &Matrix) -> f64 {
     y.as_slice().iter().zip(dy.as_slice()).map(|(a, b)| *a as f64 * *b as f64).sum()
 }
 
-/// Relative error between analytic and numeric gradients, scaled by the
-/// larger of the two norms; convenient single-number check for tests.
-pub fn relative_error(analytic: &Matrix, numeric: &Matrix) -> f32 {
-    let diff = {
-        let mut d = analytic.clone();
-        d.axpy(-1.0, numeric);
-        d.frobenius_norm()
-    };
-    let denom = analytic.frobenius_norm().max(numeric.frobenius_norm()).max(1e-8);
-    diff / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,15 +65,11 @@ mod tests {
     fn numeric_grad_of_square_is_2x_dy() {
         let x = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f32 + 0.5);
         let dy = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let g = numerical_grad(&x, &dy, |m| m.hadamard(m));
+        let g = numerical_grad(&x, &dy, |m| {
+            Matrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)] * m[(r, c)])
+        });
         let mut expect = x.clone();
         expect.scale(2.0);
         assert!(g.max_abs_diff(&expect) < 1e-2);
-    }
-
-    #[test]
-    fn relative_error_zero_for_equal() {
-        let a = Matrix::from_fn(3, 3, |r, c| (r * c) as f32);
-        assert!(relative_error(&a, &a) < 1e-9);
     }
 }

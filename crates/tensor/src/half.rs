@@ -1,14 +1,9 @@
-//! IEEE-754 binary16 ("f16") storage: scalar conversions and a half-precision
-//! matrix container for the f16-storage / f32-accumulate GEMM path.
+//! IEEE-754 binary16 ("f16") codec: scalar conversions and their slice
+//! forms.
 //!
-//! SYMI's wire protocol already ships expert weights as fp16 (2 B/param), and
-//! the Adam optimizer publishes parameters *on the fp16 grid* (each published
-//! value round-trips f32→f16→f32 losslessly). [`HalfMatrix`] lets those
-//! weights also *live* in half precision on the compute side: the GEMM
-//! kernels stream 2-byte weight panels and widen to f32 only inside the
-//! microkernel registers (see `kernels::gemm_nn_f16` / `gemm_nt_f16`),
-//! halving the memory traffic of the bandwidth-bound weight-stationary GEMMs
-//! while every accumulation still happens in f32.
+//! SYMI's wire protocol ships expert weights as fp16 (2 B/param), and the
+//! Adam optimizer publishes parameters *on the fp16 grid* (each published
+//! value round-trips f32→f16→f32 losslessly).
 //!
 //! The scalar conversions here are the canonical ones for the whole
 //! workspace (the wire codec and baselines re-use them through the `adam`
@@ -18,7 +13,6 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::f16_fast_path;
-use crate::matrix::Matrix;
 
 /// Rounds an `f32` through IEEE-754 binary16 and back — the model weights in
 /// SYMI live in fp16 on the accelerator while the optimizer keeps fp32
@@ -110,8 +104,8 @@ pub fn f16_to_f32(h: u16) -> f32 {
 }
 
 /// `dst[i] = f32_to_f16(src[i])`: `VCVTPS2PH` eight at a time where the CPU
-/// has AVX2+F16C (the dispatch of the f16 GEMM family), the scalar
-/// conversion otherwise — the same bits either way.
+/// has AVX2+F16C ([`crate::kernels::f16_fast_path`]), the scalar conversion otherwise — the
+/// same bits either way.
 ///
 /// # Panics
 /// Panics if the lengths differ.
@@ -141,96 +135,33 @@ pub fn decode(src: &[u16], dst: &mut [f32]) {
     }
 }
 
-/// A dense, row-major matrix stored as IEEE-754 binary16 bits.
-///
-/// This is a *storage* format: arithmetic always widens to f32 (decode is
-/// exact), so a `HalfMatrix` built from weights that already sit on the fp16
-/// grid — everything the SYMI optimizer publishes — reproduces the same f32
-/// values bit-for-bit. Values off the grid round-to-nearest-even on encode.
-#[derive(Clone, PartialEq, Debug)]
-pub struct HalfMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<u16>,
-}
-
-impl HalfMatrix {
-    /// A `rows × cols` matrix of (+0.0) zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0u16; rows * cols] }
-    }
-
-    /// Encodes an f32 matrix (round-to-nearest-even per element).
-    pub fn from_matrix(m: &Matrix) -> Self {
-        let mut out = Self::zeros(0, 0);
-        out.encode_from(m);
-        out
-    }
-
-    /// Re-encodes `m` into `self`, reusing the allocation.
-    pub fn encode_from(&mut self, m: &Matrix) {
-        self.rows = m.rows();
-        self.cols = m.cols();
-        self.data.resize(m.len(), 0);
-        encode(m.as_slice(), &mut self.data);
-    }
-
-    /// Decodes to an f32 matrix (exact).
-    pub fn to_matrix(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        decode(&self.data, out.as_mut_slice());
-        out
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Raw binary16 bits, row-major.
-    pub fn as_bits(&self) -> &[u16] {
-        &self.data
-    }
-
-    /// Element `(r, c)` widened to f32.
-    pub fn get(&self, r: usize, c: usize) -> f32 {
-        debug_assert!(r < self.rows && c < self.cols);
-        f16_to_f32(self.data[r * self.cols + c])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn round_trip(src: &[f32]) -> Vec<f32> {
+        let mut bits = vec![0u16; src.len()];
+        encode(src, &mut bits);
+        let mut back = vec![0.0f32; src.len()];
+        decode(&bits, &mut back);
+        back
+    }
+
     #[test]
     fn encode_decode_round_trip_is_quantize() {
-        let m = Matrix::from_fn(7, 5, |r, c| ((r * 5 + c) as f32 * 0.137).sin() * 3.0);
-        let h = HalfMatrix::from_matrix(&m);
-        let back = h.to_matrix();
-        for (a, b) in m.as_slice().iter().zip(back.as_slice()) {
-            assert_eq!(*b, quantize_f16(*a));
+        let m: Vec<f32> = (0..35).map(|i| (i as f32 * 0.137).sin() * 3.0).collect();
+        for (a, b) in m.iter().zip(round_trip(&m)) {
+            assert_eq!(b, quantize_f16(*a));
         }
     }
 
     #[test]
     fn grid_values_round_trip_exactly() {
         // Values already on the fp16 grid (what the optimizer publishes)
-        // must survive storage bit-for-bit.
-        let m = Matrix::from_fn(4, 4, |r, c| quantize_f16((r as f32 - 1.5) * 0.31 + c as f32));
-        let h = HalfMatrix::from_matrix(&m);
-        assert_eq!(h.to_matrix(), m);
+        // must survive the wire bit-for-bit.
+        let m: Vec<f32> =
+            (0..16).map(|i| quantize_f16(((i / 4) as f32 - 1.5) * 0.31 + (i % 4) as f32)).collect();
+        assert_eq!(round_trip(&m), m);
     }
 
     #[test]
@@ -257,14 +188,5 @@ mod tests {
         assert_eq!(f16_to_f32(0x7c01).to_bits(), 0x7fc0_2000, "decode quiets too");
         assert_eq!(f16_to_f32(0xfe00).to_bits(), 0xffc0_0000);
         assert_eq!(f16_to_f32(0x7c00), f32::INFINITY);
-    }
-
-    #[test]
-    fn encode_from_reuses_and_resizes() {
-        let mut h = HalfMatrix::zeros(2, 2);
-        let m = Matrix::from_fn(3, 5, |r, c| (r + c) as f32);
-        h.encode_from(&m);
-        assert_eq!((h.rows(), h.cols()), (3, 5));
-        assert_eq!(h.get(2, 4), 6.0);
     }
 }

@@ -28,23 +28,13 @@
 //! held to the oracle by a ULP/error-bound gate instead of `==` — see
 //! `tests/simd_oracle.rs`. `SYMI_SIMD=scalar|avx2` overrides detection.
 //!
-//! # f16 storage / f32 accumulate
-//!
-//! `gemm_nn_f16` / `gemm_nt_f16` take the weight operand as a
-//! [`crate::half::HalfMatrix`]: with F16C the microkernels stream the
-//! 2-byte binary16 strips in place and widen with `vcvtph2ps` on the way
-//! into the FMA (half the B traffic per k step); without it, B is decoded
-//! to f32 **once per call** into a thread-local scratch and the f32
-//! drivers run — both conversions are exact, so the paths agree on values.
-//! Accumulation is always f32.
-//!
 //! # Determinism contract
 //!
 //! Within one process (one resolved SIMD path), every GEMM is a pure
 //! function of its operands — independent of worker count and repeatable
 //! across runs. Work splits only across *output* elements, never across the
 //! `k` reduction, and share boundaries are aligned to the active path's row
-//! tile ([`crate::pool::par_rows_planned`]), so the full-tile/edge-tile
+//! tile (`pool::par_rows_planned`), so the full-tile/edge-tile
 //! decomposition — which decides where FMA vs scalar rounding applies — is a
 //! global property of the shape, not of the split. The scalar path is
 //! additionally bit-exact against [`naive`]. Fused epilogues (`+ bias`, then
@@ -64,7 +54,6 @@
 //! cost. Gated calls run sequentially on the submitting thread with zero
 //! dispatch and bump the `kernel.seq_fallback` counter.
 
-use crate::half::HalfMatrix;
 use crate::matrix::Matrix;
 use crate::pool::{par_rows2_planned, par_rows_planned};
 use std::cell::RefCell;
@@ -86,7 +75,6 @@ pub const DEFAULT_FLOPS_PER_SHARE: u64 = 128_000_000;
 static GEMM_NS: AtomicU64 = AtomicU64::new(0);
 static GEMM_FLOPS: AtomicU64 = AtomicU64::new(0);
 static SEQ_FALLBACK: AtomicU64 = AtomicU64::new(0);
-static B_PACKS: AtomicU64 = AtomicU64::new(0);
 static ACT_NS: AtomicU64 = AtomicU64::new(0);
 static ACT_ELEMS: AtomicU64 = AtomicU64::new(0);
 
@@ -95,16 +83,16 @@ static ACT_ELEMS: AtomicU64 = AtomicU64::new(0);
 pub struct KernelStats {
     /// Wall nanoseconds spent inside GEMM drivers (submitting thread) —
     /// GEMM work only: the fused activation epilogue of
-    /// [`gemm_nn_bias_gelu`] is timed into [`ActStats::act_ns`] instead.
+    /// `gemm_nn_bias_gelu` is timed into [`ActStats::act_ns`] instead.
     pub gemm_ns: u64,
     /// Multiply-add FLOPs issued (2·m·n·k per GEMM).
     pub gemm_flops: u64,
     /// GEMM calls the cost model ran sequentially although the pool had
     /// threads to offer (parallelism could not amortize dispatch).
     pub seq_fallback: u64,
-    /// B-operand preparation passes. The f32 nn family reads B in place
-    /// (never counts); only the no-F16C f16 fallback decodes B, exactly
-    /// once per call — preparation is never repeated per share.
+    /// B-operand preparation passes: always 0, every GEMM family reads B
+    /// in place. The field stays because the repository benchmark's
+    /// `KernelStats` delta (`benchmark/src/workloads.rs`) names it.
     pub b_packs: u64,
 }
 
@@ -114,7 +102,7 @@ pub fn kernel_stats() -> KernelStats {
         gemm_ns: GEMM_NS.load(Ordering::Relaxed),
         gemm_flops: GEMM_FLOPS.load(Ordering::Relaxed),
         seq_fallback: SEQ_FALLBACK.load(Ordering::Relaxed),
-        b_packs: B_PACKS.load(Ordering::Relaxed),
+        b_packs: 0,
     }
 }
 
@@ -239,9 +227,9 @@ pub fn simd_path_name() -> &'static str {
     }
 }
 
-/// Whether the f16-storage GEMMs can stream binary16 panels directly
-/// (AVX2 path + F16C). Otherwise they widen at pack time and run the f32
-/// microkernels — same values, full-width panel traffic.
+/// Whether the binary16 codec and the Adam kernel that emits binary16 run
+/// on `VCVTPS2PH`/`VCVTPH2PS` (AVX2 path + F16C) instead of the scalar
+/// conversions — same bits either way.
 pub fn f16_fast_path() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -362,22 +350,8 @@ fn plan_shares(rows: usize, block: usize, flops: u64) -> usize {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Decoded-B scratch for the f16 fallback paths (no F16C): B widened
-    /// to f32 once per call, shared read-only across workers.
-    static DEC_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Packed-A column-strip scratch for `tn` (per worker thread).
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Decodes a binary16 B to f32 once per call (exact — binary16 ⊂ f32), so
-/// fallback paths without F16C compute the same function of the decoded B
-/// as the in-register-widening fast path. Counted in
-/// [`KernelStats::b_packs`]: per-call B preparation work, shared
-/// read-only across workers — never repeated per share.
-fn decode_b_f16(bh: &[u16], dec: &mut Vec<f32>) {
-    B_PACKS.fetch_add(1, Ordering::Relaxed);
-    dec.clear();
-    dec.extend(bh.iter().map(|&h| crate::half::f16_to_f32(h)));
 }
 
 /// Packs columns `col0 .. col0+ih` of the `r×m` matrix `a` k-major:
@@ -461,31 +435,6 @@ pub(crate) fn kern_nn_edge(
             let mut s = if acc { out[i * ldc + j] } else { 0.0 };
             for kk in 0..k {
                 s += a[i * lda + kk] * panel[kk * nr + j];
-            }
-            out[i * ldc + j] = s;
-        }
-    }
-}
-
-/// [`kern_nn_edge`] over a binary16 panel (widened per element; exact).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn kern_nn_edge_f16(
-    a: &[f32],
-    lda: usize,
-    k: usize,
-    rows: usize,
-    panel: &[u16],
-    w: usize,
-    nr: usize,
-    out: &mut [f32],
-    ldc: usize,
-    acc: bool,
-) {
-    for i in 0..rows {
-        for j in 0..w {
-            let mut s = if acc { out[i * ldc + j] } else { 0.0 };
-            for kk in 0..k {
-                s += a[i * lda + kk] * crate::half::f16_to_f32(panel[kk * nr + j]);
             }
             out[i * ldc + j] = s;
         }
@@ -775,7 +724,7 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option
 /// epilogue is timed per share; the slowest share's time is what the
 /// submitting thread waited for, so that much of the call's wall time is
 /// booked as activation time and the rest as GEMM time.
-pub fn gemm_nn_bias_gelu(
+pub(crate) fn gemm_nn_bias_gelu(
     a: &Matrix,
     b: &Matrix,
     bias: &Matrix,
@@ -822,7 +771,7 @@ pub fn gemm_nn_bias_gelu(
 /// `out (+)= a · bᵀ` (`b` is `n×k`): independent contiguous dot products.
 /// Each dot is one accumulator chain over ascending k (8-lane k-splitting
 /// with a fixed reduction order on the AVX2 path).
-pub fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
+pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -892,101 +841,7 @@ pub fn gemm_tn_slice(a: &Matrix, b: &Matrix, out: &mut [f32], acc: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// f16-storage drivers
-// ---------------------------------------------------------------------------
-
-/// `out (+)= a · b` where `b` is stored as binary16, optional fused
-/// `+ bias`. Accumulation is f32; panels stream as 2 bytes/element on the
-/// F16C fast path and are widened exactly at pack time otherwise, so both
-/// variants compute the same function of the *decoded* B.
-pub fn gemm_nn_f16(a: &Matrix, b: &HalfMatrix, out: &mut Matrix, acc: bool, bias: Option<&Matrix>) {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul_f16 shape mismatch: {}x{} · {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if let Some(bias) = bias {
-        assert_eq!(bias.rows(), 1, "bias must be a row vector");
-        assert_eq!(bias.cols(), n, "bias width mismatch");
-    }
-    let t0 = Instant::now();
-    out.resize_to(m, n);
-    if n == 0 || m == 0 {
-        record(t0, m, n, k);
-        return;
-    }
-    let path = active_path();
-    let (mr, _) = nn_tile(path);
-    let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
-    let bias = bias.map(|bm| bm.as_slice());
-    #[cfg(target_arch = "x86_64")]
-    if f16_fast_path() {
-        let bh = b.as_bits();
-        par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
-            crate::simd::nn_rows_f16(a, rows, k, n, bh, n, chunk, acc, bias);
-        });
-        record(t0, m, n, k);
-        return;
-    }
-    DEC_B.with(|p| {
-        let mut p = p.borrow_mut();
-        decode_b_f16(b.as_bits(), &mut p);
-        let bsl: &[f32] = &p;
-        par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
-            nn_rows_dispatch(path, a, rows, k, n, bsl, n, chunk, acc, bias);
-        });
-    });
-    record(t0, m, n, k);
-}
-
-/// `out (+)= a · bᵀ` where `b` (`n×k`) is stored as binary16 — the
-/// input-gradient GEMM against half-precision weights.
-pub fn gemm_nt_f16(a: &Matrix, b: &HalfMatrix, out: &mut Matrix, acc: bool) {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_nt_f16 shape mismatch: {}x{} · ({}x{})ᵀ",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let t0 = Instant::now();
-    out.resize_to(m, n);
-    if m == 0 || n == 0 {
-        record(t0, m, n, k);
-        return;
-    }
-    let path = active_path();
-    let shares = plan_shares(m, MR, 2 * (m as u64) * (n as u64) * (k as u64));
-    #[cfg(target_arch = "x86_64")]
-    if f16_fast_path() {
-        let bh = b.as_bits();
-        par_rows_planned(m, n, MR, shares, out.as_mut_slice(), |rows, chunk| {
-            crate::simd::nt_rows_f16(a, bh, rows, k, n, chunk, acc);
-        });
-        record(t0, m, n, k);
-        return;
-    }
-    DEC_B.with(|p| {
-        let mut p = p.borrow_mut();
-        decode_b_f16(b.as_bits(), &mut p);
-        let bsl: &[f32] = &p;
-        par_rows_planned(m, n, MR, shares, out.as_mut_slice(), |rows, chunk| {
-            nt_rows_dispatch(path, a, bsl, rows, k, n, chunk, acc);
-        });
-    });
-    record(t0, m, n, k);
-}
-
-// ---------------------------------------------------------------------------
-// ULP distance (test support for the SIMD/f16 tolerance gates)
+// ULP distance (test support for the SIMD tolerance gates)
 // ---------------------------------------------------------------------------
 
 /// Distance between two f32s in units of last place: 0 for equal values
@@ -1212,23 +1067,12 @@ mod tests {
 
     #[test]
     fn counters_advance() {
-        // Under the path lock: b_packs is process-global and the only other
-        // writers are f16 fallback calls, which all run under `with_path`.
-        with_path(SimdPath::Scalar, || {
-            let before = kernel_stats();
-            let a = Matrix::zeros(8, 8);
-            let b = Matrix::zeros(8, 8);
-            let mut out = Matrix::zeros(0, 0);
-            gemm_nn(&a, &b, &mut out, false, None);
-            let after = kernel_stats();
-            assert!(after.gemm_flops >= before.gemm_flops + 2 * 8 * 8 * 8);
-            assert_eq!(after.b_packs, before.b_packs, "f32 nn reads B in place — no prep pass");
-            // The f16 fallback is the one path that still prepares B (a
-            // decode pass, exactly once per call).
-            let bh = crate::half::HalfMatrix::from_matrix(&b);
-            gemm_nn_f16(&a, &bh, &mut out, false, None);
-            assert_eq!(kernel_stats().b_packs, after.b_packs + 1, "f16 fallback decodes B once");
-        });
+        let before = kernel_stats();
+        let a = Matrix::zeros(8, 8);
+        let b = Matrix::zeros(8, 8);
+        let mut out = Matrix::zeros(0, 0);
+        gemm_nn(&a, &b, &mut out, false, None);
+        assert!(kernel_stats().gemm_flops >= before.gemm_flops + 2 * 8 * 8 * 8);
     }
 
     #[test]
@@ -1269,28 +1113,5 @@ mod tests {
         // Straddling zero: distance is the sum of distances to zero.
         let tiny = f32::from_bits(1);
         assert_eq!(ulp_diff(tiny, -tiny), 2);
-    }
-
-    #[test]
-    fn f16_gemm_matches_decoded_oracle_on_scalar_path() {
-        // On the widen-at-pack path the f16 GEMM is *bitwise* the f32 GEMM
-        // over the decoded B (decode is exact, fold identical).
-        with_path(SimdPath::Scalar, || {
-            let mut rng = StdRng::seed_from_u64(12);
-            for &(m, k, n) in &[(1usize, 1usize, 1usize), (5, 7, 9), (13, 20, 17)] {
-                let a = random(m, k, &mut rng);
-                let b = random(k, n, &mut rng);
-                let bh = HalfMatrix::from_matrix(&b);
-                let bdec = bh.to_matrix();
-                let mut got = Matrix::zeros(0, 0);
-                gemm_nn_f16(&a, &bh, &mut got, false, None);
-                assert_eq!(got, naive::matmul(&a, &bdec), "nn f16 {m}x{k}x{n}");
-                let bt = random(n, k, &mut rng);
-                let bth = HalfMatrix::from_matrix(&bt);
-                let btdec = bth.to_matrix();
-                gemm_nt_f16(&a, &bth, &mut got, false);
-                assert_eq!(got, naive::matmul_nt(&a, &btdec), "nt f16 {m}x{k}x{n}");
-            }
-        });
     }
 }

@@ -13,9 +13,7 @@
 //! paper's cost analysis.
 //!
 //! Design notes:
-//! - Everything accumulates in `f32`, row-major, allocation-explicit; expert
-//!   weights can optionally *live* in binary16 ([`half::HalfMatrix`]) with
-//!   the f16-storage/f32-accumulate GEMMs streaming 2-byte panels. The hot
+//! - Everything accumulates in `f32`, row-major, allocation-explicit. The hot
 //!   GEMM paths are cache-blocked and register-tiled ([`kernels`]), dispatch
 //!   to AVX2+FMA microkernels when the CPU has them ([`simd`], scalar
 //!   fallback otherwise, `SYMI_SIMD` override) and run on a std-only fixed
@@ -53,7 +51,6 @@ pub mod simd;
 pub mod vmath;
 
 pub use adam::{AdamConfig, AdamShard, AdamState};
-pub use half::HalfMatrix;
 pub use kernels::{act_stats, kernel_stats, ActStats, KernelStats};
 pub use matrix::Matrix;
 pub use pool::PoolStats;

@@ -157,12 +157,6 @@ impl Matrix {
         crate::kernels::gemm_nn(self, other, out, false, Some(bias));
     }
 
-    /// `out += self · other` (accumulating variant; `out` keeps its shape).
-    pub fn matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!((out.rows, out.cols), (self.rows, other.cols), "matmul_acc shape mismatch");
-        crate::kernels::gemm_nn(self, other, out, true, None);
-    }
-
     /// `self · otherᵀ` — used for input gradients (`dX = dY · Wᵀ`) and
     /// attention scores (`Q · Kᵀ`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
@@ -174,12 +168,6 @@ impl Matrix {
     /// `out = self · otherᵀ`, reusing `out`'s allocation.
     pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         crate::kernels::gemm_nt(self, other, out, false);
-    }
-
-    /// `out += self · otherᵀ`.
-    pub fn matmul_nt_acc(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!((out.rows, out.cols), (self.rows, other.rows), "matmul_nt_acc shape mismatch");
-        crate::kernels::gemm_nt(self, other, out, true);
     }
 
     /// `selfᵀ · other` — used for parameter gradients (`dW = Xᵀ · dY`).
@@ -205,28 +193,6 @@ impl Matrix {
     /// unset `out` is overwritten (its previous contents are never read).
     pub fn matmul_tn_slice(&self, other: &Matrix, out: &mut [f32], acc: bool) {
         crate::kernels::gemm_tn_slice(self, other, out, acc);
-    }
-
-    /// `out = self · w` with `w` stored as binary16 (f32 accumulation; the
-    /// weight panels stream at 2 B/element — see `kernels::gemm_nn_f16`).
-    pub fn matmul_f16_into(&self, w: &crate::half::HalfMatrix, out: &mut Matrix) {
-        crate::kernels::gemm_nn_f16(self, w, out, false, None);
-    }
-
-    /// `out = self · w + bias` with `w` stored as binary16.
-    pub fn matmul_f16_bias_into(
-        &self,
-        w: &crate::half::HalfMatrix,
-        bias: &Matrix,
-        out: &mut Matrix,
-    ) {
-        crate::kernels::gemm_nn_f16(self, w, out, false, Some(bias));
-    }
-
-    /// `out = self · wᵀ` with `w` stored as binary16 — the input-gradient
-    /// GEMM (`dX = dY · Wᵀ`) against half-precision weights.
-    pub fn matmul_nt_f16_into(&self, w: &crate::half::HalfMatrix, out: &mut Matrix) {
-        crate::kernels::gemm_nt_f16(self, w, out, false);
     }
 
     /// Materialized transpose.
@@ -286,7 +252,7 @@ impl Matrix {
     /// Deliberately sequential: this is a cross-row reduction, and the
     /// determinism contract forbids splitting reductions across pool
     /// participants. It is O(rows·cols) against the GEMMs' O(rows·cols·k).
-    pub fn sum_rows_into(&self, out: &mut Matrix) {
+    pub(crate) fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize_to(1, self.cols);
         self.sum_rows_slice(out.as_mut_slice(), false);
     }
@@ -310,13 +276,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "hadamard shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
     }
 
     /// Fills the matrix with zeros, keeping the allocation.

@@ -49,15 +49,8 @@ pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
     record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
-/// Backward of row softmax: `dx = y ⊙ (dy − (dy·y) 1ᵀ)` per row, where `y`
-/// is the softmax output.
-pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = Matrix::zeros(0, 0);
-    softmax_rows_backward_into(y, dy, &mut dx);
-    dx
-}
-
-/// `dx = softmax_rows_backward(y, dy)`, reusing `dx`'s allocation.
+/// Backward of [`softmax_rows`] given its output `y`: `dx = y ⊙ (dy − Σ dy·y)`
+/// per row, reusing `dx`'s allocation.
 pub fn softmax_rows_backward_into(y: &Matrix, dy: &Matrix, dx: &mut Matrix) {
     assert_eq!((y.rows(), y.cols()), (dy.rows(), dy.cols()), "softmax backward shape mismatch");
     let (rows, cols) = (y.rows(), y.cols());
@@ -111,12 +104,6 @@ pub fn gelu_backward_into(x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
         vmath::gelu_backward_slice(&x.as_slice()[span.clone()], &dy.as_slice()[span], chunk);
     });
     record_act(t0.elapsed().as_nanos() as u64, rows * cols);
-}
-
-/// Fused linear layer: `out = x·w + bias` with the bias applied in the
-/// GEMM epilogue (bit-identical to `matmul` + `add_bias`).
-pub fn linear_into(x: &Matrix, w: &Matrix, bias: &Matrix, out: &mut Matrix) {
-    x.matmul_bias_into(w, bias, out);
 }
 
 /// Fused FFN first half: `pre = x·w + bias`, `act = gelu(pre)`, with the
@@ -249,10 +236,8 @@ mod tests {
     fn softmax_backward_matches_numeric() {
         let x = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32).sin());
         let dy = Matrix::from_fn(3, 4, |r, c| ((r + 2 * c) as f32).cos());
-        let analytic = {
-            let y = softmax_rows(&x);
-            softmax_rows_backward(&y, &dy)
-        };
+        let mut analytic = Matrix::zeros(0, 0);
+        softmax_rows_backward_into(&softmax_rows(&x), &dy, &mut analytic);
         let numeric = numerical_grad(&x, &dy, softmax_rows);
         assert!(analytic.max_abs_diff(&numeric) < 1e-2);
     }

@@ -35,7 +35,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Hard cap on pool participants; stack-allocated split tables use it.
-pub const MAX_WORKERS: usize = 16;
+pub(crate) const MAX_WORKERS: usize = 16;
 
 /// Boundaries of chunk `i` when splitting `len` items into `parts`
 /// near-equal contiguous chunks (remainder spread over the first chunks).
@@ -118,7 +118,7 @@ thread_local! {
 
 /// Parses a `SYMI_THREADS` value: a positive integer, surrounding
 /// whitespace tolerated. Returns a description of the problem otherwise.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
+pub(crate) fn parse_threads(raw: &str) -> Result<usize, String> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Err("empty value".to_string());
@@ -151,7 +151,7 @@ fn env_threads() -> (Option<usize>, bool) {
 }
 
 /// The process-wide pool, created on first use with `SYMI_THREADS` threads
-/// (default: available parallelism), capped at [`MAX_WORKERS`].
+/// (default: available parallelism), capped at `MAX_WORKERS`.
 pub fn global() -> &'static ThreadPool {
     static POOL: OnceLock<ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -313,7 +313,8 @@ fn shares_for(items: usize, min_per_share: usize) -> usize {
 /// contiguous [`chunk_range`] sub-range. Outputs written through captured
 /// state must be disjoint per index (all helpers below guarantee this
 /// structurally).
-pub fn parallel_for(items: usize, min_per_share: usize, f: impl Fn(Range<usize>) + Sync) {
+#[cfg(test)]
+pub(crate) fn parallel_for(items: usize, min_per_share: usize, f: impl Fn(Range<usize>) + Sync) {
     if items == 0 {
         return;
     }
@@ -333,7 +334,7 @@ pub fn parallel_for(items: usize, min_per_share: usize, f: impl Fn(Range<usize>)
 /// A split table: per-share mutable sub-slices of one buffer, stored on the
 /// stack. Shares lock only their own entry (uncontended by construction),
 /// which is what lets safe code hand disjoint `&mut` chunks to the pool.
-pub struct Parts<'a, T>([Option<Mutex<&'a mut [T]>>; MAX_WORKERS]);
+pub(crate) struct Parts<'a, T>([Option<Mutex<&'a mut [T]>>; MAX_WORKERS]);
 
 impl<'a, T> Parts<'a, T> {
     /// Splits `data` so share `w` owns `bounds[w]` (item ranges scaled by
@@ -355,7 +356,7 @@ impl<'a, T> Parts<'a, T> {
 }
 
 /// The per-share bounds table for `items` split `p` ways.
-pub fn share_bounds(items: usize, p: usize) -> ([(usize, usize); MAX_WORKERS], usize) {
+pub(crate) fn share_bounds(items: usize, p: usize) -> ([(usize, usize); MAX_WORKERS], usize) {
     let mut bounds = [(0usize, 0usize); MAX_WORKERS];
     for (w, bound) in bounds.iter_mut().enumerate().take(p) {
         *bound = chunk_range(items, p, w);
@@ -387,7 +388,7 @@ fn block_share_bounds(
 /// [`par_rows`] with an explicit share count (the caller's cost model
 /// decides, e.g. `kernels::plan_shares`) and `block`-aligned boundaries.
 /// `shares <= 1` runs inline on the calling thread with zero dispatch.
-pub fn par_rows_planned(
+pub(crate) fn par_rows_planned(
     rows: usize,
     width: usize,
     block: usize,
@@ -417,7 +418,7 @@ pub fn par_rows_planned(
 
 /// Like [`par_rows_planned`] with two output buffers sharing the same row
 /// geometry (pre-activation + activation for the fused GEMM epilogue).
-pub fn par_rows2_planned(
+pub(crate) fn par_rows2_planned(
     rows: usize,
     width: usize,
     block: usize,
@@ -471,37 +472,6 @@ pub fn par_rows(
         let (a, b) = bounds[w];
         if a < b {
             f(a..b, &mut parts.lock(w));
-        }
-    });
-}
-
-/// Like [`par_rows`] with two output buffers sharing the same row geometry
-/// (e.g. a pre-activation and its activation for a fused epilogue).
-pub fn par_rows2(
-    rows: usize,
-    width: usize,
-    min_rows_per_share: usize,
-    out_a: &mut [f32],
-    out_b: &mut [f32],
-    f: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
-) {
-    debug_assert_eq!(out_a.len(), rows * width);
-    debug_assert_eq!(out_b.len(), rows * width);
-    if rows == 0 {
-        return;
-    }
-    let p = shares_for(rows, min_rows_per_share);
-    if p == 1 {
-        f(0..rows, out_a, out_b);
-        return;
-    }
-    let (bounds, p) = share_bounds(rows, p);
-    let parts_a = Parts::split(out_a, &bounds[..p], width);
-    let parts_b = Parts::split(out_b, &bounds[..p], width);
-    global().run(p, &|w| {
-        let (a, b) = bounds[w];
-        if a < b {
-            f(a..b, &mut parts_a.lock(w), &mut parts_b.lock(w));
         }
     });
 }

@@ -285,7 +285,7 @@ pub struct Uniform<T: Float> {
 }
 
 impl<T: Float> Uniform<T> {
-    pub fn new_inclusive(low: T, high: T) -> Self {
+    pub(crate) fn new_inclusive(low: T, high: T) -> Self {
         assert!(low <= high, "Uniform::new_inclusive requires low <= high");
         Self { low, span: high.to_f64() - low.to_f64() }
     }

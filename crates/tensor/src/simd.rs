@@ -11,7 +11,7 @@
 //! Tile shapes (chosen for 16 architectural YMM registers):
 //!
 //! - `nn`: 6×16 — 12 accumulator registers, 2 B-strip loads and one `a`
-//!   broadcast per k step. B is read in place (contiguous [`NR_NN`] = 16
+//!   broadcast per k step. B is read in place (contiguous `NR_NN` = 16
 //!   wide strips at B's row stride), cache-blocked k-chunk → strip → row
 //!   tile, so there is no packing pass at all.
 //! - `nt`: 2×4 register tile of independent dot products; each dot splits
@@ -19,10 +19,7 @@
 //!   horizontal sum, plus a scalar tail. Because every dot product — full
 //!   tile, edge, or remainder — runs the identical octet/hsum/tail
 //!   sequence, `nt` results do not depend on how rows are grouped.
-//! - `tn`: 4×16 over a k-major packed A strip (stride [`TN_MR`]).
-//!
-//! `*_f16` variants take the B operand as binary16 bits and widen inside
-//! the kernel with F16C `vcvtph2ps`, so panel traffic stays at 2 B/element.
+//! - `tn`: 4×16 over a k-major packed A strip (stride `TN_MR`).
 //!
 //! Numerics: accumulation is f32 throughout. FMA keeps the infinitely
 //! precise product before each add, so results differ from the scalar
@@ -35,31 +32,31 @@
 
 use crate::adam::{self, AdamCoeffs};
 use crate::half::{f16_to_f32, f32_to_f16};
-use crate::kernels::{kern_nn_edge, kern_nn_edge_f16, pack_a_strip};
+use crate::kernels::{kern_nn_edge, pack_a_strip};
 use crate::matrix::Matrix;
 use crate::vmath;
 use core::arch::x86_64::*;
 use std::ops::Range;
 
 /// nn microkernel row tile.
-pub const MR_NN: usize = 6;
+pub(crate) const MR_NN: usize = 6;
 /// nn packed-panel width (two YMM vectors).
-pub const NR_NN: usize = 16;
+pub(crate) const NR_NN: usize = 16;
 /// k-chunk length for the nn drivers: a KC×[`NR_NN`] f32 panel chunk is
 /// 16 KB, sized to stay L1-resident while every row tile sweeps it.
 const KC: usize = 256;
 /// tn microkernel row tile (packed A strip stride).
-pub const TN_MR: usize = 4;
+pub(crate) const TN_MR: usize = 4;
 /// tn column tile.
-pub const TN_NR: usize = 16;
+pub(crate) const TN_NR: usize = 16;
 
 /// Runtime check for the f32 kernels.
 pub fn have_avx2_fma() -> bool {
     is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
 }
 
-/// Runtime check for the binary16-streaming kernels (in addition to
-/// [`have_avx2_fma`]).
+/// Runtime check for the binary16 codec and the Adam kernel that emits
+/// binary16 (in addition to [`have_avx2_fma`]).
 pub fn have_f16c() -> bool {
     is_x86_feature_detected!("f16c")
 }
@@ -73,7 +70,7 @@ pub fn have_f16c() -> bool {
 /// contiguous [`NR_NN`]-wide strips per k step, so packing would only add
 /// a full extra read+write pass over B.
 #[allow(clippy::too_many_arguments)]
-pub fn nn_rows(
+pub(crate) fn nn_rows(
     a: &Matrix,
     rows: Range<usize>,
     k: usize,
@@ -322,253 +319,6 @@ unsafe fn kern_nn_edge_rows(
     }
 }
 
-/// [`nn_rows`] with B packed as binary16 bits, widened in-register (F16C).
-#[allow(clippy::too_many_arguments)]
-pub fn nn_rows_f16(
-    a: &Matrix,
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    bs: &[u16],
-    bstride: usize,
-    out: &mut [f32],
-    acc: bool,
-    bias: Option<&[f32]>,
-) {
-    debug_assert!(have_avx2_fma() && have_f16c());
-    // SAFETY: drivers dispatch here only after runtime AVX2+FMA+F16C detection.
-    unsafe { nn_rows_f16_impl(a, rows, k, n, bs, bstride, out, acc, bias) }
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn nn_rows_f16_impl(
-    a: &Matrix,
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    bs: &[u16],
-    bstride: usize,
-    out: &mut [f32],
-    acc: bool,
-    bias: Option<&[f32]>,
-) {
-    let asl = a.as_slice();
-    let lda = a.cols();
-    let m = rows.len();
-    let panels = n.div_ceil(NR_NN);
-    // Cache-blocked k-chunk → panel → row-tile nest — see `nn_rows_impl`.
-    let mut kc = 0;
-    while kc < k.max(1) {
-        let klen = KC.min(k - kc);
-        let tile_acc = acc || kc > 0;
-        for p in 0..panels {
-            let j0 = p * NR_NN;
-            let w = NR_NN.min(n - j0);
-            let chunk = &bs[kc * bstride + j0..];
-            let mut i = 0;
-            while i < m {
-                let rows_here = MR_NN.min(m - i);
-                let arow = &asl[(rows.start + i) * lda + kc..];
-                let oblock = &mut out[i * n + j0..];
-                if rows_here == MR_NN && w == NR_NN {
-                    kern_nn_f16_6x16(arow, lda, klen, chunk, bstride, oblock, n, tile_acc);
-                } else if w == NR_NN {
-                    kern_nn_f16_edge_rows(
-                        arow, lda, klen, rows_here, chunk, bstride, oblock, n, tile_acc,
-                    );
-                } else {
-                    kern_nn_edge_f16(
-                        arow, lda, klen, rows_here, chunk, w, bstride, oblock, n, tile_acc,
-                    );
-                }
-                i += rows_here;
-            }
-        }
-        kc += klen.max(1);
-    }
-    if let Some(bias) = bias {
-        for r in 0..m {
-            for (o, b) in out[r * n..(r + 1) * n].iter_mut().zip(bias) {
-                *o += b;
-            }
-        }
-    }
-}
-
-/// Widens 8 packed binary16 values to a YMM of f32 (`vcvtph2ps`).
-#[target_feature(enable = "avx2", enable = "f16c")]
-unsafe fn load_f16x8(p: *const u16) -> __m256 {
-    _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
-}
-
-/// Full 6×16 nn tile over a binary16 panel: identical FMA schedule to
-/// [`kern_nn_6x16`], the B loads just widen on the way in (decode is
-/// exact, so values match the widen-at-pack fallback bit-for-bit).
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn kern_nn_f16_6x16(
-    a: &[f32],
-    lda: usize,
-    k: usize,
-    panel: &[u16],
-    pstride: usize,
-    out: &mut [f32],
-    ldc: usize,
-    acc: bool,
-) {
-    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_NN);
-    debug_assert!(a.len() >= (MR_NN - 1) * lda + k);
-    debug_assert!(out.len() >= (MR_NN - 1) * ldc + NR_NN);
-    let ap = a.as_ptr();
-    let pp = panel.as_ptr();
-    let op = out.as_mut_ptr();
-    let (
-        mut c00,
-        mut c01,
-        mut c10,
-        mut c11,
-        mut c20,
-        mut c21,
-        mut c30,
-        mut c31,
-        mut c40,
-        mut c41,
-        mut c50,
-        mut c51,
-    );
-    if acc {
-        c00 = _mm256_loadu_ps(op);
-        c01 = _mm256_loadu_ps(op.add(8));
-        c10 = _mm256_loadu_ps(op.add(ldc));
-        c11 = _mm256_loadu_ps(op.add(ldc + 8));
-        c20 = _mm256_loadu_ps(op.add(2 * ldc));
-        c21 = _mm256_loadu_ps(op.add(2 * ldc + 8));
-        c30 = _mm256_loadu_ps(op.add(3 * ldc));
-        c31 = _mm256_loadu_ps(op.add(3 * ldc + 8));
-        c40 = _mm256_loadu_ps(op.add(4 * ldc));
-        c41 = _mm256_loadu_ps(op.add(4 * ldc + 8));
-        c50 = _mm256_loadu_ps(op.add(5 * ldc));
-        c51 = _mm256_loadu_ps(op.add(5 * ldc + 8));
-    } else {
-        let z = _mm256_setzero_ps();
-        c00 = z;
-        c01 = z;
-        c10 = z;
-        c11 = z;
-        c20 = z;
-        c21 = z;
-        c30 = z;
-        c31 = z;
-        c40 = z;
-        c41 = z;
-        c50 = z;
-        c51 = z;
-    }
-    for kk in 0..k {
-        let b0 = load_f16x8(pp.add(kk * pstride));
-        let b1 = load_f16x8(pp.add(kk * pstride + 8));
-        let a0 = _mm256_set1_ps(*ap.add(kk));
-        c00 = _mm256_fmadd_ps(a0, b0, c00);
-        c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*ap.add(lda + kk));
-        c10 = _mm256_fmadd_ps(a1, b0, c10);
-        c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*ap.add(2 * lda + kk));
-        c20 = _mm256_fmadd_ps(a2, b0, c20);
-        c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*ap.add(3 * lda + kk));
-        c30 = _mm256_fmadd_ps(a3, b0, c30);
-        c31 = _mm256_fmadd_ps(a3, b1, c31);
-        let a4 = _mm256_set1_ps(*ap.add(4 * lda + kk));
-        c40 = _mm256_fmadd_ps(a4, b0, c40);
-        c41 = _mm256_fmadd_ps(a4, b1, c41);
-        let a5 = _mm256_set1_ps(*ap.add(5 * lda + kk));
-        c50 = _mm256_fmadd_ps(a5, b0, c50);
-        c51 = _mm256_fmadd_ps(a5, b1, c51);
-    }
-    _mm256_storeu_ps(op, c00);
-    _mm256_storeu_ps(op.add(8), c01);
-    _mm256_storeu_ps(op.add(ldc), c10);
-    _mm256_storeu_ps(op.add(ldc + 8), c11);
-    _mm256_storeu_ps(op.add(2 * ldc), c20);
-    _mm256_storeu_ps(op.add(2 * ldc + 8), c21);
-    _mm256_storeu_ps(op.add(3 * ldc), c30);
-    _mm256_storeu_ps(op.add(3 * ldc + 8), c31);
-    _mm256_storeu_ps(op.add(4 * ldc), c40);
-    _mm256_storeu_ps(op.add(4 * ldc + 8), c41);
-    _mm256_storeu_ps(op.add(5 * ldc), c50);
-    _mm256_storeu_ps(op.add(5 * ldc + 8), c51);
-}
-
-/// Row-remainder f16 nn tile — [`kern_nn_rx16`] with widening B loads.
-/// Same FMA schedule as the f32 variant so the widen-at-pack fallback
-/// stays bit-identical.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn kern_nn_f16_rx16<const R: usize>(
-    a: &[f32],
-    lda: usize,
-    k: usize,
-    panel: &[u16],
-    pstride: usize,
-    out: &mut [f32],
-    ldc: usize,
-    acc: bool,
-) {
-    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_NN);
-    debug_assert!(a.len() >= (R - 1) * lda + k);
-    debug_assert!(out.len() >= (R - 1) * ldc + NR_NN);
-    let ap = a.as_ptr();
-    let pp = panel.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut c0 = [_mm256_setzero_ps(); R];
-    let mut c1 = [_mm256_setzero_ps(); R];
-    if acc {
-        for r in 0..R {
-            c0[r] = _mm256_loadu_ps(op.add(r * ldc));
-            c1[r] = _mm256_loadu_ps(op.add(r * ldc + 8));
-        }
-    }
-    for kk in 0..k {
-        let b0 = load_f16x8(pp.add(kk * pstride));
-        let b1 = load_f16x8(pp.add(kk * pstride + 8));
-        for r in 0..R {
-            let av = _mm256_set1_ps(*ap.add(r * lda + kk));
-            c0[r] = _mm256_fmadd_ps(av, b0, c0[r]);
-            c1[r] = _mm256_fmadd_ps(av, b1, c1[r]);
-        }
-    }
-    for r in 0..R {
-        _mm256_storeu_ps(op.add(r * ldc), c0[r]);
-        _mm256_storeu_ps(op.add(r * ldc + 8), c1[r]);
-    }
-}
-
-/// f16 counterpart of [`kern_nn_edge_rows`].
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn kern_nn_f16_edge_rows(
-    a: &[f32],
-    lda: usize,
-    k: usize,
-    rows: usize,
-    panel: &[u16],
-    pstride: usize,
-    out: &mut [f32],
-    ldc: usize,
-    acc: bool,
-) {
-    match rows {
-        1 => kern_nn_f16_rx16::<1>(a, lda, k, panel, pstride, out, ldc, acc),
-        2 => kern_nn_f16_rx16::<2>(a, lda, k, panel, pstride, out, ldc, acc),
-        3 => kern_nn_f16_rx16::<3>(a, lda, k, panel, pstride, out, ldc, acc),
-        4 => kern_nn_f16_rx16::<4>(a, lda, k, panel, pstride, out, ldc, acc),
-        5 => kern_nn_f16_rx16::<5>(a, lda, k, panel, pstride, out, ldc, acc),
-        _ => unreachable!("row remainder must be 1..6"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // nt: A·Bᵀ as independent contiguous dot products
 // ---------------------------------------------------------------------------
@@ -604,26 +354,9 @@ unsafe fn dot_f32(a: *const f32, b: *const f32, k: usize) -> f32 {
     s
 }
 
-/// Binary16-B variant of [`dot_f32`] (widens the B octets with F16C).
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn dot_f16(a: *const f32, b: *const u16, k: usize) -> f32 {
-    let k8 = k & !7usize;
-    let mut acc = _mm256_setzero_ps();
-    let mut kk = 0;
-    while kk < k8 {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(kk)), load_f16x8(b.add(kk)), acc);
-        kk += 8;
-    }
-    let mut s = hsum(acc);
-    for t in k8..k {
-        s += *a.add(t) * f16_to_f32(*b.add(t));
-    }
-    s
-}
-
 /// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`).
 #[allow(clippy::too_many_arguments)]
-pub fn nt_rows(
+pub(crate) fn nt_rows(
     a: &Matrix,
     bsl: &[f32],
     rows: Range<usize>,
@@ -742,46 +475,6 @@ unsafe fn kern_nt_2x4(
     }
 }
 
-/// [`nt_rows`] with `b` stored as binary16 bits (no pack, no decode pass —
-/// the octets widen in-register).
-#[allow(clippy::too_many_arguments)]
-pub fn nt_rows_f16(
-    a: &Matrix,
-    bh: &[u16],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    chunk: &mut [f32],
-    acc: bool,
-) {
-    debug_assert!(have_avx2_fma() && have_f16c());
-    // SAFETY: drivers dispatch here only after runtime AVX2+FMA+F16C detection.
-    unsafe { nt_rows_f16_impl(a, bh, rows, k, n, chunk, acc) }
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn nt_rows_f16_impl(
-    a: &Matrix,
-    bh: &[u16],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    chunk: &mut [f32],
-    acc: bool,
-) {
-    let asl = a.as_slice();
-    let mlocal = rows.len();
-    for i in 0..mlocal {
-        let ap = asl.as_ptr().add((rows.start + i) * k);
-        for j in 0..n {
-            let d = dot_f16(ap, bh.as_ptr().add(j * k), k);
-            let o = &mut chunk[i * n + j];
-            *o = if acc { *o + d } else { d };
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // tn: Aᵀ·B over a k-major packed A strip
 // ---------------------------------------------------------------------------
@@ -790,7 +483,7 @@ unsafe fn nt_rows_f16_impl(
 /// `r×n`; `rows` are *output* rows = columns of `a`). `strip` is the
 /// caller's per-thread pack scratch.
 #[allow(clippy::too_many_arguments)]
-pub fn tn_rows(
+pub(crate) fn tn_rows(
     asl: &[f32],
     bsl: &[f32],
     rows: Range<usize>,
@@ -1110,6 +803,12 @@ pub fn gelu_backward_slice(x: &[f32], dy: &[f32], dx: &mut [f32]) {
 /// `VCVTPS2PH` rounding control: nearest-even from the immediate itself
 /// (bit 2 clear), whatever MXCSR says.
 const F16_ROUND: i32 = _MM_FROUND_TO_NEAREST_INT;
+
+/// Widens 8 packed binary16 values to a YMM of f32 (`vcvtph2ps`).
+#[target_feature(enable = "avx2", enable = "f16c")]
+unsafe fn load_f16x8(p: *const u16) -> __m256 {
+    _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
+}
 
 /// Narrows 8 lanes to binary16 and stores them into `dst` (8 elements).
 #[target_feature(enable = "avx2", enable = "f16c")]

@@ -53,11 +53,11 @@ use crate::kernels::{active_path, SimdPath};
 
 /// Below this `exp` returns exactly 0 (the true result would be within a
 /// few percent of the smallest normal f32 or subnormal).
-pub const EXP_LO: f32 = -87.3;
+pub(crate) const EXP_LO: f32 = -87.3;
 /// Upper clamp of `exp`: `exp(x)` is `+inf` from `ln(f32::MAX) ≈ 88.7228`
 /// on, and at this bound `n` reaches 128 — still inside the two-factor
 /// scaling's range.
-pub const EXP_HI: f32 = 89.0;
+pub(crate) const EXP_HI: f32 = 89.0;
 pub(crate) const LOG2E: f32 = std::f32::consts::LOG2_E;
 /// High part of ln 2 with 9 significant bits (355/512): `n·LN2_HI` is exact
 /// for every `|n| ≤ 128`.

@@ -21,7 +21,7 @@ use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu, softmax_rows};
 use symi_tensor::pool;
 use symi_tensor::rng::{Rng, StdRng};
-use symi_tensor::{HalfMatrix, Matrix};
+use symi_tensor::Matrix;
 
 static GLOBALS: Mutex<()> = Mutex::new(());
 
@@ -122,37 +122,6 @@ fn scalar_fused_linear_gelu_is_bitwise_equal_to_unfused_pipeline() {
     });
 }
 
-#[test]
-fn scalar_f16_gemm_equals_f32_gemm_over_decoded_weights() {
-    // With the widen-at-pack fallback, the f16 GEMMs are the f32 GEMMs over
-    // the exactly-decoded B — bitwise.
-    with_scalar(|| {
-        let mut rng = StdRng::seed_from_u64(508);
-        for &(m, k, n) in SHAPES {
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let bh = HalfMatrix::from_matrix(&b);
-            let bdec = bh.to_matrix();
-            let mut got = Matrix::zeros(0, 0);
-            kernels::gemm_nn_f16(&a, &bh, &mut got, false, None);
-            assert_eq!(
-                got.as_slice(),
-                naive::matmul(&a, &bdec).as_slice(),
-                "f16 nn mismatch at {m}x{k}x{n}"
-            );
-            let bt = random_matrix(&mut rng, n, k);
-            let bth = HalfMatrix::from_matrix(&bt);
-            let btdec = bth.to_matrix();
-            kernels::gemm_nt_f16(&a, &bth, &mut got, false);
-            assert_eq!(
-                got.as_slice(),
-                naive::matmul_nt(&a, &btdec).as_slice(),
-                "f16 nt mismatch at {m}x{k}x{n}"
-            );
-        }
-    });
-}
-
 /// Runs `f` with the pool really splitting: multi-thread budget, a
 /// floor-level cost gate, and the hardware-parallelism cap lifted (so the
 /// multi-share paths are exercised even on single-core CI hosts), all
@@ -179,13 +148,10 @@ fn active_path_gemm_is_invariant_across_worker_counts() {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
             let bt = b.transpose();
-            let bh = HalfMatrix::from_matrix(&b);
             pool::set_threads(1);
             let nn_ref = a.matmul(&b);
             let nt_ref = a.matmul_nt(&bt);
             let tn_ref = a.matmul_tn(&nn_ref);
-            let mut f16_ref = Matrix::zeros(0, 0);
-            kernels::gemm_nn_f16(&a, &bh, &mut f16_ref, false, None);
             for &t in &[2usize, 3, 4, 8, 16] {
                 pool::set_threads(t);
                 assert_eq!(
@@ -202,13 +168,6 @@ fn active_path_gemm_is_invariant_across_worker_counts() {
                     a.matmul_tn(&nn_ref).as_slice(),
                     tn_ref.as_slice(),
                     "tn {m}x{k}x{n} differs at {t} threads"
-                );
-                let mut f16_got = Matrix::zeros(0, 0);
-                kernels::gemm_nn_f16(&a, &bh, &mut f16_got, false, None);
-                assert_eq!(
-                    f16_got.as_slice(),
-                    f16_ref.as_slice(),
-                    "f16 nn {m}x{k}x{n} differs at {t} threads"
                 );
             }
         }
@@ -256,45 +215,6 @@ fn adam_step_is_invariant_across_worker_counts() {
         assert_eq!(out, reference, "adam step differs at {t} threads");
     }
     pool::set_threads(before);
-}
-
-#[test]
-fn b_prep_work_is_independent_of_share_count() {
-    // Regression for the per-share re-packing bug class: B preparation must
-    // be a per-call property, never a per-share one. After the zero-copy
-    // rework the f32 nn family reads B in place (b_packs stays flat at any
-    // worker count), and the f16 *fallback* path decodes B exactly once per
-    // call — again at any worker count.
-    with_split_pool(|| {
-        let mut rng = StdRng::seed_from_u64(509);
-        let a = random_matrix(&mut rng, 64, 32);
-        let b = random_matrix(&mut rng, 32, 48);
-        let bh = HalfMatrix::from_matrix(&b);
-        let bias = random_matrix(&mut rng, 1, 48);
-        let prev = kernels::active_path();
-        kernels::force_simd_path(SimdPath::Scalar);
-        for &t in &[1usize, 8] {
-            pool::set_threads(t);
-            let before = kernels::kernel_stats().b_packs;
-            let _ = a.matmul(&b);
-            let mut pre = Matrix::zeros(0, 0);
-            let mut act = Matrix::zeros(0, 0);
-            symi_tensor::ops::linear_gelu_into(&a, &b, &bias, &mut pre, &mut act);
-            assert_eq!(
-                kernels::kernel_stats().b_packs,
-                before,
-                "f32 nn reads B in place — no prep pass at {t} threads"
-            );
-            let mut out = Matrix::zeros(64, 48);
-            a.matmul_f16_into(&bh, &mut out);
-            assert_eq!(
-                kernels::kernel_stats().b_packs,
-                before + 1,
-                "f16 fallback decodes B exactly once per call at {t} threads"
-            );
-        }
-        kernels::force_simd_path(prev);
-    });
 }
 
 #[test]

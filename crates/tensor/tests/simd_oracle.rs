@@ -11,9 +11,8 @@
 //!
 //! The sweep covers random shapes plus deliberate microkernel remainder
 //! edges (row counts around the 6-row MR, widths around the 16-wide NR),
-//! `k = 0`, accumulate mode, operand aliasing (`x·x` with the bias taken
-//! from `x` itself), and the f16-storage GEMMs against an oracle over the
-//! exactly-decoded weights. A forced-scalar test keeps the fallback family
+//! `k = 0`, accumulate mode, and operand aliasing (`x·x` with the bias taken
+//! from `x` itself). A forced-scalar test keeps the fallback family
 //! exercised in this binary on every host (CI additionally runs the whole
 //! suite under `SYMI_SIMD=scalar`).
 
@@ -21,7 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 use symi_tensor::kernels::{self, naive, ulp_diff, SimdPath};
 use symi_tensor::pool;
 use symi_tensor::rng::{Rng, StdRng};
-use symi_tensor::{HalfMatrix, Matrix};
+use symi_tensor::Matrix;
 
 /// ULP slack before falling back to the analytic error bound. FMA vs
 /// mul-then-add perturbs each partial sum by at most half an ULP, so real
@@ -179,48 +178,6 @@ fn aliased_operands_and_bias_within_gate() {
         }
         assert_within_gate(&got, &oracle, &absb, d + 1, &format!("aliased {d}x{d}"));
     }
-}
-
-#[test]
-fn f16_storage_gemms_within_gate_of_decoded_oracle() {
-    let _g = lock();
-    let mut rng = StdRng::seed_from_u64(606);
-    for (m, k, n) in edge_shapes() {
-        let a = random_matrix(&mut rng, m, k);
-        let b = random_matrix(&mut rng, k, n);
-        let bh = HalfMatrix::from_matrix(&b);
-        let bdec = bh.to_matrix();
-        let mut got = Matrix::zeros(0, 0);
-        kernels::gemm_nn_f16(&a, &bh, &mut got, false, None);
-        let oracle = naive::matmul(&a, &bdec);
-        let absb = naive::abs_matmul(&a, &bdec);
-        assert_within_gate(&got, &oracle, &absb, k, &format!("f16 nn {m}x{k}x{n}"));
-
-        let bt = random_matrix(&mut rng, n, k);
-        let bth = HalfMatrix::from_matrix(&bt);
-        let btdec = bth.to_matrix();
-        kernels::gemm_nt_f16(&a, &bth, &mut got, false);
-        let oracle = naive::matmul_nt(&a, &btdec);
-        let absb = naive::abs_matmul(&a, &btdec.transpose());
-        assert_within_gate(&got, &oracle, &absb, k, &format!("f16 nt {m}x{k}x{n}"));
-    }
-}
-
-#[test]
-fn f16_bias_epilogue_matches_f32_bias_epilogue() {
-    let _g = lock();
-    let mut rng = StdRng::seed_from_u64(607);
-    let a = random_matrix(&mut rng, 11, 14);
-    let b = random_matrix(&mut rng, 14, 19);
-    let bias = random_matrix(&mut rng, 1, 19);
-    let bh = HalfMatrix::from_matrix(&b);
-    let bdec = bh.to_matrix();
-    let mut got = Matrix::zeros(0, 0);
-    kernels::gemm_nn_f16(&a, &bh, &mut got, false, Some(&bias));
-    let mut plain = Matrix::zeros(0, 0);
-    kernels::gemm_nn(&a, &bdec, &mut plain, false, Some(&bias));
-    // Same path, same decoded values → identical epilogue and fold.
-    assert_eq!(got.as_slice(), plain.as_slice(), "f16+bias vs f32-over-decoded+bias");
 }
 
 #[test]

@@ -147,7 +147,7 @@ impl DriftingCorpus {
     }
 
     /// Current topic mixture (softmax of the drifting logits).
-    pub fn topic_mixture(&self) -> Vec<f64> {
+    pub(crate) fn topic_mixture(&self) -> Vec<f64> {
         let max = self.topic_logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let exps: Vec<f64> = self.topic_logits.iter().map(|l| (l - max).exp()).collect();
         let total: f64 = exps.iter().sum();
