@@ -13,10 +13,10 @@
 //!   per-shard Adam results within the same group.
 
 use std::time::Instant;
-use symi::token_path::{route, Routed, TokenPath};
+use symi::token_path::{route, Routed, TokenBuffers, TokenPath};
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
-use symi_model::expert::{ExpertFfn, SlotBatches};
+use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, AdamShard, Matrix};
@@ -88,9 +88,11 @@ pub struct DeepSpeedMoeEngine {
     rank: usize,
     nodes: usize,
     placement: StripedPlacement,
+    /// One expert per local slot: striping puts distinct classes on a rank,
+    /// so every slot is a class-major execution set of its own.
     slots: Vec<ExpertFfn>,
-    /// The slots' persistent input/output/gradient matrices.
-    batches: SlotBatches,
+    /// The token path's persistent matrices and payload buffers.
+    tokens: TokenBuffers,
     /// ZeRO-1 shard of each *local* class's optimizer (one per local slot),
     /// covering this rank's position within the class's EDP group.
     opt_shards: Vec<AdamShard>,
@@ -148,7 +150,7 @@ impl DeepSpeedMoeEngine {
             nodes,
             placement,
             slots,
-            batches: SlotBatches::new(slots_per_rank, d_model),
+            tokens: TokenBuffers::new(slots_per_rank, d_model),
             opt_shards,
             edp,
             weight_shards: vec![Vec::new(); slots_per_rank],
@@ -242,15 +244,15 @@ impl DeepSpeedMoeEngine {
             kept_slot: &kept_slot,
             telemetry: &tele,
         };
-        let (dy, local_sq) =
-            path.forward(ctx, x_local, target_local, &mut self.slots, &mut self.batches)?;
+        let local_sq =
+            path.forward(ctx, x_local, target_local, &mut self.slots, &mut self.tokens)?;
         let mut loss_acc = vec![local_sq];
         {
             let _span = tele.span(Phase::Combine);
             ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut loss_acc)?;
         }
         let loss = loss_acc[0] / ((t_loc * n) as f32 * self.d_model as f32);
-        path.backward(ctx, &dy, &mut self.slots, &mut self.batches)?;
+        path.backward(ctx, &mut self.slots, &mut self.tokens)?;
 
         // EDP gradient all-reduce per local class over the striped
         // (non-contiguous) host group — the group DeepSpeed created at init

@@ -20,7 +20,9 @@
 //! and an **in-situ-shaped `ExpertFfn` row** (m 240, d 64, ff 256: forward
 //! and backward, whole-call GFLOP/s), so "expert FFN vs the GEMM roof" is
 //! answered from the JSON. `engine_params`' expert (d 256, ff 1024 at the
-//! m = 8 and m = 32 rows its slots see) gets its own **skinny rows**: that
+//! m = 8 … 32 rows a slot, a merged class or a whole rank sees) gets its own
+//! **skinny rows** and a **`class_major` pair** (three m = 8 slots with
+//! their folds and decodes against one m = 24 batch): that
 //! shape is bound by the parameter-sized streams — weights in, gradient out
 //! — not by FLOPs, so each of forward, write-mode backward (the first after
 //! `zero_grad`) and accumulate-mode backward is reported in GFLOP/s *and* in
@@ -345,8 +347,11 @@ fn bench_expert_ffn() -> Value {
     Value::Obj(o)
 }
 
-/// `engine_params`' expert at the row counts its slots see: (m, d, ff).
-const SKINNY_EXPERT_SHAPES: &[(usize, usize, usize)] = &[(8, 256, 1024), (32, 256, 1024)];
+/// `engine_params`' expert at the row counts it sees — m = 8 is one slot's
+/// share, 16 and 24 a class's two or three co-located slots run as one batch,
+/// 32 a rank's whole load: (m, d, ff).
+const SKINNY_EXPERT_SHAPES: &[(usize, usize, usize)] =
+    &[(8, 256, 1024), (16, 256, 1024), (24, 256, 1024), (32, 256, 1024)];
 
 /// That expert's two parameter-gradient GEMMs, `out[m×n] = a[r×m]ᵀ · b[r×n]`:
 /// (r, m, n).
@@ -423,6 +428,72 @@ fn bench_expert_ffn_skinny() -> Value {
         rows.push(Value::Obj(o));
     }
     Value::Arr(rows)
+}
+
+/// What class-major execution removes per class with three co-located slots,
+/// at `engine_params`' shape: three (m = 8 forward + write-mode backward),
+/// the two sibling folds of §4.1's intra-rank step and three decodes of the
+/// received fp16 weights, against one m = 24 forward + write-mode backward
+/// and one decode. Same rows, same FLOPs; the difference is the two extra
+/// passes over the weights each way, the folds and the decodes.
+fn bench_class_major() -> Value {
+    const REPS: usize = 25;
+    const SLOTS: usize = 3;
+    let (m, d, ff) = SKINNY_EXPERT_SHAPES[0];
+    pool::set_threads(1);
+    group(&format!("class_major/{SLOTS}x{m}_vs_{}x{d}x{ff}", SLOTS * m));
+    let (x, dy) = skinny_expert_inputs(SLOTS * m, d);
+    let part = |of: &Matrix, slot: usize| Matrix::from_fn(m, d, |r, c| of[(slot * m + r, c)]);
+    let parts: Vec<(Matrix, Matrix)> = (0..SLOTS).map(|s| (part(&x, s), part(&dy, s))).collect();
+    let mut slots: Vec<ExpertFfn> = (0..SLOTS).map(|_| ExpertFfn::new(d, ff, 7)).collect();
+    let mut merged = ExpertFfn::new(d, ff, 7);
+    let mut wire = vec![0u16; merged.param_count()];
+    half::encode(&merged.flat_params(), &mut wire);
+    let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let (mut y_m, mut dx_m) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let ns = interleaved_min_ns(
+        REPS,
+        &mut [
+            &mut || {
+                for (slot, (x, dy)) in slots.iter_mut().zip(&parts) {
+                    slot.forward_into(x, &mut y);
+                    slot.zero_grad();
+                    slot.backward_into(dy, &mut dx);
+                }
+                let (rep, siblings) = slots.split_first_mut().expect("slots");
+                for sibling in siblings.iter_mut() {
+                    for (r, v) in rep.flat_grads_mut().iter_mut().zip(sibling.flat_grads()) {
+                        *r += v;
+                    }
+                }
+                slots.iter_mut().for_each(|slot| slot.load_f16_at(0, &wire));
+            },
+            &mut || {
+                merged.forward_into(&x, &mut y_m);
+                merged.zero_grad();
+                merged.backward_into(&dy, &mut dx_m);
+                merged.load_f16_at(0, &wire);
+            },
+        ],
+    );
+    println!(
+        "class_major: {SLOTS} x m{m} + {} folds + {SLOTS} decodes {:.1} us, 1 x m{} + 1 decode \
+         {:.1} us ({:.2}x)",
+        SLOTS - 1,
+        ns[0] / 1e3,
+        SLOTS * m,
+        ns[1] / 1e3,
+        ns[0] / ns[1]
+    );
+    let mut o = Obj::new();
+    o.set("slots", Value::u64(SLOTS as u64));
+    o.set("m_per_slot", Value::u64(m as u64));
+    o.set("d_model", Value::u64(d as u64));
+    o.set("d_ff", Value::u64(ff as u64));
+    o.set("per_slot_ns", Value::Num(ns[0]));
+    o.set("class_major_ns", Value::Num(ns[1]));
+    o.set("per_slot_over_class_major", Value::Num(ns[0] / ns[1]));
+    Value::Obj(o)
 }
 
 /// The parameter-gradient GEMM alone at the same shapes, overwriting its
@@ -783,6 +854,7 @@ fn main() {
     let activations = bench_activations();
     let expert_ffn = bench_expert_ffn();
     let expert_ffn_skinny = bench_expert_ffn_skinny();
+    let class_major = bench_class_major();
     let gemm_tn_skinny = bench_gemm_tn_skinny();
     let adam = bench_adam();
     let f16_codec = bench_f16_codec();
@@ -795,6 +867,7 @@ fn main() {
     o.set("activations", activations);
     o.set("expert_ffn", expert_ffn);
     o.set("expert_ffn_skinny", expert_ffn_skinny);
+    o.set("class_major", class_major);
     o.set("gemm_tn_skinny", gemm_tn_skinny);
     o.set("adam", adam);
     o.set("f16_codec", f16_codec);

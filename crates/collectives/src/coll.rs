@@ -9,6 +9,7 @@
 use crate::ctx::RankCtx;
 use crate::error::CommError;
 use crate::group::CommGroup;
+use crate::payload::Payload;
 
 /// Boundaries of chunk `i` when splitting `len` elements into `parts`
 /// near-equal contiguous chunks (remainder spread over the first chunks).
@@ -166,59 +167,53 @@ impl RankCtx {
     }
 
     /// Variable-size all-to-all of `f32` buffers: member `i` of the group
-    /// receives `sendbufs[i]` from every member (including its own, moved,
-    /// not copied). `sendbufs.len()` must equal the group size.
+    /// receives `bufs[i]` from every member. `bufs.len()` must equal the
+    /// group size. The exchange happens in place: the returned vector is
+    /// `bufs` itself with every peer's entry replaced by what that peer
+    /// sent, and this rank's own entry left where it was (moved, not
+    /// copied).
     pub fn alltoallv_f32(
         &mut self,
         group: &CommGroup,
         tag: u64,
-        mut sendbufs: Vec<Vec<f32>>,
+        bufs: Vec<Vec<f32>>,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let m = group.size();
-        assert_eq!(sendbufs.len(), m, "one send buffer per group member");
-        let own = std::mem::take(&mut sendbufs[idx]);
-        for (j, buf) in sendbufs.into_iter().enumerate() {
-            if j != idx {
-                self.send(group.ranks()[j], tag, buf)?;
-            }
-        }
-        let mut out = Vec::with_capacity(m);
-        for (j, &peer) in group.ranks().iter().enumerate() {
-            if j == idx {
-                out.push(own.clone());
-            } else {
-                out.push(self.recv_f32(peer, tag)?);
-            }
-        }
-        Ok(out)
+        self.alltoallv(group, tag, bufs, Self::recv_f32)
     }
 
-    /// Variable-size all-to-all of `u64` metadata buffers.
+    /// [`RankCtx::alltoallv_f32`] for `u64` metadata buffers.
     pub fn alltoallv_u64(
         &mut self,
         group: &CommGroup,
         tag: u64,
-        mut sendbufs: Vec<Vec<u64>>,
+        bufs: Vec<Vec<u64>>,
     ) -> Result<Vec<Vec<u64>>, CommError> {
+        self.alltoallv(group, tag, bufs, Self::recv_u64)
+    }
+
+    fn alltoallv<T>(
+        &mut self,
+        group: &CommGroup,
+        tag: u64,
+        mut bufs: Vec<Vec<T>>,
+        recv: fn(&mut Self, usize, u64) -> Result<Vec<T>, CommError>,
+    ) -> Result<Vec<Vec<T>>, CommError>
+    where
+        Vec<T>: Into<Payload>,
+    {
         let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let m = group.size();
-        assert_eq!(sendbufs.len(), m, "one send buffer per group member");
-        let own = std::mem::take(&mut sendbufs[idx]);
-        for (j, buf) in sendbufs.into_iter().enumerate() {
-            if j != idx {
-                self.send(group.ranks()[j], tag, buf)?;
-            }
-        }
-        let mut out = Vec::with_capacity(m);
+        assert_eq!(bufs.len(), group.size(), "one send buffer per group member");
         for (j, &peer) in group.ranks().iter().enumerate() {
-            if j == idx {
-                out.push(own.clone());
-            } else {
-                out.push(self.recv_u64(peer, tag)?);
+            if j != idx {
+                self.send(peer, tag, std::mem::take(&mut bufs[j]))?;
             }
         }
-        Ok(out)
+        for (j, &peer) in group.ranks().iter().enumerate() {
+            if j != idx {
+                bufs[j] = recv(self, peer, tag)?;
+            }
+        }
+        Ok(bufs)
     }
 }
 
@@ -328,6 +323,21 @@ mod tests {
                 assert_eq!(buf, &vec![(r * 10 + j) as f32], "dest {j} from {r}");
             }
         }
+    }
+
+    #[test]
+    fn alltoallv_hands_back_the_own_buffer_itself() {
+        Cluster::run(ClusterSpec::flat(2), |ctx| {
+            let group = ctx.groups().world();
+            let bufs: Vec<Vec<f32>> = (0..2).map(|j| vec![j as f32; 5]).collect();
+            let meta: Vec<Vec<u64>> = (0..2).map(|j| vec![j as u64; 3]).collect();
+            let (sent, sent_meta) = (bufs[ctx.rank()].as_ptr(), meta[ctx.rank()].as_ptr());
+            let got = ctx.alltoallv_f32(&group, 21, bufs).unwrap();
+            let got_meta = ctx.alltoallv_u64(&group, 22, meta).unwrap();
+            assert_eq!(got[ctx.rank()].as_ptr(), sent, "own f32 share was reallocated");
+            assert_eq!(got_meta[ctx.rank()].as_ptr(), sent_meta, "own u64 share was reallocated");
+            assert_eq!(got, vec![vec![ctx.rank() as f32; 5]; 2]);
+        });
     }
 
     #[test]

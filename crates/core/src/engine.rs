@@ -10,8 +10,9 @@
 //! 2. ② Enforce per-class capacity (sender-side even quota split) and
 //!    load-balance surviving tokens across the class's replica slots, then
 //!    dispatch via all-to-all.
-//! 3. Run each local slot's expert, return outputs via the reverse
-//!    all-to-all, combine gated outputs, and evaluate the loss.
+//! 3. Run each hosted class's expert on the rows of all its local slots,
+//!    return outputs via the reverse all-to-all, combine gated outputs, and
+//!    evaluate the loss.
 //! 4. ③ Backward through the experts and synchronize replica gradients
 //!    with the intra+inter-rank all-reduce of §4.1 over the pre-registered
 //!    contiguous groups of §4.2.
@@ -21,17 +22,19 @@
 //!    according to the **new** placement — materializing the rebalance for
 //!    free.
 //!
-//! Steps 4–5 run on one buffer per slot: each expert's flat
-//! `[W1 | b1 | W2 | b2]` gradient is what backward writes, what the §4.1
-//! sync folds co-located replicas into and ring-reduces (in the class's
-//! first local slot, its *representative*), what outgoing shards are cut
-//! from, and what Adam reads this rank's own shard out of. Nothing zeroes,
-//! flattens or copies it on the way, and a slot that received no token is
-//! never touched at all (DESIGN.md, "Gradient path in place").
+//! The unit of expert execution is the hosted *class*, not the slot: a rank
+//! keeps one [`ExpertFfn`] — one weight copy, one flat `[W1 | b1 | W2 | b2]`
+//! gradient — per class it hosts, and the class's co-located slots are only
+//! its capacity (§3.4) and its share of the dispatch. §4.1's intra-rank step
+//! is therefore backward's own accumulation over the merged rows, and steps
+//! 4–5 run on that one buffer: it is what backward writes, what the ring
+//! reduces in place, what outgoing shards are cut from, and what Adam reads
+//! this rank's own shard out of. Nothing zeroes, flattens or copies it on
+//! the way (DESIGN.md, "Gradient path in place").
 //!
 //! The iteration is one straight line with no schedule to choose. Its
 //! placement-independent middle — routing, and everything from the dispatch
-//! all-to-all to the per-slot backward — is [`crate::token_path`], shared
+//! all-to-all to the per-class backward — is [`crate::token_path`], shared
 //! with the static baseline; what is written here is what SYMI does
 //! differently.
 //!
@@ -44,13 +47,13 @@ use crate::metadata::LayerMetadataStore;
 use crate::optimizer::{GradShard, ReshardReport, ShardState, SymiOptimizer};
 use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
-use crate::token_path::{route, Routed, TokenPath};
+use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
 use std::time::Instant;
 use symi_collectives::hier::ReduceMode;
 use symi_collectives::{
     encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
-use symi_model::expert::{ExpertFfn, SlotBatches};
+use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, Matrix};
@@ -257,10 +260,13 @@ pub struct MoeLayerEngine {
     view: MembershipView,
     /// This rank's logical rank within `view`.
     lrank: usize,
-    /// Physical expert instances, one per local slot.
-    slots: Vec<ExpertFfn>,
-    /// The slots' persistent input/output/gradient matrices.
-    batches: SlotBatches,
+    /// Expert instances: `experts[g]` executes the `g`-th class of
+    /// `placement.classes_on_rank`, for all of that class's local slots.
+    /// There are always `slots_per_rank` of them; those past the hosted
+    /// classes wait for a placement that spreads this rank wider.
+    experts: Vec<ExpertFfn>,
+    /// The token path's persistent matrices and payload buffers.
+    tokens: TokenBuffers,
     /// Per class: this rank's updated weight shard as binary16 bits, written
     /// by the Adam step and read by the weight scatter. Lives across
     /// iterations.
@@ -313,12 +319,13 @@ impl MoeLayerEngine {
         let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
             .map(|class| Self::canonical_class_params(&cfg, class))
             .collect();
-        let slots = placement
-            .slots_of_rank(rank)
-            .map(|slot| {
-                let class = placement.class_of_slot(slot);
+        let hosted = placement.classes_on_rank(rank);
+        let experts = (0..cfg.slots_per_rank)
+            .map(|g| {
                 let mut e = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
-                e.load_flat(&class_params[class]);
+                if let Some((class, _)) = hosted.get(g) {
+                    e.load_flat(&class_params[*class]);
+                }
                 e
             })
             .collect();
@@ -330,8 +337,8 @@ impl MoeLayerEngine {
             cfg,
             view,
             lrank: rank,
-            slots,
-            batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
+            experts,
+            tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
@@ -397,9 +404,12 @@ impl MoeLayerEngine {
         self.telemetry = handle;
     }
 
-    /// Flat weights currently loaded in a local slot (testing support).
+    /// Flat weights a local slot runs on — its class's one copy on this rank
+    /// (testing support).
     pub fn slot_weights(&self, local_slot: usize) -> Vec<f32> {
-        self.slots[local_slot].flat_params()
+        let hosted = self.placement.classes_on_rank(self.lrank);
+        let expert = hosted.iter().position(|(_, locals)| locals.contains(&local_slot));
+        self.experts[expert.expect("a local slot")].flat_params()
     }
 
     /// The optimizer's fp32 master shard for a class (testing support).
@@ -407,21 +417,20 @@ impl MoeLayerEngine {
         self.optimizer.master_shard(class)
     }
 
-    /// A local slot's flat gradient buffer after the last iteration
-    /// (testing support — the finite-difference probe reads it). For a
-    /// class's *representative* (its first local slot) that is the class's
-    /// synchronized gradient, because the §4.1 sync reduces into it in
-    /// place; for every other slot it is what that slot's own backward
-    /// produced. `&mut` because reading an idle slot materializes its zeros.
-    pub fn slot_grads(&mut self, local_slot: usize) -> Vec<f32> {
-        self.slots[local_slot].flat_grads().to_vec()
+    /// `dLoss/dy` of the last iteration's gated, combined expert outputs, one
+    /// row per local token (testing support: the dense-mixture oracle).
+    pub fn loss_grad(&self) -> &Matrix {
+        self.tokens.loss_grad()
     }
 
-    /// Whether a local slot's gradient is still only *marked* zero: it sat
-    /// idle through the last iteration and nothing had to touch its buffer
-    /// (testing support).
-    pub fn slot_grad_is_zero(&self, local_slot: usize) -> bool {
-        self.slots[local_slot].grad_is_zero()
+    /// The synchronized flat gradient the last iteration left for the
+    /// `hosted`-th class of the placement it *ran* under (its
+    /// `classes_on_rank` order; `placement` has moved on to the next one).
+    /// Backward sums the class's local slots into this one buffer and the
+    /// §4.1 ring reduces it in place (testing support — the
+    /// finite-difference probe reads it).
+    pub fn hosted_grads(&mut self, hosted: usize) -> Vec<f32> {
+        self.experts[hosted].flat_grads().to_vec()
     }
 
     /// Whether an error is a candidate for **elastic recovery**: a dead
@@ -554,7 +563,8 @@ impl MoeLayerEngine {
             .placement
             .classes_on_rank(self.lrank)
             .into_iter()
-            .map(|(class, locals)| (class, self.slots[locals[0]].flat_params()))
+            .enumerate()
+            .map(|(g, (class, _))| (class, self.experts[g].flat_params()))
             .collect();
         let cfg = self.cfg;
         let report = self.optimizer.reshard(
@@ -607,10 +617,16 @@ impl MoeLayerEngine {
         let shards: Vec<Vec<u16>> = (0..self.cfg.expert_classes)
             .map(|class| encode_f16(self.optimizer.master_shard(class)))
             .collect();
-        self.slots = (0..self.cfg.slots_per_rank)
+        self.experts = (0..self.cfg.slots_per_rank)
             .map(|_| ExpertFfn::new(self.cfg.d_model, self.cfg.d_ff, 0))
             .collect();
-        self.optimizer.distribute_weights_into(ctx, &self.placement, &shards, tags, &mut self.slots)
+        self.optimizer.distribute_weights_into(
+            ctx,
+            &self.placement,
+            &shards,
+            tags,
+            &mut self.experts,
+        )
     }
 
     /// The survivor side of **elastic scale-out** — the inverse of
@@ -805,8 +821,8 @@ impl MoeLayerEngine {
             cfg,
             view: new_view,
             lrank,
-            slots: Vec::new(),
-            batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
+            experts: Vec::new(),
+            tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
@@ -858,18 +874,14 @@ impl MoeLayerEngine {
         if let Some(pop) = &snap.popularity {
             metadata.record(0, pop.clone());
         }
-        let slots = placement
-            .slots_of_rank(snap.logical_rank)
-            .map(|_| ExpertFfn::new(cfg.d_model, cfg.d_ff, 0))
-            .collect();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
         let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
         Self {
             cfg,
             view,
             lrank: snap.logical_rank,
-            slots,
-            batches: SlotBatches::new(cfg.slots_per_rank, cfg.d_model),
+            experts: Vec::new(), // `materialize_slots` builds them
+            tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             optimizer,
@@ -882,39 +894,20 @@ impl MoeLayerEngine {
         }
     }
 
-    /// §4.1 for one hosted class, in place: the intra+inter rank all-reduce
-    /// reduces the class's local slots' gradients into the representative's
-    /// (`locals[0]`) own flat gradient buffer. Busy siblings are added in
-    /// ascending slot order; an idle sibling (gradient still marked zero) is
-    /// never read, and an idle representative materializes its zeros first.
-    /// On return `slots[locals[0]].flat_grads()` is the class's synchronized
-    /// gradient — bit for bit the sum over *all* local slots, idle included.
+    /// §4.1 for one hosted class, in place on `experts[hosted]`'s flat
+    /// gradient. The intra-rank step already happened: backward summed the
+    /// class's co-located slots as rows of one batch, so there is no sibling
+    /// to fold and the buffer goes straight to the inter-rank ring. A class
+    /// that drew no token on this rank materializes its zeros here — the
+    /// ring ships them all the same.
     fn sync_class_grads(
         &mut self,
         ctx: &mut RankCtx,
         class: usize,
-        locals: &[usize],
+        hosted: usize,
         tags: TagSpace,
     ) -> Result<(), CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
-        // A class's local slots are adjacent (placements are contiguous).
-        let (first, last) = (locals[0], locals[locals.len() - 1]);
-        debug_assert_eq!(last - first + 1, locals.len(), "local replicas are adjacent");
-        let (rep, siblings) = self.slots[first..=last].split_first_mut().expect("hosted class");
-        // An idle sibling's contribution is `+0.0` per element, and
-        // `x + (+0.0)` is `x` for every `x` except `-0.0` (which an FMA
-        // chain reaches by underflow). So the zeros are not streamed
-        // through, but the one thing adding them does is kept: wherever in
-        // the sum the `+0.0` lands the result is the same, so it is added
-        // once, first, to the representative alone. (An idle
-        // representative's materialized `+0.0` does the same job.)
-        if !rep.grad_is_zero() && siblings.iter().any(|s| s.grad_is_zero()) {
-            for g in rep.flat_grads_mut() {
-                *g += 0.0;
-            }
-        }
-        let busy_siblings =
-            siblings.iter_mut().filter(|s| !s.grad_is_zero()).map(|s| s.flat_grads());
         // The host range is logical; the view maps it onto the (possibly
         // non-contiguous) surviving physical ranks.
         let (start, len) = self.placement.host_range(class);
@@ -922,8 +915,8 @@ impl MoeLayerEngine {
         ctx.expert_allreduce(
             &group,
             tags.tag(WirePhase::GradSync, class, 0),
-            rep.flat_grads_mut(),
-            busy_siblings,
+            self.experts[hosted].flat_grads_mut(),
+            [],
             self.placement.replica_counts()[class],
             ReduceMode::Sum,
         )
@@ -931,21 +924,21 @@ impl MoeLayerEngine {
 
     /// Adam step of one class from its collected gradient shard: a
     /// locally-sourced shard is read where it lies, in the gradient of the
-    /// class's representative slot `rep_slot`; a wire buffer goes back to
-    /// the free list afterwards.
+    /// class's expert `experts[hosted]`; a wire buffer goes back to the free
+    /// list afterwards.
     fn step_class(
         &mut self,
         ctx: &mut RankCtx,
         class: usize,
         shard: GradShard,
-        rep_slot: Option<usize>,
+        hosted: Option<usize>,
     ) {
         let out = &mut self.weight_shards[class];
         match shard {
             GradShard::Local => {
                 let (ms, mt) = self.optimizer.shard_range();
-                let rep = rep_slot.expect("locally sourced, so hosted");
-                self.optimizer.step_class_into(class, &self.slots[rep].flat_grads()[ms..mt], out);
+                let grads = self.experts[hosted.expect("locally sourced, so hosted")].flat_grads();
+                self.optimizer.step_class_into(class, &grads[ms..mt], out);
             }
             GradShard::Wire(buf) => {
                 self.optimizer.step_class_into(class, &buf, out);
@@ -1031,6 +1024,9 @@ impl MoeLayerEngine {
         // scalar is purely advisory, so its all-reduce is deferred into the
         // single trailing advisory exchange (with the stats counts) instead
         // of barriering between the two halves.
+        let first_slot = self.lrank * self.cfg.slots_per_rank;
+        let placement = &self.placement;
+        self.tokens.batches.regroup(|local| placement.class_of_slot(first_slot + local));
         let path = TokenPath {
             group: &world,
             rank: self.lrank,
@@ -1040,9 +1036,9 @@ impl MoeLayerEngine {
             kept_slot: &kept_slot,
             telemetry: &tele,
         };
-        let (dy, local_sq) =
-            path.forward(ctx, x_local, target_local, &mut self.slots, &mut self.batches)?;
-        path.backward(ctx, &dy, &mut self.slots, &mut self.batches)?;
+        let local_sq =
+            path.forward(ctx, x_local, target_local, &mut self.experts, &mut self.tokens)?;
+        path.backward(ctx, &mut self.experts, &mut self.tokens)?;
 
         // ---- Step 4: §4.1 intra+inter rank gradient all-reduce per class.
         // `Phase::GradComm` covers three different things — the return of
@@ -1051,33 +1047,27 @@ impl MoeLayerEngine {
         // and published as a gauge.
         let hosted = self.placement.classes_on_rank(self.lrank);
         let t0 = Instant::now();
-        for (class, locals) in &hosted {
-            self.sync_class_grads(ctx, *class, locals, tags)?;
+        for (g, (class, _)) in hosted.iter().enumerate() {
+            self.sync_class_grads(ctx, *class, g, tags)?;
         }
         let grad_sync = t0.elapsed();
 
         // ---- Step 5: collect gradient shards (Algorithm 2), step Adam.
         // (The optimizer times its own GradComm/OptimizerStep spans.)
-        // Per class, the local slot whose gradient buffer holds the class's
+        // Per class, the expert whose gradient buffer holds the class's
         // synchronized gradient now that `sync_class_grads` has run.
-        let mut rep_slot: Vec<Option<usize>> = vec![None; e];
-        for (class, locals) in &hosted {
-            rep_slot[*class] = Some(locals[0]);
-        }
-        let s = self.cfg.slots_per_rank;
+        let mut expert_of: Vec<Option<usize>> = vec![None; e];
         let t0 = Instant::now();
         let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
-        for (local, slot) in self.slots.iter_mut().enumerate() {
-            let class = self.placement.class_of_slot(self.lrank * s + local);
-            if rep_slot[class] == Some(local) {
-                class_grads[class] = Some(slot.flat_grads());
-            }
+        for ((class, _), (g, expert)) in hosted.iter().zip(self.experts.iter_mut().enumerate()) {
+            expert_of[*class] = Some(g);
+            class_grads[*class] = Some(expert.flat_grads());
         }
         let shards =
             self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
         let grad_collect = t0.elapsed();
         for (class, shard) in shards.into_iter().enumerate() {
-            self.step_class(ctx, class, shard, rep_slot[class]);
+            self.step_class(ctx, class, shard, expert_of[class]);
         }
 
         let rebalance_span = tele.span(Phase::Rebalance);
@@ -1103,13 +1093,13 @@ impl MoeLayerEngine {
         drop(rebalance_span);
 
         // ---- Step 8: scatter the updated weights under the new placement,
-        // which the slots hold from here on. ----
+        // which the experts hold from here on. ----
         self.optimizer.distribute_weights_into(
             ctx,
             &next_placement,
             &self.weight_shards,
             tags,
-            &mut self.slots,
+            &mut self.experts,
         )?;
         self.placement = next_placement;
         self.iteration += 1;
@@ -1124,7 +1114,14 @@ impl MoeLayerEngine {
         let mut advisory = vec![local_sq, survived_local as f32, (t_loc - survived_local) as f32];
         advisory.extend(taken.iter().map(|&k| k as f32));
         let local_advisory = advisory.clone();
-        match ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut advisory) {
+        // The first collective after the weight scatter: a rank that hosts
+        // fewer classes has less to decode and waits here for its peer, so
+        // the exchange is timed (as `Other`, where its bytes already land).
+        let advisory_span = tele.span(Phase::Other);
+        let exchanged =
+            ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut advisory);
+        drop(advisory_span);
+        match exchanged {
             Ok(()) => {}
             Err(e) if Self::is_degradable(&e) || matches!(e, CommError::PeerGone { .. }) => {
                 // Loss and stats are advisory and every training-state
@@ -1373,7 +1370,7 @@ mod tests {
             let x = token_matrix(0, t_loc, probe.d_model);
             let target = token_matrix(3, t_loc, probe.d_model);
             let stats = engine.iteration(ctx, &x, &target).unwrap();
-            (stats.loss, engine.slot_grads(0))
+            (stats.loss, engine.hosted_grads(0))
         });
         let (loss, analytic) = results.remove(0);
 
@@ -1412,44 +1409,6 @@ mod tests {
                 "param {i}: analytic grad {g} vs finite difference {fd}"
             );
         }
-    }
-
-    #[test]
-    fn an_idle_sibling_still_turns_negative_zero_positive() {
-        // The one observable effect of adding an idle replica's `+0.0`s —
-        // `-0.0` becomes `+0.0` — must survive skipping the replica, or the
-        // in-place sync would differ from the fold over every slot in the
-        // sign of a zero. One rank, one class, three co-located replicas.
-        let one_class = EngineConfig { expert_classes: 1, slots_per_rank: 3, ..cfg() };
-        Cluster::run(ClusterSpec::flat(1), move |ctx| {
-            let mut engine = MoeLayerEngine::new(0, 1, one_class);
-            let tags = TagSpace::new(0, 0);
-            let seed = |engine: &mut MoeLayerEngine, idle: &[usize]| {
-                for (local, slot) in engine.slots.iter_mut().enumerate() {
-                    let g = slot.flat_grads_mut();
-                    g.fill(local as f32 + 1.0);
-                    g[0] = -0.0;
-                    if idle.contains(&local) {
-                        slot.zero_grad();
-                    }
-                }
-            };
-            // Everyone busy: (-0.0) + (-0.0) + (-0.0) stays -0.0.
-            seed(&mut engine, &[]);
-            engine.sync_class_grads(ctx, 0, &[0, 1, 2], tags).unwrap();
-            assert_eq!(engine.slot_grads(0)[..2], [-0.0, 6.0]);
-            assert!(engine.slot_grads(0)[0].is_sign_negative());
-            // An idle sibling anywhere, or an idle representative: +0.0, as
-            // adding its zeros would have given — and the idle one untouched.
-            for idle in [1, 2, 0] {
-                seed(&mut engine, &[idle]);
-                engine.sync_class_grads(ctx, 0, &[0, 1, 2], tags).unwrap();
-                let synced = engine.slot_grads(0);
-                assert!(synced[0] == 0.0 && synced[0].is_sign_positive(), "idle slot {idle}");
-                assert_eq!(synced[1], 6.0 - (idle as f32 + 1.0));
-                assert_eq!(engine.slot_grad_is_zero(idle), idle != 0);
-            }
-        });
     }
 
     #[test]

@@ -614,40 +614,44 @@ impl SymiOptimizer {
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
         let mut out = vec![vec![0.0f32; self.param_count]; new_placement.slots_per_rank()];
-        self.scatter_weights(ctx, new_placement, half_shards, tags, |local, offset, half| {
-            decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
+        let hosted = new_placement.classes_on_rank(self.lrank);
+        self.scatter_weights(ctx, new_placement, half_shards, tags, |g, offset, half| {
+            for &local in &hosted[g].1 {
+                decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
+            }
         })?;
         Ok(out)
     }
 
     /// The Weight Communication Phase as the engine runs it: every shard —
-    /// received, or this rank's own from `half_shards` — is decoded straight
-    /// into each hosting slot's `W1 | b1 | W2 | b2`
-    /// ([`ExpertFfn::load_f16_at`]). `slots` is indexed by local slot id.
+    /// received, or this rank's own from `half_shards` — is decoded once,
+    /// straight into the `W1 | b1 | W2 | b2` of the one expert that executes
+    /// its class ([`ExpertFfn::load_f16_at`]). `experts[g]` takes the `g`-th
+    /// class of `new_placement.classes_on_rank`, however many slots it fills.
     pub(crate) fn distribute_weights_into(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,
         half_shards: &[Vec<u16>],
         tags: TagSpace,
-        slots: &mut [ExpertFfn],
+        experts: &mut [ExpertFfn],
     ) -> Result<(), CommError> {
-        self.scatter_weights(ctx, new_placement, half_shards, tags, |local, offset, half| {
-            slots[local].load_f16_at(offset, half);
+        self.scatter_weights(ctx, new_placement, half_shards, tags, |g, offset, half| {
+            experts[g].load_f16_at(offset, half);
         })
     }
 
     /// Advances the fencing epoch, sends every shard, receives this rank's
-    /// classes' shards, and hands `sink` every `(local slot, offset in the
-    /// flat parameters, fp16 shard)` of `new_placement`, sibling slots of a
-    /// class one after another from the same buffer.
+    /// classes' shards, and hands `sink` every `(index of the class in
+    /// new_placement.classes_on_rank, offset in the flat parameters, fp16
+    /// shard)` — once per hosted class and source chunk.
     ///
     /// `half_shards[class]` is this rank's shard of `class` as binary16
     /// bits — what [`SymiOptimizer::step_into`] wrote; nothing is converted
     /// here. A destination rank hosting several sibling slots of one class
-    /// receives the shard once and fans it out locally, and this rank's own
-    /// slots are served straight from `half_shards` without touching the
-    /// wire. Zero-length shards are skipped on the wire by both sides. The
+    /// receives the shard once, and this rank's own classes are served
+    /// straight from `half_shards` without touching the wire. Zero-length
+    /// shards are skipped on the wire by both sides. The
     /// shards travel (and stage over PCIe) as 2 B/param [`Payload::F16`],
     /// each send in a buffer from the wire-buffer free list, and consumed
     /// wire buffers go back to it.
@@ -724,18 +728,18 @@ impl SymiOptimizer {
             let delta = ctx.protocol_stats().retries - retries_before;
             self.telemetry.gauge("weight_distribute_retries").set(delta as f64);
         }
-        for (class, locals) in &my_classes {
+        for (hosted, (class, _)) in my_classes.iter().enumerate() {
             for src in 0..n {
                 let (a, b) = chunk_range(self.param_count, n, src);
                 if a == b {
                     continue;
                 }
                 if src == self.lrank {
-                    locals.iter().for_each(|&local| sink(local, a, &half_shards[*class]));
+                    sink(hosted, a, &half_shards[*class]);
                 } else {
                     let shard =
                         received.next().expect("one receive per (class, src)").into_f16()?;
-                    locals.iter().for_each(|&local| sink(local, a, &shard));
+                    sink(hosted, a, &shard);
                     ctx.recycle_f16(shard);
                 }
             }

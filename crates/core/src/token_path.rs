@@ -5,12 +5,13 @@
 //! for itself — from its own placement and capacity rule — which tokens
 //! survive and which global slot each goes to. From there the work is the
 //! same whatever made that decision: dispatch all-to-all into the hosting
-//! slots, expert forward, combine all-to-all, gated MSE against the target,
-//! gradient-return all-to-all, per-slot backward. That is [`route`] and
-//! [`TokenPath`]. `MoeLayerEngine` and the DeepSpeed-style baseline both run
-//! on it, so a comparison between them measures placement, gradient sync
-//! and optimizer strategy — the paper's claim about what differs — and
-//! nothing else.
+//! ranks, expert forward — one batch per hosted *class*, whichever of its
+//! co-located slots a row was sent to — combine all-to-all, gated MSE against
+//! the target, gradient-return all-to-all, per-class backward. That is
+//! [`route`] and [`TokenPath`]. `MoeLayerEngine` and the DeepSpeed-style
+//! baseline both run on it, so a comparison between them measures placement,
+//! gradient sync and optimizer strategy — the paper's claim about what
+//! differs — and nothing else.
 
 use std::time::Instant;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
@@ -67,6 +68,50 @@ pub fn route(x_local: &Matrix, router_w: &Matrix, telemetry: &TelemetryHandle) -
     routed
 }
 
+/// What a rank's token path keeps from one iteration to the next: the
+/// per-class expert I/O, the loss gradient, and the payloads of the
+/// all-to-alls. What an exchange received is what the next exchange's sends
+/// are built in — the three row exchanges (dispatch, combine, gradient
+/// return) take turns on one payload set, each done with what it received
+/// before the next one sends — so at a steady batch shape the path allocates
+/// none of them.
+pub struct TokenBuffers {
+    pub batches: SlotBatches,
+    /// `dLoss/dy` of the last [`TokenPath::forward`], one row per local token.
+    dy: Matrix,
+    rows: Vec<Vec<f32>>,
+    meta: Vec<Vec<u64>>,
+    cursor: Vec<usize>,
+}
+
+impl TokenBuffers {
+    pub fn new(slots_per_rank: usize, d_model: usize) -> Self {
+        Self {
+            batches: SlotBatches::new(slots_per_rank, d_model),
+            dy: Matrix::zeros(0, d_model),
+            rows: Vec::new(),
+            meta: Vec::new(),
+            cursor: Vec::new(),
+        }
+    }
+
+    /// `dLoss/dy` of the last [`TokenPath::forward`], one row per local
+    /// token (a dropped token's `y` is zero, so its row is the target's pull
+    /// alone).
+    pub fn loss_grad(&self) -> &Matrix {
+        &self.dy
+    }
+}
+
+/// Takes the payload set `bufs` as `n` empty send buffers that keep their
+/// capacity.
+fn send_bufs<T>(bufs: &mut Vec<Vec<T>>, n: usize) -> Vec<Vec<T>> {
+    let mut bufs = std::mem::take(bufs);
+    bufs.resize_with(n, Vec::new);
+    bufs.iter_mut().for_each(Vec::clear);
+    bufs
+}
+
 /// One iteration's token exchange on one rank: who takes part, under which
 /// tags, and where this rank's surviving tokens go. Slot `k` lives on member
 /// `k / slots_per_rank` of `group`.
@@ -88,117 +133,115 @@ pub struct TokenPath<'a> {
 
 impl TokenPath<'_> {
     /// Dispatches the kept rows of `x_local` to their slots, runs this
-    /// rank's experts (`slots`, one per local slot) on what arrived, and
-    /// combines the returned outputs: `y[t] = gate_t · expert(x_t)` for kept
-    /// tokens, zero for dropped ones (residual semantics live outside).
+    /// rank's experts (one per set of `bufs.batches`, i.e. per hosted class)
+    /// on what arrived, and combines the returned outputs:
+    /// `y[t] = gate_t · expert(x_t)` for kept tokens, zero for dropped ones
+    /// (residual semantics live outside).
     ///
-    /// Returns `dLoss/dy` of the global-mean squared error against
-    /// `target_local`, and this rank's `Σ (y − target)²`. The backward pass
-    /// needs only the local `dy`; the loss scalar is advisory, so summing it
+    /// Leaves `dLoss/dy` of the global-mean squared error against
+    /// `target_local` in `bufs` for [`TokenPath::backward`] and returns this
+    /// rank's `Σ (y − target)²`. The loss scalar is advisory, so summing it
     /// over ranks is left to the caller.
     pub fn forward(
         &self,
         ctx: &mut RankCtx,
         x_local: &Matrix,
         target_local: &Matrix,
-        slots: &mut [ExpertFfn],
-        batches: &mut SlotBatches,
-    ) -> Result<(Matrix, f32), CommError> {
-        let (n, s) = (self.group.size(), slots.len());
+        experts: &mut [ExpertFfn],
+        bufs: &mut TokenBuffers,
+    ) -> Result<f32, CommError> {
+        let (n, s) = (self.group.size(), bufs.batches.slots());
         let (t_loc, d) = (x_local.rows(), x_local.cols());
         let tele = self.telemetry;
 
         let dispatch_span = tele.span(Phase::Dispatch);
-        let mut row_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        let mut meta_bufs: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut rows = send_bufs(&mut bufs.rows, n);
+        let mut meta = send_bufs(&mut bufs.meta, n);
         for (&t, &slot) in self.kept.iter().zip(self.kept_slot) {
             let dest = slot / s;
-            row_bufs[dest].extend_from_slice(x_local.row(t));
-            meta_bufs[dest].push(slot as u64);
+            rows[dest].extend_from_slice(x_local.row(t));
+            meta[dest].push(slot as u64);
         }
-        let in_rows =
-            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::DispatchRows), row_bufs)?;
-        let in_meta =
-            ctx.alltoallv_u64(self.group, self.tags.phase_tag(WirePhase::DispatchMeta), meta_bufs)?;
-        // Assemble the rows straight into the slots' input matrices.
-        batches.assemble_inputs(self.rank * s, &in_meta, &in_rows);
+        bufs.rows =
+            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::DispatchRows), rows)?;
+        bufs.meta =
+            ctx.alltoallv_u64(self.group, self.tags.phase_tag(WirePhase::DispatchMeta), meta)?;
+        // Assemble the rows straight into the sets' input matrices.
+        bufs.batches.assemble_inputs(self.rank * s, &bufs.meta, &bufs.rows);
         drop(dispatch_span);
 
         {
             let _span = tele.span(Phase::ExpertFfn);
-            batches.forward(slots);
+            bufs.batches.forward(experts);
         }
 
         // Return outputs in each source's original send order.
         let _span = tele.span(Phase::Combine);
-        let mut back_bufs: Vec<Vec<f32>> = vec![Vec::new(); n];
-        for (src, buf) in back_bufs.iter_mut().enumerate() {
-            batches.append_outputs(src, buf);
+        let mut outs = send_bufs(&mut bufs.rows, n);
+        for (src, buf) in outs.iter_mut().enumerate() {
+            bufs.batches.append_outputs(src, buf);
         }
-        let returned = ctx.alltoallv_f32(
-            self.group,
-            self.tags.phase_tag(WirePhase::CombineReturn),
-            back_bufs,
-        )?;
-        let mut y = Matrix::zeros(t_loc, d);
-        let mut cursor = vec![0usize; n];
+        bufs.rows =
+            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::CombineReturn), outs)?;
+        let dy = &mut bufs.dy;
+        dy.resize_to(t_loc, d);
+        dy.fill_zero();
+        bufs.cursor.clear();
+        bufs.cursor.resize(n, 0);
         for (&t, &slot) in self.kept.iter().zip(self.kept_slot) {
             let dest = slot / s;
-            let j = cursor[dest];
-            cursor[dest] += 1;
-            let row = &returned[dest][j * d..(j + 1) * d];
+            let j = bufs.cursor[dest];
+            bufs.cursor[dest] += 1;
+            let row = &bufs.rows[dest][j * d..(j + 1) * d];
             let g = self.gates[t];
-            for (c, &v) in row.iter().enumerate() {
-                y[(t, c)] += g * v;
+            for (y, &v) in dy.row_mut(t).iter_mut().zip(row) {
+                *y += g * v;
             }
         }
 
-        let mut dy = y;
         dy.axpy(-1.0, target_local);
         let local_sq: f32 = dy.as_slice().iter().map(|v| v * v).sum();
         // dLoss/dy = 2 (y - target) / (T_global · d) for the mean of
         // squares — the finite-difference probe in the engine's tests pins
         // the factor 2 the loss/gradient pair needs to stay consistent.
         dy.scale(2.0 / ((t_loc * n) as f32 * d as f32));
-        Ok((dy, local_sq))
+        Ok(local_sq)
     }
 
-    /// Sends each kept token's gated upstream gradient (`dy` from
-    /// [`TokenPath::forward`]) back to its slot and backpropagates every
-    /// local slot; a slot that received no token keeps its gradient marked
-    /// zero. Publishes the `grad_return_ms` gauge and the rank's expert-load
-    /// gauges.
+    /// Sends each kept token's gated upstream gradient (the `dLoss/dy`
+    /// [`TokenPath::forward`] left in `bufs`) back to its slot and
+    /// backpropagates every set into its expert's flat gradient; a set that
+    /// received no token keeps its gradient marked zero. Publishes the
+    /// `grad_return_ms` gauge and the rank's expert-load gauges.
     pub fn backward(
         &self,
         ctx: &mut RankCtx,
-        dy: &Matrix,
-        slots: &mut [ExpertFfn],
-        batches: &mut SlotBatches,
+        experts: &mut [ExpertFfn],
+        bufs: &mut TokenBuffers,
     ) -> Result<(), CommError> {
         let tele = self.telemetry;
+        let s = bufs.batches.slots();
         let t_return = Instant::now();
         let return_span = tele.span(Phase::GradComm);
-        let mut gbufs: Vec<Vec<f32>> = vec![Vec::new(); self.group.size()];
+        let mut grads = send_bufs(&mut bufs.rows, self.group.size());
         for (&t, &slot) in self.kept.iter().zip(self.kept_slot) {
             let g = self.gates[t];
-            gbufs[slot / slots.len()].extend(dy.row(t).iter().map(|&v| v * g));
+            grads[slot / s].extend(bufs.dy.row(t).iter().map(|&v| v * g));
         }
-        let in_grads =
-            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::GradReturn), gbufs)?;
-        // Scatter into the slots' upstream matrices using the dispatch map.
-        batches.assemble_grads(&in_grads);
+        bufs.rows =
+            ctx.alltoallv_f32(self.group, self.tags.phase_tag(WirePhase::GradReturn), grads)?;
+        // Scatter into the sets' upstream matrices using the dispatch map.
+        bufs.batches.assemble_grads(&bufs.rows);
         drop(return_span);
         let grad_return = t_return.elapsed();
 
         {
             let _span = tele.span(Phase::ExpertFfn);
-            for (local, expert) in slots.iter_mut().enumerate() {
-                batches.backward(local, expert);
-            }
+            bufs.batches.backward(experts);
         }
         if tele.is_enabled() {
             tele.gauge("grad_return_ms").set(grad_return.as_secs_f64() * 1e3);
-            batches.publish_load(tele);
+            bufs.batches.publish_load(tele);
         }
         Ok(())
     }

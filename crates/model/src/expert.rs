@@ -6,20 +6,30 @@
 //! weight-communication phase scatters.
 //!
 //! The gradient never round-trips: it *is* one flat `[W1 | b1 | W2 | b2]`
-//! buffer per expert. Backward writes it, the §4.1 replica sync folds and
-//! all-reduces it where it lies, and Adam steps from a slice of it
+//! buffer per expert. Backward writes it, the §4.1 replica sync all-reduces
+//! it where it lies, and Adam steps from a slice of it
 //! ([`ExpertFfn::flat_grads`]); nothing copies it in between.
 
+use std::cell::RefCell;
 use symi_telemetry::TelemetryHandle;
 use symi_tensor::ops::{gelu_backward_into, linear_gelu_into};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, Matrix};
 
+thread_local! {
+    /// Backward's two `rows × d_ff` scratch matrices (`dL/d act`, `dL/d pre`).
+    /// They are dead outside one [`ExpertFfn::backward_into`] call, so a
+    /// thread's experts share one pair sized by its largest batch instead of
+    /// each keeping its own high-water mark.
+    static BACKWARD_SCRATCH: RefCell<(Matrix, Matrix)> =
+        RefCell::new((Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
+}
+
 /// A two-layer GELU FFN: `y = gelu(x·W1 + b1)·W2 + b2`.
 ///
 /// Forward/backward run on the blocked kernels through persistent caches
-/// and scratch buffers (`*_into` entry points), so a steady-state training
-/// step performs no heap allocation inside the expert.
+/// and per-thread scratch buffers (`*_into` entry points), so a steady-state
+/// training step performs no heap allocation inside the expert.
 pub struct ExpertFfn {
     pub w1: Matrix,
     pub b1: Matrix,
@@ -34,8 +44,6 @@ pub struct ExpertFfn {
     cached_x: Matrix,
     cached_pre: Matrix,
     cached_act: Matrix,
-    scratch_dact: Matrix,
-    scratch_dpre: Matrix,
 }
 
 impl ExpertFfn {
@@ -51,8 +59,6 @@ impl ExpertFfn {
             cached_x: Matrix::zeros(0, 0),
             cached_pre: Matrix::zeros(0, 0),
             cached_act: Matrix::zeros(0, 0),
-            scratch_dact: Matrix::zeros(0, 0),
-            scratch_dpre: Matrix::zeros(0, 0),
         }
     }
 
@@ -104,11 +110,13 @@ impl ExpertFfn {
         let (w2_grad, b2_grad) = rest.split_at_mut(self.w2.len());
         self.cached_act.matmul_tn_slice(dy, w2_grad, acc);
         dy.sum_rows_slice(b2_grad, acc);
-        dy.matmul_nt_into(&self.w2, &mut self.scratch_dact);
-        gelu_backward_into(&self.cached_pre, &self.scratch_dact, &mut self.scratch_dpre);
-        self.cached_x.matmul_tn_slice(&self.scratch_dpre, w1_grad, acc);
-        self.scratch_dpre.sum_rows_slice(b1_grad, acc);
-        self.scratch_dpre.matmul_nt_into(&self.w1, dx);
+        BACKWARD_SCRATCH.with_borrow_mut(|(dact, dpre)| {
+            dy.matmul_nt_into(&self.w2, dact);
+            gelu_backward_into(&self.cached_pre, dact, dpre);
+            self.cached_x.matmul_tn_slice(dpre, w1_grad, acc);
+            dpre.sum_rows_slice(b1_grad, acc);
+            dpre.matmul_nt_into(&self.w1, dx);
+        });
     }
 
     /// Parameters as one flat buffer: `[W1 | b1 | W2 | b2]`.
@@ -146,7 +154,7 @@ impl ExpertFfn {
 
     /// Whether the gradient is known to be all `+0.0` without looking at it:
     /// [`ExpertFfn::zero_grad`] ran and neither a backward nor a reader has
-    /// touched it since. An engine skips such a slot instead of moving zeros.
+    /// touched it since (an expert whose set received no token row).
     pub fn grad_is_zero(&self) -> bool {
         self.grad_zero
     }
@@ -202,25 +210,30 @@ impl ExpertFfn {
     }
 }
 
-/// Persistent per-slot I/O of a distributed engine's expert phase.
+/// Persistent per-class I/O of a distributed engine's expert phase.
 ///
-/// A rank hosts a fixed number of expert slots and, every iteration, feeds
-/// each slot the token rows the dispatch all-to-all delivered for it, returns
-/// the outputs in each source's send order, and later runs the backward pass
-/// on the upstream gradients that arrive in that same order. The input,
-/// output and gradient matrices live here across iterations and the dispatch
-/// rows are assembled straight into them, so at a steady batch shape the
-/// assemble → forward → backward section performs no heap allocation and no
-/// copy beyond the one that places each row (`tests/slot_batches.rs`).
+/// A rank hosts a fixed number of expert slots, and the slots that hold the
+/// same class are one *set*: one [`ExpertFfn`] executes them as one batch.
+/// Every iteration each set is fed the token rows the dispatch all-to-all
+/// delivered for any of its slots, the outputs go back in each source's send
+/// order, and later the backward pass runs on the upstream gradients that
+/// arrive in that same order. The input, output and gradient matrices live
+/// here across iterations and the dispatch rows are assembled straight into
+/// them, so at a steady batch shape the assemble → forward → backward section
+/// performs no heap allocation and no copy beyond the one that places each
+/// row (`tests/slot_batches.rs`).
 pub struct SlotBatches {
     d_model: usize,
-    io: Vec<SlotIo>,
-    /// `routing[src][j]` = (local slot, row) of source rank `src`'s `j`-th
+    /// One per set; set `g` is the `g`-th distinct class among the slots.
+    io: Vec<SetIo>,
+    /// The set each local slot belongs to.
+    set_of_slot: Vec<usize>,
+    /// `routing[src][j]` = (set, row) of source rank `src`'s `j`-th
     /// dispatched token.
     routing: Vec<Vec<(usize, usize)>>,
 }
 
-struct SlotIo {
+struct SetIo {
     x: Matrix,
     y: Matrix,
     dy: Matrix,
@@ -228,15 +241,33 @@ struct SlotIo {
 }
 
 impl SlotBatches {
+    /// `slots` local slots, each a set of its own until
+    /// [`SlotBatches::regroup`] says otherwise.
     pub fn new(slots: usize, d_model: usize) -> Self {
         let empty = || Matrix::zeros(0, d_model);
         let io = (0..slots)
-            .map(|_| SlotIo { x: empty(), y: empty(), dy: empty(), dx: empty() })
+            .map(|_| SetIo { x: empty(), y: empty(), dy: empty(), dx: empty() })
             .collect();
-        Self { d_model, io, routing: Vec::new() }
+        Self { d_model, io, set_of_slot: (0..slots).collect(), routing: Vec::new() }
     }
 
-    /// Assembles the dispatched token rows into the per-slot input matrices,
+    /// Local slots per rank.
+    pub fn slots(&self) -> usize {
+        self.set_of_slot.len()
+    }
+
+    /// Groups the local slots into sets by the class each holds
+    /// (`class_of(local slot)`), sets numbered in order of first appearance.
+    pub fn regroup(&mut self, class_of: impl Fn(usize) -> usize) {
+        let mut sets = 0;
+        for local in 0..self.set_of_slot.len() {
+            let twin = (0..local).find(|&earlier| class_of(earlier) == class_of(local));
+            self.set_of_slot[local] = twin.map_or(sets, |twin| self.set_of_slot[twin]);
+            sets += usize::from(twin.is_none());
+        }
+    }
+
+    /// Assembles the dispatched token rows into the per-set input matrices,
     /// in arrival order (source rank ascending, then send order).
     /// `meta[src][j]` is the global slot id of the row
     /// `rows[src][j·d .. (j+1)·d]`; `first_slot` is this rank's first global
@@ -250,19 +281,20 @@ impl SlotBatches {
         for ((route, meta), rows) in self.routing.iter_mut().zip(meta).zip(rows) {
             route.clear();
             for (j, &slot_id) in meta.iter().enumerate() {
-                let local = slot_id as usize - first_slot;
-                let x = &mut self.io[local].x;
+                let set = self.set_of_slot[slot_id as usize - first_slot];
+                let x = &mut self.io[set].x;
                 let row = x.rows();
                 x.resize_to(row + 1, d);
                 x.row_mut(row).copy_from_slice(&rows[j * d..(j + 1) * d]);
-                route.push((local, row));
+                route.push((set, row));
             }
         }
     }
 
-    /// Runs every slot's expert on its assembled input (idle slots skip).
+    /// Runs every set's expert (`experts[g]` for set `g`) on its assembled
+    /// input; a set that received no row is skipped.
     pub fn forward(&mut self, experts: &mut [ExpertFfn]) {
-        assert_eq!(experts.len(), self.io.len(), "one expert per slot");
+        assert_eq!(experts.len(), self.io.len(), "one expert per possible set");
         for (io, expert) in self.io.iter_mut().zip(experts) {
             if io.x.rows() == 0 {
                 io.y.resize_to(0, self.d_model);
@@ -273,46 +305,50 @@ impl SlotBatches {
     }
 
     /// Publishes how much expert work this rank drew this iteration as the
-    /// per-rank gauges `expert_busy_slots.rank{r}` (slots that were fed at
-    /// least one token row) and `expert_rows.rank{r}` (rows over all slots):
-    /// an uneven expert phase is per-rank load before it is per-rank speed.
+    /// per-rank gauges `expert_sets.rank{r}` (sets — distinct hosted classes
+    /// — that were fed at least one token row, i.e. GEMM sets run) and
+    /// `expert_rows.rank{r}` (rows over all sets): an uneven expert phase is
+    /// per-rank load before it is per-rank speed.
     pub fn publish_load(&self, telemetry: &TelemetryHandle) {
         let rank = telemetry.rank();
         let rows = || self.io.iter().map(|io| io.x.rows());
-        let busy = rows().filter(|&r| r > 0).count();
-        telemetry.gauge(&format!("expert_busy_slots.rank{rank}")).set(busy as f64);
+        let sets = rows().filter(|&r| r > 0).count();
+        telemetry.gauge(&format!("expert_sets.rank{rank}")).set(sets as f64);
         telemetry.gauge(&format!("expert_rows.rank{rank}")).set(rows().sum::<usize>() as f64);
     }
 
     /// Appends the outputs owed to source rank `src`, in its send order.
     pub fn append_outputs(&self, src: usize, out: &mut Vec<f32>) {
-        for &(slot, row) in &self.routing[src] {
-            out.extend_from_slice(self.io[slot].y.row(row));
+        for &(set, row) in &self.routing[src] {
+            out.extend_from_slice(self.io[set].y.row(row));
         }
     }
 
     /// Scatters the returned upstream gradients (`grads[src]` in source
-    /// `src`'s send order) into the per-slot `dy` matrices.
+    /// `src`'s send order) into the per-set `dy` matrices.
     pub fn assemble_grads(&mut self, grads: &[Vec<f32>]) {
         let d = self.d_model;
         for io in &mut self.io {
             io.dy.resize_to(io.x.rows(), d);
         }
         for (route, grads) in self.routing.iter().zip(grads) {
-            for (j, &(slot, row)) in route.iter().enumerate() {
-                self.io[slot].dy.row_mut(row).copy_from_slice(&grads[j * d..(j + 1) * d]);
+            for (j, &(set, row)) in route.iter().enumerate() {
+                self.io[set].dy.row_mut(row).copy_from_slice(&grads[j * d..(j + 1) * d]);
             }
         }
     }
 
-    /// Marks `expert`'s gradient zero and, unless slot `local` sat idle,
-    /// backpropagates its assembled upstream gradient into it. An idle
-    /// slot's gradient stays marked ([`ExpertFfn::grad_is_zero`]).
-    pub fn backward(&mut self, local: usize, expert: &mut ExpertFfn) {
-        let io = &mut self.io[local];
-        expert.zero_grad();
-        if io.dy.rows() > 0 {
-            expert.backward_into(&io.dy, &mut io.dx);
+    /// Marks every expert's gradient zero and backpropagates each set's
+    /// assembled upstream gradient into its expert's: one write-mode pass
+    /// per class, so the sum over a class's co-located slots is the `tn`
+    /// GEMM's own accumulation over the merged rows. A set that received no
+    /// row keeps its gradient marked ([`ExpertFfn::grad_is_zero`]).
+    pub fn backward(&mut self, experts: &mut [ExpertFfn]) {
+        for (io, expert) in self.io.iter_mut().zip(experts) {
+            expert.zero_grad();
+            if io.dy.rows() > 0 {
+                expert.backward_into(&io.dy, &mut io.dx);
+            }
         }
     }
 }

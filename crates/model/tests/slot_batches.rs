@@ -1,17 +1,24 @@
-//! The engines' copy-free expert phase (`SlotBatches`).
+//! The engines' copy-free, class-major expert phase (`SlotBatches`).
 //!
-//! Two properties:
+//! Three properties:
 //!
 //! 1. **Steady-state allocation regression** (pattern:
 //!    `crates/collectives/tests/zero_alloc.rs`): at a steady batch shape the
 //!    dispatch-assemble → expert forward → gradient-assemble → expert
 //!    backward section performs zero heap allocations on the calling
-//!    thread. The engines used to build a `Vec<f32>` per slot, clone it
-//!    into a `Matrix`, and take freshly allocated outputs from
-//!    `forward()`/`backward()` — twice per slot per iteration.
-//! 2. **Bit-identity with that old path**: the same dispatch delivered to
-//!    `SlotBatches` and to the old recipe (kept here as the reference)
-//!    yields identical returned rows and identical expert gradients.
+//!    thread.
+//! 2. **Bit-identity with the plain allocating recipe**: the same dispatch
+//!    delivered to `SlotBatches` and to the reference kept here — gather
+//!    each set's rows in arrival order into a `Vec`, `Matrix::from_vec(clone)`,
+//!    allocating `forward`/`backward` — yields identical returned rows and
+//!    identical expert gradients, both when co-located slots of one class
+//!    are merged into one set and under the identity grouping (every slot a
+//!    set of its own: the per-slot recipe the engines ran before, and what
+//!    the striped baseline still is).
+//! 3. **The per-slot recipe bounds the merged one**: running a class's slots
+//!    one by one and folding their gradients in ascending slot order is the
+//!    same sum in another association, so it agrees with the merged set
+//!    within rounding — the bound is stated at the test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,8 +59,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const D: usize = 16;
 const FF: usize = 40;
-const SLOTS: usize = 3;
-const FIRST_SLOT: usize = 6; // this "rank" hosts global slots 6, 7, 8
+const SLOTS: usize = 4;
+const FIRST_SLOT: usize = 8; // this "rank" hosts global slots 8..12
+/// Class of each local slot: slots 0 and 1 are co-located replicas.
+const CLASSES: [usize; SLOTS] = [3, 3, 7, 9];
 
 /// One iteration's wire input: (dispatch meta, dispatch rows, upstream grads),
 /// each indexed by source rank.
@@ -61,13 +70,14 @@ type Round = (Vec<Vec<u64>>, Vec<Vec<f32>>, Vec<Vec<f32>>);
 
 /// What the two dispatch all-to-alls deliver from `sources` ranks at
 /// iteration `it`: per source, a slot id per row and the rows themselves.
-/// Slot 8 stays idle (the empty-slot path); row counts are odd on purpose.
+/// Rows interleave over local slots 0, 1 and 2; slot 3 stays idle (the
+/// empty-set path); row counts are odd on purpose.
 fn dispatch(sources: usize, it: usize) -> (Vec<Vec<u64>>, Vec<Vec<f32>>) {
     let mut meta = Vec::new();
     let mut rows = Vec::new();
     for src in 0..sources {
         let count = 37 + 2 * src;
-        let m: Vec<u64> = (0..count).map(|j| (FIRST_SLOT + (j + src) % 2) as u64).collect();
+        let m: Vec<u64> = (0..count).map(|j| (FIRST_SLOT + (j + src) % 3) as u64).collect();
         let r: Vec<f32> =
             (0..count * D).map(|i| ((i + 31 * src + 7 * it) as f32 * 0.173).sin()).collect();
         meta.push(m);
@@ -86,17 +96,36 @@ fn upstream(meta: &[Vec<u64>], it: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn experts() -> Vec<ExpertFfn> {
-    (0..SLOTS).map(|l| ExpertFfn::new(D, FF, 40 + l as u64)).collect()
+/// One expert per possible set; set `g` holds the weights of the `g`-th
+/// distinct class of `classes`.
+fn experts(classes: &[usize; SLOTS]) -> Vec<ExpertFfn> {
+    let sets = sets(classes);
+    (0..SLOTS)
+        .map(|g| {
+            let class = (0..SLOTS).find(|&local| sets[local] == g).map_or(0, |l| classes[l]);
+            ExpertFfn::new(D, FF, 40 + class as u64)
+        })
+        .collect()
+}
+
+/// The set of each local slot: distinct classes in order of first appearance.
+fn sets(classes: &[usize; SLOTS]) -> [usize; SLOTS] {
+    let mut distinct: Vec<usize> = Vec::new();
+    classes.map(|class| {
+        distinct.iter().position(|&c| c == class).unwrap_or_else(|| {
+            distinct.push(class);
+            distinct.len() - 1
+        })
+    })
 }
 
 #[test]
 fn expert_phase_allocates_nothing_at_a_steady_batch_shape() {
     let sources = 2;
-    let mut experts = experts();
+    let mut experts = experts(&CLASSES);
     let mut batches = SlotBatches::new(SLOTS, D);
     // Inputs for every round are built up front: the section under test is
-    // assemble → forward → return rows → assemble grads → backward.
+    // regroup → assemble → forward → return rows → assemble grads → backward.
     let rounds: Vec<Round> = (0..6)
         .map(|it| {
             let (meta, rows) = dispatch(sources, it);
@@ -106,6 +135,7 @@ fn expert_phase_allocates_nothing_at_a_steady_batch_shape() {
         .collect();
     let mut back: Vec<Vec<f32>> = vec![Vec::new(); sources];
     let mut run = |(meta, rows, grads): &Round| {
+        batches.regroup(|local| CLASSES[local]);
         batches.assemble_inputs(FIRST_SLOT, meta, rows);
         batches.forward(&mut experts);
         for (src, buf) in back.iter_mut().enumerate() {
@@ -113,9 +143,7 @@ fn expert_phase_allocates_nothing_at_a_steady_batch_shape() {
             batches.append_outputs(src, buf);
         }
         batches.assemble_grads(grads);
-        for (local, expert) in experts.iter_mut().enumerate() {
-            batches.backward(local, expert);
-        }
+        batches.backward(&mut experts);
     };
     // Warm-up sizes every persistent buffer (and the kernels' scratch).
     run(&rounds[0]);
@@ -124,33 +152,34 @@ fn expert_phase_allocates_nothing_at_a_steady_batch_shape() {
         run(round);
     }
     let after = allocs_on_this_thread();
-    // The old path measured 2 clones + 2 result matrices per busy slot per
-    // round, plus the per-slot row vectors and the routing map.
     assert_eq!(after - before, 0, "the expert phase must be allocation-free in steady state");
 }
 
-/// The pre-`SlotBatches` engine code, verbatim in shape: flat per-slot
-/// vectors, `Matrix::from_vec(.., clone)`, allocating `forward`/`backward`.
-fn old_path(
+/// The plain allocating recipe: flat per-set vectors gathered in arrival
+/// order, `Matrix::from_vec(.., clone)`, allocating `forward`/`backward`.
+/// `set_of_slot` names the execution unit of each local slot and `experts[u]`
+/// runs unit `u`. Returns the rows owed to each source.
+fn reference_path(
     experts: &mut [ExpertFfn],
+    set_of_slot: &[usize; SLOTS],
     meta: &[Vec<u64>],
     rows: &[Vec<f32>],
     grads: &[Vec<f32>],
 ) -> Vec<Vec<f32>> {
     let n = meta.len();
-    let mut slot_inputs: Vec<Vec<f32>> = vec![Vec::new(); SLOTS];
+    let mut set_inputs: Vec<Vec<f32>> = vec![Vec::new(); SLOTS];
     let mut routing_map: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     for src in 0..n {
         for (j, &slot_id) in meta[src].iter().enumerate() {
-            let local = slot_id as usize - FIRST_SLOT;
-            let row = slot_inputs[local].len() / D;
-            slot_inputs[local].extend_from_slice(&rows[src][j * D..(j + 1) * D]);
-            routing_map[src].push((local, row));
+            let set = set_of_slot[slot_id as usize - FIRST_SLOT];
+            let row = set_inputs[set].len() / D;
+            set_inputs[set].extend_from_slice(&rows[src][j * D..(j + 1) * D]);
+            routing_map[src].push((set, row));
         }
     }
-    let slot_outputs: Vec<Matrix> = experts
+    let set_outputs: Vec<Matrix> = experts
         .iter_mut()
-        .zip(&slot_inputs)
+        .zip(&set_inputs)
         .map(|(expert, flat)| {
             if flat.is_empty() {
                 Matrix::zeros(0, D)
@@ -161,21 +190,21 @@ fn old_path(
         .collect();
     let mut back: Vec<Vec<f32>> = vec![Vec::new(); n];
     for src in 0..n {
-        for &(slot, row) in &routing_map[src] {
-            back[src].extend_from_slice(slot_outputs[slot].row(row));
+        for &(set, row) in &routing_map[src] {
+            back[src].extend_from_slice(set_outputs[set].row(row));
         }
     }
-    let mut slot_dys: Vec<Vec<f32>> = slot_inputs.iter().map(|f| vec![0.0f32; f.len()]).collect();
+    let mut set_dys: Vec<Vec<f32>> = set_inputs.iter().map(|f| vec![0.0f32; f.len()]).collect();
     for src in 0..n {
-        for (j, &(slot, row)) in routing_map[src].iter().enumerate() {
-            slot_dys[slot][row * D..(row + 1) * D].copy_from_slice(&grads[src][j * D..(j + 1) * D]);
+        for (j, &(set, row)) in routing_map[src].iter().enumerate() {
+            set_dys[set][row * D..(row + 1) * D].copy_from_slice(&grads[src][j * D..(j + 1) * D]);
         }
     }
-    for (local, expert) in experts.iter_mut().enumerate() {
+    for (set, expert) in experts.iter_mut().enumerate() {
         expert.zero_grad();
-        if !slot_dys[local].is_empty() {
-            let rows = slot_dys[local].len() / D;
-            let _ = expert.backward(&Matrix::from_vec(rows, D, slot_dys[local].clone()));
+        if !set_dys[set].is_empty() {
+            let rows = set_dys[set].len() / D;
+            let _ = expert.backward(&Matrix::from_vec(rows, D, set_dys[set].clone()));
         }
     }
     back
@@ -183,33 +212,110 @@ fn old_path(
 
 #[test]
 fn copy_free_path_is_bit_identical_to_the_from_vec_clone_path() {
-    let mut new_experts = experts();
-    let mut old_experts = experts();
+    const IDENTITY: [usize; SLOTS] = [0, 1, 2, 3];
+    for classes in [CLASSES, IDENTITY] {
+        let mut new_experts = experts(&classes);
+        let mut ref_experts = experts(&classes);
+        let mut batches = SlotBatches::new(SLOTS, D);
+        if classes != IDENTITY {
+            batches.regroup(|local| classes[local]);
+        } // else: a fresh `SlotBatches` is the identity grouping
+        let mut merged_rows = false;
+        // Varying source counts and shapes: buffers are reused across them.
+        for (it, sources) in [2usize, 2, 3, 1, 2].into_iter().enumerate() {
+            let (meta, rows) = dispatch(sources, it);
+            let grads = upstream(&meta, it);
+
+            batches.assemble_inputs(FIRST_SLOT, &meta, &rows);
+            batches.forward(&mut new_experts);
+            let mut back: Vec<Vec<f32>> = vec![Vec::new(); sources];
+            for (src, buf) in back.iter_mut().enumerate() {
+                batches.append_outputs(src, buf);
+            }
+            batches.assemble_grads(&grads);
+            batches.backward(&mut new_experts);
+
+            let want_back = reference_path(&mut ref_experts, &sets(&classes), &meta, &rows, &grads);
+            assert_eq!(back, want_back, "{classes:?} round {it}: returned rows differ");
+            for (set, (new, old)) in new_experts.iter_mut().zip(&mut ref_experts).enumerate() {
+                assert_eq!(
+                    new.grad_is_zero(),
+                    old.grad_is_zero(),
+                    "{classes:?} round {it}: set {set} idle on one side only"
+                );
+                assert_eq!(
+                    new.flat_grads(),
+                    old.flat_grads(),
+                    "{classes:?} round {it}: set {set} gradients differ"
+                );
+            }
+            merged_rows |= classes[0] == classes[1];
+        }
+        assert_eq!(merged_rows, classes == CLASSES);
+    }
+}
+
+/// Class-major execution against the per-slot recipe it replaced. The
+/// per-slot side runs slots 0 and 1 (one class) as two batches and folds
+/// slot 1's gradient into slot 0's — §4.1's intra-rank step as written. Both
+/// sides compute, per element, the same sum of per-row products; they differ
+/// in association (and in which rows fall into a kernel's edge tile), so they
+/// agree within rounding error of that sum, not bit for bit.
+///
+/// Stated bound, per element: `|merged − folded| ≤ 32 ε (|merged| + rms)`,
+/// `ε = 2⁻²⁴`, `rms` the root mean square of the merged set's whole flat
+/// gradient — the scale of a typical sum of the ≈ 40–80 row products here,
+/// which floors the bound where an element's terms cancel (measured: up to
+/// ≈ 20 ε·rms). Returned rows: `|Δ| ≤ 32 ε (|y| + rms(y))`.
+#[test]
+fn per_slot_fold_agrees_with_the_merged_set_within_rounding() {
+    const EPS: f32 = 1.0 / (1u32 << 24) as f32;
+    let within = |what: &str, merged: &[f32], folded: &[f32]| {
+        assert_eq!(merged.len(), folded.len());
+        let rms = (merged.iter().map(|v| v * v).sum::<f32>() / merged.len() as f32).sqrt();
+        let mut differing = 0;
+        for (i, (a, b)) in merged.iter().zip(folded).enumerate() {
+            let bound = 32.0 * EPS * (a.abs() + rms);
+            assert!((a - b).abs() <= bound, "{what}[{i}]: {a} vs {b} (bound {bound:e})");
+            differing += usize::from(a.to_bits() != b.to_bits());
+        }
+        differing
+    };
+    let mut merged = experts(&CLASSES);
     let mut batches = SlotBatches::new(SLOTS, D);
-    // Varying source counts and shapes: buffers are reused across them.
-    for (it, sources) in [2usize, 2, 3, 1, 2].into_iter().enumerate() {
+    batches.regroup(|local| CLASSES[local]);
+    // Per slot: slot 1 runs a second copy of slot 0's class.
+    let mut per_slot = vec![
+        ExpertFfn::new(D, FF, 40 + CLASSES[0] as u64),
+        ExpertFfn::new(D, FF, 40 + CLASSES[1] as u64),
+        ExpertFfn::new(D, FF, 40 + CLASSES[2] as u64),
+        ExpertFfn::new(D, FF, 40 + CLASSES[3] as u64),
+    ];
+    let mut reassociated = 0;
+    for (it, sources) in [2usize, 3, 1].into_iter().enumerate() {
         let (meta, rows) = dispatch(sources, it);
         let grads = upstream(&meta, it);
-
         batches.assemble_inputs(FIRST_SLOT, &meta, &rows);
-        batches.forward(&mut new_experts);
+        batches.forward(&mut merged);
         let mut back: Vec<Vec<f32>> = vec![Vec::new(); sources];
         for (src, buf) in back.iter_mut().enumerate() {
             batches.append_outputs(src, buf);
         }
         batches.assemble_grads(&grads);
-        for (local, expert) in new_experts.iter_mut().enumerate() {
-            batches.backward(local, expert);
-        }
+        batches.backward(&mut merged);
 
-        let want_back = old_path(&mut old_experts, &meta, &rows, &grads);
-        assert_eq!(back, want_back, "round {it}: returned rows differ");
-        for (local, (new, old)) in new_experts.iter_mut().zip(&mut old_experts).enumerate() {
-            assert_eq!(
-                new.flat_grads(),
-                old.flat_grads(),
-                "round {it}: slot {local} gradients differ"
-            );
+        let slot_back = reference_path(&mut per_slot, &[0, 1, 2, 3], &meta, &rows, &grads);
+        for (src, (a, b)) in back.iter().zip(&slot_back).enumerate() {
+            within(&format!("round {it} rows to source {src}"), a, b);
         }
+        let (rep, siblings) = per_slot.split_first_mut().expect("slots");
+        let mut folded = rep.flat_grads().to_vec();
+        for (f, g) in folded.iter_mut().zip(siblings[0].flat_grads()) {
+            *f += g;
+        }
+        reassociated += within(&format!("round {it} class grads"), merged[0].flat_grads(), &folded);
+        // A class alone on the rank is the same batch either way.
+        assert_eq!(merged[1].flat_grads(), per_slot[2].flat_grads(), "round {it}: lone class");
     }
+    assert!(reassociated > 0, "the merged sum never differed: the bound was not exercised");
 }

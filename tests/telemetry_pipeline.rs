@@ -200,22 +200,28 @@ fn telemetry_reconstructs_paper_artifacts_for_all_systems() {
 
 #[test]
 fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
-    // Both engines publish, per rank and per iteration, how many of their
-    // slots were fed and with how many rows. Over the cluster the rows are
-    // exactly the tokens that survived capacity.
-    let check = |telemetry: &ClusterTelemetry, system: &str, survived: usize| {
+    // Both engines publish, per rank and per iteration, how many expert sets
+    // they ran (one per hosted class that drew a token, however many of its
+    // slots did) and with how many rows. Over the cluster the rows are
+    // exactly the tokens that survived capacity; `hosted[rank]` is how many
+    // distinct classes the rank hosted.
+    let check = |telemetry: &ClusterTelemetry, system: &str, survived: usize, hosted: &[usize]| {
         let gauge = |name: &str, rank: usize| {
             telemetry.registry().gauge(&format!("{name}.rank{rank}")).get() as usize
         };
         let rows: Vec<usize> = (0..NODES).map(|r| gauge("expert_rows", r)).collect();
         assert_eq!(rows.iter().sum::<usize>(), survived, "{system}: rows per rank {rows:?}");
         for (rank, &rows) in rows.iter().enumerate() {
-            let busy = gauge("expert_busy_slots", rank);
-            assert!(busy <= 2 && busy <= rows && (rows == 0 || busy > 0), "{system} rank {rank}");
+            let sets = gauge("expert_sets", rank);
+            assert!(
+                sets <= hosted[rank] && sets <= rows && (rows == 0 || sets > 0),
+                "{system} rank {rank}: {sets} sets, {rows} rows, {} classes hosted",
+                hosted[rank]
+            );
         }
     };
     let telemetry = ClusterTelemetry::new(NODES);
-    let (survived, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+    let (ran, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
         let cfg = EngineConfig {
             d_model: D,
             d_ff: 16,
@@ -230,9 +236,12 @@ fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
         e.iteration(ctx, &x, &target).unwrap();
-        e.iteration(ctx, &x, &target).unwrap().survived
+        let hosted = e.placement.classes_on_rank(ctx.rank()).len();
+        (e.iteration(ctx, &x, &target).unwrap().survived, hosted)
     });
-    check(&telemetry, "symi", survived[0]);
+    let hosted: Vec<usize> = ran.iter().map(|r| r.1).collect();
+    assert!(hosted.iter().any(|&h| h < 2), "no rank ever hosted two replicas of one class");
+    check(&telemetry, "symi", ran[0].0, &hosted);
 
     let telemetry = ClusterTelemetry::new(NODES);
     let (survived, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
@@ -242,7 +251,7 @@ fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
         let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
         e.iteration(ctx, &x, &target).unwrap().survived
     });
-    check(&telemetry, "deepspeed", survived[0]);
+    check(&telemetry, "deepspeed", survived[0], &[2; NODES]);
 }
 
 #[test]
