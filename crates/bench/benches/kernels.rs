@@ -29,6 +29,18 @@
 //! compulsory bytes per ns, and the `gemm_tn` rows under them isolate the
 //! one kernel whose store stream the write mode halves.
 //!
+//! The **layout rows** put the three GEMM layouts side by side on one
+//! product: at each m×k×n, `nn` = (m×k)·(k×n), `nt` = (m×k)·(n×k)ᵀ and
+//! `tn` = (k×m)ᵀ·(k×n), interleaved, single-threaded, in GFLOP/s and with the
+//! kernel each layout ran. The shapes are `engine_tokens`' expert GEMMs,
+//! `trainer_lm`'s per-head attention and projection gradient, and
+//! `engine_params`' skinny expert (m 8 … 32) and gradient (k 8 … 24) GEMMs,
+//! on both sides of the kernel thresholds. `nn` runs the FMA tile with no
+//! transposes at all: the reference the kept kernels (`dot` `nt`, `strip`
+//! `tn`) are read against. The old-against-tile timings that set the
+//! thresholds need both kernels at one shape, which the library offers no
+//! way to ask for; DESIGN.md *Compute kernels & threading* has them.
+//!
 //! Then the **optimizer rows**: one Adam step over the repository
 //! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
 //! shard of one class; 16,544: `engine_tokens`') in ns per parameter, both
@@ -53,7 +65,9 @@
 //!      is present, runs ≥ 4× faster,
 //!   6. **write mode**: a `gemm_tn` that overwrites its destination, and an
 //!      `ExpertFfn` backward after a lazy `zero_grad`, equal zero-fill +
-//!      accumulate bit for bit at the skinny shapes.
+//!      accumulate bit for bit at the skinny shapes,
+//!   7. **backward layouts**: at `engine_tokens`' expert shapes `nt` and
+//!      `tn` reach ≥ 0.85× `nn`'s min-of-reps GFLOP/s on the AVX2 path.
 
 use std::path::Path;
 use std::time::Instant;
@@ -63,6 +77,8 @@ use symi_model::expert::ExpertFfn;
 use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_into, gelu_into, softmax_rows_into};
+#[cfg(target_arch = "x86_64")]
+use symi_tensor::simd::{NT_TILE_MIN_ROWS, TN_TILE_MIN_DEPTH};
 use symi_tensor::{half, pool, AdamConfig, AdamShard, AdamState, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
@@ -539,6 +555,93 @@ fn bench_gemm_tn_skinny() -> Value {
     Value::Arr(rows)
 }
 
+/// (group, m, k, n) of the layout rows.
+const LAYOUT_SHAPES: &[(&str, usize, usize, usize)] = &[
+    ("engine_tokens_expert", 256, 64, 256),
+    ("engine_tokens_expert", 256, 256, 64),
+    ("trainer_lm_attention_head", 32, 16, 32),
+    ("trainer_lm_projection_grad", 64, 1024, 64),
+    ("engine_params_expert", 8, 256, 1024),
+    ("engine_params_expert", 16, 256, 1024),
+    ("engine_params_expert", 24, 256, 1024),
+    ("engine_params_expert", 32, 256, 1024),
+    ("engine_params_grad", 256, 8, 1024),
+    ("engine_params_grad", 256, 12, 1024),
+    ("engine_params_grad", 256, 16, 1024),
+    ("engine_params_grad", 256, 24, 1024),
+];
+
+/// The kernels `nt` and `tn` run at m×k×n on the active path.
+fn layout_kernels(m: usize, k: usize) -> (&'static str, &'static str) {
+    #[cfg(target_arch = "x86_64")]
+    if kernels::active_path() == SimdPath::Avx2 {
+        let nt = if m >= NT_TILE_MIN_ROWS { "tile" } else { "dot" };
+        let tn = if k >= TN_TILE_MIN_DEPTH { "tile" } else { "strip" };
+        return (nt, tn);
+    }
+    ("scalar", "scalar")
+}
+
+/// The three layouts' operands for one m×k×n product.
+struct LayoutInputs {
+    a: Matrix,
+    b: Matrix,
+    bt: Matrix,
+    at: Matrix,
+}
+
+fn layout_inputs(m: usize, k: usize, n: usize) -> LayoutInputs {
+    let (a, b) = inputs(m, k, n);
+    LayoutInputs { bt: b.transpose(), at: a.transpose(), a, b }
+}
+
+/// Min-of-reps `[nn, nt, tn]` ns of one product, interleaved, one thread.
+fn layout_ns(x: &LayoutInputs, reps: usize) -> Vec<f64> {
+    pool::set_threads(1);
+    let (mut o1, mut o2, mut o3) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    interleaved_min_ns(
+        reps,
+        &mut [
+            &mut || x.a.matmul_into(&x.b, &mut o1),
+            &mut || x.a.matmul_nt_into(&x.bt, &mut o2),
+            &mut || x.at.matmul_tn_into(&x.b, &mut o3),
+        ],
+    )
+}
+
+fn bench_layouts() -> Value {
+    const REPS: usize = 40;
+    let mut rows = Vec::new();
+    for &(label, m, k, n) in LAYOUT_SHAPES {
+        group(&format!("layouts/{label}/{m}x{k}x{n}"));
+        let ns = layout_ns(&layout_inputs(m, k, n), REPS);
+        let (nt_kernel, tn_kernel) = layout_kernels(m, k);
+        let flops = (2 * m * k * n) as f64;
+        let mut o = Obj::new();
+        o.set("group", Value::str(label));
+        o.set("m", Value::u64(m as u64));
+        o.set("k", Value::u64(k as u64));
+        o.set("n", Value::u64(n as u64));
+        for (name, &t) in ["nn", "nt", "tn"].iter().zip(&ns) {
+            o.set(&format!("{name}_ns"), Value::Num(t));
+            o.set(&format!("{name}_gflops"), Value::Num(flops / t));
+        }
+        o.set("nt_kernel", Value::str(nt_kernel));
+        o.set("tn_kernel", Value::str(tn_kernel));
+        o.set("nt_over_nn", Value::Num(ns[0] / ns[1]));
+        o.set("tn_over_nn", Value::Num(ns[0] / ns[2]));
+        println!(
+            "layouts {label} {m}x{k}x{n}: nn {:.1} GFLOP/s, nt {:.1} ({nt_kernel}), tn {:.1} \
+             ({tn_kernel})",
+            flops / ns[0],
+            flops / ns[1],
+            flops / ns[2],
+        );
+        rows.push(Value::Obj(o));
+    }
+    Value::Arr(rows)
+}
+
 /// (label, parameters): one rank's optimizer shard of one expert class in
 /// the repository benchmark's two engine geometries.
 const ADAM_SIZES: &[(&str, usize)] =
@@ -687,7 +790,10 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   write mode — at the skinny shapes a `gemm_tn` that overwrites stale
 ///   values equals zero-fill + accumulate bit for bit, and so does an
 ///   `ExpertFfn` backward after a lazy `zero_grad` against one after an
-///   eager fill.
+///   eager fill;
+///   backward layouts — at `engine_tokens`' two expert shapes `nt` and `tn`
+///   run at ≥ 0.85× `nn`'s GFLOP/s (min-of-reps, interleaved) when the AVX2
+///   path is active.
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -842,6 +948,19 @@ fn smoke() {
         }
         println!("smoke write mode: gemm_tn and ExpertFfn backward equal zero-fill + accumulate");
     }
+
+    // The backward layouts at the forward's rate.
+    for &(label, m, k, n) in LAYOUT_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
+        let ns = layout_ns(&layout_inputs(m, k, n), 15);
+        let (nt, tn) = (ns[0] / ns[1], ns[0] / ns[2]);
+        println!("smoke layouts {label} {m}x{k}x{n}: nt {nt:.2}x nn, tn {tn:.2}x nn");
+        if kernels::active_path() == SimdPath::Avx2 {
+            assert!(
+                nt >= 0.85 && tn >= 0.85,
+                "{m}x{k}x{n}: backward layouts under 0.85x nn (nt {nt:.2}x, tn {tn:.2}x)"
+            );
+        }
+    }
 }
 
 fn main() {
@@ -856,6 +975,7 @@ fn main() {
     let expert_ffn_skinny = bench_expert_ffn_skinny();
     let class_major = bench_class_major();
     let gemm_tn_skinny = bench_gemm_tn_skinny();
+    let layouts = bench_layouts();
     let adam = bench_adam();
     let f16_codec = bench_f16_codec();
 
@@ -869,6 +989,7 @@ fn main() {
     o.set("expert_ffn_skinny", expert_ffn_skinny);
     o.set("class_major", class_major);
     o.set("gemm_tn_skinny", gemm_tn_skinny);
+    o.set("layouts", layouts);
     o.set("adam", adam);
     o.set("f16_codec", f16_codec);
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json");

@@ -7,13 +7,21 @@
 //!   stores the microkernel's column strips contiguously, so the kernels
 //!   take B's row stride as a parameter and there is no packing pass at
 //!   all. Each microkernel invocation holds an `MR×NR` block of outputs in
-//!   registers; the AVX2 drivers additionally cache-block the k extent
-//!   (exact f32 spill/reload between chunks).
-//! - `nt` (`A·Bᵀ`, input gradients / attention scores): both operands are
-//!   walked along contiguous rows; a register tile of independent dot
-//!   products provides the instruction-level parallelism.
-//! - `tn` (`Aᵀ·B`, parameter gradients): the A column block is packed into a
-//!   k-major strip per output row block, then the kernel runs like `nn`.
+//!   registers.
+//! - `tn` (`Aᵀ·B`, parameter gradients): B as in `nn`. The scalar family
+//!   packs the A column block into a k-major strip per output row block;
+//!   the AVX2 family broadcasts A's elements transposed in place on `nn`'s
+//!   tile, except for reductions shorter than
+//!   [`crate::simd::TN_TILE_MIN_DEPTH`], where it keeps a packed-strip tile.
+//! - `nt` (`A·Bᵀ`, input gradients / attention scores): the scalar family
+//!   walks both operands along contiguous rows in a register tile of
+//!   independent dot products; the AVX2 family transposes KC×16 panels of B
+//!   into a per-thread buffer and runs `nn`'s tile over them, except below
+//!   [`crate::simd::NT_TILE_MIN_ROWS`] output rows, where it keeps a
+//!   dot-product tile.
+//!
+//! The AVX2 family runs all three layouts on one 6×16 FMA register tile and
+//! one k-chunked loop nest (module docs of [`crate::simd`]).
 //!
 //! # SIMD dispatch
 //!
@@ -23,23 +31,25 @@
 //! family ([`crate::simd`], x86_64 only, runtime feature detection). The
 //! scalar family is **bit-exact** against the [`naive`] oracle (single
 //! accumulator folded over ascending `k`, mul-then-add). The AVX2 family
-//! keeps f32 accumulation and the same *global* tile decomposition but uses
-//! fused multiply-add (and, for `nt`, fixed 8-lane k-splitting), so it is
-//! held to the oracle by a ULP/error-bound gate instead of `==` — see
-//! `tests/simd_oracle.rs`. `SYMI_SIMD=scalar|avx2` overrides detection.
+//! keeps f32 accumulation but uses fused multiply-add (and, in the
+//! dot-product `nt`, fixed 8-lane k-splitting), so it is held to the oracle
+//! by a ULP/error-bound gate instead of `==` — see `tests/simd_oracle.rs`.
+//! `SYMI_SIMD=scalar|avx2` overrides detection.
 //!
 //! # Determinism contract
 //!
 //! Within one process (one resolved SIMD path), every GEMM is a pure
 //! function of its operands — independent of worker count and repeatable
 //! across runs. Work splits only across *output* elements, never across the
-//! `k` reduction, and share boundaries are aligned to the active path's row
+//! `k` reduction; every share of a GEMM runs the kernel the whole GEMM's
+//! shape selects; and share boundaries are aligned to that kernel's row
 //! tile (`pool::par_rows_planned`), so the full-tile/edge-tile
-//! decomposition — which decides where FMA vs scalar rounding applies — is a
-//! global property of the shape, not of the split. The scalar path is
-//! additionally bit-exact against [`naive`]. Fused epilogues (`+ bias`, then
-//! activation) apply *after* the fold completes, matching the unfused
-//! `matmul` → `add_bias` → `gelu` sequence bit-for-bit on every path.
+//! decomposition — which decides, in the scalar family and in `nn`'s column
+//! edge, where FMA vs scalar rounding applies — is a global property of the
+//! shape, not of the split. The scalar path is additionally bit-exact
+//! against [`naive`]. Fused epilogues (`+ bias`, then activation) apply
+//! *after* the fold completes, matching the unfused `matmul` → `add_bias` →
+//! `gelu` sequence bit-for-bit on every path.
 //!
 //! # Cost-model gate
 //!
@@ -90,9 +100,11 @@ pub struct KernelStats {
     /// GEMM calls the cost model ran sequentially although the pool had
     /// threads to offer (parallelism could not amortize dispatch).
     pub seq_fallback: u64,
-    /// B-operand preparation passes: always 0, every GEMM family reads B
-    /// in place. The field stays because the repository benchmark's
-    /// `KernelStats` delta (`benchmark/src/workloads.rs`) names it.
+    /// Whole-B preparation passes: always 0. `nn` and `tn` read B in place;
+    /// the AVX2 `nt` transposes B one L1-sized panel at a time inside its
+    /// loop nest, which is not a pass over B and is not counted. The field
+    /// stays because the repository benchmark's `KernelStats` delta
+    /// (`benchmark/src/workloads.rs`) names it.
     pub b_packs: u64,
 }
 
@@ -239,22 +251,38 @@ pub fn f16_fast_path() -> bool {
     false
 }
 
-/// `(row tile, panel width)` of the nn/tn-family kernels for `path`.
-fn nn_tile(path: SimdPath) -> (usize, usize) {
+/// Row tile of the `nn` kernels for `path`.
+fn nn_row_tile(path: SimdPath) -> usize {
     match path {
-        SimdPath::Scalar => (MR, NR),
+        SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => (crate::simd::MR_NN, crate::simd::NR_NN),
+        SimdPath::Avx2 => crate::simd::MR_TILE,
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
     }
 }
 
-fn tn_tile(path: SimdPath) -> (usize, usize) {
+/// Row tile of the `nt` kernel `path` runs for an `m`-row GEMM.
+fn nt_row_tile(path: SimdPath, m: usize) -> usize {
     match path {
-        SimdPath::Scalar => (MR, NR),
+        SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => (crate::simd::TN_MR, crate::simd::TN_NR),
+        SimdPath::Avx2 if crate::simd::nt_on_tile(m) => crate::simd::MR_TILE,
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 => crate::simd::MR_DOT,
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+    }
+}
+
+/// Row tile of the `tn` kernel `path` runs for a reduction of length `r`.
+fn tn_row_tile(path: SimdPath, r: usize) -> usize {
+    match path {
+        SimdPath::Scalar => MR,
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 if crate::simd::tn_on_tile(r) => crate::simd::MR_TILE,
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 => crate::simd::MR_STRIP,
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
     }
@@ -350,12 +378,14 @@ fn plan_shares(rows: usize, block: usize, flops: u64) -> usize {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Packed-A column-strip scratch for `tn` (per worker thread).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-worker pack scratch: a `tn` strip kernel's A strip, the AVX2
+    /// `nt` tile's transposed B panel.
+    static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Packs columns `col0 .. col0+ih` of the `r×m` matrix `a` k-major:
-/// `strip[kk·ih + ii] = a[kk][col0 + ii]` (shared by scalar and AVX2 tn).
+/// `strip[kk·ih + ii] = a[kk][col0 + ii]` (the scalar `tn` and the AVX2
+/// strip `tn`).
 pub(crate) fn pack_a_strip(
     asl: &[f32],
     m: usize,
@@ -467,7 +497,8 @@ fn nn_rows(
     for p in 0..panels {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        let panel = &bs[j0..];
+        // Empty when k = 0, and then nothing reads it.
+        let panel = bs.get(j0..).unwrap_or_default();
         let mut i = 0;
         while i < m {
             let rows_here = MR.min(m - i);
@@ -562,7 +593,7 @@ fn tn_rows(
     chunk: &mut [f32],
     acc: bool,
 ) {
-    PACK_A.with(|p| {
+    PACK.with(|p| {
         let mut strip = p.borrow_mut();
         let mlocal = rows.len();
         let mut i = 0;
@@ -650,7 +681,9 @@ fn nt_rows_dispatch(
     match path {
         SimdPath::Scalar => nt_rows(a, bsl, rows, k, n, chunk, acc),
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => crate::simd::nt_rows(a, bsl, rows, k, n, chunk, acc),
+        SimdPath::Avx2 => {
+            PACK.with(|p| crate::simd::nt_rows(a, bsl, rows, k, n, chunk, acc, &mut p.borrow_mut()))
+        }
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
     }
@@ -671,11 +704,9 @@ fn tn_rows_dispatch(
     match path {
         SimdPath::Scalar => tn_rows(asl, bsl, rows, r, m, n, chunk, acc),
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => {
-            PACK_A.with(|p| {
-                crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, &mut p.borrow_mut())
-            });
-        }
+        SimdPath::Avx2 => PACK.with(|p| {
+            crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, &mut p.borrow_mut())
+        }),
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
     }
@@ -708,7 +739,7 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option
         return;
     }
     let path = active_path();
-    let (mr, _) = nn_tile(path);
+    let mr = nn_row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     let bsl = b.as_slice();
     let bias = bias.map(|bm| bm.as_slice());
@@ -743,7 +774,7 @@ pub(crate) fn gemm_nn_bias_gelu(
         return;
     }
     let path = active_path();
-    let (mr, _) = nn_tile(path);
+    let mr = nn_row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     let bsl = b.as_slice();
     let bias = bias.as_slice();
@@ -768,9 +799,11 @@ pub(crate) fn gemm_nn_bias_gelu(
     record_ns(total_ns - act_ns, m, n, k);
 }
 
-/// `out (+)= a · bᵀ` (`b` is `n×k`): independent contiguous dot products.
-/// Each dot is one accumulator chain over ascending k (8-lane k-splitting
-/// with a fixed reduction order on the AVX2 path).
+/// `out (+)= a · bᵀ` (`b` is `n×k`). Scalar path: independent contiguous
+/// dot products, each one accumulator over ascending k. AVX2 path: one FMA
+/// chain over ascending k per element on `nn`'s tile from
+/// [`crate::simd::NT_TILE_MIN_ROWS`] output rows on, 8-lane dot products
+/// with a fixed reduction order below.
 pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
     assert_eq!(
         a.cols(),
@@ -789,9 +822,10 @@ pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
         return;
     }
     let path = active_path();
-    let shares = plan_shares(m, MR, 2 * (m as u64) * (n as u64) * (k as u64));
+    let mr = nt_row_tile(path, m);
+    let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     let bsl = b.as_slice();
-    par_rows_planned(m, n, MR, shares, out.as_mut_slice(), |rows, chunk| {
+    par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
         nt_rows_dispatch(path, a, bsl, rows, k, n, chunk, acc);
     });
     record(t0, m, n, k);
@@ -800,8 +834,9 @@ pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
 /// `out (+)= aᵀ · b` (`a` is `r×m`, `b` is `r×n`, `out` is `m×n`).
 /// Parallelized over *output* rows (columns of `a`), so no participant ever
 /// touches another's accumulators; `r` is folded in ascending order within
-/// each element. The A column block is packed into a k-major strip so the
-/// inner loop streams contiguously.
+/// each element (the scalar path, and the AVX2 path below
+/// [`crate::simd::TN_TILE_MIN_DEPTH`], pack the A column block into a
+/// k-major strip; the AVX2 tile reads A transposed in place).
 pub fn gemm_tn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
     out.resize_to(a.cols(), b.cols());
     gemm_tn_slice(a, b, out.as_mut_slice(), acc);
@@ -830,7 +865,7 @@ pub fn gemm_tn_slice(a: &Matrix, b: &Matrix, out: &mut [f32], acc: bool) {
         return;
     }
     let path = active_path();
-    let (mr, _) = tn_tile(path);
+    let mr = tn_row_tile(path, r);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (r as u64));
     let asl = a.as_slice();
     let bsl = b.as_slice();
@@ -1063,6 +1098,14 @@ mod tests {
         let b = Matrix::zeros(0, 3);
         gemm_nn(&a, &b, &mut out, false, None);
         assert_eq!(out, Matrix::zeros(4, 3), "k=0 means a zero fold");
+        // k = 0 across more than one column panel, on both families.
+        for path in [SimdPath::Scalar, detect_path()] {
+            with_path(path, || {
+                let b = Matrix::zeros(0, 40);
+                gemm_nn(&a, &b, &mut out, false, None);
+                assert_eq!(out, Matrix::zeros(4, 40), "{path:?}: k=0, n=40");
+            });
+        }
     }
 
     #[test]

@@ -8,27 +8,56 @@
 //! and is sound exactly because the drivers never pick this path without
 //! runtime detection.
 //!
-//! Tile shapes (chosen for 16 architectural YMM registers):
+//! # One register tile for the three layouts
 //!
-//! - `nn`: 6×16 — 12 accumulator registers, 2 B-strip loads and one `a`
-//!   broadcast per k step. B is read in place (contiguous `NR_NN` = 16
-//!   wide strips at B's row stride), cache-blocked k-chunk → strip → row
-//!   tile, so there is no packing pass at all.
-//! - `nt`: 2×4 register tile of independent dot products; each dot splits
-//!   `k` into 8-lane octets folded by FMA, reduced by a *fixed* pairwise
-//!   horizontal sum, plus a scalar tail. Because every dot product — full
-//!   tile, edge, or remainder — runs the identical octet/hsum/tail
-//!   sequence, `nt` results do not depend on how rows are grouped.
-//! - `tn`: 4×16 over a k-major packed A strip (stride `TN_MR`).
+//! `nn`, `tn` and `nt` run on one 6×16 FMA register tile — twelve YMM
+//! accumulators, two 8-wide B loads and six A broadcasts per k step — and
+//! one cache-blocked loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer,
+//! 16-wide B panel next, 6-row tiles inner. The layouts differ only in
+//! where the tile reads its operands:
+//!
+//! - `nn` (`A·B`): A row-major; B read in place — row-major B already holds
+//!   each 16-wide panel at its row stride, so there is no packing pass.
+//! - `tn` (`Aᵀ·B`): B as in `nn`; A is broadcast transposed in place,
+//!   element (i, kk) read at `a[kk·m + i]`, so the six broadcasts of one
+//!   k step are six adjacent floats. No strip is packed.
+//! - `nt` (`A·Bᵀ`): A as in `nn`; B is `n×k`, so each KC×16 panel chunk
+//!   is transposed into an L1-sized buffer once per (panel, k-chunk) and
+//!   every row tile of the share sweeps it.
+//!
+//! Row remainders (m mod 6) run const-generic R×16 tiles with the same
+//! schedule. Column remainders (n mod 16) run scalar loops: `nn`'s folds
+//! mul-then-add, as it always has; `tn`'s and `nt`'s fold `f32::mul_add`.
+//! So every `tn` element and every tile-`nt` element — full tile, row edge
+//! or column edge — is one FMA chain over ascending k, started from `+0.0`
+//! or, accumulating, from the destination; `nn` is that chain except in its
+//! column edge.
+//!
+//! # Skinny GEMMs keep their own kernels
+//!
+//! Two shapes are better served by the kernels the tile replaced, and keep
+//! them; the choice reads the whole GEMM's shape, never a share's:
+//!
+//! - `nt` with fewer than [`NT_TILE_MIN_ROWS`] output rows: the panel
+//!   transposes cost the same at any m, and at a handful of rows they cost
+//!   more than the tile saves. The dot-product kernel is a 2×4 tile of
+//!   independent dot products, each splitting k into 8-lane octets folded
+//!   by FMA, reduced by a fixed pairwise horizontal sum, plus a scalar
+//!   mul-then-add tail — a different fold from the tile's.
+//! - `tn` with a reduction shorter than [`TN_TILE_MIN_DEPTH`]: a 4×16 tile
+//!   over a k-major packed A strip, sweeping each 4-row block along the
+//!   whole output row. At a few k steps per tile it measures faster than
+//!   the tile on a wide output (see the constant). Its elements are the
+//!   same FMA chain as the tile's, so the choice moves no bit.
 //!
 //! Numerics: accumulation is f32 throughout. FMA keeps the infinitely
 //! precise product before each add, so results differ from the scalar
-//! mul-then-add kernels by bounded rounding — the oracle property tests
-//! gate this at an explicit ULP / forward-error bound
-//! (`tests/simd_oracle.rs`) instead of bit equality. Within *this* path,
-//! the decomposition-invariance rules from [`crate::kernels`] still hold:
-//! share boundaries are tile-aligned, so worker count never changes which
-//! elements go through full vs edge kernels.
+//! mul-then-add kernels by bounded rounding — `tests/simd_oracle.rs` gates
+//! every layout at an explicit ULP / forward-error bound and holds the
+//! single-chain elements to a test-local `mul_add` fold with `==`. Each
+//! element's fold is the same whichever tile, edge or share computes it,
+//! and every share of a GEMM runs the same kernel, so worker count never
+//! changes a result.
 
 use crate::adam::{self, AdamCoeffs};
 use crate::half::{f16_to_f32, f32_to_f16};
@@ -38,17 +67,35 @@ use crate::vmath;
 use core::arch::x86_64::*;
 use std::ops::Range;
 
-/// nn microkernel row tile.
-pub(crate) const MR_NN: usize = 6;
-/// nn packed-panel width (two YMM vectors).
-pub(crate) const NR_NN: usize = 16;
-/// k-chunk length for the nn drivers: a KC×[`NR_NN`] f32 panel chunk is
+/// Row tile of the FMA register tile.
+pub(crate) const MR_TILE: usize = 6;
+/// Column tile of the FMA register tile (two YMM vectors), and the row
+/// stride of `nt`'s transposed B panel.
+pub(crate) const NR_TILE: usize = 16;
+/// k-chunk length of the loop nest: a KC×[`NR_TILE`] f32 panel chunk is
 /// 16 KB, sized to stay L1-resident while every row tile sweeps it.
 const KC: usize = 256;
-/// tn microkernel row tile (packed A strip stride).
-pub(crate) const TN_MR: usize = 4;
-/// tn column tile.
-pub(crate) const TN_NR: usize = 16;
+/// Row tile of the dot-product `nt` kernel.
+pub(crate) const MR_DOT: usize = 2;
+/// Row tile of the strip `tn` kernel (its packed A strip's stride).
+pub(crate) const MR_STRIP: usize = 4;
+
+/// `nt` GEMMs with at least this many output rows run on the FMA tile;
+/// fewer keep the dot-product kernel. Both kernels were timed interleaved
+/// in one process at `engine_params`' two expert `nt` shapes (k × n =
+/// 256 × 1024 and 1024 × 256; DESIGN.md *Compute kernels & threading*): at
+/// m 8 the tile takes 1.2–1.5× the dot product's time; the crossover is
+/// ≈ 16 rows in a quiet hour and ≈ 32 when neighbours load the memory
+/// system, and from 32 rows on the tile is ahead or level in both.
+pub const NT_TILE_MIN_ROWS: usize = 32;
+
+/// `tn` GEMMs whose reduction is at least this long run on the FMA tile;
+/// shorter ones keep the strip kernel. Timed the same way at
+/// `engine_params`' two gradient shapes (outputs 256 × 1024 and
+/// 1024 × 256): at r 8 the tile takes up to 2× the strip kernel's time on
+/// the wide output; from r 16 on it is ahead or level on both, quiet or
+/// loaded.
+pub const TN_TILE_MIN_DEPTH: usize = 16;
 
 /// Runtime check for the f32 kernels.
 pub fn have_avx2_fma() -> bool {
@@ -62,95 +109,189 @@ pub fn have_f16c() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// nn: A·B over packed 16-wide B panels
+// The FMA register tile and its loop nest
 // ---------------------------------------------------------------------------
 
-/// AVX2 worker for a row range of `out (+)= a·B` (+ optional bias). B is
-/// read in place (`bs` row-major, row stride `bstride`): the kernels load
-/// contiguous [`NR_NN`]-wide strips per k step, so packing would only add
-/// a full extra read+write pass over B.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn nn_rows(
-    a: &Matrix,
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    bs: &[f32],
-    bstride: usize,
-    out: &mut [f32],
-    acc: bool,
-    bias: Option<&[f32]>,
-) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: drivers dispatch here only after runtime AVX2+FMA detection.
-    unsafe { nn_rows_impl(a, rows, k, n, bs, bstride, out, acc, bias) }
+/// A's element (i, kk) from the tile's origin `ap`: row-major A (`nn`,
+/// `nt`) steps `lda` per row and 1 per k; `tn`'s A, read transposed in
+/// place, steps 1 per row and `lda` per k.
+///
+/// # Safety
+///
+/// `ap` offset by the element's index must lie inside A's allocation.
+#[inline(always)]
+unsafe fn a_at<const TA: bool>(ap: *const f32, lda: usize, i: usize, kk: usize) -> f32 {
+    *ap.add(if TA { kk * lda + i } else { i * lda + kk })
 }
 
+/// Elements of A a `rows × k` tile reads from its origin.
+fn a_extent<const TA: bool>(lda: usize, rows: usize, k: usize) -> usize {
+    match (k, TA) {
+        (0, _) => 0,
+        (_, true) => (k - 1) * lda + rows,
+        (_, false) => (rows - 1) * lda + k,
+    }
+}
+
+/// Where the tile reads B.
+enum Panels<'a> {
+    /// Row-major `k×n` B, read in place at row stride `ldb` (`nn`, `tn`).
+    InPlace { b: &'a [f32], ldb: usize },
+    /// Row-major `n×k` B (`nt`): each KC×16 panel chunk is transposed into
+    /// `buf` (row stride [`NR_TILE`]) before the row tiles sweep it.
+    Transposed { b: &'a [f32], ldb: usize, buf: &'a mut [f32] },
+}
+
+/// Transposes B's rows `j0 .. j0 + w`, columns `kc .. kc + klen` into
+/// `buf`, k-major at stride [`NR_TILE`]:
+/// `buf[kk·16 + jj] = b[(j0 + jj)·ldb + kc + kk]`. Whole 8×8 blocks go
+/// through registers (eight row loads, the unpack / shuffle / lane-permute
+/// transpose, eight stores); the ragged rest is copied element by element.
+///
+/// # Safety
+///
+/// AVX2 must be available. The extents are `debug_assert!`ed; the caller
+/// keeps them (`nt_rows` checks `b` is `n×ldb` and sizes `buf`).
+#[target_feature(enable = "avx2")]
+unsafe fn pack_bt(
+    b: &[f32],
+    ldb: usize,
+    j0: usize,
+    w: usize,
+    kc: usize,
+    klen: usize,
+    buf: &mut [f32],
+) {
+    debug_assert!(w <= NR_TILE && buf.len() >= klen * NR_TILE);
+    debug_assert!(w == 0 || klen == 0 || b.len() >= (j0 + w - 1) * ldb + kc + klen);
+    let (w8, k8) = (w & !7, klen & !7);
+    for jb in (0..w8).step_by(8) {
+        let src = b.as_ptr().add((j0 + jb) * ldb + kc);
+        for kb in (0..k8).step_by(8) {
+            let p = src.add(kb);
+            let (r0, r1) = (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(ldb)));
+            let (r2, r3) = (_mm256_loadu_ps(p.add(2 * ldb)), _mm256_loadu_ps(p.add(3 * ldb)));
+            let (r4, r5) = (_mm256_loadu_ps(p.add(4 * ldb)), _mm256_loadu_ps(p.add(5 * ldb)));
+            let (r6, r7) = (_mm256_loadu_ps(p.add(6 * ldb)), _mm256_loadu_ps(p.add(7 * ldb)));
+            let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+            let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+            let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+            let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+            let lo = [
+                _mm256_shuffle_ps::<0x44>(t0, t2),
+                _mm256_shuffle_ps::<0xEE>(t0, t2),
+                _mm256_shuffle_ps::<0x44>(t1, t3),
+                _mm256_shuffle_ps::<0xEE>(t1, t3),
+            ];
+            let hi = [
+                _mm256_shuffle_ps::<0x44>(t4, t6),
+                _mm256_shuffle_ps::<0xEE>(t4, t6),
+                _mm256_shuffle_ps::<0x44>(t5, t7),
+                _mm256_shuffle_ps::<0xEE>(t5, t7),
+            ];
+            let dst = buf.as_mut_ptr().add(kb * NR_TILE + jb);
+            for t in 0..4 {
+                // Column t of the block lives in the low 128-bit lanes,
+                // column t + 4 in the high ones.
+                _mm256_storeu_ps(
+                    dst.add(t * NR_TILE),
+                    _mm256_permute2f128_ps::<0x20>(lo[t], hi[t]),
+                );
+                _mm256_storeu_ps(
+                    dst.add((t + 4) * NR_TILE),
+                    _mm256_permute2f128_ps::<0x31>(lo[t], hi[t]),
+                );
+            }
+        }
+    }
+    for jj in 0..w {
+        let row = &b[(j0 + jj) * ldb + kc..][..klen];
+        let from = if jj < w8 { k8 } else { 0 };
+        for (kk, &v) in row.iter().enumerate().skip(from) {
+            buf[kk * NR_TILE + jj] = v;
+        }
+    }
+}
+
+/// `out (+)= A·B` for `m` rows of A whose first row starts at `a[a0]`
+/// (layout `TA`, stride `lda`), reduction `k`, `n` columns; `out` is the
+/// row-major `m×n` destination. Cache-blocked: k-chunk outer (the m×KC
+/// slab of A becomes L2-resident after the first panel sweeps it), panel
+/// next (one KC×16 panel chunk — 16 KB — stays L1-resident across the row
+/// tiles), row tiles inner. Chunking changes no bit: each element still
+/// folds its k terms in ascending order, later chunks resuming from the
+/// spilled f32 partial, and an f32 round-trips memory exactly.
+/// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
+/// mul-then-add for `nn`, whose A is row-major).
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available, and `a` from `a0`, B and `out` must
+/// cover the `m×k`, `k×n` and `m×n` extents above (the safe wrappers
+/// `assert!` them).
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn nn_rows_impl(
-    a: &Matrix,
-    rows: Range<usize>,
+unsafe fn tile_gemm<const TA: bool>(
+    a: &[f32],
+    a0: usize,
+    lda: usize,
+    m: usize,
     k: usize,
     n: usize,
-    bs: &[f32],
-    bstride: usize,
+    mut panels: Panels<'_>,
     out: &mut [f32],
     acc: bool,
-    bias: Option<&[f32]>,
+    fused_edge: bool,
 ) {
-    let asl = a.as_slice();
-    let lda = a.cols();
-    let m = rows.len();
-    let panels = n.div_ceil(NR_NN);
-    // Cache-blocked loop nest: k-chunk outer (the m×KC slab of A becomes
-    // L2-resident after the first panel sweeps it), panel next (one KC×16
-    // panel chunk — 16 KB — stays L1-resident across the row tiles), row
-    // tiles inner. Results are unchanged: each C element still folds its
-    // k terms in ascending order — later chunks resume from the spilled
-    // f32 partial, and an f32 round-trips memory exactly.
-    let mut kc = 0;
-    while kc < k.max(1) {
+    debug_assert!(fused_edge || !TA, "the mul-then-add edge reads A row-major");
+    if k == 0 {
+        // The empty fold: `+0.0`, or the destination itself.
+        if !acc {
+            out[..m * n].fill(0.0);
+        }
+        return;
+    }
+    for kc in (0..k).step_by(KC) {
         let klen = KC.min(k - kc);
         let tile_acc = acc || kc > 0;
-        for p in 0..panels {
-            let j0 = p * NR_NN;
-            let w = NR_NN.min(n - j0);
-            let chunk = &bs[kc * bstride + j0..];
-            let mut i = 0;
-            while i < m {
-                let rows_here = MR_NN.min(m - i);
-                let arow = &asl[(rows.start + i) * lda + kc..];
-                let oblock = &mut out[i * n + j0..];
-                if rows_here == MR_NN && w == NR_NN {
-                    kern_nn_6x16(arow, lda, klen, chunk, bstride, oblock, n, tile_acc);
-                } else if w == NR_NN {
-                    kern_nn_edge_rows(
-                        arow, lda, klen, rows_here, chunk, bstride, oblock, n, tile_acc,
+        for j0 in (0..n).step_by(NR_TILE) {
+            let w = NR_TILE.min(n - j0);
+            let (panel, pstride): (&[f32], usize) = match &mut panels {
+                Panels::InPlace { b, ldb } => (&b[kc * *ldb + j0..], *ldb),
+                Panels::Transposed { b, ldb, buf } => {
+                    pack_bt(b, *ldb, j0, w, kc, klen, buf);
+                    (&buf[..], NR_TILE)
+                }
+            };
+            for i in (0..m).step_by(MR_TILE) {
+                let rows = MR_TILE.min(m - i);
+                let ablk = &a[a0 + if TA { kc * lda + i } else { i * lda + kc }..];
+                let oblk = &mut out[i * n + j0..];
+                if w == NR_TILE && rows == MR_TILE {
+                    kern_6x16::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
+                } else if w == NR_TILE {
+                    kern_edge_rows::<TA>(ablk, lda, klen, rows, panel, pstride, oblk, n, tile_acc);
+                } else if fused_edge {
+                    kern_edge_fma::<TA>(
+                        ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc,
                     );
                 } else {
-                    kern_nn_edge(
-                        arow, lda, klen, rows_here, chunk, w, bstride, oblock, n, tile_acc,
-                    );
+                    kern_nn_edge(ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc);
                 }
-                i += rows_here;
-            }
-        }
-        kc += klen.max(1);
-    }
-    if let Some(bias) = bias {
-        for r in 0..m {
-            for (o, b) in out[r * n..(r + 1) * n].iter_mut().zip(bias) {
-                *o += b;
             }
         }
     }
 }
 
-/// Full 6×16 nn tile: 12 YMM accumulators live across the whole k sweep.
+/// Full 6×16 tile: 12 YMM accumulators live across the whole k sweep.
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available; the three extents it `debug_assert!`s
+/// must hold.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_nn_6x16(
+unsafe fn kern_6x16<const TA: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -160,9 +301,9 @@ unsafe fn kern_nn_6x16(
     ldc: usize,
     acc: bool,
 ) {
-    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_NN);
-    debug_assert!(a.len() >= (MR_NN - 1) * lda + k);
-    debug_assert!(out.len() >= (MR_NN - 1) * ldc + NR_NN);
+    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_TILE);
+    debug_assert!(a.len() >= a_extent::<TA>(lda, MR_TILE, k));
+    debug_assert!(out.len() >= (MR_TILE - 1) * ldc + NR_TILE);
     let ap = a.as_ptr();
     let pp = panel.as_ptr();
     let op = out.as_mut_ptr();
@@ -209,29 +350,33 @@ unsafe fn kern_nn_6x16(
         c51 = z;
     }
     for kk in 0..k {
-        // B rows sit a full matrix row apart (`pstride`), a stride the
-        // hardware prefetcher won't track — fetch a few k-steps ahead.
+        // In-place B rows sit a full matrix row apart (`pstride`), a stride
+        // the hardware prefetcher won't track — fetch a few k-steps ahead.
         if kk + 4 < k {
             _mm_prefetch::<_MM_HINT_T0>(pp.add((kk + 4) * pstride) as *const i8);
+            if TA {
+                // So do `tn`'s A rows, `lda` apart.
+                _mm_prefetch::<_MM_HINT_T0>(ap.add((kk + 4) * lda) as *const i8);
+            }
         }
         let b0 = _mm256_loadu_ps(pp.add(kk * pstride));
         let b1 = _mm256_loadu_ps(pp.add(kk * pstride + 8));
-        let a0 = _mm256_set1_ps(*ap.add(kk));
+        let a0 = _mm256_set1_ps(a_at::<TA>(ap, lda, 0, kk));
         c00 = _mm256_fmadd_ps(a0, b0, c00);
         c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*ap.add(lda + kk));
+        let a1 = _mm256_set1_ps(a_at::<TA>(ap, lda, 1, kk));
         c10 = _mm256_fmadd_ps(a1, b0, c10);
         c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*ap.add(2 * lda + kk));
+        let a2 = _mm256_set1_ps(a_at::<TA>(ap, lda, 2, kk));
         c20 = _mm256_fmadd_ps(a2, b0, c20);
         c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*ap.add(3 * lda + kk));
+        let a3 = _mm256_set1_ps(a_at::<TA>(ap, lda, 3, kk));
         c30 = _mm256_fmadd_ps(a3, b0, c30);
         c31 = _mm256_fmadd_ps(a3, b1, c31);
-        let a4 = _mm256_set1_ps(*ap.add(4 * lda + kk));
+        let a4 = _mm256_set1_ps(a_at::<TA>(ap, lda, 4, kk));
         c40 = _mm256_fmadd_ps(a4, b0, c40);
         c41 = _mm256_fmadd_ps(a4, b1, c41);
-        let a5 = _mm256_set1_ps(*ap.add(5 * lda + kk));
+        let a5 = _mm256_set1_ps(a_at::<TA>(ap, lda, 5, kk));
         c50 = _mm256_fmadd_ps(a5, b0, c50);
         c51 = _mm256_fmadd_ps(a5, b1, c51);
     }
@@ -249,13 +394,17 @@ unsafe fn kern_nn_6x16(
     _mm256_storeu_ps(op.add(5 * ldc + 8), c51);
 }
 
-/// Row-remainder nn tile: `R` (< 6) rows × full 16 cols, same ascending-k
-/// FMA schedule as [`kern_nn_6x16`] with `R` accumulator pairs. Keeps the
+/// Row-remainder tile: `R` (< 6) rows × full 16 cols, same ascending-k
+/// FMA schedule as [`kern_6x16`] with `R` accumulator pairs. Keeps the
 /// m-edge on SIMD throughput — a 2-row edge at m = 128 was ~30% of wall
 /// time on the GPT-Small ffn shapes when it fell back to the scalar edge.
+///
+/// # Safety
+///
+/// As [`kern_6x16`], for `R` rows.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_nn_rx16<const R: usize>(
+unsafe fn kern_rx16<const R: usize, const TA: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -265,9 +414,9 @@ unsafe fn kern_nn_rx16<const R: usize>(
     ldc: usize,
     acc: bool,
 ) {
-    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_NN);
-    debug_assert!(a.len() >= (R - 1) * lda + k);
-    debug_assert!(out.len() >= (R - 1) * ldc + NR_NN);
+    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_TILE);
+    debug_assert!(a.len() >= a_extent::<TA>(lda, R, k));
+    debug_assert!(out.len() >= (R - 1) * ldc + NR_TILE);
     let ap = a.as_ptr();
     let pp = panel.as_ptr();
     let op = out.as_mut_ptr();
@@ -283,7 +432,7 @@ unsafe fn kern_nn_rx16<const R: usize>(
         let b0 = _mm256_loadu_ps(pp.add(kk * pstride));
         let b1 = _mm256_loadu_ps(pp.add(kk * pstride + 8));
         for r in 0..R {
-            let av = _mm256_set1_ps(*ap.add(r * lda + kk));
+            let av = _mm256_set1_ps(a_at::<TA>(ap, lda, r, kk));
             c0[r] = _mm256_fmadd_ps(av, b0, c0[r]);
             c1[r] = _mm256_fmadd_ps(av, b1, c1[r]);
         }
@@ -295,10 +444,14 @@ unsafe fn kern_nn_rx16<const R: usize>(
 }
 
 /// Dispatches a full-width row-remainder tile to the monomorphized
-/// [`kern_nn_rx16`] for 1–5 rows.
+/// [`kern_rx16`] for 1–5 rows.
+///
+/// # Safety
+///
+/// As [`kern_rx16`], for `rows` rows.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_nn_edge_rows(
+unsafe fn kern_edge_rows<const TA: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -310,22 +463,170 @@ unsafe fn kern_nn_edge_rows(
     acc: bool,
 ) {
     match rows {
-        1 => kern_nn_rx16::<1>(a, lda, k, panel, pstride, out, ldc, acc),
-        2 => kern_nn_rx16::<2>(a, lda, k, panel, pstride, out, ldc, acc),
-        3 => kern_nn_rx16::<3>(a, lda, k, panel, pstride, out, ldc, acc),
-        4 => kern_nn_rx16::<4>(a, lda, k, panel, pstride, out, ldc, acc),
-        5 => kern_nn_rx16::<5>(a, lda, k, panel, pstride, out, ldc, acc),
+        1 => kern_rx16::<1, TA>(a, lda, k, panel, pstride, out, ldc, acc),
+        2 => kern_rx16::<2, TA>(a, lda, k, panel, pstride, out, ldc, acc),
+        3 => kern_rx16::<3, TA>(a, lda, k, panel, pstride, out, ldc, acc),
+        4 => kern_rx16::<4, TA>(a, lda, k, panel, pstride, out, ldc, acc),
+        5 => kern_rx16::<5, TA>(a, lda, k, panel, pstride, out, ldc, acc),
         _ => unreachable!("row remainder must be 1..6"),
     }
 }
 
+/// Column-edge tile of `tn` and `nt` (`w` < 16 columns): each element one
+/// `mul_add` chain over ascending k — the tile's per-lane arithmetic, one
+/// element at a time.
+///
+/// # Safety
+///
+/// FMA must be available; `a` must cover the `rows × k` tile (the panel
+/// and `out` are indexed with bounds checks).
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn kern_edge_fma<const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    rows: usize,
+    panel: &[f32],
+    w: usize,
+    pstride: usize,
+    out: &mut [f32],
+    ldc: usize,
+    acc: bool,
+) {
+    debug_assert!(a.len() >= a_extent::<TA>(lda, rows, k));
+    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + w);
+    for i in 0..rows {
+        for j in 0..w {
+            let mut s = if acc { out[i * ldc + j] } else { 0.0 };
+            for kk in 0..k {
+                s = a_at::<TA>(a.as_ptr(), lda, i, kk).mul_add(panel[kk * pstride + j], s);
+            }
+            out[i * ldc + j] = s;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// nt: A·Bᵀ as independent contiguous dot products
+// The three layouts
+// ---------------------------------------------------------------------------
+
+/// AVX2 worker for a row range of `out (+)= a·B` (+ optional bias). B is
+/// read in place (`bs` row-major, row stride `bstride`).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn nn_rows(
+    a: &Matrix,
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+    bs: &[f32],
+    bstride: usize,
+    out: &mut [f32],
+    acc: bool,
+    bias: Option<&[f32]>,
+) {
+    debug_assert!(have_avx2_fma());
+    let (m, lda) = (rows.len(), a.cols());
+    assert!(rows.end <= a.rows() && k <= lda && n <= bstride && out.len() >= m * n);
+    assert!(k == 0 || bs.len() >= (k - 1) * bstride + n);
+    let panels = Panels::InPlace { b: bs, ldb: bstride };
+    // SAFETY: drivers dispatch here only after runtime AVX2+FMA detection,
+    // and the two asserts above bound every tile's reads and writes.
+    unsafe {
+        tile_gemm::<false>(a.as_slice(), rows.start * lda, lda, m, k, n, panels, out, acc, false)
+    }
+    if let Some(bias) = bias {
+        for r in 0..m {
+            for (o, b) in out[r * n..(r + 1) * n].iter_mut().zip(bias) {
+                *o += b;
+            }
+        }
+    }
+}
+
+/// Whether an `nt` GEMM with `m` output rows runs on the tile (else the
+/// dot-product kernel). Read from the whole GEMM, never from a share, so
+/// every share at every worker count runs the same kernel.
+pub(crate) fn nt_on_tile(m: usize) -> bool {
+    m >= NT_TILE_MIN_ROWS
+}
+
+/// Whether a `tn` GEMM with reduction length `r` runs on the tile (else the
+/// strip kernel). `r` is never split, so every share sees the whole GEMM's.
+pub(crate) fn tn_on_tile(r: usize) -> bool {
+    r >= TN_TILE_MIN_DEPTH
+}
+
+/// AVX2 worker for a row range of `out (+)= aᵀ·b` (`a` is `r×m`, `b` is
+/// `r×n`; `rows` are *output* rows = columns of `a`). `strip` is the
+/// caller's per-thread pack scratch (the strip kernel only).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tn_rows(
+    asl: &[f32],
+    bsl: &[f32],
+    rows: Range<usize>,
+    r: usize,
+    m: usize,
+    n: usize,
+    chunk: &mut [f32],
+    acc: bool,
+    strip: &mut Vec<f32>,
+) {
+    debug_assert!(have_avx2_fma());
+    assert!(rows.end <= m && asl.len() >= r * m && bsl.len() >= r * n);
+    assert!(chunk.len() >= rows.len() * n);
+    let panels = Panels::InPlace { b: bsl, ldb: n };
+    // SAFETY: as in `nn_rows`.
+    unsafe {
+        if tn_on_tile(r) {
+            tile_gemm::<true>(asl, rows.start, m, rows.len(), r, n, panels, chunk, acc, true)
+        } else {
+            tn_strip_rows(asl, bsl, rows, r, m, n, chunk, acc, strip)
+        }
+    }
+}
+
+/// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`).
+/// `a` is the whole GEMM's A, so its rows choose the kernel. `buf` is the
+/// caller's per-thread panel scratch (the tile only).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn nt_rows(
+    a: &Matrix,
+    bsl: &[f32],
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+    chunk: &mut [f32],
+    acc: bool,
+    buf: &mut Vec<f32>,
+) {
+    debug_assert!(have_avx2_fma());
+    assert!(rows.end <= a.rows() && k == a.cols() && bsl.len() >= n * k);
+    assert!(chunk.len() >= rows.len() * n);
+    let (a0, m, tile) = (rows.start * k, rows.len(), nt_on_tile(a.rows()));
+    let need = if tile { KC.min(k) * NR_TILE } else { 0 };
+    if buf.len() < need {
+        buf.resize(need, 0.0);
+    }
+    // SAFETY: as in `nn_rows`.
+    unsafe {
+        if tile {
+            let panels = Panels::Transposed { b: bsl, ldb: k, buf };
+            tile_gemm::<false>(a.as_slice(), a0, k, m, k, n, panels, chunk, acc, true)
+        } else {
+            nt_dot_rows(a.as_slice(), bsl, rows, k, n, chunk, acc)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// nt at few rows: independent contiguous dot products
 // ---------------------------------------------------------------------------
 
 /// Fixed pairwise horizontal sum of a YMM: `(lo+hi)` 128-bit halves, then
-/// two pairwise 128-bit steps. Every nt dot product reduces through this
-/// exact tree, so grouping of rows/columns never changes a result.
+/// two pairwise 128-bit steps. Every dot product of the kernel reduces
+/// through this exact tree, so grouping of rows/columns never changes a
+/// result.
 #[target_feature(enable = "avx2")]
 unsafe fn hsum(v: __m256) -> f32 {
     let lo = _mm256_castps256_ps128(v);
@@ -336,8 +637,8 @@ unsafe fn hsum(v: __m256) -> f32 {
 }
 
 /// One dot product: FMA over 8-lane octets in ascending k, [`hsum`], then
-/// a scalar mul-add tail — the canonical per-element fold of the AVX2 nt
-/// path (full tiles replay this schedule per accumulator).
+/// a scalar mul-add tail — the canonical per-element fold of the
+/// dot-product kernel (full tiles replay this schedule per accumulator).
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn dot_f32(a: *const f32, b: *const f32, k: usize) -> f32 {
     let k8 = k & !7usize;
@@ -354,26 +655,17 @@ unsafe fn dot_f32(a: *const f32, b: *const f32, k: usize) -> f32 {
     s
 }
 
-/// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn nt_rows(
-    a: &Matrix,
-    bsl: &[f32],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    chunk: &mut [f32],
-    acc: bool,
-) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: drivers dispatch here only after runtime AVX2+FMA detection.
-    unsafe { nt_rows_impl(a, bsl, rows, k, n, chunk, acc) }
-}
-
+/// The dot-product kernel over a row range: 2×4 tiles, edges through
+/// [`dot_f32`].
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available; `asl` must hold `rows.end` rows of `k`,
+/// `bsl` `n` rows of `k` and `chunk` `rows.len()` rows of `n`.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn nt_rows_impl(
-    a: &Matrix,
+unsafe fn nt_dot_rows(
+    asl: &[f32],
     bsl: &[f32],
     rows: Range<usize>,
     k: usize,
@@ -381,17 +673,15 @@ unsafe fn nt_rows_impl(
     chunk: &mut [f32],
     acc: bool,
 ) {
-    const TI: usize = 2;
     const TJ: usize = 4;
-    let asl = a.as_slice();
     let mlocal = rows.len();
     let mut i = 0;
     while i < mlocal {
-        let ih = TI.min(mlocal - i);
+        let ih = MR_DOT.min(mlocal - i);
         let mut j = 0;
         while j < n {
             let jh = TJ.min(n - j);
-            if ih == TI && jh == TJ {
+            if ih == MR_DOT && jh == TJ {
                 kern_nt_2x4(
                     asl.as_ptr().add((rows.start + i) * k),
                     bsl.as_ptr().add(j * k),
@@ -476,32 +766,19 @@ unsafe fn kern_nt_2x4(
 }
 
 // ---------------------------------------------------------------------------
-// tn: Aᵀ·B over a k-major packed A strip
+// tn at short reductions: a k-major packed A strip
 // ---------------------------------------------------------------------------
 
-/// AVX2 worker for a row range of `out (+)= aᵀ·b` (`a` is `r×m`, `b` is
-/// `r×n`; `rows` are *output* rows = columns of `a`). `strip` is the
-/// caller's per-thread pack scratch.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn tn_rows(
-    asl: &[f32],
-    bsl: &[f32],
-    rows: Range<usize>,
-    r: usize,
-    m: usize,
-    n: usize,
-    chunk: &mut [f32],
-    acc: bool,
-    strip: &mut Vec<f32>,
-) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: drivers dispatch here only after runtime AVX2+FMA detection.
-    unsafe { tn_rows_impl(asl, bsl, rows, r, m, n, chunk, acc, strip) }
-}
-
+/// The strip kernel over a row range: per [`MR_STRIP`] output rows, A's
+/// column block packed k-major, then 4×16 tiles along the whole row.
+///
+/// # Safety
+///
+/// AVX2 and FMA must be available; `asl` must be `r×m`, `bsl` `r×n`, and
+/// `chunk` hold `rows.len()` rows of `n` with `rows.end <= m`.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tn_rows_impl(
+unsafe fn tn_strip_rows(
     asl: &[f32],
     bsl: &[f32],
     rows: Range<usize>,
@@ -515,12 +792,12 @@ unsafe fn tn_rows_impl(
     let mlocal = rows.len();
     let mut i = 0;
     while i < mlocal {
-        let ih = TN_MR.min(mlocal - i);
+        let ih = MR_STRIP.min(mlocal - i);
         pack_a_strip(asl, m, r, rows.start + i, ih, strip);
         let mut j = 0;
         while j < n {
-            let jh = TN_NR.min(n - j);
-            if ih == TN_MR && jh == TN_NR {
+            let jh = NR_TILE.min(n - j);
+            if ih == MR_STRIP && jh == NR_TILE {
                 kern_tn_4x16(
                     strip.as_ptr(),
                     bsl.as_ptr().add(j),
@@ -547,8 +824,8 @@ unsafe fn tn_rows_impl(
     }
 }
 
-/// Full 4×16 tn tile: 8 YMM accumulators, B rows loaded unaligned at
-/// stride `ldb`, A broadcast from the packed strip (stride [`TN_MR`]).
+/// Full 4×16 strip tile: 8 YMM accumulators, B rows loaded unaligned at
+/// stride `ldb`, A broadcast from the packed strip (stride [`MR_STRIP`]).
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn kern_tn_4x16(
     sp: *const f32,
@@ -583,16 +860,16 @@ unsafe fn kern_tn_4x16(
     for kk in 0..r {
         let b0 = _mm256_loadu_ps(bp.add(kk * ldb));
         let b1 = _mm256_loadu_ps(bp.add(kk * ldb + 8));
-        let a0 = _mm256_set1_ps(*sp.add(kk * TN_MR));
+        let a0 = _mm256_set1_ps(*sp.add(kk * MR_STRIP));
         c00 = _mm256_fmadd_ps(a0, b0, c00);
         c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*sp.add(kk * TN_MR + 1));
+        let a1 = _mm256_set1_ps(*sp.add(kk * MR_STRIP + 1));
         c10 = _mm256_fmadd_ps(a1, b0, c10);
         c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*sp.add(kk * TN_MR + 2));
+        let a2 = _mm256_set1_ps(*sp.add(kk * MR_STRIP + 2));
         c20 = _mm256_fmadd_ps(a2, b0, c20);
         c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*sp.add(kk * TN_MR + 3));
+        let a3 = _mm256_set1_ps(*sp.add(kk * MR_STRIP + 3));
         c30 = _mm256_fmadd_ps(a3, b0, c30);
         c31 = _mm256_fmadd_ps(a3, b1, c31);
     }

@@ -1,20 +1,30 @@
 //! SIMD-vs-naive-oracle accuracy gate.
 //!
 //! The scalar kernel family is bitwise-equal to the naive oracle (pinned in
-//! `kernel_properties.rs`). The AVX2 family uses FMA and, for `nt`, 8-lane
-//! k-splitting, so its results legitimately differ from the oracle — but
-//! only within classical floating-point error bounds. These tests hold the
-//! *active* path (whatever the host resolves to) to an explicit gate:
+//! `kernel_properties.rs`). The AVX2 family uses FMA and, in the
+//! dot-product `nt`, 8-lane k-splitting, so its results legitimately differ
+//! from the oracle — but only within classical floating-point error bounds.
+//! These tests hold the *active* path (whatever the host resolves to) to an
+//! explicit gate:
 //!
 //! > an element passes if it is within [`MAX_ULPS`] ULPs of the oracle, OR
 //! > within the forward error bound `C·k·ε·(|A||B|)ᵢⱼ`.
 //!
 //! The sweep covers random shapes plus deliberate microkernel remainder
 //! edges (row counts around the 6-row MR, widths around the 16-wide NR),
-//! `k = 0`, accumulate mode, and operand aliasing (`x·x` with the bias taken
-//! from `x` itself). A forced-scalar test keeps the fallback family
-//! exercised in this binary on every host (CI additionally runs the whole
-//! suite under `SYMI_SIMD=scalar`).
+//! `k = 0`, accumulate mode, and operand aliasing (`x·x` and `x·xᵀ` with
+//! the bias taken from `x` itself). A forced-scalar test keeps the fallback
+//! family exercised in this binary on every host (CI additionally runs the
+//! whole suite under `SYMI_SIMD=scalar`).
+//!
+//! On the AVX2 path most elements are pinned tighter than the gate: they
+//! are one FMA chain over ascending k, and [`fma_chain`] — a test-local
+//! `f32::mul_add` fold from `+0.0` or from the destination — reproduces
+//! them with `==`. That covers every `tn` element, every element of an
+//! `nt` with at least `NT_TILE_MIN_ROWS` rows, and `nn`'s full-width
+//! columns (the first `16·⌊n/16⌋`); `nn`'s scalar column edge folds
+//! mul-then-add, and the dot-product `nt` splits k into octets, so those
+//! two stay under the gate only.
 
 use std::sync::{Mutex, MutexGuard};
 use symi_tensor::kernels::{self, naive, ulp_diff, SimdPath};
@@ -77,6 +87,9 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
         (8, 8, 8),     // k exactly one octet
         (8, 9, 8),     // k one past an octet
         (23, 129, 19), // prime-ish, k crosses many octets
+        (3, 0, 40),    // k = 0 across three column panels
+        (40, 0, 20),   // k = 0 on the nt tile
+        (33, 300, 37), // k crosses the 256-long k-chunk: partials spill
     ];
     let mut rng = StdRng::seed_from_u64(42);
     for _ in 0..25 {
@@ -132,6 +145,72 @@ fn active_path_tn_within_ulp_gate_of_oracle() {
     }
 }
 
+/// The AVX2 tile's per-element arithmetic, written out: `out[i][j]` is
+/// `a(i, 0)·b(0, j) + …` folded by `f32::mul_add` in ascending k, starting
+/// from `+0.0` or, given `seed`, from `seed[i][j]`.
+fn fma_chain(
+    (m, k, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+    seed: Option<&Matrix>,
+) -> Matrix {
+    Matrix::from_fn(m, n, |i, j| {
+        (0..k).fold(seed.map_or(0.0, |s| s[(i, j)]), |s, kk| a(i, kk).mul_add(b(kk, j), s))
+    })
+}
+
+fn bits(x: &Matrix) -> Vec<u32> {
+    x.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
+    use symi_tensor::simd::NT_TILE_MIN_ROWS;
+    let _g = lock();
+    if kernels::active_path() != SimdPath::Avx2 {
+        return; // the scalar family is pinned to `naive` instead
+    }
+    let mut rng = StdRng::seed_from_u64(610);
+    let t = NT_TILE_MIN_ROWS;
+    let mut shapes = edge_shapes();
+    // nt on either side of its threshold, and k across the 256-long chunk.
+    shapes.extend([(t - 1, 20, 33), (t, 20, 33), (t + 1, 300, 17), (64, 520, 48), (97, 33, 5)]);
+    for (m, k, n) in shapes {
+        let a = random_matrix(&mut rng, m, k);
+        let b = random_matrix(&mut rng, k, n);
+        let bt = b.transpose();
+        let at = a.transpose();
+        let chain = fma_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], None);
+
+        // tn: every shape, every element, write and accumulate mode.
+        assert_eq!(bits(&at.matmul_tn(&b)), bits(&chain), "tn {m}x{k}x{n}");
+        let stale = random_matrix(&mut rng, m, n);
+        let mut got = stale.clone();
+        at.matmul_tn_acc(&b, &mut got);
+        let want = fma_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], Some(&stale));
+        assert_eq!(bits(&got), bits(&want), "tn acc {m}x{k}x{n}");
+
+        // nt on the tile: every element.
+        if m >= NT_TILE_MIN_ROWS {
+            assert_eq!(bits(&a.matmul_nt(&bt)), bits(&chain), "nt {m}x{k}x{n}");
+        }
+
+        // nn: the full-width columns; the scalar column edge does not fuse.
+        let full = n - n % 16;
+        let nn = a.matmul(&b);
+        for i in 0..m {
+            for j in 0..full {
+                assert_eq!(
+                    nn[(i, j)].to_bits(),
+                    chain[(i, j)].to_bits(),
+                    "nn {m}x{k}x{n} ({i},{j})"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn accumulate_mode_within_gate() {
     let _g = lock();
@@ -163,9 +242,10 @@ fn accumulate_mode_within_gate() {
 fn aliased_operands_and_bias_within_gate() {
     let _g = lock();
     let mut rng = StdRng::seed_from_u64(605);
-    // x·x with bias taken from x's own first row: operand aliasing must not
-    // disturb packing (B is snapshotted into the pack before any writes).
-    for &d in &[6usize, 16, 31] {
+    // x·x with bias taken from x's own first row, and x·xᵀ: both operands
+    // are one matrix, read in place by nn and, by the nt tile (d = 40),
+    // through panels transposed out of that same matrix.
+    for &d in &[6usize, 16, 31, 40] {
         let x = random_matrix(&mut rng, d, d);
         let bias = Matrix::from_fn(1, d, |_, j| x[(0, j)]);
         let mut got = Matrix::zeros(0, 0);
@@ -177,6 +257,11 @@ fn aliased_operands_and_bias_within_gate() {
             *abv += x[(0, j)].abs();
         }
         assert_within_gate(&got, &oracle, &absb, d + 1, &format!("aliased {d}x{d}"));
+
+        let got = x.matmul_nt(&x);
+        let oracle = naive::matmul_nt(&x, &x);
+        let absb = naive::abs_matmul(&x, &x.transpose());
+        assert_within_gate(&got, &oracle, &absb, d, &format!("aliased nt {d}x{d}"));
     }
 }
 
