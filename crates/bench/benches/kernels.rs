@@ -16,7 +16,10 @@
 //! backward and row softmax at the repository benchmark's own expert batch
 //! shapes (240×256 from `engine_tokens`, 32×1024 from `engine_params`), in
 //! ns per element for the vector-math path, the forced-scalar encoding of
-//! the same math, and a libm reference loop that exists only in this file —
+//! the same math, and a libm reference loop that exists only in this file
+//! (the backward is the one the experts run, from the forward's stored
+//! `tanh` term; its libm reference recomputes `tanh`, as the backward did
+//! before it read the stored term) —
 //! and an **in-situ-shaped `ExpertFfn` row** (m 240, d 64, ff 256: forward
 //! and backward, whole-call GFLOP/s), so "expert FFN vs the GEMM roof" is
 //! answered from the JSON. `engine_params`' expert (d 256, ff 1024 at the
@@ -67,7 +70,9 @@
 //!      `ExpertFfn` backward after a lazy `zero_grad`, equal zero-fill +
 //!      accumulate bit for bit at the skinny shapes,
 //!   7. **backward layouts**: at `engine_tokens`' expert shapes `nt` and
-//!      `tn` reach ≥ 0.85× `nn`'s min-of-reps GFLOP/s on the AVX2 path.
+//!      `tn` reach ≥ 0.85× `nn`'s min-of-reps GFLOP/s on the AVX2 path,
+//!   8. **GELU backward from the stored `tanh`**: it equals the recomputing
+//!      backward bit for bit and costs ≤ 0.5× the GELU forward per element.
 
 use std::path::Path;
 use std::time::Instant;
@@ -76,7 +81,7 @@ use symi_bench::{bench, group};
 use symi_model::expert::ExpertFfn;
 use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
-use symi_tensor::ops::{gelu_backward_into, gelu_into, softmax_rows_into};
+use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
 #[cfg(target_arch = "x86_64")]
 use symi_tensor::simd::{NT_TILE_MIN_ROWS, TN_TILE_MIN_DEPTH};
 use symi_tensor::{half, pool, AdamConfig, AdamShard, AdamState, Matrix};
@@ -227,11 +232,23 @@ mod libm_ref {
     }
 }
 
-fn act_inputs(rows: usize, cols: usize) -> (Matrix, Matrix) {
+/// GELU′ as the backward computed it before it read the stored term: `tanh`
+/// re-evaluated from the clamped forward input, on `vmath`'s `tanh`.
+fn recomputed_gelu_grad(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    let x = x.clamp(-64.0, 64.0);
+    let t = symi_tensor::vmath::tanh(C * (x + 0.044715 * x * x * x));
+    let sech2 = 1.0 - t * t;
+    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+}
+
+/// Pre-activations, their stored GELU `tanh` terms, and an upstream gradient.
+fn act_inputs(rows: usize, cols: usize) -> (Matrix, Matrix, Matrix) {
     // Pre-activations spread over ±4: both tanh branches, no saturation.
     let x = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37).sin() * 4.0);
+    let t = Matrix::from_fn(rows, cols, |r, c| symi_tensor::vmath::gelu_tanh(x[(r, c)]));
     let dy = Matrix::from_fn(rows, cols, |r, c| ((r + 3 * c) as f32 * 0.11).cos());
-    (x, dy)
+    (x, t, dy)
 }
 
 /// Min-of-reps wall time of each closure, **interleaved**: every rep runs
@@ -272,7 +289,7 @@ fn bench_activations() -> Value {
     let mut rows_out = Vec::new();
     for &(label, rows, cols) in ACT_SHAPES {
         group(label);
-        let (x, dy) = act_inputs(rows, cols);
+        let (x, t, dy) = act_inputs(rows, cols);
         let (mut a, mut b, mut c) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let fwd = interleaved_min_ns(
             REPS,
@@ -285,8 +302,8 @@ fn bench_activations() -> Value {
         let bwd = interleaved_min_ns(
             REPS,
             &mut [
-                &mut || gelu_backward_into(&x, &dy, &mut a),
-                &mut || forced_scalar(|| gelu_backward_into(&x, &dy, &mut b)),
+                &mut || gelu_backward_from_tanh_into(&x, &t, &dy, &mut a),
+                &mut || forced_scalar(|| gelu_backward_from_tanh_into(&x, &t, &dy, &mut b)),
                 &mut || libm_ref::gelu_backward(&x, &dy, &mut c),
             ],
         );
@@ -858,7 +875,7 @@ fn smoke() {
     // Activation correctness + speed against the libm reference.
     {
         let (label, rows, cols) = ACT_SHAPES[0];
-        let (x, _) = act_inputs(rows, cols);
+        let (x, _, _) = act_inputs(rows, cols);
         let (mut got, mut want) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let ns = interleaved_min_ns(
             15,
@@ -882,6 +899,31 @@ fn smoke() {
                 ns[1]
             );
         }
+    }
+
+    // GELU backward from the stored tanh: the recomputing backward's bits,
+    // at a fraction of the forward's cost.
+    {
+        let (label, rows, cols) = ACT_SHAPES[0];
+        let (x, t, dy) = act_inputs(rows, cols);
+        let (mut fwd, mut bwd) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let ns = interleaved_min_ns(
+            15,
+            &mut [&mut || gelu_into(&x, &mut fwd), &mut || {
+                gelu_backward_from_tanh_into(&x, &t, &dy, &mut bwd)
+            }],
+        );
+        for ((&g, &xv), &d) in bwd.as_slice().iter().zip(x.as_slice()).zip(dy.as_slice()) {
+            let want = d * recomputed_gelu_grad(xv);
+            assert_eq!(g.to_bits(), want.to_bits(), "{label}: gelu'({xv}) = {g:e}, want {want:e}");
+        }
+        let ratio = ns[1] / ns[0];
+        println!(
+            "smoke {label} gelu backward from tanh: {:.2} ns/elem, forward {:.2} ns/elem ({ratio:.2}x)",
+            ns[1] / (rows * cols) as f64,
+            ns[0] / (rows * cols) as f64,
+        );
+        assert!(ratio <= 0.5, "GELU backward from tanh over 0.5x the forward: {ratio:.2}x");
     }
 
     // Adam: vector ≡ scalar bitwise, and faster.

@@ -1,43 +1,40 @@
 //! Multi-head causal self-attention with manual backprop.
 //!
-//! Operates on a `(batch·seq_len) × d_model` activation matrix; sequences
-//! are independent, so forward/backward loop over them. Head projections
-//! use column slices of fused `Wq/Wk/Wv` matrices.
+//! Operates on a `(batch·seq_len) × d_model` activation matrix. The four
+//! projections (Q, K, V and the output's `Wo`), their weight gradients and
+//! their input gradient are one whole-batch GEMM each — twelve per layer per
+//! step. Only the per-head score / mix GEMMs run per (sequence, head), on
+//! column blocks of the batch's Q, K and V; the causal softmax scales and
+//! normalises each score row's `j ≤ i` part only, with no mask written
+//! ([`causal_softmax_in_place`]).
+//!
+//! Every result is bit for bit what running each sequence on its own gives:
+//! a whole-batch `nn` or `nt` product's rows are its per-sequence products'
+//! rows (rows never interact), and a whole-batch `tn` weight gradient is one
+//! ascending fold over all rows — the per-sequence accumulating calls
+//! continued where the previous one stopped (`tests/attention_oracle.rs`).
+//! The one proviso is the AVX2 `nt`, which picks its kernel by row count:
+//! both sides must pick the same one, as they do from `seq_len` 32 on
+//! (`small_sim`) or for a whole batch under 32 rows.
 
-use symi_tensor::ops::{softmax_rows_backward_into, softmax_rows_into};
+use std::cell::RefCell;
+use symi_tensor::ops::{causal_softmax_in_place, softmax_rows_backward_into};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, Matrix};
 
-/// Per-sequence forward cache. All matrices are persistent buffers reused
-/// across iterations (`forward` refills them in place).
-struct SeqCache {
-    x: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    /// Softmax attention probabilities per head.
-    probs: Vec<Matrix>,
-    /// Concatenated head outputs (pre-`Wo`).
-    concat: Matrix,
-}
-
-impl SeqCache {
-    fn empty() -> Self {
-        Self {
-            x: Matrix::zeros(0, 0),
-            q: Matrix::zeros(0, 0),
-            k: Matrix::zeros(0, 0),
-            v: Matrix::zeros(0, 0),
-            probs: Vec::new(),
-            concat: Matrix::zeros(0, 0),
-        }
-    }
+thread_local! {
+    /// Backward's whole-batch scratch: `dL/d concat` (then each
+    /// projection's share of `dX`), `dQ`, `dK`, `dV`. Nothing reads them
+    /// after the call, so a thread's attention layers share one set.
+    static BACKWARD_SCRATCH: RefCell<[Matrix; 4]> =
+        RefCell::new(std::array::from_fn(|_| Matrix::zeros(0, 0)));
 }
 
 /// Multi-head causal self-attention layer.
 ///
-/// Sequence caches and per-head scratch are persistent, so steady-state
-/// iterations at a fixed batch shape perform no heap allocation.
+/// The forward cache and the per-head scratch are persistent, so
+/// steady-state iterations at a fixed batch shape perform no heap
+/// allocation.
 pub struct CausalAttention {
     pub wq: Matrix,
     pub wk: Matrix,
@@ -49,32 +46,34 @@ pub struct CausalAttention {
     pub wo_grad: Matrix,
     n_heads: usize,
     seq_len: usize,
-    cache: Vec<SeqCache>,
-    /// Sequences the cache currently holds (≤ `cache.len()`, which only
-    /// grows; lets a smaller batch reuse the larger allocation).
+    /// Forward cache, whole batch: the input and its three projections.
+    x: Matrix,
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// Softmax probabilities of sequence `b`, head `h` at `b·n_heads + h`
+    /// (only grows; the first `cached_seqs·n_heads` are live).
+    probs: Vec<Matrix>,
+    /// Concatenated head outputs (pre-`Wo`).
+    concat: Matrix,
+    /// Sequences the cache holds.
     cached_seqs: usize,
-    scratch_qh: Matrix,
-    scratch_kh: Matrix,
-    scratch_vh: Matrix,
-    scratch_scores: Matrix,
-    scratch_oh: Matrix,
-    scratch_y: Matrix,
-    scratch_dys: Matrix,
-    scratch_dconcat: Matrix,
-    scratch_dq: Matrix,
-    scratch_dk: Matrix,
-    scratch_dv: Matrix,
-    scratch_dp: Matrix,
-    scratch_ds: Matrix,
-    scratch_dh: Matrix,
-    scratch_dxs: Matrix,
-    scratch_dw: Matrix,
+    /// Per-(sequence, head) blocks: `seq_len × d_head` (`qh` … `dh`) and
+    /// `seq_len × seq_len` (`dp`, `ds`).
+    qh: Matrix,
+    kh: Matrix,
+    vh: Matrix,
+    oh: Matrix,
+    dh: Matrix,
+    dp: Matrix,
+    ds: Matrix,
 }
 
 impl CausalAttention {
     pub fn new(d_model: usize, n_heads: usize, seq_len: usize, seed: u64) -> Self {
         assert_eq!(d_model % n_heads, 0, "d_model must divide by n_heads");
         let mut rng = StdRng::seed_from_u64(seed);
+        let empty = || Matrix::zeros(0, 0);
         Self {
             wq: init::xavier_uniform(d_model, d_model, &mut rng),
             wk: init::xavier_uniform(d_model, d_model, &mut rng),
@@ -86,24 +85,20 @@ impl CausalAttention {
             wo_grad: Matrix::zeros(d_model, d_model),
             n_heads,
             seq_len,
-            cache: Vec::new(),
+            x: empty(),
+            q: empty(),
+            k: empty(),
+            v: empty(),
+            probs: Vec::new(),
+            concat: empty(),
             cached_seqs: 0,
-            scratch_qh: Matrix::zeros(0, 0),
-            scratch_kh: Matrix::zeros(0, 0),
-            scratch_vh: Matrix::zeros(0, 0),
-            scratch_scores: Matrix::zeros(0, 0),
-            scratch_oh: Matrix::zeros(0, 0),
-            scratch_y: Matrix::zeros(0, 0),
-            scratch_dys: Matrix::zeros(0, 0),
-            scratch_dconcat: Matrix::zeros(0, 0),
-            scratch_dq: Matrix::zeros(0, 0),
-            scratch_dk: Matrix::zeros(0, 0),
-            scratch_dv: Matrix::zeros(0, 0),
-            scratch_dp: Matrix::zeros(0, 0),
-            scratch_ds: Matrix::zeros(0, 0),
-            scratch_dh: Matrix::zeros(0, 0),
-            scratch_dxs: Matrix::zeros(0, 0),
-            scratch_dw: Matrix::zeros(0, 0),
+            qh: empty(),
+            kh: empty(),
+            vh: empty(),
+            oh: empty(),
+            dh: empty(),
+            dp: empty(),
+            ds: empty(),
         }
     }
 
@@ -117,116 +112,101 @@ impl CausalAttention {
 
     /// Forward over a `(batch·L) × d_model` input.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut out);
+        out
+    }
+
+    /// [`CausalAttention::forward`] into a reusable output buffer.
+    pub fn forward_into(&mut self, x: &Matrix, out: &mut Matrix) {
         let l = self.seq_len;
         assert_eq!(x.rows() % l, 0, "input must tile whole sequences");
         let batch = x.rows() / l;
-        let d = self.d_model();
-        let dh = self.d_head();
-        let heads = self.n_heads;
+        let (d, dh, heads) = (self.d_model(), self.d_head(), self.n_heads);
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut out = Matrix::zeros(x.rows(), d);
-        if self.cache.len() < batch {
-            self.cache.resize_with(batch, SeqCache::empty);
+        self.x.copy_from(x);
+        x.matmul_into(&self.wq, &mut self.q);
+        x.matmul_into(&self.wk, &mut self.k);
+        x.matmul_into(&self.wv, &mut self.v);
+        if self.probs.len() < batch * heads {
+            self.probs.resize_with(batch * heads, || Matrix::zeros(0, 0));
         }
         self.cached_seqs = batch;
 
+        self.concat.resize_to(x.rows(), d);
         for b in 0..batch {
-            let c = &mut self.cache[b];
-            // Sequence b's rows are contiguous: copy the block directly.
-            c.x.resize_to(l, d);
-            c.x.as_mut_slice().copy_from_slice(&x.as_slice()[b * l * d..(b + 1) * l * d]);
-            c.x.matmul_into(&self.wq, &mut c.q);
-            c.x.matmul_into(&self.wk, &mut c.k);
-            c.x.matmul_into(&self.wv, &mut c.v);
-
-            c.concat.resize_to(l, d);
-            if c.probs.len() < heads {
-                c.probs.resize_with(heads, || Matrix::zeros(0, 0));
-            }
             for h in 0..heads {
-                copy_head_into(&c.q, h, dh, &mut self.scratch_qh);
-                copy_head_into(&c.k, h, dh, &mut self.scratch_kh);
-                copy_head_into(&c.v, h, dh, &mut self.scratch_vh);
-                self.scratch_qh.matmul_nt_into(&self.scratch_kh, &mut self.scratch_scores);
-                self.scratch_scores.scale(scale);
-                // Causal mask: position i attends to j ≤ i.
-                for i in 0..l {
-                    for j in i + 1..l {
-                        self.scratch_scores[(i, j)] = -1.0e9;
-                    }
-                }
-                softmax_rows_into(&self.scratch_scores, &mut c.probs[h]);
-                c.probs[h].matmul_into(&self.scratch_vh, &mut self.scratch_oh);
-                set_head(&mut c.concat, &self.scratch_oh, h, dh);
+                copy_block(&self.q, b * l, l, h * dh, dh, &mut self.qh);
+                copy_block(&self.k, b * l, l, h * dh, dh, &mut self.kh);
+                copy_block(&self.v, b * l, l, h * dh, dh, &mut self.vh);
+                let p = &mut self.probs[b * heads + h];
+                self.qh.matmul_nt_into(&self.kh, p);
+                // Position i attends to j ≤ i.
+                causal_softmax_in_place(p, scale);
+                p.matmul_into(&self.vh, &mut self.oh);
+                set_block(&mut self.concat, b * l, h * dh, &self.oh);
             }
-            c.concat.matmul_into(&self.wo, &mut self.scratch_y);
-            out.as_mut_slice()[b * l * d..(b + 1) * l * d]
-                .copy_from_slice(self.scratch_y.as_slice());
         }
-        out
+        self.concat.matmul_into(&self.wo, out);
     }
 
     /// Backward; returns `dX` and accumulates weight gradients.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+        let mut dx = Matrix::zeros(0, 0);
+        self.backward_into(dy, &mut dx);
+        dx
+    }
+
+    /// [`CausalAttention::backward`] into a reusable `dx` buffer. It reads
+    /// the forward cache and leaves it intact, so it may run again.
+    pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
         let l = self.seq_len;
         let batch = dy.rows() / l;
         assert_eq!(batch, self.cached_seqs, "backward without matching forward");
-        let d = self.d_model();
-        let dh = self.d_head();
-        let heads = self.n_heads;
+        let (d, dh, heads) = (self.d_model(), self.d_head(), self.n_heads);
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut dx = Matrix::zeros(dy.rows(), d);
-
-        for b in 0..batch {
-            self.scratch_dys.resize_to(l, d);
-            self.scratch_dys
-                .as_mut_slice()
-                .copy_from_slice(&dy.as_slice()[b * l * d..(b + 1) * l * d]);
-            let c = &self.cache[b];
-
+        BACKWARD_SCRATCH.with_borrow_mut(|[dconcat, dq, dk, dv]| {
             // Y = concat · Wo
-            c.concat.matmul_tn_acc(&self.scratch_dys, &mut self.wo_grad);
-            self.scratch_dys.matmul_nt_into(&self.wo, &mut self.scratch_dconcat);
+            self.concat.matmul_tn_acc(dy, &mut self.wo_grad);
+            dy.matmul_nt_into(&self.wo, dconcat);
 
-            self.scratch_dq.resize_to(l, d);
-            self.scratch_dk.resize_to(l, d);
-            self.scratch_dv.resize_to(l, d);
-            for h in 0..heads {
-                // doh: upstream gradient of this head's output block.
-                copy_head_into(&self.scratch_dconcat, h, dh, &mut self.scratch_dh);
-                copy_head_into(&c.v, h, dh, &mut self.scratch_vh);
-                copy_head_into(&c.q, h, dh, &mut self.scratch_qh);
-                copy_head_into(&c.k, h, dh, &mut self.scratch_kh);
-                let p = &c.probs[h];
+            for m in [&mut *dq, &mut *dk, &mut *dv] {
+                m.resize_to(dy.rows(), d);
+            }
+            for b in 0..batch {
+                for h in 0..heads {
+                    // dh: upstream gradient of this head's output block.
+                    copy_block(dconcat, b * l, l, h * dh, dh, &mut self.dh);
+                    copy_block(&self.v, b * l, l, h * dh, dh, &mut self.vh);
+                    copy_block(&self.q, b * l, l, h * dh, dh, &mut self.qh);
+                    copy_block(&self.k, b * l, l, h * dh, dh, &mut self.kh);
+                    let p = &self.probs[b * heads + h];
 
-                // Oh = P · Vh
-                self.scratch_dh.matmul_nt_into(&self.scratch_vh, &mut self.scratch_dp);
-                p.matmul_tn_into(&self.scratch_dh, &mut self.scratch_oh); // dVh
-                set_head(&mut self.scratch_dv, &self.scratch_oh, h, dh);
-                // P = softmax(S); S = scale · Qh Khᵀ (masked entries have
-                // zero probability so their score grads vanish).
-                softmax_rows_backward_into(p, &self.scratch_dp, &mut self.scratch_ds);
-                self.scratch_ds.scale(scale);
-                self.scratch_ds.matmul_into(&self.scratch_kh, &mut self.scratch_oh); // dQh
-                set_head(&mut self.scratch_dq, &self.scratch_oh, h, dh);
-                self.scratch_ds.matmul_tn_into(&self.scratch_qh, &mut self.scratch_oh); // dKh
-                set_head(&mut self.scratch_dk, &self.scratch_oh, h, dh);
+                    // Oh = P · Vh
+                    self.dh.matmul_nt_into(&self.vh, &mut self.dp);
+                    p.matmul_tn_into(&self.dh, &mut self.oh); // dVh
+                    set_block(dv, b * l, h * dh, &self.oh);
+                    // P = softmax(S); S = scale · Qh Khᵀ (masked entries have
+                    // zero probability so their score grads vanish).
+                    softmax_rows_backward_into(p, &self.dp, &mut self.ds);
+                    self.ds.scale(scale);
+                    self.ds.matmul_into(&self.kh, &mut self.oh); // dQh
+                    set_block(dq, b * l, h * dh, &self.oh);
+                    self.ds.matmul_tn_into(&self.qh, &mut self.oh); // dKh
+                    set_block(dk, b * l, h * dh, &self.oh);
+                }
             }
 
             // Q = X Wq etc.
-            c.x.matmul_tn_acc(&self.scratch_dq, &mut self.wq_grad);
-            c.x.matmul_tn_acc(&self.scratch_dk, &mut self.wk_grad);
-            c.x.matmul_tn_acc(&self.scratch_dv, &mut self.wv_grad);
-            self.scratch_dq.matmul_nt_into(&self.wq, &mut self.scratch_dxs);
-            self.scratch_dk.matmul_nt_into(&self.wk, &mut self.scratch_dw);
-            self.scratch_dxs.axpy(1.0, &self.scratch_dw);
-            self.scratch_dv.matmul_nt_into(&self.wv, &mut self.scratch_dw);
-            self.scratch_dxs.axpy(1.0, &self.scratch_dw);
-
-            dx.as_mut_slice()[b * l * d..(b + 1) * l * d]
-                .copy_from_slice(self.scratch_dxs.as_slice());
-        }
-        dx
+            self.x.matmul_tn_acc(dq, &mut self.wq_grad);
+            self.x.matmul_tn_acc(dk, &mut self.wk_grad);
+            self.x.matmul_tn_acc(dv, &mut self.wv_grad);
+            dq.matmul_nt_into(&self.wq, dx);
+            dk.matmul_nt_into(&self.wk, dconcat);
+            dx.axpy(1.0, dconcat);
+            dv.matmul_nt_into(&self.wv, dconcat);
+            dx.axpy(1.0, dconcat);
+        });
     }
 
     pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {
@@ -244,20 +224,20 @@ impl CausalAttention {
     }
 }
 
-/// Copies head `h`'s column block (`dh` wide) of `m` into `out`, reusing
-/// `out`'s allocation.
-fn copy_head_into(m: &Matrix, h: usize, dh: usize, out: &mut Matrix) {
-    out.resize_to(m.rows(), dh);
-    for r in 0..m.rows() {
-        out.row_mut(r).copy_from_slice(&m.row(r)[h * dh..(h + 1) * dh]);
+/// Copies the `rows × cols` block of `m` at (`row0`, `col0`) into `out`,
+/// reusing `out`'s allocation.
+fn copy_block(m: &Matrix, row0: usize, rows: usize, col0: usize, cols: usize, out: &mut Matrix) {
+    out.resize_to(rows, cols);
+    for r in 0..rows {
+        out.row_mut(r).copy_from_slice(&m.row(row0 + r)[col0..col0 + cols]);
     }
 }
 
-/// Writes `src` into head `h`'s column block of `dst` (blocks are disjoint
-/// across heads, so a copy replaces the old zero-then-add sequence).
-fn set_head(dst: &mut Matrix, src: &Matrix, h: usize, dh: usize) {
+/// Writes `src` into `dst` at (`row0`, `col0`) (head blocks are disjoint, so
+/// a copy replaces a zero-then-add sequence).
+fn set_block(dst: &mut Matrix, row0: usize, col0: usize, src: &Matrix) {
     for r in 0..src.rows() {
-        dst.row_mut(r)[h * dh..(h + 1) * dh].copy_from_slice(src.row(r));
+        dst.row_mut(row0 + r)[col0..col0 + src.cols()].copy_from_slice(src.row(r));
     }
 }
 
@@ -371,7 +351,7 @@ mod tests {
         let x = Matrix::from_fn(3, 4, |r, c| if r == c { 1.0 } else { 0.1 });
         let _ = attn.forward(&x);
         // Probability matrix of the only head: row 0 must be [1, 0, 0].
-        let p = &attn.cache[0].probs[0];
+        let p = &attn.probs[0];
         assert!((p[(0, 0)] - 1.0).abs() < 1e-6);
         assert!(p[(0, 1)].abs() < 1e-6 && p[(0, 2)].abs() < 1e-6);
     }

@@ -31,15 +31,22 @@ impl Embedding {
     /// Embeds a flat `batch × seq_len` token buffer into a
     /// `(batch·seq_len) × d_model` activation matrix.
     pub fn forward(&mut self, tokens: &[u32]) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(tokens, &mut out);
+        out
+    }
+
+    /// [`Embedding::forward`] into a reusable output buffer.
+    pub(crate) fn forward_into(&mut self, tokens: &[u32], out: &mut Matrix) {
         assert_eq!(tokens.len() % self.seq_len, 0, "tokens must tile whole sequences");
-        self.cached_tokens = tokens.to_vec();
-        let mut out = Matrix::zeros(tokens.len(), self.tok.cols());
+        self.cached_tokens.clear();
+        self.cached_tokens.extend_from_slice(tokens);
+        out.resize_to(tokens.len(), self.tok.cols());
         for (i, &t) in tokens.iter().enumerate() {
             let pos = i % self.seq_len;
             out.copy_row_from(i, &self.tok, t as usize);
             out.axpy_row_from(i, 1.0, &self.pos, pos);
         }
-        out
     }
 
     /// Accumulates gradients for the last forward pass.
@@ -69,6 +76,8 @@ pub struct LmHead {
     pub w: Matrix,
     pub w_grad: Matrix,
     cached_input: Matrix,
+    /// This backward's own weight gradient, added to `w_grad` whole.
+    scratch_dw: Matrix,
 }
 
 impl LmHead {
@@ -78,17 +87,33 @@ impl LmHead {
             w: init::xavier_uniform(d_model, vocab, &mut rng),
             w_grad: Matrix::zeros(d_model, vocab),
             cached_input: Matrix::zeros(0, 0),
+            scratch_dw: Matrix::zeros(0, 0),
         }
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.cached_input = x.clone();
-        x.matmul(&self.w)
+        let mut out = Matrix::zeros(0, 0);
+        self.forward_into(x, &mut out);
+        out
+    }
+
+    /// [`LmHead::forward`] into a reusable output buffer.
+    pub(crate) fn forward_into(&mut self, x: &Matrix, out: &mut Matrix) {
+        self.cached_input.copy_from(x);
+        x.matmul_into(&self.w, out);
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        self.w_grad.axpy(1.0, &self.cached_input.matmul_tn(dy));
-        dy.matmul_nt(&self.w)
+        let mut dx = Matrix::zeros(0, 0);
+        self.backward_into(dy, &mut dx);
+        dx
+    }
+
+    /// [`LmHead::backward`] into a reusable `dx` buffer.
+    pub(crate) fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
+        self.cached_input.matmul_tn_into(dy, &mut self.scratch_dw);
+        self.w_grad.axpy(1.0, &self.scratch_dw);
+        dy.matmul_nt_into(&self.w, dx);
     }
 
     pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &[f32])) {

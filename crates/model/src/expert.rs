@@ -12,16 +12,18 @@
 
 use std::cell::RefCell;
 use symi_telemetry::TelemetryHandle;
-use symi_tensor::ops::{gelu_backward_into, linear_gelu_into};
+use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_from_tanh_into, linear_gelu_tanh_into};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, Matrix};
 
 thread_local! {
-    /// Backward's two `rows × d_ff` scratch matrices (`dL/d act`, `dL/d pre`).
-    /// They are dead outside one [`ExpertFfn::backward_into`] call, so a
+    /// Two `rows × d_ff` scratch matrices: the activation `gelu(pre)`, which
+    /// both passes rebuild from the cached `tanh` term (backward then reuses
+    /// the buffer for `dL/d act`), and `dL/d pre`. They are dead outside one
+    /// [`ExpertFfn::forward_into`] / [`ExpertFfn::backward_into`] call, so a
     /// thread's experts share one pair sized by its largest batch instead of
     /// each keeping its own high-water mark.
-    static BACKWARD_SCRATCH: RefCell<(Matrix, Matrix)> =
+    static SCRATCH: RefCell<(Matrix, Matrix)> =
         RefCell::new((Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
 }
 
@@ -29,7 +31,11 @@ thread_local! {
 ///
 /// Forward/backward run on the blocked kernels through persistent caches
 /// and per-thread scratch buffers (`*_into` entry points), so a steady-state
-/// training step performs no heap allocation inside the expert.
+/// training step performs no heap allocation inside the expert. The forward
+/// caches GELU's inner term `t = tanh(c·(x + a·x³))` of the pre-activation
+/// instead of the activation: the activation is `0.5·pre·(1 + t)`, rebuilt
+/// with [`symi_tensor::vmath::gelu`]'s own operations wherever it is needed,
+/// and backward's GELU′ reads `t` rather than evaluating `tanh` again.
 pub struct ExpertFfn {
     pub w1: Matrix,
     pub b1: Matrix,
@@ -43,7 +49,8 @@ pub struct ExpertFfn {
     grad_zero: bool,
     cached_x: Matrix,
     cached_pre: Matrix,
-    cached_act: Matrix,
+    /// `gelu_tanh(cached_pre)`.
+    cached_tanh: Matrix,
 }
 
 impl ExpertFfn {
@@ -58,7 +65,7 @@ impl ExpertFfn {
             grad_zero: true,
             cached_x: Matrix::zeros(0, 0),
             cached_pre: Matrix::zeros(0, 0),
-            cached_act: Matrix::zeros(0, 0),
+            cached_tanh: Matrix::zeros(0, 0),
         }
     }
 
@@ -82,11 +89,15 @@ impl ExpertFfn {
     }
 
     /// Forward pass into a reusable output buffer. The fused
-    /// `linear_gelu` kernel fills both the pre-activation and activation
-    /// caches in one pass; backward reuses them without recomputing GELU.
+    /// `linear_gelu_tanh` kernel fills the pre-activation and `tanh` caches
+    /// in one pass; the activation is built from them in the thread's
+    /// scratch for the second GEMM.
     pub fn forward_into(&mut self, x: &Matrix, y: &mut Matrix) {
-        linear_gelu_into(x, &self.w1, &self.b1, &mut self.cached_pre, &mut self.cached_act);
-        self.cached_act.matmul_bias_into(&self.w2, &self.b2, y);
+        linear_gelu_tanh_into(x, &self.w1, &self.b1, &mut self.cached_pre, &mut self.cached_tanh);
+        SCRATCH.with_borrow_mut(|(act, _)| {
+            gelu_from_tanh_into(&self.cached_pre, &self.cached_tanh, act);
+            act.matmul_bias_into(&self.w2, &self.b2, y);
+        });
         self.cached_x.copy_from(x);
     }
 
@@ -108,11 +119,14 @@ impl ExpertFfn {
         let (w1_grad, rest) = self.grad.split_at_mut(self.w1.len());
         let (b1_grad, rest) = rest.split_at_mut(self.b1.len());
         let (w2_grad, b2_grad) = rest.split_at_mut(self.w2.len());
-        self.cached_act.matmul_tn_slice(dy, w2_grad, acc);
-        dy.sum_rows_slice(b2_grad, acc);
-        BACKWARD_SCRATCH.with_borrow_mut(|(dact, dpre)| {
+        let (pre, t) = (&self.cached_pre, &self.cached_tanh);
+        SCRATCH.with_borrow_mut(|(act, dpre)| {
+            gelu_from_tanh_into(pre, t, act);
+            act.matmul_tn_slice(dy, w2_grad, acc);
+            dy.sum_rows_slice(b2_grad, acc);
+            let dact = act;
             dy.matmul_nt_into(&self.w2, dact);
-            gelu_backward_into(&self.cached_pre, dact, dpre);
+            gelu_backward_from_tanh_into(pre, t, dact, dpre);
             self.cached_x.matmul_tn_slice(dpre, w1_grad, acc);
             dpre.sum_rows_slice(b1_grad, acc);
             dpre.matmul_nt_into(&self.w1, dx);

@@ -22,10 +22,12 @@
 //!   tokens get dropped, which is precisely the mechanism that makes
 //!   adaptive replication converge faster (Figures 7/8).
 //!
-//! Every layer is a struct with `forward` (caching activations) and
-//! `backward` (returning input gradients, accumulating parameter
-//! gradients), and every backward pass is pinned by a numerical-gradient
-//! test.
+//! Every layer is a struct whose forward caches what its backward reads and
+//! whose backward returns input gradients and accumulates parameter
+//! gradients; the `*_into` forms write into buffers kept across steps, so a
+//! steady training step allocates only its bookkeeping
+//! (`tests/trainer_steady_state_allocs.rs`). Every backward pass is pinned by
+//! a numerical-gradient test.
 
 pub mod attention;
 pub mod block;

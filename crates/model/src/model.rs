@@ -5,7 +5,7 @@ use crate::config::ModelConfig;
 use crate::embedding::{Embedding, LmHead};
 use crate::layernorm::LayerNorm;
 use crate::moe::MoeStats;
-use symi_tensor::ops::cross_entropy;
+use symi_tensor::ops::cross_entropy_in_place;
 use symi_tensor::Matrix;
 use symi_workload::Batch;
 
@@ -34,12 +34,22 @@ impl StepStats {
 }
 
 /// The GPT-MoE language model.
+///
+/// A step's activations live in buffers the model keeps across steps: one
+/// residual stream the blocks update in place (activations forward, their
+/// gradients backward), two scratch matrices every layer shares, and the
+/// logits, which the loss overwrites with their own gradient.
 pub struct GptMoe {
     pub cfg: ModelConfig,
     pub embedding: Embedding,
     pub blocks: Vec<TransformerBlock>,
     pub final_ln: LayerNorm,
     pub head: LmHead,
+    stream: Matrix,
+    scratch: [Matrix; 2],
+    logits: Matrix,
+    /// The batch's targets as row indices, for the loss.
+    targets: Vec<usize>,
 }
 
 impl GptMoe {
@@ -50,6 +60,10 @@ impl GptMoe {
             final_ln: LayerNorm::new(cfg.d_model),
             head: LmHead::new(cfg.d_model, cfg.vocab_size, cfg.seed ^ 0xbeef),
             cfg,
+            stream: Matrix::zeros(0, 0),
+            scratch: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
+            logits: Matrix::zeros(0, 0),
+            targets: Vec::new(),
         }
     }
 
@@ -59,26 +73,28 @@ impl GptMoe {
     pub(crate) fn forward_backward(&mut self, batch: &Batch, replicas: &[Vec<usize>]) -> StepStats {
         assert_eq!(replicas.len(), self.blocks.len(), "one replica vector per layer");
         assert_eq!(batch.seq_len, self.cfg.seq_len, "sequence length mismatch");
+        let x = &mut self.stream;
 
-        let mut x = self.embedding.forward(&batch.tokens);
+        self.embedding.forward_into(&batch.tokens, x);
         let mut layer_stats = Vec::with_capacity(self.blocks.len());
         for (block, reps) in self.blocks.iter_mut().zip(replicas) {
-            let (y, stats) = block.forward(&x, reps);
-            layer_stats.push(stats);
-            x = y;
+            layer_stats.push(block.forward_in_place(x, reps, &mut self.scratch));
         }
-        let normed = self.final_ln.forward(&x);
-        let logits = self.head.forward(&normed);
+        let [normed, _] = &mut self.scratch;
+        self.final_ln.forward_into(x, normed);
+        self.head.forward_into(normed, &mut self.logits);
 
-        let targets: Vec<usize> = batch.targets.iter().map(|&t| t as usize).collect();
-        let (ce_loss, dlogits) = cross_entropy(&logits, &targets);
+        self.targets.clear();
+        self.targets.extend(batch.targets.iter().map(|&t| t as usize));
+        let ce_loss = cross_entropy_in_place(&mut self.logits, &self.targets);
 
-        let dnormed = self.head.backward(&dlogits);
-        let mut dx = self.final_ln.backward(&dnormed);
+        let dnormed = normed;
+        self.head.backward_into(&self.logits, dnormed);
+        self.final_ln.backward_into(dnormed, x);
         for block in self.blocks.iter_mut().rev() {
-            dx = block.backward(&dx);
+            block.backward_in_place(x, &mut self.scratch);
         }
-        self.embedding.backward(&dx);
+        self.embedding.backward(x);
 
         let aux_loss = layer_stats.iter().map(|s| s.aux_loss).sum();
         StepStats { ce_loss, aux_loss, layers: layer_stats }

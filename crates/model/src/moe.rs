@@ -16,7 +16,17 @@
 
 use crate::expert::ExpertFfn;
 use crate::router::Router;
+use std::cell::RefCell;
 use symi_tensor::Matrix;
+
+thread_local! {
+    /// Dispatch scratch nothing reads once a pass returns — one class's
+    /// gathered input rows, its upstream gradient rows, and its input
+    /// gradient rows (then the router's `dX`) — shared by a thread's MoE
+    /// layers.
+    static SCRATCH: RefCell<[Matrix; 3]> =
+        RefCell::new(std::array::from_fn(|_| Matrix::zeros(0, 0)));
+}
 
 /// Per-iteration statistics from one MoE layer.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -55,25 +65,27 @@ impl MoeStats {
 /// the distributed engines in `symi`/`symi-baselines` materialize physical
 /// replicas).
 ///
-/// Dispatch state (`kept`, per-class expert outputs) and gather/scatter
-/// scratch live in persistent buffers, so repeated forward/backward pairs
-/// at a fixed batch shape allocate nothing.
+/// The dispatch state backward replays (`kept`, per-class expert outputs)
+/// lives in persistent buffers and the gather/scatter scratch in a
+/// per-thread set, so repeated forward/backward pairs at a fixed batch shape
+/// allocate nothing but the two vectors of the [`MoeStats`] they return.
 pub struct MoeLayer {
     pub router: Router,
     pub experts: Vec<ExpertFfn>,
     slot_capacity: f32,
-    /// Per expert: kept `(token, gate)` entries in processing order
-    /// (the dispatch cache backprop replays).
+    /// Per expert: kept `(assignment, gate)` entries in processing order
+    /// (the dispatch cache backprop replays); an assignment is an index
+    /// into the router's flat [`Routing::assignment`](crate::router::Routing),
+    /// token `assignment / k`.
     kept: Vec<Vec<(usize, f32)>>,
     /// Expert output rows per expert, aligned with `kept`.
     expert_out: Vec<Matrix>,
     cache_valid: bool,
     scratch_caps: Vec<usize>,
+    scratch_survived: Vec<bool>,
     scratch_indices: Vec<usize>,
-    scratch_xin: Matrix,
-    scratch_dexp: Matrix,
-    scratch_dxin: Matrix,
-    scratch_dgates: Vec<Vec<(usize, f32)>>,
+    /// `∂L/∂gate` per assignment, aligned with the routing.
+    scratch_dgates: Vec<f32>,
 }
 
 impl MoeLayer {
@@ -96,10 +108,8 @@ impl MoeLayer {
             expert_out: (0..experts).map(|_| Matrix::zeros(0, 0)).collect(),
             cache_valid: false,
             scratch_caps: Vec::new(),
+            scratch_survived: Vec::new(),
             scratch_indices: Vec::new(),
-            scratch_xin: Matrix::zeros(0, 0),
-            scratch_dexp: Matrix::zeros(0, 0),
-            scratch_dxin: Matrix::zeros(0, 0),
             scratch_dgates: Vec::new(),
         }
     }
@@ -115,9 +125,21 @@ impl MoeLayer {
 
     /// Forward pass. `replicas[e]` scales class `e`'s capacity.
     pub fn forward(&mut self, x: &Matrix, replicas: &[usize]) -> (Matrix, MoeStats) {
+        let mut y = Matrix::zeros(0, 0);
+        let stats = self.forward_into(x, replicas, &mut y);
+        (y, stats)
+    }
+
+    /// [`MoeLayer::forward`] into a reusable output buffer.
+    pub(crate) fn forward_into(
+        &mut self,
+        x: &Matrix,
+        replicas: &[usize],
+        y: &mut Matrix,
+    ) -> MoeStats {
         assert_eq!(replicas.len(), self.experts.len(), "one replica count per class");
         let routing = self.router.forward(x);
-        let t = x.rows();
+        let (t, k) = (x.rows(), routing.k);
 
         // Capacity enforcement in arrival order, per assignment.
         self.scratch_caps.clear();
@@ -126,40 +148,43 @@ impl MoeLayer {
         for v in &mut self.kept {
             v.clear();
         }
-        let mut token_survived = vec![false; t];
+        self.scratch_survived.clear();
+        self.scratch_survived.resize(t, false);
         let mut assignments_dropped = 0usize;
-        for (tok, picks) in routing.assignment.iter().enumerate() {
-            for &(class, gate) in picks {
-                if self.kept[class].len() < self.scratch_caps[class] {
-                    self.kept[class].push((tok, gate));
-                    token_survived[tok] = true;
-                } else {
-                    assignments_dropped += 1;
-                }
+        for (a, &(class, gate)) in routing.assignment.iter().enumerate() {
+            if self.kept[class].len() < self.scratch_caps[class] {
+                self.kept[class].push((a, gate));
+                self.scratch_survived[a / k] = true;
+            } else {
+                assignments_dropped += 1;
             }
         }
         let assignments_kept: usize = self.kept.iter().map(Vec::len).sum();
-        let survived = token_survived.iter().filter(|&&s| s).count();
+        let survived = self.scratch_survived.iter().filter(|&&s| s).count();
 
         // Run each expert on its surviving tokens; scale by the gate.
-        let mut y = Matrix::zeros(t, x.cols());
-        for (class, expert) in self.experts.iter_mut().enumerate() {
-            let kept = &self.kept[class];
-            if kept.is_empty() {
-                self.expert_out[class].resize_to(0, x.cols());
-                continue;
+        y.resize_to(t, x.cols());
+        y.fill_zero();
+        SCRATCH.with_borrow_mut(|[xin, ..]| {
+            for (class, expert) in self.experts.iter_mut().enumerate() {
+                let kept = &self.kept[class];
+                if kept.is_empty() {
+                    self.expert_out[class].resize_to(0, x.cols());
+                    continue;
+                }
+                self.scratch_indices.clear();
+                self.scratch_indices.extend(kept.iter().map(|&(a, _)| a / k));
+                x.gather_rows_into(&self.scratch_indices, xin);
+                let out = &mut self.expert_out[class];
+                expert.forward_into(xin, out);
+                for (i, &(a, gate)) in kept.iter().enumerate() {
+                    y.axpy_row_from(a / k, gate, out, i);
+                }
             }
-            self.scratch_indices.clear();
-            self.scratch_indices.extend(kept.iter().map(|&(tok, _)| tok));
-            x.gather_rows_into(&self.scratch_indices, &mut self.scratch_xin);
-            let out = &mut self.expert_out[class];
-            expert.forward_into(&self.scratch_xin, out);
-            for (i, &(tok, gate)) in kept.iter().enumerate() {
-                y.axpy_row_from(tok, gate, out, i);
-            }
-        }
+        });
 
-        let stats = MoeStats {
+        self.cache_valid = true;
+        MoeStats {
             popularity: routing.popularity.clone(),
             survived,
             dropped: t - survived,
@@ -167,48 +192,53 @@ impl MoeLayer {
             assignments_dropped,
             kept_per_class: self.kept.iter().map(|v| v.len() as u64).collect(),
             aux_loss: routing.aux_loss,
-        };
-        self.cache_valid = true;
-        (y, stats)
+        }
     }
 
     /// Backward pass; returns `dX`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+        let mut dx = Matrix::zeros(0, 0);
+        self.backward_into(dy, &mut dx);
+        dx
+    }
+
+    /// [`MoeLayer::backward`] into a reusable `dx` buffer.
+    pub(crate) fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
         assert!(self.cache_valid, "backward before forward");
         self.cache_valid = false;
-        let t = dy.rows();
-        let mut dx = Matrix::zeros(t, dy.cols());
+        let (t, k) = (dy.rows(), self.router.top_k());
+        dx.resize_to(t, dy.cols());
+        dx.fill_zero();
 
-        // Gate gradients, per token: only kept assignments contribute.
-        self.scratch_dgates.resize_with(t, Vec::new);
-        for g in &mut self.scratch_dgates {
-            g.clear();
-        }
-        for (class, expert) in self.experts.iter_mut().enumerate() {
-            let kept = &self.kept[class];
-            if kept.is_empty() {
-                continue;
+        // Gate gradients, per assignment: only kept ones are nonzero.
+        self.scratch_dgates.clear();
+        self.scratch_dgates.resize(t * k, 0.0);
+        SCRATCH.with_borrow_mut(|[_, dexp, dxin]| {
+            for (class, expert) in self.experts.iter_mut().enumerate() {
+                let kept = &self.kept[class];
+                if kept.is_empty() {
+                    continue;
+                }
+                // Upstream into the expert: g_t · dy_t.
+                dexp.resize_to(kept.len(), dy.cols());
+                dexp.fill_zero();
+                for (i, &(a, gate)) in kept.iter().enumerate() {
+                    let tok = a / k;
+                    dexp.axpy_row_from(i, gate, dy, tok);
+                    let out_row = self.expert_out[class].row(i);
+                    let dgate: f32 = dy.row(tok).iter().zip(out_row).map(|(a, b)| a * b).sum();
+                    self.scratch_dgates[a] = dgate;
+                }
+                expert.backward_into(dexp, dxin);
+                for (i, &(a, _)) in kept.iter().enumerate() {
+                    dx.axpy_row_from(a / k, 1.0, dxin, i);
+                }
             }
-            // Upstream into the expert: g_t · dy_t.
-            self.scratch_dexp.resize_to(kept.len(), dy.cols());
-            self.scratch_dexp.fill_zero();
-            for (i, &(tok, gate)) in kept.iter().enumerate() {
-                self.scratch_dexp.axpy_row_from(i, gate, dy, tok);
-                let out_row = self.expert_out[class].row(i);
-                let dgate: f32 = dy.row(tok).iter().zip(out_row).map(|(a, b)| a * b).sum();
-                self.scratch_dgates[tok].push((class, dgate));
-            }
-            expert.backward_into(&self.scratch_dexp, &mut self.scratch_dxin);
-            for (i, &(tok, _)) in kept.iter().enumerate() {
-                dx.axpy_row_from(tok, 1.0, &self.scratch_dxin, i);
-            }
-        }
 
-        // Router path (gate + aux gradients): dX += dX_router, reusing the
-        // experts' scratch as the router's output buffer.
-        self.router.backward_into(&self.scratch_dgates, &mut self.scratch_dxin);
-        dx.axpy(1.0, &self.scratch_dxin);
-        dx
+            // Router path (gate + aux gradients): dX += dX_router.
+            self.router.backward_into(&self.scratch_dgates, dxin);
+            dx.axpy(1.0, dxin);
+        });
     }
 
     pub fn zero_grad(&mut self) {
@@ -354,8 +384,7 @@ mod tests {
             let mut probe = layer(1.0);
             let routing = probe.router.forward(&x);
             let mut first = vec![None; 3];
-            for (t, picks) in routing.assignment.iter().enumerate() {
-                let a = picks[0].0;
+            for (t, &(a, _)) in routing.assignment.iter().enumerate() {
                 if first[a].is_none() {
                     first[a] = Some(t);
                 }

@@ -2,9 +2,12 @@
 //!
 //! The paper's evaluation uses Top-1 (Switch-style) routing; modern MoEs
 //! (GShard, Mixtral) route each token to its top-k experts. This router
-//! supports any `k ≥ 1`: each token receives up to `k` `(class, gate)`
+//! supports any `k ≥ 1`: each token receives `k` `(class, gate)`
 //! assignments, where the gate is the class's raw softmax probability (so
-//! `k = 1` reproduces Switch semantics exactly, gradients included).
+//! `k = 1` reproduces Switch semantics exactly, gradients included). They
+//! are chosen by one insertion selection per token into a flat `t·k`
+//! vector the router keeps — no sort, no per-token vector — with ties to
+//! the lower class and NaN last, as a stable sort would rank them.
 //!
 //! The popularity counters this router produces are exactly what SYMI's
 //! Layer Metadata Store aggregates (§3.4); with `k > 1` each token
@@ -17,8 +20,12 @@ use symi_tensor::{init, Matrix};
 /// Routing decision for one forward pass.
 #[derive(Clone, Debug)]
 pub struct Routing {
-    /// Per token: its top-k `(class, gate)` pairs, best first.
-    pub assignment: Vec<Vec<(usize, f32)>>,
+    /// Every token's top-k `(class, gate)` pairs, flat: token `t`'s picks,
+    /// best first, are `assignment[t·k .. (t+1)·k]`. An index into this
+    /// vector names one assignment.
+    pub assignment: Vec<(usize, f32)>,
+    /// Picks per token.
+    pub k: usize,
     /// Assignments per class — the popularity counters.
     pub popularity: Vec<u64>,
     /// Switch auxiliary load-balancing loss (already scaled by the coef),
@@ -30,11 +37,45 @@ impl Routing {
     /// The primary (top-1) class of every token.
     #[cfg(test)]
     pub(crate) fn top1(&self) -> Vec<usize> {
-        self.assignment.iter().map(|a| a[0].0).collect()
+        self.assignment.iter().step_by(self.k).map(|a| a.0).collect()
+    }
+}
+
+/// Whether probability `a` ranks before `b` in the routing order:
+/// descending, NaN after every number, equal values neither way.
+fn ranks_before(a: f32, b: f32) -> bool {
+    !a.is_nan() && (b.is_nan() || a > b)
+}
+
+/// Writes the top `picks.len()` classes of `row` into `picks`, best first:
+/// a stable insertion selection in class order, so ties keep the lower
+/// class first and NaN ranks last — exactly the first `k` entries of a
+/// stable sort by [`ranks_before`]. A class that cannot beat the last pick
+/// of a full list is passed over at once.
+fn select_top_k(row: &[f32], picks: &mut [(usize, f32)]) {
+    let k = picks.len();
+    let mut len = 0;
+    for (class, &p) in row.iter().enumerate() {
+        if len == k {
+            if !ranks_before(p, picks[k - 1].1) {
+                continue;
+            }
+            len -= 1; // the last pick falls off
+        }
+        let mut at = len;
+        while at > 0 && ranks_before(p, picks[at - 1].1) {
+            picks[at] = picks[at - 1];
+            at -= 1;
+        }
+        picks[at] = (class, p);
+        len += 1;
     }
 }
 
 /// Linear router: logits = `x · Wr`.
+///
+/// The routing it returns is its own persistent buffer, refilled by every
+/// forward pass and read back by backward.
 pub struct Router {
     pub w: Matrix,
     pub w_grad: Matrix,
@@ -42,15 +83,14 @@ pub struct Router {
     top_k: usize,
     cached_x: Matrix,
     cached_probs: Matrix,
-    cached_top1: Vec<usize>,
+    routing: Routing,
     scratch_logits: Matrix,
     scratch_dprobs: Matrix,
     scratch_dlogits: Matrix,
-    scratch_order: Vec<usize>,
     scratch_f: Vec<f32>,
     /// Cumulative NaN probabilities observed across forward passes (the
     /// `router.nan_logits` telemetry gauge). A NaN never panics the top-k
-    /// sort — NaN orders last — but it flags numeric trouble upstream.
+    /// selection — NaN ranks last — but it flags numeric trouble upstream.
     nan_logits: u64,
 }
 
@@ -65,11 +105,15 @@ impl Router {
             top_k,
             cached_x: Matrix::zeros(0, 0),
             cached_probs: Matrix::zeros(0, 0),
-            cached_top1: Vec::new(),
+            routing: Routing {
+                assignment: Vec::new(),
+                k: top_k,
+                popularity: vec![0; experts],
+                aux_loss: 0.0,
+            },
             scratch_logits: Matrix::zeros(0, 0),
             scratch_dprobs: Matrix::zeros(0, 0),
             scratch_dlogits: Matrix::zeros(0, 0),
-            scratch_order: Vec::new(),
             scratch_f: Vec::new(),
             nan_logits: 0,
         }
@@ -91,84 +135,69 @@ impl Router {
     }
 
     /// Routes every token (row of `x`) to its top-k experts.
-    pub fn forward(&mut self, x: &Matrix) -> Routing {
+    pub fn forward(&mut self, x: &Matrix) -> &Routing {
         x.matmul_into(&self.w, &mut self.scratch_logits);
         softmax_rows_into(&self.scratch_logits, &mut self.cached_probs);
         let e = self.experts();
         let t = x.rows();
         let k = self.top_k;
 
-        let mut assignment = Vec::with_capacity(t);
-        let mut popularity = vec![0u64; e];
-        self.cached_top1.clear();
-        for r in 0..t {
+        let routing = &mut self.routing;
+        routing.assignment.resize(t * k, (0, 0.0));
+        routing.popularity.fill(0);
+        for (r, picks) in routing.assignment.chunks_exact_mut(k).enumerate() {
             let row = self.cached_probs.row(r);
-            // NaN-last descending sort: a NaN probability (softmax of an
-            // inf/NaN logit) must not panic routing — it loses to every
-            // finite entry and is tallied for the `router.nan_logits`
-            // gauge instead.
+            // A NaN probability (softmax of an inf/NaN logit) must not
+            // panic routing — it ranks after every finite entry and is
+            // tallied for the `router.nan_logits` gauge instead.
             self.nan_logits += row.iter().filter(|p| p.is_nan()).count() as u64;
-            self.scratch_order.clear();
-            self.scratch_order.extend(0..e);
-            self.scratch_order.sort_by(|&a, &b| match (row[a].is_nan(), row[b].is_nan()) {
-                (true, true) => std::cmp::Ordering::Equal,
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                (false, false) => row[b].partial_cmp(&row[a]).expect("both finite"),
-            });
-            let picks: Vec<(usize, f32)> =
-                self.scratch_order[..k].iter().map(|&c| (c, row[c])).collect();
-            self.cached_top1.push(picks[0].0);
-            for &(c, _) in &picks {
-                popularity[c] += 1;
+            select_top_k(row, picks);
+            for &(c, _) in picks.iter() {
+                routing.popularity[c] += 1;
             }
-            assignment.push(picks);
         }
 
         // Switch aux loss over top-1 fractions: coef · E · Σ_e f_e · P_e.
         let tf = t as f32;
         let mut aux = 0.0f32;
-        self.scratch_f.clear();
-        self.scratch_f.resize(e, 0.0);
-        for &a in &self.cached_top1 {
-            self.scratch_f[a] += 1.0 / tf;
-        }
+        top1_fractions(routing, &mut self.scratch_f, e);
         for class in 0..e {
             let p_e: f32 = (0..t).map(|r| self.cached_probs[(r, class)]).sum::<f32>() / tf;
             aux += self.scratch_f[class] * p_e;
         }
-        aux *= self.aux_coef * e as f32;
+        routing.aux_loss = aux * (self.aux_coef * e as f32);
 
         self.cached_x.copy_from(x);
-        Routing { assignment, popularity, aux_loss: aux }
+        &self.routing
     }
 
-    /// Backward pass. `dgates[t]` lists `(class, ∂L/∂gate)` for each of
-    /// token `t`'s kept assignments; the auxiliary-loss gradient (with
-    /// `f_e` constant, as in Switch) is added internally. Returns `dX`.
-    pub fn backward(&mut self, dgates: &[Vec<(usize, f32)>]) -> Matrix {
+    /// Backward pass. `dgates[a]` is `∂L/∂gate` of assignment `a` of the
+    /// last forward's [`Routing::assignment`] (zero for a dropped one); the
+    /// auxiliary-loss gradient (with `f_e` constant, as in Switch) is added
+    /// internally. Returns `dX`.
+    pub fn backward(&mut self, dgates: &[f32]) -> Matrix {
         let mut dx = Matrix::zeros(0, 0);
         self.backward_into(dgates, &mut dx);
         dx
     }
 
     /// [`Router::backward`] into a reusable `dx` buffer.
-    pub fn backward_into(&mut self, dgates: &[Vec<(usize, f32)>], dx: &mut Matrix) {
+    pub fn backward_into(&mut self, dgates: &[f32], dx: &mut Matrix) {
         let t = self.cached_x.rows();
-        assert_eq!(dgates.len(), t, "one gate-gradient list per token");
+        let k = self.top_k;
+        assert_eq!(dgates.len(), t * k, "one gate gradient per assignment");
         let e = self.experts();
         let tf = t as f32;
 
-        self.scratch_f.clear();
-        self.scratch_f.resize(e, 0.0);
-        for &a in &self.cached_top1 {
-            self.scratch_f[a] += 1.0 / tf;
-        }
+        top1_fractions(&self.routing, &mut self.scratch_f, e);
 
         self.scratch_dprobs.resize_to(t, e);
         self.scratch_dprobs.fill_zero();
-        for (r, gates) in dgates.iter().enumerate() {
-            for &(c, dg) in gates {
+        let assignment = &self.routing.assignment;
+        for (r, (picks, dgates)) in
+            assignment.chunks_exact(k).zip(dgates.chunks_exact(k)).enumerate()
+        {
+            for (&(c, _), &dg) in picks.iter().zip(dgates) {
                 self.scratch_dprobs[(r, c)] += dg;
             }
             for c in 0..e {
@@ -193,6 +222,17 @@ impl Router {
     }
 }
 
+/// `f[e]` = fraction of tokens whose top pick is class `e`, accumulated in
+/// token order.
+fn top1_fractions(routing: &Routing, f: &mut Vec<f32>, experts: usize) {
+    let tf = (routing.assignment.len() / routing.k) as f32;
+    f.clear();
+    f.resize(experts, 0.0);
+    for &(a, _) in routing.assignment.iter().step_by(routing.k) {
+        f[a] += 1.0 / tf;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,10 +243,10 @@ mod tests {
     fn top1_assignment_is_argmax_and_popularity_sums() {
         let mut r = Router::new(4, 3, 1, 0.0, 1);
         let x = Matrix::from_fn(10, 4, |i, c| ((i * 4 + c) as f32 * 0.37).sin());
-        let routing = r.forward(&x);
+        let routing = r.forward(&x).clone();
         assert_eq!(routing.assignment.len(), 10);
         assert_eq!(routing.popularity.iter().sum::<u64>(), 10);
-        for (t, picks) in routing.assignment.iter().enumerate() {
+        for (t, picks) in routing.assignment.chunks(1).enumerate() {
             assert_eq!(picks.len(), 1);
             let probs = r.cached_probs.row(t);
             let best =
@@ -222,7 +262,7 @@ mod tests {
         let x = Matrix::from_fn(12, 4, |i, c| ((i + 2 * c) as f32 * 0.41).cos());
         let routing = r.forward(&x);
         assert_eq!(routing.popularity.iter().sum::<u64>(), 24, "two counts per token");
-        for picks in &routing.assignment {
+        for picks in routing.assignment.chunks(2) {
             assert_eq!(picks.len(), 2);
             assert_ne!(picks[0].0, picks[1].0);
             assert!(picks[0].1 >= picks[1].1, "gates ordered descending");
@@ -233,12 +273,9 @@ mod tests {
     fn gate_gradient_matches_numeric_top1() {
         let mut r = Router::new(4, 3, 1, 0.0, 2);
         let x = Matrix::from_fn(6, 4, |i, c| ((i + c) as f32 * 0.23).cos());
-        let routing = r.forward(&x);
-        let dgates: Vec<Vec<(usize, f32)>> =
-            routing.assignment.iter().map(|p| vec![(p[0].0, 1.0)]).collect();
-        let dx = r.backward(&dgates);
+        let assignment = r.forward(&x).top1();
+        let dx = r.backward(&[1.0; 6]);
 
-        let assignment = routing.top1();
         let w = r.w.clone();
         let ndx = numerical_grad_scalar(&x, |xp| {
             let probs = softmax_rows(&xp.matmul(&w));
@@ -251,14 +288,15 @@ mod tests {
     fn gate_gradient_matches_numeric_top2() {
         let mut r = Router::new(4, 4, 2, 0.0, 5);
         let x = Matrix::from_fn(5, 4, |i, c| ((2 * i + c) as f32 * 0.31).sin());
-        let routing = r.forward(&x);
+        let picks: Vec<Vec<usize>> = r
+            .forward(&x)
+            .assignment
+            .chunks(2)
+            .map(|p| p.iter().map(|&(c, _)| c).collect())
+            .collect();
         // Loss = sum of both gates per token.
-        let dgates: Vec<Vec<(usize, f32)>> =
-            routing.assignment.iter().map(|p| p.iter().map(|&(c, _)| (c, 1.0)).collect()).collect();
-        let dx = r.backward(&dgates);
+        let dx = r.backward(&[1.0; 10]);
 
-        let picks: Vec<Vec<usize>> =
-            routing.assignment.iter().map(|p| p.iter().map(|&(c, _)| c).collect()).collect();
         let w = r.w.clone();
         let ndx = numerical_grad_scalar(&x, |xp| {
             let probs = softmax_rows(&xp.matmul(&w));
@@ -272,12 +310,10 @@ mod tests {
         let coef = 0.5f32;
         let mut r = Router::new(4, 3, 1, coef, 3);
         let x = Matrix::from_fn(8, 4, |i, c| ((i * 2 + c) as f32 * 0.19).sin());
-        let routing = r.forward(&x);
-        let zero_dgates: Vec<Vec<(usize, f32)>> = vec![vec![]; 8];
-        let _ = r.backward(&zero_dgates); // only aux gradient
+        let assignment = r.forward(&x).top1();
+        let _ = r.backward(&[0.0; 8]); // only aux gradient
         let dw = r.w_grad.clone();
 
-        let assignment = routing.top1();
         let ndw = numerical_grad_scalar(&r.w.clone(), |wp| {
             let probs = softmax_rows(&x.matmul(wp));
             let e = 3usize;
@@ -324,12 +360,12 @@ mod tests {
         let mut r = Router::new(4, 3, 2, 0.0, 7);
         let mut x = Matrix::from_fn(5, 4, |i, c| ((i * 4 + c) as f32 * 0.37).sin());
         x[(1, 2)] = f32::NAN; // row 1: every prob NaN
-        let routing = r.forward(&x);
-        assert_eq!(routing.assignment.len(), 5);
+        let routing = r.forward(&x).clone();
+        assert_eq!(routing.assignment.len(), 10);
         assert_eq!(routing.popularity.iter().sum::<u64>(), 10, "two counts per token");
         assert_eq!(r.nan_logits(), 3, "row 1 contributes one NaN per class");
-        // Finite rows are untouched by the NaN-aware comparator.
-        for (t, picks) in routing.assignment.iter().enumerate() {
+        // Finite rows are untouched by the NaN-aware ranking.
+        for (t, picks) in routing.assignment.chunks(2).enumerate() {
             if t != 1 {
                 assert!(picks.iter().all(|&(_, g)| g.is_finite()), "token {t} gates finite");
                 assert!(picks[0].1 >= picks[1].1, "gates ordered descending");
@@ -341,8 +377,39 @@ mod tests {
         let mut r2 = Router::new(2, 3, 1, 0.0, 9);
         r2.w[(0, 0)] = f32::INFINITY;
         let x2 = Matrix::from_fn(1, 2, |_, _| 1.0);
-        let routing2 = r2.forward(&x2);
+        assert_eq!(r2.forward(&x2).assignment.len(), 1, "the token still routes");
         assert_eq!(r2.nan_logits(), 3, "the inf logit must surface in the counter");
-        assert_eq!(routing2.assignment[0].len(), 1, "the token still routes");
+    }
+
+    /// The selection it replaced: a stable NaN-last descending sort of the
+    /// class indices, cut at `k`.
+    fn sorted_top_k(row: &[f32], k: usize) -> Vec<(usize, f32)> {
+        let mut order: Vec<usize> = (0..row.len()).collect();
+        order.sort_by(|&a, &b| match (row[a].is_nan(), row[b].is_nan()) {
+            (true, true) => std::cmp::Ordering::Equal,
+            (true, false) => std::cmp::Ordering::Greater,
+            (false, true) => std::cmp::Ordering::Less,
+            (false, false) => row[b].partial_cmp(&row[a]).expect("both finite"),
+        });
+        order[..k].iter().map(|&c| (c, row[c])).collect()
+    }
+
+    #[test]
+    fn insertion_selection_equals_the_stable_sort_with_ties_and_nan() {
+        use symi_tensor::rng::{Rng, StdRng};
+        // Few distinct values, so most rows tie; NaN and both zeros mixed in.
+        const VALUES: [f32; 7] = [0.1, 0.25, 0.25, 0.5, 0.0, -0.0, f32::NAN];
+        let mut rng = StdRng::seed_from_u64(31);
+        let bits =
+            |p: &[(usize, f32)]| p.iter().map(|&(c, g)| (c, g.to_bits())).collect::<Vec<_>>();
+        for _ in 0..2000 {
+            let e = rng.gen_range(1..10usize);
+            let row: Vec<f32> = (0..e).map(|_| VALUES[rng.gen_range(0..VALUES.len())]).collect();
+            for k in 1..=e {
+                let mut picks = vec![(usize::MAX, 0.0f32); k];
+                select_top_k(&row, &mut picks);
+                assert_eq!(bits(&picks), bits(&sorted_top_k(&row, k)), "row {row:?} k {k}");
+            }
+        }
     }
 }

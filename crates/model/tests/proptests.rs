@@ -3,6 +3,8 @@
 //! Driven by `symi_tensor::rng` with fixed seeds.
 
 use symi_model::moe::MoeLayer;
+use symi_model::router::Router;
+use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::{Rng, StdRng};
 use symi_tensor::Matrix;
 
@@ -87,8 +89,8 @@ fn gates_are_probabilities() {
         let mut layer = MoeLayer::new(6, 8, 4, k, 100.0, 0.0, 9);
         let x = input(t, 6, 2.0);
         let routing = layer.router.forward(&x);
-        for picks in &routing.assignment {
-            assert_eq!(picks.len(), k);
+        assert_eq!(routing.assignment.len(), t * k, "k picks per token, flat");
+        for picks in routing.assignment.chunks(k) {
             let mut seen = std::collections::HashSet::new();
             for &(class, gate) in picks {
                 assert!(gate > 0.0 && gate <= 1.0);
@@ -96,6 +98,49 @@ fn gates_are_probabilities() {
             }
             let total: f32 = picks.iter().map(|&(_, g)| g).sum();
             assert!(total <= 1.0 + 1e-5, "top-k gates cannot exceed the simplex");
+        }
+    }
+}
+
+/// Top-k as the router computed it before its picks became one flat vector:
+/// a stable NaN-last descending sort of every class index, cut at `k`.
+fn sorted_top_k(row: &[f32], k: usize) -> Vec<(usize, f32)> {
+    let mut order: Vec<usize> = (0..row.len()).collect();
+    order.sort_by(|&a, &b| match (row[a].is_nan(), row[b].is_nan()) {
+        (true, true) => std::cmp::Ordering::Equal,
+        (true, false) => std::cmp::Ordering::Greater,
+        (false, true) => std::cmp::Ordering::Less,
+        (false, false) => row[b].partial_cmp(&row[a]).expect("both finite"),
+    });
+    order[..k].iter().map(|&c| (c, row[c])).collect()
+}
+
+#[test]
+fn flat_top_k_equals_the_stable_sort_for_every_k_with_ties_and_nan_rows() {
+    let mut rng = StdRng::seed_from_u64(406);
+    let bits = |p: &[(usize, f32)]| p.iter().map(|&(c, g)| (c, g.to_bits())).collect::<Vec<_>>();
+    for round in 0..12 {
+        let (d, e, t) = (6usize, rng.gen_range(2..9usize), rng.gen_range(1..24usize));
+        let mut x = input(t, d, round as f32 * 0.31);
+        // A NaN feature poisons its token's whole softmax row.
+        for tok in (round % 3..t).step_by(5) {
+            x[(tok, tok % d)] = f32::NAN;
+        }
+        for k in 1..=e {
+            let mut router = Router::new(d, e, k, 0.0, round as u64);
+            // Duplicated weight columns give every token tied gates.
+            for c in (1..e).step_by(2) {
+                for r in 0..d {
+                    router.w[(r, c)] = router.w[(r, c - 1)];
+                }
+            }
+            let probs = softmax_rows(&x.matmul(&router.w));
+            let routing = router.forward(&x);
+            assert_eq!(routing.assignment.len(), t * k);
+            for (tok, picks) in routing.assignment.chunks(k).enumerate() {
+                let want = sorted_top_k(probs.row(tok), k);
+                assert_eq!(bits(picks), bits(&want), "round {round} k {k} token {tok}");
+            }
         }
     }
 }

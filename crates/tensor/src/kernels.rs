@@ -47,9 +47,9 @@
 //! decomposition — which decides, in the scalar family and in `nn`'s column
 //! edge, where FMA vs scalar rounding applies — is a global property of the
 //! shape, not of the split. The scalar path is additionally bit-exact
-//! against [`naive`]. Fused epilogues (`+ bias`, then activation) apply
-//! *after* the fold completes, matching the unfused `matmul` → `add_bias` →
-//! `gelu` sequence bit-for-bit on every path.
+//! against [`naive`]. Fused epilogues (`+ bias`, then GELU's `tanh` term)
+//! apply *after* the fold completes, matching the unfused `matmul` →
+//! `add_bias` → `gelu_tanh` sequence bit-for-bit on every path.
 //!
 //! # Cost-model gate
 //!
@@ -93,7 +93,7 @@ static ACT_ELEMS: AtomicU64 = AtomicU64::new(0);
 pub struct KernelStats {
     /// Wall nanoseconds spent inside GEMM drivers (submitting thread) —
     /// GEMM work only: the fused activation epilogue of
-    /// `gemm_nn_bias_gelu` is timed into [`ActStats::act_ns`] instead.
+    /// `gemm_nn_bias_gelu_tanh` is timed into [`ActStats::act_ns`] instead.
     pub gemm_ns: u64,
     /// Multiply-add FLOPs issued (2·m·n·k per GEMM).
     pub gemm_flops: u64,
@@ -749,18 +749,20 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option
     record(t0, m, n, k);
 }
 
-/// `pre = a·b + bias`, `act = gelu(pre)` — the fused FFN epilogue. The
-/// activation is applied per completed row range inside the same parallel
-/// region, so `pre` rows are still cache-hot when `act` is produced. The
-/// epilogue is timed per share; the slowest share's time is what the
-/// submitting thread waited for, so that much of the call's wall time is
-/// booked as activation time and the rest as GEMM time.
-pub(crate) fn gemm_nn_bias_gelu(
+/// `pre = a·b + bias`, `t = gelu_tanh(pre)` — the fused FFN epilogue, which
+/// stores GELU's inner `tanh` term (the activation is `0.5·pre·(1 + t)`,
+/// and backward reads `t` instead of recomputing it). The epilogue is
+/// applied per completed row range inside the same parallel region, so
+/// `pre` rows are still cache-hot when `t` is produced. It is timed per
+/// share; the slowest share's time is what the submitting thread waited
+/// for, so that much of the call's wall time is booked as activation time
+/// and the rest as GEMM time.
+pub(crate) fn gemm_nn_bias_gelu_tanh(
     a: &Matrix,
     b: &Matrix,
     bias: &Matrix,
     pre: &mut Matrix,
-    act: &mut Matrix,
+    t: &mut Matrix,
 ) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
     assert_eq!(bias.rows(), 1, "bias must be a row vector");
@@ -768,7 +770,7 @@ pub(crate) fn gemm_nn_bias_gelu(
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let t0 = Instant::now();
     pre.resize_to(m, n);
-    act.resize_to(m, n);
+    t.resize_to(m, n);
     if n == 0 || m == 0 {
         record(t0, m, n, k);
         return;
@@ -785,11 +787,11 @@ pub(crate) fn gemm_nn_bias_gelu(
         mr,
         shares,
         pre.as_mut_slice(),
-        act.as_mut_slice(),
-        |rows, pre_chunk, act_chunk| {
+        t.as_mut_slice(),
+        |rows, pre_chunk, t_chunk| {
             nn_rows_dispatch(path, a, rows, k, n, bsl, n, pre_chunk, false, Some(bias));
             let t_act = Instant::now();
-            crate::vmath::gelu_slice(pre_chunk, act_chunk);
+            crate::vmath::gelu_tanh_slice(pre_chunk, t_chunk);
             act_ns.fetch_max(t_act.elapsed().as_nanos() as u64, Ordering::Relaxed);
         },
     );
@@ -1078,12 +1080,16 @@ mod tests {
             let w = random(6, 14, &mut rng);
             let bias = random(1, 14, &mut rng);
             let mut pre = Matrix::zeros(0, 0);
-            let mut act = Matrix::zeros(0, 0);
-            gemm_nn_bias_gelu(&x, &w, &bias, &mut pre, &mut act);
+            let mut t = Matrix::zeros(0, 0);
+            gemm_nn_bias_gelu_tanh(&x, &w, &bias, &mut pre, &mut t);
             let expect_pre = naive::linear(&x, &w, &bias);
             assert_eq!(pre, expect_pre);
-            let expect_act = crate::ops::gelu(&expect_pre);
-            assert_eq!(act, expect_act);
+            let expect_t: Vec<f32> =
+                expect_pre.as_slice().iter().map(|&v| crate::vmath::gelu_tanh(v)).collect();
+            assert_eq!(t.as_slice(), expect_t.as_slice());
+            let mut act = Matrix::zeros(0, 0);
+            crate::ops::gelu_from_tanh_into(&pre, &t, &mut act);
+            assert_eq!(act, crate::ops::gelu(&expect_pre));
         });
     }
 

@@ -2,6 +2,8 @@
 //!
 //! Each `*_backward` takes exactly the values its forward pass produced (no
 //! hidden caches), so the model crate's layer objects decide what to retain.
+//! The layers call the `*_into` and in-place forms, which write into buffers
+//! they keep across steps; the allocating forms are wrappers around them.
 
 use crate::kernels::record_act;
 use crate::matrix::Matrix;
@@ -34,19 +36,79 @@ pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
         for (local, r) in range.enumerate() {
             let src = x.row(r);
             let row = &mut chunk[local * cols..(local + 1) * cols];
-            let max = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            vmath::exp_sub_slice(src, max, row);
-            let mut sum = 0.0;
-            for v in row.iter() {
-                sum += *v;
-            }
-            let inv = 1.0 / sum;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
+            vmath::exp_sub_slice(src, row_max(src), row);
+            normalize(row, cols);
         }
     });
     record_act(t0.elapsed().as_nanos() as u64, rows * cols);
+}
+
+/// [`softmax_rows_into`] with `x` as its own output: the same operations,
+/// the exponent pass in place.
+fn softmax_rows_in_place(x: &mut Matrix) {
+    let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
+    par_rows(rows, cols, MIN_ROWS_PER_SHARE, x.as_mut_slice(), |range, chunk| {
+        for local in 0..range.len() {
+            let row = &mut chunk[local * cols..(local + 1) * cols];
+            vmath::exp_sub_in_place(row, row_max(row));
+            normalize(row, cols);
+        }
+    });
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
+}
+
+/// The row max as softmax folds it: ascending, from `-inf`, NaN ignored.
+fn row_max(row: &[f32]) -> f32 {
+    row.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Divides a row of exponents by their sum (ascending fold, one reciprocal).
+/// Entries from `terms` on are `+0.0`, which would add nothing to the sum,
+/// so the fold stops there; they are still multiplied, which turns them
+/// into NaN in a NaN row as the full fold would.
+fn normalize(row: &mut [f32], terms: usize) {
+    let mut sum = 0.0;
+    for v in row[..terms].iter() {
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// Causal attention probabilities in place: each row `i` of the square
+/// score matrix becomes `softmax(scale · scores[i][..=i])` followed by
+/// zeros. Per row, one pass over `j ≤ i` scales and takes the max and one
+/// subtracts it, with `−inf` written above the diagonal; one exponent pass
+/// covers the whole matrix (`exp(−inf)` is `+0.0`); then each row is
+/// normalised as [`softmax_rows_into`] normalises one.
+///
+/// This is bit for bit what scaling the whole matrix, writing `−1e9` above
+/// the diagonal and calling [`softmax_rows_into`] gives, whenever a row's
+/// largest causal score exceeds `−1e9 + 88`: the masked entries' exponents
+/// are then exact zeros (`vmath::exp` is 0 below `−87.3`), so they change
+/// neither the row max nor the row sum. (`exp(x − 0)` is `exp(x)` for every
+/// `x`, so subtracting the max before the exponent pass changes no bit.) A
+/// NaN score poisons its row in both. Rows are few and short, so they run
+/// on the calling thread.
+pub fn causal_softmax_in_place(scores: &mut Matrix, scale: f32) {
+    let n = scores.rows();
+    assert_eq!(n, scores.cols(), "causal softmax needs a square score matrix");
+    let t0 = Instant::now();
+    for i in 0..n {
+        let (past, future) = scores.row_mut(i).split_at_mut(i + 1);
+        past.iter_mut().for_each(|v| *v *= scale);
+        let max = row_max(past);
+        past.iter_mut().for_each(|v| *v -= max);
+        future.fill(f32::NEG_INFINITY);
+    }
+    vmath::exp_sub_in_place(scores.as_mut_slice(), 0.0);
+    for i in 0..n {
+        normalize(scores.row_mut(i), i + 1);
+    }
+    record_act(t0.elapsed().as_nanos() as u64, n * n);
 }
 
 /// Backward of [`softmax_rows`] given its output `y`: `dx = y ⊙ (dy − Σ dy·y)`
@@ -86,31 +148,51 @@ pub fn gelu_into(x: &Matrix, out: &mut Matrix) {
     record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
-/// Backward of GELU given the forward *input* `x`.
-pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = Matrix::zeros(0, 0);
-    gelu_backward_into(x, dy, &mut dx);
-    dx
+/// `act = gelu(x)` from the stored `t = gelu_tanh(x)`: `0.5·x·(1 + t)`,
+/// bit for bit [`gelu_into`]'s result, with no transcendental evaluated.
+pub fn gelu_from_tanh_into(x: &Matrix, t: &Matrix, act: &mut Matrix) {
+    assert_eq!((x.rows(), x.cols()), (t.rows(), t.cols()), "gelu shape mismatch");
+    let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
+    act.resize_to(rows, cols);
+    par_rows(rows, cols, MIN_ROWS_PER_SHARE, act.as_mut_slice(), |range, chunk| {
+        let span = range.start * cols..range.end * cols;
+        vmath::gelu_from_tanh_slice(&x.as_slice()[span.clone()], &t.as_slice()[span], chunk);
+    });
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
-/// `dx = gelu'(x) ⊙ dy`, reusing `dx`'s allocation.
-pub fn gelu_backward_into(x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
+/// `dx = gelu'(x) ⊙ dy`, given the forward input `x` and its stored
+/// `t = gelu_tanh(x)` ([`vmath::gelu_grad_from_tanh`]), reusing `dx`'s
+/// allocation.
+pub fn gelu_backward_from_tanh_into(x: &Matrix, t: &Matrix, dy: &Matrix, dx: &mut Matrix) {
+    assert_eq!((x.rows(), x.cols()), (t.rows(), t.cols()), "gelu backward shape mismatch");
     assert_eq!((x.rows(), x.cols()), (dy.rows(), dy.cols()), "gelu backward shape mismatch");
     let (rows, cols) = (x.rows(), x.cols());
     let t0 = Instant::now();
     dx.resize_to(rows, cols);
     par_rows(rows, cols, MIN_ROWS_PER_SHARE, dx.as_mut_slice(), |range, chunk| {
         let span = range.start * cols..range.end * cols;
-        vmath::gelu_backward_slice(&x.as_slice()[span.clone()], &dy.as_slice()[span], chunk);
+        let (x, t, dy) =
+            (&x.as_slice()[span.clone()], &t.as_slice()[span.clone()], &dy.as_slice()[span]);
+        vmath::gelu_backward_from_tanh_slice(x, t, dy, chunk);
     });
     record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
-/// Fused FFN first half: `pre = x·w + bias`, `act = gelu(pre)`, with the
-/// activation applied per completed row range inside the GEMM's parallel
-/// region (bit-identical to the unfused sequence).
-pub fn linear_gelu_into(x: &Matrix, w: &Matrix, bias: &Matrix, pre: &mut Matrix, act: &mut Matrix) {
-    crate::kernels::gemm_nn_bias_gelu(x, w, bias, pre, act);
+/// Fused FFN first half: `pre = x·w + bias` and GELU's inner term
+/// `t = gelu_tanh(pre)`, applied per completed row range inside the GEMM's
+/// parallel region (bit-identical to the unfused sequence). The activation
+/// is [`gelu_from_tanh_into`]`(pre, t)`; backward reads `t`
+/// ([`gelu_backward_from_tanh_into`]).
+pub fn linear_gelu_tanh_into(
+    x: &Matrix,
+    w: &Matrix,
+    bias: &Matrix,
+    pre: &mut Matrix,
+    t: &mut Matrix,
+) {
+    crate::kernels::gemm_nn_bias_gelu_tanh(x, w, bias, pre, t);
 }
 
 /// Cached statistics from a LayerNorm forward pass, needed by its backward.
@@ -122,22 +204,49 @@ pub struct LayerNormCache {
     pub inv_std: Vec<f32>,
 }
 
+impl LayerNormCache {
+    /// An empty cache for [`layernorm_into`] to fill.
+    pub fn new() -> Self {
+        Self { xhat: Matrix::zeros(0, 0), inv_std: Vec::new() }
+    }
+}
+
+impl Default for LayerNormCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// LayerNorm over the last dimension with learned `gamma`/`beta`
 /// (`1 × cols` row vectors). Returns the output and a cache for backward.
 pub fn layernorm(x: &Matrix, gamma: &Matrix, beta: &Matrix, eps: f32) -> (Matrix, LayerNormCache) {
+    let (mut out, mut cache) = (Matrix::zeros(0, 0), LayerNormCache::new());
+    layernorm_into(x, gamma, beta, eps, &mut out, &mut cache);
+    (out, cache)
+}
+
+/// [`layernorm`] into a reusable output and cache.
+pub fn layernorm_into(
+    x: &Matrix,
+    gamma: &Matrix,
+    beta: &Matrix,
+    eps: f32,
+    out: &mut Matrix,
+    cache: &mut LayerNormCache,
+) {
     assert_eq!(gamma.cols(), x.cols(), "gamma width mismatch");
     assert_eq!(beta.cols(), x.cols(), "beta width mismatch");
     let n = x.cols();
-    let mut out = Matrix::zeros(x.rows(), n);
-    let mut xhat = Matrix::zeros(x.rows(), n);
-    let mut inv_std = Vec::with_capacity(x.rows());
+    out.resize_to(x.rows(), n);
+    cache.xhat.resize_to(x.rows(), n);
+    cache.inv_std.clear();
     for r in 0..x.rows() {
         let row = x.row(r);
         let mean = row.iter().sum::<f32>() / n as f32;
         let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
         let istd = 1.0 / (var + eps).sqrt();
-        inv_std.push(istd);
-        let xh = xhat.row_mut(r);
+        cache.inv_std.push(istd);
+        let xh = cache.xhat.row_mut(r);
         let o = out.row_mut(r);
         for c in 0..n {
             let h = (row[c] - mean) * istd;
@@ -145,7 +254,6 @@ pub fn layernorm(x: &Matrix, gamma: &Matrix, beta: &Matrix, eps: f32) -> (Matrix
             o[c] = h * gamma[(0, c)] + beta[(0, c)];
         }
     }
-    (out, LayerNormCache { xhat, inv_std })
 }
 
 /// Backward of [`layernorm`]. Returns `(dx, dgamma, dbeta)`.
@@ -154,11 +262,29 @@ pub fn layernorm_backward(
     gamma: &Matrix,
     cache: &LayerNormCache,
 ) -> (Matrix, Matrix, Matrix) {
+    let mut out = (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    layernorm_backward_into(dy, gamma, cache, &mut out.0, &mut out.1, &mut out.2);
+    out
+}
+
+/// [`layernorm_backward`] into reusable `dx`, `dgamma` and `dbeta`; the two
+/// parameter gradients are this call's alone (folded from zero), not
+/// accumulated into.
+pub fn layernorm_backward_into(
+    dy: &Matrix,
+    gamma: &Matrix,
+    cache: &LayerNormCache,
+    dx: &mut Matrix,
+    dgamma: &mut Matrix,
+    dbeta: &mut Matrix,
+) {
     let n = dy.cols();
     let nf = n as f32;
-    let mut dx = Matrix::zeros(dy.rows(), n);
-    let mut dgamma = Matrix::zeros(1, n);
-    let mut dbeta = Matrix::zeros(1, n);
+    dx.resize_to(dy.rows(), n);
+    dgamma.resize_to(1, n);
+    dgamma.fill_zero();
+    dbeta.resize_to(1, n);
+    dbeta.fill_zero();
     for r in 0..dy.rows() {
         let dyr = dy.row(r);
         let xh = cache.xhat.row(r);
@@ -179,7 +305,6 @@ pub fn layernorm_backward(
             dxr[c] = istd * (dxh - sum_dxhat / nf - xh[c] * sum_dxhat_xhat / nf);
         }
     }
-    (dx, dgamma, dbeta)
 }
 
 /// Mean cross-entropy loss over rows of `logits` against integer `targets`,
@@ -187,24 +312,34 @@ pub fn layernorm_backward(
 ///
 /// Rows whose target is `usize::MAX` are masked out (used for padding).
 pub fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
+    let mut grad = logits.clone();
+    (cross_entropy_in_place(&mut grad, targets), grad)
+}
+
+/// [`cross_entropy`] computed in the logits' own buffer, which it leaves
+/// holding the gradient: row softmax, the loss read from it, `−1` at each
+/// target, one scale by the reciprocal of the counted rows — the same
+/// operations as the allocating form, in the same order.
+pub fn cross_entropy_in_place(logits: &mut Matrix, targets: &[usize]) -> f32 {
     assert_eq!(logits.rows(), targets.len(), "one target per logits row");
-    let probs = softmax_rows(logits);
-    let mut grad = probs.clone();
+    let cols = logits.cols();
+    softmax_rows_in_place(logits);
     let mut loss = 0.0f64;
     let mut counted = 0usize;
     for (r, &t) in targets.iter().enumerate() {
+        let row = logits.row_mut(r);
         if t == usize::MAX {
-            grad.row_mut(r).iter_mut().for_each(|v| *v = 0.0);
+            row.fill(0.0);
             continue;
         }
-        assert!(t < logits.cols(), "target {t} out of vocab {}", logits.cols());
-        loss -= (probs[(r, t)].max(1e-12) as f64).ln();
-        grad[(r, t)] -= 1.0;
+        assert!(t < cols, "target {t} out of vocab {cols}");
+        loss -= (row[t].max(1e-12) as f64).ln();
+        row[t] -= 1.0;
         counted += 1;
     }
     let denom = counted.max(1) as f32;
-    grad.scale(1.0 / denom);
-    ((loss / counted.max(1) as f64) as f32, grad)
+    logits.scale(1.0 / denom);
+    (loss / counted.max(1) as f64) as f32
 }
 
 #[cfg(test)]
@@ -246,7 +381,9 @@ mod tests {
     fn gelu_backward_matches_numeric() {
         let x = Matrix::from_fn(2, 8, |r, c| (r as f32 - 1.0) + c as f32 * 0.3 - 1.0);
         let dy = Matrix::from_fn(2, 8, |_, c| 1.0 + c as f32 * 0.1);
-        let analytic = gelu_backward(&x, &dy);
+        let t = Matrix::from_fn(2, 8, |r, c| vmath::gelu_tanh(x[(r, c)]));
+        let mut analytic = Matrix::zeros(0, 0);
+        gelu_backward_from_tanh_into(&x, &t, &dy, &mut analytic);
         let numeric = numerical_grad(&x, &dy, gelu);
         assert!(analytic.max_abs_diff(&numeric) < 1e-2);
     }

@@ -952,21 +952,19 @@ unsafe fn gelu_tanh_ps(x: __m256) -> __m256 {
     tanh_ps(_mm256_mul_ps(_mm256_set1_ps(vmath::GELU_C), _mm256_add_ps(x, ax3)))
 }
 
-/// 8-lane [`vmath::gelu`].
+/// 8-lane [`vmath::gelu_from_tanh`].
 #[target_feature(enable = "avx2")]
-unsafe fn gelu_ps(x: __m256) -> __m256 {
-    let t = gelu_tanh_ps(x);
+unsafe fn gelu_from_tanh_ps(x: __m256, t: __m256) -> __m256 {
     _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5), x), _mm256_add_ps(_mm256_set1_ps(1.0), t))
 }
 
-/// 8-lane [`vmath::gelu_grad`].
+/// 8-lane [`vmath::gelu_grad_from_tanh`].
 #[target_feature(enable = "avx2")]
-unsafe fn gelu_grad_ps(x: __m256) -> __m256 {
+unsafe fn gelu_grad_from_tanh_ps(x: __m256, t: __m256) -> __m256 {
     let x = _mm256_min_ps(
         _mm256_set1_ps(vmath::GELU_GRAD_CLAMP),
         _mm256_max_ps(_mm256_set1_ps(-vmath::GELU_GRAD_CLAMP), x),
     );
-    let t = gelu_tanh_ps(x);
     let one = _mm256_set1_ps(1.0);
     let half = _mm256_set1_ps(0.5);
     let sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
@@ -1031,6 +1029,47 @@ unsafe fn map2_ps(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(__m256, __m2
     }
 }
 
+/// Three-input [`map_ps`]: `dst[i] = f(a[i], b[i], c[i])`.
+#[target_feature(enable = "avx2")]
+unsafe fn map3_ps(
+    a: &[f32],
+    b: &[f32],
+    c: &[f32],
+    dst: &mut [f32],
+    f: impl Fn(__m256, __m256, __m256) -> __m256,
+) {
+    assert_eq!(a.len(), dst.len());
+    assert_eq!(b.len(), dst.len());
+    assert_eq!(c.len(), dst.len());
+    let (mut a8, mut b8, mut c8) = (a.chunks_exact(8), b.chunks_exact(8), c.chunks_exact(8));
+    let mut d8 = dst.chunks_exact_mut(8);
+    for (((a, b), c), d) in (&mut a8).zip(&mut b8).zip(&mut c8).zip(&mut d8) {
+        let v = f(
+            _mm256_loadu_ps(a.as_ptr()),
+            _mm256_loadu_ps(b.as_ptr()),
+            _mm256_loadu_ps(c.as_ptr()),
+        );
+        _mm256_storeu_ps(d.as_mut_ptr(), v);
+    }
+    let (a, b, c) = (a8.remainder(), b8.remainder(), c8.remainder());
+    if !a.is_empty() {
+        store_tail(f(load_tail(a), load_tail(b), load_tail(c)), d8.into_remainder());
+    }
+}
+
+/// In-place [`map_ps`]: `x[i] = f(x[i])`.
+#[target_feature(enable = "avx2")]
+unsafe fn map_in_place_ps(x: &mut [f32], f: impl Fn(__m256) -> __m256) {
+    let mut x8 = x.chunks_exact_mut(8);
+    for v in &mut x8 {
+        _mm256_storeu_ps(v.as_mut_ptr(), f(_mm256_loadu_ps(v.as_ptr())));
+    }
+    let rest = x8.into_remainder();
+    if !rest.is_empty() {
+        store_tail(f(load_tail(rest)), rest);
+    }
+}
+
 /// AVX2 [`vmath::exp_sub_slice`].
 pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
     debug_assert!(have_avx2_fma());
@@ -1039,6 +1078,16 @@ pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
     unsafe {
         let sh = _mm256_set1_ps(shift);
         map_ps(x, out, |v| exp_ps(_mm256_sub_ps(v, sh)))
+    }
+}
+
+/// AVX2 [`vmath::exp_sub_in_place`].
+pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: as in `exp_sub_slice`.
+    unsafe {
+        let sh = _mm256_set1_ps(shift);
+        map_in_place_ps(x, |v| exp_ps(_mm256_sub_ps(v, sh)))
     }
 }
 
@@ -1053,14 +1102,28 @@ pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
 pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
-    unsafe { map_ps(x, out, |v| gelu_ps(v)) }
+    unsafe { map_ps(x, out, |v| gelu_from_tanh_ps(v, gelu_tanh_ps(v))) }
 }
 
-/// AVX2 [`vmath::gelu_backward_slice`].
-pub fn gelu_backward_slice(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+/// AVX2 [`vmath::gelu_tanh_slice`].
+pub fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
-    unsafe { map2_ps(x, dy, dx, |x, dy| _mm256_mul_ps(dy, gelu_grad_ps(x))) }
+    unsafe { map_ps(x, t, |v| gelu_tanh_ps(v)) }
+}
+
+/// AVX2 [`vmath::gelu_from_tanh_slice`].
+pub fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: as in `exp_sub_slice`.
+    unsafe { map2_ps(x, t, out, |x, t| gelu_from_tanh_ps(x, t)) }
+}
+
+/// AVX2 [`vmath::gelu_backward_from_tanh_slice`].
+pub fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {
+    debug_assert!(have_avx2_fma());
+    // SAFETY: as in `exp_sub_slice`.
+    unsafe { map3_ps(x, t, dy, dx, |x, t, dy| _mm256_mul_ps(dy, gelu_grad_from_tanh_ps(x, t))) }
 }
 
 // ---------------------------------------------------------------------------

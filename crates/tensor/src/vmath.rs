@@ -166,24 +166,34 @@ pub fn tanh(u: f32) -> f32 {
     f32::from_bits(r.to_bits() | (bits & 0x8000_0000))
 }
 
-/// `tanh(C·(x + A·x·x·x))` — the shared inner term of GELU and GELU′.
+/// `t = tanh(C·(x + A·x·x·x))` — the inner term GELU and GELU′ share, and
+/// what the fused FFN forward stores per element so backward never
+/// evaluates a transcendental.
 #[inline(always)]
-fn gelu_tanh(x: f32) -> f32 {
+pub fn gelu_tanh(x: f32) -> f32 {
     tanh(GELU_C * (x + GELU_A * x * x * x))
+}
+
+/// GELU from its inner term `t = gelu_tanh(x)`: `0.5·x·(1 + t)`.
+#[inline(always)]
+pub fn gelu_from_tanh(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
 }
 
 /// GELU (tanh approximation, as used by GPT-2/GPT-3).
 #[inline(always)]
 pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + gelu_tanh(x))
+    gelu_from_tanh(x, gelu_tanh(x))
 }
 
-/// Derivative of [`gelu`]. Tends to exactly 1 / 0 for `x → ±∞` (including
-/// `±inf` itself); NaN only for NaN input.
+/// Derivative of [`gelu`] at `x` from the forward's `t = gelu_tanh(x)`.
+/// `x` is clamped to ±[`GELU_GRAD_CLAMP`] first; that changes no `t`
+/// (from `|x| ≈ 5.2` on `t` is exactly ±1) and keeps `x²` finite, so the
+/// result tends to exactly 1 / 0 for `x → ±∞` (including `±inf` itself) and
+/// is NaN only for NaN input.
 #[inline(always)]
-pub fn gelu_grad(x: f32) -> f32 {
+pub fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
     let x = min_sse(GELU_GRAD_CLAMP, max_sse(-GELU_GRAD_CLAMP, x));
-    let t = gelu_tanh(x);
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + GELU_3A * x * x)
 }
@@ -203,6 +213,16 @@ pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
         return crate::simd::exp_sub_slice(x, shift, out);
     }
     out.iter_mut().zip(x).for_each(|(o, &v)| *o = exp(v - shift));
+}
+
+/// `x[i] = exp(x[i] − shift)` in place — the exponent pass of a softmax
+/// computed in its own buffer.
+pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return crate::simd::exp_sub_in_place(x, shift);
+    }
+    x.iter_mut().for_each(|v| *v = exp(*v - shift));
 }
 
 /// `out[i] = tanh(x[i])`.
@@ -225,15 +245,41 @@ pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
     out.iter_mut().zip(x).for_each(|(o, &v)| *o = gelu(v));
 }
 
-/// `dx[i] = dy[i] · gelu'(x[i])` (tanh is recomputed, nothing is cached).
-pub fn gelu_backward_slice(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+/// `t[i] = gelu_tanh(x[i])` — the fused FFN forward's stored term.
+pub fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
+    assert_eq!(x.len(), t.len(), "gelu tanh length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return crate::simd::gelu_tanh_slice(x, t);
+    }
+    t.iter_mut().zip(x).for_each(|(o, &v)| *o = gelu_tanh(v));
+}
+
+/// `out[i] = gelu_from_tanh(x[i], t[i])`: the activation, rebuilt from the
+/// stored term with [`gelu`]'s own operations.
+pub fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), t.len(), "gelu length mismatch");
+    assert_eq!(x.len(), out.len(), "gelu length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        return crate::simd::gelu_from_tanh_slice(x, t, out);
+    }
+    for ((o, &xv), &tv) in out.iter_mut().zip(x).zip(t) {
+        *o = gelu_from_tanh(xv, tv);
+    }
+}
+
+/// `dx[i] = dy[i] · gelu_grad_from_tanh(x[i], t[i])`, with `t` the stored
+/// `gelu_tanh(x)`: no transcendental is evaluated.
+pub fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {
+    assert_eq!(x.len(), t.len(), "gelu backward length mismatch");
     assert_eq!(x.len(), dy.len(), "gelu backward length mismatch");
     assert_eq!(x.len(), dx.len(), "gelu backward length mismatch");
     #[cfg(target_arch = "x86_64")]
     if avx2() {
-        return crate::simd::gelu_backward_slice(x, dy, dx);
+        return crate::simd::gelu_backward_from_tanh_slice(x, t, dy, dx);
     }
-    for ((o, &xv), &dyv) in dx.iter_mut().zip(x).zip(dy) {
-        *o = dyv * gelu_grad(xv);
+    for (((o, &xv), &tv), &dyv) in dx.iter_mut().zip(x).zip(t).zip(dy) {
+        *o = dyv * gelu_grad_from_tanh(xv, tv);
     }
 }

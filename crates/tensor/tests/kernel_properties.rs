@@ -18,7 +18,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 use symi_tensor::kernels::{self, naive, SimdPath};
-use symi_tensor::ops::{gelu, softmax_rows};
+use symi_tensor::ops::{self, gelu, softmax_rows};
 use symi_tensor::pool;
 use symi_tensor::rng::{Rng, StdRng};
 use symi_tensor::Matrix;
@@ -111,9 +111,10 @@ fn scalar_fused_linear_gelu_is_bitwise_equal_to_unfused_pipeline() {
             let x = random_matrix(&mut rng, m, k);
             let w = random_matrix(&mut rng, k, n);
             let bias = random_matrix(&mut rng, 1, n);
-            let mut pre = Matrix::zeros(0, 0);
-            let mut act = Matrix::zeros(0, 0);
-            symi_tensor::ops::linear_gelu_into(&x, &w, &bias, &mut pre, &mut act);
+            let (mut pre, mut t, mut act) =
+                (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            ops::linear_gelu_tanh_into(&x, &w, &bias, &mut pre, &mut t);
+            ops::gelu_from_tanh_into(&pre, &t, &mut act);
             let unfused_pre = naive::linear(&x, &w, &bias);
             let unfused_act = gelu(&unfused_pre);
             assert_eq!(pre.as_slice(), unfused_pre.as_slice(), "pre mismatch at {m}x{k}x{n}");
