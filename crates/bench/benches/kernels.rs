@@ -40,9 +40,17 @@
 //! `engine_params`' skinny expert (m 8 … 32) and gradient (k 8 … 24) GEMMs,
 //! on both sides of the kernel thresholds. `nn` runs the FMA tile with no
 //! transposes at all: the reference the kept kernels (`dot` `nt`, `strip`
-//! `tn`) are read against. The old-against-tile timings that set the
+//! `tn`) are read against. Each row names the kernel each layout ran —
+//! `tile512` or `tile256` for the loop nest's register tile on the
+//! `Avx512` or `Avx2` family. The old-against-tile timings that set the
 //! thresholds need both kernels at one shape, which the library offers no
 //! way to ask for; DESIGN.md *Compute kernels & threading* has them.
+//!
+//! The **tile-width rows** time each layout on the 256-bit and on the
+//! 512-bit tile (`force_simd_path`, all six interleaved) at `engine_tokens`'
+//! expert GEMMs and `trainer_lm`'s LM head and projection, and record
+//! whether the two tiles' outputs are equal bit for bit. Hosts without
+//! AVX-512F leave the section empty.
 //!
 //! Then the **optimizer rows**: one Adam step over the repository
 //! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
@@ -70,9 +78,13 @@
 //!      `ExpertFfn` backward after a lazy `zero_grad`, equal zero-fill +
 //!      accumulate bit for bit at the skinny shapes,
 //!   7. **backward layouts**: at `engine_tokens`' expert shapes `nt` and
-//!      `tn` reach ≥ 0.85× `nn`'s min-of-reps GFLOP/s on the AVX2 path,
+//!      `tn` reach ≥ 0.85× `nn`'s min-of-reps GFLOP/s on either x86 family,
 //!   8. **GELU backward from the stored `tanh`**: it equals the recomputing
-//!      backward bit for bit and costs ≤ 0.5× the GELU forward per element.
+//!      backward bit for bit and costs ≤ 0.5× the GELU forward per element,
+//!   9. **the 512-bit tile**: where AVX-512F is present, at `engine_tokens`'
+//!      expert shapes its `nn`, `nt` and `tn` outputs equal the 256-bit
+//!      tile's bit for bit and the three together run at ≥ 1.2× the 256-bit
+//!      tile's GFLOP/s.
 
 use std::path::Path;
 use std::time::Instant;
@@ -265,12 +277,17 @@ fn interleaved_min_ns(reps: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     best
 }
 
-/// Runs `f` with the dispatch forced to the scalar family.
-fn forced_scalar(f: impl FnOnce()) {
+/// Runs `f` with the dispatch forced to `path`.
+fn on_path(path: SimdPath, f: impl FnOnce()) {
     let active = kernels::active_path();
-    kernels::force_simd_path(SimdPath::Scalar);
+    kernels::force_simd_path(path);
     f();
     kernels::force_simd_path(active);
+}
+
+/// Runs `f` with the dispatch forced to the scalar family.
+fn forced_scalar(f: impl FnOnce()) {
+    on_path(SimdPath::Scalar, f)
 }
 
 /// `[vector, forced scalar, libm]` ns per element of one activation op.
@@ -588,15 +605,22 @@ const LAYOUT_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("engine_params_grad", 256, 24, 1024),
 ];
 
-/// The kernels `nt` and `tn` run at m×k×n on the active path.
-fn layout_kernels(m: usize, k: usize) -> (&'static str, &'static str) {
+/// The kernels `nn`, `nt` and `tn` run at m×k×n on the active path: the
+/// loop nest's 512-bit or 256-bit register tile, or a kept skinny kernel.
+fn layout_kernels(m: usize, k: usize) -> [&'static str; 3] {
+    let tile = match kernels::active_path() {
+        SimdPath::Scalar => return ["scalar"; 3],
+        SimdPath::Avx2 => "tile256",
+        SimdPath::Avx512 => "tile512",
+    };
     #[cfg(target_arch = "x86_64")]
-    if kernels::active_path() == SimdPath::Avx2 {
-        let nt = if m >= NT_TILE_MIN_ROWS { "tile" } else { "dot" };
-        let tn = if k >= TN_TILE_MIN_DEPTH { "tile" } else { "strip" };
-        return (nt, tn);
-    }
-    ("scalar", "scalar")
+    return [
+        tile,
+        if m >= NT_TILE_MIN_ROWS { tile } else { "dot" },
+        if k >= TN_TILE_MIN_DEPTH { tile } else { "strip" },
+    ];
+    #[allow(unreachable_code)]
+    [tile; 3]
 }
 
 /// The three layouts' operands for one m×k×n product.
@@ -612,18 +636,95 @@ fn layout_inputs(m: usize, k: usize, n: usize) -> LayoutInputs {
     LayoutInputs { bt: b.transpose(), at: a.transpose(), a, b }
 }
 
+/// Layout `l` (0 `nn`, 1 `nt`, 2 `tn`) of the product, into `out`.
+fn run_layout(x: &LayoutInputs, l: usize, out: &mut Matrix) {
+    match l {
+        0 => x.a.matmul_into(&x.b, out),
+        1 => x.a.matmul_nt_into(&x.bt, out),
+        _ => x.at.matmul_tn_into(&x.b, out),
+    }
+}
+
 /// Min-of-reps `[nn, nt, tn]` ns of one product, interleaved, one thread.
 fn layout_ns(x: &LayoutInputs, reps: usize) -> Vec<f64> {
     pool::set_threads(1);
     let (mut o1, mut o2, mut o3) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     interleaved_min_ns(
         reps,
-        &mut [
-            &mut || x.a.matmul_into(&x.b, &mut o1),
-            &mut || x.a.matmul_nt_into(&x.bt, &mut o2),
-            &mut || x.at.matmul_tn_into(&x.b, &mut o3),
-        ],
+        &mut [&mut || run_layout(x, 0, &mut o1), &mut || run_layout(x, 1, &mut o2), &mut || {
+            run_layout(x, 2, &mut o3)
+        }],
     )
+}
+
+/// Min-of-reps ns of `[nn, nt, tn]` on the 256-bit tile, then the same on
+/// the 512-bit tile — all six interleaved, one thread — and whether each
+/// layout's two outputs are equal bit for bit. Needs AVX-512F.
+fn tile_width_ns(x: &LayoutInputs, reps: usize) -> ([f64; 6], bool) {
+    pool::set_threads(1);
+    let paths = [SimdPath::Avx2, SimdPath::Avx512];
+    let mut outs = vec![Matrix::zeros(0, 0); 6];
+    let mut best = [f64::INFINITY; 6];
+    for _ in 0..reps {
+        for (c, (out, b)) in outs.iter_mut().zip(&mut best).enumerate() {
+            on_path(paths[c / 3], || {
+                let t = Instant::now();
+                run_layout(x, c % 3, out);
+                *b = b.min(t.elapsed().as_nanos() as f64);
+            });
+        }
+    }
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    (best, (0..3).all(|l| bits(&outs[l]) == bits(&outs[3 + l])))
+}
+
+/// (group, m, k, n) of the tile-width rows: `engine_tokens`' two expert
+/// GEMMs, `trainer_lm`'s LM head and one of its attention projections.
+const TILE_WIDTH_SHAPES: &[(&str, usize, usize, usize)] = &[
+    ("engine_tokens_expert", 256, 64, 256),
+    ("engine_tokens_expert", 256, 256, 64),
+    ("trainer_lm_lm_head", 1024, 64, 256),
+    ("trainer_lm_projection", 1024, 64, 64),
+];
+
+/// The 256-bit against the 512-bit register tile, per layout, at the shapes
+/// where the wide tile carries the GEMM FLOPs. Empty without AVX-512F.
+fn bench_tile_widths() -> Value {
+    const REPS: usize = 40;
+    let mut rows = Vec::new();
+    if !SimdPath::Avx512.supported() {
+        println!("tile widths: this CPU lacks AVX-512F, so there is no 512-bit row");
+        return Value::Arr(rows);
+    }
+    for &(label, m, k, n) in TILE_WIDTH_SHAPES {
+        group(&format!("tile_widths/{label}/{m}x{k}x{n}"));
+        let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), REPS);
+        let flops = (2 * m * k * n) as f64;
+        let mut o = Obj::new();
+        o.set("group", Value::str(label));
+        o.set("m", Value::u64(m as u64));
+        o.set("k", Value::u64(k as u64));
+        o.set("n", Value::u64(n as u64));
+        for (l, name) in ["nn", "nt", "tn"].iter().enumerate() {
+            o.set(&format!("{name}_gflops_256"), Value::Num(flops / ns[l]));
+            o.set(&format!("{name}_gflops_512"), Value::Num(flops / ns[3 + l]));
+            o.set(&format!("{name}_512_over_256"), Value::Num(ns[l] / ns[3 + l]));
+        }
+        o.set("bit_identical", Value::Bool(same));
+        println!(
+            "tile widths {label} {m}x{k}x{n}: nn {:.1} -> {:.1} GFLOP/s, nt {:.1} -> {:.1}, \
+             tn {:.1} -> {:.1} (256 -> 512 bit){}",
+            flops / ns[0],
+            flops / ns[3],
+            flops / ns[1],
+            flops / ns[4],
+            flops / ns[2],
+            flops / ns[5],
+            if same { ", bit-identical" } else { ", BITS DIFFER" }
+        );
+        rows.push(Value::Obj(o));
+    }
+    Value::Arr(rows)
 }
 
 fn bench_layouts() -> Value {
@@ -632,7 +733,7 @@ fn bench_layouts() -> Value {
     for &(label, m, k, n) in LAYOUT_SHAPES {
         group(&format!("layouts/{label}/{m}x{k}x{n}"));
         let ns = layout_ns(&layout_inputs(m, k, n), REPS);
-        let (nt_kernel, tn_kernel) = layout_kernels(m, k);
+        let [nn_kernel, nt_kernel, tn_kernel] = layout_kernels(m, k);
         let flops = (2 * m * k * n) as f64;
         let mut o = Obj::new();
         o.set("group", Value::str(label));
@@ -643,13 +744,14 @@ fn bench_layouts() -> Value {
             o.set(&format!("{name}_ns"), Value::Num(t));
             o.set(&format!("{name}_gflops"), Value::Num(flops / t));
         }
+        o.set("nn_kernel", Value::str(nn_kernel));
         o.set("nt_kernel", Value::str(nt_kernel));
         o.set("tn_kernel", Value::str(tn_kernel));
         o.set("nt_over_nn", Value::Num(ns[0] / ns[1]));
         o.set("tn_over_nn", Value::Num(ns[0] / ns[2]));
         println!(
-            "layouts {label} {m}x{k}x{n}: nn {:.1} GFLOP/s, nt {:.1} ({nt_kernel}), tn {:.1} \
-             ({tn_kernel})",
+            "layouts {label} {m}x{k}x{n}: nn {:.1} GFLOP/s ({nn_kernel}), nt {:.1} ({nt_kernel}), \
+             tn {:.1} ({tn_kernel})",
             flops / ns[0],
             flops / ns[1],
             flops / ns[2],
@@ -809,8 +911,11 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   `ExpertFfn` backward after a lazy `zero_grad` against one after an
 ///   eager fill;
 ///   backward layouts — at `engine_tokens`' two expert shapes `nt` and `tn`
-///   run at ≥ 0.85× `nn`'s GFLOP/s (min-of-reps, interleaved) when the AVX2
-///   path is active.
+///   run at ≥ 0.85× `nn`'s GFLOP/s (min-of-reps, interleaved) when an x86
+///   family is active;
+///   tile widths — where AVX-512F is present, at the same two shapes the
+///   512-bit tile's three layouts equal the 256-bit tile's bit for bit and
+///   together run at ≥ 1.2× its GFLOP/s.
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -891,7 +996,7 @@ fn smoke() {
             ns[1] / (rows * cols) as f64,
             ns[1] / ns[0]
         );
-        if kernels::active_path() == SimdPath::Avx2 {
+        if kernels::active_path() != SimdPath::Scalar {
             assert!(
                 ns[1] >= 4.0 * ns[0],
                 "vector GELU under 4x libm: {:.0} ns vs {:.0} ns",
@@ -996,12 +1101,30 @@ fn smoke() {
         let ns = layout_ns(&layout_inputs(m, k, n), 15);
         let (nt, tn) = (ns[0] / ns[1], ns[0] / ns[2]);
         println!("smoke layouts {label} {m}x{k}x{n}: nt {nt:.2}x nn, tn {tn:.2}x nn");
-        if kernels::active_path() == SimdPath::Avx2 {
+        if kernels::active_path() != SimdPath::Scalar {
             assert!(
                 nt >= 0.85 && tn >= 0.85,
                 "{m}x{k}x{n}: backward layouts under 0.85x nn (nt {nt:.2}x, tn {tn:.2}x)"
             );
         }
+    }
+
+    // The 512-bit tile: the 256-bit tile's bits, at >= 1.2x its rate.
+    if !SimdPath::Avx512.supported() {
+        println!("smoke tile widths: this CPU lacks AVX-512F, nothing to compare");
+        return;
+    }
+    for &(label, m, k, n) in TILE_WIDTH_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
+        let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), 15);
+        let per_layout: Vec<f64> = (0..3).map(|l| ns[l] / ns[3 + l]).collect();
+        let all = ns[..3].iter().sum::<f64>() / ns[3..].iter().sum::<f64>();
+        println!(
+            "smoke tile widths {label} {m}x{k}x{n}: 512-bit at {all:.2}x the 256-bit GFLOP/s \
+             (nn {:.2}x, nt {:.2}x, tn {:.2}x)",
+            per_layout[0], per_layout[1], per_layout[2]
+        );
+        assert!(same, "{m}x{k}x{n}: the 512-bit tile's output differs from the 256-bit tile's");
+        assert!(all >= 1.2, "{m}x{k}x{n}: the 512-bit tile under 1.2x the 256-bit one: {all:.2}x");
     }
 }
 
@@ -1018,6 +1141,7 @@ fn main() {
     let class_major = bench_class_major();
     let gemm_tn_skinny = bench_gemm_tn_skinny();
     let layouts = bench_layouts();
+    let tile_widths = bench_tile_widths();
     let adam = bench_adam();
     let f16_codec = bench_f16_codec();
 
@@ -1032,6 +1156,7 @@ fn main() {
     o.set("class_major", class_major);
     o.set("gemm_tn_skinny", gemm_tn_skinny);
     o.set("layouts", layouts);
+    o.set("tile_widths", tile_widths);
     o.set("adam", adam);
     o.set("f16_codec", f16_codec);
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json");

@@ -44,12 +44,7 @@ fn lock() -> MutexGuard<'static, ()> {
 fn on_each_path_and_pool(mut f: impl FnMut(&str)) {
     let _g = lock();
     let (prev_path, prev_threads) = (kernels::active_path(), pool::current_threads());
-    let mut paths = vec![SimdPath::Scalar];
-    #[cfg(target_arch = "x86_64")]
-    if symi_tensor::simd::have_avx2_fma() {
-        paths.push(SimdPath::Avx2);
-    }
-    for path in paths {
+    for path in SimdPath::ALL.into_iter().filter(|p| p.supported()) {
         kernels::force_simd_path(path);
         for threads in [1usize, 4] {
             pool::set_threads(threads);

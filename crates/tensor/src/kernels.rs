@@ -20,30 +20,37 @@
 //!   [`crate::simd::NT_TILE_MIN_ROWS`] output rows, where it keeps a
 //!   dot-product tile.
 //!
-//! The AVX2 family runs all three layouts on one 6×16 FMA register tile and
-//! one k-chunked loop nest (module docs of [`crate::simd`]).
+//! The AVX2 family runs all three layouts on one FMA register tile and one
+//! k-chunked loop nest (module docs of [`crate::simd`]).
 //!
 //! # SIMD dispatch
 //!
-//! Each layout has two microkernel families selected once per process by
-//! [`active_path`]: a portable scalar family (the original kernels, kept as
-//! the fallback and the forced-`SYMI_SIMD=scalar` CI path) and an AVX2+FMA
-//! family ([`crate::simd`], x86_64 only, runtime feature detection). The
-//! scalar family is **bit-exact** against the [`naive`] oracle (single
-//! accumulator folded over ascending `k`, mul-then-add). The AVX2 family
-//! keeps f32 accumulation but uses fused multiply-add (and, in the
-//! dot-product `nt`, fixed 8-lane k-splitting), so it is held to the oracle
-//! by a ULP/error-bound gate instead of `==` — see `tests/simd_oracle.rs`.
-//! `SYMI_SIMD=scalar|avx2` overrides detection.
+//! Three microkernel families are selected once per process by
+//! [`active_path`] ([`SimdPath`]): a portable scalar family (the original
+//! kernels, kept as the fallback and the forced-`SYMI_SIMD=scalar` CI
+//! path), an AVX2+FMA family ([`crate::simd`], x86_64 only, runtime feature
+//! detection) whose loop nest runs a 256-bit 6×16 register tile, and the
+//! same family with the loop nest on a 512-bit 16×16 tile where the CPU has
+//! AVX-512F. Detection picks the widest the CPU supports. The scalar family
+//! is **bit-exact** against the [`naive`] oracle (single accumulator folded
+//! over ascending `k`, mul-then-add). The two x86 families keep f32
+//! accumulation but use fused multiply-add (and, in the dot-product `nt`,
+//! fixed 8-lane k-splitting), so they are held to the oracle by a
+//! ULP/error-bound gate instead of `==` — see `tests/simd_oracle.rs` — and
+//! to each other by `==`: the two tiles fold every element the same way.
+//! `SYMI_SIMD=scalar` pins the scalar family and `SYMI_SIMD=avx2` the
+//! 256-bit one; [`force_simd_path`] pins any family the CPU supports and
+//! refuses the others.
 //!
 //! # Determinism contract
 //!
 //! Within one process (one resolved SIMD path), every GEMM is a pure
 //! function of its operands — independent of worker count and repeatable
-//! across runs. Work splits only across *output* elements, never across the
-//! `k` reduction; every share of a GEMM runs the kernel the whole GEMM's
-//! shape selects; and share boundaries are aligned to that kernel's row
-//! tile (`pool::par_rows_planned`), so the full-tile/edge-tile
+//! across runs; the two x86 families also give each other's bits. Work
+//! splits only across *output* elements, never across the `k` reduction;
+//! every share of a GEMM runs the kernel the whole GEMM's shape selects; and
+//! share boundaries are aligned to that kernel's row tile — the active
+//! family's tile height (`pool::par_rows_planned`), so the full-tile/edge-tile
 //! decomposition — which decides, in the scalar family and in `nn`'s column
 //! edge, where FMA vs scalar rounding applies — is a global property of the
 //! shape, not of the split. The scalar path is additionally bit-exact
@@ -162,21 +169,45 @@ pub(crate) fn record_act(ns: u64, elems: usize) {
 pub enum SimdPath {
     /// Portable scalar kernels: bit-exact vs [`naive`], run anywhere.
     Scalar,
-    /// AVX2 + FMA microkernels (x86_64, runtime-detected).
+    /// AVX2 + FMA microkernels (x86_64, runtime-detected), the GEMM loop
+    /// nest on the 256-bit 6×16 register tile.
     Avx2,
+    /// The `Avx2` family with the loop nest's register tile on 512-bit
+    /// registers (AVX-512F, runtime-detected). Every element is the same
+    /// FMA chain as on `Avx2`, so the two give identical bits.
+    Avx512,
 }
 
-/// 0 = undecided, 1 = scalar, 2 = avx2.
-static PATH: AtomicU8 = AtomicU8::new(0);
+impl SimdPath {
+    /// Every family, narrowest first.
+    pub const ALL: [SimdPath; 3] = [SimdPath::Scalar, SimdPath::Avx2, SimdPath::Avx512];
 
-fn detect_path() -> SimdPath {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::have_avx2_fma() {
-            return SimdPath::Avx2;
+    /// Whether this CPU has the features the family's kernels execute.
+    pub fn supported(self) -> bool {
+        match self {
+            SimdPath::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdPath::Avx2 => crate::simd::have_avx2_fma(),
+            #[cfg(target_arch = "x86_64")]
+            SimdPath::Avx512 => crate::simd::have_avx512f(),
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdPath::Avx2 | SimdPath::Avx512 => false,
         }
     }
-    SimdPath::Scalar
+
+    /// Whether the loop nest runs on the 512-bit register tile.
+    #[cfg(target_arch = "x86_64")]
+    fn wide(self) -> bool {
+        self == SimdPath::Avx512
+    }
+}
+
+/// 0 = undecided, 1 = scalar, 2 = avx2, 3 = avx512.
+static PATH: AtomicU8 = AtomicU8::new(0);
+
+/// The widest family this CPU supports.
+fn detect_path() -> SimdPath {
+    SimdPath::ALL.into_iter().rev().find(|p| p.supported()).unwrap_or(SimdPath::Scalar)
 }
 
 fn decide_path() -> SimdPath {
@@ -184,9 +215,8 @@ fn decide_path() -> SimdPath {
         Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
             "scalar" | "0" | "off" => SimdPath::Scalar,
             "avx2" => {
-                let detected = detect_path();
                 assert!(
-                    detected == SimdPath::Avx2,
+                    SimdPath::Avx2.supported(),
                     "SYMI_SIMD=avx2 requested but this CPU lacks AVX2+FMA"
                 );
                 SimdPath::Avx2
@@ -209,6 +239,7 @@ pub fn active_path() -> SimdPath {
     match PATH.load(Ordering::Relaxed) {
         1 => SimdPath::Scalar,
         2 => SimdPath::Avx2,
+        3 => SimdPath::Avx512,
         _ => {
             let p = decide_path();
             force_simd_path(p);
@@ -219,13 +250,20 @@ pub fn active_path() -> SimdPath {
 
 /// Overrides the dispatch path. Intended for tests and benches that must
 /// exercise a specific family (mirrors `pool::set_threads`); results differ
-/// *between* paths at the documented ULP bound, so test binaries that
-/// switch paths serialize around it.
+/// between the scalar family and the other two at the documented ULP bound,
+/// so test binaries that switch paths serialize around it.
+///
+/// # Panics
+///
+/// If the CPU lacks the family's features ([`SimdPath::supported`]): the
+/// kernels behind it would execute instructions it does not have.
 pub fn force_simd_path(p: SimdPath) {
+    assert!(p.supported(), "SIMD path {p:?} forced but this CPU lacks its features");
     PATH.store(
         match p {
             SimdPath::Scalar => 1,
             SimdPath::Avx2 => 2,
+            SimdPath::Avx512 => 3,
         },
         Ordering::Relaxed,
     );
@@ -236,16 +274,25 @@ pub fn simd_path_name() -> &'static str {
     match active_path() {
         SimdPath::Scalar => "scalar",
         SimdPath::Avx2 => "avx2",
+        SimdPath::Avx512 => "avx512",
     }
 }
 
+/// Whether the vector math, the Adam kernel and the binary16 codec take
+/// their AVX2 encodings: on either x86 family (which one changes only the
+/// GEMM tile).
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx2_encodings() -> bool {
+    active_path() != SimdPath::Scalar
+}
+
 /// Whether the binary16 codec and the Adam kernel that emits binary16 run
-/// on `VCVTPS2PH`/`VCVTPH2PS` (AVX2 path + F16C) instead of the scalar
+/// on `VCVTPS2PH`/`VCVTPH2PS` (an x86 family + F16C) instead of the scalar
 /// conversions — same bits either way.
 pub fn f16_fast_path() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        return active_path() == SimdPath::Avx2 && crate::simd::have_f16c();
+        return avx2_encodings() && crate::simd::have_f16c();
     }
     #[allow(unreachable_code)]
     false
@@ -256,9 +303,9 @@ fn nn_row_tile(path: SimdPath) -> usize {
     match path {
         SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => crate::simd::MR_TILE,
+        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::tile_rows(path.wide()),
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -267,11 +314,13 @@ fn nt_row_tile(path: SimdPath, m: usize) -> usize {
     match path {
         SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 if crate::simd::nt_on_tile(m) => crate::simd::MR_TILE,
+        SimdPath::Avx2 | SimdPath::Avx512 if crate::simd::nt_on_tile(m) => {
+            crate::simd::tile_rows(path.wide())
+        }
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => crate::simd::MR_DOT,
+        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::MR_DOT,
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -280,11 +329,13 @@ fn tn_row_tile(path: SimdPath, r: usize) -> usize {
     match path {
         SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 if crate::simd::tn_on_tile(r) => crate::simd::MR_TILE,
+        SimdPath::Avx2 | SimdPath::Avx512 if crate::simd::tn_on_tile(r) => {
+            crate::simd::tile_rows(path.wide())
+        }
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => crate::simd::MR_STRIP,
+        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::MR_STRIP,
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -661,9 +712,11 @@ fn nn_rows_dispatch(
     match path {
         SimdPath::Scalar => nn_rows(a, rows, k, n, bs, bstride, out, acc, bias),
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => crate::simd::nn_rows(a, rows, k, n, bs, bstride, out, acc, bias),
+        SimdPath::Avx2 | SimdPath::Avx512 => {
+            crate::simd::nn_rows(a, rows, k, n, bs, bstride, out, acc, bias, path.wide())
+        }
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -681,11 +734,11 @@ fn nt_rows_dispatch(
     match path {
         SimdPath::Scalar => nt_rows(a, bsl, rows, k, n, chunk, acc),
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => {
-            PACK.with(|p| crate::simd::nt_rows(a, bsl, rows, k, n, chunk, acc, &mut p.borrow_mut()))
-        }
+        SimdPath::Avx2 | SimdPath::Avx512 => PACK.with(|p| {
+            crate::simd::nt_rows(a, bsl, rows, k, n, chunk, acc, &mut p.borrow_mut(), path.wide())
+        }),
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -704,11 +757,12 @@ fn tn_rows_dispatch(
     match path {
         SimdPath::Scalar => tn_rows(asl, bsl, rows, r, m, n, chunk, acc),
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => PACK.with(|p| {
-            crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, &mut p.borrow_mut())
+        SimdPath::Avx2 | SimdPath::Avx512 => PACK.with(|p| {
+            let strip = &mut p.borrow_mut();
+            crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, strip, path.wide())
         }),
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => unreachable!("avx2 path selected on non-x86_64"),
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 

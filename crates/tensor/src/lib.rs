@@ -15,7 +15,8 @@
 //! Design notes:
 //! - Everything accumulates in `f32`, row-major, allocation-explicit. The hot
 //!   GEMM paths are cache-blocked and register-tiled ([`kernels`]), dispatch
-//!   to AVX2+FMA microkernels when the CPU has them ([`simd`], scalar
+//!   to AVX2+FMA microkernels when the CPU has them ([`simd`]; the register
+//!   tile on 512-bit registers where it also has AVX-512F, same bits; scalar
 //!   fallback otherwise, `SYMI_SIMD` override) and run on a std-only fixed
 //!   worker pool ([`pool`]) behind a cost-model gate; within one process a
 //!   GEMM's result is bit-identical for **any** worker count (see the

@@ -1,20 +1,31 @@
-//! AVX2 + FMA GEMM microkernels (x86_64 only).
+//! AVX2 + FMA GEMM microkernels and their AVX-512F register tile (x86_64
+//! only).
 //!
-//! The drivers in [`crate::kernels`] dispatch here when [`have_avx2_fma`]
-//! holds (or `SYMI_SIMD=avx2` forces it). Every public function is a *safe*
-//! wrapper that `debug_assert!`s the feature set and then calls a
-//! `#[target_feature(enable = "avx2", enable = "fma")]` implementation — the
-//! `unsafe` is confined to those implementations plus the intrinsic calls,
-//! and is sound exactly because the drivers never pick this path without
-//! runtime detection.
+//! The drivers in [`crate::kernels`] dispatch here when the active family
+//! is `Avx2` or `Avx512` ([`crate::kernels::SimdPath`]). Both run every
+//! kernel of this module; they differ only in the loop nest's register tile
+//! (below). Every wrapper the drivers call is *safe*: it `debug_assert!`s
+//! the feature set and then calls a `#[target_feature]` implementation —
+//! the `unsafe` is confined to those implementations plus the intrinsic
+//! calls, and is sound exactly because a family is only ever active on a
+//! CPU that has its features: detection picks it, and both `SYMI_SIMD=avx2`
+//! and [`crate::kernels::force_simd_path`] refuse a family the CPU lacks.
 //!
 //! # One register tile for the three layouts
 //!
-//! `nn`, `tn` and `nt` run on one 6×16 FMA register tile — twelve YMM
-//! accumulators, two 8-wide B loads and six A broadcasts per k step — and
-//! one cache-blocked loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer,
-//! 16-wide B panel next, 6-row tiles inner. The layouts differ only in
-//! where the tile reads its operands:
+//! `nn`, `tn` and `nt` run on one FMA register tile and one cache-blocked
+//! loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer, 16-wide B panel
+//! next, row tiles inner. The tile is 16 columns wide in both families:
+//!
+//! - `Avx2`: 6×16 — twelve YMM accumulators, two 8-wide B loads and six A
+//!   broadcasts per k step;
+//! - `Avx512`: [`MR_WIDE`]×16 — one ZMM accumulator per row, one 16-wide B
+//!   load and [`MR_WIDE`] A broadcasts per k step. Its row remainder
+//!   (m mod [`MR_WIDE`]) runs on the 6×16 and R×16 tiles below.
+//!
+//! A lane of either tile performs the same `vfmadd` sequence on the same
+//! operands, so the two families give identical bits. The layouts differ
+//! only in where the tile reads its operands:
 //!
 //! - `nn` (`A·B`): A row-major; B read in place — row-major B already holds
 //!   each 16-wide panel at its row stride, so there is no packing pass.
@@ -28,10 +39,11 @@
 //! Row remainders (m mod 6) run const-generic R×16 tiles with the same
 //! schedule. Column remainders (n mod 16) run scalar loops: `nn`'s folds
 //! mul-then-add, as it always has; `tn`'s and `nt`'s fold `f32::mul_add`.
-//! So every `tn` element and every tile-`nt` element — full tile, row edge
-//! or column edge — is one FMA chain over ascending k, started from `+0.0`
-//! or, accumulating, from the destination; `nn` is that chain except in its
-//! column edge.
+//! So every `tn` element and every tile-`nt` element — either family's full
+//! tile, row edge or column edge — is one FMA chain over ascending k,
+//! started from `+0.0` or, accumulating, from the destination, and spilled
+//! to the f32 output at the same k-chunk boundaries; `nn` is that chain
+//! except in its column edge, which neither family vectorizes.
 //!
 //! # Skinny GEMMs keep their own kernels
 //!
@@ -54,10 +66,10 @@
 //! precise product before each add, so results differ from the scalar
 //! mul-then-add kernels by bounded rounding — `tests/simd_oracle.rs` gates
 //! every layout at an explicit ULP / forward-error bound and holds the
-//! single-chain elements to a test-local `mul_add` fold with `==`. Each
-//! element's fold is the same whichever tile, edge or share computes it,
-//! and every share of a GEMM runs the same kernel, so worker count never
-//! changes a result.
+//! single-chain elements to a test-local `mul_add` fold with `==`, under
+//! both families. Each element's fold is the same whichever tile, edge or
+//! share computes it, and every share of a GEMM runs the same kernel, so
+//! neither worker count nor register width changes a result.
 
 use crate::adam::{self, AdamCoeffs};
 use crate::half::{f16_to_f32, f32_to_f16};
@@ -67,9 +79,17 @@ use crate::vmath;
 use core::arch::x86_64::*;
 use std::ops::Range;
 
-/// Row tile of the FMA register tile.
+/// Row tile of the 256-bit FMA register tile.
 pub(crate) const MR_TILE: usize = 6;
-/// Column tile of the FMA register tile (two YMM vectors), and the row
+/// Row tile of the 512-bit FMA register tile: one ZMM accumulator per row.
+/// Heights 8, 12, 16 and 24 were timed at the benchmark workloads' shapes
+/// on a 2-vCPU Sapphire Rapids guest (DESIGN.md *Compute kernels &
+/// threading*): 16 was fastest end to end on `engine_tokens` and
+/// `trainer_lm` (24 close behind), and it divides the expert widths 64 and
+/// 256 — the output rows of `engine_tokens`' `tn` — so those GEMMs run
+/// without a row remainder.
+pub const MR_WIDE: usize = 16;
+/// Column tile of both FMA register tiles (two YMM or one ZMM), and the row
 /// stride of `nt`'s transposed B panel.
 pub(crate) const NR_TILE: usize = 16;
 /// k-chunk length of the loop nest: a KC×[`NR_TILE`] f32 panel chunk is
@@ -100,6 +120,22 @@ pub const TN_TILE_MIN_DEPTH: usize = 16;
 /// Runtime check for the f32 kernels.
 pub fn have_avx2_fma() -> bool {
     is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+}
+
+/// Runtime check for the 512-bit register tile (in addition to
+/// [`have_avx2_fma`], which every other kernel of the family needs).
+pub(crate) fn have_avx512f() -> bool {
+    have_avx2_fma() && is_x86_feature_detected!("avx512f")
+}
+
+/// Row tile of the loop nest: [`MR_WIDE`] on the 512-bit family, else
+/// [`MR_TILE`].
+pub(crate) fn tile_rows(wide: bool) -> usize {
+    if wide {
+        MR_WIDE
+    } else {
+        MR_TILE
+    }
 }
 
 /// Runtime check for the binary16 codec and the Adam kernel that emits
@@ -222,16 +258,21 @@ unsafe fn pack_bt(
 /// folds its k terms in ascending order, later chunks resuming from the
 /// spilled f32 partial, and an f32 round-trips memory exactly.
 /// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
-/// mul-then-add for `nn`, whose A is row-major).
+/// mul-then-add for `nn`, whose A is row-major); `WIDE` runs the full row
+/// tiles on the 512-bit tile. The tile is a constant of each instance, so
+/// the 256-bit one runs at the speed it had before the wide tile existed:
+/// chosen at run time inside the nest, the extra live state spilled the
+/// 6×16 tile's loop counters and cost it 5–15% (DESIGN.md *Compute kernels
+/// & threading*).
 ///
 /// # Safety
 ///
-/// AVX2 and FMA must be available, and `a` from `a0`, B and `out` must
-/// cover the `m×k`, `k×n` and `m×n` extents above (the safe wrappers
-/// `assert!` them).
+/// AVX2 and FMA must be available, and AVX-512F too if `WIDE`; `a` from
+/// `a0`, B and `out` must cover the `m×k`, `k×n` and `m×n` extents above
+/// (the safe wrappers `assert!` them).
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_gemm<const TA: bool>(
+unsafe fn tile_gemm<const TA: bool, const WIDE: bool>(
     a: &[f32],
     a0: usize,
     lda: usize,
@@ -251,6 +292,7 @@ unsafe fn tile_gemm<const TA: bool>(
         }
         return;
     }
+    let mr = tile_rows(WIDE);
     for kc in (0..k).step_by(KC) {
         let klen = KC.min(k - kc);
         let tile_acc = acc || kc > 0;
@@ -263,11 +305,13 @@ unsafe fn tile_gemm<const TA: bool>(
                     (&buf[..], NR_TILE)
                 }
             };
-            for i in (0..m).step_by(MR_TILE) {
-                let rows = MR_TILE.min(m - i);
+            for i in (0..m).step_by(mr) {
+                let rows = mr.min(m - i);
                 let ablk = &a[a0 + if TA { kc * lda + i } else { i * lda + kc }..];
                 let oblk = &mut out[i * n + j0..];
-                if w == NR_TILE && rows == MR_TILE {
+                if WIDE && w == NR_TILE && rows == MR_WIDE {
+                    kern_wide::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
+                } else if w == NR_TILE && rows == MR_TILE {
                     kern_6x16::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
                 } else if w == NR_TILE {
                     kern_edge_rows::<TA>(ablk, lda, klen, rows, panel, pstride, oblk, n, tile_acc);
@@ -280,6 +324,20 @@ unsafe fn tile_gemm<const TA: bool>(
                 }
             }
         }
+    }
+}
+
+/// [`tile_gemm`]'s signature without its constants.
+type TileNest =
+    unsafe fn(&[f32], usize, usize, usize, usize, usize, Panels<'_>, &mut [f32], bool, bool);
+
+/// The loop nest for layout `TA` on the 512-bit tile if `wide`, else on the
+/// 256-bit one.
+fn tile_nest<const TA: bool>(wide: bool) -> TileNest {
+    if wide {
+        tile_gemm::<TA, true>
+    } else {
+        tile_gemm::<TA, false>
     }
 }
 
@@ -394,6 +452,58 @@ unsafe fn kern_6x16<const TA: bool>(
     _mm256_storeu_ps(op.add(5 * ldc + 8), c51);
 }
 
+/// Full [`MR_WIDE`]×16 tile on 512-bit registers: one ZMM accumulator per
+/// row live across the whole k sweep, one 16-wide B load and [`MR_WIDE`] A
+/// broadcasts per k step. Lane j of row i's accumulator performs exactly
+/// the `vfmadd` sequence [`kern_6x16`] performs for element (i, j).
+///
+/// # Safety
+///
+/// AVX-512F must be available; the three extents it `debug_assert!`s must
+/// hold.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn kern_wide<const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    panel: &[f32],
+    pstride: usize,
+    out: &mut [f32],
+    ldc: usize,
+    acc: bool,
+) {
+    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_TILE);
+    debug_assert!(a.len() >= a_extent::<TA>(lda, MR_WIDE, k));
+    debug_assert!(out.len() >= (MR_WIDE - 1) * ldc + NR_TILE);
+    let ap = a.as_ptr();
+    let pp = panel.as_ptr();
+    let op = out.as_mut_ptr();
+    let mut c = [_mm512_setzero_ps(); MR_WIDE];
+    if acc {
+        for (r, cr) in c.iter_mut().enumerate() {
+            *cr = _mm512_loadu_ps(op.add(r * ldc));
+        }
+    }
+    for kk in 0..k {
+        // As in `kern_6x16`: B rows (and `tn`'s A rows) sit `pstride`
+        // (`lda`) apart, a stride the prefetcher won't track.
+        if kk + 4 < k {
+            _mm_prefetch::<_MM_HINT_T0>(pp.add((kk + 4) * pstride) as *const i8);
+            if TA {
+                _mm_prefetch::<_MM_HINT_T0>(ap.add((kk + 4) * lda) as *const i8);
+            }
+        }
+        let b = _mm512_loadu_ps(pp.add(kk * pstride));
+        for (r, cr) in c.iter_mut().enumerate() {
+            *cr = _mm512_fmadd_ps(_mm512_set1_ps(a_at::<TA>(ap, lda, r, kk)), b, *cr);
+        }
+    }
+    for (r, cr) in c.iter().enumerate() {
+        _mm512_storeu_ps(op.add(r * ldc), *cr);
+    }
+}
+
 /// Row-remainder tile: `R` (< 6) rows × full 16 cols, same ascending-k
 /// FMA schedule as [`kern_6x16`] with `R` accumulator pairs. Keeps the
 /// m-edge on SIMD throughput — a 2-row edge at m = 128 was ~30% of wall
@@ -443,8 +553,9 @@ unsafe fn kern_rx16<const R: usize, const TA: bool>(
     }
 }
 
-/// Dispatches a full-width row-remainder tile to the monomorphized
-/// [`kern_rx16`] for 1–5 rows.
+/// Full-width rows short of the loop nest's row tile — 1–5 on the 256-bit
+/// family, 1–15 on the 512-bit one: 6×16 tiles while six rows are left,
+/// then the monomorphized [`kern_rx16`] for the last 1–5.
 ///
 /// # Safety
 ///
@@ -462,7 +573,16 @@ unsafe fn kern_edge_rows<const TA: bool>(
     ldc: usize,
     acc: bool,
 ) {
-    match rows {
+    let row = |i: usize| if TA { i } else { i * lda };
+    let six = rows - rows % MR_TILE;
+    for i in (0..six).step_by(MR_TILE) {
+        kern_6x16::<TA>(&a[row(i)..], lda, k, panel, pstride, &mut out[i * ldc..], ldc, acc);
+    }
+    if six == rows {
+        return;
+    }
+    let (a, out) = (&a[row(six)..], &mut out[six * ldc..]);
+    match rows - six {
         1 => kern_rx16::<1, TA>(a, lda, k, panel, pstride, out, ldc, acc),
         2 => kern_rx16::<2, TA>(a, lda, k, panel, pstride, out, ldc, acc),
         3 => kern_rx16::<3, TA>(a, lda, k, panel, pstride, out, ldc, acc),
@@ -512,7 +632,8 @@ unsafe fn kern_edge_fma<const TA: bool>(
 // ---------------------------------------------------------------------------
 
 /// AVX2 worker for a row range of `out (+)= a·B` (+ optional bias). B is
-/// read in place (`bs` row-major, row stride `bstride`).
+/// read in place (`bs` row-major, row stride `bstride`). `wide` runs the
+/// 512-bit tile (the `Avx512` family).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nn_rows(
     a: &Matrix,
@@ -524,17 +645,17 @@ pub(crate) fn nn_rows(
     out: &mut [f32],
     acc: bool,
     bias: Option<&[f32]>,
+    wide: bool,
 ) {
-    debug_assert!(have_avx2_fma());
+    debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
     let (m, lda) = (rows.len(), a.cols());
     assert!(rows.end <= a.rows() && k <= lda && n <= bstride && out.len() >= m * n);
     assert!(k == 0 || bs.len() >= (k - 1) * bstride + n);
-    let panels = Panels::InPlace { b: bs, ldb: bstride };
-    // SAFETY: drivers dispatch here only after runtime AVX2+FMA detection,
-    // and the two asserts above bound every tile's reads and writes.
-    unsafe {
-        tile_gemm::<false>(a.as_slice(), rows.start * lda, lda, m, k, n, panels, out, acc, false)
-    }
+    let (a0, panels) = (rows.start * lda, Panels::InPlace { b: bs, ldb: bstride });
+    // SAFETY: drivers dispatch here only on a family the CPU was checked
+    // for (AVX2+FMA, and AVX-512F when `wide`), and the two asserts above
+    // bound every tile's reads and writes.
+    unsafe { tile_nest::<false>(wide)(a.as_slice(), a0, lda, m, k, n, panels, out, acc, false) }
     if let Some(bias) = bias {
         for r in 0..m {
             for (o, b) in out[r * n..(r + 1) * n].iter_mut().zip(bias) {
@@ -559,7 +680,8 @@ pub(crate) fn tn_on_tile(r: usize) -> bool {
 
 /// AVX2 worker for a row range of `out (+)= aᵀ·b` (`a` is `r×m`, `b` is
 /// `r×n`; `rows` are *output* rows = columns of `a`). `strip` is the
-/// caller's per-thread pack scratch (the strip kernel only).
+/// caller's per-thread pack scratch (the strip kernel only); `wide` as in
+/// [`nn_rows`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tn_rows(
     asl: &[f32],
@@ -571,15 +693,16 @@ pub(crate) fn tn_rows(
     chunk: &mut [f32],
     acc: bool,
     strip: &mut Vec<f32>,
+    wide: bool,
 ) {
-    debug_assert!(have_avx2_fma());
+    debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
     assert!(rows.end <= m && asl.len() >= r * m && bsl.len() >= r * n);
     assert!(chunk.len() >= rows.len() * n);
     let panels = Panels::InPlace { b: bsl, ldb: n };
     // SAFETY: as in `nn_rows`.
     unsafe {
         if tn_on_tile(r) {
-            tile_gemm::<true>(asl, rows.start, m, rows.len(), r, n, panels, chunk, acc, true)
+            tile_nest::<true>(wide)(asl, rows.start, m, rows.len(), r, n, panels, chunk, acc, true)
         } else {
             tn_strip_rows(asl, bsl, rows, r, m, n, chunk, acc, strip)
         }
@@ -588,7 +711,8 @@ pub(crate) fn tn_rows(
 
 /// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`).
 /// `a` is the whole GEMM's A, so its rows choose the kernel. `buf` is the
-/// caller's per-thread panel scratch (the tile only).
+/// caller's per-thread panel scratch (the tile only); `wide` as in
+/// [`nn_rows`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nt_rows(
     a: &Matrix,
@@ -599,8 +723,9 @@ pub(crate) fn nt_rows(
     chunk: &mut [f32],
     acc: bool,
     buf: &mut Vec<f32>,
+    wide: bool,
 ) {
-    debug_assert!(have_avx2_fma());
+    debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
     assert!(rows.end <= a.rows() && k == a.cols() && bsl.len() >= n * k);
     assert!(chunk.len() >= rows.len() * n);
     let (a0, m, tile) = (rows.start * k, rows.len(), nt_on_tile(a.rows()));
@@ -612,7 +737,7 @@ pub(crate) fn nt_rows(
     unsafe {
         if tile {
             let panels = Panels::Transposed { b: bsl, ldb: k, buf };
-            tile_gemm::<false>(a.as_slice(), a0, k, m, k, n, panels, chunk, acc, true)
+            tile_nest::<false>(wide)(a.as_slice(), a0, k, m, k, n, panels, chunk, acc, true)
         } else {
             nt_dot_rows(a.as_slice(), bsl, rows, k, n, chunk, acc)
         }
@@ -1071,10 +1196,10 @@ unsafe fn map_in_place_ps(x: &mut [f32], f: impl Fn(__m256) -> __m256) {
 }
 
 /// AVX2 [`vmath::exp_sub_slice`].
-pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
+pub(crate) fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
     debug_assert!(have_avx2_fma());
-    // SAFETY: the vmath dispatchers come here only after runtime AVX2
-    // detection (`active_path() == Avx2`).
+    // SAFETY: the vmath dispatchers come here only when an x86 family is
+    // active, and `kernels` activates one only on a CPU with AVX2+FMA.
     unsafe {
         let sh = _mm256_set1_ps(shift);
         map_ps(x, out, |v| exp_ps(_mm256_sub_ps(v, sh)))
@@ -1082,7 +1207,7 @@ pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
 }
 
 /// AVX2 [`vmath::exp_sub_in_place`].
-pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
+pub(crate) fn exp_sub_in_place(x: &mut [f32], shift: f32) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe {
@@ -1092,35 +1217,35 @@ pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
 }
 
 /// AVX2 [`vmath::tanh_slice`].
-pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
+pub(crate) fn tanh_slice(x: &[f32], out: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe { map_ps(x, out, |v| tanh_ps(v)) }
 }
 
 /// AVX2 [`vmath::gelu_slice`].
-pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu_slice(x: &[f32], out: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe { map_ps(x, out, |v| gelu_from_tanh_ps(v, gelu_tanh_ps(v))) }
 }
 
 /// AVX2 [`vmath::gelu_tanh_slice`].
-pub fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
+pub(crate) fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe { map_ps(x, t, |v| gelu_tanh_ps(v)) }
 }
 
 /// AVX2 [`vmath::gelu_from_tanh_slice`].
-pub fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe { map2_ps(x, t, out, |x, t| gelu_from_tanh_ps(x, t)) }
 }
 
 /// AVX2 [`vmath::gelu_backward_from_tanh_slice`].
-pub fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {
+pub(crate) fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `exp_sub_slice`.
     unsafe { map3_ps(x, t, dy, dx, |x, t, dy| _mm256_mul_ps(dy, gelu_grad_from_tanh_ps(x, t))) }

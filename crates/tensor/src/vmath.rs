@@ -49,7 +49,7 @@
 //! `[−20, 20]`. GELU and GELU′: within `1e-6·max(1, |x|)`.
 
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::{active_path, SimdPath};
+use crate::kernels::avx2_encodings;
 
 /// Below this `exp` returns exactly 0 (the true result would be within a
 /// few percent of the smallest normal f32 or subnormal).
@@ -198,18 +198,11 @@ pub fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + GELU_3A * x * x)
 }
 
-/// Whether the slice kernels should take the AVX2 encoding. The path can
-/// only resolve to AVX2 on x86_64 (`kernels::decide_path`).
-#[cfg(target_arch = "x86_64")]
-fn avx2() -> bool {
-    active_path() == SimdPath::Avx2
-}
-
 /// `out[i] = exp(x[i] − shift)` — the softmax exponent pass.
 pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "exp length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::exp_sub_slice(x, shift, out);
     }
     out.iter_mut().zip(x).for_each(|(o, &v)| *o = exp(v - shift));
@@ -219,7 +212,7 @@ pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
 /// computed in its own buffer.
 pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::exp_sub_in_place(x, shift);
     }
     x.iter_mut().for_each(|v| *v = exp(*v - shift));
@@ -229,7 +222,7 @@ pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
 pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "tanh length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::tanh_slice(x, out);
     }
     out.iter_mut().zip(x).for_each(|(o, &v)| *o = tanh(v));
@@ -239,7 +232,7 @@ pub fn tanh_slice(x: &[f32], out: &mut [f32]) {
 pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "gelu length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::gelu_slice(x, out);
     }
     out.iter_mut().zip(x).for_each(|(o, &v)| *o = gelu(v));
@@ -249,7 +242,7 @@ pub fn gelu_slice(x: &[f32], out: &mut [f32]) {
 pub fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
     assert_eq!(x.len(), t.len(), "gelu tanh length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::gelu_tanh_slice(x, t);
     }
     t.iter_mut().zip(x).for_each(|(o, &v)| *o = gelu_tanh(v));
@@ -261,7 +254,7 @@ pub fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), t.len(), "gelu length mismatch");
     assert_eq!(x.len(), out.len(), "gelu length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::gelu_from_tanh_slice(x, t, out);
     }
     for ((o, &xv), &tv) in out.iter_mut().zip(x).zip(t) {
@@ -276,7 +269,7 @@ pub fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut 
     assert_eq!(x.len(), dy.len(), "gelu backward length mismatch");
     assert_eq!(x.len(), dx.len(), "gelu backward length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if avx2_encodings() {
         return crate::simd::gelu_backward_from_tanh_slice(x, t, dy, dx);
     }
     for (((o, &xv), &tv), &dyv) in dx.iter_mut().zip(x).zip(t).zip(dy) {

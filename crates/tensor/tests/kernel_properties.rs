@@ -6,11 +6,13 @@
 //!    every output element is one accumulator folded over `k` ascending, for
 //!    every shape, tile-edge case, and worker count. Those tests pin
 //!    `SimdPath::Scalar`.
-//! 2. Whatever family is **active** (AVX2 on capable hosts), results are
-//!    bit-identical across worker counts and across repeated runs: the
-//!    tile decomposition is a global property of the shape (block-aligned
-//!    share bounds), never of the split. Those tests run the detected path
-//!    and force the cost-model gate low so the pool really splits.
+//! 2. Whatever family is **active** (AVX2 or AVX-512F on capable hosts),
+//!    results are bit-identical across worker counts and across repeated
+//!    runs: the tile decomposition is a global property of the shape
+//!    (block-aligned share bounds), never of the split. Those tests run the
+//!    detected path and force the cost-model gate low so the pool really
+//!    splits; one also pins the 256-bit and the 512-bit tile in turn and
+//!    holds them to one result where the wide tile ends.
 //!
 //! Path pinning and `set_threads`/`set_flops_per_share` rewire process
 //! globals, so every test in this binary serializes on one mutex.
@@ -186,6 +188,46 @@ fn active_path_gemm_is_invariant_across_worker_counts() {
                 );
             }
         }
+    });
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn both_tiles_agree_at_any_worker_count_where_the_wide_tile_ends() {
+    // m straddles the 512-bit tile's height, so a 4-worker split of these
+    // GEMMs hands out wide tiles, 6×16 tiles and R×16 remainders. Both x86
+    // families at 1 and at 4 workers must give one result for all three
+    // layouts — k crosses the 256-long chunk, n leaves a column edge, and
+    // `nt` runs the dot-product kernel below 32 rows and the tile above.
+    use symi_tensor::simd::MR_WIDE;
+    let h = MR_WIDE;
+    with_split_pool(|| {
+        let detected = kernels::active_path();
+        let mut rng = StdRng::seed_from_u64(512);
+        for m in [h - 1, h, h + 1, 2 * h + 5, 3 * h + 1] {
+            let (k, n) = (300, 37);
+            let a = random_matrix(&mut rng, m, k);
+            let b = random_matrix(&mut rng, k, n);
+            let (at, bt) = (a.transpose(), b.transpose());
+            let bits = |x: Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut reference = None;
+            for path in [SimdPath::Avx2, SimdPath::Avx512] {
+                if !path.supported() {
+                    println!("skipping {path:?} at m {m}: this CPU lacks its features");
+                    continue;
+                }
+                kernels::force_simd_path(path);
+                for threads in [1usize, 4] {
+                    pool::set_threads(threads);
+                    let got = [bits(a.matmul(&b)), bits(a.matmul_nt(&bt)), bits(at.matmul_tn(&b))];
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(r) => assert_eq!(&got, r, "{path:?} m {m} at {threads} workers"),
+                    }
+                }
+            }
+        }
+        kernels::force_simd_path(detected);
     });
 }
 

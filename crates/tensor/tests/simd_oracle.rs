@@ -17,14 +17,16 @@
 //! family exercised in this binary on every host (CI additionally runs the
 //! whole suite under `SYMI_SIMD=scalar`).
 //!
-//! On the AVX2 path most elements are pinned tighter than the gate: they
-//! are one FMA chain over ascending k, and [`fma_chain`] — a test-local
+//! On the two x86 families most elements are pinned tighter than the gate:
+//! they are one FMA chain over ascending k, and [`fma_chain`] — a test-local
 //! `f32::mul_add` fold from `+0.0` or from the destination — reproduces
-//! them with `==`. That covers every `tn` element, every element of an
-//! `nt` with at least `NT_TILE_MIN_ROWS` rows, and `nn`'s full-width
-//! columns (the first `16·⌊n/16⌋`); `nn`'s scalar column edge folds
-//! mul-then-add, and the dot-product `nt` splits k into octets, so those
-//! two stay under the gate only.
+//! them with `==`, on the 256-bit tile and on the 512-bit one alike. That
+//! covers every `tn` element, every element of an `nt` with at least
+//! `NT_TILE_MIN_ROWS` rows, and `nn`'s full-width columns (the first
+//! `16·⌊n/16⌋`); `nn`'s scalar column edge folds mul-then-add, and the
+//! dot-product `nt` splits k into octets, so those two stay under the gate
+//! only. `force_simd_path` refuses a family the CPU lacks, so these tests
+//! skip it instead.
 
 use std::sync::{Mutex, MutexGuard};
 use symi_tensor::kernels::{self, naive, ulp_diff, SimdPath};
@@ -145,7 +147,7 @@ fn active_path_tn_within_ulp_gate_of_oracle() {
     }
 }
 
-/// The AVX2 tile's per-element arithmetic, written out: `out[i][j]` is
+/// Either x86 tile's per-element arithmetic, written out: `out[i][j]` is
 /// `a(i, 0)·b(0, j) + …` folded by `f32::mul_add` in ascending k, starting
 /// from `+0.0` or, given `seed`, from `seed[i][j]`.
 fn fma_chain(
@@ -163,52 +165,86 @@ fn bits(x: &Matrix) -> Vec<u32> {
     x.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// Runs under the 256-bit and the 512-bit tile in turn (`force_simd_path`);
+/// a family the CPU lacks is skipped, and the test says so.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
-    use symi_tensor::simd::NT_TILE_MIN_ROWS;
+    use symi_tensor::simd::{MR_WIDE, NT_TILE_MIN_ROWS};
     let _g = lock();
-    if kernels::active_path() != SimdPath::Avx2 {
-        return; // the scalar family is pinned to `naive` instead
-    }
-    let mut rng = StdRng::seed_from_u64(610);
-    let t = NT_TILE_MIN_ROWS;
+    let prev = kernels::active_path();
+    let (t, h) = (NT_TILE_MIN_ROWS, MR_WIDE);
     let mut shapes = edge_shapes();
     // nt on either side of its threshold, and k across the 256-long chunk.
     shapes.extend([(t - 1, 20, 33), (t, 20, 33), (t + 1, 300, 17), (64, 520, 48), (97, 33, 5)]);
-    for (m, k, n) in shapes {
-        let a = random_matrix(&mut rng, m, k);
-        let b = random_matrix(&mut rng, k, n);
-        let bt = b.transpose();
-        let at = a.transpose();
-        let chain = fma_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], None);
-
-        // tn: every shape, every element, write and accumulate mode.
-        assert_eq!(bits(&at.matmul_tn(&b)), bits(&chain), "tn {m}x{k}x{n}");
-        let stale = random_matrix(&mut rng, m, n);
-        let mut got = stale.clone();
-        at.matmul_tn_acc(&b, &mut got);
-        let want = fma_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], Some(&stale));
-        assert_eq!(bits(&got), bits(&want), "tn acc {m}x{k}x{n}");
-
-        // nt on the tile: every element.
-        if m >= NT_TILE_MIN_ROWS {
-            assert_eq!(bits(&a.matmul_nt(&bt)), bits(&chain), "nt {m}x{k}x{n}");
+    // m straddling the 512-bit tile's height and twice and three times it,
+    // k across the chunk; from 32 rows on, `nt` runs the tile as well.
+    for m in [h - 1, h, h + 1, 2 * h + 5, 3 * h - 1, 3 * h, 3 * h + 1] {
+        shapes.push((m, 300, 37));
+    }
+    for path in [SimdPath::Avx2, SimdPath::Avx512] {
+        if !path.supported() {
+            println!("skipping the {path:?} half: this CPU lacks its features");
+            continue;
         }
+        kernels::force_simd_path(path);
+        let mut rng = StdRng::seed_from_u64(610);
+        for &(m, k, n) in &shapes {
+            let label = format!("{path:?} {m}x{k}x{n}");
+            let a = random_matrix(&mut rng, m, k);
+            let b = random_matrix(&mut rng, k, n);
+            let bt = b.transpose();
+            let at = a.transpose();
+            let chain = fma_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], None);
+            let stale = random_matrix(&mut rng, m, n);
+            let chain_acc =
+                fma_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], Some(&stale));
 
-        // nn: the full-width columns; the scalar column edge does not fuse.
-        let full = n - n % 16;
-        let nn = a.matmul(&b);
-        for i in 0..m {
-            for j in 0..full {
-                assert_eq!(
-                    nn[(i, j)].to_bits(),
-                    chain[(i, j)].to_bits(),
-                    "nn {m}x{k}x{n} ({i},{j})"
-                );
+            // tn: every shape, every element, write and accumulate mode.
+            assert_eq!(bits(&at.matmul_tn(&b)), bits(&chain), "tn {label}");
+            let mut got = stale.clone();
+            at.matmul_tn_acc(&b, &mut got);
+            assert_eq!(bits(&got), bits(&chain_acc), "tn acc {label}");
+
+            // nt on the tile: every element.
+            if m >= NT_TILE_MIN_ROWS {
+                assert_eq!(bits(&a.matmul_nt(&bt)), bits(&chain), "nt {label}");
+            }
+
+            // nn: the full-width columns, write and accumulate mode; the
+            // scalar column edge does not fuse.
+            let full = n - n % 16;
+            let nn = a.matmul(&b);
+            let mut nn_acc = stale.clone();
+            kernels::gemm_nn(&a, &b, &mut nn_acc, true, None);
+            for i in 0..m {
+                for j in 0..full {
+                    let ij = format!("{label} ({i},{j})");
+                    assert_eq!(nn[(i, j)].to_bits(), chain[(i, j)].to_bits(), "nn {ij}");
+                    assert_eq!(
+                        nn_acc[(i, j)].to_bits(),
+                        chain_acc[(i, j)].to_bits(),
+                        "nn acc {ij}"
+                    );
+                }
             }
         }
     }
+    kernels::force_simd_path(prev);
+}
+
+#[test]
+fn forcing_a_family_the_cpu_lacks_is_refused() {
+    let _g = lock();
+    let prev = kernels::active_path();
+    for p in SimdPath::ALL {
+        let refused = std::panic::catch_unwind(|| kernels::force_simd_path(p)).is_err();
+        assert_eq!(refused, !p.supported(), "{p:?}");
+        if !refused {
+            assert_eq!(kernels::active_path(), p);
+        }
+    }
+    kernels::force_simd_path(prev);
 }
 
 #[test]

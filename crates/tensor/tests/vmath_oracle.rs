@@ -42,14 +42,11 @@ fn lock() -> MutexGuard<'static, ()> {
     GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The paths this host can run: scalar always, AVX2 when detected.
+/// The paths this host can run: scalar always, the x86 families when
+/// detected (both run the AVX2 encoding; the fused epilogue's GEMM differs
+/// between them only in its register tile).
 fn paths() -> Vec<SimdPath> {
-    let mut p = vec![SimdPath::Scalar];
-    #[cfg(target_arch = "x86_64")]
-    if symi_tensor::simd::have_avx2_fma() {
-        p.push(SimdPath::Avx2);
-    }
-    p
+    SimdPath::ALL.into_iter().filter(|p| p.supported()).collect()
 }
 
 /// Runs `f` once per available path with the dispatch pinned to it.
