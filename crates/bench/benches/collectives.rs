@@ -5,7 +5,6 @@
 //! not real NIC performance.
 
 use symi_bench::{bench, group};
-use symi_collectives::hier::ReduceMode;
 use symi_collectives::{Cluster, ClusterSpec};
 
 fn bench_allreduce() {
@@ -36,32 +35,26 @@ fn bench_alltoall() {
     }
 }
 
-fn bench_hierarchical_vs_flat() {
-    // §4.1: packed intra-rank replicas vs spread; same 8 instances.
-    group("expert_allreduce, 8 instances");
+fn bench_packed_vs_spread() {
+    // §4.1: 8 replicas of one class packed onto 2 ranks vs spread over 8 —
+    // the ring spans the hosting ranks, not the replicas.
+    group("§4.1 replica sync, 8 instances (includes cluster spawn)");
     let len = 1usize << 14;
-    bench("packed_2ranks_x4slots", || {
-        Cluster::run(ClusterSpec::flat(8), |ctx| {
-            if ctx.rank() < 2 {
-                let group = ctx.groups().range(0, 2);
-                let mut rep = vec![1.0f32; len];
-                let siblings = vec![vec![1.0f32; len]; 3];
-                let siblings = siblings.iter().map(Vec::as_slice);
-                ctx.expert_allreduce(&group, 1, &mut rep, siblings, 8, ReduceMode::Sum).unwrap();
-            }
-        })
-    });
-    bench("spread_8ranks_x1slot", || {
-        Cluster::run(ClusterSpec::flat(8), |ctx| {
-            let group = ctx.groups().range(0, 8);
-            let mut rep = vec![1.0f32; len];
-            ctx.expert_allreduce(&group, 1, &mut rep, [], 8, ReduceMode::Sum).unwrap();
-        })
-    });
+    for ranks in [2usize, 8] {
+        bench(&format!("allreduce/{ranks}_of_8r_{len}f"), || {
+            Cluster::run(ClusterSpec::flat(8), |ctx| {
+                if ctx.rank() < ranks {
+                    let group = ctx.groups().range(0, ranks);
+                    let mut grad = vec![1.0f32; len];
+                    ctx.allreduce_sum(&group, 1, &mut grad).unwrap();
+                }
+            })
+        });
+    }
 }
 
 fn main() {
     bench_allreduce();
     bench_alltoall();
-    bench_hierarchical_vs_flat();
+    bench_packed_vs_spread();
 }

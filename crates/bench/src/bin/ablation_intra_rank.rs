@@ -10,30 +10,23 @@
 
 use symi::compute_placement;
 use symi_bench::output::Table;
-use symi_collectives::hier::ReduceMode;
 use symi_collectives::{Cluster, ClusterSpec};
 
-/// Measured inter-node bytes to synchronize `instances` replicas of one
-/// expert-class tensor of `len` floats, packed onto `ranks_used` ranks.
-fn sync_bytes(nodes: usize, ranks_used: usize, instances: usize, len: usize) -> u64 {
+/// Measured inter-node bytes to synchronize one expert-class tensor of `len`
+/// floats whose replicas are packed onto `ranks_used` ranks. Co-located
+/// replicas add into one gradient on their rank (backward sums their rows
+/// as one batch), so the wire sees one ring over the `ranks_used` hosts
+/// whatever the replica count.
+fn sync_bytes(nodes: usize, ranks_used: usize, len: usize) -> u64 {
     assert!(ranks_used <= nodes && ranks_used >= 1);
-    let per_rank = instances / ranks_used;
-    let remainder = instances % ranks_used;
     let (_, report) = Cluster::run(ClusterSpec::flat(nodes), move |ctx| {
         let rank = ctx.rank();
         if rank >= ranks_used {
             return;
         }
-        let local_count = per_rank + usize::from(rank < remainder);
-        if local_count == 0 {
-            return;
-        }
         let group = ctx.groups().range(0, ranks_used);
-        let mut locals: Vec<Vec<f32>> =
-            (0..local_count).map(|s| vec![(rank * 10 + s) as f32; len]).collect();
-        let (rep, rest) = locals.split_first_mut().expect("local_count > 0");
-        let siblings = rest.iter().map(Vec::as_slice);
-        ctx.expert_allreduce(&group, 1, rep, siblings, instances, ReduceMode::Sum).unwrap();
+        let mut grad = vec![rank as f32; len];
+        ctx.allreduce_sum(&group, 1, &mut grad).unwrap();
     });
     report.inter_node_bytes
 }
@@ -47,9 +40,9 @@ fn main() {
     println!("# §4.1 ablation — intra+inter rank all-reduce\n");
     println!("## (1) Inter-node bytes vs packing (8 replicas of one class, 16 KiB tensor)\n");
     let mut t = Table::new(&["ranks used", "replicas per rank", "inter-node bytes", "vs spread"]);
-    let spread = sync_bytes(nodes, 8, instances, len);
+    let spread = sync_bytes(nodes, 8, len);
     for ranks_used in [8usize, 4, 2, 1] {
-        let bytes = sync_bytes(nodes, ranks_used, instances, len);
+        let bytes = sync_bytes(nodes, ranks_used, len);
         t.row(vec![
             ranks_used.to_string(),
             format!("{}", instances / ranks_used),

@@ -283,6 +283,46 @@ mod tests {
     }
 
     #[test]
+    fn packed_placement_moves_fewer_inter_node_bytes_than_spread() {
+        // §4.1: 4 replicas of one class, tensor of 1024 floats. Packed onto
+        // 2 ranks x 2 slots the ring spans 2 ranks; spread over 4 ranks x 1
+        // slot it spans 4.
+        let len = 1024usize;
+        let ring_bytes = |ranks: usize| {
+            let (_, report) = Cluster::run(ClusterSpec::flat(4), |ctx| {
+                if ctx.rank() < ranks {
+                    let group = ctx.groups().range(0, ranks);
+                    let mut grad = vec![1.0f32; len];
+                    ctx.allreduce_sum(&group, 1, &mut grad).unwrap();
+                }
+            });
+            report.inter_node_bytes
+        };
+        let (packed, spread) = (ring_bytes(2), ring_bytes(4));
+        assert!(packed < spread, "packed {packed} should beat spread {spread}");
+        // Ring volume: per rank 2(m-1)/m * len * 4 bytes.
+        assert_eq!(packed, 2 * (2 * 1024 * 4 / 2));
+        assert_eq!(spread, 4 * (2 * 3 * 1024 * 4 / 4));
+    }
+
+    #[test]
+    fn single_rank_many_slots_needs_no_network() {
+        // Every replica on one rank: the class's host group has one member,
+        // so the sync is the gradient as backward left it, and no link.
+        let (results, report) = Cluster::run(ClusterSpec::flat(2), |ctx| {
+            if ctx.rank() != 0 {
+                return Vec::new();
+            }
+            let group = ctx.groups().range(0, 1);
+            let mut grad = vec![6.0f32, 9.0];
+            ctx.allreduce_sum(&group, 5, &mut grad).unwrap();
+            grad
+        });
+        assert_eq!(results[0], vec![6.0, 9.0]);
+        assert_eq!(report.total_bytes(), 0, "a single-member sync must be link-free");
+    }
+
+    #[test]
     fn all_gather_varsize_concatenates_in_order() {
         let (results, _) = Cluster::run(ClusterSpec::flat(3), |ctx| {
             let group = ctx.groups().world();

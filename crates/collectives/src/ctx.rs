@@ -149,64 +149,6 @@ struct Stashed {
     fence_counted: bool,
 }
 
-/// A posted-but-incomplete nonblocking receive in the mailbox's pending
-/// table. The payload is parked here once it arrives (via `poll` progress)
-/// until the owning [`PendingRecv`] is waited on.
-struct PendingEntry {
-    from: usize,
-    tag: u64,
-    /// Expected element count; a completed payload of the wrong length
-    /// fails the op with [`CommError::LengthMismatch`].
-    expect: Option<usize>,
-    /// The matched payload, once progress has found it.
-    ready: Option<Payload>,
-}
-
-/// Handle to a nonblocking receive posted with [`RankCtx::irecv`].
-///
-/// The op is matched exactly like a blocking receive — same `(from, tag)`
-/// pairing, same FIFO order per channel, same epoch fence — so completing
-/// it via any interleaving of `poll` and `wait` yields the byte-identical
-/// payload the blocking path would have returned. Progress is made
-/// opportunistically: every `poll`/`wait` on the owning rank drains the
-/// inbound channel into the tag-matched stash.
-///
-/// Dropping the handle without `wait`/`cancel` leaks the table entry until
-/// a stale-epoch purge collects it (what happens to the rest of a
-/// [`RankCtx::batch_isend_irecv`] whose earlier receive failed).
-#[derive(Debug, PartialEq, Eq)]
-pub struct PendingRecv {
-    pub(crate) id: u64,
-    pub from: usize,
-    pub tag: u64,
-}
-
-impl PendingRecv {
-    /// Nonblocking completion check. Drains the inbound channel, then
-    /// probes the stash under the op's fencing epoch. Returns `Ok(true)`
-    /// once the payload has arrived (parked in the mailbox until `wait`).
-    /// A wrong-length arrival fails here with
-    /// [`CommError::LengthMismatch`], exactly as the blocking batch path
-    /// would report it.
-    pub fn poll(&self, ctx: &mut RankCtx) -> Result<bool, CommError> {
-        ctx.poll_pending(self.id)
-    }
-
-    /// Blocks until the op completes and returns its payload, with the
-    /// same timeout/retry/escalation behavior as a blocking receive. A
-    /// starved wait names every other posted-but-incomplete op in its
-    /// diagnostics.
-    pub fn wait(self, ctx: &mut RankCtx) -> Result<Payload, CommError> {
-        ctx.wait_pending(self)
-    }
-
-    /// Abandons the op, removing it (and any parked payload) from the
-    /// pending table.
-    pub fn cancel(self, ctx: &mut RankCtx) {
-        ctx.cancel_pending(self.id);
-    }
-}
-
 /// Wire-protocol health counters, surfaced per rank through
 /// `RankCtx::protocol_stats` and from there into symi-telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -269,10 +211,6 @@ pub(crate) struct Mailbox {
     faults: Option<FaultInjector>,
     /// Messages held back by `Delay` faults, in hold order.
     held: Vec<Held>,
-    /// Posted nonblocking receives, by handle id.
-    pending: HashMap<u64, PendingEntry>,
-    /// Next pending-op handle id.
-    next_pending: u64,
 }
 
 impl Mailbox {
@@ -297,15 +235,13 @@ impl Mailbox {
             seen: std::iter::repeat_with(SeqTracker::default).take(world).collect(),
             faults,
             held: Vec::new(),
-            pending: HashMap::new(),
-            next_pending: 0,
         }
     }
 
     /// Drains every message already sitting in the inbound channel into the
     /// stash, admitting seqs through the duplicate filter exactly as a
-    /// blocking receive would. This is the nonblocking progress engine: any
-    /// `poll` makes progress for *every* posted op, not just its own.
+    /// blocking receive would, so the stale-epoch purge sees everything that
+    /// has arrived.
     fn drain_channel(&mut self) {
         while let Ok(msg) = self.rx.try_recv() {
             if !self.admit_msg(&msg) {
@@ -330,127 +266,6 @@ impl Mailbox {
                 false
             }
         }
-    }
-
-    /// Nonblocking stash probe under the epoch fence: pops the front of the
-    /// `(from, tag)` queue iff its epoch matches the receive's allowed
-    /// epoch — identical matching (including fence accounting) to the
-    /// blocking receive's stash fast path, so poll-completion and blocking
-    /// completion deliver the same message.
-    fn take_from_stash(&mut self, from: usize, tag: u64) -> Option<Payload> {
-        let allowed = tag::epoch_of(tag).unwrap_or(self.epoch);
-        let queue = self.stash.get_mut(&(from, tag))?;
-        match queue.front_mut() {
-            Some(front) if front.epoch == allowed => {
-                let s = queue.pop_front().expect("front exists");
-                if queue.is_empty() {
-                    self.stash.remove(&(from, tag));
-                }
-                self.stats.stash_depth -= 1;
-                Some(s.payload)
-            }
-            Some(front) => {
-                if !front.fence_counted {
-                    front.fence_counted = true;
-                    self.stats.fenced_messages += 1;
-                }
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn post_recv(&mut self, from: usize, tag: u64, expect: Option<usize>) -> u64 {
-        let id = self.next_pending;
-        self.next_pending += 1;
-        self.pending.insert(id, PendingEntry { from, tag, expect, ready: None });
-        id
-    }
-
-    /// Validates a completed payload's length against the op's expectation.
-    fn check_length(&self, entry: &PendingEntry, payload: &Payload) -> Result<(), CommError> {
-        if let Some(expected) = entry.expect {
-            if payload.elements() != expected {
-                return Err(CommError::LengthMismatch {
-                    from: entry.from,
-                    tag: tag::describe(entry.tag),
-                    expected,
-                    got: payload.elements(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// One progress + completion attempt for a posted op. `Ok(true)` means
-    /// the payload is parked in the entry, ready for `wait_pending`.
-    fn poll_pending(&mut self, id: u64) -> Result<bool, CommError> {
-        let entry = self.pending.get(&id).expect("polled a consumed or unknown pending op");
-        if entry.ready.is_some() {
-            return Ok(true);
-        }
-        let (from, tagv) = (entry.from, entry.tag);
-        // FIFO pairing across posted ops: while an earlier-posted op on the
-        // same (from, tag) stream is still unmatched, the next arrival is
-        // its, not ours — taking it here would pair a later receive with an
-        // earlier message whenever the arrival lands between the two polls.
-        let earlier_unmatched = self
-            .pending
-            .iter()
-            .any(|(&other, e)| other < id && e.ready.is_none() && e.from == from && e.tag == tagv);
-        if earlier_unmatched {
-            return Ok(false);
-        }
-        self.drain_channel();
-        let Some(payload) = self.take_from_stash(from, tagv) else {
-            return Ok(false);
-        };
-        let entry = self.pending.get_mut(&id).expect("entry still present");
-        if let Some(expected) = entry.expect {
-            if payload.elements() != expected {
-                let err = CommError::LengthMismatch {
-                    from,
-                    tag: tag::describe(tagv),
-                    expected,
-                    got: payload.elements(),
-                };
-                self.pending.remove(&id);
-                return Err(err);
-            }
-        }
-        entry.ready = Some(payload);
-        Ok(true)
-    }
-
-    /// Blocking completion of a posted op: returns the parked payload if a
-    /// poll already matched it, otherwise falls through to the blocking
-    /// receive loop (same timeout/retry/escalation). Consumes the entry on
-    /// every outcome.
-    fn wait_pending(&mut self, id: u64) -> Result<Payload, CommError> {
-        match self.poll_pending(id) {
-            Ok(true) => {
-                let entry = self.pending.remove(&id).expect("ready entry present");
-                return Ok(entry.ready.expect("poll parked the payload"));
-            }
-            Ok(false) => {}
-            Err(e) => return Err(e),
-        }
-        let entry = self.pending.remove(&id).expect("pending entry present");
-        let payload = self.recv(entry.from, entry.tag)?;
-        self.check_length(&entry, &payload)?;
-        Ok(payload)
-    }
-
-    /// Removes every pending op whose structured tag is fenced strictly
-    /// below `epoch_threshold`, dropping any parked payload with it.
-    /// Returns the number of ops cancelled.
-    fn cancel_pending_below(&mut self, epoch_threshold: u64) -> u64 {
-        let before = self.pending.len();
-        self.pending.retain(|_, entry| match tag::epoch_of(entry.tag) {
-            Some(epoch) => epoch >= epoch_threshold,
-            None => true,
-        });
-        (before - self.pending.len()) as u64
     }
 
     fn send(&mut self, to: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
@@ -539,15 +354,13 @@ impl Mailbox {
         self.stats.stash_peak = self.stats.stash_peak.max(self.stats.stash_depth);
     }
 
-    /// Decoded summary of every stashed message plus every
-    /// posted-but-incomplete nonblocking receive, sorted for determinism —
-    /// the payload of [`CommError::RecvTimeout`]. Naming the outstanding
-    /// posted ops is what turns a starved batch into a readable diagnosis
-    /// instead of a bare timeout.
+    /// Decoded summary of every stashed message, sorted for determinism —
+    /// the payload of [`CommError::RecvTimeout`]. A starved
+    /// `batch_isend_irecv` appends its own still-outstanding receives.
     fn pending_summary(&self) -> Vec<String> {
         let mut entries: Vec<(&(usize, u64), &VecDeque<Stashed>)> = self.stash.iter().collect();
         entries.sort_by_key(|((from, tag), _)| (*from, *tag));
-        let mut out: Vec<String> = entries
+        entries
             .iter()
             .flat_map(|((from, tagv), queue)| {
                 queue.iter().map(move |s| {
@@ -559,15 +372,7 @@ impl Mailbox {
                     )
                 })
             })
-            .collect();
-        let mut posted: Vec<&PendingEntry> =
-            self.pending.values().filter(|e| e.ready.is_none()).collect();
-        posted.sort_by_key(|e| (e.from, e.tag));
-        out.extend(posted.iter().map(|e| {
-            let expect = e.expect.map_or_else(|| "any".to_string(), |n| n.to_string());
-            format!("posted irecv from={} {} expect={expect}", e.from, tag::describe(e.tag))
-        }));
-        out
+            .collect()
     }
 
     fn recv(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
@@ -769,34 +574,6 @@ impl RankCtx {
         self.recv(from, tag)?.into_f16()
     }
 
-    /// Posts a nonblocking receive accepting any payload length. Complete
-    /// it with [`PendingRecv::poll`] / [`PendingRecv::wait`].
-    pub fn irecv(&mut self, from: usize, tag: u64) -> PendingRecv {
-        let id = self.mailbox.post_recv(from, tag, None);
-        PendingRecv { id, from, tag }
-    }
-
-    /// Posts a nonblocking receive validating the payload's element count
-    /// on completion (poll or wait), like [`RecvOp::sized`].
-    ///
-    /// [`RecvOp::sized`]: crate::p2p::RecvOp::sized
-    pub fn irecv_sized(&mut self, from: usize, tag: u64, elements: usize) -> PendingRecv {
-        let id = self.mailbox.post_recv(from, tag, Some(elements));
-        PendingRecv { id, from, tag }
-    }
-
-    pub(crate) fn poll_pending(&mut self, id: u64) -> Result<bool, CommError> {
-        self.mailbox.poll_pending(id)
-    }
-
-    pub(crate) fn wait_pending(&mut self, op: PendingRecv) -> Result<Payload, CommError> {
-        self.mailbox.wait_pending(op.id)
-    }
-
-    pub(crate) fn cancel_pending(&mut self, id: u64) {
-        self.mailbox.pending.remove(&id);
-    }
-
     /// Advances this rank's fencing epoch to `(iteration, phase)` (epochs
     /// are monotone: an older epoch never rewinds a newer one). The epoch
     /// is stamped on every raw-tag send and required of every raw-tag
@@ -854,7 +631,9 @@ impl RankCtx {
     /// sent before it has already been drained into the stash, so a single
     /// post-agreement purge observes all stale traffic that will ever
     /// arrive from a live peer. (A dead rank's traffic is either already
-    /// buffered or lost with its channel.)
+    /// buffered or lost with its channel.) No receive is left posted
+    /// between calls — even `batch_isend_irecv` blocks on one receive at a
+    /// time — so the stash is all there is to purge.
     pub fn discard_stale_below(&mut self, epoch_threshold: u64) -> u64 {
         let mb = &mut self.mailbox;
         // Pull everything already sitting in the channel into the stash so
@@ -872,10 +651,7 @@ impl RankCtx {
             !queue.is_empty()
         });
         mb.stats.stash_depth -= discarded as usize;
-        // Posted nonblocking receives of the aborted epochs are cancelled
-        // with their parked payloads: a recovered protocol must never be
-        // satisfied by a pre-recovery posted op.
-        discarded + mb.cancel_pending_below(epoch_threshold)
+        discarded
     }
 
     /// Moves this rank's *send side* to membership generation `gen`

@@ -20,10 +20,11 @@ pub enum CommError {
     LengthMismatch { from: usize, tag: String, expected: usize, got: usize },
     /// A receive exceeded the configured timeout. `tag` describes the
     /// receive that starved; `pending` is the decoded stash — every
-    /// buffered `(from, tag, elems, epoch)` at expiry — and `fenced` the
-    /// number of messages the epoch fence has refused so far, which
-    /// together make cross-phase deadlocks diagnosable from the error
-    /// alone.
+    /// buffered `(from, tag, elems, epoch)` at expiry — followed, for a
+    /// receive inside `batch_isend_irecv`, by the batch's receives still
+    /// outstanding behind it `(from, tag, expect)`; `fenced` is the number
+    /// of messages the epoch fence has refused so far. Together they make
+    /// cross-phase deadlocks diagnosable from the error alone.
     RecvTimeout { from: usize, tag: String, waited_ms: u64, fenced: u64, pending: Vec<String> },
     /// A receive exhausted its bounded retry-with-backoff policy — the
     /// escalated form of [`CommError::RecvTimeout`] produced when a
@@ -54,7 +55,9 @@ pub struct ProtocolFailure {
     pub waited_ms: u64,
     /// Messages the epoch fence has refused on this rank so far.
     pub fenced: u64,
-    /// Decoded summary of every message stashed at escalation time.
+    /// Decoded summary of every message stashed at escalation time, then
+    /// the starved batch's still-outstanding receives (as in
+    /// [`CommError::RecvTimeout`]).
     pub pending: Vec<String>,
 }
 

@@ -16,14 +16,14 @@
 //! - Ring all-reduce, all-gather and all-to-all(v) ([`coll`]), matching the
 //!   volume formulas in §3.3/A.2 of the paper (e.g. ring all-reduce moves
 //!   `2(r−1)/r · G` per rank).
+//!   The ring is also §4.1's inter-rank all-reduce: a class's gradient is
+//!   reduced over the ranks hosting it, once per rank however many of its
+//!   replicas that rank holds.
 //! - Batched point-to-point transfers ([`p2p`]) — the paper's
 //!   `batch_isend_irecv` used by the SYMI optimizer's gradient-collection
-//!   and weight-materialization phases (§4.3–4.4), run over posted
-//!   nonblocking receives ([`ctx::PendingRecv`]) so a starved batch names
-//!   everything it was still waiting for.
-//! - The **intra+inter rank all-reduce** of §4.1 ([`hier`]): elect a slot
-//!   representative inside each rank, all-reduce across representative
-//!   ranks only, then fan back out to local slots.
+//!   and weight-materialization phases (§4.3–4.4): every send first, then
+//!   the blocking receives in order, and a starved batch names the
+//!   receives it was still waiting for.
 //! - A contiguous-range communicator registry ([`group`]) — §4.2's
 //!   `N(N−1)/2` pre-registered groups that make per-iteration regrouping
 //!   free.
@@ -47,7 +47,6 @@ pub mod ctx;
 pub mod error;
 pub mod fault;
 pub mod group;
-pub mod hier;
 pub mod membership;
 pub mod p2p;
 pub mod payload;
@@ -55,7 +54,7 @@ pub mod tag;
 pub mod traffic;
 
 pub use cluster::{Cluster, ClusterSpec};
-pub use ctx::{PendingRecv, ProtocolStats, RankCtx, RetryPolicy};
+pub use ctx::{ProtocolStats, RankCtx, RetryPolicy};
 pub use error::{CommError, ProtocolFailure};
 pub use fault::{FaultKind, FaultPlan, FaultStats, MsgMatch};
 pub use group::{CommGroup, GroupRegistry};

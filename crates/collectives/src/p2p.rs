@@ -19,9 +19,10 @@
 //! chaos harness leans on. A `LengthMismatch` is never retried: the data
 //! *arrived*, it is simply wrong, and waiting longer cannot fix that.
 
-use crate::ctx::{PendingRecv, RankCtx};
+use crate::ctx::RankCtx;
 use crate::error::CommError;
 use crate::payload::Payload;
+use crate::tag;
 
 /// One outbound transfer in a batch.
 #[derive(Debug, Clone)]
@@ -59,14 +60,13 @@ impl RecvOp {
 }
 
 impl RankCtx {
-    /// Issues every send, posts every receive, then completes the receives
-    /// in posting order, returning the received payloads in the order of
-    /// `recvs`.
+    /// Issues every send, then completes the receives in order with the
+    /// blocking receive, returning the received payloads in the order of
+    /// `recvs`. Two receives on one `(from, tag)` stream therefore pair
+    /// with its arrivals in FIFO order.
     ///
-    /// Every receive is posted before the first is waited on, so a starved
-    /// wait names the whole outstanding batch in its diagnostics, and two
-    /// receives on one `(from, tag)` stream pair with arrivals in FIFO
-    /// order (see [`PendingRecv`]).
+    /// A starved receive's diagnostics name the batch's receives still
+    /// outstanding behind it (see [`CommError::RecvTimeout`]).
     ///
     /// Self-transfers (send to own rank) are legal and are delivered through
     /// the local mailbox without touching any link counter.
@@ -78,15 +78,39 @@ impl RankCtx {
         for op in sends {
             self.send(op.to, op.tag, op.data)?;
         }
-        let posted: Vec<PendingRecv> = recvs
-            .iter()
-            .map(|op| match op.expect {
-                Some(n) => self.irecv_sized(op.from, op.tag, n),
-                None => self.irecv(op.from, op.tag),
-            })
-            .collect();
-        posted.into_iter().map(|op| op.wait(self)).collect()
+        let mut out = Vec::with_capacity(recvs.len());
+        for (i, op) in recvs.iter().enumerate() {
+            let payload =
+                self.recv(op.from, op.tag).map_err(|e| name_outstanding(e, &recvs[i + 1..]))?;
+            if let Some(expected) = op.expect {
+                if payload.elements() != expected {
+                    return Err(CommError::LengthMismatch {
+                        from: op.from,
+                        tag: tag::describe(op.tag),
+                        expected,
+                        got: payload.elements(),
+                    });
+                }
+            }
+            out.push(payload);
+        }
+        Ok(out)
     }
+}
+
+/// Appends the batch's receives still outstanding behind a starved one to
+/// its timeout diagnostics, so the error names the whole wedged batch.
+fn name_outstanding(mut err: CommError, outstanding: &[RecvOp]) -> CommError {
+    let pending = match &mut err {
+        CommError::RecvTimeout { pending, .. } => pending,
+        CommError::Protocol(failure) => &mut failure.pending,
+        _ => return err,
+    };
+    pending.extend(outstanding.iter().map(|op| {
+        let expect = op.expect.map_or_else(|| "any".to_string(), |n| n.to_string());
+        format!("outstanding recv from={} {} expect={expect}", op.from, tag::describe(op.tag))
+    }));
+    err
 }
 
 #[cfg(test)]
@@ -195,6 +219,27 @@ mod tests {
             other => panic!("expected Protocol escalation, got {other:?}"),
         }
         assert!(results[0].is_none());
+    }
+
+    #[test]
+    fn a_fault_rule_fires_on_a_batched_receive_whose_message_already_arrived() {
+        use crate::fault::{FaultPlan, MsgMatch};
+        use crate::tag::{TagSpace, WirePhase};
+
+        let plan = FaultPlan::new(1).stall(1, MsgMatch::any().phase(WirePhase::GradCollect), 1);
+        let (results, _) = Cluster::run_with_faults(ClusterSpec::flat(2), plan, |ctx| {
+            let tag = TagSpace::new(0, 0).tag(WirePhase::GradCollect, 0, 0);
+            if ctx.rank() == 0 {
+                ctx.send(1, tag, vec![1.0f32]).unwrap();
+            }
+            // The message is in rank 1's channel before its receive starts.
+            ctx.barrier();
+            if ctx.rank() == 1 {
+                ctx.batch_isend_irecv(vec![], &[RecvOp::sized(0, tag, 1)]).unwrap();
+            }
+            ctx.fault_stats().stalled
+        });
+        assert_eq!(results[1].as_ref().unwrap(), &1, "the receive-side rule must fire");
     }
 
     #[test]

@@ -49,7 +49,6 @@ use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
 use std::time::Instant;
-use symi_collectives::hier::ReduceMode;
 use symi_collectives::{
     encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
@@ -912,13 +911,10 @@ impl MoeLayerEngine {
         // non-contiguous) surviving physical ranks.
         let (start, len) = self.placement.host_range(class);
         let group = self.view.subgroup(start, len);
-        ctx.expert_allreduce(
+        ctx.allreduce_sum(
             &group,
             tags.tag(WirePhase::GradSync, class, 0),
             self.experts[hosted].flat_grads_mut(),
-            [],
-            self.placement.replica_counts()[class],
-            ReduceMode::Sum,
         )
     }
 
