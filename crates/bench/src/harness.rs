@@ -4,7 +4,7 @@
 //! binaries share this ~80-line timer: calibrate a batch size against a
 //! per-sample time budget, take several samples, report mean and min
 //! ns/iter. The `[[bench]]` targets keep `harness = false` and call
-//! [`bench`] from a plain `main`.
+//! [`bench()`] from a plain `main`.
 
 use std::time::Instant;
 

@@ -10,7 +10,7 @@
 //!
 //! The subsystem in five pieces:
 //!
-//! - [`format`]: versioned, CRC-checked, length-validated on-disk container
+//! - [`format`](mod@format): versioned, CRC-checked, length-validated on-disk container
 //!   (engine kind 1, whole-model trainer kind 2). Every decode failure
 //!   names the file and the exact field.
 //! - [`store`]: one checkpoint directory — atomic tmp/fsync/rename writes,

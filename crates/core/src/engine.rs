@@ -124,7 +124,8 @@ pub struct RecoveryStats {
     pub resume_iteration: u64,
     /// Stale messages purged from the mailbox before resuming.
     pub stale_discarded: u64,
-    /// Optimizer re-shard accounting (kept / reseeded / reinitialized).
+    /// Optimizer re-shard accounting: kept, transferred from live owners,
+    /// and reseeded (of which reinitialized) where the owner died.
     pub reshard: ReshardReport,
 }
 
@@ -215,34 +216,38 @@ pub fn assign_token_slots(
     (kept, kept_slot, taken)
 }
 
-/// Folds the survivors' join-agreement payloads
-/// (`[iterations, adam_step, pop_len, pop…]`, indexed by physical rank;
-/// the joiner's placeholder at index `joiner` is skipped): the resume
-/// iteration and Adam step are the maxima, and the freshest popularity
-/// wins (ties to the lowest physical rank, so every member picks the
-/// same).
-fn fold_join_payloads(
-    payloads: &[Option<Vec<u64>>],
-    joiner: usize,
-) -> (u64, u64, Option<Vec<u64>>) {
-    let mut resume_iter = 0u64;
+/// Folds the agreement payloads of a membership change — one format for
+/// every change, `[completed iterations, Adam step, popularity length,
+/// popularity…]`, indexed by physical rank: the completed iteration and the
+/// Adam step are the maxima, and the freshest popularity wins (ties to the
+/// lowest physical rank, so every member picks the same). A joiner's
+/// `[0, 0, 0]` moves none of the three.
+fn fold_payloads(payloads: &[Option<Vec<u64>>]) -> (u64, u64, Option<Vec<u64>>) {
+    let mut completed = 0u64;
     let mut adam_t = 0u64;
     let mut best: Option<(u64, Vec<u64>)> = None;
-    for (phys, p) in payloads.iter().enumerate() {
-        if phys == joiner {
-            continue;
-        }
-        let Some(p) = p else { continue };
+    for p in payloads.iter().flatten() {
         let it = p[0];
-        resume_iter = resume_iter.max(it);
+        completed = completed.max(it);
         adam_t = adam_t.max(p[1]);
         let len = p[2] as usize;
-        debug_assert!(p.len() >= 3 + len, "malformed join payload");
+        debug_assert!(p.len() >= 3 + len, "malformed agreement payload");
         if len > 0 && best.as_ref().is_none_or(|(bi, _)| it > *bi) {
             best = Some((it, p[3..3 + len].to_vec()));
         }
     }
-    (resume_iter, adam_t, best.map(|(_, pop)| pop))
+    (completed, adam_t, best.map(|(_, pop)| pop))
+}
+
+/// Which membership change [`MoeLayerEngine::transition`] completes.
+#[derive(Clone, Copy)]
+enum Change<'a> {
+    /// A shrink after a rank death: the aborted iteration is skipped.
+    Recovery,
+    /// A grow, on a member: it brings its shards to the re-shard.
+    Admission,
+    /// A grow, on the joiner: it held nothing of `old_view`.
+    Arrival { old_view: &'a MembershipView },
 }
 
 /// Per-rank SYMI engine for one MoE layer.
@@ -252,7 +257,8 @@ fn fold_join_payloads(
 /// wire. On the initial full-world view the two coincide, so the healthy
 /// path is bit-identical to the pre-elastic engine. After a permanent rank
 /// loss, [`MoeLayerEngine::recover`] shrinks the view and every downstream
-/// structure with it.
+/// structure with it; [`MoeLayerEngine::admit`] and [`MoeLayerEngine::join`]
+/// grow it back.
 pub struct MoeLayerEngine {
     cfg: EngineConfig,
     /// Agreed cluster membership this engine's geometry is built over.
@@ -307,18 +313,36 @@ impl MoeLayerEngine {
     /// but run no engine until [`MoeLayerEngine::join`] admits them. With
     /// `active == world` this is exactly [`MoeLayerEngine::new`].
     pub fn new_in_world(rank: usize, active: usize, world: usize, cfg: EngineConfig) -> Self {
-        assert!(
-            cfg.layer_id < RECOVERY_LAYER,
-            "layer {} collides with the recovery tag plane",
-            cfg.layer_id
-        );
         assert!(rank < active, "rank {rank} is a standby rank in a {active}-active world");
         let placement = ExpertPlacement::uniform(cfg.expert_classes, active, cfg.slots_per_rank);
+        Self::fresh(cfg, MembershipView::partial(world, active), rank, placement)
+    }
+
+    /// Algorithm 1 over the slots of `ranks` ranks, from the freshest
+    /// popularity — or from all-zero popularity when there is none yet.
+    fn place(cfg: &EngineConfig, popularity: Option<&[u64]>, ranks: usize) -> ExpertPlacement {
+        let total = cfg.total_slots(ranks);
+        let counts = match popularity {
+            Some(pop) => compute_placement(pop, total),
+            None => compute_placement(&vec![0u64; cfg.expert_classes], total),
+        };
+        ExpertPlacement::from_counts(&counts, cfg.slots_per_rank)
+    }
+
+    /// A freshly initialized member of `view` at logical rank `lrank` under
+    /// `placement`: every slot and optimizer shard loaded from the canonical
+    /// class weights, iteration 0.
+    fn fresh(
+        cfg: EngineConfig,
+        view: MembershipView,
+        lrank: usize,
+        placement: ExpertPlacement,
+    ) -> Self {
         // Canonical initial weights per class (deterministic in class id).
         let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
             .map(|class| Self::canonical_class_params(&cfg, class))
             .collect();
-        let hosted = placement.classes_on_rank(rank);
+        let hosted = placement.classes_on_rank(lrank);
         let experts = (0..cfg.slots_per_rank)
             .map(|g| {
                 let mut e = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
@@ -328,15 +352,31 @@ impl MoeLayerEngine {
                 e
             })
             .collect();
-        let view = MembershipView::partial(world, active);
-        let optimizer = SymiOptimizer::with_view(view.clone(), rank, cfg.adam, &class_params);
+        let optimizer = SymiOptimizer::with_view(view.clone(), lrank, cfg.adam, &class_params);
+        Self { experts, ..Self::assemble(cfg, view, lrank, placement, optimizer) }
+    }
+
+    /// The one struct literal every constructor goes through: no slots yet,
+    /// an empty metadata store, iteration 0, and the shared router.
+    fn assemble(
+        cfg: EngineConfig,
+        view: MembershipView,
+        lrank: usize,
+        placement: ExpertPlacement,
+        optimizer: SymiOptimizer,
+    ) -> Self {
+        assert!(
+            cfg.layer_id < RECOVERY_LAYER,
+            "layer {} collides with the recovery tag plane",
+            cfg.layer_id
+        );
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
         let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
         Self {
             cfg,
             view,
-            lrank: rank,
-            experts,
+            lrank,
+            experts: Vec::new(),
             tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
@@ -435,15 +475,25 @@ impl MoeLayerEngine {
     /// Whether an error is a candidate for **elastic recovery**: a dead
     /// peer, an escalated protocol failure, or a starved receive — the
     /// error classes a permanently-killed rank produces at its survivors.
-    /// (Contrast [`is_degradable`]: degradation retries the old placement
-    /// on the *same* world; recovery shrinks the world.)
-    ///
-    /// [`is_degradable`]: MoeLayerEngine::is_degradable
+    /// (Contrast degradation, which retries the old placement on the *same*
+    /// world; recovery shrinks the world.)
     pub fn can_recover(err: &CommError) -> bool {
         matches!(
             err,
             CommError::PeerGone { .. } | CommError::Protocol(_) | CommError::RecvTimeout { .. }
         )
+    }
+
+    /// This rank's agreement payload, the one format every membership
+    /// change exchanges: `[completed iterations, Adam step, popularity
+    /// length, popularity…]`.
+    fn agreement_payload(&self) -> Vec<u64> {
+        let mut payload = vec![self.iteration, self.optimizer.adam_step_count(), 0];
+        if let Some(pop) = self.metadata.latest(0) {
+            payload[2] = pop.len() as u64;
+            payload.extend_from_slice(pop);
+        }
+        payload
     }
 
     /// Elastic recovery from a permanent rank loss — the paper's "free
@@ -452,23 +502,15 @@ impl MoeLayerEngine {
     /// a dead rank only requires agreeing on who is left and re-running the
     /// same placement + materialization machinery over `N−1` ranks.
     ///
-    /// Driver order:
-    /// 1. survivors agree on the dead-rank set and a bumped **membership
-    ///    epoch** ([`RankCtx::agree_membership`]), exchanging
-    ///    `(completed iterations, latest popularity)` payloads;
-    /// 2. viability check: the shrunk world must still hold every class at
-    ///    the one-replica floor (`supports_world` — if not, stop loudly);
-    /// 3. the resume iteration is `max(completed) + 1`: the aborted
-    ///    iteration is *skipped*, never re-run, so its half-delivered
-    ///    traffic can never alias the resumed protocol; everything older is
-    ///    purged from the mailbox ([`RankCtx::discard_stale_below`]);
-    /// 4. Algorithm 1 re-runs over the freshest surviving popularity and
-    ///    `total_slots` shrunk by the dead rank's slots;
-    /// 5. optimizer ownership re-shards over the survivors
-    ///    ([`SymiOptimizer::reshard`]): kept slices keep their fp32 moments,
-    ///    acquired slices are rebuilt from the freshest surviving copy with
-    ///    moments reset (exported as the `reseeded_params` gauge);
-    /// 6. the new placement is materialized from the re-sharded masters.
+    /// Survivors agree on the dead-rank set and a bumped **membership
+    /// epoch** ([`RankCtx::agree_membership`]), and the shrunk world must
+    /// still hold every class at the one-replica floor (`supports_world` —
+    /// if not, stop loudly). The rest is the `transition` every membership
+    /// change shares, with the resume iteration `max(completed) + 1`: the
+    /// aborted iteration is *skipped*, never re-run, so its half-delivered
+    /// traffic can never alias the resumed protocol. Acquired optimizer
+    /// slices whose owner died restart with zeroed moments (the
+    /// `reseeded_params` gauge).
     ///
     /// On success the engine is ready for the next [`MoeLayerEngine::iteration`]
     /// call: same classes, fewer slots — degraded capacity, not a dead run.
@@ -498,15 +540,9 @@ impl MoeLayerEngine {
         .filter(|&r| r != me_phys && self.view.is_alive(r))
         .collect();
 
-        // Payload: [completed iterations, popularity length, popularity…].
-        let mut payload = vec![self.iteration, 0];
-        if let Some(pop) = self.metadata.latest(0) {
-            payload[1] = pop.len() as u64;
-            payload.extend_from_slice(pop);
-        }
         let timeout = ctx.default_membership_timeout();
         let (new_view, payloads) =
-            ctx.agree_membership(&self.view, &suspects, &payload, timeout)?;
+            ctx.agree_membership(&self.view, &suspects, &self.agreement_payload(), timeout)?;
         // Namespace every post-agreement message under the new membership
         // generation (stragglers from the aborted epoch are dropped, a
         // later re-join of the same physical rank starts a fresh sequence
@@ -525,57 +561,94 @@ impl MoeLayerEngine {
             self.cfg.expert_classes,
         );
 
-        // Fold survivor payloads: the resume iteration skips past every
-        // survivor's last attempt, and the freshest popularity wins (ties
-        // to the lowest physical rank, so every survivor picks the same).
-        let mut resume_iter = self.iteration + 1;
-        let mut best: Option<(u64, Vec<u64>)> = None;
-        for p in payloads.iter().flatten() {
-            let it = p[0];
-            resume_iter = resume_iter.max(it + 1);
-            let len = p[1] as usize;
-            debug_assert!(p.len() >= 2 + len, "malformed recovery payload");
-            if len > 0 && best.as_ref().is_none_or(|(bi, _)| it > *bi) {
-                best = Some((it, p[2..2 + len].to_vec()));
-            }
-        }
-        let popularity = best.map(|(_, pop)| pop);
+        let (stale_discarded, reshard) =
+            self.transition(ctx, new_view, &payloads, Change::Recovery)?;
+        Ok(RecoveryStats {
+            membership_epoch: self.view.epoch(),
+            world_size: new_n,
+            dead_ranks,
+            resume_iteration: self.iteration,
+            stale_discarded,
+            reshard,
+        })
+    }
 
-        // Purge everything the aborted attempt (and older) left in flight:
-        // the resumed protocol starts from a clean fenced stream. A weight
-        // scatter that failed half-way is abandoned with it —
-        // `discard_stale_below` cancels its posted receives, and the
-        // re-sharded masters re-materialize the slots below.
+    /// The tail every membership change shares once its agreement is in —
+    /// [`MoeLayerEngine::recover`], [`MoeLayerEngine::admit`] and
+    /// [`MoeLayerEngine::join`] differ only in how they reach `new_view`:
+    ///
+    /// 1. fold the agreement payloads; the resume iteration is the latest
+    ///    completed one, plus one after a recovery (the aborted iteration is
+    ///    skipped) and as is after a boundary join (nothing was aborted);
+    /// 2. purge everything older from the mailbox
+    ///    ([`RankCtx::discard_stale_below`]) — a weight scatter that failed
+    ///    half-way is abandoned with it, and step 7 re-materializes the
+    ///    slots;
+    /// 3. re-run Algorithm 1 over the freshest popularity and the new view's
+    ///    `total_slots`;
+    /// 4. re-shard the optimizer over `new_view` through the one exchange
+    ///    ([`SymiOptimizer::reshard`] on a member, [`SymiOptimizer::join`]
+    ///    on the joiner);
+    /// 5. adopt the view; 6. record the popularity; 7. materialize the new
+    ///    placement from the re-sharded masters; 8. publish the gauges.
+    ///
+    /// Returns the stale messages purged and the re-shard's accounting.
+    fn transition(
+        &mut self,
+        ctx: &mut RankCtx,
+        new_view: MembershipView,
+        payloads: &[Option<Vec<u64>>],
+        change: Change,
+    ) -> Result<(u64, ReshardReport), CommError> {
+        let cfg = self.cfg;
+        let me_phys = ctx.rank();
+        let (completed, adam_t, popularity) = fold_payloads(payloads);
+        let resume_iter = completed + u64::from(matches!(change, Change::Recovery));
+        if let Change::Admission = change {
+            debug_assert_eq!(self.iteration, resume_iter, "admit must run at a clean boundary");
+            debug_assert_eq!(self.optimizer.adam_step_count(), adam_t, "member Adam steps differ");
+        }
+
         let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
 
-        // Algorithm 1 over the survivors: same classes, fewer slots.
-        let total = self.cfg.total_slots(new_n);
-        let counts = match &popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; self.cfg.expert_classes], total),
+        let new_n = new_view.size();
+        let new_placement = Self::place(&cfg, popularity.as_deref(), new_n);
+
+        let tags = TagSpace::new(RECOVERY_LAYER, resume_iter);
+        let report = match change {
+            Change::Arrival { old_view } => {
+                let (optimizer, report) = SymiOptimizer::join(
+                    ctx,
+                    old_view,
+                    &new_view,
+                    cfg.adam,
+                    cfg.expert_classes,
+                    self.optimizer.param_count(),
+                    adam_t,
+                    tags,
+                )?;
+                self.optimizer = optimizer;
+                report
+            }
+            Change::Recovery | Change::Admission => {
+                let local_class_weights: Vec<(usize, Vec<f32>)> = self
+                    .placement
+                    .classes_on_rank(self.lrank)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(g, (class, _))| (class, self.experts[g].flat_params()))
+                    .collect();
+                self.optimizer.reshard(
+                    ctx,
+                    &new_view,
+                    &self.placement,
+                    &local_class_weights,
+                    &|class| Self::canonical_class_params(&cfg, class),
+                    tags,
+                )?
+            }
         };
-        let new_placement = ExpertPlacement::from_counts(&counts, self.cfg.slots_per_rank);
 
-        // Re-shard optimizer ownership over the survivors, sourcing the
-        // acquired slices from the freshest surviving copies.
-        let local_class_weights: Vec<(usize, Vec<f32>)> = self
-            .placement
-            .classes_on_rank(self.lrank)
-            .into_iter()
-            .enumerate()
-            .map(|(g, (class, _))| (class, self.experts[g].flat_params()))
-            .collect();
-        let cfg = self.cfg;
-        let report = self.optimizer.reshard(
-            ctx,
-            &new_view,
-            &self.placement,
-            &local_class_weights,
-            &|class| Self::canonical_class_params(&cfg, class),
-            TagSpace::new(RECOVERY_LAYER, resume_iter),
-        )?;
-
-        // Adopt the shrunk world and materialize the new placement.
         self.lrank = new_view.logical_of(me_phys).expect("agreement keeps the caller alive");
         self.view = new_view;
         self.placement = new_placement;
@@ -586,29 +659,26 @@ impl MoeLayerEngine {
         self.materialize_slots(ctx)?;
 
         if self.telemetry.is_enabled() {
-            self.telemetry.gauge("membership_epoch").set(self.view.epoch() as f64);
-            self.telemetry.gauge("world_size").set(new_n as f64);
-            self.telemetry.gauge("reseeded_params").set(report.reseeded_params as f64);
-            self.telemetry.gauge("reinitialized_params").set(report.reinitialized_params as f64);
-            self.telemetry.counter("recoveries_total").inc();
+            let t = &self.telemetry;
+            t.gauge("membership_epoch").set(self.view.epoch() as f64);
+            t.gauge("world_size").set(new_n as f64);
+            t.gauge("reseeded_params").set(report.reseeded_params as f64);
+            t.gauge("reinitialized_params").set(report.reinitialized_params as f64);
+            t.gauge("transferred_params").set(report.transferred_params as f64);
+            match change {
+                Change::Recovery => t.counter("recoveries_total").inc(),
+                Change::Admission | Change::Arrival { .. } => t.counter("joins_total").inc(),
+            }
         }
-
-        Ok(RecoveryStats {
-            membership_epoch: self.view.epoch(),
-            world_size: new_n,
-            dead_ranks,
-            resume_iteration: resume_iter,
-            stale_discarded,
-            reshard: report,
-        })
+        Ok((stale_discarded, report))
     }
 
     /// Loads every local slot of the current placement with the fp16 image
     /// of the sharded fp32 masters, over the recovery tag plane. Used after
-    /// [`MoeLayerEngine::recover`] (the recovered placement's weights) and
-    /// after [`MoeLayerEngine::from_snapshot`] (the oracle side seeds its
-    /// slots from the exact restored state the same way, which is what
-    /// makes the post-recovery comparison bit-exact).
+    /// every membership change (the new placement's weights) and after
+    /// [`MoeLayerEngine::from_snapshot`] (the oracle side seeds its slots
+    /// from the exact restored state the same way, which is what makes the
+    /// post-recovery comparison bit-exact).
     pub fn materialize_slots(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
         let tags = TagSpace::new(RECOVERY_LAYER, self.iteration);
         // The masters are off the fp16 grid: this is the one scatter that
@@ -628,55 +698,37 @@ impl MoeLayerEngine {
         )
     }
 
-    /// The survivor side of **elastic scale-out** — the inverse of
+    /// The member side of **elastic scale-out** — the inverse of
     /// [`MoeLayerEngine::recover`]: admit a standby physical rank into the
     /// membership and grow every downstream structure with it. Call at a
     /// clean iteration boundary on every current member, paired with
     /// [`MoeLayerEngine::join`] on the joiner.
     ///
-    /// Driver order:
-    /// 1. bootstrap the joiner ([`RankCtx::send_join_bootstrap`]): it
-    ///    cannot know the current view/epoch on its own;
-    /// 2. all members — joiner included — agree on the grown membership
-    ///    and a bumped epoch ([`RankCtx::agree_membership`]), survivors
-    ///    exchanging `(completed iterations, Adam step, latest popularity)`
-    ///    payloads;
-    /// 3. the membership generation bump namespaces every subsequent
-    ///    message, and the epoch's world bound is registered with the
-    ///    group registry so survivor↔joiner communicator groups resolve;
-    /// 4. Algorithm 1 re-runs over `total_slots` grown by the joiner's
-    ///    slots;
-    /// 5. optimizer ownership re-shards over `N+1` ranks
-    ///    ([`SymiOptimizer::reshard`], growing direction): shed fp32
-    ///    slices transfer to their new owners **moments and all** — a
-    ///    join never degrades optimizer state the way acquire-on-shrink
-    ///    legitimately does;
-    /// 6. the grown placement is materialized from the re-sharded masters
-    ///    (the joiner's fp16 slots arrive through the same distribute
-    ///    path every slot uses every iteration).
+    /// The member bootstraps the joiner ([`RankCtx::send_join_bootstrap`]:
+    /// it cannot know the current view or epoch on its own), then all
+    /// members — joiner included — agree on the grown membership and a
+    /// bumped epoch ([`RankCtx::agree_membership`]), whose generation bump
+    /// namespaces every later message and whose world bound is registered
+    /// so member↔joiner groups resolve. The rest is the shared
+    /// `transition`: every old owner is alive, so each shed optimizer slice
+    /// moves to its new owner **moments and all** — a join never degrades
+    /// optimizer state.
     ///
     /// Because a boundary join aborts nothing, `resume_iteration` is the
-    /// iteration the survivors were about to run anyway — zero degraded
+    /// iteration the members were about to run anyway — zero degraded
     /// iterations, and the grown cluster is bit-exact with a fresh
     /// `N+1`-rank cluster restored from the post-join snapshots.
     ///
     /// # Panics
-    /// Panics if `joiner` is already a member, or if a survivor died
+    /// Panics if `joiner` is already a member, or if a member died
     /// concurrently (mixed join+death changes must recover first).
     pub fn admit(&mut self, ctx: &mut RankCtx, joiner: usize) -> Result<JoinStats, CommError> {
         assert!(!self.view.is_alive(joiner), "rank {joiner} is already a member");
-        let me_phys = self.view.physical_of(self.lrank);
         ctx.send_join_bootstrap(joiner, &self.view)?;
-
-        // Payload: [completed iterations, Adam step, pop length, pop…].
-        let mut payload = vec![self.iteration, self.optimizer.adam_step_count(), 0];
-        if let Some(pop) = self.metadata.latest(0) {
-            payload[2] = pop.len() as u64;
-            payload.extend_from_slice(pop);
-        }
         let grown = self.view.with_joined(joiner);
         let timeout = ctx.default_membership_timeout();
-        let (new_view, payloads) = ctx.agree_membership(&grown, &[], &payload, timeout)?;
+        let (new_view, payloads) =
+            ctx.agree_membership(&grown, &[], &self.agreement_payload(), timeout)?;
         ctx.set_membership_gen(new_view.epoch());
         ctx.groups().register_epoch(new_view.epoch(), new_view.world());
         for r in self.view.survivors() {
@@ -688,66 +740,24 @@ impl MoeLayerEngine {
         }
         assert!(new_view.is_alive(joiner), "the agreement evicted the joiner it was admitting");
 
-        let (resume_iter, adam_t, popularity) = fold_join_payloads(&payloads, joiner);
-        debug_assert_eq!(self.iteration, resume_iter, "admit must run at a clean boundary");
-        debug_assert_eq!(self.optimizer.adam_step_count(), adam_t, "survivor Adam steps differ");
-
-        // Purge strictly-older traffic; the boundary iteration itself was
-        // never started, so nothing of it is in flight.
-        let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
-
-        // Algorithm 1 over the grown world: same classes, more slots.
-        let new_n = new_view.size();
-        let total = self.cfg.total_slots(new_n);
-        let counts = match &popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; self.cfg.expert_classes], total),
-        };
-        let new_placement = ExpertPlacement::from_counts(&counts, self.cfg.slots_per_rank);
-
-        // Grow the optimizer geometry: shed slices travel with full state.
-        let cfg = self.cfg;
-        let report = self.optimizer.reshard(
-            ctx,
-            &new_view,
-            &self.placement,
-            &[],
-            &|class| Self::canonical_class_params(&cfg, class),
-            TagSpace::new(RECOVERY_LAYER, resume_iter),
-        )?;
-
-        // Adopt the grown world and materialize the new placement.
-        self.lrank = new_view.logical_of(me_phys).expect("agreement keeps the caller alive");
-        self.view = new_view;
-        self.placement = new_placement;
-        self.iteration = resume_iter;
-        if let Some(pop) = popularity {
-            self.metadata.record(0, pop);
-        }
-        self.materialize_slots(ctx)?;
-
-        if self.telemetry.is_enabled() {
-            self.telemetry.gauge("membership_epoch").set(self.view.epoch() as f64);
-            self.telemetry.gauge("world_size").set(new_n as f64);
-            self.telemetry.gauge("transferred_params").set(report.transferred_params as f64);
-            self.telemetry.counter("joins_total").inc();
-        }
-
+        let (stale_discarded, reshard) =
+            self.transition(ctx, new_view, &payloads, Change::Admission)?;
         Ok(JoinStats {
             membership_epoch: self.view.epoch(),
-            world_size: new_n,
+            world_size: self.view.size(),
             joiner,
-            resume_iteration: resume_iter,
+            resume_iteration: self.iteration,
             stale_discarded,
-            reshard: report,
+            reshard,
         })
     }
 
     /// The joiner's side of elastic scale-out: blocks (up to `deadline`)
-    /// for a survivor's bootstrap announcing the current view, takes part
-    /// in the grown-membership agreement, receives its fp32 optimizer
-    /// shards over the wire — Adam moments included — and materializes its
-    /// fp16 slots through the standard distribute path. Pairs with
+    /// for a member's bootstrap announcing the current view, enters the
+    /// grown-membership agreement as a fresh member with no history, and
+    /// runs the shared `transition` — its fp32 optimizer shards arrive over
+    /// the wire, Adam moments included, and its fp16 slots materialize
+    /// through the standard distribute path. Pairs with
     /// [`MoeLayerEngine::admit`] on every current member; on success the
     /// engine is ready for the next collective [`MoeLayerEngine::iteration`].
     pub fn join(
@@ -755,11 +765,6 @@ impl MoeLayerEngine {
         cfg: EngineConfig,
         deadline: std::time::Duration,
     ) -> Result<(Self, JoinStats), CommError> {
-        assert!(
-            cfg.layer_id < RECOVERY_LAYER,
-            "layer {} collides with the recovery tag plane",
-            cfg.layer_id
-        );
         let me = ctx.rank();
         let (boot_view, first_sender) = ctx.await_join_bootstrap(deadline)?;
         assert!(boot_view.logical_of(me).is_none(), "a joiner must be new to the old view");
@@ -768,71 +773,34 @@ impl MoeLayerEngine {
         // sending the first agreement message so this rank's traffic is
         // never mistaken for a stale incarnation's.
         ctx.set_membership_gen(grown.epoch() + 1);
-        // The joiner has no history: survivors skip its placeholder payload.
-        let payload = vec![0u64, 0, 0];
+        // A fresh member has no history: its payload is `[0, 0, 0]`, and the
+        // transition replaces all of its state.
+        let lrank = grown.logical_of(me).expect("the grown view holds the joiner");
+        let placement = Self::place(&cfg, None, grown.size());
+        let mut engine = Self::fresh(cfg, grown.clone(), lrank, placement);
         let timeout = ctx.default_membership_timeout();
-        let (new_view, payloads) = ctx.agree_membership(&grown, &[], &payload, timeout)?;
+        let (new_view, payloads) =
+            ctx.agree_membership(&grown, &[], &engine.agreement_payload(), timeout)?;
         ctx.groups().register_epoch(new_view.epoch(), new_view.world());
-        // Every survivor sent a bootstrap; only the first was consumed.
+        // Every member sent a bootstrap; only the first was consumed.
         let others: Vec<usize> =
             boot_view.survivors().into_iter().filter(|&p| p != first_sender).collect();
         ctx.drain_join_bootstraps(&others)?;
 
-        let (resume_iter, adam_t, popularity) = fold_join_payloads(&payloads, me);
-        ctx.discard_stale_below(resume_iter << 5);
-
-        let new_n = new_view.size();
-        let total = cfg.total_slots(new_n);
-        let counts = match &popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; cfg.expert_classes], total),
-        };
-        let placement = ExpertPlacement::from_counts(&counts, cfg.slots_per_rank);
-
-        let param_count = Self::canonical_class_params(&cfg, 0).len();
-        let (optimizer, report) = SymiOptimizer::join(
+        let (stale_discarded, reshard) = engine.transition(
             ctx,
-            &boot_view,
-            &new_view,
-            cfg.adam,
-            cfg.expert_classes,
-            param_count,
-            adam_t,
-            TagSpace::new(RECOVERY_LAYER, resume_iter),
+            new_view,
+            &payloads,
+            Change::Arrival { old_view: &boot_view },
         )?;
-
-        let mut metadata = LayerMetadataStore::new(1, 64);
-        if let Some(pop) = &popularity {
-            metadata.record(0, pop.clone());
-        }
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
-        let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
-        let lrank = new_view.logical_of(me).expect("the agreement admitted this rank");
         let stats = JoinStats {
-            membership_epoch: new_view.epoch(),
-            world_size: new_n,
+            membership_epoch: engine.view.epoch(),
+            world_size: engine.view.size(),
             joiner: me,
-            resume_iteration: resume_iter,
-            stale_discarded: 0,
-            reshard: report,
+            resume_iteration: engine.iteration,
+            stale_discarded,
+            reshard,
         };
-        let mut engine = Self {
-            cfg,
-            view: new_view,
-            lrank,
-            experts: Vec::new(),
-            tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
-            weight_shards: vec![Vec::new(); cfg.expert_classes],
-            placement,
-            optimizer,
-            metadata,
-            router_w,
-            iteration: resume_iter,
-            degraded_iterations: 0,
-            nan_logits: 0,
-            telemetry: TelemetryHandle::disabled(),
-        };
-        engine.materialize_slots(ctx)?;
         Ok((engine, stats))
     }
 
@@ -854,11 +822,6 @@ impl MoeLayerEngine {
     /// materialized — call [`MoeLayerEngine::materialize_slots`]
     /// collectively before the first iteration.
     pub fn from_snapshot(cfg: EngineConfig, snap: EngineSnapshot) -> Self {
-        assert!(
-            cfg.layer_id < RECOVERY_LAYER,
-            "layer {} collides with the recovery tag plane",
-            cfg.layer_id
-        );
         let view = MembershipView::full(snap.world_size);
         let placement = ExpertPlacement::from_counts(&snap.replica_counts, cfg.slots_per_rank);
         let param_count = Self::canonical_class_params(&cfg, 0).len();
@@ -869,28 +832,12 @@ impl MoeLayerEngine {
             param_count,
             snap.shards,
         );
-        let mut metadata = LayerMetadataStore::new(1, 64);
-        if let Some(pop) = &snap.popularity {
-            metadata.record(0, pop.clone());
+        let mut engine = Self::assemble(cfg, view, snap.logical_rank, placement, optimizer);
+        engine.iteration = snap.iteration;
+        if let Some(pop) = snap.popularity {
+            engine.metadata.record(0, pop);
         }
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x70c7);
-        let router_w = init::normal(cfg.d_model, cfg.expert_classes, 0.3, &mut rng);
-        Self {
-            cfg,
-            view,
-            lrank: snap.logical_rank,
-            experts: Vec::new(), // `materialize_slots` builds them
-            tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
-            weight_shards: vec![Vec::new(); cfg.expert_classes],
-            placement,
-            optimizer,
-            metadata,
-            router_w,
-            iteration: snap.iteration,
-            degraded_iterations: 0,
-            nan_logits: 0,
-            telemetry: TelemetryHandle::disabled(),
-        }
+        engine
     }
 
     /// §4.1 for one hosted class, in place on `experts[hosted]`'s flat

@@ -21,9 +21,11 @@
 //! [`MembershipView`]; physical ranks appear only at the wire (send/recv
 //! targets and tag `src` fields). On the initial full-world view logical
 //! and physical coincide, so the healthy path is bit-identical to the
-//! pre-elastic code. After a rank death, [`SymiOptimizer::reshard`]
-//! recomputes the `1/N` chunk geometry over the survivors and rebuilds the
-//! newly-acquired slices from the freshest surviving state.
+//! pre-elastic code. When the membership changes — a rank death or a join
+//! — [`SymiOptimizer::reshard`] recomputes the `1/N` chunk geometry over
+//! the new view and moves each acquired segment to its new owner through
+//! one exchange: from its old owner with full Adam state where that owner
+//! is alive, otherwise from the freshest surviving copy.
 
 use crate::placement::ExpertPlacement;
 use symi_collectives::coll::chunk_range;
@@ -95,14 +97,22 @@ impl ShardState {
     }
 }
 
-/// Accounting of one [`SymiOptimizer::reshard`]: how many parameters of
-/// this rank's new shard were kept (old chunk overlap, moments intact),
-/// how many were re-acquired with moments reset (the documented, bounded
-/// degradation of a *shrink*), how many — of those — had to fall back to
-/// canonical re-initialization because no surviving copy existed at all,
-/// and how many arrived with their full fp32 Adam state over the wire (a
-/// *grow* transfers shed slices moments-and-all, so a join never degrades
-/// optimizer state).
+/// Accounting of one re-shard on one rank ([`SymiOptimizer::reshard`] on a
+/// member, [`SymiOptimizer::join`] on a joiner), in parameters summed over
+/// every class: `kept + transferred + reseeded` is `E ×` the new chunk
+/// length.
+///
+/// - `kept_params`: the overlap of the old and new chunk, kept in place
+///   with its moments.
+/// - `transferred_params`: acquired from a live old owner as the full fp32
+///   `[master | m | v]`.
+/// - `reseeded_params`: acquired where the old owner died — master weights
+///   from the class's fp16 replica or canonical re-initialization, moments
+///   zeroed (the documented, bounded degradation of a shrink).
+/// - `reinitialized_params`: the part of `reseeded_params` that had no
+///   surviving copy at all.
+///
+/// A grow loses no owner, so it never re-seeds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReshardReport {
     pub kept_params: u64,
@@ -111,17 +121,18 @@ pub struct ReshardReport {
     pub transferred_params: u64,
 }
 
-/// Where an acquired re-shard segment's master weights come from, in
-/// freshness order (§3.3: the fp16 replicas are refreshed every iteration,
-/// so they are the best surviving copy when the fp32 owner died).
+/// Where an acquired re-shard segment comes from: the first of three rules
+/// that applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PieceSource {
-    /// fp16 working weights of the class's lowest surviving replica host.
+    /// 1. The segment's old chunk owner, alive in the new view, sends its
+    ///    fp32 `[master | m | v]`.
+    Owner { src: usize },
+    /// 2. The owner died: the class's lowest surviving replica host under
+    ///    the old placement sends its fp16 weights (§3.3: refreshed every
+    ///    iteration, so the freshest copy left); the moments restart at 0.
     F16Replica { src: usize },
-    /// fp32 master slice from the segment's previous chunk owner (only for
-    /// classes whose every fp16 replica died with the lost rank).
-    F32Master { src: usize },
-    /// Canonical deterministic re-initialization: no surviving copy.
+    /// 3. No surviving copy: canonical deterministic re-initialization.
     Reinit,
 }
 
@@ -136,134 +147,224 @@ struct ReshardPiece {
     source: PieceSource,
 }
 
-/// Deterministic re-shard transfer plan, identical on every survivor: for
-/// each class and each new chunk owner, the segments it does not already
-/// hold and the freshest surviving source for each.
+/// The deterministic re-shard plan, identical on every member of
+/// `new_view`, for a shrink and a grow alike: for each new chunk owner, the
+/// segments its new chunk acquires beyond its old chunk (the whole chunk,
+/// for a joiner), split by the old chunk geometry so each segment has one
+/// old owner, and per class the source [`PieceSource`]'s rules pick.
+/// `old_placement` is consulted only where an owner died, so a grow — the
+/// joiner included — can pass `None`.
 fn reshard_plan(
     old_view: &MembershipView,
     new_view: &MembershipView,
-    old_placement: &ExpertPlacement,
+    old_placement: Option<&ExpertPlacement>,
     expert_classes: usize,
     param_count: usize,
 ) -> Vec<ReshardPiece> {
     let old_n = old_view.size();
     let new_n = new_view.size();
     let mut plan = Vec::new();
-    for class in 0..expert_classes {
-        // fp16 authority: lowest surviving *physical* rank hosting the
-        // class under the old placement (all replicas are bit-identical,
-        // so one canonical choice keeps every survivor's plan equal).
-        let authority = old_placement
-            .host_ranks(class)
-            .iter()
-            .map(|&l| old_view.physical_of(l))
-            .filter(|&p| new_view.is_alive(p))
-            .min();
-        for dst_l in 0..new_n {
-            let dst = new_view.physical_of(dst_l);
-            let (ns, ne) = chunk_range(param_count, new_n, dst_l);
-            let dst_old_l = old_view.logical_of(dst).expect("new-view ranks survive the old");
-            let (os, oe) = chunk_range(param_count, old_n, dst_old_l);
-            // Acquired = new chunk minus old chunk: at most two segments.
-            let before = (ns, ne.min(os));
-            let after = (ns.max(oe), ne);
-            for (a, b) in [before, after] {
-                if a >= b {
-                    continue;
-                }
-                match authority {
-                    Some(src) => {
-                        plan.push(ReshardPiece {
-                            class,
-                            dst,
-                            start: a,
-                            end: b,
-                            source: PieceSource::F16Replica { src },
-                        });
-                    }
-                    None => {
-                        // Orphan class: split by the *old* chunk geometry
-                        // and pull each sub-piece's fp32 master from its
-                        // previous owner when that owner survives.
-                        for owner_l in 0..old_n {
-                            let (cs, ce) = chunk_range(param_count, old_n, owner_l);
-                            let (pa, pb) = (a.max(cs), b.min(ce));
-                            if pa >= pb {
-                                continue;
-                            }
-                            let owner = old_view.physical_of(owner_l);
-                            let source = if new_view.is_alive(owner) {
-                                PieceSource::F32Master { src: owner }
-                            } else {
-                                PieceSource::Reinit
-                            };
-                            plan.push(ReshardPiece { class, dst, start: pa, end: pb, source });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    plan
-}
-
-/// One contiguous segment `[start, end)` of the fp32 Adam state (identical
-/// geometry for every class) that `dst` must acquire from `src` during a
-/// *grow* re-shard. Both ranks are physical; `src` is the segment's old
-/// chunk owner, which a pure grow guarantees is still alive.
-#[derive(Clone, Copy, Debug)]
-struct GrowPiece {
-    dst: usize,
-    start: usize,
-    end: usize,
-    src: usize,
-}
-
-/// Deterministic grow-transfer plan, identical on every member of the new
-/// view (the joiner included — unlike the shrink plan it needs no old
-/// placement, because shed fp32 state moves owner-to-owner rather than
-/// being rebuilt from fp16 replicas): for each new chunk owner, the
-/// segments its new chunk acquires beyond its old chunk (the whole chunk,
-/// for a brand-new member), split by the old chunk geometry so each
-/// segment has exactly one source.
-fn grow_plan(
-    old_view: &MembershipView,
-    new_view: &MembershipView,
-    param_count: usize,
-) -> Vec<GrowPiece> {
-    let old_n = old_view.size();
-    let new_n = new_view.size();
-    let mut plan = Vec::new();
     for dst_l in 0..new_n {
         let dst = new_view.physical_of(dst_l);
         let (ns, ne) = chunk_range(param_count, new_n, dst_l);
-        let (os, oe) = match old_view.logical_of(dst) {
-            Some(old_l) => chunk_range(param_count, old_n, old_l),
-            None => (ns, ns), // the joiner held nothing: acquire everything
-        };
+        let (os, oe) = old_view
+            .logical_of(dst)
+            .map_or((ns, ns), |old_l| chunk_range(param_count, old_n, old_l));
         // Acquired = new chunk minus old chunk: at most two segments.
-        let before = (ns, ne.min(os));
-        let after = (ns.max(oe), ne);
-        for (a, b) in [before, after] {
-            if a >= b {
-                continue;
-            }
+        for (a, b) in [(ns, ne.min(os)), (ns.max(oe), ne)] {
             for owner_l in 0..old_n {
                 let (cs, ce) = chunk_range(param_count, old_n, owner_l);
-                let (pa, pb) = (a.max(cs), b.min(ce));
-                if pa >= pb {
+                let (start, end) = (a.max(cs), b.min(ce));
+                if start >= end {
                     continue;
                 }
-                plan.push(GrowPiece {
-                    dst,
-                    start: pa,
-                    end: pb,
-                    src: old_view.physical_of(owner_l),
-                });
+                let owner = old_view.physical_of(owner_l);
+                for class in 0..expert_classes {
+                    let source = if new_view.is_alive(owner) {
+                        PieceSource::Owner { src: owner }
+                    } else {
+                        // Lowest surviving *physical* host: all replicas are
+                        // bit-identical, so one canonical choice keeps every
+                        // member's plan equal.
+                        old_placement
+                            .expect("an owner died, so the old placement decides")
+                            .host_ranks(class)
+                            .iter()
+                            .map(|&l| old_view.physical_of(l))
+                            .filter(|&p| new_view.is_alive(p))
+                            .min()
+                            .map_or(PieceSource::Reinit, |src| PieceSource::F16Replica { src })
+                    };
+                    plan.push(ReshardPiece { class, dst, start, end, source });
+                }
             }
         }
     }
     plan
+}
+
+/// Rules 2 and 3's sources: what a member supplies for the segments whose
+/// old owner died.
+struct Fallback<'a> {
+    old_placement: &'a ExpertPlacement,
+    /// `(class, full fp16-grid weights)` of each class this rank hosts under
+    /// `old_placement`.
+    local_class_weights: &'a [(usize, Vec<f32>)],
+    canonical_init: &'a dyn Fn(usize) -> Vec<f32>,
+}
+
+impl Fallback<'_> {
+    fn weights(&self, class: usize) -> &[f32] {
+        let (_, weights) = self
+            .local_class_weights
+            .iter()
+            .find(|(c, _)| *c == class)
+            .expect("a replica source hosts the class it serves");
+        weights
+    }
+}
+
+/// The one re-shard exchange every member of `new_view` runs, whichever way
+/// the world changed: walk the [`reshard_plan`], send what this rank
+/// sources, receive what it acquires, and assemble its new chunk of every
+/// class — the kept overlap copied in place, each acquired piece filled by
+/// its rule. `old_shards` holds this rank's old chunk per class; a joiner
+/// passes zero-length shards that carry only the cluster's Adam step
+/// count. `fallback` is `None` on a joiner, whose grow loses no owner.
+/// Pieces travel under `tags` with `WeightDistribute` phase and a
+/// per-`(class, dst)` step field, so they can never alias the membership
+/// rounds or the weight materialization that follows.
+#[allow(clippy::too_many_arguments)]
+fn exchange(
+    ctx: &mut RankCtx,
+    old_view: &MembershipView,
+    new_view: &MembershipView,
+    old_shards: &[AdamShard],
+    fallback: Option<&Fallback>,
+    adam: AdamConfig,
+    param_count: usize,
+    tags: TagSpace,
+) -> Result<(Vec<AdamShard>, ReshardReport), CommError> {
+    assert!(new_view.epoch() > old_view.epoch(), "re-shard needs a successor view");
+    let me = ctx.rank();
+    let new_l = new_view.logical_of(me).expect("a dropped rank cannot re-shard");
+    if new_view.survivors().into_iter().any(|p| old_view.logical_of(p).is_none()) {
+        for p in old_view.survivors() {
+            assert!(
+                new_view.is_alive(p),
+                "mixed join+death membership change is unsupported: rank {p} was dropped \
+                 while another joined — recover the death first, then admit the joiner"
+            );
+        }
+    }
+    let (ns, ne) = chunk_range(param_count, new_view.size(), new_l);
+    let old_span = old_view.logical_of(me).map(|l| chunk_range(param_count, old_view.size(), l));
+    ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
+    let plan = reshard_plan(
+        old_view,
+        new_view,
+        fallback.map(|f| f.old_placement),
+        old_shards.len(),
+        param_count,
+    );
+    let fallback = || fallback.expect("only a shrink sources from a replica or re-init");
+
+    // Per-(class, dst) piece counters give every wire piece a unique step
+    // field; every member walks the identical plan, so the counters agree
+    // by construction.
+    let mut piece_idx: std::collections::HashMap<(usize, usize), u64> =
+        std::collections::HashMap::new();
+    let mut sends = Vec::new();
+    let mut recvs = Vec::new();
+    for piece in &plan {
+        let src = match piece.source {
+            PieceSource::Owner { src } | PieceSource::F16Replica { src } if src != piece.dst => src,
+            _ => continue, // re-init and local copies never touch the wire
+        };
+        let idx = piece_idx.entry((piece.class, piece.dst)).or_insert(0);
+        let tag = with_step(tags.tag(WirePhase::WeightDistribute, piece.class, src), *idx);
+        *idx += 1;
+        let len = piece.end - piece.start;
+        let triple = matches!(piece.source, PieceSource::Owner { .. });
+        if src == me {
+            if triple {
+                let (os, _) = old_span.expect("an owner held its old chunk");
+                let r = piece.start - os..piece.end - os;
+                let shard = &old_shards[piece.class];
+                let (m, v) = shard.moments();
+                let mut buf = Vec::with_capacity(3 * len);
+                buf.extend_from_slice(&shard.master_weights()[r.clone()]);
+                buf.extend_from_slice(&m[r.clone()]);
+                buf.extend_from_slice(&v[r]);
+                sends.push(SendOp::new(piece.dst, tag, buf));
+            } else {
+                let weights = &fallback().weights(piece.class)[piece.start..piece.end];
+                sends.push(SendOp::new(piece.dst, tag, encode_f16(weights)));
+            }
+        } else if piece.dst == me {
+            recvs.push(RecvOp::sized(src, tag, if triple { 3 * len } else { len }));
+        }
+    }
+    let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
+
+    // Assemble the new shards: the kept overlap first, then the acquired
+    // pieces in plan order (consuming the receives in posting order).
+    let new_len = ne - ns;
+    let mut report = ReshardReport::default();
+    let mut parts = Vec::with_capacity(old_shards.len());
+    for old in old_shards {
+        let mut master = vec![0.0f32; new_len];
+        let mut m = vec![0.0f32; new_len];
+        let mut v = vec![0.0f32; new_len];
+        if let Some((os, oe)) = old_span {
+            let keep = (ns.max(os), ne.min(oe));
+            if keep.0 < keep.1 {
+                let (om, ov) = old.moments();
+                let dst_r = keep.0 - ns..keep.1 - ns;
+                let src_r = keep.0 - os..keep.1 - os;
+                master[dst_r.clone()].copy_from_slice(&old.master_weights()[src_r.clone()]);
+                m[dst_r.clone()].copy_from_slice(&om[src_r.clone()]);
+                v[dst_r].copy_from_slice(&ov[src_r]);
+                report.kept_params += (keep.1 - keep.0) as u64;
+            }
+        }
+        parts.push((master, m, v, old.step_count()));
+    }
+    for piece in plan.iter().filter(|p| p.dst == me) {
+        let (master, m, v, _) = &mut parts[piece.class];
+        let len = piece.end - piece.start;
+        let r = piece.start - ns..piece.end - ns;
+        match piece.source {
+            PieceSource::Owner { .. } => {
+                let buf = received.next().expect("one receive per wire piece").into_f32()?;
+                master[r.clone()].copy_from_slice(&buf[..len]);
+                m[r.clone()].copy_from_slice(&buf[len..2 * len]);
+                v[r].copy_from_slice(&buf[2 * len..]);
+                report.transferred_params += len as u64;
+            }
+            PieceSource::F16Replica { src } => {
+                if src == me {
+                    master[r]
+                        .copy_from_slice(&fallback().weights(piece.class)[piece.start..piece.end]);
+                } else {
+                    let half = received.next().expect("one receive per wire piece").into_f16()?;
+                    decode_f16_into(&half, &mut master[r]);
+                }
+                report.reseeded_params += len as u64;
+            }
+            PieceSource::Reinit => {
+                let init = (fallback().canonical_init)(piece.class);
+                master[r].copy_from_slice(&init[piece.start..piece.end]);
+                report.reinitialized_params += len as u64;
+                report.reseeded_params += len as u64;
+            }
+        }
+    }
+    let shards = parts
+        .into_iter()
+        .map(|(master, m, v, t)| AdamShard::from_parts(adam, ns, master, m, v, t))
+        .collect();
+    Ok((shards, report))
 }
 
 /// This rank's shard of one class's synchronized gradient, as Algorithm 2
@@ -747,35 +848,34 @@ impl SymiOptimizer {
         Ok(())
     }
 
-    /// Re-shards optimizer ownership over the survivors of `new_view` —
-    /// the core of elastic recovery (the tentpole of this change).
+    /// Re-shards optimizer ownership over `new_view` — a shrink after a
+    /// rank death or a grow that admits a joiner — through the one
+    /// exchange both directions share.
     ///
-    /// The `1/N` chunk geometry recomputes over `new_view.size()` ranks.
-    /// For the slice this rank still owns (old ∩ new chunk) the full fp32
-    /// Adam state — master weights *and* both moments — is kept. For the
-    /// newly-acquired remainder the master weights are reconstructed from
-    /// the freshest surviving copy and the moments reset to zero (counted
-    /// in [`ReshardReport::reseeded_params`] — a documented, bounded
-    /// degradation equivalent to a warm restart of those coordinates, not
-    /// silent divergence):
+    /// The `1/N` chunk geometry recomputes over `new_view.size()` ranks. The
+    /// slice this rank still owns (old ∩ new chunk) keeps its full fp32 Adam
+    /// state. Every acquired segment takes the first source that applies:
     ///
-    /// 1. the class's fp16 replica weights on the lowest surviving physical
-    ///    host under `old_placement` (replicas are bit-identical, refreshed
-    ///    last iteration — the freshest copy there is);
-    /// 2. for *orphan* classes (every replica lived on dead ranks): the
-    ///    fp32 master slices of the segment's previous chunk owners, where
-    ///    those survive;
-    /// 3. canonical re-initialization via `canonical_init(class)` for
-    ///    segments with no surviving copy at all (additionally counted in
-    ///    [`ReshardReport::reinitialized_params`]).
+    /// 1. its old chunk owner, if alive in `new_view`, which sends master
+    ///    weights *and* both moments (counted in
+    ///    [`ReshardReport::transferred_params`]);
+    /// 2. else the class's fp16 replica on the lowest surviving physical
+    ///    host under `old_placement` (bit-identical replicas, refreshed last
+    ///    iteration), with the moments reset to zero;
+    /// 3. else canonical re-initialization via `canonical_init(class)`
+    ///    (additionally counted in [`ReshardReport::reinitialized_params`]).
+    ///
+    /// Rules 2 and 3 are counted in [`ReshardReport::reseeded_params`] — a
+    /// documented, bounded degradation equivalent to a warm restart of
+    /// those coordinates, not silent divergence. A grow loses no owner, so
+    /// it transfers everything; a mixed join+death change is refused
+    /// loudly (recover first, then admit).
     ///
     /// `local_class_weights` carries `(class, full fp16-grid weights)` for
     /// each class this rank hosts under `old_placement`. The transfer plan
     /// is a pure function of `(old view, new view, old placement, P)`, so
-    /// every survivor computes it identically; pieces travel under `tags`
-    /// (the recovery tag plane) with `WeightDistribute` phase and a per-
-    /// piece step field, so they can never alias the membership rounds or
-    /// the subsequent weight materialization.
+    /// every member computes it identically; the joiner's side is
+    /// [`SymiOptimizer::join`].
     pub fn reshard(
         &mut self,
         ctx: &mut RankCtx,
@@ -785,182 +885,33 @@ impl SymiOptimizer {
         canonical_init: &dyn Fn(usize) -> Vec<f32>,
         tags: TagSpace,
     ) -> Result<ReshardReport, CommError> {
-        assert!(new_view.epoch() > self.view.epoch(), "re-shard needs a successor view");
-        if new_view.size() > self.nodes() {
-            // The growing direction: shed slices transfer their full fp32
-            // Adam state owner-to-owner, so the old placement, the fp16
-            // replicas, and the canonical init never enter the geometry.
-            return self.reshard_grow(ctx, new_view, tags);
-        }
         let _span = self.telemetry.span(Phase::WeightComm);
-        let e = self.shards.len();
         assert_eq!(old_placement.ranks(), self.nodes(), "old placement rank count mismatch");
-        let me_phys = self.my_phys();
-        assert!(new_view.is_alive(me_phys), "a dead rank cannot re-shard");
-        let new_n = new_view.size();
-        let new_l = new_view.logical_of(me_phys).expect("checked alive");
-        let (os, oe) = self.shard_range();
-        let (ns, ne) = chunk_range(self.param_count, new_n, new_l);
-        ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
-
-        let plan = reshard_plan(&self.view, new_view, old_placement, e, self.param_count);
-
-        // Per-(class, dst) wire-piece counters give every wire piece a
-        // unique step field; sender and receiver walk the identical plan,
-        // so the counters agree by construction.
-        let mut piece_idx: std::collections::HashMap<(usize, usize), u64> =
-            std::collections::HashMap::new();
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        for piece in &plan {
-            let src = match piece.source {
-                PieceSource::F16Replica { src } | PieceSource::F32Master { src } => src,
-                PieceSource::Reinit => continue,
-            };
-            if src == piece.dst {
-                continue; // local copy, never on the wire
-            }
-            let idx = piece_idx.entry((piece.class, piece.dst)).or_insert(0);
-            let tag = with_step(tags.tag(WirePhase::WeightDistribute, piece.class, src), *idx);
-            *idx += 1;
-            let len = piece.end - piece.start;
-            if src == me_phys {
-                match piece.source {
-                    PieceSource::F16Replica { .. } => {
-                        let (_, weights) = local_class_weights
-                            .iter()
-                            .find(|(c, _)| *c == piece.class)
-                            .expect("authority hosts the class it serves");
-                        sends.push(SendOp::new(
-                            piece.dst,
-                            tag,
-                            encode_f16(&weights[piece.start..piece.end]),
-                        ));
-                    }
-                    PieceSource::F32Master { .. } => {
-                        let master = self.shards[piece.class].master_weights();
-                        sends.push(SendOp::new(
-                            piece.dst,
-                            tag,
-                            master[piece.start - os..piece.end - os].to_vec(),
-                        ));
-                    }
-                    PieceSource::Reinit => unreachable!(),
-                }
-            } else if piece.dst == me_phys {
-                recvs.push(RecvOp::sized(src, tag, len));
-            }
-        }
-        let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
-
-        // Assemble the new shards: kept overlap first, then acquired pieces
-        // in plan order (consuming the received iterator in post order).
-        let new_len = ne - ns;
-        let keep = (ns.max(os), ne.min(oe));
-        let mut report = ReshardReport::default();
-        let mut new_shards = Vec::with_capacity(e);
-        for old in &self.shards {
-            let mut master = vec![0.0f32; new_len];
-            let mut m = vec![0.0f32; new_len];
-            let mut v = vec![0.0f32; new_len];
-            if keep.0 < keep.1 {
-                let (om, ov) = old.moments();
-                let dst_r = keep.0 - ns..keep.1 - ns;
-                let src_r = keep.0 - os..keep.1 - os;
-                master[dst_r.clone()].copy_from_slice(&old.master_weights()[src_r.clone()]);
-                m[dst_r.clone()].copy_from_slice(&om[src_r.clone()]);
-                v[dst_r].copy_from_slice(&ov[src_r]);
-                report.kept_params += (keep.1 - keep.0) as u64;
-            }
-            new_shards.push((master, m, v, old.step_count()));
-        }
-        for piece in &plan {
-            if piece.dst != me_phys {
-                continue;
-            }
-            let out = &mut new_shards[piece.class].0[piece.start - ns..piece.end - ns];
-            match piece.source {
-                PieceSource::F16Replica { src } if src == me_phys => {
-                    let (_, weights) = local_class_weights
-                        .iter()
-                        .find(|(c, _)| *c == piece.class)
-                        .expect("authority hosts the class it serves");
-                    out.copy_from_slice(&weights[piece.start..piece.end]);
-                }
-                PieceSource::F16Replica { .. } => {
-                    let half = received.next().expect("one receive per wire piece").into_f16()?;
-                    decode_f16_into(&half, out);
-                }
-                PieceSource::F32Master { .. } => {
-                    let full = received.next().expect("one receive per wire piece").into_f32()?;
-                    out.copy_from_slice(&full);
-                }
-                PieceSource::Reinit => {
-                    out.copy_from_slice(&canonical_init(piece.class)[piece.start..piece.end]);
-                    report.reinitialized_params += (piece.end - piece.start) as u64;
-                }
-            }
-            report.reseeded_params += (piece.end - piece.start) as u64;
-        }
-
-        self.shards = new_shards
-            .into_iter()
-            .map(|(master, m, v, t)| AdamShard::from_parts(self.adam, ns, master, m, v, t))
-            .collect();
-        self.view = new_view.clone();
-        self.lrank = new_l;
-        Ok(report)
-    }
-
-    /// The survivor side of a *grow* re-shard ([`SymiOptimizer::reshard`]
-    /// dispatches here when `new_view` is larger): every member's chunk
-    /// shrinks to `1/(N+1)`, and each shed slice travels to its new owner
-    /// with its full fp32 Adam state — master weights **and** both moments
-    /// — so a join never degrades optimizer state the way acquire-on-shrink
-    /// legitimately does. Mixed join+death changes are rejected loudly:
-    /// recover (shrink) first, then admit.
-    fn reshard_grow(
-        &mut self,
-        ctx: &mut RankCtx,
-        new_view: &MembershipView,
-        tags: TagSpace,
-    ) -> Result<ReshardReport, CommError> {
-        let telemetry = self.telemetry.clone();
-        let _span = telemetry.span(Phase::WeightComm);
-        let me_phys = self.my_phys();
-        assert!(new_view.is_alive(me_phys), "a dropped rank cannot re-shard");
-        for p in self.view.survivors() {
-            assert!(
-                new_view.is_alive(p),
-                "mixed join+death membership change is unsupported: rank {p} was dropped \
-                 while another joined — recover the death first, then admit the joiner"
-            );
-        }
-        let (shards, report) = grow_exchange(
+        assert_eq!(ctx.rank(), self.my_phys(), "re-shard on another rank's optimizer");
+        let fallback = Fallback { old_placement, local_class_weights, canonical_init };
+        let (shards, report) = exchange(
             ctx,
             &self.view,
             new_view,
-            me_phys,
-            self.shards.len(),
-            self.param_count,
+            &self.shards,
+            Some(&fallback),
             self.adam,
-            Some(&self.shards),
-            0,
+            self.param_count,
             tags,
         )?;
         self.shards = shards;
-        self.lrank = new_view.logical_of(me_phys).expect("checked alive");
+        self.lrank = new_view.logical_of(ctx.rank()).expect("the exchange checked membership");
         self.view = new_view.clone();
         Ok(report)
     }
 
-    /// The joiner's side of a grow re-shard: constructs a brand-new
-    /// optimizer whose shards arrive over the wire with their full fp32
-    /// Adam state, paired with the survivors' [`SymiOptimizer::reshard`]
-    /// over the same `(old, new)` view pair. `step_count` is the
-    /// survivors' Adam step counter (carried in the join agreement
-    /// payload), so the joiner's bias correction continues exactly where
-    /// the cluster is.
+    /// The joiner's side of a grow: constructs a brand-new optimizer whose
+    /// shards arrive through the same exchange as the members'
+    /// [`SymiOptimizer::reshard`] over the same `(old, new)` view pair, with
+    /// no old shards of its own — its whole chunk is transferred, Adam
+    /// moments included. `step_count` is the members' Adam step counter
+    /// (carried in the agreement payload), so the joiner's bias correction
+    /// continues exactly where the cluster is.
     #[allow(clippy::too_many_arguments)]
     pub fn join(
         ctx: &mut RankCtx,
@@ -972,24 +923,15 @@ impl SymiOptimizer {
         step_count: u64,
         tags: TagSpace,
     ) -> Result<(Self, ReshardReport), CommError> {
-        let me_phys = ctx.rank();
-        assert!(old_view.logical_of(me_phys).is_none(), "a joiner must be new to the old view");
-        assert!(new_view.is_alive(me_phys), "the new view must admit the joiner");
-        assert!(new_view.epoch() > old_view.epoch(), "join needs a successor view");
+        let me = ctx.rank();
+        assert!(old_view.logical_of(me).is_none(), "a joiner must be new to the old view");
         assert!(expert_classes > 0, "need at least one expert class");
-        let (shards, report) = grow_exchange(
-            ctx,
-            old_view,
-            new_view,
-            me_phys,
-            expert_classes,
-            param_count,
-            adam,
-            None,
-            step_count,
-            tags,
-        )?;
-        let lrank = new_view.logical_of(me_phys).expect("checked alive");
+        let nothing: Vec<AdamShard> = (0..expert_classes)
+            .map(|_| AdamShard::from_parts(adam, 0, Vec::new(), Vec::new(), Vec::new(), step_count))
+            .collect();
+        let (shards, report) =
+            exchange(ctx, old_view, new_view, &nothing, None, adam, param_count, tags)?;
+        let lrank = new_view.logical_of(me).expect("the exchange checked membership");
         Ok((
             Self {
                 view: new_view.clone(),
@@ -1008,114 +950,6 @@ impl SymiOptimizer {
     pub fn master_shard(&self, class: usize) -> &[f32] {
         self.shards[class].master_weights()
     }
-}
-
-/// The wire exchange both sides of a grow re-shard share: walk the
-/// [`grow_plan`] (identical on every member), send each shed slice's
-/// `[master | m | v]` triple per class, receive each acquired slice's, and
-/// assemble the new chunk — kept overlap copied locally for survivors,
-/// everything else filled from the wire. `old_shards` is `None` on the
-/// joiner, whose old chunk is empty and whose Adam step counter comes from
-/// `t_join`.
-#[allow(clippy::too_many_arguments)]
-fn grow_exchange(
-    ctx: &mut RankCtx,
-    old_view: &MembershipView,
-    new_view: &MembershipView,
-    me_phys: usize,
-    expert_classes: usize,
-    param_count: usize,
-    adam: AdamConfig,
-    old_shards: Option<&[AdamShard]>,
-    t_join: u64,
-    tags: TagSpace,
-) -> Result<(Vec<AdamShard>, ReshardReport), CommError> {
-    let e = expert_classes;
-    let new_n = new_view.size();
-    let new_l = new_view.logical_of(me_phys).expect("a grow keeps every member");
-    let (ns, ne) = chunk_range(param_count, new_n, new_l);
-    let old_span =
-        old_view.logical_of(me_phys).map(|l| chunk_range(param_count, old_view.size(), l));
-    ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
-    let plan = grow_plan(old_view, new_view, param_count);
-
-    // Per-destination piece counters give every wire message a unique step
-    // field; every member walks the identical plan, so the counters agree
-    // by construction. Distinct destinations are distinct receive channels,
-    // so counters never collide across them.
-    let mut piece_idx: std::collections::HashMap<usize, u64> = std::collections::HashMap::new();
-    let mut sends = Vec::new();
-    let mut recvs = Vec::new();
-    for piece in &plan {
-        let idx = piece_idx.entry(piece.dst).or_insert(0);
-        let k = *idx;
-        *idx += 1;
-        let len = piece.end - piece.start;
-        if piece.src == me_phys {
-            let (os, _) = old_span.expect("a source rank owned its old chunk");
-            let shards = old_shards.expect("a source rank has old shards");
-            let r = piece.start - os..piece.end - os;
-            for (class, sh) in shards.iter().enumerate() {
-                let tag = with_step(tags.tag(WirePhase::WeightDistribute, class, me_phys), k);
-                let (m, v) = sh.moments();
-                let mut buf = Vec::with_capacity(3 * len);
-                buf.extend_from_slice(&sh.master_weights()[r.clone()]);
-                buf.extend_from_slice(&m[r.clone()]);
-                buf.extend_from_slice(&v[r.clone()]);
-                sends.push(SendOp::new(piece.dst, tag, buf));
-            }
-        } else if piece.dst == me_phys {
-            for class in 0..e {
-                let tag = with_step(tags.tag(WirePhase::WeightDistribute, class, piece.src), k);
-                recvs.push(RecvOp::sized(piece.src, tag, 3 * len));
-            }
-        }
-    }
-    let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
-
-    // Per-class (master, m, v, step) accumulators for this rank's new chunk.
-    type ShardParts = (Vec<f32>, Vec<f32>, Vec<f32>, u64);
-    let new_len = ne - ns;
-    let mut report = ReshardReport::default();
-    let mut new_shards: Vec<ShardParts> = (0..e)
-        .map(|class| {
-            let t = old_shards.map_or(t_join, |sh| sh[class].step_count());
-            (vec![0.0f32; new_len], vec![0.0f32; new_len], vec![0.0f32; new_len], t)
-        })
-        .collect();
-    if let (Some((os, oe)), Some(shards)) = (old_span, old_shards) {
-        let keep = (ns.max(os), ne.min(oe));
-        if keep.0 < keep.1 {
-            let dst_r = keep.0 - ns..keep.1 - ns;
-            let src_r = keep.0 - os..keep.1 - os;
-            for (class, sh) in shards.iter().enumerate() {
-                let (om, ov) = sh.moments();
-                new_shards[class].0[dst_r.clone()]
-                    .copy_from_slice(&sh.master_weights()[src_r.clone()]);
-                new_shards[class].1[dst_r.clone()].copy_from_slice(&om[src_r.clone()]);
-                new_shards[class].2[dst_r.clone()].copy_from_slice(&ov[src_r.clone()]);
-                report.kept_params += (keep.1 - keep.0) as u64;
-            }
-        }
-    }
-    for piece in plan.iter().filter(|p| p.dst == me_phys) {
-        let len = piece.end - piece.start;
-        let dst_r = piece.start - ns..piece.end - ns;
-        for shard in new_shards.iter_mut() {
-            let buf = received.next().expect("one receive per (piece, class)").into_f32()?;
-            let (master, rest) = buf.split_at(len);
-            let (m, v) = rest.split_at(len);
-            shard.0[dst_r.clone()].copy_from_slice(master);
-            shard.1[dst_r.clone()].copy_from_slice(m);
-            shard.2[dst_r.clone()].copy_from_slice(v);
-            report.transferred_params += len as u64;
-        }
-    }
-    let shards = new_shards
-        .into_iter()
-        .map(|(master, m, v, t)| AdamShard::from_parts(adam, ns, master, m, v, t))
-        .collect();
-    Ok((shards, report))
 }
 
 #[cfg(test)]
@@ -1209,32 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_plan_covers_exactly_the_new_chunks() {
-        let old = MembershipView::partial(4, 3);
-        let new = old.with_joined(3).without(&[]); // epoch-bumped grown view
-        let p = 29usize;
-        let plan = grow_plan(&old, &new, p);
-        for dl in 0..4 {
-            let phys = new.physical_of(dl);
-            let (ns, ne) = chunk_range(p, 4, dl);
-            // Kept overlap (empty for the joiner) ∪ acquired pieces must
-            // tile the new chunk exactly, each piece sourced from its old
-            // owner.
-            let (os, oe) = old.logical_of(phys).map(|l| chunk_range(p, 3, l)).unwrap_or((ns, ns));
-            let mut covered: Vec<bool> = (ns..ne).map(|i| i >= os && i < oe).collect();
-            for piece in plan.iter().filter(|pc| pc.dst == phys) {
-                let (ss, se) = chunk_range(p, 3, old.logical_of(piece.src).expect("old owner"));
-                assert!(piece.start >= ss && piece.end <= se, "piece outside its source chunk");
-                for i in piece.start..piece.end {
-                    assert!(!covered[i - ns], "param {i} doubly sourced for dst {phys}");
-                    covered[i - ns] = true;
-                }
-            }
-            assert!(covered.iter().all(|&c| c), "dst {phys} has holes");
-        }
-    }
-
-    #[test]
     fn grow_reshard_transfers_full_adam_state_to_the_joiner() {
         use symi_collectives::{Cluster, ClusterSpec};
         const WORLD: usize = 3;
@@ -1324,51 +1132,95 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reshard_plan_covers_exactly_the_acquired_segments() {
-        let old = MembershipView::full(4);
-        let new = old.without(&[2]);
-        // Uniform placement of 4 classes on 4 ranks × 2 slots: class c is
-        // hosted only on rank c, so class 2 is orphaned by rank 2's death.
-        let placement = ExpertPlacement::uniform(4, 4, 2);
-        let p = 21usize;
-        let plan = reshard_plan(&old, &new, &placement, 4, p);
+    /// Checks that the plan for `old → new` tiles every new chunk of every
+    /// class exactly once and sources each piece by the three-way rule.
+    fn assert_plan_tiles_and_follows_the_source_rule(
+        old: &MembershipView,
+        new: &MembershipView,
+        old_placement: Option<&ExpertPlacement>,
+        p: usize,
+    ) {
+        let plan = reshard_plan(old, new, old_placement, 4, p);
         for class in 0..4 {
-            // Every new owner's chunk must be covered by kept ∪ acquired.
-            for dl in 0..3 {
-                let phys = new.physical_of(dl);
-                let (ns, ne) = chunk_range(p, 3, dl);
-                let (os, oe) = chunk_range(p, 4, old.logical_of(phys).unwrap());
+            for dl in 0..new.size() {
+                let dst = new.physical_of(dl);
+                // Kept overlap (empty for the joiner) ∪ acquired pieces
+                // must tile the new chunk exactly once.
+                let (ns, ne) = chunk_range(p, new.size(), dl);
+                let (os, oe) =
+                    old.logical_of(dst).map_or((ns, ns), |l| chunk_range(p, old.size(), l));
                 let mut covered: Vec<bool> = (ns..ne).map(|i| i >= os && i < oe).collect();
-                for piece in plan.iter().filter(|pc| pc.class == class && pc.dst == phys) {
-                    for i in piece.start..piece.end {
+                for pc in plan.iter().filter(|pc| pc.class == class && pc.dst == dst) {
+                    let owner_l = (0..old.size())
+                        .find(|&l| {
+                            let (cs, ce) = chunk_range(p, old.size(), l);
+                            pc.start >= cs && pc.end <= ce
+                        })
+                        .expect("a piece lies inside one old chunk");
+                    let owner = old.physical_of(owner_l);
+                    // The three-way rule: live owner, else the lowest
+                    // surviving replica host, else re-init.
+                    let expected = if new.is_alive(owner) {
+                        PieceSource::Owner { src: owner }
+                    } else {
+                        old_placement
+                            .expect("only the shrink loses an owner")
+                            .host_ranks(class)
+                            .iter()
+                            .map(|&l| old.physical_of(l))
+                            .filter(|&r| new.is_alive(r))
+                            .min()
+                            .map_or(PieceSource::Reinit, |src| PieceSource::F16Replica { src })
+                    };
+                    assert_eq!(
+                        pc.source, expected,
+                        "class {class} dst {dst} [{}, {})",
+                        pc.start, pc.end
+                    );
+                    for i in pc.start..pc.end {
                         assert!(!covered[i - ns], "class {class} param {i} doubly sourced");
                         covered[i - ns] = true;
                     }
                 }
-                assert!(covered.iter().all(|&c| c), "class {class} dst {phys} has holes");
+                assert!(covered.iter().all(|&c| c), "class {class} dst {dst} has holes");
             }
         }
-        // Non-orphan classes resolve to the fp16 authority…
+    }
+
+    #[test]
+    fn grow_plan_covers_exactly_the_new_chunks() {
+        // 3 → 4: a standby joins; a grow never needs the old placement, and
+        // every piece transfers from its live old owner.
+        let p = 21usize;
+        let partial = MembershipView::partial(4, 3);
+        let grown = partial.with_joined(3).without(&[]); // epoch-bumped grown view
+        assert_plan_tiles_and_follows_the_source_rule(&partial, &grown, None, p);
+    }
+
+    #[test]
+    fn reshard_plan_covers_exactly_the_acquired_segments() {
+        let p = 21usize;
+        // 4 → 3: uniform placement of 4 classes on 4 ranks × 2 slots hosts
+        // class c only on rank c, so rank 2's death orphans class 2.
+        let full = MembershipView::full(4);
+        let shrunk = full.without(&[2]);
+        let placement = ExpertPlacement::uniform(4, 4, 2);
+        assert_plan_tiles_and_follows_the_source_rule(&full, &shrunk, Some(&placement), p);
+        // The shrink reaches every rule: rank 0's segment from live rank 1
+        // transfers, rank 2's old chunk comes from the class's replica, and
+        // the orphan's is re-initialized — exactly rank 2's old chunk.
+        let plan = reshard_plan(&full, &shrunk, Some(&placement), 4, p);
+        assert!(plan.iter().any(|pc| pc.dst == 0 && pc.source == PieceSource::Owner { src: 1 }));
         assert!(plan
             .iter()
-            .filter(|pc| pc.class != 2)
-            .all(|pc| matches!(pc.source, PieceSource::F16Replica { .. })));
-        // …the orphan class falls back to fp32 masters or re-init, and the
-        // dead rank's own old chunk is exactly the re-initialized part.
+            .any(|pc| pc.class == 3 && pc.source == PieceSource::F16Replica { src: 3 }));
         let (ds, de) = chunk_range(p, 4, 2);
-        for pc in plan.iter().filter(|pc| pc.class == 2) {
-            match pc.source {
-                PieceSource::Reinit => {
-                    assert!(pc.start >= ds && pc.end <= de, "re-init outside dead chunk");
-                }
-                PieceSource::F32Master { src } => assert!(new.is_alive(src)),
-                PieceSource::F16Replica { .. } => panic!("orphan class has no fp16 authority"),
-            }
-        }
-        assert!(
-            plan.iter().any(|pc| pc.class == 2 && matches!(pc.source, PieceSource::Reinit)),
-            "the dead rank's chunk of the orphan class must be re-initialized somewhere"
-        );
+        let reinit: usize = plan
+            .iter()
+            .filter(|pc| pc.source == PieceSource::Reinit)
+            .inspect(|pc| assert!(pc.class == 2 && pc.start >= ds && pc.end <= de))
+            .map(|pc| pc.end - pc.start)
+            .sum();
+        assert_eq!(reinit, de - ds, "the orphan re-initializes exactly the dead rank's chunk");
     }
 }

@@ -5,7 +5,7 @@
 //! All of these produce replica counts through the same Algorithm 1
 //! machinery; they differ only in the popularity *estimate* they feed it:
 //!
-//! - [`SymiPolicy`](crate::scheduler::SymiPolicy) (in `scheduler`):
+//! - [`SymiPolicy`] (in `scheduler`):
 //!   previous iteration, the paper's choice;
 //! - `EmaPolicy`: exponential moving average — smoother, trades lag for
 //!   noise rejection;

@@ -63,7 +63,7 @@
 //! Dispatching a parallel region costs wake-ups, cache re-warming, and (on
 //! oversubscribed hosts) context switches, so small GEMMs lose by
 //! splitting: the seed benchmark showed 64×64×128 *dropping* from 19.3 to
-//! 13.6 GFLOP/s going 1→8 threads. [`plan_shares`] therefore caps the share
+//! 13.6 GFLOP/s going 1→8 threads. `plan_shares` therefore caps the share
 //! count so each share keeps at least `SYMI_GEMM_FLOPS_PER_SHARE` FLOPs
 //! (default 128 M ≈ a couple of milliseconds of SIMD work) **and** never
 //! exceeds the machine's `available_parallelism` — extra shares beyond

@@ -39,7 +39,7 @@
 //!
 //! NaN in → NaN out on every lane: the clamps are written as
 //! `max(lo, x)` / `min(hi, x)` in the SSE operand order, where a NaN
-//! *second* operand is returned as-is ([`max_sse`]/[`min_sse`] are the
+//! *second* operand is returned as-is (`max_sse`/`min_sse` are the
 //! scalar twins of `MAXPS`/`MINPS`), compares with NaN are false so no
 //! select masks a NaN away, and arithmetic propagates it.
 //!
@@ -187,7 +187,7 @@ pub fn gelu(x: f32) -> f32 {
 }
 
 /// Derivative of [`gelu`] at `x` from the forward's `t = gelu_tanh(x)`.
-/// `x` is clamped to ±[`GELU_GRAD_CLAMP`] first; that changes no `t`
+/// `x` is clamped to ±`GELU_GRAD_CLAMP` first; that changes no `t`
 /// (from `|x| ≈ 5.2` on `t` is exactly ±1) and keeps `x²` finite, so the
 /// result tends to exactly 1 / 0 for `x → ±∞` (including `±inf` itself) and
 /// is NaN only for NaN input.

@@ -27,9 +27,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use symi::{EngineConfig, EngineSnapshot, MoeLayerEngine, RecoveryStats};
+use symi_collectives::coll::chunk_range;
 use symi_collectives::{
     Cluster, ClusterSpec, FaultPlan, FaultStats, MsgMatch, ProtocolStats, RetryPolicy, WirePhase,
 };
+use symi_integration::assert_reshard_accounts;
 use symi_telemetry::ClusterTelemetry;
 use symi_tensor::{AdamConfig, Matrix};
 
@@ -40,6 +42,8 @@ const E: usize = 4;
 const S: usize = 2;
 const T_LOC: usize = 8;
 const ITERS: usize = 6;
+/// Flat parameters of one expert class.
+const P: usize = D * DFF + DFF + DFF * D + D;
 
 fn cfg() -> EngineConfig {
     EngineConfig {
@@ -163,7 +167,9 @@ fn train_elastic(
                 loss_degraded.push(stats.degraded);
             }
             Err(e) if MoeLayerEngine::can_recover(&e) && recoveries.len() < NODES => {
-                recoveries.push(engine.recover(ctx, &e).map_err(|e| e.to_string())?);
+                let rec = engine.recover(ctx, &e).map_err(|e| e.to_string())?;
+                assert_reshard_accounts(&engine, &rec.reshard);
+                recoveries.push(rec);
             }
             Err(e) => return Err(e.to_string()),
         }
@@ -357,6 +363,7 @@ fn elastic_recovery_survives_a_killed_rank_and_exports_gauges() {
     let results = run_elastic(plan, Duration::from_millis(60), 1, Some(telemetry.clone()));
     let survivors = split_survivors(results, 2);
     let reference = &survivors[0].1.losses;
+    let mut reseeded_total = 0u64;
     for (rank, o) in &survivors {
         // Iteration 1 aborted and was skipped: 0 plus 2..ITERS yields one
         // loss fewer than the budget.
@@ -370,15 +377,91 @@ fn elastic_recovery_survives_a_killed_rank_and_exports_gauges() {
         assert_eq!(rec.membership_epoch, 1, "rank {rank}");
         assert_eq!(rec.world_size, NODES - 1, "rank {rank}");
         assert_eq!(rec.resume_iteration, 2, "rank {rank}: resume skips the aborted iteration");
-        // Going from 4 to 3 uniform chunks, every survivor's slice grows,
-        // so every survivor re-seeds some Adam state.
-        assert!(rec.reshard.reseeded_params > 0, "rank {rank}: acquired slices were re-seeded");
         assert!(rec.reshard.kept_params > 0, "rank {rank}: overlapping slices kept their state");
+        reseeded_total += rec.reshard.reseeded_params;
     }
+    // Only the dead rank's chunk lost its fp32 owner, so exactly that chunk
+    // of every class is re-seeded; what live owners held moves with its
+    // moments.
+    assert_eq!(reseeded_total as usize, E * P / NODES, "survivors re-seed the dead chunk only");
     let json = telemetry.registry().snapshot().to_string();
     for gauge in ["membership_epoch", "reseeded_params", "reinitialized_params", "world_size"] {
         assert!(json.contains(gauge), "telemetry snapshot must carry `{gauge}`: {json}");
     }
+}
+
+#[test]
+fn elastic_shrink_moves_a_live_owners_slice_with_its_moments() {
+    // Rank 2 dies at iteration 1's dispatch, so the world goes from 4 to 3
+    // and the chunks of P = 280 from 70 to 94 / 93 / 93. Rank 0's chunk
+    // grows from [0, 70) to [0, 94): [70, 94) was rank 1's, and rank 1 is
+    // alive, so that slice must arrive as rank 1's fp32 master and Adam
+    // moments bit for bit — not widened from an fp16 replica with the
+    // moments zeroed. Only the dead rank's old chunk [140, 210) is
+    // re-seeded: rank 1 acquires [140, 187), rank 3 [187, 210).
+    let plan =
+        FaultPlan::new(9).kill(2, MsgMatch::any().phase(WirePhase::DispatchRows).iteration(1));
+    let (results, _) = Cluster::run_with_faults(ClusterSpec::flat(NODES), plan, |ctx| {
+        ctx.set_recv_timeout(Some(Duration::from_millis(60)));
+        ctx.set_retry_policy(Some(RetryPolicy::new(1, 2.0)));
+        let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
+        let x = tokens(ctx.rank());
+        let target = Matrix::zeros(T_LOC, D);
+        let mut before = engine.snapshot();
+        while engine.iteration_count() < ITERS as u64 {
+            match engine.iteration(ctx, &x, &target) {
+                Ok(_) => before = engine.snapshot(),
+                Err(e) if MoeLayerEngine::can_recover(&e) => {
+                    let rec = engine.recover(ctx, &e).map_err(|e| e.to_string())?;
+                    return Ok((before, rec, engine.snapshot()));
+                }
+                Err(e) => return Err(e.to_string()),
+            }
+        }
+        Err("the kill must have triggered recovery".to_string())
+    });
+    let mut by_phys: Vec<Option<(EngineSnapshot, RecoveryStats, EngineSnapshot)>> =
+        vec![None; NODES];
+    for (phys, r) in results.into_iter().enumerate() {
+        match r {
+            Err(panic) => assert_eq!(phys, 2, "only the killed rank may panic: {panic}"),
+            Ok(inner) => by_phys[phys] = Some(inner.unwrap_or_else(|e| panic!("rank {phys}: {e}"))),
+        }
+    }
+    let reseeded: Vec<u64> = [0, 1, 3]
+        .iter()
+        .map(|&p| by_phys[p].as_ref().expect("a survivor").1.reshard.reseeded_params)
+        .collect();
+    assert_eq!(reseeded, vec![0, 188, 92], "per-survivor reseeded params on ranks 0 / 1 / 3");
+
+    let (owner_before, _, _) = by_phys[1].as_ref().expect("rank 1 survives");
+    let (_, rec0, rank0_after) = by_phys[0].as_ref().expect("rank 0 survives");
+    assert_eq!(owner_before.iteration, 1, "rank 1's state at the end of iteration 0");
+    let (slice_start, _) = chunk_range(P, NODES, 1);
+    let (_, slice_end) = chunk_range(P, NODES - 1, 0);
+    assert_eq!((slice_start, slice_end), (70, 94));
+    assert_eq!(rec0.reshard.transferred_params as usize, E * (slice_end - slice_start));
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for class in 0..E {
+        let got = &rank0_after.shards[class];
+        let want = &owner_before.shards[class];
+        let g = slice_start - got.offset..slice_end - got.offset;
+        let w = slice_start - want.offset..slice_end - want.offset;
+        assert_eq!(
+            bits(&got.master[g.clone()]),
+            bits(&want.master[w.clone()]),
+            "class {class} master"
+        );
+        assert_eq!(bits(&got.m[g.clone()]), bits(&want.m[w.clone()]), "class {class} m");
+        assert_eq!(bits(&got.v[g]), bits(&want.v[w]), "class {class} v");
+    }
+    assert!(
+        owner_before
+            .shards
+            .iter()
+            .any(|s| s.m[..slice_end - slice_start].iter().any(|&x| x != 0.0)),
+        "the owner's moments must be live for the comparison to bite"
+    );
 }
 
 #[test]
@@ -408,10 +491,9 @@ fn elastic_recovery_before_first_placement_reinitializes_the_orphan() {
     // Exactly the orphaned class's dead slice is re-initialized: class 2's
     // fp32 chunk on rank 2 had no surviving fp16 replica and no surviving
     // owner. Every other (class, slice) had a surviving source.
-    let param_count = D * DFF + DFF + DFF * D + D;
     assert_eq!(
         reinit_total as usize,
-        param_count / NODES,
+        P / NODES,
         "the survivors re-initialize exactly the orphan's dead quarter"
     );
 }

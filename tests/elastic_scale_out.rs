@@ -20,6 +20,7 @@ use std::time::Duration;
 use symi::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine};
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{Cluster, ClusterSpec, FaultPlan, MsgMatch, RetryPolicy, WirePhase};
+use symi_integration::assert_reshard_accounts;
 use symi_telemetry::ClusterTelemetry;
 use symi_tensor::{AdamConfig, Matrix};
 
@@ -136,6 +137,7 @@ fn run_kill_then_join(
             // training *and* the kill-recovery stall.
             let (mut engine, stats) = MoeLayerEngine::join(ctx, cfg(), Duration::from_secs(30))
                 .map_err(|e| e.to_string())?;
+            assert_reshard_accounts(&engine, &stats.reshard);
             engine.attach_telemetry(telemetry.handle(ctx.rank()));
             let post = engine.snapshot();
             let x = tokens(ctx.rank());
@@ -152,13 +154,15 @@ fn run_kill_then_join(
             match engine.iteration(ctx, &x, &target) {
                 Ok(_) => {}
                 Err(e) if MoeLayerEngine::can_recover(&e) => {
-                    engine.recover(ctx, &e).map_err(|e| e.to_string())?;
+                    let rec = engine.recover(ctx, &e).map_err(|e| e.to_string())?;
+                    assert_reshard_accounts(&engine, &rec.reshard);
                 }
                 Err(e) => return Err(e.to_string()),
             }
         }
         let pre = engine.snapshot();
         let stats = engine.admit(ctx, JOINER).map_err(|e| e.to_string())?;
+        assert_reshard_accounts(&engine, &stats.reshard);
         let post = engine.snapshot();
         let post_losses = train_tail(ctx, &mut engine, &x)?;
         Ok(Outcome { pre: Some(pre), stats, post, post_losses })
@@ -298,6 +302,7 @@ fn healthy_grow_admits_the_standby_without_a_preceding_kill() {
         if ctx.rank() == JOINER {
             let (mut engine, stats) =
                 MoeLayerEngine::join(ctx, cfg(), Duration::from_secs(30)).expect("join succeeds");
+            assert_reshard_accounts(&engine, &stats.reshard);
             let x = tokens(ctx.rank());
             let post_losses = train_tail(ctx, &mut engine, &x).expect("joiner trains clean");
             assert_eq!(engine.membership().size(), WORLD);
@@ -309,6 +314,7 @@ fn healthy_grow_admits_the_standby_without_a_preceding_kill() {
             engine.iteration(ctx, &x, &target).expect("healthy pre-grow iteration");
         }
         let stats = engine.admit(ctx, JOINER).expect("admit succeeds");
+        assert_reshard_accounts(&engine, &stats.reshard);
         let post_losses = train_tail(ctx, &mut engine, &x).expect("survivor trains clean");
         assert_eq!(engine.membership().size(), WORLD);
         (stats, post_losses, engine.degraded_iterations())
