@@ -46,11 +46,13 @@
 //! thresholds need both kernels at one shape, which the library offers no
 //! way to ask for; DESIGN.md *Compute kernels & threading* has them.
 //!
-//! The **tile-width rows** time each layout on the 256-bit and on the
-//! 512-bit tile (`force_simd_path`, all six interleaved) at `engine_tokens`'
-//! expert GEMMs and `trainer_lm`'s LM head and projection, and record
-//! whether the two tiles' outputs are equal bit for bit. Hosts without
-//! AVX-512F leave the section empty.
+//! The **tile-width rows** time each layout on the 256-bit tile (6×16), on
+//! the 512-bit family's 16×16 tile it ran before its 32-column one
+//! (`simd::gemm_on_square_tile`) and on that 32-column tile
+//! (`force_simd_path`), all nine interleaved, at `engine_tokens`' expert
+//! GEMMs and `trainer_lm`'s LM head and projection, and record whether the
+//! three tiles' outputs are equal bit for bit. Hosts without AVX-512F leave
+//! the section empty.
 //!
 //! Then the **optimizer rows**: one Adam step over the repository
 //! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
@@ -81,10 +83,14 @@
 //!      `tn` reach ≥ 0.85× `nn`'s min-of-reps GFLOP/s on either x86 family,
 //!   8. **GELU backward from the stored `tanh`**: it equals the recomputing
 //!      backward bit for bit and costs ≤ 0.5× the GELU forward per element,
-//!   9. **the 512-bit tile**: where AVX-512F is present, at `engine_tokens`'
-//!      expert shapes its `nn`, `nt` and `tn` outputs equal the 256-bit
-//!      tile's bit for bit and the three together run at ≥ 1.2× the 256-bit
-//!      tile's GFLOP/s.
+//!   9. **the 512-bit family**: where AVX-512F is present, at
+//!      `engine_tokens`' expert shapes its `nn`, `nt` and `tn` outputs equal
+//!      the 256-bit tile's bit for bit and the three together run at ≥ 1.2×
+//!      the 256-bit tile's GFLOP/s,
+//!  10. **the 32-column tile**: there too, its `nn`, `nt` and `tn` outputs
+//!      equal the 512-bit 16×16 tile's bit for bit and the three together
+//!      run at ≥ 1.1× the 16×16 tile's GFLOP/s. A CPU without AVX-512F
+//!      prints that it skipped 9 and 10.
 
 use std::path::Path;
 use std::time::Instant;
@@ -658,24 +664,34 @@ fn layout_ns(x: &LayoutInputs, reps: usize) -> Vec<f64> {
 }
 
 /// Min-of-reps ns of `[nn, nt, tn]` on the 256-bit tile, then the same on
-/// the 512-bit tile — all six interleaved, one thread — and whether each
-/// layout's two outputs are equal bit for bit. Needs AVX-512F.
-fn tile_width_ns(x: &LayoutInputs, reps: usize) -> ([f64; 6], bool) {
+/// the 512-bit family's 32-column tile, then on its 16×16 tile — all nine
+/// interleaved, one thread — and whether each layout's three outputs are
+/// equal bit for bit. Needs AVX-512F.
+#[cfg(target_arch = "x86_64")]
+fn tile_width_ns(x: &LayoutInputs, reps: usize) -> ([f64; 9], bool) {
+    use symi_tensor::simd::gemm_on_square_tile;
     pool::set_threads(1);
-    let paths = [SimdPath::Avx2, SimdPath::Avx512];
-    let mut outs = vec![Matrix::zeros(0, 0); 6];
-    let mut best = [f64::INFINITY; 6];
+    let mut outs = vec![Matrix::zeros(0, 0); 9];
+    let mut best = [f64::INFINITY; 9];
+    let mut scratch = Vec::new();
     for _ in 0..reps {
         for (c, (out, b)) in outs.iter_mut().zip(&mut best).enumerate() {
-            on_path(paths[c / 3], || {
+            let path = if c < 3 { SimdPath::Avx2 } else { SimdPath::Avx512 };
+            on_path(path, || {
                 let t = Instant::now();
-                run_layout(x, c % 3, out);
+                match c {
+                    6 => gemm_on_square_tile(&x.a, &x.b, out, (false, false), &mut scratch),
+                    7 => gemm_on_square_tile(&x.a, &x.bt, out, (false, true), &mut scratch),
+                    8 => gemm_on_square_tile(&x.at, &x.b, out, (true, false), &mut scratch),
+                    _ => run_layout(x, c % 3, out),
+                }
                 *b = b.min(t.elapsed().as_nanos() as f64);
             });
         }
     }
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    (best, (0..3).all(|l| bits(&outs[l]) == bits(&outs[3 + l])))
+    let same = (3..9).all(|c| bits(&outs[c]) == bits(&outs[c % 3]));
+    (best, same)
 }
 
 /// (group, m, k, n) of the tile-width rows: `engine_tokens`' two expert
@@ -687,8 +703,9 @@ const TILE_WIDTH_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("trainer_lm_projection", 1024, 64, 64),
 ];
 
-/// The 256-bit against the 512-bit register tile, per layout, at the shapes
-/// where the wide tile carries the GEMM FLOPs. Empty without AVX-512F.
+/// The 256-bit tile against the 512-bit family's 32-column and 16×16 tiles,
+/// per layout, at the shapes where the wide tile carries the GEMM FLOPs.
+/// Empty without AVX-512F.
 fn bench_tile_widths() -> Value {
     const REPS: usize = 40;
     let mut rows = Vec::new();
@@ -696,6 +713,7 @@ fn bench_tile_widths() -> Value {
         println!("tile widths: this CPU lacks AVX-512F, so there is no 512-bit row");
         return Value::Arr(rows);
     }
+    #[cfg(target_arch = "x86_64")]
     for &(label, m, k, n) in TILE_WIDTH_SHAPES {
         group(&format!("tile_widths/{label}/{m}x{k}x{n}"));
         let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), REPS);
@@ -705,21 +723,20 @@ fn bench_tile_widths() -> Value {
         o.set("m", Value::u64(m as u64));
         o.set("k", Value::u64(k as u64));
         o.set("n", Value::u64(n as u64));
+        let mut line = String::new();
         for (l, name) in ["nn", "nt", "tn"].iter().enumerate() {
-            o.set(&format!("{name}_gflops_256"), Value::Num(flops / ns[l]));
-            o.set(&format!("{name}_gflops_512"), Value::Num(flops / ns[3 + l]));
-            o.set(&format!("{name}_512_over_256"), Value::Num(ns[l] / ns[3 + l]));
+            let [g256, g512, g512x16] = [ns[l], ns[3 + l], ns[6 + l]].map(|t| flops / t);
+            o.set(&format!("{name}_gflops_256"), Value::Num(g256));
+            o.set(&format!("{name}_gflops_512x16"), Value::Num(g512x16));
+            o.set(&format!("{name}_gflops_512"), Value::Num(g512));
+            o.set(&format!("{name}_512_over_256"), Value::Num(g512 / g256));
+            o.set(&format!("{name}_32_over_16"), Value::Num(g512 / g512x16));
+            line += &format!(", {name} {g256:.1} -> {g512x16:.1} -> {g512:.1}");
         }
         o.set("bit_identical", Value::Bool(same));
         println!(
-            "tile widths {label} {m}x{k}x{n}: nn {:.1} -> {:.1} GFLOP/s, nt {:.1} -> {:.1}, \
-             tn {:.1} -> {:.1} (256 -> 512 bit){}",
-            flops / ns[0],
-            flops / ns[3],
-            flops / ns[1],
-            flops / ns[4],
-            flops / ns[2],
-            flops / ns[5],
+            "tile widths {label} {m}x{k}x{n} (GFLOP/s on 6x16 -> 16x16 -> {}x32){line}{}",
+            symi_tensor::simd::MR_WIDE,
             if same { ", bit-identical" } else { ", BITS DIFFER" }
         );
         rows.push(Value::Obj(o));
@@ -1109,22 +1126,35 @@ fn smoke() {
         }
     }
 
-    // The 512-bit tile: the 256-bit tile's bits, at >= 1.2x its rate.
+    // The 512-bit family: the 256-bit tile's bits, at >= 1.2x its rate; and
+    // its 32-column tile: the 16x16 tile's bits, at >= 1.1x its rate.
     if !SimdPath::Avx512.supported() {
         println!("smoke tile widths: this CPU lacks AVX-512F, nothing to compare");
         return;
     }
+    #[cfg(target_arch = "x86_64")]
     for &(label, m, k, n) in TILE_WIDTH_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
         let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), 15);
-        let per_layout: Vec<f64> = (0..3).map(|l| ns[l] / ns[3 + l]).collect();
-        let all = ns[..3].iter().sum::<f64>() / ns[3..].iter().sum::<f64>();
+        let (t256, t512, t512x16) = (&ns[..3], &ns[3..6], &ns[6..]);
+        let ratio = |slow: &[f64]| slow.iter().sum::<f64>() / t512.iter().sum::<f64>();
+        let (all, wide) = (ratio(t256), ratio(t512x16));
+        let per = |slow: &[f64]| -> Vec<String> {
+            ["nn", "nt", "tn"]
+                .iter()
+                .zip(slow)
+                .zip(t512)
+                .map(|((l, s), t)| format!("{l} {:.2}x", s / t))
+                .collect()
+        };
         println!(
             "smoke tile widths {label} {m}x{k}x{n}: 512-bit at {all:.2}x the 256-bit GFLOP/s \
-             (nn {:.2}x, nt {:.2}x, tn {:.2}x)",
-            per_layout[0], per_layout[1], per_layout[2]
+             ({}); the 32-column tile at {wide:.2}x the 16x16 ({})",
+            per(t256).join(", "),
+            per(t512x16).join(", ")
         );
-        assert!(same, "{m}x{k}x{n}: the 512-bit tile's output differs from the 256-bit tile's");
-        assert!(all >= 1.2, "{m}x{k}x{n}: the 512-bit tile under 1.2x the 256-bit one: {all:.2}x");
+        assert!(same, "{m}x{k}x{n}: the 512-bit tiles' outputs differ from the 256-bit tile's");
+        assert!(all >= 1.2, "{m}x{k}x{n}: the 512-bit family under 1.2x the 256-bit: {all:.2}x");
+        assert!(wide >= 1.1, "{m}x{k}x{n}: the 32-column tile under 1.1x the 16x16: {wide:.2}x");
     }
 }
 

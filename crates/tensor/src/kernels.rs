@@ -30,14 +30,14 @@
 //! kernels, kept as the fallback and the forced-`SYMI_SIMD=scalar` CI
 //! path), an AVX2+FMA family ([`crate::simd`], x86_64 only, runtime feature
 //! detection) whose loop nest runs a 256-bit 6×16 register tile, and the
-//! same family with the loop nest on a 512-bit 16×16 tile where the CPU has
+//! same family with the loop nest on a 512-bit 12×32 tile where the CPU has
 //! AVX-512F. Detection picks the widest the CPU supports. The scalar family
 //! is **bit-exact** against the [`naive`] oracle (single accumulator folded
 //! over ascending `k`, mul-then-add). The two x86 families keep f32
 //! accumulation but use fused multiply-add (and, in the dot-product `nt`,
 //! fixed 8-lane k-splitting), so they are held to the oracle by a
 //! ULP/error-bound gate instead of `==` — see `tests/simd_oracle.rs` — and
-//! to each other by `==`: the two tiles fold every element the same way.
+//! to each other by `==`: every tile folds every element the same way.
 //! `SYMI_SIMD=scalar` pins the scalar family and `SYMI_SIMD=avx2` the
 //! 256-bit one; [`force_simd_path`] pins any family the CPU supports and
 //! refuses the others.
@@ -429,8 +429,9 @@ fn plan_shares(rows: usize, block: usize, flops: u64) -> usize {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-worker pack scratch: a `tn` strip kernel's A strip, the AVX2
-    /// `nt` tile's transposed B panel.
+    /// Per-worker pack scratch: a `tn` strip kernel's A strip, the x86
+    /// `nt` tile's transposed B panel (KC×32 floats on the 512-bit family,
+    /// KC×16 on the 256-bit one).
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -496,8 +497,9 @@ fn kern_nn_full(
 }
 
 /// Edge nn microkernel for partial tiles (`rows ≤ mr`, `w ≤ nr`): same
-/// single-accumulator ascending-k fold, scalar loops. `nr` is the panel
-/// stride of the *caller's* pack layout (8 scalar, 16 AVX2).
+/// single-accumulator ascending-k fold, scalar loops. `panel` is B read in
+/// place from the tile's first column at row stride `ldb` — both callers'
+/// `nn` reads B where it lies, without a pack.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kern_nn_edge(
     a: &[f32],
@@ -506,7 +508,7 @@ pub(crate) fn kern_nn_edge(
     rows: usize,
     panel: &[f32],
     w: usize,
-    nr: usize,
+    ldb: usize,
     out: &mut [f32],
     ldc: usize,
     acc: bool,
@@ -515,7 +517,7 @@ pub(crate) fn kern_nn_edge(
         for j in 0..w {
             let mut s = if acc { out[i * ldc + j] } else { 0.0 };
             for kk in 0..k {
-                s += a[i * lda + kk] * panel[kk * nr + j];
+                s += a[i * lda + kk] * panel[kk * ldb + j];
             }
             out[i * ldc + j] = s;
         }

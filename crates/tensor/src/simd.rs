@@ -11,36 +11,41 @@
 //! CPU that has its features: detection picks it, and both `SYMI_SIMD=avx2`
 //! and [`crate::kernels::force_simd_path`] refuse a family the CPU lacks.
 //!
-//! # One register tile for the three layouts
+//! # One loop nest for the three layouts
 //!
-//! `nn`, `tn` and `nt` run on one FMA register tile and one cache-blocked
-//! loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer, 16-wide B panel
-//! next, row tiles inner. The tile is 16 columns wide in both families:
+//! `nn`, `tn` and `nt` run on FMA register tiles inside one cache-blocked
+//! loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer, B panel next, row
+//! tiles inner. The panels are 16 columns wide except where noted:
 //!
 //! - `Avx2`: 6×16 — twelve YMM accumulators, two 8-wide B loads and six A
 //!   broadcasts per k step;
-//! - `Avx512`: [`MR_WIDE`]×16 — one ZMM accumulator per row, one 16-wide B
-//!   load and [`MR_WIDE`] A broadcasts per k step. Its row remainder
-//!   (m mod [`MR_WIDE`]) runs on the 6×16 and R×16 tiles below.
+//! - `Avx512`: [`MR_WIDE`]×32 on 32-column panels — two ZMM accumulators
+//!   per row, two 16-wide B loads and [`MR_WIDE`] A broadcasts per k step,
+//!   each broadcast feeding both of its row's FMAs. Its row remainder
+//!   (m mod [`MR_WIDE`]) runs the same kernel's R×32 instances. 16–31
+//!   leftover columns run one 16-column panel of the 16×16 tile — one ZMM
+//!   accumulator per row, one B load and sixteen broadcasts per k step —
+//!   whose row remainder (m mod 16) runs on the 6×16 and R×16 tiles below.
 //!
-//! A lane of either tile performs the same `vfmadd` sequence on the same
+//! A lane of any tile performs the same `vfmadd` sequence on the same
 //! operands, so the two families give identical bits. The layouts differ
 //! only in where the tile reads its operands:
 //!
 //! - `nn` (`A·B`): A row-major; B read in place — row-major B already holds
-//!   each 16-wide panel at its row stride, so there is no packing pass.
+//!   each panel at its row stride, so there is no packing pass.
 //! - `tn` (`Aᵀ·B`): B as in `nn`; A is broadcast transposed in place,
-//!   element (i, kk) read at `a[kk·m + i]`, so the six broadcasts of one
-//!   k step are six adjacent floats. No strip is packed.
-//! - `nt` (`A·Bᵀ`): A as in `nn`; B is `n×k`, so each KC×16 panel chunk
+//!   element (i, kk) read at `a[kk·m + i]`, so the broadcasts of one k
+//!   step are adjacent floats. No strip is packed.
+//! - `nt` (`A·Bᵀ`): A as in `nn`; B is `n×k`, so each KC-long panel chunk
 //!   is transposed into an L1-sized buffer once per (panel, k-chunk) and
 //!   every row tile of the share sweeps it.
 //!
-//! Row remainders (m mod 6) run const-generic R×16 tiles with the same
-//! schedule. Column remainders (n mod 16) run scalar loops: `nn`'s folds
+//! Row remainders of the 16-column tiles (m mod 6) run const-generic R×16
+//! tiles with the same schedule. Column remainders (n mod 16) run scalar
+//! loops: `nn`'s folds
 //! mul-then-add, as it always has; `tn`'s and `nt`'s fold `f32::mul_add`.
-//! So every `tn` element and every tile-`nt` element — either family's full
-//! tile, row edge or column edge — is one FMA chain over ascending k,
+//! So every `tn` element and every tile-`nt` element — any tile, row edge
+//! or column edge — is one FMA chain over ascending k,
 //! started from `+0.0` or, accumulating, from the destination, and spilled
 //! to the f32 output at the same k-chunk boundaries; `nn` is that chain
 //! except in its column edge, which neither family vectorizes.
@@ -81,19 +86,27 @@ use std::ops::Range;
 
 /// Row tile of the 256-bit FMA register tile.
 pub(crate) const MR_TILE: usize = 6;
-/// Row tile of the 512-bit FMA register tile: one ZMM accumulator per row.
-/// Heights 8, 12, 16 and 24 were timed at the benchmark workloads' shapes
-/// on a 2-vCPU Sapphire Rapids guest (DESIGN.md *Compute kernels &
-/// threading*): 16 was fastest end to end on `engine_tokens` and
-/// `trainer_lm` (24 close behind), and it divides the expert widths 64 and
-/// 256 — the output rows of `engine_tokens`' `tn` — so those GEMMs run
-/// without a row remainder.
-pub const MR_WIDE: usize = 16;
-/// Column tile of both FMA register tiles (two YMM or one ZMM), and the row
-/// stride of `nt`'s transposed B panel.
+/// Row tile of the 512-bit family's 32-column register tile: two ZMM
+/// accumulators per row, so 2·12 = 24 of the 32 registers, with two B
+/// vectors and the broadcasts beside them. The width replaced the 16
+/// columns of the [`MR_SQUARE`]×16 tile (a k step of that one issues 17
+/// loads for 16 FMAs, of this one 2 + 12 loads for 24); the height was
+/// chosen from 12 and 14 rows timed end to end on a 2-vCPU Sapphire Rapids
+/// guest (DESIGN.md *Compute kernels & threading*).
+pub const MR_WIDE: usize = 12;
+/// Row tile of the 512-bit family's 16×16 register tile (one ZMM
+/// accumulator per row), which runs the 16–31 columns a GEMM leaves after
+/// its last 32-column panel. Before the 32-column tile it ran every full
+/// panel; heights 8, 12, 16 and 24 were timed for it (DESIGN.md).
+pub(crate) const MR_SQUARE: usize = 16;
+/// Column tile of the 6×16 and 16×16 register tiles (two YMM or one ZMM),
+/// and the row stride of `nt`'s transposed B panel on them.
 pub(crate) const NR_TILE: usize = 16;
+/// Column tile of the [`MR_WIDE`]×32 register tile (two ZMM).
+const NR_WIDE: usize = 2 * NR_TILE;
 /// k-chunk length of the loop nest: a KC×[`NR_TILE`] f32 panel chunk is
-/// 16 KB, sized to stay L1-resident while every row tile sweeps it.
+/// 16 KB, a KC×[`NR_WIDE`] one 32 KB, sized to stay L1-resident while every
+/// row tile sweeps it.
 const KC: usize = 256;
 /// Row tile of the dot-product `nt` kernel.
 pub(crate) const MR_DOT: usize = 2;
@@ -173,14 +186,14 @@ fn a_extent<const TA: bool>(lda: usize, rows: usize, k: usize) -> usize {
 enum Panels<'a> {
     /// Row-major `k×n` B, read in place at row stride `ldb` (`nn`, `tn`).
     InPlace { b: &'a [f32], ldb: usize },
-    /// Row-major `n×k` B (`nt`): each KC×16 panel chunk is transposed into
-    /// `buf` (row stride [`NR_TILE`]) before the row tiles sweep it.
+    /// Row-major `n×k` B (`nt`): each panel chunk is transposed into `buf`
+    /// (row stride the panel's width) before the row tiles sweep it.
     Transposed { b: &'a [f32], ldb: usize, buf: &'a mut [f32] },
 }
 
 /// Transposes B's rows `j0 .. j0 + w`, columns `kc .. kc + klen` into
-/// `buf`, k-major at stride [`NR_TILE`]:
-/// `buf[kk·16 + jj] = b[(j0 + jj)·ldb + kc + kk]`. Whole 8×8 blocks go
+/// `buf`, k-major at stride `ps` ≥ `w`:
+/// `buf[kk·ps + jj] = b[(j0 + jj)·ldb + kc + kk]`. Whole 8×8 blocks go
 /// through registers (eight row loads, the unpack / shuffle / lane-permute
 /// transpose, eight stores); the ragged rest is copied element by element.
 ///
@@ -188,6 +201,7 @@ enum Panels<'a> {
 ///
 /// AVX2 must be available. The extents are `debug_assert!`ed; the caller
 /// keeps them (`nt_rows` checks `b` is `n×ldb` and sizes `buf`).
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
 unsafe fn pack_bt(
     b: &[f32],
@@ -197,8 +211,9 @@ unsafe fn pack_bt(
     kc: usize,
     klen: usize,
     buf: &mut [f32],
+    ps: usize,
 ) {
-    debug_assert!(w <= NR_TILE && buf.len() >= klen * NR_TILE);
+    debug_assert!(w <= ps && buf.len() >= klen * ps);
     debug_assert!(w == 0 || klen == 0 || b.len() >= (j0 + w - 1) * ldb + kc + klen);
     let (w8, k8) = (w & !7, klen & !7);
     for jb in (0..w8).step_by(8) {
@@ -225,16 +240,13 @@ unsafe fn pack_bt(
                 _mm256_shuffle_ps::<0x44>(t5, t7),
                 _mm256_shuffle_ps::<0xEE>(t5, t7),
             ];
-            let dst = buf.as_mut_ptr().add(kb * NR_TILE + jb);
+            let dst = buf.as_mut_ptr().add(kb * ps + jb);
             for t in 0..4 {
                 // Column t of the block lives in the low 128-bit lanes,
                 // column t + 4 in the high ones.
+                _mm256_storeu_ps(dst.add(t * ps), _mm256_permute2f128_ps::<0x20>(lo[t], hi[t]));
                 _mm256_storeu_ps(
-                    dst.add(t * NR_TILE),
-                    _mm256_permute2f128_ps::<0x20>(lo[t], hi[t]),
-                );
-                _mm256_storeu_ps(
-                    dst.add((t + 4) * NR_TILE),
+                    dst.add((t + 4) * ps),
                     _mm256_permute2f128_ps::<0x31>(lo[t], hi[t]),
                 );
             }
@@ -244,7 +256,7 @@ unsafe fn pack_bt(
         let row = &b[(j0 + jj) * ldb + kc..][..klen];
         let from = if jj < w8 { k8 } else { 0 };
         for (kk, &v) in row.iter().enumerate().skip(from) {
-            buf[kk * NR_TILE + jj] = v;
+            buf[kk * ps + jj] = v;
         }
     }
 }
@@ -253,14 +265,16 @@ unsafe fn pack_bt(
 /// (layout `TA`, stride `lda`), reduction `k`, `n` columns; `out` is the
 /// row-major `m×n` destination. Cache-blocked: k-chunk outer (the m×KC
 /// slab of A becomes L2-resident after the first panel sweeps it), panel
-/// next (one KC×16 panel chunk — 16 KB — stays L1-resident across the row
-/// tiles), row tiles inner. Chunking changes no bit: each element still
-/// folds its k terms in ascending order, later chunks resuming from the
-/// spilled f32 partial, and an f32 round-trips memory exactly.
+/// next (one KC×`NR` panel chunk — 16 or 32 KB — stays L1-resident across
+/// the row tiles), row tiles inner. Chunking changes no bit: each element
+/// still folds its k terms in ascending order, later chunks resuming from
+/// the spilled f32 partial, and an f32 round-trips memory exactly.
 /// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
 /// mul-then-add for `nn`, whose A is row-major); `WIDE` runs the full row
-/// tiles on the 512-bit tile. The tile is a constant of each instance, so
-/// the 256-bit one runs at the speed it had before the wide tile existed:
+/// tiles on 512-bit registers, and `NR` = [`NR_WIDE`] (512-bit only) runs
+/// 32-column panels on the [`MR_WIDE`]×32 tile while 32 columns are left,
+/// then 16-column ones. The tiles are constants of each instance, so the
+/// 256-bit one runs at the speed it had before the wide tiles existed:
 /// chosen at run time inside the nest, the extra live state spilled the
 /// 6×16 tile's loop counters and cost it 5–15% (DESIGN.md *Compute kernels
 /// & threading*).
@@ -269,10 +283,11 @@ unsafe fn pack_bt(
 ///
 /// AVX2 and FMA must be available, and AVX-512F too if `WIDE`; `a` from
 /// `a0`, B and `out` must cover the `m×k`, `k×n` and `m×n` extents above
-/// (the safe wrappers `assert!` them).
+/// (the safe wrappers `assert!` them), and a `Transposed` buffer must hold
+/// `KC.min(k)·NR` floats.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_gemm<const TA: bool, const WIDE: bool>(
+unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
     a: &[f32],
     a0: usize,
     lda: usize,
@@ -285,6 +300,7 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool>(
     fused_edge: bool,
 ) {
     debug_assert!(fused_edge || !TA, "the mul-then-add edge reads A row-major");
+    debug_assert!(NR == NR_TILE || WIDE);
     if k == 0 {
         // The empty fold: `+0.0`, or the destination itself.
         if !acc {
@@ -292,25 +308,35 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool>(
         }
         return;
     }
-    let mr = tile_rows(WIDE);
     for kc in (0..k).step_by(KC) {
         let klen = KC.min(k - kc);
         let tile_acc = acc || kc > 0;
-        for j0 in (0..n).step_by(NR_TILE) {
-            let w = NR_TILE.min(n - j0);
+        let mut j0 = 0;
+        while j0 < n {
+            let nr = if NR > NR_TILE && n - j0 >= NR { NR } else { NR_TILE };
+            let w = nr.min(n - j0);
             let (panel, pstride): (&[f32], usize) = match &mut panels {
                 Panels::InPlace { b, ldb } => (&b[kc * *ldb + j0..], *ldb),
                 Panels::Transposed { b, ldb, buf } => {
-                    pack_bt(b, *ldb, j0, w, kc, klen, buf);
-                    (&buf[..], NR_TILE)
+                    pack_bt(b, *ldb, j0, w, kc, klen, buf, nr);
+                    (&buf[..], nr)
                 }
+            };
+            // The 32-column tile on 32-column panels; on 16-column ones the
+            // 16×16 (the 512-bit family's 16–31 leftover columns) or the 6×16.
+            let mr = match (nr > NR_TILE, WIDE) {
+                (true, _) => MR_WIDE,
+                (false, true) => MR_SQUARE,
+                (false, false) => MR_TILE,
             };
             for i in (0..m).step_by(mr) {
                 let rows = mr.min(m - i);
                 let ablk = &a[a0 + if TA { kc * lda + i } else { i * lda + kc }..];
                 let oblk = &mut out[i * n + j0..];
-                if WIDE && w == NR_TILE && rows == MR_WIDE {
-                    kern_wide::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
+                if nr > NR_TILE {
+                    kern_wide_rows::<TA>(ablk, lda, klen, rows, panel, pstride, oblk, n, tile_acc);
+                } else if WIDE && w == NR_TILE && rows == MR_SQUARE {
+                    kern_16x16::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
                 } else if w == NR_TILE && rows == MR_TILE {
                     kern_6x16::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
                 } else if w == NR_TILE {
@@ -323,6 +349,7 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool>(
                     kern_nn_edge(ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc);
                 }
             }
+            j0 += nr;
         }
     }
 }
@@ -331,13 +358,13 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool>(
 type TileNest =
     unsafe fn(&[f32], usize, usize, usize, usize, usize, Panels<'_>, &mut [f32], bool, bool);
 
-/// The loop nest for layout `TA` on the 512-bit tile if `wide`, else on the
-/// 256-bit one.
+/// The loop nest for layout `TA` on the 512-bit tiles if `wide`, else on
+/// the 256-bit one.
 fn tile_nest<const TA: bool>(wide: bool) -> TileNest {
     if wide {
-        tile_gemm::<TA, true>
+        tile_gemm::<TA, true, NR_WIDE>
     } else {
-        tile_gemm::<TA, false>
+        tile_gemm::<TA, false, NR_TILE>
     }
 }
 
@@ -452,8 +479,8 @@ unsafe fn kern_6x16<const TA: bool>(
     _mm256_storeu_ps(op.add(5 * ldc + 8), c51);
 }
 
-/// Full [`MR_WIDE`]×16 tile on 512-bit registers: one ZMM accumulator per
-/// row live across the whole k sweep, one 16-wide B load and [`MR_WIDE`] A
+/// Full 16×16 tile on 512-bit registers: one ZMM accumulator per row
+/// live across the whole k sweep, one 16-wide B load and sixteen A
 /// broadcasts per k step. Lane j of row i's accumulator performs exactly
 /// the `vfmadd` sequence [`kern_6x16`] performs for element (i, j).
 ///
@@ -463,7 +490,7 @@ unsafe fn kern_6x16<const TA: bool>(
 /// hold.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn kern_wide<const TA: bool>(
+unsafe fn kern_16x16<const TA: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -474,12 +501,12 @@ unsafe fn kern_wide<const TA: bool>(
     acc: bool,
 ) {
     debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_TILE);
-    debug_assert!(a.len() >= a_extent::<TA>(lda, MR_WIDE, k));
-    debug_assert!(out.len() >= (MR_WIDE - 1) * ldc + NR_TILE);
+    debug_assert!(a.len() >= a_extent::<TA>(lda, MR_SQUARE, k));
+    debug_assert!(out.len() >= (MR_SQUARE - 1) * ldc + NR_TILE);
     let ap = a.as_ptr();
     let pp = panel.as_ptr();
     let op = out.as_mut_ptr();
-    let mut c = [_mm512_setzero_ps(); MR_WIDE];
+    let mut c = [_mm512_setzero_ps(); MR_SQUARE];
     if acc {
         for (r, cr) in c.iter_mut().enumerate() {
             *cr = _mm512_loadu_ps(op.add(r * ldc));
@@ -502,6 +529,100 @@ unsafe fn kern_wide<const TA: bool>(
     for (r, cr) in c.iter().enumerate() {
         _mm512_storeu_ps(op.add(r * ldc), *cr);
     }
+}
+
+/// `R` (≤ [`MR_WIDE`]) rows × 32 columns on 512-bit registers: two ZMM
+/// accumulators per row live across the whole k sweep. Each k step
+/// loads two 16-wide B vectors and broadcasts each row's A element once
+/// into a register that feeds both of the row's FMAs — 2 + `R` loads for
+/// 2·`R` FMAs, where the 16×16 tile's embedded broadcasts cost one load per
+/// FMA. Lane j of row i's accumulators performs exactly the `vfmadd`
+/// sequence [`kern_6x16`] performs for element (i, j). `R` = [`MR_WIDE`]
+/// is the full tile; the smaller instances are its row remainder.
+///
+/// # Safety
+///
+/// AVX-512F must be available; the three extents it `debug_assert!`s must
+/// hold.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn kern_rx32<const R: usize, const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    panel: &[f32],
+    pstride: usize,
+    out: &mut [f32],
+    ldc: usize,
+    acc: bool,
+) {
+    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_WIDE);
+    debug_assert!(a.len() >= a_extent::<TA>(lda, R, k));
+    debug_assert!(out.len() >= (R - 1) * ldc + NR_WIDE);
+    let ap = a.as_ptr();
+    let pp = panel.as_ptr();
+    let op = out.as_mut_ptr();
+    let mut c0 = [_mm512_setzero_ps(); R];
+    let mut c1 = [_mm512_setzero_ps(); R];
+    if acc {
+        for r in 0..R {
+            c0[r] = _mm512_loadu_ps(op.add(r * ldc));
+            c1[r] = _mm512_loadu_ps(op.add(r * ldc + NR_TILE));
+        }
+    }
+    for kk in 0..k {
+        // As in `kern_16x16`: fetch both B vectors (and `tn`'s A row) a few
+        // k steps ahead.
+        if kk + 4 < k {
+            _mm_prefetch::<_MM_HINT_T0>(pp.add((kk + 4) * pstride) as *const i8);
+            _mm_prefetch::<_MM_HINT_T0>(pp.add((kk + 4) * pstride + NR_TILE) as *const i8);
+            if TA {
+                _mm_prefetch::<_MM_HINT_T0>(ap.add((kk + 4) * lda) as *const i8);
+            }
+        }
+        let b0 = _mm512_loadu_ps(pp.add(kk * pstride));
+        let b1 = _mm512_loadu_ps(pp.add(kk * pstride + NR_TILE));
+        for r in 0..R {
+            let av = _mm512_set1_ps(a_at::<TA>(ap, lda, r, kk));
+            c0[r] = _mm512_fmadd_ps(av, b0, c0[r]);
+            c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
+        }
+    }
+    for r in 0..R {
+        _mm512_storeu_ps(op.add(r * ldc), c0[r]);
+        _mm512_storeu_ps(op.add(r * ldc + NR_TILE), c1[r]);
+    }
+}
+
+/// `rows` (1 ..= [`MR_WIDE`]) rows of a 32-column panel: the
+/// monomorphized [`kern_rx32`] for that height.
+///
+/// # Safety
+///
+/// As [`kern_rx32`], for `rows` rows.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn kern_wide_rows<const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    rows: usize,
+    panel: &[f32],
+    pstride: usize,
+    out: &mut [f32],
+    ldc: usize,
+    acc: bool,
+) {
+    macro_rules! by_height {
+        ($($r:literal)*) => {
+            match rows {
+                $($r => kern_rx32::<$r, TA>(a, lda, k, panel, pstride, out, ldc, acc),)*
+                _ => unreachable!("a 32-column panel's row tile is 1..={MR_WIDE} rows"),
+            }
+        };
+    }
+    const _: () = assert!(MR_WIDE == 12, "list every height up to MR_WIDE below");
+    by_height!(1 2 3 4 5 6 7 8 9 10 11 12)
 }
 
 /// Row-remainder tile: `R` (< 6) rows × full 16 cols, same ascending-k
@@ -633,7 +754,7 @@ unsafe fn kern_edge_fma<const TA: bool>(
 
 /// AVX2 worker for a row range of `out (+)= a·B` (+ optional bias). B is
 /// read in place (`bs` row-major, row stride `bstride`). `wide` runs the
-/// 512-bit tile (the `Avx512` family).
+/// 512-bit tiles (the `Avx512` family).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nn_rows(
     a: &Matrix,
@@ -729,7 +850,11 @@ pub(crate) fn nt_rows(
     assert!(rows.end <= a.rows() && k == a.cols() && bsl.len() >= n * k);
     assert!(chunk.len() >= rows.len() * n);
     let (a0, m, tile) = (rows.start * k, rows.len(), nt_on_tile(a.rows()));
-    let need = if tile { KC.min(k) * NR_TILE } else { 0 };
+    let need = match (tile, wide) {
+        (true, true) => KC.min(k) * NR_WIDE,
+        (true, false) => KC.min(k) * NR_TILE,
+        (false, _) => 0,
+    };
     if buf.len() < need {
         buf.resize(need, 0.0);
     }
@@ -740,6 +865,51 @@ pub(crate) fn nt_rows(
             tile_nest::<false>(wide)(a.as_slice(), a0, k, m, k, n, panels, chunk, acc, true)
         } else {
             nt_dot_rows(a.as_slice(), bsl, rows, k, n, chunk, acc)
+        }
+    }
+}
+
+/// `out = op(a)·op(b)` on one thread with every full panel on the 512-bit
+/// family's 16×16 tile, where `op` transposes `a` if `ta` (`tn`) and `b` if
+/// `tb` (`nt`). No driver calls it: the kernel bench times the
+/// [`MR_WIDE`]×32 tile against the tile it replaced. `scratch` is `nt`'s
+/// panel buffer.
+///
+/// # Panics
+///
+/// If the CPU lacks AVX-512F, if both `ta` and `tb` are set, or if the
+/// operands' inner dimensions differ.
+#[doc(hidden)]
+pub fn gemm_on_square_tile(
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut Matrix,
+    (ta, tb): (bool, bool),
+    scratch: &mut Vec<f32>,
+) {
+    assert!(have_avx512f(), "the 16x16 tile needs AVX-512F");
+    assert!(!(ta && tb), "no layout transposes both operands");
+    let ((m, k), (kb, n)) = (
+        if ta { (a.cols(), a.rows()) } else { (a.rows(), a.cols()) },
+        if tb { (b.cols(), b.rows()) } else { (b.rows(), b.cols()) },
+    );
+    assert_eq!(k, kb, "inner dimensions differ: {m}x{k} against {kb}x{n}");
+    out.resize_to(m, n);
+    let panels = if tb {
+        scratch.resize(KC.min(k) * NR_TILE, 0.0);
+        Panels::Transposed { b: b.as_slice(), ldb: k, buf: scratch }
+    } else {
+        Panels::InPlace { b: b.as_slice(), ldb: n }
+    };
+    let (asl, lda, out) = (a.as_slice(), a.cols(), out.as_mut_slice());
+    // SAFETY: AVX2, FMA and AVX-512F were checked above; `a`, `b` and `out`
+    // are whole matrices of the extents the nest reads and writes, and
+    // `scratch` holds a KC×16 panel chunk.
+    unsafe {
+        if ta {
+            tile_gemm::<true, true, NR_TILE>(asl, 0, lda, m, k, n, panels, out, false, true)
+        } else {
+            tile_gemm::<false, true, NR_TILE>(asl, 0, lda, m, k, n, panels, out, false, tb)
         }
     }
 }

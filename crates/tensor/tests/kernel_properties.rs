@@ -194,18 +194,28 @@ fn active_path_gemm_is_invariant_across_worker_counts() {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn both_tiles_agree_at_any_worker_count_where_the_wide_tile_ends() {
-    // m straddles the 512-bit tile's height, so a 4-worker split of these
-    // GEMMs hands out wide tiles, 6×16 tiles and R×16 remainders. Both x86
-    // families at 1 and at 4 workers must give one result for all three
-    // layouts — k crosses the 256-long chunk, n leaves a column edge, and
-    // `nt` runs the dot-product kernel below 32 rows and the tile above.
+    // m runs through every height of the 512-bit family's 32-column tile
+    // and its remainders, so a 4-worker split of these GEMMs hands out
+    // R×32 tiles and their remainders, 16×16 and 6×16 tiles and R×16
+    // remainders. Both x86 families at 1 and at 4 workers must give one
+    // result for all three layouts — k crosses the 256-long chunk, n mod 32
+    // is 0, 5, 16 or 21, and `nt` runs the dot-product kernel below 32 rows
+    // and the tile above. The shapes are `simd_oracle.rs`'s bitwise ones.
     use symi_tensor::simd::MR_WIDE;
     let h = MR_WIDE;
+    let kn = [(300, 64), (520, 37), (300, 48), (520, 53)];
+    let mut shapes: Vec<(usize, usize, usize)> = (1..=2 * h + 1)
+        .chain([3 * h - 1, 3 * h, 3 * h + 1])
+        .enumerate()
+        .map(|(i, m)| (m, kn[i % 4].0, kn[i % 4].1))
+        .collect();
+    for &(k, n) in &kn {
+        shapes.extend([(3 * h - 1, k, n), (3 * h + 1, k, n)]);
+    }
     with_split_pool(|| {
         let detected = kernels::active_path();
         let mut rng = StdRng::seed_from_u64(512);
-        for m in [h - 1, h, h + 1, 2 * h + 5, 3 * h + 1] {
-            let (k, n) = (300, 37);
+        for &(m, k, n) in &shapes {
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, k, n);
             let (at, bt) = (a.transpose(), b.transpose());
@@ -213,7 +223,7 @@ fn both_tiles_agree_at_any_worker_count_where_the_wide_tile_ends() {
             let mut reference = None;
             for path in [SimdPath::Avx2, SimdPath::Avx512] {
                 if !path.supported() {
-                    println!("skipping {path:?} at m {m}: this CPU lacks its features");
+                    println!("skipping {path:?} at {m}x{k}x{n}: this CPU lacks its features");
                     continue;
                 }
                 kernels::force_simd_path(path);
@@ -222,7 +232,9 @@ fn both_tiles_agree_at_any_worker_count_where_the_wide_tile_ends() {
                     let got = [bits(a.matmul(&b)), bits(a.matmul_nt(&bt)), bits(at.matmul_tn(&b))];
                     match &reference {
                         None => reference = Some(got),
-                        Some(r) => assert_eq!(&got, r, "{path:?} m {m} at {threads} workers"),
+                        Some(r) => {
+                            assert_eq!(&got, r, "{path:?} {m}x{k}x{n} at {threads} workers")
+                        }
                     }
                 }
             }

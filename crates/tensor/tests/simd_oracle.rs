@@ -177,10 +177,17 @@ fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
     let mut shapes = edge_shapes();
     // nt on either side of its threshold, and k across the 256-long chunk.
     shapes.extend([(t - 1, 20, 33), (t, 20, 33), (t + 1, 300, 17), (64, 520, 48), (97, 33, 5)]);
-    // m straddling the 512-bit tile's height and twice and three times it,
-    // k across the chunk; from 32 rows on, `nt` runs the tile as well.
-    for m in [h - 1, h, h + 1, 2 * h + 5, 3 * h - 1, 3 * h, 3 * h + 1] {
-        shapes.push((m, 300, 37));
+    // Every height of the 512-bit family's 32-column tile and its
+    // remainders up to two tiles and a row, then three tiles and a row
+    // either side (`nt` runs the tile from 32 rows), with k across the
+    // chunk and n mod 32 at 0, 5, 16 and 21: whole 32-column panels, a
+    // column edge, a 16-column panel, and both.
+    let kn = [(300, 64), (520, 37), (300, 48), (520, 53)];
+    for (i, m) in (1..=2 * h + 1).chain([3 * h - 1, 3 * h, 3 * h + 1]).enumerate() {
+        shapes.push((m, kn[i % 4].0, kn[i % 4].1));
+    }
+    for &(k, n) in &kn {
+        shapes.extend([(3 * h - 1, k, n), (3 * h + 1, k, n)]);
     }
     for path in [SimdPath::Avx2, SimdPath::Avx512] {
         if !path.supported() {
