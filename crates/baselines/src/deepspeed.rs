@@ -197,7 +197,7 @@ impl DeepSpeedMoeEngine {
         let tags = TagSpace::new(0, self.iteration);
 
         let Routed { assignment, gates, mut popularity, .. } =
-            route(x_local, &self.router_w, &tele);
+            route(x_local, &self.router_w, &mut self.tokens.router_probs, &tele);
         {
             let _span = tele.span(Phase::PopularityAllReduce);
             ctx.allreduce_u64_sum(

@@ -15,11 +15,12 @@
 //! Below the GEMM rows sit the **activation rows** — GELU forward, GELU
 //! backward and row softmax at the repository benchmark's own expert batch
 //! shapes (240×256 from `engine_tokens`, 32×1024 from `engine_params`), in
-//! ns per element for the vector-math path, the forced-scalar encoding of
-//! the same math, and a libm reference loop that exists only in this file
-//! (the backward is the one the experts run, from the forward's stored
-//! `tanh` term; its libm reference recomputes `tanh`, as the backward did
-//! before it read the stored term) —
+//! ns per element for the vector-math path at the active family's width (16
+//! lanes on `Avx512`), the 8-lane encoding (`Avx2` forced), the
+//! forced-scalar encoding of the same math, and a libm reference loop that
+//! exists only in this file (the backward is the one the experts run, from
+//! the forward's stored `tanh` term; its libm reference recomputes `tanh`,
+//! as the backward did before it read the stored term) —
 //! and an **in-situ-shaped `ExpertFfn` row** (m 240, d 64, ff 256: forward
 //! and backward, whole-call GFLOP/s), so "expert FFN vs the GEMM roof" is
 //! answered from the JSON. `engine_params`' expert (d 256, ff 1024 at the
@@ -38,11 +39,14 @@
 //! kernel each layout ran. The shapes are `engine_tokens`' expert GEMMs,
 //! `trainer_lm`'s per-head attention and projection gradient, and
 //! `engine_params`' skinny expert (m 8 … 32) and gradient (k 8 … 24) GEMMs,
-//! on both sides of the kernel thresholds. `nn` runs the FMA tile with no
+//! on both sides of the kernel thresholds, and the two engines' router GEMMs
+//! (1024×64×4 and 32×256×4). `nn` runs the FMA tile with no
 //! transposes at all: the reference the kept kernels (`dot` `nt`, `strip`
 //! `tn`) are read against. Each row names the kernel each layout ran —
 //! `tile512` or `tile256` for the loop nest's register tile on the
-//! `Avx512` or `Avx2` family. The old-against-tile timings that set the
+//! `Avx512` or `Avx2` family, `edge512_masked` or `edge_scalar` for its
+//! column edge where the whole GEMM is narrower than a panel (the two
+//! routers' rows, n = 4). The old-against-tile timings that set the
 //! thresholds need both kernels at one shape, which the library offers no
 //! way to ask for; DESIGN.md *Compute kernels & threading* has them.
 //!
@@ -89,8 +93,12 @@
 //!      the 256-bit tile's GFLOP/s,
 //!  10. **the 32-column tile**: there too, its `nn`, `nt` and `tn` outputs
 //!      equal the 512-bit 16×16 tile's bit for bit and the three together
-//!      run at ≥ 1.1× the 16×16 tile's GFLOP/s. A CPU without AVX-512F
-//!      prints that it skipped 9 and 10.
+//!      run at ≥ 1.1× the 16×16 tile's GFLOP/s,
+//!  11. **16 lanes**: there too, the router `nn` at 1024×64×4 — all masked
+//!      column edge — equals the `Avx2` family's scalar edge bit for bit and
+//!      runs ≥ 4× faster, and `gelu_tanh_slice` on 16 lanes equals the
+//!      8-lane encoding bit for bit and runs ≥ 1.3× faster. A CPU without
+//!      AVX-512F prints that it skipped 9 to 11.
 
 use std::path::Path;
 use std::time::Instant;
@@ -102,7 +110,7 @@ use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
 #[cfg(target_arch = "x86_64")]
 use symi_tensor::simd::{NT_TILE_MIN_ROWS, TN_TILE_MIN_DEPTH};
-use symi_tensor::{half, pool, AdamConfig, AdamShard, AdamState, Matrix};
+use symi_tensor::{half, pool, vmath, AdamConfig, AdamShard, AdamState, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
@@ -296,13 +304,36 @@ fn forced_scalar(f: impl FnOnce()) {
     on_path(SimdPath::Scalar, f)
 }
 
-/// `[vector, forced scalar, libm]` ns per element of one activation op.
-fn act_triple(elems: usize, ns: &[f64]) -> Value {
+/// Runs `f` on the 8-lane vector math: the `Avx2` family where the CPU has
+/// it, else whatever is active.
+fn on_8_lanes(f: impl FnOnce()) {
+    if SimdPath::Avx2.supported() {
+        on_path(SimdPath::Avx2, f)
+    } else {
+        f()
+    }
+}
+
+/// Lanes of the active family's vector math.
+fn vector_lanes() -> u64 {
+    if kernels::active_path() == SimdPath::Avx512 {
+        16
+    } else {
+        8
+    }
+}
+
+/// `[vector, forced scalar, libm, 8-lane vector]` ns per element of one
+/// activation op; `vector` runs at the active family's width.
+fn act_row(elems: usize, ns: &[f64]) -> Value {
     let mut o = Obj::new();
     o.set("vector", Value::Num(ns[0] / elems as f64));
+    o.set("vector_lanes", Value::u64(vector_lanes()));
+    o.set("vector_8_lanes", Value::Num(ns[3] / elems as f64));
     o.set("scalar", Value::Num(ns[1] / elems as f64));
     o.set("libm", Value::Num(ns[2] / elems as f64));
     o.set("vector_speedup_vs_libm", Value::Num(ns[2] / ns[0]));
+    o.set("vector_speedup_vs_8_lanes", Value::Num(ns[3] / ns[0]));
     Value::Obj(o)
 }
 
@@ -314,12 +345,14 @@ fn bench_activations() -> Value {
         group(label);
         let (x, t, dy) = act_inputs(rows, cols);
         let (mut a, mut b, mut c) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut d = Matrix::zeros(0, 0);
         let fwd = interleaved_min_ns(
             REPS,
             &mut [
                 &mut || gelu_into(&x, &mut a),
                 &mut || forced_scalar(|| gelu_into(&x, &mut b)),
                 &mut || libm_ref::gelu(&x, &mut c),
+                &mut || on_8_lanes(|| gelu_into(&x, &mut d)),
             ],
         );
         let bwd = interleaved_min_ns(
@@ -328,6 +361,7 @@ fn bench_activations() -> Value {
                 &mut || gelu_backward_from_tanh_into(&x, &t, &dy, &mut a),
                 &mut || forced_scalar(|| gelu_backward_from_tanh_into(&x, &t, &dy, &mut b)),
                 &mut || libm_ref::gelu_backward(&x, &dy, &mut c),
+                &mut || on_8_lanes(|| gelu_backward_from_tanh_into(&x, &t, &dy, &mut d)),
             ],
         );
         let sm = interleaved_min_ns(
@@ -336,6 +370,7 @@ fn bench_activations() -> Value {
                 &mut || softmax_rows_into(&x, &mut a),
                 &mut || forced_scalar(|| softmax_rows_into(&x, &mut b)),
                 &mut || libm_ref::softmax(&x, &mut c),
+                &mut || on_8_lanes(|| softmax_rows_into(&x, &mut d)),
             ],
         );
         let elems = rows * cols;
@@ -343,13 +378,16 @@ fn bench_activations() -> Value {
         row.set("shape", Value::str(label));
         row.set("rows", Value::u64(rows as u64));
         row.set("cols", Value::u64(cols as u64));
-        row.set("gelu_fwd_ns_per_elem", act_triple(elems, &fwd));
-        row.set("gelu_bwd_ns_per_elem", act_triple(elems, &bwd));
-        row.set("softmax_ns_per_elem", act_triple(elems, &sm));
+        row.set("gelu_fwd_ns_per_elem", act_row(elems, &fwd));
+        row.set("gelu_bwd_ns_per_elem", act_row(elems, &bwd));
+        row.set("softmax_ns_per_elem", act_row(elems, &sm));
         for (name, ns) in [("gelu_fwd", &fwd), ("gelu_bwd", &bwd), ("softmax", &sm)] {
             println!(
-                "{label} {name}: vector {:.2} ns/elem, scalar {:.2}, libm {:.2} ({:.1}x)",
+                "{label} {name}: vector ({} lanes) {:.2} ns/elem, 8 lanes {:.2}, scalar {:.2}, \
+                 libm {:.2} ({:.1}x)",
+                vector_lanes(),
                 ns[0] / elems as f64,
+                ns[3] / elems as f64,
                 ns[1] / elems as f64,
                 ns[2] / elems as f64,
                 ns[2] / ns[0]
@@ -609,15 +647,25 @@ const LAYOUT_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("engine_params_grad", 256, 12, 1024),
     ("engine_params_grad", 256, 16, 1024),
     ("engine_params_grad", 256, 24, 1024),
+    ("engine_tokens_router", 1024, 64, 4),
+    ("engine_params_router", 32, 256, 4),
 ];
 
+/// The router GEMM of `engine_tokens` (m, k, n): 1024 tokens per rank, d_model
+/// 64, four classes — fewer columns than a panel, so all column edge.
+const ROUTER_SHAPE: (usize, usize, usize) = (1024, 64, 4);
+
 /// The kernels `nn`, `nt` and `tn` run at m×k×n on the active path: the
-/// loop nest's 512-bit or 256-bit register tile, or a kept skinny kernel.
-fn layout_kernels(m: usize, k: usize) -> [&'static str; 3] {
-    let tile = match kernels::active_path() {
-        SimdPath::Scalar => return ["scalar"; 3],
-        SimdPath::Avx2 => "tile256",
-        SimdPath::Avx512 => "tile512",
+/// loop nest's 512-bit or 256-bit register tile — or, under 16 columns, its
+/// column edge: the masked 16-lane kernel on `Avx512`, scalar loops on
+/// `Avx2` — or a kept skinny kernel.
+fn layout_kernels(m: usize, k: usize, n: usize) -> [&'static str; 3] {
+    let tile = match (kernels::active_path(), n < 16) {
+        (SimdPath::Scalar, _) => return ["scalar"; 3],
+        (SimdPath::Avx2, false) => "tile256",
+        (SimdPath::Avx2, true) => "edge_scalar",
+        (SimdPath::Avx512, false) => "tile512",
+        (SimdPath::Avx512, true) => "edge512_masked",
     };
     #[cfg(target_arch = "x86_64")]
     return [
@@ -750,7 +798,7 @@ fn bench_layouts() -> Value {
     for &(label, m, k, n) in LAYOUT_SHAPES {
         group(&format!("layouts/{label}/{m}x{k}x{n}"));
         let ns = layout_ns(&layout_inputs(m, k, n), REPS);
-        let [nn_kernel, nt_kernel, tn_kernel] = layout_kernels(m, k);
+        let [nn_kernel, nt_kernel, tn_kernel] = layout_kernels(m, k, n);
         let flops = (2 * m * k * n) as f64;
         let mut o = Obj::new();
         o.set("group", Value::str(label));
@@ -908,7 +956,7 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
     best
 }
 
-/// CI gate. Four checks, all cheap enough for every PR:
+/// CI gate. Eleven checks, all cheap enough for every PR:
 ///   correctness — tolerance-gated oracle comparison on the d256 shape;
 ///   throughput — blocked beats naive on d256;
 ///   scaling — for every benchmark shape, max-threads must not be >10%
@@ -932,7 +980,11 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   family is active;
 ///   tile widths — where AVX-512F is present, at the same two shapes the
 ///   512-bit tile's three layouts equal the 256-bit tile's bit for bit and
-///   together run at ≥ 1.2× its GFLOP/s.
+///   together run at ≥ 1.2× its GFLOP/s, and the 32-column tile the 16×16
+///   tile's at ≥ 1.1×;
+///   16 lanes — there too, `engine_tokens`' router `nn` (1024×64×4, all
+///   column edge) equals the `Avx2` family's bit for bit at ≥ 4× its speed,
+///   and `gelu_tanh_slice` on 16 lanes the 8-lane one at ≥ 1.3×.
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -1126,10 +1178,12 @@ fn smoke() {
         }
     }
 
-    // The 512-bit family: the 256-bit tile's bits, at >= 1.2x its rate; and
-    // its 32-column tile: the 16x16 tile's bits, at >= 1.1x its rate.
+    // The 512-bit family: the 256-bit tile's bits, at >= 1.2x its rate; its
+    // 32-column tile: the 16x16 tile's bits, at >= 1.1x its rate; and its
+    // column edge and vector math: the 256-bit family's bits, at >= 4x and
+    // >= 1.3x its rate.
     if !SimdPath::Avx512.supported() {
-        println!("smoke tile widths: this CPU lacks AVX-512F, nothing to compare");
+        println!("smoke 512-bit family: this CPU lacks AVX-512F, so checks 9-11 are skipped");
         return;
     }
     #[cfg(target_arch = "x86_64")]
@@ -1155,6 +1209,43 @@ fn smoke() {
         assert!(same, "{m}x{k}x{n}: the 512-bit tiles' outputs differ from the 256-bit tile's");
         assert!(all >= 1.2, "{m}x{k}x{n}: the 512-bit family under 1.2x the 256-bit: {all:.2}x");
         assert!(wide >= 1.1, "{m}x{k}x{n}: the 32-column tile under 1.1x the 16x16: {wide:.2}x");
+    }
+    {
+        let (m, k, n) = ROUTER_SHAPE;
+        let (a, b) = inputs(m, k, n);
+        let (x, _, _) = act_inputs(ACT_SHAPES[0].1, ACT_SHAPES[0].2);
+        let x = x.as_slice();
+        let (mut nn16, mut nn8) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let (mut t16, mut t8) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+        pool::set_threads(1);
+        let ns = interleaved_min_ns(
+            15,
+            &mut [
+                &mut || on_path(SimdPath::Avx512, || a.matmul_into(&b, &mut nn16)),
+                &mut || on_path(SimdPath::Avx2, || a.matmul_into(&b, &mut nn8)),
+                &mut || on_path(SimdPath::Avx512, || vmath::gelu_tanh_slice(x, &mut t16)),
+                &mut || on_path(SimdPath::Avx2, || vmath::gelu_tanh_slice(x, &mut t8)),
+            ],
+        );
+        let (router, gelu) = (ns[1] / ns[0], ns[3] / ns[2]);
+        println!(
+            "smoke 16 lanes: router nn {m}x{k}x{n} {:.1} us on the masked edge, {:.1} us on \
+             the scalar one ({router:.2}x); gelu_tanh {:.2} ns/elem on 16 lanes, {:.2} on 8 \
+             ({gelu:.2}x)",
+            ns[0] / 1e3,
+            ns[1] / 1e3,
+            ns[2] / x.len() as f64,
+            ns[3] / x.len() as f64,
+        );
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(nn16.as_slice()),
+            bits(nn8.as_slice()),
+            "router nn: the masked edge's bits"
+        );
+        assert_eq!(bits(&t16), bits(&t8), "gelu_tanh_slice: 16 lanes differ from 8");
+        assert!(router >= 4.0, "router nn {m}x{k}x{n}: the masked edge under 4x: {router:.2}x");
+        assert!(gelu >= 1.3, "gelu_tanh_slice: 16 lanes under 1.3x 8 lanes: {gelu:.2}x");
     }
 }
 

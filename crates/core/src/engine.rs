@@ -922,7 +922,7 @@ impl MoeLayerEngine {
 
         // ---- Step 1: route locally, aggregate popularity globally. ----
         let Routed { assignment, gates, mut popularity, nan_probs } =
-            route(x_local, &self.router_w, &tele);
+            route(x_local, &self.router_w, &mut self.tokens.router_probs, &tele);
         self.nan_logits += nan_probs;
         let mut degraded = false;
         {

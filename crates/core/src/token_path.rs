@@ -17,7 +17,7 @@ use std::time::Instant;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
 use symi_model::expert::{ExpertFfn, SlotBatches};
 use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::ops::softmax_rows;
+use symi_tensor::ops::softmax_rows_in_place;
 use symi_tensor::Matrix;
 
 /// Top-1 routing of one rank's tokens.
@@ -34,14 +34,23 @@ pub struct Routed {
 
 /// Routes every row of `x_local` to the class with the highest router
 /// probability under the frozen router `router_w` (`d_model × classes`).
+/// `probs` is the caller's buffer ([`TokenBuffers::router_probs`]): it takes
+/// the logits and then, softmaxed in place, the probabilities, so at a
+/// steady batch shape routing allocates neither.
 ///
 /// The argmax sorts NaN last: a NaN probability must not panic the
 /// iteration — it loses to every finite entry and is counted, so the
 /// numeric trouble upstream stays loud. Ties go to the last class.
-pub fn route(x_local: &Matrix, router_w: &Matrix, telemetry: &TelemetryHandle) -> Routed {
+pub fn route(
+    x_local: &Matrix,
+    router_w: &Matrix,
+    probs: &mut Matrix,
+    telemetry: &TelemetryHandle,
+) -> Routed {
     let _span = telemetry.span(Phase::Routing);
     let t_loc = x_local.rows();
-    let probs = softmax_rows(&x_local.matmul(router_w));
+    x_local.matmul_into(router_w, probs);
+    softmax_rows_in_place(probs);
     let mut routed = Routed {
         assignment: Vec::with_capacity(t_loc),
         gates: Vec::with_capacity(t_loc),
@@ -77,6 +86,9 @@ pub fn route(x_local: &Matrix, router_w: &Matrix, telemetry: &TelemetryHandle) -
 /// none of them.
 pub struct TokenBuffers {
     pub batches: SlotBatches,
+    /// The router's logits, then its probabilities, one row per local
+    /// token ([`route`]).
+    pub router_probs: Matrix,
     /// `dLoss/dy` of the last [`TokenPath::forward`], one row per local token.
     dy: Matrix,
     rows: Vec<Vec<f32>>,
@@ -88,6 +100,7 @@ impl TokenBuffers {
     pub fn new(slots_per_rank: usize, d_model: usize) -> Self {
         Self {
             batches: SlotBatches::new(slots_per_rank, d_model),
+            router_probs: Matrix::zeros(0, 0),
             dy: Matrix::zeros(0, d_model),
             rows: Vec::new(),
             meta: Vec::new(),

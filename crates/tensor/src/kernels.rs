@@ -30,8 +30,9 @@
 //! kernels, kept as the fallback and the forced-`SYMI_SIMD=scalar` CI
 //! path), an AVX2+FMA family ([`crate::simd`], x86_64 only, runtime feature
 //! detection) whose loop nest runs a 256-bit 6×16 register tile, and the
-//! same family with the loop nest on a 512-bit 12×32 tile where the CPU has
-//! AVX-512F. Detection picks the widest the CPU supports. The scalar family
+//! same family with the loop nest on a 512-bit 12×32 tile, its column edge
+//! on masked 16-lane registers and the vector math on 16 lanes where the
+//! CPU has AVX-512F. Detection picks the widest the CPU supports. The scalar family
 //! is **bit-exact** against the [`naive`] oracle (single accumulator folded
 //! over ascending `k`, mul-then-add). The two x86 families keep f32
 //! accumulation but use fused multiply-add (and, in the dot-product `nt`,
@@ -172,9 +173,10 @@ pub enum SimdPath {
     /// AVX2 + FMA microkernels (x86_64, runtime-detected), the GEMM loop
     /// nest on the 256-bit 6×16 register tile.
     Avx2,
-    /// The `Avx2` family with the loop nest's register tile on 512-bit
-    /// registers (AVX-512F, runtime-detected). Every element is the same
-    /// FMA chain as on `Avx2`, so the two give identical bits.
+    /// The `Avx2` family with the loop nest's register tiles and column
+    /// edge, and the vector math, on 512-bit registers (AVX-512F,
+    /// runtime-detected). Every element is the same fold as on `Avx2`, so
+    /// the two give identical bits.
     Avx512,
 }
 
@@ -279,8 +281,8 @@ pub fn simd_path_name() -> &'static str {
 }
 
 /// Whether the vector math, the Adam kernel and the binary16 codec take
-/// their AVX2 encodings: on either x86 family (which one changes only the
-/// GEMM tile).
+/// their vector encodings: on either x86 family (which one changes only the
+/// GEMM tiles and the vector math's width, never a bit).
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_encodings() -> bool {
     active_path() != SimdPath::Scalar

@@ -22,36 +22,34 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
     out
 }
 
-/// `out = softmax_rows(x)`, reusing `out`'s allocation. Each row is
-/// computed independently (row-local reductions only): the row max and the
-/// row sum are scalar folds in ascending column order and the exponent pass
-/// is [`vmath::exp_sub_slice`], so the result is bit-identical for any
-/// worker count and for either SIMD path. A non-finite logit poisons its
-/// whole row (NaN sum), which is what the routers count as `nan_logits`.
+/// `out = softmax_rows(x)`, reusing `out`'s allocation: `x` copied into
+/// `out`, then [`softmax_rows_in_place`].
 pub fn softmax_rows_into(x: &Matrix, out: &mut Matrix) {
-    let (rows, cols) = (x.rows(), x.cols());
-    let t0 = Instant::now();
-    out.resize_to(rows, cols);
-    par_rows(rows, cols, MIN_ROWS_PER_SHARE, out.as_mut_slice(), |range, chunk| {
-        for (local, r) in range.enumerate() {
-            let src = x.row(r);
-            let row = &mut chunk[local * cols..(local + 1) * cols];
-            vmath::exp_sub_slice(src, row_max(src), row);
-            normalize(row, cols);
-        }
-    });
-    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
+    out.resize_to(x.rows(), x.cols());
+    out.as_mut_slice().copy_from_slice(x.as_slice());
+    softmax_rows_in_place(out);
 }
 
-/// [`softmax_rows_into`] with `x` as its own output: the same operations,
-/// the exponent pass in place.
-fn softmax_rows_in_place(x: &mut Matrix) {
+/// Row-wise softmax of `x`, in its own buffer. Each row is computed
+/// independently (row-local reductions only): the row max and the row sum
+/// are scalar folds in ascending column order. Per share, each row becomes
+/// `v − max`, then one exponent pass covers the whole share
+/// ([`vmath::exp_sub_in_place`] with shift 0: `x − 0` is `x` bit for bit, so
+/// this is `exp(v − max)` per element — one vector loop, where a pass per
+/// row left short rows all tail), then each row is normalised. The result
+/// is bit-identical for any worker count and on every SIMD path. A
+/// non-finite logit poisons its whole row (NaN sum), which is what the
+/// routers count as `nan_logits`.
+pub fn softmax_rows_in_place(x: &mut Matrix) {
     let (rows, cols) = (x.rows(), x.cols());
     let t0 = Instant::now();
-    par_rows(rows, cols, MIN_ROWS_PER_SHARE, x.as_mut_slice(), |range, chunk| {
-        for local in 0..range.len() {
-            let row = &mut chunk[local * cols..(local + 1) * cols];
-            vmath::exp_sub_in_place(row, row_max(row));
+    par_rows(rows, cols, MIN_ROWS_PER_SHARE, x.as_mut_slice(), |_, chunk| {
+        for row in chunk.chunks_exact_mut(cols.max(1)) {
+            let max = row_max(row);
+            row.iter_mut().for_each(|v| *v -= max);
+        }
+        vmath::exp_sub_in_place(chunk, 0.0);
+        for row in chunk.chunks_exact_mut(cols.max(1)) {
             normalize(row, cols);
         }
     });

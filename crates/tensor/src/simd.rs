@@ -1,10 +1,11 @@
-//! AVX2 + FMA GEMM microkernels and their AVX-512F register tile (x86_64
-//! only).
+//! AVX2 + FMA GEMM microkernels, their AVX-512F register tiles and column
+//! edge, and the vector math on 8 and 16 lanes (x86_64 only).
 //!
 //! The drivers in [`crate::kernels`] dispatch here when the active family
 //! is `Avx2` or `Avx512` ([`crate::kernels::SimdPath`]). Both run every
-//! kernel of this module; they differ only in the loop nest's register tile
-//! (below). Every wrapper the drivers call is *safe*: it `debug_assert!`s
+//! kernel of this module but three: they differ in the loop nest's register
+//! tile and column edge (below) and in the vector math's width (its own
+//! section), never in a result bit. Every wrapper the drivers call is *safe*: it `debug_assert!`s
 //! the feature set and then calls a `#[target_feature]` implementation —
 //! the `unsafe` is confined to those implementations plus the intrinsic
 //! calls, and is sound exactly because a family is only ever active on a
@@ -41,14 +42,17 @@
 //!   every row tile of the share sweeps it.
 //!
 //! Row remainders of the 16-column tiles (m mod 6) run const-generic R×16
-//! tiles with the same schedule. Column remainders (n mod 16) run scalar
-//! loops: `nn`'s folds
-//! mul-then-add, as it always has; `tn`'s and `nt`'s fold `f32::mul_add`.
-//! So every `tn` element and every tile-`nt` element — any tile, row edge
-//! or column edge — is one FMA chain over ascending k,
-//! started from `+0.0` or, accumulating, from the destination, and spilled
-//! to the f32 output at the same k-chunk boundaries; `nn` is that chain
-//! except in its column edge, which neither family vectorizes.
+//! tiles with the same schedule. Column remainders (n mod 16) fold `nn`'s
+//! elements mul-then-add, as it always has, and `tn`'s and `nt`'s by FMA —
+//! the same fold on either family, at different widths: the 256-bit family
+//! runs scalar loops (`f32::mul_add` for the FMA), the 512-bit one an R×16
+//! kernel on one ZMM accumulator per row whose lanes from the edge's width
+//! on are masked off (`vmulps` + `vaddps`, or `vfmadd`). So every `tn`
+//! element and every tile-`nt` element — any tile, row edge or column edge
+//! — is one FMA chain over ascending k, started from `+0.0` or,
+//! accumulating, from the destination, and spilled to the f32 output at the
+//! same k-chunk boundaries; `nn` is that chain except in its column edge,
+//! which is the mul-then-add chain.
 //!
 //! # Skinny GEMMs keep their own kernels
 //!
@@ -80,7 +84,6 @@ use crate::adam::{self, AdamCoeffs};
 use crate::half::{f16_to_f32, f32_to_f16};
 use crate::kernels::{kern_nn_edge, pack_a_strip};
 use crate::matrix::Matrix;
-use crate::vmath;
 use core::arch::x86_64::*;
 use std::ops::Range;
 
@@ -89,7 +92,7 @@ pub(crate) const MR_TILE: usize = 6;
 /// Row tile of the 512-bit family's 32-column register tile: two ZMM
 /// accumulators per row, so 2·12 = 24 of the 32 registers, with two B
 /// vectors and the broadcasts beside them. The width replaced the 16
-/// columns of the [`MR_SQUARE`]×16 tile (a k step of that one issues 17
+/// columns of the `MR_SQUARE`×16 tile (a k step of that one issues 17
 /// loads for 16 FMAs, of this one 2 + 12 loads for 24); the height was
 /// chosen from 12 and 14 rows timed end to end on a 2-vCPU Sapphire Rapids
 /// guest (DESIGN.md *Compute kernels & threading*).
@@ -271,9 +274,9 @@ unsafe fn pack_bt(
 /// the spilled f32 partial, and an f32 round-trips memory exactly.
 /// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
 /// mul-then-add for `nn`, whose A is row-major); `WIDE` runs the full row
-/// tiles on 512-bit registers, and `NR` = [`NR_WIDE`] (512-bit only) runs
-/// 32-column panels on the [`MR_WIDE`]×32 tile while 32 columns are left,
-/// then 16-column ones. The tiles are constants of each instance, so the
+/// tiles and the column edge on 512-bit registers, and `NR` = [`NR_WIDE`]
+/// (512-bit only) runs 32-column panels on the [`MR_WIDE`]×32 tile while 32
+/// columns are left, then 16-column ones. The tiles are constants of each instance, so the
 /// 256-bit one runs at the speed it had before the wide tiles existed:
 /// chosen at run time inside the nest, the extra live state spilled the
 /// 6×16 tile's loop counters and cost it 5–15% (DESIGN.md *Compute kernels
@@ -323,7 +326,8 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
                 }
             };
             // The 32-column tile on 32-column panels; on 16-column ones the
-            // 16×16 (the 512-bit family's 16–31 leftover columns) or the 6×16.
+            // 16×16 (the 512-bit family's 16–31 leftover columns and its
+            // masked column edge) or the 6×16.
             let mr = match (nr > NR_TILE, WIDE) {
                 (true, _) => MR_WIDE,
                 (false, true) => MR_SQUARE,
@@ -341,6 +345,10 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
                     kern_6x16::<TA>(ablk, lda, klen, panel, pstride, oblk, n, tile_acc);
                 } else if w == NR_TILE {
                     kern_edge_rows::<TA>(ablk, lda, klen, rows, panel, pstride, oblk, n, tile_acc);
+                } else if WIDE {
+                    kern_masked_rows::<TA>(
+                        ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc, fused_edge,
+                    );
                 } else if fused_edge {
                     kern_edge_fma::<TA>(
                         ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc,
@@ -713,9 +721,9 @@ unsafe fn kern_edge_rows<const TA: bool>(
     }
 }
 
-/// Column-edge tile of `tn` and `nt` (`w` < 16 columns): each element one
-/// `mul_add` chain over ascending k — the tile's per-lane arithmetic, one
-/// element at a time.
+/// Column-edge tile of `tn` and `nt` (`w` < 16 columns) on the 256-bit
+/// family: each element one `mul_add` chain over ascending k — the tile's
+/// per-lane arithmetic, one element at a time.
 ///
 /// # Safety
 ///
@@ -746,6 +754,104 @@ unsafe fn kern_edge_fma<const TA: bool>(
             out[i * ldc + j] = s;
         }
     }
+}
+
+/// Column edge of the 512-bit family: `R` (≤ [`MR_SQUARE`]) rows × the `w`
+/// (< 16) columns left after the last 16-column panel, one ZMM accumulator
+/// per row whose lanes from `w` on are masked off. Each k step loads the
+/// panel row's `w` floats (`vmovups` under a zeroing mask) and broadcasts
+/// each row's A element once; the destination is read and written under
+/// the same mask, so no lane outside the `w` columns is touched. Lane j of
+/// row i folds element (i, j) exactly as the scalar edges do: `FUSED`
+/// issues `vfmadd` ([`kern_edge_fma`]'s `mul_add`, `tn` and `nt`), else
+/// `vmulps` then `vaddps` ([`kern_nn_edge`]'s mul-then-add, `nn`).
+///
+/// # Safety
+///
+/// AVX-512F must be available; the three extents it `debug_assert!`s must
+/// hold.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    panel: &[f32],
+    w: usize,
+    pstride: usize,
+    out: &mut [f32],
+    ldc: usize,
+    acc: bool,
+) {
+    debug_assert!(0 < w && w < NR_TILE);
+    debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + w);
+    debug_assert!(a.len() >= a_extent::<TA>(lda, R, k));
+    debug_assert!(out.len() >= (R - 1) * ldc + w);
+    let mask: __mmask16 = (1 << w) - 1;
+    let ap = a.as_ptr();
+    let pp = panel.as_ptr();
+    let op = out.as_mut_ptr();
+    let mut c = [_mm512_setzero_ps(); R];
+    if acc {
+        for (r, cr) in c.iter_mut().enumerate() {
+            *cr = _mm512_maskz_loadu_ps(mask, op.add(r * ldc));
+        }
+    }
+    for kk in 0..k {
+        let b = _mm512_maskz_loadu_ps(mask, pp.add(kk * pstride));
+        for (r, cr) in c.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(a_at::<TA>(ap, lda, r, kk));
+            *cr = if FUSED {
+                _mm512_fmadd_ps(av, b, *cr)
+            } else {
+                _mm512_add_ps(*cr, _mm512_mul_ps(av, b))
+            };
+        }
+    }
+    for (r, cr) in c.iter().enumerate() {
+        _mm512_mask_storeu_ps(op.add(r * ldc), mask, *cr);
+    }
+}
+
+/// `rows` (1 ..= [`MR_SQUARE`]) rows of the 512-bit family's column edge:
+/// the monomorphized [`kern_rx16_masked`] for that height and fold
+/// (`fused`: `tn` and `nt`; else `nn`).
+///
+/// # Safety
+///
+/// As [`kern_rx16_masked`], for `rows` rows.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn kern_masked_rows<const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    k: usize,
+    rows: usize,
+    panel: &[f32],
+    w: usize,
+    pstride: usize,
+    out: &mut [f32],
+    ldc: usize,
+    acc: bool,
+    fused: bool,
+) {
+    macro_rules! by_height {
+        ($($r:literal)*) => {
+            match (rows, fused) {
+                $(
+                    ($r, true) => kern_rx16_masked::<$r, TA, true>(
+                        a, lda, k, panel, w, pstride, out, ldc, acc,
+                    ),
+                    ($r, false) => kern_rx16_masked::<$r, TA, false>(
+                        a, lda, k, panel, w, pstride, out, ldc, acc,
+                    ),
+                )*
+                _ => unreachable!("the column edge's row tile is 1..={MR_SQUARE} rows"),
+            }
+        };
+    }
+    const _: () = assert!(MR_SQUARE == 16, "list every height up to MR_SQUARE below");
+    by_height!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,246 +1285,399 @@ unsafe fn kern_tn_4x16(
 }
 
 // ---------------------------------------------------------------------------
-// Vector math: the 8-lane encoding of `crate::vmath`
+// Vector math: the 8- and 16-lane encodings of `crate::vmath`
 // ---------------------------------------------------------------------------
 //
-// Every function below performs, per lane, exactly the operation sequence of
-// its scalar twin in `crate::vmath` — same constants, same order, mul and add
-// never fused (the functions enable `avx2` only, so no FMA can be emitted) —
-// which is what makes the two encodings bit-identical. Change one, change
-// the other; `tests/vmath_oracle.rs` compares them bitwise.
+// The operation sequence is written once, in `vector_math!`, over a register
+// of lanes `V` and one-instruction primitives on it; `ymm` expands it on
+// 8-lane YMM registers under `avx2` (the 256-bit family) and `zmm` on
+// 16-lane ZMM registers under `avx512f` (the 512-bit family). Per lane every
+// function performs exactly the operation sequence of its scalar twin in
+// `crate::vmath` — same constants, same order, mul and add never fused —
+// which is what makes the three encodings bit-identical. `avx512f` implies
+// FMA, so the 16-lane code could issue `vfmadd`; it does not because Rust
+// never contracts a separate mul and add (it emits no fast-math flags), not
+// because the feature is missing. Change one encoding, change the others;
+// `tests/vmath_oracle.rs` compares them bitwise at every remainder length of
+// either width.
+//
+// Every function here is a safe `#[target_feature]` function: the only
+// `unsafe` is in the loads and stores (a whole register from an `N`-float
+// array, or a zero-masked part of one on ZMM) and in the `pub(crate)`
+// wrappers, which enter the width the active family names.
 
-/// 8-lane [`vmath::exp`].
-#[target_feature(enable = "avx2")]
-unsafe fn exp_ps(x: __m256) -> __m256 {
-    let lo = _mm256_set1_ps(vmath::EXP_LO);
-    // MAXPS/MINPS return their *second* operand when either is NaN: with x
-    // second, a NaN lane survives the clamp (`vmath::max_sse`/`min_sse`).
-    let xc = _mm256_min_ps(_mm256_set1_ps(vmath::EXP_HI), _mm256_max_ps(lo, x));
-    let magic = _mm256_set1_ps(vmath::ROUND_MAGIC);
-    let t = _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(vmath::LOG2E)), magic);
-    let nf = _mm256_sub_ps(t, magic);
-    let r = _mm256_sub_ps(
-        _mm256_sub_ps(xc, _mm256_mul_ps(nf, _mm256_set1_ps(vmath::LN2_HI))),
-        _mm256_mul_ps(nf, _mm256_set1_ps(vmath::LN2_LO)),
-    );
-    let mut p = _mm256_set1_ps(vmath::EXP_POLY[0]);
-    for &c in &vmath::EXP_POLY[1..] {
-        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+/// Defines each listed function as `#[inline]` under the target feature.
+macro_rules! lane_fns {
+    (
+        $feature:literal;
+        $(
+            $(#[$m:meta])*
+            $vis:vis fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? $body:block
+        )*
+    ) => {
+        $(
+            $(#[$m])*
+            #[inline]
+            #[target_feature(enable = $feature)]
+            $vis fn $name($($arg: $ty),*) $(-> $ret)? $body
+        )*
+    };
+}
+
+/// The vector math over the lane type `V` (`N` lanes) of the module it
+/// expands in, which supplies these primitives, each one instruction except
+/// where noted: `splat`, `splat_bits` (every lane the given bit pattern);
+/// `add`, `sub`, `mul`, `div`; `max_sse` / `min_sse` (`MAXPS` / `MINPS`:
+/// the second operand when either is NaN, as [`crate::vmath::max_sse`]);
+/// `select_lt(a, b, t, f)` (`t` where `a < b`, ordered, else `f`); the
+/// bitwise `and`, `andnot` (`!a & b`) and `or`; `add_i32`, `sub_i32`,
+/// `shr1_i32` (arithmetic) and `shl23_i32` on the lanes' bit patterns;
+/// `load` / `store` of a whole `[f32; N]`, and `load_part` / `store_part` of
+/// the first `len < N` lanes (zero in the others).
+macro_rules! vector_math {
+    ($feature:literal) => {
+        lane_fns! { $feature;
+            /// [`vmath::exp`] on every lane.
+            fn exp(x: V) -> V {
+                let lo = splat(vmath::EXP_LO);
+                // With x second, a NaN lane survives the clamp.
+                let xc = min_sse(splat(vmath::EXP_HI), max_sse(lo, x));
+                let magic = splat(vmath::ROUND_MAGIC);
+                let t = add(mul(xc, splat(vmath::LOG2E)), magic);
+                let nf = sub(t, magic);
+                let r = sub(sub(xc, mul(nf, splat(vmath::LN2_HI))), mul(nf, splat(vmath::LN2_LO)));
+                let mut p = splat(vmath::EXP_POLY[0]);
+                for &c in &vmath::EXP_POLY[1..] {
+                    p = add(mul(p, r), splat(c));
+                }
+                let p = add(add(mul(p, mul(r, r)), r), splat(1.0));
+                let n = sub_i32(t, splat_bits(vmath::ROUND_MAGIC_BITS));
+                let h = shr1_i32(n);
+                let bias = splat_bits(127);
+                let s1 = shl23_i32(add_i32(h, bias));
+                let s2 = shl23_i32(add_i32(sub_i32(n, h), bias));
+                select_lt(x, lo, splat(0.0), mul(mul(p, s1), s2))
+            }
+
+            /// [`vmath::tanh`] on every lane.
+            fn tanh(u: V) -> V {
+                let sign = splat_bits(i32::MIN);
+                let a = andnot(sign, u);
+                let z = mul(a, a);
+                let mut q = splat(vmath::TANH_POLY[0]);
+                for &c in &vmath::TANH_POLY[1..] {
+                    q = add(mul(q, z), splat(c));
+                }
+                let small = add(mul(mul(q, z), a), a);
+                let e = exp(mul(splat(-2.0), a));
+                let one = splat(1.0);
+                let big = div(sub(one, e), add(one, e));
+                or(select_lt(a, splat(vmath::TANH_SMALL), small, big), and(sign, u))
+            }
+
+            /// [`vmath::gelu_tanh`]: `tanh(C·(x + A·x·x·x))`, the inner term
+            /// of GELU and GELU′.
+            fn gelu_tanh(x: V) -> V {
+                let ax3 = mul(mul(mul(splat(vmath::GELU_A), x), x), x);
+                tanh(mul(splat(vmath::GELU_C), add(x, ax3)))
+            }
+
+            /// [`vmath::gelu_from_tanh`].
+            fn gelu_from_tanh(x: V, t: V) -> V {
+                mul(mul(splat(0.5), x), add(splat(1.0), t))
+            }
+
+            /// [`vmath::gelu_grad_from_tanh`].
+            fn gelu_grad_from_tanh(x: V, t: V) -> V {
+                let x = min_sse(
+                    splat(vmath::GELU_GRAD_CLAMP),
+                    max_sse(splat(-vmath::GELU_GRAD_CLAMP), x),
+                );
+                let (one, half) = (splat(1.0), splat(0.5));
+                let sech2 = sub(one, mul(t, t));
+                let poly = add(one, mul(mul(splat(vmath::GELU_3A), x), x));
+                let slope = mul(mul(mul(mul(half, x), sech2), splat(vmath::GELU_C)), poly);
+                add(mul(half, add(one, t)), slope)
+            }
+
+            /// `dst[i] = f(src[i])`, `N` lanes at a time. The tail
+            /// (`len % N` elements) is one partial register, so every
+            /// element — whole register or tail — is computed by the same
+            /// lane code.
+            fn map(src: &[f32], dst: &mut [f32], f: impl Fn(V) -> V) {
+                assert_eq!(src.len(), dst.len());
+                let ((s, s_tail), (d, d_tail)) = (src.as_chunks::<N>(), dst.as_chunks_mut::<N>());
+                for (s, d) in s.iter().zip(d) {
+                    store(f(load(s)), d);
+                }
+                if !s_tail.is_empty() {
+                    store_part(f(load_part(s_tail)), d_tail);
+                }
+            }
+
+            /// Two-input [`map`]: `dst[i] = f(a[i], b[i])`.
+            fn map2(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(V, V) -> V) {
+                assert_eq!(a.len(), dst.len());
+                assert_eq!(b.len(), dst.len());
+                let ((a, a_tail), (b, b_tail)) = (a.as_chunks::<N>(), b.as_chunks::<N>());
+                let (d, d_tail) = dst.as_chunks_mut::<N>();
+                for ((a, b), d) in a.iter().zip(b).zip(d) {
+                    store(f(load(a), load(b)), d);
+                }
+                if !a_tail.is_empty() {
+                    store_part(f(load_part(a_tail), load_part(b_tail)), d_tail);
+                }
+            }
+
+            /// Three-input [`map`]: `dst[i] = f(a[i], b[i], c[i])`.
+            fn map3(a: &[f32], b: &[f32], c: &[f32], dst: &mut [f32], f: impl Fn(V, V, V) -> V) {
+                assert_eq!(a.len(), dst.len());
+                assert_eq!(b.len(), dst.len());
+                assert_eq!(c.len(), dst.len());
+                let ((a, a_tail), (b, b_tail)) = (a.as_chunks::<N>(), b.as_chunks::<N>());
+                let ((c, c_tail), (d, d_tail)) = (c.as_chunks::<N>(), dst.as_chunks_mut::<N>());
+                for (((a, b), c), d) in a.iter().zip(b).zip(c).zip(d) {
+                    store(f(load(a), load(b), load(c)), d);
+                }
+                if !a_tail.is_empty() {
+                    let v = f(load_part(a_tail), load_part(b_tail), load_part(c_tail));
+                    store_part(v, d_tail);
+                }
+            }
+
+            /// In-place [`map`]: `x[i] = f(x[i])`.
+            fn map_in_place(x: &mut [f32], f: impl Fn(V) -> V) {
+                let (x, tail) = x.as_chunks_mut::<N>();
+                for v in x {
+                    store(f(load(v)), v);
+                }
+                if !tail.is_empty() {
+                    store_part(f(load_part(tail)), tail);
+                }
+            }
+
+            pub(super) fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
+                let sh = splat(shift);
+                map(x, out, |v| exp(sub(v, sh)))
+            }
+
+            pub(super) fn exp_sub_in_place(x: &mut [f32], shift: f32) {
+                let sh = splat(shift);
+                map_in_place(x, |v| exp(sub(v, sh)))
+            }
+
+            pub(super) fn tanh_slice(x: &[f32], out: &mut [f32]) {
+                map(x, out, |v| tanh(v))
+            }
+
+            pub(super) fn gelu_slice(x: &[f32], out: &mut [f32]) {
+                map(x, out, |v| gelu_from_tanh(v, gelu_tanh(v)))
+            }
+
+            pub(super) fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
+                map(x, t, |v| gelu_tanh(v))
+            }
+
+            pub(super) fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
+                map2(x, t, out, |x, t| gelu_from_tanh(x, t))
+            }
+
+            pub(super) fn gelu_backward_from_tanh_slice(
+                x: &[f32],
+                t: &[f32],
+                dy: &[f32],
+                dx: &mut [f32]
+            ) {
+                map3(x, t, dy, dx, |x, t, dy| mul(dy, gelu_grad_from_tanh(x, t)))
+            }
+        }
+    };
+}
+
+/// The 8-lane encoding: YMM registers, `avx2`.
+mod ymm {
+    use crate::vmath;
+    use core::arch::x86_64::*;
+
+    type V = __m256;
+    const N: usize = 8;
+
+    lane_fns! { "avx2";
+        fn splat(v: f32) -> V { _mm256_set1_ps(v) }
+        fn splat_bits(v: i32) -> V { _mm256_castsi256_ps(_mm256_set1_epi32(v)) }
+        fn add(a: V, b: V) -> V { _mm256_add_ps(a, b) }
+        fn sub(a: V, b: V) -> V { _mm256_sub_ps(a, b) }
+        fn mul(a: V, b: V) -> V { _mm256_mul_ps(a, b) }
+        fn div(a: V, b: V) -> V { _mm256_div_ps(a, b) }
+        fn max_sse(a: V, b: V) -> V { _mm256_max_ps(a, b) }
+        fn min_sse(a: V, b: V) -> V { _mm256_min_ps(a, b) }
+        fn select_lt(a: V, b: V, t: V, f: V) -> V {
+            _mm256_blendv_ps(f, t, _mm256_cmp_ps::<_CMP_LT_OQ>(a, b))
+        }
+        fn and(a: V, b: V) -> V { _mm256_and_ps(a, b) }
+        fn andnot(a: V, b: V) -> V { _mm256_andnot_ps(a, b) }
+        fn or(a: V, b: V) -> V { _mm256_or_ps(a, b) }
+        fn add_i32(a: V, b: V) -> V {
+            _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(a), _mm256_castps_si256(b)))
+        }
+        fn sub_i32(a: V, b: V) -> V {
+            _mm256_castsi256_ps(_mm256_sub_epi32(_mm256_castps_si256(a), _mm256_castps_si256(b)))
+        }
+        fn shr1_i32(a: V) -> V {
+            _mm256_castsi256_ps(_mm256_srai_epi32::<1>(_mm256_castps_si256(a)))
+        }
+        fn shl23_i32(a: V) -> V {
+            _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_castps_si256(a)))
+        }
+        fn load(s: &[f32; N]) -> V {
+            // SAFETY: `s` holds the 8 floats read.
+            unsafe { _mm256_loadu_ps(s.as_ptr()) }
+        }
+        fn store(v: V, d: &mut [f32; N]) {
+            // SAFETY: `d` holds the 8 floats written.
+            unsafe { _mm256_storeu_ps(d.as_mut_ptr(), v) }
+        }
+        /// Through a zero-padded 8-float stack buffer.
+        fn load_part(s: &[f32]) -> V {
+            let mut buf = [0.0; N];
+            buf[..s.len()].copy_from_slice(s);
+            load(&buf)
+        }
+        /// Through an 8-float stack buffer.
+        fn store_part(v: V, d: &mut [f32]) {
+            let mut buf = [0.0; N];
+            store(v, &mut buf);
+            let len = d.len();
+            d.copy_from_slice(&buf[..len]);
+        }
     }
-    let p =
-        _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), _mm256_set1_ps(1.0));
-    let n = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_set1_epi32(vmath::ROUND_MAGIC_BITS));
-    let h = _mm256_srai_epi32::<1>(n);
-    let bias = _mm256_set1_epi32(127);
-    let s1 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(h, bias)));
-    let s2 = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-        _mm256_sub_epi32(n, h),
-        bias,
-    )));
-    let y = _mm256_mul_ps(_mm256_mul_ps(p, s1), s2);
-    _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(x, lo), y)
+
+    vector_math!("avx2");
 }
 
-/// 8-lane [`vmath::tanh`].
-#[target_feature(enable = "avx2")]
-unsafe fn tanh_ps(u: __m256) -> __m256 {
-    let sign_mask = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
-    let a = _mm256_andnot_ps(sign_mask, u);
-    let z = _mm256_mul_ps(a, a);
-    let mut q = _mm256_set1_ps(vmath::TANH_POLY[0]);
-    for &c in &vmath::TANH_POLY[1..] {
-        q = _mm256_add_ps(_mm256_mul_ps(q, z), _mm256_set1_ps(c));
+/// The 16-lane encoding: ZMM registers, `avx512f`. The bitwise and integer
+/// primitives run on the integer forms (`vpandd`, `vpaddd`, …): the float
+/// forms of the logic ops are AVX-512DQ, and on a bit pattern the two agree.
+mod zmm {
+    use crate::vmath;
+    use core::arch::x86_64::*;
+
+    type V = __m512;
+    const N: usize = 16;
+
+    lane_fns! { "avx512f";
+        fn splat(v: f32) -> V { _mm512_set1_ps(v) }
+        fn splat_bits(v: i32) -> V { _mm512_castsi512_ps(_mm512_set1_epi32(v)) }
+        fn add(a: V, b: V) -> V { _mm512_add_ps(a, b) }
+        fn sub(a: V, b: V) -> V { _mm512_sub_ps(a, b) }
+        fn mul(a: V, b: V) -> V { _mm512_mul_ps(a, b) }
+        fn div(a: V, b: V) -> V { _mm512_div_ps(a, b) }
+        fn max_sse(a: V, b: V) -> V { _mm512_max_ps(a, b) }
+        fn min_sse(a: V, b: V) -> V { _mm512_min_ps(a, b) }
+        fn select_lt(a: V, b: V, t: V, f: V) -> V {
+            _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b), f, t)
+        }
+        fn and(a: V, b: V) -> V {
+            _mm512_castsi512_ps(_mm512_and_si512(_mm512_castps_si512(a), _mm512_castps_si512(b)))
+        }
+        fn andnot(a: V, b: V) -> V {
+            _mm512_castsi512_ps(_mm512_andnot_si512(_mm512_castps_si512(a), _mm512_castps_si512(b)))
+        }
+        fn or(a: V, b: V) -> V {
+            _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(a), _mm512_castps_si512(b)))
+        }
+        fn add_i32(a: V, b: V) -> V {
+            _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(a), _mm512_castps_si512(b)))
+        }
+        fn sub_i32(a: V, b: V) -> V {
+            _mm512_castsi512_ps(_mm512_sub_epi32(_mm512_castps_si512(a), _mm512_castps_si512(b)))
+        }
+        fn shr1_i32(a: V) -> V {
+            _mm512_castsi512_ps(_mm512_srai_epi32::<1>(_mm512_castps_si512(a)))
+        }
+        fn shl23_i32(a: V) -> V {
+            _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_castps_si512(a)))
+        }
+        fn load(s: &[f32; N]) -> V {
+            // SAFETY: `s` holds the 16 floats read.
+            unsafe { _mm512_loadu_ps(s.as_ptr()) }
+        }
+        fn store(v: V, d: &mut [f32; N]) {
+            // SAFETY: `d` holds the 16 floats written.
+            unsafe { _mm512_storeu_ps(d.as_mut_ptr(), v) }
+        }
+        /// The first `len.min(N)` lanes set.
+        fn part_mask(len: usize) -> __mmask16 {
+            if len >= N { !0 } else { (1 << len) - 1 }
+        }
+        /// One `vmovups` under a zeroing mask.
+        fn load_part(s: &[f32]) -> V {
+            // SAFETY: the mask enables only lanes below `s.len()`; masked-off
+            // lanes are neither read nor able to fault.
+            unsafe { _mm512_maskz_loadu_ps(part_mask(s.len()), s.as_ptr()) }
+        }
+        /// One masked `vmovups`.
+        fn store_part(v: V, d: &mut [f32]) {
+            // SAFETY: the mask enables only lanes below `d.len()`.
+            unsafe { _mm512_mask_storeu_ps(d.as_mut_ptr(), part_mask(d.len()), v) }
+        }
     }
-    let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(q, z), a), a);
-    let e = exp_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), a));
-    let one = _mm256_set1_ps(1.0);
-    let big = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
-    let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, _mm256_set1_ps(vmath::TANH_SMALL));
-    let r = _mm256_blendv_ps(big, small, is_small);
-    _mm256_or_ps(r, _mm256_and_ps(sign_mask, u))
+
+    vector_math!("avx512f");
 }
 
-/// `tanh(C·(x + A·x·x·x))` — the shared inner term of GELU and GELU′.
-#[target_feature(enable = "avx2")]
-unsafe fn gelu_tanh_ps(x: __m256) -> __m256 {
-    let ax = _mm256_mul_ps(_mm256_set1_ps(vmath::GELU_A), x);
-    let ax3 = _mm256_mul_ps(_mm256_mul_ps(ax, x), x);
-    tanh_ps(_mm256_mul_ps(_mm256_set1_ps(vmath::GELU_C), _mm256_add_ps(x, ax3)))
+/// Runs the named function of [`zmm`] when the 512-bit family is active,
+/// else of [`ymm`].
+macro_rules! at_active_width {
+    ($f:ident($($arg:expr),*)) => {{
+        debug_assert!(have_avx2_fma());
+        if crate::kernels::active_path() == crate::kernels::SimdPath::Avx512 {
+            debug_assert!(have_avx512f());
+            // SAFETY: the 512-bit family is only ever active on a CPU with
+            // AVX-512F (`kernels::force_simd_path` refuses it otherwise).
+            unsafe { zmm::$f($($arg),*) }
+        } else {
+            // SAFETY: the vmath dispatchers come here only when an x86
+            // family is active, and `kernels` activates one only on a CPU
+            // with AVX2+FMA.
+            unsafe { ymm::$f($($arg),*) }
+        }
+    }};
 }
 
-/// 8-lane [`vmath::gelu_from_tanh`].
-#[target_feature(enable = "avx2")]
-unsafe fn gelu_from_tanh_ps(x: __m256, t: __m256) -> __m256 {
-    _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5), x), _mm256_add_ps(_mm256_set1_ps(1.0), t))
-}
-
-/// 8-lane [`vmath::gelu_grad_from_tanh`].
-#[target_feature(enable = "avx2")]
-unsafe fn gelu_grad_from_tanh_ps(x: __m256, t: __m256) -> __m256 {
-    let x = _mm256_min_ps(
-        _mm256_set1_ps(vmath::GELU_GRAD_CLAMP),
-        _mm256_max_ps(_mm256_set1_ps(-vmath::GELU_GRAD_CLAMP), x),
-    );
-    let one = _mm256_set1_ps(1.0);
-    let half = _mm256_set1_ps(0.5);
-    let sech2 = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
-    let poly =
-        _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(vmath::GELU_3A), x), x));
-    let slope = _mm256_mul_ps(
-        _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(half, x), sech2), _mm256_set1_ps(vmath::GELU_C)),
-        poly,
-    );
-    _mm256_add_ps(_mm256_mul_ps(half, _mm256_add_ps(one, t)), slope)
-}
-
-/// Loads `s` (fewer than 8 elements) into a zero-padded vector.
-#[target_feature(enable = "avx2")]
-unsafe fn load_tail(s: &[f32]) -> __m256 {
-    let mut buf = [0.0f32; 8];
-    buf[..s.len()].copy_from_slice(s);
-    _mm256_loadu_ps(buf.as_ptr())
-}
-
-/// Stores the first `d.len()` (fewer than 8) lanes of `v` into `d`.
-#[target_feature(enable = "avx2")]
-unsafe fn store_tail(v: __m256, d: &mut [f32]) {
-    let mut buf = [0.0f32; 8];
-    _mm256_storeu_ps(buf.as_mut_ptr(), v);
-    d.copy_from_slice(&buf[..d.len()]);
-}
-
-/// `dst[i] = f(src[i])`, 8 lanes at a time. The tail (`len % 8` elements)
-/// goes through a zero-padded vector, so every element — full chunk or tail
-/// — is computed by the same lane code. Loads and stores are unaligned and
-/// confined to `chunks_exact` slices and the 8-element stack buffers.
-#[target_feature(enable = "avx2")]
-unsafe fn map_ps(src: &[f32], dst: &mut [f32], f: impl Fn(__m256) -> __m256) {
-    assert_eq!(src.len(), dst.len());
-    let mut s8 = src.chunks_exact(8);
-    let mut d8 = dst.chunks_exact_mut(8);
-    for (s, d) in (&mut s8).zip(&mut d8) {
-        _mm256_storeu_ps(d.as_mut_ptr(), f(_mm256_loadu_ps(s.as_ptr())));
-    }
-    let s = s8.remainder();
-    if !s.is_empty() {
-        store_tail(f(load_tail(s)), d8.into_remainder());
-    }
-}
-
-/// Two-input [`map_ps`]: `dst[i] = f(a[i], b[i])`.
-#[target_feature(enable = "avx2")]
-unsafe fn map2_ps(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(__m256, __m256) -> __m256) {
-    assert_eq!(a.len(), dst.len());
-    assert_eq!(b.len(), dst.len());
-    let mut a8 = a.chunks_exact(8);
-    let mut b8 = b.chunks_exact(8);
-    let mut d8 = dst.chunks_exact_mut(8);
-    for ((a, b), d) in (&mut a8).zip(&mut b8).zip(&mut d8) {
-        let v = f(_mm256_loadu_ps(a.as_ptr()), _mm256_loadu_ps(b.as_ptr()));
-        _mm256_storeu_ps(d.as_mut_ptr(), v);
-    }
-    let (a, b) = (a8.remainder(), b8.remainder());
-    if !a.is_empty() {
-        store_tail(f(load_tail(a), load_tail(b)), d8.into_remainder());
-    }
-}
-
-/// Three-input [`map_ps`]: `dst[i] = f(a[i], b[i], c[i])`.
-#[target_feature(enable = "avx2")]
-unsafe fn map3_ps(
-    a: &[f32],
-    b: &[f32],
-    c: &[f32],
-    dst: &mut [f32],
-    f: impl Fn(__m256, __m256, __m256) -> __m256,
-) {
-    assert_eq!(a.len(), dst.len());
-    assert_eq!(b.len(), dst.len());
-    assert_eq!(c.len(), dst.len());
-    let (mut a8, mut b8, mut c8) = (a.chunks_exact(8), b.chunks_exact(8), c.chunks_exact(8));
-    let mut d8 = dst.chunks_exact_mut(8);
-    for (((a, b), c), d) in (&mut a8).zip(&mut b8).zip(&mut c8).zip(&mut d8) {
-        let v = f(
-            _mm256_loadu_ps(a.as_ptr()),
-            _mm256_loadu_ps(b.as_ptr()),
-            _mm256_loadu_ps(c.as_ptr()),
-        );
-        _mm256_storeu_ps(d.as_mut_ptr(), v);
-    }
-    let (a, b, c) = (a8.remainder(), b8.remainder(), c8.remainder());
-    if !a.is_empty() {
-        store_tail(f(load_tail(a), load_tail(b), load_tail(c)), d8.into_remainder());
-    }
-}
-
-/// In-place [`map_ps`]: `x[i] = f(x[i])`.
-#[target_feature(enable = "avx2")]
-unsafe fn map_in_place_ps(x: &mut [f32], f: impl Fn(__m256) -> __m256) {
-    let mut x8 = x.chunks_exact_mut(8);
-    for v in &mut x8 {
-        _mm256_storeu_ps(v.as_mut_ptr(), f(_mm256_loadu_ps(v.as_ptr())));
-    }
-    let rest = x8.into_remainder();
-    if !rest.is_empty() {
-        store_tail(f(load_tail(rest)), rest);
-    }
-}
-
-/// AVX2 [`vmath::exp_sub_slice`].
+/// Vector [`crate::vmath::exp_sub_slice`].
 pub(crate) fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: the vmath dispatchers come here only when an x86 family is
-    // active, and `kernels` activates one only on a CPU with AVX2+FMA.
-    unsafe {
-        let sh = _mm256_set1_ps(shift);
-        map_ps(x, out, |v| exp_ps(_mm256_sub_ps(v, sh)))
-    }
+    at_active_width!(exp_sub_slice(x, shift, out))
 }
 
-/// AVX2 [`vmath::exp_sub_in_place`].
+/// Vector [`crate::vmath::exp_sub_in_place`].
 pub(crate) fn exp_sub_in_place(x: &mut [f32], shift: f32) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `exp_sub_slice`.
-    unsafe {
-        let sh = _mm256_set1_ps(shift);
-        map_in_place_ps(x, |v| exp_ps(_mm256_sub_ps(v, sh)))
-    }
+    at_active_width!(exp_sub_in_place(x, shift))
 }
 
-/// AVX2 [`vmath::tanh_slice`].
+/// Vector [`crate::vmath::tanh_slice`].
 pub(crate) fn tanh_slice(x: &[f32], out: &mut [f32]) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `exp_sub_slice`.
-    unsafe { map_ps(x, out, |v| tanh_ps(v)) }
+    at_active_width!(tanh_slice(x, out))
 }
 
-/// AVX2 [`vmath::gelu_slice`].
+/// Vector [`crate::vmath::gelu_slice`].
 pub(crate) fn gelu_slice(x: &[f32], out: &mut [f32]) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `exp_sub_slice`.
-    unsafe { map_ps(x, out, |v| gelu_from_tanh_ps(v, gelu_tanh_ps(v))) }
+    at_active_width!(gelu_slice(x, out))
 }
 
-/// AVX2 [`vmath::gelu_tanh_slice`].
+/// Vector [`crate::vmath::gelu_tanh_slice`].
 pub(crate) fn gelu_tanh_slice(x: &[f32], t: &mut [f32]) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `exp_sub_slice`.
-    unsafe { map_ps(x, t, |v| gelu_tanh_ps(v)) }
+    at_active_width!(gelu_tanh_slice(x, t))
 }
 
-/// AVX2 [`vmath::gelu_from_tanh_slice`].
+/// Vector [`crate::vmath::gelu_from_tanh_slice`].
 pub(crate) fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `exp_sub_slice`.
-    unsafe { map2_ps(x, t, out, |x, t| gelu_from_tanh_ps(x, t)) }
+    at_active_width!(gelu_from_tanh_slice(x, t, out))
 }
 
-/// AVX2 [`vmath::gelu_backward_from_tanh_slice`].
+/// Vector [`crate::vmath::gelu_backward_from_tanh_slice`].
 pub(crate) fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `exp_sub_slice`.
-    unsafe { map3_ps(x, t, dy, dx, |x, t, dy| _mm256_mul_ps(dy, gelu_grad_from_tanh_ps(x, t))) }
+    at_active_width!(gelu_backward_from_tanh_slice(x, t, dy, dx))
 }
 
 // ---------------------------------------------------------------------------

@@ -4,14 +4,16 @@
 //! operations** — add, sub, mul, div (all correctly rounded), integer ops on
 //! the bit pattern, compares and selects; no fused multiply-add, no table,
 //! no libm. The sequence is written twice: here as plain scalar code (the
-//! `SYMI_SIMD=scalar` path, the non-x86 fallback, and the tail handler of
-//! the vector loops) and in [`crate::simd`] as AVX2 8-lane code. Because a
-//! lane of the vector code performs exactly the operations of the scalar
-//! code in exactly the same order, the two encodings agree **bit for bit**
-//! on every input, and so do runs with different worker counts (work only
-//! ever splits across elements). That is a stronger contract than the GEMM
-//! families' ULP bound, and it means this layer adds no scalar-vs-AVX2
-//! divergence of its own.
+//! `SYMI_SIMD=scalar` path and the non-x86 fallback — the specification)
+//! and once in [`crate::simd`] over a generic register of lanes, expanded
+//! as 8-lane AVX2 code (the `Avx2` family) and as 16-lane AVX-512F code
+//! (the `Avx512` family), whose tails run the same lane code on a partial
+//! register. Because a lane of the vector code performs exactly the
+//! operations of the scalar code in exactly the same order, the three
+//! encodings agree **bit for bit** on every input, and so do runs with
+//! different worker counts (work only ever splits across elements). That is
+//! a stronger contract than the GEMM families' ULP bound, and it means this
+//! layer adds no divergence between the families of its own.
 //!
 //! # Algorithms
 //!
@@ -198,7 +200,7 @@ pub fn gelu_grad_from_tanh(x: f32, t: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + GELU_3A * x * x)
 }
 
-/// `out[i] = exp(x[i] − shift)` — the softmax exponent pass.
+/// `out[i] = exp(x[i] − shift)`.
 pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "exp length mismatch");
     #[cfg(target_arch = "x86_64")]
@@ -208,8 +210,8 @@ pub fn exp_sub_slice(x: &[f32], shift: f32, out: &mut [f32]) {
     out.iter_mut().zip(x).for_each(|(o, &v)| *o = exp(v - shift));
 }
 
-/// `x[i] = exp(x[i] − shift)` in place — the exponent pass of a softmax
-/// computed in its own buffer.
+/// `x[i] = exp(x[i] − shift)` in place — the softmaxes' exponent pass, run
+/// with `shift` 0 over many rows at once, each already holding `v − max`.
 pub fn exp_sub_in_place(x: &mut [f32], shift: f32) {
     #[cfg(target_arch = "x86_64")]
     if avx2_encodings() {

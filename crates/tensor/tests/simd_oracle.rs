@@ -23,10 +23,12 @@
 //! them with `==`, on the 256-bit tile and on the 512-bit one alike. That
 //! covers every `tn` element, every element of an `nt` with at least
 //! `NT_TILE_MIN_ROWS` rows, and `nn`'s full-width columns (the first
-//! `16·⌊n/16⌋`); `nn`'s scalar column edge folds mul-then-add, and the
-//! dot-product `nt` splits k into octets, so those two stay under the gate
-//! only. `force_simd_path` refuses a family the CPU lacks, so these tests
-//! skip it instead.
+//! `16·⌊n/16⌋`). `nn`'s column edge folds mul-then-add — in scalar loops on
+//! the 256-bit family, in a masked 16-lane kernel on the 512-bit one — and
+//! [`mul_add_chain`], the same fold unfused, reproduces it with `==` on
+//! both. Only the dot-product `nt`, which splits k into octets, stays under
+//! the gate alone. `force_simd_path` refuses a family the CPU lacks, so
+//! these tests skip it instead.
 
 use std::sync::{Mutex, MutexGuard};
 use symi_tensor::kernels::{self, naive, ulp_diff, SimdPath};
@@ -161,6 +163,19 @@ fn fma_chain(
     })
 }
 
+/// `nn`'s column-edge arithmetic: [`fma_chain`] with each term rounded
+/// before it is added (`s + a·b`, mul then add).
+fn mul_add_chain(
+    (m, k, n): (usize, usize, usize),
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+    seed: Option<&Matrix>,
+) -> Matrix {
+    Matrix::from_fn(m, n, |i, j| {
+        (0..k).fold(seed.map_or(0.0, |s| s[(i, j)]), |s, kk| s + a(i, kk) * b(kk, j))
+    })
+}
+
 fn bits(x: &Matrix) -> Vec<u32> {
     x.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -188,6 +203,13 @@ fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
     }
     for &(k, n) in &kn {
         shapes.extend([(3 * h - 1, k, n), (3 * h + 1, k, n)]);
+    }
+    // The routers' GEMMs (`engine_tokens`, `engine_params`: all column
+    // edge), and edge widths either side of a 16-column panel with k across
+    // the chunk.
+    shapes.extend([(1024, 64, 4), (32, 256, 4)]);
+    for n in [1, 4, 15, 17, 31] {
+        shapes.extend([(h + 5, 300, n), (2 * h + 7, 520, n)]);
     }
     for path in [SimdPath::Avx2, SimdPath::Avx512] {
         if !path.supported() {
@@ -218,21 +240,22 @@ fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
                 assert_eq!(bits(&a.matmul_nt(&bt)), bits(&chain), "nt {label}");
             }
 
-            // nn: the full-width columns, write and accumulate mode; the
-            // scalar column edge does not fuse.
+            // nn, write and accumulate mode: the full-width columns fuse,
+            // the column edge (the last n mod 16) folds mul-then-add.
             let full = n - n % 16;
+            let edge = mul_add_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], None);
+            let edge_acc =
+                mul_add_chain((m, k, n), |i, kk| a[(i, kk)], |kk, j| b[(kk, j)], Some(&stale));
             let nn = a.matmul(&b);
             let mut nn_acc = stale.clone();
             kernels::gemm_nn(&a, &b, &mut nn_acc, true, None);
             for i in 0..m {
-                for j in 0..full {
+                for j in 0..n {
+                    let (want, want_acc) =
+                        if j < full { (&chain, &chain_acc) } else { (&edge, &edge_acc) };
                     let ij = format!("{label} ({i},{j})");
-                    assert_eq!(nn[(i, j)].to_bits(), chain[(i, j)].to_bits(), "nn {ij}");
-                    assert_eq!(
-                        nn_acc[(i, j)].to_bits(),
-                        chain_acc[(i, j)].to_bits(),
-                        "nn acc {ij}"
-                    );
+                    assert_eq!(nn[(i, j)].to_bits(), want[(i, j)].to_bits(), "nn {ij}");
+                    assert_eq!(nn_acc[(i, j)].to_bits(), want_acc[(i, j)].to_bits(), "nn acc {ij}");
                 }
             }
         }

@@ -9,8 +9,10 @@
 //!    symmetry, `exp(−inf) = 0`, saturation instead of garbage exponents,
 //!    ±0 and subnormals pass through, NaN in → NaN out on every lane,
 //!    GELU′ → 1 / 0 at ±∞ with no NaN.
-//! 3. **scalar ≡ AVX2, bitwise** (`force_simd_path`) over random data at
-//!    every remainder length `n % 8`, including 0 and 1 elements.
+//! 3. **scalar ≡ 8 lanes ≡ 16 lanes, bitwise** (`force_simd_path`: the
+//!    `Avx2` family runs the 8-lane encoding, `Avx512` the 16-lane one)
+//!    over random data at every remainder length `n % 8` and `n % 16`,
+//!    including 0 and 1 elements.
 //! 4. **Pool-size invariance** (1 vs 4 workers) of `gelu_into`,
 //!    `gelu_backward_from_tanh_into`, `softmax_rows_into`, and fused
 //!    epilogue ≡ unfused `gemm_nn` + `add_bias` + `gelu_tanh`, bitwise, on
@@ -19,8 +21,8 @@
 //!    activation rebuilt from it and the backward that reads it equal
 //!    `gelu_tanh` / `gelu` and the backward that recomputed `tanh` (kept
 //!    here, verbatim, as [`recomputed_gelu_grad`]) bit for bit — scalar ≡
-//!    AVX2 ≡ 1 / 4 workers, every `n % 8`, the ±64 clamp edges, ±inf, NaN
-//!    and subnormals.
+//!    8 lanes ≡ 16 lanes ≡ 1 / 4 workers, every `n % 8`, the ±64 clamp
+//!    edges, ±inf, NaN and subnormals.
 //! 6. **Causal softmax** ≡ scale, `−1e9` above the diagonal, then
 //!    `softmax_rows_into`, bitwise, on both paths.
 //!
@@ -43,8 +45,8 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 /// The paths this host can run: scalar always, the x86 families when
-/// detected (both run the AVX2 encoding; the fused epilogue's GEMM differs
-/// between them only in its register tile).
+/// detected (`Avx2` runs the vector math on 8 lanes, `Avx512` on 16; the
+/// fused epilogue's GEMM differs between them only in its register tiles).
 fn paths() -> Vec<SimdPath> {
     SimdPath::ALL.into_iter().filter(|p| p.supported()).collect()
 }
@@ -346,7 +348,7 @@ fn non_finite_logit_poisons_the_whole_softmax_row() {
 }
 
 // ---------------------------------------------------------------------------
-// (b) scalar ≡ AVX2, bitwise
+// (b) scalar ≡ 8 lanes ≡ 16 lanes, bitwise
 // ---------------------------------------------------------------------------
 
 /// Runs `f` on every available path and asserts the outputs agree bitwise
@@ -365,8 +367,10 @@ fn assert_paths_agree(what: &str, mut f: impl FnMut() -> Vec<f32>) {
 #[test]
 fn scalar_and_avx2_agree_bitwise_at_every_remainder_length() {
     let mut rng = StdRng::seed_from_u64(15);
-    let mut lens: Vec<usize> = (0..=17).collect();
-    lens.extend([24, 31, 64, 255, 1000, 1001, 1007]);
+    // Every remainder of either width, and of a 16-lane register and a
+    // masked tail: 0..=33, either side of 48, and longer runs.
+    let mut lens: Vec<usize> = (0..=33).collect();
+    lens.extend([47, 48, 49, 64, 255, 1000, 1001, 1007]);
     for len in lens {
         // Wide magnitudes plus the specials, cycled through every lane.
         let xs: Vec<f32> = (0..len)
