@@ -233,8 +233,8 @@ impl DeepSpeedMoeEngine {
         let survived_local = kept.len();
         drop(assign_span);
 
-        // Dispatch, forward, combine and the loss gradient; the global loss
-        // is summed here, mid-step, before the gradients go back.
+        // Dispatch, forward, combine, the loss gradient and its return. The
+        // loss is advisory, so its sum waits for the trailing exchange.
         let path = TokenPath {
             group: &world,
             rank: self.rank,
@@ -246,12 +246,6 @@ impl DeepSpeedMoeEngine {
         };
         let local_sq =
             path.forward(ctx, x_local, target_local, &mut self.slots, &mut self.tokens)?;
-        let mut loss_acc = vec![local_sq];
-        {
-            let _span = tele.span(Phase::Combine);
-            ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut loss_acc)?;
-        }
-        let loss = loss_acc[0] / ((t_loc * n) as f32 * self.d_model as f32);
         path.backward(ctx, &mut self.slots, &mut self.tokens)?;
 
         // EDP gradient all-reduce per local class over the striped
@@ -308,15 +302,22 @@ impl DeepSpeedMoeEngine {
         }
 
         self.iteration += 1;
-        let mut counts = vec![survived_local as u64, (t_loc - survived_local) as u64];
-        counts.extend(taken.iter().map(|&k| k as u64));
-        ctx.allreduce_u64_sum(&world, tags.phase_tag(WirePhase::StatsSync), &mut counts)?;
+        // One deferred advisory exchange, as the SYMI engine's: an f32 ring
+        // all-reduce of [Σ(y−t)², survived, dropped, kept_0..kept_E). The
+        // counts are small integers, exact in f32; the loss is element 0 of
+        // chunk 0, so it sums in the order a 1-element buffer would.
+        let mut advisory = vec![local_sq, survived_local as f32, (t_loc - survived_local) as f32];
+        advisory.extend(taken.iter().map(|&k| k as f32));
+        {
+            let _span = tele.span(Phase::Other);
+            ctx.allreduce_sum(&world, tags.phase_tag(WirePhase::LossSync), &mut advisory)?;
+        }
         Ok(IterStats {
-            loss,
+            loss: advisory[0] / ((t_loc * n) as f32 * self.d_model as f32),
             popularity,
-            survived: counts[0] as usize,
-            dropped: counts[1] as usize,
-            kept_per_class: counts[2..].to_vec(),
+            survived: advisory[1] as usize,
+            dropped: advisory[2] as usize,
+            kept_per_class: advisory[3..].iter().map(|&k| k as u64).collect(),
         })
     }
 }
@@ -433,5 +434,23 @@ mod tests {
         });
         assert!(results[0].dropped > 0);
         assert_eq!(results[0].survived + results[0].dropped, 32);
+    }
+
+    #[test]
+    fn advisory_exchange_reports_the_global_stats_on_every_rank() {
+        let (nodes, t_loc) = (2, 16);
+        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+            let mut eng = engine(ctx.rank(), nodes, 1);
+            let x = token_matrix(ctx.rank(), t_loc, 8);
+            let target = Matrix::zeros(t_loc, 8);
+            (0..3).map(|_| eng.iteration(ctx, &x, &target).unwrap()).collect::<Vec<_>>()
+        });
+        for (a, b) in results[0].iter().zip(&results[1]) {
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits());
+            assert_eq!((a.survived, a.dropped), (b.survived, b.dropped));
+            assert_eq!(a.kept_per_class, b.kept_per_class);
+            assert_eq!(a.survived + a.dropped, nodes * t_loc);
+            assert_eq!(a.kept_per_class.iter().sum::<u64>(), a.survived as u64);
+        }
     }
 }

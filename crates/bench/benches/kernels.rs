@@ -50,13 +50,13 @@
 //! thresholds need both kernels at one shape, which the library offers no
 //! way to ask for; DESIGN.md *Compute kernels & threading* has them.
 //!
-//! The **tile-width rows** time each layout on the 256-bit tile (6×16), on
-//! the 512-bit family's 16×16 tile it ran before its 32-column one
-//! (`simd::gemm_on_square_tile`) and on that 32-column tile
-//! (`force_simd_path`), all nine interleaved, at `engine_tokens`' expert
-//! GEMMs and `trainer_lm`'s LM head and projection, and record whether the
-//! three tiles' outputs are equal bit for bit. Hosts without AVX-512F leave
-//! the section empty.
+//! The **tile-width rows** time each layout on the 256-bit family (the 6×16
+//! tile) and on the 512-bit one (`force_simd_path`), all six interleaved,
+//! and record whether the two families' outputs are equal bit for bit. At
+//! `engine_tokens`' expert GEMMs and `trainer_lm`'s LM head and projection
+//! the 512-bit family runs its 12×32 tile; at `trainer_lm`'s n = 16 router
+//! and per-head attention GEMMs, one 16-column panel, its masked 16×16
+//! tile. Hosts without AVX-512F leave the section empty.
 //!
 //! Then the **optimizer rows**: one Adam step over the repository
 //! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
@@ -91,9 +91,11 @@
 //!      `engine_tokens`' expert shapes its `nn`, `nt` and `tn` outputs equal
 //!      the 256-bit tile's bit for bit and the three together run at ≥ 1.2×
 //!      the 256-bit tile's GFLOP/s,
-//!  10. **the 32-column tile**: there too, its `nn`, `nt` and `tn` outputs
-//!      equal the 512-bit 16×16 tile's bit for bit and the three together
-//!      run at ≥ 1.1× the 16×16 tile's GFLOP/s,
+//!  10. **the 16-column panel**: there too, at `trainer_lm`'s n = 16 router
+//!      (1024×64×16) and attention (32×32×16) shapes — one 16-column panel,
+//!      the 512-bit family's masked tile — its `nn`, `nt` and `tn` outputs
+//!      equal the 256-bit tile's bit for bit and the three together run at
+//!      ≥ 1.1× the 256-bit tile's GFLOP/s,
 //!  11. **16 lanes**: there too, the router `nn` at 1024×64×4 — all masked
 //!      column edge — equals the `Avx2` family's scalar edge bit for bit and
 //!      runs ≥ 4× faster, and `gelu_tanh_slice` on 16 lanes equals the
@@ -711,49 +713,44 @@ fn layout_ns(x: &LayoutInputs, reps: usize) -> Vec<f64> {
     )
 }
 
-/// Min-of-reps ns of `[nn, nt, tn]` on the 256-bit tile, then the same on
-/// the 512-bit family's 32-column tile, then on its 16×16 tile — all nine
-/// interleaved, one thread — and whether each layout's three outputs are
-/// equal bit for bit. Needs AVX-512F.
-#[cfg(target_arch = "x86_64")]
-fn tile_width_ns(x: &LayoutInputs, reps: usize) -> ([f64; 9], bool) {
-    use symi_tensor::simd::gemm_on_square_tile;
+/// Min-of-reps ns of `[nn, nt, tn]` on the 256-bit family, then the same
+/// on the 512-bit one — all six interleaved, one thread — and whether each
+/// layout's two outputs are equal bit for bit. Needs AVX-512F.
+fn tile_width_ns(x: &LayoutInputs, reps: usize) -> ([f64; 6], bool) {
     pool::set_threads(1);
-    let mut outs = vec![Matrix::zeros(0, 0); 9];
-    let mut best = [f64::INFINITY; 9];
-    let mut scratch = Vec::new();
+    let mut outs = vec![Matrix::zeros(0, 0); 6];
+    let mut best = [f64::INFINITY; 6];
     for _ in 0..reps {
         for (c, (out, b)) in outs.iter_mut().zip(&mut best).enumerate() {
             let path = if c < 3 { SimdPath::Avx2 } else { SimdPath::Avx512 };
             on_path(path, || {
                 let t = Instant::now();
-                match c {
-                    6 => gemm_on_square_tile(&x.a, &x.b, out, (false, false), &mut scratch),
-                    7 => gemm_on_square_tile(&x.a, &x.bt, out, (false, true), &mut scratch),
-                    8 => gemm_on_square_tile(&x.at, &x.b, out, (true, false), &mut scratch),
-                    _ => run_layout(x, c % 3, out),
-                }
+                run_layout(x, c % 3, out);
                 *b = b.min(t.elapsed().as_nanos() as f64);
             });
         }
     }
     let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let same = (3..9).all(|c| bits(&outs[c]) == bits(&outs[c % 3]));
+    let same = (3..6).all(|c| bits(&outs[c]) == bits(&outs[c % 3]));
     (best, same)
 }
 
 /// (group, m, k, n) of the tile-width rows: `engine_tokens`' two expert
-/// GEMMs, `trainer_lm`'s LM head and one of its attention projections.
+/// GEMMs, `trainer_lm`'s LM head and one of its attention projections (the
+/// 12×32 tile on the 512-bit family), and `trainer_lm`'s n = 16 router and
+/// per-head attention GEMMs (one 16-column panel: the masked tile).
 const TILE_WIDTH_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("engine_tokens_expert", 256, 64, 256),
     ("engine_tokens_expert", 256, 256, 64),
     ("trainer_lm_lm_head", 1024, 64, 256),
     ("trainer_lm_projection", 1024, 64, 64),
+    ("trainer_lm_router", 1024, 64, 16),
+    ("trainer_lm_attention", 32, 32, 16),
 ];
 
-/// The 256-bit tile against the 512-bit family's 32-column and 16×16 tiles,
-/// per layout, at the shapes where the wide tile carries the GEMM FLOPs.
-/// Empty without AVX-512F.
+/// The 256-bit family against the 512-bit one, per layout, at the shapes
+/// where its 12×32 tile or its masked 16-column tile carries the GEMM
+/// FLOPs. Empty without AVX-512F.
 fn bench_tile_widths() -> Value {
     const REPS: usize = 40;
     let mut rows = Vec::new();
@@ -761,7 +758,6 @@ fn bench_tile_widths() -> Value {
         println!("tile widths: this CPU lacks AVX-512F, so there is no 512-bit row");
         return Value::Arr(rows);
     }
-    #[cfg(target_arch = "x86_64")]
     for &(label, m, k, n) in TILE_WIDTH_SHAPES {
         group(&format!("tile_widths/{label}/{m}x{k}x{n}"));
         let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), REPS);
@@ -773,18 +769,15 @@ fn bench_tile_widths() -> Value {
         o.set("n", Value::u64(n as u64));
         let mut line = String::new();
         for (l, name) in ["nn", "nt", "tn"].iter().enumerate() {
-            let [g256, g512, g512x16] = [ns[l], ns[3 + l], ns[6 + l]].map(|t| flops / t);
+            let [g256, g512] = [ns[l], ns[3 + l]].map(|t| flops / t);
             o.set(&format!("{name}_gflops_256"), Value::Num(g256));
-            o.set(&format!("{name}_gflops_512x16"), Value::Num(g512x16));
             o.set(&format!("{name}_gflops_512"), Value::Num(g512));
             o.set(&format!("{name}_512_over_256"), Value::Num(g512 / g256));
-            o.set(&format!("{name}_32_over_16"), Value::Num(g512 / g512x16));
-            line += &format!(", {name} {g256:.1} -> {g512x16:.1} -> {g512:.1}");
+            line += &format!(", {name} {g256:.1} -> {g512:.1}");
         }
         o.set("bit_identical", Value::Bool(same));
         println!(
-            "tile widths {label} {m}x{k}x{n} (GFLOP/s on 6x16 -> 16x16 -> {}x32){line}{}",
-            symi_tensor::simd::MR_WIDE,
+            "tile widths {label} {m}x{k}x{n} (GFLOP/s on 256 -> 512 bits){line}{}",
             if same { ", bit-identical" } else { ", BITS DIFFER" }
         );
         rows.push(Value::Obj(o));
@@ -980,8 +973,8 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   family is active;
 ///   tile widths — where AVX-512F is present, at the same two shapes the
 ///   512-bit tile's three layouts equal the 256-bit tile's bit for bit and
-///   together run at ≥ 1.2× its GFLOP/s, and the 32-column tile the 16×16
-///   tile's at ≥ 1.1×;
+///   together run at ≥ 1.2× its GFLOP/s, and at `trainer_lm`'s two n = 16
+///   shapes the masked 16-column tile's do at ≥ 1.1×;
 ///   16 lanes — there too, `engine_tokens`' router `nn` (1024×64×4, all
 ///   column edge) equals the `Avx2` family's bit for bit at ≥ 4× its speed,
 ///   and `gelu_tanh_slice` on 16 lanes the 8-lane one at ≥ 1.3×.
@@ -1178,37 +1171,37 @@ fn smoke() {
         }
     }
 
-    // The 512-bit family: the 256-bit tile's bits, at >= 1.2x its rate; its
-    // 32-column tile: the 16x16 tile's bits, at >= 1.1x its rate; and its
+    // The 512-bit family: the 256-bit tile's bits, on its 12x32 tile at
+    // >= 1.2x its rate and on its masked 16-column tile at >= 1.1x; and its
     // column edge and vector math: the 256-bit family's bits, at >= 4x and
     // >= 1.3x its rate.
     if !SimdPath::Avx512.supported() {
         println!("smoke 512-bit family: this CPU lacks AVX-512F, so checks 9-11 are skipped");
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    for &(label, m, k, n) in TILE_WIDTH_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
-        let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), 15);
-        let (t256, t512, t512x16) = (&ns[..3], &ns[3..6], &ns[6..]);
-        let ratio = |slow: &[f64]| slow.iter().sum::<f64>() / t512.iter().sum::<f64>();
-        let (all, wide) = (ratio(t256), ratio(t512x16));
-        let per = |slow: &[f64]| -> Vec<String> {
-            ["nn", "nt", "tn"]
-                .iter()
-                .zip(slow)
-                .zip(t512)
-                .map(|((l, s), t)| format!("{l} {:.2}x", s / t))
-                .collect()
+    for &(label, m, k, n) in TILE_WIDTH_SHAPES {
+        let floor = match label {
+            "engine_tokens_expert" => 1.2,
+            "trainer_lm_router" | "trainer_lm_attention" => 1.1,
+            _ => continue,
         };
+        let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), 15);
+        let (t256, t512) = (&ns[..3], &ns[3..]);
+        let all = t256.iter().sum::<f64>() / t512.iter().sum::<f64>();
+        let per: Vec<String> = ["nn", "nt", "tn"]
+            .iter()
+            .zip(t256.iter().zip(t512))
+            .map(|(l, (s, t))| format!("{l} {:.2}x", s / t))
+            .collect();
         println!(
-            "smoke tile widths {label} {m}x{k}x{n}: 512-bit at {all:.2}x the 256-bit GFLOP/s \
-             ({}); the 32-column tile at {wide:.2}x the 16x16 ({})",
-            per(t256).join(", "),
-            per(t512x16).join(", ")
+            "smoke tile widths {label} {m}x{k}x{n}: 512-bit at {all:.2}x the 256-bit GFLOP/s ({})",
+            per.join(", ")
         );
-        assert!(same, "{m}x{k}x{n}: the 512-bit tiles' outputs differ from the 256-bit tile's");
-        assert!(all >= 1.2, "{m}x{k}x{n}: the 512-bit family under 1.2x the 256-bit: {all:.2}x");
-        assert!(wide >= 1.1, "{m}x{k}x{n}: the 32-column tile under 1.1x the 16x16: {wide:.2}x");
+        assert!(same, "{m}x{k}x{n}: the 512-bit family's outputs differ from the 256-bit tile's");
+        assert!(
+            all >= floor,
+            "{m}x{k}x{n}: the 512-bit family under {floor}x the 256-bit: {all:.2}x"
+        );
     }
     {
         let (m, k, n) = ROUTER_SHAPE;

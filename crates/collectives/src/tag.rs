@@ -74,7 +74,8 @@ pub enum WirePhase {
     DispatchMeta = 3,
     /// Expert outputs returned to token owners.
     CombineReturn = 4,
-    /// Global loss accumulation.
+    /// The deferred advisory exchange: the global loss and the iteration's
+    /// token statistics, in one all-reduce.
     LossSync = 5,
     /// Upstream gradients returned to expert slots.
     GradReturn = 6,
@@ -84,13 +85,11 @@ pub enum WirePhase {
     GradCollect = 8,
     /// Updated fp16 weight shards → slots of the new placement (§3.3-II).
     WeightDistribute = 9,
-    /// End-of-iteration statistics aggregation.
-    StatsSync = 10,
 }
 
 impl WirePhase {
     /// All phases, in wire order.
-    pub const ALL: [WirePhase; 11] = [
+    pub const ALL: [WirePhase; 10] = [
         WirePhase::Control,
         WirePhase::PopularitySync,
         WirePhase::DispatchRows,
@@ -101,7 +100,6 @@ impl WirePhase {
         WirePhase::GradSync,
         WirePhase::GradCollect,
         WirePhase::WeightDistribute,
-        WirePhase::StatsSync,
     ];
 
     /// Decodes a phase-field value.
@@ -314,7 +312,7 @@ mod tests {
         let it0 = TagSpace::new(0, 7);
         let it1 = TagSpace::new(0, 8);
         assert!(it0.epoch(WirePhase::GradCollect) < it0.epoch(WirePhase::WeightDistribute));
-        assert!(it0.epoch(WirePhase::StatsSync) < it1.epoch(WirePhase::Control));
+        assert!(it0.epoch(WirePhase::WeightDistribute) < it1.epoch(WirePhase::Control));
     }
 
     #[test]

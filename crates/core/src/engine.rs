@@ -1049,11 +1049,11 @@ impl MoeLayerEngine {
 
         // ---- Single deferred advisory exchange (loss + stats). ----
         // One f32 ring all-reduce carries [Σdy², survived, dropped,
-        // kept_0..kept_E) — the old mid-step LossSync barrier and trailing
-        // StatsSync are folded into it. The counts are small integers, exact
-        // in f32. The loss element is index 0 of chunk 0, so its per-element
-        // summation order is identical to the old 1-element LossSync buffer
-        // — the reported loss is bit-stable across the fold.
+        // kept_0..kept_E) — the old mid-step loss barrier and the trailing
+        // statistics all-reduce are folded into it. The counts are small
+        // integers, exact in f32. The loss element is index 0 of chunk 0, so
+        // its per-element summation order is identical to the old 1-element
+        // LossSync buffer — the reported loss is bit-stable across the fold.
         let mut advisory = vec![local_sq, survived_local as f32, (t_loc - survived_local) as f32];
         advisory.extend(taken.iter().map(|&k| k as f32));
         let local_advisory = advisory.clone();

@@ -10,18 +10,20 @@
 //!   registers.
 //! - `tn` (`Aᵀ·B`, parameter gradients): B as in `nn`. The scalar family
 //!   packs the A column block into a k-major strip per output row block;
-//!   the AVX2 family broadcasts A's elements transposed in place on `nn`'s
-//!   tile, except for reductions shorter than
-//!   [`crate::simd::TN_TILE_MIN_DEPTH`], where it keeps a packed-strip tile.
+//!   the two x86 families broadcast A's elements transposed in place on
+//!   `nn`'s tiles, except for reductions shorter than
+//!   [`crate::simd::TN_TILE_MIN_DEPTH`], where both run the 256-bit 4×16
+//!   tile over a packed strip.
 //! - `nt` (`A·Bᵀ`, input gradients / attention scores): the scalar family
 //!   walks both operands along contiguous rows in a register tile of
-//!   independent dot products; the AVX2 family transposes KC×16 panels of B
-//!   into a per-thread buffer and runs `nn`'s tile over them, except below
-//!   [`crate::simd::NT_TILE_MIN_ROWS`] output rows, where it keeps a
-//!   dot-product tile.
+//!   independent dot products; the two x86 families transpose KC-long
+//!   panels of B (16 or 32 columns) into a per-thread buffer and run `nn`'s
+//!   tiles over them, except below [`crate::simd::NT_TILE_MIN_ROWS`] output
+//!   rows, where both keep a 256-bit dot-product tile.
 //!
-//! The AVX2 family runs all three layouts on one FMA register tile and one
-//! k-chunked loop nest (module docs of [`crate::simd`]).
+//! Each x86 family runs all three layouts on one k-chunked loop nest over
+//! one const-generic FMA register tile per panel width (module docs of
+//! [`crate::simd`]).
 //!
 //! # SIMD dispatch
 //!
@@ -29,10 +31,10 @@
 //! [`active_path`] ([`SimdPath`]): a portable scalar family (the original
 //! kernels, kept as the fallback and the forced-`SYMI_SIMD=scalar` CI
 //! path), an AVX2+FMA family ([`crate::simd`], x86_64 only, runtime feature
-//! detection) whose loop nest runs a 256-bit 6×16 register tile, and the
-//! same family with the loop nest on a 512-bit 12×32 tile, its column edge
-//! on masked 16-lane registers and the vector math on 16 lanes where the
-//! CPU has AVX-512F. Detection picks the widest the CPU supports. The scalar family
+//! detection) whose loop nest runs a 256-bit 6×16 register tile, and an
+//! AVX-512F family — the same kernels, with the loop nest on a 512-bit
+//! 12×32 tile, its 16-column panels and column edge on a masked 16-lane
+//! tile, and the vector math on 16 lanes — where the CPU has AVX-512F. Detection picks the widest the CPU supports. The scalar family
 //! is **bit-exact** against the [`naive`] oracle (single accumulator folded
 //! over ascending `k`, mul-then-add). The two x86 families keep f32
 //! accumulation but use fused multiply-add (and, in the dot-product `nt`,

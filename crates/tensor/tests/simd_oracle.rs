@@ -211,6 +211,12 @@ fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
     for n in [1, 4, 15, 17, 31] {
         shapes.extend([(h + 5, 300, n), (2 * h + 7, 520, n)]);
     }
+    // Every height of a lone full 16-column panel up to 16 rows and one
+    // over — the 512-bit family's masked tile at w = 16, the 256-bit
+    // family's R×16 tiles — and the strip `tn`'s 4×16 tile with its row and
+    // column remainders (reductions under `TN_TILE_MIN_DEPTH`).
+    shapes.extend((1..=17).map(|m| (m, 40, 16)));
+    shapes.extend([(4, 7, 16), (9, 15, 35), (11, 3, 50)]);
     for path in [SimdPath::Avx2, SimdPath::Avx512] {
         if !path.supported() {
             println!("skipping the {path:?} half: this CPU lacks its features");
