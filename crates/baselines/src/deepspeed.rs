@@ -15,11 +15,11 @@
 use std::time::Instant;
 use symi::token_path::{route, Routed, TokenBuffers, TokenPath};
 use symi_collectives::coll::chunk_range;
-use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
+use symi_collectives::{encode_f16, CommError, CommGroup, RankCtx, TagSpace, WirePhase};
 use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, AdamConfig, AdamShard, Matrix};
+use symi_tensor::{init, AdamConfig, AdamShard, HalfMatrix, Matrix};
 
 /// Static striped placement: global slot `k` hosts class `k mod E`.
 /// With `E` divisible by `s` this lands every replica of a class on a
@@ -89,8 +89,9 @@ pub struct DeepSpeedMoeEngine {
     nodes: usize,
     placement: StripedPlacement,
     /// One expert per local slot: striping puts distinct classes on a rank,
-    /// so every slot is a class-major execution set of its own.
-    slots: Vec<ExpertFfn>,
+    /// so every slot is a class-major execution set of its own. W1 and W2
+    /// are binary16, the bits the weight all-gather delivers.
+    slots: Vec<ExpertFfn<HalfMatrix>>,
     /// The token path's persistent matrices and payload buffers.
     tokens: TokenBuffers,
     /// ZeRO-1 shard of each *local* class's optimizer (one per local slot),
@@ -130,8 +131,10 @@ impl DeepSpeedMoeEngine {
         let mut edp = Vec::with_capacity(slots_per_rank);
         let r = placement.replicas();
         for (class, _local) in placement.classes_on_rank(rank) {
-            let mut e = ExpertFfn::new(d_model, d_ff, 0);
-            e.load_flat(&class_params[class]);
+            // The binary16 image of the class's masters, as every later
+            // all-gather delivers it.
+            let mut e = ExpertFfn::zeros(d_model, d_ff);
+            e.load_f16_at(0, &encode_f16(&class_params[class]));
             slots.push(e);
             // My index within the class's EDP group decides my ZeRO shard.
             let hosts = placement.host_ranks(class);
@@ -268,8 +271,8 @@ impl DeepSpeedMoeEngine {
 
         // ZeRO-1 optimizer step: each EDP member steps its shard — the
         // kernel publishes the updated weights as binary16 bits — then the
-        // group all-gathers the fp16 shards and every member decodes them
-        // straight into its slot.
+        // group all-gathers the fp16 shards and every member copies them
+        // straight into its slot's binary16 weights.
         for (local, &(class, my_idx, ref group)) in self.edp.iter().enumerate() {
             let mut half = std::mem::take(&mut self.weight_shards[local]);
             {
@@ -302,6 +305,10 @@ impl DeepSpeedMoeEngine {
         }
 
         self.iteration += 1;
+        if tele.is_enabled() {
+            let slot_bytes: usize = self.slots.iter().map(ExpertFfn::param_bytes).sum();
+            tele.gauge(&format!("mem.slot_param_bytes.rank{}", tele.rank())).set(slot_bytes as f64);
+        }
         // One deferred advisory exchange, as the SYMI engine's: an f32 ring
         // all-reduce of [Σ(y−t)², survived, dropped, kept_0..kept_E). The
         // counts are small integers, exact in f32; the loss is element 0 of

@@ -8,7 +8,8 @@
 //! (`crates/core/tests/expert_path_oracle.rs` holds that one). This test
 //! replays the old recipe next to the engine: before every iteration the
 //! ranks publish their slot weights, each rank replays the whole world's
-//! token path the old way (`from_vec(clone)` + `forward`, `zero_grad` +
+//! token path the old way — on the engine's binary16 experts, loaded from
+//! the encoded bits of those (fp16-grid, so exactly encoded) weights (`from_vec(clone)` + `forward`, `zero_grad` +
 //! `backward` + an owned flat copy per slot), runs the real ring over its
 //! owned copy under a second layer's tags, and steps a second `AdamShard`
 //! from it. After every iteration the engine's fp32 master shards must equal
@@ -24,9 +25,10 @@ use symi_baselines::DeepSpeedMoeEngine;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{Cluster, ClusterSpec, CommGroup, TagSpace, WirePhase};
 use symi_model::expert::ExpertFfn;
+use symi_tensor::half::{f16_to_f32, f32_to_f16};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, AdamConfig, AdamShard, Matrix};
+use symi_tensor::{init, AdamConfig, AdamShard, HalfMatrix, Matrix};
 
 const NODES: usize = 6;
 const D: usize = 8;
@@ -52,6 +54,19 @@ fn targets(rank: usize, it: usize) -> Matrix {
     Matrix::from_fn(T_LOC, D, |r, c| {
         (((rank * T_LOC + r) * D + c) as f32 * 0.097 - it as f32 * 0.19).cos() * 0.5
     })
+}
+
+/// The expert the engine runs for `flat`: binary16 weights, loaded from the
+/// encoded bits of published weights — on the fp16 grid, so exact.
+fn half_expert(flat: &[f32]) -> ExpertFfn<HalfMatrix> {
+    let bits: Vec<u16> = flat.iter().map(|&w| f32_to_f16(w)).collect();
+    assert!(
+        bits.iter().zip(flat).all(|(&h, &w)| f16_to_f32(h).to_bits() == w.to_bits()),
+        "published weights off the fp16 grid"
+    );
+    let mut e = ExpertFfn::zeros(D, FF);
+    e.load_f16_at(0, &bits);
+    e
 }
 
 /// The old token + backward path over the whole world. `weights[g]` are the
@@ -97,14 +112,7 @@ fn old_path_oracle(
     }
 
     // Forward the old way.
-    let mut experts: Vec<ExpertFfn> = weights
-        .iter()
-        .map(|w| {
-            let mut e = ExpertFfn::new(D, FF, 0);
-            e.load_flat(w);
-            e
-        })
-        .collect();
+    let mut experts: Vec<ExpertFfn<HalfMatrix>> = weights.iter().map(|w| half_expert(w)).collect();
     let slot_outputs: Vec<Matrix> = experts
         .iter_mut()
         .zip(&slot_inputs)

@@ -4,11 +4,13 @@
 //! narrow it element by element for the all-gather, copy the slot's
 //! parameters out into a `full` vector, widen every gathered part into it
 //! and `load_flat` the result. Now the Adam kernel writes binary16 bits and
-//! every gathered part is decoded straight into the slot — the same
-//! treatment the SYMI engine got, so the pair stays a controlled comparison
-//! (`crates/core/tests/expert_path_oracle.rs` is this test's twin). After
-//! every iteration each slot's weights must equal the old recipe replayed,
-//! with the scalar conversions, from the master shards the EDP group holds.
+//! every gathered part is copied straight into the slot's binary16 weights —
+//! the same treatment the SYMI engine got, so the pair stays a controlled
+//! comparison (`crates/core/tests/expert_path_oracle.rs` is this test's
+//! twin). After every iteration each slot's weights must equal the old
+//! recipe replayed, with the scalar conversions, from the master shards the
+//! EDP group holds — into the same binary16 expert, loaded from the encoded
+//! bits of `full`.
 
 use std::sync::{Barrier, Mutex};
 
@@ -16,7 +18,7 @@ use symi_baselines::DeepSpeedMoeEngine;
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_model::expert::ExpertFfn;
 use symi_tensor::half::{f16_to_f32, f32_to_f16, quantize_f16};
-use symi_tensor::{AdamConfig, Matrix};
+use symi_tensor::{AdamConfig, HalfMatrix, Matrix};
 
 const NODES: usize = 4;
 const D: usize = 8;
@@ -38,8 +40,21 @@ fn targets(rank: usize, it: usize) -> Matrix {
     })
 }
 
+/// The expert the engine runs for `flat`: binary16 weights, loaded from the
+/// encoded bits of published weights — on the fp16 grid, so exact.
+fn half_expert(flat: &[f32]) -> ExpertFfn<HalfMatrix> {
+    let bits: Vec<u16> = flat.iter().map(|&w| f32_to_f16(w)).collect();
+    assert!(
+        bits.iter().zip(flat).all(|(&h, &w)| f16_to_f32(h).to_bits() == w.to_bits()),
+        "published weights off the fp16 grid"
+    );
+    let mut e = ExpertFfn::zeros(D, FF);
+    e.load_f16_at(0, &bits);
+    e
+}
+
 /// The old path: each EDP member's f32 shard on the fp16 grid → binary16
-/// wire → `full` → `load_flat`. `master_shards` is in EDP-group order.
+/// wire → `full` → the slot. `master_shards` is in EDP-group order.
 fn old_weight_path(master_shards: &[Vec<f32>]) -> Vec<f32> {
     let mut full = Vec::new();
     for master in master_shards {
@@ -47,9 +62,7 @@ fn old_weight_path(master_shards: &[Vec<f32>]) -> Vec<f32> {
         let wire: Vec<u16> = published.iter().map(|&w| f32_to_f16(w)).collect();
         full.extend(wire.iter().map(|&h| f16_to_f32(h)));
     }
-    let mut slot = ExpertFfn::new(D, FF, 0);
-    slot.load_flat(&full);
-    slot.flat_params()
+    half_expert(&full).flat_params()
 }
 
 #[test]

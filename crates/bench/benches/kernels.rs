@@ -101,6 +101,12 @@
 //!      runs ≥ 4× faster, and `gelu_tanh_slice` on 16 lanes equals the
 //!      8-lane encoding bit for bit and runs ≥ 1.3× faster. A CPU without
 //!      AVX-512F prints that it skipped 9 to 11.
+//!  12. **binary16 slots**: at the skinny expert shapes a binary16-slot
+//!      expert's forward equals the f32 expert on the decoded weights bit
+//!      for bit (`nn`), and its two `nt` GEMMs (`dY·W2ᵀ`, `dPre·W1ᵀ`) equal
+//!      the one FMA chain per element on an x86 family (the f32 `nt` on the
+//!      decoded weights on the scalar one); from `NT_TILE_MIN_ROWS` rows its
+//!      whole backward equals the f32 expert's. No speed floor.
 
 use std::path::Path;
 use std::time::Instant;
@@ -112,7 +118,7 @@ use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
 #[cfg(target_arch = "x86_64")]
 use symi_tensor::simd::{NT_TILE_MIN_ROWS, TN_TILE_MIN_DEPTH};
-use symi_tensor::{half, pool, vmath, AdamConfig, AdamShard, AdamState, Matrix};
+use symi_tensor::{half, pool, vmath, AdamConfig, AdamShard, AdamState, HalfMatrix, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
@@ -466,14 +472,24 @@ fn skinny_expert_inputs(m: usize, d: usize) -> (Matrix, Matrix) {
     (x, dy)
 }
 
+/// `engine_params`' slot: the f32 expert's weights as binary16, the image
+/// the engines' slots hold.
+fn binary16_slot(f32_expert: &ExpertFfn) -> ExpertFfn<HalfMatrix> {
+    let mut slot = ExpertFfn::zeros(f32_expert.d_model(), f32_expert.d_ff());
+    slot.load_flat(&f32_expert.flat_params());
+    slot
+}
+
 /// Forward, write-mode backward and accumulate-mode backward of one expert
-/// call, single-threaded and interleaved. Three instances, so each pass
-/// streams its own 2 × 2.1 MB of parameters and gradient the way an engine's
-/// four slots evict one another, instead of re-reading a warm one. Bytes are
-/// the compulsory parameter-sized streams (activations are cache-resident at
-/// these m and left out): forward reads every weight once; backward reads
-/// every weight once (the `nt` GEMMs) and writes every gradient element once
-/// — or, accumulating, reads and writes it.
+/// call, single-threaded and interleaved, with f32 weights and with the
+/// binary16 weights the engines' slots hold (`f16_*` columns). Three
+/// instances of each, so each pass streams its own parameters and gradient
+/// the way an engine's four slots evict one another, instead of re-reading a
+/// warm one. Bytes are the compulsory parameter-sized streams (activations
+/// are cache-resident at these m and left out): forward reads every weight
+/// once — 4 B each, or 2 B binary16, biases 4 B either way; backward reads
+/// every weight once (the `nt` GEMMs) and writes every f32 gradient element
+/// once — or, accumulating, reads and writes it.
 fn bench_expert_ffn_skinny() -> Value {
     const REPS: usize = 25;
     pool::set_threads(1);
@@ -482,13 +498,21 @@ fn bench_expert_ffn_skinny() -> Value {
         group(&format!("expert_ffn_skinny/{m}x{d}x{ff}"));
         let (x, dy) = skinny_expert_inputs(m, d);
         let mut experts: Vec<ExpertFfn> = (0..3).map(|_| ExpertFfn::new(d, ff, 7)).collect();
-        let (mut y, mut dx_w, mut dx_a) =
-            (Matrix::zeros(0, 0), Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut slots: Vec<ExpertFfn<HalfMatrix>> = experts.iter().map(binary16_slot).collect();
+        let [mut y, mut dx_w, mut dx_a, mut hy, mut hdx_w, mut hdx_a] =
+            std::array::from_fn(|_| Matrix::zeros(0, 0));
         for e in &mut experts {
             e.forward_into(&x, &mut y);
         }
+        for e in &mut slots {
+            e.forward_into(&x, &mut hy);
+        }
         let [fwd, write, acc] = &mut experts[..] else { unreachable!("three experts") };
+        let [h_fwd, h_write, h_acc] = &mut slots[..] else { unreachable!("three slots") };
         acc.backward_into(&dy, &mut dx_a); // from here on it accumulates
+        h_acc.backward_into(&dy, &mut hdx_a);
+        let (f32_bytes, f16_bytes) = (fwd.param_bytes() as f64, h_fwd.param_bytes() as f64);
+        let grad_bytes = (4 * fwd.param_count()) as f64;
         let ns = interleaved_min_ns(
             REPS,
             &mut [
@@ -498,28 +522,37 @@ fn bench_expert_ffn_skinny() -> Value {
                     write.backward_into(&dy, &mut dx_w)
                 },
                 &mut || acc.backward_into(&dy, &mut dx_a),
+                &mut || h_fwd.forward_into(&x, &mut hy),
+                &mut || {
+                    h_write.zero_grad();
+                    h_write.backward_into(&dy, &mut hdx_w)
+                },
+                &mut || h_acc.backward_into(&dy, &mut hdx_a),
             ],
         );
         let gemm_flops = (2 * m * d * ff) as f64;
-        let param_bytes = (4 * fwd.param_count()) as f64;
         let mut o = Obj::new();
         o.set("m", Value::u64(m as u64));
         o.set("d_model", Value::u64(d as u64));
         o.set("d_ff", Value::u64(ff as u64));
-        for (name, ns, flops, bytes) in [
-            ("fwd", ns[0], 2.0 * gemm_flops, param_bytes),
-            ("bwd_write", ns[1], 4.0 * gemm_flops, 2.0 * param_bytes),
-            ("bwd_acc", ns[2], 4.0 * gemm_flops, 3.0 * param_bytes),
-        ] {
-            o.set(&format!("{name}_ns"), Value::Num(ns));
-            o.set(&format!("{name}_gflops"), Value::Num(flops / ns));
-            o.set(&format!("{name}_bytes_per_ns"), Value::Num(bytes / ns));
-            println!(
-                "expert_ffn_skinny {m}x{d}x{ff} {name}: {:.1} us, {:.1} GFLOP/s, {:.1} B/ns",
-                ns / 1e3,
-                flops / ns,
-                bytes / ns
-            );
+        for (prefix, ns, weight_bytes) in [("", &ns[..3], f32_bytes), ("f16_", &ns[3..], f16_bytes)]
+        {
+            for (name, ns, flops, bytes) in [
+                ("fwd", ns[0], 2.0 * gemm_flops, weight_bytes),
+                ("bwd_write", ns[1], 4.0 * gemm_flops, weight_bytes + grad_bytes),
+                ("bwd_acc", ns[2], 4.0 * gemm_flops, weight_bytes + 2.0 * grad_bytes),
+            ] {
+                let name = format!("{prefix}{name}");
+                o.set(&format!("{name}_ns"), Value::Num(ns));
+                o.set(&format!("{name}_gflops"), Value::Num(flops / ns));
+                o.set(&format!("{name}_bytes_per_ns"), Value::Num(bytes / ns));
+                println!(
+                    "expert_ffn_skinny {m}x{d}x{ff} {name}: {:.1} us, {:.1} GFLOP/s, {:.1} B/ns",
+                    ns / 1e3,
+                    flops / ns,
+                    bytes / ns
+                );
+            }
         }
         rows.push(Value::Obj(o));
     }
@@ -978,6 +1011,18 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   16 lanes — there too, `engine_tokens`' router `nn` (1024×64×4, all
 ///   column edge) equals the `Avx2` family's bit for bit at ≥ 4× its speed,
 ///   and `gelu_tanh_slice` on 16 lanes the 8-lane one at ≥ 1.3×.
+/// Whether an f32 `nt` with `m` output rows runs the kernel a binary16 one
+/// runs: the scalar family's, or the x86 tile from `NT_TILE_MIN_ROWS` rows.
+fn f32_nt_on_tile(m: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return kernels::active_path() == SimdPath::Scalar || m >= NT_TILE_MIN_ROWS;
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = m;
+        true
+    }
+}
+
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -1156,6 +1201,47 @@ fn smoke() {
             );
         }
         println!("smoke write mode: gemm_tn and ExpertFfn backward equal zero-fill + accumulate");
+    }
+
+    // Binary16 slots: the f32 expert's arithmetic on the decoded weights.
+    {
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // `a · bᵀ`, each element one `mul_add` fold over ascending k — or, on
+        // the scalar family, its own `nt` (the mul-then-add fold).
+        let nt_oracle = |a: &Matrix, b: &Matrix| {
+            if kernels::active_path() == SimdPath::Scalar {
+                return a.matmul_nt(b);
+            }
+            Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+                (0..a.cols()).fold(0.0f32, |s, kk| a[(i, kk)].mul_add(b[(j, kk)], s))
+            })
+        };
+        pool::set_threads(1);
+        for &(m, d, ff) in SKINNY_EXPERT_SHAPES {
+            let label = format!("binary16 slot {m}x{d}x{ff}");
+            let (x, dy) = skinny_expert_inputs(m, d);
+            let mut slot = binary16_slot(&ExpertFfn::new(d, ff, 7));
+            let mut decoded = ExpertFfn::new(d, ff, 0);
+            decoded.load_flat(&slot.flat_params());
+            assert_eq!(bits(&slot.forward(&x)), bits(&decoded.forward(&x)), "{label}: forward");
+            let dpre = Matrix::from_fn(m, ff, |r, c| ((r * ff + c) as f32 * 0.011).sin() * 0.01);
+            let (w1, w2) = (slot.w1.to_f32(), slot.w2.to_f32());
+            let mut got = Matrix::zeros(0, 0);
+            dy.matmul_nt_into(&slot.w2, &mut got);
+            assert_eq!(bits(&got), bits(&nt_oracle(&dy, &w2)), "{label}: dY·W2ᵀ");
+            dpre.matmul_nt_into(&slot.w1, &mut got);
+            assert_eq!(bits(&got), bits(&nt_oracle(&dpre, &w1)), "{label}: dPre·W1ᵀ");
+            let (dx_slot, dx_f32) = (slot.backward(&dy), decoded.backward(&dy));
+            if f32_nt_on_tile(m) {
+                assert_eq!(bits(&dx_slot), bits(&dx_f32), "{label}: dx");
+                let grads = |e: &[f32]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(grads(slot.flat_grads()), grads(decoded.flat_grads()), "{label}");
+            }
+        }
+        println!(
+            "smoke binary16 slots: forward = f32 on the decoded weights, nt = the FMA chain, \
+             bit for bit"
+        );
     }
 
     // The backward layouts at the forward's rate.

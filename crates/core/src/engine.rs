@@ -23,8 +23,8 @@
 //!    free.
 //!
 //! The unit of expert execution is the hosted *class*, not the slot: a rank
-//! keeps one [`ExpertFfn`] — one weight copy, one flat `[W1 | b1 | W2 | b2]`
-//! gradient — per class it hosts, and the class's co-located slots are only
+//! keeps one [`ExpertFfn`] — one weight copy, binary16 as §3.1 has it, and
+//! one flat f32 `[W1 | b1 | W2 | b2]` gradient — per class it hosts, and the class's co-located slots are only
 //! its capacity (§3.4) and its share of the dispatch. §4.1's intra-rank step
 //! is therefore backward's own accumulation over the merged rows, and steps
 //! 4–5 run on that one buffer: it is what backward writes, what the ring
@@ -55,7 +55,7 @@ use symi_collectives::{
 use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, AdamConfig, Matrix};
+use symi_tensor::{init, AdamConfig, HalfMatrix, Matrix};
 
 /// Engine configuration (one MoE layer).
 #[derive(Clone, Copy, Debug)]
@@ -268,8 +268,9 @@ pub struct MoeLayerEngine {
     /// Expert instances: `experts[g]` executes the `g`-th class of
     /// `placement.classes_on_rank`, for all of that class's local slots.
     /// There are always `slots_per_rank` of them; those past the hosted
-    /// classes wait for a placement that spreads this rank wider.
-    experts: Vec<ExpertFfn>,
+    /// classes wait for a placement that spreads this rank wider. W1 and W2
+    /// are binary16, the bits the weight scatter delivers.
+    experts: Vec<ExpertFfn<HalfMatrix>>,
     /// The token path's persistent matrices and payload buffers.
     tokens: TokenBuffers,
     /// Per class: this rank's updated weight shard as binary16 bits, written
@@ -330,8 +331,9 @@ impl MoeLayerEngine {
     }
 
     /// A freshly initialized member of `view` at logical rank `lrank` under
-    /// `placement`: every slot and optimizer shard loaded from the canonical
-    /// class weights, iteration 0.
+    /// `placement`, iteration 0: every optimizer shard holds the canonical
+    /// class weights, and every slot their binary16 image — the bits
+    /// [`MoeLayerEngine::materialize_slots`] scatters from those masters.
     fn fresh(
         cfg: EngineConfig,
         view: MembershipView,
@@ -343,15 +345,10 @@ impl MoeLayerEngine {
             .map(|class| Self::canonical_class_params(&cfg, class))
             .collect();
         let hosted = placement.classes_on_rank(lrank);
-        let experts = (0..cfg.slots_per_rank)
-            .map(|g| {
-                let mut e = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
-                if let Some((class, _)) = hosted.get(g) {
-                    e.load_flat(&class_params[*class]);
-                }
-                e
-            })
-            .collect();
+        let mut experts = Self::empty_slots(&cfg);
+        for (expert, (class, _)) in experts.iter_mut().zip(hosted) {
+            expert.load_f16_at(0, &encode_f16(&class_params[class]));
+        }
         let optimizer = SymiOptimizer::with_view(view.clone(), lrank, cfg.adam, &class_params);
         Self { experts, ..Self::assemble(cfg, view, lrank, placement, optimizer) }
     }
@@ -673,6 +670,11 @@ impl MoeLayerEngine {
         Ok((stale_discarded, report))
     }
 
+    /// `slots_per_rank` experts with all-zero parameters.
+    fn empty_slots(cfg: &EngineConfig) -> Vec<ExpertFfn<HalfMatrix>> {
+        (0..cfg.slots_per_rank).map(|_| ExpertFfn::zeros(cfg.d_model, cfg.d_ff)).collect()
+    }
+
     /// Loads every local slot of the current placement with the fp16 image
     /// of the sharded fp32 masters, over the recovery tag plane. Used after
     /// every membership change (the new placement's weights) and after
@@ -686,9 +688,7 @@ impl MoeLayerEngine {
         let shards: Vec<Vec<u16>> = (0..self.cfg.expert_classes)
             .map(|class| encode_f16(self.optimizer.master_shard(class)))
             .collect();
-        self.experts = (0..self.cfg.slots_per_rank)
-            .map(|_| ExpertFfn::new(self.cfg.d_model, self.cfg.d_ff, 0))
-            .collect();
+        self.experts = Self::empty_slots(&self.cfg);
         self.optimizer.distribute_weights_into(
             ctx,
             &self.placement,
@@ -1100,6 +1100,9 @@ impl MoeLayerEngine {
             tele.gauge("grad_sync_ms").set(grad_sync.as_secs_f64() * 1e3);
             tele.gauge("grad_collect_ms").set(grad_collect.as_secs_f64() * 1e3);
             tele.gauge("optimizer_state_bytes").set(self.optimizer.state_bytes() as f64);
+            let hosted = self.placement.classes_on_rank(self.lrank).len();
+            let slot_bytes: usize = self.experts[..hosted].iter().map(ExpertFfn::param_bytes).sum();
+            tele.gauge(&format!("mem.slot_param_bytes.rank{}", tele.rank())).set(slot_bytes as f64);
         }
 
         Ok(IterStats {
@@ -1232,6 +1235,33 @@ mod tests {
     }
 
     #[test]
+    fn fresh_slots_hold_the_bits_materialize_slots_scatters() {
+        // One initial path: at iteration 0 a slot holds the binary16 image of
+        // its class's canonical masters, whether `new` built it or
+        // `materialize_slots` scattered it from a snapshot of those masters.
+        let bits = |w: Vec<f32>| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for nodes in [2, 4] {
+            let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                let fresh = MoeLayerEngine::new(ctx.rank(), nodes, cfg());
+                let mut restored = MoeLayerEngine::from_snapshot(cfg(), fresh.snapshot());
+                restored.materialize_slots(ctx).expect("materialize");
+                for (class, locals) in fresh.placement.classes_on_rank(ctx.rank()) {
+                    let image: Vec<f32> = MoeLayerEngine::canonical_class_params(&cfg(), class)
+                        .into_iter()
+                        .map(symi_tensor::half::quantize_f16)
+                        .collect();
+                    for local in locals {
+                        let (f, r) = (fresh.slot_weights(local), restored.slot_weights(local));
+                        assert_eq!(bits(f.clone()), bits(r), "{nodes} ranks, slot {local}");
+                        assert_eq!(bits(f), bits(image.clone()), "{nodes} ranks, slot {local}");
+                    }
+                }
+            });
+            assert_eq!(results.len(), nodes);
+        }
+    }
+
+    #[test]
     fn per_slot_capacity_is_enforced_where_the_old_quota_oversubscribed() {
         // Two classes, two replica slots each, across two ranks. Interleaved
         // routing puts every class-0 token at an even global index, so the
@@ -1332,8 +1362,13 @@ mod tests {
             sq / (t_loc * probe.d_model) as f64
         };
 
-        // The canonical initial class weights the engine built its slot from.
-        let params0 = ExpertFfn::new(probe.d_model, probe.d_ff, probe.seed ^ 0xe0).flat_params();
+        // The binary16 image of the canonical initial class weights: what
+        // the engine built its slot from.
+        let params0: Vec<f32> = ExpertFfn::new(probe.d_model, probe.d_ff, probe.seed ^ 0xe0)
+            .flat_params()
+            .into_iter()
+            .map(symi_tensor::half::quantize_f16)
+            .collect();
         assert!(
             (f64::from(loss) - loss_of(&params0)).abs() < 1e-5,
             "reported loss disagrees with direct evaluation"

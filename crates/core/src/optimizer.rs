@@ -13,7 +13,8 @@
 //!    weights as binary16 bits in the same pass — the wire format.
 //! 3. **Weight Communication Phase**: scatters those fp16 shards to each
 //!    rank hosting the class under the **next** iteration's placement, where
-//!    they are decoded straight into the hosting slots. Because the slots
+//!    they are copied straight into the hosting slots' binary16 weights.
+//!    Because the slots
 //!    must receive fresh weights anyway, re-placement is free — the paper's
 //!    central claim.
 //!
@@ -36,6 +37,7 @@ use symi_collectives::{
 };
 use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
+use symi_tensor::HalfMatrix;
 use symi_tensor::{AdamConfig, AdamShard};
 
 /// Algorithm 2's `get_source`: which host rank serves `for_rank`'s shard
@@ -725,17 +727,18 @@ impl SymiOptimizer {
     }
 
     /// The Weight Communication Phase as the engine runs it: every shard —
-    /// received, or this rank's own from `half_shards` — is decoded once,
-    /// straight into the `W1 | b1 | W2 | b2` of the one expert that executes
-    /// its class ([`ExpertFfn::load_f16_at`]). `experts[g]` takes the `g`-th
-    /// class of `new_placement.classes_on_rank`, however many slots it fills.
+    /// received, or this rank's own from `half_shards` — is copied once,
+    /// straight into the binary16 `W1 | W2` (and the f32 `b1 | b2`) of the
+    /// one expert that executes its class ([`ExpertFfn::load_f16_at`]); the
+    /// weights are not decoded. `experts[g]` takes the `g`-th class of
+    /// `new_placement.classes_on_rank`, however many slots it fills.
     pub(crate) fn distribute_weights_into(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,
         half_shards: &[Vec<u16>],
         tags: TagSpace,
-        experts: &mut [ExpertFfn],
+        experts: &mut [ExpertFfn<HalfMatrix>],
     ) -> Result<(), CommError> {
         self.scatter_weights(ctx, new_placement, half_shards, tags, |g, offset, half| {
             experts[g].load_f16_at(offset, half);

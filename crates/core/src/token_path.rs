@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
-use symi_model::expert::{ExpertFfn, SlotBatches};
+use symi_model::expert::{ExpertFfn, SlotBatches, WeightStorage};
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::ops::softmax_rows_in_place;
 use symi_tensor::Matrix;
@@ -155,12 +155,12 @@ impl TokenPath<'_> {
     /// `target_local` in `bufs` for [`TokenPath::backward`] and returns this
     /// rank's `Σ (y − target)²`. The loss scalar is advisory, so summing it
     /// over ranks is left to the caller.
-    pub fn forward(
+    pub fn forward<W: WeightStorage>(
         &self,
         ctx: &mut RankCtx,
         x_local: &Matrix,
         target_local: &Matrix,
-        experts: &mut [ExpertFfn],
+        experts: &mut [ExpertFfn<W>],
         bufs: &mut TokenBuffers,
     ) -> Result<f32, CommError> {
         let (n, s) = (self.group.size(), bufs.batches.slots());
@@ -226,10 +226,10 @@ impl TokenPath<'_> {
     /// backpropagates every set into its expert's flat gradient; a set that
     /// received no token keeps its gradient marked zero. Publishes the
     /// `grad_return_ms` gauge and the rank's expert-load gauges.
-    pub fn backward(
+    pub fn backward<W: WeightStorage>(
         &self,
         ctx: &mut RankCtx,
-        experts: &mut [ExpertFfn],
+        experts: &mut [ExpertFfn<W>],
         bufs: &mut TokenBuffers,
     ) -> Result<(), CommError> {
         let tele = self.telemetry;

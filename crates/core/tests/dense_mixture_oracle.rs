@@ -32,9 +32,10 @@ use std::sync::{Barrier, Mutex};
 use symi::{EngineConfig, MoeLayerEngine};
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_model::expert::ExpertFfn;
+use symi_tensor::half::{f16_to_f32, f32_to_f16};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, AdamConfig, Matrix};
+use symi_tensor::{init, AdamConfig, HalfMatrix, Matrix};
 
 const T_LOC: usize = 24;
 const ITERS: usize = 3;
@@ -98,11 +99,18 @@ fn dense_mixture(nodes: usize, weights: &[Vec<f32>], it: usize) -> (Vec<Matrix>,
         }
     });
 
-    let mut experts: Vec<ExpertFfn> = weights
+    // The engine's experts: binary16 weights, loaded from the encoded bits of
+    // the published weights (on the fp16 grid, so the encoding is exact).
+    let mut experts: Vec<ExpertFfn<HalfMatrix>> = weights
         .iter()
         .map(|flat| {
-            let mut e = ExpertFfn::new(d, cfg.d_ff, 0);
-            e.load_flat(flat);
+            let bits: Vec<u16> = flat.iter().map(|&w| f32_to_f16(w)).collect();
+            assert!(
+                bits.iter().zip(flat).all(|(&h, &w)| f16_to_f32(h).to_bits() == w.to_bits()),
+                "published weights off the fp16 grid"
+            );
+            let mut e = ExpertFfn::zeros(d, cfg.d_ff);
+            e.load_f16_at(0, &bits);
             e
         })
         .collect();

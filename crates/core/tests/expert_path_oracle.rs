@@ -11,7 +11,9 @@
 //! gather each (rank, class)'s rows in arrival order (source rank ascending,
 //! then send order), `from_vec(clone)` and the allocating `forward`, combine,
 //! loss, gated upstream grads, then `zero_grad`, `from_vec(clone)`,
-//! `backward` and an owned flat copy of the gradient.
+//! `backward` and an owned flat copy of the gradient. Its experts are the
+//! engine's: binary16 weights, loaded from the encoded bits of the
+//! published slot weights (on the fp16 grid, so the encoding is exact).
 //!
 //! **Gradient path.** The class's flat gradient is *the* buffer: backward
 //! writes it (summing the class's local slots as rows of one batch), the
@@ -40,10 +42,11 @@
 //! recipe. The optimizer used to publish an f32 shard on the fp16 grid,
 //! `encode_f16` it, decode every source's chunk into a `full` vector per
 //! class, clone that per sibling slot and `load_flat` it; now the Adam
-//! kernel writes binary16 bits and the scatter decodes each chunk once,
-//! straight into the class's one expert. After every iteration every slot's
-//! weights must equal the old recipe replayed — with the scalar conversions —
-//! from the masters the ranks hold.
+//! kernel writes binary16 bits and the scatter copies each chunk once,
+//! straight into the binary16 weights of the class's one expert. After every
+//! iteration every slot's weights must equal the old recipe replayed — with
+//! the scalar conversions, into the same binary16 expert loaded from the
+//! wire bits — from the masters the ranks hold.
 
 use std::sync::{Barrier, Mutex};
 
@@ -54,7 +57,7 @@ use symi_model::expert::ExpertFfn;
 use symi_tensor::half::{f16_to_f32, f32_to_f16, quantize_f16};
 use symi_tensor::ops::softmax_rows;
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, AdamConfig, Matrix};
+use symi_tensor::{init, AdamConfig, HalfMatrix, Matrix};
 
 const NODES: usize = 2;
 const T_LOC: usize = 48;
@@ -94,6 +97,19 @@ fn targets(rank: usize, it: usize) -> Matrix {
     Matrix::from_fn(T_LOC, cfg().d_model, |r, c| {
         (((rank * T_LOC + r) * 8 + c) as f32 * 0.097 - it as f32 * 0.19).cos() * 0.5
     })
+}
+
+/// The expert the engine runs for `flat`: binary16 weights, loaded from the
+/// encoded bits of published weights — on the fp16 grid, so exact.
+fn half_expert(cfg: &EngineConfig, flat: &[f32]) -> ExpertFfn<HalfMatrix> {
+    let bits: Vec<u16> = flat.iter().map(|&w| f32_to_f16(w)).collect();
+    assert!(
+        bits.iter().zip(flat).all(|(&h, &w)| f16_to_f32(h).to_bits() == w.to_bits()),
+        "published weights off the fp16 grid"
+    );
+    let mut e = ExpertFfn::zeros(cfg.d_model, cfg.d_ff);
+    e.load_f16_at(0, &bits);
+    e
 }
 
 /// The unit one `ExpertFfn` batch covers in a replay.
@@ -196,14 +212,8 @@ fn replay_token_path(
     }
 
     // Forward, the allocating way.
-    let mut experts: Vec<ExpertFfn> = weights
-        .iter()
-        .map(|w| {
-            let mut e = ExpertFfn::new(d, cfg.d_ff, 0);
-            e.load_flat(w);
-            e
-        })
-        .collect();
+    let mut experts: Vec<ExpertFfn<HalfMatrix>> =
+        weights.iter().map(|w| half_expert(cfg, w)).collect();
     let outputs: Vec<Matrix> = experts
         .iter_mut()
         .zip(&inputs)
@@ -566,7 +576,7 @@ fn per_slot_fold_oracle_bounds_the_class_major_engine() {
 }
 
 /// The old parameter path for one class: every rank's f32 shard on the fp16
-/// grid → binary16 wire → `full` → `load_flat`. `master_shards[r]` is
+/// grid → binary16 wire → `full` → the slot. `master_shards[r]` is
 /// logical rank `r`'s fp32 master shard of the class.
 fn old_weight_path(cfg: &EngineConfig, master_shards: &[Vec<f32>]) -> Vec<f32> {
     let mut full = Vec::new();
@@ -575,9 +585,7 @@ fn old_weight_path(cfg: &EngineConfig, master_shards: &[Vec<f32>]) -> Vec<f32> {
         let wire: Vec<u16> = published.iter().map(|&w| f32_to_f16(w)).collect();
         full.extend(wire.iter().map(|&h| f16_to_f32(h)));
     }
-    let mut slot = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0);
-    slot.load_flat(&full);
-    slot.flat_params()
+    half_expert(cfg, &full).flat_params()
 }
 
 #[test]

@@ -9,12 +9,18 @@
 //! buffer per expert. Backward writes it, the §4.1 replica sync all-reduces
 //! it where it lies, and Adam steps from a slice of it
 //! ([`ExpertFfn::flat_grads`]); nothing copies it in between.
+//!
+//! W1 and W2 are stored as the type parameter says ([`WeightStorage`]): f32
+//! by default, or binary16 — §3.1's 2 B/param, what the engines' slots hold.
+//! The GEMMs read a binary16 W where it lies, and the weight scatter's
+//! binary16 shards are copied into it.
 
 use std::cell::RefCell;
 use symi_telemetry::TelemetryHandle;
+use symi_tensor::half::{decode, encode};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_from_tanh_into, linear_gelu_tanh_into};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, Matrix};
+use symi_tensor::{init, BOperand, HalfMatrix, Matrix};
 
 thread_local! {
     /// Two `rows × d_ff` scratch matrices: the activation `gelu(pre)`, which
@@ -27,7 +33,68 @@ thread_local! {
         RefCell::new((Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
 }
 
-/// A two-layer GELU FFN: `y = gelu(x·W1 + b1)·W2 + b2`.
+/// How a parameter matrix of an [`ExpertFfn`] is stored: f32 [`Matrix`]
+/// (the biases always; the weights of the `Trainer`'s experts), or binary16
+/// [`HalfMatrix`] (the engines' slot weights). Offsets and lengths count
+/// elements of the row-major matrix.
+pub trait WeightStorage: BOperand {
+    /// A `rows × cols` matrix of `+0.0`.
+    fn zeros(rows: usize, cols: usize) -> Self
+    where
+        Self: Sized;
+    /// Bytes the elements occupy.
+    fn bytes(&self) -> usize;
+    /// Sets elements `at ..` from f32 values (binary16 storage rounds them
+    /// to nearest even; exact on the fp16 grid).
+    fn load_f32_at(&mut self, at: usize, src: &[f32]);
+    /// Sets elements `at ..` from binary16 bits: a copy into binary16
+    /// storage, an exact decode into f32.
+    fn load_f16_at(&mut self, at: usize, src: &[u16]);
+    /// Appends the elements as f32 (exact).
+    fn extend_f32(&self, out: &mut Vec<f32>);
+}
+
+impl WeightStorage for Matrix {
+    fn zeros(rows: usize, cols: usize) -> Self {
+        Matrix::zeros(rows, cols)
+    }
+    fn bytes(&self) -> usize {
+        4 * self.len()
+    }
+    fn load_f32_at(&mut self, at: usize, src: &[f32]) {
+        self.as_mut_slice()[at..at + src.len()].copy_from_slice(src);
+    }
+    fn load_f16_at(&mut self, at: usize, src: &[u16]) {
+        decode(src, &mut self.as_mut_slice()[at..at + src.len()]);
+    }
+    fn extend_f32(&self, out: &mut Vec<f32>) {
+        out.extend_from_slice(self.as_slice());
+    }
+}
+
+impl WeightStorage for HalfMatrix {
+    fn zeros(rows: usize, cols: usize) -> Self {
+        HalfMatrix::zeros(rows, cols)
+    }
+    fn bytes(&self) -> usize {
+        2 * self.len()
+    }
+    fn load_f32_at(&mut self, at: usize, src: &[f32]) {
+        encode(src, &mut self.as_bits_mut()[at..at + src.len()]);
+    }
+    fn load_f16_at(&mut self, at: usize, src: &[u16]) {
+        self.as_bits_mut()[at..at + src.len()].copy_from_slice(src);
+    }
+    fn extend_f32(&self, out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + self.len(), 0.0);
+        decode(self.as_bits(), &mut out[start..]);
+    }
+}
+
+/// A two-layer GELU FFN: `y = gelu(x·W1 + b1)·W2 + b2`, its weights stored
+/// as `W` says ([`WeightStorage`]; biases, caches and the gradient are f32
+/// either way).
 ///
 /// Forward/backward run on the blocked kernels through persistent caches
 /// and per-thread scratch buffers (`*_into` entry points), so a steady-state
@@ -36,10 +103,10 @@ thread_local! {
 /// instead of the activation: the activation is `0.5·pre·(1 + t)`, rebuilt
 /// with [`symi_tensor::vmath::gelu`]'s own operations wherever it is needed,
 /// and backward's GELU′ reads `t` rather than evaluating `tanh` again.
-pub struct ExpertFfn {
-    pub w1: Matrix,
+pub struct ExpertFfn<W = Matrix> {
+    pub w1: W,
     pub b1: Matrix,
-    pub w2: Matrix,
+    pub w2: W,
     pub b2: Matrix,
     /// The gradient, flat in the parameters' layout `[W1 | b1 | W2 | b2]`.
     grad: Vec<f32>,
@@ -54,12 +121,28 @@ pub struct ExpertFfn {
 }
 
 impl ExpertFfn {
+    /// An f32 expert with Kaiming-normal weights drawn from `seed` and zero
+    /// biases.
     pub fn new(d_model: usize, d_ff: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
+        let w1 = init::kaiming_normal(d_model, d_ff, &mut rng);
+        Self::with_weights(w1, init::kaiming_normal(d_ff, d_model, &mut rng))
+    }
+}
+
+impl<W: WeightStorage> ExpertFfn<W> {
+    /// An expert whose parameters are all `+0.0`, to be loaded
+    /// ([`ExpertFfn::load_f16_at`], [`ExpertFfn::load_flat`]).
+    pub fn zeros(d_model: usize, d_ff: usize) -> Self {
+        Self::with_weights(W::zeros(d_model, d_ff), W::zeros(d_ff, d_model))
+    }
+
+    fn with_weights(w1: W, w2: W) -> Self {
+        let (d_model, d_ff) = (w1.rows(), w1.cols());
         Self {
-            w1: init::kaiming_normal(d_model, d_ff, &mut rng),
+            w1,
             b1: Matrix::zeros(1, d_ff),
-            w2: init::kaiming_normal(d_ff, d_model, &mut rng),
+            w2,
             b2: Matrix::zeros(1, d_model),
             grad: vec![0.0; 2 * d_model * d_ff + d_ff + d_model],
             grad_zero: true,
@@ -79,7 +162,42 @@ impl ExpertFfn {
 
     /// Total scalar parameters (`2·d·d_ff + d_ff + d`).
     pub fn param_count(&self) -> usize {
-        self.w1.len() + self.b1.len() + self.w2.len() + self.b2.len()
+        self.grad.len()
+    }
+
+    /// Bytes the parameters occupy: `2·(W1 + W2) + 4·(b1 + b2)` for
+    /// binary16 weights, `4·` everything for f32 ones.
+    pub fn param_bytes(&self) -> usize {
+        self.params().iter().map(|p| p.bytes()).sum()
+    }
+
+    /// The four parameters in the flat layout's order `[W1 | b1 | W2 | b2]`.
+    fn params(&self) -> [&dyn WeightStorage; 4] {
+        [&self.w1, &self.b1, &self.w2, &self.b2]
+    }
+
+    fn params_mut(&mut self) -> [&mut dyn WeightStorage; 4] {
+        [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]
+    }
+
+    /// Calls `load(param, at, lo, hi)` for each parameter that elements
+    /// `offset .. end` of the flat layout overlap: its own elements from
+    /// `at`, the range's `lo .. hi`.
+    fn load_range(
+        &mut self,
+        offset: usize,
+        end: usize,
+        mut load: impl FnMut(&mut dyn WeightStorage, usize, usize, usize),
+    ) {
+        let mut base = 0;
+        for param in self.params_mut() {
+            let len = param.rows() * param.cols();
+            let (a, b) = (offset.max(base), end.min(base + len));
+            if a < b {
+                load(param, a - base, a - offset, b - offset);
+            }
+            base += len;
+        }
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
@@ -116,9 +234,10 @@ impl ExpertFfn {
     /// [`zero_grad`]: ExpertFfn::zero_grad
     pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
         let acc = !std::mem::take(&mut self.grad_zero);
-        let (w1_grad, rest) = self.grad.split_at_mut(self.w1.len());
+        let weights = self.d_model() * self.d_ff(); // elements of W1, and of W2
+        let (w1_grad, rest) = self.grad.split_at_mut(weights);
         let (b1_grad, rest) = rest.split_at_mut(self.b1.len());
-        let (w2_grad, b2_grad) = rest.split_at_mut(self.w2.len());
+        let (w2_grad, b2_grad) = rest.split_at_mut(weights);
         let (pre, t) = (&self.cached_pre, &self.cached_tanh);
         SCRATCH.with_borrow_mut(|(act, dpre)| {
             gelu_from_tanh_into(pre, t, act);
@@ -143,10 +262,9 @@ impl ExpertFfn {
     /// [`ExpertFfn::flat_params`] into a reusable buffer.
     pub(crate) fn flat_params_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.extend_from_slice(self.w1.as_slice());
-        out.extend_from_slice(self.b1.as_slice());
-        out.extend_from_slice(self.w2.as_slice());
-        out.extend_from_slice(self.b2.as_slice());
+        for param in self.params() {
+            param.extend_f32(out);
+        }
     }
 
     /// The gradient in the parameters' flat layout — the buffer backward
@@ -173,7 +291,8 @@ impl ExpertFfn {
         self.grad_zero
     }
 
-    /// Loads parameters from a flat buffer produced by [`flat_params`].
+    /// Loads parameters from a flat buffer produced by [`flat_params`]
+    /// (binary16 weights round each value to nearest even).
     ///
     /// # Panics
     /// Panics if the buffer length differs from [`param_count`].
@@ -182,20 +301,15 @@ impl ExpertFfn {
     /// [`param_count`]: ExpertFfn::param_count
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_count(), "flat parameter length mismatch");
-        let (a, rest) = flat.split_at(self.w1.len());
-        let (b, rest) = rest.split_at(self.b1.len());
-        let (c, d) = rest.split_at(self.w2.len());
-        self.w1.as_mut_slice().copy_from_slice(a);
-        self.b1.as_mut_slice().copy_from_slice(b);
-        self.w2.as_mut_slice().copy_from_slice(c);
-        self.b2.as_mut_slice().copy_from_slice(d);
+        self.load_range(0, flat.len(), |param, at, lo, hi| param.load_f32_at(at, &flat[lo..hi]));
     }
 
-    /// Decodes binary16 `half` into parameters `offset .. offset + half.len()`
+    /// Loads binary16 `half` into parameters `offset .. offset + half.len()`
     /// of the flat layout `[W1 | b1 | W2 | b2]` — the sink of the weight
     /// scatter: each received shard lands in the matrices it belongs to
-    /// without a flat f32 staging vector in between. Same values as decoding
-    /// into a flat buffer and [`load_flat`]-ing it (the decode is exact).
+    /// without a flat staging vector in between. Binary16 weights take the
+    /// bits as they are (a copy); f32 ones and the biases decode them
+    /// (exactly), the same values as [`load_flat`] of the decoded buffer.
     ///
     /// # Panics
     /// Panics if the range runs past [`param_count`].
@@ -205,15 +319,7 @@ impl ExpertFfn {
     pub fn load_f16_at(&mut self, offset: usize, half: &[u16]) {
         let end = offset + half.len();
         assert!(end <= self.param_count(), "f16 shard runs past the parameters");
-        let mut base = 0;
-        for param in [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2] {
-            let (a, b) = (offset.max(base), end.min(base + param.len()));
-            if a < b {
-                let dst = &mut param.as_mut_slice()[a - base..b - base];
-                symi_tensor::half::decode(&half[a - offset..b - offset], dst);
-            }
-            base += param.len();
-        }
+        self.load_range(offset, end, |param, at, lo, hi| param.load_f16_at(at, &half[lo..hi]));
     }
 
     /// Marks the gradient zero without touching its memory (see
@@ -307,7 +413,7 @@ impl SlotBatches {
 
     /// Runs every set's expert (`experts[g]` for set `g`) on its assembled
     /// input; a set that received no row is skipped.
-    pub fn forward(&mut self, experts: &mut [ExpertFfn]) {
+    pub fn forward<W: WeightStorage>(&mut self, experts: &mut [ExpertFfn<W>]) {
         assert_eq!(experts.len(), self.io.len(), "one expert per possible set");
         for (io, expert) in self.io.iter_mut().zip(experts) {
             if io.x.rows() == 0 {
@@ -357,7 +463,7 @@ impl SlotBatches {
     /// per class, so the sum over a class's co-located slots is the `tn`
     /// GEMM's own accumulation over the merged rows. A set that received no
     /// row keeps its gradient marked ([`ExpertFfn::grad_is_zero`]).
-    pub fn backward(&mut self, experts: &mut [ExpertFfn]) {
+    pub fn backward<W: WeightStorage>(&mut self, experts: &mut [ExpertFfn<W>]) {
         for (io, expert) in self.io.iter_mut().zip(experts) {
             expert.zero_grad();
             if io.dy.rows() > 0 {
@@ -424,6 +530,53 @@ mod tests {
             direct.load_f16_at(w[0], &half[w[0]..w[1]]);
         }
         assert_eq!(direct.flat_params(), via_flat.flat_params());
+    }
+
+    #[test]
+    fn binary16_shards_are_copied_where_load_flat_would_put_them() {
+        use symi_tensor::half::f32_to_f16;
+        let mut direct = ExpertFfn::<HalfMatrix>::zeros(4, 8);
+        let mut via_flat = ExpertFfn::<HalfMatrix>::zeros(4, 8);
+        let n = direct.param_count();
+        let half: Vec<u16> = (0..n).map(|i| f32_to_f16((i as f32 * 0.37).sin())).collect();
+        let mut decoded = vec![0.0; n];
+        decode(&half, &mut decoded);
+        via_flat.load_flat(&decoded);
+        for w in [0, 5, 33, 39, 41, 70, n - 1, n].windows(2) {
+            direct.load_f16_at(w[0], &half[w[0]..w[1]]);
+        }
+        assert_eq!(direct.w1.as_bits(), &half[..32]);
+        assert_eq!(direct.w2.as_bits(), &half[40..72]);
+        assert_eq!(direct.flat_params(), via_flat.flat_params());
+        assert_eq!(direct.flat_params(), decoded);
+    }
+
+    #[test]
+    fn binary16_weights_compute_what_their_decoded_f32_values_do() {
+        let (d, ff) = (6, 20);
+        let mut half = ExpertFfn::<HalfMatrix>::zeros(d, ff);
+        half.load_flat(&ExpertFfn::new(d, ff, 9).flat_params());
+        let mut decoded = ExpertFfn::new(d, ff, 0);
+        decoded.load_flat(&half.flat_params());
+        assert_eq!(half.param_bytes(), 2 * (2 * d * ff) + 4 * (ff + d));
+        assert_eq!(decoded.param_bytes(), 4 * half.param_count());
+        // From 32 rows (`NT_TILE_MIN_ROWS` on x86) the f32 `nt` runs the
+        // tile a binary16 one always runs, so backward agrees too; below
+        // it only the forward (`nn`) is held to the same bits.
+        for rows in [3, 40] {
+            let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.29).sin());
+            let dy = Matrix::from_fn(rows, d, |r, c| ((r + c) as f32 * 0.17).cos());
+            assert_eq!(bits(half.forward(&x).as_slice()), bits(decoded.forward(&x).as_slice()));
+            let (dx_half, dx_f32) = (half.backward(&dy), decoded.backward(&dy));
+            if rows >= 32 {
+                assert_eq!(bits(dx_half.as_slice()), bits(dx_f32.as_slice()));
+                assert_eq!(bits(half.flat_grads()), bits(decoded.flat_grads()));
+            } else {
+                assert!(dx_half.max_abs_diff(&dx_f32) < 1e-5);
+            }
+            half.zero_grad();
+            decoded.zero_grad();
+        }
     }
 
     #[test]

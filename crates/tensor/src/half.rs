@@ -10,6 +10,7 @@
 //! re-exports): round-to-nearest-even on encode, exact on decode. The slice
 //! forms [`encode`]/[`decode`] run them through `VCVTPS2PH`/`VCVTPH2PS`
 //! where the CPU has F16C; scalar and hardware agree on every input.
+//! [`HalfMatrix`] is a matrix stored in the format.
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::f16_fast_path;
@@ -132,6 +133,73 @@ pub fn decode(src: &[u16], dst: &mut [f32]) {
     }
     for (w, &h) in dst.iter_mut().zip(src) {
         *w = f16_to_f32(h);
+    }
+}
+
+/// A dense, row-major matrix of IEEE-754 binary16 values: the 2 B/param
+/// storage §3.1 gives expert parameters. A GEMM reads it as its B operand
+/// ([`crate::kernels::BOperand`]) without a decoded copy — the x86 kernels
+/// widen each panel with `VCVTPH2PS` as they pack it — and the product has
+/// the bits the f32 GEMM gives on the decoded values.
+#[derive(Clone, PartialEq)]
+pub struct HalfMatrix {
+    rows: usize,
+    cols: usize,
+    bits: Vec<u16>,
+}
+
+impl std::fmt::Debug for HalfMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "HalfMatrix({}x{})", self.rows, self.cols)
+    }
+}
+
+impl HalfMatrix {
+    /// A `rows × cols` matrix of `+0.0`.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self { rows, cols, bits: vec![0; rows * cols] }
+    }
+
+    /// `m`'s values rounded to binary16 ([`f32_to_f16`]; exact for values
+    /// already on the fp16 grid).
+    pub fn from_f32(m: &crate::Matrix) -> Self {
+        let mut out = Self::zeros(m.rows(), m.cols());
+        encode(m.as_slice(), &mut out.bits);
+        out
+    }
+
+    /// The decoded f32 matrix (exact).
+    pub fn to_f32(&self) -> crate::Matrix {
+        let mut out = crate::Matrix::zeros(self.rows, self.cols);
+        decode(&self.bits, out.as_mut_slice());
+        out
+    }
+
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.bits.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// The row-major binary16 bits.
+    pub fn as_bits(&self) -> &[u16] {
+        &self.bits
+    }
+
+    /// The row-major binary16 bits, mutable.
+    pub fn as_bits_mut(&mut self) -> &mut [u16] {
+        &mut self.bits
     }
 }
 

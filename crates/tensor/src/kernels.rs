@@ -7,7 +7,9 @@
 //!   stores the microkernel's column strips contiguously, so the kernels
 //!   take B's row stride as a parameter and there is no packing pass at
 //!   all. Each microkernel invocation holds an `MR×NR` block of outputs in
-//!   registers.
+//!   registers. A binary16 B ([`BElems::F16`]) is the exception: the x86
+//!   families widen each KC-long panel chunk into a per-thread buffer with
+//!   `VCVTPH2PS` as they copy it, and the tiles sweep that.
 //! - `tn` (`Aᵀ·B`, parameter gradients): B as in `nn`. The scalar family
 //!   packs the A column block into a k-major strip per output row block;
 //!   the two x86 families broadcast A's elements transposed in place on
@@ -19,7 +21,12 @@
 //!   independent dot products; the two x86 families transpose KC-long
 //!   panels of B (16 or 32 columns) into a per-thread buffer and run `nn`'s
 //!   tiles over them, except below [`crate::simd::NT_TILE_MIN_ROWS`] output
-//!   rows, where both keep a 256-bit dot-product tile.
+//!   rows, where both keep a 256-bit dot-product tile. A binary16 B is
+//!   widened during the transpose and always runs the tile, at every m: the
+//!   dot-product kernel takes no panel to widen into.
+//!
+//! The scalar family reads a binary16 B by decoding the whole operand into
+//! its per-thread scratch first.
 //!
 //! Each x86 family runs all three layouts on one k-chunked loop nest over
 //! one const-generic FMA register tile per panel width (module docs of
@@ -30,7 +37,7 @@
 //! Three microkernel families are selected once per process by
 //! [`active_path`] ([`SimdPath`]): a portable scalar family (the original
 //! kernels, kept as the fallback and the forced-`SYMI_SIMD=scalar` CI
-//! path), an AVX2+FMA family ([`crate::simd`], x86_64 only, runtime feature
+//! path), an AVX2+FMA+F16C family ([`crate::simd`], x86_64 only, runtime feature
 //! detection) whose loop nest runs a 256-bit 6×16 register tile, and an
 //! AVX-512F family — the same kernels, with the loop nest on a 512-bit
 //! 12×32 tile, its 16-column panels and column edge on a masked 16-lane
@@ -61,6 +68,14 @@
 //! apply *after* the fold completes, matching the unfused `matmul` →
 //! `add_bias` → `gelu_tanh` sequence bit-for-bit on every path.
 //!
+//! A binary16 B ([`crate::half::HalfMatrix`]) gives the bits of the same
+//! GEMM on its decoded f32 values: the widening is exact and the kernels
+//! fold the widened panel as they fold an f32 one. The one shape where the
+//! two take different kernels is an x86 `nt` below
+//! [`crate::simd::NT_TILE_MIN_ROWS`] rows: there the binary16 B runs the
+//! tile, so each element is the one FMA chain over ascending k, where the f32
+//! B runs the dot product.
+//!
 //! # Cost-model gate
 //!
 //! Dispatching a parallel region costs wake-ups, cache re-warming, and (on
@@ -74,6 +89,7 @@
 //! cost. Gated calls run sequentially on the submitting thread with zero
 //! dispatch and bump the `kernel.seq_fallback` counter.
 
+use crate::half::HalfMatrix;
 use crate::matrix::Matrix;
 use crate::pool::{par_rows2_planned, par_rows_planned};
 use std::cell::RefCell;
@@ -110,11 +126,13 @@ pub struct KernelStats {
     /// GEMM calls the cost model ran sequentially although the pool had
     /// threads to offer (parallelism could not amortize dispatch).
     pub seq_fallback: u64,
-    /// Whole-B preparation passes: always 0. `nn` and `tn` read B in place;
-    /// the AVX2 `nt` transposes B one L1-sized panel at a time inside its
-    /// loop nest, which is not a pass over B and is not counted. The field
-    /// stays because the repository benchmark's `KernelStats` delta
-    /// (`benchmark/src/workloads.rs`) names it.
+    /// Whole-B preparation passes: always 0. `nn` and `tn` read an f32 B in
+    /// place; the x86 `nt` transposes B one L1-sized panel at a time inside
+    /// its loop nest, and a binary16 B is widened the same way — panel by
+    /// panel, inside the nest that consumes it — which is not a pass over B
+    /// and is not counted. The field stays because the repository
+    /// benchmark's `KernelStats` delta (`benchmark/src/workloads.rs`) names
+    /// it.
     pub b_packs: u64,
 }
 
@@ -172,7 +190,7 @@ pub(crate) fn record_act(ns: u64, elems: usize) {
 pub enum SimdPath {
     /// Portable scalar kernels: bit-exact vs [`naive`], run anywhere.
     Scalar,
-    /// AVX2 + FMA microkernels (x86_64, runtime-detected), the GEMM loop
+    /// AVX2 + FMA + F16C microkernels (x86_64, runtime-detected), the GEMM loop
     /// nest on the 256-bit 6×16 register tile.
     Avx2,
     /// The `Avx2` family with the loop nest's register tiles and column
@@ -221,7 +239,7 @@ fn decide_path() -> SimdPath {
             "avx2" => {
                 assert!(
                     SimdPath::Avx2.supported(),
-                    "SYMI_SIMD=avx2 requested but this CPU lacks AVX2+FMA"
+                    "SYMI_SIMD=avx2 requested but this CPU lacks AVX2+FMA+F16C"
                 );
                 SimdPath::Avx2
             }
@@ -291,12 +309,12 @@ pub(crate) fn avx2_encodings() -> bool {
 }
 
 /// Whether the binary16 codec and the Adam kernel that emits binary16 run
-/// on `VCVTPS2PH`/`VCVTPH2PS` (an x86 family + F16C) instead of the scalar
-/// conversions — same bits either way.
+/// on `VCVTPS2PH`/`VCVTPH2PS` (either x86 family: both require F16C)
+/// instead of the scalar conversions — same bits either way.
 pub fn f16_fast_path() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        return avx2_encodings() && crate::simd::have_f16c();
+        return avx2_encodings();
     }
     #[allow(unreachable_code)]
     false
@@ -313,12 +331,12 @@ fn nn_row_tile(path: SimdPath) -> usize {
     }
 }
 
-/// Row tile of the `nt` kernel `path` runs for an `m`-row GEMM.
-fn nt_row_tile(path: SimdPath, m: usize) -> usize {
+/// Row tile of the `nt` kernel `path` runs for an `m`-row GEMM over `b`.
+fn nt_row_tile(path: SimdPath, m: usize, b: BElems<'_>) -> usize {
     match path {
         SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 if crate::simd::nt_on_tile(m) => {
+        SimdPath::Avx2 | SimdPath::Avx512 if crate::simd::nt_on_tile(m, b) => {
             crate::simd::tile_rows(path.wide())
         }
         #[cfg(target_arch = "x86_64")]
@@ -434,9 +452,22 @@ fn plan_shares(rows: usize, block: usize, flops: u64) -> usize {
 
 thread_local! {
     /// Per-worker pack scratch: a `tn` strip kernel's A strip, the x86
-    /// `nt` tile's transposed B panel (KC×32 floats on the 512-bit family,
-    /// KC×16 on the 256-bit one).
+    /// `nt` tile's transposed B panel and the x86 `nn` tile's widened
+    /// binary16 B panel (KC×32 floats on the 512-bit family, KC×16 on the
+    /// 256-bit one), or the scalar family's decoded binary16 B.
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on `bits` decoded into the thread's pack scratch: how the
+/// scalar family reads a binary16 B.
+fn with_decoded<R>(bits: &[u16], f: impl FnOnce(&[f32]) -> R) -> R {
+    PACK.with(|p| {
+        let mut buf = p.borrow_mut();
+        buf.clear();
+        buf.resize(bits.len(), 0.0);
+        crate::half::decode(bits, &mut buf);
+        f(&buf)
+    })
 }
 
 /// Packs columns `col0 .. col0+ih` of the `r×m` matrix `a` k-major:
@@ -709,20 +740,24 @@ fn nn_rows_dispatch(
     rows: std::ops::Range<usize>,
     k: usize,
     n: usize,
-    bs: &[f32],
+    b: BElems<'_>,
     bstride: usize,
     out: &mut [f32],
     acc: bool,
     bias: Option<&[f32]>,
 ) {
-    match path {
-        SimdPath::Scalar => nn_rows(a, rows, k, n, bs, bstride, out, acc, bias),
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 => {
-            crate::simd::nn_rows(a, rows, k, n, bs, bstride, out, acc, bias, path.wide())
+    match (path, b) {
+        (SimdPath::Scalar, BElems::F32(bs)) => nn_rows(a, rows, k, n, bs, bstride, out, acc, bias),
+        (SimdPath::Scalar, BElems::F16(bits)) => {
+            with_decoded(bits, |bs| nn_rows(a, rows, k, n, bs, bstride, out, acc, bias))
         }
+        #[cfg(target_arch = "x86_64")]
+        (SimdPath::Avx2 | SimdPath::Avx512, _) => PACK.with(|p| {
+            let buf = &mut p.borrow_mut();
+            crate::simd::nn_rows(a, rows, k, n, b, bstride, out, acc, bias, buf, path.wide())
+        }),
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
+        (SimdPath::Avx2 | SimdPath::Avx512, _) => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -730,21 +765,24 @@ fn nn_rows_dispatch(
 fn nt_rows_dispatch(
     path: SimdPath,
     a: &Matrix,
-    bsl: &[f32],
+    b: BElems<'_>,
     rows: std::ops::Range<usize>,
     k: usize,
     n: usize,
     chunk: &mut [f32],
     acc: bool,
 ) {
-    match path {
-        SimdPath::Scalar => nt_rows(a, bsl, rows, k, n, chunk, acc),
+    match (path, b) {
+        (SimdPath::Scalar, BElems::F32(bsl)) => nt_rows(a, bsl, rows, k, n, chunk, acc),
+        (SimdPath::Scalar, BElems::F16(bits)) => {
+            with_decoded(bits, |bsl| nt_rows(a, bsl, rows, k, n, chunk, acc))
+        }
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 => PACK.with(|p| {
-            crate::simd::nt_rows(a, bsl, rows, k, n, chunk, acc, &mut p.borrow_mut(), path.wide())
+        (SimdPath::Avx2 | SimdPath::Avx512, _) => PACK.with(|p| {
+            crate::simd::nt_rows(a, b, rows, k, n, chunk, acc, &mut p.borrow_mut(), path.wide())
         }),
         #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
+        (SimdPath::Avx2 | SimdPath::Avx512, _) => unreachable!("x86 path selected on non-x86_64"),
     }
 }
 
@@ -776,8 +814,67 @@ fn tn_rows_dispatch(
 // Drivers
 // ---------------------------------------------------------------------------
 
+/// A GEMM's B operand as it is stored.
+#[derive(Clone, Copy, Debug)]
+pub enum BElems<'a> {
+    /// Row-major f32.
+    F32(&'a [f32]),
+    /// Row-major binary16 bits, widened to f32 as the kernels read them.
+    F16(&'a [u16]),
+}
+
+impl BElems<'_> {
+    /// Number of elements.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            BElems::F32(b) => b.len(),
+            BElems::F16(b) => b.len(),
+        }
+    }
+}
+
+/// A matrix `nn` and `nt` read as their B operand: an f32 [`Matrix`], or a
+/// binary16 [`HalfMatrix`] with the bits of its decoded f32 values (module
+/// docs, *Determinism contract*).
+pub trait BOperand {
+    fn rows(&self) -> usize;
+    fn cols(&self) -> usize;
+    /// The row-major elements.
+    fn elems(&self) -> BElems<'_>;
+}
+
+impl BOperand for Matrix {
+    fn rows(&self) -> usize {
+        self.rows()
+    }
+    fn cols(&self) -> usize {
+        self.cols()
+    }
+    fn elems(&self) -> BElems<'_> {
+        BElems::F32(self.as_slice())
+    }
+}
+
+impl BOperand for HalfMatrix {
+    fn rows(&self) -> usize {
+        self.rows()
+    }
+    fn cols(&self) -> usize {
+        self.cols()
+    }
+    fn elems(&self) -> BElems<'_> {
+        BElems::F16(self.as_bits())
+    }
+}
+
 /// `out (+)= a · b`, optional fused `+ bias` epilogue.
-pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option<&Matrix>) {
+pub fn gemm_nn<B: BOperand + ?Sized>(
+    a: &Matrix,
+    b: &B,
+    out: &mut Matrix,
+    acc: bool,
+    bias: Option<&Matrix>,
+) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -801,10 +898,10 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option
     let path = active_path();
     let mr = nn_row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
-    let bsl = b.as_slice();
+    let belems = b.elems();
     let bias = bias.map(|bm| bm.as_slice());
     par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
-        nn_rows_dispatch(path, a, rows, k, n, bsl, n, chunk, acc, bias);
+        nn_rows_dispatch(path, a, rows, k, n, belems, n, chunk, acc, bias);
     });
     record(t0, m, n, k);
 }
@@ -817,9 +914,9 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool, bias: Option
 /// share; the slowest share's time is what the submitting thread waited
 /// for, so that much of the call's wall time is booked as activation time
 /// and the rest as GEMM time.
-pub(crate) fn gemm_nn_bias_gelu_tanh(
+pub(crate) fn gemm_nn_bias_gelu_tanh<B: BOperand + ?Sized>(
     a: &Matrix,
-    b: &Matrix,
+    b: &B,
     bias: &Matrix,
     pre: &mut Matrix,
     t: &mut Matrix,
@@ -838,7 +935,7 @@ pub(crate) fn gemm_nn_bias_gelu_tanh(
     let path = active_path();
     let mr = nn_row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
-    let bsl = b.as_slice();
+    let belems = b.elems();
     let bias = bias.as_slice();
     let act_ns = AtomicU64::new(0);
     par_rows2_planned(
@@ -849,7 +946,7 @@ pub(crate) fn gemm_nn_bias_gelu_tanh(
         pre.as_mut_slice(),
         t.as_mut_slice(),
         |rows, pre_chunk, t_chunk| {
-            nn_rows_dispatch(path, a, rows, k, n, bsl, n, pre_chunk, false, Some(bias));
+            nn_rows_dispatch(path, a, rows, k, n, belems, n, pre_chunk, false, Some(bias));
             let t_act = Instant::now();
             crate::vmath::gelu_tanh_slice(pre_chunk, t_chunk);
             act_ns.fetch_max(t_act.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -864,9 +961,9 @@ pub(crate) fn gemm_nn_bias_gelu_tanh(
 /// `out (+)= a · bᵀ` (`b` is `n×k`). Scalar path: independent contiguous
 /// dot products, each one accumulator over ascending k. AVX2 path: one FMA
 /// chain over ascending k per element on `nn`'s tile from
-/// [`crate::simd::NT_TILE_MIN_ROWS`] output rows on, 8-lane dot products
-/// with a fixed reduction order below.
-pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
+/// [`crate::simd::NT_TILE_MIN_ROWS`] output rows on — at every m for a
+/// binary16 B — and 8-lane dot products with a fixed reduction order below.
+pub(crate) fn gemm_nt<B: BOperand + ?Sized>(a: &Matrix, b: &B, out: &mut Matrix, acc: bool) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -884,11 +981,11 @@ pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
         return;
     }
     let path = active_path();
-    let mr = nt_row_tile(path, m);
+    let belems = b.elems();
+    let mr = nt_row_tile(path, m, belems);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
-    let bsl = b.as_slice();
     par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
-        nt_rows_dispatch(path, a, bsl, rows, k, n, chunk, acc);
+        nt_rows_dispatch(path, a, belems, rows, k, n, chunk, acc);
     });
     record(t0, m, n, k);
 }

@@ -28,7 +28,10 @@
 //!   libm is only the tests' reference. The Adam step ([`adam`]) and the
 //!   binary16 codec ([`half`]) follow the same rule — scalar specification,
 //!   AVX2+F16C encoding, bit-identical — and the sharded optimizer publishes
-//!   its weights as binary16 bits in the pass that updates them. The
+//!   its weights as binary16 bits in the pass that updates them. A
+//!   [`HalfMatrix`] keeps such bits as a matrix, and `nn` / `nt` read it as
+//!   their B operand where it lies ([`BOperand`]), with the bits of the f32
+//!   GEMM on its decoded values. The
 //!   workspace's `unsafe` is
 //!   confined to this crate: the pool's scoped-dispatch lifetime erasure
 //!   (documented in [`pool`]) and the feature-gated `std::arch` intrinsics
@@ -52,7 +55,8 @@ pub mod simd;
 pub mod vmath;
 
 pub use adam::{AdamConfig, AdamShard, AdamState};
-pub use kernels::{act_stats, kernel_stats, ActStats, KernelStats};
+pub use half::HalfMatrix;
+pub use kernels::{act_stats, kernel_stats, ActStats, BOperand, KernelStats};
 pub use matrix::Matrix;
 pub use pool::PoolStats;
 pub use rng::{Distribution, Normal, Rng, SplitMix64, StdRng, Uniform};

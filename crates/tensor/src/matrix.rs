@@ -5,6 +5,7 @@
 //! and `Aᵀ·B` (parameter gradients). Implementing all three directly avoids
 //! materializing transposes in the hot loop.
 
+use crate::kernels::BOperand;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -153,7 +154,13 @@ impl Matrix {
 
     /// `out = self · other + bias` with the bias fused into the kernel
     /// epilogue (bit-identical to `matmul_into` followed by `add_bias`).
-    pub fn matmul_bias_into(&self, other: &Matrix, bias: &Matrix, out: &mut Matrix) {
+    /// `other` may be a binary16 [`crate::half::HalfMatrix`].
+    pub fn matmul_bias_into<B: BOperand + ?Sized>(
+        &self,
+        other: &B,
+        bias: &Matrix,
+        out: &mut Matrix,
+    ) {
         crate::kernels::gemm_nn(self, other, out, false, Some(bias));
     }
 
@@ -165,8 +172,9 @@ impl Matrix {
         out
     }
 
-    /// `out = self · otherᵀ`, reusing `out`'s allocation.
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
+    /// `out = self · otherᵀ`, reusing `out`'s allocation. `other` may be a
+    /// binary16 [`crate::half::HalfMatrix`].
+    pub fn matmul_nt_into<B: BOperand + ?Sized>(&self, other: &B, out: &mut Matrix) {
         crate::kernels::gemm_nt(self, other, out, false);
     }
 

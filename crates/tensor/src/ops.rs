@@ -182,10 +182,11 @@ pub fn gelu_backward_from_tanh_into(x: &Matrix, t: &Matrix, dy: &Matrix, dx: &mu
 /// `t = gelu_tanh(pre)`, applied per completed row range inside the GEMM's
 /// parallel region (bit-identical to the unfused sequence). The activation
 /// is [`gelu_from_tanh_into`]`(pre, t)`; backward reads `t`
-/// ([`gelu_backward_from_tanh_into`]).
-pub fn linear_gelu_tanh_into(
+/// ([`gelu_backward_from_tanh_into`]). `w` may be a binary16
+/// [`crate::half::HalfMatrix`].
+pub fn linear_gelu_tanh_into<B: crate::kernels::BOperand + ?Sized>(
     x: &Matrix,
-    w: &Matrix,
+    w: &B,
     bias: &Matrix,
     pre: &mut Matrix,
     t: &mut Matrix,

@@ -37,13 +37,21 @@
 //! only in where the tile reads its operands:
 //!
 //! - `nn` (`A·B`): A row-major; B read in place — row-major B already holds
-//!   each panel at its row stride, so there is no packing pass.
+//!   each panel at its row stride, so there is no packing pass. A binary16
+//!   B is the one exception: each KC-long panel chunk is widened with
+//!   `VCVTPH2PS` into an L1-sized buffer as it is copied, once per (panel,
+//!   k-chunk), and every row tile of the share sweeps it.
 //! - `tn` (`Aᵀ·B`): B as in `nn`; A is broadcast transposed in place,
 //!   element (i, kk) read at `a[kk·m + i]`, so the broadcasts of one k
 //!   step are adjacent floats. No strip is packed.
 //! - `nt` (`A·Bᵀ`): A as in `nn`; B is `n×k`, so each KC-long panel chunk
 //!   is transposed into an L1-sized buffer once per (panel, k-chunk) and
-//!   every row tile of the share sweeps it.
+//!   every row tile of the share sweeps it. A binary16 B is widened during
+//!   the transpose: its rows load through `VCVTPH2PS` instead of `VMOVUPS`.
+//!
+//! The widened panels hold exactly the f32 values of the decoded B, and the
+//! tiles fold them as they fold an f32 panel, so a binary16 B gives the f32
+//! GEMM's bits.
 //!
 //! Column remainders (n mod 16) fold `nn`'s elements mul-then-add, as it
 //! always has, and `tn`'s and `nt`'s by FMA — the same fold on either
@@ -61,9 +69,11 @@
 //! Two shapes are better served by the kernels the tile replaced, and keep
 //! them; the choice reads the whole GEMM's shape, never a share's:
 //!
-//! - `nt` with fewer than [`NT_TILE_MIN_ROWS`] output rows: the panel
-//!   transposes cost the same at any m, and at a handful of rows they cost
-//!   more than the tile saves. The dot-product kernel is a 2×4 tile of
+//! - `nt` over an f32 B with fewer than [`NT_TILE_MIN_ROWS`] output rows:
+//!   the panel transposes cost the same at any m, and at a handful of rows
+//!   they cost more than the tile saves. A binary16 B runs the tile at
+//!   every m: the dot-product kernel takes no panel to widen into. The
+//!   dot-product kernel is a 2×4 tile of
 //!   independent dot products, each splitting k into 8-lane octets folded
 //!   by FMA, reduced by a fixed pairwise horizontal sum, plus a scalar
 //!   mul-then-add tail — a different fold from the tile's.
@@ -85,7 +95,7 @@
 
 use crate::adam::{self, AdamCoeffs};
 use crate::half::{f16_to_f32, f32_to_f16};
-use crate::kernels::{kern_nn_edge, pack_a_strip};
+use crate::kernels::{kern_nn_edge, pack_a_strip, BElems};
 use crate::matrix::Matrix;
 use core::arch::x86_64::*;
 use std::ops::Range;
@@ -139,9 +149,10 @@ pub const NT_TILE_MIN_ROWS: usize = 32;
 /// loaded.
 pub const TN_TILE_MIN_DEPTH: usize = 16;
 
-/// Runtime check for the f32 kernels.
+/// Runtime check for the two x86 families: AVX2, FMA and F16C (the loop
+/// nest widens a binary16 B with `VCVTPH2PS`; every AVX2 CPU has F16C).
 pub fn have_avx2_fma() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") && have_f16c()
 }
 
 /// Runtime check for the 512-bit register tile (in addition to
@@ -160,8 +171,8 @@ pub(crate) fn tile_rows(wide: bool) -> usize {
     }
 }
 
-/// Runtime check for the binary16 codec and the Adam kernel that emits
-/// binary16 (in addition to [`have_avx2_fma`]).
+/// Runtime check for F16C: the binary16 codec, the Adam kernel that emits
+/// binary16, and a binary16 B in the loop nest.
 pub fn have_f16c() -> bool {
     is_x86_feature_detected!("f16c")
 }
@@ -195,25 +206,125 @@ fn a_extent<const TA: bool>(lda: usize, rows: usize, k: usize) -> usize {
 enum Panels<'a> {
     /// Row-major `k×n` B, read in place at row stride `ldb` (`nn`, `tn`).
     InPlace { b: &'a [f32], ldb: usize },
+    /// Row-major `k×n` binary16 B (`nn`): each panel chunk is widened into
+    /// `buf` (row stride the panel's width) before the row tiles sweep it.
+    Widened { b: &'a [u16], ldb: usize, buf: &'a mut [f32] },
     /// Row-major `n×k` B (`nt`): each panel chunk is transposed into `buf`
     /// (row stride the panel's width) before the row tiles sweep it.
     Transposed { b: &'a [f32], ldb: usize, buf: &'a mut [f32] },
+    /// Row-major `n×k` binary16 B (`nt`): transposed as `Transposed`,
+    /// widened on the way.
+    WidenedTransposed { b: &'a [u16], ldb: usize, buf: &'a mut [f32] },
+}
+
+/// `buf`, grown to hold one KC-long chunk of the family's widest panel.
+fn panel_scratch(buf: &mut Vec<f32>, k: usize, wide: bool) -> &mut [f32] {
+    let need = KC.min(k) * if wide { NR_WIDE } else { NR_TILE };
+    if buf.len() < need {
+        buf.resize(need, 0.0);
+    }
+    buf
+}
+
+/// The 8×8 transpose: vector t of the result is column t of the block
+/// whose rows are `r`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+    let (t0, t1) = (_mm256_unpacklo_ps(r[0], r[1]), _mm256_unpackhi_ps(r[0], r[1]));
+    let (t2, t3) = (_mm256_unpacklo_ps(r[2], r[3]), _mm256_unpackhi_ps(r[2], r[3]));
+    let (t4, t5) = (_mm256_unpacklo_ps(r[4], r[5]), _mm256_unpackhi_ps(r[4], r[5]));
+    let (t6, t7) = (_mm256_unpacklo_ps(r[6], r[7]), _mm256_unpackhi_ps(r[6], r[7]));
+    let lo = [
+        _mm256_shuffle_ps::<0x44>(t0, t2),
+        _mm256_shuffle_ps::<0xEE>(t0, t2),
+        _mm256_shuffle_ps::<0x44>(t1, t3),
+        _mm256_shuffle_ps::<0xEE>(t1, t3),
+    ];
+    let hi = [
+        _mm256_shuffle_ps::<0x44>(t4, t6),
+        _mm256_shuffle_ps::<0xEE>(t4, t6),
+        _mm256_shuffle_ps::<0x44>(t5, t7),
+        _mm256_shuffle_ps::<0xEE>(t5, t7),
+    ];
+    // Column t of the block lives in the low 128-bit lanes, column t + 4 in
+    // the high ones.
+    let low = |t: usize| _mm256_permute2f128_ps::<0x20>(lo[t], hi[t]);
+    let high = |t: usize| _mm256_permute2f128_ps::<0x31>(lo[t], hi[t]);
+    [low(0), low(1), low(2), low(3), high(0), high(1), high(2), high(3)]
 }
 
 /// Transposes B's rows `j0 .. j0 + w`, columns `kc .. kc + klen` into
-/// `buf`, k-major at stride `ps` ≥ `w`:
+/// `buf`, k-major at stride `ps` ≥ `w`, widened to f32:
 /// `buf[kk·ps + jj] = b[(j0 + jj)·ldb + kc + kk]`. Whole 8×8 blocks go
-/// through registers (eight row loads, the unpack / shuffle / lane-permute
-/// transpose, eight stores); the ragged rest is copied element by element.
+/// through registers (eight row loads through `row8` — `VMOVUPS` for f32,
+/// `VCVTPH2PS` for binary16 — the unpack / shuffle / lane-permute
+/// transpose, eight stores); the ragged rest is converted element by
+/// element (`one`). The block loads and stores go through raw pointers: the
+/// same code over bounds-checked `[T; 8]` chunks, as the vector math is
+/// written, took up to 1.23× as long on the f32 `nt` and 1.14–1.67× on the
+/// binary16 one (DESIGN.md *Compute kernels & threading*).
 ///
 /// # Safety
 ///
-/// AVX2 must be available. The extents are `debug_assert!`ed; the caller
-/// keeps them (`nt_rows` checks `b` is `n×ldb` and sizes `buf`).
+/// AVX2, FMA and F16C must be available, and `row8` must read 8 elements
+/// from its pointer and nothing else. The extents are `debug_assert!`ed;
+/// the caller keeps them (`nt_rows` checks `b` is `n×ldb` and sizes `buf`).
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2")]
-unsafe fn pack_bt(
-    b: &[f32],
+#[inline(never)]
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+unsafe fn pack_bt<T: Copy>(
+    b: &[T],
+    ldb: usize,
+    j0: usize,
+    w: usize,
+    kc: usize,
+    klen: usize,
+    buf: &mut [f32],
+    ps: usize,
+    row8: impl Fn(*const T) -> __m256,
+    one: impl Fn(T) -> f32,
+) {
+    debug_assert!(w <= ps && buf.len() >= klen * ps);
+    debug_assert!(w == 0 || klen == 0 || b.len() >= (j0 + w - 1) * ldb + kc + klen);
+    let (w8, k8) = (w & !7, klen & !7);
+    for jb in (0..w8).step_by(8) {
+        let src = b.as_ptr().add((j0 + jb) * ldb + kc);
+        for kb in (0..k8).step_by(8) {
+            let row = |i: usize| row8(src.add(i * ldb + kb));
+            let cols = transpose8([row(0), row(1), row(2), row(3), row(4), row(5), row(6), row(7)]);
+            let dst = buf.as_mut_ptr().add(kb * ps + jb);
+            for (t, col) in cols.into_iter().enumerate() {
+                _mm256_storeu_ps(dst.add(t * ps), col);
+            }
+        }
+    }
+    for jj in 0..w {
+        let row = &b[(j0 + jj) * ldb + kc..][..klen];
+        let from = if jj < w8 { k8 } else { 0 };
+        for (kk, &v) in row.iter().enumerate().skip(from) {
+            buf[kk * ps + jj] = one(v);
+        }
+    }
+}
+
+/// Widens binary16 B's rows `kc .. kc + klen`, columns `j0 .. j0 + w` into
+/// `buf` at row stride `ps` ≥ `w`:
+/// `buf[kk·ps + jj] = b[(kc + kk)·ldb + j0 + jj]` — a binary16 `nn` panel
+/// chunk, `VCVTPH2PS` eight at a time. Raw pointers for the same reason as
+/// [`pack_bt`]: over checked slices (`decode_f16_impl` per panel row) the
+/// widened `nn` took up to 1.73× as long at 8 A rows.
+///
+/// # Safety
+///
+/// AVX2, FMA and F16C must be available. The extents are `debug_assert!`ed;
+/// the caller keeps them (`nn_rows` checks `b` covers `k` rows of `n` at
+/// stride `ldb` and sizes `buf`).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+unsafe fn widen_panel(
+    b: &[u16],
     ldb: usize,
     j0: usize,
     w: usize,
@@ -223,49 +334,16 @@ unsafe fn pack_bt(
     ps: usize,
 ) {
     debug_assert!(w <= ps && buf.len() >= klen * ps);
-    debug_assert!(w == 0 || klen == 0 || b.len() >= (j0 + w - 1) * ldb + kc + klen);
-    let (w8, k8) = (w & !7, klen & !7);
-    for jb in (0..w8).step_by(8) {
-        let src = b.as_ptr().add((j0 + jb) * ldb + kc);
-        for kb in (0..k8).step_by(8) {
-            let p = src.add(kb);
-            let (r0, r1) = (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(ldb)));
-            let (r2, r3) = (_mm256_loadu_ps(p.add(2 * ldb)), _mm256_loadu_ps(p.add(3 * ldb)));
-            let (r4, r5) = (_mm256_loadu_ps(p.add(4 * ldb)), _mm256_loadu_ps(p.add(5 * ldb)));
-            let (r6, r7) = (_mm256_loadu_ps(p.add(6 * ldb)), _mm256_loadu_ps(p.add(7 * ldb)));
-            let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
-            let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
-            let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
-            let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
-            let lo = [
-                _mm256_shuffle_ps::<0x44>(t0, t2),
-                _mm256_shuffle_ps::<0xEE>(t0, t2),
-                _mm256_shuffle_ps::<0x44>(t1, t3),
-                _mm256_shuffle_ps::<0xEE>(t1, t3),
-            ];
-            let hi = [
-                _mm256_shuffle_ps::<0x44>(t4, t6),
-                _mm256_shuffle_ps::<0xEE>(t4, t6),
-                _mm256_shuffle_ps::<0x44>(t5, t7),
-                _mm256_shuffle_ps::<0xEE>(t5, t7),
-            ];
-            let dst = buf.as_mut_ptr().add(kb * ps + jb);
-            for t in 0..4 {
-                // Column t of the block lives in the low 128-bit lanes,
-                // column t + 4 in the high ones.
-                _mm256_storeu_ps(dst.add(t * ps), _mm256_permute2f128_ps::<0x20>(lo[t], hi[t]));
-                _mm256_storeu_ps(
-                    dst.add((t + 4) * ps),
-                    _mm256_permute2f128_ps::<0x31>(lo[t], hi[t]),
-                );
-            }
+    debug_assert!(w == 0 || klen == 0 || b.len() >= (kc + klen - 1) * ldb + j0 + w);
+    let w8 = w & !7;
+    let (src, dst) = (b.as_ptr().add(kc * ldb + j0), buf.as_mut_ptr());
+    for kk in 0..klen {
+        let (s, d) = (src.add(kk * ldb), dst.add(kk * ps));
+        for j in (0..w8).step_by(8) {
+            _mm256_storeu_ps(d.add(j), _mm256_cvtph_ps(_mm_loadu_si128(s.add(j).cast())));
         }
-    }
-    for jj in 0..w {
-        let row = &b[(j0 + jj) * ldb + kc..][..klen];
-        let from = if jj < w8 { k8 } else { 0 };
-        for (kk, &v) in row.iter().enumerate().skip(from) {
-            buf[kk * ps + jj] = v;
+        for j in w8..w {
+            *d.add(j) = f16_to_f32(*s.add(j));
         }
     }
 }
@@ -278,6 +356,8 @@ unsafe fn pack_bt(
 /// the row tiles), row tiles inner. Chunking changes no bit: each element
 /// still folds its k terms in ascending order, later chunks resuming from
 /// the spilled f32 partial, and an f32 round-trips memory exactly.
+/// A binary16 B (the `Widened` arms) is converted into the panel buffer once
+/// per (panel, k-chunk), like `nt`'s transpose.
 /// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
 /// mul-then-add for `nn`, whose A is row-major); `WIDE` runs every panel
 /// on 512-bit registers, and `NR` = [`NR_WIDE`]
@@ -290,12 +370,12 @@ unsafe fn pack_bt(
 ///
 /// # Safety
 ///
-/// AVX2 and FMA must be available, and AVX-512F too if `WIDE`; `a` from
-/// `a0`, B and `out` must cover the `m×k`, `k×n` and `m×n` extents above
-/// (the safe wrappers `assert!` them), and a `Transposed` buffer must hold
+/// AVX2, FMA and F16C must be available, and AVX-512F too if `WIDE`; `a`
+/// from `a0`, B and `out` must cover the `m×k`, `k×n` and `m×n` extents
+/// above (the safe wrappers `assert!` them), and a panel buffer must hold
 /// `KC.min(k)·NR` floats.
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
 unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
     a: &[f32],
     a0: usize,
@@ -326,8 +406,17 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
             let w = nr.min(n - j0);
             let (panel, pstride): (&[f32], usize) = match &mut panels {
                 Panels::InPlace { b, ldb } => (&b[kc * *ldb + j0..], *ldb),
+                Panels::Widened { b, ldb, buf } => {
+                    widen_panel(b, *ldb, j0, w, kc, klen, buf, nr);
+                    (&buf[..], nr)
+                }
                 Panels::Transposed { b, ldb, buf } => {
-                    pack_bt(b, *ldb, j0, w, kc, klen, buf, nr);
+                    pack_bt(b, *ldb, j0, w, kc, klen, buf, nr, |p| _mm256_loadu_ps(p), |v| v);
+                    (&buf[..], nr)
+                }
+                Panels::WidenedTransposed { b, ldb, buf } => {
+                    let widen8 = |p: *const u16| _mm256_cvtph_ps(_mm_loadu_si128(p.cast()));
+                    pack_bt(b, *ldb, j0, w, kc, klen, buf, nr, widen8, f16_to_f32);
                     (&buf[..], nr)
                 }
             };
@@ -724,30 +813,37 @@ unsafe fn kern_masked_rows<const TA: bool>(
 // The three layouts
 // ---------------------------------------------------------------------------
 
-/// AVX2 worker for a row range of `out (+)= a·B` (+ optional bias). B is
-/// read in place (`bs` row-major, row stride `bstride`). `wide` runs the
-/// 512-bit tiles (the `Avx512` family).
+/// AVX2 worker for a row range of `out (+)= a·B` (+ optional bias). `b`
+/// is row-major with row stride `bstride`: read in place if f32, widened
+/// panel by panel into `buf` (the caller's per-thread scratch) if binary16.
+/// `wide` runs the 512-bit tiles (the `Avx512` family).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nn_rows(
     a: &Matrix,
     rows: Range<usize>,
     k: usize,
     n: usize,
-    bs: &[f32],
+    b: BElems<'_>,
     bstride: usize,
     out: &mut [f32],
     acc: bool,
     bias: Option<&[f32]>,
+    buf: &mut Vec<f32>,
     wide: bool,
 ) {
     debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
     let (m, lda) = (rows.len(), a.cols());
     assert!(rows.end <= a.rows() && k <= lda && n <= bstride && out.len() >= m * n);
-    assert!(k == 0 || bs.len() >= (k - 1) * bstride + n);
-    let (a0, panels) = (rows.start * lda, Panels::InPlace { b: bs, ldb: bstride });
+    assert!(k == 0 || b.len() >= (k - 1) * bstride + n);
+    let panels = match b {
+        BElems::F32(b) => Panels::InPlace { b, ldb: bstride },
+        BElems::F16(b) => Panels::Widened { b, ldb: bstride, buf: panel_scratch(buf, k, wide) },
+    };
+    let a0 = rows.start * lda;
     // SAFETY: drivers dispatch here only on a family the CPU was checked
-    // for (AVX2+FMA, and AVX-512F when `wide`), and the two asserts above
-    // bound every tile's reads and writes.
+    // for (AVX2+FMA+F16C, and AVX-512F when `wide`), the two asserts above
+    // bound every tile's reads and writes, and `panel_scratch` sizes the
+    // widened panel's buffer.
     unsafe { tile_nest::<false>(wide)(a.as_slice(), a0, lda, m, k, n, panels, out, acc, false) }
     if let Some(bias) = bias {
         for r in 0..m {
@@ -758,11 +854,12 @@ pub(crate) fn nn_rows(
     }
 }
 
-/// Whether an `nt` GEMM with `m` output rows runs on the tile (else the
-/// dot-product kernel). Read from the whole GEMM, never from a share, so
-/// every share at every worker count runs the same kernel.
-pub(crate) fn nt_on_tile(m: usize) -> bool {
-    m >= NT_TILE_MIN_ROWS
+/// Whether an `nt` GEMM with `m` output rows over `b` runs on the tile
+/// (else the dot-product kernel): a binary16 B always does. Read from the
+/// whole GEMM, never from a share, so every share at every worker count
+/// runs the same kernel.
+pub(crate) fn nt_on_tile(m: usize, b: BElems<'_>) -> bool {
+    matches!(b, BElems::F16(_)) || m >= NT_TILE_MIN_ROWS
 }
 
 /// Whether a `tn` GEMM with reduction length `r` runs on the tile (else the
@@ -803,13 +900,13 @@ pub(crate) fn tn_rows(
 }
 
 /// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`).
-/// `a` is the whole GEMM's A, so its rows choose the kernel. `buf` is the
-/// caller's per-thread panel scratch (the tile only); `wide` as in
-/// [`nn_rows`].
+/// `a` is the whole GEMM's A, so its rows (and `b`'s format) choose the
+/// kernel. `buf` is the caller's per-thread panel scratch (the tile only);
+/// `wide` as in [`nn_rows`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nt_rows(
     a: &Matrix,
-    bsl: &[f32],
+    b: BElems<'_>,
     rows: Range<usize>,
     k: usize,
     n: usize,
@@ -819,24 +916,23 @@ pub(crate) fn nt_rows(
     wide: bool,
 ) {
     debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
-    assert!(rows.end <= a.rows() && k == a.cols() && bsl.len() >= n * k);
+    assert!(rows.end <= a.rows() && k == a.cols() && b.len() >= n * k);
     assert!(chunk.len() >= rows.len() * n);
-    let (a0, m, tile) = (rows.start * k, rows.len(), nt_on_tile(a.rows()));
-    let need = match (tile, wide) {
-        (true, true) => KC.min(k) * NR_WIDE,
-        (true, false) => KC.min(k) * NR_TILE,
-        (false, _) => 0,
-    };
-    if buf.len() < need {
-        buf.resize(need, 0.0);
-    }
+    let (asl, a0, m, tile) = (a.as_slice(), rows.start * k, rows.len(), nt_on_tile(a.rows(), b));
+    let nest = tile_nest::<false>(wide);
     // SAFETY: as in `nn_rows`.
     unsafe {
-        if tile {
-            let panels = Panels::Transposed { b: bsl, ldb: k, buf };
-            tile_nest::<false>(wide)(a.as_slice(), a0, k, m, k, n, panels, chunk, acc, true)
-        } else {
-            nt_dot_rows(a.as_slice(), bsl, rows, k, n, chunk, acc)
+        match b {
+            BElems::F32(bsl) if !tile => nt_dot_rows(asl, bsl, rows, k, n, chunk, acc),
+            BElems::F32(b) => {
+                let panels = Panels::Transposed { b, ldb: k, buf: panel_scratch(buf, k, wide) };
+                nest(asl, a0, k, m, k, n, panels, chunk, acc, true)
+            }
+            BElems::F16(b) => {
+                let buf = panel_scratch(buf, k, wide);
+                let panels = Panels::WidenedTransposed { b, ldb: k, buf };
+                nest(asl, a0, k, m, k, n, panels, chunk, acc, true)
+            }
         }
     }
 }
@@ -1285,11 +1381,11 @@ mod ymm {
         fn shl23_i32(a: V) -> V {
             _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_castps_si256(a)))
         }
-        fn load(s: &[f32; N]) -> V {
+        pub(super) fn load(s: &[f32; N]) -> V {
             // SAFETY: `s` holds the 8 floats read.
             unsafe { _mm256_loadu_ps(s.as_ptr()) }
         }
-        fn store(v: V, d: &mut [f32; N]) {
+        pub(super) fn store(v: V, d: &mut [f32; N]) {
             // SAFETY: `d` holds the 8 floats written.
             unsafe { _mm256_storeu_ps(d.as_mut_ptr(), v) }
         }
@@ -1455,16 +1551,19 @@ pub(crate) fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx
 const F16_ROUND: i32 = _MM_FROUND_TO_NEAREST_INT;
 
 /// Widens 8 packed binary16 values to a YMM of f32 (`vcvtph2ps`).
+#[inline]
 #[target_feature(enable = "avx2", enable = "f16c")]
-unsafe fn load_f16x8(p: *const u16) -> __m256 {
-    _mm256_cvtph_ps(_mm_loadu_si128(p as *const __m128i))
+fn load_f16x8(s: &[u16; 8]) -> __m256 {
+    // SAFETY: `s` holds the 16 bytes read.
+    _mm256_cvtph_ps(unsafe { _mm_loadu_si128(s.as_ptr().cast()) })
 }
 
-/// Narrows 8 lanes to binary16 and stores them into `dst` (8 elements).
+/// Narrows 8 lanes to binary16 and stores them into `dst`.
+#[inline]
 #[target_feature(enable = "avx2", enable = "f16c")]
-unsafe fn store_f16x8(v: __m256, dst: &mut [u16]) {
-    debug_assert_eq!(dst.len(), 8);
-    _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, _mm256_cvtps_ph::<F16_ROUND>(v));
+fn store_f16x8(v: __m256, dst: &mut [u16; 8]) {
+    // SAFETY: `dst` holds the 16 bytes written.
+    unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), _mm256_cvtps_ph::<F16_ROUND>(v)) }
 }
 
 /// 8 lanes of [`adam::update`] over 8-element slices: updates `(w, m, v)` in
@@ -1549,7 +1648,7 @@ pub(crate) fn adam_chunk_f32(
     grads: &[f32],
     out: &mut [f32],
 ) {
-    debug_assert!(have_avx2_fma() && have_f16c());
+    debug_assert!(have_avx2_fma());
     // SAFETY: `adam` dispatches here only when `f16_fast_path()` holds, i.e.
     // after runtime AVX2+F16C detection; `adam_chunk` checks the lengths and
     // touches memory through `chunks_exact(8)` slices only.
@@ -1571,48 +1670,51 @@ pub(crate) fn adam_chunk_f16(
     grads: &[f32],
     out: &mut [u16],
 ) {
-    debug_assert!(have_avx2_fma() && have_f16c());
+    debug_assert!(have_avx2_fma());
     // SAFETY: as in `adam_chunk_f32`.
-    unsafe { adam_chunk(k, master, m, v, grads, out, |w, o| store_f16x8(w, o), f32_to_f16) }
+    unsafe {
+        let store8 = |w, o: &mut [u16]| store_f16x8(w, o.try_into().expect("8 elements"));
+        adam_chunk(k, master, m, v, grads, out, store8, f32_to_f16)
+    }
 }
 
 /// AVX2+F16C [`crate::half::encode`].
 pub(crate) fn encode_f16(src: &[f32], dst: &mut [u16]) {
-    debug_assert!(have_avx2_fma() && have_f16c());
+    debug_assert!(have_avx2_fma());
     // SAFETY: `half::encode` dispatches here only when `f16_fast_path()`
     // holds; the implementation checks the lengths.
     unsafe { encode_f16_impl(src, dst) }
 }
 
 #[target_feature(enable = "avx2", enable = "f16c")]
-unsafe fn encode_f16_impl(src: &[f32], dst: &mut [u16]) {
+fn encode_f16_impl(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len());
-    let mut s8 = src.chunks_exact(8);
-    let mut d8 = dst.chunks_exact_mut(8);
-    for (s, d) in (&mut s8).zip(&mut d8) {
-        store_f16x8(_mm256_loadu_ps(s.as_ptr()), d);
+    let (s8, s_tail) = src.as_chunks::<8>();
+    let (d8, d_tail) = dst.as_chunks_mut::<8>();
+    for (s, d) in s8.iter().zip(d8) {
+        store_f16x8(ymm::load(s), d);
     }
-    for (h, &w) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+    for (h, &w) in d_tail.iter_mut().zip(s_tail) {
         *h = f32_to_f16(w);
     }
 }
 
 /// AVX2+F16C [`crate::half::decode`].
 pub(crate) fn decode_f16(src: &[u16], dst: &mut [f32]) {
-    debug_assert!(have_avx2_fma() && have_f16c());
+    debug_assert!(have_avx2_fma());
     // SAFETY: as in `encode_f16`.
     unsafe { decode_f16_impl(src, dst) }
 }
 
 #[target_feature(enable = "avx2", enable = "f16c")]
-unsafe fn decode_f16_impl(src: &[u16], dst: &mut [f32]) {
+fn decode_f16_impl(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len());
-    let mut s8 = src.chunks_exact(8);
-    let mut d8 = dst.chunks_exact_mut(8);
-    for (s, d) in (&mut s8).zip(&mut d8) {
-        _mm256_storeu_ps(d.as_mut_ptr(), load_f16x8(s.as_ptr()));
+    let (s8, s_tail) = src.as_chunks::<8>();
+    let (d8, d_tail) = dst.as_chunks_mut::<8>();
+    for (s, d) in s8.iter().zip(d8) {
+        ymm::store(load_f16x8(s), d);
     }
-    for (w, &h) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+    for (w, &h) in d_tail.iter_mut().zip(s_tail) {
         *w = f16_to_f32(h);
     }
 }

@@ -255,6 +255,54 @@ fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
 }
 
 #[test]
+fn slot_param_bytes_are_binary16_weights_and_f32_biases_per_hosted_class() {
+    // §3.1: slots hold 2 B/param weights. Both engines publish, per rank,
+    // the bytes their hosted classes' parameters occupy: 2·(W1 + W2) +
+    // 4·(b1 + b2) each.
+    let ff = 16;
+    let per_class = 2 * (2 * D * ff) + 4 * (ff + D);
+    let check = |telemetry: &ClusterTelemetry, system: &str, hosted: &[usize]| {
+        for (rank, &classes) in hosted.iter().enumerate() {
+            let name = format!("mem.slot_param_bytes.rank{rank}");
+            let bytes = telemetry.registry().gauge(&name).get() as usize;
+            assert_eq!(bytes, classes * per_class, "{system} rank {rank}, {classes} classes");
+        }
+    };
+    let telemetry = ClusterTelemetry::new(NODES);
+    let (hosted, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let cfg = EngineConfig {
+            d_model: D,
+            d_ff: ff,
+            expert_classes: E,
+            slots_per_rank: 2,
+            slot_capacity: 8,
+            adam: AdamConfig::default(),
+            seed: 77,
+            layer_id: 0,
+        };
+        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
+        e.attach_telemetry(telemetry.handle(ctx.rank()));
+        let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
+        for _ in 0..2 {
+            e.iteration(ctx, &x, &target).unwrap();
+        }
+        e.placement.classes_on_rank(ctx.rank()).len()
+    });
+    assert!(hosted.iter().any(|&h| h < 2), "no rank ever hosted two replicas of one class");
+    check(&telemetry, "symi", &hosted);
+
+    let telemetry = ClusterTelemetry::new(NODES);
+    Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let mut e =
+            DeepSpeedMoeEngine::new(ctx.rank(), NODES, D, ff, E, 2, 8, AdamConfig::default(), 77);
+        e.attach_telemetry(telemetry.handle(ctx.rank()));
+        let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
+        e.iteration(ctx, &x, &target).unwrap();
+    });
+    check(&telemetry, "deepspeed", &[2; NODES]);
+}
+
+#[test]
 fn deepspeed_pays_optimizer_bytes_symi_decouples() {
     // §3: the coupled baseline stages full optimizer state over host-device
     // per step; SYMI's decoupled optimizer pays gradient/weight network legs
