@@ -16,11 +16,14 @@
 //! that shard's. Six ranks make every EDP group a 3-rank ring, where the
 //! summation order is not a single commutative add, and the drifting token
 //! cluster leaves slots idle, so the lazily-zeroed gradient is materialized
-//! for the ring as well as overwritten by backward.
+//! for the ring as well as overwritten by backward. Which tokens survive and
+//! which replica each lands on is `assign_token_slots`' per-slot rule, the
+//! one both systems share, called here as the engine calls it.
 
 use std::sync::{Barrier, Mutex};
 
-use symi_baselines::deepspeed::StripedPlacement;
+use symi::engine::assign_token_slots;
+use symi::ExpertPlacement;
 use symi_baselines::DeepSpeedMoeEngine;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::{Cluster, ClusterSpec, CommGroup, TagSpace, WirePhase};
@@ -74,40 +77,40 @@ fn half_expert(flat: &[f32]) -> ExpertFfn<HalfMatrix> {
 /// gradient (all `+0.0` for an idle slot), whether each slot was busy, and
 /// how many tokens the static capacity dropped.
 fn old_path_oracle(
-    placement: &StripedPlacement,
+    placement: &ExpertPlacement,
     weights: &[Vec<f32>],
     it: usize,
 ) -> (Vec<Vec<f32>>, Vec<bool>, usize) {
     let total = NODES * SLOTS_PER_RANK;
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x70c7);
     let router_w = init::normal(D, CLASSES, 0.3, &mut rng);
-    let class_cap = SLOT_CAPACITY * placement.replicas();
 
-    // Route, apply the sender-side quota, pick the replica by token id.
+    // Route, then the per-slot capacity rule picks the survivors and their
+    // replicas.
     let mut slot_inputs: Vec<Vec<f32>> = vec![Vec::new(); total];
     let mut slot_rows: Vec<Vec<(usize, usize, f32)>> = vec![Vec::new(); total]; // (rank, token, gate)
     let mut dropped = 0;
     for rank in 0..NODES {
         let x = tokens(rank, it);
         let probs = softmax_rows(&x.matmul(&router_w));
-        let quota = class_cap / NODES + usize::from(rank < class_cap % NODES);
-        let mut taken = [0usize; CLASSES];
-        for t in 0..T_LOC {
-            let (class, &gate) = probs
-                .row(t)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .expect("non-empty");
-            if taken[class] >= quota {
-                dropped += 1;
-                continue;
-            }
-            taken[class] += 1;
-            let class_slots = placement.slots_of_class(class);
-            let slot = class_slots[(rank * T_LOC + t) % class_slots.len()];
+        let routed: Vec<(usize, f32)> = (0..T_LOC)
+            .map(|t| {
+                let (class, &gate) = probs
+                    .row(t)
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                    .expect("non-empty");
+                (class, gate)
+            })
+            .collect();
+        let assignment: Vec<usize> = routed.iter().map(|&(class, _)| class).collect();
+        let (kept, kept_slot, _) =
+            assign_token_slots(&assignment, placement, SLOT_CAPACITY, rank, rank * T_LOC);
+        dropped += T_LOC - kept.len();
+        for (&t, &slot) in kept.iter().zip(&kept_slot) {
             slot_inputs[slot].extend_from_slice(x.row(t));
-            slot_rows[slot].push((rank, t, gate));
+            slot_rows[slot].push((rank, t, routed[t].1));
         }
     }
 
@@ -173,8 +176,8 @@ fn master_shards_match_the_staged_gradient_path_replayed() {
         let adam = AdamConfig::default();
         let mut engine =
             DeepSpeedMoeEngine::new(rank, NODES, D, FF, CLASSES, s, SLOT_CAPACITY, adam, SEED);
-        let placement = engine.placement().clone();
-        let r = placement.replicas();
+        let placement = engine.placement.clone();
+        let r = placement.replica_counts()[0];
         assert_eq!(r, 3, "every EDP ring must span three ranks");
         // The old path's ZeRO-1 shards, one per local slot like the engine's.
         let mut old_shards: Vec<(usize, usize, CommGroup, AdamShard)> = placement
@@ -219,7 +222,7 @@ fn master_shards_match_the_staged_gradient_path_replayed() {
                 let (a, b) = chunk_range(staging.len(), r, *my_idx);
                 shard.step_into(&staging[a..b], &mut half);
                 assert_eq!(
-                    bits(engine.master_shard(local)),
+                    bits(engine.master_shard(*class)),
                     bits(shard.master_weights()),
                     "rank {rank} iteration {it}: slot {local} (class {class}) left the staged \
                      path's master shard"

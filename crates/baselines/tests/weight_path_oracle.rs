@@ -67,7 +67,8 @@ fn old_weight_path(master_shards: &[Vec<f32>]) -> Vec<f32> {
 
 #[test]
 fn slot_weights_match_the_f32_shard_gather_load_flat_recipe() {
-    // board[rank][local slot] = that rank's master shard after the step.
+    // board[rank][g] = that rank's master shard of its g-th hosted class
+    // after the step.
     let board: Mutex<Vec<Vec<Vec<f32>>>> = Mutex::new(vec![Vec::new(); NODES]);
     let barrier = Barrier::new(NODES);
     Cluster::run(ClusterSpec::flat(NODES), |ctx| {
@@ -83,29 +84,33 @@ fn slot_weights_match_the_f32_shard_gather_load_flat_recipe() {
             AdamConfig::default(),
             91,
         );
-        let placement = engine.placement().clone();
+        let placement = engine.placement.clone();
         for it in 0..ITERS {
             engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
-            board.lock().expect("board")[rank] =
-                (0..SLOTS_PER_RANK).map(|local| engine.master_shard(local).to_vec()).collect();
+            board.lock().expect("board")[rank] = placement
+                .classes_on_rank(rank)
+                .into_iter()
+                .map(|(class, _)| engine.master_shard(class).to_vec())
+                .collect();
             barrier.wait();
             let masters = board.lock().expect("board").clone();
             barrier.wait(); // nobody overwrites the board before all have read it
-            for (class, local) in placement.classes_on_rank(rank) {
+            for (class, locals) in placement.classes_on_rank(rank) {
                 // The class's shards in EDP-group (host rank) order.
                 let shards: Vec<Vec<f32>> = placement
                     .host_ranks(class)
                     .iter()
                     .map(|&host| {
-                        let (_, host_local) = placement
+                        let host_local = placement
                             .classes_on_rank(host)
                             .into_iter()
-                            .find(|&(c, _)| c == class)
+                            .position(|(c, _)| c == class)
                             .expect("host ranks host the class");
                         masters[host][host_local].clone()
                     })
                     .collect();
                 assert!(shards.len() > 1, "the all-gather must have peers to gather from");
+                let local = locals[0];
                 assert_eq!(
                     engine.slot_weights(local),
                     old_weight_path(&shards),

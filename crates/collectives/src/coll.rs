@@ -1,4 +1,4 @@
-//! Collective operations: ring all-reduce, all-gather, and all-to-all(v).
+//! Collective operations: ring all-reduce and all-to-all(v).
 //!
 //! The ring algorithm is the one whose volume the paper reasons about:
 //! a ring all-reduce over `r` ranks moves `2(r−1)/r` of the buffer per rank
@@ -98,38 +98,6 @@ impl RankCtx {
             self.recycle_f32(incoming);
         }
         Ok(())
-    }
-
-    /// All-gather over raw fp16 bit patterns: each member contributes
-    /// `chunk`; returns the concatenation ordered by group index. Chunks may
-    /// have different lengths (a ring of variable-size hops). Half-width
-    /// weight shards move 2 B/element on the wire, matching the fp16
-    /// working-weight accounting of the paper's cost model. The hops'
-    /// outgoing copies come from the wire-buffer free list; the caller owns
-    /// the returned parts (its own chunk among them, moved, not copied) and
-    /// should [`RankCtx::recycle_f16`] what it does not keep.
-    pub fn all_gather_varsize_f16(
-        &mut self,
-        group: &CommGroup,
-        tag: u64,
-        chunk: Vec<u16>,
-    ) -> Result<Vec<Vec<u16>>, CommError> {
-        let idx = group.index_of(self.rank()).ok_or(CommError::NotInGroup { rank: self.rank() })?;
-        let m = group.size();
-        let mut parts: Vec<Option<Vec<u16>>> = vec![None; m];
-        parts[idx] = Some(chunk);
-        let next = group.ranks()[(idx + 1) % m];
-        let prev = group.ranks()[(idx + m - 1) % m];
-        for step in 0..m - 1 {
-            let send_idx = (idx + m - step) % m;
-            let recv_idx = (idx + m - step - 1) % m;
-            let held = parts[send_idx].as_ref().expect("ring invariant: chunk present");
-            let outgoing = self.pooled_copy_f16(held);
-            self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
-            let incoming = self.recv_f16(prev, Self::step_tag(tag, step as u64))?;
-            parts[recv_idx] = Some(incoming);
-        }
-        Ok(parts.into_iter().map(|p| p.expect("all chunks gathered")).collect())
     }
 
     /// All-reduce (sum) of small `u64` counters via gather-to-root +
@@ -320,20 +288,6 @@ mod tests {
         });
         assert_eq!(results[0], vec![6.0, 9.0]);
         assert_eq!(report.total_bytes(), 0, "a single-member sync must be link-free");
-    }
-
-    #[test]
-    fn all_gather_varsize_concatenates_in_order() {
-        let (results, _) = Cluster::run(ClusterSpec::flat(3), |ctx| {
-            let group = ctx.groups().world();
-            let chunk = vec![ctx.rank() as u16; ctx.rank() + 1];
-            ctx.all_gather_varsize_f16(&group, 8, chunk).unwrap()
-        });
-        for res in &results {
-            assert_eq!(res[0], vec![0]);
-            assert_eq!(res[1], vec![1, 1]);
-            assert_eq!(res[2], vec![2, 2, 2]);
-        }
     }
 
     #[test]

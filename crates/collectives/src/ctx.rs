@@ -569,11 +569,6 @@ impl RankCtx {
         self.recv(from, tag)?.into_u64()
     }
 
-    /// Convenience: receive and unwrap an `F16` payload (raw half bits).
-    pub(crate) fn recv_f16(&mut self, from: usize, tag: u64) -> Result<Vec<u16>, CommError> {
-        self.recv(from, tag)?.into_f16()
-    }
-
     /// Advances this rank's fencing epoch to `(iteration, phase)` (epochs
     /// are monotone: an older epoch never rewinds a newer one). The epoch
     /// is stamped on every raw-tag send and required of every raw-tag

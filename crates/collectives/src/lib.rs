@@ -13,7 +13,7 @@
 //!   closure on each, with panic propagation and deterministic teardown.
 //! - [`ctx::RankCtx`]: per-rank handle with tagged point-to-point `send` /
 //!   `recv`, barriers, and the collectives below.
-//! - Ring all-reduce, all-gather and all-to-all(v) ([`coll`]), matching the
+//! - Ring all-reduce and all-to-all(v) ([`coll`]), matching the
 //!   volume formulas in §3.3/A.2 of the paper (e.g. ring all-reduce moves
 //!   `2(r−1)/r · G` per rank).
 //!   The ring is also §4.1's inter-rank all-reduce: a class's gradient is

@@ -146,21 +146,6 @@ impl MembershipView {
         CommGroup::new(self.survivors())
     }
 
-    /// Communicator group over the logical range `[lstart, lstart + llen)`,
-    /// expressed in physical ranks. The logical range is contiguous; the
-    /// physical set need not be — [`CommGroup`] and the ring collectives
-    /// are index-based, so that is fine.
-    pub fn subgroup(&self, lstart: usize, llen: usize) -> CommGroup {
-        let surv = self.survivors();
-        assert!(
-            lstart + llen <= surv.len(),
-            "logical range [{lstart}, {}) out of {} survivors",
-            lstart + llen,
-            surv.len()
-        );
-        CommGroup::new(surv[lstart..lstart + llen].to_vec())
-    }
-
     /// The view with `dead` additionally marked dead and the epoch bumped.
     pub fn without(&self, dead: &[usize]) -> Self {
         let mut alive = self.alive.clone();
@@ -453,7 +438,6 @@ mod tests {
         assert_eq!(v.logical_of(2), None);
         assert_eq!(v.physical_of(2), 3);
         assert_eq!(v.group().ranks(), &[0, 1, 3]);
-        assert_eq!(v.subgroup(1, 2).ranks(), &[1, 3]);
     }
 
     #[test]

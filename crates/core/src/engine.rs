@@ -7,9 +7,9 @@
 //! 1. **Route** the rank's local tokens and ① all-reduce the per-class
 //!    token counts (a tensor with one element per class — negligible cost)
 //!    into the Layer Metadata Store.
-//! 2. ② Enforce per-class capacity (sender-side even quota split) and
-//!    load-balance surviving tokens across the class's replica slots, then
-//!    dispatch via all-to-all.
+//! 2. ② Enforce per-slot capacity (each slot's budget split evenly over
+//!    the sender ranks) and load-balance surviving tokens across the class's
+//!    replica slots, then dispatch via all-to-all.
 //! 3. Run each hosted class's expert on the rows of all its local slots,
 //!    return outputs via the reverse all-to-all, combine gated outputs, and
 //!    evaluate the loss.
@@ -34,9 +34,11 @@
 //!
 //! The iteration is one straight line with no schedule to choose. Its
 //! placement-independent middle — routing, and everything from the dispatch
-//! all-to-all to the per-class backward — is [`crate::token_path`], shared
-//! with the static baseline; what is written here is what SYMI does
-//! differently.
+//! all-to-all to the per-class backward — is [`crate::token_path`]; what is
+//! written here is what the paper's systems do around it. DeepSpeed's
+//! configuration ([`MoeLayerEngine::edp_sharded`]) turns two choices: a
+//! placement that never moves, and each class's optimizer state sharded over
+//! the class's host ranks instead of over every rank.
 //!
 //! The engine trains the expert MLPs against a caller-supplied regression
 //! target (the surrounding dense transformer is orthogonal to SYMI's
@@ -44,13 +46,13 @@
 //! `symi-model`; the integration suite cross-checks the two).
 
 use crate::metadata::LayerMetadataStore;
-use crate::optimizer::{GradShard, ReshardReport, ShardState, SymiOptimizer};
+use crate::optimizer::{GradShard, Owners, ReshardReport, ShardState, SymiOptimizer};
 use crate::placement::ExpertPlacement;
 use crate::scheduler::{compute_placement, supports_world};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
 use std::time::Instant;
 use symi_collectives::{
-    encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
+    encode_f16, CommError, CommGroup, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
 use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
@@ -316,7 +318,30 @@ impl MoeLayerEngine {
     pub fn new_in_world(rank: usize, active: usize, world: usize, cfg: EngineConfig) -> Self {
         assert!(rank < active, "rank {rank} is a standby rank in a {active}-active world");
         let placement = ExpertPlacement::uniform(cfg.expert_classes, active, cfg.slots_per_rank);
-        Self::fresh(cfg, MembershipView::partial(world, active), rank, placement)
+        Self::fresh(cfg, MembershipView::partial(world, active), rank, placement, Owners::World)
+    }
+
+    /// DeepSpeed's configuration of this engine (§5): `placement` stays put
+    /// for the whole run, and each class's optimizer state is ZeRO-1-sharded
+    /// over the class's host ranks — its EDP group — instead of over every
+    /// rank. Algorithm 2's collect is then served locally by construction,
+    /// and the weight scatter to the class's other hosts is the EDP
+    /// all-gather; everything else is the iteration SYMI runs.
+    /// [`ExpertPlacement::striped`] is the placement DeepSpeed uses.
+    ///
+    /// The elastic and snapshot paths ([`MoeLayerEngine::recover`],
+    /// [`MoeLayerEngine::admit`], [`MoeLayerEngine::snapshot`]) refuse this
+    /// configuration.
+    pub fn edp_sharded(
+        rank: usize,
+        nodes: usize,
+        cfg: EngineConfig,
+        placement: ExpertPlacement,
+    ) -> Self {
+        assert_eq!(placement.ranks(), nodes, "placement rank count mismatch");
+        assert_eq!(placement.slots_per_rank(), cfg.slots_per_rank, "placement slot count mismatch");
+        let owners = Owners::hosts_of(&placement);
+        Self::fresh(cfg, MembershipView::full(nodes), rank, placement, owners)
     }
 
     /// Algorithm 1 over the slots of `ranks` ranks, from the freshest
@@ -331,14 +356,16 @@ impl MoeLayerEngine {
     }
 
     /// A freshly initialized member of `view` at logical rank `lrank` under
-    /// `placement`, iteration 0: every optimizer shard holds the canonical
-    /// class weights, and every slot their binary16 image — the bits
-    /// [`MoeLayerEngine::materialize_slots`] scatters from those masters.
+    /// `placement`, iteration 0: every optimizer shard `owners` gives it
+    /// holds the canonical class weights, and every slot their binary16
+    /// image — the bits [`MoeLayerEngine::materialize_slots`] scatters from
+    /// those masters.
     fn fresh(
         cfg: EngineConfig,
         view: MembershipView,
         lrank: usize,
         placement: ExpertPlacement,
+        owners: Owners,
     ) -> Self {
         // Canonical initial weights per class (deterministic in class id).
         let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
@@ -349,7 +376,8 @@ impl MoeLayerEngine {
         for (expert, (class, _)) in experts.iter_mut().zip(hosted) {
             expert.load_f16_at(0, &encode_f16(&class_params[class]));
         }
-        let optimizer = SymiOptimizer::with_view(view.clone(), lrank, cfg.adam, &class_params);
+        let optimizer =
+            SymiOptimizer::with_view(view.clone(), lrank, owners, cfg.adam, &class_params);
         Self { experts, ..Self::assemble(cfg, view, lrank, placement, optimizer) }
     }
 
@@ -430,6 +458,17 @@ impl MoeLayerEngine {
     /// (`LengthMismatch`) is not survivable and still aborts.
     fn is_degradable(e: &CommError) -> bool {
         matches!(e, CommError::RecvTimeout { .. } | CommError::Protocol(_))
+    }
+
+    /// The membership and snapshot paths re-shard over the world; a
+    /// host-group optimizer ([`MoeLayerEngine::edp_sharded`]) stops here,
+    /// before anything touches the wire.
+    fn refuse_host_group(&self, what: &str) {
+        assert!(
+            self.optimizer.is_world_owned(),
+            "{what}: a host-group optimizer cannot re-shard, snapshot or restore yet — its \
+             chunks follow a placement (ROADMAP items 16(d) and 17)"
+        );
     }
 
     /// Installs this rank's telemetry handle; the iteration pipeline then
@@ -521,6 +560,7 @@ impl MoeLayerEngine {
         ctx: &mut RankCtx,
         err: &CommError,
     ) -> Result<RecoveryStats, CommError> {
+        self.refuse_host_group("recover");
         let me_phys = self.view.physical_of(self.lrank);
         // The peer the error names is a *hint*, not evidence: inside a ring
         // collective this rank may be starving behind a live survivor that
@@ -723,6 +763,7 @@ impl MoeLayerEngine {
     /// Panics if `joiner` is already a member, or if a member died
     /// concurrently (mixed join+death changes must recover first).
     pub fn admit(&mut self, ctx: &mut RankCtx, joiner: usize) -> Result<JoinStats, CommError> {
+        self.refuse_host_group("admit");
         assert!(!self.view.is_alive(joiner), "rank {joiner} is already a member");
         ctx.send_join_bootstrap(joiner, &self.view)?;
         let grown = self.view.with_joined(joiner);
@@ -777,7 +818,7 @@ impl MoeLayerEngine {
         // transition replaces all of its state.
         let lrank = grown.logical_of(me).expect("the grown view holds the joiner");
         let placement = Self::place(&cfg, None, grown.size());
-        let mut engine = Self::fresh(cfg, grown.clone(), lrank, placement);
+        let mut engine = Self::fresh(cfg, grown.clone(), lrank, placement, Owners::World);
         let timeout = ctx.default_membership_timeout();
         let (new_view, payloads) =
             ctx.agree_membership(&grown, &[], &engine.agreement_payload(), timeout)?;
@@ -807,6 +848,7 @@ impl MoeLayerEngine {
     /// Captures this rank's full training state (snapshot support and the
     /// oracle side of the elastic recovery tests).
     pub fn snapshot(&self) -> EngineSnapshot {
+        self.refuse_host_group("snapshot");
         EngineSnapshot {
             iteration: self.iteration,
             world_size: self.view.size(),
@@ -854,12 +896,16 @@ impl MoeLayerEngine {
         tags: TagSpace,
     ) -> Result<(), CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
-        // The host range is logical; the view maps it onto the (possibly
-        // non-contiguous) surviving physical ranks.
-        let (start, len) = self.placement.host_range(class);
-        let group = self.view.subgroup(start, len);
+        // The host ranks are logical; the view maps them onto the surviving
+        // physical ranks. Ring order is ascending logical rank either way —
+        // a contiguous range (§4.2) or DeepSpeed's stripe.
+        let survivors = self.view.survivors();
+        let mut hosts = self.placement.host_ranks(class);
+        for h in &mut hosts {
+            *h = survivors[*h];
+        }
         ctx.allreduce_sum(
-            &group,
+            &CommGroup::new(hosts),
             tags.tag(WirePhase::GradSync, class, 0),
             self.experts[hosted].flat_grads_mut(),
         )
@@ -879,7 +925,7 @@ impl MoeLayerEngine {
         let out = &mut self.weight_shards[class];
         match shard {
             GradShard::Local => {
-                let (ms, mt) = self.optimizer.shard_range();
+                let (ms, mt) = self.optimizer.shard_range(class);
                 let grads = self.experts[hosted.expect("locally sourced, so hosted")].flat_grads();
                 self.optimizer.step_class_into(class, &grads[ms..mt], out);
             }
@@ -1013,38 +1059,38 @@ impl MoeLayerEngine {
             self.step_class(ctx, class, shard, expert_of[class]);
         }
 
+        // The placement moves only where the optimizer can follow: a
+        // host-group optimizer's chunks are cut along it, so that engine
+        // keeps its placement. So does every rank of a degraded iteration:
+        // each observed the starved popularity sync (the gather-root summed
+        // nobody's contribution or the broadcast never arrived), so each
+        // skips the rebalance the same way — stale but correct per §3.4. If
+        // ranks ever *disagreed*, the sized weight-distribute receives of
+        // the diverging placements would starve and escalate loudly; stale
+        // placement can never cause silent divergence.
         let rebalance_span = tele.span(Phase::Rebalance);
-        let (next_placement, placement_churn) = if degraded {
-            // Degraded mode: every rank observed the starved popularity
-            // sync (the gather-root summed nobody's contribution or the
-            // broadcast never arrived), so every rank skips the rebalance
-            // the same way and keeps the previous placement — stale but
-            // correct per §3.4. If ranks ever *disagreed*, the sized
-            // weight-distribute receives of the diverging placements would
-            // starve and escalate loudly; stale placement can never cause
-            // silent divergence.
-            (self.placement.clone(), 0)
-        } else {
+        let next_placement = (!degraded && self.optimizer.is_world_owned()).then(|| {
             let next_counts = compute_placement(
                 self.metadata.latest(0).expect("recorded this iteration"),
                 self.cfg.total_slots(n),
             );
-            let p = ExpertPlacement::from_counts(&next_counts, self.cfg.slots_per_rank);
-            let churn = self.placement.diff_slots(&p);
-            (p, churn)
-        };
+            ExpertPlacement::from_counts(&next_counts, self.cfg.slots_per_rank)
+        });
+        let placement_churn = next_placement.as_ref().map_or(0, |p| self.placement.diff_slots(p));
         drop(rebalance_span);
 
         // ---- Step 8: scatter the updated weights under the new placement,
         // which the experts hold from here on. ----
         self.optimizer.distribute_weights_into(
             ctx,
-            &next_placement,
+            next_placement.as_ref().unwrap_or(&self.placement),
             &self.weight_shards,
             tags,
             &mut self.experts,
         )?;
-        self.placement = next_placement;
+        if let Some(p) = next_placement {
+            self.placement = p;
+        }
         self.iteration += 1;
 
         // ---- Single deferred advisory exchange (loss + stats). ----

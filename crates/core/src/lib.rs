@@ -19,7 +19,8 @@
 //! - [`placement`] — the expert-placement data model: slot↔class maps,
 //!   per-class host-rank ranges, communicator-group handles.
 //! - [`optimizer`] — the SYMI Optimizer: per-node [`symi_tensor::AdamShard`]s
-//!   covering a uniform `1/N` slice of *every* expert, the
+//!   covering a uniform `1/N` slice of *every* expert (or, in DeepSpeed's
+//!   configuration, a `1/r` slice of each hosted one), the
 //!   gradient-collection schedule of Algorithm 2 (locality-first,
 //!   round-robin balanced), and the weight-materialization scatter that
 //!   realizes next iteration's placement using only the weight-update
@@ -27,12 +28,16 @@
 //! - [`token_path`] — what happens to a rank's tokens once it is decided
 //!   which survive and where they go: routing, dispatch, expert
 //!   forward/backward, combine, loss, gradient return. Independent of
-//!   placement, and shared with the static baseline engine.
+//!   placement.
 //! - [`engine`] — the distributed per-rank MoE-layer engine tying it all
 //!   together over `symi-collectives`: route → popularity all-reduce →
 //!   dispatch (all-to-all) → expert compute → combine → backward →
 //!   intra+inter-rank gradient all-reduce (§4.1) → grad collection →
-//!   sharded Adam step → weight scatter under the new placement.
+//!   sharded Adam step → weight scatter under the new placement. The
+//!   DeepSpeed baseline is this engine configured
+//!   ([`MoeLayerEngine::edp_sharded`]): a static striped placement
+//!   ([`ExpertPlacement::striped`]) with each class's optimizer state
+//!   sharded over its host ranks.
 
 pub mod engine;
 pub mod metadata;

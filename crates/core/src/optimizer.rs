@@ -2,7 +2,10 @@
 //!
 //! Every node owns the same `1/N` slice of **every** expert's optimizer
 //! state — uniform static sharding, never relocated (Appendix A.1 proves
-//! this optimal). Each iteration the optimizer:
+//! this optimal). The same optimizer also runs DeepSpeed's coupling, where a
+//! class's host ranks own a `1/r` slice of it each (`Owners`): every phase
+//! below reads one chunk geometry, a function of (class, rank). Each
+//! iteration the optimizer:
 //!
 //! 1. **Grad Communication Phase** (Algorithm 2): collects its gradient
 //!    shard for every class — locally when a replica is co-resident,
@@ -369,6 +372,30 @@ fn exchange(
     Ok((shards, report))
 }
 
+/// Which ranks own a class's optimizer state — the one choice that tells the
+/// paper's systems apart (§3.1, §5). Within a class's owner group, the
+/// `i`-th owner in ascending logical rank holds chunk `i` of its flat
+/// parameters.
+#[derive(Clone, Debug)]
+pub(crate) enum Owners {
+    /// Every member of the view owns a `1/N` chunk of every class (SYMI). No
+    /// placement enters the geometry, so re-placing moves no optimizer state.
+    World,
+    /// `Hosts(h)`: class `c`'s host ranks `h[c]` under one fixed placement
+    /// own a `1/r` chunk of it each — DeepSpeed's ZeRO-1 over the class's EDP
+    /// group. Every owner hosts its class, so Algorithm 2's collect is served
+    /// locally, and the weight scatter to the class's other hosts is the EDP
+    /// all-gather.
+    Hosts(Vec<Vec<usize>>),
+}
+
+impl Owners {
+    /// Each class's host ranks under `placement` own its state.
+    pub(crate) fn hosts_of(placement: &ExpertPlacement) -> Self {
+        Owners::Hosts((0..placement.expert_classes()).map(|c| placement.host_ranks(c)).collect())
+    }
+}
+
 /// This rank's shard of one class's synchronized gradient, as Algorithm 2
 /// delivered it.
 #[derive(Debug)]
@@ -384,11 +411,13 @@ pub(crate) enum GradShard {
     Wire(Vec<f32>),
 }
 
-/// Per-rank SYMI optimizer state: one Adam shard per expert class.
+/// Per-rank SYMI optimizer state: one Adam shard per expert class (empty
+/// for a class whose owner group this rank is not in).
 pub struct SymiOptimizer {
     view: MembershipView,
     /// Logical rank within `view` (== physical on the initial full view).
     lrank: usize,
+    owners: Owners,
     adam: AdamConfig,
     param_count: usize,
     shards: Vec<AdamShard>,
@@ -400,16 +429,17 @@ impl SymiOptimizer {
     /// initial flat parameters (identical across ranks by construction),
     /// over the full `nodes`-rank world.
     pub fn new(rank: usize, nodes: usize, adam: AdamConfig, class_params: &[Vec<f32>]) -> Self {
-        Self::with_view(MembershipView::full(nodes), rank, adam, class_params)
+        Self::with_view(MembershipView::full(nodes), rank, Owners::World, adam, class_params)
     }
 
-    /// Initializes this rank's shards over an explicit membership view —
-    /// the standby-world entry point: a cluster can run `active < world`
-    /// members (`MembershipView::partial`) with the idle ranks awaiting a
-    /// later join.
+    /// Initializes this rank's shards over an explicit membership view and
+    /// owner groups — also the standby-world entry point: a cluster can run
+    /// `active < world` members (`MembershipView::partial`) with the idle
+    /// ranks awaiting a later join.
     pub(crate) fn with_view(
         view: MembershipView,
         logical_rank: usize,
+        owners: Owners,
         adam: AdamConfig,
         class_params: &[Vec<f32>],
     ) -> Self {
@@ -417,17 +447,24 @@ impl SymiOptimizer {
         assert!(logical_rank < view.size(), "logical rank {logical_rank} out of the view");
         let param_count = class_params[0].len();
         assert!(class_params.iter().all(|p| p.len() == param_count), "uneven expert sizes");
-        let (start, end) = chunk_range(param_count, view.size(), logical_rank);
-        let shards =
-            class_params.iter().map(|p| AdamShard::new(adam, start, &p[start..end])).collect();
-        Self {
+        let mut opt = Self {
             view,
             lrank: logical_rank,
+            owners,
             adam,
             param_count,
-            shards,
+            shards: Vec::new(),
             telemetry: TelemetryHandle::disabled(),
-        }
+        };
+        opt.shards = class_params
+            .iter()
+            .enumerate()
+            .map(|(class, p)| {
+                let (start, end) = opt.shard_range(class);
+                AdamShard::new(adam, start, &p[start..end])
+            })
+            .collect();
+        opt
     }
 
     /// Rebuilds an optimizer from explicit shard state — the snapshot
@@ -456,6 +493,7 @@ impl SymiOptimizer {
         Self {
             view,
             lrank: logical_rank,
+            owners: Owners::World,
             adam,
             param_count,
             shards,
@@ -488,11 +526,31 @@ impl SymiOptimizer {
         self.view.physical_of(self.lrank)
     }
 
-    /// This rank's shard boundaries within a flat expert parameter vector.
-    /// Zero-length shards (more survivors than parameters) are legal: such
-    /// a rank simply neither sends nor receives in the shard phases.
-    pub fn shard_range(&self) -> (usize, usize) {
-        chunk_range(self.param_count, self.nodes(), self.lrank)
+    /// Whether every member owns a chunk of every class (SYMI), so the
+    /// geometry depends on the view alone — not on any placement.
+    pub(crate) fn is_world_owned(&self) -> bool {
+        matches!(self.owners, Owners::World)
+    }
+
+    /// The chunk of `class`'s flat parameters logical rank `lrank` owns —
+    /// the one geometry every phase reads. Empty for a rank outside the
+    /// class's owner group.
+    fn chunk(&self, class: usize, lrank: usize) -> (usize, usize) {
+        match &self.owners {
+            Owners::World => chunk_range(self.param_count, self.nodes(), lrank),
+            Owners::Hosts(hosts) => hosts[class]
+                .iter()
+                .position(|&h| h == lrank)
+                .map_or((0, 0), |i| chunk_range(self.param_count, hosts[class].len(), i)),
+        }
+    }
+
+    /// This rank's shard boundaries within `class`'s flat parameters.
+    /// Zero-length shards (more owners than parameters, or a class this rank
+    /// does not own) are legal: such a rank simply neither sends nor
+    /// receives that class in the shard phases.
+    pub fn shard_range(&self, class: usize) -> (usize, usize) {
+        self.chunk(class, self.lrank)
     }
 
     pub fn expert_classes(&self) -> usize {
@@ -556,14 +614,15 @@ impl SymiOptimizer {
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
         let shards = self.collect_grads_in_place(ctx, placement, local_grads, tags)?;
-        let (ms, mt) = self.shard_range();
         Ok(shards
             .into_iter()
             .zip(local_grads)
-            .map(|(shard, local)| match shard {
+            .enumerate()
+            .map(|(class, (shard, local))| match shard {
                 GradShard::Wire(shard) => shard,
                 GradShard::Local => {
                     let grad = local.as_ref().expect("locally sourced, so hosted").as_ref();
+                    let (ms, mt) = self.shard_range(class);
                     ctx.pooled_copy_f32(&grad[ms..mt])
                 }
             })
@@ -573,7 +632,7 @@ impl SymiOptimizer {
     /// The Grad Communication Phase as the engine runs it: same sends, same
     /// receives, same accounting as [`SymiOptimizer::collect_grads`], but a
     /// shard Algorithm 2 sources from this rank is reported as
-    /// [`GradShard::Local`] and left where it is — `shard_range` of
+    /// [`GradShard::Local`] and left where it is — `shard_range(class)` of
     /// `local_grads[class]` — for Adam to step from.
     pub(crate) fn collect_grads_in_place<G: AsRef<[f32]>>(
         &self,
@@ -602,7 +661,7 @@ impl SymiOptimizer {
                     continue;
                 }
                 if get_source(&hosts, dst) == self.lrank {
-                    let (s, t) = chunk_range(self.param_count, n, dst);
+                    let (s, t) = self.chunk(class, dst);
                     if s == t {
                         continue;
                     }
@@ -616,12 +675,14 @@ impl SymiOptimizer {
         }
 
         // Receives: my shard of every class, locally when possible.
-        let (ms, mt) = self.shard_range();
         let mut recvs = Vec::new();
         let mut out: Vec<Option<GradShard>> = Vec::with_capacity(e);
+        let mut staged = 0;
         for (class, local) in local_grads.iter().enumerate() {
+            let (ms, mt) = self.shard_range(class);
+            staged += mt - ms;
             if ms == mt {
-                // Zero-length shard: nothing to collect for any class.
+                // Zero-length shard: nothing to collect for this class.
                 out.push(Some(GradShard::Wire(Vec::new())));
                 continue;
             }
@@ -650,9 +711,8 @@ impl SymiOptimizer {
         }
 
         // Stage every collected shard into host memory (PCIe leg of T_G;
-        // gradients stay fp32 — only the weight phase travels fp16). Every
-        // class's shard is `mt - ms` long, wherever it came from.
-        ctx.record_host_device_bytes((e * (mt - ms)) as u64 * 4);
+        // gradients stay fp32 — only the weight phase travels fp16).
+        ctx.record_host_device_bytes(staged as u64 * 4);
         out.into_iter()
             .map(|shard| match shard {
                 Some(shard) => Ok(shard),
@@ -783,25 +843,26 @@ impl SymiOptimizer {
 
         // One send per (class, distinct remote host rank); my own slots are
         // fed locally below.
-        let (ms, mt) = self.shard_range();
         let mut sends = Vec::new();
-        if ms != mt {
-            for (class, half) in half_shards.iter().enumerate() {
-                assert_eq!(half.len(), mt - ms, "class {class}: weight shard length");
-                for &dst in &new_placement.host_ranks(class) {
-                    if dst == self.lrank {
-                        continue;
-                    }
-                    sends.push(SendOp::new(
-                        self.view.physical_of(dst),
-                        tags.tag(WirePhase::WeightDistribute, class, me_phys),
-                        ctx.pooled_copy_f16(half),
-                    ));
+        for (class, half) in half_shards.iter().enumerate() {
+            let (ms, mt) = self.shard_range(class);
+            if ms == mt {
+                continue;
+            }
+            assert_eq!(half.len(), mt - ms, "class {class}: weight shard length");
+            for &dst in &new_placement.host_ranks(class) {
+                if dst == self.lrank {
+                    continue;
                 }
+                sends.push(SendOp::new(
+                    self.view.physical_of(dst),
+                    tags.tag(WirePhase::WeightDistribute, class, me_phys),
+                    ctx.pooled_copy_f16(half),
+                ));
             }
         }
 
-        // Receive each of my distinct classes' shard from every rank with a
+        // Receive each of my distinct classes' shard from every owner with a
         // non-empty chunk, length-checked at the wire.
         let my_classes = new_placement.classes_on_rank(self.lrank);
         let mut recvs = Vec::new();
@@ -810,7 +871,7 @@ impl SymiOptimizer {
                 if src == self.lrank {
                     continue;
                 }
-                let (a, b) = chunk_range(self.param_count, n, src);
+                let (a, b) = self.chunk(class, src);
                 if a == b {
                     continue;
                 }
@@ -834,7 +895,7 @@ impl SymiOptimizer {
         }
         for (hosted, (class, _)) in my_classes.iter().enumerate() {
             for src in 0..n {
-                let (a, b) = chunk_range(self.param_count, n, src);
+                let (a, b) = self.chunk(*class, src);
                 if a == b {
                     continue;
                 }
@@ -939,6 +1000,7 @@ impl SymiOptimizer {
             Self {
                 view: new_view.clone(),
                 lrank,
+                owners: Owners::World,
                 adam,
                 param_count,
                 shards,
@@ -983,7 +1045,7 @@ mod tests {
         let mut covered = [false; 103];
         for rank in 0..8 {
             let opt = SymiOptimizer::new(rank, 8, AdamConfig::default(), &params);
-            let (a, b) = opt.shard_range();
+            let (a, b) = opt.shard_range(0);
             for c in covered.iter_mut().take(b).skip(a) {
                 assert!(!*c, "overlap at rank {rank}");
                 *c = true;
@@ -1013,7 +1075,7 @@ mod tests {
         let mut covered = [false; 3];
         for rank in 0..5 {
             let opt = SymiOptimizer::new(rank, 5, AdamConfig::default(), &params);
-            let (a, b) = opt.shard_range();
+            let (a, b) = opt.shard_range(0);
             if rank >= 3 {
                 assert_eq!(a, b, "rank {rank} must own a zero-length shard");
                 assert_eq!(opt.state_bytes(), 0);
@@ -1027,11 +1089,50 @@ mod tests {
     }
 
     #[test]
+    fn host_group_owners_partition_each_class_over_its_hosts() {
+        // DeepSpeed's stripe, 4 classes on 4 ranks × 2 slots: each class's
+        // two hosts own half of it each; every other rank owns nothing.
+        let placement = ExpertPlacement::striped(4, 4, 2);
+        let params: Vec<Vec<f32>> = (0..4).map(|_| vec![0.0f32; 101]).collect();
+        let opts: Vec<SymiOptimizer> = (0..4)
+            .map(|rank| {
+                let owners = Owners::hosts_of(&placement);
+                SymiOptimizer::with_view(
+                    MembershipView::full(4),
+                    rank,
+                    owners,
+                    AdamConfig::default(),
+                    &params,
+                )
+            })
+            .collect();
+        for class in 0..4 {
+            let hosts = placement.host_ranks(class);
+            let mut covered = [false; 101];
+            for (rank, opt) in opts.iter().enumerate() {
+                let (a, b) = opt.shard_range(class);
+                if !hosts.contains(&rank) {
+                    assert_eq!(a, b, "rank {rank} does not host class {class}");
+                }
+                for c in &mut covered[a..b] {
+                    assert!(!*c, "class {class} doubly owned");
+                    *c = true;
+                }
+            }
+            assert!(covered.iter().all(|&c| c), "class {class} has unowned parameters");
+        }
+        // s·16P/r per rank, as §3.1's 16PE/N at uniform replication (±1).
+        for opt in &opts {
+            assert!(opt.state_bytes().abs_diff(4 * 101 * 16 / 4) <= 2 * 16);
+        }
+    }
+
+    #[test]
     fn shard_state_round_trips_through_export_import() {
         let params: Vec<Vec<f32>> = (0..2).map(|c| vec![c as f32 + 0.5; 40]).collect();
         let mut opt = SymiOptimizer::new(1, 4, AdamConfig::default(), &params);
         let grads: Vec<Vec<f32>> =
-            (0..2).map(|_| vec![0.1f32; opt.shard_range().1 - opt.shard_range().0]).collect();
+            (0..2).map(|c| vec![0.1f32; opt.shard_range(c).1 - opt.shard_range(c).0]).collect();
         let _ = opt.step(&grads);
         let states = opt.export_shard_states();
         let restored = SymiOptimizer::from_shard_states(
@@ -1064,12 +1165,13 @@ mod tests {
                     let mut opt = SymiOptimizer::with_view(
                         old.clone(),
                         ctx.rank(),
+                        Owners::World,
                         AdamConfig::default(),
                         &params,
                     );
                     // Three Adam steps make master, m and v all nonzero.
                     for s in 0..3usize {
-                        let (a, b) = opt.shard_range();
+                        let (a, b) = opt.shard_range(0);
                         let grads: Vec<Vec<f32>> = (0..E)
                             .map(|c| {
                                 (a..b)

@@ -4,9 +4,10 @@
 /// A global expert placement: which class occupies each of the `sN` slots.
 ///
 /// Slots are numbered globally; slot `k` lives on rank `k / slots_per_rank`.
-/// SYMI placements are contiguous by construction (Algorithm 1), which this
-/// type verifies so the contiguous-group optimization of §4.2 is always
-/// sound.
+/// SYMI placements are contiguous by construction (Algorithm 1), which
+/// [`ExpertPlacement::from_counts`] verifies so the contiguous-group
+/// optimization of §4.2 is always sound. DeepSpeed's static stripe
+/// ([`ExpertPlacement::striped`]) is the one placement that is not.
 ///
 /// ```
 /// use symi::ExpertPlacement;
@@ -26,10 +27,39 @@ pub struct ExpertPlacement {
 
 impl ExpertPlacement {
     /// Builds a placement from replica counts (contiguous assignment).
+    ///
+    /// # Panics
+    /// Panics unless the slots tile the ranks exactly and every class's
+    /// slots form one contiguous run — §4.2's precondition, checked here
+    /// because every Algorithm 1 placement passes through this constructor.
     pub fn from_counts(counts: &[usize], slots_per_rank: usize) -> Self {
         let slot_class = crate::scheduler::contiguous_assignment(counts);
         assert_eq!(slot_class.len() % slots_per_rank, 0, "slots must tile ranks exactly");
+        let runs = slot_class.windows(2).filter(|w| w[0] != w[1]).count()
+            + usize::from(!slot_class.is_empty());
+        assert_eq!(
+            runs,
+            counts.iter().filter(|&&c| c > 0).count(),
+            "§4.2: every class's slots must form one contiguous run"
+        );
         Self { slot_class, slots_per_rank, expert_classes: counts.len() }
+    }
+
+    /// DeepSpeed's static stripe: global slot `k` hosts class `k mod E`.
+    /// With `E` divisible by `s`, a rank's slots hold `s` distinct classes
+    /// and every replica of a class lands on a different rank (DeepSpeed
+    /// has no intra-rank expert data parallelism, §4.1). The one placement
+    /// whose host groups are not contiguous.
+    pub fn striped(expert_classes: usize, ranks: usize, slots_per_rank: usize) -> Self {
+        let total = ranks * slots_per_rank;
+        assert_eq!(total % expert_classes, 0, "uniform replication must divide");
+        assert_eq!(
+            expert_classes % slots_per_rank,
+            0,
+            "striping needs E divisible by s so replicas land on distinct ranks"
+        );
+        let slot_class = (0..total).map(|k| k % expert_classes).collect();
+        Self { slot_class, slots_per_rank, expert_classes }
     }
 
     /// Uniform static placement (`r = sN/E` replicas each).
@@ -113,7 +143,8 @@ impl ExpertPlacement {
     ///
     /// # Panics
     /// Panics if the class's hosts are not contiguous (cannot happen for
-    /// placements built by [`ExpertPlacement::from_counts`]).
+    /// placements built by [`ExpertPlacement::from_counts`]; always happens
+    /// for a striped class hosted on two or more ranks).
     pub fn host_range(&self, class: usize) -> (usize, usize) {
         let ranks = self.host_ranks(class);
         assert!(!ranks.is_empty(), "class {class} is not placed anywhere");
@@ -190,6 +221,24 @@ mod tests {
         assert!(p.rank_hosts(0, 0));
         assert!(!p.rank_hosts(0, 1));
         assert!(p.rank_hosts(1, 1));
+    }
+
+    #[test]
+    fn striped_placement_spreads_replicas() {
+        let p = ExpertPlacement::striped(4, 4, 2);
+        assert_eq!(p.replica_counts(), vec![2; 4]);
+        for class in 0..4 {
+            let hosts = p.host_ranks(class);
+            assert_eq!(hosts.len(), 2);
+            assert_ne!(hosts[0], hosts[1], "replicas must land on distinct ranks");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "E divisible by s")]
+    fn striping_that_would_stack_replicas_is_rejected() {
+        // 2 classes, 4 slots per rank: every rank would host each class twice.
+        let _ = ExpertPlacement::striped(2, 2, 4);
     }
 
     #[test]

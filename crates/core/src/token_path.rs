@@ -1,16 +1,16 @@
 //! The placement-independent part of an MoE-layer iteration: what happens
 //! to a rank's tokens between the router and the expert gradients.
 //!
-//! Every engine routes top-1 through the same frozen router, then decides
-//! for itself — from its own placement and capacity rule — which tokens
-//! survive and which global slot each goes to. From there the work is the
+//! The engine routes top-1 through a frozen router, then decides — from
+//! its placement and the per-slot capacity rule — which tokens survive and
+//! which global slot each goes to. From there the work is the
 //! same whatever made that decision: dispatch all-to-all into the hosting
 //! ranks, expert forward — one batch per hosted *class*, whichever of its
 //! co-located slots a row was sent to — combine all-to-all, gated MSE against
 //! the target, gradient-return all-to-all, per-class backward. That is
-//! [`route`] and [`TokenPath`]. `MoeLayerEngine` and the DeepSpeed-style
-//! baseline both run on it, so a comparison between them measures placement,
-//! gradient sync and optimizer strategy — the paper's claim about what
+//! [`route`] and [`TokenPath`]. `MoeLayerEngine` runs on it in both of its
+//! configurations, SYMI's and DeepSpeed's, so a comparison between them
+//! measures placement and optimizer coupling — the paper's claim about what
 //! differs — and nothing else.
 
 use std::time::Instant;

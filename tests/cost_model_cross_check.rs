@@ -20,8 +20,12 @@ fn measured_weight_phase(new_counts: &[usize]) -> (u64, u64) {
     let (_, report) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
         let params: Vec<Vec<f32>> = (0..E).map(|_| vec![1.0f32; L]).collect();
         let opt = SymiOptimizer::new(ctx.rank(), NODES, AdamConfig::default(), &params);
-        let (a, b) = opt.shard_range();
-        let shards: Vec<Vec<u16>> = (0..E).map(|_| vec![0x3800u16; b - a]).collect(); // fp16 0.5
+        let shards: Vec<Vec<u16>> = (0..E)
+            .map(|class| {
+                let (a, b) = opt.shard_range(class);
+                vec![0x3800u16; b - a] // fp16 0.5
+            })
+            .collect();
         let _ = opt.distribute_weights(ctx, &new, &shards, TagSpace::new(0, 0)).unwrap();
     });
     (report.inter_node_bytes, report.host_device_bytes)

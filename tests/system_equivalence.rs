@@ -72,8 +72,8 @@ fn deepspeed_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
             losses.push(engine.iteration(ctx, &x, &target).unwrap().loss);
         }
         let mut class_weights: Vec<Option<Vec<f32>>> = vec![None; E];
-        for (class, local) in engine.placement().classes_on_rank(ctx.rank()) {
-            class_weights[class].get_or_insert_with(|| engine.slot_weights(local));
+        for (class, locals) in engine.placement.classes_on_rank(ctx.rank()) {
+            class_weights[class].get_or_insert_with(|| engine.slot_weights(locals[0]));
         }
         (losses, class_weights)
     });

@@ -303,18 +303,64 @@ fn slot_param_bytes_are_binary16_weights_and_f32_biases_per_hosted_class() {
 }
 
 #[test]
-fn deepspeed_pays_optimizer_bytes_symi_decouples() {
-    // §3: the coupled baseline stages full optimizer state over host-device
-    // per step; SYMI's decoupled optimizer pays gradient/weight network legs
-    // instead. Telemetry must expose that contrast per phase.
-    let dir = std::env::temp_dir().join(format!("symi_tele_contrast_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let symi_path = dir.join("symi.jsonl");
-    let ds_path = dir.join("deepspeed.jsonl");
-    run_symi(&symi_path);
-    run_deepspeed(&ds_path);
-    let ds = read(&ds_path);
-    let ds_opt_bytes: u64 = ds.iter().map(|r| r.bytes_for_phase(Phase::OptimizerStep)).sum();
-    assert!(ds_opt_bytes > 0, "ZeRO-1 staging must be attributed to the optimizer phase");
-    let _ = std::fs::remove_dir_all(&dir);
+fn deepspeed_and_symi_pay_equal_optimizer_bytes_per_rank_at_uniform_replication() {
+    // ROADMAP item 11's identities at uniform replication, r = sN/E = 2: a
+    // rank holds its s classes' 1/r ZeRO-1 shards under DeepSpeed's
+    // coupling and a 1/N shard of all E classes under SYMI's — s·16P/r =
+    // 16PE/N = 4,480 B either way — and stages exactly those shards over
+    // host-device every step, fp32 gradients in and binary16 weights out:
+    // 6 B per shard parameter per rank. The traffic counter is cluster-wide,
+    // so the per-rank staging is read as the total over N equal shards.
+    const P: usize = 2 * D * 16 + 16 + D;
+    let shard_params = P * E / NODES;
+    let run = |deepspeed: bool| {
+        let (state_bytes, report) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+            let (mut symi, mut ds);
+            let e: &mut MoeLayerEngine = if deepspeed {
+                ds = DeepSpeedMoeEngine::new(
+                    ctx.rank(),
+                    NODES,
+                    D,
+                    16,
+                    E,
+                    2,
+                    8,
+                    AdamConfig::default(),
+                    77,
+                );
+                &mut ds
+            } else {
+                let cfg = EngineConfig {
+                    d_model: D,
+                    d_ff: 16,
+                    expert_classes: E,
+                    slots_per_rank: 2,
+                    slot_capacity: 8,
+                    adam: AdamConfig::default(),
+                    seed: 77,
+                    layer_id: 0,
+                };
+                symi = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
+                &mut symi
+            };
+            // A registry per rank: the state gauge carries no rank suffix.
+            let telemetry = ClusterTelemetry::new(NODES);
+            e.attach_telemetry(telemetry.handle(ctx.rank()));
+            let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
+            for _ in 0..ITERS {
+                e.iteration(ctx, &x, &target).unwrap();
+            }
+            telemetry.registry().gauge("optimizer_state_bytes").get() as usize
+        });
+        (state_bytes, report.host_device_bytes as usize)
+    };
+    for (system, (state_bytes, host_device)) in [("symi", run(false)), ("deepspeed", run(true))] {
+        assert_eq!(state_bytes, vec![16 * shard_params; NODES], "{system}: state bytes per rank");
+        assert_eq!(16 * shard_params, 4_480);
+        assert_eq!(
+            host_device,
+            ITERS as usize * NODES * (4 + 2) * shard_params,
+            "{system}: host-device bytes, N ranks staging their own shards each step"
+        );
+    }
 }
