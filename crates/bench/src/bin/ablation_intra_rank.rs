@@ -1,62 +1,153 @@
-//! §4.1 ablation: the intra+inter rank all-reduce.
+//! §4.1 ablation: intra-rank replication and the gradient phase.
 //!
-//! Two effects are quantified with the *real* collectives:
-//! 1. packing replicas of one class onto few ranks shrinks the EDP ring
-//!    and the inter-node bytes it moves;
+//! Two effects are quantified:
+//! 1. packing replicas of one class onto few ranks shrinks the host group
+//!    its replica gradients are summed over, and with it the gradient
+//!    phase's wire traffic. Measured on the engine: `MoeLayerEngine` as SYMI
+//!    runs it (Algorithm 1's contiguous, packed placement; every rank owns
+//!    `1/N` of every class's optimizer state) against its DeepSpeed
+//!    configuration (`MoeLayerEngine::edp_sharded` over
+//!    `ExpertPlacement::striped`: every replica on its own rank, each
+//!    class's state sharded over its hosts), at one geometry, from the bytes
+//!    and messages sent under the gradient phases' tags — §4.1's reduce
+//!    (`GradSync`) and Algorithm 2's collect (`GradCollect`);
 //! 2. forbidding intra-rank replication (stock NCCL semantics) constrains
 //!    the scheduler — each class can hold at most N replicas instead of
 //!    sN — which costs token survival under skew (the paper measured up to
 //!    20% more drops).
 
-use symi::compute_placement;
+use symi::{compute_placement, EngineConfig, ExpertPlacement, MoeLayerEngine};
 use symi_bench::output::Table;
-use symi_collectives::{Cluster, ClusterSpec};
+use symi_collectives::{Cluster, ClusterSpec, WirePhase};
+use symi_tensor::{AdamConfig, Matrix};
 
-/// Measured inter-node bytes to synchronize one expert-class tensor of `len`
-/// floats whose replicas are packed onto `ranks_used` ranks. Co-located
-/// replicas add into one gradient on their rank (backward sums their rows
-/// as one batch), so the wire sees one ring over the `ranks_used` hosts
-/// whatever the replica count.
-fn sync_bytes(nodes: usize, ranks_used: usize, len: usize) -> u64 {
-    assert!(ranks_used <= nodes && ranks_used >= 1);
-    let (_, report) = Cluster::run(ClusterSpec::flat(nodes), move |ctx| {
+const NODES: usize = 4;
+const SLOTS: usize = 4;
+const CLASSES: usize = 4;
+const T_LOC: usize = 64;
+const ITERS: usize = 6;
+
+fn cfg() -> EngineConfig {
+    EngineConfig {
+        d_model: 32,
+        d_ff: 128,
+        expert_classes: CLASSES,
+        slots_per_rank: SLOTS,
+        slot_capacity: 1_000_000,
+        adam: AdamConfig::default(),
+        seed: 41,
+        layer_id: 0,
+    }
+}
+
+/// What the gradient phase sent over `ITERS` iterations, summed over ranks.
+struct GradPhase {
+    /// Host ranks per class, summed over classes and iterations.
+    hosts: usize,
+    /// `(bytes, messages)` of §4.1's reduce and of Algorithm 2's collect.
+    reduce: (u64, u64),
+    collect: (u64, u64),
+    /// The owner rule's floor for reduce + collect, in bytes: `m(N−1)/N · P`
+    /// floats per class for SYMI, `(m − 1) · P` for DeepSpeed.
+    floor: u64,
+}
+
+/// Runs `ITERS` iterations after one warm-up (so Algorithm 1's placement
+/// follows the routed popularity) and reads the gradient phases' wire
+/// counters around them.
+fn measure(deepspeed: bool) -> GradPhase {
+    let cfg = cfg();
+    let params = (2 * cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_model) as u64;
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
         let rank = ctx.rank();
-        if rank >= ranks_used {
-            return;
+        let mut engine = if deepspeed {
+            let striped = ExpertPlacement::striped(CLASSES, NODES, SLOTS);
+            MoeLayerEngine::edp_sharded(rank, NODES, cfg, striped)
+        } else {
+            MoeLayerEngine::new(rank, NODES, cfg)
+        };
+        let x = Matrix::from_fn(T_LOC, cfg.d_model, |r, c| {
+            (((rank * T_LOC + r) * cfg.d_model + c) as f32 * 0.137).sin()
+        });
+        let target = Matrix::zeros(T_LOC, cfg.d_model);
+        engine.iteration(ctx, &x, &target).expect("warm-up iteration");
+        let wire = |ctx: &mut symi_collectives::RankCtx| {
+            // Between two barriers no rank is sending.
+            ctx.barrier();
+            let counts = [WirePhase::GradSync, WirePhase::GradCollect]
+                .map(|phase| ctx.traffic().wire_phase(phase));
+            ctx.barrier();
+            counts
+        };
+        let before = wire(ctx);
+        let (mut hosts, mut floor) = (0usize, 0u64);
+        for _ in 0..ITERS {
+            let n = NODES as u64;
+            for class in 0..CLASSES {
+                let m = engine.placement.host_ranks(class).len() as u64;
+                hosts += m as usize;
+                floor +=
+                    if deepspeed { 4 * (m - 1) * params } else { 4 * m * (n - 1) * params / n };
+            }
+            engine.iteration(ctx, &x, &target).expect("iteration");
         }
-        let group = ctx.groups().range(0, ranks_used);
-        let mut grad = vec![rank as f32; len];
-        ctx.allreduce_sum(&group, 1, &mut grad).unwrap();
+        let after = wire(ctx);
+        let delta = |i: usize| (after[i].0 - before[i].0, after[i].1 - before[i].1);
+        (delta(0), delta(1), hosts, floor)
     });
-    report.inter_node_bytes
+    let (reduce, collect, hosts, floor) = per_rank[0];
+    GradPhase { hosts, reduce, collect, floor }
 }
 
 fn main() {
-    let nodes = 8usize;
-    let slots_per_rank = 4usize;
-    let instances = 8usize;
-    let len = 4096usize;
-
-    println!("# §4.1 ablation — intra+inter rank all-reduce\n");
-    println!("## (1) Inter-node bytes vs packing (8 replicas of one class, 16 KiB tensor)\n");
-    let mut t = Table::new(&["ranks used", "replicas per rank", "inter-node bytes", "vs spread"]);
-    let spread = sync_bytes(nodes, 8, len);
-    for ranks_used in [8usize, 4, 2, 1] {
-        let bytes = sync_bytes(nodes, ranks_used, len);
+    println!("# §4.1 ablation — intra-rank replication and the gradient phase\n");
+    println!(
+        "## (1) Gradient phase per iteration: SYMI (Algorithm 1, packed) vs DeepSpeed (striped)\n"
+    );
+    let c = cfg();
+    println!(
+        "{NODES} ranks x {SLOTS} slots, {CLASSES} classes of {} params, {T_LOC} tokens/rank, \
+         mean of {ITERS} iterations\n",
+        2 * c.d_model * c.d_ff + c.d_ff + c.d_model
+    );
+    let mut t = Table::new(&[
+        "system",
+        "hosts per class",
+        "reduce bytes",
+        "reduce msgs",
+        "collect bytes",
+        "collect msgs",
+        "total bytes",
+        "total msgs",
+        "floor bytes",
+    ]);
+    for (name, deepspeed) in [("SYMI (packed)", false), ("DeepSpeed (striped)", true)] {
+        let g = measure(deepspeed);
+        let total = (g.reduce.0 + g.collect.0, g.reduce.1 + g.collect.1);
+        assert_eq!(total.0, g.floor, "{name}: reduce + collect must move exactly the floor");
+        let per_iter = |v: u64| format!("{:.1}", v as f64 / ITERS as f64);
         t.row(vec![
-            ranks_used.to_string(),
-            format!("{}", instances / ranks_used),
-            bytes.to_string(),
-            format!("{:.2}x", bytes as f64 / spread.max(1) as f64),
+            name.to_string(),
+            format!("{:.2}", g.hosts as f64 / (ITERS * CLASSES) as f64),
+            per_iter(g.reduce.0),
+            per_iter(g.reduce.1),
+            per_iter(g.collect.0),
+            per_iter(g.collect.1),
+            per_iter(total.0),
+            per_iter(total.1),
+            per_iter(g.floor),
         ]);
     }
     println!("{}", t.render());
     println!(
-        "Packing all replicas on one rank eliminates inter-node traffic\n\
-         entirely; Algorithm 1's contiguous assignment exploits exactly this.\n"
+        "Packed replicas sum on their own rank: the fewer ranks a class spans,\n\
+         the less its reduce sends. Algorithm 1's contiguous assignment packs;\n\
+         DeepSpeed's stripe puts every replica on its own rank.\n"
     );
 
     // (2) Scheduling constraint: cap replicas at N (no intra-rank EDP).
+    let nodes = 8usize;
+    let slots_per_rank = 4usize;
     println!("## (2) Token survival: unconstrained vs replicas-capped-at-N scheduling\n");
     let total_slots = nodes * slots_per_rank; // 32
     let e = 8usize;
@@ -114,6 +205,6 @@ fn main() {
     println!("{}", t2.render());
     println!(
         "The paper reports the N-replica constraint can increase token drops by\n\
-         up to 20%; removing it is what the intra+inter rank all-reduce buys."
+         up to 20%; removing it is what intra-rank replication buys."
     );
 }

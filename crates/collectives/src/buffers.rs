@@ -45,21 +45,27 @@ impl<T: Copy> FreeList<T> {
         self.idle.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// A buffer holding a copy of `src`: the smallest idle one that fits, a
-    /// fresh one of exactly that size otherwise.
-    pub(crate) fn copy_of(&self, src: &[T]) -> Vec<T> {
+    /// An empty buffer with room for `len` elements: the smallest idle one
+    /// that fits, a fresh one of exactly that capacity otherwise.
+    pub(crate) fn take(&self, len: usize) -> Vec<T> {
         let reused = {
             let mut idle = self.lock();
             let fit = idle
                 .iter()
                 .enumerate()
-                .filter(|(_, b)| b.capacity() >= src.len())
+                .filter(|(_, b)| b.capacity() >= len)
                 .min_by_key(|(_, b)| b.capacity())
                 .map(|(i, _)| i);
             fit.map(|i| idle.swap_remove(i))
         };
-        let mut buf = reused.unwrap_or_else(|| Vec::with_capacity(src.len()));
+        let mut buf = reused.unwrap_or_else(|| Vec::with_capacity(len));
         buf.clear();
+        buf
+    }
+
+    /// A buffer holding a copy of `src`, taken as [`FreeList::take`] does.
+    pub(crate) fn copy_of(&self, src: &[T]) -> Vec<T> {
+        let mut buf = self.take(src.len());
         buf.extend_from_slice(src);
         buf
     }

@@ -549,7 +549,11 @@ impl RankCtx {
             LinkClass::InterNode
         };
         if to != self.rank {
-            self.traffic.record(class, self.rank, to, payload.byte_len());
+            let bytes = payload.byte_len();
+            self.traffic.record(class, self.rank, to, bytes);
+            if let Some(phase) = tag::decode(tag).and_then(|f| f.phase()) {
+                self.traffic.record_wire_phase(phase, bytes);
+            }
         }
         self.mailbox.send(to, tag, payload)
     }
@@ -705,6 +709,13 @@ impl RankCtx {
     /// sender whose data must outlive the send should put on the wire.
     pub fn pooled_copy_f32(&self, src: &[f32]) -> Vec<f32> {
         self.buffers.f32s.copy_of(src)
+    }
+
+    /// An empty `f32` buffer with room for `len` elements, from the same
+    /// free list — for a sender that assembles its payload from several
+    /// slices.
+    pub fn pooled_f32(&self, len: usize) -> Vec<f32> {
+        self.buffers.f32s.take(len)
     }
 
     /// [`RankCtx::pooled_copy_f32`] for binary16 bits.

@@ -79,7 +79,9 @@ pub enum WirePhase {
     LossSync = 5,
     /// Upstream gradients returned to expert slots.
     GradReturn = 6,
-    /// Replica gradient all-reduce (§4.1).
+    /// §4.1's replica gradient sum, reduced onto Algorithm 2's sources:
+    /// each host of a class sends every other host its partial of the
+    /// chunks that host serves (`SymiOptimizer::reduce_grads_to_sources`).
     GradSync = 7,
     /// Gradient shards → static optimizer shards (Algorithm 2).
     GradCollect = 8,

@@ -14,6 +14,10 @@ use std::sync::{Arc, Mutex};
 
 use symi_telemetry::{current_phase, Phase, NUM_LINK_CLASSES, NUM_PHASES};
 
+use crate::tag::WirePhase;
+
+const NUM_WIRE_PHASES: usize = WirePhase::ALL.len();
+
 // Canonical definition lives in symi-telemetry (the bottom of the workspace
 // graph); re-exported here so existing imports keep working.
 pub use symi_telemetry::LinkClass;
@@ -29,6 +33,12 @@ pub struct TrafficStats {
     /// `phase_bytes[phase][class]`, attributed via the sender thread's
     /// active telemetry span.
     phase_bytes: [[AtomicU64; NUM_LINK_CLASSES]; NUM_PHASES],
+    /// Bytes and messages sent between ranks, by the [`WirePhase`] of their
+    /// structured tag — the wire's own phase, which tells apart what one
+    /// telemetry span covers (`Phase::GradComm` spans the gradient return,
+    /// the replica reduce and Algorithm 2's collect).
+    wire_bytes: [AtomicU64; NUM_WIRE_PHASES],
+    wire_msgs: [AtomicU64; NUM_WIRE_PHASES],
     per_rank_sent: Mutex<Vec<u64>>,
     per_rank_recv: Mutex<Vec<u64>>,
 }
@@ -66,6 +76,18 @@ impl TrafficStats {
         self.attribute(class, bytes);
         self.per_rank_sent.lock().expect("traffic poisoned")[from] += bytes;
         self.per_rank_recv.lock().expect("traffic poisoned")[to] += bytes;
+    }
+
+    /// Attributes a recorded transfer of `bytes` to its tag's wire phase.
+    pub(crate) fn record_wire_phase(&self, phase: WirePhase, bytes: u64) {
+        self.wire_bytes[phase as usize].fetch_add(bytes, Ordering::Relaxed);
+        self.wire_msgs[phase as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(bytes, messages)` sent between ranks under `phase`'s tags so far.
+    pub fn wire_phase(&self, phase: WirePhase) -> (u64, u64) {
+        let i = phase as usize;
+        (self.wire_bytes[i].load(Ordering::Relaxed), self.wire_msgs[i].load(Ordering::Relaxed))
     }
 
     /// Records a host↔device staging transfer on `rank` (optimizer offload
@@ -115,6 +137,9 @@ impl TrafficStats {
             for cell in row {
                 cell.store(0, Ordering::Relaxed);
             }
+        }
+        for cell in self.wire_bytes.iter().chain(&self.wire_msgs) {
+            cell.store(0, Ordering::Relaxed);
         }
         self.per_rank_sent.lock().expect("traffic poisoned").iter_mut().for_each(|v| *v = 0);
         self.per_rank_recv.lock().expect("traffic poisoned").iter_mut().for_each(|v| *v = 0);
@@ -205,6 +230,32 @@ mod tests {
         assert_eq!(t.report().total_bytes(), 0);
         assert_eq!(t.report().per_rank_sent_bytes, vec![0, 0]);
         assert_eq!(t.report().bytes_in_phase(Phase::Other), 0);
+    }
+
+    #[test]
+    fn sends_count_under_their_tags_wire_phase() {
+        use crate::{Cluster, ClusterSpec, TagSpace};
+        let (seen, _) = Cluster::run(ClusterSpec::flat(2), |ctx| {
+            let tags = TagSpace::new(0, 3);
+            let sync = tags.tag(WirePhase::GradSync, 2, 0);
+            let collect = tags.tag(WirePhase::GradCollect, 2, 0);
+            if ctx.rank() == 0 {
+                ctx.send(1, sync, vec![1.0f32; 5]).unwrap();
+                ctx.send(1, collect, vec![1.0f32; 3]).unwrap();
+                ctx.send(1, 77, vec![1.0f32; 4]).unwrap(); // raw tag: no phase
+            } else {
+                for tag in [sync, collect, 77] {
+                    ctx.recv(0, tag).unwrap();
+                }
+            }
+            ctx.barrier();
+            let t = ctx.traffic();
+            let seen = (t.wire_phase(WirePhase::GradSync), t.wire_phase(WirePhase::GradCollect));
+            ctx.barrier();
+            t.reset();
+            (seen, t.wire_phase(WirePhase::GradSync))
+        });
+        assert_eq!(seen[0], (((20, 1), (12, 1)), (0, 0)));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! 3. Run each hosted class's expert on the rows of all its local slots,
 //!    return outputs via the reverse all-to-all, combine gated outputs, and
 //!    evaluate the loss.
-//! 4. ③ Backward through the experts and synchronize replica gradients
-//!    with the intra+inter-rank all-reduce of §4.1 over the pre-registered
-//!    contiguous groups of §4.2.
+//! 4. ③ Backward through the experts and sum replica gradients (§4.1)
+//!    over each class's host ranks — the contiguous groups of §4.2 —
+//!    reduced onto the ranges Algorithm 2 will read from each host.
 //! 5. ④⑤ Collect gradient shards to the statically-sharded optimizer
 //!    (Algorithm 2), ⑥ compute the next placement (Algorithm 1) from the
 //!    metadata store, ⑦ step Adam, and ⑧ scatter updated weight shards
@@ -27,8 +27,8 @@
 //! one flat f32 `[W1 | b1 | W2 | b2]` gradient — per class it hosts, and the class's co-located slots are only
 //! its capacity (§3.4) and its share of the dispatch. §4.1's intra-rank step
 //! is therefore backward's own accumulation over the merged rows, and steps
-//! 4–5 run on that one buffer: it is what backward writes, what the ring
-//! reduces in place, what outgoing shards are cut from, and what Adam reads
+//! 4–5 run on that one buffer: it is what backward writes, what the
+//! reduce sums in place, what outgoing shards are cut from, and what Adam reads
 //! this rank's own shard out of. Nothing zeroes, flattens or copies it on
 //! the way (DESIGN.md, "Gradient path in place").
 //!
@@ -52,7 +52,7 @@ use crate::scheduler::{compute_placement, supports_world};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
 use std::time::Instant;
 use symi_collectives::{
-    encode_f16, CommError, CommGroup, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
+    encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
 use symi_model::expert::ExpertFfn;
 use symi_telemetry::{Phase, TelemetryHandle};
@@ -498,14 +498,23 @@ impl MoeLayerEngine {
         self.tokens.loss_grad()
     }
 
-    /// The synchronized flat gradient the last iteration left for the
-    /// `hosted`-th class of the placement it *ran* under (its
-    /// `classes_on_rank` order; `placement` has moved on to the next one).
-    /// Backward sums the class's local slots into this one buffer and the
-    /// §4.1 ring reduces it in place (testing support — the
+    /// The flat gradient the last iteration left for the `hosted`-th class
+    /// of the placement it *ran* under (its `classes_on_rank` order;
+    /// `placement` has moved on to the next one). Backward sums the class's
+    /// local slots into this one buffer and §4.1's reduce sums the class's
+    /// hosts into it in place — on [`MoeLayerEngine::served_ranges`] only;
+    /// elsewhere it keeps this rank's own partial (testing support — the
     /// finite-difference probe reads it).
     pub fn hosted_grads(&mut self, hosted: usize) -> Vec<f32> {
         self.experts[hosted].flat_grads().to_vec()
+    }
+
+    /// The ranges of `class`'s flat gradient this rank serves to Algorithm
+    /// 2's collect under `placement` — where [`MoeLayerEngine::hosted_grads`]
+    /// holds the replica sum after an iteration run under it (testing
+    /// support).
+    pub fn served_ranges(&self, placement: &ExpertPlacement, class: usize) -> Vec<(usize, usize)> {
+        self.optimizer.served_ranges(placement, class, self.lrank)
     }
 
     /// Whether an error is a candidate for **elastic recovery**: a dead
@@ -882,35 +891,6 @@ impl MoeLayerEngine {
         engine
     }
 
-    /// §4.1 for one hosted class, in place on `experts[hosted]`'s flat
-    /// gradient. The intra-rank step already happened: backward summed the
-    /// class's co-located slots as rows of one batch, so there is no sibling
-    /// to fold and the buffer goes straight to the inter-rank ring. A class
-    /// that drew no token on this rank materializes its zeros here — the
-    /// ring ships them all the same.
-    fn sync_class_grads(
-        &mut self,
-        ctx: &mut RankCtx,
-        class: usize,
-        hosted: usize,
-        tags: TagSpace,
-    ) -> Result<(), CommError> {
-        let _span = self.telemetry.span(Phase::GradComm);
-        // The host ranks are logical; the view maps them onto the surviving
-        // physical ranks. Ring order is ascending logical rank either way —
-        // a contiguous range (§4.2) or DeepSpeed's stripe.
-        let survivors = self.view.survivors();
-        let mut hosts = self.placement.host_ranks(class);
-        for h in &mut hosts {
-            *h = survivors[*h];
-        }
-        ctx.allreduce_sum(
-            &CommGroup::new(hosts),
-            tags.tag(WirePhase::GradSync, class, 0),
-            self.experts[hosted].flat_grads_mut(),
-        )
-    }
-
     /// Adam step of one class from its collected gradient shard: a
     /// locally-sourced shard is read where it lies, in the gradient of the
     /// class's expert `experts[hosted]`; a wire buffer goes back to the free
@@ -1029,22 +1009,27 @@ impl MoeLayerEngine {
             path.forward(ctx, x_local, target_local, &mut self.experts, &mut self.tokens)?;
         path.backward(ctx, &mut self.experts, &mut self.tokens)?;
 
-        // ---- Step 4: §4.1 intra+inter rank gradient all-reduce per class.
+        // ---- Step 4: §4.1's replica sum per class, one exchange each,
+        // reduced onto the ranges Algorithm 2's sources serve. The intra-rank
+        // step already happened: backward summed the class's co-located slots
+        // as rows of one batch. A class that drew no token on this rank
+        // materializes its zeros here — its hosts need them all the same.
         // `Phase::GradComm` covers three different things — the return of
-        // the upstream gradients above, this replica all-reduce, and
-        // Algorithm 2's shard collection — so each is also timed on its own
-        // and published as a gauge.
+        // the upstream gradients above, this reduce, and Algorithm 2's shard
+        // collection — so each is also timed on its own and published as a
+        // gauge.
         let hosted = self.placement.classes_on_rank(self.lrank);
         let t0 = Instant::now();
-        for (g, (class, _)) in hosted.iter().enumerate() {
-            self.sync_class_grads(ctx, *class, g, tags)?;
+        for (expert, (class, _)) in self.experts.iter_mut().zip(&hosted) {
+            let grad = expert.flat_grads_mut();
+            self.optimizer.reduce_grads_to_sources(ctx, &self.placement, *class, grad, tags)?;
         }
         let grad_sync = t0.elapsed();
 
         // ---- Step 5: collect gradient shards (Algorithm 2), step Adam.
         // (The optimizer times its own GradComm/OptimizerStep spans.)
         // Per class, the expert whose gradient buffer holds the class's
-        // synchronized gradient now that `sync_class_grads` has run.
+        // summed gradient on the ranges this rank serves.
         let mut expert_of: Vec<Option<usize>> = vec![None; e];
         let t0 = Instant::now();
         let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];

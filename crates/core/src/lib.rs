@@ -32,7 +32,8 @@
 //! - [`engine`] — the distributed per-rank MoE-layer engine tying it all
 //!   together over `symi-collectives`: route → popularity all-reduce →
 //!   dispatch (all-to-all) → expert compute → combine → backward →
-//!   intra+inter-rank gradient all-reduce (§4.1) → grad collection →
+//!   intra+inter-rank gradient sum (§4.1), reduced onto Algorithm 2's
+//!   sources → grad collection →
 //!   sharded Adam step → weight scatter under the new placement. The
 //!   DeepSpeed baseline is this engine configured
 //!   ([`MoeLayerEngine::edp_sharded`]): a static striped placement

@@ -11,6 +11,9 @@
 //!    shard for every class — locally when a replica is co-resident,
 //!    otherwise from a source replica chosen by round-robin over the
 //!    class's host ranks, spreading load so no replica becomes a hotspot.
+//!    Before it, §4.1's replica sum runs per hosted class and leaves the
+//!    sum only where the collect reads it: on each host, the chunks of the
+//!    owners that Algorithm 2 sources from that host.
 //! 2. Steps Adam on each shard (host-side; the staging across PCIe is
 //!    accounted via the traffic counters). The kernel publishes the updated
 //!    weights as binary16 bits in the same pass — the wire format.
@@ -411,6 +414,40 @@ pub(crate) enum GradShard {
     Wire(Vec<f32>),
 }
 
+/// One ring chunk `j`'s share of a reduce onto a source, in the ring's
+/// association: the partials of host positions `j, j + 1, …, j + m − 1`
+/// (mod m) summed left to right. `own` is position `me`'s partial and
+/// receives the sum; `parts[q][w]` is position `q`'s (`parts[me]` unused).
+/// The terms before `me` accumulate in `parts[j]`, which is then added to
+/// `own` — `a + b` and `b + a` round alike — and the rest follow in place.
+fn fold_ring_chunk(
+    own: &mut [f32],
+    parts: &mut [Vec<f32>],
+    me: usize,
+    j: usize,
+    w: std::ops::Range<usize>,
+) {
+    let m = parts.len();
+    let before = (me + m - j) % m;
+    if before > 0 {
+        let mut prefix = std::mem::take(&mut parts[j]);
+        for q in (1..before).map(|k| (j + k) % m) {
+            add_into(&mut prefix[w.clone()], &parts[q][w.clone()]);
+        }
+        add_into(own, &prefix[w.clone()]);
+        parts[j] = prefix;
+    }
+    for q in (before + 1..m).map(|k| (j + k) % m) {
+        add_into(own, &parts[q][w.clone()]);
+    }
+}
+
+fn add_into(acc: &mut [f32], x: &[f32]) {
+    for (a, v) in acc.iter_mut().zip(x) {
+        *a += v;
+    }
+}
+
 /// Per-rank SYMI optimizer state: one Adam shard per expert class (empty
 /// for a class whose owner group this rank is not in).
 pub struct SymiOptimizer {
@@ -430,6 +467,20 @@ impl SymiOptimizer {
     /// over the full `nodes`-rank world.
     pub fn new(rank: usize, nodes: usize, adam: AdamConfig, class_params: &[Vec<f32>]) -> Self {
         Self::with_view(MembershipView::full(nodes), rank, Owners::World, adam, class_params)
+    }
+
+    /// DeepSpeed's coupling over the full `nodes`-rank world: each class's
+    /// host ranks under the fixed `placement` own a `1/r` chunk of it each,
+    /// and this rank holds the chunks of the classes it hosts.
+    pub fn host_sharded(
+        rank: usize,
+        nodes: usize,
+        adam: AdamConfig,
+        placement: &ExpertPlacement,
+        class_params: &[Vec<f32>],
+    ) -> Self {
+        let owners = Owners::hosts_of(placement);
+        Self::with_view(MembershipView::full(nodes), rank, owners, adam, class_params)
     }
 
     /// Initializes this rank's shards over an explicit membership view and
@@ -591,8 +642,135 @@ impl SymiOptimizer {
             .collect()
     }
 
+    /// S_h of `class` hosted on `hosts` (logical, ascending): the chunks of
+    /// every owner whose [`get_source`] is host `h`, ascending and non-empty
+    /// — what Algorithm 2's collect reads from `h`'s gradient, so what the
+    /// reduce must leave summed there. Over a class's hosts these ranges
+    /// tile `[0, param_count)` once: every owner has one source.
+    fn served<'a>(
+        &'a self,
+        hosts: &'a [usize],
+        class: usize,
+        h: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + Clone + 'a {
+        (0..self.nodes())
+            .filter(move |&o| get_source(hosts, o) == h)
+            .map(move |o| self.chunk(class, o))
+            .filter(|(s, t)| s < t)
+    }
+
+    /// The ranges of `class`'s flat gradient that host `host` (logical)
+    /// serves under `placement` — where [`SymiOptimizer::reduce_grads_to_sources`]
+    /// leaves the replica sum on that host (testing support).
+    pub fn served_ranges(
+        &self,
+        placement: &ExpertPlacement,
+        class: usize,
+        host: usize,
+    ) -> Vec<(usize, usize)> {
+        self.served(&placement.host_ranks(class), class, host).collect()
+    }
+
+    /// §4.1's replica sum of one hosted class, reduced onto Algorithm 2's
+    /// sources: on return, this rank's `grad` holds the sum over the class's
+    /// host ranks on S_h — the chunks of every owner whose [`get_source`] is
+    /// this rank — and its own partial everywhere else, which nothing reads.
+    /// [`SymiOptimizer::collect_grads`] then serves every owner from S_h.
+    ///
+    /// Every other host sends this rank its partial of S_h in one sized
+    /// message (`(GradSync, class, src_physical)`), and this rank sends each
+    /// of them its partial of theirs; the class's hosts exchange
+    /// `(m − 1) · param_count` elements in all, the reduce-scatter half of a
+    /// ring all-reduce and none of its all-gather. The fold follows the
+    /// ring's association, so each served element is bit for bit what
+    /// `RankCtx::allreduce_sum` over the hosts leaves there: an element of
+    /// ring chunk `j` (`chunk_range(param_count, m, j)`) sums the partials
+    /// of host positions `j, j + 1, …` (mod m) left to right.
+    ///
+    /// # Errors
+    /// Any wire error of the exchange.
+    ///
+    /// # Panics
+    /// Panics if this rank does not host `class` under `placement`.
+    pub fn reduce_grads_to_sources(
+        &self,
+        ctx: &mut RankCtx,
+        placement: &ExpertPlacement,
+        class: usize,
+        grad: &mut [f32],
+        tags: TagSpace,
+    ) -> Result<(), CommError> {
+        let _span = self.telemetry.span(Phase::GradComm);
+        let hosts = placement.host_ranks(class);
+        let me = hosts.binary_search(&self.lrank).expect("reduce only a hosted class");
+        let m = hosts.len();
+        assert_eq!(grad.len(), self.param_count, "class {class}: gradient length");
+        if m == 1 {
+            return Ok(());
+        }
+        let me_phys = self.my_phys();
+        let mut sends = Vec::with_capacity(m - 1);
+        let mut recvs = Vec::with_capacity(m - 1);
+        let mine = self.served(&hosts, class, self.lrank);
+        let mine_len: usize = mine.clone().map(|(s, t)| t - s).sum();
+        for (j, &h) in hosts.iter().enumerate() {
+            if j == me {
+                continue;
+            }
+            let peer = self.view.physical_of(h);
+            let theirs = self.served(&hosts, class, h);
+            let len = theirs.clone().map(|(s, t)| t - s).sum();
+            if len > 0 {
+                let mut buf = ctx.pooled_f32(len);
+                for (s, t) in theirs {
+                    buf.extend_from_slice(&grad[s..t]);
+                }
+                sends.push(SendOp::new(peer, tags.tag(WirePhase::GradSync, class, me_phys), buf));
+            }
+            if mine_len > 0 {
+                recvs.push(RecvOp::sized(
+                    peer,
+                    tags.tag(WirePhase::GradSync, class, peer),
+                    mine_len,
+                ));
+            }
+        }
+        let received = ctx.batch_isend_irecv(sends, &recvs)?;
+        if mine_len == 0 {
+            return Ok(());
+        }
+        // `parts[j]` is host position j's partial of S_h, packed; mine stays
+        // in `grad`.
+        let mut parts = Vec::with_capacity(m);
+        let mut received = received.into_iter();
+        for j in 0..m {
+            parts.push(if j == me {
+                Vec::new()
+            } else {
+                received.next().expect("one per peer").into_f32()?
+            });
+        }
+        for j in 0..m {
+            let (cs, ce) = chunk_range(self.param_count, m, j);
+            let mut packed = 0;
+            for (s, t) in mine.clone() {
+                let (a, b) = (s.max(cs), t.min(ce));
+                if a < b {
+                    let w = packed + a - s..packed + b - s;
+                    fold_ring_chunk(&mut grad[a..b], &mut parts, me, j, w);
+                }
+                packed += t - s;
+            }
+        }
+        for part in parts {
+            ctx.recycle_f32(part);
+        }
+        Ok(())
+    }
+
     /// Grad Communication Phase: every rank ends up with its shard of every
-    /// class's (already EDP-synchronized) gradient.
+    /// class's gradient, already summed over the class's hosts on the ranges
+    /// each host serves ([`SymiOptimizer::reduce_grads_to_sources`]).
     ///
     /// `local_grads[class]` is `Some(full flat gradient)` iff this rank
     /// hosts a replica of `class` under `placement` (logical ranks). `tags`

@@ -7,7 +7,7 @@
 //! rounding surplus and adds to those with the largest deficit. Instances
 //! are finally assigned to slots *contiguously*, which (a) packs replicas
 //! of one class onto as few ranks as possible — feeding the intra+inter
-//! rank all-reduce of §4.1 — and (b) guarantees every EDP communicator is a
+//! rank gradient sum of §4.1 — and (b) guarantees every EDP communicator is a
 //! contiguous rank range, enabling §4.2's pre-registered groups.
 
 use symi_model::PlacementPolicy;

@@ -12,17 +12,20 @@
 //!
 //! The engine reaches the same numbers through routing, per-slot capacity
 //! assignment, the dispatch all-to-all, one batch per (rank, class), the
-//! combine, the gradient return and the §4.1 ring. Agreement is what says
+//! combine, the gradient return and §4.1's reduce. Agreement is what says
 //! that no row was lost, duplicated, mis-gated or attributed to the wrong
 //! class anywhere on that path — at world sizes 1, 2 and 3, before and after
 //! the placement has rebalanced and replicas of one class share a rank.
 //!
 //! The two sides add the same products in different orders (rows tile
-//! differently, zero rows sit in between, partial sums cross a ring), so they
+//! differently, zero rows sit in between, partial sums cross ranks), so they
 //! agree within rounding, not bit for bit. Stated tolerance, per element:
 //! `|engine − dense| ≤ 16 ε (|dense| + rms)`, `ε = 2⁻²⁴`, `rms` the root mean
 //! square of the compared tensor — `dLoss/dy` per rank, the flat gradient per
-//! class. Measured: the outputs agree exactly (a row's GEMM does not depend
+//! class. A class's summed gradient is compared where the reduce leaves it —
+//! on the ranges each host serves to Algorithm 2 — and those ranges must
+//! tile the class once per iteration, so every element is compared on
+//! exactly one rank. Measured: the outputs agree exactly (a row's GEMM does not depend
 //! on its neighbours), the class gradients exactly at one rank — class-major
 //! rows are in token order there, and a zero row adds nothing — and within
 //! 4 ε at two and three, on the vector and the scalar kernels alike.
@@ -140,11 +143,15 @@ fn dense_mixture(nodes: usize, weights: &[Vec<f32>], it: usize) -> (Vec<Matrix>,
     (per_rank, grads)
 }
 
-/// Largest `|got − want| / (|want| + rms(want))` over the elements.
-fn worst_error(got: &[f32], want: &[f32]) -> f32 {
+/// Largest `|got − want| / (|want| + rms(want))` over the elements of
+/// `ranges`, `rms` taken over all of `want`.
+fn worst_error(got: &[f32], want: &[f32], ranges: &[(usize, usize)]) -> f32 {
     assert_eq!(got.len(), want.len());
     let rms = (want.iter().map(|v| v * v).sum::<f32>() / want.len() as f32).sqrt();
-    got.iter().zip(want).fold(0.0, |m, (a, b)| m.max((a - b).abs() / (b.abs() + rms)))
+    ranges.iter().flat_map(|&(s, t)| s..t).fold(0.0, |m, i| {
+        let (a, b) = (got[i], want[i]);
+        m.max((a - b).abs() / (b.abs() + rms))
+    })
 }
 
 #[test]
@@ -160,6 +167,7 @@ fn dense_mixture_equals_dispatch_expert_combine_at_infinite_capacity() {
             let mut engine = MoeLayerEngine::new(rank, nodes, cfg);
             let (mut worst_dy, mut worst_grad) = (0.0f32, 0.0f32);
             let (mut merged, mut ringed, mut rebalanced) = (false, false, false);
+            let mut served = Vec::new();
             for it in 0..ITERS {
                 let placement = engine.placement.clone();
                 let hosted = placement.classes_on_rank(rank);
@@ -175,18 +183,38 @@ fn dense_mixture_equals_dispatch_expert_combine_at_infinite_capacity() {
                     .iteration(ctx, &tokens(rank, it), &targets(rank, it))
                     .expect("iteration");
                 assert_eq!(stats.dropped, 0, "{nodes} ranks iteration {it}: cf = ∞ drops nothing");
-                worst_dy = worst_dy
-                    .max(worst_error(engine.loss_grad().as_slice(), want_dy[rank].as_slice()));
+                let dy = engine.loss_grad().as_slice();
+                worst_dy =
+                    worst_dy.max(worst_error(dy, want_dy[rank].as_slice(), &[(0, dy.len())]));
                 for (g, (class, locals)) in hosted.iter().enumerate() {
-                    worst_grad =
-                        worst_grad.max(worst_error(&engine.hosted_grads(g), &want_grads[*class]));
+                    let ranges = engine.served_ranges(&placement, *class);
+                    let got = engine.hosted_grads(g);
+                    worst_grad = worst_grad.max(worst_error(&got, &want_grads[*class], &ranges));
+                    served.push((it, *class, ranges));
                     merged |= locals.len() > 1;
                     ringed |= placement.host_ranks(*class).len() > 1;
                 }
                 rebalanced |= engine.placement != placement;
             }
-            (worst_dy, worst_grad, merged, ringed, rebalanced)
+            (worst_dy, worst_grad, merged, ringed, rebalanced, served)
         });
+        // Per iteration and class, the hosts' served ranges tile the
+        // gradient once: every element was compared, on one rank.
+        let p = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0).flat_params().len();
+        for it in 0..ITERS {
+            for class in 0..e {
+                let mut covered = vec![0u32; p];
+                let ranges =
+                    per_rank.iter().flat_map(|r| &r.5).filter(|s| (s.0, s.1) == (it, class));
+                for &(s, t) in ranges.flat_map(|s| &s.2) {
+                    covered[s..t].iter_mut().for_each(|k| *k += 1);
+                }
+                assert!(
+                    covered.iter().all(|&k| k == 1),
+                    "{nodes} ranks iteration {it}: class {class}'s served ranges do not tile it"
+                );
+            }
+        }
         let worst_dy = per_rank.iter().fold(0.0f32, |m, r| m.max(r.0));
         let worst_grad = per_rank.iter().fold(0.0f32, |m, r| m.max(r.1));
         println!(

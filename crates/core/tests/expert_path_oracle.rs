@@ -16,17 +16,22 @@
 //! published slot weights (on the fp16 grid, so the encoding is exact).
 //!
 //! **Gradient path.** The class's flat gradient is *the* buffer: backward
-//! writes it (summing the class's local slots as rows of one batch), the
-//! §4.1 ring reduces it in place, Adam steps from a slice of it. The first
-//! test holds that to the oracle's *values* on 2 ranks, every iteration: the
-//! loss, every hosted class's synchronized gradient (one commutative add per
-//! element on two ranks) and everything integer the iteration reports. The
-//! second replays the staged path with the real collectives (under a second
-//! layer's tags) — owned copy, ring all-reduce, collect with an owned copy of
-//! the local shard, Adam — into a second `SymiOptimizer` per rank, on 2 and
-//! on 3 ranks (where the ring's summation order is no longer one commutative
-//! add): after every iteration the engine's fp32 master shards must equal
-//! that optimizer's, bit for bit. Placement rebalances between iterations, so
+//! writes it (summing the class's local slots as rows of one batch), §4.1's
+//! reduce sums the class's hosts into it in place — on the ranges each host
+//! serves to Algorithm 2, in the ring all-reduce's association — and Adam
+//! steps from a slice of it. The gradient is compared on those served
+//! ranges, and every test asserts that per iteration and class the hosts'
+//! ranges tile the gradient once, so every element is still compared. The
+//! first test holds that to the oracle's *values* on 2 ranks, every
+//! iteration: the loss, every hosted class's summed gradient (one
+//! commutative add per element on two ranks) and everything integer the
+//! iteration reports. The second replays the staged path with the real
+//! collectives (under a second layer's tags) — owned copy, ring all-reduce,
+//! collect with an owned copy of the local shard, Adam — into a second
+//! `SymiOptimizer` per rank, on 2 and on 3 ranks (where the ring's summation
+//! order is no longer one commutative add): the engine's summed gradients,
+//! and after every iteration its fp32 master shards, must equal that path's,
+//! bit for bit. Placement rebalances between iterations, so
 //! classes merge, split, go idle and change shape across the runs.
 //!
 //! **The per-slot recipe, as a bound.** Until PR 22 the unit of execution
@@ -297,6 +302,35 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The elements of `v` in `ranges`, in order.
+fn on(v: &[f32], ranges: &[(usize, usize)]) -> Vec<f32> {
+    ranges.iter().flat_map(|&(s, t)| v[s..t].iter().copied()).collect()
+}
+
+/// `(iteration, class, served ranges)` of one rank's hosted classes.
+type Served = Vec<(usize, usize, Vec<(usize, usize)>)>;
+
+/// Per iteration and class, the ranks' served ranges tile the class's flat
+/// gradient exactly once — so comparing each rank on its own ranges
+/// compares every element.
+fn assert_served_ranges_tile<'a>(served: impl Iterator<Item = &'a Served> + Clone) {
+    let cfg = cfg();
+    let p = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0).flat_params().len();
+    for it in 0..ITERS {
+        for class in 0..cfg.expert_classes {
+            let mut covered = vec![0u32; p];
+            let mine = served.clone().flatten().filter(|s| (s.0, s.1) == (it, class));
+            for &(s, t) in mine.flat_map(|s| &s.2) {
+                covered[s..t].iter_mut().for_each(|k| *k += 1);
+            }
+            assert!(
+                covered.iter().all(|&k| k == 1),
+                "iteration {it}: class {class}'s served ranges do not tile it"
+            );
+        }
+    }
+}
+
 /// Publishes this rank's slot weights and returns every rank's, by global
 /// slot.
 fn exchange_slot_weights(
@@ -339,6 +373,7 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
         let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
         let mut placements = Vec::new();
         let mut saw = Seen::default();
+        let mut served: Served = Vec::new();
         for it in 0..ITERS {
             let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
             let placement = engine.placement.clone();
@@ -361,8 +396,8 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
             assert_eq!((stats.survived, stats.dropped), (kept, NODES * T_LOC - kept), "{at}");
             for (hosted, (class, locals)) in placement.classes_on_rank(rank).into_iter().enumerate()
             {
-                // The class's one buffer holds the synchronized gradient:
-                // each host rank's batch, then the ring's sum.
+                // The class's one buffer holds the summed gradient where
+                // this rank serves it: each host rank's batch, then the sum.
                 let mut synced: Option<Vec<f32>> = None;
                 for per_host in &want.grads {
                     let Some((_, grad)) = per_host.iter().find(|(c, _)| *c == class) else {
@@ -373,11 +408,13 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
                         Some(acc) => acc.iter().zip(grad).map(|(a, b)| a + b).collect(),
                     });
                 }
+                let ranges = engine.served_ranges(&placement, class);
                 assert_eq!(
-                    bits(&engine.hosted_grads(hosted)),
-                    bits(&synced.expect("hosted somewhere")),
-                    "{at}: class {class}'s synchronized gradient differs"
+                    bits(&on(&engine.hosted_grads(hosted), &ranges)),
+                    bits(&on(&synced.expect("hosted somewhere"), &ranges)),
+                    "{at}: class {class}'s summed gradient differs"
                 );
+                served.push((it, class, ranges));
                 let busy = locals.iter().filter(|&l| want.busy[rank * s + l]).count();
                 saw.merged_slots |= busy > 1;
                 saw.half_idle_class |= 0 < busy && busy < locals.len();
@@ -386,15 +423,16 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
             assert!(stats.dropped > 0 && stats.survived > 0, "capacity must bind: {stats:?}");
             placements.push(placement.replica_counts());
         }
-        (placements, saw)
+        (placements, saw, served)
     });
+    assert_served_ranges_tile(per_rank.iter().map(|r| &r.2));
     // The scenario must actually exercise what it claims to.
-    let (placements, _) = &per_rank[0];
+    let (placements, _, _) = &per_rank[0];
     assert!(
         placements.iter().any(|p| p != &placements[0]),
         "placement never rebalanced: {placements:?}"
     );
-    let saw = |what: fn(&Seen) -> bool| per_rank.iter().any(|(_, seen)| what(seen));
+    let saw = |what: fn(&Seen) -> bool| per_rank.iter().any(|(_, seen, _)| what(seen));
     assert!(saw(|s| s.merged_slots), "no class ever ran several busy slots as one batch");
     assert!(saw(|s| s.half_idle_class), "no class ever had busy and idle slots on one rank");
     assert!(saw(|s| s.class_on_both_ranks), "no class ever spanned both ranks");
@@ -406,14 +444,16 @@ struct Replayed {
     half_idle_class: bool,
     /// A hosted class drew no token at all on this rank.
     idle_class: bool,
-    /// Largest `|engine − replay| / (|engine| + rms)` over every element of
-    /// every synchronized gradient, `rms` that gradient's root mean square.
+    /// Largest `|engine − replay| / (|engine| + rms)` over every served
+    /// element of every summed gradient, `rms` the root mean square of the
+    /// replay's whole summed gradient.
     grad_error: f32,
-    /// Elements of synchronized gradients that differed in bits.
+    /// Served elements of summed gradients that differed in bits.
     grad_bits_differing: usize,
     /// Largest `|engine − replay|` over the master shards after the last
     /// iteration, relative to the largest master weight.
     master_error: f32,
+    served: Served,
 }
 
 /// Runs the engine on `ranks` ranks next to a replay of the staged gradient
@@ -445,6 +485,7 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
             grad_error: 0.0,
             grad_bits_differing: 0,
             master_error: 0.0,
+            served: Vec::new(),
         };
         for it in 0..ITERS {
             let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
@@ -472,16 +513,19 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
                 let group = ctx.groups().range(start, len);
                 let tag = replay_tags.tag(WirePhase::GradSync, class, 0);
                 ctx.allreduce_sum(&group, tag, &mut staged).expect("replayed grad sync");
-                let synced = engine.hosted_grads(g);
+                let ranges = engine.served_ranges(&placement, class);
+                let (synced, replayed) =
+                    (on(&engine.hosted_grads(g), &ranges), on(&staged, &ranges));
                 if exact {
                     assert_eq!(
                         bits(&synced),
-                        bits(&staged),
-                        "rank {rank} iteration {it}: class {class}'s synchronized gradient"
+                        bits(&replayed),
+                        "rank {rank} iteration {it}: class {class}'s summed gradient"
                     );
                 }
-                let rms = (synced.iter().map(|g| g * g).sum::<f32>() / synced.len() as f32).sqrt();
-                for (a, b) in synced.iter().zip(&staged) {
+                seen.served.push((it, class, ranges));
+                let rms = (staged.iter().map(|g| g * g).sum::<f32>() / staged.len() as f32).sqrt();
+                for (a, b) in synced.iter().zip(&replayed) {
                     seen.grad_error = seen.grad_error.max((a - b).abs() / (a.abs() + rms));
                     seen.grad_bits_differing += usize::from(a.to_bits() != b.to_bits());
                 }
@@ -517,12 +561,13 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
 
 /// The staged gradient path replayed class-major, on 2 ranks and on 3 —
 /// where the ring's summation order is no longer one commutative add. The
-/// engine's synchronized gradients and fp32 masters must track it bit for
-/// bit.
+/// engine's summed gradients (on the ranges each rank serves) and its fp32
+/// masters must track it bit for bit.
 #[test]
 fn three_rank_masters_match_the_staged_gradient_path_replayed() {
     for ranks in [2, 3] {
         let per_rank = replay_gradient_path(ranks, Unit::Class, true);
+        assert_served_ranges_tile(per_rank.iter().map(|r| &r.served));
         assert!(
             per_rank.iter().any(|r| r.widest_ring == ranks),
             "{ranks} ranks: no class ever spanned every rank"
@@ -531,7 +576,7 @@ fn three_rank_masters_match_the_staged_gradient_path_replayed() {
             per_rank.iter().any(|r| r.half_idle_class),
             "{ranks} ranks: no class ever had busy and idle slots on one rank"
         );
-        // Its zeros are materialized for the ring. (The 2-rank run's
+        // Its zeros are materialized for the reduce. (The 2-rank run's
         // stragglers reach every class on both ranks.)
         assert!(
             ranks == 2 || per_rank.iter().any(|r| r.idle_class),
@@ -546,10 +591,10 @@ fn three_rank_masters_match_the_staged_gradient_path_replayed() {
 /// (the integer side — popularity, kept tokens, replica counts — is asserted
 /// equal inside the replay).
 ///
-/// Stated bounds. Synchronized gradients, per element and iteration:
+/// Stated bounds. Summed gradients, per served element and iteration:
 /// `|engine − per-slot| ≤ 16 ε (|engine| + rms)`, `ε = 2⁻²⁴`, `rms` the root
 /// mean square of that class's whole gradient (the floor where an element's
-/// terms cancel); measured 3.3 ε on 2 ranks, 5.3 ε on 3. Master shards after
+/// terms cancel); measured 2.7 ε on 2 ranks, 3.0 ε on 3. Master shards after
 /// the 6 iterations, the replay's optimizer fed per-slot gradients
 /// throughout: `|Δ| ≤ 1e-5 · max |w|`; measured 1.7e-8 and 3.4e-8. Adam
 /// divides a gradient by its own running magnitude, so a relative gradient
@@ -561,6 +606,7 @@ fn per_slot_fold_oracle_bounds_the_class_major_engine() {
     const EPS: f32 = 1.0 / (1u32 << 24) as f32;
     for ranks in [2, 3] {
         let per_rank = replay_gradient_path(ranks, Unit::Slot, false);
+        assert_served_ranges_tile(per_rank.iter().map(|r| &r.served));
         let grad_error = per_rank.iter().fold(0.0f32, |m, r| m.max(r.grad_error));
         let master_error = per_rank.iter().fold(0.0f32, |m, r| m.max(r.master_error));
         let differing: usize = per_rank.iter().map(|r| r.grad_bits_differing).sum();
