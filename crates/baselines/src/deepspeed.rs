@@ -12,13 +12,17 @@
 //!   ([`MoeLayerEngine::edp_sharded`]).
 //!
 //! Everything else is the one iteration: the same routing, per-slot
-//! capacity rule, token path and advisory exchange; the gradient ring runs
-//! over the class's (striped, non-contiguous) host group, Algorithm 2's
-//! collect is served locally because every owner hosts its class, and the
-//! weight scatter to the class's other hosts is the EDP all-gather.
+//! capacity rule, token path and advisory exchange; §4.1's reduce sums each
+//! class's gradient over its (striped, non-contiguous) host group onto the
+//! ranges each host serves, Algorithm 2's collect is served locally because
+//! every owner hosts its class, and the weight scatter to the class's other
+//! hosts is the EDP all-gather. The uniform policy returns the counts the
+//! stripe already has, so the placement never moves and no optimizer state
+//! ever follows it.
 
 use std::ops::{Deref, DerefMut};
 use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
+use symi_model::UniformPolicy;
 use symi_tensor::AdamConfig;
 
 /// Per-rank DeepSpeed-style engine for one MoE layer: a [`MoeLayerEngine`]
@@ -49,7 +53,11 @@ impl DeepSpeedMoeEngine {
             layer_id: 0,
         };
         let placement = ExpertPlacement::striped(expert_classes, nodes, slots_per_rank);
-        Self(MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement))
+        let policy = Box::new(UniformPolicy {
+            experts: expert_classes,
+            total_slots: cfg.total_slots(nodes),
+        });
+        Self(MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, policy))
     }
 }
 
@@ -191,13 +199,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ROADMAP items 16(d) and 17")]
+    #[should_panic(expected = "ROADMAP item 17")]
     fn snapshot_refuses_the_host_group_optimizer() {
         let _ = engine(0, 2, 1_000_000).snapshot();
     }
 
     #[test]
-    #[should_panic(expected = "ROADMAP items 16(d) and 17")]
+    #[should_panic(expected = "ROADMAP item 17")]
     fn recover_refuses_the_host_group_optimizer() {
         // Every rank stops before the membership agreement sends a byte.
         let nodes = 2;

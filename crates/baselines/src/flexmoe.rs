@@ -9,19 +9,16 @@
 //!   shifts one replica from the least-loaded to the most-loaded class
 //!   until a cost threshold (load-ratio) is met or the move budget runs
 //!   out.
-//! - [`RebalanceCostHarness`] — a measured-bytes comparison of what a
-//!   placement change *costs*: SYMI re-places experts inside the weight
-//!   update it already pays (§3.3 — traffic is invariant in the new
-//!   placement), while a coupled design must additionally migrate every
-//!   moved replica's weights **and** optimizer state.
+//! - [`flexmoe_engine`] — FlexMoE on the rank runtime: `symi`'s engine with
+//!   this policy and each class's optimizer state ZeRO-1-sharded over its
+//!   host ranks. A re-placement lays the new counts out contiguously
+//!   ([`ExpertPlacement::from_counts`]) and the moved classes' state
+//!   follows its new hosts through the optimizer's one re-shard plan
+//!   ([`symi::SymiOptimizer::follow`]), in the `Rebalance` phase.
 
 use std::collections::HashMap;
-use symi::{ExpertPlacement, SymiOptimizer};
-use symi_collectives::p2p::{RecvOp, SendOp};
-use symi_collectives::{Cluster, ClusterSpec, TagSpace, TrafficReport, WirePhase};
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
 use symi_model::PlacementPolicy;
-use symi_telemetry::{Phase, ScopedTimer};
-use symi_tensor::{AdamConfig, AdamShard};
 
 /// FlexMoE's interval-triggered, one-replica-at-a-time policy.
 pub struct FlexMoePolicy {
@@ -101,126 +98,24 @@ impl PlacementPolicy for FlexMoePolicy {
     }
 }
 
-/// Measures optimizer-phase traffic for a placement transition under the
-/// two state layouts.
-#[derive(Clone, Copy, Debug)]
-pub struct RebalanceCostHarness {
-    pub nodes: usize,
-    pub slots_per_rank: usize,
-    pub expert_classes: usize,
-    /// Scalars per expert (weights are `param_count` f32 in-simulation;
-    /// exported optimizer state is `3 × param_count` f32 — master + two
-    /// Adam moments).
-    pub param_count: usize,
-}
-
-impl RebalanceCostHarness {
-    /// Total traffic of SYMI's grad-collect → step → weight-distribute
-    /// pipeline when transitioning from `old_counts` to `new_counts`.
-    /// §3.3-II predicts this is **independent of `new_counts`**.
-    pub fn symi_traffic(&self, old_counts: &[usize], new_counts: &[usize]) -> TrafficReport {
-        let h = *self;
-        let old = ExpertPlacement::from_counts(old_counts, h.slots_per_rank);
-        let new = ExpertPlacement::from_counts(new_counts, h.slots_per_rank);
-        let (_, report) = Cluster::run(ClusterSpec::flat(h.nodes), move |ctx| {
-            let params: Vec<Vec<f32>> =
-                (0..h.expert_classes).map(|c| vec![c as f32; h.param_count]).collect();
-            let mut opt = SymiOptimizer::new(ctx.rank(), h.nodes, AdamConfig::default(), &params);
-            // Fabricated synchronized gradients for locally hosted classes.
-            let local_grads: Vec<Option<Vec<f32>>> = (0..h.expert_classes)
-                .map(|c| old.rank_hosts(ctx.rank(), c).then(|| vec![0.01f32; h.param_count]))
-                .collect();
-            let tags = TagSpace::new(0, 0);
-            let shards = opt.collect_grads(ctx, &old, &local_grads, tags).unwrap();
-            let weights = opt.step(&shards);
-            let _ = opt.distribute_weights(ctx, &new, &weights, tags).unwrap();
-        });
-        report
-    }
-
-    /// Total traffic of the coupled design for the same transition: the
-    /// ZeRO-style weight all-gather it pays anyway **plus** a physical
-    /// migration of `weights + exported optimizer state` for every slot
-    /// whose class changes.
-    pub fn coupled_traffic(&self, old_counts: &[usize], new_counts: &[usize]) -> TrafficReport {
-        let h = *self;
-        let old = ExpertPlacement::from_counts(old_counts, h.slots_per_rank);
-        let new = ExpertPlacement::from_counts(new_counts, h.slots_per_rank);
-        let (_, report) = Cluster::run(ClusterSpec::flat(h.nodes), move |ctx| {
-            let rank = ctx.rank();
-            let s = h.slots_per_rank;
-            // Regular weight update: each class's primary host steps and
-            // broadcasts full weights to the other replicas (simplified
-            // ZeRO-1 EDP all-gather; the byte volume is the (r−1)·W the
-            // static analysis charges). Marker spans attribute the bytes to
-            // the same phase taxonomy the engines use.
-            let update_span = ScopedTimer::marker(Phase::WeightComm);
-            let tags = TagSpace::new(0, 0);
-            for class in 0..h.expert_classes {
-                let hosts = old.host_ranks(class);
-                let primary = hosts[0];
-                let tag = tags.tag(WirePhase::WeightDistribute, class, primary);
-                if rank == primary {
-                    let mut shard =
-                        AdamShard::new(AdamConfig::default(), 0, &vec![0.0f32; h.param_count]);
-                    let mut half = Vec::new();
-                    shard.step_into(&vec![0.01f32; h.param_count], &mut half);
-                    // Weights travel (and stage over PCIe) at fp16 width.
-                    ctx.record_host_device_bytes(half.len() as u64 * 2);
-                    let sends =
-                        hosts[1..].iter().map(|&dst| SendOp::new(dst, tag, half.clone())).collect();
-                    ctx.batch_isend_irecv(sends, &[]).unwrap();
-                } else if hosts.contains(&rank) {
-                    let _ = ctx
-                        .batch_isend_irecv(vec![], &[RecvOp::sized(primary, tag, h.param_count)])
-                        .unwrap();
-                }
-            }
-            drop(update_span);
-            // Migration: every slot whose class changed pulls the new
-            // class's weights AND optimizer state from its primary host.
-            let _span = ScopedTimer::marker(Phase::Rebalance);
-            let mut sends = Vec::new();
-            let mut recvs = Vec::new();
-            for slot in 0..new.total_slots() {
-                let oldc = old.class_of_slot(slot);
-                let newc = new.class_of_slot(slot);
-                if oldc == newc {
-                    continue;
-                }
-                let src = old.host_ranks(newc)[0];
-                let dst = slot / s;
-                // Migration blobs stay fp32: exported optimizer state
-                // (master + moments) has no fp16 representation.
-                let tag = tags.tag(WirePhase::Control, slot, src);
-                if rank == src {
-                    let shard =
-                        AdamShard::new(AdamConfig::default(), 0, &vec![0.0f32; h.param_count]);
-                    let mut blob = shard.export_state();
-                    blob.extend(vec![0.0f32; h.param_count]); // + weights
-                    sends.push(SendOp::new(dst, tag, blob));
-                }
-                if rank == dst {
-                    recvs.push(RecvOp::new(src, tag));
-                }
-            }
-            let received = ctx.batch_isend_irecv(sends, &recvs).unwrap();
-            for blob in &received {
-                // The migrated state transits host memory too.
-                ctx.record_host_device_bytes(blob.byte_len());
-            }
-        });
-        report
-    }
+/// FlexMoE's configuration of the one engine: uniform replication to start
+/// with, [`FlexMoePolicy`] re-placing every `interval` iterations, and each
+/// class's optimizer state coupled to its host ranks, so a re-placement
+/// migrates it ([`MoeLayerEngine::edp_sharded`]).
+pub fn flexmoe_engine(
+    rank: usize,
+    nodes: usize,
+    cfg: EngineConfig,
+    interval: u64,
+) -> MoeLayerEngine {
+    let placement = ExpertPlacement::uniform(cfg.expert_classes, nodes, cfg.slots_per_rank);
+    let policy = Box::new(FlexMoePolicy::new(cfg.total_slots(nodes), interval));
+    MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, policy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn harness() -> RebalanceCostHarness {
-        RebalanceCostHarness { nodes: 4, slots_per_rank: 2, expert_classes: 4, param_count: 64 }
-    }
 
     #[test]
     fn policy_only_rebalances_on_interval() {
@@ -264,80 +159,5 @@ mod tests {
         let b = p.next_replicas(1, &[1, 100, 1, 1], 0);
         assert!(a[0] > a[1]);
         assert!(b[1] > b[0]);
-    }
-
-    /// Inter-node bytes the SYMI pipeline ships for an `old → new`
-    /// transition: Algorithm 2's grad collection over the old placement
-    /// plus one fp16 chunk per (class, hosting rank, remote source) of the
-    /// new one. Crucially a function of the *host sets* only — never of
-    /// how many slots moved.
-    fn predicted_symi_inter_bytes(h: &RebalanceCostHarness, old: &[usize], new: &[usize]) -> u64 {
-        use symi_collectives::coll::chunk_range;
-        let old = ExpertPlacement::from_counts(old, h.slots_per_rank);
-        let new = ExpertPlacement::from_counts(new, h.slots_per_rank);
-        let mut total = 0u64;
-        for dst in 0..h.nodes {
-            let (a, b) = chunk_range(h.param_count, h.nodes, dst);
-            for class in 0..h.expert_classes {
-                if symi::optimizer::get_source(&old.host_ranks(class), dst) != dst {
-                    total += ((b - a) * 4) as u64;
-                }
-            }
-        }
-        for class in 0..h.expert_classes {
-            for &dst in new.host_ranks(class).iter() {
-                for src in (0..h.nodes).filter(|&src| src != dst) {
-                    let (a, b) = chunk_range(h.param_count, h.nodes, src);
-                    total += ((b - a) * 2) as u64;
-                }
-            }
-        }
-        total
-    }
-
-    #[test]
-    fn symi_traffic_is_blind_to_slot_movement() {
-        // The paper's central claim, measured in real bytes: a rebalance
-        // ships exactly the weight-update traffic the *new* placement's
-        // host sets require — zero bytes are attributable to slots having
-        // moved, and every transition stays within the static per-slot
-        // sN·W weight budget plus grad collection.
-        let h = harness();
-        let old = vec![2usize, 2, 2, 2];
-        for new in [vec![2usize, 2, 2, 2], vec![5, 1, 1, 1], vec![3, 1, 2, 2]] {
-            let measured = h.symi_traffic(&old, &new);
-            assert_eq!(
-                measured.inter_node_bytes,
-                predicted_symi_inter_bytes(&h, &old, &new),
-                "old {old:?} → new {new:?}: bytes must follow the host sets alone"
-            );
-        }
-    }
-
-    #[test]
-    fn coupled_traffic_grows_with_moves() {
-        let h = harness();
-        let old = vec![2usize, 2, 2, 2];
-        let stay = h.coupled_traffic(&old, &old);
-        let move2 = h.coupled_traffic(&old, &[3, 1, 2, 2]);
-        let move4 = h.coupled_traffic(&old, &[5, 1, 1, 1]);
-        assert!(stay.total_bytes() < move2.total_bytes());
-        assert!(move2.total_bytes() < move4.total_bytes());
-    }
-
-    #[test]
-    fn migration_bytes_match_state_size() {
-        let h = harness();
-        let old = vec![2usize, 2, 2, 2];
-        let stay = h.coupled_traffic(&old, &old);
-        let moved = h.coupled_traffic(&old, &[3, 1, 2, 2]);
-        // Counts [2,2,2,2] → [3,1,2,2] changes exactly 2 slots
-        // (contiguous layout: slots 2 and 3 flip classes). Each migrated
-        // slot moves 4L floats (3L optimizer + L weights); self-hosted
-        // transfers are free, so the measured delta is at most that.
-        let delta = moved.total_bytes() - stay.total_bytes();
-        let per_slot = (4 * h.param_count * 4) as u64;
-        // host-device staging adds 4L floats per received blob as well.
-        assert!(delta > 0 && delta <= 2 * 2 * per_slot, "delta {delta}");
     }
 }

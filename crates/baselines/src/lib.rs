@@ -1,27 +1,28 @@
 //! # symi-baselines
 //!
-//! Faithful reimplementations of the two systems the SYMI paper compares
-//! against, built on the same substrates (`symi`, `symi-collectives`,
-//! `symi-model`, `symi-tensor`) so every difference in measured bytes,
-//! drops, and convergence is attributable to the system design rather than
-//! the implementation:
+//! The two systems the SYMI paper compares against, as configurations of
+//! `symi`'s own engine ([`symi::MoeLayerEngine::edp_sharded`]) — the same
+//! routing, token path, collectives, kernels and optimizer — so every
+//! difference in measured bytes, drops, and convergence comes from the two
+//! choices that tell the systems apart: the placement policy, and each
+//! class's optimizer state coupled to its EDP host group instead of sharded
+//! over every rank.
 //!
 //! - [`deepspeed`] — the *static* baseline: uniform expert replication with
-//!   replicas striped across distinct ranks (no intra-rank EDP) and the
-//!   optimizer ZeRO-1-sharded across each expert's EDP group. No
-//!   adaptivity. It is `symi`'s own engine in that configuration
-//!   ([`symi::MoeLayerEngine::edp_sharded`]), not a second engine: the ring
-//!   all-reduce over a class's hosts syncs its gradient, and the weight
-//!   scatter to the other hosts is the EDP all-gather.
+//!   replicas striped across distinct ranks (no intra-rank EDP), never
+//!   re-placed. §4.1's reduce sums a class's gradient onto its hosts, each
+//!   of which steps its ZeRO-1 shard, and the weight scatter to the other
+//!   hosts is the EDP all-gather.
 //! - [`flexmoe`] — the *coarse-grained adaptive* baseline: FlexMoE's
 //!   interval-triggered policy (rebalance every `i` iterations, shifting
-//!   one replica at a time from the least- to the most-loaded class), with
-//!   the optimizer state **coupled** to the expert instances — so every
-//!   move physically migrates `W + O` bytes, which [`flexmoe::RebalanceCostHarness`]
-//!   measures against SYMI's zero-extra-byte re-placement.
+//!   one replica at a time from the least- to the most-loaded class). Its
+//!   optimizer state is coupled to the expert instances, so every
+//!   re-placement migrates the moved classes' fp32 `[master | m | v]` to
+//!   their new hosts ([`symi::SymiOptimizer::follow`]) — the bytes SYMI's
+//!   re-placement never pays.
 
 pub mod deepspeed;
 pub mod flexmoe;
 
 pub use deepspeed::DeepSpeedMoeEngine;
-pub use flexmoe::{FlexMoePolicy, RebalanceCostHarness};
+pub use flexmoe::{flexmoe_engine, FlexMoePolicy};

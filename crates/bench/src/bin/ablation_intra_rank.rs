@@ -19,6 +19,7 @@
 use symi::{compute_placement, EngineConfig, ExpertPlacement, MoeLayerEngine};
 use symi_bench::output::Table;
 use symi_collectives::{Cluster, ClusterSpec, WirePhase};
+use symi_model::UniformPolicy;
 use symi_tensor::{AdamConfig, Matrix};
 
 const NODES: usize = 4;
@@ -62,7 +63,8 @@ fn measure(deepspeed: bool) -> GradPhase {
         let rank = ctx.rank();
         let mut engine = if deepspeed {
             let striped = ExpertPlacement::striped(CLASSES, NODES, SLOTS);
-            MoeLayerEngine::edp_sharded(rank, NODES, cfg, striped)
+            let uniform = UniformPolicy { experts: CLASSES, total_slots: NODES * SLOTS };
+            MoeLayerEngine::edp_sharded(rank, NODES, cfg, striped, Box::new(uniform))
         } else {
             MoeLayerEngine::new(rank, NODES, cfg)
         };

@@ -1,17 +1,17 @@
 //! The paper's core claim measured in real bytes: sweeping the number of
-//! moved replicas, SYMI's optimizer-phase traffic stays flat while a
-//! coupled (FlexMoE-style) design pays per-move migration of weights +
-//! optimizer state. The harness engines run under phase markers, so the
-//! byte totals here are read back per phase from `IterationReport`s.
+//! moved replicas, SYMI's re-placement rides the weight update it already
+//! pays, while FlexMoE's coupled state migrates to its classes' new hosts.
+//! Both sides run the optimizer's own calls ([`Transition`]); the byte
+//! totals are read back per phase from `IterationReport`s.
 
 use std::sync::Arc;
-use symi_baselines::RebalanceCostHarness;
 use symi_bench::output::{write_csv, Table};
+use symi_bench::Transition;
 use symi_telemetry::{IterationReport, JsonlSink, Phase, Sink};
 
 fn main() {
-    let harness =
-        RebalanceCostHarness { nodes: 8, slots_per_rank: 4, expert_classes: 8, param_count: 4096 };
+    let transition =
+        Transition { nodes: 8, slots_per_rank: 4, expert_classes: 8, param_count: 4096 };
     let uniform = vec![4usize; 8];
     let out_dir = std::path::PathBuf::from("results");
     let jsonl: Arc<dyn Sink> = Arc::new(
@@ -27,6 +27,7 @@ fn main() {
         "SYMI rebalance",
         "coupled total",
         "coupled rebalance",
+        "coupled params moved",
         "coupled / SYMI",
     ]);
     let mut rows = Vec::new();
@@ -43,8 +44,16 @@ fn main() {
                 break;
             }
         }
-        let symi = harness.symi_traffic(&uniform, &counts);
-        let coupled = harness.coupled_traffic(&uniform, &counts);
+        let (symi, _) = transition.run(&uniform, &counts, false);
+        let (coupled, transferred) = transition.run(&uniform, &counts, true);
+        assert_eq!(symi.inter_node_bytes, transition.symi_schedule(&uniform, &counts));
+        assert_eq!(symi.bytes_in_phase(Phase::Rebalance), 0, "SYMI's re-placement moves no state");
+        assert_eq!(
+            coupled.bytes_in_phase(Phase::Rebalance),
+            12 * transferred,
+            "the coupled migration ships fp32 [master | m | v] per transferred parameter"
+        );
+        assert!(moved > 0 || transferred == 0, "an unchanged placement migrates nothing");
 
         // Phase-attributed reports — the same schema the trainer emits, so
         // symi-top and the plot scripts can read this sweep too.
@@ -62,6 +71,7 @@ fn main() {
             symi.bytes_in_phase(Phase::Rebalance).to_string(),
             coupled.total_bytes().to_string(),
             coupled.bytes_in_phase(Phase::Rebalance).to_string(),
+            transferred.to_string(),
             format!("{:.2}", coupled.total_bytes() as f64 / symi.total_bytes() as f64),
         ];
         t.row(row.clone());
@@ -78,19 +88,20 @@ fn main() {
             "symi_rebalance_bytes",
             "coupled_bytes",
             "coupled_rebalance_bytes",
+            "coupled_transferred_params",
             "ratio",
         ],
         &rows,
     );
     println!("{}", t.render());
     println!(
-        "SYMI's bytes live entirely in weight_comm — the re-placement rides\n\
-         the weight update it already pays (rebalance bytes stay 0), and the\n\
-         de-duplicated schedule ships one copy per (class, hosting rank), so\n\
-         the column wobbles only with the placement's host sets, never with\n\
-         how many replicas moved. The coupled column grows linearly with\n\
-         moves, all of it in the rebalance phase (each move drags weights +\n\
-         3x-weights of Adam state across the network), which is why FlexMoE\n\
-         must rebalance rarely."
+        "SYMI's bytes live in grad_comm and weight_comm — the re-placement\n\
+         rides the weight update it already pays (rebalance bytes stay 0), and\n\
+         the de-duplicated schedule ships one copy per (class, hosting rank),\n\
+         so the column moves only with the placement's host sets. The coupled\n\
+         rebalance column is 12 B (fp32 master, m, v) per parameter whose\n\
+         owner changed: the contiguous re-layout shifts the host groups of\n\
+         every class after the first one that grew, so even one moved\n\
+         replica migrates state, which is why FlexMoE must rebalance rarely."
     );
 }

@@ -11,8 +11,10 @@ pub mod latency;
 pub mod output;
 pub mod plot;
 pub mod runs;
+pub mod transition;
 
 pub use harness::{bench, group, BenchResult};
 pub use latency::{average_iteration_latency, LatencyInputs};
 pub use output::{write_csv, Table};
 pub use runs::{load_or_run, run_system, SystemChoice};
+pub use transition::Transition;

@@ -17,10 +17,11 @@
 //!    over each class's host ranks — the contiguous groups of §4.2 —
 //!    reduced onto the ranges Algorithm 2 will read from each host.
 //! 5. ④⑤ Collect gradient shards to the statically-sharded optimizer
-//!    (Algorithm 2), ⑥ compute the next placement (Algorithm 1) from the
-//!    metadata store, ⑦ step Adam, and ⑧ scatter updated weight shards
-//!    according to the **new** placement — materializing the rebalance for
-//!    free.
+//!    (Algorithm 2), ⑦ step Adam, ⑥ ask the placement policy for the next
+//!    placement (Algorithm 1 from the metadata store, for SYMI), and ⑧
+//!    scatter updated weight shards according to the **new** placement —
+//!    materializing the rebalance for free. Optimizer state owned by the
+//!    hosts (the baselines) then follows the new placement.
 //!
 //! The unit of expert execution is the hosted *class*, not the slot: a rank
 //! keeps one [`ExpertFfn`] — one weight copy, binary16 as §3.1 has it, and
@@ -35,10 +36,14 @@
 //! The iteration is one straight line with no schedule to choose. Its
 //! placement-independent middle — routing, and everything from the dispatch
 //! all-to-all to the per-class backward — is [`crate::token_path`]; what is
-//! written here is what the paper's systems do around it. DeepSpeed's
-//! configuration ([`MoeLayerEngine::edp_sharded`]) turns two choices: a
-//! placement that never moves, and each class's optimizer state sharded over
-//! the class's host ranks instead of over every rank.
+//! written here is what the paper's systems do around it. They differ in
+//! two choices, both made at construction: the [`PlacementPolicy`] that
+//! picks each next placement, and whether each class's optimizer state is
+//! sharded over every rank or over the class's host ranks
+//! ([`MoeLayerEngine::edp_sharded`]), where it follows the placement
+//! ([`SymiOptimizer::follow`]). SYMI is Algorithm 1 over world-owned state;
+//! DeepSpeed a placement that never moves over host-owned state; FlexMoE an
+//! interval policy over host-owned state.
 //!
 //! The engine trains the expert MLPs against a caller-supplied regression
 //! target (the surrounding dense transformer is orthogonal to SYMI's
@@ -48,13 +53,14 @@
 use crate::metadata::LayerMetadataStore;
 use crate::optimizer::{GradShard, Owners, ReshardReport, ShardState, SymiOptimizer};
 use crate::placement::ExpertPlacement;
-use crate::scheduler::{compute_placement, supports_world};
+use crate::scheduler::{supports_world, SymiPolicy};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
 use std::time::Instant;
 use symi_collectives::{
     encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
 use symi_model::expert::ExpertFfn;
+use symi_model::PlacementPolicy;
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, HalfMatrix, Matrix};
@@ -101,7 +107,8 @@ pub struct IterStats {
     /// Replica counts used this iteration.
     pub replicas: Vec<usize>,
     /// Slots whose resident class changed in the placement computed for the
-    /// *next* iteration (the rebalance SYMI materializes for free).
+    /// *next* iteration (the rebalance SYMI materializes for free, and a
+    /// host-owned optimizer migrates its state for).
     pub placement_churn: usize,
     /// Whether this iteration degraded gracefully: a popularity or stats
     /// all-reduce starved, so the engine reused the previous placement (a
@@ -280,6 +287,9 @@ pub struct MoeLayerEngine {
     /// iterations.
     weight_shards: Vec<Vec<u16>>,
     pub placement: ExpertPlacement,
+    /// Picks each next placement's replica counts, and hears of every
+    /// membership change.
+    policy: Box<dyn PlacementPolicy>,
     optimizer: SymiOptimizer,
     pub metadata: LayerMetadataStore,
     /// Shared (replicated, frozen) router weights — router training is
@@ -318,16 +328,21 @@ impl MoeLayerEngine {
     pub fn new_in_world(rank: usize, active: usize, world: usize, cfg: EngineConfig) -> Self {
         assert!(rank < active, "rank {rank} is a standby rank in a {active}-active world");
         let placement = ExpertPlacement::uniform(cfg.expert_classes, active, cfg.slots_per_rank);
-        Self::fresh(cfg, MembershipView::partial(world, active), rank, placement, Owners::World)
+        let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(active) });
+        let view = MembershipView::partial(world, active);
+        Self::fresh(cfg, view, rank, placement, Owners::World, policy)
     }
 
-    /// DeepSpeed's configuration of this engine (§5): `placement` stays put
-    /// for the whole run, and each class's optimizer state is ZeRO-1-sharded
-    /// over the class's host ranks — its EDP group — instead of over every
-    /// rank. Algorithm 2's collect is then served locally by construction,
-    /// and the weight scatter to the class's other hosts is the EDP
-    /// all-gather; everything else is the iteration SYMI runs.
-    /// [`ExpertPlacement::striped`] is the placement DeepSpeed uses.
+    /// The coupled configuration of this engine (§5's baselines): each
+    /// class's optimizer state is ZeRO-1-sharded over the class's host ranks
+    /// — its EDP group — instead of over every rank, starting from
+    /// `placement`, and `policy` picks every next placement. Algorithm 2's
+    /// collect is then served locally by construction, the weight scatter to
+    /// the class's other hosts is the EDP all-gather, and a placement change
+    /// migrates the moved classes' state to their new hosts
+    /// ([`SymiOptimizer::follow`]); everything else is the iteration SYMI
+    /// runs. DeepSpeed is [`ExpertPlacement::striped`] under a uniform
+    /// policy, which never moves it.
     ///
     /// The elastic and snapshot paths ([`MoeLayerEngine::recover`],
     /// [`MoeLayerEngine::admit`], [`MoeLayerEngine::snapshot`]) refuse this
@@ -337,22 +352,12 @@ impl MoeLayerEngine {
         nodes: usize,
         cfg: EngineConfig,
         placement: ExpertPlacement,
+        policy: Box<dyn PlacementPolicy>,
     ) -> Self {
         assert_eq!(placement.ranks(), nodes, "placement rank count mismatch");
         assert_eq!(placement.slots_per_rank(), cfg.slots_per_rank, "placement slot count mismatch");
         let owners = Owners::hosts_of(&placement);
-        Self::fresh(cfg, MembershipView::full(nodes), rank, placement, owners)
-    }
-
-    /// Algorithm 1 over the slots of `ranks` ranks, from the freshest
-    /// popularity — or from all-zero popularity when there is none yet.
-    fn place(cfg: &EngineConfig, popularity: Option<&[u64]>, ranks: usize) -> ExpertPlacement {
-        let total = cfg.total_slots(ranks);
-        let counts = match popularity {
-            Some(pop) => compute_placement(pop, total),
-            None => compute_placement(&vec![0u64; cfg.expert_classes], total),
-        };
-        ExpertPlacement::from_counts(&counts, cfg.slots_per_rank)
+        Self::fresh(cfg, MembershipView::full(nodes), rank, placement, owners, policy)
     }
 
     /// A freshly initialized member of `view` at logical rank `lrank` under
@@ -366,6 +371,7 @@ impl MoeLayerEngine {
         lrank: usize,
         placement: ExpertPlacement,
         owners: Owners,
+        policy: Box<dyn PlacementPolicy>,
     ) -> Self {
         // Canonical initial weights per class (deterministic in class id).
         let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
@@ -378,7 +384,7 @@ impl MoeLayerEngine {
         }
         let optimizer =
             SymiOptimizer::with_view(view.clone(), lrank, owners, cfg.adam, &class_params);
-        Self { experts, ..Self::assemble(cfg, view, lrank, placement, optimizer) }
+        Self { experts, ..Self::assemble(cfg, view, lrank, placement, policy, optimizer) }
     }
 
     /// The one struct literal every constructor goes through: no slots yet,
@@ -388,6 +394,7 @@ impl MoeLayerEngine {
         view: MembershipView,
         lrank: usize,
         placement: ExpertPlacement,
+        policy: Box<dyn PlacementPolicy>,
         optimizer: SymiOptimizer,
     ) -> Self {
         assert!(
@@ -405,6 +412,7 @@ impl MoeLayerEngine {
             tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
             weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
+            policy,
             optimizer,
             metadata: LayerMetadataStore::new(1, 64),
             router_w,
@@ -466,8 +474,8 @@ impl MoeLayerEngine {
     fn refuse_host_group(&self, what: &str) {
         assert!(
             self.optimizer.is_world_owned(),
-            "{what}: a host-group optimizer cannot re-shard, snapshot or restore yet — its \
-             chunks follow a placement (ROADMAP items 16(d) and 17)"
+            "{what}: a host-group optimizer re-shards only onto a new placement, not onto a \
+             new membership or from a snapshot yet (ROADMAP item 17)"
         );
     }
 
@@ -630,8 +638,8 @@ impl MoeLayerEngine {
     ///    ([`RankCtx::discard_stale_below`]) — a weight scatter that failed
     ///    half-way is abandoned with it, and step 7 re-materializes the
     ///    slots;
-    /// 3. re-run Algorithm 1 over the freshest popularity and the new view's
-    ///    `total_slots`;
+    /// 3. tell the placement policy the new view's `total_slots` and ask it
+    ///    for the placement, from the freshest popularity;
     /// 4. re-shard the optimizer over `new_view` through the one exchange
     ///    ([`SymiOptimizer::reshard`] on a member, [`SymiOptimizer::join`]
     ///    on the joiner);
@@ -658,7 +666,16 @@ impl MoeLayerEngine {
         let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
 
         let new_n = new_view.size();
-        let new_placement = Self::place(&cfg, popularity.as_deref(), new_n);
+        match change {
+            Change::Recovery => self.policy.on_world_shrink(cfg.total_slots(new_n)),
+            Change::Admission | Change::Arrival { .. } => {
+                self.policy.on_world_grow(cfg.total_slots(new_n))
+            }
+        }
+        let no_signal = vec![0u64; cfg.expert_classes];
+        let counts =
+            self.policy.next_replicas(0, popularity.as_deref().unwrap_or(&no_signal), resume_iter);
+        let new_placement = ExpertPlacement::from_counts(&counts, cfg.slots_per_rank);
 
         let tags = TagSpace::new(RECOVERY_LAYER, resume_iter);
         let report = match change {
@@ -826,8 +843,11 @@ impl MoeLayerEngine {
         // A fresh member has no history: its payload is `[0, 0, 0]`, and the
         // transition replaces all of its state.
         let lrank = grown.logical_of(me).expect("the grown view holds the joiner");
-        let placement = Self::place(&cfg, None, grown.size());
-        let mut engine = Self::fresh(cfg, grown.clone(), lrank, placement, Owners::World);
+        let mut policy = SymiPolicy { total_slots: cfg.total_slots(grown.size()) };
+        let counts = policy.next_replicas(0, &vec![0; cfg.expert_classes], 0);
+        let placement = ExpertPlacement::from_counts(&counts, cfg.slots_per_rank);
+        let mut engine =
+            Self::fresh(cfg, grown.clone(), lrank, placement, Owners::World, Box::new(policy));
         let timeout = ctx.default_membership_timeout();
         let (new_view, payloads) =
             ctx.agree_membership(&grown, &[], &engine.agreement_payload(), timeout)?;
@@ -883,7 +903,8 @@ impl MoeLayerEngine {
             param_count,
             snap.shards,
         );
-        let mut engine = Self::assemble(cfg, view, snap.logical_rank, placement, optimizer);
+        let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(snap.world_size) });
+        let mut engine = Self::assemble(cfg, view, snap.logical_rank, placement, policy, optimizer);
         engine.iteration = snap.iteration;
         if let Some(pop) = snap.popularity {
             engine.metadata.record(0, pop);
@@ -1044,28 +1065,30 @@ impl MoeLayerEngine {
             self.step_class(ctx, class, shard, expert_of[class]);
         }
 
-        // The placement moves only where the optimizer can follow: a
-        // host-group optimizer's chunks are cut along it, so that engine
-        // keeps its placement. So does every rank of a degraded iteration:
-        // each observed the starved popularity sync (the gather-root summed
-        // nobody's contribution or the broadcast never arrived), so each
-        // skips the rebalance the same way — stale but correct per §3.4. If
-        // ranks ever *disagreed*, the sized weight-distribute receives of
-        // the diverging placements would starve and escalate loudly; stale
-        // placement can never cause silent divergence.
+        // The policy places the next iteration; the placement is rebuilt
+        // only when its counts change. Every rank of a degraded iteration
+        // keeps its placement: each observed the starved popularity sync (the
+        // gather-root summed nobody's contribution or the broadcast never
+        // arrived), so each skips the rebalance the same way — stale but
+        // correct per §3.4. If ranks ever *disagreed*, the sized
+        // weight-distribute receives of the diverging placements would
+        // starve and escalate loudly; stale placement can never cause silent
+        // divergence.
         let rebalance_span = tele.span(Phase::Rebalance);
-        let next_placement = (!degraded && self.optimizer.is_world_owned()).then(|| {
-            let next_counts = compute_placement(
-                self.metadata.latest(0).expect("recorded this iteration"),
-                self.cfg.total_slots(n),
-            );
-            ExpertPlacement::from_counts(&next_counts, self.cfg.slots_per_rank)
-        });
+        let next_placement = if degraded {
+            None
+        } else {
+            let popularity = self.metadata.latest(0).expect("recorded this iteration");
+            let counts = self.policy.next_replicas(0, popularity, self.iteration);
+            (counts != replicas)
+                .then(|| ExpertPlacement::from_counts(&counts, self.cfg.slots_per_rank))
+        };
         let placement_churn = next_placement.as_ref().map_or(0, |p| self.placement.diff_slots(p));
         drop(rebalance_span);
 
         // ---- Step 8: scatter the updated weights under the new placement,
-        // which the experts hold from here on. ----
+        // which the experts hold from here on; then the optimizer state
+        // follows it where it is coupled to its hosts (SYMI's never moves).
         self.optimizer.distribute_weights_into(
             ctx,
             next_placement.as_ref().unwrap_or(&self.placement),
@@ -1074,6 +1097,7 @@ impl MoeLayerEngine {
             &mut self.experts,
         )?;
         if let Some(p) = next_placement {
+            self.optimizer.follow(ctx, &p, tags)?;
             self.placement = p;
         }
         self.iteration += 1;

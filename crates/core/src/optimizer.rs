@@ -2,9 +2,9 @@
 //!
 //! Every node owns the same `1/N` slice of **every** expert's optimizer
 //! state — uniform static sharding, never relocated (Appendix A.1 proves
-//! this optimal). The same optimizer also runs DeepSpeed's coupling, where a
-//! class's host ranks own a `1/r` slice of it each (`Owners`): every phase
-//! below reads one chunk geometry, a function of (class, rank). Each
+//! this optimal). The same optimizer also runs the baselines' coupling,
+//! where a class's host ranks own a `1/r` slice of it each (`Owners`): every
+//! phase below reads one chunk geometry, a function of (class, rank). Each
 //! iteration the optimizer:
 //!
 //! 1. **Grad Communication Phase** (Algorithm 2): collects its gradient
@@ -32,7 +32,9 @@
 //! — [`SymiOptimizer::reshard`] recomputes the `1/N` chunk geometry over
 //! the new view and moves each acquired segment to its new owner through
 //! one exchange: from its old owner with full Adam state where that owner
-//! is alive, otherwise from the freshest surviving copy.
+//! is alive, otherwise from the freshest surviving copy. A coupled
+//! re-placement is the same plan and exchange over the same view, from the
+//! old owner groups to the new placement's ([`SymiOptimizer::follow`]).
 
 use crate::placement::ExpertPlacement;
 use symi_collectives::coll::chunk_range;
@@ -105,22 +107,22 @@ impl ShardState {
     }
 }
 
-/// Accounting of one re-shard on one rank ([`SymiOptimizer::reshard`] on a
-/// member, [`SymiOptimizer::join`] on a joiner), in parameters summed over
-/// every class: `kept + transferred + reseeded` is `E ×` the new chunk
-/// length.
+/// Accounting of one re-shard on one rank ([`SymiOptimizer::reshard`] or
+/// [`SymiOptimizer::follow`] on a member, [`SymiOptimizer::join`] on a
+/// joiner), in parameters summed over every class: `kept + transferred +
+/// reseeded` is the sum of this rank's new chunk lengths.
 ///
 /// - `kept_params`: the overlap of the old and new chunk, kept in place
-///   with its moments.
+///   with its moments — all of a chunk that did not move.
 /// - `transferred_params`: acquired from a live old owner as the full fp32
-///   `[master | m | v]`.
+///   `[master | m | v]`, 12 B/param on the wire.
 /// - `reseeded_params`: acquired where the old owner died — master weights
 ///   from the class's fp16 replica or canonical re-initialization, moments
 ///   zeroed (the documented, bounded degradation of a shrink).
 /// - `reinitialized_params`: the part of `reseeded_params` that had no
 ///   surviving copy at all.
 ///
-/// A grow loses no owner, so it never re-seeds.
+/// A grow or a re-placement loses no owner, so neither ever re-seeds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReshardReport {
     pub kept_params: u64,
@@ -155,40 +157,59 @@ struct ReshardPiece {
     source: PieceSource,
 }
 
-/// The deterministic re-shard plan, identical on every member of
-/// `new_view`, for a shrink and a grow alike: for each new chunk owner, the
-/// segments its new chunk acquires beyond its old chunk (the whole chunk,
-/// for a joiner), split by the old chunk geometry so each segment has one
-/// old owner, and per class the source [`PieceSource`]'s rules pick.
-/// `old_placement` is consulted only where an owner died, so a grow — the
-/// joiner included — can pass `None`.
-fn reshard_plan(
-    old_view: &MembershipView,
-    new_view: &MembershipView,
-    old_placement: Option<&ExpertPlacement>,
-    expert_classes: usize,
+/// One chunk geometry: owner groups over a membership view's logical ranks.
+/// A re-shard maps one geometry onto another — a membership change moves
+/// the view, a coupled re-placement the owner groups.
+#[derive(Clone, Copy)]
+struct Geometry<'a> {
+    view: &'a MembershipView,
+    owners: &'a Owners,
     param_count: usize,
+}
+
+impl Geometry<'_> {
+    /// The chunk of `class` that logical rank `lrank` owns.
+    fn chunk(&self, class: usize, lrank: usize) -> (usize, usize) {
+        self.owners.chunk(class, lrank, self.view.size(), self.param_count)
+    }
+
+    /// The chunk of `class` that physical rank `phys` owns; empty outside
+    /// the view.
+    fn chunk_of(&self, class: usize, phys: usize) -> (usize, usize) {
+        self.view.logical_of(phys).map_or((0, 0), |l| self.chunk(class, l))
+    }
+}
+
+/// The deterministic re-shard plan, identical on every member of
+/// `new.view`, for a shrink, a grow and a re-placement alike: for each of
+/// `classes` and each of its new chunk owners, the segments the new chunk
+/// acquires beyond the owner's old chunk (the whole chunk, for a joiner or
+/// a new owner), split by the old geometry so each segment has one old
+/// owner, with the source [`PieceSource`]'s rules pick. The plan is
+/// class-major. `old_placement` is consulted only where an owner died, so
+/// a grow or a re-placement can pass `None`.
+fn reshard_plan(
+    old: Geometry,
+    new: Geometry,
+    old_placement: Option<&ExpertPlacement>,
+    classes: &[usize],
 ) -> Vec<ReshardPiece> {
-    let old_n = old_view.size();
-    let new_n = new_view.size();
     let mut plan = Vec::new();
-    for dst_l in 0..new_n {
-        let dst = new_view.physical_of(dst_l);
-        let (ns, ne) = chunk_range(param_count, new_n, dst_l);
-        let (os, oe) = old_view
-            .logical_of(dst)
-            .map_or((ns, ns), |old_l| chunk_range(param_count, old_n, old_l));
-        // Acquired = new chunk minus old chunk: at most two segments.
-        for (a, b) in [(ns, ne.min(os)), (ns.max(oe), ne)] {
-            for owner_l in 0..old_n {
-                let (cs, ce) = chunk_range(param_count, old_n, owner_l);
-                let (start, end) = (a.max(cs), b.min(ce));
-                if start >= end {
-                    continue;
-                }
-                let owner = old_view.physical_of(owner_l);
-                for class in 0..expert_classes {
-                    let source = if new_view.is_alive(owner) {
+    for &class in classes {
+        for dst_l in 0..new.view.size() {
+            let dst = new.view.physical_of(dst_l);
+            let (ns, ne) = new.chunk(class, dst_l);
+            let (os, oe) = old.chunk_of(class, dst);
+            // Acquired = new chunk minus old chunk: at most two segments.
+            for (a, b) in [(ns, ne.min(os)), (ns.max(oe), ne)] {
+                for owner_l in 0..old.view.size() {
+                    let (cs, ce) = old.chunk(class, owner_l);
+                    let (start, end) = (a.max(cs), b.min(ce));
+                    if start >= end {
+                        continue;
+                    }
+                    let owner = old.view.physical_of(owner_l);
+                    let source = if new.view.is_alive(owner) {
                         PieceSource::Owner { src: owner }
                     } else {
                         // Lowest surviving *physical* host: all replicas are
@@ -198,8 +219,8 @@ fn reshard_plan(
                             .expect("an owner died, so the old placement decides")
                             .host_ranks(class)
                             .iter()
-                            .map(|&l| old_view.physical_of(l))
-                            .filter(|&p| new_view.is_alive(p))
+                            .map(|&l| old.view.physical_of(l))
+                            .filter(|&p| new.view.is_alive(p))
                             .min()
                             .map_or(PieceSource::Reinit, |src| PieceSource::F16Replica { src })
                     };
@@ -232,49 +253,45 @@ impl Fallback<'_> {
     }
 }
 
-/// The one re-shard exchange every member of `new_view` runs, whichever way
-/// the world changed: walk the [`reshard_plan`], send what this rank
-/// sources, receive what it acquires, and assemble its new chunk of every
-/// class — the kept overlap copied in place, each acquired piece filled by
-/// its rule. `old_shards` holds this rank's old chunk per class; a joiner
-/// passes zero-length shards that carry only the cluster's Adam step
-/// count. `fallback` is `None` on a joiner, whose grow loses no owner.
-/// Pieces travel under `tags` with `WeightDistribute` phase and a
-/// per-`(class, dst)` step field, so they can never alias the membership
-/// rounds or the weight materialization that follows.
+/// The one re-shard exchange every member of `new.view` runs, whatever
+/// changed: walk the [`reshard_plan`] of `classes`, send what this rank
+/// sources, receive what it acquires, and assemble its new chunk of each of
+/// those classes — the kept overlap copied in place, each acquired piece
+/// filled by its rule. `shards` holds this rank's old chunk of every class
+/// (a joiner's are zero-length and carry only the cluster's Adam step
+/// count); it is written once every receive has landed, and only at
+/// `classes`. `fallback` is `None` where no owner can have died: a joiner's
+/// grow, or a re-placement. Pieces travel under `tags` with
+/// `WeightDistribute` phase and a per-`(class, dst)` step field, so they can
+/// never alias the membership rounds or the weight scatter.
 #[allow(clippy::too_many_arguments)]
 fn exchange(
     ctx: &mut RankCtx,
-    old_view: &MembershipView,
-    new_view: &MembershipView,
-    old_shards: &[AdamShard],
+    old: Geometry,
+    new: Geometry,
+    classes: &[usize],
+    shards: &mut [AdamShard],
     fallback: Option<&Fallback>,
     adam: AdamConfig,
-    param_count: usize,
     tags: TagSpace,
-) -> Result<(Vec<AdamShard>, ReshardReport), CommError> {
-    assert!(new_view.epoch() > old_view.epoch(), "re-shard needs a successor view");
+) -> Result<ReshardReport, CommError> {
     let me = ctx.rank();
-    let new_l = new_view.logical_of(me).expect("a dropped rank cannot re-shard");
-    if new_view.survivors().into_iter().any(|p| old_view.logical_of(p).is_none()) {
-        for p in old_view.survivors() {
-            assert!(
-                new_view.is_alive(p),
-                "mixed join+death membership change is unsupported: rank {p} was dropped \
-                 while another joined — recover the death first, then admit the joiner"
-            );
+    let new_l = new.view.logical_of(me).expect("a dropped rank cannot re-shard");
+    // A membership change is one shrink or one grow.
+    if old.view != new.view {
+        assert!(new.view.epoch() > old.view.epoch(), "re-shard needs a successor view");
+        if new.view.survivors().into_iter().any(|p| old.view.logical_of(p).is_none()) {
+            for p in old.view.survivors() {
+                assert!(
+                    new.view.is_alive(p),
+                    "mixed join+death membership change is unsupported: rank {p} was dropped \
+                     while another joined — recover the death first, then admit the joiner"
+                );
+            }
         }
     }
-    let (ns, ne) = chunk_range(param_count, new_view.size(), new_l);
-    let old_span = old_view.logical_of(me).map(|l| chunk_range(param_count, old_view.size(), l));
     ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
-    let plan = reshard_plan(
-        old_view,
-        new_view,
-        fallback.map(|f| f.old_placement),
-        old_shards.len(),
-        param_count,
-    );
+    let plan = reshard_plan(old, new, fallback.map(|f| f.old_placement), classes);
     let fallback = || fallback.expect("only a shrink sources from a replica or re-init");
 
     // Per-(class, dst) piece counters give every wire piece a unique step
@@ -296,9 +313,9 @@ fn exchange(
         let triple = matches!(piece.source, PieceSource::Owner { .. });
         if src == me {
             if triple {
-                let (os, _) = old_span.expect("an owner held its old chunk");
+                let (os, _) = old.chunk_of(piece.class, me);
                 let r = piece.start - os..piece.end - os;
-                let shard = &old_shards[piece.class];
+                let shard = &shards[piece.class];
                 let (m, v) = shard.moments();
                 let mut buf = Vec::with_capacity(3 * len);
                 buf.extend_from_slice(&shard.master_weights()[r.clone()]);
@@ -315,64 +332,66 @@ fn exchange(
     }
     let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
 
-    // Assemble the new shards: the kept overlap first, then the acquired
-    // pieces in plan order (consuming the receives in posting order).
-    let new_len = ne - ns;
+    // Assemble the new shards class by class: the kept overlap first, then
+    // the acquired pieces in plan order — the plan is class-major, so this
+    // consumes the receives in posting order.
     let mut report = ReshardReport::default();
-    let mut parts = Vec::with_capacity(old_shards.len());
-    for old in old_shards {
-        let mut master = vec![0.0f32; new_len];
-        let mut m = vec![0.0f32; new_len];
-        let mut v = vec![0.0f32; new_len];
-        if let Some((os, oe)) = old_span {
-            let keep = (ns.max(os), ne.min(oe));
-            if keep.0 < keep.1 {
-                let (om, ov) = old.moments();
-                let dst_r = keep.0 - ns..keep.1 - ns;
-                let src_r = keep.0 - os..keep.1 - os;
-                master[dst_r.clone()].copy_from_slice(&old.master_weights()[src_r.clone()]);
-                m[dst_r.clone()].copy_from_slice(&om[src_r.clone()]);
-                v[dst_r].copy_from_slice(&ov[src_r]);
-                report.kept_params += (keep.1 - keep.0) as u64;
-            }
+    let mut assembled = Vec::with_capacity(classes.len());
+    for &class in classes {
+        let old_shard = &shards[class];
+        let (ns, ne) = new.chunk(class, new_l);
+        let (os, oe) = old.chunk_of(class, me);
+        let mut master = vec![0.0f32; ne - ns];
+        let mut m = vec![0.0f32; ne - ns];
+        let mut v = vec![0.0f32; ne - ns];
+        let keep = (ns.max(os), ne.min(oe));
+        if keep.0 < keep.1 {
+            let (om, ov) = old_shard.moments();
+            let dst_r = keep.0 - ns..keep.1 - ns;
+            let src_r = keep.0 - os..keep.1 - os;
+            master[dst_r.clone()].copy_from_slice(&old_shard.master_weights()[src_r.clone()]);
+            m[dst_r.clone()].copy_from_slice(&om[src_r.clone()]);
+            v[dst_r].copy_from_slice(&ov[src_r]);
+            report.kept_params += (keep.1 - keep.0) as u64;
         }
-        parts.push((master, m, v, old.step_count()));
-    }
-    for piece in plan.iter().filter(|p| p.dst == me) {
-        let (master, m, v, _) = &mut parts[piece.class];
-        let len = piece.end - piece.start;
-        let r = piece.start - ns..piece.end - ns;
-        match piece.source {
-            PieceSource::Owner { .. } => {
-                let buf = received.next().expect("one receive per wire piece").into_f32()?;
-                master[r.clone()].copy_from_slice(&buf[..len]);
-                m[r.clone()].copy_from_slice(&buf[len..2 * len]);
-                v[r].copy_from_slice(&buf[2 * len..]);
-                report.transferred_params += len as u64;
-            }
-            PieceSource::F16Replica { src } => {
-                if src == me {
-                    master[r]
-                        .copy_from_slice(&fallback().weights(piece.class)[piece.start..piece.end]);
-                } else {
-                    let half = received.next().expect("one receive per wire piece").into_f16()?;
-                    decode_f16_into(&half, &mut master[r]);
+        for piece in plan.iter().filter(|p| p.class == class && p.dst == me) {
+            let len = piece.end - piece.start;
+            let r = piece.start - ns..piece.end - ns;
+            match piece.source {
+                PieceSource::Owner { .. } => {
+                    let buf = received.next().expect("one receive per wire piece").into_f32()?;
+                    master[r.clone()].copy_from_slice(&buf[..len]);
+                    m[r.clone()].copy_from_slice(&buf[len..2 * len]);
+                    v[r].copy_from_slice(&buf[2 * len..]);
+                    report.transferred_params += len as u64;
                 }
-                report.reseeded_params += len as u64;
-            }
-            PieceSource::Reinit => {
-                let init = (fallback().canonical_init)(piece.class);
-                master[r].copy_from_slice(&init[piece.start..piece.end]);
-                report.reinitialized_params += len as u64;
-                report.reseeded_params += len as u64;
+                PieceSource::F16Replica { src } => {
+                    if src == me {
+                        master[r].copy_from_slice(
+                            &fallback().weights(piece.class)[piece.start..piece.end],
+                        );
+                    } else {
+                        let half =
+                            received.next().expect("one receive per wire piece").into_f16()?;
+                        decode_f16_into(&half, &mut master[r]);
+                    }
+                    report.reseeded_params += len as u64;
+                }
+                PieceSource::Reinit => {
+                    let init = (fallback().canonical_init)(piece.class);
+                    master[r].copy_from_slice(&init[piece.start..piece.end]);
+                    report.reinitialized_params += len as u64;
+                    report.reseeded_params += len as u64;
+                }
             }
         }
+        let t = old_shard.step_count();
+        assembled.push(AdamShard::from_parts(adam, ns, master, m, v, t));
     }
-    let shards = parts
-        .into_iter()
-        .map(|(master, m, v, t)| AdamShard::from_parts(adam, ns, master, m, v, t))
-        .collect();
-    Ok((shards, report))
+    for (&class, shard) in classes.iter().zip(assembled) {
+        shards[class] = shard;
+    }
+    Ok(report)
 }
 
 /// Which ranks own a class's optimizer state — the one choice that tells the
@@ -384,11 +403,12 @@ pub(crate) enum Owners {
     /// Every member of the view owns a `1/N` chunk of every class (SYMI). No
     /// placement enters the geometry, so re-placing moves no optimizer state.
     World,
-    /// `Hosts(h)`: class `c`'s host ranks `h[c]` under one fixed placement
-    /// own a `1/r` chunk of it each — DeepSpeed's ZeRO-1 over the class's EDP
-    /// group. Every owner hosts its class, so Algorithm 2's collect is served
-    /// locally, and the weight scatter to the class's other hosts is the EDP
-    /// all-gather.
+    /// `Hosts(h)`: class `c`'s host ranks `h[c]` under the current placement
+    /// own a `1/r` chunk of it each — ZeRO-1 over the class's EDP group, as
+    /// DeepSpeed and FlexMoE couple it. Every owner hosts its class, so
+    /// Algorithm 2's collect is served locally, and the weight scatter to the
+    /// class's other hosts is the EDP all-gather; a placement change moves
+    /// the state with it ([`SymiOptimizer::follow`]).
     Hosts(Vec<Vec<usize>>),
 }
 
@@ -396,6 +416,19 @@ impl Owners {
     /// Each class's host ranks under `placement` own its state.
     pub(crate) fn hosts_of(placement: &ExpertPlacement) -> Self {
         Owners::Hosts((0..placement.expert_classes()).map(|c| placement.host_ranks(c)).collect())
+    }
+
+    /// The chunk of `class`'s `param_count` flat parameters that logical
+    /// rank `lrank` of an `n`-member view owns — the one geometry every
+    /// phase reads. Empty for a rank outside the class's owner group.
+    fn chunk(&self, class: usize, lrank: usize, n: usize, param_count: usize) -> (usize, usize) {
+        match self {
+            Owners::World => chunk_range(param_count, n, lrank),
+            Owners::Hosts(hosts) => hosts[class]
+                .iter()
+                .position(|&h| h == lrank)
+                .map_or((0, 0), |i| chunk_range(param_count, hosts[class].len(), i)),
+        }
     }
 }
 
@@ -578,22 +611,15 @@ impl SymiOptimizer {
     }
 
     /// Whether every member owns a chunk of every class (SYMI), so the
-    /// geometry depends on the view alone — not on any placement.
+    /// geometry depends on the view alone — the only geometry a membership
+    /// change or a snapshot re-shards today.
     pub(crate) fn is_world_owned(&self) -> bool {
         matches!(self.owners, Owners::World)
     }
 
-    /// The chunk of `class`'s flat parameters logical rank `lrank` owns —
-    /// the one geometry every phase reads. Empty for a rank outside the
-    /// class's owner group.
+    /// The chunk of `class`'s flat parameters logical rank `lrank` owns.
     fn chunk(&self, class: usize, lrank: usize) -> (usize, usize) {
-        match &self.owners {
-            Owners::World => chunk_range(self.param_count, self.nodes(), lrank),
-            Owners::Hosts(hosts) => hosts[class]
-                .iter()
-                .position(|&h| h == lrank)
-                .map_or((0, 0), |i| chunk_range(self.param_count, hosts[class].len(), i)),
-        }
+        self.owners.chunk(class, lrank, self.nodes(), self.param_count)
     }
 
     /// This rank's shard boundaries within `class`'s flat parameters.
@@ -1028,10 +1054,9 @@ impl SymiOptimizer {
                 continue;
             }
             assert_eq!(half.len(), mt - ms, "class {class}: weight shard length");
-            for &dst in &new_placement.host_ranks(class) {
-                if dst == self.lrank {
-                    continue;
-                }
+            for dst in
+                (0..n).filter(|&dst| dst != self.lrank && new_placement.rank_hosts(dst, class))
+            {
                 sends.push(SendOp::new(
                     self.view.physical_of(dst),
                     tags.tag(WirePhase::WeightDistribute, class, me_phys),
@@ -1092,7 +1117,7 @@ impl SymiOptimizer {
 
     /// Re-shards optimizer ownership over `new_view` — a shrink after a
     /// rank death or a grow that admits a joiner — through the one
-    /// exchange both directions share.
+    /// exchange every re-shard shares.
     ///
     /// The `1/N` chunk geometry recomputes over `new_view.size()` ranks. The
     /// slice this rank still owns (old ∩ new chunk) keeps its full fp32 Adam
@@ -1131,17 +1156,13 @@ impl SymiOptimizer {
         assert_eq!(old_placement.ranks(), self.nodes(), "old placement rank count mismatch");
         assert_eq!(ctx.rank(), self.my_phys(), "re-shard on another rank's optimizer");
         let fallback = Fallback { old_placement, local_class_weights, canonical_init };
-        let (shards, report) = exchange(
-            ctx,
-            &self.view,
-            new_view,
-            &self.shards,
-            Some(&fallback),
-            self.adam,
-            self.param_count,
-            tags,
-        )?;
-        self.shards = shards;
+        let classes: Vec<usize> = (0..self.shards.len()).collect();
+        let old =
+            Geometry { view: &self.view, owners: &self.owners, param_count: self.param_count };
+        let new = Geometry { view: new_view, owners: &Owners::World, ..old };
+        let report =
+            exchange(ctx, old, new, &classes, &mut self.shards, Some(&fallback), self.adam, tags)?;
+        self.owners = Owners::World;
         self.lrank = new_view.logical_of(ctx.rank()).expect("the exchange checked membership");
         self.view = new_view.clone();
         Ok(report)
@@ -1168,11 +1189,13 @@ impl SymiOptimizer {
         let me = ctx.rank();
         assert!(old_view.logical_of(me).is_none(), "a joiner must be new to the old view");
         assert!(expert_classes > 0, "need at least one expert class");
-        let nothing: Vec<AdamShard> = (0..expert_classes)
+        let mut shards: Vec<AdamShard> = (0..expert_classes)
             .map(|_| AdamShard::from_parts(adam, 0, Vec::new(), Vec::new(), Vec::new(), step_count))
             .collect();
-        let (shards, report) =
-            exchange(ctx, old_view, new_view, &nothing, None, adam, param_count, tags)?;
+        let classes: Vec<usize> = (0..expert_classes).collect();
+        let old = Geometry { view: old_view, owners: &Owners::World, param_count };
+        let new = Geometry { view: new_view, ..old };
+        let report = exchange(ctx, old, new, &classes, &mut shards, None, adam, tags)?;
         let lrank = new_view.logical_of(me).expect("the exchange checked membership");
         Ok((
             Self {
@@ -1186,6 +1209,50 @@ impl SymiOptimizer {
             },
             report,
         ))
+    }
+
+    /// Moves this rank's optimizer state onto `new_placement`'s owner groups
+    /// — the coupled migration FlexMoE pays on a re-placement — through the
+    /// plan and exchange a membership change runs, over the same view. Every
+    /// old owner is alive, so each acquired piece arrives as fp32
+    /// `[master | m | v]` ([`ReshardReport::transferred_params`], 12 B/param).
+    ///
+    /// A class whose chunks did not move is not touched; it counts as kept.
+    /// World ownership ignores the placement, so a SYMI optimizer's `follow`
+    /// builds no plan, copies nothing and sends no byte. Call it on every
+    /// member after the weight scatter to `new_placement`, which reads the
+    /// old owners' chunks; its bytes are attributed to [`Phase::Rebalance`].
+    pub fn follow(
+        &mut self,
+        ctx: &mut RankCtx,
+        new_placement: &ExpertPlacement,
+        tags: TagSpace,
+    ) -> Result<ReshardReport, CommError> {
+        let _span = self.telemetry.span(Phase::Rebalance);
+        let n = self.nodes();
+        assert_eq!(new_placement.ranks(), n, "placement rank count mismatch");
+        let owners = match self.owners {
+            Owners::World => Owners::World,
+            Owners::Hosts(_) => Owners::hosts_of(new_placement),
+        };
+        let old =
+            Geometry { view: &self.view, owners: &self.owners, param_count: self.param_count };
+        let new = Geometry { owners: &owners, ..old };
+        let moved = |class: usize| (0..n).any(|l| old.chunk(class, l) != new.chunk(class, l));
+        let e = self.shards.len();
+        let kept: usize = (0..e)
+            .filter(|&class| !moved(class))
+            .map(|class| old.chunk(class, self.lrank))
+            .map(|(s, t)| t - s)
+            .sum();
+        let classes: Vec<usize> = (0..e).filter(|&class| moved(class)).collect();
+        let mut report = ReshardReport::default();
+        if !classes.is_empty() {
+            report = exchange(ctx, old, new, &classes, &mut self.shards, None, self.adam, tags)?;
+        }
+        report.kept_params += kept as u64;
+        self.owners = owners;
+        Ok(report)
     }
 
     /// This rank's current fp32 master weights of `class`'s shard (testing
@@ -1415,43 +1482,47 @@ mod tests {
         }
     }
 
+    /// World ownership over `view`, at `P` parameters per class.
+    fn world(view: &MembershipView, param_count: usize) -> Geometry<'_> {
+        static WORLD: Owners = Owners::World;
+        Geometry { view, owners: &WORLD, param_count }
+    }
+
     /// Checks that the plan for `old → new` tiles every new chunk of every
     /// class exactly once and sources each piece by the three-way rule.
     fn assert_plan_tiles_and_follows_the_source_rule(
-        old: &MembershipView,
-        new: &MembershipView,
+        old: Geometry,
+        new: Geometry,
         old_placement: Option<&ExpertPlacement>,
-        p: usize,
     ) {
-        let plan = reshard_plan(old, new, old_placement, 4, p);
+        let plan = reshard_plan(old, new, old_placement, &[0, 1, 2, 3]);
         for class in 0..4 {
-            for dl in 0..new.size() {
-                let dst = new.physical_of(dl);
+            for dl in 0..new.view.size() {
+                let dst = new.view.physical_of(dl);
                 // Kept overlap (empty for the joiner) ∪ acquired pieces
                 // must tile the new chunk exactly once.
-                let (ns, ne) = chunk_range(p, new.size(), dl);
-                let (os, oe) =
-                    old.logical_of(dst).map_or((ns, ns), |l| chunk_range(p, old.size(), l));
+                let (ns, ne) = new.chunk(class, dl);
+                let (os, oe) = old.chunk_of(class, dst);
                 let mut covered: Vec<bool> = (ns..ne).map(|i| i >= os && i < oe).collect();
                 for pc in plan.iter().filter(|pc| pc.class == class && pc.dst == dst) {
-                    let owner_l = (0..old.size())
+                    let owner_l = (0..old.view.size())
                         .find(|&l| {
-                            let (cs, ce) = chunk_range(p, old.size(), l);
+                            let (cs, ce) = old.chunk(class, l);
                             pc.start >= cs && pc.end <= ce
                         })
                         .expect("a piece lies inside one old chunk");
-                    let owner = old.physical_of(owner_l);
+                    let owner = old.view.physical_of(owner_l);
                     // The three-way rule: live owner, else the lowest
                     // surviving replica host, else re-init.
-                    let expected = if new.is_alive(owner) {
+                    let expected = if new.view.is_alive(owner) {
                         PieceSource::Owner { src: owner }
                     } else {
                         old_placement
                             .expect("only the shrink loses an owner")
                             .host_ranks(class)
                             .iter()
-                            .map(|&l| old.physical_of(l))
-                            .filter(|&r| new.is_alive(r))
+                            .map(|&l| old.view.physical_of(l))
+                            .filter(|&r| new.view.is_alive(r))
                             .min()
                             .map_or(PieceSource::Reinit, |src| PieceSource::F16Replica { src })
                     };
@@ -1477,7 +1548,7 @@ mod tests {
         let p = 21usize;
         let partial = MembershipView::partial(4, 3);
         let grown = partial.with_joined(3).without(&[]); // epoch-bumped grown view
-        assert_plan_tiles_and_follows_the_source_rule(&partial, &grown, None, p);
+        assert_plan_tiles_and_follows_the_source_rule(world(&partial, p), world(&grown, p), None);
     }
 
     #[test]
@@ -1488,11 +1559,12 @@ mod tests {
         let full = MembershipView::full(4);
         let shrunk = full.without(&[2]);
         let placement = ExpertPlacement::uniform(4, 4, 2);
-        assert_plan_tiles_and_follows_the_source_rule(&full, &shrunk, Some(&placement), p);
+        let (old, new) = (world(&full, p), world(&shrunk, p));
+        assert_plan_tiles_and_follows_the_source_rule(old, new, Some(&placement));
         // The shrink reaches every rule: rank 0's segment from live rank 1
         // transfers, rank 2's old chunk comes from the class's replica, and
         // the orphan's is re-initialized — exactly rank 2's old chunk.
-        let plan = reshard_plan(&full, &shrunk, Some(&placement), 4, p);
+        let plan = reshard_plan(old, new, Some(&placement), &[0, 1, 2, 3]);
         assert!(plan.iter().any(|pc| pc.dst == 0 && pc.source == PieceSource::Owner { src: 1 }));
         assert!(plan
             .iter()
@@ -1505,5 +1577,131 @@ mod tests {
             .map(|pc| pc.end - pc.start)
             .sum();
         assert_eq!(reinit, de - ds, "the orphan re-initializes exactly the dead rank's chunk");
+    }
+
+    /// `(N, A, B)` placement changes of 4 classes on which coupled state
+    /// must follow its hosts. The first has a class of each kind: class 0's
+    /// host group shrinks ({0, 1} → {0}), class 1's shifts ({2} → {1}),
+    /// class 2's grows ({3} → {2, 3}) and class 3's stays ({4}). The second
+    /// leaves DeepSpeed's non-contiguous stripe for a contiguous layout.
+    fn placement_pairs() -> [(usize, ExpertPlacement, ExpertPlacement); 2] {
+        [
+            (
+                5,
+                ExpertPlacement::from_counts(&[2, 1, 1, 1], 1),
+                ExpertPlacement::from_counts(&[1, 1, 2, 1], 1),
+            ),
+            (4, ExpertPlacement::striped(4, 4, 2), ExpertPlacement::from_counts(&[3, 1, 3, 1], 2)),
+        ]
+    }
+
+    /// Concatenates one class's shards in offset order, checking they tile
+    /// `[0, param_count)`: the class's global `[master | m | v]`.
+    fn reassemble(mut shards: Vec<&ShardState>, param_count: usize) -> [Vec<f32>; 3] {
+        shards.retain(|s| !s.is_empty());
+        shards.sort_by_key(|s| s.offset);
+        let mut whole: [Vec<f32>; 3] = Default::default();
+        for s in shards {
+            assert_eq!(s.offset, whole[0].len(), "shards must tile the class");
+            whole[0].extend_from_slice(&s.master);
+            whole[1].extend_from_slice(&s.m);
+            whole[2].extend_from_slice(&s.v);
+        }
+        assert_eq!(whole[0].len(), param_count, "shards must cover the class");
+        whole
+    }
+
+    #[test]
+    fn owner_change_plans_tile_and_follow_the_source_rule() {
+        let p = 23usize;
+        for (n, a, b) in placement_pairs() {
+            let view = MembershipView::full(n);
+            let (from, to) = (Owners::hosts_of(&a), Owners::hosts_of(&b));
+            let old = Geometry { view: &view, owners: &from, param_count: p };
+            let new = Geometry { owners: &to, ..old };
+            assert_plan_tiles_and_follows_the_source_rule(old, new, None);
+        }
+    }
+
+    #[test]
+    fn follow_migrates_the_coupled_state_losslessly() {
+        use symi_collectives::{Cluster, ClusterSpec};
+        const P: usize = 23; // indivisible by every group size here
+        const E: usize = 4;
+        const STEPS: u64 = 3;
+        let params: Vec<Vec<f32>> =
+            (0..E).map(|c| (0..P).map(|i| (c * P + i) as f32 * 0.01).collect()).collect();
+        for (n, a, b) in placement_pairs() {
+            let (results, traffic) = Cluster::run(ClusterSpec::flat(n), |ctx| {
+                let adam = AdamConfig::default();
+                let mut opt = SymiOptimizer::host_sharded(ctx.rank(), n, adam, &a, &params);
+                // Nonzero gradients make master, m and v all differ from
+                // their initial values.
+                for s in 0..STEPS as usize {
+                    let grads: Vec<Vec<f32>> = (0..E)
+                        .map(|c| {
+                            let (lo, hi) = opt.shard_range(c);
+                            (lo..hi).map(|i| ((c + 1) * (i + 1) * (s + 1)) as f32 * 1e-3).collect()
+                        })
+                        .collect();
+                    let _ = opt.step(&grads);
+                }
+                let before = opt.export_shard_states();
+                let report = opt.follow(ctx, &b, TagSpace::new(0, 9)).expect("follow");
+                let ranges: Vec<(usize, usize)> = (0..E).map(|c| opt.shard_range(c)).collect();
+                (before, opt.export_shard_states(), report, ranges)
+            });
+            let transferred: u64 = results.iter().map(|r| r.2.transferred_params).sum();
+            assert!(transferred > 0, "the pair must move some state");
+            assert_eq!(
+                traffic.total_bytes(),
+                12 * transferred,
+                "only the migration is on the wire"
+            );
+            let to = Owners::hosts_of(&b);
+            for (rank, (_, after, report, ranges)) in results.iter().enumerate() {
+                let new_len: usize = ranges.iter().map(|(s, t)| t - s).sum();
+                assert_eq!(report.kept_params + report.transferred_params, new_len as u64);
+                assert_eq!(report.reseeded_params, 0, "rank {rank}: every owner is alive");
+                for (class, shard) in after.iter().enumerate() {
+                    assert_eq!(
+                        ranges[class],
+                        to.chunk(class, rank, n, P),
+                        "rank {rank} class {class}"
+                    );
+                    assert_eq!(shard.t, STEPS, "rank {rank} class {class}: Adam step carried");
+                }
+            }
+            for class in 0..E {
+                let before = reassemble(results.iter().map(|r| &r.0[class]).collect(), P);
+                let after = reassemble(results.iter().map(|r| &r.1[class]).collect(), P);
+                assert!(before[1].iter().all(|&m| m != 0.0), "class {class}: moments must bite");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (field, (x, y)) in ["master", "m", "v"].iter().zip(before.iter().zip(&after)) {
+                    assert_eq!(bits(x), bits(y), "{n} ranks, class {class}: {field} changed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn world_owned_follow_builds_no_plan_and_sends_nothing() {
+        use symi_collectives::{Cluster, ClusterSpec};
+        let params: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32; 23]).collect();
+        for (n, _, b) in placement_pairs() {
+            let (results, traffic) = Cluster::run(ClusterSpec::flat(n), |ctx| {
+                let mut opt = SymiOptimizer::new(ctx.rank(), n, AdamConfig::default(), &params);
+                let before = opt.export_shard_states();
+                let report = opt.follow(ctx, &b, TagSpace::new(0, 9)).expect("follow");
+                let chunks: usize = (0..4).map(|c| opt.shard_range(c)).map(|(s, t)| t - s).sum();
+                (before == opt.export_shard_states(), report, chunks)
+            });
+            assert_eq!(traffic.total_bytes(), 0, "SYMI's state never follows a placement");
+            for (unchanged, report, chunks) in results {
+                assert!(unchanged);
+                let kept = ReshardReport { kept_params: chunks as u64, ..Default::default() };
+                assert_eq!(report, kept);
+            }
+        }
     }
 }

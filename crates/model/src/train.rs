@@ -23,7 +23,9 @@ use symi_workload::{DriftingCorpus, PopularityTrace};
 ///
 /// Implementations: [`UniformPolicy`] (DeepSpeed-style static), the SYMI
 /// Expert Placement Scheduler (`symi::scheduler::SymiPolicy`, Algorithm 1),
-/// and the FlexMoE interval policy (`symi_baselines::flexmoe`).
+/// and the FlexMoE interval policy (`symi_baselines::flexmoe`). Callers:
+/// the [`Trainer`], and `symi::MoeLayerEngine`, which asks its policy for
+/// every next placement and tells it of every membership change.
 pub trait PlacementPolicy {
     /// Human-readable system name for reports.
     fn name(&self) -> &'static str;

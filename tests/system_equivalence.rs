@@ -1,13 +1,15 @@
 //! The reproduction's strongest correctness check: with generous capacity
-//! (no token drops) the SYMI engine and the DeepSpeed engine perform the
-//! *same mathematics* — identical routing, identical per-class gradient
-//! sums, identical Adam updates — while moving bytes along completely
-//! different paths (decoupled uniform shards + per-iteration re-placement
-//! vs coupled EDP shards + static striping). Their losses and expert
-//! weights must therefore agree to floating-point reassociation tolerance.
+//! (no token drops) the SYMI, DeepSpeed and FlexMoE configurations of the
+//! engine perform the *same mathematics* — identical routing, identical
+//! per-class gradient sums, identical Adam updates — while moving bytes
+//! along completely different paths (decoupled uniform shards +
+//! per-iteration re-placement, coupled EDP shards + static striping, or
+//! coupled EDP shards that migrate with an interval re-placement). Their
+//! losses and expert weights must therefore agree to floating-point
+//! reassociation tolerance.
 
 use symi::{EngineConfig, MoeLayerEngine};
-use symi_baselines::DeepSpeedMoeEngine;
+use symi_baselines::{flexmoe_engine, DeepSpeedMoeEngine};
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_integration::token_matrix;
 use symi_tensor::{AdamConfig, Matrix};
@@ -20,7 +22,12 @@ const S: usize = 2;
 const SEED: u64 = 31;
 const T_LOC: usize = 8;
 
-fn symi_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
+/// Runs the engine `build` makes for each rank, and reports the slots its
+/// placement moved over the run.
+fn engine_run(
+    iters: usize,
+    build: impl Fn(usize, EngineConfig) -> MoeLayerEngine + Sync,
+) -> (Vec<f32>, Vec<Vec<f32>>, usize) {
     let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
         let cfg = EngineConfig {
             d_model: D,
@@ -32,12 +39,15 @@ fn symi_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
             seed: SEED,
             layer_id: 0,
         };
-        let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
+        let mut engine = build(ctx.rank(), cfg);
         let x = token_matrix(ctx.rank(), T_LOC, D);
         let target = Matrix::zeros(T_LOC, D);
         let mut losses = Vec::new();
+        let mut churn = 0;
         for _ in 0..iters {
-            losses.push(engine.iteration(ctx, &x, &target).unwrap().loss);
+            let stats = engine.iteration(ctx, &x, &target).unwrap();
+            losses.push(stats.loss);
+            churn += stats.placement_churn;
         }
         // Gather one representative weight vector per class from the final
         // placement (any replica — the engine guarantees they are equal).
@@ -47,9 +57,11 @@ fn symi_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
             let class = engine.placement.class_of_slot(slot);
             class_weights[class].get_or_insert_with(|| engine.slot_weights(local));
         }
-        (losses, class_weights)
+        ((losses, class_weights), churn)
     });
-    merge(results)
+    let churn = results[0].1;
+    let (losses, weights) = merge(results.into_iter().map(|r| r.0).collect());
+    (losses, weights, churn)
 }
 
 fn deepspeed_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
@@ -108,18 +120,30 @@ fn merge(results: Vec<RankView>) -> (Vec<f32>, Vec<Vec<f32>>) {
 #[test]
 fn symi_and_deepspeed_engines_compute_the_same_training_math() {
     let iters = 5;
-    let (symi_losses, symi_weights) = symi_run(iters);
+    let (symi_losses, symi_weights, _) =
+        engine_run(iters, |rank, cfg| MoeLayerEngine::new(rank, NODES, cfg));
     let (ds_losses, ds_weights) = deepspeed_run(iters);
+    // Interval 2 triggers after iterations 1 and 3, inside the run.
+    let (flex_losses, flex_weights, flex_churn) =
+        engine_run(iters, |rank, cfg| flexmoe_engine(rank, NODES, cfg, 2));
+    assert!(flex_churn > 0, "FlexMoE must re-place within the run");
 
-    for (t, (a, b)) in symi_losses.iter().zip(&ds_losses).enumerate() {
-        assert!(
-            (a - b).abs() < 1e-5 * (1.0 + a.abs()),
-            "iteration {t}: SYMI loss {a} vs DeepSpeed loss {b}"
-        );
-    }
-    for (class, (a, b)) in symi_weights.iter().zip(&ds_weights).enumerate() {
-        let diff = symi_integration::max_abs_diff(a, b);
-        assert!(diff < 5e-4, "class {class}: weight divergence {diff} between the two systems");
+    for (system, losses, weights) in
+        [("DeepSpeed", &ds_losses, &ds_weights), ("FlexMoE", &flex_losses, &flex_weights)]
+    {
+        for (t, (a, b)) in symi_losses.iter().zip(losses).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-5 * (1.0 + a.abs()),
+                "iteration {t}: SYMI loss {a} vs {system} loss {b}"
+            );
+        }
+        for (class, (a, b)) in symi_weights.iter().zip(weights).enumerate() {
+            let diff = symi_integration::max_abs_diff(a, b);
+            assert!(
+                diff < 5e-4,
+                "class {class}: weight divergence {diff} between SYMI and {system}"
+            );
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use symi::{EngineConfig, MoeLayerEngine};
-use symi_baselines::{DeepSpeedMoeEngine, FlexMoePolicy};
+use symi_baselines::{flexmoe_engine, DeepSpeedMoeEngine, FlexMoePolicy};
 use symi_collectives::{Cluster, ClusterSpec, RankCtx};
 use symi_model::{ModelConfig, Trainer};
 use symi_telemetry::{ClusterTelemetry, IterationReport, JsonlSink, Phase, LINK_CLASSES};
@@ -363,4 +363,58 @@ fn deepspeed_and_symi_pay_equal_optimizer_bytes_per_rank_at_uniform_replication(
             "{system}: host-device bytes, N ranks staging their own shards each step"
         );
     }
+}
+
+#[test]
+fn symi_optimizer_bytes_never_move_while_flexmoe_migrates_them() {
+    // ROADMAP item 11's first identity, on the runtime: SYMI re-places
+    // without moving any optimizer state, so each rank's gauge stays put
+    // through every placement change. FlexMoE's state is coupled to its
+    // hosts: a re-placement moves shares between ranks, and the cluster
+    // still holds 16 B per parameter of every class, 16·P·E.
+    const P: usize = 2 * D * 16 + 16 + D;
+    const ROUNDS: usize = 6;
+    let run = |flexmoe: bool| {
+        let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+            let cfg = EngineConfig {
+                d_model: D,
+                d_ff: 16,
+                expert_classes: E,
+                slots_per_rank: 2,
+                slot_capacity: 8,
+                adam: AdamConfig::default(),
+                seed: 77,
+                layer_id: 0,
+            };
+            let mut e = if flexmoe {
+                flexmoe_engine(ctx.rank(), NODES, cfg, 2)
+            } else {
+                MoeLayerEngine::new(ctx.rank(), NODES, cfg)
+            };
+            // A registry per rank: the state gauge carries no rank suffix.
+            let telemetry = ClusterTelemetry::new(NODES);
+            e.attach_telemetry(telemetry.handle(ctx.rank()));
+            let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
+            (0..ROUNDS)
+                .map(|_| {
+                    let churn = e.iteration(ctx, &x, &target).unwrap().placement_churn;
+                    (churn, telemetry.registry().gauge("optimizer_state_bytes").get() as usize)
+                })
+                .collect::<Vec<_>>()
+        });
+        assert!(per_rank[0].iter().any(|&(churn, _)| churn > 0), "the placement must move");
+        per_rank
+    };
+    for (rank, rounds) in run(false).iter().enumerate() {
+        assert!(rounds.iter().all(|&(_, b)| b == rounds[0].1), "SYMI rank {rank}: {rounds:?}");
+    }
+    let flexmoe = run(true);
+    for round in 0..ROUNDS {
+        let total: usize = flexmoe.iter().map(|rounds| rounds[round].1).sum();
+        assert_eq!(total, 16 * P * E, "FlexMoE round {round}: the cluster holds every class once");
+    }
+    assert!(
+        flexmoe.iter().any(|rounds| rounds.iter().any(|&(_, b)| b != rounds[0].1)),
+        "a FlexMoE migration must change some rank's share: {flexmoe:?}"
+    );
 }
