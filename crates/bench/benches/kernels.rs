@@ -427,7 +427,7 @@ fn bench_expert_ffn() -> Value {
         fwd_ns = fwd_ns.min(t.elapsed().as_nanos() as f64);
         expert.zero_grad();
         let t = Instant::now();
-        expert.backward_into(&dy, &mut dx);
+        expert.backward_into(&dy, Some(&mut dx));
         bwd_ns = bwd_ns.min(t.elapsed().as_nanos() as f64);
     }
     let gemm_flops = (2 * m * d * ff) as f64;
@@ -509,8 +509,8 @@ fn bench_expert_ffn_skinny() -> Value {
         }
         let [fwd, write, acc] = &mut experts[..] else { unreachable!("three experts") };
         let [h_fwd, h_write, h_acc] = &mut slots[..] else { unreachable!("three slots") };
-        acc.backward_into(&dy, &mut dx_a); // from here on it accumulates
-        h_acc.backward_into(&dy, &mut hdx_a);
+        acc.backward_into(&dy, Some(&mut dx_a)); // from here on it accumulates
+        h_acc.backward_into(&dy, Some(&mut hdx_a));
         let (f32_bytes, f16_bytes) = (fwd.param_bytes() as f64, h_fwd.param_bytes() as f64);
         let grad_bytes = (4 * fwd.param_count()) as f64;
         let ns = interleaved_min_ns(
@@ -519,15 +519,15 @@ fn bench_expert_ffn_skinny() -> Value {
                 &mut || fwd.forward_into(&x, &mut y),
                 &mut || {
                     write.zero_grad();
-                    write.backward_into(&dy, &mut dx_w)
+                    write.backward_into(&dy, Some(&mut dx_w))
                 },
-                &mut || acc.backward_into(&dy, &mut dx_a),
+                &mut || acc.backward_into(&dy, Some(&mut dx_a)),
                 &mut || h_fwd.forward_into(&x, &mut hy),
                 &mut || {
                     h_write.zero_grad();
-                    h_write.backward_into(&dy, &mut hdx_w)
+                    h_write.backward_into(&dy, Some(&mut hdx_w))
                 },
-                &mut || h_acc.backward_into(&dy, &mut hdx_a),
+                &mut || h_acc.backward_into(&dy, Some(&mut hdx_a)),
             ],
         );
         let gemm_flops = (2 * m * d * ff) as f64;
@@ -587,7 +587,7 @@ fn bench_class_major() -> Value {
                 for (slot, (x, dy)) in slots.iter_mut().zip(&parts) {
                     slot.forward_into(x, &mut y);
                     slot.zero_grad();
-                    slot.backward_into(dy, &mut dx);
+                    slot.backward_into(dy, Some(&mut dx));
                 }
                 let (rep, siblings) = slots.split_first_mut().expect("slots");
                 for sibling in siblings.iter_mut() {
@@ -600,7 +600,7 @@ fn bench_class_major() -> Value {
             &mut || {
                 merged.forward_into(&x, &mut y_m);
                 merged.zero_grad();
-                merged.backward_into(&dy, &mut dx_m);
+                merged.backward_into(&dy, Some(&mut dx_m));
                 merged.load_f16_at(0, &wire);
             },
         ],
@@ -1188,12 +1188,12 @@ fn smoke() {
             let (mut y, mut dx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
             for e in [&mut lazy, &mut eager] {
                 e.forward_into(&x, &mut y);
-                e.backward_into(&dy, &mut dx); // leave stale values behind
+                e.backward_into(&dy, Some(&mut dx)); // leave stale values behind
             }
             lazy.zero_grad();
             eager.flat_grads_mut().fill(0.0);
-            lazy.backward_into(&dy, &mut dx);
-            eager.backward_into(&dy, &mut dx);
+            lazy.backward_into(&dy, Some(&mut dx));
+            eager.backward_into(&dy, Some(&mut dx));
             assert_eq!(
                 bits(lazy.flat_grads()),
                 bits(eager.flat_grads()),

@@ -7,11 +7,13 @@
 //! same whatever made that decision: dispatch all-to-all into the hosting
 //! ranks, expert forward — one batch per hosted *class*, whichever of its
 //! co-located slots a row was sent to — combine all-to-all, gated MSE against
-//! the target, gradient-return all-to-all, per-class backward. That is
-//! [`route`] and [`TokenPath`]. `MoeLayerEngine` runs on it in both of its
-//! configurations, SYMI's and DeepSpeed's, so a comparison between them
-//! measures placement and optimizer coupling — the paper's claim about what
-//! differs — and nothing else.
+//! the target, gradient-return all-to-all, per-class backward to the expert
+//! weight gradients (the dispatched rows have no trainable layer upstream,
+//! so no input gradient is formed). That is [`route`] and [`TokenPath`].
+//! `MoeLayerEngine` runs on it in both of its configurations, SYMI's and
+//! DeepSpeed's, so a comparison between them measures placement and
+//! optimizer coupling — the paper's claim about what differs — and nothing
+//! else.
 
 use std::time::Instant;
 use symi_collectives::{CommError, CommGroup, RankCtx, TagSpace, WirePhase};
@@ -223,9 +225,10 @@ impl TokenPath<'_> {
 
     /// Sends each kept token's gated upstream gradient (the `dLoss/dy`
     /// [`TokenPath::forward`] left in `bufs`) back to its slot and
-    /// backpropagates every set into its expert's flat gradient; a set that
-    /// received no token keeps its gradient marked zero. Publishes the
-    /// `grad_return_ms` gauge and the rank's expert-load gauges.
+    /// backpropagates every set into its expert's flat gradient, and no
+    /// further: nothing upstream of the experts reads an input gradient. A
+    /// set that received no token keeps its gradient marked zero. Publishes
+    /// the `grad_return_ms` gauge and the rank's expert-load gauges.
     pub fn backward<W: WeightStorage>(
         &self,
         ctx: &mut RankCtx,

@@ -221,18 +221,21 @@ impl<W: WeightStorage> ExpertFfn<W> {
 
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let mut dx = Matrix::zeros(0, 0);
-        self.backward_into(dy, &mut dx);
+        self.backward_into(dy, Some(&mut dx));
         dx
     }
 
-    /// Backward pass into a reusable `dx` buffer. The first call after
+    /// Backward pass: the flat gradient, and `dL/dx` into `dx` when the
+    /// caller wants it. `None` skips only the last GEMM (`dpre · W1ᵀ`), for
+    /// a caller whose input has no trainable layer upstream; every gradient
+    /// element is the same bits either way. The first call after
     /// [`zero_grad`] *writes* the flat gradient — every element the fold
     /// from `+0.0`, bit for bit what zero-filling and accumulating gives,
     /// without the fill or the read-back — and later calls accumulate into
     /// it.
     ///
     /// [`zero_grad`]: ExpertFfn::zero_grad
-    pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
+    pub fn backward_into(&mut self, dy: &Matrix, dx: Option<&mut Matrix>) {
         let acc = !std::mem::take(&mut self.grad_zero);
         let weights = self.d_model() * self.d_ff(); // elements of W1, and of W2
         let (w1_grad, rest) = self.grad.split_at_mut(weights);
@@ -248,7 +251,9 @@ impl<W: WeightStorage> ExpertFfn<W> {
             gelu_backward_from_tanh_into(pre, t, dact, dpre);
             self.cached_x.matmul_tn_slice(dpre, w1_grad, acc);
             dpre.sum_rows_slice(b1_grad, acc);
-            dpre.matmul_nt_into(&self.w1, dx);
+            if let Some(dx) = dx {
+                dpre.matmul_nt_into(&self.w1, dx);
+            }
         });
     }
 
@@ -357,7 +362,6 @@ struct SetIo {
     x: Matrix,
     y: Matrix,
     dy: Matrix,
-    dx: Matrix,
 }
 
 impl SlotBatches {
@@ -365,9 +369,7 @@ impl SlotBatches {
     /// [`SlotBatches::regroup`] says otherwise.
     pub fn new(slots: usize, d_model: usize) -> Self {
         let empty = || Matrix::zeros(0, d_model);
-        let io = (0..slots)
-            .map(|_| SetIo { x: empty(), y: empty(), dy: empty(), dx: empty() })
-            .collect();
+        let io = (0..slots).map(|_| SetIo { x: empty(), y: empty(), dy: empty() }).collect();
         Self { d_model, io, set_of_slot: (0..slots).collect(), routing: Vec::new() }
     }
 
@@ -462,12 +464,14 @@ impl SlotBatches {
     /// assembled upstream gradient into its expert's: one write-mode pass
     /// per class, so the sum over a class's co-located slots is the `tn`
     /// GEMM's own accumulation over the merged rows. A set that received no
-    /// row keeps its gradient marked ([`ExpertFfn::grad_is_zero`]).
+    /// row keeps its gradient marked ([`ExpertFfn::grad_is_zero`]). Only the
+    /// weight gradient is computed: the dispatched rows have no trainable
+    /// layer upstream, so no input gradient is formed.
     pub fn backward<W: WeightStorage>(&mut self, experts: &mut [ExpertFfn<W>]) {
         for (io, expert) in self.io.iter_mut().zip(experts) {
             expert.zero_grad();
             if io.dy.rows() > 0 {
-                expert.backward_into(&io.dy, &mut io.dx);
+                expert.backward_into(&io.dy, None);
             }
         }
     }
@@ -577,6 +581,49 @@ mod tests {
             half.zero_grad();
             decoded.zero_grad();
         }
+    }
+
+    /// `backward_into(dy, None)` is the `Some` form without its last GEMM:
+    /// the same flat gradient bits in write mode and in accumulate mode,
+    /// over f32 and binary16 weights; and the `Some` form's `dx` is the
+    /// allocating `backward`'s.
+    #[test]
+    fn weights_only_backward_writes_the_same_gradient() {
+        fn check<W: WeightStorage>(make: impl Fn(usize, usize) -> ExpertFfn<W>) {
+            // 3 and 17 rows are under the x86 `nt` tile's `NT_TILE_MIN_ROWS`.
+            for (rows, d, ff) in [(3, 5, 19), (17, 7, 33), (41, 16, 40)] {
+                let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.37).sin() * 3.0);
+                let dys = [0.23f32, 0.41]
+                    .map(|f| Matrix::from_fn(rows, d, |r, c| ((r + 3 * c) as f32 * f).cos() * 0.1));
+                let (mut none, mut some, mut alloc) = (make(d, ff), make(d, ff), make(d, ff));
+                let mut dx = Matrix::zeros(0, 0);
+                for e in [&mut none, &mut some, &mut alloc] {
+                    let _ = e.forward(&x);
+                    let _ = e.backward(&dys[1]); // leave stale values behind
+                    e.zero_grad();
+                }
+                for (mode, dy) in ["write", "accumulate"].iter().zip(&dys) {
+                    for e in [&mut none, &mut some, &mut alloc] {
+                        let _ = e.forward(&x);
+                    }
+                    none.backward_into(dy, None);
+                    some.backward_into(dy, Some(&mut dx));
+                    let dx_alloc = alloc.backward(dy);
+                    assert_eq!(bits(dx.as_slice()), bits(dx_alloc.as_slice()), "{rows}x{d}x{ff}");
+                    assert_eq!(
+                        bits(none.flat_grads()),
+                        bits(some.flat_grads()),
+                        "{rows}x{d}x{ff} {mode}"
+                    );
+                }
+            }
+        }
+        check(|d, ff| ExpertFfn::new(d, ff, 11));
+        check(|d, ff| {
+            let mut half = ExpertFfn::<HalfMatrix>::zeros(d, ff);
+            half.load_flat(&ExpertFfn::new(d, ff, 11).flat_params());
+            half
+        });
     }
 
     #[test]

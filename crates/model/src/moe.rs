@@ -229,7 +229,7 @@ impl MoeLayer {
                     let dgate: f32 = dy.row(tok).iter().zip(out_row).map(|(a, b)| a * b).sum();
                     self.scratch_dgates[a] = dgate;
                 }
-                expert.backward_into(dexp, dxin);
+                expert.backward_into(dexp, Some(dxin));
                 for (i, &(a, _)) in kept.iter().enumerate() {
                     dx.axpy_row_from(a / k, 1.0, dxin, i);
                 }
