@@ -33,6 +33,14 @@
 //! compulsory bytes per ns, and the `gemm_tn` rows under them isolate the
 //! one kernel whose store stream the write mode halves.
 //!
+//! Those rows, and the layout rows' `engine_params_expert` shapes, also
+//! carry a **cold mode** (`cold_<family>_*` columns) on each x86 family the
+//! CPU has: every call meets a destination and a B operand that
+//! [`COLD_COPIES`] − 1 other calls have evicted from L1 and L2 since it last
+//! touched them, as an engine's freshly scattered slot weights and freshly
+//! written gradients are. Warm rows re-read one copy from cache and, on these
+//! bandwidth-bound shapes, did not predict the engine (ROADMAP item 14).
+//!
 //! The **layout rows** put the three GEMM layouts side by side on one
 //! product: at each m×k×n, `nn` = (m×k)·(k×n), `nt` = (m×k)·(n×k)ᵀ and
 //! `tn` = (k×m)ᵀ·(k×n), interleaved, single-threaded, in GFLOP/s and with the
@@ -41,14 +49,14 @@
 //! `engine_params`' skinny expert (m 8 … 32) and gradient (k 8 … 24) GEMMs,
 //! on both sides of the kernel thresholds, and the two engines' router GEMMs
 //! (1024×64×4 and 32×256×4). `nn` runs the FMA tile with no
-//! transposes at all: the reference the kept kernels (`dot` `nt`, `strip`
-//! `tn`) are read against. Each row names the kernel each layout ran —
+//! transposes at all: the reference the kept `dot` `nt` is read against.
+//! Each row names the kernel each layout ran —
 //! `tile512` or `tile256` for the loop nest's register tile on the
 //! `Avx512` or `Avx2` family, `edge512_masked` or `edge_scalar` for its
 //! column edge where the whole GEMM is narrower than a panel (the two
 //! routers' rows, n = 4). The old-against-tile timings that set the
-//! thresholds need both kernels at one shape, which the library offers no
-//! way to ask for; DESIGN.md *Compute kernels & threading* has them.
+//! `nt` threshold need both kernels at one shape, which the library offers
+//! no way to ask for; DESIGN.md *Compute kernels & threading* has them.
 //!
 //! The **tile-width rows** time each layout on the 256-bit family (the 6×16
 //! tile) and on the 512-bit one (`force_simd_path`), all six interleaved,
@@ -117,7 +125,7 @@ use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
 #[cfg(target_arch = "x86_64")]
-use symi_tensor::simd::{NT_TILE_MIN_ROWS, TN_TILE_MIN_DEPTH};
+use symi_tensor::simd::NT_TILE_MIN_ROWS;
 use symi_tensor::{half, pool, vmath, AdamConfig, AdamShard, AdamState, HalfMatrix, Matrix};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
@@ -299,6 +307,35 @@ fn interleaved_min_ns(reps: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     best
 }
 
+/// Copies of each destination and B operand a cold row cycles through: at
+/// `engine_params`' shapes four 1 MB gradients or weights overflow a 2 MB
+/// L2, so each call finds its own in L3 or memory.
+const COLD_COPIES: usize = 4;
+
+/// Min-of-reps mean ns per call of each closure on copies
+/// `0..COLD_COPIES`, interleaved as [`interleaved_min_ns`]: every rep calls
+/// every closure on every copy in turn.
+fn interleaved_cold_ns(reps: usize, fs: &mut [&mut dyn FnMut(usize)]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; fs.len()];
+    for _ in 0..reps {
+        for (f, b) in fs.iter_mut().zip(&mut best) {
+            let t = Instant::now();
+            (0..COLD_COPIES).for_each(&mut **f);
+            *b = b.min(t.elapsed().as_nanos() as f64 / COLD_COPIES as f64);
+        }
+    }
+    best
+}
+
+/// The x86 families this CPU has, with their column labels: the cold rows
+/// run on each.
+fn x86_families() -> Vec<(SimdPath, &'static str)> {
+    [(SimdPath::Avx2, "avx2"), (SimdPath::Avx512, "avx512")]
+        .into_iter()
+        .filter(|(p, _)| p.supported())
+        .collect()
+}
+
 /// Runs `f` with the dispatch forced to `path`.
 fn on_path(path: SimdPath, f: impl FnOnce()) {
     let active = kernels::active_path();
@@ -455,10 +492,21 @@ fn bench_expert_ffn() -> Value {
 const SKINNY_EXPERT_SHAPES: &[(usize, usize, usize)] =
     &[(8, 256, 1024), (16, 256, 1024), (24, 256, 1024), (32, 256, 1024)];
 
-/// That expert's two parameter-gradient GEMMs, `out[m×n] = a[r×m]ᵀ · b[r×n]`:
-/// (r, m, n).
-const SKINNY_TN_SHAPES: &[(usize, usize, usize)] =
-    &[(8, 256, 1024), (32, 256, 1024), (8, 1024, 256), (32, 1024, 256)];
+/// That expert's two parameter-gradient GEMMs, `out[m×n] = a[r×m]ᵀ · b[r×n]`,
+/// at the reductions a slot (8), a class's slots (12 … 24) and a rank (32)
+/// see: (r, m, n).
+const SKINNY_TN_SHAPES: &[(usize, usize, usize)] = &[
+    (8, 256, 1024),
+    (12, 256, 1024),
+    (16, 256, 1024),
+    (24, 256, 1024),
+    (32, 256, 1024),
+    (8, 1024, 256),
+    (12, 1024, 256),
+    (16, 1024, 256),
+    (24, 1024, 256),
+    (32, 1024, 256),
+];
 
 fn skinny_tn_inputs(r: usize, m: usize, n: usize) -> (Matrix, Matrix) {
     let a = Matrix::from_fn(r, m, |i, c| ((i * m + c) as f32 * 0.013).sin());
@@ -626,8 +674,10 @@ fn bench_class_major() -> Value {
 }
 
 /// The parameter-gradient GEMM alone at the same shapes, overwriting its
-/// destination against accumulating into it. Bytes: the destination written
-/// once — or read and written — plus both operands read once.
+/// destination against accumulating into it: warm on the active family,
+/// then cold on each x86 family, the cold B operand and destination cycled
+/// over [`COLD_COPIES`] copies. Bytes: the destination written once — or
+/// read and written — plus both operands read once.
 fn bench_gemm_tn_skinny() -> Value {
     const REPS: usize = 25;
     pool::set_threads(1);
@@ -649,20 +699,43 @@ fn bench_gemm_tn_skinny() -> Value {
         o.set("r", Value::u64(r as u64));
         o.set("m", Value::u64(m as u64));
         o.set("n", Value::u64(n as u64));
-        for (name, ns, bytes) in [
-            ("write", ns[0], operand_bytes + out_bytes),
-            ("acc", ns[1], operand_bytes + 2.0 * out_bytes),
-        ] {
+        let mut set = |name: &str, ns: f64, bytes: f64| {
             o.set(&format!("{name}_ns"), Value::Num(ns));
             o.set(&format!("{name}_gflops"), Value::Num(flops / ns));
             o.set(&format!("{name}_bytes_per_ns"), Value::Num(bytes / ns));
-        }
-        println!(
+        };
+        let (write_bytes, acc_bytes) = (operand_bytes + out_bytes, operand_bytes + 2.0 * out_bytes);
+        set("write", ns[0], write_bytes);
+        set("acc", ns[1], acc_bytes);
+        let mut line = format!(
             "gemm_tn_skinny r{r} {m}x{n}: write {:.1} us, accumulate {:.1} us ({:.2}x)",
             ns[0] / 1e3,
             ns[1] / 1e3,
             ns[1] / ns[0]
         );
+        let families = x86_families();
+        // One set of destinations per (family, mode); the B copies are shared.
+        let bs: Vec<Matrix> = (0..COLD_COPIES).map(|_| b.clone()).collect();
+        let mut outs = vec![vec![vec![0.0f32; m * n]; COLD_COPIES]; 2 * families.len()];
+        let mut runs: Vec<_> = (outs.iter_mut().enumerate())
+            .map(|(i, outs)| {
+                let (path, acc, a, bs) = (families[i / 2].0, i % 2 == 1, &a, &bs);
+                move |c: usize| on_path(path, || a.matmul_tn_slice(&bs[c], &mut outs[c], acc))
+            })
+            .collect();
+        let mut fs: Vec<&mut dyn FnMut(usize)> =
+            runs.iter_mut().map(|f| f as &mut dyn FnMut(usize)).collect();
+        let cold = interleaved_cold_ns(REPS, &mut fs);
+        for (&(_, fam), ns) in families.iter().zip(cold.chunks(2)) {
+            set(&format!("cold_{fam}_write"), ns[0], write_bytes);
+            set(&format!("cold_{fam}_acc"), ns[1], acc_bytes);
+            line += &format!(
+                "; cold {fam} write {:.1} us, accumulate {:.1} us",
+                ns[0] / 1e3,
+                ns[1] / 1e3
+            );
+        }
+        println!("{line}");
         rows.push(Value::Obj(o));
     }
     Value::Arr(rows)
@@ -693,8 +766,8 @@ const ROUTER_SHAPE: (usize, usize, usize) = (1024, 64, 4);
 /// The kernels `nn`, `nt` and `tn` run at m×k×n on the active path: the
 /// loop nest's 512-bit or 256-bit register tile — or, under 16 columns, its
 /// column edge: the masked 16-lane kernel on `Avx512`, scalar loops on
-/// `Avx2` — or a kept skinny kernel.
-fn layout_kernels(m: usize, k: usize, n: usize) -> [&'static str; 3] {
+/// `Avx2` — or, for an `nt` under `NT_TILE_MIN_ROWS` rows, the dot product.
+fn layout_kernels(m: usize, n: usize) -> [&'static str; 3] {
     let tile = match (kernels::active_path(), n < 16) {
         (SimdPath::Scalar, _) => return ["scalar"; 3],
         (SimdPath::Avx2, false) => "tile256",
@@ -703,11 +776,7 @@ fn layout_kernels(m: usize, k: usize, n: usize) -> [&'static str; 3] {
         (SimdPath::Avx512, true) => "edge512_masked",
     };
     #[cfg(target_arch = "x86_64")]
-    return [
-        tile,
-        if m >= NT_TILE_MIN_ROWS { tile } else { "dot" },
-        if k >= TN_TILE_MIN_DEPTH { tile } else { "strip" },
-    ];
+    return [tile, if m >= NT_TILE_MIN_ROWS { tile } else { "dot" }, tile];
     #[allow(unreachable_code)]
     [tile; 3]
 }
@@ -744,6 +813,48 @@ fn layout_ns(x: &LayoutInputs, reps: usize) -> Vec<f64> {
             run_layout(x, 2, &mut o3)
         }],
     )
+}
+
+/// The cold columns of one layout row on each x86 family: `nn`, `nt` and
+/// `tn` as in the warm columns, plus `nn` over the binary16 B an engine's
+/// slot holds (`nn_f16`), each cycling [`COLD_COPIES`] copies of its B
+/// operand and of its destination. Returns the row's printed summary.
+fn cold_layouts(x: &LayoutInputs, flops: f64, o: &mut Obj) -> String {
+    const REPS: usize = 25;
+    const LAYOUTS: [&str; 4] = ["nn", "nn_f16", "nt", "tn"];
+    pool::set_threads(1);
+    let families = x86_families();
+    let copies = |b: &Matrix| -> Vec<Matrix> { (0..COLD_COPIES).map(|_| b.clone()).collect() };
+    let (b, bt) = (copies(&x.b), copies(&x.bt));
+    let half: Vec<HalfMatrix> = (0..COLD_COPIES).map(|_| HalfMatrix::from_f32(&x.b)).collect();
+    let mut outs = vec![vec![Matrix::zeros(0, 0); COLD_COPIES]; LAYOUTS.len() * families.len()];
+    let mut runs: Vec<_> = (outs.iter_mut().enumerate())
+        .map(|(i, outs)| {
+            let (path, l, b, bt, half) =
+                (families[i / LAYOUTS.len()].0, i % LAYOUTS.len(), &b, &bt, &half);
+            move |c: usize| {
+                on_path(path, || match l {
+                    0 => x.a.matmul_into(&b[c], &mut outs[c]),
+                    1 => kernels::gemm_nn(&x.a, &half[c], &mut outs[c], false, None),
+                    2 => x.a.matmul_nt_into(&bt[c], &mut outs[c]),
+                    _ => x.at.matmul_tn_into(&b[c], &mut outs[c]),
+                })
+            }
+        })
+        .collect();
+    let mut fs: Vec<&mut dyn FnMut(usize)> =
+        runs.iter_mut().map(|f| f as &mut dyn FnMut(usize)).collect();
+    let ns = interleaved_cold_ns(REPS, &mut fs);
+    let mut line = String::new();
+    for (&(_, fam), ns) in families.iter().zip(ns.chunks(LAYOUTS.len())) {
+        line += &format!("; cold {fam}");
+        for (name, &t) in LAYOUTS.iter().zip(ns) {
+            o.set(&format!("cold_{fam}_{name}_ns"), Value::Num(t));
+            o.set(&format!("cold_{fam}_{name}_gflops"), Value::Num(flops / t));
+            line += &format!(" {name} {:.1}", flops / t);
+        }
+    }
+    line
 }
 
 /// Min-of-reps ns of `[nn, nt, tn]` on the 256-bit family, then the same
@@ -823,8 +934,9 @@ fn bench_layouts() -> Value {
     let mut rows = Vec::new();
     for &(label, m, k, n) in LAYOUT_SHAPES {
         group(&format!("layouts/{label}/{m}x{k}x{n}"));
-        let ns = layout_ns(&layout_inputs(m, k, n), REPS);
-        let [nn_kernel, nt_kernel, tn_kernel] = layout_kernels(m, k, n);
+        let inputs = layout_inputs(m, k, n);
+        let ns = layout_ns(&inputs, REPS);
+        let [nn_kernel, nt_kernel, tn_kernel] = layout_kernels(m, n);
         let flops = (2 * m * k * n) as f64;
         let mut o = Obj::new();
         o.set("group", Value::str(label));
@@ -840,9 +952,14 @@ fn bench_layouts() -> Value {
         o.set("tn_kernel", Value::str(tn_kernel));
         o.set("nt_over_nn", Value::Num(ns[0] / ns[1]));
         o.set("tn_over_nn", Value::Num(ns[0] / ns[2]));
+        let cold = if label == "engine_params_expert" {
+            cold_layouts(&inputs, flops, &mut o)
+        } else {
+            String::new()
+        };
         println!(
             "layouts {label} {m}x{k}x{n}: nn {:.1} GFLOP/s ({nn_kernel}), nt {:.1} ({nt_kernel}), \
-             tn {:.1} ({tn_kernel})",
+             tn {:.1} ({tn_kernel}){cold}",
             flops / ns[0],
             flops / ns[1],
             flops / ns[2],

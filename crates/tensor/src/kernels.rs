@@ -8,14 +8,15 @@
 //!   take B's row stride as a parameter and there is no packing pass at
 //!   all. Each microkernel invocation holds an `MR×NR` block of outputs in
 //!   registers. A binary16 B ([`BElems::F16`]) is the exception: the x86
-//!   families widen each KC-long panel chunk into a per-thread buffer with
-//!   `VCVTPH2PS` as they copy it, and the tiles sweep that.
+//!   families widen each 64-row panel chunk (a contiguous band of B's rows)
+//!   into a per-thread buffer with `VCVTPH2PS` as they copy it, and the
+//!   tiles sweep that.
 //! - `tn` (`Aᵀ·B`, parameter gradients): B as in `nn`. The scalar family
 //!   packs the A column block into a k-major strip per output row block;
 //!   the two x86 families broadcast A's elements transposed in place on
-//!   `nn`'s tiles, except for reductions shorter than
-//!   [`crate::simd::TN_TILE_MIN_DEPTH`], where both run the 256-bit 4×16
-//!   tile over a packed strip.
+//!   `nn`'s tiles at every reduction length, walking the output row block
+//!   by row block so each row of a wide, cold gradient is written front to
+//!   back (`nn` and `nt` walk theirs panel by panel).
 //! - `nt` (`A·Bᵀ`, input gradients / attention scores): the scalar family
 //!   walks both operands along contiguous rows in a register tile of
 //!   independent dot products; the two x86 families transpose KC-long
@@ -346,16 +347,12 @@ fn nt_row_tile(path: SimdPath, m: usize, b: BElems<'_>) -> usize {
     }
 }
 
-/// Row tile of the `tn` kernel `path` runs for a reduction of length `r`.
-fn tn_row_tile(path: SimdPath, r: usize) -> usize {
+/// Row tile of the `tn` kernel `path` runs.
+fn tn_row_tile(path: SimdPath) -> usize {
     match path {
         SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 if crate::simd::tn_on_tile(r) => {
-            crate::simd::tile_rows(path.wide())
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::MR_STRIP,
+        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::tile_rows(path.wide()),
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
@@ -451,10 +448,10 @@ fn plan_shares(rows: usize, block: usize, flops: u64) -> usize {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-worker pack scratch: a `tn` strip kernel's A strip, the x86
+    /// Per-worker pack scratch: the scalar `tn`'s A strip, the x86
     /// `nt` tile's transposed B panel and the x86 `nn` tile's widened
-    /// binary16 B panel (KC×32 floats on the 512-bit family, KC×16 on the
-    /// 256-bit one), or the scalar family's decoded binary16 B.
+    /// binary16 B panel (one k-chunk of 32 columns on the 512-bit family,
+    /// of 16 on the 256-bit one), or the scalar family's decoded binary16 B.
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -471,16 +468,8 @@ fn with_decoded<R>(bits: &[u16], f: impl FnOnce(&[f32]) -> R) -> R {
 }
 
 /// Packs columns `col0 .. col0+ih` of the `r×m` matrix `a` k-major:
-/// `strip[kk·ih + ii] = a[kk][col0 + ii]` (the scalar `tn` and the AVX2
-/// strip `tn`).
-pub(crate) fn pack_a_strip(
-    asl: &[f32],
-    m: usize,
-    r: usize,
-    col0: usize,
-    ih: usize,
-    strip: &mut Vec<f32>,
-) {
+/// `strip[kk·ih + ii] = a[kk][col0 + ii]` (the scalar `tn`).
+fn pack_a_strip(asl: &[f32], m: usize, r: usize, col0: usize, ih: usize, strip: &mut Vec<f32>) {
     strip.clear();
     strip.resize(r * ih, 0.0);
     for kk in 0..r {
@@ -801,10 +790,9 @@ fn tn_rows_dispatch(
     match path {
         SimdPath::Scalar => tn_rows(asl, bsl, rows, r, m, n, chunk, acc),
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 => PACK.with(|p| {
-            let strip = &mut p.borrow_mut();
-            crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, strip, path.wide())
-        }),
+        SimdPath::Avx2 | SimdPath::Avx512 => {
+            crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, path.wide())
+        }
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
     }
@@ -993,9 +981,9 @@ pub(crate) fn gemm_nt<B: BOperand + ?Sized>(a: &Matrix, b: &B, out: &mut Matrix,
 /// `out (+)= aᵀ · b` (`a` is `r×m`, `b` is `r×n`, `out` is `m×n`).
 /// Parallelized over *output* rows (columns of `a`), so no participant ever
 /// touches another's accumulators; `r` is folded in ascending order within
-/// each element (the scalar path, and the AVX2 path below
-/// [`crate::simd::TN_TILE_MIN_DEPTH`], pack the A column block into a
-/// k-major strip; the AVX2 tile reads A transposed in place).
+/// each element (the scalar path packs the A column block into a k-major
+/// strip; the x86 tiles read A transposed in place, walking the output row
+/// block by row block — module docs of [`crate::simd`]).
 pub fn gemm_tn(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
     out.resize_to(a.cols(), b.cols());
     gemm_tn_slice(a, b, out.as_mut_slice(), acc);
@@ -1024,7 +1012,7 @@ pub fn gemm_tn_slice(a: &Matrix, b: &Matrix, out: &mut [f32], acc: bool) {
         return;
     }
     let path = active_path();
-    let mr = tn_row_tile(path, r);
+    let mr = tn_row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (r as u64));
     let asl = a.as_slice();
     let bsl = b.as_slice();

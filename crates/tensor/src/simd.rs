@@ -16,8 +16,17 @@
 //! # One loop nest for the three layouts
 //!
 //! `nn`, `tn` and `nt` run on FMA register tiles inside one cache-blocked
-//! loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer, B panel next, row
-//! tiles inner. Each family has one const-generic tile per panel width,
+//! loop nest (`tile_gemm`): k-chunk of `KC` = 256 outer (`KC_F16` = 64 for a
+//! binary16 `nn` B), then one of two visit orders through one kernel
+//! dispatch. `nn` and `nt` go panel-major — B panel next, row tiles inner —
+//! so a panel stays L1-resident, and is widened or transposed once, while
+//! every row tile sweeps it. `tn` goes row-block-major — blocks of
+//! [`MR_WIDE`] output rows next, the block's panels inner — so each row of
+//! its destination, a wide parameter gradient that arrives cold, is written
+//! front to back instead of one column strip at a time. A 512-bit `tn`
+//! tile that overwrites its destination (write mode) prefetches the
+//! destination rows before its k loop, so its stores do not wait on cold
+//! lines. Each family has one const-generic tile per panel width,
 //! instanced at every row height it meets:
 //!
 //! - `Avx2`: `kern_rx16`, R×16 on two YMM accumulators per row — two 8-wide
@@ -38,9 +47,10 @@
 //!
 //! - `nn` (`A·B`): A row-major; B read in place — row-major B already holds
 //!   each panel at its row stride, so there is no packing pass. A binary16
-//!   B is the one exception: each KC-long panel chunk is widened with
-//!   `VCVTPH2PS` into an L1-sized buffer as it is copied, once per (panel,
-//!   k-chunk), and every row tile of the share sweeps it.
+//!   B is the one exception: each 64-row panel chunk — a contiguous band of
+//!   B's rows — is widened with `VCVTPH2PS` into an L1-sized buffer as it
+//!   is copied, once per (panel, k-chunk), and every row tile of the share
+//!   sweeps it.
 //! - `tn` (`Aᵀ·B`): B as in `nn`; A is broadcast transposed in place,
 //!   element (i, kk) read at `a[kk·m + i]`, so the broadcasts of one k
 //!   step are adjacent floats. No strip is packed.
@@ -64,25 +74,21 @@
 //! boundaries; `nn` is that chain except in its column edge, which is the
 //! mul-then-add chain.
 //!
-//! # Skinny GEMMs keep their own kernels
+//! # Skinny `nt` keeps its own kernel
 //!
-//! Two shapes are better served by the kernels the tile replaced, and keep
-//! them; the choice reads the whole GEMM's shape, never a share's:
+//! One shape is better served by the kernel the tile replaced, and keeps
+//! it; the choice reads the whole GEMM's shape, never a share's: `nt` over
+//! an f32 B with fewer than [`NT_TILE_MIN_ROWS`] output rows. The panel
+//! transposes cost the same at any m, and at a handful of rows they cost
+//! more than the tile saves. A binary16 B runs the tile at every m: the
+//! dot-product kernel takes no panel to widen into. The dot-product kernel
+//! is a 2×4 tile of independent dot products, each splitting k into 8-lane
+//! octets folded by FMA, reduced by a fixed pairwise horizontal sum, plus a
+//! scalar mul-then-add tail — a different fold from the tile's.
 //!
-//! - `nt` over an f32 B with fewer than [`NT_TILE_MIN_ROWS`] output rows:
-//!   the panel transposes cost the same at any m, and at a handful of rows
-//!   they cost more than the tile saves. A binary16 B runs the tile at
-//!   every m: the dot-product kernel takes no panel to widen into. The
-//!   dot-product kernel is a 2×4 tile of
-//!   independent dot products, each splitting k into 8-lane octets folded
-//!   by FMA, reduced by a fixed pairwise horizontal sum, plus a scalar
-//!   mul-then-add tail — a different fold from the tile's.
-//! - `tn` with a reduction shorter than [`TN_TILE_MIN_DEPTH`]: the 4×16
-//!   instance of `kern_rx16` over a k-major packed A strip, sweeping each
-//!   4-row block along the whole output row. At a few k steps per tile it
-//!   measures faster than the loop nest on a wide output (see the
-//!   constant). Its elements are the same FMA chain as the tile's, so the
-//!   choice moves no bit.
+//! `tn` runs the tile at every depth: at a short reduction what decides its
+//! time is the walk over the cold destination, which the row-block order
+//! gives it (DESIGN.md *Skinny `tn` on cold operands*).
 //!
 //! Numerics: accumulation is f32 throughout. FMA keeps the infinitely
 //! precise product before each add, so results differ from the scalar
@@ -95,7 +101,7 @@
 
 use crate::adam::{self, AdamCoeffs};
 use crate::half::{f16_to_f32, f32_to_f16};
-use crate::kernels::{kern_nn_edge, pack_a_strip, BElems};
+use crate::kernels::{kern_nn_edge, BElems};
 use crate::matrix::Matrix;
 use core::arch::x86_64::*;
 use std::ops::Range;
@@ -127,10 +133,12 @@ const NR_WIDE: usize = 2 * NR_TILE;
 /// 16 KB, a KC×[`NR_WIDE`] one 32 KB, sized to stay L1-resident while every
 /// row tile sweeps it.
 const KC: usize = 256;
+/// k-chunk length of a binary16 `nn` B: a widened panel chunk then reads a
+/// contiguous band of B's rows, where a [`KC`]-long one reads 64 bytes from
+/// each of 256 rows, 2 KB apart in a slot's `W1` (DESIGN.md *Tiling*).
+const KC_F16: usize = 64;
 /// Row tile of the dot-product `nt` kernel.
 pub(crate) const MR_DOT: usize = 2;
-/// Row tile of the strip `tn` kernel (its packed A strip's stride).
-pub(crate) const MR_STRIP: usize = 4;
 
 /// `nt` GEMMs with at least this many output rows run on the FMA tile;
 /// fewer keep the dot-product kernel. Both kernels were timed interleaved
@@ -140,14 +148,6 @@ pub(crate) const MR_STRIP: usize = 4;
 /// ≈ 16 rows in a quiet hour and ≈ 32 when neighbours load the memory
 /// system, and from 32 rows on the tile is ahead or level in both.
 pub const NT_TILE_MIN_ROWS: usize = 32;
-
-/// `tn` GEMMs whose reduction is at least this long run on the FMA tile;
-/// shorter ones keep the strip kernel. Timed the same way at
-/// `engine_params`' two gradient shapes (outputs 256 × 1024 and
-/// 1024 × 256): at r 8 the tile takes up to 2× the strip kernel's time on
-/// the wide output; from r 16 on it is ahead or level on both, quiet or
-/// loaded.
-pub const TN_TILE_MIN_DEPTH: usize = 16;
 
 /// Runtime check for the two x86 families: AVX2, FMA and F16C (the loop
 /// nest widens a binary16 B with `VCVTPH2PS`; every AVX2 CPU has F16C).
@@ -348,16 +348,37 @@ unsafe fn widen_panel(
     }
 }
 
+/// The panels of an `n`-column B as (first column, panel width): `NR`
+/// columns while that many are left, then [`NR_TILE`] — the last of which
+/// may hold fewer columns (the column edge).
+fn panel_cols<const NR: usize>(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j0 = 0;
+    std::iter::from_fn(move || {
+        (j0 < n).then(|| {
+            let nr = if NR > NR_TILE && n - j0 >= NR { NR } else { NR_TILE };
+            j0 += nr;
+            (j0 - nr, nr)
+        })
+    })
+}
+
 /// `out (+)= A·B` for `m` rows of A whose first row starts at `a[a0]`
 /// (layout `TA`, stride `lda`), reduction `k`, `n` columns; `out` is the
-/// row-major `m×n` destination. Cache-blocked: k-chunk outer (the m×KC
-/// slab of A becomes L2-resident after the first panel sweeps it), panel
-/// next (one KC×`NR` panel chunk — 16 or 32 KB — stays L1-resident across
-/// the row tiles), row tiles inner. Chunking changes no bit: each element
-/// still folds its k terms in ascending order, later chunks resuming from
-/// the spilled f32 partial, and an f32 round-trips memory exactly.
-/// A binary16 B (the `Widened` arms) is converted into the panel buffer once
-/// per (panel, k-chunk), like `nt`'s transpose.
+/// row-major `m×n` destination. Cache-blocked: k-chunks outer — [`KC`]
+/// long, or [`KC_F16`] for a binary16 `nn` B (the `Widened` arm) — and
+/// inside a chunk one of two visit orders:
+///
+/// - panel-major (`nn`, `nt`): panel next, row tiles inner. One KC×`NR`
+///   panel chunk (16 or 32 KB) stays L1-resident across the row tiles, and
+///   a widened or transposed panel is built once per (panel, k-chunk).
+/// - row-block-major (`tn`): blocks of [`MR_WIDE`] rows next (of
+///   [`MR_SQUARE`] when B is narrower than one 32-column panel, so the
+///   masked tile keeps its height), the block's panels inner: each row of
+///   the destination, a wide and cold gradient, is written front to back.
+///
+/// Chunking and order change no bit: each element still folds its k terms
+/// in ascending order, later chunks resuming from the spilled f32 partial,
+/// and an f32 round-trips memory exactly.
 /// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
 /// mul-then-add for `nn`, whose A is row-major); `WIDE` runs every panel
 /// on 512-bit registers, and `NR` = [`NR_WIDE`]
@@ -397,60 +418,72 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
         }
         return;
     }
-    for kc in (0..k).step_by(KC) {
-        let klen = KC.min(k - kc);
-        let tile_acc = acc || kc > 0;
-        let mut j0 = 0;
-        while j0 < n {
-            let nr = if NR > NR_TILE && n - j0 >= NR { NR } else { NR_TILE };
-            let w = nr.min(n - j0);
-            let (panel, pstride): (&[f32], usize) = match &mut panels {
-                Panels::InPlace { b, ldb } => (&b[kc * *ldb + j0..], *ldb),
-                Panels::Widened { b, ldb, buf } => {
-                    widen_panel(b, *ldb, j0, w, kc, klen, buf, nr);
-                    (&buf[..], nr)
-                }
-                Panels::Transposed { b, ldb, buf } => {
-                    pack_bt(b, *ldb, j0, w, kc, klen, buf, nr, |p| _mm256_loadu_ps(p), |v| v);
-                    (&buf[..], nr)
-                }
-                Panels::WidenedTransposed { b, ldb, buf } => {
-                    let widen8 = |p: *const u16| _mm256_cvtph_ps(_mm_loadu_si128(p.cast()));
-                    pack_bt(b, *ldb, j0, w, kc, klen, buf, nr, widen8, f16_to_f32);
-                    (&buf[..], nr)
-                }
-            };
-            // The 32-column tile on 32-column panels; on 16-column ones —
-            // full or the column edge — the masked 16-lane kernel on the
-            // 512-bit family, the R×16 tile or the scalar edge on the 256-bit.
-            let mr = match (nr > NR_TILE, WIDE) {
-                (true, _) => MR_WIDE,
-                (false, true) => MR_SQUARE,
-                (false, false) => MR_TILE,
-            };
-            for i in (0..m).step_by(mr) {
-                let rows = mr.min(m - i);
-                let ablk = &a[a0 + if TA { kc * lda + i } else { i * lda + kc }..];
-                let oblk = &mut out[i * n + j0..];
-                if nr > NR_TILE {
-                    kern_wide_rows::<TA>(ablk, lda, klen, rows, panel, pstride, oblk, n, tile_acc);
-                } else if WIDE {
-                    // A full panel is the FMA chain on every layout.
-                    let fused = fused_edge || w == NR_TILE;
-                    kern_masked_rows::<TA>(
-                        ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc, fused,
-                    );
-                } else if w == NR_TILE {
-                    kern_tile_rows::<TA>(ablk, lda, klen, rows, panel, pstride, oblk, n, tile_acc);
-                } else if fused_edge {
-                    kern_edge_fma::<TA>(
-                        ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc,
-                    );
-                } else {
-                    kern_nn_edge(ablk, lda, klen, rows, panel, w, pstride, oblk, n, tile_acc);
+    // One row tile: output rows `i .. i + rows` of the panel at column `j0`
+    // (`nr` wide) over the k-chunk from `kc`, through the kernel its width
+    // names. The 32-column tile on 32-column panels; on 16-column ones —
+    // full or the column edge — the masked 16-lane kernel on the 512-bit
+    // family, the R×16 tile or the scalar edge on the 256-bit.
+    let mr_of = |nr: usize| match (nr > NR_TILE, WIDE) {
+        (true, _) => MR_WIDE,
+        (false, true) => MR_SQUARE,
+        (false, false) => MR_TILE,
+    };
+    let chunk = if matches!(panels, Panels::Widened { .. }) { KC_F16 } else { KC };
+    let mut tile = |i: usize, rows: usize, kc: usize, j0: usize, nr: usize, panel: &[f32], ps| {
+        let (w, klen, tile_acc) = (nr.min(n - j0), chunk.min(k - kc), acc || kc > 0);
+        let ablk = &a[a0 + if TA { kc * lda + i } else { i * lda + kc }..];
+        let oblk = &mut out[i * n + j0..];
+        if nr > NR_TILE {
+            kern_wide_rows::<TA>(ablk, lda, klen, rows, panel, ps, oblk, n, tile_acc);
+        } else if WIDE {
+            // A full panel is the FMA chain on every layout.
+            let fused = fused_edge || w == NR_TILE;
+            kern_masked_rows::<TA>(ablk, lda, klen, rows, panel, w, ps, oblk, n, tile_acc, fused);
+        } else if w == NR_TILE {
+            kern_tile_rows::<TA>(ablk, lda, klen, rows, panel, ps, oblk, n, tile_acc);
+        } else if fused_edge {
+            kern_edge_fma::<TA>(ablk, lda, klen, rows, panel, w, ps, oblk, n, tile_acc);
+        } else {
+            kern_nn_edge(ablk, lda, klen, rows, panel, w, ps, oblk, n, tile_acc);
+        }
+    };
+    for kc in (0..k).step_by(chunk) {
+        let klen = chunk.min(k - kc);
+        if TA {
+            let Panels::InPlace { b, ldb } = &panels else { unreachable!("tn reads B in place") };
+            let block = if WIDE && n < NR { MR_SQUARE } else { MR_WIDE };
+            for i0 in (0..m).step_by(block) {
+                let end = m.min(i0 + block);
+                for (j0, nr) in panel_cols::<NR>(n) {
+                    let panel = &b[kc * ldb + j0..];
+                    for i in (i0..end).step_by(mr_of(nr)) {
+                        tile(i, mr_of(nr).min(end - i), kc, j0, nr, panel, *ldb);
+                    }
                 }
             }
-            j0 += nr;
+        } else {
+            for (j0, nr) in panel_cols::<NR>(n) {
+                let w = nr.min(n - j0);
+                let (panel, pstride): (&[f32], usize) = match &mut panels {
+                    Panels::InPlace { b, ldb } => (&b[kc * *ldb + j0..], *ldb),
+                    Panels::Widened { b, ldb, buf } => {
+                        widen_panel(b, *ldb, j0, w, kc, klen, buf, nr);
+                        (&buf[..], nr)
+                    }
+                    Panels::Transposed { b, ldb, buf } => {
+                        pack_bt(b, *ldb, j0, w, kc, klen, buf, nr, |p| _mm256_loadu_ps(p), |v| v);
+                        (&buf[..], nr)
+                    }
+                    Panels::WidenedTransposed { b, ldb, buf } => {
+                        let widen8 = |p: *const u16| _mm256_cvtph_ps(_mm_loadu_si128(p.cast()));
+                        pack_bt(b, *ldb, j0, w, kc, klen, buf, nr, widen8, f16_to_f32);
+                        (&buf[..], nr)
+                    }
+                };
+                for i in (0..m).step_by(mr_of(nr)) {
+                    tile(i, mr_of(nr).min(m - i), kc, j0, nr, panel, pstride);
+                }
+            }
         }
     }
 }
@@ -506,6 +539,16 @@ unsafe fn kern_rx32<const R: usize, const TA: bool>(
         for r in 0..R {
             c0[r] = _mm512_loadu_ps(op.add(r * ldc));
             c1[r] = _mm512_loadu_ps(op.add(r * ldc + NR_TILE));
+        }
+    } else if TA {
+        // `tn` in write mode: fetch every line of the destination rows
+        // (first, middle and last float of 32) before the k loop, so its
+        // stores do not wait on the lines of a gradient that arrives cold
+        // (DESIGN.md *Skinny `tn` on cold operands*).
+        for r in 0..R {
+            for off in [0, NR_TILE, NR_WIDE - 1] {
+                _mm_prefetch::<_MM_HINT_T0>(op.add(r * ldc + off) as *const i8);
+            }
         }
     }
     for kk in 0..k {
@@ -567,12 +610,13 @@ unsafe fn kern_wide_rows<const TA: bool>(
 /// accumulators per row live across the whole k sweep, two 8-wide B loads
 /// and `R` A broadcasts per k step. `R` = [`MR_TILE`] is the 256-bit
 /// family's full tile (twelve accumulators) and the only instance that
-/// prefetches: its B rows (and `tn`'s A rows) sit a full matrix row apart,
-/// a stride the hardware prefetcher won't track. The smaller instances are
+/// prefetches ahead in its k loop: its B rows (and `tn`'s A rows) sit a
+/// full matrix row apart, a stride the hardware prefetcher won't track.
+/// Unlike the 512-bit tiles it does not prefetch a `tn` destination in
+/// write mode: inside this family's nest that code changed LLVM's inlining
+/// (DESIGN.md *Skinny `tn` on cold operands*). The smaller instances are
 /// its row remainder — a 2-row edge at m = 128 was ~30% of wall time on
-/// the GPT-Small ffn shapes when it fell back to the scalar edge — and
-/// `R` = [`MR_STRIP`] is also the strip `tn`'s tile, reading the packed
-/// strip as a transposed A of stride [`MR_STRIP`].
+/// the GPT-Small ffn shapes when it fell back to the scalar edge.
 ///
 /// # Safety
 ///
@@ -605,9 +649,7 @@ unsafe fn kern_rx16<const R: usize, const TA: bool>(
         }
     }
     for kk in 0..k {
-        // Const-folded: the remainders and the strip keep a prefetch-free
-        // schedule (with the prefetch, the strip at r 8 / 12 took ~1.1× as
-        // long).
+        // Const-folded: the remainders keep a prefetch-free schedule.
         if R == MR_TILE && kk + 4 < k {
             _mm_prefetch::<_MM_HINT_T0>(pp.add((kk + 4) * pstride) as *const i8);
             if TA {
@@ -737,6 +779,14 @@ unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
         for (r, cr) in c.iter_mut().enumerate() {
             *cr = _mm512_maskz_loadu_ps(mask, op.add(r * ldc));
         }
+    } else if TA {
+        // `tn` in write mode: fetch the destination rows, as `kern_rx32`
+        // does.
+        for r in 0..R {
+            for off in [0, w - 1] {
+                _mm_prefetch::<_MM_HINT_T0>(op.add(r * ldc + off) as *const i8);
+            }
+        }
     }
     for kk in 0..k {
         // As in `kern_rx16`: B rows (and `tn`'s A rows) sit `pstride`
@@ -862,16 +912,9 @@ pub(crate) fn nt_on_tile(m: usize, b: BElems<'_>) -> bool {
     matches!(b, BElems::F16(_)) || m >= NT_TILE_MIN_ROWS
 }
 
-/// Whether a `tn` GEMM with reduction length `r` runs on the tile (else the
-/// strip kernel). `r` is never split, so every share sees the whole GEMM's.
-pub(crate) fn tn_on_tile(r: usize) -> bool {
-    r >= TN_TILE_MIN_DEPTH
-}
-
 /// AVX2 worker for a row range of `out (+)= aᵀ·b` (`a` is `r×m`, `b` is
-/// `r×n`; `rows` are *output* rows = columns of `a`). `strip` is the
-/// caller's per-thread pack scratch (the strip kernel only); `wide` as in
-/// [`nn_rows`].
+/// `r×n`; `rows` are *output* rows = columns of `a`), on the tile at every
+/// depth; `wide` as in [`nn_rows`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tn_rows(
     asl: &[f32],
@@ -882,7 +925,6 @@ pub(crate) fn tn_rows(
     n: usize,
     chunk: &mut [f32],
     acc: bool,
-    strip: &mut Vec<f32>,
     wide: bool,
 ) {
     debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
@@ -891,11 +933,7 @@ pub(crate) fn tn_rows(
     let panels = Panels::InPlace { b: bsl, ldb: n };
     // SAFETY: as in `nn_rows`.
     unsafe {
-        if tn_on_tile(r) {
-            tile_nest::<true>(wide)(asl, rows.start, m, rows.len(), r, n, panels, chunk, acc, true)
-        } else {
-            tn_strip_rows(asl, bsl, rows, r, m, n, chunk, acc, strip)
-        }
+        tile_nest::<true>(wide)(asl, rows.start, m, rows.len(), r, n, panels, chunk, acc, true)
     }
 }
 
@@ -1080,59 +1118,6 @@ unsafe fn kern_nt_2x4(
             let o = op.add(ii * ldc + jj);
             *o = if acc { *o + sv } else { sv };
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// tn at short reductions: a k-major packed A strip
-// ---------------------------------------------------------------------------
-
-/// The strip kernel over a row range: per [`MR_STRIP`] output rows, A's
-/// column block packed k-major, then 4×16 tiles along the whole row — the
-/// [`kern_rx16`] instance that reads the strip as a transposed A.
-///
-/// # Safety
-///
-/// AVX2 and FMA must be available; `asl` must be `r×m`, `bsl` `r×n`, and
-/// `chunk` hold `rows.len()` rows of `n` with `rows.end <= m`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tn_strip_rows(
-    asl: &[f32],
-    bsl: &[f32],
-    rows: Range<usize>,
-    r: usize,
-    m: usize,
-    n: usize,
-    chunk: &mut [f32],
-    acc: bool,
-    strip: &mut Vec<f32>,
-) {
-    let mlocal = rows.len();
-    let mut i = 0;
-    while i < mlocal {
-        let ih = MR_STRIP.min(mlocal - i);
-        pack_a_strip(asl, m, r, rows.start + i, ih, strip);
-        let mut j = 0;
-        while j < n {
-            let jh = NR_TILE.min(n - j);
-            if ih == MR_STRIP && jh == NR_TILE {
-                let out = &mut chunk[i * n + j..];
-                kern_rx16::<MR_STRIP, true>(strip, MR_STRIP, r, &bsl[j..], n, out, n, acc);
-            } else {
-                for ii in 0..ih {
-                    for jj in 0..jh {
-                        let mut s = if acc { chunk[(i + ii) * n + j + jj] } else { 0.0 };
-                        for kk in 0..r {
-                            s = strip[kk * ih + ii].mul_add(bsl[kk * n + j + jj], s);
-                        }
-                        chunk[(i + ii) * n + j + jj] = s;
-                    }
-                }
-            }
-            j += jh;
-        }
-        i += ih;
     }
 }
 

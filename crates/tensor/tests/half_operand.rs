@@ -17,7 +17,8 @@
 //!   scalar family it equals the f32 `nt` on the decoded B.
 //!
 //! Shapes cover m = 1, n below one 16-column panel, n mod 16 ∈ {1, 15}, k =
-//! 1, and k either side of the 256-long k-chunk and across two of them
+//! 1, k either side of one, two and three 64-row chunks (the binary16 `nn`
+//! B's) and of the 256-long k-chunk (`nt`'s), and across two of those
 //! (2·256 + 3), where partials spill between chunks.
 
 use std::sync::{Mutex, MutexGuard};
@@ -62,8 +63,10 @@ fn fma_chain_nt(a: &Matrix, b: &Matrix) -> Matrix {
 fn shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes = vec![(1, 1, 1), (1, 40, 7), (8, 1, 33), (3, 5, 15)];
     // n mod 16 ∈ {1, 15} around one and two 32-column panels, m from 1 to
-    // past one 12-row tile, k either side of one chunk and across two.
-    for (m, k) in [(1, 255), (5, 256), (8, 257), (13, 515), (33, 64)] {
+    // past one 12-row tile, k either side of one 64-row `nn` chunk, of two
+    // and three, of one 256-long chunk, and across two of those.
+    let mk = [(2, 63), (33, 64), (7, 65), (12, 127), (13, 129), (3, 191)];
+    for (m, k) in mk.into_iter().chain([(1, 255), (5, 256), (8, 257), (13, 515)]) {
         for n in [1, 7, 15, 17, 31, 33, 47, 49] {
             shapes.push((m, k, n));
         }

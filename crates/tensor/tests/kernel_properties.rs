@@ -145,17 +145,18 @@ fn active_path_gemm_is_invariant_across_worker_counts() {
     // Whatever family is active (AVX2 here if the host has it), the result
     // must not depend on how many workers executed: share bounds are
     // tile-aligned, so the full/edge decomposition is split-invariant. The
-    // AVX2 `nt` and `tn` pick their kernel from the GEMM's output rows and
-    // its reduction length — both m below (`nt` is a·btᵀ, `tn` is
-    // aᵀ·nn_ref with r = m) — so m runs below, at and above each threshold.
+    // AVX2 `nt` picks its kernel from the GEMM's output rows (m below), so m
+    // runs below, at and above its threshold; `tn` (aᵀ·nn_ref, r = m) runs
+    // the tile at every depth, and 15–17 rows split its row blocks unevenly.
     // A 4- or 8-worker split of a 33-row GEMM hands out shares of 6 rows:
     // a share that chose the kernel for itself would run the other one,
     // which for `nt` changes the bits.
     #[cfg(target_arch = "x86_64")]
-    let thresholds = [symi_tensor::simd::NT_TILE_MIN_ROWS, symi_tensor::simd::TN_TILE_MIN_DEPTH];
+    let thresholds = [symi_tensor::simd::NT_TILE_MIN_ROWS];
     #[cfg(not(target_arch = "x86_64"))]
     let thresholds: [usize; 0] = [];
     let mut shapes = vec![(64usize, 37usize, 53usize), (13, 29, 17), (127, 65, 33)];
+    shapes.extend([(15, 31, 40), (16, 33, 40), (17, 20, 17)]);
     for t in thresholds {
         shapes.extend([(t - 1, 31, 40), (t, 33, 40), (t + 1, 20, 17)]);
     }
@@ -291,8 +292,8 @@ fn slice_destination_gemm_tn_equals_the_matrix_destination_bitwise() {
     // `gemm_tn_slice` writes a gradient where it lives inside a larger flat
     // buffer. It must be the `Matrix`-destination GEMM to the bit — in write
     // mode and in accumulate mode, on full and edge tiles (m, n straddle the
-    // 4x8 scalar, 4x16 AVX2 strip and 6x16 AVX2 tiles; r is the reduction,
-    // skinny on the strip kernel and 33 on the tile), on either
+    // 4x8 scalar and the 6x16 and 12x32 x86 tiles; r is the reduction,
+    // skinny from 1 and 33 across the tile's row blocks), on either
     // kernel family, split across workers or not — and write mode must be
     // exactly zero-fill + accumulate, which is what lets a lazily-zeroed
     // gradient skip the fill.

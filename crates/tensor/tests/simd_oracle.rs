@@ -213,10 +213,19 @@ fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
     }
     // Every height of a lone full 16-column panel up to 16 rows and one
     // over — the 512-bit family's masked tile at w = 16, the 256-bit
-    // family's R×16 tiles — and the strip `tn`'s 4×16 tile with its row and
-    // column remainders (reductions under `TN_TILE_MIN_DEPTH`).
+    // family's R×16 tiles — and short reductions with row and column
+    // remainders (`tn` runs the tile at every depth).
     shapes.extend((1..=17).map(|m| (m, 40, 16)));
     shapes.extend([(4, 7, 16), (9, 15, 35), (11, 3, 50)]);
+    // `tn` walks its output row block by row block: blocks whose panels mix
+    // a 32-column panel, a 16-column one and a column edge, one to three
+    // 12-row blocks and a remainder, at reductions either side of 16 and
+    // across the 256-long chunk.
+    for m in [13, 25, 37] {
+        for n in [48, 53] {
+            shapes.extend([8, 15, 16, 17, 300].map(|k| (m, k, n)));
+        }
+    }
     for path in [SimdPath::Avx2, SimdPath::Avx512] {
         if !path.supported() {
             println!("skipping the {path:?} half: this CPU lacks its features");
