@@ -71,7 +71,9 @@
 //! shard of one class; 16,544: `engine_tokens`') in ns per parameter, both
 //! stores (f32 on the fp16 grid, binary16 bits), vector path and forced
 //! scalar — the scalar column is the arithmetic and the speed every earlier
-//! revision ran at — and the **binary16 codec rows** (slice encode/decode,
+//! revision ran at — and the engines' weight path of one owned chunk, fused
+//! (two gradient slices summed in the step, two binary16 destinations) and
+//! as the four separate passes it replaced; and the **binary16 codec rows** (slice encode/decode,
 //! ns per element, vector / scalar) at the same sizes.
 //!
 //! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate:
@@ -87,7 +89,10 @@
 //!      `1e-6·max(1, |x|)` and, on the AVX2 path, runs ≥ 4× faster,
 //!   5. **optimizer**: the vector Adam step leaves bit for bit the state
 //!      and the published weights of the scalar one and, where AVX2+F16C
-//!      is present, runs ≥ 4× faster,
+//!      is present, runs ≥ 4× faster; and at `engine_params`' shard the
+//!      fused weight path (a received partial and the own gradient summed
+//!      in the step, published to a send buffer and a slot) leaves the bits
+//!      of fold + Adam + two copies at ≤ 0.85× their time there,
 //!   6. **write mode**: a `gemm_tn` that overwrites its destination, and an
 //!      `ExpertFfn` backward after a lazy `zero_grad`, equal zero-fill +
 //!      accumulate bit for bit at the skinny shapes,
@@ -126,7 +131,9 @@ use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
 #[cfg(target_arch = "x86_64")]
 use symi_tensor::simd::NT_TILE_MIN_ROWS;
-use symi_tensor::{half, pool, vmath, AdamConfig, AdamShard, AdamState, HalfMatrix, Matrix};
+use symi_tensor::{
+    half, pool, vmath, AdamConfig, AdamShard, AdamState, Dest, Grad, HalfMatrix, Matrix,
+};
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
 const SHAPES: &[(&str, usize, usize, usize)] = &[
@@ -990,6 +997,71 @@ fn vector_scalar_pair(elems: usize, vector_ns: f64, scalar_ns: f64) -> Value {
     Value::Obj(o)
 }
 
+/// One owned chunk's parameter path, both ways, from the same state: the
+/// fused step sums a received partial and the host's own gradient (the
+/// accumulator) as it steps, and publishes into a send buffer and a slot in
+/// the same pass; the separate sequence — what the engines ran before —
+/// folds the partial into the gradient, steps from it into a binary16
+/// shard, and copies that into the send buffer and the slot.
+struct WeightPaths {
+    part: Vec<f32>,
+    own: [Vec<f32>; 2],
+    shard: [AdamShard; 2],
+    half: Vec<u16>,
+    send: [Vec<u16>; 2],
+    slot: [Vec<u16>; 2],
+}
+
+impl WeightPaths {
+    fn new(n: usize) -> Self {
+        let (params, own) = adam_inputs(n);
+        let part: Vec<f32> = (0..n).map(|i| (i as f32 * 0.13).sin() * 1e-3).collect();
+        let shard = AdamShard::new(AdamConfig::default(), 0, &params);
+        Self {
+            part,
+            own: [own.clone(), own],
+            shard: [shard.clone(), shard],
+            half: Vec::new(),
+            send: [vec![0; n], vec![0; n]],
+            slot: [vec![0; n], vec![0; n]],
+        }
+    }
+
+    /// `(fused, separate)` steps, to be timed side by side.
+    fn steps(&mut self) -> (impl FnMut() + '_, impl FnMut() + '_) {
+        let Self { part, own: [own_f, own_s], shard: [fused, separate], half, send, slot } = self;
+        let [send_f, send_s] = send;
+        let [slot_f, slot_s] = slot;
+        let part: &[f32] = part;
+        let fused = move || {
+            let n = part.len();
+            let outs = &mut [Dest::Half(send_f), Dest::Half(slot_f)];
+            fused.begin_step().run(0..n, Grad::accumulate(&[part], own_f, 1), outs);
+        };
+        let separate = move || {
+            for (g, p) in own_s.iter_mut().zip(part) {
+                *g += p;
+            }
+            separate.step_into(own_s, half);
+            send_s.copy_from_slice(half);
+            slot_s.copy_from_slice(half);
+        };
+        (fused, separate)
+    }
+
+    /// Whether the two paths left the same bits everywhere.
+    fn agree(&self) -> bool {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let [f, s] = &self.shard;
+        bits(f.master_weights()) == bits(s.master_weights())
+            && bits(f.moments().0) == bits(s.moments().0)
+            && bits(f.moments().1) == bits(s.moments().1)
+            && bits(&self.own[0]) == bits(&self.own[1])
+            && self.send[0] == self.send[1]
+            && self.slot[0] == self.slot[1]
+    }
+}
+
 fn bench_adam() -> Value {
     const REPS: usize = 15;
     pool::set_threads(1);
@@ -1003,6 +1075,8 @@ fn bench_adam() -> Value {
         let (mut state_s, mut shard_s) = (state_v.clone(), shard_v.clone());
         let (mut out_v, mut out_s) = (vec![0.0f32; n], vec![0.0f32; n]);
         let (mut half_v, mut half_s) = (Vec::new(), Vec::new());
+        let mut paths = WeightPaths::new(n);
+        let (mut fused, mut separate) = paths.steps();
         let ns = interleaved_min_ns(
             REPS,
             &mut [
@@ -1010,22 +1084,35 @@ fn bench_adam() -> Value {
                 &mut || forced_scalar(|| state_s.step(&grads, &mut out_s)),
                 &mut || shard_v.step_into(&grads, &mut half_v),
                 &mut || forced_scalar(|| shard_s.step_into(&grads, &mut half_s)),
+                &mut fused,
+                &mut separate,
             ],
         );
+        drop((fused, separate));
+        assert!(paths.agree(), "{label}: the fused and the separate weight path differ");
         let mut per_param = Obj::new();
         per_param.set("f32_store", vector_scalar_pair(n, ns[0], ns[1]));
         per_param.set("f16_store", vector_scalar_pair(n, ns[2], ns[3]));
+        let mut fused_row = Obj::new();
+        fused_row.set("fused", Value::Num(ns[4] / n as f64));
+        fused_row.set("separate", Value::Num(ns[5] / n as f64));
+        fused_row.set("fused_over_separate", Value::Num(ns[4] / ns[5]));
+        per_param.set("weight_path", Value::Obj(fused_row));
         let mut row = Obj::new();
         row.set("shape", Value::str(label));
         row.set("params", Value::u64(n as u64));
         row.set("ns_per_param", Value::Obj(per_param));
         println!(
             "adam {label} ({n}): f32 store vector {:.2} ns/param, scalar {:.2}; \
-             f16 store vector {:.2}, scalar {:.2}",
+             f16 store vector {:.2}, scalar {:.2}; weight path fused {:.2}, separate {:.2} \
+             ({:.2}x)",
             ns[0] / n as f64,
             ns[1] / n as f64,
             ns[2] / n as f64,
-            ns[3] / n as f64
+            ns[3] / n as f64,
+            ns[4] / n as f64,
+            ns[5] / n as f64,
+            ns[4] / ns[5]
         );
         rows.push(Value::Obj(row));
     }
@@ -1113,7 +1200,8 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   optimizer — five Adam steps on the vector path and on the forced
 ///   scalar path from one state leave identical bits in `(master, m, v)` and
 ///   in the published binary16 shard, and the vector step is ≥ 4× faster
-///   where AVX2+F16C is present;
+///   where AVX2+F16C is present; the fused weight path leaves the bits of
+///   the separate passes at ≤ 0.85× their time;
 ///   write mode — at the skinny shapes a `gemm_tn` that overwrites stale
 ///   values equals zero-fill + accumulate bit for bit, and so does an
 ///   `ExpertFfn` backward after a lazy `zero_grad` against one after an
@@ -1286,6 +1374,26 @@ fn smoke() {
                 ns[0],
                 ns[1]
             );
+        }
+    }
+
+    // The fused weight path ≡ fold + Adam + two copies, bitwise, and cheaper.
+    {
+        let (label, n) = ADAM_SIZES[0];
+        let mut paths = WeightPaths::new(n);
+        let (mut fused, mut separate) = paths.steps();
+        let ns = interleaved_min_ns(9, &mut [&mut fused, &mut separate]);
+        drop((fused, separate));
+        assert!(paths.agree(), "{label}: the fused and the separate weight path differ");
+        let ratio = ns[0] / ns[1];
+        println!(
+            "smoke adam {label} weight path: fused {:.2} ns/param, separate {:.2} ns/param \
+             ({ratio:.2}x), bit-identical",
+            ns[0] / n as f64,
+            ns[1] / n as f64,
+        );
+        if kernels::f16_fast_path() {
+            assert!(ratio <= 0.85, "fused Adam over 0.85x the separate passes: {ratio:.2}x");
         }
     }
 

@@ -48,6 +48,14 @@ impl<T: Copy> FreeList<T> {
     /// An empty buffer with room for `len` elements: the smallest idle one
     /// that fits, a fresh one of exactly that capacity otherwise.
     pub(crate) fn take(&self, len: usize) -> Vec<T> {
+        let mut buf = self.take_idle(len);
+        buf.clear();
+        buf
+    }
+
+    /// The smallest idle buffer with room for `len` elements, as it was
+    /// returned; a fresh empty one of exactly that capacity otherwise.
+    fn take_idle(&self, len: usize) -> Vec<T> {
         let reused = {
             let mut idle = self.lock();
             let fit = idle
@@ -58,8 +66,19 @@ impl<T: Copy> FreeList<T> {
                 .map(|(i, _)| i);
             fit.map(|i| idle.swap_remove(i))
         };
-        let mut buf = reused.unwrap_or_else(|| Vec::with_capacity(len));
-        buf.clear();
+        reused.unwrap_or_else(|| Vec::with_capacity(len))
+    }
+
+    /// A buffer of exactly `len` elements, taken as [`FreeList::take`]
+    /// does, for a caller that overwrites every one of them: an idle buffer
+    /// keeps its stale elements (no fill pass), only what it lacks is
+    /// zeroed.
+    pub(crate) fn take_len(&self, len: usize) -> Vec<T>
+    where
+        T: Default,
+    {
+        let mut buf = self.take_idle(len);
+        buf.resize(len, T::default());
         buf
     }
 

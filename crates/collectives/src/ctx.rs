@@ -718,9 +718,13 @@ impl RankCtx {
         self.buffers.f32s.take(len)
     }
 
-    /// [`RankCtx::pooled_copy_f32`] for binary16 bits.
-    pub fn pooled_copy_f16(&self, src: &[u16]) -> Vec<u16> {
-        self.buffers.f16s.copy_of(src)
+    /// A binary16 buffer of `len` elements from the same free list, for a
+    /// sender that writes every element itself (the Adam step publishing
+    /// into the weight scatter's sends): a reused buffer's stale bits are
+    /// not cleared first, so whatever the caller leaves unwritten goes on
+    /// the wire as it was.
+    pub fn pooled_f16_len(&self, len: usize) -> Vec<u16> {
+        self.buffers.f16s.take_len(len)
     }
 
     /// Hands a consumed buffer (a received payload, typically) to the free

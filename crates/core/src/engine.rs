@@ -51,7 +51,9 @@
 //! `symi-model`; the integration suite cross-checks the two).
 
 use crate::metadata::LayerMetadataStore;
-use crate::optimizer::{GradShard, Owners, ReshardReport, ShardState, SymiOptimizer};
+use crate::optimizer::{
+    ClassGrad, GradShard, Owners, Partials, ReshardReport, ShardState, SymiOptimizer, WeightSends,
+};
 use crate::placement::ExpertPlacement;
 use crate::scheduler::{supports_world, SymiPolicy};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
@@ -259,6 +261,15 @@ enum Change<'a> {
     Arrival { old_view: &'a MembershipView },
 }
 
+/// The gradient of one class's Adam step in an iteration.
+enum StepGrad<'a> {
+    /// Hosted as expert `g`, whose gradient the reduce left with these
+    /// partials.
+    Hosted(usize, &'a Partials),
+    /// Collected from the wire.
+    Wire(&'a [f32]),
+}
+
 /// Per-rank SYMI engine for one MoE layer.
 ///
 /// All internal geometry (placement, sharding, dispatch) runs over dense
@@ -282,10 +293,6 @@ pub struct MoeLayerEngine {
     experts: Vec<ExpertFfn<HalfMatrix>>,
     /// The token path's persistent matrices and payload buffers.
     tokens: TokenBuffers,
-    /// Per class: this rank's updated weight shard as binary16 bits, written
-    /// by the Adam step and read by the weight scatter. Lives across
-    /// iterations.
-    weight_shards: Vec<Vec<u16>>,
     pub placement: ExpertPlacement,
     /// Picks each next placement's replica counts, and hears of every
     /// membership change.
@@ -410,7 +417,6 @@ impl MoeLayerEngine {
             lrank,
             experts: Vec::new(),
             tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
-            weight_shards: vec![Vec::new(); cfg.expert_classes],
             placement,
             policy,
             optimizer,
@@ -510,9 +516,10 @@ impl MoeLayerEngine {
     /// of the placement it *ran* under (its `classes_on_rank` order;
     /// `placement` has moved on to the next one). Backward sums the class's
     /// local slots into this one buffer and §4.1's reduce sums the class's
-    /// hosts into it in place — on [`MoeLayerEngine::served_ranges`] only;
-    /// elsewhere it keeps this rank's own partial (testing support — the
-    /// finite-difference probe reads it).
+    /// hosts into it in place — on [`MoeLayerEngine::served_ranges`] only,
+    /// this rank's own chunk summed by its Adam step; elsewhere it keeps
+    /// this rank's own partial (testing support — the finite-difference
+    /// probe reads it).
     pub fn hosted_grads(&mut self, hosted: usize) -> Vec<f32> {
         self.experts[hosted].flat_grads().to_vec()
     }
@@ -912,27 +919,36 @@ impl MoeLayerEngine {
         engine
     }
 
-    /// Adam step of one class from its collected gradient shard: a
-    /// locally-sourced shard is read where it lies, in the gradient of the
-    /// class's expert `experts[hosted]`; a wire buffer goes back to the free
-    /// list afterwards.
+    /// Adam step of one class: from `grad`, published into the class's
+    /// `sends` and — when the next placement puts the class on this rank,
+    /// as its `next`-th hosted class — straight into that expert's
+    /// parameters.
     fn step_class(
-        &mut self,
-        ctx: &mut RankCtx,
+        optimizer: &mut SymiOptimizer,
+        experts: &mut [ExpertFfn<HalfMatrix>],
         class: usize,
-        shard: GradShard,
-        hosted: Option<usize>,
+        grad: StepGrad<'_>,
+        next: Option<usize>,
+        sends: &mut WeightSends,
     ) {
-        let out = &mut self.weight_shards[class];
-        match shard {
-            GradShard::Local => {
-                let (ms, mt) = self.optimizer.shard_range(class);
-                let grads = self.experts[hosted.expect("locally sourced, so hosted")].flat_grads();
-                self.optimizer.step_class_into(class, &grads[ms..mt], out);
+        let outs = sends.of_class(class);
+        match (grad, next) {
+            (StepGrad::Hosted(g, partials), Some(s)) if s == g => {
+                let (grad, params) = experts[g].grads_and_params();
+                optimizer.step_class(class, ClassGrad::Reduced(grad, partials), outs, Some(params));
             }
-            GradShard::Wire(buf) => {
-                self.optimizer.step_class_into(class, &buf, out);
-                ctx.recycle_f32(buf);
+            (StepGrad::Hosted(g, partials), Some(s)) => {
+                let [src, slot] = experts.get_disjoint_mut([g, s]).expect("two experts");
+                let grad = ClassGrad::Reduced(src.flat_grads_mut(), partials);
+                optimizer.step_class(class, grad, outs, Some(slot.params_mut()));
+            }
+            (StepGrad::Hosted(g, partials), None) => {
+                let grad = ClassGrad::Reduced(experts[g].flat_grads_mut(), partials);
+                optimizer.step_class(class, grad, outs, None);
+            }
+            (StepGrad::Wire(shard), next) => {
+                let slot = next.map(|s| experts[s].params_mut());
+                optimizer.step_class(class, ClassGrad::Shard(shard), outs, slot);
             }
         }
     }
@@ -1030,48 +1046,15 @@ impl MoeLayerEngine {
             path.forward(ctx, x_local, target_local, &mut self.experts, &mut self.tokens)?;
         path.backward(ctx, &mut self.experts, &mut self.tokens)?;
 
-        // ---- Step 4: §4.1's replica sum per class, one exchange each,
-        // reduced onto the ranges Algorithm 2's sources serve. The intra-rank
-        // step already happened: backward summed the class's co-located slots
-        // as rows of one batch. A class that drew no token on this rank
-        // materializes its zeros here — its hosts need them all the same.
-        // `Phase::GradComm` covers three different things — the return of
-        // the upstream gradients above, this reduce, and Algorithm 2's shard
-        // collection — so each is also timed on its own and published as a
-        // gauge.
-        let hosted = self.placement.classes_on_rank(self.lrank);
-        let t0 = Instant::now();
-        for (expert, (class, _)) in self.experts.iter_mut().zip(&hosted) {
-            let grad = expert.flat_grads_mut();
-            self.optimizer.reduce_grads_to_sources(ctx, &self.placement, *class, grad, tags)?;
-        }
-        let grad_sync = t0.elapsed();
-
-        // ---- Step 5: collect gradient shards (Algorithm 2), step Adam.
-        // (The optimizer times its own GradComm/OptimizerStep spans.)
-        // Per class, the expert whose gradient buffer holds the class's
-        // summed gradient on the ranges this rank serves.
-        let mut expert_of: Vec<Option<usize>> = vec![None; e];
-        let t0 = Instant::now();
-        let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
-        for ((class, _), (g, expert)) in hosted.iter().zip(self.experts.iter_mut().enumerate()) {
-            expert_of[*class] = Some(g);
-            class_grads[*class] = Some(expert.flat_grads());
-        }
-        let shards =
-            self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
-        let grad_collect = t0.elapsed();
-        for (class, shard) in shards.into_iter().enumerate() {
-            self.step_class(ctx, class, shard, expert_of[class]);
-        }
-
-        // The policy places the next iteration; the placement is rebuilt
-        // only when its counts change. Every rank of a degraded iteration
-        // keeps its placement: each observed the starved popularity sync (the
-        // gather-root summed nobody's contribution or the broadcast never
-        // arrived), so each skips the rebalance the same way — stale but
-        // correct per §3.4. If ranks ever *disagreed*, the sized
-        // weight-distribute receives of the diverging placements would
+        // The policy places the next iteration before any Adam step runs,
+        // so each step publishes straight into the weight scatter's sends
+        // and slots; it reads only the popularity synced above. The
+        // placement is rebuilt only when its counts change. Every rank of a
+        // degraded iteration keeps its placement: each observed the starved
+        // popularity sync (the gather-root summed nobody's contribution or
+        // the broadcast never arrived), so each skips the rebalance the same
+        // way — stale but correct per §3.4. If ranks ever *disagreed*, the
+        // sized weight-distribute receives of the diverging placements would
         // starve and escalate loudly; stale placement can never cause silent
         // divergence.
         let rebalance_span = tele.span(Phase::Rebalance);
@@ -1085,17 +1068,86 @@ impl MoeLayerEngine {
         };
         let placement_churn = next_placement.as_ref().map_or(0, |p| self.placement.diff_slots(p));
         drop(rebalance_span);
+        let next = next_placement.as_ref().unwrap_or(&self.placement);
+        let mut sends = self.optimizer.weight_sends(ctx, next, tags);
+        let slot_of = |class: usize| next.hosted_index(self.lrank, class);
+
+        // ---- Step 4: §4.1's replica sum per class, one exchange each,
+        // reduced onto the ranges Algorithm 2's sources serve. A class whose
+        // reduce received partials of this rank's own chunk is stepped right
+        // after it — the step sums them into the chunk as it goes — so one
+        // class's partials are live at a time. Every other class steps after
+        // the collect, as all did before: a class with one host has nothing
+        // to consume early, and stepping it before the collect's barrier
+        // would pile a busier host's Adam work ahead of it while its peer
+        // waits. The intra-rank step already happened: backward summed the
+        // class's co-located slots as rows of one batch. A class that drew
+        // no token on this rank materializes its zeros here — its hosts need
+        // them all the same. `Phase::GradComm` covers three different things
+        // — the return of the upstream gradients above, this reduce, and
+        // Algorithm 2's shard collection — so each is also timed on its own
+        // and published as a gauge (`grad_sync_ms` with the early Adam steps
+        // in it).
+        let hosted = self.placement.classes_on_rank(self.lrank);
+        let mut deferred = Vec::with_capacity(hosted.len());
+        let t0 = Instant::now();
+        for (g, &(class, _)) in hosted.iter().enumerate() {
+            let grad = self.experts[g].flat_grads_mut();
+            let partials =
+                self.optimizer.reduce_grads_to_sources(ctx, &self.placement, class, grad, tags)?;
+            if partials.is_empty() {
+                deferred.push((g, class));
+                continue;
+            }
+            let grad = StepGrad::Hosted(g, &partials);
+            let experts = &mut self.experts;
+            Self::step_class(&mut self.optimizer, experts, class, grad, slot_of(class), &mut sends);
+            partials.recycle(ctx);
+        }
+        let grad_sync = t0.elapsed();
+
+        // ---- Step 5: collect gradient shards (Algorithm 2), then step the
+        // classes this rank does not host from the wire and the deferred
+        // hosted ones from their gradient. (The optimizer times its own
+        // GradComm/OptimizerStep spans.) Per class, the expert whose gradient
+        // buffer holds the class's summed gradient on the ranges this rank
+        // serves.
+        let t0 = Instant::now();
+        let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
+        for ((class, _), expert) in hosted.iter().zip(self.experts.iter_mut()) {
+            class_grads[*class] = Some(expert.flat_grads());
+        }
+        let shards =
+            self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
+        let grad_collect = t0.elapsed();
+        for (class, shard) in shards.into_iter().enumerate() {
+            if let GradShard::Wire(buf) = shard {
+                // A hosted class's zero-length chunk comes back as an empty
+                // wire shard; it steps with the hosted classes.
+                if !hosted.iter().any(|&(c, _)| c == class) {
+                    let (experts, grad) = (&mut self.experts, StepGrad::Wire(&buf));
+                    Self::step_class(
+                        &mut self.optimizer,
+                        experts,
+                        class,
+                        grad,
+                        slot_of(class),
+                        &mut sends,
+                    );
+                }
+                ctx.recycle_f32(buf);
+            }
+        }
+        let none = Partials::default();
+        for (g, class) in deferred {
+            let (experts, grad) = (&mut self.experts, StepGrad::Hosted(g, &none));
+            Self::step_class(&mut self.optimizer, experts, class, grad, slot_of(class), &mut sends);
+        }
 
         // ---- Step 8: scatter the updated weights under the new placement,
         // which the experts hold from here on; then the optimizer state
         // follows it where it is coupled to its hosts (SYMI's never moves).
-        self.optimizer.distribute_weights_into(
-            ctx,
-            next_placement.as_ref().unwrap_or(&self.placement),
-            &self.weight_shards,
-            tags,
-            &mut self.experts,
-        )?;
+        self.optimizer.scatter_weights_into(ctx, next, sends, tags, &mut self.experts)?;
         if let Some(p) = next_placement {
             self.optimizer.follow(ctx, &p, tags)?;
             self.placement = p;
@@ -1287,6 +1339,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn after_every_iteration_each_hosted_slot_holds_the_binary16_image_of_the_masters() {
+        // The Adam step publishes this rank's chunk of a class straight into
+        // the slot that hosts it next, the scatter the other owners' chunks:
+        // between them every chunk of every hosted class is fresh, under
+        // placements that move classes between ranks and spread one class
+        // over several.
+        let nodes = 4;
+        let iterations = 8;
+        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+            let mut engine = MoeLayerEngine::new(ctx.rank(), nodes, cfg());
+            let mut seen = Vec::new();
+            for it in 0..iterations {
+                let x = token_matrix(ctx.rank() + 3 * it, 12, 8);
+                let target = token_matrix(ctx.rank() + 50, 12, 8);
+                engine.iteration(ctx, &x, &target).unwrap();
+                let slots: Vec<(usize, Vec<f32>)> = engine
+                    .placement
+                    .classes_on_rank(engine.lrank)
+                    .into_iter()
+                    .map(|(class, locals)| (class, engine.slot_weights(locals[0])))
+                    .collect();
+                let masters: Vec<Vec<f32>> =
+                    (0..4).map(|c| engine.master_shard(c).to_vec()).collect();
+                seen.push((engine.placement.clone(), slots, masters));
+            }
+            seen
+        });
+        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut spread = false;
+        for it in 0..iterations {
+            for (rank, per_rank) in results.iter().enumerate() {
+                let (placement, slots, _) = &per_rank[it];
+                spread |= (0..4).any(|c| placement.host_ranks(c).len() > 1);
+                for (class, weights) in slots {
+                    // World owners: the class's masters are the ranks' chunks
+                    // in rank order.
+                    let image: Vec<f32> = results
+                        .iter()
+                        .flat_map(|r| &r[it].2[*class])
+                        .map(|&w| symi_tensor::half::quantize_f16(w))
+                        .collect();
+                    assert_eq!(
+                        bits(weights),
+                        bits(&image),
+                        "iteration {it}, rank {rank}, class {class}: a stale slot"
+                    );
+                }
+            }
+        }
+        let placements: Vec<_> = results[0].iter().map(|s| &s.0).collect();
+        assert!(placements.windows(2).any(|w| w[0] != w[1]), "the placement never moved");
+        assert!(spread, "no class was ever hosted on two ranks");
     }
 
     #[test]

@@ -13,12 +13,16 @@
 //!    class's host ranks, spreading load so no replica becomes a hotspot.
 //!    Before it, §4.1's replica sum runs per hosted class and leaves the
 //!    sum only where the collect reads it: on each host, the chunks of the
-//!    owners that Algorithm 2 sources from that host.
+//!    owners that Algorithm 2 sources from that host. A host's *own* chunk
+//!    is summed by the Adam step itself, from the partials the reduce
+//!    received.
 //! 2. Steps Adam on each shard (host-side; the staging across PCIe is
 //!    accounted via the traffic counters). The kernel publishes the updated
-//!    weights as binary16 bits in the same pass — the wire format.
-//! 3. **Weight Communication Phase**: scatters those fp16 shards to each
-//!    rank hosting the class under the **next** iteration's placement, where
+//!    weights as binary16 bits in the same pass — the wire format — straight
+//!    into the weight scatter's send buffers and, where this rank hosts the
+//!    class next, into its slot.
+//! 3. **Weight Communication Phase**: sends those fp16 shards to each rank
+//!    hosting the class under the **next** iteration's placement, where
 //!    they are copied straight into the hosting slots' binary16 weights.
 //!    Because the slots
 //!    must receive fresh weights anyway, re-placement is free — the paper's
@@ -38,15 +42,15 @@
 
 use crate::placement::ExpertPlacement;
 use symi_collectives::coll::chunk_range;
-use symi_collectives::tag::with_step;
+use symi_collectives::tag::{decode, with_step};
 use symi_collectives::{
-    decode_f16_into, encode_f16, CommError, MembershipView, RankCtx, RecvOp, SendOp, TagSpace,
-    WirePhase,
+    decode_f16_into, encode_f16, CommError, MembershipView, Payload, RankCtx, RecvOp, SendOp,
+    TagSpace, WirePhase,
 };
-use symi_model::expert::ExpertFfn;
+use symi_model::expert::{ExpertFfn, ParamsMut};
 use symi_telemetry::{Phase, TelemetryHandle};
 use symi_tensor::HalfMatrix;
-use symi_tensor::{AdamConfig, AdamShard};
+use symi_tensor::{AdamConfig, AdamShard, Dest, Grad};
 
 /// Algorithm 2's `get_source`: which host rank serves `for_rank`'s shard
 /// of a class hosted on `host_ranks` (ascending).
@@ -437,9 +441,9 @@ impl Owners {
 #[derive(Debug)]
 pub(crate) enum GradShard {
     /// Sourced from this rank's own replica: the shard is
-    /// [`SymiOptimizer::shard_range`] of the class's local synchronized
-    /// gradient and stays there — Adam steps from that slice, nothing is
-    /// copied.
+    /// [`SymiOptimizer::shard_range`] of the class's local gradient and
+    /// stays there — Adam sums and steps it where it lies
+    /// ([`ClassGrad::Reduced`]), nothing is copied.
     Local,
     /// Received from a remote host rank in a wire buffer (empty for a
     /// zero-length shard); hand it back with [`RankCtx::recycle_f32`] once
@@ -478,6 +482,108 @@ fn fold_ring_chunk(
 fn add_into(acc: &mut [f32], x: &[f32]) {
     for (a, v) in acc.iter_mut().zip(x) {
         *a += v;
+    }
+}
+
+/// The other hosts' partials of the chunks a host serves, as
+/// [`SymiOptimizer::reduce_grads_to_sources`] received them and left them
+/// unfolded on the host's own chunk: its Adam step sums them there
+/// ([`SymiOptimizer::step_reduced`]), in the ring's association, and hands
+/// the buffers back with [`Partials::recycle`].
+#[derive(Debug, Default)]
+pub struct Partials {
+    /// `parts[q]`: host position `q`'s partial of the ranges this host
+    /// serves, packed; empty at this host's own position, and no entry at
+    /// all when nothing arrived (one host, or nothing served here).
+    parts: Vec<Vec<f32>>,
+    /// This host's position among the class's hosts.
+    me: usize,
+    /// Where this rank's own chunk starts within the packing.
+    own_at: usize,
+}
+
+impl Partials {
+    /// Whether nothing arrived: the class has one host, or this host
+    /// serves nothing of it.
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
+    }
+
+    /// Hands the received buffers back to the wire-buffer free list.
+    pub fn recycle(self, ctx: &RankCtx) {
+        for part in self.parts {
+            ctx.recycle_f32(part);
+        }
+    }
+}
+
+/// Where the gradient of one class's Adam step comes from.
+pub(crate) enum ClassGrad<'a> {
+    /// This rank's shard, summed already: a wire buffer, or a caller's.
+    Shard(&'a [f32]),
+    /// A host's flat gradient of the class as the reduce left it, and what
+    /// the reduce returned: the step sums this rank's own chunk from the
+    /// two — element `i` of ring chunk `j` the partials of host positions
+    /// `j, j + 1, …` (mod m), left to right, as `fold_ring_chunk` would —
+    /// and leaves the sum in the gradient, where the fold would have.
+    Reduced(&'a mut [f32], &'a Partials),
+}
+
+/// A binary16 buffer an Adam step publishes into.
+pub(crate) trait HalfBuf {
+    fn bits(&mut self) -> &mut [u16];
+}
+
+impl HalfBuf for Vec<u16> {
+    fn bits(&mut self) -> &mut [u16] {
+        self
+    }
+}
+
+impl HalfBuf for SendOp {
+    fn bits(&mut self) -> &mut [u16] {
+        match &mut self.data {
+            Payload::F16(bits) => bits,
+            _ => unreachable!("a weight send carries binary16 bits"),
+        }
+    }
+}
+
+/// The Weight Communication Phase's sends of one iteration, taken before
+/// Adam runs so the step publishes into them: per class whose chunk this
+/// rank owns, one binary16 send to every other rank hosting the class
+/// under the next placement, class-major ([`SymiOptimizer::weight_sends`]).
+pub(crate) struct WeightSends {
+    ops: Vec<SendOp>,
+}
+
+impl WeightSends {
+    /// The sends of `class`.
+    pub(crate) fn of_class(&mut self, class: usize) -> &mut [SendOp] {
+        let class_of = |op: &SendOp| decode(op.tag).map_or(0, |f| f.entity as usize);
+        let lo = self.ops.partition_point(|op| class_of(op) < class);
+        let hi = self.ops.partition_point(|op| class_of(op) <= class);
+        &mut self.ops[lo..hi]
+    }
+}
+
+/// Runs `f` on `items` gathered into a slice — on the stack when there are
+/// at most eight, else on the heap: a step's gradient terms and
+/// destinations, collected without an allocation in the common case.
+fn with_list<T: Default, R>(
+    mut items: impl Iterator<Item = T>,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    let mut stack: [T; 8] = Default::default();
+    for n in 0..stack.len() {
+        match items.next() {
+            Some(item) => stack[n] = item,
+            None => return f(&mut stack[..n]),
+        }
+    }
+    match items.next() {
+        None => f(&mut stack),
+        Some(item) => f(&mut stack.into_iter().chain([item]).chain(items).collect::<Vec<_>>()),
     }
 }
 
@@ -699,9 +805,12 @@ impl SymiOptimizer {
 
     /// §4.1's replica sum of one hosted class, reduced onto Algorithm 2's
     /// sources: on return, this rank's `grad` holds the sum over the class's
-    /// host ranks on S_h — the chunks of every owner whose [`get_source`] is
-    /// this rank — and its own partial everywhere else, which nothing reads.
-    /// [`SymiOptimizer::collect_grads`] then serves every owner from S_h.
+    /// host ranks on S_h — the chunks of every *other* owner whose
+    /// [`get_source`] is this rank — and its own partial everywhere else.
+    /// [`SymiOptimizer::collect_grads`] then serves those owners from S_h.
+    /// This rank's own chunk is served here too, but the sum there is left
+    /// to its Adam step ([`SymiOptimizer::step_reduced`]), which reads the
+    /// returned [`Partials`] and leaves the sum in `grad` as it steps.
     ///
     /// Every other host sends this rank its partial of S_h in one sized
     /// message (`(GradSync, class, src_physical)`), and this rank sends each
@@ -725,14 +834,14 @@ impl SymiOptimizer {
         class: usize,
         grad: &mut [f32],
         tags: TagSpace,
-    ) -> Result<(), CommError> {
+    ) -> Result<Partials, CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
         let hosts = placement.host_ranks(class);
         let me = hosts.binary_search(&self.lrank).expect("reduce only a hosted class");
         let m = hosts.len();
         assert_eq!(grad.len(), self.param_count, "class {class}: gradient length");
         if m == 1 {
-            return Ok(());
+            return Ok(Partials::default());
         }
         let me_phys = self.my_phys();
         let mut sends = Vec::with_capacity(m - 1);
@@ -763,7 +872,7 @@ impl SymiOptimizer {
         }
         let received = ctx.batch_isend_irecv(sends, &recvs)?;
         if mine_len == 0 {
-            return Ok(());
+            return Ok(Partials::default());
         }
         // `parts[j]` is host position j's partial of S_h, packed; mine stays
         // in `grad`.
@@ -776,22 +885,24 @@ impl SymiOptimizer {
                 received.next().expect("one per peer").into_f32()?
             });
         }
-        for j in 0..m {
-            let (cs, ce) = chunk_range(self.param_count, m, j);
-            let mut packed = 0;
-            for (s, t) in mine.clone() {
-                let (a, b) = (s.max(cs), t.min(ce));
-                if a < b {
-                    let w = packed + a - s..packed + b - s;
-                    fold_ring_chunk(&mut grad[a..b], &mut parts, me, j, w);
+        let own = self.shard_range(class);
+        let (mut packed, mut own_at) = (0, 0);
+        for (s, t) in mine {
+            if (s, t) == own {
+                own_at = packed;
+            } else {
+                for j in 0..m {
+                    let (cs, ce) = chunk_range(self.param_count, m, j);
+                    let (a, b) = (s.max(cs), t.min(ce));
+                    if a < b {
+                        let w = packed + a - s..packed + b - s;
+                        fold_ring_chunk(&mut grad[a..b], &mut parts, me, j, w);
+                    }
                 }
-                packed += t - s;
             }
+            packed += t - s;
         }
-        for part in parts {
-            ctx.recycle_f32(part);
-        }
-        Ok(())
+        Ok(Partials { parts, me, own_at })
     }
 
     /// Grad Communication Phase: every rank ends up with its shard of every
@@ -929,38 +1040,157 @@ impl SymiOptimizer {
             .collect()
     }
 
-    /// Adam step over one class's shard — [`SymiOptimizer::step_into`] one
-    /// class at a time, for a caller whose gradient shards are not all
-    /// `Vec`s. Writes the updated fp16 weight shard into `out` (resized),
-    /// reusing its allocation.
-    pub(crate) fn step_class_into(&mut self, class: usize, grad_shard: &[f32], out: &mut Vec<u16>) {
-        let _span = self.telemetry.span(Phase::OptimizerStep);
-        self.shards[class].step_into(grad_shard, out);
-    }
-
-    /// Adam step over every class's shard; `out[class]` receives the updated
-    /// weight shard as binary16 bits — what the kernel wrote, ready for
-    /// [`SymiOptimizer::distribute_weights`] with no conversion pass.
-    /// `out` is resized to one buffer per class and the buffers are reused.
-    /// Each shard's elementwise update runs in parallel chunks on the shared
-    /// worker pool (`symi_tensor::pool`), bit-exact for any worker count.
-    pub fn step_into(&mut self, grad_shards: &[Vec<f32>], out: &mut Vec<Vec<u16>>) {
-        let _span = self.telemetry.span(Phase::OptimizerStep);
+    /// Adam step over every class's shard; element `class` of the result is
+    /// the updated weight shard as binary16 bits — what the kernel wrote,
+    /// ready for [`SymiOptimizer::distribute_weights`] with no conversion
+    /// pass. Each shard's elementwise update runs in parallel chunks on the
+    /// shared worker pool (`symi_tensor::pool`), bit-exact for any worker
+    /// count.
+    ///
+    /// This is the owned-`Vec` convenience form, for callers that hold no
+    /// slots (traffic harnesses, tests); the engine publishes each class's
+    /// step straight into its weight-scatter buffers and slot.
+    pub fn step(&mut self, grad_shards: &[Vec<f32>]) -> Vec<Vec<u16>> {
         assert_eq!(grad_shards.len(), self.shards.len(), "one gradient shard per class");
         if self.telemetry.is_enabled() {
             self.telemetry.gauge("optimizer_state_bytes").set(self.state_bytes() as f64);
         }
-        out.resize_with(self.shards.len(), Vec::new);
-        for ((shard, grad), half) in self.shards.iter_mut().zip(grad_shards).zip(out) {
-            shard.step_into(grad, half);
+        let mut out = Vec::with_capacity(grad_shards.len());
+        for (class, grad) in grad_shards.iter().enumerate() {
+            let mut half = vec![0u16; grad.len()];
+            self.step_class(class, ClassGrad::Shard(grad), std::slice::from_mut(&mut half), None);
+            out.push(half);
         }
+        out
     }
 
-    /// [`SymiOptimizer::step_into`] into fresh buffers.
-    pub fn step(&mut self, grad_shards: &[Vec<f32>]) -> Vec<Vec<u16>> {
-        let mut out = Vec::new();
-        self.step_into(grad_shards, &mut out);
-        out
+    /// Adam step of a class this rank hosts, from what
+    /// [`SymiOptimizer::reduce_grads_to_sources`] left: `grad` is the class's
+    /// flat gradient it reduced into, `partials` what it returned. The
+    /// step sums this rank's own chunk of the replica sum as it goes and
+    /// leaves it in `grad`, which then holds the sum on every range this
+    /// rank serves. Returns the updated shard as binary16 bits (the
+    /// owned-`Vec` convenience form, for tests: the engine publishes
+    /// straight into its sends and slot).
+    pub fn step_reduced(
+        &mut self,
+        class: usize,
+        grad: &mut [f32],
+        partials: &Partials,
+    ) -> Vec<u16> {
+        let (ms, mt) = self.shard_range(class);
+        let mut half = vec![0u16; mt - ms];
+        let grad = ClassGrad::Reduced(grad, partials);
+        self.step_class(class, grad, std::slice::from_mut(&mut half), None);
+        half
+    }
+
+    /// The Weight Communication Phase's send buffers toward
+    /// `new_placement`: for each class this rank owns a non-empty chunk of,
+    /// one pooled buffer of the chunk's length per other rank that hosts
+    /// the class there. Their contents are stale until the class's Adam
+    /// step ([`SymiOptimizer::step_class`]) publishes into them.
+    pub(crate) fn weight_sends(
+        &self,
+        ctx: &RankCtx,
+        new_placement: &ExpertPlacement,
+        tags: TagSpace,
+    ) -> WeightSends {
+        let n = self.nodes();
+        assert_eq!(new_placement.ranks(), n, "placement rank count mismatch");
+        let me_phys = self.my_phys();
+        let mut ops = Vec::new();
+        for class in 0..self.shards.len() {
+            let (ms, mt) = self.shard_range(class);
+            if ms == mt {
+                continue;
+            }
+            for dst in (0..n).filter(|&d| d != self.lrank && new_placement.rank_hosts(d, class)) {
+                let tag = tags.tag(WirePhase::WeightDistribute, class, me_phys);
+                let bits = ctx.pooled_f16_len(mt - ms);
+                ops.push(SendOp::new(self.view.physical_of(dst), tag, bits));
+            }
+        }
+        WeightSends { ops }
+    }
+
+    /// Adam step of `class`'s chunk — the one pass from gradient to
+    /// published weights. The gradient comes from `grad`; the updated
+    /// weights go, as binary16 bits, to each of `outs` (one chunk long
+    /// each) and, through `slot`, into the parameters of the expert that
+    /// hosts the class on this rank next ([`ParamsMut::dests`]). Every
+    /// class steps once per iteration, a zero-length chunk included: the
+    /// step counter advances for all classes together.
+    pub(crate) fn step_class<B: HalfBuf>(
+        &mut self,
+        class: usize,
+        grad: ClassGrad<'_>,
+        outs: &mut [B],
+        slot: Option<ParamsMut<'_>>,
+    ) {
+        let _span = self.telemetry.span(Phase::OptimizerStep);
+        let (ms, mt) = self.shard_range(class);
+        let param_count = self.param_count;
+        let mut grad = match grad {
+            ClassGrad::Reduced(full, partials) => {
+                assert_eq!(full.len(), param_count, "class {class}: gradient length");
+                if partials.is_empty() {
+                    ClassGrad::Shard(&full[ms..mt])
+                } else {
+                    ClassGrad::Reduced(full, partials)
+                }
+            }
+            ClassGrad::Shard(shard) => {
+                assert_eq!(shard.len(), mt - ms, "class {class}: gradient shard length");
+                ClassGrad::Shard(shard)
+            }
+        };
+        let mut step = self.shards[class].begin_step();
+        // Steps flat elements `a .. b`; `local`, when the class has a slot
+        // here next, is the slot's storage of them.
+        let mut run = |a: usize, b: usize, mut local: Option<Dest<'_>>| match &mut grad {
+            ClassGrad::Shard(shard) => {
+                let r = a - ms..b - ms;
+                let half = outs.iter_mut().map(|o| Dest::Half(&mut o.bits()[r.clone()]));
+                with_list(half.chain(local), |dests| {
+                    step.run(r.clone(), Grad::sum(&[&shard[r.clone()]]), dests)
+                });
+            }
+            ClassGrad::Reduced(full, partials) => {
+                let m = partials.parts.len();
+                let mut at = a;
+                while at < b {
+                    let j = (0..m)
+                        .find(|&j| chunk_range(param_count, m, j).1 > at)
+                        .expect("ring chunks tile the parameters");
+                    let end = chunk_range(param_count, m, j).1.min(b);
+                    let r = at - ms..end - ms;
+                    let packed = partials.own_at + r.start..partials.own_at + r.end;
+                    // Host positions j, j + 1, … (mod m); this rank's partial,
+                    // the accumulator, takes its place among them.
+                    let before = (partials.me + m - j) % m;
+                    let terms = (0..m)
+                        .map(|t| (j + t) % m)
+                        .filter(|&q| q != partials.me)
+                        .map(|q| &partials.parts[q][packed.clone()]);
+                    let acc = &mut full[at..end];
+                    let half = outs.iter_mut().map(|o| Dest::Half(&mut o.bits()[r.clone()]));
+                    let local = local.as_mut().map(|d| d.sub(at - a..end - a));
+                    with_list(terms, |terms| {
+                        with_list(half.chain(local), |dests| {
+                            step.run(r.clone(), Grad::accumulate(terms, acc, before), dests)
+                        })
+                    });
+                    at = end;
+                }
+            }
+        };
+        match slot {
+            Some(mut params) => {
+                params.dests(ms, mt, |start, d| run(start, start + d.len(), Some(d)))
+            }
+            None => run(ms, mt, None),
+        }
     }
 
     /// Weight Communication Phase: sends this rank's updated fp16 weight
@@ -970,9 +1200,10 @@ impl SymiOptimizer {
     /// new placement with zero extra traffic relative to a static system's
     /// weight update (§3.3-II).
     ///
-    /// This is `SymiOptimizer::distribute_weights_into` with freshly
-    /// allocated vectors as the sink, for callers that hold no slots
-    /// (traffic harnesses, tests).
+    /// This is the owned-`Vec` convenience form, for callers that hold no
+    /// slots (traffic harnesses, tests): each shard of `half_shards` (what
+    /// [`SymiOptimizer::step`] returned) is copied into its sends, and the
+    /// received and local chunks are decoded into fresh vectors.
     pub fn distribute_weights(
         &self,
         ctx: &mut RankCtx,
@@ -982,7 +1213,7 @@ impl SymiOptimizer {
     ) -> Result<Vec<Vec<f32>>, CommError> {
         let mut out = vec![vec![0.0f32; self.param_count]; new_placement.slots_per_rank()];
         let hosted = new_placement.classes_on_rank(self.lrank);
-        self.scatter_weights(ctx, new_placement, half_shards, tags, |g, offset, half| {
+        self.scatter_copies(ctx, new_placement, half_shards, tags, |g, offset, half| {
             for &local in &hosted[g].1 {
                 decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
             }
@@ -990,12 +1221,14 @@ impl SymiOptimizer {
         Ok(out)
     }
 
-    /// The Weight Communication Phase as the engine runs it: every shard —
+    /// [`SymiOptimizer::distribute_weights`] into slots: every chunk —
     /// received, or this rank's own from `half_shards` — is copied once,
     /// straight into the binary16 `W1 | W2` (and the f32 `b1 | b2`) of the
     /// one expert that executes its class ([`ExpertFfn::load_f16_at`]); the
     /// weights are not decoded. `experts[g]` takes the `g`-th class of
-    /// `new_placement.classes_on_rank`, however many slots it fills.
+    /// `new_placement.classes_on_rank`, however many slots it fills. The
+    /// path of a membership change or a restore, whose shards are encoded
+    /// masters, not an Adam step's output.
     pub(crate) fn distribute_weights_into(
         &self,
         ctx: &mut RankCtx,
@@ -1004,28 +1237,33 @@ impl SymiOptimizer {
         tags: TagSpace,
         experts: &mut [ExpertFfn<HalfMatrix>],
     ) -> Result<(), CommError> {
-        self.scatter_weights(ctx, new_placement, half_shards, tags, |g, offset, half| {
+        self.scatter_copies(ctx, new_placement, half_shards, tags, |g, offset, half| {
             experts[g].load_f16_at(offset, half);
         })
     }
 
-    /// Advances the fencing epoch, sends every shard, receives this rank's
-    /// classes' shards, and hands `sink` every `(index of the class in
-    /// new_placement.classes_on_rank, offset in the flat parameters, fp16
-    /// shard)` — once per hosted class and source chunk.
-    ///
-    /// `half_shards[class]` is this rank's shard of `class` as binary16
-    /// bits — what [`SymiOptimizer::step_into`] wrote; nothing is converted
-    /// here. A destination rank hosting several sibling slots of one class
-    /// receives the shard once, and this rank's own classes are served
-    /// straight from `half_shards` without touching the wire. Zero-length
-    /// shards are skipped on the wire by both sides. The
-    /// shards travel (and stage over PCIe) as 2 B/param [`Payload::F16`],
-    /// each send in a buffer from the wire-buffer free list, and consumed
-    /// wire buffers go back to it.
-    ///
-    /// [`Payload::F16`]: symi_collectives::Payload::F16
-    fn scatter_weights(
+    /// The Weight Communication Phase as the engine runs it, after every
+    /// class's Adam step published into `sends` and into this rank's own
+    /// slots: sends them, and copies each received chunk straight into the
+    /// expert that executes its class, as
+    /// [`SymiOptimizer::distribute_weights_into`] does.
+    pub(crate) fn scatter_weights_into(
+        &self,
+        ctx: &mut RankCtx,
+        new_placement: &ExpertPlacement,
+        sends: WeightSends,
+        tags: TagSpace,
+        experts: &mut [ExpertFfn<HalfMatrix>],
+    ) -> Result<(), CommError> {
+        self.scatter_weights(ctx, new_placement, sends, tags, |g, offset, half| {
+            experts[g].load_f16_at(offset, half);
+        })
+    }
+
+    /// Copies `half_shards` — this rank's shard of every class as binary16
+    /// bits — into the sends toward `new_placement`, hands `sink` this
+    /// rank's own chunk of each class it hosts there, and scatters.
+    fn scatter_copies(
         &self,
         ctx: &mut RankCtx,
         new_placement: &ExpertPlacement,
@@ -1033,47 +1271,64 @@ impl SymiOptimizer {
         tags: TagSpace,
         mut sink: impl FnMut(usize, usize, &[u16]),
     ) -> Result<(), CommError> {
-        let _span = self.telemetry.span(Phase::WeightComm);
-        let n = self.nodes();
         assert_eq!(half_shards.len(), self.shards.len(), "one weight shard per class");
-        assert_eq!(new_placement.ranks(), n, "placement rank count mismatch");
-        ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
-        let me_phys = self.my_phys();
-
-        // The shards leave host memory over PCIe at their fp16 width.
-        for shard in half_shards {
-            ctx.record_host_device_bytes(shard.len() as u64 * 2);
-        }
-
-        // One send per (class, distinct remote host rank); my own slots are
-        // fed locally below.
-        let mut sends = Vec::new();
         for (class, half) in half_shards.iter().enumerate() {
             let (ms, mt) = self.shard_range(class);
-            if ms == mt {
-                continue;
-            }
             assert_eq!(half.len(), mt - ms, "class {class}: weight shard length");
-            for dst in
-                (0..n).filter(|&dst| dst != self.lrank && new_placement.rank_hosts(dst, class))
-            {
-                sends.push(SendOp::new(
-                    self.view.physical_of(dst),
-                    tags.tag(WirePhase::WeightDistribute, class, me_phys),
-                    ctx.pooled_copy_f16(half),
-                ));
+        }
+        let mut sends = self.weight_sends(ctx, new_placement, tags);
+        for (class, half) in half_shards.iter().enumerate() {
+            for op in sends.of_class(class) {
+                op.bits().copy_from_slice(half);
             }
         }
+        for (g, (class, _)) in new_placement.classes_on_rank(self.lrank).into_iter().enumerate() {
+            let (ms, mt) = self.shard_range(class);
+            if ms < mt {
+                sink(g, ms, &half_shards[class]);
+            }
+        }
+        self.scatter_weights(ctx, new_placement, sends, tags, sink)
+    }
 
-        // Receive each of my distinct classes' shard from every owner with a
-        // non-empty chunk, length-checked at the wire.
+    /// Advances the fencing epoch, sends `sends`' buffers, receives this
+    /// rank's classes' chunks from every other owner, and hands `sink` each
+    /// `(index of the class in new_placement.classes_on_rank, offset in the
+    /// flat parameters, fp16 chunk)` — once per hosted class and remote
+    /// source chunk. This rank's own chunks are not handed over: they are
+    /// already in place.
+    ///
+    /// A destination rank hosting several sibling slots of one class
+    /// receives the shard once. Zero-length shards are skipped on the wire
+    /// by both sides. The shards travel (and stage over PCIe) as 2 B/param
+    /// [`Payload::F16`], each send in a buffer from the wire-buffer free
+    /// list, and consumed wire buffers go back to it.
+    ///
+    /// [`Payload::F16`]: symi_collectives::Payload::F16
+    fn scatter_weights(
+        &self,
+        ctx: &mut RankCtx,
+        new_placement: &ExpertPlacement,
+        sends: WeightSends,
+        tags: TagSpace,
+        mut sink: impl FnMut(usize, usize, &[u16]),
+    ) -> Result<(), CommError> {
+        let _span = self.telemetry.span(Phase::WeightComm);
+        let n = self.nodes();
+        assert_eq!(new_placement.ranks(), n, "placement rank count mismatch");
+        ctx.begin_epoch(tags.iteration(), WirePhase::WeightDistribute);
+
+        // The shards leave host memory over PCIe at their fp16 width.
+        let owned: usize =
+            (0..self.shards.len()).map(|c| self.shard_range(c)).map(|(s, t)| t - s).sum();
+        ctx.record_host_device_bytes(owned as u64 * 2);
+
+        // Receive each of my distinct classes' shard from every other owner
+        // with a non-empty chunk, length-checked at the wire.
         let my_classes = new_placement.classes_on_rank(self.lrank);
         let mut recvs = Vec::new();
         for &(class, _) in &my_classes {
-            for src in 0..n {
-                if src == self.lrank {
-                    continue;
-                }
+            for src in (0..n).filter(|&src| src != self.lrank) {
                 let (a, b) = self.chunk(class, src);
                 if a == b {
                     continue;
@@ -1087,7 +1342,7 @@ impl SymiOptimizer {
             }
         }
         let retries_before = ctx.protocol_stats().retries;
-        let mut received = ctx.batch_isend_irecv(sends, &recvs)?.into_iter();
+        let mut received = ctx.batch_isend_irecv(sends.ops, &recvs)?.into_iter();
         if self.telemetry.is_enabled() {
             // Retry attempts burned materializing the new placement — a
             // persistent nonzero here under a *healthy* plan would mean
@@ -1097,19 +1352,14 @@ impl SymiOptimizer {
             self.telemetry.gauge("weight_distribute_retries").set(delta as f64);
         }
         for (hosted, (class, _)) in my_classes.iter().enumerate() {
-            for src in 0..n {
+            for src in (0..n).filter(|&src| src != self.lrank) {
                 let (a, b) = self.chunk(*class, src);
                 if a == b {
                     continue;
                 }
-                if src == self.lrank {
-                    sink(hosted, a, &half_shards[*class]);
-                } else {
-                    let shard =
-                        received.next().expect("one receive per (class, src)").into_f16()?;
-                    sink(hosted, a, &shard);
-                    ctx.recycle_f16(shard);
-                }
+                let shard = received.next().expect("one receive per (class, src)").into_f16()?;
+                sink(hosted, a, &shard);
+                ctx.recycle_f16(shard);
             }
         }
         Ok(())

@@ -113,6 +113,15 @@ impl ExpertPlacement {
         out
     }
 
+    /// The index of `class` in [`ExpertPlacement::classes_on_rank`] of
+    /// `rank` — which of the rank's hosted classes it is — if `rank` hosts
+    /// it.
+    pub fn hosted_index(&self, rank: usize, class: usize) -> Option<usize> {
+        let slots = &self.slot_class[self.slots_of_rank(rank)];
+        let first = slots.iter().position(|&c| c == class)?;
+        Some((0..first).filter(|&i| !slots[..i].contains(&slots[i])).count())
+    }
+
     /// Replica count per class.
     pub fn replica_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.expert_classes];
@@ -174,6 +183,18 @@ impl ExpertPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hosted_index_finds_a_class_among_the_ranks_hosted_classes() {
+        let p = ExpertPlacement::from_counts(&[3, 1, 2, 2], 2);
+        for rank in 0..4 {
+            let hosted = p.classes_on_rank(rank);
+            for class in 0..4 {
+                let want = hosted.iter().position(|&(c, _)| c == class);
+                assert_eq!(p.hosted_index(rank, class), want, "rank {rank} class {class}");
+            }
+        }
+    }
 
     #[test]
     fn uniform_placement_shape() {

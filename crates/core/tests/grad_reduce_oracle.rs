@@ -4,15 +4,22 @@
 //! `SymiOptimizer::reduce_grads_to_sources` sums one class's partial
 //! gradients over the class's host ranks, but only onto S_h on each host
 //! `h`: the chunks of the owners whose `get_source` is `h`, the ranges the
-//! collect that follows reads. Three things are checked, on every world of
-//! up to five ranks and every host count, for both owner rules — the whole
-//! world (SYMI) over contiguous host ranges, and each class's hosts
-//! (DeepSpeed) over `ExpertPlacement::striped` — and at parameter counts
-//! that do and do not divide, down to fewer parameters than ranks:
+//! collect that follows reads. Host `h`'s own chunk is part of S_h, but the
+//! sum there is the Adam step's: `SymiOptimizer::step_reduced` sums the
+//! partials the reduce returned as it steps, and leaves the sum in place.
+//! Three things are checked, on every world of up to five ranks and every
+//! host count, for both owner rules — the whole world (SYMI) over
+//! contiguous host ranges, and each class's hosts (DeepSpeed) over
+//! `ExpertPlacement::striped` — and at parameter counts that do and do not
+//! divide, down to fewer parameters than ranks:
 //!
-//! 1. On S_h the reduce leaves, bit for bit, what `RankCtx::allreduce_sum`
-//!    over the hosts leaves there (the ring's association, not just its
-//!    value); everywhere else the rank's own partial is untouched.
+//! 1. On S_h the reduce and the step leave, bit for bit, what
+//!    `RankCtx::allreduce_sum` over the hosts leaves there (the ring's
+//!    association, not just its value); between the two, the host's own
+//!    chunk still holds its own partial; everywhere else the rank's own
+//!    partial is untouched. The step consumes that sum: the host's master
+//!    weights after it equal, bit for bit, one Adam step on the all-reduced
+//!    gradient.
 //! 2. Over a class's hosts the served ranges tile `[0, P)` exactly once.
 //! 3. Reduce plus collect move exactly `4 · m(N−1)/N · P` bytes per class
 //!    between nodes for world owners (`4 · (m−1) · P` for host owners): the
@@ -20,7 +27,7 @@
 
 use symi::{ExpertPlacement, SymiOptimizer};
 use symi_collectives::{Cluster, ClusterSpec, CommGroup, TagSpace, WirePhase};
-use symi_tensor::AdamConfig;
+use symi_tensor::{AdamConfig, AdamShard};
 
 /// One class hosted on `m` contiguous ranks starting at `start`, every other
 /// rank holding a class of its own (one slot per rank).
@@ -83,8 +90,27 @@ fn partial(rank: usize, class: usize, p: usize) -> Vec<f32> {
         .collect()
 }
 
-/// What one rank saw: per hosted class, its served ranges.
-type Served = Vec<(usize, Vec<(usize, usize)>)>;
+/// What one host saw of one class. Checked after the cluster run, so a
+/// mismatch fails the test instead of leaving the other ranks waiting.
+struct Seen {
+    class: usize,
+    /// This host's partial, and the ring all-reduce's result.
+    mine: Vec<f32>,
+    want: Vec<f32>,
+    /// The gradient after the reduce, and after the step.
+    reduced: Vec<f32>,
+    stepped: Vec<f32>,
+    ranges: Vec<(usize, usize)>,
+    own: (usize, usize),
+    /// Master shard and published bits after the step, and after one Adam
+    /// step on the all-reduced gradient.
+    master: [Vec<u32>; 2],
+    published: [Vec<u16>; 2],
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
 
 #[test]
 fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
@@ -94,10 +120,10 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                 "P {p}, N {n}, {} owners, {placement:?}",
                 ["host", "world"][world as usize]
             );
-            let (served, _) = Cluster::run(ClusterSpec::flat(n), |ctx| {
+            let (seen, _) = Cluster::run(ClusterSpec::flat(n), |ctx| {
                 let rank = ctx.rank();
-                let opt = optimizer(rank, n, &placement, world, p);
-                let mut served: Served = Vec::new();
+                let mut opt = optimizer(rank, n, &placement, world, p);
+                let mut seen = Vec::new();
                 for (class, _) in placement.classes_on_rank(rank) {
                     let mine = partial(rank, class, p);
                     let mut want = mine.clone();
@@ -105,41 +131,63 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                     let ring = TagSpace::new(1, 0).tag(WirePhase::GradSync, class, 0);
                     ctx.allreduce_sum(&CommGroup::new(hosts), ring, &mut want).expect("ring");
                     let mut got = mine.clone();
-                    opt.reduce_grads_to_sources(
-                        ctx,
-                        &placement,
+                    let tags = TagSpace::new(0, 0);
+                    let partials = opt
+                        .reduce_grads_to_sources(ctx, &placement, class, &mut got, tags)
+                        .expect("reduce");
+                    let reduced = got.clone();
+                    let (os, ot) = opt.shard_range(class);
+                    let half = opt.step_reduced(class, &mut got, &partials);
+                    partials.recycle(ctx);
+                    let mut adam = AdamShard::new(AdamConfig::default(), os, &vec![0.0; ot - os]);
+                    let mut want_half = Vec::new();
+                    adam.step_into(&want[os..ot], &mut want_half);
+                    seen.push(Seen {
                         class,
-                        &mut got,
-                        TagSpace::new(0, 0),
-                    )
-                    .expect("reduce");
-                    let ranges = opt.served_ranges(&placement, class, rank);
-                    let mut on_served = vec![false; p];
-                    for &(s, t) in &ranges {
-                        on_served[s..t].iter_mut().for_each(|x| *x = true);
-                    }
-                    for i in 0..p {
-                        let expect = if on_served[i] { want[i] } else { mine[i] };
-                        assert_eq!(
-                            got[i].to_bits(),
-                            expect.to_bits(),
-                            "{at}: rank {rank} class {class} element {i} (served: {})",
-                            on_served[i]
-                        );
-                    }
-                    served.push((class, ranges));
+                        mine,
+                        want,
+                        reduced,
+                        stepped: got,
+                        ranges: opt.served_ranges(&placement, class, rank),
+                        own: (os, ot),
+                        master: [bits(opt.master_shard(class)), bits(adam.master_weights())],
+                        published: [half, want_half],
+                    });
                 }
-                served
+                seen
             });
+            for (rank, per_rank) in seen.iter().enumerate() {
+                for s in per_rank {
+                    let (class, (os, ot)) = (s.class, s.own);
+                    let at = format!("{at}: rank {rank} class {class}");
+                    assert!(os == ot || s.ranges.contains(&s.own), "{at}: a host serves itself");
+                    let mut on_served = vec![false; p];
+                    for &(a, b) in &s.ranges {
+                        on_served[a..b].iter_mut().for_each(|x| *x = true);
+                    }
+                    for (got, stepped) in [(&s.reduced, false), (&s.stepped, true)] {
+                        for i in 0..p {
+                            let own = (os..ot).contains(&i);
+                            let summed = on_served[i] && (stepped || !own);
+                            let expect = if summed { s.want[i] } else { s.mine[i] };
+                            assert_eq!(
+                                got[i].to_bits(),
+                                expect.to_bits(),
+                                "{at} element {i} (served: {}, own: {own}, stepped: {stepped})",
+                                on_served[i]
+                            );
+                        }
+                    }
+                    assert_eq!(s.master[0], s.master[1], "{at}: master after one step");
+                    assert_eq!(s.published[0], s.published[1], "{at}: published");
+                }
+            }
             // Every class's hosts serve [0, P) exactly once between them.
             for class in 0..placement.expert_classes() {
                 let mut covered = vec![0u32; p];
-                for per_rank in &served {
-                    for (_, ranges) in per_rank.iter().filter(|(c, _)| *c == class) {
-                        for &(s, t) in ranges {
-                            covered[s..t].iter_mut().for_each(|x| *x += 1);
-                        }
-                    }
+                let ranges = seen.iter().flatten().filter(|s| s.class == class);
+                for &(a, b) in ranges.flat_map(|s| &s.ranges) {
+                    covered[a..b].iter_mut().for_each(|x| *x += 1);
                 }
                 assert!(covered.iter().all(|&k| k == 1), "{at}: class {class} served {covered:?}");
             }

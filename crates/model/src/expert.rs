@@ -20,7 +20,7 @@ use symi_telemetry::TelemetryHandle;
 use symi_tensor::half::{decode, encode};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_from_tanh_into, linear_gelu_tanh_into};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, BOperand, HalfMatrix, Matrix};
+use symi_tensor::{init, BOperand, Dest, HalfMatrix, Matrix};
 
 thread_local! {
     /// Two `rows × d_ff` scratch matrices: the activation `gelu(pre)`, which
@@ -52,6 +52,10 @@ pub trait WeightStorage: BOperand {
     fn load_f16_at(&mut self, at: usize, src: &[u16]);
     /// Appends the elements as f32 (exact).
     fn extend_f32(&self, out: &mut Vec<f32>);
+    /// Elements `at .. at + len` as a place an Adam step publishes to:
+    /// binary16 storage as its bits, f32 storage as values on the fp16 grid
+    /// — what [`WeightStorage::load_f16_at`] of the same bits would leave.
+    fn dest(&mut self, at: usize, len: usize) -> Dest<'_>;
 }
 
 impl WeightStorage for Matrix {
@@ -69,6 +73,9 @@ impl WeightStorage for Matrix {
     }
     fn extend_f32(&self, out: &mut Vec<f32>) {
         out.extend_from_slice(self.as_slice());
+    }
+    fn dest(&mut self, at: usize, len: usize) -> Dest<'_> {
+        Dest::Grid(&mut self.as_mut_slice()[at..at + len])
     }
 }
 
@@ -89,6 +96,9 @@ impl WeightStorage for HalfMatrix {
         let start = out.len();
         out.resize(start + self.len(), 0.0);
         decode(self.as_bits(), &mut out[start..]);
+    }
+    fn dest(&mut self, at: usize, len: usize) -> Dest<'_> {
+        Dest::Half(&mut self.as_bits_mut()[at..at + len])
     }
 }
 
@@ -118,6 +128,44 @@ pub struct ExpertFfn<W = Matrix> {
     cached_pre: Matrix,
     /// `gelu_tanh(cached_pre)`.
     cached_tanh: Matrix,
+}
+
+/// An expert's four parameters, mutable, in the flat layout's order
+/// `[W1 | b1 | W2 | b2]` ([`ExpertFfn::params_mut`]).
+pub struct ParamsMut<'a>([&'a mut dyn WeightStorage; 4]);
+
+impl ParamsMut<'_> {
+    /// Calls `f(param, at, lo, hi)` for each parameter that elements
+    /// `offset .. end` of the flat layout overlap: its own elements from
+    /// `at`, the range's `lo .. hi`.
+    fn for_range(
+        &mut self,
+        offset: usize,
+        end: usize,
+        mut f: impl FnMut(&mut dyn WeightStorage, usize, usize, usize),
+    ) {
+        assert!(end <= self.0.iter().map(|p| p.rows() * p.cols()).sum(), "range past the params");
+        let mut base = 0;
+        for param in &mut self.0 {
+            let len = param.rows() * param.cols();
+            let (a, b) = (offset.max(base), end.min(base + len));
+            if a < b {
+                f(&mut **param, a - base, a - offset, b - offset);
+            }
+            base += len;
+        }
+    }
+
+    /// Calls `publish(start, dest)` for each parameter that elements
+    /// `offset .. end` of the flat layout overlap, `dest` being its storage
+    /// of flat elements `start .. start + dest.len()`
+    /// ([`WeightStorage::dest`]) — where the weight scatter's Adam step
+    /// writes this rank's own chunk of a class it hosts.
+    pub fn dests(&mut self, offset: usize, end: usize, mut publish: impl FnMut(usize, Dest<'_>)) {
+        self.for_range(offset, end, |param, at, lo, hi| {
+            publish(offset + lo, param.dest(at, hi - lo));
+        });
+    }
 }
 
 impl ExpertFfn {
@@ -176,28 +224,20 @@ impl<W: WeightStorage> ExpertFfn<W> {
         [&self.w1, &self.b1, &self.w2, &self.b2]
     }
 
-    fn params_mut(&mut self) -> [&mut dyn WeightStorage; 4] {
-        [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]
+    /// The four parameters, mutable.
+    pub fn params_mut(&mut self) -> ParamsMut<'_> {
+        ParamsMut([&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2])
     }
 
-    /// Calls `load(param, at, lo, hi)` for each parameter that elements
-    /// `offset .. end` of the flat layout overlap: its own elements from
-    /// `at`, the range's `lo .. hi`.
-    fn load_range(
-        &mut self,
-        offset: usize,
-        end: usize,
-        mut load: impl FnMut(&mut dyn WeightStorage, usize, usize, usize),
-    ) {
-        let mut base = 0;
-        for param in self.params_mut() {
-            let len = param.rows() * param.cols();
-            let (a, b) = (offset.max(base), end.min(base + len));
-            if a < b {
-                load(param, a - base, a - offset, b - offset);
-            }
-            base += len;
+    /// The gradient ([`ExpertFfn::flat_grads_mut`]) and the parameters,
+    /// borrowed together: an Adam step that sums into the one publishes
+    /// into the other.
+    pub fn grads_and_params(&mut self) -> (&mut [f32], ParamsMut<'_>) {
+        if std::mem::take(&mut self.grad_zero) {
+            self.grad.fill(0.0);
         }
+        let params = ParamsMut([&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]);
+        (&mut self.grad, params)
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
@@ -306,7 +346,8 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// [`param_count`]: ExpertFfn::param_count
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_count(), "flat parameter length mismatch");
-        self.load_range(0, flat.len(), |param, at, lo, hi| param.load_f32_at(at, &flat[lo..hi]));
+        let load = |param: &mut dyn WeightStorage, at, lo, hi| param.load_f32_at(at, &flat[lo..hi]);
+        self.params_mut().for_range(0, flat.len(), load);
     }
 
     /// Loads binary16 `half` into parameters `offset .. offset + half.len()`
@@ -324,7 +365,8 @@ impl<W: WeightStorage> ExpertFfn<W> {
     pub fn load_f16_at(&mut self, offset: usize, half: &[u16]) {
         let end = offset + half.len();
         assert!(end <= self.param_count(), "f16 shard runs past the parameters");
-        self.load_range(offset, end, |param, at, lo, hi| param.load_f16_at(at, &half[lo..hi]));
+        let load = |param: &mut dyn WeightStorage, at, lo, hi| param.load_f16_at(at, &half[lo..hi]);
+        self.params_mut().for_range(offset, end, load);
     }
 
     /// Marks the gradient zero without touching its memory (see

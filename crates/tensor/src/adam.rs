@@ -22,15 +22,26 @@
 //! and on what they publish, and so does any split of the elements across
 //! pool workers (`tests/adam_oracle.rs`; a NaN counts as a NaN — which
 //! payload survives when two different ones meet is the compiler's operand
-//! order, which Rust leaves open). The updated master is published through
-//! one of two stores:
+//! order, which Rust leaves open).
 //!
-//! - f32 on the fp16 grid ([`AdamState::step`], the single-process
-//!   `Trainer`'s dense and expert parameters): `f16_to_f32(f32_to_f16(w))`;
-//! - raw binary16 bits ([`AdamShard::step_into`]): `f32_to_f16(w)`,
-//!   `VCVTPS2PH` on the vector path.
+//! The element's gradient is the left-to-right sum of one or more slices,
+//! `((g₀ + g₁) + g₂) + …` — a replica sum folded into the step instead of
+//! into a buffer beforehand — and the updated master is published to any
+//! number of destinations ([`Dest`]), each through one of two stores:
 //!
-//! The first is by construction the exact decode of the second.
+//! - f32 on the fp16 grid ([`Dest::Grid`]; [`AdamState::step`], the
+//!   single-process `Trainer`'s dense and expert parameters):
+//!   `f16_to_f32(f32_to_f16(w))`;
+//! - raw binary16 bits ([`Dest::Half`]; [`AdamShard::step_into`], and the
+//!   engines' send buffers and slot weights through [`ShardStep::run`]):
+//!   `f32_to_f16(w)`, `VCVTPS2PH` on the vector path.
+//!
+//! The first is by construction the exact decode of the second. The loop is
+//! bound by its divider — three divisions and a square root per element —
+//! not by memory: the extra loads of a summed slice and the extra stores of
+//! a destination ride in its shadow.
+
+use std::ops::Range;
 
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::f16_fast_path;
@@ -98,7 +109,8 @@ impl AdamState {
         assert_eq!(params_out.len(), self.master.len(), "param length mismatch");
         self.t += 1;
         let k = AdamCoeffs::new(&self.cfg, self.t);
-        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, grads, params_out, chunk_f32);
+        let out = &mut [Dest::Grid(params_out)];
+        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, Grad::sum(&[grads]), out);
     }
 
     /// fp32 master weights (what the optimizer believes the model is).
@@ -203,10 +215,23 @@ impl AdamShard {
     /// length) as binary16 bits, ready for the wire.
     pub fn step_into(&mut self, grad_shard: &[f32], out: &mut Vec<u16>) {
         assert_eq!(grad_shard.len(), self.master.len(), "gradient shard length mismatch");
-        self.t += 1;
         out.resize(self.master.len(), 0);
-        let k = AdamCoeffs::new(&self.cfg, self.t);
-        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, grad_shard, out, chunk_f16);
+        self.begin_step().run(0..out.len(), Grad::sum(&[grad_shard]), &mut [Dest::Half(out)]);
+    }
+
+    /// Starts one Adam step: advances the step counter and returns the
+    /// step, which updates the shard range by range ([`ShardStep::run`]) —
+    /// for a caller whose gradient arrives in several slices or whose
+    /// destinations are split at boundaries of their own.
+    pub fn begin_step(&mut self) -> ShardStep<'_> {
+        self.t += 1;
+        ShardStep {
+            k: AdamCoeffs::new(&self.cfg, self.t),
+            master: &mut self.master,
+            m: &mut self.m,
+            v: &mut self.v,
+            stepped: 0,
+        }
     }
 
     /// fp32 master weights of this shard.
@@ -230,6 +255,133 @@ impl AdamShard {
     /// fp32 gradient staging).
     pub fn state_bytes(&self) -> u64 {
         self.master.len() as u64 * 16
+    }
+}
+
+/// One Adam step of an [`AdamShard`] in progress ([`AdamShard::begin_step`]):
+/// the step counter has advanced, and [`ShardStep::run`] updates the shard's
+/// elements range by range. Every element must be updated exactly once
+/// before the step is dropped.
+pub struct ShardStep<'a> {
+    k: AdamCoeffs,
+    master: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+    /// Elements updated so far.
+    stepped: usize,
+}
+
+impl ShardStep<'_> {
+    /// Updates elements `range` of the shard from `grad` (element
+    /// `range.start + i` from element `i` of its slices) and publishes each
+    /// updated weight to every one of `outs`. Every slice and destination
+    /// holds `range.len()` elements.
+    ///
+    /// # Panics
+    /// Panics if a length disagrees with the range.
+    pub fn run(&mut self, range: Range<usize>, grad: Grad<'_, '_>, outs: &mut [Dest<'_>]) {
+        self.stepped += range.len();
+        let (master, m, v) =
+            (&mut self.master[range.clone()], &mut self.m[range.clone()], &mut self.v[range]);
+        step_kernel(&self.k, master, m, v, grad, outs);
+    }
+}
+
+impl Drop for ShardStep<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            assert_eq!(self.stepped, self.master.len(), "an Adam step covers its shard once");
+        }
+    }
+}
+
+/// The gradient of one Adam step, element by element: the left-to-right sum
+/// of `terms` — with `acc`'s element, when there is an `acc`, taking its
+/// place before `terms[at]` — and `acc` is left holding the sum. That is
+/// how a host steps its own chunk of a replica sum: the other hosts'
+/// partials are the terms, its own partial the accumulator, and the sum
+/// lands where a separate fold would have left it.
+pub struct Grad<'s, 'g> {
+    pub(crate) terms: &'s [&'g [f32]],
+    pub(crate) acc: Option<&'s mut [f32]>,
+    pub(crate) at: usize,
+}
+
+impl<'s, 'g> Grad<'s, 'g> {
+    /// The sum of `terms`, left to right.
+    ///
+    /// # Panics
+    /// Panics if `terms` is empty.
+    pub fn sum(terms: &'s [&'g [f32]]) -> Self {
+        assert!(!terms.is_empty(), "a gradient needs a term");
+        Self { terms, acc: None, at: 0 }
+    }
+
+    /// `terms[..at]`, then `acc`, then `terms[at..]`, summed left to right
+    /// into `acc`.
+    ///
+    /// # Panics
+    /// Panics if `at` is past the end of `terms`.
+    pub fn accumulate(terms: &'s [&'g [f32]], acc: &'s mut [f32], at: usize) -> Self {
+        assert!(at <= terms.len(), "accumulator position {at} past {} terms", terms.len());
+        Self { terms, acc: Some(acc), at }
+    }
+
+    fn all_len(&self, n: usize) -> bool {
+        self.terms.iter().all(|t| t.len() == n) && self.acc.as_ref().is_none_or(|a| a.len() == n)
+    }
+}
+
+/// One place an Adam step publishes the updated weights to, element `i` of
+/// the destination receiving element `i` of the stepped range.
+#[derive(Debug)]
+pub enum Dest<'a> {
+    /// Binary16 bits, `f32_to_f16(w)`: the wire format and the engines'
+    /// slot weights.
+    Half(&'a mut [u16]),
+    /// f32 on the fp16 grid, `f16_to_f32(f32_to_f16(w))`: the exact decode
+    /// of [`Dest::Half`].
+    Grid(&'a mut [f32]),
+}
+
+impl Default for Dest<'_> {
+    fn default() -> Self {
+        Dest::Half(&mut [])
+    }
+}
+
+impl<'a> Dest<'a> {
+    pub fn len(&self) -> usize {
+        match self {
+            Dest::Half(h) => h.len(),
+            Dest::Grid(g) => g.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Elements `r` of this destination, borrowed.
+    pub fn sub(&mut self, r: Range<usize>) -> Dest<'_> {
+        match self {
+            Dest::Half(h) => Dest::Half(&mut h[r]),
+            Dest::Grid(g) => Dest::Grid(&mut g[r]),
+        }
+    }
+
+    /// The first `mid` elements and the rest.
+    fn split_at(self, mid: usize) -> (Dest<'a>, Dest<'a>) {
+        match self {
+            Dest::Half(h) => {
+                let (a, b) = h.split_at_mut(mid);
+                (Dest::Half(a), Dest::Half(b))
+            }
+            Dest::Grid(g) => {
+                let (a, b) = g.split_at_mut(mid);
+                (Dest::Grid(a), Dest::Grid(b))
+            }
+        }
     }
 }
 
@@ -279,102 +431,162 @@ pub(crate) fn update(k: &AdamCoeffs, g: f32, w: &mut f32, m: &mut f32, v: &mut f
     *w
 }
 
-/// Scalar encoding of one chunk; `publish` is the store.
-#[inline(always)]
-pub(crate) fn chunk_scalar<O>(
+/// Elements `r` of `grad` into `g`: the terms and the accumulator summed
+/// left to right, element by element, and the sum stored back into the
+/// accumulator. Term by term over the block, so each element sees the
+/// additions in the order [`Grad`] states.
+pub(crate) fn sum_block(grad: &mut Grad<'_, '_>, r: Range<usize>, g: &mut [f32]) {
+    let add =
+        |g: &mut [f32], term: &[f32]| g.iter_mut().zip(&term[r.clone()]).for_each(|(x, t)| *x += t);
+    let (terms, at) = (grad.terms, grad.at);
+    let Some(acc) = &mut grad.acc else {
+        g.copy_from_slice(&terms[0][r.clone()]);
+        terms[1..].iter().for_each(|t| add(g, t));
+        return;
+    };
+    if at == 0 {
+        g.copy_from_slice(&acc[r.clone()]);
+    } else {
+        g.copy_from_slice(&terms[0][r.clone()]);
+        terms[1..at].iter().for_each(|t| add(g, t));
+        add(g, acc);
+    }
+    terms[at..].iter().for_each(|t| add(g, t));
+    acc[r].copy_from_slice(g);
+}
+
+/// Elements per block of the scalar encoding.
+const SCALAR_BLOCK: usize = 64;
+
+/// The scalar encoding over elements `range` of one chunk, block by block:
+/// each element's gradient summed ([`sum_block`]), updated, and published
+/// to every one of `outs`.
+pub(crate) fn chunk_scalar(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grads: &[f32],
-    out: &mut [O],
-    publish: impl Fn(f32) -> O,
+    grad: &mut Grad<'_, '_>,
+    outs: &mut [Dest<'_>],
+    range: Range<usize>,
 ) {
-    for ((((w, m), v), &g), o) in master.iter_mut().zip(m).zip(v).zip(grads).zip(out) {
-        *o = publish(update(k, g, w, m, v));
+    let (mut g, mut w) = ([0.0f32; SCALAR_BLOCK], [0.0f32; SCALAR_BLOCK]);
+    for start in range.clone().step_by(SCALAR_BLOCK) {
+        let r = start..range.end.min(start + SCALAR_BLOCK);
+        let (g, w) = (&mut g[..r.len()], &mut w[..r.len()]);
+        sum_block(grad, r.clone(), g);
+        let state = master[r.clone()].iter_mut().zip(&mut m[r.clone()]).zip(&mut v[r.clone()]);
+        for ((x, ((w, m), v)), &g) in w.iter_mut().zip(state).zip(g.iter()) {
+            *x = update(k, g, w, m, v);
+        }
+        for out in outs.iter_mut() {
+            match out {
+                Dest::Half(o) => {
+                    o[r.clone()].iter_mut().zip(&*w).for_each(|(o, &w)| *o = f32_to_f16(w))
+                }
+                Dest::Grid(o) => {
+                    o[r.clone()].iter_mut().zip(&*w).for_each(|(o, &w)| *o = quantize_f16(w))
+                }
+            }
+        }
     }
 }
 
-/// One chunk, published as f32 on the fp16 grid.
-fn chunk_f32(
+/// One chunk on the active encoding.
+fn chunk(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grads: &[f32],
-    out: &mut [f32],
+    mut grad: Grad<'_, '_>,
+    outs: &mut [Dest<'_>],
 ) {
     #[cfg(target_arch = "x86_64")]
     if f16_fast_path() {
-        return crate::simd::adam_chunk_f32(k, master, m, v, grads, out);
+        return crate::simd::adam_chunk(k, master, m, v, grad, outs);
     }
-    chunk_scalar(k, master, m, v, grads, out, quantize_f16);
-}
-
-/// One chunk, published as binary16 bits.
-fn chunk_f16(
-    k: &AdamCoeffs,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grads: &[f32],
-    out: &mut [u16],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if f16_fast_path() {
-        return crate::simd::adam_chunk_f16(k, master, m, v, grads, out);
-    }
-    chunk_scalar(k, master, m, v, grads, out, f32_to_f16);
+    chunk_scalar(k, master, m, v, &mut grad, outs, 0..master.len());
 }
 
 /// Elements per worker share below which the Adam step stays sequential. The
-/// vector kernel runs at ≈0.9 ns per parameter (`BENCH_kernels.json`, `adam`
-/// rows), so a share is ≳60 µs of work — a pool wake-up costs tens of
+/// vector kernel runs at ≈1.1–1.5 ns per parameter (`BENCH_kernels.json`,
+/// `adam` rows), so a share is ≳70 µs of work — a pool wake-up costs tens of
 /// microseconds, and anything smaller loses by splitting. (The scalar
-/// encoding is 10–25× slower per element; its shares are merely longer.)
+/// encoding is 6–10× slower per element; its shares are merely longer.)
 const MIN_ADAM_ELEMS_PER_SHARE: usize = 64 * 1024;
 
-/// One encoding of the update over one chunk: `(coefficients, master, m, v,
-/// grads, published)`.
-type ChunkFn<O> = fn(&AdamCoeffs, &mut [f32], &mut [f32], &mut [f32], &[f32], &mut [O]);
+/// Most gradient terms, and most destinations, a step splits across pool
+/// workers; a step with more runs on one, with the same bits.
+const MAX_SPLIT_FAN: usize = 8;
 
-/// Runs `chunk` over the state, split elementwise across the pool. Every
-/// element is computed by the same operation sequence whichever share (and
-/// whichever of a share's vector body or scalar tail) it falls in, so the
-/// split cannot change any result bit.
-fn step_kernel<O: Send>(
+/// One pool share of a step: its elements of the state, of every gradient
+/// slice and of every destination.
+#[derive(Default)]
+struct Share<'a> {
+    master: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+    terms: [&'a [f32]; MAX_SPLIT_FAN],
+    acc: Option<&'a mut [f32]>,
+    outs: [Dest<'a>; MAX_SPLIT_FAN],
+}
+
+/// Runs the update over the state, split elementwise across the pool.
+/// Every element is computed by the same operation sequence whichever share
+/// (and whichever of a share's vector body or scalar tail) it falls in, so
+/// the split cannot change any result bit.
+fn step_kernel(
     k: &AdamCoeffs,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grads: &[f32],
-    out: &mut [O],
-    chunk: ChunkFn<O>,
+    mut master: &mut [f32],
+    mut m: &mut [f32],
+    mut v: &mut [f32],
+    mut grad: Grad<'_, '_>,
+    outs: &mut [Dest<'_>],
 ) {
-    use crate::pool::{self, share_bounds, Parts};
-    let n = master.len();
-    let p = pool::current_threads().min((n / MIN_ADAM_ELEMS_PER_SHARE).max(1));
+    use crate::pool::{self, share_bounds, MAX_WORKERS};
+    use std::sync::Mutex;
+    let (n, k_terms, k_outs) = (master.len(), grad.terms.len(), outs.len());
+    assert!(m.len() == n && v.len() == n, "moment length mismatch");
+    assert!(grad.all_len(n), "gradient length mismatch");
+    assert!(outs.iter().all(|o| o.len() == n), "destination length mismatch");
+    let p = if k_terms.max(k_outs) > MAX_SPLIT_FAN {
+        1
+    } else {
+        pool::current_threads().min((n / MIN_ADAM_ELEMS_PER_SHARE).max(1))
+    };
     if p == 1 {
-        chunk(k, master, m, v, grads, out);
+        chunk(k, master, m, v, grad, outs);
         return;
     }
     let (bounds, p) = share_bounds(n, p);
-    let master = Parts::split(master, &bounds[..p], 1);
-    let m = Parts::split(m, &bounds[..p], 1);
-    let v = Parts::split(v, &bounds[..p], 1);
-    let out = Parts::split(out, &bounds[..p], 1);
-    pool::global().run(p, &|w| {
-        let (a, b) = bounds[w];
-        if a < b {
-            chunk(
-                k,
-                &mut master.lock(w),
-                &mut m.lock(w),
-                &mut v.lock(w),
-                &grads[a..b],
-                &mut out.lock(w),
-            );
+    let mut shares: [Mutex<Share>; MAX_WORKERS] = Default::default();
+    let mut acc = grad.acc.take();
+    let mut rest: [Dest; MAX_SPLIT_FAN] = Default::default();
+    for (r, out) in rest.iter_mut().zip(outs.iter_mut()) {
+        *r = out.sub(0..n);
+    }
+    for (share, &(a, b)) in shares.iter_mut().zip(&bounds[..p]) {
+        let share = share.get_mut().expect("fresh mutex");
+        let len = b - a;
+        (share.master, master) = std::mem::take(&mut master).split_at_mut(len);
+        (share.m, m) = std::mem::take(&mut m).split_at_mut(len);
+        (share.v, v) = std::mem::take(&mut v).split_at_mut(len);
+        if let Some(rest) = acc.take() {
+            let (head, tail) = rest.split_at_mut(len);
+            (share.acc, acc) = (Some(head), Some(tail));
         }
+        for (t, term) in share.terms.iter_mut().zip(grad.terms) {
+            *t = &term[a..b];
+        }
+        for (o, r) in share.outs.iter_mut().zip(&mut rest[..k_outs]) {
+            (*o, *r) = std::mem::take(r).split_at(len);
+        }
+    }
+    pool::global().run(p, &|w| {
+        let mut share = shares[w].lock().expect("share mutex");
+        let s = &mut *share;
+        let grad = Grad { terms: &s.terms[..k_terms], acc: s.acc.as_deref_mut(), at: grad.at };
+        chunk(k, s.master, s.m, s.v, grad, &mut s.outs[..k_outs]);
     });
 }
 

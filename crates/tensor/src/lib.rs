@@ -54,7 +54,7 @@ pub mod rng;
 pub mod simd;
 pub mod vmath;
 
-pub use adam::{AdamConfig, AdamShard, AdamState};
+pub use adam::{AdamConfig, AdamShard, AdamState, Dest, Grad, ShardStep};
 pub use half::HalfMatrix;
 pub use kernels::{act_stats, kernel_stats, ActStats, BOperand, KernelStats};
 pub use matrix::Matrix;

@@ -1529,7 +1529,7 @@ pub(crate) fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx
 // an explicit round-to-nearest-even control and `VCVTPH2PS` agree with the
 // scalar codec on every input (`tests/adam_oracle.rs`, exhaustively). Tails
 // (`len % 8` elements) run the scalar specification itself. Loads and stores
-// are unaligned and confined to `chunks_exact(8)` slices.
+// are unaligned and confined to 8-element arrays.
 
 /// `VCVTPS2PH` rounding control: nearest-even from the immediate itself
 /// (bit 2 clear), whatever MXCSR says.
@@ -1551,115 +1551,222 @@ fn store_f16x8(v: __m256, dst: &mut [u16; 8]) {
     unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), _mm256_cvtps_ph::<F16_ROUND>(v)) }
 }
 
-/// 8 lanes of [`adam::update`] over 8-element slices: updates `(w, m, v)` in
-/// place and returns the new master weights.
-#[target_feature(enable = "avx2")]
-unsafe fn adam_update8(
-    k: &AdamCoeffs,
-    g: &[f32],
-    w: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-) -> __m256 {
-    debug_assert!(g.len() == 8 && w.len() == 8 && m.len() == 8 && v.len() == 8);
-    let w0 = _mm256_loadu_ps(w.as_ptr());
-    let g = _mm256_add_ps(
-        _mm256_loadu_ps(g.as_ptr()),
-        _mm256_mul_ps(_mm256_set1_ps(k.weight_decay), w0),
-    );
-    let m1 = _mm256_add_ps(
-        _mm256_mul_ps(_mm256_set1_ps(k.beta1), _mm256_loadu_ps(m.as_ptr())),
-        _mm256_mul_ps(_mm256_set1_ps(k.one_minus_beta1), g),
-    );
-    let v1 = _mm256_add_ps(
-        _mm256_mul_ps(_mm256_set1_ps(k.beta2), _mm256_loadu_ps(v.as_ptr())),
-        _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(k.one_minus_beta2), g), g),
-    );
-    let mhat = _mm256_div_ps(m1, _mm256_set1_ps(k.bias1));
-    let vhat = _mm256_div_ps(v1, _mm256_set1_ps(k.bias2));
-    let step = _mm256_div_ps(
-        _mm256_mul_ps(_mm256_set1_ps(k.lr), mhat),
-        _mm256_add_ps(_mm256_sqrt_ps(vhat), _mm256_set1_ps(k.eps)),
-    );
-    let w1 = _mm256_sub_ps(w0, step);
-    _mm256_storeu_ps(m.as_mut_ptr(), m1);
-    _mm256_storeu_ps(v.as_mut_ptr(), v1);
-    _mm256_storeu_ps(w.as_mut_ptr(), w1);
-    w1
+/// One step's [`AdamCoeffs`], each broadcast to 8 lanes once per chunk.
+struct AdamLanes {
+    weight_decay: __m256,
+    beta1: __m256,
+    one_minus_beta1: __m256,
+    beta2: __m256,
+    one_minus_beta2: __m256,
+    bias1: __m256,
+    bias2: __m256,
+    lr: __m256,
+    eps: __m256,
 }
 
-/// One chunk of the Adam step: the vector body calls `store8` on each
-/// octet's new master weights, the tail runs the scalar specification with
-/// `publish` as its store.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "f16c")]
-unsafe fn adam_chunk<O>(
-    k: &AdamCoeffs,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grads: &[f32],
-    out: &mut [O],
-    store8: impl Fn(__m256, &mut [O]),
-    publish: impl Fn(f32) -> O,
-) {
-    let n = master.len();
-    assert!(m.len() == n && v.len() == n && grads.len() == n && out.len() == n);
-    let mut w8 = master.chunks_exact_mut(8);
-    let mut m8 = m.chunks_exact_mut(8);
-    let mut v8 = v.chunks_exact_mut(8);
-    let mut g8 = grads.chunks_exact(8);
-    let mut o8 = out.chunks_exact_mut(8);
-    for ((((w, m), v), g), o) in (&mut w8).zip(&mut m8).zip(&mut v8).zip(&mut g8).zip(&mut o8) {
-        store8(adam_update8(k, g, w, m, v), o);
+impl AdamLanes {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn new(k: &AdamCoeffs) -> Self {
+        Self {
+            weight_decay: _mm256_set1_ps(k.weight_decay),
+            beta1: _mm256_set1_ps(k.beta1),
+            one_minus_beta1: _mm256_set1_ps(k.one_minus_beta1),
+            beta2: _mm256_set1_ps(k.beta2),
+            one_minus_beta2: _mm256_set1_ps(k.one_minus_beta2),
+            bias1: _mm256_set1_ps(k.bias1),
+            bias2: _mm256_set1_ps(k.bias2),
+            lr: _mm256_set1_ps(k.lr),
+            eps: _mm256_set1_ps(k.eps),
+        }
     }
-    adam::chunk_scalar(
-        k,
-        w8.into_remainder(),
-        m8.into_remainder(),
-        v8.into_remainder(),
-        g8.remainder(),
-        o8.into_remainder(),
-        publish,
-    );
+
+    /// 8 lanes of [`adam::update`] from the summed gradient `g`: updates
+    /// `(w, m, v)` in place and returns the new master weights.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn update(&self, g: __m256, w: &mut [f32; 8], m: &mut [f32; 8], v: &mut [f32; 8]) -> __m256 {
+        let w0 = ymm::load(w);
+        let g = _mm256_add_ps(g, _mm256_mul_ps(self.weight_decay, w0));
+        let m1 = _mm256_add_ps(
+            _mm256_mul_ps(self.beta1, ymm::load(m)),
+            _mm256_mul_ps(self.one_minus_beta1, g),
+        );
+        let v1 = _mm256_add_ps(
+            _mm256_mul_ps(self.beta2, ymm::load(v)),
+            _mm256_mul_ps(_mm256_mul_ps(self.one_minus_beta2, g), g),
+        );
+        let mhat = _mm256_div_ps(m1, self.bias1);
+        let vhat = _mm256_div_ps(v1, self.bias2);
+        let step = _mm256_div_ps(
+            _mm256_mul_ps(self.lr, mhat),
+            _mm256_add_ps(_mm256_sqrt_ps(vhat), self.eps),
+        );
+        let w1 = _mm256_sub_ps(w0, step);
+        ymm::store(m1, m);
+        ymm::store(v1, v);
+        ymm::store(w1, w);
+        w1
+    }
 }
 
-/// AVX2+F16C encoding of an Adam chunk published as f32 on the fp16 grid.
-pub(crate) fn adam_chunk_f32(
+/// Most gradient terms (besides the accumulator) and most destinations
+/// the vector loop takes. The loop is instantiated per count, so every
+/// slice pointer it walks sits in a register: a loop that reloaded them
+/// from memory every octet measured 1.3–2× the time of this one, varying
+/// with where the stack landed. More terms are first summed into the
+/// accumulator; more destinations are copied from the first.
+const ADAM_MAX_TERMS: usize = 3;
+const ADAM_MAX_OUTS: usize = 4;
+
+/// AVX2+F16C encoding of an Adam chunk ([`adam::chunk_scalar`] over the
+/// whole chunk): per octet, the gradient summed as [`adam::sum_block`]
+/// sums it, the update, and one store per destination; the scalar
+/// specification on the `len % 8` tail.
+pub(crate) fn adam_chunk(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grads: &[f32],
-    out: &mut [f32],
+    grad: adam::Grad<'_, '_>,
+    outs: &mut [adam::Dest<'_>],
 ) {
     debug_assert!(have_avx2_fma());
     // SAFETY: `adam` dispatches here only when `f16_fast_path()` holds, i.e.
-    // after runtime AVX2+F16C detection; `adam_chunk` checks the lengths and
-    // touches memory through `chunks_exact(8)` slices only.
-    unsafe {
-        let store8 = |w: __m256, o: &mut [f32]| {
-            let grid = _mm256_cvtph_ps(_mm256_cvtps_ph::<F16_ROUND>(w));
-            _mm256_storeu_ps(o.as_mut_ptr(), grid)
-        };
-        adam_chunk(k, master, m, v, grads, out, store8, crate::half::quantize_f16)
-    }
+    // after runtime AVX2+F16C detection; the implementation touches memory
+    // through bounds-checked 8-element arrays only.
+    unsafe { adam_chunk_impl(k, master, m, v, grad, outs) }
 }
 
-/// AVX2+F16C encoding of an Adam chunk published as binary16 bits.
-pub(crate) fn adam_chunk_f16(
+#[target_feature(enable = "avx2", enable = "f16c")]
+fn adam_chunk_impl(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grads: &[f32],
-    out: &mut [u16],
+    mut grad: adam::Grad<'_, '_>,
+    outs: &mut [adam::Dest<'_>],
 ) {
-    debug_assert!(have_avx2_fma());
-    // SAFETY: as in `adam_chunk_f32`.
-    unsafe {
-        let store8 = |w, o: &mut [u16]| store_f16x8(w, o.try_into().expect("8 elements"));
-        adam_chunk(k, master, m, v, grads, out, store8, f32_to_f16)
+    let n = master.len();
+    if grad.terms.len() > ADAM_MAX_TERMS {
+        let Some(acc) = grad.acc.take() else {
+            return adam::chunk_scalar(k, master, m, v, &mut grad, outs, 0..n);
+        };
+        let mut whole = adam::Grad { terms: grad.terms, acc: Some(acc), at: grad.at };
+        let mut scratch = [0.0f32; 64];
+        for start in (0..n).step_by(scratch.len()) {
+            let r = start..n.min(start + scratch.len());
+            adam::sum_block(&mut whole, r.clone(), &mut scratch[..r.len()]);
+        }
+        let summed: &[f32] = whole.acc.expect("the accumulator");
+        return adam_chunk_impl(k, master, m, v, adam::Grad::sum(&[summed]), outs);
+    }
+    let (fused, extra) = outs.split_at_mut(outs.len().min(ADAM_MAX_OUTS));
+    match grad.terms.len() {
+        0 => adam_fused_outs::<0>(k, master, m, v, &mut grad, fused),
+        1 => adam_fused_outs::<1>(k, master, m, v, &mut grad, fused),
+        2 => adam_fused_outs::<2>(k, master, m, v, &mut grad, fused),
+        _ => adam_fused_outs::<3>(k, master, m, v, &mut grad, fused),
+    }
+    let body = n - n % 8;
+    adam::chunk_scalar(k, master, m, v, &mut grad, fused, body..n);
+    for out in extra {
+        match (&fused[0], out) {
+            (adam::Dest::Half(h), adam::Dest::Half(o)) => o.copy_from_slice(h),
+            (adam::Dest::Half(h), adam::Dest::Grid(o)) => decode_f16_impl(h, o),
+            (adam::Dest::Grid(q), adam::Dest::Half(o)) => encode_f16_impl(q, o),
+            (adam::Dest::Grid(q), adam::Dest::Grid(o)) => o.copy_from_slice(q),
+        }
+    }
+}
+
+/// [`adam_fused`] with `T` gradient terms, at `outs.len()` destinations.
+#[inline]
+#[target_feature(enable = "avx2", enable = "f16c")]
+fn adam_fused_outs<const T: usize>(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grad: &mut adam::Grad<'_, '_>,
+    outs: &mut [adam::Dest<'_>],
+) {
+    match outs.len() {
+        0 => adam_fused::<T, 0>(k, master, m, v, grad, outs),
+        1 => adam_fused::<T, 1>(k, master, m, v, grad, outs),
+        2 => adam_fused::<T, 2>(k, master, m, v, grad, outs),
+        3 => adam_fused::<T, 3>(k, master, m, v, grad, outs),
+        _ => adam_fused::<T, 4>(k, master, m, v, grad, outs),
+    }
+}
+
+/// One destination's octets.
+enum Octets<'a> {
+    Half(&'a mut [[u16; 8]]),
+    Grid(&'a mut [[f32; 8]]),
+}
+
+/// The octet body of an Adam chunk with `T` gradient terms and `O`
+/// destinations: for each octet, the terms summed left to right with the
+/// accumulator in its place (and the sum stored back into it), the update,
+/// and the store into every destination.
+#[inline]
+#[target_feature(enable = "avx2", enable = "f16c")]
+fn adam_fused<const T: usize, const O: usize>(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    grad: &mut adam::Grad<'_, '_>,
+    outs: &mut [adam::Dest<'_>],
+) {
+    let n8 = master.len() / 8;
+    let terms: [&[[f32; 8]]; T] = std::array::from_fn(|t| &grad.terms[t].as_chunks::<8>().0[..n8]);
+    let before = grad.at;
+    let mut acc = grad.acc.as_deref_mut().map(|a| &mut a.as_chunks_mut::<8>().0[..n8]);
+    let mut dests = outs.iter_mut();
+    let mut outs: [Octets; O] =
+        std::array::from_fn(|_| match dests.next().expect("O destinations") {
+            adam::Dest::Half(h) => Octets::Half(&mut h.as_chunks_mut::<8>().0[..n8]),
+            adam::Dest::Grid(q) => Octets::Grid(&mut q.as_chunks_mut::<8>().0[..n8]),
+        });
+    let w8 = &mut master.as_chunks_mut::<8>().0[..n8];
+    let (m8, v8) = (&mut m.as_chunks_mut::<8>().0[..n8], &mut v.as_chunks_mut::<8>().0[..n8]);
+    // Stated, so the loop's bounds checks fold into its own.
+    assert!(terms.iter().all(|t| t.len() == n8) && acc.as_ref().is_none_or(|a| a.len() == n8));
+    assert!(outs.iter().all(|o| match o {
+        Octets::Half(h) => h.len() == n8,
+        Octets::Grid(q) => q.len() == n8,
+    }));
+    let lanes = AdamLanes::new(k);
+    for i in 0..n8 {
+        let g = match &mut acc {
+            None => terms.iter().map(|t| ymm::load(&t[i])).reduce(|s, x| _mm256_add_ps(s, x)),
+            Some(acc) => {
+                let own = ymm::load(&acc[i]);
+                let mut sum = (before == 0).then_some(own);
+                for (t, term) in terms.iter().enumerate() {
+                    let x = ymm::load(&term[i]);
+                    sum = Some(sum.map_or(x, |s| _mm256_add_ps(s, x)));
+                    if t + 1 == before {
+                        sum = sum.map(|s| _mm256_add_ps(s, own));
+                    }
+                }
+                let sum = sum.expect("the accumulator is summed");
+                ymm::store(sum, &mut acc[i]);
+                Some(sum)
+            }
+        }
+        .expect("a gradient term");
+        let w1 = lanes.update(g, &mut w8[i], &mut m8[i], &mut v8[i]);
+        for out in &mut outs {
+            match out {
+                Octets::Half(h) => store_f16x8(w1, &mut h[i]),
+                Octets::Grid(q) => {
+                    ymm::store(_mm256_cvtph_ps(_mm256_cvtps_ph::<F16_ROUND>(w1)), &mut q[i])
+                }
+            }
+        }
     }
 }
 

@@ -14,6 +14,14 @@
 //!    NaN; `v = 0` (the denominator is `eps`); `|w|` in the band that rounds
 //!    to a subnormal half, at `±65504` and past the half overflow threshold.
 //! 4. The f32 store is the exact decode of the u16 store.
+//! 5. **The fused step** (`ShardStep::run`): a gradient given as k ∈ 1..=5
+//!    slices, in every rotation of their order, with and without one of
+//!    them as the accumulator, is the left-to-right sum of the slices — the
+//!    accumulator left holding it — stepped by the historical arithmetic
+//!    and published identically to every one of 1–3, or 6 (mixed binary16
+//!    and f32), destinations; at every length `n % 8`, with the special
+//!    values rotated through the lanes, and on shards big enough to split,
+//!    the same across paths and worker counts.
 //!
 //! Codec: scalar `f32_to_f16`/`f16_to_f32` ≡ `VCVTPS2PH`/`VCVTPH2PS` on all
 //! 2¹⁶ halves, on every half's rounding midpoints ± 1 ulp, on a strided
@@ -27,7 +35,7 @@ use std::sync::{Mutex, MutexGuard};
 use symi_tensor::half::{self, f16_to_f32, f32_to_f16, quantize_f16};
 use symi_tensor::kernels::{self, SimdPath};
 use symi_tensor::rng::{Rng, StdRng};
-use symi_tensor::{pool, AdamConfig, AdamShard, AdamState};
+use symi_tensor::{pool, AdamConfig, AdamShard, AdamState, Dest, Grad};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
 
@@ -283,6 +291,211 @@ fn special_values_agree_in_every_lane() {
                     assert_eq!(h & 0x7fff, 0x7c00, "w = {w} overflows the half range");
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The fused step: summed slices, an accumulator, several destinations
+// ---------------------------------------------------------------------------
+
+/// One fused step's gradient: `slices` summed in this order, the one at
+/// `acc` (if any) passed as the accumulator.
+struct Fused<'a> {
+    slices: &'a [Vec<f32>],
+    acc: Option<usize>,
+}
+
+/// The destination kinds of a fused step, in order: `true` for binary16.
+const DEST_SETS: &[&[bool]] = &[
+    &[true],
+    &[true, true],
+    &[true, true, true],
+    &[false],
+    // Past the vector loop's four, mixed: the rest are copied or converted
+    // from the first.
+    &[true, false, true, false, true, true],
+    &[false, true, false, true, false, false],
+];
+
+/// What one fused run leaves: `(master, m, v)` and, per step, the
+/// accumulator and every destination, as bit patterns (a binary16
+/// destination widened to `u32`).
+#[derive(PartialEq, Debug)]
+struct FusedTrace {
+    state: [Vec<u32>; 3],
+    acc: Vec<Vec<u32>>,
+    outs: Vec<Vec<Vec<u32>>>,
+}
+
+/// `steps` fused steps of a shard from `master` over `grad`, published to
+/// `kinds`. The accumulator starts each step from its slice.
+fn run_fused(
+    cfg: AdamConfig,
+    master: &[f32],
+    grad: &Fused,
+    kinds: &[bool],
+    steps: usize,
+) -> FusedTrace {
+    let n = master.len();
+    let zeros = vec![0.0f32; n];
+    let mut shard = AdamShard::from_parts(cfg, 0, master.to_vec(), zeros.clone(), zeros, 0);
+    let mut trace = FusedTrace { state: Default::default(), acc: Vec::new(), outs: Vec::new() };
+    for _ in 0..steps {
+        let mut acc = grad.acc.map(|a| grad.slices[a].clone());
+        let terms: Vec<&[f32]> = (0..grad.slices.len())
+            .filter(|&i| Some(i) != grad.acc)
+            .map(|i| &grad.slices[i][..])
+            .collect();
+        let mut halves = vec![vec![0u16; n]; kinds.len()];
+        let mut grids = vec![vec![0.0f32; n]; kinds.len()];
+        let mut outs: Vec<Dest> = halves
+            .iter_mut()
+            .zip(&mut grids)
+            .zip(kinds)
+            .map(|((h, g), &half)| if half { Dest::Half(h) } else { Dest::Grid(g) })
+            .collect();
+        let g = match (&mut acc, grad.acc) {
+            (Some(acc), Some(at)) => Grad::accumulate(&terms, acc, at),
+            _ => Grad::sum(&terms),
+        };
+        shard.begin_step().run(0..n, g, &mut outs);
+        trace.acc.push(acc.as_deref().map_or_else(Vec::new, bits));
+        trace.outs.push(
+            kinds
+                .iter()
+                .zip(halves.iter().zip(&grids))
+                .map(
+                    |(&half, (h, g))| {
+                        if half {
+                            half_bits(h).into_iter().map(u32::from).collect()
+                        } else {
+                            bits(g)
+                        }
+                    },
+                )
+                .collect(),
+        );
+    }
+    let (m, v) = shard.moments();
+    trace.state = [bits(shard.master_weights()), bits(m), bits(v)];
+    trace
+}
+
+/// [`run_fused`] under every configuration; all must leave the scalar
+/// path's trace, which is checked against the specification written out —
+/// the slices folded left to right, then the historical step — and
+/// returned.
+fn run_fused_everywhere(
+    cfg: AdamConfig,
+    master: &[f32],
+    grad: &Fused,
+    kinds: &[bool],
+    steps: usize,
+) -> FusedTrace {
+    let at = format!(
+        "n {}, {} slices, acc {:?}, dests {kinds:?}",
+        master.len(),
+        grad.slices.len(),
+        grad.acc
+    );
+    let mut traces = configurations()
+        .into_iter()
+        .map(|(path, threads)| {
+            (path, threads, pinned(path, threads, || run_fused(cfg, master, grad, kinds, steps)))
+        })
+        .collect::<Vec<_>>();
+    let (_, _, first) = traces.remove(0);
+    for (path, threads, trace) in traces {
+        assert!(
+            trace == first,
+            "{at}: {path:?} with {threads} workers differs from the scalar path"
+        );
+    }
+
+    let n = master.len();
+    let sum: Vec<f32> =
+        (0..n).map(|i| grad.slices[1..].iter().fold(grad.slices[0][i], |s, x| s + x[i])).collect();
+    let (mut w, mut m, mut v, mut out) =
+        (master.to_vec(), vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    for s in 0..steps {
+        reference_step(&cfg, s as u64 + 1, &mut w, &mut m, &mut v, &sum, &mut out);
+        if grad.acc.is_some() {
+            assert_eq!(first.acc[s], bits(&sum), "{at}: the accumulator holds the sum");
+        }
+        for (kind, published) in kinds.iter().zip(&first.outs[s]) {
+            let want: Vec<u32> = if *kind {
+                half_bits(&out.iter().map(|&x| f32_to_f16(x)).collect::<Vec<_>>())
+                    .into_iter()
+                    .map(u32::from)
+                    .collect()
+            } else {
+                bits(&out)
+            };
+            assert_eq!(published, &want, "{at}: step {} published", s + 1);
+        }
+    }
+    assert_eq!(first.state, [bits(&w), bits(&m), bits(&v)], "{at}: (master, m, v)");
+    first
+}
+
+/// `k` gradient slices of length `n`, distinct in every element.
+fn slices(n: usize, k: usize, seed: u64) -> Vec<Vec<f32>> {
+    (0..k).map(|j| random_problem(n, 1, seed + j as u64).1.remove(0)).collect()
+}
+
+#[test]
+fn fused_steps_sum_their_slices_in_order_and_publish_one_value_everywhere() {
+    let _g = lock();
+    let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
+    for n in (0..=17).chain([31, 64, 203]) {
+        let (master, _) = random_problem(n, 0, 300 + n as u64);
+        for k in 1..=5 {
+            let base = slices(n, k, 400 + (n * 8 + k) as u64);
+            for rotation in 0..k {
+                let order: Vec<Vec<f32>> =
+                    (0..k).map(|j| base[(rotation + j) % k].clone()).collect();
+                // The first base slice plays the accumulator, wherever the
+                // rotation puts it.
+                let acc = (k - rotation) % k;
+                for grad in
+                    [Fused { slices: &order, acc: None }, Fused { slices: &order, acc: Some(acc) }]
+                {
+                    for kinds in DEST_SETS {
+                        run_fused_everywhere(cfg, &master, &grad, kinds, 3);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_shards_big_enough_to_split_agree_across_paths_and_workers() {
+    let _g = lock();
+    let n = 300_007;
+    let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
+    let (master, _) = random_problem(n, 0, 17);
+    let three = slices(n, 3, 18);
+    for grad in [Fused { slices: &three, acc: Some(1) }, Fused { slices: &three, acc: None }] {
+        run_fused_everywhere(cfg, &master, &grad, &[true, false, true], 2);
+    }
+}
+
+#[test]
+fn fused_special_values_agree_in_every_lane() {
+    let _g = lock();
+    let sub = f32::from_bits(0x0000_0400);
+    let specials = [0.0, -0.0, sub, -sub, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-3, -1e30];
+    let n = 19;
+    let cfg = AdamConfig::default();
+    let (master, _) = random_problem(n, 0, 23);
+    for lane in 0..n {
+        let order: Vec<Vec<f32>> = (0..3)
+            .map(|j| (0..n).map(|i| specials[(i + lane + 2 * j) % specials.len()]).collect())
+            .collect();
+        for acc in [None, Some(0), Some(2)] {
+            run_fused_everywhere(cfg, &master, &Fused { slices: &order, acc }, &[true, false], 2);
         }
     }
 }
