@@ -1075,19 +1075,19 @@ fn bench_adam() -> Value {
         let (mut state_s, mut shard_s) = (state_v.clone(), shard_v.clone());
         let (mut out_v, mut out_s) = (vec![0.0f32; n], vec![0.0f32; n]);
         let (mut half_v, mut half_s) = (Vec::new(), Vec::new());
-        let mut paths = WeightPaths::new(n);
-        let (mut fused, mut separate) = paths.steps();
-        let ns = interleaved_min_ns(
+        let mut ns = interleaved_min_ns(
             REPS,
             &mut [
                 &mut || state_v.step(&grads, &mut out_v),
                 &mut || forced_scalar(|| state_s.step(&grads, &mut out_s)),
                 &mut || shard_v.step_into(&grads, &mut half_v),
                 &mut || forced_scalar(|| shard_s.step_into(&grads, &mut half_s)),
-                &mut fused,
-                &mut separate,
             ],
         );
+        // The weight path on its own, timed as the smoke gate times it.
+        let mut paths = WeightPaths::new(n);
+        let (mut fused, mut separate) = paths.steps();
+        ns.extend(interleaved_min_ns(REPS, &mut [&mut fused, &mut separate]));
         drop((fused, separate));
         assert!(paths.agree(), "{label}: the fused and the separate weight path differ");
         let mut per_param = Obj::new();
@@ -1559,6 +1559,10 @@ fn main() {
         return;
     }
 
+    // The optimizer rows first, before the GEMM sections, as the smoke gate
+    // times them.
+    let adam = bench_adam();
+    let f16_codec = bench_f16_codec();
     let shapes = bench_shapes();
     let activations = bench_activations();
     let expert_ffn = bench_expert_ffn();
@@ -1567,8 +1571,6 @@ fn main() {
     let gemm_tn_skinny = bench_gemm_tn_skinny();
     let layouts = bench_layouts();
     let tile_widths = bench_tile_widths();
-    let adam = bench_adam();
-    let f16_codec = bench_f16_codec();
 
     let mut o = Obj::new();
     o.set("bench", Value::str("gemm_kernels"));

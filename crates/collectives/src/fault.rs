@@ -73,8 +73,9 @@ pub enum FaultKind {
 }
 
 /// Selector deciding which messages (or rank events) a rule applies to.
-/// Unset fields match everything; `layer`/`iteration`/`phase` constraints
-/// only ever match structured tags (raw tags carry no such fields).
+/// Unset fields match everything; `layer`/`iteration`/`phase`/`entity`
+/// constraints only ever match structured tags (raw tags carry no such
+/// fields).
 #[derive(Clone, Copy, Debug)]
 pub struct MsgMatch {
     from: Option<usize>,
@@ -82,13 +83,22 @@ pub struct MsgMatch {
     layer: Option<u64>,
     iteration: Option<u64>,
     phase: Option<WirePhase>,
+    entity: Option<u64>,
     probability: f64,
 }
 
 impl MsgMatch {
     /// Matches every message with probability 1.
     pub fn any() -> Self {
-        Self { from: None, to: None, layer: None, iteration: None, phase: None, probability: 1.0 }
+        Self {
+            from: None,
+            to: None,
+            layer: None,
+            iteration: None,
+            phase: None,
+            entity: None,
+            probability: 1.0,
+        }
     }
 
     /// Restrict to messages sent by `rank`.
@@ -122,6 +132,13 @@ impl MsgMatch {
         self
     }
 
+    /// Restrict to structured tags addressing `entity` — the phase's
+    /// addressing unit: an expert class, a slot, …
+    pub fn entity(mut self, entity: u64) -> Self {
+        self.entity = Some(entity);
+        self
+    }
+
     /// Fire on a matching message only with probability `p` (deterministic
     /// per message identity; see module docs).
     pub fn probability(mut self, p: f64) -> Self {
@@ -133,7 +150,11 @@ impl MsgMatch {
         if self.from.is_some_and(|r| r != from) || self.to.is_some_and(|r| r != to) {
             return false;
         }
-        if self.layer.is_none() && self.iteration.is_none() && self.phase.is_none() {
+        if self.layer.is_none()
+            && self.iteration.is_none()
+            && self.phase.is_none()
+            && self.entity.is_none()
+        {
             return true;
         }
         let Some(fields) = tag::decode(tag) else {
@@ -143,6 +164,7 @@ impl MsgMatch {
         self.layer.is_none_or(|l| l == fields.layer)
             && self.iteration.is_none_or(|i| i == fields.iteration)
             && self.phase.is_none_or(|p| Some(p) == fields.phase())
+            && self.entity.is_none_or(|e| e == fields.entity)
     }
 }
 

@@ -568,8 +568,13 @@ impl MoeLayerEngine {
     /// if not, stop loudly). The rest is the `transition` every membership
     /// change shares, with the resume iteration `max(completed) + 1`: the
     /// aborted iteration is *skipped*, never re-run, so its half-delivered
-    /// traffic can never alias the resumed protocol. Acquired optimizer
-    /// slices whose owner died restart with zeroed moments (the
+    /// traffic can never alias the resumed protocol. Adam steps it already
+    /// took stand: a class with several hosts steps right after its own
+    /// reduce, the rest after the collect, so a failure in between leaves
+    /// some classes stepped and others not, and differently on different
+    /// ranks. The re-shard levels every chunk's step counter to the
+    /// furthest member's, so each class steps on from one count. Acquired
+    /// optimizer slices whose owner died restart with zeroed moments (the
     /// `reseeded_params` gauge).
     ///
     /// On success the engine is ready for the next [`MoeLayerEngine::iteration`]
@@ -649,7 +654,8 @@ impl MoeLayerEngine {
     ///    for the placement, from the freshest popularity;
     /// 4. re-shard the optimizer over `new_view` through the one exchange
     ///    ([`SymiOptimizer::reshard`] on a member, [`SymiOptimizer::join`]
-    ///    on the joiner);
+    ///    on the joiner), every chunk stepping on from the payloads' highest
+    ///    Adam step count;
     /// 5. adopt the view; 6. record the popularity; 7. materialize the new
     ///    placement from the re-sharded masters; 8. publish the gauges.
     ///
@@ -714,6 +720,7 @@ impl MoeLayerEngine {
                     &self.placement,
                     &local_class_weights,
                     &|class| Self::canonical_class_params(&cfg, class),
+                    adam_t,
                     tags,
                 )?
             }
@@ -1076,7 +1083,9 @@ impl MoeLayerEngine {
         // reduced onto the ranges Algorithm 2's sources serve. A class whose
         // reduce received partials of this rank's own chunk is stepped right
         // after it — the step sums them into the chunk as it goes — so one
-        // class's partials are live at a time. Every other class steps after
+        // class's partials are live at a time; should a later exchange fail,
+        // the step stands and recovery levels the step counters
+        // ([`MoeLayerEngine::recover`]). Every other class steps after
         // the collect, as all did before: a class with one host has nothing
         // to consume early, and stepping it before the collect's barrier
         // would pile a busier host's Adam work ahead of it while its peer

@@ -261,9 +261,9 @@ impl Fallback<'_> {
 /// changed: walk the [`reshard_plan`] of `classes`, send what this rank
 /// sources, receive what it acquires, and assemble its new chunk of each of
 /// those classes — the kept overlap copied in place, each acquired piece
-/// filled by its rule. `shards` holds this rank's old chunk of every class
-/// (a joiner's are zero-length and carry only the cluster's Adam step
-/// count); it is written once every receive has landed, and only at
+/// filled by its rule, and stepping on from Adam step `step_count`.
+/// `shards` holds this rank's old chunk of every class (a joiner's are
+/// zero-length); it is written once every receive has landed, and only at
 /// `classes`. `fallback` is `None` where no owner can have died: a joiner's
 /// grow, or a re-placement. Pieces travel under `tags` with
 /// `WeightDistribute` phase and a per-`(class, dst)` step field, so they can
@@ -277,6 +277,7 @@ fn exchange(
     shards: &mut [AdamShard],
     fallback: Option<&Fallback>,
     adam: AdamConfig,
+    step_count: u64,
     tags: TagSpace,
 ) -> Result<ReshardReport, CommError> {
     let me = ctx.rank();
@@ -389,8 +390,7 @@ fn exchange(
                 }
             }
         }
-        let t = old_shard.step_count();
-        assembled.push(AdamShard::from_parts(adam, ns, master, m, v, t));
+        assembled.push(AdamShard::from_parts(adam, ns, master, m, v, step_count));
     }
     for (&class, shard) in classes.iter().zip(assembled) {
         shards[class] = shard;
@@ -744,12 +744,15 @@ impl SymiOptimizer {
         self.param_count
     }
 
-    /// Adam's step counter (uniform across classes: [`SymiOptimizer::step`]
-    /// advances every class together; 0 before the first step). A join
-    /// carries this in the agreement payload so the joiner's bias
-    /// correction continues exactly where the cluster is.
+    /// Adam's step counter: the most steps any class's shard has taken (0
+    /// before the first step). Every class steps once per iteration, so
+    /// the classes agree — except after an iteration aborted between two
+    /// of its steps, the engine's early ones and the rest, until a
+    /// re-shard levels them ([`SymiOptimizer::reshard`]). A membership
+    /// change carries this in the agreement payload, so the re-sharded and
+    /// the joiner's bias correction continue where the furthest member is.
     pub(crate) fn adam_step_count(&self) -> u64 {
-        self.shards.first().map_or(0, AdamShard::step_count)
+        self.shards.iter().map(AdamShard::step_count).max().unwrap_or(0)
     }
 
     /// Optimizer-state bytes held on this rank (16 B/param accounting).
@@ -1153,7 +1156,7 @@ impl SymiOptimizer {
                 let r = a - ms..b - ms;
                 let half = outs.iter_mut().map(|o| Dest::Half(&mut o.bits()[r.clone()]));
                 with_list(half.chain(local), |dests| {
-                    step.run(r.clone(), Grad::sum(&[&shard[r.clone()]]), dests)
+                    step.run(r.clone(), Grad::Slice(&shard[r.clone()]), dests)
                 });
             }
             ClassGrad::Reduced(full, partials) => {
@@ -1389,10 +1392,16 @@ impl SymiOptimizer {
     /// loudly (recover first, then admit).
     ///
     /// `local_class_weights` carries `(class, full fp16-grid weights)` for
-    /// each class this rank hosts under `old_placement`. The transfer plan
+    /// each class this rank hosts under `old_placement`. Every re-sharded
+    /// chunk steps on from `step_count`, the highest Adam step count among
+    /// the members (the engine's agreement payload carries each one's): an
+    /// iteration that aborted may have stepped some classes' chunks on some
+    /// ranks and not others, and those steps stand, but no class or rank is
+    /// left a step behind in its bias correction. The transfer plan
     /// is a pure function of `(old view, new view, old placement, P)`, so
     /// every member computes it identically; the joiner's side is
     /// [`SymiOptimizer::join`].
+    #[allow(clippy::too_many_arguments)]
     pub fn reshard(
         &mut self,
         ctx: &mut RankCtx,
@@ -1400,6 +1409,7 @@ impl SymiOptimizer {
         old_placement: &ExpertPlacement,
         local_class_weights: &[(usize, Vec<f32>)],
         canonical_init: &dyn Fn(usize) -> Vec<f32>,
+        step_count: u64,
         tags: TagSpace,
     ) -> Result<ReshardReport, CommError> {
         let _span = self.telemetry.span(Phase::WeightComm);
@@ -1410,8 +1420,18 @@ impl SymiOptimizer {
         let old =
             Geometry { view: &self.view, owners: &self.owners, param_count: self.param_count };
         let new = Geometry { view: new_view, owners: &Owners::World, ..old };
-        let report =
-            exchange(ctx, old, new, &classes, &mut self.shards, Some(&fallback), self.adam, tags)?;
+        let fallback = Some(&fallback);
+        let report = exchange(
+            ctx,
+            old,
+            new,
+            &classes,
+            &mut self.shards,
+            fallback,
+            self.adam,
+            step_count,
+            tags,
+        )?;
         self.owners = Owners::World;
         self.lrank = new_view.logical_of(ctx.rank()).expect("the exchange checked membership");
         self.view = new_view.clone();
@@ -1445,7 +1465,7 @@ impl SymiOptimizer {
         let classes: Vec<usize> = (0..expert_classes).collect();
         let old = Geometry { view: old_view, owners: &Owners::World, param_count };
         let new = Geometry { view: new_view, ..old };
-        let report = exchange(ctx, old, new, &classes, &mut shards, None, adam, tags)?;
+        let report = exchange(ctx, old, new, &classes, &mut shards, None, adam, step_count, tags)?;
         let lrank = new_view.logical_of(me).expect("the exchange checked membership");
         Ok((
             Self {
@@ -1498,7 +1518,8 @@ impl SymiOptimizer {
         let classes: Vec<usize> = (0..e).filter(|&class| moved(class)).collect();
         let mut report = ReshardReport::default();
         if !classes.is_empty() {
-            report = exchange(ctx, old, new, &classes, &mut self.shards, None, self.adam, tags)?;
+            let t = self.adam_step_count();
+            report = exchange(ctx, old, new, &classes, &mut self.shards, None, self.adam, t, tags)?;
         }
         report.kept_params += kept as u64;
         self.owners = owners;
@@ -1684,6 +1705,7 @@ mod tests {
                             &ExpertPlacement::uniform(E, ACTIVE, 1),
                             &[],
                             &|_| unreachable!("a grow never re-initializes"),
+                            3,
                             tags,
                         )
                         .expect("grow reshard");

@@ -24,10 +24,11 @@
 //! payload survives when two different ones meet is the compiler's operand
 //! order, which Rust leaves open).
 //!
-//! The element's gradient is the left-to-right sum of one or more slices,
-//! `((g₀ + g₁) + g₂) + …` — a replica sum folded into the step instead of
-//! into a buffer beforehand — and the updated master is published to any
-//! number of destinations ([`Dest`]), each through one of two stores:
+//! The element's gradient is one slice, or the left-to-right sum of an
+//! accumulator and one or more slices, `((g₀ + g₁) + g₂) + …`, left in the
+//! accumulator — a replica sum folded into the step instead of into a
+//! buffer beforehand ([`Grad`]) — and the updated master is published to
+//! any number of destinations ([`Dest`]), each through one of two stores:
 //!
 //! - f32 on the fp16 grid ([`Dest::Grid`]; [`AdamState::step`], the
 //!   single-process `Trainer`'s dense and expert parameters):
@@ -110,7 +111,7 @@ impl AdamState {
         self.t += 1;
         let k = AdamCoeffs::new(&self.cfg, self.t);
         let out = &mut [Dest::Grid(params_out)];
-        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, Grad::sum(&[grads]), out);
+        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, Grad::Slice(grads), out);
     }
 
     /// fp32 master weights (what the optimizer believes the model is).
@@ -216,7 +217,7 @@ impl AdamShard {
     pub fn step_into(&mut self, grad_shard: &[f32], out: &mut Vec<u16>) {
         assert_eq!(grad_shard.len(), self.master.len(), "gradient shard length mismatch");
         out.resize(self.master.len(), 0);
-        self.begin_step().run(0..out.len(), Grad::sum(&[grad_shard]), &mut [Dest::Half(out)]);
+        self.begin_step().run(0..out.len(), Grad::Slice(grad_shard), &mut [Dest::Half(out)]);
     }
 
     /// Starts one Adam step: advances the step counter and returns the
@@ -230,7 +231,7 @@ impl AdamShard {
             master: &mut self.master,
             m: &mut self.m,
             v: &mut self.v,
-            stepped: 0,
+            next: 0,
         }
     }
 
@@ -260,15 +261,15 @@ impl AdamShard {
 
 /// One Adam step of an [`AdamShard`] in progress ([`AdamShard::begin_step`]):
 /// the step counter has advanced, and [`ShardStep::run`] updates the shard's
-/// elements range by range. Every element must be updated exactly once
-/// before the step is dropped.
+/// elements range by range, in order: each range starts where the previous
+/// one ended, and they cover the shard by the time the step is dropped.
 pub struct ShardStep<'a> {
     k: AdamCoeffs,
     master: &'a mut [f32],
     m: &'a mut [f32],
     v: &'a mut [f32],
-    /// Elements updated so far.
-    stepped: usize,
+    /// Where the next range starts: every element before it is updated.
+    next: usize,
 }
 
 impl ShardStep<'_> {
@@ -278,9 +279,11 @@ impl ShardStep<'_> {
     /// holds `range.len()` elements.
     ///
     /// # Panics
-    /// Panics if a length disagrees with the range.
+    /// Panics if `range` does not start where the previous one ended (at 0
+    /// for the first), or if a length disagrees with it.
     pub fn run(&mut self, range: Range<usize>, grad: Grad<'_, '_>, outs: &mut [Dest<'_>]) {
-        self.stepped += range.len();
+        assert_eq!(range.start, self.next, "an Adam step runs its shard's ranges in order");
+        self.next = range.end;
         let (master, m, v) =
             (&mut self.master[range.clone()], &mut self.m[range.clone()], &mut self.v[range]);
         step_kernel(&self.k, master, m, v, grad, outs);
@@ -290,33 +293,25 @@ impl ShardStep<'_> {
 impl Drop for ShardStep<'_> {
     fn drop(&mut self) {
         if !std::thread::panicking() {
-            assert_eq!(self.stepped, self.master.len(), "an Adam step covers its shard once");
+            assert_eq!(self.next, self.master.len(), "an Adam step covers its shard once");
         }
     }
 }
 
-/// The gradient of one Adam step, element by element: the left-to-right sum
-/// of `terms` — with `acc`'s element, when there is an `acc`, taking its
-/// place before `terms[at]` — and `acc` is left holding the sum. That is
-/// how a host steps its own chunk of a replica sum: the other hosts'
-/// partials are the terms, its own partial the accumulator, and the sum
-/// lands where a separate fold would have left it.
-pub struct Grad<'s, 'g> {
-    pub(crate) terms: &'s [&'g [f32]],
-    pub(crate) acc: Option<&'s mut [f32]>,
-    pub(crate) at: usize,
+/// The gradient of one Adam step, element by element.
+pub enum Grad<'s, 'g> {
+    /// One slice, read as it is.
+    Slice(&'g [f32]),
+    /// The left-to-right sum of `terms`, with `acc`'s element taking its
+    /// place before `terms[at]`, and `acc` left holding the sum. That is how
+    /// a host steps its own chunk of a replica sum: the other hosts'
+    /// partials are the terms, its own partial the accumulator, and the sum
+    /// lands where a separate fold would have left it. Built by
+    /// [`Grad::accumulate`].
+    Sum { terms: &'s [&'g [f32]], acc: &'s mut [f32], at: usize },
 }
 
 impl<'s, 'g> Grad<'s, 'g> {
-    /// The sum of `terms`, left to right.
-    ///
-    /// # Panics
-    /// Panics if `terms` is empty.
-    pub fn sum(terms: &'s [&'g [f32]]) -> Self {
-        assert!(!terms.is_empty(), "a gradient needs a term");
-        Self { terms, acc: None, at: 0 }
-    }
-
     /// `terms[..at]`, then `acc`, then `terms[at..]`, summed left to right
     /// into `acc`.
     ///
@@ -324,11 +319,18 @@ impl<'s, 'g> Grad<'s, 'g> {
     /// Panics if `at` is past the end of `terms`.
     pub fn accumulate(terms: &'s [&'g [f32]], acc: &'s mut [f32], at: usize) -> Self {
         assert!(at <= terms.len(), "accumulator position {at} past {} terms", terms.len());
-        Self { terms, acc: Some(acc), at }
+        Grad::Sum { terms, acc, at }
     }
 
-    fn all_len(&self, n: usize) -> bool {
-        self.terms.iter().all(|t| t.len() == n) && self.acc.as_ref().is_none_or(|a| a.len() == n)
+    /// Whether every slice holds `n` elements and the accumulator's place
+    /// is among the terms.
+    fn fits(&self, n: usize) -> bool {
+        match self {
+            Grad::Slice(g) => g.len() == n,
+            Grad::Sum { terms, acc, at } => {
+                *at <= terms.len() && terms.iter().all(|t| t.len() == n) && acc.len() == n
+            }
+        }
     }
 }
 
@@ -431,19 +433,17 @@ pub(crate) fn update(k: &AdamCoeffs, g: f32, w: &mut f32, m: &mut f32, v: &mut f
     *w
 }
 
-/// Elements `r` of `grad` into `g`: the terms and the accumulator summed
-/// left to right, element by element, and the sum stored back into the
-/// accumulator. Term by term over the block, so each element sees the
-/// additions in the order [`Grad`] states.
+/// Elements `r` of `grad` into `g`: the slice, or the terms and the
+/// accumulator summed left to right, element by element, and the sum stored
+/// back into the accumulator. Term by term over the block, so each element
+/// sees the additions in the order [`Grad`] states.
 pub(crate) fn sum_block(grad: &mut Grad<'_, '_>, r: Range<usize>, g: &mut [f32]) {
+    let (terms, acc, at) = match grad {
+        Grad::Slice(slice) => return g.copy_from_slice(&slice[r]),
+        Grad::Sum { terms, acc, at } => (*terms, acc, *at),
+    };
     let add =
         |g: &mut [f32], term: &[f32]| g.iter_mut().zip(&term[r.clone()]).for_each(|(x, t)| *x += t);
-    let (terms, at) = (grad.terms, grad.at);
-    let Some(acc) = &mut grad.acc else {
-        g.copy_from_slice(&terms[0][r.clone()]);
-        terms[1..].iter().for_each(|t| add(g, t));
-        return;
-    };
     if at == 0 {
         g.copy_from_slice(&acc[r.clone()]);
     } else {
@@ -509,8 +509,8 @@ fn chunk(
 }
 
 /// Elements per worker share below which the Adam step stays sequential. The
-/// vector kernel runs at ≈1.1–1.5 ns per parameter (`BENCH_kernels.json`,
-/// `adam` rows), so a share is ≳70 µs of work — a pool wake-up costs tens of
+/// vector kernel runs at ≈1.0–1.2 ns per parameter (`BENCH_kernels.json`,
+/// `adam` rows), so a share is ≳65 µs of work — a pool wake-up costs tens of
 /// microseconds, and anything smaller loses by splitting. (The scalar
 /// encoding is 6–10× slower per element; its shares are merely longer.)
 const MIN_ADAM_ELEMS_PER_SHARE: usize = 64 * 1024;
@@ -520,7 +520,8 @@ const MIN_ADAM_ELEMS_PER_SHARE: usize = 64 * 1024;
 const MAX_SPLIT_FAN: usize = 8;
 
 /// One pool share of a step: its elements of the state, of every gradient
-/// slice and of every destination.
+/// slice (the one slice of a [`Grad::Slice`] first) and of every
+/// destination.
 #[derive(Default)]
 struct Share<'a> {
     master: &'a mut [f32],
@@ -540,14 +541,18 @@ fn step_kernel(
     mut master: &mut [f32],
     mut m: &mut [f32],
     mut v: &mut [f32],
-    mut grad: Grad<'_, '_>,
+    grad: Grad<'_, '_>,
     outs: &mut [Dest<'_>],
 ) {
     use crate::pool::{self, share_bounds, MAX_WORKERS};
     use std::sync::Mutex;
-    let (n, k_terms, k_outs) = (master.len(), grad.terms.len(), outs.len());
+    let k_terms = match &grad {
+        Grad::Slice(_) => 1,
+        Grad::Sum { terms, .. } => terms.len(),
+    };
+    let (n, k_outs) = (master.len(), outs.len());
     assert!(m.len() == n && v.len() == n, "moment length mismatch");
-    assert!(grad.all_len(n), "gradient length mismatch");
+    assert!(grad.fits(n), "gradient length or accumulator position mismatch");
     assert!(outs.iter().all(|o| o.len() == n), "destination length mismatch");
     let p = if k_terms.max(k_outs) > MAX_SPLIT_FAN {
         1
@@ -560,7 +565,14 @@ fn step_kernel(
     }
     let (bounds, p) = share_bounds(n, p);
     let mut shares: [Mutex<Share>; MAX_WORKERS] = Default::default();
-    let mut acc = grad.acc.take();
+    let one;
+    let (terms, mut acc, at): (&[&[f32]], _, _) = match grad {
+        Grad::Slice(slice) => {
+            one = [slice];
+            (&one, None, 0)
+        }
+        Grad::Sum { terms, acc, at } => (terms, Some(acc), at),
+    };
     let mut rest: [Dest; MAX_SPLIT_FAN] = Default::default();
     for (r, out) in rest.iter_mut().zip(outs.iter_mut()) {
         *r = out.sub(0..n);
@@ -575,7 +587,7 @@ fn step_kernel(
             let (head, tail) = rest.split_at_mut(len);
             (share.acc, acc) = (Some(head), Some(tail));
         }
-        for (t, term) in share.terms.iter_mut().zip(grad.terms) {
+        for (t, term) in share.terms.iter_mut().zip(terms) {
             *t = &term[a..b];
         }
         for (o, r) in share.outs.iter_mut().zip(&mut rest[..k_outs]) {
@@ -585,7 +597,10 @@ fn step_kernel(
     pool::global().run(p, &|w| {
         let mut share = shares[w].lock().expect("share mutex");
         let s = &mut *share;
-        let grad = Grad { terms: &s.terms[..k_terms], acc: s.acc.as_deref_mut(), at: grad.at };
+        let grad = match s.acc.as_deref_mut() {
+            None => Grad::Slice(s.terms[0]),
+            Some(acc) => Grad::Sum { terms: &s.terms[..k_terms], acc, at },
+        };
         chunk(k, s.master, s.m, s.v, grad, &mut s.outs[..k_outs]);
     });
 }

@@ -1610,19 +1610,22 @@ impl AdamLanes {
     }
 }
 
-/// Most gradient terms (besides the accumulator) and most destinations
-/// the vector loop takes. The loop is instantiated per count, so every
-/// slice pointer it walks sits in a register: a loop that reloaded them
-/// from memory every octet measured 1.3–2× the time of this one, varying
-/// with where the stack landed. More terms are first summed into the
-/// accumulator; more destinations are copied from the first.
-const ADAM_MAX_TERMS: usize = 3;
-const ADAM_MAX_OUTS: usize = 4;
+/// Most destinations the vector loop stores into; more are copied from the
+/// first. The loop is instantiated per count, so every slice pointer it
+/// walks sits in a register: a loop that reloaded them from memory every
+/// octet measured 1.3–2× the time of this one, varying with where the stack
+/// landed. On two ranks — every engine workload of the benchmark — a step
+/// publishes to a slot, a send buffer or both; the `Trainer`'s to one
+/// buffer.
+const ADAM_MAX_OUTS: usize = 2;
 
 /// AVX2+F16C encoding of an Adam chunk ([`adam::chunk_scalar`] over the
 /// whole chunk): per octet, the gradient summed as [`adam::sum_block`]
 /// sums it, the update, and one store per destination; the scalar
-/// specification on the `len % 8` tail.
+/// specification on the `len % 8` tail. The loop sums at most one slice
+/// into the accumulator, the other host's partial where a class has two;
+/// more are summed into it block by block first, and the step then reads
+/// it as one slice.
 pub(crate) fn adam_chunk(
     k: &AdamCoeffs,
     master: &mut [f32],
@@ -1648,25 +1651,20 @@ fn adam_chunk_impl(
     outs: &mut [adam::Dest<'_>],
 ) {
     let n = master.len();
-    if grad.terms.len() > ADAM_MAX_TERMS {
-        let Some(acc) = grad.acc.take() else {
-            return adam::chunk_scalar(k, master, m, v, &mut grad, outs, 0..n);
-        };
-        let mut whole = adam::Grad { terms: grad.terms, acc: Some(acc), at: grad.at };
+    if matches!(grad, adam::Grad::Sum { terms, .. } if terms.len() != 1) {
         let mut scratch = [0.0f32; 64];
         for start in (0..n).step_by(scratch.len()) {
             let r = start..n.min(start + scratch.len());
-            adam::sum_block(&mut whole, r.clone(), &mut scratch[..r.len()]);
+            adam::sum_block(&mut grad, r.clone(), &mut scratch[..r.len()]);
         }
-        let summed: &[f32] = whole.acc.expect("the accumulator");
-        return adam_chunk_impl(k, master, m, v, adam::Grad::sum(&[summed]), outs);
+        let adam::Grad::Sum { acc, .. } = grad else { unreachable!("matched above") };
+        return adam_chunk_impl(k, master, m, v, adam::Grad::Slice(acc), outs);
     }
     let (fused, extra) = outs.split_at_mut(outs.len().min(ADAM_MAX_OUTS));
-    match grad.terms.len() {
-        0 => adam_fused_outs::<0>(k, master, m, v, &mut grad, fused),
-        1 => adam_fused_outs::<1>(k, master, m, v, &mut grad, fused),
-        2 => adam_fused_outs::<2>(k, master, m, v, &mut grad, fused),
-        _ => adam_fused_outs::<3>(k, master, m, v, &mut grad, fused),
+    match fused.len() {
+        0 => adam_fused::<0>(k, master, m, v, &mut grad, fused),
+        1 => adam_fused::<1>(k, master, m, v, &mut grad, fused),
+        _ => adam_fused::<2>(k, master, m, v, &mut grad, fused),
     }
     let body = n - n % 8;
     adam::chunk_scalar(k, master, m, v, &mut grad, fused, body..n);
@@ -1680,39 +1678,19 @@ fn adam_chunk_impl(
     }
 }
 
-/// [`adam_fused`] with `T` gradient terms, at `outs.len()` destinations.
-#[inline]
-#[target_feature(enable = "avx2", enable = "f16c")]
-fn adam_fused_outs<const T: usize>(
-    k: &AdamCoeffs,
-    master: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    grad: &mut adam::Grad<'_, '_>,
-    outs: &mut [adam::Dest<'_>],
-) {
-    match outs.len() {
-        0 => adam_fused::<T, 0>(k, master, m, v, grad, outs),
-        1 => adam_fused::<T, 1>(k, master, m, v, grad, outs),
-        2 => adam_fused::<T, 2>(k, master, m, v, grad, outs),
-        3 => adam_fused::<T, 3>(k, master, m, v, grad, outs),
-        _ => adam_fused::<T, 4>(k, master, m, v, grad, outs),
-    }
-}
-
 /// One destination's octets.
 enum Octets<'a> {
     Half(&'a mut [[u16; 8]]),
     Grid(&'a mut [[f32; 8]]),
 }
 
-/// The octet body of an Adam chunk with `T` gradient terms and `O`
-/// destinations: for each octet, the terms summed left to right with the
-/// accumulator in its place (and the sum stored back into it), the update,
-/// and the store into every destination.
+/// The octet body of an Adam chunk with `O` destinations, from one slice or
+/// from one term and the accumulator: for each octet, the gradient (the sum
+/// in [`adam::Grad`]'s order, stored back into the accumulator), the
+/// update, and the store into every destination.
 #[inline]
 #[target_feature(enable = "avx2", enable = "f16c")]
-fn adam_fused<const T: usize, const O: usize>(
+fn adam_fused<const O: usize>(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
@@ -1721,9 +1699,13 @@ fn adam_fused<const T: usize, const O: usize>(
     outs: &mut [adam::Dest<'_>],
 ) {
     let n8 = master.len() / 8;
-    let terms: [&[[f32; 8]]; T] = std::array::from_fn(|t| &grad.terms[t].as_chunks::<8>().0[..n8]);
-    let before = grad.at;
-    let mut acc = grad.acc.as_deref_mut().map(|a| &mut a.as_chunks_mut::<8>().0[..n8]);
+    let (term, acc, at) = match grad {
+        adam::Grad::Slice(slice) => (*slice, None, 0),
+        adam::Grad::Sum { terms: [term], acc, at } => (*term, Some(acc), *at),
+        adam::Grad::Sum { .. } => unreachable!("more terms are summed into the accumulator first"),
+    };
+    let term = &term.as_chunks::<8>().0[..n8];
+    let mut acc = acc.map(|a| &mut a.as_chunks_mut::<8>().0[..n8]);
     let mut dests = outs.iter_mut();
     let mut outs: [Octets; O] =
         std::array::from_fn(|_| match dests.next().expect("O destinations") {
@@ -1733,31 +1715,23 @@ fn adam_fused<const T: usize, const O: usize>(
     let w8 = &mut master.as_chunks_mut::<8>().0[..n8];
     let (m8, v8) = (&mut m.as_chunks_mut::<8>().0[..n8], &mut v.as_chunks_mut::<8>().0[..n8]);
     // Stated, so the loop's bounds checks fold into its own.
-    assert!(terms.iter().all(|t| t.len() == n8) && acc.as_ref().is_none_or(|a| a.len() == n8));
+    assert!(term.len() == n8 && acc.as_ref().is_none_or(|a| a.len() == n8));
     assert!(outs.iter().all(|o| match o {
         Octets::Half(h) => h.len() == n8,
         Octets::Grid(q) => q.len() == n8,
     }));
     let lanes = AdamLanes::new(k);
     for i in 0..n8 {
+        let x = ymm::load(&term[i]);
         let g = match &mut acc {
-            None => terms.iter().map(|t| ymm::load(&t[i])).reduce(|s, x| _mm256_add_ps(s, x)),
+            None => x,
             Some(acc) => {
                 let own = ymm::load(&acc[i]);
-                let mut sum = (before == 0).then_some(own);
-                for (t, term) in terms.iter().enumerate() {
-                    let x = ymm::load(&term[i]);
-                    sum = Some(sum.map_or(x, |s| _mm256_add_ps(s, x)));
-                    if t + 1 == before {
-                        sum = sum.map(|s| _mm256_add_ps(s, own));
-                    }
-                }
-                let sum = sum.expect("the accumulator is summed");
+                let sum = if at == 0 { _mm256_add_ps(own, x) } else { _mm256_add_ps(x, own) };
                 ymm::store(sum, &mut acc[i]);
-                Some(sum)
+                sum
             }
-        }
-        .expect("a gradient term");
+        };
         let w1 = lanes.update(g, &mut w8[i], &mut m8[i], &mut v8[i]);
         for out in &mut outs {
             match out {

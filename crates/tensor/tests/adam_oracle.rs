@@ -15,9 +15,10 @@
 //!    to a subnormal half, at `±65504` and past the half overflow threshold.
 //! 4. The f32 store is the exact decode of the u16 store.
 //! 5. **The fused step** (`ShardStep::run`): a gradient given as k ∈ 1..=5
-//!    slices, in every rotation of their order, with and without one of
-//!    them as the accumulator, is the left-to-right sum of the slices — the
-//!    accumulator left holding it — stepped by the historical arithmetic
+//!    slices, in every rotation of their order, one of them the
+//!    accumulator (or, at k = 1, the one slice read as it is), is the
+//!    left-to-right sum of the slices — the accumulator left holding it —
+//!    stepped by the historical arithmetic
 //!    and published identically to every one of 1–3, or 6 (mixed binary16
 //!    and f32), destinations; at every length `n % 8`, with the special
 //!    values rotated through the lanes, and on shards big enough to split,
@@ -300,7 +301,8 @@ fn special_values_agree_in_every_lane() {
 // ---------------------------------------------------------------------------
 
 /// One fused step's gradient: `slices` summed in this order, the one at
-/// `acc` (if any) passed as the accumulator.
+/// `acc` passed as the accumulator — or, with no `acc`, the one slice read
+/// as it is.
 struct Fused<'a> {
     slices: &'a [Vec<f32>],
     acc: Option<usize>,
@@ -357,7 +359,10 @@ fn run_fused(
             .collect();
         let g = match (&mut acc, grad.acc) {
             (Some(acc), Some(at)) => Grad::accumulate(&terms, acc, at),
-            _ => Grad::sum(&terms),
+            _ => {
+                assert_eq!(terms.len(), 1, "without an accumulator, one slice");
+                Grad::Slice(terms[0])
+            }
         };
         shard.begin_step().run(0..n, g, &mut outs);
         trace.acc.push(acc.as_deref().map_or_else(Vec::new, bits));
@@ -458,11 +463,16 @@ fn fused_steps_sum_their_slices_in_order_and_publish_one_value_everywhere() {
                 // The first base slice plays the accumulator, wherever the
                 // rotation puts it.
                 let acc = (k - rotation) % k;
-                for grad in
-                    [Fused { slices: &order, acc: None }, Fused { slices: &order, acc: Some(acc) }]
-                {
+                let slice = (k == 1).then_some(None);
+                for acc in slice.into_iter().chain([Some(acc)]) {
                     for kinds in DEST_SETS {
-                        run_fused_everywhere(cfg, &master, &grad, kinds, 3);
+                        run_fused_everywhere(
+                            cfg,
+                            &master,
+                            &Fused { slices: &order, acc },
+                            kinds,
+                            3,
+                        );
                     }
                 }
             }
@@ -477,7 +487,12 @@ fn fused_shards_big_enough_to_split_agree_across_paths_and_workers() {
     let cfg = AdamConfig { weight_decay: 0.01, ..AdamConfig::default() };
     let (master, _) = random_problem(n, 0, 17);
     let three = slices(n, 3, 18);
-    for grad in [Fused { slices: &three, acc: Some(1) }, Fused { slices: &three, acc: None }] {
+    let (one, two) = (&three[..1], &three[..2]);
+    for grad in [
+        Fused { slices: &three, acc: Some(1) },
+        Fused { slices: two, acc: Some(0) },
+        Fused { slices: one, acc: None },
+    ] {
         run_fused_everywhere(cfg, &master, &grad, &[true, false, true], 2);
     }
 }
@@ -494,8 +509,11 @@ fn fused_special_values_agree_in_every_lane() {
         let order: Vec<Vec<f32>> = (0..3)
             .map(|j| (0..n).map(|i| specials[(i + lane + 2 * j) % specials.len()]).collect())
             .collect();
-        for acc in [None, Some(0), Some(2)] {
+        for acc in [Some(0), Some(1), Some(2)] {
             run_fused_everywhere(cfg, &master, &Fused { slices: &order, acc }, &[true, false], 2);
+        }
+        for (slices, acc) in [(&order[..1], None), (&order[..2], Some(1))] {
+            run_fused_everywhere(cfg, &master, &Fused { slices, acc }, &[true, false], 2);
         }
     }
 }

@@ -529,6 +529,112 @@ fn elastic_recovery_during_weight_distribute() {
 }
 
 #[test]
+fn elastic_recovery_levels_the_adam_steps_of_a_kill_inside_the_reduce() {
+    // A class with several hosts is stepped right after its own replica
+    // reduce, so a rank that dies in the reduce of the second class it
+    // shares leaves the iteration torn: the peer of its first class has
+    // stepped that class and no other; ranks that share neither have
+    // stepped theirs; the rest nothing. Those steps stand, but the
+    // re-shard must level every chunk's step counter to the furthest
+    // member's, so that after recovery every class on every survivor
+    // steps on from one count — and the survivors agree on every later
+    // loss.
+    //
+    // The kill needs a rank hosting two classes that each have another
+    // host, which the initial placement (one class per rank) does not
+    // have: a healthy run finds the first iteration that reduces under
+    // such a placement.
+    let spread = |rank: usize| {
+        Matrix::from_fn(T_LOC, D, |r, c| (((rank * T_LOC + r) * D + c) as f32 * 0.917).sin())
+    };
+    let (placements, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
+        let x = spread(ctx.rank());
+        let target = Matrix::zeros(T_LOC, D);
+        let mut seen = Vec::new();
+        for _ in 0..ITERS {
+            seen.push(engine.placement.clone());
+            engine.iteration(ctx, &x, &target).expect("the probe is fault-free");
+        }
+        seen
+    });
+    let shared = |p: &symi::ExpertPlacement, rank: usize| -> Vec<usize> {
+        let classes = p.classes_on_rank(rank).into_iter().map(|(class, _)| class);
+        classes.filter(|&class| p.host_ranks(class).len() > 1).collect()
+    };
+    let (iteration, dead, class) = placements[0]
+        .iter()
+        .enumerate()
+        .find_map(|(it, p)| {
+            let rank = (0..NODES).find(|&r| shared(p, r).len() >= 2)?;
+            Some((it as u64, rank, shared(p, rank)[1]))
+        })
+        .unwrap_or_else(|| {
+            panic!(
+                "no rank reduces two shared classes: {:?}",
+                placements[0].iter().map(|p| p.replica_counts()).collect::<Vec<_>>()
+            )
+        });
+    let plan = FaultPlan::new(29).kill(
+        dead,
+        MsgMatch::any().phase(WirePhase::GradSync).iteration(iteration).entity(class as u64),
+    );
+    let (results, _) = Cluster::run_with_faults(ClusterSpec::flat(NODES), plan, |ctx| {
+        ctx.set_recv_timeout(Some(Duration::from_millis(60)));
+        ctx.set_retry_policy(Some(RetryPolicy::new(1, 2.0)));
+        let mut engine = MoeLayerEngine::new(ctx.rank(), NODES, cfg());
+        let x = spread(ctx.rank());
+        let target = Matrix::zeros(T_LOC, D);
+        let steps = |snap: EngineSnapshot| snap.shards.iter().map(|s| s.t).collect::<Vec<u64>>();
+        let (mut torn, mut leveled, mut losses) = (None, None, Vec::new());
+        while engine.iteration_count() < ITERS as u64 {
+            match engine.iteration(ctx, &x, &target) {
+                Ok(stats) if leveled.is_some() => losses.push((stats.loss, stats.degraded)),
+                Ok(_) => {}
+                Err(e) if MoeLayerEngine::can_recover(&e) && torn.is_none() => {
+                    torn = Some(steps(engine.snapshot()));
+                    engine.recover(ctx, &e).map_err(|e| e.to_string())?;
+                    leveled = Some(steps(engine.snapshot()));
+                }
+                Err(e) => return Err(e.to_string()),
+            }
+        }
+        let torn = torn.ok_or("the kill must have triggered recovery")?;
+        Ok((torn, leveled.expect("recovered"), losses))
+    });
+    let mut survivors = Vec::new();
+    for (rank, r) in results.into_iter().enumerate() {
+        match r {
+            Err(panic) => assert_eq!(rank, dead, "only the killed rank may panic: {panic}"),
+            Ok(inner) => survivors.push(inner.unwrap_or_else(|e| panic!("rank {rank}: {e}"))),
+        }
+    }
+    assert_eq!(survivors.len(), NODES - 1, "every survivor must finish");
+    let torn_counts: Vec<&u64> = survivors.iter().flat_map(|(torn, _, _)| torn).collect();
+    assert!(
+        torn_counts.iter().any(|&&t| t != *torn_counts[0]),
+        "the kill must tear the iteration's Adam steps for this test to bite: {torn_counts:?}"
+    );
+    let furthest = **torn_counts.iter().max().expect("survivors");
+    assert_eq!(furthest, iteration + 1, "the torn iteration stepped some classes");
+    for (rank, (torn, leveled, _)) in survivors.iter().enumerate() {
+        assert!(
+            leveled.iter().all(|&t| t == furthest),
+            "survivor {rank}: step counts {torn:?} re-sharded to {leveled:?}, not all {furthest}"
+        );
+    }
+    let clean = |losses: &[(f32, bool)]| -> Vec<f32> {
+        losses.iter().filter(|(_, degraded)| !degraded).map(|(l, _)| *l).collect()
+    };
+    let reference = clean(&survivors[0].2);
+    assert!(!reference.is_empty(), "recovery must leave iterations to compare");
+    for (rank, (_, _, losses)) in survivors.iter().enumerate() {
+        assert_eq!(clean(losses), reference, "survivor {rank}: the survivors agree on every loss");
+        assert!(losses.iter().all(|(l, _)| l.is_finite()), "survivor {rank}");
+    }
+}
+
+#[test]
 fn weight_distribute_traffic_absorbs_delay_and_duplication() {
     // The weight scatter is the one phase whose messages install training
     // state directly into the slots. Hold rank 0's shards for rank 1 back
