@@ -72,11 +72,14 @@
 //! stores (f32 on the fp16 grid, binary16 bits), vector path and forced
 //! scalar — the scalar column is the arithmetic and the speed every earlier
 //! revision ran at — and the engines' weight path of one owned chunk, fused
-//! (two gradient slices summed in the step, two binary16 destinations) and
-//! as the four separate passes it replaced; and the **binary16 codec rows** (slice encode/decode,
+//! (two gradient slices read where they lie and summed in the step, two
+//! binary16 destinations) and as the four separate passes it replaced; and the **binary16 codec rows** (slice encode/decode,
 //! ns per element, vector / scalar) at the same sizes.
 //!
-//! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate:
+//! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate. Every
+//! check runs whatever the others' verdicts, prints `gate <name>: ok` or
+//! `FAILED` with the failed assertion, and the binary exits 1 at the end
+//! listing every failed check. It times
 //! every shape at 1 thread and at max threads (min-of-reps), asserting
 //!   1. the blocked kernel beats naive on the d256 shape,
 //!   2. results match the oracle within the ULP/error-bound gate
@@ -998,14 +1001,16 @@ fn vector_scalar_pair(elems: usize, vector_ns: f64, scalar_ns: f64) -> Value {
 }
 
 /// One owned chunk's parameter path, both ways, from the same state: the
-/// fused step sums a received partial and the host's own gradient (the
-/// accumulator) as it steps, and publishes into a send buffer and a slot in
-/// the same pass; the separate sequence — what the engines ran before —
-/// folds the partial into the gradient, steps from it into a binary16
-/// shard, and copies that into the send buffer and the slot.
+/// fused step reads a received partial and the host's own gradient where
+/// they lie, sums them in registers as it steps — the read-only two-term
+/// form the engines run — and publishes into a send buffer and a slot in
+/// the same pass; the separate sequence folds the two into a gradient
+/// buffer, steps from it into a binary16 shard, and copies that into the
+/// send buffer and the slot.
 struct WeightPaths {
     part: Vec<f32>,
-    own: [Vec<f32>; 2],
+    own: Vec<f32>,
+    sum: Vec<f32>,
     shard: [AdamShard; 2],
     half: Vec<u16>,
     send: [Vec<u16>; 2],
@@ -1019,7 +1024,8 @@ impl WeightPaths {
         let shard = AdamShard::new(AdamConfig::default(), 0, &params);
         Self {
             part,
-            own: [own.clone(), own],
+            own,
+            sum: vec![0.0; n],
             shard: [shard.clone(), shard],
             half: Vec::new(),
             send: [vec![0; n], vec![0; n]],
@@ -1029,20 +1035,20 @@ impl WeightPaths {
 
     /// `(fused, separate)` steps, to be timed side by side.
     fn steps(&mut self) -> (impl FnMut() + '_, impl FnMut() + '_) {
-        let Self { part, own: [own_f, own_s], shard: [fused, separate], half, send, slot } = self;
+        let Self { part, own, sum, shard: [fused, separate], half, send, slot } = self;
         let [send_f, send_s] = send;
         let [slot_f, slot_s] = slot;
-        let part: &[f32] = part;
+        let (part, own): (&[f32], &[f32]) = (part, own);
         let fused = move || {
             let n = part.len();
             let outs = &mut [Dest::Half(send_f), Dest::Half(slot_f)];
-            fused.begin_step().run(0..n, Grad::accumulate(&[part], own_f, 1), outs);
+            fused.begin_step().run(0..n, Grad::Sum(&[part, own]), outs);
         };
         let separate = move || {
-            for (g, p) in own_s.iter_mut().zip(part) {
-                *g += p;
+            for ((s, p), g) in sum.iter_mut().zip(part).zip(own) {
+                *s = p + g;
             }
-            separate.step_into(own_s, half);
+            separate.step_into(sum, half);
             send_s.copy_from_slice(half);
             slot_s.copy_from_slice(half);
         };
@@ -1056,7 +1062,6 @@ impl WeightPaths {
         bits(f.master_weights()) == bits(s.master_weights())
             && bits(f.moments().0) == bits(s.moments().0)
             && bits(f.moments().1) == bits(s.moments().1)
-            && bits(&self.own[0]) == bits(&self.own[1])
             && self.send[0] == self.send[1]
             && self.slot[0] == self.slot[1]
     }
@@ -1186,7 +1191,9 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
     best
 }
 
-/// CI gate. Eleven checks, all cheap enough for every PR:
+/// CI gate. Eleven checks, all cheap enough for every PR, each run to its
+/// verdict ([`Gates`]) so a failure — a noisy host can fail the scaling one —
+/// masks none of the others:
 ///   correctness — tolerance-gated oracle comparison on the d256 shape;
 ///   throughput — blocked beats naive on d256;
 ///   scaling — for every benchmark shape, max-threads must not be >10%
@@ -1232,9 +1239,10 @@ fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
     println!("simd path: {}", kernels::simd_path_name());
+    let mut gates = Gates::default();
 
     // Correctness + throughput on the midpoint shape.
-    {
+    gates.run("1-2 blocked GEMM: the oracle's values, faster than naive", || {
         let (label, m, k, n) = ("d256/128x256x256", 128usize, 256usize, 256usize);
         let (a, b) = inputs(m, k, n);
         let mut out = Matrix::zeros(m, n);
@@ -1259,38 +1267,40 @@ fn smoke() {
             blocked_ns <= naive_ns,
             "blocked GEMM slower than naive: {blocked_ns:.0} ns vs {naive_ns:.0} ns"
         );
-    }
+    });
 
     // Scaling regression gate over every benchmark shape.
     const GRACE_NS: f64 = 150_000.0;
-    let mut failures = Vec::new();
-    for &(label, m, k, n) in SHAPES {
-        let (a, b) = inputs(m, k, n);
-        let mut out = Matrix::zeros(m, n);
-        pool::set_threads(1);
-        let t1 = time_gemm(&a, &b, &mut out, reps);
-        pool::set_threads(max_t);
-        let tmax = time_gemm(&a, &b, &mut out, reps);
-        pool::set_threads(1);
-        let verdict = if tmax <= 1.10 * t1 + GRACE_NS { "ok" } else { "REGRESSION" };
-        println!(
-            "scaling {label}: 1t {:.0} ns, {max_t}t {:.0} ns ({:+.1}%) {verdict}",
-            t1,
-            tmax,
-            (tmax / t1 - 1.0) * 100.0
-        );
-        if verdict != "ok" {
-            failures.push(format!("{label}: {t1:.0} ns → {tmax:.0} ns at {max_t} threads"));
+    gates.run("3 scaling: max threads no slower than 1", || {
+        let mut failures = Vec::new();
+        for &(label, m, k, n) in SHAPES {
+            let (a, b) = inputs(m, k, n);
+            let mut out = Matrix::zeros(m, n);
+            pool::set_threads(1);
+            let t1 = time_gemm(&a, &b, &mut out, reps);
+            pool::set_threads(max_t);
+            let tmax = time_gemm(&a, &b, &mut out, reps);
+            pool::set_threads(1);
+            let verdict = if tmax <= 1.10 * t1 + GRACE_NS { "ok" } else { "REGRESSION" };
+            println!(
+                "scaling {label}: 1t {:.0} ns, {max_t}t {:.0} ns ({:+.1}%) {verdict}",
+                t1,
+                tmax,
+                (tmax / t1 - 1.0) * 100.0
+            );
+            if verdict != "ok" {
+                failures.push(format!("{label}: {t1:.0} ns → {tmax:.0} ns at {max_t} threads"));
+            }
         }
-    }
-    assert!(
-        failures.is_empty(),
-        "shapes >10% slower at {max_t} threads than at 1 thread:\n  {}",
-        failures.join("\n  ")
-    );
+        assert!(
+            failures.is_empty(),
+            "shapes >10% slower at {max_t} threads than at 1 thread:\n  {}",
+            failures.join("\n  ")
+        );
+    });
 
     // Activation correctness + speed against the libm reference.
-    {
+    gates.run("4 activations: GELU within 1e-6 of libm, 4x faster", || {
         let (label, rows, cols) = ACT_SHAPES[0];
         let (x, _, _) = act_inputs(rows, cols);
         let (mut got, mut want) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
@@ -1316,11 +1326,11 @@ fn smoke() {
                 ns[1]
             );
         }
-    }
+    });
 
     // GELU backward from the stored tanh: the recomputing backward's bits,
     // at a fraction of the forward's cost.
-    {
+    gates.run("8 GELU backward from tanh: the recomputing bits, <= 0.5x the forward", || {
         let (label, rows, cols) = ACT_SHAPES[0];
         let (x, t, dy) = act_inputs(rows, cols);
         let (mut fwd, mut bwd) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
@@ -1341,10 +1351,10 @@ fn smoke() {
             ns[0] / (rows * cols) as f64,
         );
         assert!(ratio <= 0.5, "GELU backward from tanh over 0.5x the forward: {ratio:.2}x");
-    }
+    });
 
     // Adam: vector ≡ scalar bitwise, and faster.
-    {
+    gates.run("5 Adam: vector = scalar bitwise, 4x faster", || {
         let (label, n) = ADAM_SIZES[0];
         let (params, grads) = adam_inputs(n);
         let mut vector = AdamShard::new(AdamConfig::default(), 0, &params);
@@ -1375,10 +1385,10 @@ fn smoke() {
                 ns[1]
             );
         }
-    }
+    });
 
     // The fused weight path ≡ fold + Adam + two copies, bitwise, and cheaper.
-    {
+    gates.run("5 Adam weight path: fused = fold + Adam + two copies, <= 0.85x", || {
         let (label, n) = ADAM_SIZES[0];
         let mut paths = WeightPaths::new(n);
         let (mut fused, mut separate) = paths.steps();
@@ -1395,10 +1405,10 @@ fn smoke() {
         if kernels::f16_fast_path() {
             assert!(ratio <= 0.85, "fused Adam over 0.85x the separate passes: {ratio:.2}x");
         }
-    }
+    });
 
     // Write mode ≡ zero-fill + accumulate, bitwise.
-    {
+    gates.run("6 write mode: zero-fill + accumulate bitwise", || {
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for &(r, m, n) in SKINNY_TN_SHAPES {
             let (a, b) = skinny_tn_inputs(r, m, n);
@@ -1426,10 +1436,10 @@ fn smoke() {
             );
         }
         println!("smoke write mode: gemm_tn and ExpertFfn backward equal zero-fill + accumulate");
-    }
+    });
 
     // Binary16 slots: the f32 expert's arithmetic on the decoded weights.
-    {
+    gates.run("12 binary16 slots: the f32 expert's bits", || {
         let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // `a · bᵀ`, each element one `mul_add` fold over ascending k — or, on
         // the scalar family, its own `nt` (the mul-then-add fold).
@@ -1467,20 +1477,22 @@ fn smoke() {
             "smoke binary16 slots: forward = f32 on the decoded weights, nt = the FMA chain, \
              bit for bit"
         );
-    }
+    });
 
     // The backward layouts at the forward's rate.
-    for &(label, m, k, n) in LAYOUT_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
-        let ns = layout_ns(&layout_inputs(m, k, n), 15);
-        let (nt, tn) = (ns[0] / ns[1], ns[0] / ns[2]);
-        println!("smoke layouts {label} {m}x{k}x{n}: nt {nt:.2}x nn, tn {tn:.2}x nn");
-        if kernels::active_path() != SimdPath::Scalar {
-            assert!(
-                nt >= 0.85 && tn >= 0.85,
-                "{m}x{k}x{n}: backward layouts under 0.85x nn (nt {nt:.2}x, tn {tn:.2}x)"
-            );
+    gates.run("7 backward layouts: nt, tn >= 0.85x nn", || {
+        for &(label, m, k, n) in LAYOUT_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
+            let ns = layout_ns(&layout_inputs(m, k, n), 15);
+            let (nt, tn) = (ns[0] / ns[1], ns[0] / ns[2]);
+            println!("smoke layouts {label} {m}x{k}x{n}: nt {nt:.2}x nn, tn {tn:.2}x nn");
+            if kernels::active_path() != SimdPath::Scalar {
+                assert!(
+                    nt >= 0.85 && tn >= 0.85,
+                    "{m}x{k}x{n}: backward layouts under 0.85x nn (nt {nt:.2}x, tn {tn:.2}x)"
+                );
+            }
         }
-    }
+    });
 
     // The 512-bit family: the 256-bit tile's bits, on its 12x32 tile at
     // >= 1.2x its rate and on its masked 16-column tile at >= 1.1x; and its
@@ -1488,33 +1500,39 @@ fn smoke() {
     // >= 1.3x its rate.
     if !SimdPath::Avx512.supported() {
         println!("smoke 512-bit family: this CPU lacks AVX-512F, so checks 9-11 are skipped");
+        gates.finish();
         return;
     }
-    for &(label, m, k, n) in TILE_WIDTH_SHAPES {
-        let floor = match label {
-            "engine_tokens_expert" => 1.2,
-            "trainer_lm_router" | "trainer_lm_attention" => 1.1,
-            _ => continue,
-        };
-        let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), 15);
-        let (t256, t512) = (&ns[..3], &ns[3..]);
-        let all = t256.iter().sum::<f64>() / t512.iter().sum::<f64>();
-        let per: Vec<String> = ["nn", "nt", "tn"]
-            .iter()
-            .zip(t256.iter().zip(t512))
-            .map(|(l, (s, t))| format!("{l} {:.2}x", s / t))
-            .collect();
-        println!(
+    gates.run("9-10 tile widths: the 256-bit bits, >= 1.2x / 1.1x", || {
+        for &(label, m, k, n) in TILE_WIDTH_SHAPES {
+            let floor = match label {
+                "engine_tokens_expert" => 1.2,
+                "trainer_lm_router" | "trainer_lm_attention" => 1.1,
+                _ => continue,
+            };
+            let (ns, same) = tile_width_ns(&layout_inputs(m, k, n), 15);
+            let (t256, t512) = (&ns[..3], &ns[3..]);
+            let all = t256.iter().sum::<f64>() / t512.iter().sum::<f64>();
+            let per: Vec<String> = ["nn", "nt", "tn"]
+                .iter()
+                .zip(t256.iter().zip(t512))
+                .map(|(l, (s, t))| format!("{l} {:.2}x", s / t))
+                .collect();
+            println!(
             "smoke tile widths {label} {m}x{k}x{n}: 512-bit at {all:.2}x the 256-bit GFLOP/s ({})",
             per.join(", ")
         );
-        assert!(same, "{m}x{k}x{n}: the 512-bit family's outputs differ from the 256-bit tile's");
-        assert!(
-            all >= floor,
-            "{m}x{k}x{n}: the 512-bit family under {floor}x the 256-bit: {all:.2}x"
-        );
-    }
-    {
+            assert!(
+                same,
+                "{m}x{k}x{n}: the 512-bit family's outputs differ from the 256-bit tile's"
+            );
+            assert!(
+                all >= floor,
+                "{m}x{k}x{n}: the 512-bit family under {floor}x the 256-bit: {all:.2}x"
+            );
+        }
+    });
+    gates.run("11 16 lanes: the 8-lane bits, router >= 4x, gelu >= 1.3x", || {
         let (m, k, n) = ROUTER_SHAPE;
         let (a, b) = inputs(m, k, n);
         let (x, _, _) = act_inputs(ACT_SHAPES[0].1, ACT_SHAPES[0].2);
@@ -1550,6 +1568,47 @@ fn smoke() {
         assert_eq!(bits(&t16), bits(&t8), "gelu_tanh_slice: 16 lanes differ from 8");
         assert!(router >= 4.0, "router nn {m}x{k}x{n}: the masked edge under 4x: {router:.2}x");
         assert!(gelu >= 1.3, "gelu_tanh_slice: 16 lanes under 1.3x 8 lanes: {gelu:.2}x");
+    });
+    gates.finish();
+}
+
+/// The smoke gate's checks, each run to its verdict whatever the others'.
+#[derive(Default)]
+struct Gates {
+    failed: Vec<String>,
+}
+
+impl Gates {
+    /// Runs one check: a failed assertion fails this gate and the run goes
+    /// on to the next, on the SIMD path and the one worker it started with.
+    fn run(&mut self, name: &str, check: impl FnOnce()) {
+        let path = kernels::active_path();
+        pool::set_threads(1);
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check));
+        kernels::force_simd_path(path);
+        pool::set_threads(1);
+        match verdict {
+            Ok(()) => println!("gate {name}: ok"),
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("(no message)");
+                println!("gate {name}: FAILED: {msg}");
+                self.failed.push(format!("{name}: {msg}"));
+            }
+        }
+    }
+
+    /// Prints every failed gate and exits non-zero if there was one.
+    fn finish(self) {
+        if self.failed.is_empty() {
+            println!("smoke: every gate passed");
+            return;
+        }
+        eprintln!("smoke: {} gate(s) failed:\n  {}", self.failed.len(), self.failed.join("\n  "));
+        std::process::exit(1);
     }
 }
 

@@ -38,9 +38,27 @@ impl RankCtx {
         if m == 1 || data.is_empty() {
             return Ok(());
         }
-        self.reduce_scatter_in_place(group, idx, tag, data)?;
-        self.all_gather_in_place(group, idx, Self::subop_tag(tag, 1), data)?;
+        let mut spare = Vec::new();
+        self.reduce_scatter_in_place(group, idx, tag, data, &mut spare)?;
+        self.all_gather_in_place(group, idx, Self::subop_tag(tag, 1), data, &mut spare)?;
+        self.recycle_f32(spare);
         Ok(())
+    }
+
+    /// A copy of `src` to send, in `spare` — the buffer the ring's previous
+    /// step received, which holds the chunk this step forwards, so it fits —
+    /// or, at the first step, from the wire-buffer free list. A small
+    /// all-reduce (the loss and statistics, every iteration) then draws one
+    /// buffer per call from the allocator instead of one per step.
+    fn ring_copy(&self, spare: &mut Vec<f32>, src: &[f32]) -> Vec<f32> {
+        let mut out = std::mem::take(spare);
+        if out.capacity() < src.len() {
+            self.recycle_f32(out);
+            return self.pooled_copy_f32(src);
+        }
+        out.clear();
+        out.extend_from_slice(src);
+        out
     }
 
     /// Ring reduce-scatter over the full buffer: on return, this rank's
@@ -52,6 +70,7 @@ impl RankCtx {
         idx: usize,
         tag: u64,
         data: &mut [f32],
+        spare: &mut Vec<f32>,
     ) -> Result<(), CommError> {
         let m = group.size();
         let next = group.ranks()[(idx + 1) % m];
@@ -60,7 +79,7 @@ impl RankCtx {
             let send_chunk = (idx + m - step) % m;
             let recv_chunk = (idx + m - step - 1) % m;
             let (ss, se) = chunk_range(data.len(), m, send_chunk);
-            let outgoing = self.pooled_copy_f32(&data[ss..se]);
+            let outgoing = self.ring_copy(spare, &data[ss..se]);
             self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
             let incoming = self.recv_f32(prev, Self::step_tag(tag, step as u64))?;
             let (rs, re) = chunk_range(data.len(), m, recv_chunk);
@@ -68,7 +87,7 @@ impl RankCtx {
             for (d, v) in data[rs..re].iter_mut().zip(&incoming) {
                 *d += v;
             }
-            self.recycle_f32(incoming);
+            *spare = incoming;
         }
         Ok(())
     }
@@ -81,6 +100,7 @@ impl RankCtx {
         idx: usize,
         tag: u64,
         data: &mut [f32],
+        spare: &mut Vec<f32>,
     ) -> Result<(), CommError> {
         let m = group.size();
         let next = group.ranks()[(idx + 1) % m];
@@ -89,13 +109,13 @@ impl RankCtx {
             let send_chunk = (idx + 1 + m - step) % m;
             let recv_chunk = (idx + m - step) % m;
             let (ss, se) = chunk_range(data.len(), m, send_chunk);
-            let outgoing = self.pooled_copy_f32(&data[ss..se]);
+            let outgoing = self.ring_copy(spare, &data[ss..se]);
             self.send(next, Self::step_tag(tag, step as u64), outgoing)?;
             let incoming = self.recv_f32(prev, Self::step_tag(tag, step as u64))?;
             let (rs, re) = chunk_range(data.len(), m, recv_chunk);
             debug_assert_eq!(incoming.len(), re - rs);
             data[rs..re].copy_from_slice(&incoming);
-            self.recycle_f32(incoming);
+            *spare = incoming;
         }
         Ok(())
     }

@@ -733,6 +733,16 @@ impl RankCtx {
         self.buffers.f32s.put(buf);
     }
 
+    /// Hands a consumed payload's buffer to the free list: an owned `F32`
+    /// or `F16` one is recycled, a view (or anything else) just dropped.
+    pub fn recycle_payload(&self, payload: Payload) {
+        match payload {
+            Payload::F32(buf) => self.recycle_f32(buf),
+            Payload::F16(buf) => self.recycle_f16(buf),
+            _ => {}
+        }
+    }
+
     /// [`RankCtx::recycle_f32`] for binary16 bits.
     pub fn recycle_f16(&self, buf: Vec<u16>) {
         self.buffers.f16s.put(buf);

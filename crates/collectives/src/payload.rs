@@ -1,6 +1,6 @@
 //! Message payloads carried between ranks.
 
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Cheaply-cloneable immutable byte buffer (internal stand-in for the
@@ -46,24 +46,57 @@ impl From<&[u8]> for Bytes {
     }
 }
 
-/// A typed payload. Collectives carrying tensor data use [`Payload::F32`];
-/// fp16-quantized weight shards travel as [`Payload::F16`] (raw half bits,
-/// 2 B/element on the wire — the width `adam.rs` documents for working
-/// weights); routing metadata (token→expert assignments, popularity counts)
-/// as [`Payload::U64`]; opaque blobs as [`Payload::Raw`].
+/// A read-only window onto an f32 buffer the sender shares: what a NIC
+/// reads where the data lies, instead of a copy packed for the wire. It
+/// dereferences to the window's `&[f32]`; the buffer stays alive, and
+/// immutable, for as long as any view of it does.
+#[derive(Clone, Debug)]
+pub struct F32View {
+    buf: Arc<Vec<f32>>,
+    range: Range<usize>,
+}
+
+impl F32View {
+    /// Elements `range` of `buf`.
+    ///
+    /// # Panics
+    /// Panics if `range` runs past the buffer.
+    pub fn new(buf: Arc<Vec<f32>>, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= buf.len(), "view past its buffer");
+        Self { buf, range }
+    }
+}
+
+impl Deref for F32View {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+/// A typed payload. Collectives carrying tensor data use [`Payload::F32`],
+/// or [`Payload::F32View`] for a range of a shared buffer sent without a
+/// copy (a gradient, read where the backward wrote it); fp16-quantized
+/// weight shards travel as [`Payload::F16`] (raw half bits, 2 B/element on
+/// the wire — the width `adam.rs` documents for working weights); routing
+/// metadata (token→expert assignments, popularity counts) as
+/// [`Payload::U64`]; opaque blobs as [`Payload::Raw`].
 #[derive(Debug, Clone)]
 pub enum Payload {
     F32(Vec<f32>),
+    F32View(F32View),
     F16(Vec<u16>),
     U64(Vec<u64>),
     Raw(Bytes),
 }
 
 impl Payload {
-    /// Wire size in bytes, used for traffic accounting.
+    /// Wire size in bytes, used for traffic accounting. A view counts its
+    /// range only.
     pub fn byte_len(&self) -> u64 {
         match self {
             Payload::F32(v) => (v.len() * 4) as u64,
+            Payload::F32View(v) => (v.len() * 4) as u64,
             Payload::F16(v) => (v.len() * 2) as u64,
             Payload::U64(v) => (v.len() * 8) as u64,
             Payload::Raw(b) => b.len() as u64,
@@ -75,6 +108,7 @@ impl Payload {
     pub fn elements(&self) -> usize {
         match self {
             Payload::F32(v) => v.len(),
+            Payload::F32View(v) => v.len(),
             Payload::F16(v) => v.len(),
             Payload::U64(v) => v.len(),
             Payload::Raw(b) => b.len(),
@@ -84,18 +118,31 @@ impl Payload {
     pub(crate) fn variant_name(&self) -> &'static str {
         match self {
             Payload::F32(_) => "F32",
+            Payload::F32View(_) => "F32View",
             Payload::F16(_) => "F16",
             Payload::U64(_) => "U64",
             Payload::Raw(_) => "Raw",
         }
     }
 
-    /// Extracts the `F32` payload.
+    /// Extracts the `F32` payload. A view is an error, not a silent copy.
     pub fn into_f32(self) -> Result<Vec<f32>, crate::CommError> {
         match self {
             Payload::F32(v) => Ok(v),
             other => Err(crate::CommError::PayloadMismatch {
                 expected: "F32",
+                got: other.variant_name(),
+            }),
+        }
+    }
+
+    /// The f32 elements of an `F32` payload or an `F32View`, borrowed.
+    pub fn as_f32(&self) -> Result<&[f32], crate::CommError> {
+        match self {
+            Payload::F32(v) => Ok(v),
+            Payload::F32View(v) => Ok(v),
+            other => Err(crate::CommError::PayloadMismatch {
+                expected: "F32 or F32View",
                 got: other.variant_name(),
             }),
         }
@@ -160,6 +207,12 @@ impl From<Vec<f32>> for Payload {
     }
 }
 
+impl From<F32View> for Payload {
+    fn from(v: F32View) -> Self {
+        Payload::F32View(v)
+    }
+}
+
 impl From<Vec<u16>> for Payload {
     fn from(v: Vec<u16>) -> Self {
         Payload::F16(v)
@@ -195,6 +248,33 @@ mod tests {
         assert_eq!(Payload::F32(vec![0.0; 7]).elements(), 7);
         assert_eq!(Payload::F16(vec![0; 7]).elements(), 7);
         assert_eq!(Payload::U64(vec![0; 7]).elements(), 7);
+    }
+
+    #[test]
+    fn a_view_counts_its_range_only() {
+        let buf = Arc::new((0..100).map(|i| i as f32).collect::<Vec<f32>>());
+        let view = Payload::from(F32View::new(buf.clone(), 10..35));
+        assert_eq!((view.byte_len(), view.elements()), (100, 25));
+        assert_eq!(view.as_f32().unwrap(), &buf[10..35]);
+        assert_eq!(Arc::strong_count(&buf), 2, "the view shares the buffer");
+        drop(view);
+        assert_eq!(Arc::strong_count(&buf), 1);
+    }
+
+    #[test]
+    fn a_view_never_turns_into_an_owned_vec() {
+        let view = Payload::from(F32View::new(Arc::new(vec![1.0; 4]), 0..4));
+        match view.into_f32() {
+            Err(crate::CommError::PayloadMismatch { expected: "F32", got: "F32View" }) => {}
+            other => panic!("expected a PayloadMismatch, got {other:?}"),
+        }
+        assert!(Payload::U64(vec![1]).as_f32().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "view past its buffer")]
+    fn a_view_past_its_buffer_panics() {
+        F32View::new(Arc::new(vec![0.0; 4]), 2..5);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! its capacity (§3.4) and its share of the dispatch. §4.1's intra-rank step
 //! is therefore backward's own accumulation over the merged rows, and steps
 //! 4–5 run on that one buffer: it is what backward writes, what the
-//! reduce sums in place, what outgoing shards are cut from, and what Adam reads
-//! this rank's own shard out of. Nothing zeroes, flattens or copies it on
-//! the way (DESIGN.md, "Gradient path in place").
+//! reduce and the collect send read-only views of, and what Adam reads
+//! this rank's own shard out of. Nothing zeroes, flattens, copies or writes
+//! it on the way, until the next backward (DESIGN.md, "Gradient path in
+//! place").
 //!
 //! The iteration is one straight line with no schedule to choose. Its
 //! placement-independent middle — routing, and everything from the dispatch
@@ -261,15 +262,6 @@ enum Change<'a> {
     Arrival { old_view: &'a MembershipView },
 }
 
-/// The gradient of one class's Adam step in an iteration.
-enum StepGrad<'a> {
-    /// Hosted as expert `g`, whose gradient the reduce left with these
-    /// partials.
-    Hosted(usize, &'a Partials),
-    /// Collected from the wire.
-    Wire(&'a [f32]),
-}
-
 /// Per-rank SYMI engine for one MoE layer.
 ///
 /// All internal geometry (placement, sharding, dispatch) runs over dense
@@ -285,6 +277,15 @@ pub struct MoeLayerEngine {
     view: MembershipView,
     /// This rank's logical rank within `view`.
     lrank: usize,
+    /// What the reduce left of each class this rank hosted in the last
+    /// iteration (`received[g]` the `g`-th of `classes_on_rank` of the
+    /// placement it ran under; any past those released): its own gradient
+    /// and the peers' views.
+    /// Kept until the top of the next iteration, so the served-range sums
+    /// can be recomputed ([`MoeLayerEngine::hosted_grads`]), and released
+    /// there, before the first collective — so a peer's next backward finds
+    /// its gradient unshared.
+    received: Vec<Partials>,
     /// Expert instances: `experts[g]` executes the `g`-th class of
     /// `placement.classes_on_rank`, for all of that class's local slots.
     /// There are always `slots_per_rank` of them; those past the hosted
@@ -415,6 +416,7 @@ impl MoeLayerEngine {
             cfg,
             view,
             lrank,
+            received: Vec::new(),
             experts: Vec::new(),
             tokens: TokenBuffers::new(cfg.slots_per_rank, cfg.d_model),
             placement,
@@ -512,16 +514,27 @@ impl MoeLayerEngine {
         self.tokens.loss_grad()
     }
 
-    /// The flat gradient the last iteration left for the `hosted`-th class
-    /// of the placement it *ran* under (its `classes_on_rank` order;
-    /// `placement` has moved on to the next one). Backward sums the class's
-    /// local slots into this one buffer and §4.1's reduce sums the class's
-    /// hosts into it in place — on [`MoeLayerEngine::served_ranges`] only,
-    /// this rank's own chunk summed by its Adam step; elsewhere it keeps
-    /// this rank's own partial (testing support — the finite-difference
-    /// probe reads it).
+    /// The flat gradient the last iteration summed for the `hosted`-th
+    /// class of the placement it *ran* under (its `classes_on_rank` order;
+    /// `placement` has moved on to the next one): backward sums the class's
+    /// local slots into one buffer, and §4.1's replica sum over the class's
+    /// hosts holds on [`MoeLayerEngine::served_ranges`] — recomputed here
+    /// from the kept partials with the fold the collect and the Adam step
+    /// run ([`Partials::replica_sum`]); elsewhere it is this rank's own
+    /// partial (testing support — the oracles and the finite-difference
+    /// probe read it). Before any iteration, the expert's zero gradient.
     pub fn hosted_grads(&mut self, hosted: usize) -> Vec<f32> {
-        self.experts[hosted].flat_grads().to_vec()
+        match self.received.get(hosted).filter(|p| !p.is_released()) {
+            Some(partials) => partials.replica_sum(),
+            None => self.experts[hosted].flat_grads().to_vec(),
+        }
+    }
+
+    /// Backward passes on this rank that found a view of their gradient
+    /// still alive and wrote a fresh buffer ([`ExpertFfn::grad_fallbacks`]),
+    /// over the current experts. 0 in a steady run.
+    pub fn grad_buffer_fallbacks(&self) -> u64 {
+        self.experts.iter().map(ExpertFfn::grad_fallbacks).sum()
     }
 
     /// The ranges of `class`'s flat gradient this rank serves to Algorithm
@@ -677,6 +690,8 @@ impl MoeLayerEngine {
         }
 
         let stale_discarded = ctx.discard_stale_below(resume_iter << 5);
+        self.release_received(ctx);
+        self.received.clear();
 
         let new_n = new_view.size();
         match change {
@@ -748,6 +763,13 @@ impl MoeLayerEngine {
             }
         }
         Ok((stale_discarded, report))
+    }
+
+    /// Drops the views the last iteration kept ([`MoeLayerEngine::received`]).
+    fn release_received(&mut self, ctx: &RankCtx) {
+        for partials in &mut self.received {
+            partials.release(ctx);
+        }
     }
 
     /// `slots_per_rank` experts with all-zero parameters.
@@ -934,30 +956,12 @@ impl MoeLayerEngine {
         optimizer: &mut SymiOptimizer,
         experts: &mut [ExpertFfn<HalfMatrix>],
         class: usize,
-        grad: StepGrad<'_>,
+        grad: ClassGrad<'_>,
         next: Option<usize>,
         sends: &mut WeightSends,
     ) {
-        let outs = sends.of_class(class);
-        match (grad, next) {
-            (StepGrad::Hosted(g, partials), Some(s)) if s == g => {
-                let (grad, params) = experts[g].grads_and_params();
-                optimizer.step_class(class, ClassGrad::Reduced(grad, partials), outs, Some(params));
-            }
-            (StepGrad::Hosted(g, partials), Some(s)) => {
-                let [src, slot] = experts.get_disjoint_mut([g, s]).expect("two experts");
-                let grad = ClassGrad::Reduced(src.flat_grads_mut(), partials);
-                optimizer.step_class(class, grad, outs, Some(slot.params_mut()));
-            }
-            (StepGrad::Hosted(g, partials), None) => {
-                let grad = ClassGrad::Reduced(experts[g].flat_grads_mut(), partials);
-                optimizer.step_class(class, grad, outs, None);
-            }
-            (StepGrad::Wire(shard), next) => {
-                let slot = next.map(|s| experts[s].params_mut());
-                optimizer.step_class(class, ClassGrad::Shard(shard), outs, slot);
-            }
-        }
+        let slot = next.map(|s| experts[s].params_mut());
+        optimizer.step_class(class, grad, sends.of_class(class), slot);
     }
 
     /// Runs one full training iteration on this rank's token shard.
@@ -989,6 +993,9 @@ impl MoeLayerEngine {
         // space: (layer | iteration | phase | entity | src) with exclusive
         // bit fields, so no two phases can alias on the wire.
         let tags = TagSpace::new(self.cfg.layer_id, self.iteration);
+        // The last iteration's views of the peers' gradients go before the
+        // first collective: every peer's next backward comes after it.
+        self.release_received(ctx);
 
         // ---- Step 1: route locally, aggregate popularity globally. ----
         let Routed { assignment, gates, mut popularity, nan_probs } =
@@ -1079,62 +1086,65 @@ impl MoeLayerEngine {
         let mut sends = self.optimizer.weight_sends(ctx, next, tags);
         let slot_of = |class: usize| next.hosted_index(self.lrank, class);
 
-        // ---- Step 4: §4.1's replica sum per class, one exchange each,
-        // reduced onto the ranges Algorithm 2's sources serve. A class whose
+        // ---- Step 4: §4.1's replica sum per class, one exchange each: every
+        // host sends the others a view of its gradient on the ranges they
+        // serve, and keeps theirs of its own ([`Partials`]). A class whose
         // reduce received partials of this rank's own chunk is stepped right
-        // after it — the step sums them into the chunk as it goes — so one
-        // class's partials are live at a time; should a later exchange fail,
-        // the step stands and recovery levels the step counters
-        // ([`MoeLayerEngine::recover`]). Every other class steps after
-        // the collect, as all did before: a class with one host has nothing
-        // to consume early, and stepping it before the collect's barrier
-        // would pile a busier host's Adam work ahead of it while its peer
-        // waits. The intra-rank step already happened: backward summed the
-        // class's co-located slots as rows of one batch. A class that drew
-        // no token on this rank materializes its zeros here — its hosts need
-        // them all the same. `Phase::GradComm` covers three different things
-        // — the return of the upstream gradients above, this reduce, and
-        // Algorithm 2's shard collection — so each is also timed on its own
-        // and published as a gauge (`grad_sync_ms` with the early Adam steps
-        // in it).
+        // after it — the step sums them in registers as it goes; should a
+        // later exchange fail, the step stands and recovery levels the step
+        // counters ([`MoeLayerEngine::recover`]). Every other class steps
+        // after the collect, as all did before: a class with one host has
+        // nothing to consume early, and stepping it before the collect's
+        // barrier would pile a busier host's Adam work ahead of it while its
+        // peer waits. The intra-rank step already happened: backward summed
+        // the class's co-located slots as rows of one batch. A class that
+        // drew no token on this rank materializes its zeros here — its hosts
+        // need them all the same. `Phase::GradComm` covers three different
+        // things — the return of the upstream gradients above, this reduce,
+        // and Algorithm 2's shard collection — so each is also timed on its
+        // own and published as a gauge (`grad_sync_ms` with the early Adam
+        // steps in it).
         let hosted = self.placement.classes_on_rank(self.lrank);
+        // Never shrunk: a placement that hosts fewer classes leaves the
+        // spare `Partials` released, with their buffers, for the next one
+        // that hosts more.
+        if self.received.len() < hosted.len() {
+            self.received.resize_with(hosted.len(), Partials::default);
+        }
         let mut deferred = Vec::with_capacity(hosted.len());
         let t0 = Instant::now();
         for (g, &(class, _)) in hosted.iter().enumerate() {
-            let grad = self.experts[g].flat_grads_mut();
-            let partials =
-                self.optimizer.reduce_grads_to_sources(ctx, &self.placement, class, grad, tags)?;
+            let grad = self.experts[g].shared_grads();
+            let partials = &mut self.received[g];
+            self.optimizer.reduce_into(ctx, &self.placement, class, grad, tags, partials)?;
             if partials.is_empty() {
                 deferred.push((g, class));
                 continue;
             }
-            let grad = StepGrad::Hosted(g, &partials);
-            let experts = &mut self.experts;
+            let (experts, grad) = (&mut self.experts, ClassGrad::Reduced(partials));
             Self::step_class(&mut self.optimizer, experts, class, grad, slot_of(class), &mut sends);
-            partials.recycle(ctx);
         }
         let grad_sync = t0.elapsed();
 
         // ---- Step 5: collect gradient shards (Algorithm 2), then step the
         // classes this rank does not host from the wire and the deferred
         // hosted ones from their gradient. (The optimizer times its own
-        // GradComm/OptimizerStep spans.) Per class, the expert whose gradient
-        // buffer holds the class's summed gradient on the ranges this rank
-        // serves.
+        // GradComm/OptimizerStep spans.)
         let t0 = Instant::now();
-        let mut class_grads: Vec<Option<&[f32]>> = vec![None; e];
-        for ((class, _), expert) in hosted.iter().zip(self.experts.iter_mut()) {
-            class_grads[*class] = Some(expert.flat_grads());
+        let mut class_grads: Vec<Option<&Partials>> = vec![None; e];
+        for ((class, _), partials) in hosted.iter().zip(&self.received) {
+            class_grads[*class] = Some(partials);
         }
         let shards =
             self.optimizer.collect_grads_in_place(ctx, &self.placement, &class_grads, tags)?;
         let grad_collect = t0.elapsed();
         for (class, shard) in shards.into_iter().enumerate() {
-            if let GradShard::Wire(buf) = shard {
+            if let GradShard::Wire(payload) = shard {
                 // A hosted class's zero-length chunk comes back as an empty
                 // wire shard; it steps with the hosted classes.
                 if !hosted.iter().any(|&(c, _)| c == class) {
-                    let (experts, grad) = (&mut self.experts, StepGrad::Wire(&buf));
+                    let shard = payload.as_f32()?;
+                    let (experts, grad) = (&mut self.experts, ClassGrad::Shard(shard));
                     Self::step_class(
                         &mut self.optimizer,
                         experts,
@@ -1144,12 +1154,11 @@ impl MoeLayerEngine {
                         &mut sends,
                     );
                 }
-                ctx.recycle_f32(buf);
+                ctx.recycle_payload(payload);
             }
         }
-        let none = Partials::default();
         for (g, class) in deferred {
-            let (experts, grad) = (&mut self.experts, StepGrad::Hosted(g, &none));
+            let (experts, grad) = (&mut self.experts, ClassGrad::Reduced(&self.received[g]));
             Self::step_class(&mut self.optimizer, experts, class, grad, slot_of(class), &mut sends);
         }
 

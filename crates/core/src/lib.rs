@@ -50,7 +50,7 @@ pub mod token_path;
 
 pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
 pub use metadata::LayerMetadataStore;
-pub use optimizer::{ReshardReport, ShardState, SymiOptimizer};
+pub use optimizer::{Partials, ReshardReport, ShardState, SymiOptimizer};
 pub use placement::ExpertPlacement;
 pub use policies::TracePolicy;
 pub use scheduler::{compute_placement, valid_replica_counts, SymiPolicy};

@@ -11,11 +11,12 @@
 //!    shard for every class — locally when a replica is co-resident,
 //!    otherwise from a source replica chosen by round-robin over the
 //!    class's host ranks, spreading load so no replica becomes a hotspot.
-//!    Before it, §4.1's replica sum runs per hosted class and leaves the
-//!    sum only where the collect reads it: on each host, the chunks of the
-//!    owners that Algorithm 2 sources from that host. A host's *own* chunk
-//!    is summed by the Adam step itself, from the partials the reduce
-//!    received.
+//!    Before it, §4.1's replica sum runs per hosted class, and only where
+//!    the collect reads it: each host receives the other hosts' partials of
+//!    the chunks of the owners that Algorithm 2 sources from it, as
+//!    read-only views of their gradient buffers ([`Partials`]). The collect
+//!    folds the sum of another owner's chunk straight into its send buffer;
+//!    a host's *own* chunk is summed by the Adam step itself.
 //! 2. Steps Adam on each shard (host-side; the staging across PCIe is
 //!    accounted via the traffic counters). The kernel publishes the updated
 //!    weights as binary16 bits in the same pass — the wire format — straight
@@ -41,11 +42,12 @@
 //! old owner groups to the new placement's ([`SymiOptimizer::follow`]).
 
 use crate::placement::ExpertPlacement;
+use std::sync::Arc;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::tag::{decode, with_step};
 use symi_collectives::{
-    decode_f16_into, encode_f16, CommError, MembershipView, Payload, RankCtx, RecvOp, SendOp,
-    TagSpace, WirePhase,
+    decode_f16_into, encode_f16, CommError, F32View, MembershipView, Payload, RankCtx, RecvOp,
+    SendOp, TagSpace, WirePhase,
 };
 use symi_model::expert::{ExpertFfn, ParamsMut};
 use symi_telemetry::{Phase, TelemetryHandle};
@@ -441,92 +443,160 @@ impl Owners {
 #[derive(Debug)]
 pub(crate) enum GradShard {
     /// Sourced from this rank's own replica: the shard is
-    /// [`SymiOptimizer::shard_range`] of the class's local gradient and
-    /// stays there — Adam sums and steps it where it lies
-    /// ([`ClassGrad::Reduced`]), nothing is copied.
+    /// [`SymiOptimizer::shard_range`] of the class's [`Partials`], and
+    /// Adam sums and steps it where its terms lie ([`ClassGrad::Reduced`]);
+    /// nothing is copied.
     Local,
-    /// Received from a remote host rank in a wire buffer (empty for a
-    /// zero-length shard); hand it back with [`RankCtx::recycle_f32`] once
-    /// Adam has consumed it.
-    Wire(Vec<f32>),
+    /// Received from a remote host rank: a view of its gradient, or a
+    /// replica sum it folded into a wire buffer (an empty one for a
+    /// zero-length shard); hand it back with [`RankCtx::recycle_payload`]
+    /// once Adam has consumed it.
+    Wire(Payload),
 }
 
-/// One ring chunk `j`'s share of a reduce onto a source, in the ring's
-/// association: the partials of host positions `j, j + 1, …, j + m − 1`
-/// (mod m) summed left to right. `own` is position `me`'s partial and
-/// receives the sum; `parts[q][w]` is position `q`'s (`parts[me]` unused).
-/// The terms before `me` accumulate in `parts[j]`, which is then added to
-/// `own` — `a + b` and `b + a` round alike — and the rest follow in place.
-fn fold_ring_chunk(
-    own: &mut [f32],
-    parts: &mut [Vec<f32>],
-    me: usize,
-    j: usize,
-    w: std::ops::Range<usize>,
-) {
-    let m = parts.len();
-    let before = (me + m - j) % m;
-    if before > 0 {
-        let mut prefix = std::mem::take(&mut parts[j]);
-        for q in (1..before).map(|k| (j + k) % m) {
-            add_into(&mut prefix[w.clone()], &parts[q][w.clone()]);
+/// The one range `ranges` (ascending) cover without a gap, if they cover
+/// any.
+fn one_run(mut ranges: impl Iterator<Item = (usize, usize)>) -> Option<std::ops::Range<usize>> {
+    let (start, mut end) = ranges.next()?;
+    for (s, t) in ranges {
+        if s != end {
+            return None;
         }
-        add_into(own, &prefix[w.clone()]);
-        parts[j] = prefix;
+        end = t;
     }
-    for q in (before + 1..m).map(|k| (j + k) % m) {
-        add_into(own, &parts[q][w.clone()]);
-    }
+    Some(start..end)
 }
 
-fn add_into(acc: &mut [f32], x: &[f32]) {
-    for (a, v) in acc.iter_mut().zip(x) {
-        *a += v;
-    }
-}
-
-/// The other hosts' partials of the chunks a host serves, as
-/// [`SymiOptimizer::reduce_grads_to_sources`] received them and left them
-/// unfolded on the host's own chunk: its Adam step sums them there
-/// ([`SymiOptimizer::step_reduced`]), in the ring's association, and hands
-/// the buffers back with [`Partials::recycle`].
+/// One hosted class's gradient after §4.1's reduce
+/// ([`SymiOptimizer::reduce_grads_to_sources`]): this host's own partial —
+/// the flat buffer its backward wrote, shared — and what the class's other
+/// hosts sent of the ranges this host serves (S_h), as it arrived: a
+/// read-only view of each one's buffer (or, where S_h is several disjoint
+/// runs, a wire buffer packing them). No sum is written anywhere: the Adam
+/// step sums this host's own chunk in registers, the collect folds the
+/// other owners' chunks into its send buffers, and [`Partials::replica_sum`]
+/// recomputes the lot — each with the ring's association: element `i` of
+/// ring chunk `j` is the partials of host positions `j, j + 1, …` (mod m)
+/// summed left to right, what `RankCtx::allreduce_sum` over the hosts
+/// leaves there.
+///
+/// Holding it holds the views, so the senders' buffers stay immutable: the
+/// engine keeps each class's until the top of its next iteration, before
+/// any collective a peer's next backward waits on, and then
+/// [`Partials::release`]s it.
 #[derive(Debug, Default)]
 pub struct Partials {
-    /// `parts[q]`: host position `q`'s partial of the ranges this host
-    /// serves, packed; empty at this host's own position, and no entry at
-    /// all when nothing arrived (one host, or nothing served here).
-    parts: Vec<Vec<f32>>,
+    /// This host's own partial — the gradient buffer its backward wrote,
+    /// shared; `None` once released.
+    own: Option<Arc<Vec<f32>>>,
+    /// `parts[q]`: host position `q`'s partial of S_h, packed in S_h's
+    /// order; `None` at this host's own position, and no entry at all when
+    /// nothing arrived (one host, or nothing served here).
+    parts: Vec<Option<Payload>>,
     /// This host's position among the class's hosts.
     me: usize,
-    /// Where this rank's own chunk starts within the packing.
-    own_at: usize,
+    /// S_h: the chunks this host serves, ascending.
+    served: Vec<(usize, usize)>,
 }
 
 impl Partials {
     /// Whether nothing arrived: the class has one host, or this host
-    /// serves nothing of it.
+    /// serves nothing of it. The own partial is then the whole sum.
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
     }
 
-    /// Hands the received buffers back to the wire-buffer free list.
-    pub fn recycle(self, ctx: &RankCtx) {
-        for part in self.parts {
-            ctx.recycle_f32(part);
+    /// Whether it holds nothing: never filled, or [`Partials::release`]d.
+    pub(crate) fn is_released(&self) -> bool {
+        self.own.is_none()
+    }
+
+    /// This host's own partial of the class.
+    fn own(&self) -> &Arc<Vec<f32>> {
+        self.own.as_ref().expect("the partials of a reduced class")
+    }
+
+    /// Host position `q`'s partial of flat elements `a..b`, which lie in
+    /// one served chunk.
+    fn term(&self, q: usize, a: usize, b: usize) -> &[f32] {
+        if q == self.me {
+            return &self.own()[a..b];
         }
+        let mut packed = 0;
+        for &(s, t) in &self.served {
+            if s <= a && b <= t {
+                let part = self.parts[q].as_ref().expect("one partial per peer");
+                let part = part.as_f32().expect("an f32 partial, checked at receipt");
+                return &part[packed + a - s..packed + b - s];
+            }
+            packed += t - s;
+        }
+        unreachable!("elements {a}..{b} are not served here")
+    }
+
+    /// Elements `s..t` split at the ring chunks: `(a, b, j)`, ring chunk `j`
+    /// holding `a..b`.
+    fn ring_pieces(&self, s: usize, t: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (p, m) = (self.own().len(), self.parts.len());
+        (0..m).filter_map(move |j| {
+            let (cs, ce) = chunk_range(p, m, j);
+            let (a, b) = (s.max(cs), t.min(ce));
+            (a < b).then_some((a, b, j))
+        })
+    }
+
+    /// The hosts' partials of elements `a..b` of ring chunk `j`, in the
+    /// ring's order: positions `j, j + 1, …` (mod m).
+    fn ring_terms(&self, a: usize, b: usize, j: usize) -> impl Iterator<Item = &[f32]> {
+        let m = self.parts.len();
+        (0..m).map(move |k| self.term((j + k) % m, a, b))
+    }
+
+    /// The replica sum of served elements `s..t` into `out`, each element
+    /// summed left to right in the ring's order ([`symi_tensor::adam::sum_into`],
+    /// the order the Adam step sums in).
+    fn sum_into(&self, s: usize, t: usize, out: &mut [f32]) {
+        if self.is_empty() {
+            return out.copy_from_slice(&self.own()[s..t]);
+        }
+        for (a, b, j) in self.ring_pieces(s, t) {
+            symi_tensor::adam::sum_into(self.ring_terms(a, b, j), &mut out[a - s..b - s]);
+        }
+    }
+
+    /// The class's flat gradient as this host's collect and Adam step read
+    /// it: the replica sum on every range it serves, its own partial
+    /// elsewhere — each served element summed left to right in the ring's
+    /// order through [`symi_tensor::adam::sum_into`], as the collect folds
+    /// it and in the order the Adam step sums it (testing support: the
+    /// oracles hold it to a ring all-reduce).
+    pub fn replica_sum(&self) -> Vec<f32> {
+        let mut out = self.own().to_vec();
+        for &(s, t) in &self.served {
+            self.sum_into(s, t, &mut out[s..t]);
+        }
+        out
+    }
+
+    /// Drops the own partial and every view, hands packed buffers back to
+    /// the free list, and keeps the capacity for the next reduce.
+    pub fn release(&mut self, ctx: &RankCtx) {
+        self.own = None;
+        for part in self.parts.drain(..).flatten() {
+            ctx.recycle_payload(part);
+        }
+        self.served.clear();
     }
 }
 
 /// Where the gradient of one class's Adam step comes from.
 pub(crate) enum ClassGrad<'a> {
-    /// This rank's shard, summed already: a wire buffer, or a caller's.
+    /// This rank's shard, summed already: a received one, or a caller's.
     Shard(&'a [f32]),
-    /// A host's flat gradient of the class as the reduce left it, and what
-    /// the reduce returned: the step sums this rank's own chunk from the
-    /// two — element `i` of ring chunk `j` the partials of host positions
-    /// `j, j + 1, …` (mod m), left to right, as `fold_ring_chunk` would —
-    /// and leaves the sum in the gradient, where the fold would have.
-    Reduced(&'a mut [f32], &'a Partials),
+    /// A host's partials of the class as the reduce left them: the step
+    /// sums this rank's own chunk from them as it goes, in the ring's
+    /// association, and writes the sum nowhere.
+    Reduced(&'a Partials),
 }
 
 /// A binary16 buffer an Adam step publishes into.
@@ -779,8 +849,8 @@ impl SymiOptimizer {
 
     /// S_h of `class` hosted on `hosts` (logical, ascending): the chunks of
     /// every owner whose [`get_source`] is host `h`, ascending and non-empty
-    /// — what Algorithm 2's collect reads from `h`'s gradient, so what the
-    /// reduce must leave summed there. Over a class's hosts these ranges
+    /// — what Algorithm 2's collect serves from `h`, so what the reduce must
+    /// bring `h` the other hosts' partials of. Over a class's hosts these ranges
     /// tile `[0, param_count)` once: every owner has one source.
     fn served<'a>(
         &'a self,
@@ -796,7 +866,7 @@ impl SymiOptimizer {
 
     /// The ranges of `class`'s flat gradient that host `host` (logical)
     /// serves under `placement` — where [`SymiOptimizer::reduce_grads_to_sources`]
-    /// leaves the replica sum on that host (testing support).
+    /// gives that host what it sums (testing support).
     pub fn served_ranges(
         &self,
         placement: &ExpertPlacement,
@@ -807,23 +877,21 @@ impl SymiOptimizer {
     }
 
     /// §4.1's replica sum of one hosted class, reduced onto Algorithm 2's
-    /// sources: on return, this rank's `grad` holds the sum over the class's
-    /// host ranks on S_h — the chunks of every *other* owner whose
-    /// [`get_source`] is this rank — and its own partial everywhere else.
-    /// [`SymiOptimizer::collect_grads`] then serves those owners from S_h.
-    /// This rank's own chunk is served here too, but the sum there is left
-    /// to its Adam step ([`SymiOptimizer::step_reduced`]), which reads the
-    /// returned [`Partials`] and leaves the sum in `grad` as it steps.
+    /// sources: returns what this rank needs to form the sum over the
+    /// class's host ranks on S_h — the chunks of every owner whose
+    /// [`get_source`] is this rank, its own included ([`Partials`]). Nothing
+    /// is written into `grad`: the engine's collect serves the other owners
+    /// from the sums it forms, and this rank's Adam step
+    /// ([`SymiOptimizer::step_reduced`]) sums its own chunk as it steps.
     ///
     /// Every other host sends this rank its partial of S_h in one sized
     /// message (`(GradSync, class, src_physical)`), and this rank sends each
-    /// of them its partial of theirs; the class's hosts exchange
-    /// `(m − 1) · param_count` elements in all, the reduce-scatter half of a
-    /// ring all-reduce and none of its all-gather. The fold follows the
-    /// ring's association, so each served element is bit for bit what
-    /// `RankCtx::allreduce_sum` over the hosts leaves there: an element of
-    /// ring chunk `j` (`chunk_range(param_count, m, j)`) sums the partials
-    /// of host positions `j, j + 1, …` (mod m) left to right.
+    /// of them its partial of theirs — a read-only view of `grad`, which
+    /// must therefore stay unwritten while a peer holds it (where a peer's
+    /// S_h is several disjoint runs, the one message packs them into a wire
+    /// buffer). The class's hosts exchange `(m − 1) · param_count` elements
+    /// in all, the reduce-scatter half of a ring all-reduce and none of its
+    /// all-gather.
     ///
     /// # Errors
     /// Any wire error of the exchange.
@@ -835,22 +903,42 @@ impl SymiOptimizer {
         ctx: &mut RankCtx,
         placement: &ExpertPlacement,
         class: usize,
-        grad: &mut [f32],
+        grad: &Arc<Vec<f32>>,
         tags: TagSpace,
     ) -> Result<Partials, CommError> {
+        let mut partials = Partials::default();
+        self.reduce_into(ctx, placement, class, grad, tags, &mut partials)?;
+        Ok(partials)
+    }
+
+    /// [`SymiOptimizer::reduce_grads_to_sources`] into `out`, released
+    /// first: the engine's form, which reuses the same `Partials` every
+    /// iteration.
+    pub(crate) fn reduce_into(
+        &self,
+        ctx: &mut RankCtx,
+        placement: &ExpertPlacement,
+        class: usize,
+        grad: &Arc<Vec<f32>>,
+        tags: TagSpace,
+        out: &mut Partials,
+    ) -> Result<(), CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
+        out.release(ctx);
         let hosts = placement.host_ranks(class);
         let me = hosts.binary_search(&self.lrank).expect("reduce only a hosted class");
         let m = hosts.len();
         assert_eq!(grad.len(), self.param_count, "class {class}: gradient length");
+        out.own = Some(Arc::clone(grad));
+        out.me = me;
+        out.served.extend(self.served(&hosts, class, self.lrank));
         if m == 1 {
-            return Ok(Partials::default());
+            return Ok(());
         }
         let me_phys = self.my_phys();
         let mut sends = Vec::with_capacity(m - 1);
         let mut recvs = Vec::with_capacity(m - 1);
-        let mine = self.served(&hosts, class, self.lrank);
-        let mine_len: usize = mine.clone().map(|(s, t)| t - s).sum();
+        let mine_len: usize = out.served.iter().map(|(s, t)| t - s).sum();
         for (j, &h) in hosts.iter().enumerate() {
             if j == me {
                 continue;
@@ -859,11 +947,17 @@ impl SymiOptimizer {
             let theirs = self.served(&hosts, class, h);
             let len = theirs.clone().map(|(s, t)| t - s).sum();
             if len > 0 {
-                let mut buf = ctx.pooled_f32(len);
-                for (s, t) in theirs {
-                    buf.extend_from_slice(&grad[s..t]);
-                }
-                sends.push(SendOp::new(peer, tags.tag(WirePhase::GradSync, class, me_phys), buf));
+                let data = match one_run(theirs.clone()) {
+                    Some(run) => Payload::from(F32View::new(Arc::clone(grad), run)),
+                    None => {
+                        let mut buf = ctx.pooled_f32(len);
+                        for (s, t) in theirs {
+                            buf.extend_from_slice(&grad[s..t]);
+                        }
+                        Payload::F32(buf)
+                    }
+                };
+                sends.push(SendOp::new(peer, tags.tag(WirePhase::GradSync, class, me_phys), data));
             }
             if mine_len > 0 {
                 recvs.push(RecvOp::sized(
@@ -875,55 +969,37 @@ impl SymiOptimizer {
         }
         let received = ctx.batch_isend_irecv(sends, &recvs)?;
         if mine_len == 0 {
-            return Ok(Partials::default());
+            return Ok(());
         }
-        // `parts[j]` is host position j's partial of S_h, packed; mine stays
-        // in `grad`.
-        let mut parts = Vec::with_capacity(m);
         let mut received = received.into_iter();
         for j in 0..m {
-            parts.push(if j == me {
-                Vec::new()
-            } else {
-                received.next().expect("one per peer").into_f32()?
-            });
-        }
-        let own = self.shard_range(class);
-        let (mut packed, mut own_at) = (0, 0);
-        for (s, t) in mine {
-            if (s, t) == own {
-                own_at = packed;
-            } else {
-                for j in 0..m {
-                    let (cs, ce) = chunk_range(self.param_count, m, j);
-                    let (a, b) = (s.max(cs), t.min(ce));
-                    if a < b {
-                        let w = packed + a - s..packed + b - s;
-                        fold_ring_chunk(&mut grad[a..b], &mut parts, me, j, w);
-                    }
-                }
+            let part = (j != me).then(|| received.next().expect("one per peer"));
+            if let Some(part) = &part {
+                part.as_f32()?;
             }
-            packed += t - s;
+            out.parts.push(part);
         }
-        Ok(Partials { parts, me, own_at })
+        Ok(())
     }
 
     /// Grad Communication Phase: every rank ends up with its shard of every
     /// class's gradient, already summed over the class's hosts on the ranges
-    /// each host serves ([`SymiOptimizer::reduce_grads_to_sources`]).
+    /// each host serves.
     ///
     /// `local_grads[class]` is `Some(full flat gradient)` iff this rank
-    /// hosts a replica of `class` under `placement` (logical ranks). `tags`
-    /// is the iteration's structured tag space: every shard travels under
-    /// `(GradCollect, class, src_physical)` with exclusive bit fields, and
-    /// each receive validates the shard's element count at the wire.
+    /// hosts a replica of `class` under `placement` (logical ranks), holding
+    /// the replica sum on the ranges it serves (what
+    /// [`Partials::replica_sum`] returns). `tags` is the iteration's
+    /// structured tag space: every shard travels under `(GradCollect, class,
+    /// src_physical)` with exclusive bit fields, and each receive validates
+    /// the shard's element count at the wire.
     ///
     /// This is the owned-`Vec` convenience form for callers that hold no
-    /// slots (traffic harnesses, tests): `SymiOptimizer::collect_grads_in_place`
-    /// plus a copy of every locally-sourced shard. Outgoing shards and those
-    /// copies are drawn from the wire-buffer free list; the caller owns the
-    /// returned shards and should hand them back ([`RankCtx::recycle_f32`])
-    /// once Adam has consumed them.
+    /// slots (traffic harnesses, tests): the engine's collect with a copy of
+    /// every shard it sends or sources locally. Those copies are drawn from
+    /// the wire-buffer free list; the caller owns the returned shards and
+    /// should hand them back ([`RankCtx::recycle_f32`]) once Adam has
+    /// consumed them.
     pub fn collect_grads<G: AsRef<[f32]>>(
         &self,
         ctx: &mut RankCtx,
@@ -931,37 +1007,75 @@ impl SymiOptimizer {
         local_grads: &[Option<G>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let shards = self.collect_grads_in_place(ctx, placement, local_grads, tags)?;
-        Ok(shards
+        assert_eq!(local_grads.len(), self.shards.len(), "one (optional) gradient per class");
+        let grad = |class: usize| local_grads[class].as_ref().map(AsRef::as_ref);
+        let shards = self.collect_with(
+            ctx,
+            placement,
+            tags,
+            |class| grad(class).is_some(),
+            |ctx, class, r| ctx.pooled_copy_f32(&grad(class).expect("hosted")[r]).into(),
+        )?;
+        shards
             .into_iter()
-            .zip(local_grads)
             .enumerate()
-            .map(|(class, (shard, local))| match shard {
-                GradShard::Wire(shard) => shard,
+            .map(|(class, shard)| match shard {
+                GradShard::Wire(shard) => shard.into_f32(),
                 GradShard::Local => {
-                    let grad = local.as_ref().expect("locally sourced, so hosted").as_ref();
                     let (ms, mt) = self.shard_range(class);
-                    ctx.pooled_copy_f32(&grad[ms..mt])
+                    Ok(ctx.pooled_copy_f32(&grad(class).expect("locally sourced")[ms..mt]))
                 }
             })
-            .collect())
+            .collect()
     }
 
     /// The Grad Communication Phase as the engine runs it: same sends, same
-    /// receives, same accounting as [`SymiOptimizer::collect_grads`], but a
-    /// shard Algorithm 2 sources from this rank is reported as
-    /// [`GradShard::Local`] and left where it is — `shard_range(class)` of
-    /// `local_grads[class]` — for Adam to step from.
-    pub(crate) fn collect_grads_in_place<G: AsRef<[f32]>>(
+    /// receives, same accounting as [`SymiOptimizer::collect_grads`], from
+    /// each hosted class's [`Partials`] (`hosted[class]`). A shard of a class
+    /// with one host is sent as a view of its gradient; one of a class with
+    /// several is their replica sum, folded straight into the send buffer.
+    /// A shard Algorithm 2 sources from this rank is reported as
+    /// [`GradShard::Local`] and left where its terms lie, for Adam to sum
+    /// and step from.
+    pub(crate) fn collect_grads_in_place(
         &self,
         ctx: &mut RankCtx,
         placement: &ExpertPlacement,
-        local_grads: &[Option<G>],
+        hosted: &[Option<&Partials>],
         tags: TagSpace,
+    ) -> Result<Vec<GradShard>, CommError> {
+        assert_eq!(hosted.len(), self.shards.len(), "one (optional) gradient per class");
+        self.collect_with(
+            ctx,
+            placement,
+            tags,
+            |class| hosted[class].is_some(),
+            |ctx, class, r| {
+                let partials = hosted[class].expect("hosted");
+                if partials.is_empty() {
+                    return F32View::new(Arc::clone(partials.own()), r).into();
+                }
+                let mut buf = ctx.pooled_f32(r.len());
+                buf.resize(r.len(), 0.0);
+                partials.sum_into(r.start, r.end, &mut buf);
+                buf.into()
+            },
+        )
+    }
+
+    /// Algorithm 2's exchange: `payload(ctx, class, range)` is what this
+    /// rank sends of a class it hosts (`hosts(class)`) to the owner of
+    /// `range` whose source it is.
+    fn collect_with(
+        &self,
+        ctx: &mut RankCtx,
+        placement: &ExpertPlacement,
+        tags: TagSpace,
+        hosts: impl Fn(usize) -> bool,
+        mut payload: impl FnMut(&RankCtx, usize, std::ops::Range<usize>) -> Payload,
     ) -> Result<Vec<GradShard>, CommError> {
         let _span = self.telemetry.span(Phase::GradComm);
         let e = self.shards.len();
-        assert_eq!(local_grads.len(), e, "one (optional) gradient per class");
         let n = self.nodes();
         let me_phys = self.my_phys();
         ctx.begin_epoch(tags.iteration(), WirePhase::GradCollect);
@@ -970,15 +1084,14 @@ impl SymiOptimizer {
         // get_source picks me. Zero-length destination shards never touch
         // the wire (both sides compute the same chunk geometry).
         let mut sends = Vec::new();
-        for (class, maybe_grad) in local_grads.iter().enumerate() {
-            let Some(grad) = maybe_grad.as_ref().map(AsRef::as_ref) else { continue };
-            let hosts = placement.host_ranks(class);
-            debug_assert!(hosts.contains(&self.lrank), "have grads only for hosted classes");
+        for class in (0..e).filter(|&class| hosts(class)) {
+            let host_ranks = placement.host_ranks(class);
+            debug_assert!(host_ranks.contains(&self.lrank), "have grads only for hosted classes");
             for dst in 0..n {
                 if dst == self.lrank {
                     continue;
                 }
-                if get_source(&hosts, dst) == self.lrank {
+                if get_source(&host_ranks, dst) == self.lrank {
                     let (s, t) = self.chunk(class, dst);
                     if s == t {
                         continue;
@@ -986,7 +1099,7 @@ impl SymiOptimizer {
                     sends.push(SendOp::new(
                         self.view.physical_of(dst),
                         tags.tag(WirePhase::GradCollect, class, me_phys),
-                        ctx.pooled_copy_f32(&grad[s..t]),
+                        payload(ctx, class, s..t),
                     ));
                 }
             }
@@ -996,18 +1109,18 @@ impl SymiOptimizer {
         let mut recvs = Vec::new();
         let mut out: Vec<Option<GradShard>> = Vec::with_capacity(e);
         let mut staged = 0;
-        for (class, local) in local_grads.iter().enumerate() {
+        for class in 0..e {
             let (ms, mt) = self.shard_range(class);
             staged += mt - ms;
             if ms == mt {
                 // Zero-length shard: nothing to collect for this class.
-                out.push(Some(GradShard::Wire(Vec::new())));
+                out.push(Some(GradShard::Wire(Payload::F32(Vec::new()))));
                 continue;
             }
-            let hosts = placement.host_ranks(class);
-            let src = get_source(&hosts, self.lrank);
+            let host_ranks = placement.host_ranks(class);
+            let src = get_source(&host_ranks, self.lrank);
             if src == self.lrank {
-                debug_assert!(local.is_some(), "get_source returned self, so the class is local");
+                debug_assert!(hosts(class), "get_source returned self, so the class is local");
                 out.push(Some(GradShard::Local));
             } else {
                 let src_phys = self.view.physical_of(src);
@@ -1031,16 +1144,8 @@ impl SymiOptimizer {
         // Stage every collected shard into host memory (PCIe leg of T_G;
         // gradients stay fp32 — only the weight phase travels fp16).
         ctx.record_host_device_bytes(staged as u64 * 4);
-        out.into_iter()
-            .map(|shard| match shard {
-                Some(shard) => Ok(shard),
-                None => received
-                    .next()
-                    .expect("one receive per remote class")
-                    .into_f32()
-                    .map(GradShard::Wire),
-            })
-            .collect()
+        let mut wire = || GradShard::Wire(received.next().expect("one receive per remote class"));
+        Ok(out.into_iter().map(|shard| shard.unwrap_or_else(&mut wire)).collect())
     }
 
     /// Adam step over every class's shard; element `class` of the result is
@@ -1068,22 +1173,15 @@ impl SymiOptimizer {
     }
 
     /// Adam step of a class this rank hosts, from what
-    /// [`SymiOptimizer::reduce_grads_to_sources`] left: `grad` is the class's
-    /// flat gradient it reduced into, `partials` what it returned. The
-    /// step sums this rank's own chunk of the replica sum as it goes and
-    /// leaves it in `grad`, which then holds the sum on every range this
-    /// rank serves. Returns the updated shard as binary16 bits (the
+    /// [`SymiOptimizer::reduce_grads_to_sources`] returned: the step sums
+    /// this rank's own chunk of the replica sum as it goes, from the terms
+    /// where they lie. Returns the updated shard as binary16 bits (the
     /// owned-`Vec` convenience form, for tests: the engine publishes
     /// straight into its sends and slot).
-    pub fn step_reduced(
-        &mut self,
-        class: usize,
-        grad: &mut [f32],
-        partials: &Partials,
-    ) -> Vec<u16> {
+    pub fn step_reduced(&mut self, class: usize, partials: &Partials) -> Vec<u16> {
         let (ms, mt) = self.shard_range(class);
         let mut half = vec![0u16; mt - ms];
-        let grad = ClassGrad::Reduced(grad, partials);
+        let grad = ClassGrad::Reduced(partials);
         self.step_class(class, grad, std::slice::from_mut(&mut half), None);
         half
     }
@@ -1133,14 +1231,17 @@ impl SymiOptimizer {
     ) {
         let _span = self.telemetry.span(Phase::OptimizerStep);
         let (ms, mt) = self.shard_range(class);
-        let param_count = self.param_count;
-        let mut grad = match grad {
-            ClassGrad::Reduced(full, partials) => {
-                assert_eq!(full.len(), param_count, "class {class}: gradient length");
+        let grad = match grad {
+            ClassGrad::Reduced(partials) => {
+                assert_eq!(
+                    partials.own().len(),
+                    self.param_count,
+                    "class {class}: gradient length"
+                );
                 if partials.is_empty() {
-                    ClassGrad::Shard(&full[ms..mt])
+                    ClassGrad::Shard(&partials.own()[ms..mt])
                 } else {
-                    ClassGrad::Reduced(full, partials)
+                    ClassGrad::Reduced(partials)
                 }
             }
             ClassGrad::Shard(shard) => {
@@ -1151,7 +1252,7 @@ impl SymiOptimizer {
         let mut step = self.shards[class].begin_step();
         // Steps flat elements `a .. b`; `local`, when the class has a slot
         // here next, is the slot's storage of them.
-        let mut run = |a: usize, b: usize, mut local: Option<Dest<'_>>| match &mut grad {
+        let mut run = |a: usize, b: usize, mut local: Option<Dest<'_>>| match grad {
             ClassGrad::Shard(shard) => {
                 let r = a - ms..b - ms;
                 let half = outs.iter_mut().map(|o| Dest::Half(&mut o.bits()[r.clone()]));
@@ -1159,32 +1260,16 @@ impl SymiOptimizer {
                     step.run(r.clone(), Grad::Slice(&shard[r.clone()]), dests)
                 });
             }
-            ClassGrad::Reduced(full, partials) => {
-                let m = partials.parts.len();
-                let mut at = a;
-                while at < b {
-                    let j = (0..m)
-                        .find(|&j| chunk_range(param_count, m, j).1 > at)
-                        .expect("ring chunks tile the parameters");
-                    let end = chunk_range(param_count, m, j).1.min(b);
+            ClassGrad::Reduced(partials) => {
+                for (at, end, j) in partials.ring_pieces(a, b) {
                     let r = at - ms..end - ms;
-                    let packed = partials.own_at + r.start..partials.own_at + r.end;
-                    // Host positions j, j + 1, … (mod m); this rank's partial,
-                    // the accumulator, takes its place among them.
-                    let before = (partials.me + m - j) % m;
-                    let terms = (0..m)
-                        .map(|t| (j + t) % m)
-                        .filter(|&q| q != partials.me)
-                        .map(|q| &partials.parts[q][packed.clone()]);
-                    let acc = &mut full[at..end];
                     let half = outs.iter_mut().map(|o| Dest::Half(&mut o.bits()[r.clone()]));
                     let local = local.as_mut().map(|d| d.sub(at - a..end - a));
-                    with_list(terms, |terms| {
+                    with_list(partials.ring_terms(at, end, j), |terms| {
                         with_list(half.chain(local), |dests| {
-                            step.run(r.clone(), Grad::accumulate(terms, acc, before), dests)
+                            step.run(r.clone(), Grad::Sum(terms), dests)
                         })
                     });
-                    at = end;
                 }
             }
         };

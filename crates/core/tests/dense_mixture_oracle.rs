@@ -162,12 +162,14 @@ fn dense_mixture_equals_dispatch_expert_combine_at_infinite_capacity() {
         // board[class] = the class's weights, published by whoever hosts it.
         let board: Mutex<Vec<Vec<f32>>> = Mutex::new(vec![Vec::new(); e]);
         let barrier = Barrier::new(nodes);
-        let (per_rank, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+        // Each rank returns, per iteration, the weights it ran on and what
+        // the engine produced; the dense side is computed and compared once
+        // the cluster run is over — a failed assertion inside it would leave
+        // the other ranks blocked.
+        let (ran, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
             let rank = ctx.rank();
             let mut engine = MoeLayerEngine::new(rank, nodes, cfg);
-            let (mut worst_dy, mut worst_grad) = (0.0f32, 0.0f32);
-            let (mut merged, mut ringed, mut rebalanced) = (false, false, false);
-            let mut served = Vec::new();
+            let mut ran = Vec::new();
             for it in 0..ITERS {
                 let placement = engine.placement.clone();
                 let hosted = placement.classes_on_rank(rank);
@@ -177,27 +179,48 @@ fn dense_mixture_equals_dispatch_expert_combine_at_infinite_capacity() {
                 barrier.wait();
                 let weights = board.lock().expect("board").clone();
                 barrier.wait(); // nobody overwrites the board before all have read it
-                let (want_dy, want_grads) = dense_mixture(nodes, &weights, it);
 
                 let stats = engine
                     .iteration(ctx, &tokens(rank, it), &targets(rank, it))
                     .expect("iteration");
-                assert_eq!(stats.dropped, 0, "{nodes} ranks iteration {it}: cf = ∞ drops nothing");
-                let dy = engine.loss_grad().as_slice();
-                worst_dy =
-                    worst_dy.max(worst_error(dy, want_dy[rank].as_slice(), &[(0, dy.len())]));
-                for (g, (class, locals)) in hosted.iter().enumerate() {
-                    let ranges = engine.served_ranges(&placement, *class);
-                    let got = engine.hosted_grads(g);
-                    worst_grad = worst_grad.max(worst_error(&got, &want_grads[*class], &ranges));
-                    served.push((it, *class, ranges));
-                    merged |= locals.len() > 1;
-                    ringed |= placement.host_ranks(*class).len() > 1;
-                }
-                rebalanced |= engine.placement != placement;
+                let dy = engine.loss_grad().as_slice().to_vec();
+                let grads: Vec<_> = hosted
+                    .iter()
+                    .enumerate()
+                    .map(|(g, (class, locals))| {
+                        let ranges = engine.served_ranges(&placement, *class);
+                        (*class, locals.len(), ranges, engine.hosted_grads(g))
+                    })
+                    .collect();
+                let rebalanced = engine.placement != placement;
+                ran.push((weights, placement, stats.dropped, dy, grads, rebalanced));
             }
-            (worst_dy, worst_grad, merged, ringed, rebalanced, served)
+            ran
         });
+        let per_rank: Vec<_> = ran
+            .iter()
+            .enumerate()
+            .map(|(rank, ran)| {
+                let (mut worst_dy, mut worst_grad) = (0.0f32, 0.0f32);
+                let (mut merged, mut ringed, mut rebalanced) = (false, false, false);
+                let mut served = Vec::new();
+                for (it, (weights, placement, dropped, dy, grads, moved)) in ran.iter().enumerate()
+                {
+                    let (want_dy, want_grads) = dense_mixture(nodes, weights, it);
+                    assert_eq!(*dropped, 0, "{nodes} ranks iteration {it}: cf = ∞ drops nothing");
+                    worst_dy =
+                        worst_dy.max(worst_error(dy, want_dy[rank].as_slice(), &[(0, dy.len())]));
+                    for (class, locals, ranges, got) in grads {
+                        worst_grad = worst_grad.max(worst_error(got, &want_grads[*class], ranges));
+                        served.push((it, *class, ranges.clone()));
+                        merged |= *locals > 1;
+                        ringed |= placement.host_ranks(*class).len() > 1;
+                    }
+                    rebalanced |= moved;
+                }
+                (worst_dy, worst_grad, merged, ringed, rebalanced, served)
+            })
+            .collect();
         // Per iteration and class, the hosts' served ranges tile the
         // gradient once: every element was compared, on one rank.
         let p = ExpertFfn::new(cfg.d_model, cfg.d_ff, 0).flat_params().len();

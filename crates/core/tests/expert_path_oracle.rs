@@ -56,6 +56,7 @@
 use std::sync::{Barrier, Mutex};
 
 use symi::engine::assign_token_slots;
+use symi::engine::IterStats;
 use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, SymiOptimizer};
 use symi_collectives::{Cluster, ClusterSpec, TagSpace, WirePhase};
 use symi_model::expert::ExpertFfn;
@@ -105,16 +106,19 @@ fn targets(rank: usize, it: usize) -> Matrix {
 }
 
 /// The expert the engine runs for `flat`: binary16 weights, loaded from the
-/// encoded bits of published weights — on the fp16 grid, so exact.
-fn half_expert(cfg: &EngineConfig, flat: &[f32]) -> ExpertFfn<HalfMatrix> {
+/// encoded bits of published weights — on the fp16 grid, so exact; the flag
+/// says whether they were.
+fn half_expert(cfg: &EngineConfig, flat: &[f32]) -> (ExpertFfn<HalfMatrix>, bool) {
     let bits: Vec<u16> = flat.iter().map(|&w| f32_to_f16(w)).collect();
-    assert!(
-        bits.iter().zip(flat).all(|(&h, &w)| f16_to_f32(h).to_bits() == w.to_bits()),
-        "published weights off the fp16 grid"
-    );
+    let on_grid = bits.iter().zip(flat).all(|(&h, &w)| f16_to_f32(h).to_bits() == w.to_bits());
     let mut e = ExpertFfn::zeros(cfg.d_model, cfg.d_ff);
     e.load_f16_at(0, &bits);
-    e
+    (e, on_grid)
+}
+
+/// Asserts what a replay's experts were loaded from was on the fp16 grid.
+fn assert_on_grid(on_grid: bool) {
+    assert!(on_grid, "published weights off the fp16 grid");
 }
 
 /// The unit one `ExpertFfn` batch covers in a replay.
@@ -140,6 +144,9 @@ struct Replay {
     popularity: Vec<u64>,
     /// Tokens kept per class, after capacity.
     kept_per_class: Vec<u64>,
+    /// Whether every published weight the experts were loaded from was on
+    /// the fp16 grid ([`half_expert`]).
+    on_grid: bool,
 }
 
 /// The plain allocating token path over the whole `nodes`-rank world.
@@ -217,8 +224,9 @@ fn replay_token_path(
     }
 
     // Forward, the allocating way.
-    let mut experts: Vec<ExpertFfn<HalfMatrix>> =
-        weights.iter().map(|w| half_expert(cfg, w)).collect();
+    let (mut experts, on_grid): (Vec<ExpertFfn<HalfMatrix>>, Vec<bool>) =
+        weights.iter().map(|w| half_expert(cfg, w)).unzip();
+    let on_grid = on_grid.into_iter().all(|g| g);
     let outputs: Vec<Matrix> = experts
         .iter_mut()
         .zip(&inputs)
@@ -295,7 +303,7 @@ fn replay_token_path(
                 .collect()
         })
         .collect();
-    Replay { loss, grads, busy, popularity, kept_per_class }
+    Replay { loss, grads, busy, popularity, kept_per_class, on_grid }
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -307,8 +315,11 @@ fn on(v: &[f32], ranges: &[(usize, usize)]) -> Vec<f32> {
     ranges.iter().flat_map(|&(s, t)| v[s..t].iter().copied()).collect()
 }
 
+/// Ranges of a class's flat gradient, ascending.
+type Ranges = Vec<(usize, usize)>;
+
 /// `(iteration, class, served ranges)` of one rank's hosted classes.
-type Served = Vec<(usize, usize, Vec<(usize, usize)>)>;
+type Served = Vec<(usize, usize, Ranges)>;
 
 /// Per iteration and class, the ranks' served ranges tile the class's flat
 /// gradient exactly once — so comparing each rank on its own ranges
@@ -362,6 +373,17 @@ struct Seen {
     class_on_both_ranks: bool,
 }
 
+/// One iteration of the two-rank run as a rank saw it: what it ran on and
+/// what the engine reported, replayed and compared after the cluster run —
+/// a failed assertion inside it would leave the other rank blocked.
+struct Ran {
+    weights: Vec<Vec<f32>>,
+    placement: ExpertPlacement,
+    stats: IterStats,
+    /// `(class, local slots, served ranges, hosted_grads)` per hosted class.
+    hosted: Vec<(usize, Vec<usize>, Ranges, Vec<f32>)>,
+}
+
 #[test]
 fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
     let cfg = cfg();
@@ -371,16 +393,31 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
     let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
         let rank = ctx.rank();
         let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
-        let mut placements = Vec::new();
-        let mut saw = Seen::default();
-        let mut served: Served = Vec::new();
+        let mut ran = Vec::new();
         for it in 0..ITERS {
             let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
             let placement = engine.placement.clone();
-            let want = replay_token_path(&cfg, &placement, &weights, it, Unit::Class);
-
             let stats =
                 engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
+            let hosted = placement
+                .classes_on_rank(rank)
+                .into_iter()
+                .enumerate()
+                .map(|(hosted, (class, locals))| {
+                    let ranges = engine.served_ranges(&placement, class);
+                    (class, locals, ranges, engine.hosted_grads(hosted))
+                })
+                .collect();
+            ran.push(Ran { weights, placement, stats, hosted });
+        }
+        ran
+    });
+    let mut saw = Seen::default();
+    let mut served: Vec<Served> = vec![Vec::new(); NODES];
+    for (rank, ran) in per_rank.iter().enumerate() {
+        for (it, Ran { weights, placement, stats, hosted }) in ran.iter().enumerate() {
+            let want = replay_token_path(&cfg, placement, weights, it, Unit::Class);
+            assert_on_grid(want.on_grid);
             let at = format!("rank {rank} iteration {it}");
             assert_eq!(
                 stats.loss.to_bits(),
@@ -394,13 +431,12 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
             assert_eq!(stats.replicas, placement.replica_counts(), "{at}: replica counts");
             let kept = want.kept_per_class.iter().sum::<u64>() as usize;
             assert_eq!((stats.survived, stats.dropped), (kept, NODES * T_LOC - kept), "{at}");
-            for (hosted, (class, locals)) in placement.classes_on_rank(rank).into_iter().enumerate()
-            {
-                // The class's one buffer holds the summed gradient where
-                // this rank serves it: each host rank's batch, then the sum.
+            for (class, locals, ranges, got) in hosted {
+                // The class's summed gradient where this rank serves it:
+                // each host rank's batch, then the sum.
                 let mut synced: Option<Vec<f32>> = None;
                 for per_host in &want.grads {
-                    let Some((_, grad)) = per_host.iter().find(|(c, _)| *c == class) else {
+                    let Some((_, grad)) = per_host.iter().find(|(c, _)| c == class) else {
                         continue;
                     };
                     synced = Some(match synced {
@@ -408,34 +444,31 @@ fn two_rank_run_matches_the_from_vec_clone_oracle_bit_for_bit() {
                         Some(acc) => acc.iter().zip(grad).map(|(a, b)| a + b).collect(),
                     });
                 }
-                let ranges = engine.served_ranges(&placement, class);
                 assert_eq!(
-                    bits(&on(&engine.hosted_grads(hosted), &ranges)),
-                    bits(&on(&synced.expect("hosted somewhere"), &ranges)),
+                    bits(&on(got, ranges)),
+                    bits(&on(&synced.expect("hosted somewhere"), ranges)),
                     "{at}: class {class}'s summed gradient differs"
                 );
-                served.push((it, class, ranges));
-                let busy = locals.iter().filter(|&l| want.busy[rank * s + l]).count();
+                served[rank].push((it, *class, ranges.clone()));
+                let busy = locals.iter().filter(|&&l| want.busy[rank * s + l]).count();
                 saw.merged_slots |= busy > 1;
                 saw.half_idle_class |= 0 < busy && busy < locals.len();
-                saw.class_on_both_ranks |= placement.host_ranks(class).len() > 1;
+                saw.class_on_both_ranks |= placement.host_ranks(*class).len() > 1;
             }
             assert!(stats.dropped > 0 && stats.survived > 0, "capacity must bind: {stats:?}");
-            placements.push(placement.replica_counts());
         }
-        (placements, saw, served)
-    });
-    assert_served_ranges_tile(per_rank.iter().map(|r| &r.2));
+    }
+    assert_served_ranges_tile(served.iter());
     // The scenario must actually exercise what it claims to.
-    let (placements, _, _) = &per_rank[0];
+    let placements: Vec<Vec<usize>> =
+        per_rank[0].iter().map(|ran| ran.placement.replica_counts()).collect();
     assert!(
         placements.iter().any(|p| p != &placements[0]),
         "placement never rebalanced: {placements:?}"
     );
-    let saw = |what: fn(&Seen) -> bool| per_rank.iter().any(|(_, seen, _)| what(seen));
-    assert!(saw(|s| s.merged_slots), "no class ever ran several busy slots as one batch");
-    assert!(saw(|s| s.half_idle_class), "no class ever had busy and idle slots on one rank");
-    assert!(saw(|s| s.class_on_both_ranks), "no class ever spanned both ranks");
+    assert!(saw.merged_slots, "no class ever ran several busy slots as one batch");
+    assert!(saw.half_idle_class, "no class ever had busy and idle slots on one rank");
+    assert!(saw.class_on_both_ranks, "no class ever spanned both ranks");
 }
 
 /// What one run of [`replay_gradient_path`] saw and measured, per rank.
@@ -454,6 +487,10 @@ struct Replayed {
     /// iteration, relative to the largest master weight.
     master_error: f32,
     served: Served,
+    /// `(what, engine, replay)`: every equality the run checks, asserted
+    /// once the cluster run is over — a failed assertion inside it would
+    /// leave the other ranks blocked in their next receive.
+    checks: Vec<(String, Vec<u64>, Vec<u64>)>,
 }
 
 /// Runs the engine on `ranks` ranks next to a replay of the staged gradient
@@ -486,17 +523,37 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
             grad_bits_differing: 0,
             master_error: 0.0,
             served: Vec::new(),
+            checks: Vec::new(),
         };
+        let widen = |v: &[u32]| v.iter().map(|&b| u64::from(b)).collect::<Vec<u64>>();
+        let counts = |v: &[usize]| v.iter().map(|&k| k as u64).collect::<Vec<u64>>();
         for it in 0..ITERS {
             let weights = exchange_slot_weights(&engine, rank, &board, &barrier);
             let placement = engine.placement.clone();
             let mut want = replay_token_path(&cfg, &placement, &weights, it, unit);
             let stats =
                 engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
+            let at = format!("rank {rank} iteration {it}");
+            let on_grid = vec![u64::from(want.on_grid)];
+            seen.checks.push((
+                format!("{at}: published weights on the fp16 grid"),
+                on_grid,
+                vec![1],
+            ));
             // Routing and capacity never see an expert weight.
-            assert_eq!(stats.popularity, want.popularity, "rank {rank} iteration {it}");
-            assert_eq!(stats.kept_per_class, want.kept_per_class, "rank {rank} iteration {it}");
-            assert_eq!(stats.replicas, placement.replica_counts(), "rank {rank} iteration {it}");
+            seen.checks.extend([
+                (format!("{at}: popularity"), stats.popularity, want.popularity.clone()),
+                (
+                    format!("{at}: kept per class"),
+                    stats.kept_per_class,
+                    want.kept_per_class.clone(),
+                ),
+                (
+                    format!("{at}: replica counts"),
+                    counts(&stats.replicas),
+                    counts(&placement.replica_counts()),
+                ),
+            ]);
 
             let replay_tags = TagSpace::new(cfg.layer_id + 1, it as u64);
             let mut class_grads: Vec<Option<Vec<f32>>> = vec![None; e];
@@ -517,11 +574,11 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
                 let (synced, replayed) =
                     (on(&engine.hosted_grads(g), &ranges), on(&staged, &ranges));
                 if exact {
-                    assert_eq!(
-                        bits(&synced),
-                        bits(&replayed),
-                        "rank {rank} iteration {it}: class {class}'s summed gradient"
-                    );
+                    seen.checks.push((
+                        format!("rank {rank} iteration {it}: class {class}'s summed gradient"),
+                        widen(&bits(&synced)),
+                        widen(&bits(&replayed)),
+                    ));
                 }
                 seen.served.push((it, class, ranges));
                 let rms = (staged.iter().map(|g| g * g).sum::<f32>() / staged.len() as f32).sqrt();
@@ -539,12 +596,14 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
                 let (ours, theirs) =
                     (engine.master_shard(class), replay_optimizer.master_shard(class));
                 if exact {
-                    assert_eq!(
-                        bits(ours),
-                        bits(theirs),
-                        "rank {rank} iteration {it}: class {class}'s master shard left the \
-                         staged path's"
-                    );
+                    seen.checks.push((
+                        format!(
+                            "rank {rank} iteration {it}: class {class}'s master shard left the \
+                             staged path's"
+                        ),
+                        widen(&bits(ours)),
+                        widen(&bits(theirs)),
+                    ));
                 }
                 if it + 1 == ITERS {
                     let scale = ours.iter().fold(0.0f32, |m, w| m.max(w.abs()));
@@ -556,6 +615,9 @@ fn replay_gradient_path(ranks: usize, unit: Unit, exact: bool) -> Vec<Replayed> 
         }
         seen
     });
+    for (what, engine, replay) in per_rank.iter().flat_map(|r| &r.checks) {
+        assert_eq!(engine, replay, "{what}");
+    }
     per_rank
 }
 
@@ -631,7 +693,9 @@ fn old_weight_path(cfg: &EngineConfig, master_shards: &[Vec<f32>]) -> Vec<f32> {
         let wire: Vec<u16> = published.iter().map(|&w| f32_to_f16(w)).collect();
         full.extend(wire.iter().map(|&h| f16_to_f32(h)));
     }
-    half_expert(cfg, &full).flat_params()
+    let (expert, on_grid) = half_expert(cfg, &full);
+    assert_on_grid(on_grid);
+    expert.flat_params()
 }
 
 #[test]
@@ -641,12 +705,13 @@ fn slot_weights_match_the_f32_shard_encode_assemble_load_flat_recipe() {
     // board[rank][class] = that rank's master shard after the step.
     let board: Mutex<Vec<Vec<Vec<f32>>>> = Mutex::new(vec![Vec::new(); NODES]);
     let barrier = Barrier::new(NODES);
+    // Per rank and iteration: every rank's master shards after the step,
+    // the placement the scatter just materialised, and this rank's slot
+    // weights — compared with the old recipe once the cluster run is over.
     let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
         let rank = ctx.rank();
         let mut engine = MoeLayerEngine::new(rank, NODES, cfg);
-        let mut placements = Vec::new();
-        let mut saw_colocated_siblings = false;
-        let mut saw_a_class_on_both_ranks = false;
+        let mut ran = Vec::new();
         for it in 0..ITERS {
             engine.iteration(ctx, &tokens(rank, it), &targets(rank, it)).expect("iteration");
             board.lock().expect("board")[rank] =
@@ -654,16 +719,22 @@ fn slot_weights_match_the_f32_shard_encode_assemble_load_flat_recipe() {
             barrier.wait();
             let masters = board.lock().expect("board").clone();
             barrier.wait(); // nobody overwrites the board before all have read it
-
-            // The placement the scatter just materialised.
-            let placement = engine.placement.clone();
+            let slots: Vec<Vec<f32>> =
+                (0..cfg.slots_per_rank).map(|l| engine.slot_weights(l)).collect();
+            ran.push((masters, engine.placement.clone(), slots));
+        }
+        ran
+    });
+    let mut placements = Vec::new();
+    let (mut saw_colocated_siblings, mut saw_a_class_on_both_ranks) = (false, false);
+    for (rank, ran) in per_rank.iter().enumerate() {
+        for (it, (masters, placement, slots)) in ran.iter().enumerate() {
             for (class, locals) in placement.classes_on_rank(rank) {
                 let shards: Vec<Vec<f32>> = (0..NODES).map(|r| masters[r][class].clone()).collect();
                 let want = old_weight_path(&cfg, &shards);
                 for &local in &locals {
                     assert_eq!(
-                        engine.slot_weights(local),
-                        want,
+                        slots[local], want,
                         "rank {rank} iteration {it}: slot {local} \
                              (class {class}) differs from the old recipe"
                     );
@@ -671,16 +742,16 @@ fn slot_weights_match_the_f32_shard_encode_assemble_load_flat_recipe() {
                 saw_colocated_siblings |= locals.len() > 1;
                 saw_a_class_on_both_ranks |= placement.host_ranks(class).len() > 1;
             }
-            placements.push(placement.replica_counts());
+            if rank == 0 {
+                placements.push(placement.replica_counts());
+            }
         }
-        (placements, saw_colocated_siblings, saw_a_class_on_both_ranks)
-    });
+    }
     // The scenario must actually exercise what it claims to.
-    let (placements, _, _) = &per_rank[0];
     assert!(
         placements.iter().any(|p| p != &placements[0]),
         "placement never rebalanced: {placements:?}"
     );
-    assert!(per_rank.iter().any(|r| r.1), "no rank ever hosted sibling replicas");
-    assert!(per_rank.iter().any(|r| r.2), "no class ever spanned both ranks");
+    assert!(saw_colocated_siblings, "no rank ever hosted sibling replicas");
+    assert!(saw_a_class_on_both_ranks, "no class ever spanned both ranks");
 }

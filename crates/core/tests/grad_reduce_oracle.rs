@@ -1,33 +1,36 @@
 //! §4.1's replica sum reduced onto Algorithm 2's sources, held to the ring
 //! all-reduce it replaced.
 //!
-//! `SymiOptimizer::reduce_grads_to_sources` sums one class's partial
-//! gradients over the class's host ranks, but only onto S_h on each host
-//! `h`: the chunks of the owners whose `get_source` is `h`, the ranges the
-//! collect that follows reads. Host `h`'s own chunk is part of S_h, but the
-//! sum there is the Adam step's: `SymiOptimizer::step_reduced` sums the
-//! partials the reduce returned as it steps, and leaves the sum in place.
-//! Three things are checked, on every world of up to five ranks and every
-//! host count, for both owner rules — the whole world (SYMI) over
+//! `SymiOptimizer::reduce_grads_to_sources` gathers, on each host `h` of a
+//! class, the other hosts' partial gradients of S_h: the chunks of the
+//! owners whose `get_source` is `h`, the ranges the collect that follows
+//! reads. Nothing is summed into any buffer: the collect folds the other
+//! owners' chunks into its send buffers, and `SymiOptimizer::step_reduced`
+//! sums the host's own chunk as it steps, from the partials where they lie.
+//! `Partials::replica_sum` recomputes the sum on S_h with the fold both
+//! use. Three things are checked, on every world of up to five ranks and
+//! every host count, for both owner rules — the whole world (SYMI) over
 //! contiguous host ranges, and each class's hosts (DeepSpeed) over
 //! `ExpertPlacement::striped` — and at parameter counts that do and do not
 //! divide, down to fewer parameters than ranks:
 //!
-//! 1. On S_h the reduce and the step leave, bit for bit, what
+//! 1. On S_h the recompute leaves, bit for bit, what
 //!    `RankCtx::allreduce_sum` over the hosts leaves there (the ring's
-//!    association, not just its value); between the two, the host's own
-//!    chunk still holds its own partial; everywhere else the rank's own
-//!    partial is untouched. The step consumes that sum: the host's master
-//!    weights after it equal, bit for bit, one Adam step on the all-reduced
-//!    gradient.
+//!    association, not just its value), and the rank's own partial
+//!    everywhere else; the gradient the reduce sent views of still holds
+//!    the rank's own partial, after the reduce and after the step. The step
+//!    consumes the sum: the host's master weights after it equal, bit for
+//!    bit, one Adam step on the all-reduced gradient.
 //! 2. Over a class's hosts the served ranges tile `[0, P)` exactly once.
 //! 3. Reduce plus collect move exactly `4 · m(N−1)/N · P` bytes per class
 //!    between nodes for world owners (`4 · (m−1) · P` for host owners): the
 //!    floor for reducing `m` partials onto `N` owners.
 
+use std::sync::Arc;
 use symi::{ExpertPlacement, SymiOptimizer};
 use symi_collectives::{Cluster, ClusterSpec, CommGroup, TagSpace, WirePhase};
-use symi_tensor::{AdamConfig, AdamShard};
+use symi_model::expert::ExpertFfn;
+use symi_tensor::{AdamConfig, AdamShard, Matrix};
 
 /// One class hosted on `m` contiguous ranks starting at `start`, every other
 /// rank holding a class of its own (one slot per rank).
@@ -100,6 +103,8 @@ struct Seen {
     /// The gradient after the reduce, and after the step.
     reduced: Vec<f32>,
     stepped: Vec<f32>,
+    /// The replica sum the partials recompute ([`symi::Partials::replica_sum`]).
+    summed: Vec<f32>,
     ranges: Vec<(usize, usize)>,
     own: (usize, usize),
     /// Master shard and published bits after the step, and after one Adam
@@ -130,15 +135,16 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                     let hosts = placement.host_ranks(class);
                     let ring = TagSpace::new(1, 0).tag(WirePhase::GradSync, class, 0);
                     ctx.allreduce_sum(&CommGroup::new(hosts), ring, &mut want).expect("ring");
-                    let mut got = mine.clone();
+                    let got = Arc::new(mine.clone());
                     let tags = TagSpace::new(0, 0);
-                    let partials = opt
-                        .reduce_grads_to_sources(ctx, &placement, class, &mut got, tags)
+                    let mut partials = opt
+                        .reduce_grads_to_sources(ctx, &placement, class, &got, tags)
                         .expect("reduce");
-                    let reduced = got.clone();
+                    let reduced = got.to_vec();
                     let (os, ot) = opt.shard_range(class);
-                    let half = opt.step_reduced(class, &mut got, &partials);
-                    partials.recycle(ctx);
+                    let half = opt.step_reduced(class, &partials);
+                    let summed = partials.replica_sum();
+                    partials.release(ctx);
                     let mut adam = AdamShard::new(AdamConfig::default(), os, &vec![0.0; ot - os]);
                     let mut want_half = Vec::new();
                     adam.step_into(&want[os..ot], &mut want_half);
@@ -147,7 +153,8 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                         mine,
                         want,
                         reduced,
-                        stepped: got,
+                        stepped: got.to_vec(),
+                        summed,
                         ranges: opt.served_ranges(&placement, class, rank),
                         own: (os, ot),
                         master: [bits(opt.master_shard(class)), bits(adam.master_weights())],
@@ -165,15 +172,19 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                     for &(a, b) in &s.ranges {
                         on_served[a..b].iter_mut().for_each(|x| *x = true);
                     }
-                    for (got, stepped) in [(&s.reduced, false), (&s.stepped, true)] {
+                    for (got, what, sum) in [
+                        (&s.reduced, "gradient after the reduce", false),
+                        (&s.stepped, "gradient after the step", false),
+                        (&s.summed, "recomputed replica sum", true),
+                    ] {
                         for i in 0..p {
                             let own = (os..ot).contains(&i);
-                            let summed = on_served[i] && (stepped || !own);
+                            let summed = on_served[i] && sum;
                             let expect = if summed { s.want[i] } else { s.mine[i] };
                             assert_eq!(
                                 got[i].to_bits(),
                                 expect.to_bits(),
-                                "{at} element {i} (served: {}, own: {own}, stepped: {stepped})",
+                                "{at} element {i} (served: {}, own: {own}): {what}",
                                 on_served[i]
                             );
                         }
@@ -207,10 +218,11 @@ fn reduce_and_collect_move_the_minimum_bytes_per_class() {
             let tags = TagSpace::new(0, 0);
             let mut grads: Vec<Option<Vec<f32>>> = vec![None; e];
             for (class, _) in placement.classes_on_rank(rank) {
-                let mut grad = partial(rank, class, P);
-                opt.reduce_grads_to_sources(ctx, &placement, class, &mut grad, tags)
+                let grad = Arc::new(partial(rank, class, P));
+                let partials = opt
+                    .reduce_grads_to_sources(ctx, &placement, class, &grad, tags)
                     .expect("reduce");
-                grads[class] = Some(grad);
+                grads[class] = Some(partials.replica_sum());
             }
             opt.collect_grads(ctx, &placement, &grads, tags).expect("collect");
         });
@@ -226,4 +238,64 @@ fn reduce_and_collect_move_the_minimum_bytes_per_class() {
             ["host", "world"][world as usize]
         );
     }
+}
+
+#[test]
+fn a_view_held_across_the_peers_next_backward_costs_a_fresh_buffer_not_a_copy() {
+    // Two ranks host one class. Rank 1 keeps what the reduce gave it — a
+    // view of rank 0's gradient — while rank 0 runs its next backward: that
+    // backward must write a fresh buffer (counted), the view must still read
+    // the old gradient, and the new one must be what an expert no view ever
+    // touched computes. Once rank 1 lets go, rank 0's next backward takes
+    // its buffer back.
+    const D: usize = 4;
+    const FF: usize = 6;
+    let placement = contiguous(2, 2, 0);
+    let input = |rank: usize, round: usize| {
+        Matrix::from_fn(3, D, |r, c| ((rank * 31 + round * 7 + r * D + c) as f32 * 0.37).sin())
+    };
+    let (seen, _) = Cluster::run(ClusterSpec::flat(2), |ctx| {
+        let rank = ctx.rank();
+        let (mut expert, mut plain) = (ExpertFfn::new(D, FF, 5), ExpertFfn::new(D, FF, 5));
+        let opt = optimizer(rank, 2, &placement, true, expert.param_count());
+        let backward = |e: &mut ExpertFfn, round: usize| {
+            e.zero_grad();
+            let x = input(rank, round);
+            let _ = e.forward(&x);
+            e.backward_into(&x, None);
+        };
+        let mut fallbacks = Vec::new();
+        backward(&mut expert, 0);
+        backward(&mut plain, 0);
+        let tags = TagSpace::new(0, 0);
+        let mut partials = opt
+            .reduce_grads_to_sources(ctx, &placement, 0, expert.shared_grads(), tags)
+            .expect("reduce");
+        let held = partials.replica_sum();
+        if rank == 0 {
+            partials.release(ctx);
+        }
+        ctx.barrier();
+        if rank == 0 {
+            backward(&mut expert, 1);
+            backward(&mut plain, 1);
+            fallbacks.push(expert.grad_fallbacks());
+        }
+        ctx.barrier();
+        // Rank 1 still reads rank 0's old gradient through its view.
+        let still = if rank == 1 { partials.replica_sum() } else { held.clone() };
+        partials.release(ctx);
+        ctx.barrier();
+        if rank == 0 {
+            backward(&mut expert, 2);
+            backward(&mut plain, 2);
+            fallbacks.push(expert.grad_fallbacks());
+        }
+        (fallbacks, bits(expert.flat_grads()), bits(plain.flat_grads()), bits(&held), bits(&still))
+    });
+    let (fallbacks, got, want, _, _) = &seen[0];
+    assert_eq!(fallbacks, &[1, 1], "one fresh buffer while the view lived, none after");
+    assert_eq!(got, want, "rank 0's gradient is an untouched expert's, bit for bit");
+    let (_, _, _, held, still) = &seen[1];
+    assert_eq!(held, still, "rank 1's view saw no write");
 }

@@ -19,11 +19,18 @@
 //! buffers than it receives), and then no iteration may request a block of
 //! 64 KiB or more on either rank thread. The largest and the total request
 //! per iteration are printed.
+//!
+//! The gradient's sends are read-only views of the buffer the backward
+//! wrote, kept by their receivers until the top of their next iteration; a
+//! second test pins that no backward ever finds one of them still alive
+//! (the fallback to a fresh buffer never fires) and that the number of
+//! allocations per iteration does not grow, on 2 and 3 ranks under both
+//! owner rules.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use symi::{EngineConfig, MoeLayerEngine};
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
 use symi_collectives::buffers::{MAX_IDLE, MIN_POOLED_BYTES};
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_tensor::{AdamConfig, Matrix};
@@ -33,11 +40,18 @@ struct CountingAlloc;
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
     static TOTAL: Cell<usize> = const { Cell::new(0) };
+    static COUNT: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     LARGEST.with(|c| c.set(c.get().max(size)));
     TOTAL.with(|c| c.set(c.get() + size));
+    COUNT.with(|c| c.set(c.get() + 1));
+}
+
+/// Heap requests on this thread since the last call.
+fn take_count() -> usize {
+    COUNT.with(|c| c.replace(0))
 }
 
 /// `(largest, total)` bytes requested on this thread since the last call.
@@ -164,4 +178,53 @@ fn a_one_directional_flow_does_not_grow_the_free_list_without_limit() {
         ctx.idle_wire_buffers()
     });
     assert_eq!(idle[1], (MAX_IDLE, 0));
+}
+
+#[test]
+fn no_backward_finds_a_view_alive_and_allocations_per_iteration_do_not_grow() {
+    let cfg = cfg();
+    for nodes in [2, 3] {
+        for edp in [false, true] {
+            let at = format!("{nodes} ranks, {} owners", ["world", "host"][edp as usize]);
+            let (per_rank, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                let rank = ctx.rank();
+                let mut engine = if edp {
+                    let placement =
+                        ExpertPlacement::striped(cfg.expert_classes, nodes, cfg.slots_per_rank);
+                    let total_slots = cfg.total_slots(nodes);
+                    let policy =
+                        symi_model::UniformPolicy { experts: cfg.expert_classes, total_slots };
+                    MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, Box::new(policy))
+                } else {
+                    MoeLayerEngine::new(rank, nodes, cfg)
+                };
+                let (x, target) = (tokens(rank), targets(rank));
+                let mut seen = Vec::new();
+                for _ in 0..WARMUP + MEASURED {
+                    let shared =
+                        (0..cfg.expert_classes).any(|c| engine.placement.host_ranks(c).len() > 1);
+                    take_count();
+                    engine.iteration(ctx, &x, &target).expect("iteration");
+                    seen.push((take_count(), engine.grad_buffer_fallbacks(), shared));
+                }
+                seen
+            });
+            for (rank, seen) in per_rank.iter().enumerate() {
+                let counts: Vec<usize> = seen.iter().map(|s| s.0).collect();
+                println!("{at}: rank {rank} allocations per iteration {counts:?}");
+                for (it, &(_, fallbacks, _)) in seen.iter().enumerate() {
+                    assert_eq!(fallbacks, 0, "{at}: rank {rank} iteration {it} found a view alive");
+                }
+                // The wire buffers' free list hands them out in arrival
+                // order, which moves a steady count by a few either way; a
+                // leak of one per iteration would pass any bound by now.
+                let steady = &counts[WARMUP..];
+                let (first, second) = steady.split_at(MEASURED / 2);
+                let (early, late) = (first.iter().max().unwrap(), second.iter().max().unwrap());
+                assert!(20 * late <= 21 * early, "{at}: rank {rank} allocations grew: {counts:?}");
+            }
+            let shared = per_rank.iter().flatten().any(|s| s.2);
+            assert!(shared, "{at}: no class ever spanned ranks, so no view was ever sent");
+        }
+    }
 }

@@ -6,9 +6,13 @@
 //! weight-communication phase scatters.
 //!
 //! The gradient never round-trips: it *is* one flat `[W1 | b1 | W2 | b2]`
-//! buffer per expert. Backward writes it, the §4.1 replica sync all-reduces
-//! it where it lies, and Adam steps from a slice of it
-//! ([`ExpertFfn::flat_grads`]); nothing copies it in between.
+//! buffer per expert, allocated once. Backward writes it; from then until
+//! the next backward it is read-only and shared ([`ExpertFfn::shared_grads`]):
+//! the §4.1 replica sync and Algorithm 2's collect send views of it, and
+//! Adam sums and steps from it where it lies. Nothing copies it in between.
+//! The next backward takes the buffer back once every view is gone, and
+//! writes a fresh one only if a view is still alive
+//! ([`ExpertFfn::grad_fallbacks`]).
 //!
 //! W1 and W2 are stored as the type parameter says ([`WeightStorage`]): f32
 //! by default, or binary16 — §3.1's 2 B/param, what the engines' slots hold.
@@ -16,6 +20,7 @@
 //! binary16 shards are copied into it.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 use symi_telemetry::TelemetryHandle;
 use symi_tensor::half::{decode, encode};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_from_tanh_into, linear_gelu_tanh_into};
@@ -119,11 +124,15 @@ pub struct ExpertFfn<W = Matrix> {
     pub w2: W,
     pub b2: Matrix,
     /// The gradient, flat in the parameters' layout `[W1 | b1 | W2 | b2]`.
-    grad: Vec<f32>,
+    /// Written by backward only, and only while no view shares it.
+    grad: Arc<Vec<f32>>,
     /// Set by [`ExpertFfn::zero_grad`]: the gradient is all `+0.0` although
     /// `grad` still holds the previous step's values. The next backward
     /// overwrites them; any other reader zero-fills first.
     grad_zero: bool,
+    /// Backward passes that found a view of the gradient still alive and
+    /// wrote a fresh buffer instead.
+    grad_fallbacks: u64,
     cached_x: Matrix,
     cached_pre: Matrix,
     /// `gelu_tanh(cached_pre)`.
@@ -192,8 +201,9 @@ impl<W: WeightStorage> ExpertFfn<W> {
             b1: Matrix::zeros(1, d_ff),
             w2,
             b2: Matrix::zeros(1, d_model),
-            grad: vec![0.0; 2 * d_model * d_ff + d_ff + d_model],
+            grad: Arc::new(vec![0.0; 2 * d_model * d_ff + d_ff + d_model]),
             grad_zero: true,
+            grad_fallbacks: 0,
             cached_x: Matrix::zeros(0, 0),
             cached_pre: Matrix::zeros(0, 0),
             cached_tanh: Matrix::zeros(0, 0),
@@ -227,17 +237,6 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// The four parameters, mutable.
     pub fn params_mut(&mut self) -> ParamsMut<'_> {
         ParamsMut([&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2])
-    }
-
-    /// The gradient ([`ExpertFfn::flat_grads_mut`]) and the parameters,
-    /// borrowed together: an Adam step that sums into the one publishes
-    /// into the other.
-    pub fn grads_and_params(&mut self) -> (&mut [f32], ParamsMut<'_>) {
-        if std::mem::take(&mut self.grad_zero) {
-            self.grad.fill(0.0);
-        }
-        let params = ParamsMut([&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2]);
-        (&mut self.grad, params)
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
@@ -275,10 +274,18 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// it.
     ///
     /// [`zero_grad`]: ExpertFfn::zero_grad
+    ///
+    /// # Panics
+    /// Panics if it would accumulate into a gradient a view still reads
+    /// ([`ExpertFfn::shared_grads`]): views are taken of a finished gradient.
     pub fn backward_into(&mut self, dy: &Matrix, dx: Option<&mut Matrix>) {
         let acc = !std::mem::take(&mut self.grad_zero);
         let weights = self.d_model() * self.d_ff(); // elements of W1, and of W2
-        let (w1_grad, rest) = self.grad.split_at_mut(weights);
+        if !acc {
+            self.reclaim_grads();
+        }
+        let grad = Arc::get_mut(&mut self.grad).expect("a view still reads the gradient");
+        let (w1_grad, rest) = grad.split_at_mut(weights);
         let (b1_grad, rest) = rest.split_at_mut(self.b1.len());
         let (w2_grad, b2_grad) = rest.split_at_mut(weights);
         let (pre, t) = (&self.cached_pre, &self.cached_tanh);
@@ -317,16 +324,52 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// zero by [`ExpertFfn::zero_grad`] is zero-filled before it is handed
     /// out: no reader ever sees the previous step's values.
     pub fn flat_grads(&mut self) -> &[f32] {
-        self.flat_grads_mut()
+        self.shared_grads()
     }
 
-    /// [`ExpertFfn::flat_grads`], mutable: the replica sync reduces into the
-    /// gradient in place.
+    /// [`ExpertFfn::flat_grads`] as the shared buffer itself: a sender
+    /// clones the `Arc` into read-only views of it, which the next backward
+    /// waits for no one to drop ([`ExpertFfn::grad_fallbacks`]).
+    pub fn shared_grads(&mut self) -> &Arc<Vec<f32>> {
+        if std::mem::take(&mut self.grad_zero) {
+            self.reclaim_grads().fill(0.0);
+        }
+        &self.grad
+    }
+
+    /// [`ExpertFfn::flat_grads`], mutable.
+    ///
+    /// # Panics
+    /// Panics if a view of the gradient is alive.
     pub fn flat_grads_mut(&mut self) -> &mut [f32] {
         if std::mem::take(&mut self.grad_zero) {
-            self.grad.fill(0.0);
+            self.reclaim_grads().fill(0.0);
         }
-        &mut self.grad
+        self.owned_grads()
+    }
+
+    /// The gradient buffer, for a pass that adds to what it holds.
+    fn owned_grads(&mut self) -> &mut [f32] {
+        Arc::get_mut(&mut self.grad).expect("a view still reads the gradient")
+    }
+
+    /// The gradient buffer, for a pass that overwrites every element: this
+    /// expert's own again once every view of it is gone, else a fresh one —
+    /// counted, and nothing copied into it.
+    fn reclaim_grads(&mut self) -> &mut [f32] {
+        if Arc::get_mut(&mut self.grad).is_none() {
+            self.grad_fallbacks += 1;
+            self.grad = Arc::new(vec![0.0; self.grad.len()]);
+        }
+        self.owned_grads()
+    }
+
+    /// How many times a backward or a zero-fill found a view of the
+    /// gradient still alive and took a fresh buffer instead of the shared
+    /// one. A steady engine run leaves it at 0: every view is dropped before
+    /// the peer's next backward can start.
+    pub fn grad_fallbacks(&self) -> u64 {
+        self.grad_fallbacks
     }
 
     /// Whether the gradient is known to be all `+0.0` without looking at it:
@@ -720,11 +763,55 @@ mod tests {
         let _ = e.backward(&x);
         assert!(!e.grad_is_zero() && e.flat_grads().iter().any(|&g| g != 0.0));
         // Poison what `zero_grad` leaves in memory: no reader may see it.
-        e.grad.fill(f32::NAN);
+        e.flat_grads_mut().fill(f32::NAN);
         e.zero_grad();
         assert!(e.grad_is_zero());
         assert!(e.flat_grads().iter().all(|g| g.to_bits() == 0), "expected +0.0 everywhere");
         assert!(!e.grad_is_zero(), "materialised zeros are ordinary values");
+    }
+
+    #[test]
+    fn a_backward_reclaims_the_gradient_and_falls_back_only_while_a_view_lives() {
+        let x = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32 * 0.4).sin());
+        let dy = Matrix::from_fn(3, 4, |r, c| ((r + 2 * c) as f32 * 0.3).cos());
+        let (mut e, mut plain) = (ExpertFfn::new(4, 6, 3), ExpertFfn::new(4, 6, 3));
+        let step = |ffn: &mut ExpertFfn, x: &Matrix| {
+            ffn.zero_grad();
+            let _ = ffn.forward(x);
+            ffn.backward_into(&dy, None);
+        };
+        step(&mut e, &x);
+        step(&mut plain, &x);
+        // A view alive across the next backward: that backward writes a
+        // fresh buffer, counted, and the view keeps what it saw.
+        let view = Arc::clone(e.shared_grads());
+        let seen = bits(&view);
+        let x2 = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32 * 0.9).cos());
+        step(&mut e, &x2);
+        step(&mut plain, &x2);
+        assert_eq!(e.grad_fallbacks(), 1);
+        assert_eq!(bits(&view), seen, "a view never sees a write");
+        assert!(!Arc::ptr_eq(&view, e.shared_grads()));
+        assert_eq!(bits(e.flat_grads()), bits(plain.flat_grads()));
+        // No view: the next backward takes its buffer back.
+        drop(view);
+        let at = Arc::as_ptr(e.shared_grads());
+        step(&mut e, &x);
+        step(&mut plain, &x);
+        assert_eq!(Arc::as_ptr(e.shared_grads()), at, "reclaimed, not reallocated");
+        assert_eq!((e.grad_fallbacks(), plain.grad_fallbacks()), (1, 0));
+        assert_eq!(bits(e.flat_grads()), bits(plain.flat_grads()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a view still reads the gradient")]
+    fn accumulating_into_a_shared_gradient_panics() {
+        let x = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f32 * 0.1);
+        let mut e = ExpertFfn::new(4, 6, 0);
+        let _ = e.forward(&x);
+        e.backward_into(&x, None);
+        let _view = Arc::clone(e.shared_grads());
+        e.backward_into(&x, None);
     }
 
     #[test]

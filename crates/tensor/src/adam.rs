@@ -24,11 +24,12 @@
 //! payload survives when two different ones meet is the compiler's operand
 //! order, which Rust leaves open).
 //!
-//! The element's gradient is one slice, or the left-to-right sum of an
-//! accumulator and one or more slices, `((g₀ + g₁) + g₂) + …`, left in the
-//! accumulator — a replica sum folded into the step instead of into a
-//! buffer beforehand ([`Grad`]) — and the updated master is published to
-//! any number of destinations ([`Dest`]), each through one of two stores:
+//! The element's gradient is one slice, or the left-to-right sum of several,
+//! `((g₀ + g₁) + g₂) + …`, formed in registers and written nowhere — a
+//! replica sum read from the buffers its partials lie in instead of folded
+//! into one of them beforehand ([`Grad`]) — and the updated master is
+//! published to any number of destinations ([`Dest`]), each through one of
+//! two stores:
 //!
 //! - f32 on the fp16 grid ([`Dest::Grid`]; [`AdamState::step`], the
 //!   single-process `Trainer`'s dense and expert parameters):
@@ -111,7 +112,7 @@ impl AdamState {
         self.t += 1;
         let k = AdamCoeffs::new(&self.cfg, self.t);
         let out = &mut [Dest::Grid(params_out)];
-        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, Grad::Slice(grads), out);
+        step_kernel(&k, &mut self.master, &mut self.m, &mut self.v, &Grad::Slice(grads), out);
     }
 
     /// fp32 master weights (what the optimizer believes the model is).
@@ -281,12 +282,12 @@ impl ShardStep<'_> {
     /// # Panics
     /// Panics if `range` does not start where the previous one ended (at 0
     /// for the first), or if a length disagrees with it.
-    pub fn run(&mut self, range: Range<usize>, grad: Grad<'_, '_>, outs: &mut [Dest<'_>]) {
+    pub fn run(&mut self, range: Range<usize>, grad: Grad<'_>, outs: &mut [Dest<'_>]) {
         assert_eq!(range.start, self.next, "an Adam step runs its shard's ranges in order");
         self.next = range.end;
         let (master, m, v) =
             (&mut self.master[range.clone()], &mut self.m[range.clone()], &mut self.v[range]);
-        step_kernel(&self.k, master, m, v, grad, outs);
+        step_kernel(&self.k, master, m, v, &grad, outs);
     }
 }
 
@@ -298,39 +299,43 @@ impl Drop for ShardStep<'_> {
     }
 }
 
-/// The gradient of one Adam step, element by element.
-pub enum Grad<'s, 'g> {
+/// The gradient of one Adam step, element by element. Read only: the step
+/// writes no gradient back.
+#[derive(Clone, Copy)]
+pub enum Grad<'a> {
     /// One slice, read as it is.
-    Slice(&'g [f32]),
-    /// The left-to-right sum of `terms`, with `acc`'s element taking its
-    /// place before `terms[at]`, and `acc` left holding the sum. That is how
-    /// a host steps its own chunk of a replica sum: the other hosts'
-    /// partials are the terms, its own partial the accumulator, and the sum
-    /// lands where a separate fold would have left it. Built by
-    /// [`Grad::accumulate`].
-    Sum { terms: &'s [&'g [f32]], acc: &'s mut [f32], at: usize },
+    Slice(&'a [f32]),
+    /// The left-to-right sum of one or more slices, `((g₀ + g₁) + g₂) + …`
+    /// ([`sum_into`]). That is how a host steps its own chunk of a replica
+    /// sum: the hosts' partials in ring order, its own among them at its
+    /// position, each read where it lies.
+    Sum(&'a [&'a [f32]]),
 }
 
-impl<'s, 'g> Grad<'s, 'g> {
-    /// `terms[..at]`, then `acc`, then `terms[at..]`, summed left to right
-    /// into `acc`.
-    ///
-    /// # Panics
-    /// Panics if `at` is past the end of `terms`.
-    pub fn accumulate(terms: &'s [&'g [f32]], acc: &'s mut [f32], at: usize) -> Self {
-        assert!(at <= terms.len(), "accumulator position {at} past {} terms", terms.len());
-        Grad::Sum { terms, acc, at }
-    }
-
-    /// Whether every slice holds `n` elements and the accumulator's place
-    /// is among the terms.
+impl Grad<'_> {
+    /// Whether every slice holds `n` elements, and there is one.
     fn fits(&self, n: usize) -> bool {
         match self {
             Grad::Slice(g) => g.len() == n,
-            Grad::Sum { terms, acc, at } => {
-                *at <= terms.len() && terms.iter().all(|t| t.len() == n) && acc.len() == n
-            }
+            Grad::Sum(terms) => !terms.is_empty() && terms.iter().all(|t| t.len() == n),
         }
+    }
+}
+
+/// `out = ((t₀ + t₁) + t₂) + …` over the slices `terms` yields, element by
+/// element: the summation order of a [`Grad::Sum`] step, for a caller that
+/// needs the sum itself (a replica sum sent on, or recomputed to be
+/// checked).
+///
+/// # Panics
+/// Panics if `terms` yields nothing or a slice whose length differs from
+/// `out`'s.
+pub fn sum_into<'t>(terms: impl IntoIterator<Item = &'t [f32]>, out: &mut [f32]) {
+    let mut terms = terms.into_iter();
+    out.copy_from_slice(terms.next().expect("a sum of at least one slice"));
+    for term in terms {
+        assert_eq!(term.len(), out.len(), "summand length mismatch");
+        out.iter_mut().zip(term).for_each(|(x, t)| *x += t);
     }
 }
 
@@ -433,26 +438,13 @@ pub(crate) fn update(k: &AdamCoeffs, g: f32, w: &mut f32, m: &mut f32, v: &mut f
     *w
 }
 
-/// Elements `r` of `grad` into `g`: the slice, or the terms and the
-/// accumulator summed left to right, element by element, and the sum stored
-/// back into the accumulator. Term by term over the block, so each element
-/// sees the additions in the order [`Grad`] states.
-pub(crate) fn sum_block(grad: &mut Grad<'_, '_>, r: Range<usize>, g: &mut [f32]) {
-    let (terms, acc, at) = match grad {
-        Grad::Slice(slice) => return g.copy_from_slice(&slice[r]),
-        Grad::Sum { terms, acc, at } => (*terms, acc, *at),
-    };
-    let add =
-        |g: &mut [f32], term: &[f32]| g.iter_mut().zip(&term[r.clone()]).for_each(|(x, t)| *x += t);
-    if at == 0 {
-        g.copy_from_slice(&acc[r.clone()]);
-    } else {
-        g.copy_from_slice(&terms[0][r.clone()]);
-        terms[1..at].iter().for_each(|t| add(g, t));
-        add(g, acc);
+/// Elements `r` of `grad` into `g`: the slice, or the slices summed left to
+/// right ([`sum_into`]).
+pub(crate) fn sum_block(grad: &Grad<'_>, r: Range<usize>, g: &mut [f32]) {
+    match grad {
+        Grad::Slice(slice) => g.copy_from_slice(&slice[r]),
+        Grad::Sum(terms) => sum_into(terms.iter().map(|t| &t[r.clone()]), g),
     }
-    terms[at..].iter().for_each(|t| add(g, t));
-    acc[r].copy_from_slice(g);
 }
 
 /// Elements per block of the scalar encoding.
@@ -466,7 +458,7 @@ pub(crate) fn chunk_scalar(
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grad: &mut Grad<'_, '_>,
+    grad: &Grad<'_>,
     outs: &mut [Dest<'_>],
     range: Range<usize>,
 ) {
@@ -498,14 +490,14 @@ fn chunk(
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    mut grad: Grad<'_, '_>,
+    grad: &Grad<'_>,
     outs: &mut [Dest<'_>],
 ) {
     #[cfg(target_arch = "x86_64")]
     if f16_fast_path() {
         return crate::simd::adam_chunk(k, master, m, v, grad, outs);
     }
-    chunk_scalar(k, master, m, v, &mut grad, outs, 0..master.len());
+    chunk_scalar(k, master, m, v, grad, outs, 0..master.len());
 }
 
 /// Elements per worker share below which the Adam step stays sequential. The
@@ -528,7 +520,6 @@ struct Share<'a> {
     m: &'a mut [f32],
     v: &'a mut [f32],
     terms: [&'a [f32]; MAX_SPLIT_FAN],
-    acc: Option<&'a mut [f32]>,
     outs: [Dest<'a>; MAX_SPLIT_FAN],
 }
 
@@ -541,18 +532,22 @@ fn step_kernel(
     mut master: &mut [f32],
     mut m: &mut [f32],
     mut v: &mut [f32],
-    grad: Grad<'_, '_>,
+    grad: &Grad<'_>,
     outs: &mut [Dest<'_>],
 ) {
     use crate::pool::{self, share_bounds, MAX_WORKERS};
     use std::sync::Mutex;
-    let k_terms = match &grad {
-        Grad::Slice(_) => 1,
-        Grad::Sum { terms, .. } => terms.len(),
+    let one;
+    let terms: &[&[f32]] = match grad {
+        Grad::Slice(slice) => {
+            one = [*slice];
+            &one
+        }
+        Grad::Sum(terms) => terms,
     };
-    let (n, k_outs) = (master.len(), outs.len());
+    let (n, k_terms, k_outs) = (master.len(), terms.len(), outs.len());
     assert!(m.len() == n && v.len() == n, "moment length mismatch");
-    assert!(grad.fits(n), "gradient length or accumulator position mismatch");
+    assert!(grad.fits(n), "gradient length mismatch");
     assert!(outs.iter().all(|o| o.len() == n), "destination length mismatch");
     let p = if k_terms.max(k_outs) > MAX_SPLIT_FAN {
         1
@@ -565,14 +560,6 @@ fn step_kernel(
     }
     let (bounds, p) = share_bounds(n, p);
     let mut shares: [Mutex<Share>; MAX_WORKERS] = Default::default();
-    let one;
-    let (terms, mut acc, at): (&[&[f32]], _, _) = match grad {
-        Grad::Slice(slice) => {
-            one = [slice];
-            (&one, None, 0)
-        }
-        Grad::Sum { terms, acc, at } => (terms, Some(acc), at),
-    };
     let mut rest: [Dest; MAX_SPLIT_FAN] = Default::default();
     for (r, out) in rest.iter_mut().zip(outs.iter_mut()) {
         *r = out.sub(0..n);
@@ -583,10 +570,6 @@ fn step_kernel(
         (share.master, master) = std::mem::take(&mut master).split_at_mut(len);
         (share.m, m) = std::mem::take(&mut m).split_at_mut(len);
         (share.v, v) = std::mem::take(&mut v).split_at_mut(len);
-        if let Some(rest) = acc.take() {
-            let (head, tail) = rest.split_at_mut(len);
-            (share.acc, acc) = (Some(head), Some(tail));
-        }
         for (t, term) in share.terms.iter_mut().zip(terms) {
             *t = &term[a..b];
         }
@@ -597,11 +580,8 @@ fn step_kernel(
     pool::global().run(p, &|w| {
         let mut share = shares[w].lock().expect("share mutex");
         let s = &mut *share;
-        let grad = match s.acc.as_deref_mut() {
-            None => Grad::Slice(s.terms[0]),
-            Some(acc) => Grad::Sum { terms: &s.terms[..k_terms], acc, at },
-        };
-        chunk(k, s.master, s.m, s.v, grad, &mut s.outs[..k_outs]);
+        let grad = Grad::Sum(&s.terms[..k_terms]);
+        chunk(k, s.master, s.m, s.v, &grad, &mut s.outs[..k_outs]);
     });
 }
 

@@ -1622,16 +1622,16 @@ const ADAM_MAX_OUTS: usize = 2;
 /// AVX2+F16C encoding of an Adam chunk ([`adam::chunk_scalar`] over the
 /// whole chunk): per octet, the gradient summed as [`adam::sum_block`]
 /// sums it, the update, and one store per destination; the scalar
-/// specification on the `len % 8` tail. The loop sums at most one slice
-/// into the accumulator, the other host's partial where a class has two;
-/// more are summed into it block by block first, and the step then reads
-/// it as one slice.
+/// specification on the `len % 8` tail. The loop reads one slice, or sums
+/// two in registers — a class with two hosts steps its own chunk from its
+/// own partial and the other host's; more are summed block by block onto
+/// the stack first, and each block then stepped as one slice.
 pub(crate) fn adam_chunk(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grad: adam::Grad<'_, '_>,
+    grad: &adam::Grad<'_>,
     outs: &mut [adam::Dest<'_>],
 ) {
     debug_assert!(have_avx2_fma());
@@ -1641,33 +1641,39 @@ pub(crate) fn adam_chunk(
     unsafe { adam_chunk_impl(k, master, m, v, grad, outs) }
 }
 
+/// Elements per block of a sum of more than two slices.
+const ADAM_SUM_BLOCK: usize = 64;
+
 #[target_feature(enable = "avx2", enable = "f16c")]
 fn adam_chunk_impl(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    mut grad: adam::Grad<'_, '_>,
+    grad: &adam::Grad<'_>,
     outs: &mut [adam::Dest<'_>],
 ) {
     let n = master.len();
-    if matches!(grad, adam::Grad::Sum { terms, .. } if terms.len() != 1) {
-        let mut scratch = [0.0f32; 64];
-        for start in (0..n).step_by(scratch.len()) {
-            let r = start..n.min(start + scratch.len());
-            adam::sum_block(&mut grad, r.clone(), &mut scratch[..r.len()]);
-        }
-        let adam::Grad::Sum { acc, .. } = grad else { unreachable!("matched above") };
-        return adam_chunk_impl(k, master, m, v, adam::Grad::Slice(acc), outs);
-    }
     let (fused, extra) = outs.split_at_mut(outs.len().min(ADAM_MAX_OUTS));
-    match fused.len() {
-        0 => adam_fused::<0>(k, master, m, v, &mut grad, fused),
-        1 => adam_fused::<1>(k, master, m, v, &mut grad, fused),
-        _ => adam_fused::<2>(k, master, m, v, &mut grad, fused),
+    match *grad {
+        adam::Grad::Slice(g) | adam::Grad::Sum(&[g]) => adam_span(k, master, m, v, [g], fused),
+        adam::Grad::Sum(&[a, b]) => adam_span(k, master, m, v, [a, b], fused),
+        adam::Grad::Sum(_) => {
+            let mut scratch = [0.0f32; ADAM_SUM_BLOCK];
+            let o = fused.len();
+            for start in (0..n).step_by(ADAM_SUM_BLOCK) {
+                let r = start..n.min(start + ADAM_SUM_BLOCK);
+                let g = &mut scratch[..r.len()];
+                adam::sum_block(grad, r.clone(), g);
+                let mut sub: [adam::Dest; ADAM_MAX_OUTS] = Default::default();
+                for (s, out) in sub.iter_mut().zip(fused.iter_mut()) {
+                    *s = out.sub(r.clone());
+                }
+                let (master, m, v) = (&mut master[r.clone()], &mut m[r.clone()], &mut v[r]);
+                adam_span(k, master, m, v, [&*g], &mut sub[..o]);
+            }
+        }
     }
-    let body = n - n % 8;
-    adam::chunk_scalar(k, master, m, v, &mut grad, fused, body..n);
     for out in extra {
         match (&fused[0], out) {
             (adam::Dest::Half(h), adam::Dest::Half(o)) => o.copy_from_slice(h),
@@ -1678,34 +1684,52 @@ fn adam_chunk_impl(
     }
 }
 
+/// A span of an Adam chunk from the sum of `T` slices: the octet body on
+/// the vector loop instantiated for the destination count, the `len % 8`
+/// tail on the scalar specification.
+#[inline]
+#[target_feature(enable = "avx2", enable = "f16c")]
+fn adam_span<const T: usize>(
+    k: &AdamCoeffs,
+    master: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    terms: [&[f32]; T],
+    outs: &mut [adam::Dest<'_>],
+) {
+    match outs.len() {
+        0 => adam_fused::<0, T>(k, master, m, v, terms, outs),
+        1 => adam_fused::<1, T>(k, master, m, v, terms, outs),
+        _ => adam_fused::<2, T>(k, master, m, v, terms, outs),
+    }
+    let n = master.len();
+    let body = n - n % 8;
+    adam::chunk_scalar(k, master, m, v, &adam::Grad::Sum(&terms), outs, body..n);
+}
+
 /// One destination's octets.
 enum Octets<'a> {
     Half(&'a mut [[u16; 8]]),
     Grid(&'a mut [[f32; 8]]),
 }
 
-/// The octet body of an Adam chunk with `O` destinations, from one slice or
-/// from one term and the accumulator: for each octet, the gradient (the sum
-/// in [`adam::Grad`]'s order, stored back into the accumulator), the
-/// update, and the store into every destination.
+/// The octet body of an Adam chunk with `O` destinations, from the sum of
+/// `T` slices: for each octet, the gradient (the slices summed left to
+/// right in registers, as [`adam::Grad::Sum`] orders it), the update, and
+/// the store into every destination.
 #[inline]
 #[target_feature(enable = "avx2", enable = "f16c")]
-fn adam_fused<const O: usize>(
+fn adam_fused<const O: usize, const T: usize>(
     k: &AdamCoeffs,
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    grad: &mut adam::Grad<'_, '_>,
+    terms: [&[f32]; T],
     outs: &mut [adam::Dest<'_>],
 ) {
+    const { assert!(T == 1 || T == 2, "the loop reads one slice or sums two") };
     let n8 = master.len() / 8;
-    let (term, acc, at) = match grad {
-        adam::Grad::Slice(slice) => (*slice, None, 0),
-        adam::Grad::Sum { terms: [term], acc, at } => (*term, Some(acc), *at),
-        adam::Grad::Sum { .. } => unreachable!("more terms are summed into the accumulator first"),
-    };
-    let term = &term.as_chunks::<8>().0[..n8];
-    let mut acc = acc.map(|a| &mut a.as_chunks_mut::<8>().0[..n8]);
+    let terms = terms.map(|t| &t.as_chunks::<8>().0[..n8]);
     let mut dests = outs.iter_mut();
     let mut outs: [Octets; O] =
         std::array::from_fn(|_| match dests.next().expect("O destinations") {
@@ -1715,22 +1739,17 @@ fn adam_fused<const O: usize>(
     let w8 = &mut master.as_chunks_mut::<8>().0[..n8];
     let (m8, v8) = (&mut m.as_chunks_mut::<8>().0[..n8], &mut v.as_chunks_mut::<8>().0[..n8]);
     // Stated, so the loop's bounds checks fold into its own.
-    assert!(term.len() == n8 && acc.as_ref().is_none_or(|a| a.len() == n8));
+    assert!(terms.iter().all(|t| t.len() == n8));
     assert!(outs.iter().all(|o| match o {
         Octets::Half(h) => h.len() == n8,
         Octets::Grid(q) => q.len() == n8,
     }));
     let lanes = AdamLanes::new(k);
     for i in 0..n8 {
-        let x = ymm::load(&term[i]);
-        let g = match &mut acc {
-            None => x,
-            Some(acc) => {
-                let own = ymm::load(&acc[i]);
-                let sum = if at == 0 { _mm256_add_ps(own, x) } else { _mm256_add_ps(x, own) };
-                ymm::store(sum, &mut acc[i]);
-                sum
-            }
+        let g = if T == 1 {
+            ymm::load(&terms[0][i])
+        } else {
+            _mm256_add_ps(ymm::load(&terms[0][i]), ymm::load(&terms[T - 1][i]))
         };
         let w1 = lanes.update(g, &mut w8[i], &mut m8[i], &mut v8[i]);
         for out in &mut outs {

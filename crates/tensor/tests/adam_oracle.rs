@@ -15,10 +15,9 @@
 //!    to a subnormal half, at `±65504` and past the half overflow threshold.
 //! 4. The f32 store is the exact decode of the u16 store.
 //! 5. **The fused step** (`ShardStep::run`): a gradient given as k ∈ 1..=5
-//!    slices, in every rotation of their order, one of them the
-//!    accumulator (or, at k = 1, the one slice read as it is), is the
-//!    left-to-right sum of the slices — the accumulator left holding it —
-//!    stepped by the historical arithmetic
+//!    slices summed read-only (or, at k = 1, also the one slice read as it
+//!    is), in every rotation of their order, is the left-to-right sum of the
+//!    slices stepped by the historical arithmetic
 //!    and published identically to every one of 1–3, or 6 (mixed binary16
 //!    and f32), destinations; at every length `n % 8`, with the special
 //!    values rotated through the lanes, and on shards big enough to split,
@@ -297,15 +296,15 @@ fn special_values_agree_in_every_lane() {
 }
 
 // ---------------------------------------------------------------------------
-// The fused step: summed slices, an accumulator, several destinations
+// The fused step: summed slices, several destinations
 // ---------------------------------------------------------------------------
 
-/// One fused step's gradient: `slices` summed in this order, the one at
-/// `acc` passed as the accumulator — or, with no `acc`, the one slice read
-/// as it is.
+/// One fused step's gradient: `slices` summed in this order
+/// ([`Grad::Sum`]) — or, with `sum` false, the one slice read as it is
+/// ([`Grad::Slice`]).
 struct Fused<'a> {
     slices: &'a [Vec<f32>],
-    acc: Option<usize>,
+    sum: bool,
 }
 
 /// The destination kinds of a fused step, in order: `true` for binary16.
@@ -314,24 +313,22 @@ const DEST_SETS: &[&[bool]] = &[
     &[true, true],
     &[true, true, true],
     &[false],
-    // Past the vector loop's four, mixed: the rest are copied or converted
+    // Past the vector loop's two, mixed: the rest are copied or converted
     // from the first.
     &[true, false, true, false, true, true],
     &[false, true, false, true, false, false],
 ];
 
-/// What one fused run leaves: `(master, m, v)` and, per step, the
-/// accumulator and every destination, as bit patterns (a binary16
-/// destination widened to `u32`).
+/// What one fused run leaves: `(master, m, v)` and, per step, every
+/// destination, as bit patterns (a binary16 destination widened to `u32`).
 #[derive(PartialEq, Debug)]
 struct FusedTrace {
     state: [Vec<u32>; 3],
-    acc: Vec<Vec<u32>>,
     outs: Vec<Vec<Vec<u32>>>,
 }
 
 /// `steps` fused steps of a shard from `master` over `grad`, published to
-/// `kinds`. The accumulator starts each step from its slice.
+/// `kinds`.
 fn run_fused(
     cfg: AdamConfig,
     master: &[f32],
@@ -342,13 +339,9 @@ fn run_fused(
     let n = master.len();
     let zeros = vec![0.0f32; n];
     let mut shard = AdamShard::from_parts(cfg, 0, master.to_vec(), zeros.clone(), zeros, 0);
-    let mut trace = FusedTrace { state: Default::default(), acc: Vec::new(), outs: Vec::new() };
+    let mut trace = FusedTrace { state: Default::default(), outs: Vec::new() };
+    let terms: Vec<&[f32]> = grad.slices.iter().map(Vec::as_slice).collect();
     for _ in 0..steps {
-        let mut acc = grad.acc.map(|a| grad.slices[a].clone());
-        let terms: Vec<&[f32]> = (0..grad.slices.len())
-            .filter(|&i| Some(i) != grad.acc)
-            .map(|i| &grad.slices[i][..])
-            .collect();
         let mut halves = vec![vec![0u16; n]; kinds.len()];
         let mut grids = vec![vec![0.0f32; n]; kinds.len()];
         let mut outs: Vec<Dest> = halves
@@ -357,15 +350,13 @@ fn run_fused(
             .zip(kinds)
             .map(|((h, g), &half)| if half { Dest::Half(h) } else { Dest::Grid(g) })
             .collect();
-        let g = match (&mut acc, grad.acc) {
-            (Some(acc), Some(at)) => Grad::accumulate(&terms, acc, at),
-            _ => {
-                assert_eq!(terms.len(), 1, "without an accumulator, one slice");
-                Grad::Slice(terms[0])
-            }
+        let g = if grad.sum {
+            Grad::Sum(&terms)
+        } else {
+            assert_eq!(terms.len(), 1, "read as it is, one slice");
+            Grad::Slice(terms[0])
         };
         shard.begin_step().run(0..n, g, &mut outs);
-        trace.acc.push(acc.as_deref().map_or_else(Vec::new, bits));
         trace.outs.push(
             kinds
                 .iter()
@@ -399,10 +390,10 @@ fn run_fused_everywhere(
     steps: usize,
 ) -> FusedTrace {
     let at = format!(
-        "n {}, {} slices, acc {:?}, dests {kinds:?}",
+        "n {}, {} slices, summed {}, dests {kinds:?}",
         master.len(),
         grad.slices.len(),
-        grad.acc
+        grad.sum
     );
     let mut traces = configurations()
         .into_iter()
@@ -425,9 +416,6 @@ fn run_fused_everywhere(
         (master.to_vec(), vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     for s in 0..steps {
         reference_step(&cfg, s as u64 + 1, &mut w, &mut m, &mut v, &sum, &mut out);
-        if grad.acc.is_some() {
-            assert_eq!(first.acc[s], bits(&sum), "{at}: the accumulator holds the sum");
-        }
         for (kind, published) in kinds.iter().zip(&first.outs[s]) {
             let want: Vec<u32> = if *kind {
                 half_bits(&out.iter().map(|&x| f32_to_f16(x)).collect::<Vec<_>>())
@@ -460,16 +448,13 @@ fn fused_steps_sum_their_slices_in_order_and_publish_one_value_everywhere() {
             for rotation in 0..k {
                 let order: Vec<Vec<f32>> =
                     (0..k).map(|j| base[(rotation + j) % k].clone()).collect();
-                // The first base slice plays the accumulator, wherever the
-                // rotation puts it.
-                let acc = (k - rotation) % k;
-                let slice = (k == 1).then_some(None);
-                for acc in slice.into_iter().chain([Some(acc)]) {
+                let slice = (k == 1).then_some(false);
+                for sum in slice.into_iter().chain([true]) {
                     for kinds in DEST_SETS {
                         run_fused_everywhere(
                             cfg,
                             &master,
-                            &Fused { slices: &order, acc },
+                            &Fused { slices: &order, sum },
                             kinds,
                             3,
                         );
@@ -489,9 +474,10 @@ fn fused_shards_big_enough_to_split_agree_across_paths_and_workers() {
     let three = slices(n, 3, 18);
     let (one, two) = (&three[..1], &three[..2]);
     for grad in [
-        Fused { slices: &three, acc: Some(1) },
-        Fused { slices: two, acc: Some(0) },
-        Fused { slices: one, acc: None },
+        Fused { slices: &three, sum: true },
+        Fused { slices: two, sum: true },
+        Fused { slices: one, sum: true },
+        Fused { slices: one, sum: false },
     ] {
         run_fused_everywhere(cfg, &master, &grad, &[true, false, true], 2);
     }
@@ -509,11 +495,13 @@ fn fused_special_values_agree_in_every_lane() {
         let order: Vec<Vec<f32>> = (0..3)
             .map(|j| (0..n).map(|i| specials[(i + lane + 2 * j) % specials.len()]).collect())
             .collect();
-        for acc in [Some(0), Some(1), Some(2)] {
-            run_fused_everywhere(cfg, &master, &Fused { slices: &order, acc }, &[true, false], 2);
+        for rotation in 0..3 {
+            let slices: Vec<Vec<f32>> = (0..3).map(|j| order[(rotation + j) % 3].clone()).collect();
+            let grad = Fused { slices: &slices, sum: true };
+            run_fused_everywhere(cfg, &master, &grad, &[true, false], 2);
         }
-        for (slices, acc) in [(&order[..1], None), (&order[..2], Some(1))] {
-            run_fused_everywhere(cfg, &master, &Fused { slices, acc }, &[true, false], 2);
+        for (slices, sum) in [(&order[..1], false), (&order[..1], true), (&order[..2], true)] {
+            run_fused_everywhere(cfg, &master, &Fused { slices, sum }, &[true, false], 2);
         }
     }
 }

@@ -72,6 +72,8 @@ struct RunOutcome {
     degraded: u64,
     proto: ProtocolStats,
     faults: FaultStats,
+    /// Backward passes that found a view of their gradient alive.
+    fallbacks: u64,
 }
 
 /// The per-rank training loop every scenario drives.
@@ -94,6 +96,7 @@ fn train(
         degraded: engine.degraded_iterations(),
         proto: ctx.protocol_stats(),
         faults: ctx.fault_stats(),
+        fallbacks: engine.grad_buffer_fallbacks(),
     })
 }
 
@@ -276,6 +279,34 @@ fn duplicated_messages_are_absorbed_bit_exact() {
         dups_absorbed += o.proto.duplicates_dropped;
     }
     assert!(dups_absorbed > 0, "the sequence filter must have absorbed echoes");
+}
+
+#[test]
+fn a_duplicated_or_delayed_grad_sync_view_recovers_bit_exact() {
+    // One gradient message of iteration 2's replica sum — a read-only view
+    // of rank 1's gradient buffer — delivered twice, or held back behind
+    // rank 1's next send. Either way every loss is the fault-free run's bit
+    // for bit, and no backward finds a view of its gradient alive: the echo
+    // is dropped at the receiver's next channel read and the held message
+    // lands within its phase, both before the first collective of the next
+    // iteration, which every peer's next backward waits on. (What a view
+    // alive across a backward costs — a fresh buffer, no copy, the same
+    // bits — `grad_reduce_oracle` and `symi_model::expert`'s tests force.)
+    let oracle = oracle_losses();
+    let grad_sync = MsgMatch::any().from(1).to(0).phase(WirePhase::GradSync).iteration(2);
+    for (what, plan) in [
+        ("duplicated", FaultPlan::new(17).duplicate(grad_sync)),
+        ("delayed", FaultPlan::new(19).delay(grad_sync, 1)),
+    ] {
+        let outcomes = unwrap_ok(run_chaos(plan, Duration::from_millis(200), 2));
+        let fired = outcomes[1].faults.duplicated + outcomes[1].faults.delayed;
+        assert_eq!(fired, 1, "{what}: the rule fires on one message");
+        for (rank, o) in outcomes.iter().enumerate() {
+            assert_eq!(o.losses, oracle, "{what} rank {rank}: the losses moved");
+            assert_eq!(o.degraded, 0, "{what} rank {rank}: a reorder is not a degradation");
+            assert_eq!(o.fallbacks, 0, "{what} rank {rank}: a backward found a view alive");
+        }
+    }
 }
 
 #[test]
