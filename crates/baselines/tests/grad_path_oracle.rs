@@ -10,9 +10,10 @@
 //! ranks publish their slot weights, each rank replays the whole world's
 //! token path the old way — on the engine's binary16 experts, loaded from
 //! the encoded bits of those (fp16-grid, so exactly encoded) weights (`from_vec(clone)` + `forward`, `zero_grad` +
-//! `backward` + an owned flat copy per slot), runs the real ring over its
-//! owned copy under a second layer's tags, and steps a second `AdamShard`
-//! from it. After every iteration the engine's fp32 master shards must equal
+//! `backward` + an owned flat copy per slot — the binary16 gradient the
+//! slot's backward narrowed, widened and unscaled), runs the real ring over
+//! its owned copy under a second layer's tags — the ring-order sum of the
+//! widened partials — and steps a second `AdamShard` from it. After every iteration the engine's fp32 master shards must equal
 //! that shard's. Six ranks make every EDP group a 3-rank ring, where the
 //! summation order is not a single commutative add, and the drifting token
 //! cluster leaves slots idle, so the lazily-zeroed gradient is materialized
@@ -156,7 +157,7 @@ fn old_path_oracle(
                 }
                 let _ = expert.backward(&Matrix::from_vec(rows.len(), D, flat.clone()));
             }
-            expert.flat_grads().to_vec()
+            expert.grad_values()
         })
         .collect();
     (grads, slot_rows.iter().map(|rows| !rows.is_empty()).collect(), dropped)

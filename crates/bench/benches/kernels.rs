@@ -31,7 +31,9 @@
 //! — not by FLOPs, so each of forward, write-mode backward (the first after
 //! `zero_grad`) and accumulate-mode backward is reported in GFLOP/s *and* in
 //! compulsory bytes per ns, and the `gemm_tn` rows under them isolate the
-//! one kernel whose store stream the write mode halves.
+//! one kernel whose store stream the write mode halves — and, in their
+//! `half_write` columns, halves again: the binary16 write of a slot
+//! gradient, narrowed in the tile's store.
 //!
 //! Those rows, and the layout rows' `engine_params_expert` shapes, also
 //! carry a **cold mode** (`cold_<family>_*` columns) on each x86 family the
@@ -72,9 +74,11 @@
 //! stores (f32 on the fp16 grid, binary16 bits), vector path and forced
 //! scalar — the scalar column is the arithmetic and the speed every earlier
 //! revision ran at — and the engines' weight path of one owned chunk, fused
-//! (two gradient slices read where they lie and summed in the step, two
-//! binary16 destinations) and as the four separate passes it replaced; and the **binary16 codec rows** (slice encode/decode,
-//! ns per element, vector / scalar) at the same sizes.
+//! (two hosts' binary16 partials read where they lie, widened and summed in
+//! the step, two binary16 destinations) and as the separate passes it
+//! replaced (two widenings, the fold, Adam, two copies); and the **binary16
+//! codec rows** (slice encode/decode, ns per element, vector / scalar) at
+//! the same sizes.
 //!
 //! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate. Every
 //! check runs whatever the others' verdicts, prints `gate <name>: ok` or
@@ -93,9 +97,10 @@
 //!   5. **optimizer**: the vector Adam step leaves bit for bit the state
 //!      and the published weights of the scalar one and, where AVX2+F16C
 //!      is present, runs ≥ 4× faster; and at `engine_params`' shard the
-//!      fused weight path (a received partial and the own gradient summed
-//!      in the step, published to a send buffer and a slot) leaves the bits
-//!      of fold + Adam + two copies at ≤ 0.85× their time there,
+//!      fused weight path (a received binary16 partial and the own one
+//!      widened and summed in the step, published to a send buffer and a
+//!      slot) leaves the bits of widen + fold + Adam + two copies at ≤ 0.85×
+//!      their time there,
 //!   6. **write mode**: a `gemm_tn` that overwrites its destination, and an
 //!      `ExpertFfn` backward after a lazy `zero_grad`, equal zero-fill +
 //!      accumulate bit for bit at the skinny shapes,
@@ -122,7 +127,13 @@
 //!      for bit (`nn`), and its two `nt` GEMMs (`dY·W2ᵀ`, `dPre·W1ᵀ`) equal
 //!      the one FMA chain per element on an x86 family (the f32 `nt` on the
 //!      decoded weights on the scalar one); from `NT_TILE_MIN_ROWS` rows its
-//!      whole backward equals the f32 expert's. No speed floor.
+//!      whole backward equals the f32 expert's, its binary16 gradient the
+//!      f32 expert's narrowed. No speed floor.
+//!  13. **binary16 `tn`**: at `engine_params`' reductions 4 … 16 the
+//!      binary16 write of a slot gradient equals the f32 write-mode `tn`
+//!      narrowed under the same exponent, bit for bit, and its cold time
+//!      summed over those shapes is ≤ 1.0× the f32 write's on the active
+//!      family.
 
 use std::path::Path;
 use std::time::Instant;
@@ -135,7 +146,7 @@ use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_int
 #[cfg(target_arch = "x86_64")]
 use symi_tensor::simd::NT_TILE_MIN_ROWS;
 use symi_tensor::{
-    half, pool, vmath, AdamConfig, AdamShard, AdamState, Dest, Grad, HalfMatrix, Matrix,
+    half, pool, vmath, AdamConfig, AdamShard, AdamState, Dest, Grad, HalfMatrix, Matrix, ScaledHalf,
 };
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
@@ -503,14 +514,16 @@ const SKINNY_EXPERT_SHAPES: &[(usize, usize, usize)] =
     &[(8, 256, 1024), (16, 256, 1024), (24, 256, 1024), (32, 256, 1024)];
 
 /// That expert's two parameter-gradient GEMMs, `out[m×n] = a[r×m]ᵀ · b[r×n]`,
-/// at the reductions a slot (8), a class's slots (12 … 24) and a rank (32)
-/// see: (r, m, n).
+/// at the reductions a host's share of a class (4), a slot (8), a class's
+/// slots (12 … 24) and a rank (32) see: (r, m, n).
 const SKINNY_TN_SHAPES: &[(usize, usize, usize)] = &[
+    (4, 256, 1024),
     (8, 256, 1024),
     (12, 256, 1024),
     (16, 256, 1024),
     (24, 256, 1024),
     (32, 256, 1024),
+    (4, 1024, 256),
     (8, 1024, 256),
     (12, 1024, 256),
     (16, 1024, 256),
@@ -522,6 +535,19 @@ fn skinny_tn_inputs(r: usize, m: usize, n: usize) -> (Matrix, Matrix) {
     let a = Matrix::from_fn(r, m, |i, c| ((i * m + c) as f32 * 0.013).sin());
     let b = Matrix::from_fn(r, n, |i, c| ((i + 5 * c) as f32 * 0.021).cos() * 0.01);
     (a, b)
+}
+
+/// The exponent a slot's backward narrows `aᵀ·b` under: from the bound
+/// `r · max|a| · max|b|`.
+fn skinny_tn_exponent(a: &Matrix, b: &Matrix) -> i32 {
+    let max = |x: &Matrix| f64::from(half::max_abs(x.as_slice()));
+    half::grad_exponent(a.rows() as f64 * max(a) * max(b))
+}
+
+/// The reductions at which a binary16 `tn` is held to the f32 one's time:
+/// what one host of `engine_params`' classes folds (4 … 16 rows).
+fn half_tn_gate_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+    SKINNY_TN_SHAPES.iter().copied().filter(|&(r, _, _)| r <= 16)
 }
 
 fn skinny_expert_inputs(m: usize, d: usize) -> (Matrix, Matrix) {
@@ -540,14 +566,15 @@ fn binary16_slot(f32_expert: &ExpertFfn) -> ExpertFfn<HalfMatrix> {
 
 /// Forward, write-mode backward and accumulate-mode backward of one expert
 /// call, single-threaded and interleaved, with f32 weights and with the
-/// binary16 weights the engines' slots hold (`f16_*` columns). Three
+/// binary16 weights and gradient the engines' slots hold (`f16_*` columns;
+/// no accumulate mode: a slot's gradient is written once per step). Three
 /// instances of each, so each pass streams its own parameters and gradient
 /// the way an engine's four slots evict one another, instead of re-reading a
 /// warm one. Bytes are the compulsory parameter-sized streams (activations
 /// are cache-resident at these m and left out): forward reads every weight
 /// once — 4 B each, or 2 B binary16, biases 4 B either way; backward reads
-/// every weight once (the `nt` GEMMs) and writes every f32 gradient element
-/// once — or, accumulating, reads and writes it.
+/// every weight once (the `nt` GEMMs) and writes every gradient element
+/// once (4 B, or 2 B binary16) — or, accumulating, reads and writes it.
 fn bench_expert_ffn_skinny() -> Value {
     const REPS: usize = 25;
     pool::set_threads(1);
@@ -557,7 +584,7 @@ fn bench_expert_ffn_skinny() -> Value {
         let (x, dy) = skinny_expert_inputs(m, d);
         let mut experts: Vec<ExpertFfn> = (0..3).map(|_| ExpertFfn::new(d, ff, 7)).collect();
         let mut slots: Vec<ExpertFfn<HalfMatrix>> = experts.iter().map(binary16_slot).collect();
-        let [mut y, mut dx_w, mut dx_a, mut hy, mut hdx_w, mut hdx_a] =
+        let [mut y, mut dx_w, mut dx_a, mut hy, mut hdx_w] =
             std::array::from_fn(|_| Matrix::zeros(0, 0));
         for e in &mut experts {
             e.forward_into(&x, &mut y);
@@ -566,11 +593,10 @@ fn bench_expert_ffn_skinny() -> Value {
             e.forward_into(&x, &mut hy);
         }
         let [fwd, write, acc] = &mut experts[..] else { unreachable!("three experts") };
-        let [h_fwd, h_write, h_acc] = &mut slots[..] else { unreachable!("three slots") };
+        let [h_fwd, h_write, _] = &mut slots[..] else { unreachable!("three slots") };
         acc.backward_into(&dy, Some(&mut dx_a)); // from here on it accumulates
-        h_acc.backward_into(&dy, Some(&mut hdx_a));
         let (f32_bytes, f16_bytes) = (fwd.param_bytes() as f64, h_fwd.param_bytes() as f64);
-        let grad_bytes = (4 * fwd.param_count()) as f64;
+        let (grad_bytes, f16_grad_bytes) = (fwd.grad_bytes() as f64, h_fwd.grad_bytes() as f64);
         let ns = interleaved_min_ns(
             REPS,
             &mut [
@@ -585,7 +611,6 @@ fn bench_expert_ffn_skinny() -> Value {
                     h_write.zero_grad();
                     h_write.backward_into(&dy, Some(&mut hdx_w))
                 },
-                &mut || h_acc.backward_into(&dy, Some(&mut hdx_a)),
             ],
         );
         let gemm_flops = (2 * m * d * ff) as f64;
@@ -593,13 +618,17 @@ fn bench_expert_ffn_skinny() -> Value {
         o.set("m", Value::u64(m as u64));
         o.set("d_model", Value::u64(d as u64));
         o.set("d_ff", Value::u64(ff as u64));
-        for (prefix, ns, weight_bytes) in [("", &ns[..3], f32_bytes), ("f16_", &ns[3..], f16_bytes)]
-        {
-            for (name, ns, flops, bytes) in [
-                ("fwd", ns[0], 2.0 * gemm_flops, weight_bytes),
-                ("bwd_write", ns[1], 4.0 * gemm_flops, weight_bytes + grad_bytes),
-                ("bwd_acc", ns[2], 4.0 * gemm_flops, weight_bytes + 2.0 * grad_bytes),
-            ] {
+        // A binary16 slot's gradient is written once per backward, never
+        // accumulated: its rows have no `bwd_acc` column.
+        let columns =
+            [("", &ns[..3], f32_bytes, grad_bytes), ("f16_", &ns[3..], f16_bytes, f16_grad_bytes)];
+        for (prefix, ns, weight_bytes, grad_bytes) in columns {
+            let passes = [
+                ("fwd", 2.0 * gemm_flops, weight_bytes),
+                ("bwd_write", 4.0 * gemm_flops, weight_bytes + grad_bytes),
+                ("bwd_acc", 4.0 * gemm_flops, weight_bytes + 2.0 * grad_bytes),
+            ];
+            for ((name, flops, bytes), &ns) in passes.into_iter().zip(ns) {
                 let name = format!("{prefix}{name}");
                 o.set(&format!("{name}_ns"), Value::Num(ns));
                 o.set(&format!("{name}_gflops"), Value::Num(flops / ns));
@@ -695,12 +724,16 @@ fn bench_gemm_tn_skinny() -> Value {
     for &(r, m, n) in SKINNY_TN_SHAPES {
         group(&format!("gemm_tn_skinny/r{r}_{m}x{n}"));
         let (a, b) = skinny_tn_inputs(r, m, n);
+        let s = skinny_tn_exponent(&a, &b);
         let (mut out_w, mut out_a) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        let mut out_h = vec![0u16; m * n];
         let ns = interleaved_min_ns(
             REPS,
-            &mut [&mut || a.matmul_tn_slice(&b, &mut out_w, false), &mut || {
-                a.matmul_tn_slice(&b, &mut out_a, true)
-            }],
+            &mut [
+                &mut || a.matmul_tn_slice(&b, &mut out_w, false),
+                &mut || a.matmul_tn_slice(&b, &mut out_a, true),
+                &mut || a.matmul_tn_half(&b, &mut out_h, s),
+            ],
         );
         let flops = (2 * r * m * n) as f64;
         let operand_bytes = (4 * r * (m + n)) as f64;
@@ -715,40 +748,68 @@ fn bench_gemm_tn_skinny() -> Value {
             o.set(&format!("{name}_bytes_per_ns"), Value::Num(bytes / ns));
         };
         let (write_bytes, acc_bytes) = (operand_bytes + out_bytes, operand_bytes + 2.0 * out_bytes);
+        let half_bytes = operand_bytes + out_bytes / 2.0;
         set("write", ns[0], write_bytes);
         set("acc", ns[1], acc_bytes);
+        set("half_write", ns[2], half_bytes);
         let mut line = format!(
-            "gemm_tn_skinny r{r} {m}x{n}: write {:.1} us, accumulate {:.1} us ({:.2}x)",
+            "gemm_tn_skinny r{r} {m}x{n}: write {:.1} us, accumulate {:.1} us ({:.2}x), \
+             binary16 write {:.1} us ({:.2}x)",
             ns[0] / 1e3,
             ns[1] / 1e3,
-            ns[1] / ns[0]
+            ns[1] / ns[0],
+            ns[2] / 1e3,
+            ns[2] / ns[0]
         );
         let families = x86_families();
-        // One set of destinations per (family, mode); the B copies are shared.
-        let bs: Vec<Matrix> = (0..COLD_COPIES).map(|_| b.clone()).collect();
-        let mut outs = vec![vec![vec![0.0f32; m * n]; COLD_COPIES]; 2 * families.len()];
-        let mut runs: Vec<_> = (outs.iter_mut().enumerate())
-            .map(|(i, outs)| {
-                let (path, acc, a, bs) = (families[i / 2].0, i % 2 == 1, &a, &bs);
-                move |c: usize| on_path(path, || a.matmul_tn_slice(&bs[c], &mut outs[c], acc))
-            })
-            .collect();
-        let mut fs: Vec<&mut dyn FnMut(usize)> =
-            runs.iter_mut().map(|f| f as &mut dyn FnMut(usize)).collect();
-        let cold = interleaved_cold_ns(REPS, &mut fs);
-        for (&(_, fam), ns) in families.iter().zip(cold.chunks(2)) {
+        let cold = cold_tn_ns(&a, &b, s, &families, REPS);
+        for (&(_, fam), ns) in families.iter().zip(cold.chunks(3)) {
             set(&format!("cold_{fam}_write"), ns[0], write_bytes);
             set(&format!("cold_{fam}_acc"), ns[1], acc_bytes);
+            set(&format!("cold_{fam}_half_write"), ns[2], half_bytes);
             line += &format!(
-                "; cold {fam} write {:.1} us, accumulate {:.1} us",
+                "; cold {fam} write {:.1} us, accumulate {:.1} us, binary16 write {:.1} us",
                 ns[0] / 1e3,
-                ns[1] / 1e3
+                ns[1] / 1e3,
+                ns[2] / 1e3
             );
         }
         println!("{line}");
         rows.push(Value::Obj(o));
     }
     Value::Arr(rows)
+}
+
+/// Cold ns per call of `aᵀ·b` on each of `families`, interleaved: f32
+/// write, f32 accumulate and binary16 write (under exponent `s`) per
+/// family, the B operand and the destination cycled over [`COLD_COPIES`]
+/// copies.
+fn cold_tn_ns(
+    a: &Matrix,
+    b: &Matrix,
+    s: i32,
+    families: &[(SimdPath, &str)],
+    reps: usize,
+) -> Vec<f64> {
+    let (m, n) = (a.cols(), b.cols());
+    // One set of destinations per (family, mode); the B copies are shared.
+    let bs: Vec<Matrix> = (0..COLD_COPIES).map(|_| b.clone()).collect();
+    let mut outs = vec![vec![vec![0.0f32; m * n]; COLD_COPIES]; 2 * families.len()];
+    let mut halves = vec![vec![vec![0u16; m * n]; COLD_COPIES]; families.len()];
+    let mut runs: Vec<Box<dyn FnMut(usize) + '_>> = Vec::new();
+    for ((&(path, _), outs), halves) in families.iter().zip(outs.chunks_mut(2)).zip(&mut halves) {
+        let [write, acc] = outs else { unreachable!("two f32 modes") };
+        let bs = &bs;
+        runs.push(Box::new(move |c| {
+            on_path(path, || a.matmul_tn_slice(&bs[c], &mut write[c], false))
+        }));
+        runs.push(Box::new(move |c| {
+            on_path(path, || a.matmul_tn_slice(&bs[c], &mut acc[c], true))
+        }));
+        runs.push(Box::new(move |c| on_path(path, || a.matmul_tn_half(&bs[c], &mut halves[c], s))));
+    }
+    let mut fs: Vec<&mut dyn FnMut(usize)> = runs.iter_mut().map(|f| &mut **f as _).collect();
+    interleaved_cold_ns(reps, &mut fs)
 }
 
 /// (group, m, k, n) of the layout rows.
@@ -1008,9 +1069,10 @@ fn vector_scalar_pair(elems: usize, vector_ns: f64, scalar_ns: f64) -> Value {
 /// buffer, steps from it into a binary16 shard, and copies that into the
 /// send buffer and the slot.
 struct WeightPaths {
-    part: Vec<f32>,
-    own: Vec<f32>,
+    part: ScaledHalf,
+    own: ScaledHalf,
     sum: Vec<f32>,
+    own_widened: Vec<f32>,
     shard: [AdamShard; 2],
     half: Vec<u16>,
     send: [Vec<u16>; 2],
@@ -1023,9 +1085,10 @@ impl WeightPaths {
         let part: Vec<f32> = (0..n).map(|i| (i as f32 * 0.13).sin() * 1e-3).collect();
         let shard = AdamShard::new(AdamConfig::default(), 0, &params);
         Self {
-            part,
-            own,
+            part: ScaledHalf::from_f32(&part),
+            own: ScaledHalf::from_f32(&own),
             sum: vec![0.0; n],
+            own_widened: vec![0.0; n],
             shard: [shard.clone(), shard],
             half: Vec::new(),
             send: [vec![0; n], vec![0; n]],
@@ -1033,20 +1096,24 @@ impl WeightPaths {
         }
     }
 
-    /// `(fused, separate)` steps, to be timed side by side.
+    /// `(fused, separate)` steps, to be timed side by side: the two hosts'
+    /// binary16 partials widened and summed in the step, or widened and
+    /// folded into an f32 buffer first.
     fn steps(&mut self) -> (impl FnMut() + '_, impl FnMut() + '_) {
-        let Self { part, own, sum, shard: [fused, separate], half, send, slot } = self;
+        let Self { part, own, sum, own_widened, shard: [fused, separate], half, send, slot } = self;
         let [send_f, send_s] = send;
         let [slot_f, slot_s] = slot;
-        let (part, own): (&[f32], &[f32]) = (part, own);
+        let (part, own) = (&*part, &*own);
         let fused = move || {
             let n = part.len();
             let outs = &mut [Dest::Half(send_f), Dest::Half(slot_f)];
-            fused.begin_step().run(0..n, Grad::Sum(&[part, own]), outs);
+            fused.begin_step().run(0..n, Grad::Half(&[part.term(0..n), own.term(0..n)]), outs);
         };
         let separate = move || {
-            for ((s, p), g) in sum.iter_mut().zip(part).zip(own) {
-                *s = p + g;
+            part.term(0..part.len()).widen_into(sum);
+            own.term(0..own.len()).widen_into(own_widened);
+            for (s, g) in sum.iter_mut().zip(&*own_widened) {
+                *s += g;
             }
             separate.step_into(sum, half);
             send_s.copy_from_slice(half);
@@ -1438,6 +1505,38 @@ fn smoke() {
         println!("smoke write mode: gemm_tn and ExpertFfn backward equal zero-fill + accumulate");
     });
 
+    // The binary16 write of a slot gradient: the f32 tn narrowed, bit for
+    // bit, in no more time than the f32 write it replaces, at the
+    // reductions a host of `engine_params`' classes folds. Timed cold on the
+    // active family, as the engines' gradients arrive, and summed over the
+    // shapes.
+    gates.run("13 binary16 tn: narrowed f32 tn bitwise, <= 1.0x the f32 write", || {
+        let (mut f32_ns, mut half_ns) = (0.0, 0.0);
+        for (r, m, n) in half_tn_gate_shapes() {
+            let (a, b) = skinny_tn_inputs(r, m, n);
+            let s = skinny_tn_exponent(&a, &b);
+            let (mut f32s, mut got) = (vec![0.0f32; m * n], vec![0u16; m * n]);
+            a.matmul_tn_slice(&b, &mut f32s, false);
+            a.matmul_tn_half(&b, &mut got, s);
+            let mut want = vec![0u16; m * n];
+            half::narrow(&f32s, s, &mut want);
+            assert!(got == want, "tn r{r} {m}x{n}: binary16 write != narrowed f32 write");
+            let path = kernels::active_path();
+            let ns = cold_tn_ns(&a, &b, s, &[(path, "active")], 9);
+            (f32_ns, half_ns) = (f32_ns + ns[0], half_ns + ns[2]);
+        }
+        let ratio = half_ns / f32_ns;
+        println!(
+            "smoke binary16 tn: {:.1} us against the f32 write's {:.1} us over r 4..16 \
+             ({ratio:.2}x), bit-identical to the narrowed f32 product",
+            half_ns / 1e3,
+            f32_ns / 1e3
+        );
+        if kernels::active_path() != SimdPath::Scalar {
+            assert!(ratio <= 1.0, "binary16 tn over 1.0x the f32 write: {ratio:.2}x");
+        }
+    });
+
     // Binary16 slots: the f32 expert's arithmetic on the decoded weights.
     gates.run("12 binary16 slots: the f32 expert's bits", || {
         let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1469,8 +1568,11 @@ fn smoke() {
             let (dx_slot, dx_f32) = (slot.backward(&dy), decoded.backward(&dy));
             if f32_nt_on_tile(m) {
                 assert_eq!(bits(&dx_slot), bits(&dx_f32), "{label}: dx");
-                let grads = |e: &[f32]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(grads(slot.flat_grads()), grads(decoded.flat_grads()), "{label}");
+                // The slot's binary16 gradient is the f32 one narrowed.
+                let grad = slot.flat_grads();
+                let mut want = vec![0u16; grad.len()];
+                half::narrow(decoded.flat_grads(), grad.exp(), &mut want);
+                assert_eq!(grad.bits(), &want[..], "{label}: gradient");
             }
         }
         println!(

@@ -56,8 +56,8 @@ impl Transition {
     }
 
     /// Inter-node bytes SYMI's phases ship for `old_counts → new_counts`,
-    /// the de-duplicated schedule: an fp32 gradient shard per (class, rank)
-    /// whose Algorithm 2 source under the old placement is remote, and an
+    /// the de-duplicated schedule: a binary16 gradient shard per (class,
+    /// rank) whose Algorithm 2 source under the old placement is remote, and an
     /// fp16 chunk per (class, host under the new placement, remote owner).
     /// A function of the host sets alone, never of how many slots moved.
     pub fn symi_schedule(&self, old_counts: &[usize], new_counts: &[usize]) -> u64 {
@@ -71,7 +71,7 @@ impl Transition {
         for class in 0..self.expert_classes {
             let old_hosts = old.host_ranks(class);
             let remote = (0..self.nodes).filter(|&r| get_source(&old_hosts, r) != r);
-            total += 4 * remote.map(chunk).sum::<u64>();
+            total += 2 * remote.map(chunk).sum::<u64>();
             for dst in new.host_ranks(class) {
                 total += 2 * (0..self.nodes).filter(|&src| src != dst).map(chunk).sum::<u64>();
             }

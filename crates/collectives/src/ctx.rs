@@ -1,7 +1,7 @@
 //! Per-rank execution context: tagged point-to-point messaging and barriers.
 
 use crate::buffers::WireBuffers;
-use crate::cluster::ClusterSpec;
+use crate::cluster::{ClusterSpec, Poison, RankBarrier};
 use crate::error::{CommError, ProtocolFailure};
 use crate::fault::{FaultInjector, FaultStats, SendAction};
 use crate::group::GroupRegistry;
@@ -10,7 +10,7 @@ use crate::tag::{self, WirePhase};
 use crate::traffic::{LinkClass, TrafficStats};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Clone)]
@@ -211,6 +211,8 @@ pub(crate) struct Mailbox {
     faults: Option<FaultInjector>,
     /// Messages held back by `Delay` faults, in hold order.
     held: Vec<Held>,
+    /// Set once a rank of the cluster panicked ([`crate::Cluster::run`]).
+    poison: Arc<Poison>,
 }
 
 impl Mailbox {
@@ -219,6 +221,7 @@ impl Mailbox {
         senders: Vec<Sender<Message>>,
         rx: Receiver<Message>,
         faults: Option<FaultInjector>,
+        poison: Arc<Poison>,
     ) -> Self {
         let world = senders.len();
         Self {
@@ -235,6 +238,27 @@ impl Mailbox {
             seen: std::iter::repeat_with(SeqTracker::default).take(world).collect(),
             faults,
             held: Vec::new(),
+            poison,
+        }
+    }
+
+    /// The error every receive returns once a rank of the cluster
+    /// panicked.
+    fn poisoned(&self) -> Option<CommError> {
+        let (rank, message) = self.poison.get()?;
+        Some(CommError::PeerPanicked { rank: *rank, message: message.clone() })
+    }
+
+    /// Wakes every other rank blocked in a receive, to find the cluster
+    /// poisoned: an empty message each (ranks that have finished are
+    /// skipped).
+    fn wake_peers(&self) {
+        for (to, tx) in self.senders.iter().enumerate() {
+            if to != self.rank {
+                let payload = Payload::U64(Vec::new());
+                let wake = Message { from: self.rank, tag: 0, payload, epoch: 0, gen: 0, seq: 0 };
+                let _ = tx.send(wake);
+            }
         }
     }
 
@@ -388,6 +412,9 @@ impl Mailbox {
         let mut attempt: u32 = 0;
         let mut deadline = self.recv_timeout.map(|t| start + t);
         loop {
+            if let Some(err) = self.poisoned() {
+                return Err(err);
+            }
             if let Some(queue) = self.stash.get_mut(&(from, tag)) {
                 match queue.front_mut() {
                     Some(front) if front.epoch == allowed => {
@@ -435,6 +462,9 @@ impl Mailbox {
                     }
                 }
             };
+            if let Some(err) = self.poisoned() {
+                return Err(err);
+            }
             if !self.admit_msg(&msg) {
                 continue;
             }
@@ -493,7 +523,7 @@ pub struct RankCtx {
     rank: usize,
     spec: ClusterSpec,
     mailbox: Mailbox,
-    barrier: Arc<Barrier>,
+    barrier: Arc<RankBarrier>,
     traffic: Arc<TrafficStats>,
     groups: Arc<GroupRegistry>,
     buffers: Arc<WireBuffers>,
@@ -504,7 +534,7 @@ impl RankCtx {
         rank: usize,
         spec: ClusterSpec,
         mailbox: Mailbox,
-        barrier: Arc<Barrier>,
+        barrier: Arc<RankBarrier>,
         traffic: Arc<TrafficStats>,
         groups: Arc<GroupRegistry>,
         buffers: Arc<WireBuffers>,
@@ -693,7 +723,17 @@ impl RankCtx {
         self.mailbox.flush_held();
     }
 
+    /// Wakes every peer blocked in a receive (this rank panicked, and the
+    /// cluster is poisoned).
+    pub(crate) fn wake_peers(&self) {
+        self.mailbox.wake_peers();
+    }
+
     /// Global barrier across all ranks.
+    ///
+    /// # Panics
+    /// Panics with "rank r panicked: …" if a rank of a [`crate::Cluster::run`]
+    /// panicked before every rank arrived.
     pub fn barrier(&self) {
         self.barrier.wait();
     }
@@ -738,7 +778,7 @@ impl RankCtx {
     pub fn recycle_payload(&self, payload: Payload) {
         match payload {
             Payload::F32(buf) => self.recycle_f32(buf),
-            Payload::F16(buf) => self.recycle_f16(buf),
+            Payload::F16(buf) | Payload::ScaledF16(buf, _) => self.recycle_f16(buf),
             _ => {}
         }
     }

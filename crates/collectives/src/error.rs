@@ -7,6 +7,9 @@ use std::fmt;
 pub enum CommError {
     /// The peer's mailbox was closed (its rank thread exited or panicked).
     PeerGone { rank: usize },
+    /// A rank of the cluster panicked (`Cluster::run` poisons the cluster
+    /// on the first panic), so no receive can be relied on to complete.
+    PeerPanicked { rank: usize, message: String },
     /// A collective was invoked by a rank that is not a member of the group.
     NotInGroup { rank: usize },
     /// Payload had a different variant or length than the receiver expected.
@@ -88,6 +91,9 @@ impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CommError::PeerGone { rank } => write!(f, "peer rank {rank} is gone"),
+            CommError::PeerPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
             CommError::NotInGroup { rank } => {
                 write!(f, "rank {rank} invoked a collective on a group it is not part of")
             }

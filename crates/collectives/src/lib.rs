@@ -60,6 +60,6 @@ pub use fault::{FaultKind, FaultPlan, FaultStats, MsgMatch};
 pub use group::{CommGroup, GroupRegistry};
 pub use membership::{MembershipView, RECOVERY_LAYER};
 pub use p2p::{RecvOp, SendOp};
-pub use payload::{decode_f16_into, encode_f16, F32View, Payload};
+pub use payload::{decode_f16_into, encode_f16, F16View, Payload};
 pub use tag::{TagFields, TagSpace, WirePhase};
 pub use traffic::{LinkClass, TrafficReport, TrafficStats};

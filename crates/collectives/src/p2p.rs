@@ -194,27 +194,28 @@ mod tests {
 
     #[test]
     fn a_view_is_sized_and_counted_by_its_range() {
-        use crate::payload::F32View;
+        use crate::payload::F16View;
         use crate::tag::{TagSpace, WirePhase};
         use std::sync::Arc;
         let tag = TagSpace::new(0, 3).tag(WirePhase::GradSync, 5, 0);
         let (results, report) = Cluster::run(ClusterSpec::flat(2), |ctx| {
             if ctx.rank() == 0 {
-                let buf = Arc::new((0..64).map(|i| i as f32).collect::<Vec<f32>>());
+                let ramp = (0..64).map(|i| i as f32).collect::<Vec<f32>>();
+                let buf = Arc::new(symi_tensor::ScaledHalf::from_f32(&ramp));
                 let sends = vec![
-                    SendOp::new(1, tag, F32View::new(buf.clone(), 8..24)),
-                    SendOp::new(1, tag + 1, F32View::new(buf, 0..3)),
+                    SendOp::new(1, tag, F16View::new(buf.clone(), 8..24)),
+                    SendOp::new(1, tag + 1, F16View::new(buf, 0..3)),
                 ];
                 ctx.batch_isend_irecv(sends, &[]).unwrap();
                 None
             } else {
                 let got = ctx.batch_isend_irecv(vec![], &[RecvOp::sized(0, tag, 16)]).unwrap();
-                let first = got[0].as_f32().unwrap().to_vec();
+                let first = got[0].as_half_term().unwrap().to_f32();
                 let err = ctx.batch_isend_irecv(vec![], &[RecvOp::sized(0, tag + 1, 8)]);
                 Some((first, err.unwrap_err()))
             }
         });
-        assert_eq!(report.total_bytes(), 4 * (16 + 3), "a view's range is what crosses the wire");
+        assert_eq!(report.total_bytes(), 2 * (16 + 3), "a view's range is what crosses the wire");
         let (first, err) = results[1].as_ref().unwrap();
         assert_eq!(first, &(8..24).map(|i| i as f32).collect::<Vec<f32>>());
         match err {

@@ -2,6 +2,7 @@
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
+use symi_tensor::{HalfTerm, ScaledHalf};
 
 /// Cheaply-cloneable immutable byte buffer (internal stand-in for the
 /// `bytes` crate: the collectives only need shared ownership + length).
@@ -46,46 +47,58 @@ impl From<&[u8]> for Bytes {
     }
 }
 
-/// A read-only window onto an f32 buffer the sender shares: what a NIC
-/// reads where the data lies, instead of a copy packed for the wire. It
-/// dereferences to the window's `&[f32]`; the buffer stays alive, and
-/// immutable, for as long as any view of it does.
+/// A read-only window onto a binary16 gradient the sender shares
+/// ([`ScaledHalf`]): what a NIC reads where the data lies, instead of a
+/// copy packed for the wire. The buffer's exponent rides beside the bits
+/// (a message header's worth, not counted as payload); the buffer stays
+/// alive, and immutable, for as long as any view of it does.
 #[derive(Clone, Debug)]
-pub struct F32View {
-    buf: Arc<Vec<f32>>,
+pub struct F16View {
+    buf: Arc<ScaledHalf>,
     range: Range<usize>,
 }
 
-impl F32View {
+impl F16View {
     /// Elements `range` of `buf`.
     ///
     /// # Panics
     /// Panics if `range` runs past the buffer.
-    pub fn new(buf: Arc<Vec<f32>>, range: Range<usize>) -> Self {
+    pub fn new(buf: Arc<ScaledHalf>, range: Range<usize>) -> Self {
         assert!(range.start <= range.end && range.end <= buf.len(), "view past its buffer");
         Self { buf, range }
     }
-}
 
-impl Deref for F32View {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        &self.buf[self.range.clone()]
+    /// The window's elements and their exponent.
+    pub fn term(&self) -> HalfTerm<'_> {
+        self.buf.term(self.range.clone())
+    }
+
+    pub fn len(&self) -> usize {
+        self.range.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
     }
 }
 
-/// A typed payload. Collectives carrying tensor data use [`Payload::F32`],
-/// or [`Payload::F32View`] for a range of a shared buffer sent without a
-/// copy (a gradient, read where the backward wrote it); fp16-quantized
-/// weight shards travel as [`Payload::F16`] (raw half bits, 2 B/element on
-/// the wire — the width `adam.rs` documents for working weights); routing
+/// A typed payload. Collectives carrying tensor data use [`Payload::F32`];
+/// gradients travel at 2 B/element as binary16 under a power-of-two
+/// exponent — [`Payload::F16View`] for a range of a shared gradient sent
+/// without a copy (read where the backward wrote it), [`Payload::ScaledF16`]
+/// for one packed or summed into a wire buffer; fp16-quantized weight
+/// shards travel as [`Payload::F16`] (raw half bits, 2 B/element on the
+/// wire — the width `adam.rs` documents for working weights); routing
 /// metadata (token→expert assignments, popularity counts) as
 /// [`Payload::U64`]; opaque blobs as [`Payload::Raw`].
 #[derive(Debug, Clone)]
 pub enum Payload {
     F32(Vec<f32>),
-    F32View(F32View),
     F16(Vec<u16>),
+    /// Binary16 bits and the exponent they are scaled by: element `i` is
+    /// `f16_to_f32(bits[i]) · 2^-exp`.
+    ScaledF16(Vec<u16>, i32),
+    F16View(F16View),
     U64(Vec<u64>),
     Raw(Bytes),
 }
@@ -96,8 +109,8 @@ impl Payload {
     pub fn byte_len(&self) -> u64 {
         match self {
             Payload::F32(v) => (v.len() * 4) as u64,
-            Payload::F32View(v) => (v.len() * 4) as u64,
-            Payload::F16(v) => (v.len() * 2) as u64,
+            Payload::F16(v) | Payload::ScaledF16(v, _) => (v.len() * 2) as u64,
+            Payload::F16View(v) => (v.len() * 2) as u64,
             Payload::U64(v) => (v.len() * 8) as u64,
             Payload::Raw(b) => b.len() as u64,
         }
@@ -108,8 +121,8 @@ impl Payload {
     pub fn elements(&self) -> usize {
         match self {
             Payload::F32(v) => v.len(),
-            Payload::F32View(v) => v.len(),
-            Payload::F16(v) => v.len(),
+            Payload::F16(v) | Payload::ScaledF16(v, _) => v.len(),
+            Payload::F16View(v) => v.len(),
             Payload::U64(v) => v.len(),
             Payload::Raw(b) => b.len(),
         }
@@ -118,8 +131,9 @@ impl Payload {
     pub(crate) fn variant_name(&self) -> &'static str {
         match self {
             Payload::F32(_) => "F32",
-            Payload::F32View(_) => "F32View",
             Payload::F16(_) => "F16",
+            Payload::ScaledF16(..) => "ScaledF16",
+            Payload::F16View(_) => "F16View",
             Payload::U64(_) => "U64",
             Payload::Raw(_) => "Raw",
         }
@@ -136,13 +150,25 @@ impl Payload {
         }
     }
 
-    /// The f32 elements of an `F32` payload or an `F32View`, borrowed.
+    /// The f32 elements of an `F32` payload, borrowed.
     pub fn as_f32(&self) -> Result<&[f32], crate::CommError> {
         match self {
             Payload::F32(v) => Ok(v),
-            Payload::F32View(v) => Ok(v),
             other => Err(crate::CommError::PayloadMismatch {
-                expected: "F32 or F32View",
+                expected: "F32",
+                got: other.variant_name(),
+            }),
+        }
+    }
+
+    /// The binary16 elements and exponent of a `ScaledF16` payload or an
+    /// `F16View`, borrowed.
+    pub fn as_half_term(&self) -> Result<HalfTerm<'_>, crate::CommError> {
+        match self {
+            Payload::ScaledF16(bits, exp) => Ok(HalfTerm { bits, exp: *exp }),
+            Payload::F16View(v) => Ok(v.term()),
+            other => Err(crate::CommError::PayloadMismatch {
+                expected: "ScaledF16 or F16View",
                 got: other.variant_name(),
             }),
         }
@@ -207,9 +233,9 @@ impl From<Vec<f32>> for Payload {
     }
 }
 
-impl From<F32View> for Payload {
-    fn from(v: F32View) -> Self {
-        Payload::F32View(v)
+impl From<F16View> for Payload {
+    fn from(v: F16View) -> Self {
+        Payload::F16View(v)
     }
 }
 
@@ -250,31 +276,46 @@ mod tests {
         assert_eq!(Payload::U64(vec![0; 7]).elements(), 7);
     }
 
+    /// A gradient of `n` elements `0, 1, 2, …`, narrowed under the exponent
+    /// its largest element picks.
+    fn ramp(n: usize) -> Arc<ScaledHalf> {
+        Arc::new(ScaledHalf::from_f32(&(0..n).map(|i| i as f32).collect::<Vec<f32>>()))
+    }
+
     #[test]
     fn a_view_counts_its_range_only() {
-        let buf = Arc::new((0..100).map(|i| i as f32).collect::<Vec<f32>>());
-        let view = Payload::from(F32View::new(buf.clone(), 10..35));
-        assert_eq!((view.byte_len(), view.elements()), (100, 25));
-        assert_eq!(view.as_f32().unwrap(), &buf[10..35]);
+        let buf = ramp(100);
+        assert_eq!(buf.exp(), 8, "99 · 2^8 ≤ 2^15 < 99 · 2^9");
+        let view = Payload::from(F16View::new(buf.clone(), 10..35));
+        assert_eq!((view.byte_len(), view.elements()), (50, 25), "2 B/element, no exponent");
+        let term = view.as_half_term().unwrap();
+        assert_eq!((term.bits, term.exp), (&buf.bits()[10..35], 8));
+        assert_eq!(term.to_f32(), (10..35).map(|i| i as f32).collect::<Vec<f32>>());
         assert_eq!(Arc::strong_count(&buf), 2, "the view shares the buffer");
         drop(view);
         assert_eq!(Arc::strong_count(&buf), 1);
+        let packed = Payload::ScaledF16(vec![0x3c00; 3], 2);
+        assert_eq!(
+            (packed.byte_len(), packed.as_half_term().unwrap().to_f32()),
+            (6, vec![0.25; 3])
+        );
     }
 
     #[test]
     fn a_view_never_turns_into_an_owned_vec() {
-        let view = Payload::from(F32View::new(Arc::new(vec![1.0; 4]), 0..4));
-        match view.into_f32() {
-            Err(crate::CommError::PayloadMismatch { expected: "F32", got: "F32View" }) => {}
+        let view = Payload::from(F16View::new(ramp(4), 0..4));
+        match view.into_f16() {
+            Err(crate::CommError::PayloadMismatch { expected: "F16", got: "F16View" }) => {}
             other => panic!("expected a PayloadMismatch, got {other:?}"),
         }
-        assert!(Payload::U64(vec![1]).as_f32().is_err());
+        assert!(Payload::U64(vec![1]).as_half_term().is_err());
+        assert!(Payload::F16(vec![1]).as_half_term().is_err(), "weights carry no exponent");
     }
 
     #[test]
     #[should_panic(expected = "view past its buffer")]
     fn a_view_past_its_buffer_panics() {
-        F32View::new(Arc::new(vec![0.0; 4]), 2..5);
+        F16View::new(ramp(4), 2..5);
     }
 
     #[test]

@@ -526,7 +526,7 @@ impl MoeLayerEngine {
     pub fn hosted_grads(&mut self, hosted: usize) -> Vec<f32> {
         match self.received.get(hosted).filter(|p| !p.is_released()) {
             Some(partials) => partials.replica_sum(),
-            None => self.experts[hosted].flat_grads().to_vec(),
+            None => self.experts[hosted].grad_values(),
         }
     }
 
@@ -1143,8 +1143,8 @@ impl MoeLayerEngine {
                 // A hosted class's zero-length chunk comes back as an empty
                 // wire shard; it steps with the hosted classes.
                 if !hosted.iter().any(|&(c, _)| c == class) {
-                    let shard = payload.as_f32()?;
-                    let (experts, grad) = (&mut self.experts, ClassGrad::Shard(shard));
+                    let shard = payload.as_half_term()?;
+                    let (experts, grad) = (&mut self.experts, ClassGrad::Half(shard));
                     Self::step_class(
                         &mut self.optimizer,
                         experts,

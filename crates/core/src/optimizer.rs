@@ -46,13 +46,13 @@ use std::sync::Arc;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::tag::{decode, with_step};
 use symi_collectives::{
-    decode_f16_into, encode_f16, CommError, F32View, MembershipView, Payload, RankCtx, RecvOp,
+    decode_f16_into, encode_f16, CommError, F16View, MembershipView, Payload, RankCtx, RecvOp,
     SendOp, TagSpace, WirePhase,
 };
 use symi_model::expert::{ExpertFfn, ParamsMut};
 use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::HalfMatrix;
-use symi_tensor::{AdamConfig, AdamShard, Dest, Grad};
+use symi_tensor::half::{grad_exponent, max_abs, narrow};
+use symi_tensor::{AdamConfig, AdamShard, Dest, Grad, HalfMatrix, HalfTerm, ScaledHalf};
 
 /// Algorithm 2's `get_source`: which host rank serves `for_rank`'s shard
 /// of a class hosted on `host_ranks` (ascending).
@@ -447,11 +447,22 @@ pub(crate) enum GradShard {
     /// Adam sums and steps it where its terms lie ([`ClassGrad::Reduced`]);
     /// nothing is copied.
     Local,
-    /// Received from a remote host rank: a view of its gradient, or a
-    /// replica sum it folded into a wire buffer (an empty one for a
-    /// zero-length shard); hand it back with [`RankCtx::recycle_payload`]
-    /// once Adam has consumed it.
+    /// Received from a remote host rank, binary16 under an exponent: a
+    /// view of its gradient, or a replica sum it folded and narrowed into a
+    /// wire buffer (an empty one for a zero-length shard); hand it back with
+    /// [`RankCtx::recycle_payload`] once Adam has consumed it.
     Wire(Payload),
+}
+
+/// `src` as a binary16 wire buffer under the exponent its exact largest
+/// magnitude picks ([`grad_exponent`]): how a gradient that exists in f32 —
+/// a replica sum folded for the collect, or an owned-`Vec` caller's shard —
+/// is narrowed at the send.
+fn narrowed(ctx: &RankCtx, src: &[f32]) -> Payload {
+    let exp = grad_exponent(f64::from(max_abs(src)));
+    let mut bits = ctx.pooled_f16_len(src.len());
+    narrow(src, exp, &mut bits);
+    Payload::ScaledF16(bits, exp)
 }
 
 /// The one range `ranges` (ascending) cover without a gap, if they cover
@@ -469,16 +480,17 @@ fn one_run(mut ranges: impl Iterator<Item = (usize, usize)>) -> Option<std::ops:
 
 /// One hosted class's gradient after §4.1's reduce
 /// ([`SymiOptimizer::reduce_grads_to_sources`]): this host's own partial —
-/// the flat buffer its backward wrote, shared — and what the class's other
-/// hosts sent of the ranges this host serves (S_h), as it arrived: a
-/// read-only view of each one's buffer (or, where S_h is several disjoint
-/// runs, a wire buffer packing them). No sum is written anywhere: the Adam
-/// step sums this host's own chunk in registers, the collect folds the
-/// other owners' chunks into its send buffers, and [`Partials::replica_sum`]
-/// recomputes the lot — each with the ring's association: element `i` of
-/// ring chunk `j` is the partials of host positions `j, j + 1, …` (mod m)
-/// summed left to right, what `RankCtx::allreduce_sum` over the hosts
-/// leaves there.
+/// the binary16 buffer its backward wrote, shared — and what the class's
+/// other hosts sent of the ranges this host serves (S_h), as it arrived: a
+/// read-only view of each one's buffer under its exponent (or, where S_h is
+/// several disjoint runs, a wire buffer packing them). No sum is written
+/// anywhere: the Adam step widens and sums this host's own chunk in
+/// registers, the collect folds the other owners' chunks into its send
+/// buffers, and [`Partials::replica_sum`] recomputes the lot — each with
+/// the ring's association: element `i` of ring chunk `j` is the widened
+/// partials of host positions `j, j + 1, …` (mod m) summed left to right,
+/// what `RankCtx::allreduce_sum` over the hosts' widened partials leaves
+/// there.
 ///
 /// Holding it holds the views, so the senders' buffers stay immutable: the
 /// engine keeps each class's until the top of its next iteration, before
@@ -488,7 +500,7 @@ fn one_run(mut ranges: impl Iterator<Item = (usize, usize)>) -> Option<std::ops:
 pub struct Partials {
     /// This host's own partial — the gradient buffer its backward wrote,
     /// shared; `None` once released.
-    own: Option<Arc<Vec<f32>>>,
+    own: Option<Arc<ScaledHalf>>,
     /// `parts[q]`: host position `q`'s partial of S_h, packed in S_h's
     /// order; `None` at this host's own position, and no entry at all when
     /// nothing arrived (one host, or nothing served here).
@@ -512,22 +524,22 @@ impl Partials {
     }
 
     /// This host's own partial of the class.
-    fn own(&self) -> &Arc<Vec<f32>> {
+    fn own(&self) -> &Arc<ScaledHalf> {
         self.own.as_ref().expect("the partials of a reduced class")
     }
 
     /// Host position `q`'s partial of flat elements `a..b`, which lie in
     /// one served chunk.
-    fn term(&self, q: usize, a: usize, b: usize) -> &[f32] {
+    fn term(&self, q: usize, a: usize, b: usize) -> HalfTerm<'_> {
         if q == self.me {
-            return &self.own()[a..b];
+            return self.own().term(a..b);
         }
         let mut packed = 0;
         for &(s, t) in &self.served {
             if s <= a && b <= t {
                 let part = self.parts[q].as_ref().expect("one partial per peer");
-                let part = part.as_f32().expect("an f32 partial, checked at receipt");
-                return &part[packed + a - s..packed + b - s];
+                let part = part.as_half_term().expect("a binary16 partial, checked at receipt");
+                return part.sub(packed + a - s..packed + b - s);
             }
             packed += t - s;
         }
@@ -547,31 +559,32 @@ impl Partials {
 
     /// The hosts' partials of elements `a..b` of ring chunk `j`, in the
     /// ring's order: positions `j, j + 1, …` (mod m).
-    fn ring_terms(&self, a: usize, b: usize, j: usize) -> impl Iterator<Item = &[f32]> {
+    fn ring_terms(&self, a: usize, b: usize, j: usize) -> impl Iterator<Item = HalfTerm<'_>> {
         let m = self.parts.len();
         (0..m).map(move |k| self.term((j + k) % m, a, b))
     }
 
     /// The replica sum of served elements `s..t` into `out`, each element
-    /// summed left to right in the ring's order ([`symi_tensor::adam::sum_into`],
-    /// the order the Adam step sums in).
+    /// widened and summed left to right in the ring's order
+    /// ([`symi_tensor::adam::sum_half_into`], the order the Adam step sums
+    /// in).
     fn sum_into(&self, s: usize, t: usize, out: &mut [f32]) {
         if self.is_empty() {
-            return out.copy_from_slice(&self.own()[s..t]);
+            return self.own().term(s..t).widen_into(out);
         }
         for (a, b, j) in self.ring_pieces(s, t) {
-            symi_tensor::adam::sum_into(self.ring_terms(a, b, j), &mut out[a - s..b - s]);
+            symi_tensor::adam::sum_half_into(self.ring_terms(a, b, j), &mut out[a - s..b - s]);
         }
     }
 
     /// The class's flat gradient as this host's collect and Adam step read
     /// it: the replica sum on every range it serves, its own partial
-    /// elsewhere — each served element summed left to right in the ring's
-    /// order through [`symi_tensor::adam::sum_into`], as the collect folds
-    /// it and in the order the Adam step sums it (testing support: the
-    /// oracles hold it to a ring all-reduce).
+    /// (widened) elsewhere — each served element summed left to right in the
+    /// ring's order through [`symi_tensor::adam::sum_half_into`], as the
+    /// collect folds it and in the order the Adam step sums it (testing
+    /// support: the oracles hold it to a ring all-reduce).
     pub fn replica_sum(&self) -> Vec<f32> {
-        let mut out = self.own().to_vec();
+        let mut out = self.own().to_f32();
         for &(s, t) in &self.served {
             self.sum_into(s, t, &mut out[s..t]);
         }
@@ -591,8 +604,11 @@ impl Partials {
 
 /// Where the gradient of one class's Adam step comes from.
 pub(crate) enum ClassGrad<'a> {
-    /// This rank's shard, summed already: a received one, or a caller's.
+    /// This rank's shard, summed already, in f32: an owned-`Vec` caller's.
     Shard(&'a [f32]),
+    /// This rank's shard, summed already, in binary16: a received one, or a
+    /// class's own partial where no other host sent any.
+    Half(HalfTerm<'a>),
     /// A host's partials of the class as the reduce left them: the step
     /// sums this rank's own chunk from them as it goes, in the ring's
     /// association, and writes the sum nowhere.
@@ -903,7 +919,7 @@ impl SymiOptimizer {
         ctx: &mut RankCtx,
         placement: &ExpertPlacement,
         class: usize,
-        grad: &Arc<Vec<f32>>,
+        grad: &Arc<ScaledHalf>,
         tags: TagSpace,
     ) -> Result<Partials, CommError> {
         let mut partials = Partials::default();
@@ -919,7 +935,7 @@ impl SymiOptimizer {
         ctx: &mut RankCtx,
         placement: &ExpertPlacement,
         class: usize,
-        grad: &Arc<Vec<f32>>,
+        grad: &Arc<ScaledHalf>,
         tags: TagSpace,
         out: &mut Partials,
     ) -> Result<(), CommError> {
@@ -945,16 +961,18 @@ impl SymiOptimizer {
             }
             let peer = self.view.physical_of(h);
             let theirs = self.served(&hosts, class, h);
-            let len = theirs.clone().map(|(s, t)| t - s).sum();
+            let len: usize = theirs.clone().map(|(s, t)| t - s).sum();
             if len > 0 {
                 let data = match one_run(theirs.clone()) {
-                    Some(run) => Payload::from(F32View::new(Arc::clone(grad), run)),
+                    Some(run) => Payload::from(F16View::new(Arc::clone(grad), run)),
                     None => {
-                        let mut buf = ctx.pooled_f32(len);
+                        let mut buf = ctx.pooled_f16_len(len);
+                        let mut at = 0;
                         for (s, t) in theirs {
-                            buf.extend_from_slice(&grad[s..t]);
+                            buf[at..at + t - s].copy_from_slice(&grad.bits()[s..t]);
+                            at += t - s;
                         }
-                        Payload::F32(buf)
+                        Payload::ScaledF16(buf, grad.exp())
                     }
                 };
                 sends.push(SendOp::new(peer, tags.tag(WirePhase::GradSync, class, me_phys), data));
@@ -975,7 +993,7 @@ impl SymiOptimizer {
         for j in 0..m {
             let part = (j != me).then(|| received.next().expect("one per peer"));
             if let Some(part) = &part {
-                part.as_f32()?;
+                part.as_half_term()?;
             }
             out.parts.push(part);
         }
@@ -995,11 +1013,12 @@ impl SymiOptimizer {
     /// the shard's element count at the wire.
     ///
     /// This is the owned-`Vec` convenience form for callers that hold no
-    /// slots (traffic harnesses, tests): the engine's collect with a copy of
-    /// every shard it sends or sources locally. Those copies are drawn from
-    /// the wire-buffer free list; the caller owns the returned shards and
-    /// should hand them back ([`RankCtx::recycle_f32`]) once Adam has
-    /// consumed them.
+    /// slots (traffic harnesses, tests): the engine's collect over f32
+    /// gradients, each shard it sends narrowed at the send under its own
+    /// largest magnitude ([`grad_exponent`]) and widened on receipt, each it
+    /// sources locally copied as it is. The returned shards are drawn from
+    /// the wire-buffer free list; the caller owns them and should hand them
+    /// back ([`RankCtx::recycle_f32`]) once Adam has consumed them.
     pub fn collect_grads<G: AsRef<[f32]>>(
         &self,
         ctx: &mut RankCtx,
@@ -1014,13 +1033,20 @@ impl SymiOptimizer {
             placement,
             tags,
             |class| grad(class).is_some(),
-            |ctx, class, r| ctx.pooled_copy_f32(&grad(class).expect("hosted")[r]).into(),
+            |ctx, class, r| narrowed(ctx, &grad(class).expect("hosted")[r]),
         )?;
         shards
             .into_iter()
             .enumerate()
             .map(|(class, shard)| match shard {
-                GradShard::Wire(shard) => shard.into_f32(),
+                GradShard::Wire(shard) => {
+                    let term = shard.as_half_term()?;
+                    let mut out = ctx.pooled_f32(term.len());
+                    out.resize(term.len(), 0.0);
+                    term.widen_into(&mut out);
+                    ctx.recycle_payload(shard);
+                    Ok(out)
+                }
                 GradShard::Local => {
                     let (ms, mt) = self.shard_range(class);
                     Ok(ctx.pooled_copy_f32(&grad(class).expect("locally sourced")[ms..mt]))
@@ -1032,8 +1058,9 @@ impl SymiOptimizer {
     /// The Grad Communication Phase as the engine runs it: same sends, same
     /// receives, same accounting as [`SymiOptimizer::collect_grads`], from
     /// each hosted class's [`Partials`] (`hosted[class]`). A shard of a class
-    /// with one host is sent as a view of its gradient; one of a class with
-    /// several is their replica sum, folded straight into the send buffer.
+    /// with one host is sent as a view of its binary16 gradient; one of a
+    /// class with several is their replica sum, folded in f32 into a wire
+    /// buffer and narrowed under the exact largest magnitude of that fold.
     /// A shard Algorithm 2 sources from this rank is reported as
     /// [`GradShard::Local`] and left where its terms lie, for Adam to sum
     /// and step from.
@@ -1053,12 +1080,14 @@ impl SymiOptimizer {
             |ctx, class, r| {
                 let partials = hosted[class].expect("hosted");
                 if partials.is_empty() {
-                    return F32View::new(Arc::clone(partials.own()), r).into();
+                    return F16View::new(Arc::clone(partials.own()), r).into();
                 }
-                let mut buf = ctx.pooled_f32(r.len());
-                buf.resize(r.len(), 0.0);
-                partials.sum_into(r.start, r.end, &mut buf);
-                buf.into()
+                let mut sum = ctx.pooled_f32(r.len());
+                sum.resize(r.len(), 0.0);
+                partials.sum_into(r.start, r.end, &mut sum);
+                let payload = narrowed(ctx, &sum);
+                ctx.recycle_f32(sum);
+                payload
             },
         )
     }
@@ -1114,7 +1143,7 @@ impl SymiOptimizer {
             staged += mt - ms;
             if ms == mt {
                 // Zero-length shard: nothing to collect for this class.
-                out.push(Some(GradShard::Wire(Payload::F32(Vec::new()))));
+                out.push(Some(GradShard::Wire(Payload::ScaledF16(Vec::new(), 0))));
                 continue;
             }
             let host_ranks = placement.host_ranks(class);
@@ -1141,9 +1170,9 @@ impl SymiOptimizer {
             self.telemetry.gauge("grad_collect_retries").set(delta as f64);
         }
 
-        // Stage every collected shard into host memory (PCIe leg of T_G;
-        // gradients stay fp32 — only the weight phase travels fp16).
-        ctx.record_host_device_bytes(staged as u64 * 4);
+        // Stage every collected shard into host memory (PCIe leg of T_G, at
+        // the gradient's 2 B/param).
+        ctx.record_host_device_bytes(staged as u64 * 2);
         let mut wire = || GradShard::Wire(received.next().expect("one receive per remote class"));
         Ok(out.into_iter().map(|shard| shard.unwrap_or_else(&mut wire)).collect())
     }
@@ -1239,7 +1268,7 @@ impl SymiOptimizer {
                     "class {class}: gradient length"
                 );
                 if partials.is_empty() {
-                    ClassGrad::Shard(&partials.own()[ms..mt])
+                    ClassGrad::Half(partials.own().term(ms..mt))
                 } else {
                     ClassGrad::Reduced(partials)
                 }
@@ -1247,6 +1276,10 @@ impl SymiOptimizer {
             ClassGrad::Shard(shard) => {
                 assert_eq!(shard.len(), mt - ms, "class {class}: gradient shard length");
                 ClassGrad::Shard(shard)
+            }
+            ClassGrad::Half(term) => {
+                assert_eq!(term.len(), mt - ms, "class {class}: gradient shard length");
+                ClassGrad::Half(term)
             }
         };
         let mut step = self.shards[class].begin_step();
@@ -1260,6 +1293,13 @@ impl SymiOptimizer {
                     step.run(r.clone(), Grad::Slice(&shard[r.clone()]), dests)
                 });
             }
+            ClassGrad::Half(term) => {
+                let r = a - ms..b - ms;
+                let half = outs.iter_mut().map(|o| Dest::Half(&mut o.bits()[r.clone()]));
+                with_list(half.chain(local), |dests| {
+                    step.run(r.clone(), Grad::Half(&[term.sub(r.clone())]), dests)
+                });
+            }
             ClassGrad::Reduced(partials) => {
                 for (at, end, j) in partials.ring_pieces(a, b) {
                     let r = at - ms..end - ms;
@@ -1267,7 +1307,7 @@ impl SymiOptimizer {
                     let local = local.as_mut().map(|d| d.sub(at - a..end - a));
                     with_list(partials.ring_terms(at, end, j), |terms| {
                         with_list(half.chain(local), |dests| {
-                            step.run(r.clone(), Grad::Sum(terms), dests)
+                            step.run(r.clone(), Grad::Half(terms), dests)
                         })
                     });
                 }

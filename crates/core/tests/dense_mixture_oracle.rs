@@ -25,10 +25,19 @@
 //! class. A class's summed gradient is compared where the reduce leaves it —
 //! on the ranges each host serves to Algorithm 2 — and those ranges must
 //! tile the class once per iteration, so every element is compared on
-//! exactly one rank. Measured: the outputs agree exactly (a row's GEMM does not depend
-//! on its neighbours), the class gradients exactly at one rank — class-major
-//! rows are in token order there, and a zero row adds nothing — and within
-//! 4 ε at two and three, on the vector and the scalar kernels alike.
+//! exactly one rank.
+//!
+//! Both sides' gradients are binary16, each narrowed under its own
+//! power-of-two exponent: the dense side's once over all tokens, the
+//! engine's once per host before the reduce sums them. At one rank the two
+//! narrowings are the same one, and the 16 ε bound stands. Across ranks each
+//! side carries up to half a binary16 ulp (2⁻¹¹ relative) per narrowed
+//! value, so there the gradient bound is `2⁻⁹ (|dense| + rms)`. A lost,
+//! doubled or mis-gated row still moves an element by a whole term, far
+//! past either bound. Measured: the outputs agree exactly (a row's GEMM
+//! does not depend on its neighbours), the class gradients exactly at one
+//! rank — class-major rows are in token order there, and a zero row adds
+//! nothing — and within ≈ 6,800 ε at two ranks and ≈ 7,600 ε at three.
 
 use std::sync::{Barrier, Mutex};
 
@@ -43,6 +52,8 @@ use symi_tensor::{init, AdamConfig, HalfMatrix, Matrix};
 const T_LOC: usize = 24;
 const ITERS: usize = 3;
 const EPS: f32 = 1.0 / (1u32 << 24) as f32;
+/// The class-gradient bound across ranks: two binary16 narrowings apart.
+const HALF_TOL: f32 = 1.0 / 512.0;
 
 fn cfg() -> EngineConfig {
     EngineConfig {
@@ -134,7 +145,7 @@ fn dense_mixture(nodes: usize, weights: &[Vec<f32>], it: usize) -> (Vec<Matrix>,
             let upstream = Matrix::from_fn(t, d, |r, c| w[(r, class)] * dy[(r, c)]);
             expert.zero_grad();
             let _ = expert.backward(&upstream);
-            expert.flat_grads().to_vec()
+            expert.grad_values()
         })
         .collect();
     let per_rank = (0..nodes)
@@ -246,7 +257,8 @@ fn dense_mixture_equals_dispatch_expert_combine_at_infinite_capacity() {
             worst_grad / EPS
         );
         assert!(worst_dy <= 16.0 * EPS, "{nodes} ranks: outputs off by {worst_dy:e}");
-        assert!(worst_grad <= 16.0 * EPS, "{nodes} ranks: class gradients off by {worst_grad:e}");
+        let tol = if nodes == 1 { 16.0 * EPS } else { HALF_TOL };
+        assert!(worst_grad <= tol, "{nodes} ranks: class gradients off by {worst_grad:e}");
         // The scenario must actually exercise what it claims to.
         assert!(per_rank.iter().any(|r| r.2), "{nodes} ranks: no class ever merged slots");
         assert!(per_rank.iter().any(|r| r.4), "{nodes} ranks: placement never rebalanced");

@@ -2,7 +2,8 @@
 //! all-reduce it replaced.
 //!
 //! `SymiOptimizer::reduce_grads_to_sources` gathers, on each host `h` of a
-//! class, the other hosts' partial gradients of S_h: the chunks of the
+//! class, the other hosts' binary16 partial gradients of S_h (each under its
+//! own power-of-two exponent): the chunks of the
 //! owners whose `get_source` is `h`, the ranges the collect that follows
 //! reads. Nothing is summed into any buffer: the collect folds the other
 //! owners' chunks into its send buffers, and `SymiOptimizer::step_reduced`
@@ -15,22 +16,27 @@
 //! divide, down to fewer parameters than ranks:
 //!
 //! 1. On S_h the recompute leaves, bit for bit, what
-//!    `RankCtx::allreduce_sum` over the hosts leaves there (the ring's
-//!    association, not just its value), and the rank's own partial
-//!    everywhere else; the gradient the reduce sent views of still holds
-//!    the rank's own partial, after the reduce and after the step. The step
-//!    consumes the sum: the host's master weights after it equal, bit for
-//!    bit, one Adam step on the all-reduced gradient.
+//!    `RankCtx::allreduce_sum` over the hosts' partials — narrowed, then
+//!    widened — leaves there (the ring's association, not just its value),
+//!    and the rank's own widened partial everywhere else; the gradient the
+//!    reduce sent views of still holds the rank's own partial, after the
+//!    reduce and after the step. The step consumes the sum: the host's
+//!    master weights after it equal, bit for bit, one Adam step on the
+//!    all-reduced gradient. Against the ring all-reduce of the f32 partials
+//!    the sum is off by at most what narrowing allows: per element
+//!    `(2⁻¹¹ + m·2⁻²³)·Σ_h|p_h| + Σ_h 2^-(25 + s_h)` — half an ulp of
+//!    binary16 on each partial, half its smallest subnormal under each
+//!    exponent `s_h`, and the two f32 folds' own rounding.
 //! 2. Over a class's hosts the served ranges tile `[0, P)` exactly once.
-//! 3. Reduce plus collect move exactly `4 · m(N−1)/N · P` bytes per class
-//!    between nodes for world owners (`4 · (m−1) · P` for host owners): the
-//!    floor for reducing `m` partials onto `N` owners.
+//! 3. Reduce plus collect move exactly `2 · m(N−1)/N · P` bytes per class
+//!    between nodes for world owners (`2 · (m−1) · P` for host owners): the
+//!    floor for reducing `m` binary16 partials onto `N` owners.
 
 use std::sync::Arc;
 use symi::{ExpertPlacement, SymiOptimizer};
 use symi_collectives::{Cluster, ClusterSpec, CommGroup, TagSpace, WirePhase};
 use symi_model::expert::ExpertFfn;
-use symi_tensor::{AdamConfig, AdamShard, Matrix};
+use symi_tensor::{AdamConfig, AdamShard, HalfMatrix, Matrix, ScaledHalf};
 
 /// One class hosted on `m` contiguous ranks starting at `start`, every other
 /// rank holding a class of its own (one slot per rank).
@@ -78,8 +84,10 @@ fn optimizer(
     }
 }
 
-/// A partial gradient whose elements span six binades, so the order of a
-/// sum shows in its bits.
+/// A partial gradient whose elements span twenty-four binades, so the
+/// order of a sum shows in its bits: two hosts' widened binary16 partials
+/// carry 11 significant bits each, and only terms more than 2¹³ apart make
+/// an f32 sum of three round.
 fn partial(rank: usize, class: usize, p: usize) -> Vec<f32> {
     let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ ((rank as u64) << 32) ^ class as u64;
     (0..p)
@@ -88,7 +96,7 @@ fn partial(rank: usize, class: usize, p: usize) -> Vec<f32> {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let mantissa = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
-            mantissa * (1 << ((state >> 20) % 6)) as f32
+            mantissa * 2f32.powi(((state >> 20) % 24) as i32 - 12)
         })
         .collect()
 }
@@ -97,9 +105,14 @@ fn partial(rank: usize, class: usize, p: usize) -> Vec<f32> {
 /// mismatch fails the test instead of leaving the other ranks waiting.
 struct Seen {
     class: usize,
-    /// This host's partial, and the ring all-reduce's result.
+    /// This host's partial narrowed and widened, and the ring all-reduce's
+    /// result over the hosts' narrowed partials.
     mine: Vec<f32>,
     want: Vec<f32>,
+    /// The ring all-reduce's result over the f32 partials, and the bound
+    /// the narrowed sum keeps to it, per element.
+    f32_sum: Vec<f32>,
+    bound: Vec<f32>,
     /// The gradient after the reduce, and after the step.
     reduced: Vec<f32>,
     stepped: Vec<f32>,
@@ -130,17 +143,30 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                 let mut opt = optimizer(rank, n, &placement, world, p);
                 let mut seen = Vec::new();
                 for (class, _) in placement.classes_on_rank(rank) {
-                    let mine = partial(rank, class, p);
+                    let exact = partial(rank, class, p);
+                    let got = Arc::new(ScaledHalf::from_f32(&exact));
+                    let mine = got.to_f32();
+                    let m = placement.host_ranks(class).len() as f32;
+                    let hosts = CommGroup::new(placement.host_ranks(class));
+                    let mut ring = |layer, data: &mut Vec<f32>| {
+                        let tag = TagSpace::new(layer, 0).tag(WirePhase::GradSync, class, 0);
+                        ctx.allreduce_sum(&hosts, tag, data).expect("ring");
+                    };
                     let mut want = mine.clone();
-                    let hosts = placement.host_ranks(class);
-                    let ring = TagSpace::new(1, 0).tag(WirePhase::GradSync, class, 0);
-                    ctx.allreduce_sum(&CommGroup::new(hosts), ring, &mut want).expect("ring");
-                    let got = Arc::new(mine.clone());
+                    ring(1, &mut want);
+                    let mut f32_sum = exact.clone();
+                    ring(2, &mut f32_sum);
+                    let quantum = 2f32.powi(-25 - got.exp());
+                    let mut bound: Vec<f32> = exact
+                        .iter()
+                        .map(|x| (2f32.powi(-11) + m * 2f32.powi(-23)) * x.abs() + quantum)
+                        .collect();
+                    ring(3, &mut bound);
                     let tags = TagSpace::new(0, 0);
                     let mut partials = opt
                         .reduce_grads_to_sources(ctx, &placement, class, &got, tags)
                         .expect("reduce");
-                    let reduced = got.to_vec();
+                    let reduced = got.to_f32();
                     let (os, ot) = opt.shard_range(class);
                     let half = opt.step_reduced(class, &partials);
                     let summed = partials.replica_sum();
@@ -152,8 +178,10 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                         class,
                         mine,
                         want,
+                        f32_sum,
+                        bound,
                         reduced,
-                        stepped: got.to_vec(),
+                        stepped: got.to_f32(),
                         summed,
                         ranges: opt.served_ranges(&placement, class, rank),
                         own: (os, ot),
@@ -189,6 +217,17 @@ fn the_reduce_equals_the_ring_all_reduce_bitwise_on_what_each_host_serves() {
                             );
                         }
                     }
+                    for i in (0..p).filter(|&i| on_served[i]) {
+                        let off = (s.want[i] - s.f32_sum[i]).abs();
+                        assert!(
+                            off <= s.bound[i],
+                            "{at} element {i}: the narrowed sum {} is {off:e} from the f32 \
+                             one {}, past the bound {:e}",
+                            s.want[i],
+                            s.f32_sum[i],
+                            s.bound[i]
+                        );
+                    }
                     assert_eq!(s.master[0], s.master[1], "{at}: master after one step");
                     assert_eq!(s.published[0], s.published[1], "{at}: published");
                 }
@@ -218,7 +257,7 @@ fn reduce_and_collect_move_the_minimum_bytes_per_class() {
             let tags = TagSpace::new(0, 0);
             let mut grads: Vec<Option<Vec<f32>>> = vec![None; e];
             for (class, _) in placement.classes_on_rank(rank) {
-                let grad = Arc::new(partial(rank, class, P));
+                let grad = Arc::new(ScaledHalf::from_f32(&partial(rank, class, P)));
                 let partials = opt
                     .reduce_grads_to_sources(ctx, &placement, class, &grad, tags)
                     .expect("reduce");
@@ -229,7 +268,7 @@ fn reduce_and_collect_move_the_minimum_bytes_per_class() {
         let want: usize = placement
             .replica_counts()
             .iter()
-            .map(|&m| if world { 4 * m * (n - 1) * P / n } else { 4 * (m - 1) * P })
+            .map(|&m| if world { 2 * m * (n - 1) * P / n } else { 2 * (m - 1) * P })
             .sum();
         assert_eq!(
             traffic.inter_node_bytes,
@@ -254,11 +293,16 @@ fn a_view_held_across_the_peers_next_backward_costs_a_fresh_buffer_not_a_copy() 
     let input = |rank: usize, round: usize| {
         Matrix::from_fn(3, D, |r, c| ((rank * 31 + round * 7 + r * D + c) as f32 * 0.37).sin())
     };
+    let slot = || {
+        let mut e = ExpertFfn::<HalfMatrix>::zeros(D, FF);
+        e.load_flat(&ExpertFfn::new(D, FF, 5).flat_params());
+        e
+    };
     let (seen, _) = Cluster::run(ClusterSpec::flat(2), |ctx| {
         let rank = ctx.rank();
-        let (mut expert, mut plain) = (ExpertFfn::new(D, FF, 5), ExpertFfn::new(D, FF, 5));
+        let (mut expert, mut plain) = (slot(), slot());
         let opt = optimizer(rank, 2, &placement, true, expert.param_count());
-        let backward = |e: &mut ExpertFfn, round: usize| {
+        let backward = |e: &mut ExpertFfn<HalfMatrix>, round: usize| {
             e.zero_grad();
             let x = input(rank, round);
             let _ = e.forward(&x);
@@ -291,7 +335,8 @@ fn a_view_held_across_the_peers_next_backward_costs_a_fresh_buffer_not_a_copy() 
             backward(&mut plain, 2);
             fallbacks.push(expert.grad_fallbacks());
         }
-        (fallbacks, bits(expert.flat_grads()), bits(plain.flat_grads()), bits(&held), bits(&still))
+        let (got, want) = (bits(&expert.grad_values()), bits(&plain.grad_values()));
+        (fallbacks, got, want, bits(&held), bits(&still))
     });
     let (fallbacks, got, want, _, _) = &seen[0];
     assert_eq!(fallbacks, &[1, 1], "one fresh buffer while the view lived, none after");

@@ -6,7 +6,11 @@
 //! weight-communication phase scatters.
 //!
 //! The gradient never round-trips: it *is* one flat `[W1 | b1 | W2 | b2]`
-//! buffer per expert, allocated once. Backward writes it; from then until
+//! buffer per expert, allocated once, stored as the weights' type says
+//! ([`WeightStorage::Grad`]): f32 for f32 weights, and for binary16 ones —
+//! the engines' slots — binary16 bits under one power-of-two exponent per
+//! backward ([`ScaledHalf`]), §3.1's 2 B/param gradient, narrowed as the
+//! weight-gradient GEMMs store it. Backward writes it; from then until
 //! the next backward it is read-only and shared ([`ExpertFfn::shared_grads`]):
 //! the §4.1 replica sync and Algorithm 2's collect send views of it, and
 //! Adam sums and steps from it where it lies. Nothing copies it in between.
@@ -22,15 +26,18 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 use symi_telemetry::TelemetryHandle;
-use symi_tensor::half::{decode, encode};
-use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_from_tanh_into, linear_gelu_tanh_into};
+use symi_tensor::half::{decode, encode, grad_exponent, max_abs};
+use symi_tensor::ops::{
+    gelu_backward_from_tanh_in_place, gelu_backward_from_tanh_into, gelu_from_tanh_into,
+    gelu_from_tanh_max_into, linear_gelu_tanh_into,
+};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, BOperand, Dest, HalfMatrix, Matrix};
+use symi_tensor::{init, BOperand, Dest, HalfMatrix, Matrix, ScaledHalf};
 
 thread_local! {
     /// Two `rows × d_ff` scratch matrices: the activation `gelu(pre)`, which
-    /// both passes rebuild from the cached `tanh` term (backward then reuses
-    /// the buffer for `dL/d act`), and `dL/d pre`. They are dead outside one
+    /// both passes rebuild from the cached `tanh` term, and `dL/d act`;
+    /// backward leaves `dL/d pre` in one of them. They are dead outside one
     /// [`ExpertFfn::forward_into`] / [`ExpertFfn::backward_into`] call, so a
     /// thread's experts share one pair sized by its largest batch instead of
     /// each keeping its own high-water mark.
@@ -38,15 +45,169 @@ thread_local! {
         RefCell::new((Matrix::zeros(0, 0), Matrix::zeros(0, 0)));
 }
 
+/// What an expert's backward writes its flat gradient from, one row per
+/// token: the input `x`, the cached pre-activation `pre` and its `tanh` term
+/// `t`, and the upstream gradient `dy`. The four blocks are `W1: xᵀ·dpre`,
+/// `b1: Σ dpre`, `W2: actᵀ·dy` and `b2: Σ dy`, with `act = gelu(pre)` and
+/// `dpre = dL/dpre`.
+pub struct BackwardInputs<'a> {
+    pub x: &'a Matrix,
+    pub pre: &'a Matrix,
+    pub t: &'a Matrix,
+    pub dy: &'a Matrix,
+}
+
+impl BackwardInputs<'_> {
+    /// Element counts of the flat layout's blocks `[W1, b1, W2]` (`b2` is
+    /// the rest).
+    fn blocks(&self) -> [usize; 3] {
+        let (d, ff) = (self.x.cols(), self.pre.cols());
+        [d * ff, ff, ff * d]
+    }
+}
+
+/// An a-priori bound on every element of the gradient of `rows` token rows,
+/// from its four factors' largest magnitudes `[x, act, dy, dpre]`:
+/// `rows · max(|x|·|dpre|, |act|·|dy|, |dpre|, |dy|)` — each element is a
+/// sum of `rows` products, or of `rows` values. NaN if a factor holds a
+/// non-finite value.
+pub fn grad_bound(rows: usize, maxima: [f32; 4]) -> f64 {
+    let [x, act, dy, dpre] = maxima.map(f64::from);
+    let terms = [x * dpre, act * dy, dpre, dy];
+    if !terms.iter().all(|t| t.is_finite()) {
+        return f64::NAN;
+    }
+    rows as f64 * terms.into_iter().fold(0.0, f64::max)
+}
+
+/// How an expert's flat gradient rests between backward and its readers.
+pub trait GradStorage: Send + Sync + 'static {
+    /// `len` elements of `+0.0`.
+    fn zeros(len: usize) -> Self;
+    fn len(&self) -> usize;
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Bytes the elements occupy.
+    fn bytes(&self) -> usize;
+    /// Sets every element to `+0.0`.
+    fn fill_zero(&mut self);
+    /// The values as f32 (a copy; exact).
+    fn values(&self) -> Vec<f32>;
+    /// Writes the gradient — or, with `acc`, adds it to what the buffer
+    /// holds — and returns whichever of the two scratch matrices it left
+    /// `dL/dpre` in (for the input gradient). On entry `dact` holds
+    /// `dL/d act = dy·W2ᵀ`; `act` is scratch, for `gelu(pre)`.
+    fn write<'m>(
+        &mut self,
+        b: &BackwardInputs<'_>,
+        act: &'m mut Matrix,
+        dact: &'m mut Matrix,
+        acc: bool,
+    ) -> &'m Matrix;
+}
+
+impl GradStorage for Vec<f32> {
+    fn zeros(len: usize) -> Self {
+        vec![0.0; len]
+    }
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn bytes(&self) -> usize {
+        4 * self.len()
+    }
+    fn fill_zero(&mut self) {
+        self.fill(0.0);
+    }
+    fn values(&self) -> Vec<f32> {
+        self.clone()
+    }
+    fn write<'m>(
+        &mut self,
+        b: &BackwardInputs<'_>,
+        act: &'m mut Matrix,
+        dact: &'m mut Matrix,
+        acc: bool,
+    ) -> &'m Matrix {
+        let [w1, b1, _] = b.blocks();
+        let (w1_grad, rest) = self.split_at_mut(w1);
+        let (b1_grad, rest) = rest.split_at_mut(b1);
+        let (w2_grad, b2_grad) = rest.split_at_mut(w1);
+        gelu_from_tanh_into(b.pre, b.t, act);
+        act.matmul_tn_slice(b.dy, w2_grad, acc);
+        b.dy.sum_rows_slice(b2_grad, acc);
+        let dpre = act;
+        gelu_backward_from_tanh_into(b.pre, b.t, dact, dpre);
+        b.x.matmul_tn_slice(dpre, w1_grad, acc);
+        dpre.sum_rows_slice(b1_grad, acc);
+        dpre
+    }
+}
+
+/// An engine slot's gradient: binary16 at 2 B/param under one exponent
+/// `s`, picked from [`grad_bound`] ([`grad_exponent`]: the largest `s` with
+/// `bound·2^s ≤ 2^15`) before either weight-gradient GEMM runs, so no
+/// element can narrow to ±inf. Each GEMM narrows its f32 FMA chains ×2^s as
+/// it stores them, and the bias sums narrow a stack block at a time: no f32
+/// copy of the gradient exists, and no pass runs over it.
+impl GradStorage for ScaledHalf {
+    fn zeros(len: usize) -> Self {
+        ScaledHalf::zeros(len)
+    }
+    fn len(&self) -> usize {
+        self.len()
+    }
+    fn bytes(&self) -> usize {
+        2 * self.len()
+    }
+    fn fill_zero(&mut self) {
+        let (bits, exp) = self.parts_mut();
+        bits.fill(0);
+        *exp = 0;
+    }
+    fn values(&self) -> Vec<f32> {
+        self.to_f32()
+    }
+    /// The activation and `dL/dpre` (in place over `dL/d act`) are formed
+    /// first, their largest magnitudes folded into those two passes.
+    ///
+    /// # Panics
+    /// Panics with `acc`: a binary16 gradient is written once per
+    /// [`ExpertFfn::zero_grad`] — one backward per class and iteration,
+    /// every token row of the class in it.
+    fn write<'m>(
+        &mut self,
+        b: &BackwardInputs<'_>,
+        act: &'m mut Matrix,
+        dact: &'m mut Matrix,
+        acc: bool,
+    ) -> &'m Matrix {
+        assert!(!acc, "a binary16 gradient is written once per zero_grad, never accumulated");
+        let act_max = gelu_from_tanh_max_into(b.pre, b.t, act);
+        let dpre = dact;
+        let dpre_max = gelu_backward_from_tanh_in_place(b.pre, b.t, dpre);
+        let [x_max, dy_max] = [b.x, b.dy].map(|f| max_abs(f.as_slice()));
+        let s = grad_exponent(grad_bound(b.dy.rows(), [x_max, act_max, dy_max, dpre_max]));
+        let [w1, b1, _] = b.blocks();
+        let (bits, exp) = self.parts_mut();
+        *exp = s;
+        let (w1_grad, rest) = bits.split_at_mut(w1);
+        let (b1_grad, rest) = rest.split_at_mut(b1);
+        let (w2_grad, b2_grad) = rest.split_at_mut(w1);
+        b.x.matmul_tn_half(dpre, w1_grad, s);
+        dpre.sum_rows_half(b1_grad, s);
+        act.matmul_tn_half(b.dy, w2_grad, s);
+        b.dy.sum_rows_half(b2_grad, s);
+        dpre
+    }
+}
+
 /// How a parameter matrix of an [`ExpertFfn`] is stored: f32 [`Matrix`]
 /// (the biases always; the weights of the `Trainer`'s experts), or binary16
 /// [`HalfMatrix`] (the engines' slot weights). Offsets and lengths count
 /// elements of the row-major matrix.
-pub trait WeightStorage: BOperand {
-    /// A `rows × cols` matrix of `+0.0`.
-    fn zeros(rows: usize, cols: usize) -> Self
-    where
-        Self: Sized;
+pub trait ParamStorage: BOperand {
     /// Bytes the elements occupy.
     fn bytes(&self) -> usize;
     /// Sets elements `at ..` from f32 values (binary16 storage rounds them
@@ -59,14 +220,28 @@ pub trait WeightStorage: BOperand {
     fn extend_f32(&self, out: &mut Vec<f32>);
     /// Elements `at .. at + len` as a place an Adam step publishes to:
     /// binary16 storage as its bits, f32 storage as values on the fp16 grid
-    /// — what [`WeightStorage::load_f16_at`] of the same bits would leave.
+    /// — what [`ParamStorage::load_f16_at`] of the same bits would leave.
     fn dest(&mut self, at: usize, len: usize) -> Dest<'_>;
 }
 
+/// How an [`ExpertFfn`]'s two weight matrices are stored, and with them its
+/// gradient: f32 weights keep an f32 gradient, binary16 weights a binary16
+/// one ([`GradStorage`]).
+pub trait WeightStorage: ParamStorage {
+    /// How an expert with these weights keeps its flat gradient.
+    type Grad: GradStorage;
+    /// A `rows × cols` matrix of `+0.0`.
+    fn zeros(rows: usize, cols: usize) -> Self;
+}
+
 impl WeightStorage for Matrix {
+    type Grad = Vec<f32>;
     fn zeros(rows: usize, cols: usize) -> Self {
         Matrix::zeros(rows, cols)
     }
+}
+
+impl ParamStorage for Matrix {
     fn bytes(&self) -> usize {
         4 * self.len()
     }
@@ -85,9 +260,13 @@ impl WeightStorage for Matrix {
 }
 
 impl WeightStorage for HalfMatrix {
+    type Grad = ScaledHalf;
     fn zeros(rows: usize, cols: usize) -> Self {
         HalfMatrix::zeros(rows, cols)
     }
+}
+
+impl ParamStorage for HalfMatrix {
     fn bytes(&self) -> usize {
         2 * self.len()
     }
@@ -107,9 +286,9 @@ impl WeightStorage for HalfMatrix {
     }
 }
 
-/// A two-layer GELU FFN: `y = gelu(x·W1 + b1)·W2 + b2`, its weights stored
-/// as `W` says ([`WeightStorage`]; biases, caches and the gradient are f32
-/// either way).
+/// A two-layer GELU FFN: `y = gelu(x·W1 + b1)·W2 + b2`, its weights and
+/// gradient stored as `W` says ([`WeightStorage`]; biases and caches are
+/// f32 either way).
 ///
 /// Forward/backward run on the blocked kernels through persistent caches
 /// and per-thread scratch buffers (`*_into` entry points), so a steady-state
@@ -118,14 +297,14 @@ impl WeightStorage for HalfMatrix {
 /// instead of the activation: the activation is `0.5·pre·(1 + t)`, rebuilt
 /// with [`symi_tensor::vmath::gelu`]'s own operations wherever it is needed,
 /// and backward's GELU′ reads `t` rather than evaluating `tanh` again.
-pub struct ExpertFfn<W = Matrix> {
+pub struct ExpertFfn<W: WeightStorage = Matrix> {
     pub w1: W,
     pub b1: Matrix,
     pub w2: W,
     pub b2: Matrix,
     /// The gradient, flat in the parameters' layout `[W1 | b1 | W2 | b2]`.
     /// Written by backward only, and only while no view shares it.
-    grad: Arc<Vec<f32>>,
+    grad: Arc<W::Grad>,
     /// Set by [`ExpertFfn::zero_grad`]: the gradient is all `+0.0` although
     /// `grad` still holds the previous step's values. The next backward
     /// overwrites them; any other reader zero-fills first.
@@ -141,7 +320,7 @@ pub struct ExpertFfn<W = Matrix> {
 
 /// An expert's four parameters, mutable, in the flat layout's order
 /// `[W1 | b1 | W2 | b2]` ([`ExpertFfn::params_mut`]).
-pub struct ParamsMut<'a>([&'a mut dyn WeightStorage; 4]);
+pub struct ParamsMut<'a>([&'a mut dyn ParamStorage; 4]);
 
 impl ParamsMut<'_> {
     /// Calls `f(param, at, lo, hi)` for each parameter that elements
@@ -151,7 +330,7 @@ impl ParamsMut<'_> {
         &mut self,
         offset: usize,
         end: usize,
-        mut f: impl FnMut(&mut dyn WeightStorage, usize, usize, usize),
+        mut f: impl FnMut(&mut dyn ParamStorage, usize, usize, usize),
     ) {
         assert!(end <= self.0.iter().map(|p| p.rows() * p.cols()).sum(), "range past the params");
         let mut base = 0;
@@ -168,7 +347,7 @@ impl ParamsMut<'_> {
     /// Calls `publish(start, dest)` for each parameter that elements
     /// `offset .. end` of the flat layout overlap, `dest` being its storage
     /// of flat elements `start .. start + dest.len()`
-    /// ([`WeightStorage::dest`]) — where the weight scatter's Adam step
+    /// ([`ParamStorage::dest`]) — where the weight scatter's Adam step
     /// writes this rank's own chunk of a class it hosts.
     pub fn dests(&mut self, offset: usize, end: usize, mut publish: impl FnMut(usize, Dest<'_>)) {
         self.for_range(offset, end, |param, at, lo, hi| {
@@ -201,7 +380,7 @@ impl<W: WeightStorage> ExpertFfn<W> {
             b1: Matrix::zeros(1, d_ff),
             w2,
             b2: Matrix::zeros(1, d_model),
-            grad: Arc::new(vec![0.0; 2 * d_model * d_ff + d_ff + d_model]),
+            grad: Arc::new(W::Grad::zeros(2 * d_model * d_ff + d_ff + d_model)),
             grad_zero: true,
             grad_fallbacks: 0,
             cached_x: Matrix::zeros(0, 0),
@@ -230,7 +409,7 @@ impl<W: WeightStorage> ExpertFfn<W> {
     }
 
     /// The four parameters in the flat layout's order `[W1 | b1 | W2 | b2]`.
-    fn params(&self) -> [&dyn WeightStorage; 4] {
+    fn params(&self) -> [&dyn ParamStorage; 4] {
         [&self.w1, &self.b1, &self.w2, &self.b2]
     }
 
@@ -265,13 +444,15 @@ impl<W: WeightStorage> ExpertFfn<W> {
     }
 
     /// Backward pass: the flat gradient, and `dL/dx` into `dx` when the
-    /// caller wants it. `None` skips only the last GEMM (`dpre · W1ᵀ`), for
-    /// a caller whose input has no trainable layer upstream; every gradient
-    /// element is the same bits either way. The first call after
-    /// [`zero_grad`] *writes* the flat gradient — every element the fold
-    /// from `+0.0`, bit for bit what zero-filling and accumulating gives,
-    /// without the fill or the read-back — and later calls accumulate into
-    /// it.
+    /// caller wants it ([`GradStorage::write`] writes the gradient's four
+    /// blocks). `None` skips only the last GEMM
+    /// (`dpre · W1ᵀ`), for a caller whose input has no trainable layer
+    /// upstream; every gradient element is the same bits either way. The
+    /// first call after [`zero_grad`] *writes* the flat gradient — every
+    /// element the fold from `+0.0`, bit for bit what zero-filling and
+    /// accumulating gives, without the fill or the read-back — and later
+    /// calls accumulate into it (an f32 gradient only:
+    /// [`GradStorage::write`]).
     ///
     /// [`zero_grad`]: ExpertFfn::zero_grad
     ///
@@ -280,24 +461,15 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// ([`ExpertFfn::shared_grads`]): views are taken of a finished gradient.
     pub fn backward_into(&mut self, dy: &Matrix, dx: Option<&mut Matrix>) {
         let acc = !std::mem::take(&mut self.grad_zero);
-        let weights = self.d_model() * self.d_ff(); // elements of W1, and of W2
         if !acc {
             self.reclaim_grads();
         }
         let grad = Arc::get_mut(&mut self.grad).expect("a view still reads the gradient");
-        let (w1_grad, rest) = grad.split_at_mut(weights);
-        let (b1_grad, rest) = rest.split_at_mut(self.b1.len());
-        let (w2_grad, b2_grad) = rest.split_at_mut(weights);
         let (pre, t) = (&self.cached_pre, &self.cached_tanh);
-        SCRATCH.with_borrow_mut(|(act, dpre)| {
-            gelu_from_tanh_into(pre, t, act);
-            act.matmul_tn_slice(dy, w2_grad, acc);
-            dy.sum_rows_slice(b2_grad, acc);
-            let dact = act;
+        SCRATCH.with_borrow_mut(|(act, dact)| {
             dy.matmul_nt_into(&self.w2, dact);
-            gelu_backward_from_tanh_into(pre, t, dact, dpre);
-            self.cached_x.matmul_tn_slice(dpre, w1_grad, acc);
-            dpre.sum_rows_slice(b1_grad, acc);
+            let inputs = BackwardInputs { x: &self.cached_x, pre, t, dy };
+            let dpre = grad.write(&inputs, act, dact, acc);
             if let Some(dx) = dx {
                 dpre.matmul_nt_into(&self.w1, dx);
             }
@@ -323,16 +495,28 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// writes, not a copy of it. `&mut self` because a gradient still marked
     /// zero by [`ExpertFfn::zero_grad`] is zero-filled before it is handed
     /// out: no reader ever sees the previous step's values.
-    pub fn flat_grads(&mut self) -> &[f32] {
+    pub fn flat_grads(&mut self) -> &W::Grad {
         self.shared_grads()
+    }
+
+    /// [`ExpertFfn::flat_grads`]' values as f32 (a copy; binary16 widened
+    /// and unscaled, exactly).
+    pub fn grad_values(&mut self) -> Vec<f32> {
+        self.flat_grads().values()
+    }
+
+    /// Bytes the gradient buffer occupies: 4 per parameter for an f32
+    /// gradient, 2 for a binary16 one.
+    pub fn grad_bytes(&self) -> usize {
+        self.grad.bytes()
     }
 
     /// [`ExpertFfn::flat_grads`] as the shared buffer itself: a sender
     /// clones the `Arc` into read-only views of it, which the next backward
     /// waits for no one to drop ([`ExpertFfn::grad_fallbacks`]).
-    pub fn shared_grads(&mut self) -> &Arc<Vec<f32>> {
+    pub fn shared_grads(&mut self) -> &Arc<W::Grad> {
         if std::mem::take(&mut self.grad_zero) {
-            self.reclaim_grads().fill(0.0);
+            self.reclaim_grads().fill_zero();
         }
         &self.grad
     }
@@ -341,25 +525,25 @@ impl<W: WeightStorage> ExpertFfn<W> {
     ///
     /// # Panics
     /// Panics if a view of the gradient is alive.
-    pub fn flat_grads_mut(&mut self) -> &mut [f32] {
+    pub fn flat_grads_mut(&mut self) -> &mut W::Grad {
         if std::mem::take(&mut self.grad_zero) {
-            self.reclaim_grads().fill(0.0);
+            self.reclaim_grads().fill_zero();
         }
         self.owned_grads()
     }
 
     /// The gradient buffer, for a pass that adds to what it holds.
-    fn owned_grads(&mut self) -> &mut [f32] {
+    fn owned_grads(&mut self) -> &mut W::Grad {
         Arc::get_mut(&mut self.grad).expect("a view still reads the gradient")
     }
 
     /// The gradient buffer, for a pass that overwrites every element: this
     /// expert's own again once every view of it is gone, else a fresh one —
     /// counted, and nothing copied into it.
-    fn reclaim_grads(&mut self) -> &mut [f32] {
+    fn reclaim_grads(&mut self) -> &mut W::Grad {
         if Arc::get_mut(&mut self.grad).is_none() {
             self.grad_fallbacks += 1;
-            self.grad = Arc::new(vec![0.0; self.grad.len()]);
+            self.grad = Arc::new(W::Grad::zeros(self.grad.len()));
         }
         self.owned_grads()
     }
@@ -389,7 +573,7 @@ impl<W: WeightStorage> ExpertFfn<W> {
     /// [`param_count`]: ExpertFfn::param_count
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_count(), "flat parameter length mismatch");
-        let load = |param: &mut dyn WeightStorage, at, lo, hi| param.load_f32_at(at, &flat[lo..hi]);
+        let load = |param: &mut dyn ParamStorage, at, lo, hi| param.load_f32_at(at, &flat[lo..hi]);
         self.params_mut().for_range(0, flat.len(), load);
     }
 
@@ -408,7 +592,7 @@ impl<W: WeightStorage> ExpertFfn<W> {
     pub fn load_f16_at(&mut self, offset: usize, half: &[u16]) {
         let end = offset + half.len();
         assert!(end <= self.param_count(), "f16 shard runs past the parameters");
-        let load = |param: &mut dyn WeightStorage, at, lo, hi| param.load_f16_at(at, &half[lo..hi]);
+        let load = |param: &mut dyn ParamStorage, at, lo, hi| param.load_f16_at(at, &half[lo..hi]);
         self.params_mut().for_range(offset, end, load);
     }
 
@@ -659,7 +843,12 @@ mod tests {
             let (dx_half, dx_f32) = (half.backward(&dy), decoded.backward(&dy));
             if rows >= 32 {
                 assert_eq!(bits(dx_half.as_slice()), bits(dx_f32.as_slice()));
-                assert_eq!(bits(half.flat_grads()), bits(decoded.flat_grads()));
+                // The binary16 gradient is the f32 one narrowed, bit for bit.
+                let want = decoded.flat_grads().clone();
+                let got = half.flat_grads();
+                let mut narrowed = vec![0u16; want.len()];
+                symi_tensor::half::narrow(&want, got.exp(), &mut narrowed);
+                assert_eq!(got.bits(), &narrowed[..]);
             } else {
                 assert!(dx_half.max_abs_diff(&dx_f32) < 1e-5);
             }
@@ -668,13 +857,49 @@ mod tests {
         }
     }
 
+    /// A slot's backward narrows the f32 gradient of its factors — what an
+    /// f32 gradient buffer would hold, bit for bit — under the exponent the
+    /// factors' bound picks: the largest with `bound · 2^s ≤ 2^15`.
+    #[test]
+    fn a_slot_gradient_is_the_f32_one_narrowed_under_the_bounds_exponent() {
+        use symi_tensor::half::narrow;
+        use symi_tensor::ops::linear_gelu_tanh_into;
+        let (rows, d, ff) = (5, 6, 20);
+        let mut slot = ExpertFfn::<HalfMatrix>::zeros(d, ff);
+        slot.load_flat(&ExpertFfn::new(d, ff, 9).flat_params());
+        let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.29).sin() * 2.0);
+        let dy = Matrix::from_fn(rows, d, |r, c| ((r + c) as f32 * 0.17).cos() * 1e-3);
+        let _ = slot.forward(&x);
+        slot.backward_into(&dy, None);
+        // The f32 gradient of the same inputs, and the factors' maxima.
+        let [mut pre, mut t, mut act, mut dact] = std::array::from_fn(|_| Matrix::zeros(0, 0));
+        linear_gelu_tanh_into(&x, &slot.w1, &slot.b1, &mut pre, &mut t);
+        dy.matmul_nt_into(&slot.w2, &mut dact);
+        let mut f32_grad = vec![f32::NAN; slot.param_count()];
+        let inputs = BackwardInputs { x: &x, pre: &pre, t: &t, dy: &dy };
+        let mut activation = Matrix::zeros(0, 0);
+        gelu_from_tanh_into(&pre, &t, &mut activation);
+        let act_max = max_abs(activation.as_slice());
+        let dpre_max = max_abs(f32_grad.write(&inputs, &mut act, &mut dact, false).as_slice());
+        let maxima = [max_abs(x.as_slice()), act_max, max_abs(dy.as_slice()), dpre_max];
+        let s = grad_exponent(grad_bound(rows, maxima));
+        let bound = grad_bound(rows, maxima) * 2f64.powi(s);
+        assert!(bound <= 32768.0 && bound * 2.0 > 32768.0, "bound {bound} under 2^{s}");
+        let grad = slot.flat_grads();
+        assert_eq!(grad.exp(), s, "the bound's exponent");
+        let mut want = vec![0u16; f32_grad.len()];
+        narrow(&f32_grad, s, &mut want);
+        assert_eq!(grad.bits(), &want[..], "the f32 gradient narrowed");
+    }
+
     /// `backward_into(dy, None)` is the `Some` form without its last GEMM:
-    /// the same flat gradient bits in write mode and in accumulate mode,
-    /// over f32 and binary16 weights; and the `Some` form's `dx` is the
-    /// allocating `backward`'s.
+    /// the same flat gradient bits in write mode and in accumulate mode
+    /// over f32 weights, in write mode over binary16 ones (their gradient is
+    /// never accumulated); and the `Some` form's `dx` is the allocating
+    /// `backward`'s.
     #[test]
     fn weights_only_backward_writes_the_same_gradient() {
-        fn check<W: WeightStorage>(make: impl Fn(usize, usize) -> ExpertFfn<W>) {
+        fn check<W: WeightStorage>(make: impl Fn(usize, usize) -> ExpertFfn<W>, modes: usize) {
             // 3 and 17 rows are under the x86 `nt` tile's `NT_TILE_MIN_ROWS`.
             for (rows, d, ff) in [(3, 5, 19), (17, 7, 33), (41, 16, 40)] {
                 let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.37).sin() * 3.0);
@@ -687,7 +912,7 @@ mod tests {
                     let _ = e.backward(&dys[1]); // leave stale values behind
                     e.zero_grad();
                 }
-                for (mode, dy) in ["write", "accumulate"].iter().zip(&dys) {
+                for (mode, dy) in ["write", "accumulate"].iter().zip(&dys).take(modes) {
                     for e in [&mut none, &mut some, &mut alloc] {
                         let _ = e.forward(&x);
                     }
@@ -696,19 +921,20 @@ mod tests {
                     let dx_alloc = alloc.backward(dy);
                     assert_eq!(bits(dx.as_slice()), bits(dx_alloc.as_slice()), "{rows}x{d}x{ff}");
                     assert_eq!(
-                        bits(none.flat_grads()),
-                        bits(some.flat_grads()),
+                        bits(&none.grad_values()),
+                        bits(&some.grad_values()),
                         "{rows}x{d}x{ff} {mode}"
                     );
                 }
             }
         }
-        check(|d, ff| ExpertFfn::new(d, ff, 11));
-        check(|d, ff| {
+        check(|d, ff| ExpertFfn::new(d, ff, 11), 2);
+        let half = |d, ff| {
             let mut half = ExpertFfn::<HalfMatrix>::zeros(d, ff);
             half.load_flat(&ExpertFfn::new(d, ff, 11).flat_params());
             half
-        });
+        };
+        check(half, 1);
     }
 
     #[test]

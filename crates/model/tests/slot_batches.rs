@@ -19,28 +19,41 @@
 //!    one by one and folding their gradients in ascending slot order is the
 //!    same sum in another association, so it agrees with the merged set
 //!    within rounding — the bound is stated at the test.
+//! 4. **A binary16 slot holds no f32 copy of its gradient**: the first
+//!    backward of an engine slot allocates less than one weight block's f32
+//!    size, and the gradient rests at 2 B per parameter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use symi_model::expert::{ExpertFfn, SlotBatches};
-use symi_tensor::Matrix;
+use symi_tensor::{HalfMatrix, Matrix};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-// SAFETY: defers all real work to `System`; the counter bump touches only a
-// const-initialized thread-local `Cell`, which never allocates.
+fn bytes_allocated_on_this_thread() -> u64 {
+    ALLOC_BYTES.with(|c| c.get())
+}
+
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: defers all real work to `System`; the counter bumps touch only
+// const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -49,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -318,4 +331,31 @@ fn per_slot_fold_agrees_with_the_merged_set_within_rounding() {
         assert_eq!(merged[1].flat_grads(), per_slot[2].flat_grads(), "round {it}: lone class");
     }
     assert!(reassociated > 0, "the merged sum never differed: the bound was not exercised");
+}
+
+#[test]
+fn a_binary16_slot_backward_allocates_no_f32_copy_of_its_gradient() {
+    // Few rows and a wide expert, so the per-thread activation scratch
+    // (rows × d_ff floats) is small beside one weight block (d × d_ff).
+    let (rows, d, ff) = (4, 64, 256);
+    // A fresh thread: its scratch is sized during the measured pass.
+    std::thread::spawn(move || {
+        let mut slot = ExpertFfn::<HalfMatrix>::zeros(d, ff);
+        slot.load_flat(&ExpertFfn::new(d, ff, 3).flat_params());
+        let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.37).sin());
+        let dy = Matrix::from_fn(rows, d, |r, c| ((r + 3 * c) as f32 * 0.11).cos() * 1e-2);
+        let _ = slot.forward(&x);
+        let before = bytes_allocated_on_this_thread();
+        slot.zero_grad();
+        slot.backward_into(&dy, None);
+        let allocated = bytes_allocated_on_this_thread() - before;
+        let block = (4 * d * ff) as u64;
+        assert!(
+            allocated < block,
+            "the first backward allocated {allocated} B, an f32 weight block is {block} B"
+        );
+        assert_eq!(slot.grad_bytes(), 2 * slot.param_count(), "2 B per parameter at rest");
+    })
+    .join()
+    .expect("the measuring thread");
 }

@@ -24,10 +24,12 @@
 //! payload survives when two different ones meet is the compiler's operand
 //! order, which Rust leaves open).
 //!
-//! The element's gradient is one slice, or the left-to-right sum of several,
-//! `((g₀ + g₁) + g₂) + …`, formed in registers and written nowhere — a
-//! replica sum read from the buffers its partials lie in instead of folded
-//! into one of them beforehand ([`Grad`]) — and the updated master is
+//! The element's gradient is one f32 slice, or the left-to-right sum of one
+//! or more binary16 terms, each widened and unscaled by its own power of
+//! two, `((w(h₀) + w(h₁)) + w(h₂)) + …`, formed in registers and written
+//! nowhere — a replica sum read from the binary16 buffers its partials lie
+//! in instead of folded into one of them beforehand ([`Grad`]) — and the
+//! updated master is
 //! published to any number of destinations ([`Dest`]), each through one of
 //! two stores:
 //!
@@ -43,6 +45,7 @@
 //! not by memory: the extra loads of a summed slice and the extra stores of
 //! a destination ride in its shadow.
 
+use crate::half::HalfTerm;
 use std::ops::Range;
 
 #[cfg(target_arch = "x86_64")]
@@ -303,13 +306,16 @@ impl Drop for ShardStep<'_> {
 /// writes no gradient back.
 #[derive(Clone, Copy)]
 pub enum Grad<'a> {
-    /// One slice, read as it is.
+    /// One f32 slice, read as it is.
     Slice(&'a [f32]),
-    /// The left-to-right sum of one or more slices, `((g₀ + g₁) + g₂) + …`
-    /// ([`sum_into`]). That is how a host steps its own chunk of a replica
-    /// sum: the hosts' partials in ring order, its own among them at its
-    /// position, each read where it lies.
-    Sum(&'a [&'a [f32]]),
+    /// The left-to-right sum of one or more binary16 terms, each widened and
+    /// unscaled by its exponent first, `((w(h₀) + w(h₁)) + w(h₂)) + …` with
+    /// `w(h) = f16_to_f32(h) · 2^-exp` ([`sum_half_into`]). That is how a
+    /// host steps its own chunk of a replica sum — the hosts' binary16
+    /// partials in ring order, its own among them at its position, each
+    /// read where it lies — and, as a sum of one, a shard that arrived
+    /// narrowed.
+    Half(&'a [HalfTerm<'a>]),
 }
 
 impl Grad<'_> {
@@ -317,25 +323,27 @@ impl Grad<'_> {
     fn fits(&self, n: usize) -> bool {
         match self {
             Grad::Slice(g) => g.len() == n,
-            Grad::Sum(terms) => !terms.is_empty() && terms.iter().all(|t| t.len() == n),
+            Grad::Half(terms) => !terms.is_empty() && terms.iter().all(|t| t.len() == n),
         }
     }
 }
 
-/// `out = ((t₀ + t₁) + t₂) + …` over the slices `terms` yields, element by
-/// element: the summation order of a [`Grad::Sum`] step, for a caller that
-/// needs the sum itself (a replica sum sent on, or recomputed to be
-/// checked).
+/// `out = ((w(t₀) + w(t₁)) + w(t₂)) + …` over the binary16 terms `terms`
+/// yields, element by element, `w` widening and unscaling
+/// ([`crate::half::widen`]): the summation of a [`Grad::Half`] step, for a
+/// caller that needs the sum itself (a replica sum sent on, or recomputed
+/// to be checked).
 ///
 /// # Panics
-/// Panics if `terms` yields nothing or a slice whose length differs from
+/// Panics if `terms` yields nothing or a term whose length differs from
 /// `out`'s.
-pub fn sum_into<'t>(terms: impl IntoIterator<Item = &'t [f32]>, out: &mut [f32]) {
+pub fn sum_half_into<'t>(terms: impl IntoIterator<Item = HalfTerm<'t>>, out: &mut [f32]) {
     let mut terms = terms.into_iter();
-    out.copy_from_slice(terms.next().expect("a sum of at least one slice"));
+    terms.next().expect("a sum of at least one term").widen_into(out);
     for term in terms {
         assert_eq!(term.len(), out.len(), "summand length mismatch");
-        out.iter_mut().zip(term).for_each(|(x, t)| *x += t);
+        let scale = crate::half::pow2(-term.exp);
+        out.iter_mut().zip(term.bits).for_each(|(x, &h)| *x += f16_to_f32(h) * scale);
     }
 }
 
@@ -438,12 +446,12 @@ pub(crate) fn update(k: &AdamCoeffs, g: f32, w: &mut f32, m: &mut f32, v: &mut f
     *w
 }
 
-/// Elements `r` of `grad` into `g`: the slice, or the slices summed left to
-/// right ([`sum_into`]).
+/// Elements `r` of `grad` into `g`: the slice, or the terms widened and
+/// summed left to right ([`sum_half_into`]).
 pub(crate) fn sum_block(grad: &Grad<'_>, r: Range<usize>, g: &mut [f32]) {
     match grad {
         Grad::Slice(slice) => g.copy_from_slice(&slice[r]),
-        Grad::Sum(terms) => sum_into(terms.iter().map(|t| &t[r.clone()]), g),
+        Grad::Half(terms) => sum_half_into(terms.iter().map(|t| t.sub(r.clone())), g),
     }
 }
 
@@ -511,15 +519,16 @@ const MIN_ADAM_ELEMS_PER_SHARE: usize = 64 * 1024;
 /// workers; a step with more runs on one, with the same bits.
 const MAX_SPLIT_FAN: usize = 8;
 
-/// One pool share of a step: its elements of the state, of every gradient
-/// slice (the one slice of a [`Grad::Slice`] first) and of every
+/// One pool share of a step: its elements of the state, of the gradient (a
+/// [`Grad::Slice`]'s slice, or every term of a [`Grad::Half`]) and of every
 /// destination.
 #[derive(Default)]
 struct Share<'a> {
     master: &'a mut [f32],
     m: &'a mut [f32],
     v: &'a mut [f32],
-    terms: [&'a [f32]; MAX_SPLIT_FAN],
+    slice: &'a [f32],
+    terms: [HalfTerm<'a>; MAX_SPLIT_FAN],
     outs: [Dest<'a>; MAX_SPLIT_FAN],
 }
 
@@ -537,13 +546,9 @@ fn step_kernel(
 ) {
     use crate::pool::{self, share_bounds, MAX_WORKERS};
     use std::sync::Mutex;
-    let one;
-    let terms: &[&[f32]] = match grad {
-        Grad::Slice(slice) => {
-            one = [*slice];
-            &one
-        }
-        Grad::Sum(terms) => terms,
+    let (slice, terms): (&[f32], &[HalfTerm]) = match *grad {
+        Grad::Slice(slice) => (slice, &[]),
+        Grad::Half(terms) => (&[], terms),
     };
     let (n, k_terms, k_outs) = (master.len(), terms.len(), outs.len());
     assert!(m.len() == n && v.len() == n, "moment length mismatch");
@@ -570,8 +575,11 @@ fn step_kernel(
         (share.master, master) = std::mem::take(&mut master).split_at_mut(len);
         (share.m, m) = std::mem::take(&mut m).split_at_mut(len);
         (share.v, v) = std::mem::take(&mut v).split_at_mut(len);
+        if let Grad::Slice(_) = grad {
+            share.slice = &slice[a..b];
+        }
         for (t, term) in share.terms.iter_mut().zip(terms) {
-            *t = &term[a..b];
+            *t = term.sub(a..b);
         }
         for (o, r) in share.outs.iter_mut().zip(&mut rest[..k_outs]) {
             (*o, *r) = std::mem::take(r).split_at(len);
@@ -580,7 +588,10 @@ fn step_kernel(
     pool::global().run(p, &|w| {
         let mut share = shares[w].lock().expect("share mutex");
         let s = &mut *share;
-        let grad = Grad::Sum(&s.terms[..k_terms]);
+        let grad = match grad {
+            Grad::Slice(_) => Grad::Slice(s.slice),
+            Grad::Half(_) => Grad::Half(&s.terms[..k_terms]),
+        };
         chunk(k, s.master, s.m, s.v, &grad, &mut s.outs[..k_outs]);
     });
 }

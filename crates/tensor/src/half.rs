@@ -114,7 +114,7 @@ pub fn encode(src: &[f32], dst: &mut [u16]) {
     assert_eq!(src.len(), dst.len(), "f16 encode length mismatch");
     #[cfg(target_arch = "x86_64")]
     if f16_fast_path() {
-        return crate::simd::encode_f16(src, dst);
+        return crate::simd::encode_f16(src, dst, None);
     }
     for (h, &w) in dst.iter_mut().zip(src) {
         *h = f32_to_f16(w);
@@ -129,10 +129,174 @@ pub fn decode(src: &[u16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "f16 decode length mismatch");
     #[cfg(target_arch = "x86_64")]
     if f16_fast_path() {
-        return crate::simd::decode_f16(src, dst);
+        return crate::simd::decode_f16(src, dst, None);
     }
     for (w, &h) in dst.iter_mut().zip(src) {
         *w = f16_to_f32(h);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Binary16 under a power-of-two scale: the slot gradients' format
+// ---------------------------------------------------------------------------
+
+/// Largest magnitude of an exponent [`grad_exponent`] picks: `2^e` and
+/// `2^-e` are then both normal f32 numbers, so scaling by either is one
+/// exact multiplication wherever the product is normal.
+pub const MAX_SCALE_EXP: i32 = 126;
+
+/// `2^e` as an f32, for `|e| ≤` [`MAX_SCALE_EXP`] (exact).
+pub fn pow2(e: i32) -> f32 {
+    assert!(e.abs() <= MAX_SCALE_EXP, "scale exponent {e} out of range");
+    f32::from_bits(((e + 127) as u32) << 23)
+}
+
+/// The exponent `s` a gradient whose elements are bounded by `bound` is
+/// narrowed under: the largest `s` with `bound · 2^s ≤ 2^15`, clamped to
+/// `±`[`MAX_SCALE_EXP`]; `0` when `bound` is `0` or not finite. Binary16
+/// holds up to 65504 ≈ 2^16, so an element within the bound can never
+/// narrow to ±inf, whatever rounding its f32 fold met on the way (a bound
+/// clamped from below scales an f32 by at most `2^-126`, below 4).
+pub fn grad_exponent(bound: f64) -> i32 {
+    if !(bound > 0.0 && bound.is_finite()) {
+        return 0;
+    }
+    let bits = bound.to_bits();
+    // `bound = 1.f · 2^e` (normal: the bounds are f32 products).
+    let e = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    let power_of_two = bits & ((1 << 52) - 1) == 0;
+    let s = if power_of_two { 15 - e } else { 14 - e };
+    s.clamp(-MAX_SCALE_EXP, MAX_SCALE_EXP)
+}
+
+pub use crate::vmath::max_abs;
+
+/// `dst[i] = f32_to_f16(src[i] · 2^exp)` — the narrowing of a gradient
+/// under its exponent, `VMULPS` + `VCVTPS2PH` on the [`encode`] dispatch,
+/// the same bits either way. The product is exact wherever it is a normal
+/// f32; below that it is under binary16's smallest subnormal, so its own
+/// rounding cannot change the narrowed bits.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn narrow(src: &[f32], exp: i32, dst: &mut [u16]) {
+    assert_eq!(src.len(), dst.len(), "f16 narrow length mismatch");
+    let scale = pow2(exp);
+    #[cfg(target_arch = "x86_64")]
+    if f16_fast_path() {
+        return crate::simd::encode_f16(src, dst, Some(scale));
+    }
+    for (h, &w) in dst.iter_mut().zip(src) {
+        *h = f32_to_f16(w * scale);
+    }
+}
+
+/// `dst[i] = f16_to_f32(src[i]) · 2^-exp` — a narrowed gradient's values
+/// (exact wherever the result is a normal f32), on the [`decode`] dispatch.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn widen(src: &[u16], exp: i32, dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "f16 widen length mismatch");
+    let scale = pow2(-exp);
+    #[cfg(target_arch = "x86_64")]
+    if f16_fast_path() {
+        return crate::simd::decode_f16(src, dst, Some(scale));
+    }
+    for (w, &h) in dst.iter_mut().zip(src) {
+        *w = f16_to_f32(h) * scale;
+    }
+}
+
+/// A flat gradient at 2 B per element: binary16 bits under one exponent,
+/// element `i` standing for `f16_to_f32(bits[i]) · 2^-exp` — §3.1's fp16
+/// gradient, what an engine slot's backward writes and the gradient wire
+/// carries (the exponent rides beside the bits, not in them).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ScaledHalf {
+    bits: Vec<u16>,
+    exp: i32,
+}
+
+impl ScaledHalf {
+    /// `len` elements of `+0.0` under exponent 0.
+    pub fn zeros(len: usize) -> Self {
+        Self { bits: vec![0; len], exp: 0 }
+    }
+
+    /// `src` narrowed under the exponent its own [`max_abs`] picks.
+    pub fn from_f32(src: &[f32]) -> Self {
+        let mut out = Self::zeros(src.len());
+        out.exp = grad_exponent(f64::from(max_abs(src)));
+        narrow(src, out.exp, &mut out.bits);
+        out
+    }
+
+    pub fn len(&self) -> usize {
+        self.bits.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    pub fn exp(&self) -> i32 {
+        self.exp
+    }
+
+    pub fn bits(&self) -> &[u16] {
+        &self.bits
+    }
+
+    /// The bits, mutable, and the exponent to set: for a pass that writes
+    /// every element under a new exponent.
+    pub fn parts_mut(&mut self) -> (&mut [u16], &mut i32) {
+        (&mut self.bits, &mut self.exp)
+    }
+
+    /// Elements `r` as a term of a sum.
+    pub fn term(&self, r: std::ops::Range<usize>) -> HalfTerm<'_> {
+        HalfTerm { bits: &self.bits[r], exp: self.exp }
+    }
+
+    /// The values, widened ([`widen`]).
+    pub fn to_f32(&self) -> Vec<f32> {
+        self.term(0..self.len()).to_f32()
+    }
+}
+
+/// A read-only run of binary16 elements under one exponent: one summand of
+/// a gradient sum ([`crate::adam::Grad::Half`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HalfTerm<'a> {
+    pub bits: &'a [u16],
+    pub exp: i32,
+}
+
+impl<'a> HalfTerm<'a> {
+    pub fn len(&self) -> usize {
+        self.bits.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bits.is_empty()
+    }
+
+    /// Elements `r` of this term.
+    pub fn sub(&self, r: std::ops::Range<usize>) -> HalfTerm<'a> {
+        HalfTerm { bits: &self.bits[r], exp: self.exp }
+    }
+
+    /// The values into `out`, widened ([`widen`]).
+    pub fn widen_into(&self, out: &mut [f32]) {
+        widen(self.bits, self.exp, out);
+    }
+
+    /// The values, widened ([`widen`]).
+    pub fn to_f32(&self) -> Vec<f32> {
+        let mut out = vec![0.0; self.len()];
+        self.widen_into(&mut out);
+        out
     }
 }
 

@@ -791,7 +791,42 @@ fn tn_rows_dispatch(
         SimdPath::Scalar => tn_rows(asl, bsl, rows, r, m, n, chunk, acc),
         #[cfg(target_arch = "x86_64")]
         SimdPath::Avx2 | SimdPath::Avx512 => {
-            crate::simd::tn_rows(asl, bsl, rows, r, m, n, chunk, acc, path.wide())
+            let dest = crate::simd::TnDest::F32(chunk, acc);
+            crate::simd::tn_rows(asl, bsl, rows, r, m, n, dest, path.wide())
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
+    }
+}
+
+/// [`tn_rows_dispatch`] into binary16 bits in write mode, each element
+/// ×`2^exp` and narrowed ([`gemm_tn_half`]). The scalar family computes
+/// one row strip at a time into an f32 strip and narrows it.
+#[allow(clippy::too_many_arguments)]
+fn tn_half_rows_dispatch(
+    path: SimdPath,
+    asl: &[f32],
+    bsl: &[f32],
+    rows: std::ops::Range<usize>,
+    r: usize,
+    m: usize,
+    n: usize,
+    bits: &mut [u16],
+    exp: i32,
+) {
+    match path {
+        SimdPath::Scalar => {
+            let mut strip = vec![0.0; MR.min(rows.len()) * n];
+            for (i, dst) in rows.clone().step_by(MR).zip(bits.chunks_mut(MR * n)) {
+                let strip = &mut strip[..dst.len()];
+                tn_rows(asl, bsl, i..rows.end.min(i + MR), r, m, n, strip, false);
+                crate::half::narrow(strip, exp, dst);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 | SimdPath::Avx512 => {
+            let dest = crate::simd::TnDest::Half(bits, crate::half::pow2(exp));
+            crate::simd::tn_rows(asl, bsl, rows, r, m, n, dest, path.wide())
         }
         #[cfg(not(target_arch = "x86_64"))]
         SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
@@ -1019,6 +1054,29 @@ pub fn gemm_tn_slice(a: &Matrix, b: &Matrix, out: &mut [f32], acc: bool) {
     par_rows_planned(m, n, mr, shares, out, |rows, chunk| {
         tn_rows_dispatch(path, asl, bsl, rows, r, m, n, chunk, acc);
     });
+    record(t0, m, n, r);
+}
+
+/// [`gemm_tn_slice`] in write mode into binary16 bits: `out[i] =
+/// f32_to_f16(c[i] · 2^exp)`, `c` the f32 product bit for bit as
+/// [`gemm_tn_slice`] computes it, narrowed as each register tile stores it
+/// — the slot gradient's write, at 2 B per element, with no f32 copy of
+/// the product ([`crate::half::narrow`]; the caller picks `exp` so that
+/// nothing overflows, [`crate::half::grad_exponent`]).
+pub fn gemm_tn_half(a: &Matrix, b: &Matrix, out: &mut [u16], exp: i32) {
+    assert_eq!(a.rows(), b.rows(), "matmul_tn shape mismatch");
+    let (r, m, n) = (a.rows(), a.cols(), b.cols());
+    assert_eq!(out.len(), m * n, "matmul_tn destination is not {m}x{n}");
+    let t0 = Instant::now();
+    if m > 0 && n > 0 {
+        let path = active_path();
+        let mr = tn_row_tile(path);
+        let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (r as u64));
+        let (asl, bsl) = (a.as_slice(), b.as_slice());
+        par_rows_planned(m, n, mr, shares, out, |rows, chunk| {
+            tn_half_rows_dispatch(path, asl, bsl, rows, r, m, n, chunk, exp);
+        });
+    }
     record(t0, m, n, r);
 }
 

@@ -55,7 +55,7 @@ pub mod simd;
 pub mod vmath;
 
 pub use adam::{AdamConfig, AdamShard, AdamState, Dest, Grad, ShardStep};
-pub use half::HalfMatrix;
+pub use half::{HalfMatrix, HalfTerm, ScaledHalf};
 pub use kernels::{act_stats, kernel_stats, ActStats, BOperand, KernelStats};
 pub use matrix::Matrix;
 pub use pool::PoolStats;

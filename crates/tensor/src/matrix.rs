@@ -203,6 +203,12 @@ impl Matrix {
         crate::kernels::gemm_tn_slice(self, other, out, acc);
     }
 
+    /// `selfᵀ · other` written into binary16 bits under exponent `exp`
+    /// ([`crate::kernels::gemm_tn_half`]): a slot gradient's weight block.
+    pub fn matmul_tn_half(&self, other: &Matrix, out: &mut [u16], exp: i32) {
+        crate::kernels::gemm_tn_half(self, other, out, exp);
+    }
+
     /// Materialized transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -283,6 +289,26 @@ impl Matrix {
             for (o, v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
+        }
+    }
+
+    /// The column-wise sum written into binary16 bits under exponent `exp`:
+    /// [`Matrix::sum_rows_slice`]'s fold from `+0.0`, narrowed
+    /// ([`crate::half::narrow`]) one stack block of columns at a time — a
+    /// slot gradient's bias block, with no f32 copy of it.
+    pub fn sum_rows_half(&self, out: &mut [u16], exp: i32) {
+        const BLOCK: usize = 64;
+        assert_eq!(out.len(), self.cols, "sum_rows destination width mismatch");
+        let mut sums = [0.0f32; BLOCK];
+        for (c0, dst) in (0..self.cols).step_by(BLOCK).zip(out.chunks_mut(BLOCK)) {
+            let sums = &mut sums[..dst.len()];
+            sums.fill(0.0);
+            for r in 0..self.rows {
+                for (o, v) in sums.iter_mut().zip(&self.row(r)[c0..]) {
+                    *o += v;
+                }
+            }
+            crate::half::narrow(sums, exp, dst);
         }
     }
 

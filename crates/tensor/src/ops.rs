@@ -178,6 +178,58 @@ pub fn gelu_backward_from_tanh_into(x: &Matrix, t: &Matrix, dy: &Matrix, dx: &mu
     record_act(t0.elapsed().as_nanos() as u64, rows * cols);
 }
 
+/// The largest of share maxima, each [`vmath::max_abs`]'s value: compared as
+/// bits, every finite magnitude orders below `+inf` and `+inf` below the one
+/// NaN `max_abs` returns, so the fold is that of the whole slice.
+struct MaxFold(std::sync::atomic::AtomicU32);
+
+impl MaxFold {
+    fn new() -> Self {
+        Self(std::sync::atomic::AtomicU32::new(0))
+    }
+    fn add(&self, m: f32) {
+        self.0.fetch_max(m.to_bits(), std::sync::atomic::Ordering::Relaxed);
+    }
+    fn get(self) -> f32 {
+        f32::from_bits(self.0.into_inner())
+    }
+}
+
+/// [`gelu_from_tanh_into`], returning the largest magnitude it wrote
+/// ([`vmath::max_abs`]; the maximum folded into the pass).
+pub fn gelu_from_tanh_max_into(x: &Matrix, t: &Matrix, act: &mut Matrix) -> f32 {
+    assert_eq!((x.rows(), x.cols()), (t.rows(), t.cols()), "gelu shape mismatch");
+    let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
+    act.resize_to(rows, cols);
+    let max = MaxFold::new();
+    par_rows(rows, cols, MIN_ROWS_PER_SHARE, act.as_mut_slice(), |range, chunk| {
+        let span = range.start * cols..range.end * cols;
+        let (x, t) = (&x.as_slice()[span.clone()], &t.as_slice()[span]);
+        max.add(vmath::gelu_from_tanh_max(x, t, chunk));
+    });
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
+    max.get()
+}
+
+/// `d = gelu'(x) ⊙ d` in place — [`gelu_backward_from_tanh_into`] over its
+/// own upstream gradient, the same bits — returning the largest magnitude
+/// it wrote ([`vmath::max_abs`]).
+pub fn gelu_backward_from_tanh_in_place(x: &Matrix, t: &Matrix, d: &mut Matrix) -> f32 {
+    assert_eq!((x.rows(), x.cols()), (t.rows(), t.cols()), "gelu backward shape mismatch");
+    assert_eq!((x.rows(), x.cols()), (d.rows(), d.cols()), "gelu backward shape mismatch");
+    let (rows, cols) = (x.rows(), x.cols());
+    let t0 = Instant::now();
+    let max = MaxFold::new();
+    par_rows(rows, cols, MIN_ROWS_PER_SHARE, d.as_mut_slice(), |range, chunk| {
+        let span = range.start * cols..range.end * cols;
+        let (x, t) = (&x.as_slice()[span.clone()], &t.as_slice()[span]);
+        max.add(vmath::gelu_backward_from_tanh_in_place_max(x, t, chunk));
+    });
+    record_act(t0.elapsed().as_nanos() as u64, rows * cols);
+    max.get()
+}
+
 /// Fused FFN first half: `pre = x·w + bias` and GELU's inner term
 /// `t = gelu_tanh(pre)`, applied per completed row range inside the GEMM's
 /// parallel region (bit-identical to the unfused sequence). The activation

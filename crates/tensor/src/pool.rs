@@ -388,13 +388,13 @@ fn block_share_bounds(
 /// [`par_rows`] with an explicit share count (the caller's cost model
 /// decides, e.g. `kernels::plan_shares`) and `block`-aligned boundaries.
 /// `shares <= 1` runs inline on the calling thread with zero dispatch.
-pub(crate) fn par_rows_planned(
+pub(crate) fn par_rows_planned<T: Send>(
     rows: usize,
     width: usize,
     block: usize,
     shares: usize,
-    out: &mut [f32],
-    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    out: &mut [T],
+    f: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
     debug_assert_eq!(out.len(), rows * width);
     if rows == 0 {

@@ -100,7 +100,7 @@
 //! neither worker count nor register width changes a result.
 
 use crate::adam::{self, AdamCoeffs};
-use crate::half::{f16_to_f32, f32_to_f16};
+use crate::half::{self, f16_to_f32, f32_to_f16, HalfTerm};
 use crate::kernels::{kern_nn_edge, BElems};
 use crate::matrix::Matrix;
 use core::arch::x86_64::*;
@@ -362,6 +362,27 @@ fn panel_cols<const NR: usize>(n: usize) -> impl Iterator<Item = (usize, usize)>
     })
 }
 
+/// A register tile's binary16 destination (`tn` in write mode): rows
+/// `ldc` elements apart from `bits`, each finished f32 FMA chain ×`scale`
+/// and narrowed (`VCVTPS2PH`) as the tile stores it. `len` elements from
+/// `bits` are the tile's to write; [`HalfOut::NONE`] for an f32
+/// destination.
+#[derive(Clone, Copy)]
+struct HalfOut {
+    bits: *mut u16,
+    len: usize,
+    scale: f32,
+}
+
+impl HalfOut {
+    const NONE: HalfOut = HalfOut { bits: std::ptr::null_mut(), len: 0, scale: 1.0 };
+
+    /// The destination elements from the tile's first one on.
+    fn rows_of(bits: &mut [u16], scale: f32) -> Self {
+        HalfOut { bits: bits.as_mut_ptr(), len: bits.len(), scale }
+    }
+}
+
 /// `out (+)= A·B` for `m` rows of A whose first row starts at `a[a0]`
 /// (layout `TA`, stride `lda`), reduction `k`, `n` columns; `out` is the
 /// row-major `m×n` destination. Cache-blocked: k-chunks outer — [`KC`]
@@ -379,6 +400,11 @@ fn panel_cols<const NR: usize>(n: usize) -> impl Iterator<Item = (usize, usize)>
 /// Chunking and order change no bit: each element still folds its k terms
 /// in ascending order, later chunks resuming from the spilled f32 partial,
 /// and an f32 round-trips memory exactly.
+/// `HALF` (`tn` in write mode only) writes binary16 bits into `half`
+/// instead of f32s into `out`: the reduction runs as one k-chunk, and each
+/// tile's finished FMA chains leave their registers ×`scale` through
+/// `VCVTPS2PH` ([`HalfOut`]) — the narrowing of the f32 GEMM's own bits,
+/// with no f32 copy of the destination anywhere.
 /// `fused_edge` picks the column-edge fold (`mul_add` for `tn` / `nt`,
 /// mul-then-add for `nn`, whose A is row-major); `WIDE` runs every panel
 /// on 512-bit registers, and `NR` = [`NR_WIDE`]
@@ -393,11 +419,11 @@ fn panel_cols<const NR: usize>(n: usize) -> impl Iterator<Item = (usize, usize)>
 ///
 /// AVX2, FMA and F16C must be available, and AVX-512F too if `WIDE`; `a`
 /// from `a0`, B and `out` must cover the `m×k`, `k×n` and `m×n` extents
-/// above (the safe wrappers `assert!` them), and a panel buffer must hold
-/// `KC.min(k)·NR` floats.
+/// above (`half` the `m×n` one if `HALF`; the safe wrappers `assert!`
+/// them), and a panel buffer must hold `KC.min(k)·NR` floats.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
+unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize, const HALF: bool>(
     a: &[f32],
     a0: usize,
     lda: usize,
@@ -408,12 +434,17 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
     out: &mut [f32],
     acc: bool,
     fused_edge: bool,
+    half: &mut [u16],
+    scale: f32,
 ) {
     debug_assert!(fused_edge || !TA, "the mul-then-add edge reads A row-major");
     debug_assert!(NR == NR_TILE || WIDE);
+    debug_assert!(!HALF || (TA && !acc), "binary16 destinations are tn in write mode");
     if k == 0 {
         // The empty fold: `+0.0`, or the destination itself.
-        if !acc {
+        if HALF {
+            half[..m * n].fill(0);
+        } else if !acc {
             out[..m * n].fill(0.0);
         }
         return;
@@ -428,21 +459,33 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
         (false, true) => MR_SQUARE,
         (false, false) => MR_TILE,
     };
-    let chunk = if matches!(panels, Panels::Widened { .. }) { KC_F16 } else { KC };
+    let chunk = if HALF {
+        k
+    } else if matches!(panels, Panels::Widened { .. }) {
+        KC_F16
+    } else {
+        KC
+    };
     let mut tile = |i: usize, rows: usize, kc: usize, j0: usize, nr: usize, panel: &[f32], ps| {
         let (w, klen, tile_acc) = (nr.min(n - j0), chunk.min(k - kc), acc || kc > 0);
         let ablk = &a[a0 + if TA { kc * lda + i } else { i * lda + kc }..];
-        let oblk = &mut out[i * n + j0..];
+        let (oblk, hout): (&mut [f32], _) = if HALF {
+            (&mut [], HalfOut::rows_of(&mut half[i * n + j0..], scale))
+        } else {
+            (&mut out[i * n + j0..], HalfOut::NONE)
+        };
         if nr > NR_TILE {
-            kern_wide_rows::<TA>(ablk, lda, klen, rows, panel, ps, oblk, n, tile_acc);
+            kern_wide_rows::<TA, HALF>(ablk, lda, klen, rows, panel, ps, oblk, hout, n, tile_acc);
         } else if WIDE {
             // A full panel is the FMA chain on every layout.
             let fused = fused_edge || w == NR_TILE;
-            kern_masked_rows::<TA>(ablk, lda, klen, rows, panel, w, ps, oblk, n, tile_acc, fused);
+            let (p, o) = ((panel, w, ps), (oblk, hout, n));
+            kern_masked_rows::<TA, HALF>(ablk, lda, klen, rows, p, o, tile_acc, fused);
         } else if w == NR_TILE {
-            kern_tile_rows::<TA>(ablk, lda, klen, rows, panel, ps, oblk, n, tile_acc);
+            kern_tile_rows::<TA, HALF>(ablk, lda, klen, rows, panel, ps, oblk, hout, n, tile_acc);
         } else if fused_edge {
-            kern_edge_fma::<TA>(ablk, lda, klen, rows, panel, w, ps, oblk, n, tile_acc);
+            let o = (oblk, hout, n);
+            kern_edge_fma::<TA, HALF>(ablk, lda, klen, rows, panel, w, ps, o, tile_acc);
         } else {
             kern_nn_edge(ablk, lda, klen, rows, panel, w, ps, oblk, n, tile_acc);
         }
@@ -489,16 +532,28 @@ unsafe fn tile_gemm<const TA: bool, const WIDE: bool, const NR: usize>(
 }
 
 /// [`tile_gemm`]'s signature without its constants.
-type TileNest =
-    unsafe fn(&[f32], usize, usize, usize, usize, usize, Panels<'_>, &mut [f32], bool, bool);
+type TileNest = unsafe fn(
+    &[f32],
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    Panels<'_>,
+    &mut [f32],
+    bool,
+    bool,
+    &mut [u16],
+    f32,
+);
 
 /// The loop nest for layout `TA` on the 512-bit tiles if `wide`, else on
-/// the 256-bit one.
-fn tile_nest<const TA: bool>(wide: bool) -> TileNest {
+/// the 256-bit one; `HALF` as in [`tile_gemm`].
+fn tile_nest<const TA: bool, const HALF: bool>(wide: bool) -> TileNest {
     if wide {
-        tile_gemm::<TA, true, NR_WIDE>
+        tile_gemm::<TA, true, NR_WIDE, HALF>
     } else {
-        tile_gemm::<TA, false, NR_TILE>
+        tile_gemm::<TA, false, NR_TILE, HALF>
     }
 }
 
@@ -514,22 +569,24 @@ fn tile_nest<const TA: bool>(wide: bool) -> TileNest {
 /// # Safety
 ///
 /// AVX-512F must be available; the three extents it `debug_assert!`s must
-/// hold.
+/// hold (`hout`'s instead of `out`'s if `H`).
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn kern_rx32<const R: usize, const TA: bool>(
+unsafe fn kern_rx32<const R: usize, const TA: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
     panel: &[f32],
     pstride: usize,
     out: &mut [f32],
+    hout: HalfOut,
     ldc: usize,
     acc: bool,
 ) {
     debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_WIDE);
     debug_assert!(a.len() >= a_extent::<TA>(lda, R, k));
-    debug_assert!(out.len() >= (R - 1) * ldc + NR_WIDE);
+    debug_assert!(H || out.len() >= (R - 1) * ldc + NR_WIDE);
+    debug_assert!(!H || hout.len >= (R - 1) * ldc + NR_WIDE);
     let ap = a.as_ptr();
     let pp = panel.as_ptr();
     let op = out.as_mut_ptr();
@@ -539,6 +596,13 @@ unsafe fn kern_rx32<const R: usize, const TA: bool>(
         for r in 0..R {
             c0[r] = _mm512_loadu_ps(op.add(r * ldc));
             c1[r] = _mm512_loadu_ps(op.add(r * ldc + NR_TILE));
+        }
+    } else if H {
+        // A binary16 row of 32 is 64 bytes: its first and last element.
+        for r in 0..R {
+            for off in [0, NR_WIDE - 1] {
+                _mm_prefetch::<_MM_HINT_T0>(hout.bits.add(r * ldc + off) as *const i8);
+            }
         }
     } else if TA {
         // `tn` in write mode: fetch every line of the destination rows
@@ -569,6 +633,17 @@ unsafe fn kern_rx32<const R: usize, const TA: bool>(
             c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
         }
     }
+    if H {
+        let scale = _mm512_set1_ps(hout.scale);
+        for r in 0..R {
+            let hp = hout.bits.add(r * ldc);
+            let lo = _mm512_cvtps_ph::<F16_ROUND>(_mm512_mul_ps(c0[r], scale));
+            let hi = _mm512_cvtps_ph::<F16_ROUND>(_mm512_mul_ps(c1[r], scale));
+            _mm256_storeu_si256(hp.cast(), lo);
+            _mm256_storeu_si256(hp.add(NR_TILE).cast(), hi);
+        }
+        return;
+    }
     for r in 0..R {
         _mm512_storeu_ps(op.add(r * ldc), c0[r]);
         _mm512_storeu_ps(op.add(r * ldc + NR_TILE), c1[r]);
@@ -583,7 +658,7 @@ unsafe fn kern_rx32<const R: usize, const TA: bool>(
 /// As [`kern_rx32`], for `rows` rows.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn kern_wide_rows<const TA: bool>(
+unsafe fn kern_wide_rows<const TA: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -591,13 +666,14 @@ unsafe fn kern_wide_rows<const TA: bool>(
     panel: &[f32],
     pstride: usize,
     out: &mut [f32],
+    hout: HalfOut,
     ldc: usize,
     acc: bool,
 ) {
     macro_rules! by_height {
         ($($r:literal)*) => {
             match rows {
-                $($r => kern_rx32::<$r, TA>(a, lda, k, panel, pstride, out, ldc, acc),)*
+                $($r => kern_rx32::<$r, TA, H>(a, lda, k, panel, pstride, out, hout, ldc, acc),)*
                 _ => unreachable!("a 32-column panel's row tile is 1..={MR_WIDE} rows"),
             }
         };
@@ -620,23 +696,25 @@ unsafe fn kern_wide_rows<const TA: bool>(
 ///
 /// # Safety
 ///
-/// AVX2 and FMA must be available; the three extents it `debug_assert!`s
-/// must hold.
+/// AVX2, FMA and F16C must be available; the three extents it
+/// `debug_assert!`s must hold (`hout`'s instead of `out`'s if `H`).
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_rx16<const R: usize, const TA: bool>(
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+unsafe fn kern_rx16<const R: usize, const TA: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
     panel: &[f32],
     pstride: usize,
     out: &mut [f32],
+    hout: HalfOut,
     ldc: usize,
     acc: bool,
 ) {
     debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + NR_TILE);
     debug_assert!(a.len() >= a_extent::<TA>(lda, R, k));
-    debug_assert!(out.len() >= (R - 1) * ldc + NR_TILE);
+    debug_assert!(H || out.len() >= (R - 1) * ldc + NR_TILE);
+    debug_assert!(!H || hout.len >= (R - 1) * ldc + NR_TILE);
     let ap = a.as_ptr();
     let pp = panel.as_ptr();
     let op = out.as_mut_ptr();
@@ -664,6 +742,17 @@ unsafe fn kern_rx16<const R: usize, const TA: bool>(
             c1[r] = _mm256_fmadd_ps(av, b1, c1[r]);
         }
     }
+    if H {
+        let scale = _mm256_set1_ps(hout.scale);
+        for r in 0..R {
+            let hp = hout.bits.add(r * ldc);
+            let lo = _mm256_cvtps_ph::<F16_ROUND>(_mm256_mul_ps(c0[r], scale));
+            let hi = _mm256_cvtps_ph::<F16_ROUND>(_mm256_mul_ps(c1[r], scale));
+            _mm_storeu_si128(hp.cast(), lo);
+            _mm_storeu_si128(hp.add(8).cast(), hi);
+        }
+        return;
+    }
     for r in 0..R {
         _mm256_storeu_ps(op.add(r * ldc), c0[r]);
         _mm256_storeu_ps(op.add(r * ldc + 8), c1[r]);
@@ -677,8 +766,8 @@ unsafe fn kern_rx16<const R: usize, const TA: bool>(
 ///
 /// As [`kern_rx16`], for `rows` rows.
 #[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_tile_rows<const TA: bool>(
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+unsafe fn kern_tile_rows<const TA: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -686,13 +775,14 @@ unsafe fn kern_tile_rows<const TA: bool>(
     panel: &[f32],
     pstride: usize,
     out: &mut [f32],
+    hout: HalfOut,
     ldc: usize,
     acc: bool,
 ) {
     macro_rules! by_height {
         ($($r:literal)*) => {
             match rows {
-                $($r => kern_rx16::<$r, TA>(a, lda, k, panel, pstride, out, ldc, acc),)*
+                $($r => kern_rx16::<$r, TA, H>(a, lda, k, panel, pstride, out, hout, ldc, acc),)*
                 _ => unreachable!("a 16-column panel's row tile is 1..={MR_TILE} rows"),
             }
         };
@@ -703,15 +793,17 @@ unsafe fn kern_tile_rows<const TA: bool>(
 
 /// Column-edge tile of `tn` and `nt` (`w` < 16 columns) on the 256-bit
 /// family: each element one `mul_add` chain over ascending k — the tile's
-/// per-lane arithmetic, one element at a time.
+/// per-lane arithmetic, one element at a time — stored as f32 into `out`,
+/// or (`H`) narrowed into `hout` with the scalar conversion.
 ///
 /// # Safety
 ///
-/// FMA must be available; `a` must cover the `rows × k` tile (the panel
-/// and `out` are indexed with bounds checks).
+/// FMA must be available; `a` must cover the `rows × k` tile, and `hout`
+/// (if `H`) the `rows × w` one at stride `ldc` (the panel and `out` are
+/// indexed with bounds checks).
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_edge_fma<const TA: bool>(
+unsafe fn kern_edge_fma<const TA: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -719,19 +811,23 @@ unsafe fn kern_edge_fma<const TA: bool>(
     panel: &[f32],
     w: usize,
     pstride: usize,
-    out: &mut [f32],
-    ldc: usize,
+    (out, hout, ldc): (&mut [f32], HalfOut, usize),
     acc: bool,
 ) {
     debug_assert!(a.len() >= a_extent::<TA>(lda, rows, k));
     debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + w);
+    debug_assert!(!H || rows == 0 || hout.len >= (rows - 1) * ldc + w);
     for i in 0..rows {
         for j in 0..w {
             let mut s = if acc { out[i * ldc + j] } else { 0.0 };
             for kk in 0..k {
                 s = a_at::<TA>(a.as_ptr(), lda, i, kk).mul_add(panel[kk * pstride + j], s);
             }
-            out[i * ldc + j] = s;
+            if H {
+                *hout.bits.add(i * ldc + j) = f32_to_f16(s * hout.scale);
+            } else {
+                out[i * ldc + j] = s;
+            }
         }
     }
 }
@@ -752,10 +848,10 @@ unsafe fn kern_edge_fma<const TA: bool>(
 /// # Safety
 ///
 /// AVX-512F must be available; the three extents it `debug_assert!`s must
-/// hold.
+/// hold (`hout`'s instead of `out`'s if `H`).
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
+unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
@@ -763,13 +859,15 @@ unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
     w: usize,
     pstride: usize,
     out: &mut [f32],
+    hout: HalfOut,
     ldc: usize,
     acc: bool,
 ) {
     debug_assert!(0 < w && w <= NR_TILE);
     debug_assert!(k == 0 || panel.len() >= (k - 1) * pstride + w);
     debug_assert!(a.len() >= a_extent::<TA>(lda, R, k));
-    debug_assert!(out.len() >= (R - 1) * ldc + w);
+    debug_assert!(H || out.len() >= (R - 1) * ldc + w);
+    debug_assert!(!H || hout.len >= (R - 1) * ldc + w);
     let mask: __mmask16 = u16::MAX >> (NR_TILE - w);
     let ap = a.as_ptr();
     let pp = panel.as_ptr();
@@ -778,6 +876,10 @@ unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
     if acc {
         for (r, cr) in c.iter_mut().enumerate() {
             *cr = _mm512_maskz_loadu_ps(mask, op.add(r * ldc));
+        }
+    } else if H {
+        for r in 0..R {
+            _mm_prefetch::<_MM_HINT_T0>(hout.bits.add(r * ldc) as *const i8);
         }
     } else if TA {
         // `tn` in write mode: fetch the destination rows, as `kern_rx32`
@@ -813,6 +915,23 @@ unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
             };
         }
     }
+    if H {
+        // Narrowed in registers; a column edge goes through the stack, as
+        // a masked 16-bit store needs AVX-512BW.
+        let scale = _mm512_set1_ps(hout.scale);
+        for (r, cr) in c.iter().enumerate() {
+            let bits = _mm512_cvtps_ph::<F16_ROUND>(_mm512_mul_ps(*cr, scale));
+            let hp = hout.bits.add(r * ldc);
+            if w == NR_TILE {
+                _mm256_storeu_si256(hp.cast(), bits);
+            } else {
+                let mut edge = [0u16; NR_TILE];
+                _mm256_storeu_si256(edge.as_mut_ptr().cast(), bits);
+                std::ptr::copy_nonoverlapping(edge.as_ptr(), hp, w);
+            }
+        }
+        return;
+    }
     for (r, cr) in c.iter().enumerate() {
         _mm512_mask_storeu_ps(op.add(r * ldc), mask, *cr);
     }
@@ -827,16 +946,13 @@ unsafe fn kern_rx16_masked<const R: usize, const TA: bool, const FUSED: bool>(
 /// As [`kern_rx16_masked`], for `rows` rows.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
-unsafe fn kern_masked_rows<const TA: bool>(
+unsafe fn kern_masked_rows<const TA: bool, const H: bool>(
     a: &[f32],
     lda: usize,
     k: usize,
     rows: usize,
-    panel: &[f32],
-    w: usize,
-    pstride: usize,
-    out: &mut [f32],
-    ldc: usize,
+    (panel, w, pstride): (&[f32], usize, usize),
+    (out, hout, ldc): (&mut [f32], HalfOut, usize),
     acc: bool,
     fused: bool,
 ) {
@@ -844,11 +960,11 @@ unsafe fn kern_masked_rows<const TA: bool>(
         ($($r:literal)*) => {
             match (rows, fused) {
                 $(
-                    ($r, true) => kern_rx16_masked::<$r, TA, true>(
-                        a, lda, k, panel, w, pstride, out, ldc, acc,
+                    ($r, true) => kern_rx16_masked::<$r, TA, true, H>(
+                        a, lda, k, panel, w, pstride, out, hout, ldc, acc,
                     ),
-                    ($r, false) => kern_rx16_masked::<$r, TA, false>(
-                        a, lda, k, panel, w, pstride, out, ldc, acc,
+                    ($r, false) => kern_rx16_masked::<$r, TA, false, H>(
+                        a, lda, k, panel, w, pstride, out, hout, ldc, acc,
                     ),
                 )*
                 _ => unreachable!("a 16-column panel's row tile is 1..={MR_SQUARE} rows"),
@@ -894,7 +1010,22 @@ pub(crate) fn nn_rows(
     // for (AVX2+FMA+F16C, and AVX-512F when `wide`), the two asserts above
     // bound every tile's reads and writes, and `panel_scratch` sizes the
     // widened panel's buffer.
-    unsafe { tile_nest::<false>(wide)(a.as_slice(), a0, lda, m, k, n, panels, out, acc, false) }
+    unsafe {
+        tile_nest::<false, false>(wide)(
+            a.as_slice(),
+            a0,
+            lda,
+            m,
+            k,
+            n,
+            panels,
+            out,
+            acc,
+            false,
+            &mut [],
+            1.0,
+        )
+    }
     if let Some(bias) = bias {
         for r in 0..m {
             for (o, b) in out[r * n..(r + 1) * n].iter_mut().zip(bias) {
@@ -912,6 +1043,14 @@ pub(crate) fn nt_on_tile(m: usize, b: BElems<'_>) -> bool {
     matches!(b, BElems::F16(_)) || m >= NT_TILE_MIN_ROWS
 }
 
+/// Where a `tn` share's rows go: f32 elements, written or accumulated
+/// (`acc`), or binary16 bits in write mode, each element ×`scale` and
+/// narrowed as its tile stores it ([`crate::kernels::gemm_tn_half`]).
+pub(crate) enum TnDest<'a> {
+    F32(&'a mut [f32], bool),
+    Half(&'a mut [u16], f32),
+}
+
 /// AVX2 worker for a row range of `out (+)= aᵀ·b` (`a` is `r×m`, `b` is
 /// `r×n`; `rows` are *output* rows = columns of `a`), on the tile at every
 /// depth; `wide` as in [`nn_rows`].
@@ -923,17 +1062,27 @@ pub(crate) fn tn_rows(
     r: usize,
     m: usize,
     n: usize,
-    chunk: &mut [f32],
-    acc: bool,
+    dest: TnDest<'_>,
     wide: bool,
 ) {
     debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
     assert!(rows.end <= m && asl.len() >= r * m && bsl.len() >= r * n);
-    assert!(chunk.len() >= rows.len() * n);
     let panels = Panels::InPlace { b: bsl, ldb: n };
-    // SAFETY: as in `nn_rows`.
+    let (a0, rn) = (rows.start, rows.len());
+    // SAFETY: as in `nn_rows`, with the destination's extent asserted here.
     unsafe {
-        tile_nest::<true>(wide)(asl, rows.start, m, rows.len(), r, n, panels, chunk, acc, true)
+        match dest {
+            TnDest::F32(chunk, acc) => {
+                assert!(chunk.len() >= rn * n);
+                let nest = tile_nest::<true, false>(wide);
+                nest(asl, a0, m, rn, r, n, panels, chunk, acc, true, &mut [], 1.0)
+            }
+            TnDest::Half(bits, scale) => {
+                assert!(bits.len() >= rn * n);
+                let nest = tile_nest::<true, true>(wide);
+                nest(asl, a0, m, rn, r, n, panels, &mut [], false, true, bits, scale)
+            }
+        }
     }
 }
 
@@ -957,19 +1106,19 @@ pub(crate) fn nt_rows(
     assert!(rows.end <= a.rows() && k == a.cols() && b.len() >= n * k);
     assert!(chunk.len() >= rows.len() * n);
     let (asl, a0, m, tile) = (a.as_slice(), rows.start * k, rows.len(), nt_on_tile(a.rows(), b));
-    let nest = tile_nest::<false>(wide);
+    let nest = tile_nest::<false, false>(wide);
     // SAFETY: as in `nn_rows`.
     unsafe {
         match b {
             BElems::F32(bsl) if !tile => nt_dot_rows(asl, bsl, rows, k, n, chunk, acc),
             BElems::F32(b) => {
                 let panels = Panels::Transposed { b, ldb: k, buf: panel_scratch(buf, k, wide) };
-                nest(asl, a0, k, m, k, n, panels, chunk, acc, true)
+                nest(asl, a0, k, m, k, n, panels, chunk, acc, true, &mut [], 1.0)
             }
             BElems::F16(b) => {
                 let buf = panel_scratch(buf, k, wide);
                 let panels = Panels::WidenedTransposed { b, ldb: k, buf };
-                nest(asl, a0, k, m, k, n, panels, chunk, acc, true)
+                nest(asl, a0, k, m, k, n, panels, chunk, acc, true, &mut [], 1.0)
             }
         }
     }
@@ -1327,6 +1476,84 @@ macro_rules! vector_math {
             ) {
                 map3(x, t, dy, dx, |x, t, dy| mul(dy, gelu_grad_from_tanh(x, t)))
             }
+
+            /// Folds the magnitudes of `v` into `acc`: lane-wise the largest
+            /// finite one (`MAXPS` with the fold second, so a NaN lane leaves
+            /// it alone) and the OR of every non-finite one's bits (an `inf`
+            /// sets the exponent, a NaN the mantissa too).
+            fn fold_abs(acc: [V; 2], v: V) -> [V; 2] {
+                let a = and(v, splat_bits(0x7fff_ffff));
+                let non_finite = select_lt(a, splat(f32::INFINITY), splat(0.0), a);
+                [max_sse(a, acc[0]), or(acc[1], non_finite)]
+            }
+
+            /// [`fold_abs`]'s lanes reduced to [`vmath::max_abs`]'s value.
+            fn fold_result(acc: [V; 2]) -> f32 {
+                let (mut top, mut flags) = ([0.0f32; N], [0.0f32; N]);
+                store(acc[0], &mut top);
+                store(acc[1], &mut flags);
+                let flag = flags.iter().fold(0, |f, v| f | v.to_bits());
+                vmath::max_abs_result(top.into_iter().fold(0.0, f32::max), flag)
+            }
+
+            pub(super) fn max_abs(x: &[f32]) -> f32 {
+                let (x, tail) = x.as_chunks::<N>();
+                let mut acc = [splat(0.0), splat(0.0)];
+                for v in x {
+                    acc = fold_abs(acc, load(v));
+                }
+                if !tail.is_empty() {
+                    acc = fold_abs(acc, load_part(tail));
+                }
+                fold_result(acc)
+            }
+
+            /// [`gelu_from_tanh_slice`], returning the largest magnitude it
+            /// wrote ([`vmath::max_abs`]).
+            pub(super) fn gelu_from_tanh_max(x: &[f32], t: &[f32], out: &mut [f32]) -> f32 {
+                assert_eq!(x.len(), out.len());
+                assert_eq!(t.len(), out.len());
+                let ((x, x_tail), (t, t_tail)) = (x.as_chunks::<N>(), t.as_chunks::<N>());
+                let (d, d_tail) = out.as_chunks_mut::<N>();
+                let mut acc = [splat(0.0), splat(0.0)];
+                for ((x, t), d) in x.iter().zip(t).zip(d) {
+                    let v = gelu_from_tanh(load(x), load(t));
+                    store(v, d);
+                    acc = fold_abs(acc, v);
+                }
+                if !x_tail.is_empty() {
+                    let v = gelu_from_tanh(load_part(x_tail), load_part(t_tail));
+                    store_part(v, d_tail);
+                    acc = fold_abs(acc, v); // zero-filled lanes fold in `+0.0`
+                }
+                fold_result(acc)
+            }
+
+            /// `d[i] = d[i] · gelu_grad_from_tanh(x[i], t[i])` in place,
+            /// returning the largest magnitude it wrote.
+            pub(super) fn gelu_backward_from_tanh_in_place_max(
+                x: &[f32],
+                t: &[f32],
+                d: &mut [f32]
+            ) -> f32 {
+                assert_eq!(x.len(), d.len());
+                assert_eq!(t.len(), d.len());
+                let ((x, x_tail), (t, t_tail)) = (x.as_chunks::<N>(), t.as_chunks::<N>());
+                let (d, d_tail) = d.as_chunks_mut::<N>();
+                let mut acc = [splat(0.0), splat(0.0)];
+                for ((x, t), d) in x.iter().zip(t).zip(d) {
+                    let v = mul(load(d), gelu_grad_from_tanh(load(x), load(t)));
+                    store(v, d);
+                    acc = fold_abs(acc, v);
+                }
+                if !x_tail.is_empty() {
+                    let g = gelu_grad_from_tanh(load_part(x_tail), load_part(t_tail));
+                    let v = mul(load_part(d_tail), g);
+                    store_part(v, d_tail);
+                    acc = fold_abs(acc, v);
+                }
+                fold_result(acc)
+            }
         }
     };
 }
@@ -1517,6 +1744,21 @@ pub(crate) fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx
     at_active_width!(gelu_backward_from_tanh_slice(x, t, dy, dx))
 }
 
+/// Vector [`crate::vmath::max_abs`].
+pub(crate) fn max_abs(x: &[f32]) -> f32 {
+    at_active_width!(max_abs(x))
+}
+
+/// Vector [`crate::vmath::gelu_from_tanh_max`].
+pub(crate) fn gelu_from_tanh_max(x: &[f32], t: &[f32], out: &mut [f32]) -> f32 {
+    at_active_width!(gelu_from_tanh_max(x, t, out))
+}
+
+/// Vector [`crate::vmath::gelu_backward_from_tanh_in_place_max`].
+pub(crate) fn gelu_backward_from_tanh_in_place_max(x: &[f32], t: &[f32], d: &mut [f32]) -> f32 {
+    at_active_width!(gelu_backward_from_tanh_in_place_max(x, t, d))
+}
+
 // ---------------------------------------------------------------------------
 // Adam and the binary16 codec: the 8-lane encodings of `crate::adam::update`
 // and `crate::half::{f32_to_f16, f16_to_f32}`
@@ -1622,10 +1864,12 @@ const ADAM_MAX_OUTS: usize = 2;
 /// AVX2+F16C encoding of an Adam chunk ([`adam::chunk_scalar`] over the
 /// whole chunk): per octet, the gradient summed as [`adam::sum_block`]
 /// sums it, the update, and one store per destination; the scalar
-/// specification on the `len % 8` tail. The loop reads one slice, or sums
-/// two in registers — a class with two hosts steps its own chunk from its
-/// own partial and the other host's; more are summed block by block onto
-/// the stack first, and each block then stepped as one slice.
+/// specification on the `len % 8` tail. The loop reads one f32 slice, or
+/// widens one or two binary16 terms in registers (`VCVTPH2PS`, then one
+/// `VMULPS` by each term's `2^-exp`) and sums them — a class with two hosts
+/// steps its own chunk from its own partial and the other host's; more are
+/// summed block by block onto the stack first, and each block then stepped
+/// as one slice.
 pub(crate) fn adam_chunk(
     k: &AdamCoeffs,
     master: &mut [f32],
@@ -1641,7 +1885,7 @@ pub(crate) fn adam_chunk(
     unsafe { adam_chunk_impl(k, master, m, v, grad, outs) }
 }
 
-/// Elements per block of a sum of more than two slices.
+/// Elements per block of a sum of more than two terms.
 const ADAM_SUM_BLOCK: usize = 64;
 
 #[target_feature(enable = "avx2", enable = "f16c")]
@@ -1656,9 +1900,10 @@ fn adam_chunk_impl(
     let n = master.len();
     let (fused, extra) = outs.split_at_mut(outs.len().min(ADAM_MAX_OUTS));
     match *grad {
-        adam::Grad::Slice(g) | adam::Grad::Sum(&[g]) => adam_span(k, master, m, v, [g], fused),
-        adam::Grad::Sum(&[a, b]) => adam_span(k, master, m, v, [a, b], fused),
-        adam::Grad::Sum(_) => {
+        adam::Grad::Slice(g) => adam_span::<1>(k, master, m, v, Terms::F32(g), fused),
+        adam::Grad::Half(&[a]) => adam_span(k, master, m, v, Terms::Half([a]), fused),
+        adam::Grad::Half(&[a, b]) => adam_span(k, master, m, v, Terms::Half([a, b]), fused),
+        adam::Grad::Half(_) => {
             let mut scratch = [0.0f32; ADAM_SUM_BLOCK];
             let o = fused.len();
             for start in (0..n).step_by(ADAM_SUM_BLOCK) {
@@ -1670,23 +1915,30 @@ fn adam_chunk_impl(
                     *s = out.sub(r.clone());
                 }
                 let (master, m, v) = (&mut master[r.clone()], &mut m[r.clone()], &mut v[r]);
-                adam_span(k, master, m, v, [&*g], &mut sub[..o]);
+                adam_span::<1>(k, master, m, v, Terms::F32(g), &mut sub[..o]);
             }
         }
     }
     for out in extra {
         match (&fused[0], out) {
             (adam::Dest::Half(h), adam::Dest::Half(o)) => o.copy_from_slice(h),
-            (adam::Dest::Half(h), adam::Dest::Grid(o)) => decode_f16_impl(h, o),
-            (adam::Dest::Grid(q), adam::Dest::Half(o)) => encode_f16_impl(q, o),
+            (adam::Dest::Half(h), adam::Dest::Grid(o)) => decode_f16_impl::<false>(h, o, 1.0),
+            (adam::Dest::Grid(q), adam::Dest::Half(o)) => encode_f16_impl::<false>(q, o, 1.0),
             (adam::Dest::Grid(q), adam::Dest::Grid(o)) => o.copy_from_slice(q),
         }
     }
 }
 
-/// A span of an Adam chunk from the sum of `T` slices: the octet body on
-/// the vector loop instantiated for the destination count, the `len % 8`
-/// tail on the scalar specification.
+/// The gradient of an Adam span: one f32 slice, or `T` binary16 terms.
+#[derive(Clone, Copy)]
+enum Terms<'a, const T: usize> {
+    F32(&'a [f32]),
+    Half([HalfTerm<'a>; T]),
+}
+
+/// A span of an Adam chunk from `terms`: the octet body on the vector loop
+/// instantiated for the destination count, the `len % 8` tail on the
+/// scalar specification.
 #[inline]
 #[target_feature(enable = "avx2", enable = "f16c")]
 fn adam_span<const T: usize>(
@@ -1694,7 +1946,7 @@ fn adam_span<const T: usize>(
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    terms: [&[f32]; T],
+    terms: Terms<'_, T>,
     outs: &mut [adam::Dest<'_>],
 ) {
     match outs.len() {
@@ -1704,7 +1956,11 @@ fn adam_span<const T: usize>(
     }
     let n = master.len();
     let body = n - n % 8;
-    adam::chunk_scalar(k, master, m, v, &adam::Grad::Sum(&terms), outs, body..n);
+    let grad = match &terms {
+        Terms::F32(g) => adam::Grad::Slice(g),
+        Terms::Half(t) => adam::Grad::Half(t),
+    };
+    adam::chunk_scalar(k, master, m, v, &grad, outs, body..n);
 }
 
 /// One destination's octets.
@@ -1713,10 +1969,36 @@ enum Octets<'a> {
     Grid(&'a mut [[f32; 8]]),
 }
 
-/// The octet body of an Adam chunk with `O` destinations, from the sum of
-/// `T` slices: for each octet, the gradient (the slices summed left to
-/// right in registers, as [`adam::Grad::Sum`] orders it), the update, and
-/// the store into every destination.
+/// A span's gradient octets: an f32 slice's, or `T` binary16 terms' with
+/// each term's `2^-exp` on 8 lanes.
+enum GradOctets<'a, const T: usize> {
+    F32(&'a [[f32; 8]]),
+    Half([(&'a [[u16; 8]], __m256); T]),
+}
+
+impl<const T: usize> GradOctets<'_, T> {
+    /// Octet `i` of the gradient: the slice's, or the terms widened, each
+    /// multiplied by its scale, and summed left to right.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "f16c")]
+    fn load(&self, i: usize) -> __m256 {
+        match self {
+            GradOctets::F32(g) => ymm::load(&g[i]),
+            GradOctets::Half(terms) => {
+                let mut g = _mm256_mul_ps(load_f16x8(&terms[0].0[i]), terms[0].1);
+                for (bits, scale) in &terms[1..] {
+                    g = _mm256_add_ps(g, _mm256_mul_ps(load_f16x8(&bits[i]), *scale));
+                }
+                g
+            }
+        }
+    }
+}
+
+/// The octet body of an Adam chunk with `O` destinations, from `terms`:
+/// for each octet, the gradient ([`GradOctets::load`], as
+/// [`adam::Grad`] orders it), the update, and the store into every
+/// destination.
 #[inline]
 #[target_feature(enable = "avx2", enable = "f16c")]
 fn adam_fused<const O: usize, const T: usize>(
@@ -1724,12 +2006,17 @@ fn adam_fused<const O: usize, const T: usize>(
     master: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
-    terms: [&[f32]; T],
+    terms: Terms<'_, T>,
     outs: &mut [adam::Dest<'_>],
 ) {
-    const { assert!(T == 1 || T == 2, "the loop reads one slice or sums two") };
+    const { assert!(T == 1 || T == 2, "the loop reads one slice or sums two terms") };
     let n8 = master.len() / 8;
-    let terms = terms.map(|t| &t.as_chunks::<8>().0[..n8]);
+    let grad = match terms {
+        Terms::F32(g) => GradOctets::F32(&g.as_chunks::<8>().0[..n8]),
+        Terms::Half(t) => GradOctets::Half(
+            t.map(|t| (&t.bits.as_chunks::<8>().0[..n8], _mm256_set1_ps(half::pow2(-t.exp)))),
+        ),
+    };
     let mut dests = outs.iter_mut();
     let mut outs: [Octets; O] =
         std::array::from_fn(|_| match dests.next().expect("O destinations") {
@@ -1739,18 +2026,17 @@ fn adam_fused<const O: usize, const T: usize>(
     let w8 = &mut master.as_chunks_mut::<8>().0[..n8];
     let (m8, v8) = (&mut m.as_chunks_mut::<8>().0[..n8], &mut v.as_chunks_mut::<8>().0[..n8]);
     // Stated, so the loop's bounds checks fold into its own.
-    assert!(terms.iter().all(|t| t.len() == n8));
+    assert!(match &grad {
+        GradOctets::F32(g) => g.len() == n8,
+        GradOctets::Half(t) => t.iter().all(|(b, _)| b.len() == n8),
+    });
     assert!(outs.iter().all(|o| match o {
         Octets::Half(h) => h.len() == n8,
         Octets::Grid(q) => q.len() == n8,
     }));
     let lanes = AdamLanes::new(k);
     for i in 0..n8 {
-        let g = if T == 1 {
-            ymm::load(&terms[0][i])
-        } else {
-            _mm256_add_ps(ymm::load(&terms[0][i]), ymm::load(&terms[T - 1][i]))
-        };
+        let g = grad.load(i);
         let w1 = lanes.update(g, &mut w8[i], &mut m8[i], &mut v8[i]);
         for out in &mut outs {
             match out {
@@ -1763,43 +2049,59 @@ fn adam_fused<const O: usize, const T: usize>(
     }
 }
 
-/// AVX2+F16C [`crate::half::encode`].
-pub(crate) fn encode_f16(src: &[f32], dst: &mut [u16]) {
+/// AVX2+F16C [`crate::half::encode`], or with `scale` [`crate::half::narrow`]:
+/// each element multiplied by the scale before it is narrowed.
+pub(crate) fn encode_f16(src: &[f32], dst: &mut [u16], scale: Option<f32>) {
     debug_assert!(have_avx2_fma());
-    // SAFETY: `half::encode` dispatches here only when `f16_fast_path()`
-    // holds; the implementation checks the lengths.
-    unsafe { encode_f16_impl(src, dst) }
+    // SAFETY: `half::encode` and `half::narrow` dispatch here only when
+    // `f16_fast_path()` holds; the implementation checks the lengths.
+    unsafe {
+        match scale {
+            None => encode_f16_impl::<false>(src, dst, 1.0),
+            Some(scale) => encode_f16_impl::<true>(src, dst, scale),
+        }
+    }
 }
 
 #[target_feature(enable = "avx2", enable = "f16c")]
-fn encode_f16_impl(src: &[f32], dst: &mut [u16]) {
+fn encode_f16_impl<const SCALED: bool>(src: &[f32], dst: &mut [u16], scale: f32) {
     assert_eq!(src.len(), dst.len());
     let (s8, s_tail) = src.as_chunks::<8>();
     let (d8, d_tail) = dst.as_chunks_mut::<8>();
+    let lanes = _mm256_set1_ps(scale);
     for (s, d) in s8.iter().zip(d8) {
-        store_f16x8(ymm::load(s), d);
+        let v = ymm::load(s);
+        store_f16x8(if SCALED { _mm256_mul_ps(v, lanes) } else { v }, d);
     }
     for (h, &w) in d_tail.iter_mut().zip(s_tail) {
-        *h = f32_to_f16(w);
+        *h = f32_to_f16(if SCALED { w * scale } else { w });
     }
 }
 
-/// AVX2+F16C [`crate::half::decode`].
-pub(crate) fn decode_f16(src: &[u16], dst: &mut [f32]) {
+/// AVX2+F16C [`crate::half::decode`], or with `scale` [`crate::half::widen`]:
+/// each widened element multiplied by the scale.
+pub(crate) fn decode_f16(src: &[u16], dst: &mut [f32], scale: Option<f32>) {
     debug_assert!(have_avx2_fma());
     // SAFETY: as in `encode_f16`.
-    unsafe { decode_f16_impl(src, dst) }
+    unsafe {
+        match scale {
+            None => decode_f16_impl::<false>(src, dst, 1.0),
+            Some(scale) => decode_f16_impl::<true>(src, dst, scale),
+        }
+    }
 }
 
 #[target_feature(enable = "avx2", enable = "f16c")]
-fn decode_f16_impl(src: &[u16], dst: &mut [f32]) {
+fn decode_f16_impl<const SCALED: bool>(src: &[u16], dst: &mut [f32], scale: f32) {
     assert_eq!(src.len(), dst.len());
     let (s8, s_tail) = src.as_chunks::<8>();
     let (d8, d_tail) = dst.as_chunks_mut::<8>();
+    let lanes = _mm256_set1_ps(scale);
     for (s, d) in s8.iter().zip(d8) {
-        ymm::store(load_f16x8(s), d);
+        let v = load_f16x8(s);
+        ymm::store(if SCALED { _mm256_mul_ps(v, lanes) } else { v }, d);
     }
     for (w, &h) in d_tail.iter_mut().zip(s_tail) {
-        *w = f16_to_f32(h);
+        *w = if SCALED { f16_to_f32(h) * scale } else { f16_to_f32(h) };
     }
 }

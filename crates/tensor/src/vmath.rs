@@ -264,6 +264,57 @@ pub fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
     }
 }
 
+/// The largest magnitude in `x`, `+0.0` if it is empty: `+inf` if an
+/// element is infinite and none is NaN, and `NaN` if one is — every
+/// encoding gives the same bits (one NaN, `f32::NAN`).
+pub fn max_abs(x: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_encodings() {
+        return crate::simd::max_abs(x);
+    }
+    let top = x.iter().filter(|v| v.is_finite()).fold(0.0, |m: f32, v| m.max(v.abs()));
+    let flag = x.iter().filter(|v| !v.is_finite()).fold(0, |f, v| f | v.abs().to_bits());
+    max_abs_result(top, flag)
+}
+
+/// [`max_abs`] from the largest finite magnitude and the OR of the
+/// non-finite ones' bits.
+pub(crate) fn max_abs_result(top: f32, flag: u32) -> f32 {
+    match flag {
+        0 => top,
+        f if f32::from_bits(f).is_nan() => f32::NAN,
+        _ => f32::INFINITY,
+    }
+}
+
+/// [`gelu_from_tanh_slice`], returning [`max_abs`] of what it wrote.
+pub fn gelu_from_tanh_max(x: &[f32], t: &[f32], out: &mut [f32]) -> f32 {
+    assert_eq!(x.len(), t.len(), "gelu length mismatch");
+    assert_eq!(x.len(), out.len(), "gelu length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_encodings() {
+        return crate::simd::gelu_from_tanh_max(x, t, out);
+    }
+    gelu_from_tanh_slice(x, t, out);
+    max_abs(out)
+}
+
+/// `d[i] = d[i] · gelu_grad_from_tanh(x[i], t[i])` in place — the backward
+/// of [`gelu_backward_from_tanh_slice`] over its own upstream gradient —
+/// returning [`max_abs`] of what it wrote.
+pub fn gelu_backward_from_tanh_in_place_max(x: &[f32], t: &[f32], d: &mut [f32]) -> f32 {
+    assert_eq!(x.len(), t.len(), "gelu backward length mismatch");
+    assert_eq!(x.len(), d.len(), "gelu backward length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_encodings() {
+        return crate::simd::gelu_backward_from_tanh_in_place_max(x, t, d);
+    }
+    for ((o, &xv), &tv) in d.iter_mut().zip(x).zip(t) {
+        *o *= gelu_grad_from_tanh(xv, tv);
+    }
+    max_abs(d)
+}
+
 /// `dx[i] = dy[i] · gelu_grad_from_tanh(x[i], t[i])`, with `t` the stored
 /// `gelu_tanh(x)`: no transcendental is evaluated.
 pub fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {

@@ -15,9 +15,10 @@
 //!    to a subnormal half, at `±65504` and past the half overflow threshold.
 //! 4. The f32 store is the exact decode of the u16 store.
 //! 5. **The fused step** (`ShardStep::run`): a gradient given as k ∈ 1..=5
-//!    slices summed read-only (or, at k = 1, also the one slice read as it
-//!    is), in every rotation of their order, is the left-to-right sum of the
-//!    slices stepped by the historical arithmetic
+//!    binary16 terms, each under its own exponent, summed read-only (or, at
+//!    k = 1, also one f32 slice read as it is), in every rotation of their
+//!    order, is the left-to-right sum of the widened, unscaled terms
+//!    stepped by the historical arithmetic
 //!    and published identically to every one of 1–3, or 6 (mixed binary16
 //!    and f32), destinations; at every length `n % 8`, with the special
 //!    values rotated through the lanes, and on shards big enough to split,
@@ -35,7 +36,7 @@ use std::sync::{Mutex, MutexGuard};
 use symi_tensor::half::{self, f16_to_f32, f32_to_f16, quantize_f16};
 use symi_tensor::kernels::{self, SimdPath};
 use symi_tensor::rng::{Rng, StdRng};
-use symi_tensor::{pool, AdamConfig, AdamShard, AdamState, Dest, Grad};
+use symi_tensor::{pool, AdamConfig, AdamShard, AdamState, Dest, Grad, HalfTerm};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
 
@@ -299,12 +300,30 @@ fn special_values_agree_in_every_lane() {
 // The fused step: summed slices, several destinations
 // ---------------------------------------------------------------------------
 
-/// One fused step's gradient: `slices` summed in this order
-/// ([`Grad::Sum`]) — or, with `sum` false, the one slice read as it is
-/// ([`Grad::Slice`]).
+/// One fused step's gradient: `slices` narrowed to binary16 — slice `j`
+/// under exponent [`term_exp`]`(j)` — then widened, unscaled and summed in
+/// this order ([`Grad::Half`]); or, with `sum` false, the one f32 slice
+/// read as it is ([`Grad::Slice`]).
 struct Fused<'a> {
     slices: &'a [Vec<f32>],
     sum: bool,
+}
+
+/// The exponent the `j`-th term of a fused step is narrowed under: a
+/// different power of two per term, so a term unscaled by another's
+/// exponent shows.
+fn term_exp(j: usize) -> i32 {
+    [0, 5, -3, 12, -7][j % 5]
+}
+
+/// `slices` narrowed as [`Fused`] narrows them.
+fn narrowed(slices: &[Vec<f32>]) -> Vec<(Vec<u16>, i32)> {
+    let narrow = |(j, s): (usize, &Vec<f32>)| {
+        let mut bits = vec![0u16; s.len()];
+        half::narrow(s, term_exp(j), &mut bits);
+        (bits, term_exp(j))
+    };
+    slices.iter().enumerate().map(narrow).collect()
 }
 
 /// The destination kinds of a fused step, in order: `true` for binary16.
@@ -340,7 +359,9 @@ fn run_fused(
     let zeros = vec![0.0f32; n];
     let mut shard = AdamShard::from_parts(cfg, 0, master.to_vec(), zeros.clone(), zeros, 0);
     let mut trace = FusedTrace { state: Default::default(), outs: Vec::new() };
-    let terms: Vec<&[f32]> = grad.slices.iter().map(Vec::as_slice).collect();
+    let halves = narrowed(grad.slices);
+    let terms: Vec<HalfTerm> =
+        halves.iter().map(|(bits, exp)| HalfTerm { bits, exp: *exp }).collect();
     for _ in 0..steps {
         let mut halves = vec![vec![0u16; n]; kinds.len()];
         let mut grids = vec![vec![0.0f32; n]; kinds.len()];
@@ -351,10 +372,10 @@ fn run_fused(
             .map(|((h, g), &half)| if half { Dest::Half(h) } else { Dest::Grid(g) })
             .collect();
         let g = if grad.sum {
-            Grad::Sum(&terms)
+            Grad::Half(&terms)
         } else {
             assert_eq!(terms.len(), 1, "read as it is, one slice");
-            Grad::Slice(terms[0])
+            Grad::Slice(&grad.slices[0])
         };
         shard.begin_step().run(0..n, g, &mut outs);
         trace.outs.push(
@@ -410,8 +431,16 @@ fn run_fused_everywhere(
     }
 
     let n = master.len();
+    let widened: Vec<Vec<f32>> = if grad.sum {
+        let widen = |(bits, exp): &(Vec<u16>, i32)| -> Vec<f32> {
+            bits.iter().map(|&h| f16_to_f32(h) * 2f32.powi(-exp)).collect()
+        };
+        narrowed(grad.slices).iter().map(widen).collect()
+    } else {
+        grad.slices.to_vec()
+    };
     let sum: Vec<f32> =
-        (0..n).map(|i| grad.slices[1..].iter().fold(grad.slices[0][i], |s, x| s + x[i])).collect();
+        (0..n).map(|i| widened[1..].iter().fold(widened[0][i], |s, x| s + x[i])).collect();
     let (mut w, mut m, mut v, mut out) =
         (master.to_vec(), vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     for s in 0..steps {

@@ -2,12 +2,13 @@
 //! `symi-netsim`) and *measured* bytes from the real collectives — the two
 //! must tell the same story about the paper's data-movement identities.
 
-use symi::{ExpertPlacement, SymiOptimizer};
+use symi::optimizer::get_source;
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, SymiOptimizer};
 use symi_collectives::coll::chunk_range;
-use symi_collectives::{Cluster, ClusterSpec, TagSpace};
+use symi_collectives::{Cluster, ClusterSpec, TagSpace, WirePhase};
 use symi_netsim::topology::HardwareSpec;
 use symi_netsim::{CommCostModel, SystemKind};
-use symi_tensor::AdamConfig;
+use symi_tensor::{AdamConfig, Matrix};
 
 const NODES: usize = 8;
 const E: usize = 4;
@@ -108,12 +109,9 @@ fn grad_collection_bytes_match_algorithm_2_schedule_exactly() {
         let predict: u64 = (0..NODES)
             .map(|dst| {
                 let (a, b) = chunk_range(L, NODES, dst);
-                (0..E)
-                    .filter(|&class| {
-                        symi::optimizer::get_source(&placement.host_ranks(class), dst) != dst
-                    })
-                    .count() as u64
-                    * ((b - a) * 4) as u64
+                (0..E).filter(|&class| get_source(&placement.host_ranks(class), dst) != dst).count()
+                    as u64
+                    * ((b - a) * 2) as u64
             })
             .sum();
         let placement2 = placement.clone();
@@ -140,7 +138,7 @@ fn analytic_model_agrees_with_itself_at_measured_scale() {
         nodes: NODES,
         expert_classes: E,
         slots_per_rank: S,
-        grad_bytes: (L * 4) as f64,
+        grad_bytes: (L * 2) as f64, // binary16 gradients, as netsim prices them
         weight_bytes: (L * 2) as f64, // fp16 wire width
         optimizer_bytes: (L * 16) as f64,
         hw: HardwareSpec::paper_eval_cluster(),
@@ -162,4 +160,51 @@ fn optimizer_footprint_identity_holds_measured() {
     });
     let total: u64 = footprints.iter().sum();
     assert_eq!(total, (E * L * 16) as u64, "Σ per-rank state = E·O exactly");
+}
+
+#[test]
+fn the_engines_gradient_wire_moves_exactly_the_2_byte_pricing() {
+    // The same pricing, on the engine rather than the owned-`Vec` collect:
+    // one iteration's `GradSync` (§4.1's reduce) plus `GradCollect`
+    // (Algorithm 2) bytes. The reduce hands each host the other hosts'
+    // binary16 partials of the ranges it serves, which tile a class once
+    // over its hosts: 2·(m − 1)·P per class hosted on m ranks. The collect
+    // ships a binary16 chunk to every owner whose source is remote. Both at
+    // 2 B/param; the exponent rides outside the payload.
+    const N: usize = 4;
+    let cfg = EngineConfig {
+        d_model: 8,
+        d_ff: 24,
+        expert_classes: 2,
+        slots_per_rank: 1,
+        slot_capacity: 64,
+        adam: AdamConfig::default(),
+        seed: 5,
+        layer_id: 0,
+    };
+    let (ran, _) = Cluster::run(ClusterSpec::flat(N), |ctx| {
+        let mut engine = MoeLayerEngine::new(ctx.rank(), N, cfg);
+        let x =
+            Matrix::from_fn(16, cfg.d_model, |r, c| ((ctx.rank() * 97 + r * 8 + c) as f32).sin());
+        let placement = engine.placement.clone();
+        engine.iteration(ctx, &x, &Matrix::zeros(16, cfg.d_model)).expect("iteration");
+        ctx.barrier();
+        let t = ctx.traffic();
+        (placement, t.wire_phase(WirePhase::GradSync).0 + t.wire_phase(WirePhase::GradCollect).0)
+    });
+    let (placement, measured) = &ran[0];
+    let p = 2 * cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_model;
+    let predict: usize = (0..cfg.expert_classes)
+        .map(|class| {
+            let hosts = placement.host_ranks(class);
+            let collect: usize = (0..N)
+                .filter(|&dst| get_source(&hosts, dst) != dst)
+                .map(|dst| chunk_range(p, N, dst))
+                .map(|(a, b)| 2 * (b - a))
+                .sum();
+            2 * (hosts.len() - 1) * p + collect
+        })
+        .sum();
+    assert!(placement.host_ranks(0).len() > 1, "a class must span ranks for the reduce to move");
+    assert_eq!(*measured, predict as u64, "placement {placement:?}");
 }

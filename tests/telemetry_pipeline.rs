@@ -359,8 +359,9 @@ fn deepspeed_and_symi_pay_equal_optimizer_bytes_per_rank_at_uniform_replication(
         assert_eq!(16 * shard_params, 4_480);
         assert_eq!(
             host_device,
-            ITERS as usize * NODES * (4 + 2) * shard_params,
-            "{system}: host-device bytes, N ranks staging their own shards each step"
+            ITERS as usize * NODES * (2 + 2) * shard_params,
+            "{system}: host-device bytes, N ranks staging their own binary16 gradient and \
+             weight shards each step"
         );
     }
 }
