@@ -55,9 +55,9 @@ use crate::metadata::LayerMetadataStore;
 use crate::optimizer::{
     ClassGrad, GradShard, Owners, Partials, ReshardReport, ShardState, SymiOptimizer, WeightSends,
 };
-use crate::placement::ExpertPlacement;
 use crate::scheduler::{supports_world, SymiPolicy};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
+use crate::ExpertPlacement;
 use std::time::Instant;
 use symi_collectives::{
     encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,

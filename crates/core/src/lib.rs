@@ -16,8 +16,10 @@
 //!   pluggable into any trainer.
 //! - [`metadata`] — the Layer Metadata Store holding the globally
 //!   consistent per-iteration popularity counters.
-//! - [`placement`] — the expert-placement data model: slot↔class maps,
-//!   per-class host-rank ranges, communicator-group handles.
+//! - [`ExpertPlacement`] — the expert-placement data model: slot↔class
+//!   maps and per-class host-rank ranges. It is defined in `symi-netsim`,
+//!   the dependency-free crate below this one, so the cost model prices
+//!   the very layouts the engines run.
 //! - [`optimizer`] — the SYMI Optimizer: per-node [`symi_tensor::AdamShard`]s
 //!   covering a uniform `1/N` slice of *every* expert (or, in DeepSpeed's
 //!   configuration, a `1/r` slice of each hosted one), the
@@ -43,7 +45,6 @@
 pub mod engine;
 pub mod metadata;
 pub mod optimizer;
-pub mod placement;
 pub mod policies;
 pub mod scheduler;
 pub mod token_path;
@@ -51,6 +52,6 @@ pub mod token_path;
 pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
 pub use metadata::LayerMetadataStore;
 pub use optimizer::{Partials, ReshardReport, ShardState, SymiOptimizer};
-pub use placement::ExpertPlacement;
 pub use policies::TracePolicy;
 pub use scheduler::{compute_placement, valid_replica_counts, SymiPolicy};
+pub use symi_netsim::ExpertPlacement;

@@ -41,7 +41,7 @@
 //! re-placement is the same plan and exchange over the same view, from the
 //! old owner groups to the new placement's ([`SymiOptimizer::follow`]).
 
-use crate::placement::ExpertPlacement;
+use crate::ExpertPlacement;
 use std::sync::Arc;
 use symi_collectives::coll::chunk_range;
 use symi_collectives::tag::{decode, with_step};

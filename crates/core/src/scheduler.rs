@@ -5,10 +5,12 @@
 //! corrected so the total exactly fills the `G × S` expert slots. The
 //! correction removes replicas from the classes with the largest positive
 //! rounding surplus and adds to those with the largest deficit. Instances
-//! are finally assigned to slots *contiguously*, which (a) packs replicas
-//! of one class onto as few ranks as possible — feeding the intra+inter
-//! rank gradient sum of §4.1 — and (b) guarantees every EDP communicator is a
-//! contiguous rank range, enabling §4.2's pre-registered groups.
+//! are finally assigned to slots *contiguously*
+//! ([`ExpertPlacement::from_counts`](crate::ExpertPlacement::from_counts)),
+//! which (a) packs replicas of one class onto as few ranks as possible —
+//! feeding the intra+inter rank gradient sum of §4.1 — and (b) guarantees
+//! every EDP communicator is a contiguous rank range, enabling §4.2's
+//! pre-registered groups.
 
 use symi_model::PlacementPolicy;
 
@@ -89,16 +91,6 @@ pub fn valid_replica_counts(counts: &[usize], total_slots: usize) -> bool {
         && counts.iter().sum::<usize>() == total_slots
 }
 
-/// Expands replica counts into the contiguous slot assignment
-/// (`slot → class`), exactly Algorithm 1's final loop.
-pub(crate) fn contiguous_assignment(counts: &[usize]) -> Vec<usize> {
-    let mut slots = Vec::with_capacity(counts.iter().sum());
-    for (class, &c) in counts.iter().enumerate() {
-        slots.extend(std::iter::repeat_n(class, c));
-    }
-    slots
-}
-
 /// The paper's placement policy: next iteration's replication mimics the
 /// popularity observed in the *previous* iteration (§3.4 — reshuffling
 /// between router assignment and dispatch would be prohibitive, and the
@@ -172,13 +164,6 @@ mod tests {
         let counts = compute_placement(&pop, 64);
         assert_eq!(counts[7], 64 - 31);
         assert_eq!(counts.iter().sum::<usize>(), 64);
-    }
-
-    #[test]
-    fn assignment_is_contiguous_and_ordered() {
-        let counts = vec![3usize, 1, 2];
-        let slots = contiguous_assignment(&counts);
-        assert_eq!(slots, vec![0, 0, 0, 1, 2, 2]);
     }
 
     #[test]

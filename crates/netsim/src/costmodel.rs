@@ -8,7 +8,7 @@
 //! `G`/`W` gradient/weight bytes per expert instance, `O` optimizer bytes
 //! per expert class.
 
-use crate::placement::SlotPlacement;
+use crate::placement::ExpertPlacement;
 use crate::topology::{HardwareSpec, Topology};
 
 /// Which system's cost expression to evaluate.
@@ -266,7 +266,7 @@ impl<'a> TieredCostModel<'a> {
     /// priced as [`TierPhase::zero`] plus PCIe.
     pub(crate) fn shard_exchange(
         &self,
-        placement: &SlotPlacement,
+        placement: &ExpertPlacement,
         scope: ShardScope,
         phase_bytes: f64,
     ) -> TierPhase {
@@ -317,20 +317,16 @@ impl<'a> TieredCostModel<'a> {
                 // Owners = the class's own host ranks; used for the weight
                 // all-gather (see the doc comment). Host sets are not
                 // contiguous in general, so fall through to the host list.
-                let hosts = placement.host_ranks(e);
-                let hw_counts = placement.hosts_with_counts(e);
-                let n_ranks = placement.ranks();
-                let mut per_rank_bytes = vec![vec![0.0f64; tiers]; n_ranks];
-                let mut per_rank_msgs = vec![vec![0.0f64; tiers]; n_ranks];
-                let mut pci = vec![0.0f64; n_ranks];
-                for class in 0..e {
-                    let owners = &hosts[class];
-                    if owners.is_empty() {
+                let mut per_rank_bytes = vec![vec![0.0f64; tiers]; n];
+                let mut per_rank_msgs = vec![vec![0.0f64; tiers]; n];
+                let mut pci = vec![0.0f64; n];
+                for hosts in placement.hosts_with_counts() {
+                    if hosts.is_empty() {
                         continue;
                     }
-                    let shard = phase_bytes / owners.len() as f64;
-                    for &(h, count) in &hw_counts[class] {
-                        for &o in owners {
+                    let shard = phase_bytes / hosts.len() as f64;
+                    for &(h, count) in &hosts {
+                        for &(o, _) in &hosts {
                             if o == h {
                                 continue;
                             }
@@ -340,7 +336,7 @@ impl<'a> TieredCostModel<'a> {
                             per_rank_msgs[o][t] += 1.0;
                         }
                     }
-                    for &o in owners {
+                    for &(o, _) in &hosts {
                         pci[o] += shard;
                     }
                 }
@@ -358,7 +354,7 @@ impl<'a> TieredCostModel<'a> {
     /// it crosses.
     fn pairwise(
         &self,
-        placement: &SlotPlacement,
+        placement: &ExpertPlacement,
         owner_of: impl Fn(usize) -> (usize, usize, f64),
         out: &mut TierPhase,
     ) {
@@ -366,8 +362,7 @@ impl<'a> TieredCostModel<'a> {
         let n = placement.ranks();
         let mut per_rank_bytes = vec![vec![0.0f64; tiers]; n];
         let mut per_rank_msgs = vec![vec![0.0f64; tiers]; n];
-        let hw_counts = placement.hosts_with_counts(self.expert_classes);
-        for (class, hosts) in hw_counts.iter().enumerate() {
+        for (class, hosts) in placement.hosts_with_counts().iter().enumerate() {
             let (first, count, shard) = owner_of(class);
             for &(h, mult) in hosts {
                 for o in first..first + count {
@@ -612,7 +607,7 @@ mod tests {
 
     // ---- Tiered model. ----
 
-    use crate::placement::SlotPlacement;
+    use crate::placement::ExpertPlacement;
     use crate::topology::Topology;
 
     /// A flat single-tier topology with zero latency reproduces
@@ -624,7 +619,7 @@ mod tests {
         let topo = Topology::flat(m.nodes, &m.hw);
         let tiered = TieredCostModel::from_flat(&m, &topo);
         let placement =
-            SlotPlacement::symi_contiguous(&vec![m.static_replicas(); 64], m.slots_per_rank);
+            ExpertPlacement::from_counts(&vec![m.static_replicas(); 64], m.slots_per_rank);
         let phase = tiered.shard_exchange(&placement, ShardScope::Cluster, m.grad_bytes);
         let flat = m.costs(SystemKind::Symi).t_grad;
         assert!(
@@ -646,7 +641,7 @@ mod tests {
         m.hw.net_latency = 0.0;
         let topo = Topology::flat(m.nodes, &m.hw);
         let tiered = TieredCostModel::from_flat(&m, &topo);
-        let placement = SlotPlacement::symi_contiguous(
+        let placement = ExpertPlacement::from_counts(
             &vec![m.static_replicas(); m.expert_classes],
             m.slots_per_rank,
         );
@@ -673,7 +668,7 @@ mod tests {
             hw: HardwareSpec::paper_analysis_example(),
         };
         let tiered = TieredCostModel::from_flat(&m, &topo);
-        let placement = SlotPlacement::symi_contiguous(
+        let placement = ExpertPlacement::from_counts(
             &vec![m.static_replicas(); m.expert_classes],
             m.slots_per_rank,
         );

@@ -12,7 +12,7 @@
 //! placement (contiguous slot assignment, as Algorithm 1 produces).
 
 use crate::costmodel::{CommCostModel, ShardScope, TierPhase, TieredCostModel};
-use crate::placement::SlotPlacement;
+use crate::placement::ExpertPlacement;
 use crate::topology::{HardwareSpec, ModelCostConfig, Topology};
 
 /// Which system's iteration to simulate.
@@ -136,16 +136,16 @@ impl IterationSim {
     }
 
     /// The slot placement each system's scheduler would produce.
-    pub fn placement(&self, replicas_per_class: &[usize], system: SimSystem) -> SlotPlacement {
+    pub fn placement(&self, replicas_per_class: &[usize], system: SimSystem) -> ExpertPlacement {
         match system {
             SimSystem::Symi => {
-                SlotPlacement::symi_contiguous(replicas_per_class, self.slots_per_rank)
+                ExpertPlacement::from_counts(replicas_per_class, self.slots_per_rank)
             }
             SimSystem::DeepSpeedStatic => {
-                SlotPlacement::striped(self.expert_classes, self.nodes, self.slots_per_rank)
+                ExpertPlacement::striped(self.expert_classes, self.nodes, self.slots_per_rank)
             }
             SimSystem::FlexMoE => {
-                SlotPlacement::greedy_spread(replicas_per_class, self.nodes, self.slots_per_rank)
+                ExpertPlacement::spread(replicas_per_class, self.nodes, self.slots_per_rank)
             }
         }
     }
@@ -221,8 +221,11 @@ impl IterationSim {
         // land on distinct ranks (it has no intra-rank EDP, §4.1); FlexMoE
         // likewise spreads replicas across ranks, greedily.
         let placement = self.placement(replicas_per_class, system);
-        let host_ranks = placement.host_ranks(e);
-        let rank_classes = placement.rank_classes(e);
+        let host_ranks: Vec<Vec<usize>> = placement
+            .hosts_with_counts()
+            .iter()
+            .map(|hosts| hosts.iter().map(|&(rank, _)| rank).collect())
+            .collect();
         let mut rank_tokens = vec![0.0f64; n];
         for slot in 0..placement.total_slots() {
             let class = placement.class_of_slot(slot);
@@ -285,7 +288,10 @@ impl IterationSim {
         }
         let edp_sync = layers
             * (0..n)
-                .map(|rank| rank_classes[rank].iter().map(|&c| class_sync[c].seconds).sum::<f64>())
+                .map(|rank| {
+                    let hosted = placement.classes_on_rank(rank);
+                    hosted.iter().map(|&(c, _)| class_sync[c].seconds).sum::<f64>()
+                })
                 .fold(0.0, f64::max);
         for phase in &class_sync {
             for (acc, b) in bytes_by_tier.iter_mut().zip(&phase.bytes_by_tier) {

@@ -10,6 +10,10 @@
 //! Everything here is deterministic arithmetic over `f64` seconds and bytes;
 //! no wall-clock time is ever consulted. The real data movement happens in
 //! `symi-collectives`, whose traffic reports this crate prices.
+//!
+//! The slot layout both sides share, [`ExpertPlacement`], is defined here:
+//! the runtime re-exports it as `symi::ExpertPlacement`, so the layouts the
+//! simulator prices are built by the same constructors the engines run.
 
 pub mod costmodel;
 pub mod iteration;
@@ -18,5 +22,5 @@ pub mod topology;
 
 pub use costmodel::{CommCostModel, CommCosts, ShardScope, SystemKind, TieredCostModel};
 pub use iteration::{IterationBreakdown, IterationSim, RebalanceSpec, SimSystem};
-pub use placement::SlotPlacement;
+pub use placement::ExpertPlacement;
 pub use topology::{HardwareSpec, ModelCostConfig, TierSpec, Topology};

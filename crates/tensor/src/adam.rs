@@ -244,17 +244,6 @@ impl AdamShard {
         &self.master
     }
 
-    /// Serializes the mutable optimizer state as `[master | m | v]` — what
-    /// a *coupled* system (FlexMoE-style) must physically move when an
-    /// expert is re-placed. SYMI never calls this on the rebalance path.
-    pub fn export_state(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(3 * self.master.len());
-        out.extend_from_slice(&self.master);
-        out.extend_from_slice(&self.m);
-        out.extend_from_slice(&self.v);
-        out
-    }
-
     /// Optimizer-state bytes this shard occupies under the paper's
     /// accounting (16 B per parameter: fp32 master weight, fp32 m, fp32 v,
     /// fp32 gradient staging).

@@ -83,8 +83,8 @@
 //! oversubscribed hosts) context switches, so small GEMMs lose by
 //! splitting: the seed benchmark showed 64×64×128 *dropping* from 19.3 to
 //! 13.6 GFLOP/s going 1→8 threads. `plan_shares` therefore caps the share
-//! count so each share keeps at least `SYMI_GEMM_FLOPS_PER_SHARE` FLOPs
-//! (default 128 M ≈ a couple of milliseconds of SIMD work) **and** never
+//! count so each share keeps at least [`DEFAULT_FLOPS_PER_SHARE`] FLOPs
+//! (128 M ≈ a couple of milliseconds of SIMD work) **and** never
 //! exceeds the machine's `available_parallelism` — extra shares beyond
 //! cores cannot run concurrently, they only pay dispatch and cache-handoff
 //! cost. Gated calls run sequentially on the submitting thread with zero
@@ -103,10 +103,10 @@ pub const MR: usize = 4;
 pub const NR: usize = 8;
 
 /// Default minimum FLOPs a share must amortize before the cost model grants
-/// it a pool dispatch (override: `SYMI_GEMM_FLOPS_PER_SHARE`). ~2 ms of
-/// work at the AVX2 kernels' measured single-thread throughput — an order
-/// of magnitude above dispatch + cache-rewarm cost even on oversubscribed
-/// single-core hosts.
+/// it a pool dispatch (tests override it with [`set_flops_per_share`]).
+/// ~2 ms of work at the AVX2 kernels' measured single-thread throughput —
+/// an order of magnitude above dispatch + cache-rewarm cost even on
+/// oversubscribed single-core hosts.
 pub const DEFAULT_FLOPS_PER_SHARE: u64 = 128_000_000;
 
 static GEMM_NS: AtomicU64 = AtomicU64::new(0);
@@ -362,29 +362,12 @@ fn tn_row_tile(path: SimdPath) -> usize {
 // Cost model
 // ---------------------------------------------------------------------------
 
-/// 0 = uninitialized (resolve from env on first use).
-static MIN_FLOPS: AtomicU64 = AtomicU64::new(0);
+/// The cost model's minimum FLOPs per share; only [`set_flops_per_share`]
+/// changes it.
+static MIN_FLOPS: AtomicU64 = AtomicU64::new(DEFAULT_FLOPS_PER_SHARE);
 
 fn min_flops_per_share() -> u64 {
-    let v = MIN_FLOPS.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let init = match std::env::var("SYMI_GEMM_FLOPS_PER_SHARE") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(v) if v > 0 => v,
-            _ => {
-                eprintln!(
-                    "symi: ignoring invalid SYMI_GEMM_FLOPS_PER_SHARE={raw:?} \
-                     (expected a positive integer); using {DEFAULT_FLOPS_PER_SHARE}"
-                );
-                DEFAULT_FLOPS_PER_SHARE
-            }
-        },
-        Err(_) => DEFAULT_FLOPS_PER_SHARE,
-    };
-    MIN_FLOPS.store(init, Ordering::Relaxed);
-    init
+    MIN_FLOPS.load(Ordering::Relaxed)
 }
 
 /// Overrides the cost-model minimum (mirrors `pool::set_threads`: for tests

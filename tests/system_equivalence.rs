@@ -8,10 +8,11 @@
 //! losses and expert weights must therefore agree to floating-point
 //! reassociation tolerance.
 
-use symi::{EngineConfig, MoeLayerEngine};
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, SymiPolicy};
 use symi_baselines::{flexmoe_engine, DeepSpeedMoeEngine};
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_integration::token_matrix;
+use symi_telemetry::Phase;
 use symi_tensor::{AdamConfig, Matrix};
 
 const NODES: usize = 4;
@@ -21,47 +22,89 @@ const E: usize = 4;
 const S: usize = 2;
 const SEED: u64 = 31;
 const T_LOC: usize = 8;
+/// A slot capacity no batch here reaches.
+const NO_DROPS: usize = 1_000_000;
 
-/// Runs the engine `build` makes for each rank, and reports the slots its
-/// placement moved over the run.
-fn engine_run(
+/// What one engine run observed; every field is identical on every rank.
+struct EngineRun {
+    losses: Vec<f32>,
+    /// One weight vector per class, from the final placement (any replica:
+    /// the engine guarantees they are equal).
+    weights: Vec<Vec<f32>>,
+    /// Per iteration: popularity, kept assignments per class, and the
+    /// replica counts the iteration ran on.
+    routing: Vec<(Vec<u64>, Vec<u64>, Vec<usize>)>,
+    /// The final placement's class per global slot.
+    final_slots: Vec<usize>,
+    /// Slots the placement moved over the run.
+    churn: usize,
+    dropped: usize,
+    /// Bytes sent in the `Rebalance` phase: the optimizer state a coupled
+    /// configuration migrates after its placement.
+    rebalance_bytes: u64,
+}
+
+/// The shape of one engine run. Rank `r`'s batch at iteration `t` is
+/// `token_matrix(r + drift · nodes · t)`: with `drift` 0 every iteration
+/// routes the same tokens, with 1 popularity, and so the placement, changes
+/// from step to step.
+#[derive(Clone, Copy)]
+struct Setup {
+    nodes: usize,
+    slots_per_rank: usize,
+    slot_capacity: usize,
     iters: usize,
+    drift: usize,
+}
+
+/// Runs the engine `build` makes for each rank of `setup`.
+fn engine_run(
+    setup: Setup,
     build: impl Fn(usize, EngineConfig) -> MoeLayerEngine + Sync,
-) -> (Vec<f32>, Vec<Vec<f32>>, usize) {
-    let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+) -> EngineRun {
+    let Setup { nodes, slots_per_rank, slot_capacity, iters, drift } = setup;
+    let (results, report) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
         let cfg = EngineConfig {
             d_model: D,
             d_ff: DFF,
             expert_classes: E,
-            slots_per_rank: S,
-            slot_capacity: 1_000_000,
+            slots_per_rank,
+            slot_capacity,
             adam: AdamConfig::default(),
             seed: SEED,
             layer_id: 0,
         };
         let mut engine = build(ctx.rank(), cfg);
-        let x = token_matrix(ctx.rank(), T_LOC, D);
         let target = Matrix::zeros(T_LOC, D);
         let mut losses = Vec::new();
-        let mut churn = 0;
-        for _ in 0..iters {
+        let mut routing = Vec::new();
+        let (mut churn, mut dropped) = (0, 0);
+        for t in 0..iters {
+            let x = token_matrix(ctx.rank() + drift * nodes * t, T_LOC, D);
             let stats = engine.iteration(ctx, &x, &target).unwrap();
             losses.push(stats.loss);
+            routing.push((stats.popularity, stats.kept_per_class, stats.replicas));
             churn += stats.placement_churn;
+            dropped += stats.dropped;
         }
-        // Gather one representative weight vector per class from the final
-        // placement (any replica — the engine guarantees they are equal).
         let mut class_weights: Vec<Option<Vec<f32>>> = vec![None; E];
-        for local in 0..S {
-            let slot = ctx.rank() * S + local;
+        for local in 0..slots_per_rank {
+            let slot = ctx.rank() * slots_per_rank + local;
             let class = engine.placement.class_of_slot(slot);
             class_weights[class].get_or_insert_with(|| engine.slot_weights(local));
         }
-        ((losses, class_weights), churn)
+        let final_slots: Vec<usize> = (0..engine.placement.total_slots())
+            .map(|k| engine.placement.class_of_slot(k))
+            .collect();
+        ((losses, class_weights), (routing, final_slots, churn, dropped))
     });
-    let churn = results[0].1;
+    let (routing, final_slots, churn, dropped) = results[0].1.clone();
+    for (rank, r) in results.iter().enumerate() {
+        assert_eq!(r.1, results[0].1, "rank {rank} disagrees on routing or placement");
+    }
     let (losses, weights) = merge(results.into_iter().map(|r| r.0).collect());
-    (losses, weights, churn)
+    let rebalance_bytes = report.bytes_in_phase(Phase::Rebalance);
+    EngineRun { losses, weights, routing, final_slots, churn, dropped, rebalance_bytes }
 }
 
 fn deepspeed_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
@@ -120,30 +163,93 @@ fn merge(results: Vec<RankView>) -> (Vec<f32>, Vec<Vec<f32>>) {
 #[test]
 fn symi_and_deepspeed_engines_compute_the_same_training_math() {
     let iters = 5;
-    let (symi_losses, symi_weights, _) =
-        engine_run(iters, |rank, cfg| MoeLayerEngine::new(rank, NODES, cfg));
+    let setup = Setup { nodes: NODES, slots_per_rank: S, slot_capacity: NO_DROPS, iters, drift: 0 };
+    let symi = engine_run(setup, |rank, cfg| MoeLayerEngine::new(rank, NODES, cfg));
     let (ds_losses, ds_weights) = deepspeed_run(iters);
     // Interval 2 triggers after iterations 1 and 3, inside the run.
-    let (flex_losses, flex_weights, flex_churn) =
-        engine_run(iters, |rank, cfg| flexmoe_engine(rank, NODES, cfg, 2));
-    assert!(flex_churn > 0, "FlexMoE must re-place within the run");
+    let flex = engine_run(setup, |rank, cfg| flexmoe_engine(rank, NODES, cfg, 2));
+    assert!(flex.churn > 0, "FlexMoE must re-place within the run");
 
     for (system, losses, weights) in
-        [("DeepSpeed", &ds_losses, &ds_weights), ("FlexMoE", &flex_losses, &flex_weights)]
+        [("DeepSpeed", &ds_losses, &ds_weights), ("FlexMoE", &flex.losses, &flex.weights)]
     {
-        for (t, (a, b)) in symi_losses.iter().zip(losses).enumerate() {
+        for (t, (a, b)) in symi.losses.iter().zip(losses).enumerate() {
             assert!(
                 (a - b).abs() < 1e-5 * (1.0 + a.abs()),
                 "iteration {t}: SYMI loss {a} vs {system} loss {b}"
             );
         }
-        for (class, (a, b)) in symi_weights.iter().zip(weights).enumerate() {
+        for (class, (a, b)) in symi.weights.iter().zip(weights).enumerate() {
             let diff = symi_integration::max_abs_diff(a, b);
             assert!(
                 diff < 5e-4,
                 "class {class}: weight divergence {diff} between SYMI and {system}"
             );
         }
+    }
+}
+
+/// The owner axis of the decoupling argument (§3.1, §3.3): where the
+/// optimizer state lives changes the bytes, never the routing. SYMI's
+/// policy runs world-owned (every rank owns `1/N` of every class) and
+/// host-owned (each class's state sharded over its current hosts and
+/// migrated after every re-placement), with capacity drops and a placement
+/// that moves every step.
+///
+/// Routing never reads an expert weight (the router is frozen), so
+/// popularity, kept counts and placements agree exactly at every size. At
+/// 2 ranks every world owner of a class hosted on both ranks is one of its
+/// hosts, so both configurations sum the replicas' binary16 partials in f32
+/// and the losses and weights agree bit for bit. At 4 ranks a world owner
+/// that hosts no replica of a multi-host class steps it from the collect's
+/// replica sum, narrowed to binary16 on the wire, where a host owner sums
+/// the partials in f32 (DESIGN.md *The owner axis*). The masters then drift
+/// apart by that rounding: here the slots of a 7-iteration run already
+/// differ, by one binary16 unit in the last place, and the losses do from
+/// the 11th iteration on, by at most 4.3e-5 relative. Those two are held to
+/// a bound.
+#[test]
+fn owner_axis_keeps_routing_and_math_under_drops_and_churn() {
+    for nodes in [2usize, 4] {
+        let setup = Setup { nodes, slots_per_rank: 4, slot_capacity: 3, iters: 12, drift: 1 };
+        let world = engine_run(setup, |rank, cfg| MoeLayerEngine::new(rank, nodes, cfg));
+        let hosts = engine_run(setup, |rank, cfg| {
+            let placement = ExpertPlacement::uniform(E, nodes, cfg.slots_per_rank);
+            let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(nodes) });
+            MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, policy)
+        });
+        assert!(world.dropped > 0, "{nodes} ranks: the capacity must drop tokens");
+        assert!(world.churn > setup.iters / 2, "{nodes} ranks: the placement must keep moving");
+        assert_eq!(world.routing, hosts.routing, "{nodes} ranks: routing read the owners");
+        assert_eq!(world.final_slots, hosts.final_slots, "{nodes} ranks: placements differ");
+        assert_eq!(world.churn, hosts.churn);
+        assert_eq!(world.rebalance_bytes, 0, "{nodes} ranks: world-owned state never moves");
+        assert!(hosts.rebalance_bytes > 0, "{nodes} ranks: host-owned state must follow");
+        if nodes == 2 {
+            assert_eq!(world.losses, hosts.losses, "2 ranks: losses must match bit for bit");
+            assert_eq!(world.weights, hosts.weights, "2 ranks: weights must match bit for bit");
+            continue;
+        }
+        for (t, (a, b)) in world.losses.iter().zip(&hosts.losses).enumerate() {
+            assert!((a - b).abs() <= 1e-4 * a.abs(), "iteration {t}: loss {a} vs {b}");
+        }
+        for (class, (a, b)) in world.weights.iter().zip(&hosts.weights).enumerate() {
+            for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
+                let ulps = (f16_ordinal(x) - f16_ordinal(y)).abs();
+                assert!(ulps <= 1, "class {class} param {i}: {x} vs {y} ({ulps} binary16 ulps)");
+            }
+        }
+    }
+}
+
+/// A binary16 value's position on the number line, in units in the last
+/// place (`x` must be exactly representable, as a slot weight is).
+fn f16_ordinal(x: f32) -> i32 {
+    let bits = i32::from(symi_tensor::half::f32_to_f16(x));
+    if bits & 0x8000 != 0 {
+        -(bits & 0x7fff)
+    } else {
+        bits
     }
 }
 
