@@ -1,0 +1,668 @@
+//! The communication artifacts, which need no training run: §3.3's worked
+//! example (`costmodel_validation`), Appendix A.1's k-group ablation, §4.1's
+//! intra-rank replication ablation, the rebalance-traffic sweep and the
+//! 16 → 4096-rank scaling sweep. Each asserts its identities exactly.
+
+use crate::output::{write_csv, Table};
+use crate::transition::Transition;
+use std::path::Path;
+use std::sync::Arc;
+use symi::{compute_placement, EngineConfig, ExpertPlacement, MoeLayerEngine, SymiOptimizer};
+use symi_collectives::{Cluster, ClusterSpec, RankCtx, WirePhase};
+use symi_model::UniformPolicy;
+use symi_netsim::topology::ModelCostConfig;
+use symi_netsim::{
+    CommCostModel, HardwareSpec, IterationSim, RebalanceSpec, ShardScope, SimSystem, SystemKind,
+    Topology,
+};
+use symi_telemetry::json::{Obj, Value};
+use symi_telemetry::{IterationReport, JsonlSink, LinkClass, Phase, Sink};
+use symi_tensor::{AdamConfig, Matrix};
+
+/// §3.3's GPT3-175B worked example: E = 64, N = 2048, s = 2,
+/// G = W = 3.375 GB, O = 27 GB, PCIe 64 GB/s, IB 400 Gbps.
+fn worked_example() -> CommCostModel {
+    let gb = 1.0e9f64; // the paper's worked example uses decimal GB
+    CommCostModel {
+        nodes: 2048,
+        expert_classes: 64,
+        slots_per_rank: 2,
+        grad_bytes: 3.375 * gb,
+        weight_bytes: 3.375 * gb,
+        optimizer_bytes: 27.0 * gb,
+        hw: HardwareSpec::paper_analysis_example(),
+    }
+}
+
+/// §3.3 validation: reproduces every number the section reports from the
+/// analytic model — the 1.7 TB/layer footprint, the 27 TB invariant data
+/// volume, the 0.269 s vs 0.273 s per-rank costs and the 1.52% overhead
+/// ratio — and cross-checks them against bytes measured from the real
+/// collectives at reduced scale.
+pub fn costmodel_validation() {
+    let model = worked_example();
+    println!("# §3.3 analytic model validation (GPT3-175B worked example)\n");
+    let mut t = Table::new(&["quantity", "computed", "paper"]);
+    t.row(vec![
+        "(I) optimizer footprint per layer".into(),
+        format!("{:.2} TB", model.optimizer_footprint_bytes() / 1e12),
+        "~1.7 TB".into(),
+    ]);
+    t.row(vec![
+        "(II) total data per iteration (G+W phases)".into(),
+        format!("{:.1} TB", (model.grad_data_bytes() + model.weight_data_bytes()) / 1e12),
+        "27 TB".into(),
+    ]);
+    let static_costs = model.costs(SystemKind::StaticBaseline);
+    let symi_costs = model.costs(SystemKind::Symi);
+    t.row(vec![
+        "(III) static per-rank comm cost".into(),
+        format!("{:.4} s", static_costs.total()),
+        "~0.269 s".into(),
+    ]);
+    t.row(vec![
+        "(III) SYMI per-rank comm cost".into(),
+        format!("{:.4} s", symi_costs.total()),
+        "~0.273 s".into(),
+    ]);
+    t.row(vec![
+        "(III) SYMI overhead ratio".into(),
+        format!("{:.2}%", model.symi_overhead_ratio() * 100.0),
+        "1.52%".into(),
+    ]);
+    t.row(vec![
+        "§2.2 single-expert weight migration".into(),
+        format!("{:.4} s", model.weight_bytes / model.hw.bw_net),
+        "0.0675 s".into(),
+    ]);
+    t.row(vec![
+        "§2.2 single-expert optimizer migration".into(),
+        format!("{:.3} s", model.optimizer_bytes / model.hw.bw_net),
+        "0.54 s".into(),
+    ]);
+    println!("{}", t.render());
+
+    // ---- Measured cross-check at executable scale: the (II) identity. ----
+    println!("## Measured re-placement traffic (real optimizer calls, 8 ranks)\n");
+    let transition =
+        Transition { nodes: 8, slots_per_rank: 2, expert_classes: 4, param_count: 1024 };
+    let uniform = vec![4usize; 4];
+    let mut m = Table::new(&["transition", "SYMI bytes", "coupled bytes", "coupled rebalance"]);
+    for (label, counts) in [
+        ("uniform -> uniform (no rebalance)", vec![4usize; 4]),
+        ("uniform -> [13,1,1,1] (9 slots moved)", vec![13, 1, 1, 1]),
+    ] {
+        let (symi, _) = transition.run(&uniform, &counts, false);
+        let (coupled, transferred) = transition.run(&uniform, &counts, true);
+        // SYMI ships exactly the de-duplicated schedule, which stays under
+        // the per-slot sN·W identity (sN fp16 copies of W, less each rank's
+        // own chunk), and moves no optimizer state.
+        let (n, w_bytes) = (transition.nodes as u64, 2 * transition.param_count as u64);
+        let sn_w = transition.slots_per_rank as u64 * n * w_bytes * (n - 1) / n;
+        let weight_bytes =
+            symi.phase_bytes[Phase::WeightComm.index()][LinkClass::InterNode.index()];
+        assert_eq!(symi.inter_node_bytes, transition.symi_schedule(&uniform, &counts), "{label}");
+        assert!(weight_bytes <= sn_w, "{label}: {weight_bytes} B > sN·W");
+        assert_eq!(symi.bytes_in_phase(Phase::Rebalance), 0, "{label}");
+        // The coupled state pays fp32 [master | m | v] per moved parameter.
+        let rebalance = coupled.bytes_in_phase(Phase::Rebalance);
+        assert_eq!(rebalance, 12 * transferred, "{label}");
+        m.row(vec![
+            label.into(),
+            symi.total_bytes().to_string(),
+            coupled.total_bytes().to_string(),
+            rebalance.to_string(),
+        ]);
+    }
+    println!("{}", m.render());
+    println!(
+        "SYMI's bytes are exactly the de-duplicated schedule of each placement\n\
+         and never exceed the §3.3-II sN·W identity; none of them is rebalance\n\
+         traffic. The coupled design migrates 12 B of optimizer state per\n\
+         parameter whose owner changed.\n"
+    );
+
+    // ---- Measured uniform-footprint check (§3.3-I). ----
+    let (footprints, _) = Cluster::run(ClusterSpec::flat(8), |ctx| {
+        let params: Vec<Vec<f32>> = (0..4).map(|_| vec![0.0f32; 1024]).collect();
+        let opt = SymiOptimizer::new(ctx.rank(), 8, AdamConfig::default(), &params);
+        opt.state_bytes()
+    });
+    let total: u64 = footprints.iter().sum();
+    println!("## Measured optimizer footprint (8 ranks, 4 classes x 1024 params)\n");
+    println!(
+        "total = {} bytes (= E·O = 4 x 1024 x 16 = {}), per-rank spread max-min = {} bytes\n",
+        total,
+        4 * 1024 * 16,
+        footprints.iter().max().unwrap() - footprints.iter().min().unwrap()
+    );
+    assert_eq!(total, 4 * 1024 * 16);
+
+    // Sanity: a placement object agrees with the model's instance identity.
+    let p = ExpertPlacement::from_counts(&[13, 1, 1, 1], 2);
+    assert_eq!(p.total_slots(), 16);
+    println!("All §3.3 identities validated.");
+}
+
+/// Appendix A.1: partitioning the optimizer into k groups of N/k nodes. The
+/// per-rank cost bound grows linearly in k; k = 1 (SYMI's uniform
+/// partitioning) is optimal and independent of the popularity distribution.
+pub fn ablation_partitioning(out: &Path) {
+    let model = worked_example();
+    println!("# Appendix A.1 — k-group optimizer partitioning ablation\n");
+    let mut t = Table::new(&[
+        "k (groups)",
+        "worst-group T_G bound (s)",
+        "worst-group T_W bound (s)",
+        "vs k=1",
+    ]);
+    let mut rows = Vec::new();
+    let base =
+        model.kpart_cost_bound(1, model.grad_bytes) + model.kpart_cost_bound(1, model.weight_bytes);
+    for k in [1usize, 2, 4, 8, 16, 32] {
+        let tg = model.kpart_cost_bound(k, model.grad_bytes);
+        let tw = model.kpart_cost_bound(k, model.weight_bytes);
+        let row = vec![
+            k.to_string(),
+            format!("{tg:.4}"),
+            format!("{tw:.4}"),
+            format!("{:.2}x", (tg + tw) / base),
+        ];
+        t.row(row.clone());
+        rows.push(row);
+    }
+    write_csv(out, "ablation_partitioning.csv", &["k", "t_grad_s", "t_weight_s", "vs_k1"], &rows);
+    println!("{}", t.render());
+
+    // k = 1 must coincide with the SYMI closed form.
+    let symi = model.costs(SystemKind::Symi);
+    assert!((model.kpart_cost_bound(1, model.grad_bytes) - symi.t_grad).abs() < 1e-9);
+
+    // Exact per-group cost under a popularity skew: the group owning the
+    // hot experts pays the bound; a cold group pays less — the imbalance
+    // k = 1 eliminates.
+    println!("## Exact group costs under skew (k = 4, hot group hosts the popular experts)\n");
+    let mut t2 = Table::new(&["group", "remote instances", "T_G (s)"]);
+    // 4 groups x 512 nodes; sN = 4096 instances. Hot group's experts hold
+    // most replicas; remote instances for its nodes are near the (sN - s)
+    // worst case; the cold group's experts are barely replicated.
+    for (label, remote) in [("hot", 4096 - 2 - 64), ("warm", 2048), ("cool", 512), ("cold", 64)] {
+        let cost = model.kpart_cost_exact(4, 64 / 4, remote, model.grad_bytes);
+        t2.row(vec![label.to_string(), remote.to_string(), format!("{cost:.4}")]);
+    }
+    println!("{}", t2.render());
+    println!(
+        "The iteration completes at the *slowest* group's pace, so k > 1 loses\n\
+         even before the k-factor bound; SYMI (k = 1) keeps every rank at the\n\
+         same constant cost regardless of the popularity distribution."
+    );
+}
+
+// §4.1's measurement geometry.
+const NODES: usize = 4;
+const SLOTS: usize = 4;
+const CLASSES: usize = 4;
+const T_LOC: usize = 64;
+const ITERS: usize = 6;
+
+fn intra_rank_cfg() -> EngineConfig {
+    EngineConfig {
+        d_model: 32,
+        d_ff: 128,
+        expert_classes: CLASSES,
+        slots_per_rank: SLOTS,
+        slot_capacity: 1_000_000,
+        adam: AdamConfig::default(),
+        seed: 41,
+        layer_id: 0,
+    }
+}
+
+/// What the gradient phase sent over `ITERS` iterations, summed over ranks.
+struct GradPhase {
+    /// Host ranks per class, summed over classes and iterations.
+    hosts: usize,
+    /// `(bytes, messages)` of §4.1's reduce and of Algorithm 2's collect.
+    reduce: (u64, u64),
+    collect: (u64, u64),
+    /// The owner rule's floor for reduce + collect, in bytes: `m(N−1)/N · P`
+    /// binary16 values per class for SYMI, `(m − 1) · P` for DeepSpeed.
+    floor: u64,
+}
+
+/// Runs `ITERS` iterations after one warm-up (so Algorithm 1's placement
+/// follows the routed popularity) and reads the gradient phases' wire
+/// counters around them.
+fn measure_grad_phase(deepspeed: bool) -> GradPhase {
+    let cfg = intra_rank_cfg();
+    let params = (2 * cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_model) as u64;
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
+        let rank = ctx.rank();
+        let mut engine = if deepspeed {
+            let striped = ExpertPlacement::striped(CLASSES, NODES, SLOTS);
+            let uniform = UniformPolicy { experts: CLASSES, total_slots: NODES * SLOTS };
+            MoeLayerEngine::edp_sharded(rank, NODES, cfg, striped, Box::new(uniform))
+        } else {
+            MoeLayerEngine::new(rank, NODES, cfg)
+        };
+        let x = Matrix::from_fn(T_LOC, cfg.d_model, |r, c| {
+            (((rank * T_LOC + r) * cfg.d_model + c) as f32 * 0.137).sin()
+        });
+        let target = Matrix::zeros(T_LOC, cfg.d_model);
+        engine.iteration(ctx, &x, &target).expect("warm-up iteration");
+        let wire = |ctx: &mut RankCtx| {
+            // Between two barriers no rank is sending.
+            ctx.barrier();
+            let counts = [WirePhase::GradSync, WirePhase::GradCollect]
+                .map(|phase| ctx.traffic().wire_phase(phase));
+            ctx.barrier();
+            counts
+        };
+        let before = wire(ctx);
+        let (mut hosts, mut floor) = (0usize, 0u64);
+        for _ in 0..ITERS {
+            let n = NODES as u64;
+            for class in 0..CLASSES {
+                let m = engine.placement.host_ranks(class).len() as u64;
+                hosts += m as usize;
+                // Gradients travel as binary16: 2 B per parameter.
+                floor +=
+                    if deepspeed { 2 * (m - 1) * params } else { 2 * m * (n - 1) * params / n };
+            }
+            engine.iteration(ctx, &x, &target).expect("iteration");
+        }
+        let after = wire(ctx);
+        let delta = |i: usize| (after[i].0 - before[i].0, after[i].1 - before[i].1);
+        (delta(0), delta(1), hosts, floor)
+    });
+    let (reduce, collect, hosts, floor) = per_rank[0];
+    GradPhase { hosts, reduce, collect, floor }
+}
+
+/// §4.1 ablation: intra-rank replication and the gradient phase.
+///
+/// 1. Packing replicas of one class onto few ranks shrinks the host group
+///    its replica gradients are summed over, and with it the gradient
+///    phase's wire traffic. Measured on the engine as SYMI runs it
+///    (Algorithm 1's contiguous, packed placement; every rank owns `1/N`
+///    of every class's optimizer state) against its DeepSpeed configuration
+///    (`MoeLayerEngine::edp_sharded` over `ExpertPlacement::striped`), from
+///    the bytes and messages sent under §4.1's reduce (`GradSync`) and
+///    Algorithm 2's collect (`GradCollect`). Each total must equal its
+///    owner rule's floor exactly.
+/// 2. Forbidding intra-rank replication (stock NCCL semantics) caps each
+///    class at N replicas instead of sN, which costs token survival under
+///    skew (the paper measured up to 20% more drops).
+pub fn ablation_intra_rank() {
+    println!("# §4.1 ablation — intra-rank replication and the gradient phase\n");
+    println!(
+        "## (1) Gradient phase per iteration: SYMI (Algorithm 1, packed) vs DeepSpeed (striped)\n"
+    );
+    let c = intra_rank_cfg();
+    println!(
+        "{NODES} ranks x {SLOTS} slots, {CLASSES} classes of {} params, {T_LOC} tokens/rank, \
+         mean of {ITERS} iterations\n",
+        2 * c.d_model * c.d_ff + c.d_ff + c.d_model
+    );
+    let mut t = Table::new(&[
+        "system",
+        "hosts per class",
+        "reduce bytes",
+        "reduce msgs",
+        "collect bytes",
+        "collect msgs",
+        "total bytes",
+        "total msgs",
+        "floor bytes",
+    ]);
+    for (name, deepspeed) in [("SYMI (packed)", false), ("DeepSpeed (striped)", true)] {
+        let g = measure_grad_phase(deepspeed);
+        let total = (g.reduce.0 + g.collect.0, g.reduce.1 + g.collect.1);
+        assert_eq!(total.0, g.floor, "{name}: reduce + collect must move exactly the floor");
+        let per_iter = |v: u64| format!("{:.1}", v as f64 / ITERS as f64);
+        t.row(vec![
+            name.to_string(),
+            format!("{:.2}", g.hosts as f64 / (ITERS * CLASSES) as f64),
+            per_iter(g.reduce.0),
+            per_iter(g.reduce.1),
+            per_iter(g.collect.0),
+            per_iter(g.collect.1),
+            per_iter(total.0),
+            per_iter(total.1),
+            per_iter(g.floor),
+        ]);
+    }
+    println!("{}", t.render());
+    println!(
+        "Packed replicas sum on their own rank: the fewer ranks a class spans,\n\
+         the less its reduce sends. Algorithm 1's contiguous assignment packs;\n\
+         DeepSpeed's stripe puts every replica on its own rank.\n"
+    );
+
+    // (2) Scheduling constraint: cap replicas at N (no intra-rank EDP).
+    let nodes = 8usize;
+    let slots_per_rank = 4usize;
+    println!("## (2) Token survival: unconstrained vs replicas-capped-at-N scheduling\n");
+    let total_slots = nodes * slots_per_rank; // 32
+    let e = 8usize;
+    let slot_capacity = 1000.0f64 / total_slots as f64 * 1.0; // cf = 1.0, 1000 tokens
+    let mut t2 = Table::new(&[
+        "skew",
+        "survival unconstrained (%)",
+        "survival capped (%)",
+        "drop increase (%)",
+    ]);
+    for (label, hot_share) in [("mild (2x)", 0.25), ("strong (8x)", 0.5), ("extreme", 0.8)] {
+        let mut pop = vec![((1.0 - hot_share) * 1000.0 / (e as f64 - 1.0)) as u64; e];
+        pop[0] = (hot_share * 1000.0) as u64;
+
+        let survival = |counts: &[usize]| -> f64 {
+            let survived: f64 = pop
+                .iter()
+                .zip(counts)
+                .map(|(&p, &r)| (p as f64).min(slot_capacity * r as f64))
+                .sum();
+            survived / pop.iter().sum::<u64>() as f64
+        };
+
+        // Unconstrained: Algorithm 1.
+        let free = compute_placement(&pop, total_slots);
+        // Constrained: replicas per class can't exceed N; surplus is
+        // redistributed to the next-most-popular classes.
+        let mut capped = free.clone();
+        let mut surplus = 0usize;
+        for c in capped.iter_mut() {
+            if *c > nodes {
+                surplus += *c - nodes;
+                *c = nodes;
+            }
+        }
+        while surplus > 0 {
+            let i = (0..e)
+                .filter(|&i| capped[i] < nodes)
+                .max_by_key(|&i| pop[i])
+                .expect("capacity remains");
+            capped[i] += 1;
+            surplus -= 1;
+        }
+
+        let s_free = survival(&free) * 100.0;
+        let s_capped = survival(&capped) * 100.0;
+        let drop_increase = ((100.0 - s_capped) / (100.0 - s_free).max(1e-9) - 1.0) * 100.0;
+        t2.row(vec![
+            label.to_string(),
+            format!("{s_free:.1}"),
+            format!("{s_capped:.1}"),
+            format!("{drop_increase:.0}"),
+        ]);
+    }
+    println!("{}", t2.render());
+    println!(
+        "The paper reports the N-replica constraint can increase token drops by\n\
+         up to 20%; removing it is what intra-rank replication buys."
+    );
+}
+
+/// The paper's core claim measured in real bytes: sweeping the number of
+/// moved replicas, SYMI's re-placement rides the weight update it already
+/// pays, while FlexMoE's coupled state migrates to its classes' new hosts.
+/// Both sides run the optimizer's own calls ([`Transition`]); the byte
+/// totals are read back per phase and also written as `IterationReport`s to
+/// `rebalance_traffic.jsonl`.
+pub fn rebalance_traffic(out: &Path) {
+    let transition =
+        Transition { nodes: 8, slots_per_rank: 4, expert_classes: 8, param_count: 4096 };
+    let uniform = vec![4usize; 8];
+    std::fs::create_dir_all(out).expect("output dir must be creatable");
+    let jsonl: Arc<dyn Sink> = Arc::new(
+        JsonlSink::create(out.join("rebalance_traffic.jsonl"))
+            .expect("output dir must be writable"),
+    );
+
+    println!("# Rebalance traffic sweep — decoupled (SYMI) vs coupled state\n");
+    let mut t = Table::new(&[
+        "replicas moved",
+        "SYMI total",
+        "SYMI weight_comm",
+        "SYMI rebalance",
+        "coupled total",
+        "coupled rebalance",
+        "coupled params moved",
+        "coupled / SYMI",
+    ]);
+    let mut rows = Vec::new();
+    for moved in [0usize, 1, 2, 4, 8, 12] {
+        // Move `moved` replicas from the tail classes to class 0.
+        let mut counts = uniform.clone();
+        let mut left = moved;
+        for c in (1..8).rev() {
+            let take = left.min(counts[c] - 1);
+            counts[c] -= take;
+            counts[0] += take;
+            left -= take;
+            if left == 0 {
+                break;
+            }
+        }
+        let (symi, _) = transition.run(&uniform, &counts, false);
+        let (coupled, transferred) = transition.run(&uniform, &counts, true);
+        assert_eq!(symi.inter_node_bytes, transition.symi_schedule(&uniform, &counts));
+        assert_eq!(symi.bytes_in_phase(Phase::Rebalance), 0, "SYMI's re-placement moves no state");
+        assert_eq!(
+            coupled.bytes_in_phase(Phase::Rebalance),
+            12 * transferred,
+            "the coupled migration ships fp32 [master | m | v] per transferred parameter"
+        );
+        assert!(moved > 0 || transferred == 0, "an unchanged placement migrates nothing");
+
+        // Phase-attributed reports — the same schema the trainer emits, so
+        // symi-top and the plot scripts can read this sweep too.
+        for (system, report) in [("symi-decoupled", &symi), ("coupled-migration", &coupled)] {
+            let mut r = IterationReport::new(system, moved as u64);
+            r.placement_churn = moved as u64;
+            r.phase_bytes = report.phase_bytes;
+            jsonl.emit(&r);
+        }
+
+        let row = vec![
+            moved.to_string(),
+            symi.total_bytes().to_string(),
+            symi.bytes_in_phase(Phase::WeightComm).to_string(),
+            symi.bytes_in_phase(Phase::Rebalance).to_string(),
+            coupled.total_bytes().to_string(),
+            coupled.bytes_in_phase(Phase::Rebalance).to_string(),
+            transferred.to_string(),
+            format!("{:.2}", coupled.total_bytes() as f64 / symi.total_bytes() as f64),
+        ];
+        t.row(row.clone());
+        rows.push(row);
+    }
+    jsonl.flush();
+    write_csv(
+        out,
+        "rebalance_traffic.csv",
+        &[
+            "moved",
+            "symi_bytes",
+            "symi_weight_comm_bytes",
+            "symi_rebalance_bytes",
+            "coupled_bytes",
+            "coupled_rebalance_bytes",
+            "coupled_transferred_params",
+            "ratio",
+        ],
+        &rows,
+    );
+    println!("{}", t.render());
+    println!(
+        "SYMI's bytes live in grad_comm and weight_comm — the re-placement\n\
+         rides the weight update it already pays (rebalance bytes stay 0), and\n\
+         the de-duplicated schedule ships one copy per (class, hosting rank),\n\
+         so the column moves only with the placement's host sets. The coupled\n\
+         rebalance column is 12 B (fp32 master, m, v) per parameter whose\n\
+         owner changed: the contiguous re-layout shifts the host groups of\n\
+         every class after the first one that grew, so even one moved\n\
+         replica migrates state, which is why FlexMoE must rebalance rarely."
+    );
+}
+
+struct SweepSystem {
+    name: &'static str,
+    system: SimSystem,
+    pod_aligned: bool,
+}
+
+/// The scaling sweep's systems:
+///
+/// - `symi` — decoupled optimizer, contiguous packing, cluster-uniform
+///   N-way sharding (the paper's k = 1 point, §3.3/A.1);
+/// - `symi_pod` — same, but the shard domain is aligned to the pod tier
+///   (Appendix A.1's k-group partitioning, k = #pods);
+/// - `deepspeed` — static stripe, coupled ZeRO-1 shard inside the EDP group;
+/// - `flexmoe` — greedy spread, coupled state, pays a migration iteration.
+const SWEEP_SYSTEMS: [SweepSystem; 4] = [
+    SweepSystem { name: "symi", system: SimSystem::Symi, pod_aligned: false },
+    SweepSystem { name: "symi_pod", system: SimSystem::Symi, pod_aligned: true },
+    SweepSystem { name: "deepspeed", system: SimSystem::DeepSpeedStatic, pod_aligned: false },
+    SweepSystem { name: "flexmoe", system: SimSystem::FlexMoE, pod_aligned: false },
+];
+
+/// The pod-aligned shard scope: cells of the second-outermost tier (the
+/// innermost tier on a flat topology, where it degenerates to k = 1).
+fn pod_scope(topo: &Topology) -> ShardScope {
+    ShardScope::TierCell { level: topo.num_tiers().saturating_sub(2) }
+}
+
+/// The 1k–4k-rank scaling sweep the paper's 16-node testbed could not run:
+/// drives the hierarchical cost model (`IterationSim::simulate_hier`) from
+/// 16 to 4096 ranks across topology presets and systems, writes
+/// `BENCH_scaling.json` at the repository root plus a markdown table, and
+/// asserts at every world: every cost finite, per-tier bytes non-negative,
+/// total traffic monotone in world size. The sweep is deterministic
+/// arithmetic, so CI fails on any byte of the committed JSON that moves.
+pub fn scaling_sweep() {
+    let worlds: &[usize] = &[16, 64, 256, 1024, 4096];
+    let presets: &[&str] = &["flat", "superpod"];
+    let hw = HardwareSpec::paper_eval_cluster();
+    let model = ModelCostConfig::gpt_medium();
+    let expert_classes = 64usize;
+    let slots_per_rank = 4usize;
+
+    let mut results: Vec<Value> = Vec::new();
+    let mut table_rows: Vec<String> = Vec::new();
+
+    for &preset in presets {
+        // traffic[system] from the previous (smaller) world, for the
+        // monotonicity gate.
+        let mut prev_traffic = vec![0.0f64; SWEEP_SYSTEMS.len()];
+        for &n in worlds {
+            let topo = match preset {
+                "flat" => Topology::flat(n, &hw),
+                "superpod" => Topology::superpod(n),
+                other => unreachable!("unknown preset {other}"),
+            };
+            let sim = IterationSim {
+                model,
+                hw,
+                nodes: n,
+                slots_per_rank,
+                expert_classes,
+                capacity_factor: 1.0,
+                seq_len: 512,
+            };
+            let tokens =
+                vec![model.tokens_per_batch as f64 / expert_classes as f64; expert_classes];
+            let replicas = sim.uniform_replicas();
+
+            let mut row_cells: Vec<String> = vec![preset.into(), n.to_string()];
+            let mut totals = Vec::new();
+            let mut rebal_penalties = Vec::new();
+            for (si, spec) in SWEEP_SYSTEMS.iter().enumerate() {
+                let scope = if spec.pod_aligned { pod_scope(&topo) } else { ShardScope::Cluster };
+                let simulate = |moved_replicas_per_layer| {
+                    let rebalance = RebalanceSpec { moved_replicas_per_layer };
+                    sim.simulate_hier(&topo, &tokens, &replicas, spec.system, rebalance, scope)
+                };
+                let b = simulate(0);
+                // A placement-change iteration: SYMI's sN·W materialization
+                // already rebuilds every slot each step, so moving replicas
+                // is free; coupled systems drag weights + optimizer state.
+                let rb = simulate(2);
+                let total_s = b.total_seconds();
+                let rebal_s = rb.total_seconds();
+                let traffic: f64 = b.comm_bytes_by_tier.iter().sum();
+                let spine = *b.comm_bytes_by_tier.last().expect("at least one tier");
+
+                assert!(
+                    total_s.is_finite() && total_s > 0.0,
+                    "{preset}/{n}/{} produced a non-finite iteration time",
+                    spec.name
+                );
+                assert!(
+                    b.comm_bytes_by_tier.iter().all(|v| v.is_finite() && *v >= 0.0),
+                    "{preset}/{n}/{} produced bad tier bytes",
+                    spec.name
+                );
+                assert!(
+                    traffic > prev_traffic[si],
+                    "{preset}/{} traffic not monotone in world size ({} -> {} bytes at n={n})",
+                    spec.name,
+                    prev_traffic[si],
+                    traffic,
+                );
+                prev_traffic[si] = traffic;
+
+                let mut o = Obj::new();
+                o.set("preset", Value::str(preset));
+                o.set("world", Value::u64(n as u64));
+                o.set("system", Value::str(spec.name));
+                o.set(
+                    "tiers",
+                    Value::Arr(topo.levels().iter().map(|t| Value::str(t.name)).collect()),
+                );
+                o.set("total_seconds", Value::Num(total_s));
+                o.set("rebalance_seconds", Value::Num(rebal_s));
+                o.set("edp_sync_s", Value::Num(b.component("edp_sync")));
+                o.set("grad_comm_s", Value::Num(b.component("grad_comm")));
+                o.set("weight_comm_s", Value::Num(b.component("weight_comm")));
+                o.set("comm_bytes_by_tier", Value::arr_f64(&b.comm_bytes_by_tier));
+                o.set("total_comm_bytes", Value::Num(traffic));
+                o.set("spine_bytes", Value::Num(spine));
+                results.push(Value::Obj(o));
+
+                totals.push(total_s);
+                rebal_penalties.push((rebal_s / total_s - 1.0) * 100.0);
+                row_cells.push(format!("{total_s:.3}"));
+            }
+            // symi vs deepspeed, the k-group inversion (symi_pod vs symi),
+            // and the placement-change premium each system pays.
+            row_cells.push(format!("{:+.1}%", (totals[2] / totals[0] - 1.0) * 100.0));
+            row_cells.push(if totals[1] < totals[0] * 0.999 { "pod" } else { "k=1" }.into());
+            row_cells.push(format!("{:+.1}%", rebal_penalties[0]));
+            row_cells.push(format!("{:+.1}%", rebal_penalties[3]));
+            table_rows.push(format!("| {} |", row_cells.join(" | ")));
+        }
+    }
+
+    println!("# Scaling sweep: 16 → 4096 ranks\n");
+    println!(
+        "| preset | ranks | symi s | symi_pod s | deepspeed s | flexmoe s | ds vs symi | best shard | symi rebal Δ | flexmoe rebal Δ |"
+    );
+    println!("|--------|-------|--------|------------|-------------|-----------|------------|------------|--------------|-----------------|");
+    for row in &table_rows {
+        println!("{row}");
+    }
+
+    let mut root = Obj::new();
+    root.set("expert_classes", Value::u64(expert_classes as u64));
+    root.set("slots_per_rank", Value::u64(slots_per_rank as u64));
+    root.set("model", Value::str(model.name));
+    root.set("worlds", Value::Arr(worlds.iter().map(|&w| Value::u64(w as u64)).collect()));
+    root.set("presets", Value::Arr(presets.iter().map(|&p| Value::str(p)).collect()));
+    root.set("results", Value::Arr(results));
+
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_scaling.json");
+    std::fs::write(&path, Value::Obj(root).to_string()).expect("write scaling json");
+    println!("\nwrote {}", path.display());
+    println!("scaling gates passed: finite costs, traffic monotone in world size");
+}

@@ -43,41 +43,24 @@ impl LatencyInputs {
         popularity.iter().map(|&p| p as f64 / total as f64 * budget).collect()
     }
 
-    /// Latency of iteration `t` of the given run (layer 0 drives the
+    /// The simulated iteration `t` of the given run (layer 0 drives the
     /// per-class shape; all layers share the same simulated geometry).
-    pub(crate) fn iteration_latency(&self, run: &RunResult, t: usize) -> f64 {
-        let popularity = &run.popularity[0].iterations[t];
-        let sim = self.sim_for(popularity.len());
-        let tokens = self.scale_tokens(popularity);
-        let replicas = match self.system {
-            SystemChoice::DeepSpeed => sim.uniform_replicas(),
-            _ => normalize_replicas(&run.replicas[0][t], sim.nodes * sim.slots_per_rank),
-        };
-        let moved = if self.system.flexmoe_interval().is_some() {
-            // Moves are recorded summed over model layers; express per layer.
-            let layers = run.popularity.len().max(1);
-            RebalanceSpec { moved_replicas_per_layer: run.moved_replicas[t].div_ceil(layers) }
-        } else {
-            RebalanceSpec::default()
-        };
-        sim.simulate(&tokens, &replicas, self.sim_system(), moved).total_seconds()
-    }
-
-    /// Per-component breakdown of iteration `t` (Figure 12).
     pub fn iteration_breakdown(
         &self,
         run: &RunResult,
         t: usize,
     ) -> symi_netsim::IterationBreakdown {
-        let sim = self.sim_for(run.popularity[0].iterations[t].len());
-        let tokens = self.scale_tokens(&run.popularity[0].iterations[t]);
+        let rec = &run.record;
+        let sim = self.sim_for(rec.popularity[0].iterations[t].len());
+        let tokens = self.scale_tokens(&rec.popularity[0].iterations[t]);
         let replicas = match self.system {
             SystemChoice::DeepSpeed => sim.uniform_replicas(),
-            _ => normalize_replicas(&run.replicas[0][t], sim.nodes * sim.slots_per_rank),
+            _ => normalize_replicas(&rec.replicas[0][t], sim.nodes * sim.slots_per_rank),
         };
-        let layers = run.popularity.len().max(1);
         let moved = if self.system.flexmoe_interval().is_some() {
-            RebalanceSpec { moved_replicas_per_layer: run.moved_replicas[t].div_ceil(layers) }
+            // Moves are recorded summed over model layers; express per layer.
+            let layers = rec.popularity.len().max(1);
+            RebalanceSpec { moved_replicas_per_layer: rec.moved_replicas[t].div_ceil(layers) }
         } else {
             RebalanceSpec::default()
         };
@@ -114,9 +97,9 @@ fn normalize_replicas(counts: &[usize], target_slots: usize) -> Vec<usize> {
 
 /// Mean per-iteration latency of a run under the cost model.
 pub fn average_iteration_latency(inputs: &LatencyInputs, run: &RunResult) -> f64 {
-    let n = run.popularity[0].iterations.len();
+    let n = run.record.losses.len();
     assert!(n > 0, "run has no iterations");
-    (0..n).map(|t| inputs.iteration_latency(run, t)).sum::<f64>() / n as f64
+    (0..n).map(|t| inputs.iteration_breakdown(run, t).total_seconds()).sum::<f64>() / n as f64
 }
 
 #[cfg(test)]
@@ -136,25 +119,24 @@ mod tests {
     #[test]
     fn flexmoe_pays_migration_in_composed_latency() {
         let cfg = ModelConfig::tiny();
-        let run10 = run_system(SystemChoice::FlexMoe10, cfg, 25);
+        let run10 = run_system(SystemChoice::FlexMoe10, cfg, 25, None);
         let li = LatencyInputs::paper_eval(ModelCostConfig::gpt_small(), SystemChoice::FlexMoe10);
         // Find a rebalancing iteration (moves > 0) and a quiet one.
-        let hot = (0..25).find(|&t| run10.moved_replicas[t] > 0);
-        let cold = (0..25).find(|&t| run10.moved_replicas[t] == 0).expect("quiet iter");
+        let hot = (0..25).find(|&t| run10.record.moved_replicas[t] > 0);
+        let cold = (0..25).find(|&t| run10.record.moved_replicas[t] == 0).expect("quiet iter");
+        let latency = |t| li.iteration_breakdown(&run10, t).total_seconds();
         if let Some(hot) = hot {
-            assert!(
-                li.iteration_latency(&run10, hot) > li.iteration_latency(&run10, cold),
-                "rebalancing iterations must be slower"
-            );
+            assert!(latency(hot) > latency(cold), "rebalancing iterations must be slower");
         }
     }
 
     #[test]
     fn symi_latency_is_stable_across_iterations() {
         let cfg = ModelConfig::tiny();
-        let run = run_system(SystemChoice::Symi, cfg, 10);
+        let run = run_system(SystemChoice::Symi, cfg, 10, None);
         let li = LatencyInputs::paper_eval(ModelCostConfig::gpt_small(), SystemChoice::Symi);
-        let lats: Vec<f64> = (0..10).map(|t| li.iteration_latency(&run, t)).collect();
+        let lats: Vec<f64> =
+            (0..10).map(|t| li.iteration_breakdown(&run, t).total_seconds()).collect();
         let max = lats.iter().cloned().fold(0.0, f64::max);
         let min = lats.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max / min < 1.6, "no migration spikes for SYMI: {lats:?}");

@@ -1,15 +1,18 @@
 //! # symi-bench
 //!
-//! The experiment harness: shared machinery for regenerating every table
-//! and figure of the paper (see DESIGN.md's experiment index). Each
-//! `src/bin/*.rs` binary reproduces one artifact; this library holds the
-//! pieces they share — system selection, training-run caching, latency
-//! composition, and plain-text table/CSV output.
+//! The experiment harness: the `repro` binary regenerates every table and
+//! figure of the paper (see DESIGN.md's experiment index) from the
+//! artifacts in [`convergence`] (read from training runs) and [`comm`]
+//! (communication bytes and the cost model); this library also holds what
+//! they share — system selection, training-run caching, latency
+//! composition, plain-text table/CSV output — and the micro-benchmarks'
+//! timer.
 
+pub mod comm;
+pub mod convergence;
 pub mod harness;
 pub mod latency;
 pub mod output;
-pub mod plot;
 pub mod runs;
 pub mod transition;
 

@@ -1,13 +1,14 @@
-//! Training-run management: one convergence run per system, cached on disk
-//! so the seven figure/table binaries that share the same five runs don't
-//! retrain.
+//! Training-run management: every run the artifacts read, trained once with
+//! telemetry attached and cached on disk, so a second `repro` into the same
+//! directory trains nothing.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use symi::SymiPolicy;
 use symi_baselines::FlexMoePolicy;
-use symi_model::{ModelConfig, PlacementPolicy, Trainer, UniformPolicy};
-use symi_telemetry::{ClusterTelemetry, IterationReport, JsonlSink, RingBufferSink};
+use symi_model::{ModelConfig, PlacementPolicy, TrainRecord, Trainer, UniformPolicy};
+use symi_telemetry::json::{Obj, Value};
+use symi_telemetry::{ClusterTelemetry, JsonlSink, RingBufferSink, NUM_PHASES};
 use symi_workload::{CorpusConfig, DriftingCorpus, PopularityTrace};
 
 /// The five systems of §5.
@@ -63,90 +64,62 @@ impl SystemChoice {
     }
 }
 
-/// A serializable training-run result (mirror of `TrainRecord` plus the
-/// config fingerprint used for cache validation).
+/// One training run: the trainer's record plus the per-iteration phase
+/// times its telemetry measured. This is everything any artifact reads,
+/// and exactly what the run cache holds.
 #[derive(Clone, Debug)]
 pub struct RunResult {
-    pub system: String,
-    pub iterations: usize,
-    pub seed: u64,
-    pub losses: Vec<f32>,
-    pub survival: Vec<f64>,
-    /// Per layer: popularity trace.
-    pub popularity: Vec<PopularityTrace>,
-    /// Per layer, per iteration: replica counts.
-    pub replicas: Vec<Vec<Vec<usize>>>,
-    /// Per iteration: replica moves summed over layers.
-    pub moved_replicas: Vec<usize>,
+    pub system: SystemChoice,
+    pub record: TrainRecord,
+    /// Per iteration: nanoseconds per telemetry phase, in `PHASES` order
+    /// (the trainer is one rank, so this is also the critical path).
+    pub phase_ns: Vec<[u64; NUM_PHASES]>,
+}
+
+fn u64_arr(values: impl IntoIterator<Item = u64>) -> Value {
+    Value::Arr(values.into_iter().map(Value::u64).collect())
 }
 
 impl RunResult {
-    pub fn to_json(&self) -> String {
-        use symi_telemetry::json::{Obj, Value};
+    fn to_json(&self) -> String {
+        let r = &self.record;
+        let replicas = r.replicas.iter().map(|layer| {
+            Value::Arr(layer.iter().map(|it| u64_arr(it.iter().map(|&c| c as u64))).collect())
+        });
         let mut o = Obj::new();
-        o.set("system", Value::str(&self.system));
-        o.set("iterations", Value::u64(self.iterations as u64));
-        o.set("seed", Value::u64(self.seed));
-        o.set("losses", Value::Arr(self.losses.iter().map(|&l| Value::Num(l as f64)).collect()));
-        o.set("survival", Value::arr_f64(&self.survival));
-        o.set(
-            "popularity",
-            Value::Arr(self.popularity.iter().map(|t| t.to_json_value()).collect()),
-        );
-        o.set(
-            "replicas",
-            Value::Arr(
-                self.replicas
-                    .iter()
-                    .map(|layer| {
-                        Value::Arr(
-                            layer
-                                .iter()
-                                .map(|iter| {
-                                    Value::Arr(iter.iter().map(|&r| Value::u64(r as u64)).collect())
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        );
-        o.set(
-            "moved_replicas",
-            Value::Arr(self.moved_replicas.iter().map(|&m| Value::u64(m as u64)).collect()),
-        );
+        o.set("losses", Value::Arr(r.losses.iter().map(|&l| Value::Num(l as f64)).collect()));
+        o.set("survival", Value::arr_f64(&r.survival));
+        o.set("popularity", Value::Arr(r.popularity.iter().map(|t| t.to_json_value()).collect()));
+        o.set("replicas", Value::Arr(replicas.collect()));
+        o.set("moved_replicas", u64_arr(r.moved_replicas.iter().map(|&m| m as u64)));
+        o.set("phase_ns", Value::Arr(self.phase_ns.iter().map(|ns| u64_arr(*ns)).collect()));
         Value::Obj(o).to_string()
     }
 
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        use symi_telemetry::Value;
+    /// Parses a cached run, rejecting one that is not `iterations` long in
+    /// every per-iteration field.
+    fn from_json(system: SystemChoice, s: &str, iterations: usize) -> Result<Self, String> {
         let v = Value::parse(s)?;
-        let system = v.get("system").as_str().ok_or("missing system")?.to_string();
-        let popularity = v
-            .get("popularity")
-            .as_arr()
-            .ok_or("missing popularity")?
+        let arr = |key: &str| v.get(key).as_arr().ok_or(format!("missing {key}"));
+        let popularity = arr("popularity")?
             .iter()
             .map(PopularityTrace::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
-        let replicas = v
-            .get("replicas")
-            .as_arr()
-            .ok_or("missing replicas")?
+        let replicas = arr("replicas")?
             .iter()
             .map(|layer| {
-                layer
-                    .as_arr()
-                    .unwrap_or(&[])
+                let iters = layer.as_arr().unwrap_or(&[]);
+                iters
                     .iter()
-                    .map(|iter| iter.u64_vec().into_iter().map(|r| r as usize).collect())
+                    .map(|it| it.u64_vec().into_iter().map(|c| c as usize).collect())
                     .collect()
             })
             .collect();
-        Ok(RunResult {
-            system,
-            iterations: v.get("iterations").as_usize().ok_or("missing iterations")?,
-            seed: v.get("seed").as_u64().ok_or("missing seed")?,
+        let phase_ns = arr("phase_ns")?
+            .iter()
+            .map(|ns| <[u64; NUM_PHASES]>::try_from(ns.u64_vec()).map_err(|_| "phase_ns row"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let record = TrainRecord {
             losses: v.get("losses").f64_vec().into_iter().map(|l| l as f32).collect(),
             survival: v.get("survival").f64_vec(),
             popularity,
@@ -157,27 +130,19 @@ impl RunResult {
                 .into_iter()
                 .map(|m| m as usize)
                 .collect(),
-        })
-    }
-
-    /// First iteration whose `window`-smoothed loss reaches `target`.
-    pub fn iterations_to_loss(&self, target: f32, window: usize) -> Option<usize> {
-        let w = window.max(1);
-        for i in 0..self.losses.len() {
-            let lo = i.saturating_sub(w - 1);
-            let mean: f32 = self.losses[lo..=i].iter().sum::<f32>() / (i - lo + 1) as f32;
-            if mean <= target {
-                return Some(i + 1);
-            }
+        };
+        let complete = [
+            record.losses.len(),
+            record.survival.len(),
+            record.moved_replicas.len(),
+            phase_ns.len(),
+        ]
+        .iter()
+        .all(|&len| len == iterations);
+        if !complete {
+            return Err(format!("cached run is not {iterations} iterations long"));
         }
-        None
-    }
-
-    pub fn mean_survival(&self) -> f64 {
-        if self.survival.is_empty() {
-            return 1.0;
-        }
-        self.survival.iter().sum::<f64>() / self.survival.len() as f64
+        Ok(RunResult { system, record, phase_ns })
     }
 }
 
@@ -196,82 +161,30 @@ pub fn experiment_corpus(cfg: &ModelConfig) -> DriftingCorpus {
     })
 }
 
-/// Trains `system` for `iterations` on the shared corpus and model config.
-pub fn run_system(system: SystemChoice, cfg: ModelConfig, iterations: usize) -> RunResult {
-    let mut corpus = experiment_corpus(&cfg);
-    let mut trainer = Trainer::new(cfg, system.policy(&cfg));
-    trainer.train(&mut corpus, iterations);
-    let rec = trainer.record;
-    RunResult {
-        system: system.name().to_string(),
-        iterations,
-        seed: cfg.seed,
-        losses: rec.losses,
-        survival: rec.survival,
-        popularity: rec.popularity,
-        replicas: rec.replicas,
-        moved_replicas: rec.moved_replicas,
-    }
-}
-
-/// Trains `system` with telemetry enabled, emitting one `IterationReport`
-/// per step. Reports go to an in-memory ring (returned) and, when
-/// `jsonl_path` is given, to a JSONL file `symi-top` can tail. The figure
-/// binaries that reconstruct phase shares / drop rates / churn consume
-/// these reports instead of re-deriving them from `TrainRecord`.
-pub(crate) fn run_system_with_telemetry(
+/// Trains `system` for `iterations` on the shared corpus with telemetry
+/// attached. When `jsonl` is given, every `IterationReport` also streams
+/// there as it is made, for `symi-top` to tail; nothing reads it back.
+pub fn run_system(
     system: SystemChoice,
     cfg: ModelConfig,
     iterations: usize,
-    jsonl_path: Option<&Path>,
-) -> Vec<IterationReport> {
+    jsonl: Option<&Path>,
+) -> RunResult {
     let mut corpus = experiment_corpus(&cfg);
     let mut trainer = Trainer::new(cfg, system.policy(&cfg));
     let telemetry = ClusterTelemetry::new(1);
     let ring = Arc::new(RingBufferSink::new(iterations.max(1)));
     telemetry.add_sink(ring.clone());
-    if let Some(path) = jsonl_path {
-        let sink = JsonlSink::create(path).expect("telemetry jsonl must be creatable");
-        telemetry.add_sink(Arc::new(sink));
+    if let Some(path) = jsonl {
+        telemetry.add_sink(Arc::new(
+            JsonlSink::create(path).expect("telemetry jsonl must be creatable"),
+        ));
     }
     trainer.attach_telemetry(telemetry.clone());
     trainer.train(&mut corpus, iterations);
     telemetry.flush();
-    ring.contents()
-}
-
-/// Canonical JSONL location for one system's telemetry run.
-pub(crate) fn telemetry_jsonl_path(dir: &Path, system: SystemChoice) -> PathBuf {
-    dir.join(format!("telemetry_{}.jsonl", system.name().to_lowercase().replace('-', "_")))
-}
-
-/// Parses back a telemetry JSONL file written by
-/// [`run_system_with_telemetry`] (or any `JsonlSink`).
-pub(crate) fn read_telemetry_jsonl(path: &Path) -> Result<Vec<IterationReport>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    text.lines().filter(|l| !l.trim().is_empty()).map(IterationReport::parse_jsonl).collect()
-}
-
-/// Cached variant: reuses `telemetry_<system>.jsonl` in `dir` when it holds
-/// exactly `iterations` reports for the right geometry (the JSONL itself is
-/// the cache — there is no second serialization format).
-pub fn load_or_run_telemetry(
-    dir: &Path,
-    system: SystemChoice,
-    cfg: ModelConfig,
-    iterations: usize,
-) -> Vec<IterationReport> {
-    std::fs::create_dir_all(dir).expect("results dir must be creatable");
-    let path = telemetry_jsonl_path(dir, system);
-    if let Ok(reports) = read_telemetry_jsonl(&path) {
-        if reports.len() == iterations && reports.iter().all(|r| r.popularity.len() == cfg.experts)
-        {
-            eprintln!("[cache] telemetry {} from {}", system.name(), path.display());
-            return reports;
-        }
-    }
-    eprintln!("[train] {} for {iterations} iterations (telemetry on)…", system.name());
-    run_system_with_telemetry(system, cfg, iterations, Some(&path))
+    let phase_ns = ring.contents().iter().map(|r| r.phase_ns[0]).collect();
+    RunResult { system, record: trainer.record, phase_ns }
 }
 
 fn cache_path(dir: &Path, system: SystemChoice, cfg: &ModelConfig, iterations: usize) -> PathBuf {
@@ -288,8 +201,9 @@ fn cache_path(dir: &Path, system: SystemChoice, cfg: &ModelConfig, iterations: u
     ))
 }
 
-/// Loads a cached run if present (same system/iterations/seed), otherwise
-/// trains and caches.
+/// Loads the cached run if `dir` holds one under this run's key, otherwise
+/// trains it — streaming its telemetry to the same key's `.jsonl` — and
+/// caches it.
 pub fn load_or_run(
     dir: &Path,
     system: SystemChoice,
@@ -299,28 +213,87 @@ pub fn load_or_run(
     std::fs::create_dir_all(dir).expect("results dir must be creatable");
     let path = cache_path(dir, system, &cfg, iterations);
     if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(run) = RunResult::from_json(&text) {
-            if run.iterations == iterations && run.seed == cfg.seed {
-                eprintln!("[cache] {} from {}", system.name(), path.display());
-                return run;
-            }
+        if let Ok(run) = RunResult::from_json(system, &text, iterations) {
+            eprintln!("[cache] {} from {}", system.name(), path.display());
+            return run;
         }
     }
     eprintln!("[train] {} for {iterations} iterations…", system.name());
-    let run = run_system(system, cfg, iterations);
+    let run = run_system(system, cfg, iterations, Some(&path.with_extension("jsonl")));
     std::fs::write(&path, run.to_json()).expect("cache write");
     run
 }
 
-/// Runs all five systems (in parallel threads) with caching.
-pub fn load_or_run_all(dir: &Path, cfg: ModelConfig, iterations: usize) -> Vec<RunResult> {
+/// [`load_or_run`] for each of `jobs` at once, one thread each, in order.
+fn load_or_run_each(
+    dir: &Path,
+    jobs: impl Iterator<Item = (SystemChoice, ModelConfig)>,
+    iterations: usize,
+) -> Vec<RunResult> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = SystemChoice::ALL
-            .iter()
-            .map(|&system| scope.spawn(move || load_or_run(dir, system, cfg, iterations)))
+        let handles: Vec<_> = jobs
+            .map(|(system, cfg)| scope.spawn(move || load_or_run(dir, system, cfg, iterations)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("run thread")).collect()
     })
+}
+
+/// Table 1's capacity factors.
+pub(crate) const CAPACITIES: [f32; 3] = [1.0, 2.0, 4.0];
+
+/// Every training run an artifact reads.
+pub struct Runs {
+    /// The five systems at the headline geometry, in [`SystemChoice::ALL`] order.
+    pub systems: Vec<RunResult>,
+    /// Figure 2's 32-expert static run.
+    pub fig2: RunResult,
+    /// Table 1's static runs at capacity ×1, ×2 and ×4.
+    pub capacity: Vec<RunResult>,
+}
+
+impl Runs {
+    /// Loads or trains every run, each in its own thread. The five systems
+    /// train together and apart from the rest, so Figure 12's wall-clock
+    /// columns compare them under the same concurrent load.
+    pub fn load_or_train(dir: &Path, iterations: usize) -> Runs {
+        let systems = load_or_run_each(
+            dir,
+            SystemChoice::ALL.iter().map(|&s| (s, ModelConfig::small_sim())),
+            iterations,
+        );
+        let fig2 = ModelConfig::fig2_sim();
+        // Table 1 runs Figure 2's geometry, seeded apart per capacity.
+        let capacities = CAPACITIES.iter().map(|&cf| ModelConfig {
+            capacity_factor: cf,
+            seed: fig2.seed + cf as u64,
+            ..fig2
+        });
+        let mut capacity = load_or_run_each(
+            dir,
+            std::iter::once(fig2).chain(capacities).map(|cfg| (SystemChoice::DeepSpeed, cfg)),
+            iterations,
+        );
+        let fig2 = capacity.remove(0);
+        Runs { systems, fig2, capacity }
+    }
+
+    pub fn system(&self, system: SystemChoice) -> &RunResult {
+        &self.systems[SystemChoice::ALL.iter().position(|&s| s == system).expect("one of ALL")]
+    }
+}
+
+/// The loss every one of `records` reaches: the slowest run's 10-iteration
+/// smoothed loss at 80% of the run. It sits in the steep region where
+/// convergence differences show, not in the flat tail.
+pub(crate) fn target_loss<'a>(records: impl IntoIterator<Item = &'a TrainRecord>) -> f32 {
+    records
+        .into_iter()
+        .map(|r| {
+            let at = (r.losses.len() as f64 * 0.8) as usize;
+            let lo = at.saturating_sub(9);
+            r.losses[lo..=at].iter().sum::<f32>() / (at - lo + 1) as f32
+        })
+        .fold(f32::MIN, f32::max)
 }
 
 /// Standard CLI: `--iters N` and `--out DIR` (defaults: 400, ./results).
@@ -351,6 +324,7 @@ pub fn cli_args() -> (usize, PathBuf) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symi_telemetry::IterationReport;
 
     #[test]
     fn policies_match_systems() {
@@ -365,27 +339,32 @@ mod tests {
     #[test]
     fn run_system_produces_complete_record() {
         let cfg = ModelConfig::tiny();
-        let run = run_system(SystemChoice::Symi, cfg, 4);
-        assert_eq!(run.losses.len(), 4);
-        assert_eq!(run.survival.len(), 4);
-        assert_eq!(run.replicas[0].len(), 4);
-        assert_eq!(run.popularity.len(), cfg.layers);
+        let run = run_system(SystemChoice::Symi, cfg, 4, None);
+        assert_eq!(run.record.losses.len(), 4);
+        assert_eq!(run.record.survival.len(), 4);
+        assert_eq!(run.record.replicas[0].len(), 4);
+        assert_eq!(run.record.popularity.len(), cfg.layers);
+        assert_eq!(run.phase_ns.len(), 4);
     }
 
     #[test]
     fn telemetry_run_emits_complete_reports() {
         let cfg = ModelConfig::tiny();
         let dir = std::env::temp_dir().join(format!("symi_tele_run_{}", std::process::id()));
-        let path = telemetry_jsonl_path(&dir, SystemChoice::Symi);
-        let reports = run_system_with_telemetry(SystemChoice::Symi, cfg, 3, Some(&path));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        let run = run_system(SystemChoice::Symi, cfg, 3, Some(&path));
+        // The live stream carries one report per iteration, whose phase
+        // times are the ones the run kept.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let reports: Vec<IterationReport> =
+            text.lines().map(|l| IterationReport::parse_jsonl(l).unwrap()).collect();
         assert_eq!(reports.len(), 3);
         let r = &reports[2];
         assert_eq!(r.system, "symi");
         assert_eq!(r.popularity.len(), cfg.experts);
         assert!(r.iteration_ns() > 0, "phase spans must have been recorded");
-        // The JSONL on disk round-trips to the same reports.
-        let back = read_telemetry_jsonl(&path).unwrap();
-        assert_eq!(back, reports);
+        assert_eq!(reports.iter().map(|r| r.phase_ns[0]).collect::<Vec<_>>(), run.phase_ns);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -395,7 +374,14 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let first = load_or_run(&dir, SystemChoice::DeepSpeed, cfg, 3);
         let second = load_or_run(&dir, SystemChoice::DeepSpeed, cfg, 3);
-        assert_eq!(first.losses, second.losses, "second call must hit the cache");
+        assert_eq!(first.record.losses, second.record.losses, "second call must hit the cache");
+        assert_eq!(first.record.survival, second.record.survival);
+        assert_eq!(first.record.replicas, second.record.replicas);
+        assert_eq!(first.phase_ns, second.phase_ns);
+        // A cache of another length is not this run's.
+        let text =
+            std::fs::read_to_string(cache_path(&dir, SystemChoice::DeepSpeed, &cfg, 3)).unwrap();
+        assert!(RunResult::from_json(SystemChoice::DeepSpeed, &text, 4).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

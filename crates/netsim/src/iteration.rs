@@ -160,11 +160,13 @@ impl IterationSim {
     /// whose shard lives inside the EDP group by construction.
     ///
     /// `tokens_per_class[i]` is the router's global assignment for class
-    /// `i`; `replicas_per_class[i]` its replica count this iteration
-    /// (uniform `sN/E` for the static baseline). Replica counts must be ≥ 1
-    /// and sum to `sN`. On a single-tier [`Topology::flat`] with zero
-    /// latency the grad and weight phases are §3.3's
-    /// [`CommCostModel::costs`] (see tests).
+    /// `i`; `replicas_per_class[i]` its replica count this iteration, from
+    /// which the system builds its placement. Replica counts must be ≥ 1
+    /// and sum to `sN`. Survival and per-rank load are priced on the
+    /// placement built, so the static baseline's uniform stripe is priced
+    /// as uniform whatever counts it was given. On a single-tier
+    /// [`Topology::flat`] with zero latency the grad and weight phases are
+    /// §3.3's [`CommCostModel::costs`] (see tests).
     pub fn simulate_hier(
         &self,
         topo: &Topology,
@@ -204,11 +206,20 @@ impl IterationSim {
         let tiered = TieredCostModel::from_flat(&flat_model, topo);
         let mut bytes_by_tier = vec![0.0f64; tiers];
 
+        // ---- Placement: SYMI packs each class's replicas contiguously
+        // (Algorithm 1); DeepSpeed stripes classes round-robin so replicas
+        // land on distinct ranks (it has no intra-rank EDP, §4.1); FlexMoE
+        // likewise spreads replicas across ranks, greedily. Everything below
+        // reads the replica counts of the layout built, not the caller's:
+        // DeepSpeed's stripe is uniform whatever counts were passed.
+        let placement = self.placement(replicas_per_class, system);
+        let replicas = placement.replica_counts();
+
         // ---- Token survival under per-class capacity (§3.4). ----
         let slot_cap = self.slot_capacity();
         let survived: Vec<f64> = tokens_per_class
             .iter()
-            .zip(replicas_per_class)
+            .zip(&replicas)
             .map(|(&t, &r)| t.min(slot_cap * r as f64))
             .collect();
         let total_tokens: f64 = tokens_per_class.iter().sum();
@@ -216,11 +227,6 @@ impl IterationSim {
         let survived_fraction =
             if total_tokens > 0.0 { total_survived / total_tokens } else { 1.0 };
 
-        // ---- Placement: SYMI packs each class's replicas contiguously
-        // (Algorithm 1); DeepSpeed stripes classes round-robin so replicas
-        // land on distinct ranks (it has no intra-rank EDP, §4.1); FlexMoE
-        // likewise spreads replicas across ranks, greedily.
-        let placement = self.placement(replicas_per_class, system);
         let host_ranks: Vec<Vec<usize>> = placement
             .hosts_with_counts()
             .iter()
@@ -229,8 +235,7 @@ impl IterationSim {
         let mut rank_tokens = vec![0.0f64; n];
         for slot in 0..placement.total_slots() {
             let class = placement.class_of_slot(slot);
-            rank_tokens[placement.rank_of_slot(slot)] +=
-                survived[class] / replicas_per_class[class] as f64;
+            rank_tokens[placement.rank_of_slot(slot)] += survived[class] / replicas[class] as f64;
         }
 
         // ---- Compute phases: topology-independent. ----

@@ -12,7 +12,7 @@ use symi_workload::SyntheticTraceConfig;
 
 fn main() {
     // A synthetic skewed-and-drifting popularity trace stands in for the
-    // router (use `symi-bench` binaries for measured traces).
+    // router (`symi-bench`'s `repro` prices measured traces).
     let trace = SyntheticTraceConfig {
         expert_classes: 16,
         iterations: 50,

@@ -82,5 +82,5 @@ fn main() {
         "traffic           : {} B inter-node, {} B intra-node, {} B host<->device",
         traffic.inter_node_bytes, traffic.intra_node_bytes, traffic.host_device_bytes
     );
-    println!("\nDone. Explore `cargo run -p symi-bench --bin fig7_loss` next.");
+    println!("\nDone. Explore `cargo run --release -p symi-bench --bin repro` next.");
 }

@@ -65,6 +65,7 @@ fn main() {
         "\nExpected shape: SYMI survives the most tokens (it re-places every\n\
          iteration for free); FlexMoE-10 sits between; DeepSpeed drops the most.\n\
          In a coupled system every replica move above would cost a blocking\n\
-         weight+optimizer migration — see `cargo run -p symi-bench --bin rebalance_traffic`."
+         weight+optimizer migration — see the rebalance-traffic sweep of\n\
+         `cargo run --release -p symi-bench --bin repro`."
     );
 }
