@@ -1,8 +1,9 @@
 //! Regenerates every artifact of the paper's evaluation in one process:
 //! Figures 2 and 7–12, Tables 1 and 3, §3.3, Appendix A.1, §4.1, the
 //! placement-policy ablation, the rebalance-traffic sweep and
-//! `BENCH_scaling.json`. Each training run trains once, into a cache under
-//! `--out`; a second run into the same directory trains nothing.
+//! `BENCH_scaling.json`, every file under `--out`. Each training run trains
+//! once, into a cache there; a second run into the same directory trains
+//! nothing.
 //!
 //! ```text
 //! cargo run --release -p symi-bench --bin repro -- [--iters N] [--out DIR]
@@ -21,7 +22,7 @@ fn main() {
     comm::ablation_partitioning(&out);
     comm::ablation_intra_rank();
     comm::rebalance_traffic(&out);
-    comm::scaling_sweep();
+    comm::scaling_sweep(&out);
 
     let runs = Runs::load_or_train(&out, iters);
     let symi = runs.system(SystemChoice::Symi);

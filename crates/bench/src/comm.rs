@@ -536,11 +536,12 @@ fn pod_scope(topo: &Topology) -> ShardScope {
 /// The 1k–4k-rank scaling sweep the paper's 16-node testbed could not run:
 /// drives the hierarchical cost model (`IterationSim::simulate_hier`) from
 /// 16 to 4096 ranks across topology presets and systems, writes
-/// `BENCH_scaling.json` at the repository root plus a markdown table, and
-/// asserts at every world: every cost finite, per-tier bytes non-negative,
-/// total traffic monotone in world size. The sweep is deterministic
-/// arithmetic, so CI fails on any byte of the committed JSON that moves.
-pub fn scaling_sweep() {
+/// `BENCH_scaling.json` under `out` plus a markdown table, and asserts at
+/// every world: every cost finite, per-tier bytes non-negative, total
+/// traffic monotone in world size. The sweep is deterministic arithmetic,
+/// so CI fails on any byte that moves against the committed copy at the
+/// repository root.
+pub fn scaling_sweep(out: &Path) {
     let worlds: &[usize] = &[16, 64, 256, 1024, 4096];
     let presets: &[&str] = &["flat", "superpod"];
     let hw = HardwareSpec::paper_eval_cluster();
@@ -661,7 +662,7 @@ pub fn scaling_sweep() {
     root.set("presets", Value::Arr(presets.iter().map(|&p| Value::str(p)).collect()));
     root.set("results", Value::Arr(results));
 
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_scaling.json");
+    let path = out.join("BENCH_scaling.json");
     std::fs::write(&path, Value::Obj(root).to_string()).expect("write scaling json");
     println!("\nwrote {}", path.display());
     println!("scaling gates passed: finite costs, traffic monotone in world size");

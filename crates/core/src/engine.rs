@@ -23,10 +23,13 @@
 //!    materializing the rebalance for free. Optimizer state owned by the
 //!    hosts (the baselines) then follows the new placement.
 //!
-//! The unit of expert execution is the hosted *class*, not the slot: a rank
-//! keeps one [`ExpertFfn`] — one weight copy, binary16 as §3.1 has it, and
-//! one flat f32 `[W1 | b1 | W2 | b2]` gradient — per class it hosts, and the class's co-located slots are only
-//! its capacity (§3.4) and its share of the dispatch. §4.1's intra-rank step
+//! The unit of expert execution is the hosted *class*, not the slot, and so
+//! is the unit of expert memory: a rank keeps one [`ExpertFfn`] — one weight
+//! copy and one flat `[W1 | b1 | W2 | b2]` gradient, both binary16 as §3.1
+//! has them (the gradient a [`ScaledHalf`](symi_tensor::ScaledHalf) under
+//! one exponent) — per class it hosts, allocated when a placement first puts
+//! that many classes on it, and the class's co-located slots are only its
+//! capacity (§3.4) and its share of the dispatch. §4.1's intra-rank step
 //! is therefore backward's own accumulation over the merged rows, and steps
 //! 4–5 run on that one buffer: it is what backward writes, what the
 //! reduce and the collect send read-only views of, and what Adam reads
@@ -62,9 +65,12 @@ use std::time::Instant;
 use symi_collectives::{
     encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
 };
-use symi_model::expert::ExpertFfn;
+use symi_model::expert::{
+    copy_overlap, init_params_in_blocks, init_params_range, param_count, ExpertFfn, INIT_BLOCK,
+};
 use symi_model::PlacementPolicy;
 use symi_telemetry::{Phase, TelemetryHandle};
+use symi_tensor::half::encode;
 use symi_tensor::rng::StdRng;
 use symi_tensor::{init, AdamConfig, HalfMatrix, Matrix};
 
@@ -288,9 +294,11 @@ pub struct MoeLayerEngine {
     received: Vec<Partials>,
     /// Expert instances: `experts[g]` executes the `g`-th class of
     /// `placement.classes_on_rank`, for all of that class's local slots.
-    /// There are always `slots_per_rank` of them; those past the hosted
-    /// classes wait for a placement that spreads this rank wider. W1 and W2
-    /// are binary16, the bits the weight scatter delivers.
+    /// There are as many as the most distinct classes of any placement this
+    /// rank has loaded ([`MoeLayerEngine::grow_experts`]); those past the
+    /// current ones keep their memory for the next placement that spreads
+    /// this rank as wide. W1 and W2 are binary16, the bits the weight
+    /// scatter delivers.
     experts: Vec<ExpertFfn<HalfMatrix>>,
     /// The token path's persistent matrices and payload buffers.
     tokens: TokenBuffers,
@@ -315,11 +323,12 @@ pub struct MoeLayerEngine {
 }
 
 impl MoeLayerEngine {
-    /// Canonical initial flat weights of one class — deterministic in the
-    /// class id, identical on every rank, and the re-init source of last
-    /// resort during elastic recovery.
-    fn canonical_class_params(cfg: &EngineConfig, class: usize) -> Vec<f32> {
-        ExpertFfn::new(cfg.d_model, cfg.d_ff, cfg.seed ^ (0xe0 + class as u64)).flat_params()
+    /// The seed of `class`'s canonical initial weights
+    /// ([`init_params_in_blocks`]) — deterministic in the class id,
+    /// identical on every rank, and the re-init source of last resort during
+    /// elastic recovery.
+    fn class_seed(cfg: &EngineConfig, class: usize) -> u64 {
+        cfg.seed ^ (0xe0 + class as u64)
     }
 
     /// Builds the rank-local engine. All ranks construct identical initial
@@ -370,9 +379,15 @@ impl MoeLayerEngine {
 
     /// A freshly initialized member of `view` at logical rank `lrank` under
     /// `placement`, iteration 0: every optimizer shard `owners` gives it
-    /// holds the canonical class weights, and every slot their binary16
-    /// image — the bits [`MoeLayerEngine::materialize_slots`] scatters from
-    /// those masters.
+    /// holds the canonical class weights, and every hosted class's expert
+    /// their binary16 image — the bits [`MoeLayerEngine::materialize_slots`]
+    /// scatters from those masters.
+    ///
+    /// Each class's canonical weights stream once, a block at a time
+    /// ([`init_params_in_blocks`]), into this rank's chunk of the Adam
+    /// master and, when the class is hosted here, into its expert: no class
+    /// exists whole in f32, and the construction's transient memory is one
+    /// block and its binary16 image.
     fn fresh(
         cfg: EngineConfig,
         view: MembershipView,
@@ -381,17 +396,28 @@ impl MoeLayerEngine {
         owners: Owners,
         policy: Box<dyn PlacementPolicy>,
     ) -> Self {
-        // Canonical initial weights per class (deterministic in class id).
-        let class_params: Vec<Vec<f32>> = (0..cfg.expert_classes)
-            .map(|class| Self::canonical_class_params(&cfg, class))
-            .collect();
-        let hosted = placement.classes_on_rank(lrank);
-        let mut experts = Self::empty_slots(&cfg);
-        for (expert, (class, _)) in experts.iter_mut().zip(hosted) {
-            expert.load_f16_at(0, &encode_f16(&class_params[class]));
-        }
+        let mut experts = Vec::new();
+        Self::grow_experts(&mut experts, &cfg, placement.hosted_count(lrank));
+        let params = param_count(cfg.d_model, cfg.d_ff);
+        let mut half = vec![0u16; INIT_BLOCK.min(params)];
+        let source = |class: usize, start: usize, master: &mut [f32]| {
+            let expert = placement.hosted_index(lrank, class);
+            if master.is_empty() && expert.is_none() {
+                return;
+            }
+            let seed = Self::class_seed(&cfg, class);
+            init_params_in_blocks(cfg.d_model, cfg.d_ff, seed, |offset, block| {
+                copy_overlap(offset, block, start, master);
+                if let Some(g) = expert {
+                    let half = &mut half[..block.len()];
+                    encode(block, half);
+                    experts[g].load_f16_at(offset, half);
+                }
+            });
+        };
+        let (classes, adam) = (cfg.expert_classes, cfg.adam);
         let optimizer =
-            SymiOptimizer::with_view(view.clone(), lrank, owners, cfg.adam, &class_params);
+            SymiOptimizer::with_view(view.clone(), lrank, owners, adam, classes, params, source);
         Self { experts, ..Self::assemble(cfg, view, lrank, placement, policy, optimizer) }
     }
 
@@ -493,6 +519,12 @@ impl MoeLayerEngine {
     pub fn attach_telemetry(&mut self, handle: TelemetryHandle) {
         self.optimizer.attach_telemetry(handle.clone());
         self.telemetry = handle;
+    }
+
+    /// Experts this rank holds memory for: the most distinct classes of any
+    /// placement it has loaded, whatever its slot count (testing support).
+    pub fn allocated_experts(&self) -> usize {
+        self.experts.len()
     }
 
     /// Flat weights a local slot runs on — its class's one copy on this rank
@@ -722,22 +754,21 @@ impl MoeLayerEngine {
                 report
             }
             Change::Recovery | Change::Admission => {
-                let local_class_weights: Vec<(usize, Vec<f32>)> = self
-                    .placement
-                    .classes_on_rank(self.lrank)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(g, (class, _))| (class, self.experts[g].flat_params()))
-                    .collect();
-                self.optimizer.reshard(
-                    ctx,
-                    &new_view,
-                    &self.placement,
-                    &local_class_weights,
-                    &|class| Self::canonical_class_params(&cfg, class),
-                    adam_t,
-                    tags,
-                )?
+                // The re-shard reads only the segments it re-seeds: from the
+                // expert that hosts the class here, or off the canonical
+                // stream.
+                let (placement, experts, lrank) = (&self.placement, &self.experts, self.lrank);
+                let hosted = |class: usize, start: usize, out: &mut [f32]| {
+                    let g = placement.hosted_index(lrank, class);
+                    experts[g.expect("a replica source hosts the class it serves")]
+                        .read_params_at(start, out);
+                };
+                let canonical = |class: usize, start: usize, out: &mut [f32]| {
+                    let seed = Self::class_seed(&cfg, class);
+                    init_params_range(cfg.d_model, cfg.d_ff, seed, start, out);
+                };
+                self.optimizer
+                    .reshard(ctx, &new_view, placement, &hosted, &canonical, adam_t, tags)?
             }
         };
 
@@ -772,9 +803,14 @@ impl MoeLayerEngine {
         }
     }
 
-    /// `slots_per_rank` experts with all-zero parameters.
-    fn empty_slots(cfg: &EngineConfig) -> Vec<ExpertFfn<HalfMatrix>> {
-        (0..cfg.slots_per_rank).map(|_| ExpertFfn::zeros(cfg.d_model, cfg.d_ff)).collect()
+    /// Grows `experts` — never shrinks it — to `hosted` of them, the
+    /// distinct classes of the placement about to be loaded into them: the
+    /// new ones all-zero, each allocated when a placement first puts that
+    /// many classes on this rank.
+    fn grow_experts(experts: &mut Vec<ExpertFfn<HalfMatrix>>, cfg: &EngineConfig, hosted: usize) {
+        let missing = hosted.saturating_sub(experts.len());
+        experts.reserve_exact(missing);
+        experts.extend((0..missing).map(|_| ExpertFfn::zeros(cfg.d_model, cfg.d_ff)));
     }
 
     /// Loads every local slot of the current placement with the fp16 image
@@ -790,7 +826,11 @@ impl MoeLayerEngine {
         let shards: Vec<Vec<u16>> = (0..self.cfg.expert_classes)
             .map(|class| encode_f16(self.optimizer.master_shard(class)))
             .collect();
-        self.experts = Self::empty_slots(&self.cfg);
+        // Every chunk of every hosted class is loaded below, so an expert
+        // kept from the last placement carries nothing over but its memory;
+        // its gradient reads zero until the next backward, as a new one's.
+        Self::grow_experts(&mut self.experts, &self.cfg, self.placement.hosted_count(self.lrank));
+        self.experts.iter_mut().for_each(ExpertFfn::zero_grad);
         self.optimizer.distribute_weights_into(
             ctx,
             &self.placement,
@@ -877,13 +917,26 @@ impl MoeLayerEngine {
         // never mistaken for a stale incarnation's.
         ctx.set_membership_gen(grown.epoch() + 1);
         // A fresh member has no history: its payload is `[0, 0, 0]`, and the
-        // transition replaces all of its state.
+        // transition replaces all of its state — the optimizer with
+        // `SymiOptimizer::join`'s, and the placement with the agreed one,
+        // which `materialize_slots` grows its experts to. Until then it
+        // holds a zero optimizer and no expert, and streams no class.
         let lrank = grown.logical_of(me).expect("the grown view holds the joiner");
         let mut policy = SymiPolicy { total_slots: cfg.total_slots(grown.size()) };
         let counts = policy.next_replicas(0, &vec![0; cfg.expert_classes], 0);
         let placement = ExpertPlacement::from_counts(&counts, cfg.slots_per_rank);
+        let (classes, params) = (cfg.expert_classes, param_count(cfg.d_model, cfg.d_ff));
+        let optimizer = SymiOptimizer::with_view(
+            grown.clone(),
+            lrank,
+            Owners::World,
+            cfg.adam,
+            classes,
+            params,
+            |_, _, _| {},
+        );
         let mut engine =
-            Self::fresh(cfg, grown.clone(), lrank, placement, Owners::World, Box::new(policy));
+            Self::assemble(cfg, grown.clone(), lrank, placement, Box::new(policy), optimizer);
         let timeout = ctx.default_membership_timeout();
         let (new_view, payloads) =
             ctx.agree_membership(&grown, &[], &engine.agreement_payload(), timeout)?;
@@ -931,12 +984,11 @@ impl MoeLayerEngine {
     pub fn from_snapshot(cfg: EngineConfig, snap: EngineSnapshot) -> Self {
         let view = MembershipView::full(snap.world_size);
         let placement = ExpertPlacement::from_counts(&snap.replica_counts, cfg.slots_per_rank);
-        let param_count = Self::canonical_class_params(&cfg, 0).len();
         let optimizer = SymiOptimizer::from_shard_states(
             view.clone(),
             snap.logical_rank,
             cfg.adam,
-            param_count,
+            param_count(cfg.d_model, cfg.d_ff),
             snap.shards,
         );
         let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(snap.world_size) });
@@ -1083,6 +1135,9 @@ impl MoeLayerEngine {
         let placement_churn = next_placement.as_ref().map_or(0, |p| self.placement.diff_slots(p));
         drop(rebalance_span);
         let next = next_placement.as_ref().unwrap_or(&self.placement);
+        // The steps below publish into, and the scatter loads, the experts
+        // of the next placement's classes.
+        Self::grow_experts(&mut self.experts, &self.cfg, next.hosted_count(self.lrank));
         let mut sends = self.optimizer.weight_sends(ctx, next, tags);
         let slot_of = |class: usize| next.hosted_index(self.lrank, class);
 
@@ -1225,9 +1280,12 @@ impl MoeLayerEngine {
             tele.gauge("grad_sync_ms").set(grad_sync.as_secs_f64() * 1e3);
             tele.gauge("grad_collect_ms").set(grad_collect.as_secs_f64() * 1e3);
             tele.gauge("optimizer_state_bytes").set(self.optimizer.state_bytes() as f64);
-            let hosted = self.placement.classes_on_rank(self.lrank).len();
+            let hosted = self.placement.hosted_count(self.lrank);
             let slot_bytes: usize = self.experts[..hosted].iter().map(ExpertFfn::param_bytes).sum();
             tele.gauge(&format!("mem.slot_param_bytes.rank{}", tele.rank())).set(slot_bytes as f64);
+            let expert_bytes: usize =
+                self.experts.iter().map(|e| e.param_bytes() + e.grad_bytes()).sum();
+            tele.gauge(&format!("mem.expert_bytes.rank{}", tele.rank())).set(expert_bytes as f64);
         }
 
         Ok(IterStats {
@@ -1426,7 +1484,9 @@ mod tests {
                 let mut restored = MoeLayerEngine::from_snapshot(cfg(), fresh.snapshot());
                 restored.materialize_slots(ctx).expect("materialize");
                 for (class, locals) in fresh.placement.classes_on_rank(ctx.rank()) {
-                    let image: Vec<f32> = MoeLayerEngine::canonical_class_params(&cfg(), class)
+                    let (c, seed) = (cfg(), MoeLayerEngine::class_seed(&cfg(), class));
+                    let image: Vec<f32> = ExpertFfn::new(c.d_model, c.d_ff, seed)
+                        .flat_params()
                         .into_iter()
                         .map(symi_tensor::half::quantize_f16)
                         .collect();

@@ -238,25 +238,20 @@ fn reshard_plan(
     plan
 }
 
+/// `read(class, start, out)` fills `out` with elements `start ..` of
+/// `class`'s flat parameters, wherever they are kept.
+pub type RangeReader<'a> = &'a dyn Fn(usize, usize, &mut [f32]);
+
 /// Rules 2 and 3's sources: what a member supplies for the segments whose
-/// old owner died.
+/// old owner died, each read as a range, so only the segments re-seeded are
+/// ever materialized in f32.
 struct Fallback<'a> {
     old_placement: &'a ExpertPlacement,
-    /// `(class, full fp16-grid weights)` of each class this rank hosts under
+    /// The fp16-grid weights of a class this rank hosts under
     /// `old_placement`.
-    local_class_weights: &'a [(usize, Vec<f32>)],
-    canonical_init: &'a dyn Fn(usize) -> Vec<f32>,
-}
-
-impl Fallback<'_> {
-    fn weights(&self, class: usize) -> &[f32] {
-        let (_, weights) = self
-            .local_class_weights
-            .iter()
-            .find(|(c, _)| *c == class)
-            .expect("a replica source hosts the class it serves");
-        weights
-    }
+    hosted: RangeReader<'a>,
+    /// A class's canonical initial weights.
+    canonical_init: RangeReader<'a>,
 }
 
 /// The one re-shard exchange every member of `new.view` runs, whatever
@@ -330,8 +325,9 @@ fn exchange(
                 buf.extend_from_slice(&v[r]);
                 sends.push(SendOp::new(piece.dst, tag, buf));
             } else {
-                let weights = &fallback().weights(piece.class)[piece.start..piece.end];
-                sends.push(SendOp::new(piece.dst, tag, encode_f16(weights)));
+                let mut weights = vec![0.0f32; len];
+                (fallback().hosted)(piece.class, piece.start, &mut weights);
+                sends.push(SendOp::new(piece.dst, tag, encode_f16(&weights)));
             }
         } else if piece.dst == me {
             recvs.push(RecvOp::sized(src, tag, if triple { 3 * len } else { len }));
@@ -374,9 +370,7 @@ fn exchange(
                 }
                 PieceSource::F16Replica { src } => {
                     if src == me {
-                        master[r].copy_from_slice(
-                            &fallback().weights(piece.class)[piece.start..piece.end],
-                        );
+                        (fallback().hosted)(piece.class, piece.start, &mut master[r]);
                     } else {
                         let half =
                             received.next().expect("one receive per wire piece").into_f16()?;
@@ -385,8 +379,7 @@ fn exchange(
                     report.reseeded_params += len as u64;
                 }
                 PieceSource::Reinit => {
-                    let init = (fallback().canonical_init)(piece.class);
-                    master[r].copy_from_slice(&init[piece.start..piece.end]);
+                    (fallback().canonical_init)(piece.class, piece.start, &mut master[r]);
                     report.reinitialized_params += len as u64;
                     report.reseeded_params += len as u64;
                 }
@@ -686,12 +679,29 @@ pub struct SymiOptimizer {
     telemetry: TelemetryHandle,
 }
 
+/// `class_params` as the per-class source [`SymiOptimizer::with_view`]
+/// reads: the class count, the (common) parameter count, and a copy of the
+/// asked-for range.
+fn vec_source(
+    class_params: &[Vec<f32>],
+) -> (usize, usize, impl FnMut(usize, usize, &mut [f32]) + '_) {
+    assert!(!class_params.is_empty(), "need at least one expert class");
+    let param_count = class_params[0].len();
+    assert!(class_params.iter().all(|p| p.len() == param_count), "uneven expert sizes");
+    let copy = |class: usize, start: usize, out: &mut [f32]| {
+        out.copy_from_slice(&class_params[class][start..start + out.len()]);
+    };
+    (class_params.len(), param_count, copy)
+}
+
 impl SymiOptimizer {
     /// Initializes this rank's shard of every class from the classes'
     /// initial flat parameters (identical across ranks by construction),
     /// over the full `nodes`-rank world.
     pub fn new(rank: usize, nodes: usize, adam: AdamConfig, class_params: &[Vec<f32>]) -> Self {
-        Self::with_view(MembershipView::full(nodes), rank, Owners::World, adam, class_params)
+        let (classes, param_count, source) = vec_source(class_params);
+        let view = MembershipView::full(nodes);
+        Self::with_view(view, rank, Owners::World, adam, classes, param_count, source)
     }
 
     /// DeepSpeed's coupling over the full `nodes`-rank world: each class's
@@ -704,42 +714,51 @@ impl SymiOptimizer {
         placement: &ExpertPlacement,
         class_params: &[Vec<f32>],
     ) -> Self {
-        let owners = Owners::hosts_of(placement);
-        Self::with_view(MembershipView::full(nodes), rank, owners, adam, class_params)
+        let (classes, param_count, source) = vec_source(class_params);
+        let (view, owners) = (MembershipView::full(nodes), Owners::hosts_of(placement));
+        Self::with_view(view, rank, owners, adam, classes, param_count, source)
     }
 
-    /// Initializes this rank's shards over an explicit membership view and
+    /// Initializes this rank's shards of `expert_classes` classes of
+    /// `param_count` parameters each over an explicit membership view and
     /// owner groups — also the standby-world entry point: a cluster can run
     /// `active < world` members (`MembershipView::partial`) with the idle
     /// ranks awaiting a later join.
+    ///
+    /// `source(class, start, master)` fills `master` with elements `start ..`
+    /// of `class`'s initial flat parameters: this rank's chunk, and nothing
+    /// of a class it owns none of (`master` is then empty). It is called
+    /// once per class, in class order, so a caller can stream each class
+    /// once and feed its other consumers on the way.
     pub(crate) fn with_view(
         view: MembershipView,
         logical_rank: usize,
         owners: Owners,
         adam: AdamConfig,
-        class_params: &[Vec<f32>],
+        expert_classes: usize,
+        param_count: usize,
+        mut source: impl FnMut(usize, usize, &mut [f32]),
     ) -> Self {
-        assert!(!class_params.is_empty(), "need at least one expert class");
+        assert!(expert_classes > 0, "need at least one expert class");
         assert!(logical_rank < view.size(), "logical rank {logical_rank} out of the view");
-        let param_count = class_params[0].len();
-        assert!(class_params.iter().all(|p| p.len() == param_count), "uneven expert sizes");
         let mut opt = Self {
             view,
             lrank: logical_rank,
             owners,
             adam,
             param_count,
-            shards: Vec::new(),
+            shards: Vec::with_capacity(expert_classes),
             telemetry: TelemetryHandle::disabled(),
         };
-        opt.shards = class_params
-            .iter()
-            .enumerate()
-            .map(|(class, p)| {
-                let (start, end) = opt.shard_range(class);
-                AdamShard::new(adam, start, &p[start..end])
-            })
-            .collect();
+        for class in 0..expert_classes {
+            // All of the class's chunk is allocated before its source runs,
+            // so what the source streams through is all that is transient.
+            let (start, end) = opt.shard_range(class);
+            let zeros = || vec![0.0f32; end - start];
+            let (mut master, m, v) = (zeros(), zeros(), zeros());
+            source(class, start, &mut master);
+            opt.shards.push(AdamShard::from_parts(adam, start, master, m, v, 0));
+        }
         opt
     }
 
@@ -1507,7 +1526,7 @@ impl SymiOptimizer {
     /// 2. else the class's fp16 replica on the lowest surviving physical
     ///    host under `old_placement` (bit-identical replicas, refreshed last
     ///    iteration), with the moments reset to zero;
-    /// 3. else canonical re-initialization via `canonical_init(class)`
+    /// 3. else canonical re-initialization from `canonical_init`
     ///    (additionally counted in [`ReshardReport::reinitialized_params`]).
     ///
     /// Rules 2 and 3 are counted in [`ReshardReport::reseeded_params`] — a
@@ -1516,8 +1535,9 @@ impl SymiOptimizer {
     /// it transfers everything; a mixed join+death change is refused
     /// loudly (recover first, then admit).
     ///
-    /// `local_class_weights` carries `(class, full fp16-grid weights)` for
-    /// each class this rank hosts under `old_placement`. Every re-sharded
+    /// `hosted_weights` reads the fp16-grid weights of a class this rank
+    /// hosts under `old_placement`, and both readers are asked only for the
+    /// segments this rank re-seeds ([`RangeReader`]). Every re-sharded
     /// chunk steps on from `step_count`, the highest Adam step count among
     /// the members (the engine's agreement payload carries each one's): an
     /// iteration that aborted may have stepped some classes' chunks on some
@@ -1532,15 +1552,15 @@ impl SymiOptimizer {
         ctx: &mut RankCtx,
         new_view: &MembershipView,
         old_placement: &ExpertPlacement,
-        local_class_weights: &[(usize, Vec<f32>)],
-        canonical_init: &dyn Fn(usize) -> Vec<f32>,
+        hosted_weights: RangeReader,
+        canonical_init: RangeReader,
         step_count: u64,
         tags: TagSpace,
     ) -> Result<ReshardReport, CommError> {
         let _span = self.telemetry.span(Phase::WeightComm);
         assert_eq!(old_placement.ranks(), self.nodes(), "old placement rank count mismatch");
         assert_eq!(ctx.rank(), self.my_phys(), "re-shard on another rank's optimizer");
-        let fallback = Fallback { old_placement, local_class_weights, canonical_init };
+        let fallback = Fallback { old_placement, hosted: hosted_weights, canonical_init };
         let classes: Vec<usize> = (0..self.shards.len()).collect();
         let old =
             Geometry { view: &self.view, owners: &self.owners, param_count: self.param_count };
@@ -1710,6 +1730,30 @@ mod tests {
     }
 
     #[test]
+    fn deepspeed_state_bytes_equal_symis_on_every_rank_at_uniform_replication() {
+        // ROADMAP item 11's identity: DeepSpeed's stripe gives each
+        // rank s classes at r = N·s/E replicas each, owned 1/r per host —
+        // s·16P/r bytes — and SYMI owns 1/N of all E — 16PE/N: equal, on
+        // every rank, wherever r and N divide P (as at `engine_params`'
+        // P = 525,568, first row).
+        let adam = AdamConfig::default();
+        for (e, n, s, p) in [(4, 2, 4, 525_568), (4, 4, 2, 96), (8, 4, 4, 96), (16, 8, 2, 48)] {
+            let r = n * s / e;
+            assert!(r * e == n * s && p % r == 0 && p % n == 0, "a uniform, even geometry");
+            let striped = ExpertPlacement::striped(e, n, s);
+            assert!((0..e).all(|c| striped.host_ranks(c).len() == r), "uniform replication");
+            let params = vec![vec![0.0f32; p]; e];
+            for rank in 0..n {
+                let symi = SymiOptimizer::new(rank, n, adam, &params).state_bytes();
+                let deepspeed =
+                    SymiOptimizer::host_sharded(rank, n, adam, &striped, &params).state_bytes();
+                assert_eq!(deepspeed, symi, "E {e}, N {n}, s {s}: rank {rank}");
+                assert_eq!(symi, (16 * p * e / n) as u64, "E {e}, N {n}, s {s}: 16PE/N");
+            }
+        }
+    }
+
+    #[test]
     fn zero_length_shards_are_legal_when_ranks_exceed_params() {
         // 3 parameters over 5 ranks: ranks 3 and 4 own nothing, explicitly.
         let params = [vec![1.0f32, 2.0, 3.0]];
@@ -1738,13 +1782,9 @@ mod tests {
         let opts: Vec<SymiOptimizer> = (0..4)
             .map(|rank| {
                 let owners = Owners::hosts_of(&placement);
-                SymiOptimizer::with_view(
-                    MembershipView::full(4),
-                    rank,
-                    owners,
-                    AdamConfig::default(),
-                    &params,
-                )
+                let (e, p, source) = vec_source(&params);
+                let (view, adam) = (MembershipView::full(4), AdamConfig::default());
+                SymiOptimizer::with_view(view, rank, owners, adam, e, p, source)
             })
             .collect();
         for class in 0..4 {
@@ -1803,12 +1843,16 @@ mod tests {
                 let new = old.with_joined(2).without(&[]); // epoch-bumped grown view
                 let tags = TagSpace::new(0, 7);
                 if ctx.rank() < ACTIVE {
+                    let (e, p, source) = vec_source(&params);
+                    let adam = AdamConfig::default();
                     let mut opt = SymiOptimizer::with_view(
                         old.clone(),
                         ctx.rank(),
                         Owners::World,
-                        AdamConfig::default(),
-                        &params,
+                        adam,
+                        e,
+                        p,
+                        source,
                     );
                     // Three Adam steps make master, m and v all nonzero.
                     for s in 0..3usize {
@@ -1828,8 +1872,8 @@ mod tests {
                             ctx,
                             &new,
                             &ExpertPlacement::uniform(E, ACTIVE, 1),
-                            &[],
-                            &|_| unreachable!("a grow never re-initializes"),
+                            &|_, _, _| unreachable!("a grow never reads a replica"),
+                            &|_, _, _| unreachable!("a grow never re-initializes"),
                             3,
                             tags,
                         )

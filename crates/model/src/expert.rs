@@ -24,6 +24,7 @@
 //! binary16 shards are copied into it.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 use symi_telemetry::TelemetryHandle;
 use symi_tensor::half::{decode, encode, grad_exponent, max_abs};
@@ -31,8 +32,8 @@ use symi_tensor::ops::{
     gelu_backward_from_tanh_in_place, gelu_backward_from_tanh_into, gelu_from_tanh_into,
     gelu_from_tanh_max_into, linear_gelu_tanh_into,
 };
-use symi_tensor::rng::StdRng;
-use symi_tensor::{init, BOperand, Dest, HalfMatrix, Matrix, ScaledHalf};
+use symi_tensor::rng::{Distribution, Normal, StdRng};
+use symi_tensor::{BOperand, Dest, HalfMatrix, Matrix, ScaledHalf};
 
 thread_local! {
     /// Two `rows × d_ff` scratch matrices: the activation `gelu(pre)`, which
@@ -216,8 +217,8 @@ pub trait ParamStorage: BOperand {
     /// Sets elements `at ..` from binary16 bits: a copy into binary16
     /// storage, an exact decode into f32.
     fn load_f16_at(&mut self, at: usize, src: &[u16]);
-    /// Appends the elements as f32 (exact).
-    fn extend_f32(&self, out: &mut Vec<f32>);
+    /// Elements `at .. at + out.len()` as f32 (exact), into `out`.
+    fn read_f32_at(&self, at: usize, out: &mut [f32]);
     /// Elements `at .. at + len` as a place an Adam step publishes to:
     /// binary16 storage as its bits, f32 storage as values on the fp16 grid
     /// — what [`ParamStorage::load_f16_at`] of the same bits would leave.
@@ -251,8 +252,8 @@ impl ParamStorage for Matrix {
     fn load_f16_at(&mut self, at: usize, src: &[u16]) {
         decode(src, &mut self.as_mut_slice()[at..at + src.len()]);
     }
-    fn extend_f32(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.as_slice());
+    fn read_f32_at(&self, at: usize, out: &mut [f32]) {
+        out.copy_from_slice(&self.as_slice()[at..at + out.len()]);
     }
     fn dest(&mut self, at: usize, len: usize) -> Dest<'_> {
         Dest::Grid(&mut self.as_mut_slice()[at..at + len])
@@ -276,10 +277,8 @@ impl ParamStorage for HalfMatrix {
     fn load_f16_at(&mut self, at: usize, src: &[u16]) {
         self.as_bits_mut()[at..at + src.len()].copy_from_slice(src);
     }
-    fn extend_f32(&self, out: &mut Vec<f32>) {
-        let start = out.len();
-        out.resize(start + self.len(), 0.0);
-        decode(self.as_bits(), &mut out[start..]);
+    fn read_f32_at(&self, at: usize, out: &mut [f32]) {
+        decode(&self.as_bits()[at..at + out.len()], out);
     }
     fn dest(&mut self, at: usize, len: usize) -> Dest<'_> {
         Dest::Half(&mut self.as_bits_mut()[at..at + len])
@@ -322,6 +321,42 @@ pub struct ExpertFfn<W: WeightStorage = Matrix> {
 /// `[W1 | b1 | W2 | b2]` ([`ExpertFfn::params_mut`]).
 pub struct ParamsMut<'a>([&'a mut dyn ParamStorage; 4]);
 
+/// Where flat elements `a` and `b` meet (an empty range when they do not).
+fn meet(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    a.start.max(b.start)..a.end.min(b.end)
+}
+
+/// Calls `f(i, at, lo, hi)` for each of four parameters of `lens` elements,
+/// laid out back to back, that elements `offset .. end` of the flat layout
+/// overlap: parameter `i`'s own elements from `at`, the range's `lo .. hi`.
+fn for_overlaps(
+    lens: [usize; 4],
+    offset: usize,
+    end: usize,
+    mut f: impl FnMut(usize, usize, usize, usize),
+) {
+    assert!(end <= lens.iter().sum(), "range past the params");
+    let mut base = 0;
+    for (i, len) in lens.into_iter().enumerate() {
+        let m = meet(offset..end, base..base + len);
+        if !m.is_empty() {
+            f(i, m.start - base, m.start - offset, m.end - offset);
+        }
+        base += len;
+    }
+}
+
+/// Copies into `out` — flat elements from `start` — the part of `block` —
+/// flat elements from `offset` — that falls in it: how a consumer of
+/// [`init_params_in_blocks`] keeps one range of the stream.
+pub fn copy_overlap(offset: usize, block: &[f32], start: usize, out: &mut [f32]) {
+    let m = meet(offset..offset + block.len(), start..start + out.len());
+    if !m.is_empty() {
+        out[m.start - start..m.end - start]
+            .copy_from_slice(&block[m.start - offset..m.end - offset]);
+    }
+}
+
 impl ParamsMut<'_> {
     /// Calls `f(param, at, lo, hi)` for each parameter that elements
     /// `offset .. end` of the flat layout overlap: its own elements from
@@ -332,16 +367,8 @@ impl ParamsMut<'_> {
         end: usize,
         mut f: impl FnMut(&mut dyn ParamStorage, usize, usize, usize),
     ) {
-        assert!(end <= self.0.iter().map(|p| p.rows() * p.cols()).sum(), "range past the params");
-        let mut base = 0;
-        for param in &mut self.0 {
-            let len = param.rows() * param.cols();
-            let (a, b) = (offset.max(base), end.min(base + len));
-            if a < b {
-                f(&mut **param, a - base, a - offset, b - offset);
-            }
-            base += len;
-        }
+        let lens = self.0.each_ref().map(|p| p.rows() * p.cols());
+        for_overlaps(lens, offset, end, |i, at, lo, hi| f(&mut *self.0[i], at, lo, hi));
     }
 
     /// Calls `publish(start, dest)` for each parameter that elements
@@ -356,13 +383,76 @@ impl ParamsMut<'_> {
     }
 }
 
+/// Scalar parameters of a `d_model × d_ff` expert, the length of its flat
+/// `[W1 | b1 | W2 | b2]`: `2·d_model·d_ff + d_ff + d_model`.
+pub fn param_count(d_model: usize, d_ff: usize) -> usize {
+    2 * d_model * d_ff + d_ff + d_model
+}
+
+/// Elements per block of [`init_params_in_blocks`].
+pub const INIT_BLOCK: usize = 4096;
+
+/// The canonical initial flat parameters `[W1 | b1 | W2 | b2]` of a
+/// `d_model × d_ff` expert drawn from `seed` — Kaiming-normal weights, zero
+/// biases, what [`ExpertFfn::new`] holds — front to back, as
+/// `sink(offset, block)` calls of at most [`INIT_BLOCK`] elements each, so
+/// never more than one block of them is in memory.
+pub fn init_params_in_blocks(
+    d_model: usize,
+    d_ff: usize,
+    seed: u64,
+    mut sink: impl FnMut(usize, &[f32]),
+) {
+    // Kaiming/He normal: std `sqrt(2 / fan_in)`.
+    let kaiming =
+        |fan_in: usize| Normal::new(0.0f32, (2.0 / fan_in as f32).sqrt()).expect("finite std");
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Each section's length and distribution, in the flat order; the
+    // biases are zeros and draw nothing.
+    let sections = [
+        (d_model * d_ff, Some(kaiming(d_model))),
+        (d_ff, None),
+        (d_ff * d_model, Some(kaiming(d_ff))),
+        (d_model, None),
+    ];
+    let mut block = Vec::with_capacity(INIT_BLOCK.min(param_count(d_model, d_ff)));
+    let mut offset = 0;
+    for (len, dist) in sections {
+        for _ in 0..len {
+            block.push(dist.map_or(0.0, |d| d.sample(&mut rng)));
+            if block.len() == INIT_BLOCK {
+                sink(offset, &block);
+                offset += INIT_BLOCK;
+                block.clear();
+            }
+        }
+    }
+    if !block.is_empty() {
+        sink(offset, &block);
+    }
+}
+
+/// Elements `start .. start + out.len()` of [`init_params_in_blocks`]'
+/// stream, into `out`, without the rest of it.
+pub fn init_params_range(d_model: usize, d_ff: usize, seed: u64, start: usize, out: &mut [f32]) {
+    assert!(start + out.len() <= param_count(d_model, d_ff), "range past the params");
+    init_params_in_blocks(d_model, d_ff, seed, |offset, block| {
+        copy_overlap(offset, block, start, out);
+    });
+}
+
 impl ExpertFfn {
     /// An f32 expert with Kaiming-normal weights drawn from `seed` and zero
-    /// biases.
+    /// biases: [`init_params_in_blocks`]' stream, loaded.
     pub fn new(d_model: usize, d_ff: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w1 = init::kaiming_normal(d_model, d_ff, &mut rng);
-        Self::with_weights(w1, init::kaiming_normal(d_ff, d_model, &mut rng))
+        let mut expert = Self::zeros(d_model, d_ff);
+        init_params_in_blocks(d_model, d_ff, seed, |offset, block| {
+            let load = |param: &mut dyn ParamStorage, at, lo, hi| {
+                param.load_f32_at(at, &block[lo..hi]);
+            };
+            expert.params_mut().for_range(offset, offset + block.len(), load);
+        });
+        expert
     }
 }
 
@@ -380,7 +470,7 @@ impl<W: WeightStorage> ExpertFfn<W> {
             b1: Matrix::zeros(1, d_ff),
             w2,
             b2: Matrix::zeros(1, d_model),
-            grad: Arc::new(W::Grad::zeros(2 * d_model * d_ff + d_ff + d_model)),
+            grad: Arc::new(W::Grad::zeros(param_count(d_model, d_ff))),
             grad_zero: true,
             grad_fallbacks: 0,
             cached_x: Matrix::zeros(0, 0),
@@ -478,17 +568,23 @@ impl<W: WeightStorage> ExpertFfn<W> {
 
     /// Parameters as one flat buffer: `[W1 | b1 | W2 | b2]`.
     pub fn flat_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.flat_params_into(&mut out);
+        let mut out = vec![0.0; self.param_count()];
+        self.read_params_at(0, &mut out);
         out
     }
 
-    /// [`ExpertFfn::flat_params`] into a reusable buffer.
-    pub(crate) fn flat_params_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        for param in self.params() {
-            param.extend_f32(out);
-        }
+    /// Parameters `offset .. offset + out.len()` of the flat layout as f32
+    /// (exact), into `out`: a range of [`ExpertFfn::flat_params`] without
+    /// the rest of it.
+    ///
+    /// # Panics
+    /// Panics if the range runs past [`ExpertFfn::param_count`].
+    pub fn read_params_at(&self, offset: usize, out: &mut [f32]) {
+        let params = self.params();
+        let lens = params.map(|p| p.rows() * p.cols());
+        for_overlaps(lens, offset, offset + out.len(), |i, at, lo, hi| {
+            params[i].read_f32_at(at, &mut out[lo..hi]);
+        });
     }
 
     /// The gradient in the parameters' flat layout — the buffer backward
@@ -683,13 +779,18 @@ impl SlotBatches {
     }
 
     /// Runs every set's expert (`experts[g]` for set `g`) on its assembled
-    /// input; a set that received no row is skipped.
+    /// input; a set that received no row is skipped, and needs no expert.
+    ///
+    /// # Panics
+    /// Panics if a set that received rows has no expert.
     pub fn forward<W: WeightStorage>(&mut self, experts: &mut [ExpertFfn<W>]) {
-        assert_eq!(experts.len(), self.io.len(), "one expert per possible set");
-        for (io, expert) in self.io.iter_mut().zip(experts) {
+        for (g, io) in self.io.iter_mut().enumerate() {
             if io.x.rows() == 0 {
                 io.y.resize_to(0, self.d_model);
             } else {
+                let Some(expert) = experts.get_mut(g) else {
+                    panic!("set {g} received rows but has no expert")
+                };
                 expert.forward_into(&io.x, &mut io.y);
             }
         }
@@ -949,8 +1050,68 @@ mod tests {
     fn param_count_matches_formula() {
         let mut e = ExpertFfn::new(16, 64, 0);
         assert_eq!(e.param_count(), 2 * 16 * 64 + 64 + 16);
+        assert_eq!(e.param_count(), param_count(16, 64));
         assert_eq!(e.flat_params().len(), e.param_count());
         assert_eq!(e.flat_grads().len(), e.param_count());
+    }
+
+    /// FNV-1a over the little-endian bits of `v`.
+    fn bits_hash(v: &[f32]) -> u64 {
+        let bytes = v.iter().flat_map(|x| x.to_bits().to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn canonical_init_keeps_its_bits() {
+        // One shape inside a single block, one that is a whole number of
+        // blocks, and one that is not. The hashes are those of the weights
+        // `ExpertFfn::new` drew as two whole Kaiming-normal matrices before
+        // the stream replaced them: a change to the draws or their order
+        // moves every run's exact metrics, and fails here first.
+        let shapes = [
+            (6, 10, 0x3b08_1596_1c2f_5e4e),
+            (56, 72, 0x4f26_6290_e143_8efb),
+            (48, 160, 0x8233_f2f3_ad53_bb71),
+        ];
+        assert!(param_count(6, 10) < INIT_BLOCK);
+        assert_eq!(param_count(56, 72), 2 * INIT_BLOCK);
+        assert_ne!(param_count(48, 160) % INIT_BLOCK, 0);
+        assert!(param_count(48, 160) > 2 * INIT_BLOCK);
+        for (d, ff, hash) in shapes {
+            let mut streamed = Vec::new();
+            init_params_in_blocks(d, ff, 0xe3, |offset, block| {
+                assert_eq!(offset, streamed.len(), "{d}x{ff}: blocks arrive in order");
+                assert!(!block.is_empty() && block.len() <= INIT_BLOCK, "{d}x{ff}");
+                streamed.extend_from_slice(block);
+            });
+            assert_eq!(bits_hash(&streamed), hash, "{d}x{ff}: stream");
+            assert_eq!(bits_hash(&ExpertFfn::new(d, ff, 0xe3).flat_params()), hash, "{d}x{ff}");
+            let n = streamed.len();
+            for (start, end) in [(0, n), (1, 3), (INIT_BLOCK - 2, INIT_BLOCK + 5), (n - 7, n)] {
+                let (start, end) = (start.min(n), end.min(n));
+                let mut out = vec![f32::NAN; end - start];
+                init_params_range(d, ff, 0xe3, start, &mut out);
+                assert_eq!(bits_hash(&out), bits_hash(&streamed[start..end]), "{d}x{ff} {start}..");
+            }
+        }
+    }
+
+    #[test]
+    fn read_params_at_is_a_range_of_flat_params() {
+        let (d, ff) = (4, 8);
+        let mut half = ExpertFfn::<HalfMatrix>::zeros(d, ff);
+        half.load_flat(&ExpertFfn::new(d, ff, 5).flat_params());
+        let mut b1 = half.b1.clone();
+        b1.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = i as f32 * 0.25);
+        half.b1 = b1;
+        let flat = half.flat_params();
+        let n = flat.len();
+        // Ranges inside one parameter, across every boundary, and all of it.
+        for (start, end) in [(0, 3), (d * ff - 2, d * ff + 3), (5, n - 1), (0, n), (n, n)] {
+            let mut out = vec![f32::NAN; end - start];
+            half.read_params_at(start, &mut out);
+            assert_eq!(out, flat[start..end], "{start}..{end}");
+        }
     }
 
     #[test]

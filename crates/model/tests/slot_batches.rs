@@ -1,6 +1,6 @@
 //! The engines' copy-free, class-major expert phase (`SlotBatches`).
 //!
-//! Three properties:
+//! Five properties:
 //!
 //! 1. **Steady-state allocation regression** (pattern:
 //!    `crates/collectives/tests/zero_alloc.rs`): at a steady batch shape the
@@ -22,6 +22,9 @@
 //! 4. **A binary16 slot holds no f32 copy of its gradient**: the first
 //!    backward of an engine slot allocates less than one weight block's f32
 //!    size, and the gradient rests at 2 B per parameter.
+//! 5. **Only a set that received rows needs an expert**: the forward runs
+//!    with experts for the fed sets alone, and panics on a fed set without
+//!    one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -266,6 +269,36 @@ fn copy_free_path_is_bit_identical_to_the_from_vec_clone_path() {
         }
         assert_eq!(merged_rows, classes == CLASSES);
     }
+}
+
+/// An engine allocates experts only for the classes it hosts, so the sets
+/// past them have none: a set that receives no row needs no expert, and one
+/// that receives rows without an expert stops the forward loudly.
+#[test]
+fn only_a_set_that_received_rows_needs_an_expert() {
+    let (meta, rows) = dispatch(2, 0);
+    let mut batches = SlotBatches::new(SLOTS, D);
+    batches.regroup(|local| CLASSES[local]);
+    batches.assemble_inputs(FIRST_SLOT, &meta, &rows);
+    // Rows reach sets 0 and 1; set 2 (slot 3) stays idle.
+    let mut experts = experts(&CLASSES);
+    experts.truncate(2);
+    batches.forward(&mut experts);
+    batches.assemble_grads(&upstream(&meta, 0));
+    batches.backward(&mut experts);
+    assert!(experts.iter_mut().all(|e| !e.grad_is_zero()), "both fed sets ran backward");
+}
+
+#[test]
+#[should_panic(expected = "set 1 received rows but has no expert")]
+fn a_set_that_received_rows_without_an_expert_panics() {
+    let (meta, rows) = dispatch(2, 0);
+    let mut batches = SlotBatches::new(SLOTS, D);
+    batches.regroup(|local| CLASSES[local]);
+    batches.assemble_inputs(FIRST_SLOT, &meta, &rows);
+    let mut experts = experts(&CLASSES);
+    experts.truncate(1);
+    batches.forward(&mut experts);
 }
 
 /// Class-major execution against the per-slot recipe it replaced. The

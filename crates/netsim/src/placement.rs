@@ -151,6 +151,13 @@ impl ExpertPlacement {
         out
     }
 
+    /// How many distinct classes `rank` hosts: the length of
+    /// [`ExpertPlacement::classes_on_rank`], without building it.
+    pub fn hosted_count(&self, rank: usize) -> usize {
+        let slots = &self.slot_class[self.slots_of_rank(rank)];
+        (0..slots.len()).filter(|&i| !slots[..i].contains(&slots[i])).count()
+    }
+
     /// The index of `class` in [`ExpertPlacement::classes_on_rank`] of
     /// `rank` — which of the rank's hosted classes it is — if `rank` hosts
     /// it.
@@ -263,6 +270,7 @@ mod tests {
                 let want = hosted.iter().position(|&(c, _)| c == class);
                 assert_eq!(p.hosted_index(rank, class), want, "rank {rank} class {class}");
             }
+            assert_eq!(p.hosted_count(rank), hosted.len(), "rank {rank}");
         }
     }
 

@@ -19,12 +19,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| dist.sample(rng))
 }
 
-/// Kaiming/He normal init for GELU/ReLU-style fan-in layers.
-pub fn kaiming_normal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    let std = (2.0 / rows as f32).sqrt();
-    normal(rows, cols, std, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
