@@ -9,7 +9,7 @@
 //! - **Optimizer coupled to the EDP group**: each of the `r` host ranks of
 //!   a class owns a `1/r` ZeRO-1 shard of that class's optimizer state —
 //!   host-offloaded, like the paper's DeepSpeed configuration
-//!   ([`MoeLayerEngine::edp_sharded`]).
+//!   ([`Owners::hosts_of`]).
 //!
 //! Everything else is the one iteration: the same routing, per-slot
 //! capacity rule, token path and advisory exchange; §4.1's reduce sums each
@@ -21,7 +21,8 @@
 //! ever follows it.
 
 use std::ops::{Deref, DerefMut};
-use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, Owners};
+use symi_collectives::MembershipView;
 use symi_model::UniformPolicy;
 use symi_tensor::AdamConfig;
 
@@ -57,7 +58,8 @@ impl DeepSpeedMoeEngine {
             experts: expert_classes,
             total_slots: cfg.total_slots(nodes),
         });
-        Self(MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, policy))
+        let (view, owners) = (MembershipView::full(nodes), Owners::hosts_of(&placement));
+        Self(MoeLayerEngine::build(rank, view, cfg, placement, owners, policy))
     }
 }
 

@@ -7,8 +7,10 @@ use crate::output::{write_csv, Table};
 use crate::transition::Transition;
 use std::path::Path;
 use std::sync::Arc;
-use symi::{compute_placement, EngineConfig, ExpertPlacement, MoeLayerEngine, SymiOptimizer};
-use symi_collectives::{Cluster, ClusterSpec, RankCtx, WirePhase};
+use symi::{
+    compute_placement, EngineConfig, ExpertPlacement, MoeLayerEngine, Owners, SymiOptimizer,
+};
+use symi_collectives::{Cluster, ClusterSpec, MembershipView, RankCtx, WirePhase};
 use symi_model::UniformPolicy;
 use symi_netsim::topology::ModelCostConfig;
 use symi_netsim::{
@@ -240,8 +242,10 @@ fn measure_grad_phase(deepspeed: bool) -> GradPhase {
         let rank = ctx.rank();
         let mut engine = if deepspeed {
             let striped = ExpertPlacement::striped(CLASSES, NODES, SLOTS);
+            let owners = Owners::hosts_of(&striped);
             let uniform = UniformPolicy { experts: CLASSES, total_slots: NODES * SLOTS };
-            MoeLayerEngine::edp_sharded(rank, NODES, cfg, striped, Box::new(uniform))
+            let view = MembershipView::full(NODES);
+            MoeLayerEngine::build(rank, view, cfg, striped, owners, Box::new(uniform))
         } else {
             MoeLayerEngine::new(rank, NODES, cfg)
         };
@@ -286,10 +290,10 @@ fn measure_grad_phase(deepspeed: bool) -> GradPhase {
 ///    phase's wire traffic. Measured on the engine as SYMI runs it
 ///    (Algorithm 1's contiguous, packed placement; every rank owns `1/N`
 ///    of every class's optimizer state) against its DeepSpeed configuration
-///    (`MoeLayerEngine::edp_sharded` over `ExpertPlacement::striped`), from
-///    the bytes and messages sent under §4.1's reduce (`GradSync`) and
-///    Algorithm 2's collect (`GradCollect`). Each total must equal its
-///    owner rule's floor exactly.
+///    (`ExpertPlacement::striped` over host owners), from the bytes and
+///    messages sent under §4.1's reduce (`GradSync`) and Algorithm 2's
+///    collect (`GradCollect`). Each total must equal its owner rule's floor
+///    exactly.
 /// 2. Forbidding intra-rank replication (stock NCCL semantics) caps each
 ///    class at N replicas instead of sN, which costs token survival under
 ///    skew (the paper measured up to 20% more drops).

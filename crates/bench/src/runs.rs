@@ -4,8 +4,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use symi::SymiPolicy;
-use symi_baselines::FlexMoePolicy;
+use symi::{FlexMoePolicy, SymiPolicy};
 use symi_model::{ModelConfig, PlacementPolicy, TrainRecord, Trainer, UniformPolicy};
 use symi_telemetry::json::{Obj, Value};
 use symi_telemetry::{ClusterTelemetry, JsonlSink, RingBufferSink, NUM_PHASES};

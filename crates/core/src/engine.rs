@@ -41,13 +41,13 @@
 //! placement-independent middle — routing, and everything from the dispatch
 //! all-to-all to the per-class backward — is [`crate::token_path`]; what is
 //! written here is what the paper's systems do around it. They differ in
-//! two choices, both made at construction: the [`PlacementPolicy`] that
-//! picks each next placement, and whether each class's optimizer state is
-//! sharded over every rank or over the class's host ranks
-//! ([`MoeLayerEngine::edp_sharded`]), where it follows the placement
-//! ([`SymiOptimizer::follow`]). SYMI is Algorithm 1 over world-owned state;
-//! DeepSpeed a placement that never moves over host-owned state; FlexMoE an
-//! interval policy over host-owned state.
+//! two independent choices, both made at construction
+//! ([`MoeLayerEngine::build`]): the [`PlacementPolicy`] that picks each next
+//! placement, and whether each class's optimizer state is sharded over
+//! every rank or over the class's host ranks ([`Owners`]), where it follows
+//! the placement ([`SymiOptimizer::follow`]). SYMI is Algorithm 1 over
+//! world-owned state; DeepSpeed a placement that never moves over
+//! host-owned state; FlexMoE an interval policy over host-owned state.
 //!
 //! The engine trains the expert MLPs against a caller-supplied regression
 //! target (the surrounding dense transformer is orthogonal to SYMI's
@@ -62,9 +62,7 @@ use crate::scheduler::{supports_world, SymiPolicy};
 use crate::token_path::{route, Routed, TokenBuffers, TokenPath};
 use crate::ExpertPlacement;
 use std::time::Instant;
-use symi_collectives::{
-    encode_f16, CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER,
-};
+use symi_collectives::{CommError, MembershipView, RankCtx, TagSpace, WirePhase, RECOVERY_LAYER};
 use symi_model::expert::{
     copy_overlap, init_params_in_blocks, init_params_range, param_count, ExpertFfn, INIT_BLOCK,
 };
@@ -331,71 +329,57 @@ impl MoeLayerEngine {
         cfg.seed ^ (0xe0 + class as u64)
     }
 
-    /// Builds the rank-local engine. All ranks construct identical initial
-    /// expert weights, router, and placement from `cfg.seed`.
+    /// SYMI's engine over the full `nodes`-rank world: a uniform start,
+    /// Algorithm 1 picking every next placement, and every rank owning a
+    /// `1/N` chunk of every class's optimizer state.
     pub fn new(rank: usize, nodes: usize, cfg: EngineConfig) -> Self {
-        Self::new_in_world(rank, nodes, nodes, cfg)
+        let placement = ExpertPlacement::uniform(cfg.expert_classes, nodes, cfg.slots_per_rank);
+        let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(nodes) });
+        Self::build(rank, MembershipView::full(nodes), cfg, placement, Owners::World, policy)
     }
 
-    /// Builds the rank-local engine over a physical cluster of `world`
-    /// ranks of which only the first `active` participate — the standby
-    /// model for scale-out: ranks `active..world` exist (threads, channels)
-    /// but run no engine until [`MoeLayerEngine::join`] admits them. With
-    /// `active == world` this is exactly [`MoeLayerEngine::new`].
-    pub fn new_in_world(rank: usize, active: usize, world: usize, cfg: EngineConfig) -> Self {
-        assert!(rank < active, "rank {rank} is a standby rank in a {active}-active world");
-        let placement = ExpertPlacement::uniform(cfg.expert_classes, active, cfg.slots_per_rank);
-        let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(active) });
-        let view = MembershipView::partial(world, active);
-        Self::fresh(cfg, view, rank, placement, Owners::World, policy)
-    }
-
-    /// The coupled configuration of this engine (§5's baselines): each
-    /// class's optimizer state is ZeRO-1-sharded over the class's host ranks
-    /// — its EDP group — instead of over every rank, starting from
-    /// `placement`, and `policy` picks every next placement. Algorithm 2's
-    /// collect is then served locally by construction, the weight scatter to
-    /// the class's other hosts is the EDP all-gather, and a placement change
-    /// migrates the moved classes' state to their new hosts
-    /// ([`SymiOptimizer::follow`]); everything else is the iteration SYMI
-    /// runs. DeepSpeed is [`ExpertPlacement::striped`] under a uniform
-    /// policy, which never moves it.
+    /// The engine constructor: a freshly initialized member of `view` at
+    /// logical rank `lrank`, iteration 0, that starts from `placement`,
+    /// keeps each class's optimizer state on `owners`, and asks `policy`
+    /// for every next placement. The two axes are independent (§3.1): SYMI
+    /// is Algorithm 1 ([`SymiPolicy`]) over [`Owners::World`]; DeepSpeed
+    /// [`ExpertPlacement::striped`] under a uniform policy, which never
+    /// moves it, over [`Owners::hosts_of`] the placement; FlexMoE a uniform
+    /// start under [`crate::FlexMoePolicy`] over the hosts, whose state
+    /// follows each re-placement ([`SymiOptimizer::follow`]). A view with
+    /// standby ranks (`MembershipView::partial`) leaves them to a later
+    /// [`MoeLayerEngine::join`].
     ///
-    /// The elastic and snapshot paths ([`MoeLayerEngine::recover`],
-    /// [`MoeLayerEngine::admit`], [`MoeLayerEngine::snapshot`]) refuse this
-    /// configuration.
-    pub fn edp_sharded(
-        rank: usize,
-        nodes: usize,
-        cfg: EngineConfig,
-        placement: ExpertPlacement,
-        policy: Box<dyn PlacementPolicy>,
-    ) -> Self {
-        assert_eq!(placement.ranks(), nodes, "placement rank count mismatch");
-        assert_eq!(placement.slots_per_rank(), cfg.slots_per_rank, "placement slot count mismatch");
-        let owners = Owners::hosts_of(&placement);
-        Self::fresh(cfg, MembershipView::full(nodes), rank, placement, owners, policy)
-    }
-
-    /// A freshly initialized member of `view` at logical rank `lrank` under
-    /// `placement`, iteration 0: every optimizer shard `owners` gives it
-    /// holds the canonical class weights, and every hosted class's expert
-    /// their binary16 image — the bits [`MoeLayerEngine::materialize_slots`]
-    /// scatters from those masters.
-    ///
-    /// Each class's canonical weights stream once, a block at a time
-    /// ([`init_params_in_blocks`]), into this rank's chunk of the Adam
+    /// Every optimizer chunk `owners` gives this rank holds the canonical
+    /// class weights, and every hosted class's expert their binary16 image
+    /// — the bits [`MoeLayerEngine::materialize_slots`] scatters from those
+    /// masters. Each class's canonical weights stream once, a block at a
+    /// time ([`init_params_in_blocks`]), into this rank's chunk of the Adam
     /// master and, when the class is hosted here, into its expert: no class
     /// exists whole in f32, and the construction's transient memory is one
     /// block and its binary16 image.
-    fn fresh(
-        cfg: EngineConfig,
-        view: MembershipView,
+    ///
+    /// # Panics
+    /// Panics when `placement` does not span `view`'s members with
+    /// `cfg`'s classes and slots, or when `owners` names host groups other
+    /// than `placement`'s. Host-owned engines refuse the elastic and
+    /// snapshot paths ([`MoeLayerEngine::recover`], [`MoeLayerEngine::admit`],
+    /// [`MoeLayerEngine::snapshot`]).
+    pub fn build(
         lrank: usize,
+        view: MembershipView,
+        cfg: EngineConfig,
         placement: ExpertPlacement,
         owners: Owners,
         policy: Box<dyn PlacementPolicy>,
     ) -> Self {
+        assert_eq!(placement.ranks(), view.size(), "placement rank count mismatch");
+        assert_eq!(placement.slots_per_rank(), cfg.slots_per_rank, "placement slot count mismatch");
+        assert_eq!(placement.expert_classes(), cfg.expert_classes, "placement class mismatch");
+        assert!(
+            owners == Owners::World || owners == Owners::hosts_of(&placement),
+            "host owners disagree with the placement's host groups"
+        );
         let mut experts = Vec::new();
         Self::grow_experts(&mut experts, &cfg, placement.hosted_count(lrank));
         let params = param_count(cfg.d_model, cfg.d_ff);
@@ -503,8 +487,8 @@ impl MoeLayerEngine {
     }
 
     /// The membership and snapshot paths re-shard over the world; a
-    /// host-group optimizer ([`MoeLayerEngine::edp_sharded`]) stops here,
-    /// before anything touches the wire.
+    /// host-group optimizer ([`Owners::hosts_of`]) stops here, before
+    /// anything touches the wire.
     fn refuse_host_group(&self, what: &str) {
         assert!(
             self.optimizer.is_world_owned(),
@@ -821,23 +805,19 @@ impl MoeLayerEngine {
     /// post-recovery comparison bit-exact).
     pub fn materialize_slots(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
         let tags = TagSpace::new(RECOVERY_LAYER, self.iteration);
-        // The masters are off the fp16 grid: this is the one scatter that
-        // has to encode, with the codec the Adam kernel publishes through.
-        let shards: Vec<Vec<u16>> = (0..self.cfg.expert_classes)
-            .map(|class| encode_f16(self.optimizer.master_shard(class)))
-            .collect();
         // Every chunk of every hosted class is loaded below, so an expert
         // kept from the last placement carries nothing over but its memory;
         // its gradient reads zero until the next backward, as a new one's.
         Self::grow_experts(&mut self.experts, &self.cfg, self.placement.hosted_count(self.lrank));
         self.experts.iter_mut().for_each(ExpertFfn::zero_grad);
-        self.optimizer.distribute_weights_into(
-            ctx,
-            &self.placement,
-            &shards,
-            tags,
-            &mut self.experts,
-        )
+        // Each owned master chunk goes where an Adam step would publish it.
+        let mut sends = self.optimizer.weight_sends(ctx, &self.placement, tags);
+        for class in 0..self.cfg.expert_classes {
+            let hosted = self.placement.hosted_index(self.lrank, class);
+            let slot = hosted.map(|g| self.experts[g].params_mut());
+            self.optimizer.publish_master(class, sends.of_class(class), slot);
+        }
+        self.optimizer.scatter_weights_into(ctx, &self.placement, sends, tags, &mut self.experts)
     }
 
     /// The member side of **elastic scale-out** — the inverse of
@@ -920,21 +900,13 @@ impl MoeLayerEngine {
         // transition replaces all of its state — the optimizer with
         // `SymiOptimizer::join`'s, and the placement with the agreed one,
         // which `materialize_slots` grows its experts to. Until then it
-        // holds a zero optimizer and no expert, and streams no class.
+        // holds no optimizer chunk and no expert, and streams no class.
         let lrank = grown.logical_of(me).expect("the grown view holds the joiner");
         let mut policy = SymiPolicy { total_slots: cfg.total_slots(grown.size()) };
         let counts = policy.next_replicas(0, &vec![0; cfg.expert_classes], 0);
         let placement = ExpertPlacement::from_counts(&counts, cfg.slots_per_rank);
         let (classes, params) = (cfg.expert_classes, param_count(cfg.d_model, cfg.d_ff));
-        let optimizer = SymiOptimizer::with_view(
-            grown.clone(),
-            lrank,
-            Owners::World,
-            cfg.adam,
-            classes,
-            params,
-            |_, _, _| {},
-        );
+        let optimizer = SymiOptimizer::vacant(grown.clone(), lrank, cfg.adam, classes, params, 0);
         let mut engine =
             Self::assemble(cfg, grown.clone(), lrank, placement, Box::new(policy), optimizer);
         let timeout = ctx.default_membership_timeout();
@@ -1304,7 +1276,9 @@ impl MoeLayerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlexMoePolicy;
     use symi_collectives::{Cluster, ClusterSpec};
+    use symi_model::UniformPolicy;
 
     fn cfg() -> EngineConfig {
         EngineConfig {
@@ -1323,41 +1297,93 @@ mod tests {
         Matrix::from_fn(t_loc, d, |r, c| (((rank * t_loc + r) * d + c) as f32 * 0.137).sin())
     }
 
+    /// The paper's three systems, each a (placement, owners, policy) cell
+    /// of the one constructor.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum System {
+        Symi,
+        DeepSpeed,
+        FlexMoe,
+    }
+
+    const SYSTEMS: [System; 3] = [System::Symi, System::DeepSpeed, System::FlexMoe];
+
+    /// `rank`'s engine of `system` over `nodes` ranks: SYMI's; DeepSpeed's,
+    /// striped under a uniform policy over host owners; or FlexMoE's, a
+    /// uniform start re-placed every two iterations over host owners.
+    fn engine(system: System, rank: usize, nodes: usize, cfg: EngineConfig) -> MoeLayerEngine {
+        let (e, s, total_slots) = (cfg.expert_classes, cfg.slots_per_rank, cfg.total_slots(nodes));
+        let (placement, policy): (_, Box<dyn PlacementPolicy>) = match system {
+            System::Symi => return MoeLayerEngine::new(rank, nodes, cfg),
+            System::DeepSpeed => (
+                ExpertPlacement::striped(e, nodes, s),
+                Box::new(UniformPolicy { experts: e, total_slots }),
+            ),
+            System::FlexMoe => (
+                ExpertPlacement::uniform(e, nodes, s),
+                Box::new(FlexMoePolicy::new(total_slots, 2)),
+            ),
+        };
+        let owners = Owners::hosts_of(&placement);
+        MoeLayerEngine::build(rank, MembershipView::full(nodes), cfg, placement, owners, policy)
+    }
+
     #[test]
     fn loss_decreases_over_iterations() {
         let nodes = 4;
-        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
-            let mut engine = MoeLayerEngine::new(ctx.rank(), nodes, cfg());
-            let x = token_matrix(ctx.rank(), 8, 8);
-            let target = Matrix::zeros(8, 8); // drive outputs to zero
-            let mut losses = Vec::new();
-            for _ in 0..10 {
-                losses.push(engine.iteration(ctx, &x, &target).unwrap().loss);
+        for system in SYSTEMS {
+            let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                let mut engine = engine(system, ctx.rank(), nodes, cfg());
+                let x = token_matrix(ctx.rank(), 8, 8);
+                let target = Matrix::zeros(8, 8); // drive outputs to zero
+                let mut losses = Vec::new();
+                for _ in 0..10 {
+                    losses.push(engine.iteration(ctx, &x, &target).unwrap().loss);
+                }
+                losses
+            });
+            for (rank, losses) in results.iter().enumerate() {
+                assert!(
+                    losses.last().unwrap() < &(losses[0] * 0.8),
+                    "{system:?} rank {rank}: loss must fall, got {losses:?}"
+                );
             }
-            losses
-        });
-        for (rank, losses) in results.iter().enumerate() {
-            assert!(
-                losses.last().unwrap() < &(losses[0] * 0.8),
-                "rank {rank}: loss must fall, got {losses:?}"
-            );
         }
     }
 
     #[test]
     fn all_ranks_agree_on_stats_and_placement() {
-        let nodes = 4;
-        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
-            let mut engine = MoeLayerEngine::new(ctx.rank(), nodes, cfg());
-            let x = token_matrix(ctx.rank(), 6, 8);
-            let target = token_matrix(ctx.rank() + 100, 6, 8);
-            let stats = engine.iteration(ctx, &x, &target).unwrap();
-            (stats.popularity, stats.loss, engine.placement.replica_counts())
-        });
-        for r in 1..nodes {
-            assert_eq!(results[0].0, results[r].0, "popularity must be global");
-            assert!((results[0].1 - results[r].1).abs() < 1e-6, "loss must be global");
-            assert_eq!(results[0].2, results[r].2, "placement must be deterministic");
+        // (ranks, tokens per rank, slot capacity, iterations): no drops, and
+        // one token per slot.
+        for system in SYSTEMS {
+            for (nodes, t_loc, slot_capacity, iters) in [(4, 6, 1_000_000, 1), (2, 16, 1, 3)] {
+                let c = EngineConfig { slot_capacity, ..cfg() };
+                let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                    let mut engine = engine(system, ctx.rank(), nodes, c);
+                    let x = token_matrix(ctx.rank(), t_loc, 8);
+                    let target = token_matrix(ctx.rank() + 100, t_loc, 8);
+                    (0..iters)
+                        .map(|_| {
+                            let stats = engine.iteration(ctx, &x, &target).unwrap();
+                            (stats, engine.placement.replica_counts())
+                        })
+                        .collect::<Vec<_>>()
+                });
+                for r in 1..nodes {
+                    for ((a, placed_a), (b, placed_b)) in results[0].iter().zip(&results[r]) {
+                        assert_eq!(a.popularity, b.popularity, "popularity must be global");
+                        assert!((a.loss - b.loss).abs() < 1e-6, "loss must be global");
+                        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{system:?}, {nodes} ranks");
+                        assert_eq!((a.survived, a.dropped), (b.survived, b.dropped));
+                        assert_eq!(a.kept_per_class, b.kept_per_class);
+                        assert_eq!(placed_a, placed_b, "placement must be deterministic");
+                    }
+                }
+                for (stats, _) in &results[0] {
+                    assert_eq!(stats.survived + stats.dropped, nodes * t_loc);
+                    assert_eq!(stats.kept_per_class.iter().sum::<u64>(), stats.survived as u64);
+                }
+            }
         }
     }
 
@@ -1383,34 +1409,46 @@ mod tests {
 
     #[test]
     fn replicas_of_a_class_hold_identical_weights() {
-        let nodes = 2;
-        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
-            let mut engine = MoeLayerEngine::new(ctx.rank(), nodes, cfg());
-            let x = token_matrix(ctx.rank(), 8, 8);
-            let target = Matrix::zeros(8, 8);
-            let _ = engine.iteration(ctx, &x, &target).unwrap();
-            // Report (class, weights) of each local slot.
-            let s = engine.placement.slots_per_rank();
-            (0..s)
-                .map(|l| {
-                    let slot = ctx.rank() * s + l;
-                    (engine.placement.class_of_slot(slot), engine.slot_weights(l))
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut by_class: std::collections::HashMap<usize, Vec<f32>> =
-            std::collections::HashMap::new();
-        for per_rank in &results {
-            for (class, weights) in per_rank {
-                match by_class.get(class) {
-                    None => {
-                        by_class.insert(*class, weights.clone());
+        for system in SYSTEMS {
+            for (nodes, iters) in [(2, 1), (4, 3)] {
+                let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                    let mut engine = engine(system, ctx.rank(), nodes, cfg());
+                    let x = token_matrix(ctx.rank(), 8, 8);
+                    let target = Matrix::zeros(8, 8);
+                    for _ in 0..iters {
+                        let stats = engine.iteration(ctx, &x, &target).unwrap();
+                        if system == System::DeepSpeed {
+                            assert_eq!(
+                                stats.placement_churn, 0,
+                                "the static placement never moves"
+                            );
+                        }
                     }
-                    Some(reference) => {
-                        assert_eq!(
-                            reference, weights,
-                            "all replicas of class {class} must match bit-for-bit"
-                        );
+                    // Report (class, weights) of each local slot.
+                    let s = engine.placement.slots_per_rank();
+                    (0..s)
+                        .map(|l| {
+                            let slot = ctx.rank() * s + l;
+                            (engine.placement.class_of_slot(slot), engine.slot_weights(l))
+                        })
+                        .collect::<Vec<_>>()
+                });
+                let mut by_class: std::collections::HashMap<usize, Vec<f32>> =
+                    std::collections::HashMap::new();
+                for per_rank in &results {
+                    for (class, weights) in per_rank {
+                        match by_class.get(class) {
+                            None => {
+                                by_class.insert(*class, weights.clone());
+                            }
+                            Some(reference) => {
+                                assert_eq!(
+                                    reference, weights,
+                                    "{system:?}, {nodes} ranks: all replicas of class {class} \
+                                     must match bit-for-bit"
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -1634,38 +1672,58 @@ mod tests {
         // A NaN token row makes every router probability NaN (softmax of
         // NaN logits); before the NaN-last ordering this panicked inside
         // `partial_cmp(..).expect("finite probs")`. Now the iteration
-        // completes and the gauge counts what it saw.
+        // completes, the gauge counts what it saw, and the NaN loss the row
+        // produces reports it on every rank.
         let nodes = 2;
-        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
-            let mut engine = MoeLayerEngine::new(ctx.rank(), nodes, cfg());
-            let mut x = token_matrix(ctx.rank(), 4, 8);
-            if ctx.rank() == 0 {
-                x[(2, 3)] = f32::NAN;
+        for system in SYSTEMS {
+            let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                let mut engine = engine(system, ctx.rank(), nodes, cfg());
+                let mut x = token_matrix(ctx.rank(), 4, 8);
+                if ctx.rank() == 0 {
+                    x[(2, 3)] = f32::NAN;
+                }
+                let target = Matrix::zeros(4, 8);
+                let stats = engine.iteration(ctx, &x, &target).expect("NaN must not abort");
+                (stats.popularity.iter().sum::<u64>(), engine.nan_logits(), stats.loss)
+            });
+            for &(routed, _, loss) in &results {
+                assert_eq!(routed, 8, "{system:?}: every token still routes somewhere");
+                assert!(loss.is_nan(), "{system:?}: the NaN row surfaces in the global loss");
             }
-            let target = Matrix::zeros(4, 8);
-            let stats = engine.iteration(ctx, &x, &target).expect("NaN must not abort");
-            (stats.popularity.iter().sum::<u64>(), engine.nan_logits())
-        });
-        assert_eq!(results[0].0, 8, "every token still routes somewhere");
-        assert_eq!(results[0].1, 4, "all four probs of rank 0's NaN row are NaN");
-        assert_eq!(results[1].1, 0, "rank 1 saw only finite probs");
+            assert_eq!(results[0].1, 4, "all four probs of rank 0's NaN row are NaN");
+            assert_eq!(results[1].1, 0, "rank 1 saw only finite probs");
+        }
     }
 
     #[test]
     fn capacity_quota_drops_excess_tokens() {
         let nodes = 2;
         let tight = EngineConfig { slot_capacity: 1, ..cfg() };
-        let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
-            let mut engine = MoeLayerEngine::new(ctx.rank(), nodes, tight);
-            let x = token_matrix(ctx.rank(), 16, 8);
-            let target = Matrix::zeros(16, 8);
-            engine.iteration(ctx, &x, &target).unwrap()
-        });
-        let stats = &results[0];
-        assert!(stats.dropped > 0, "capacity 1/slot must drop tokens");
-        assert_eq!(stats.survived + stats.dropped, 32);
-        // Survivors fit inside the total capacity (4 slots/rank... 4 classes
-        // × replicas × 1 token each).
-        assert!(stats.survived <= tight.total_slots(nodes));
+        for system in SYSTEMS {
+            let (results, _) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
+                let mut engine = engine(system, ctx.rank(), nodes, tight);
+                let x = token_matrix(ctx.rank(), 16, 8);
+                let target = Matrix::zeros(16, 8);
+                engine.iteration(ctx, &x, &target).unwrap()
+            });
+            let stats = &results[0];
+            assert!(stats.dropped > 0, "{system:?}: capacity 1/slot must drop tokens");
+            assert_eq!(stats.survived + stats.dropped, 32);
+            // Survivors fit inside the total capacity (4 slots/rank... 4
+            // classes × replicas × 1 token each).
+            assert!(stats.survived <= tight.total_slots(nodes));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "host owners disagree with the placement's host groups")]
+    fn build_refuses_host_owners_of_another_placement() {
+        let (nodes, c) = (4, cfg());
+        let striped = ExpertPlacement::striped(c.expert_classes, nodes, c.slots_per_rank);
+        let uniform = ExpertPlacement::uniform(c.expert_classes, nodes, c.slots_per_rank);
+        assert_ne!(Owners::hosts_of(&striped), Owners::hosts_of(&uniform));
+        let policy = Box::new(SymiPolicy { total_slots: c.total_slots(nodes) });
+        let owners = Owners::hosts_of(&uniform);
+        MoeLayerEngine::build(0, MembershipView::full(nodes), c, striped, owners, policy);
     }
 }

@@ -36,11 +36,16 @@
 //!   dispatch (all-to-all) → expert compute → combine → backward →
 //!   intra+inter-rank gradient sum (§4.1), reduced onto Algorithm 2's
 //!   sources → grad collection →
-//!   sharded Adam step → weight scatter under the new placement. The
-//!   DeepSpeed baseline is this engine configured
-//!   ([`MoeLayerEngine::edp_sharded`]): a static striped placement
-//!   ([`ExpertPlacement::striped`]) with each class's optimizer state
-//!   sharded over its host ranks.
+//!   sharded Adam step → weight scatter under the new placement. One
+//!   constructor ([`MoeLayerEngine::build`]) takes the two independent
+//!   choices §3.1 separates — the placement and its [`PlacementPolicy`],
+//!   and the [`Owners`] of each class's optimizer state — so the paper's
+//!   baselines are this engine configured: DeepSpeed a static striped
+//!   placement ([`ExpertPlacement::striped`]), FlexMoE a uniform start
+//!   under [`FlexMoePolicy`], each with its optimizer state sharded over
+//!   each class's host ranks.
+//!
+//! [`PlacementPolicy`]: symi_model::PlacementPolicy
 
 pub mod engine;
 pub mod metadata;
@@ -51,7 +56,7 @@ pub mod token_path;
 
 pub use engine::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine, RecoveryStats};
 pub use metadata::LayerMetadataStore;
-pub use optimizer::{Partials, ReshardReport, ShardState, SymiOptimizer};
-pub use policies::TracePolicy;
+pub use optimizer::{Owners, Partials, ReshardReport, ShardState, SymiOptimizer};
+pub use policies::{FlexMoePolicy, TracePolicy};
 pub use scheduler::{compute_placement, valid_replica_counts, SymiPolicy};
 pub use symi_netsim::ExpertPlacement;

@@ -51,7 +51,7 @@ use symi_collectives::{
 };
 use symi_model::expert::{ExpertFfn, ParamsMut};
 use symi_telemetry::{Phase, TelemetryHandle};
-use symi_tensor::half::{grad_exponent, max_abs, narrow};
+use symi_tensor::half::{encode, grad_exponent, max_abs, narrow, quantize_f16};
 use symi_tensor::{AdamConfig, AdamShard, Dest, Grad, HalfMatrix, HalfTerm, ScaledHalf};
 
 /// Algorithm 2's `get_source`: which host rank serves `for_rank`'s shard
@@ -393,12 +393,13 @@ fn exchange(
     Ok(report)
 }
 
-/// Which ranks own a class's optimizer state — the one choice that tells the
-/// paper's systems apart (§3.1, §5). Within a class's owner group, the
-/// `i`-th owner in ascending logical rank holds chunk `i` of its flat
-/// parameters.
-#[derive(Clone, Debug)]
-pub(crate) enum Owners {
+/// Which ranks own a class's optimizer state — the axis §3.1 decouples from
+/// the placement: any policy runs over either owner choice, and the
+/// paper's systems are three (placement, owners, policy) cells of it (§5).
+/// Within a class's owner group, the `i`-th owner in ascending logical rank
+/// holds chunk `i` of its flat parameters.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Owners {
     /// Every member of the view owns a `1/N` chunk of every class (SYMI). No
     /// placement enters the geometry, so re-placing moves no optimizer state.
     World,
@@ -413,7 +414,7 @@ pub(crate) enum Owners {
 
 impl Owners {
     /// Each class's host ranks under `placement` own its state.
-    pub(crate) fn hosts_of(placement: &ExpertPlacement) -> Self {
+    pub fn hosts_of(placement: &ExpertPlacement) -> Self {
         Owners::Hosts((0..placement.expert_classes()).map(|c| placement.host_ranks(c)).collect())
     }
 
@@ -792,6 +793,31 @@ impl SymiOptimizer {
             adam,
             param_count,
             shards,
+            telemetry: TelemetryHandle::disabled(),
+        }
+    }
+
+    /// A member of `view` at `logical_rank` that holds no state yet: every
+    /// class's chunk zero-length, at Adam step `step_count` — what a joiner
+    /// holds until [`SymiOptimizer::join`]'s exchange fills it.
+    pub(crate) fn vacant(
+        view: MembershipView,
+        logical_rank: usize,
+        adam: AdamConfig,
+        expert_classes: usize,
+        param_count: usize,
+        step_count: u64,
+    ) -> Self {
+        assert!(expert_classes > 0, "need at least one expert class");
+        let empty =
+            || AdamShard::from_parts(adam, 0, Vec::new(), Vec::new(), Vec::new(), step_count);
+        Self {
+            view,
+            lrank: logical_rank,
+            owners: Owners::World,
+            adam,
+            param_count,
+            shards: (0..expert_classes).map(|_| empty()).collect(),
             telemetry: TelemetryHandle::disabled(),
         }
     }
@@ -1340,6 +1366,36 @@ impl SymiOptimizer {
         }
     }
 
+    /// Publishes this rank's master chunk of `class` as binary16 into `outs`
+    /// and, through `slot`, into the expert that hosts the class here — the
+    /// destinations of [`SymiOptimizer::step_class`], without the step: how
+    /// a membership change or a restore loads the slots from the masters,
+    /// which are off the fp16 grid, with the codec the Adam kernel
+    /// publishes through.
+    pub(crate) fn publish_master(
+        &self,
+        class: usize,
+        outs: &mut [SendOp],
+        slot: Option<ParamsMut<'_>>,
+    ) {
+        let (ms, mt) = self.shard_range(class);
+        let master = self.shards[class].master_weights();
+        for op in outs {
+            encode(master, op.bits());
+        }
+        if let Some(mut params) = slot {
+            params.dests(ms, mt, |start, dest| {
+                let src = &master[start - ms..start - ms + dest.len()];
+                match dest {
+                    Dest::Half(bits) => encode(src, bits),
+                    Dest::Grid(grid) => {
+                        grid.iter_mut().zip(src).for_each(|(g, &w)| *g = quantize_f16(w))
+                    }
+                }
+            });
+        }
+    }
+
     /// Weight Communication Phase: sends this rank's updated fp16 weight
     /// shard of every class **once per destination rank hosting the class**
     /// under the *new* placement, and returns one flat f32 weight vector per
@@ -1358,66 +1414,6 @@ impl SymiOptimizer {
         half_shards: &[Vec<u16>],
         tags: TagSpace,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let mut out = vec![vec![0.0f32; self.param_count]; new_placement.slots_per_rank()];
-        let hosted = new_placement.classes_on_rank(self.lrank);
-        self.scatter_copies(ctx, new_placement, half_shards, tags, |g, offset, half| {
-            for &local in &hosted[g].1 {
-                decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
-            }
-        })?;
-        Ok(out)
-    }
-
-    /// [`SymiOptimizer::distribute_weights`] into slots: every chunk —
-    /// received, or this rank's own from `half_shards` — is copied once,
-    /// straight into the binary16 `W1 | W2` (and the f32 `b1 | b2`) of the
-    /// one expert that executes its class ([`ExpertFfn::load_f16_at`]); the
-    /// weights are not decoded. `experts[g]` takes the `g`-th class of
-    /// `new_placement.classes_on_rank`, however many slots it fills. The
-    /// path of a membership change or a restore, whose shards are encoded
-    /// masters, not an Adam step's output.
-    pub(crate) fn distribute_weights_into(
-        &self,
-        ctx: &mut RankCtx,
-        new_placement: &ExpertPlacement,
-        half_shards: &[Vec<u16>],
-        tags: TagSpace,
-        experts: &mut [ExpertFfn<HalfMatrix>],
-    ) -> Result<(), CommError> {
-        self.scatter_copies(ctx, new_placement, half_shards, tags, |g, offset, half| {
-            experts[g].load_f16_at(offset, half);
-        })
-    }
-
-    /// The Weight Communication Phase as the engine runs it, after every
-    /// class's Adam step published into `sends` and into this rank's own
-    /// slots: sends them, and copies each received chunk straight into the
-    /// expert that executes its class, as
-    /// [`SymiOptimizer::distribute_weights_into`] does.
-    pub(crate) fn scatter_weights_into(
-        &self,
-        ctx: &mut RankCtx,
-        new_placement: &ExpertPlacement,
-        sends: WeightSends,
-        tags: TagSpace,
-        experts: &mut [ExpertFfn<HalfMatrix>],
-    ) -> Result<(), CommError> {
-        self.scatter_weights(ctx, new_placement, sends, tags, |g, offset, half| {
-            experts[g].load_f16_at(offset, half);
-        })
-    }
-
-    /// Copies `half_shards` — this rank's shard of every class as binary16
-    /// bits — into the sends toward `new_placement`, hands `sink` this
-    /// rank's own chunk of each class it hosts there, and scatters.
-    fn scatter_copies(
-        &self,
-        ctx: &mut RankCtx,
-        new_placement: &ExpertPlacement,
-        half_shards: &[Vec<u16>],
-        tags: TagSpace,
-        mut sink: impl FnMut(usize, usize, &[u16]),
-    ) -> Result<(), CommError> {
         assert_eq!(half_shards.len(), self.shards.len(), "one weight shard per class");
         for (class, half) in half_shards.iter().enumerate() {
             let (ms, mt) = self.shard_range(class);
@@ -1429,13 +1425,43 @@ impl SymiOptimizer {
                 op.bits().copy_from_slice(half);
             }
         }
-        for (g, (class, _)) in new_placement.classes_on_rank(self.lrank).into_iter().enumerate() {
+        let mut out = vec![vec![0.0f32; self.param_count]; new_placement.slots_per_rank()];
+        let hosted = new_placement.classes_on_rank(self.lrank);
+        let mut sink = |g: usize, offset: usize, half: &[u16]| {
+            for &local in &hosted[g].1 {
+                decode_f16_into(half, &mut out[local][offset..offset + half.len()]);
+            }
+        };
+        for (g, &(class, _)) in hosted.iter().enumerate() {
             let (ms, mt) = self.shard_range(class);
             if ms < mt {
                 sink(g, ms, &half_shards[class]);
             }
         }
-        self.scatter_weights(ctx, new_placement, sends, tags, sink)
+        self.scatter_weights(ctx, new_placement, sends, tags, sink)?;
+        Ok(out)
+    }
+
+    /// The Weight Communication Phase as the engine runs it, after every
+    /// class's chunk was published into `sends` and into this rank's own
+    /// slots — by its Adam step, or from its master
+    /// ([`SymiOptimizer::publish_master`]): sends them, and copies each
+    /// received chunk straight into the binary16 `W1 | W2` (and the f32
+    /// `b1 | b2`) of the one expert that executes its class
+    /// ([`ExpertFfn::load_f16_at`]); the weights are not decoded.
+    /// `experts[g]` takes the `g`-th class of `new_placement.classes_on_rank`,
+    /// however many slots it fills.
+    pub(crate) fn scatter_weights_into(
+        &self,
+        ctx: &mut RankCtx,
+        new_placement: &ExpertPlacement,
+        sends: WeightSends,
+        tags: TagSpace,
+        experts: &mut [ExpertFfn<HalfMatrix>],
+    ) -> Result<(), CommError> {
+        self.scatter_weights(ctx, new_placement, sends, tags, |g, offset, half| {
+            experts[g].load_f16_at(offset, half);
+        })
     }
 
     /// Advances the fencing epoch, sends `sends`' buffers, receives this
@@ -1603,27 +1629,15 @@ impl SymiOptimizer {
     ) -> Result<(Self, ReshardReport), CommError> {
         let me = ctx.rank();
         assert!(old_view.logical_of(me).is_none(), "a joiner must be new to the old view");
-        assert!(expert_classes > 0, "need at least one expert class");
-        let mut shards: Vec<AdamShard> = (0..expert_classes)
-            .map(|_| AdamShard::from_parts(adam, 0, Vec::new(), Vec::new(), Vec::new(), step_count))
-            .collect();
+        let lrank = new_view.logical_of(me).expect("the new view holds the joiner");
+        let mut joined =
+            Self::vacant(new_view.clone(), lrank, adam, expert_classes, param_count, step_count);
         let classes: Vec<usize> = (0..expert_classes).collect();
         let old = Geometry { view: old_view, owners: &Owners::World, param_count };
         let new = Geometry { view: new_view, ..old };
-        let report = exchange(ctx, old, new, &classes, &mut shards, None, adam, step_count, tags)?;
-        let lrank = new_view.logical_of(me).expect("the exchange checked membership");
-        Ok((
-            Self {
-                view: new_view.clone(),
-                lrank,
-                owners: Owners::World,
-                adam,
-                param_count,
-                shards,
-                telemetry: TelemetryHandle::disabled(),
-            },
-            report,
-        ))
+        let shards = &mut joined.shards;
+        let report = exchange(ctx, old, new, &classes, shards, None, adam, step_count, tags)?;
+        Ok((joined, report))
     }
 
     /// Moves this rank's optimizer state onto `new_placement`'s owner groups

@@ -2,7 +2,7 @@
 //! SYMI is flexible — the expert scheduler may incorporate prediction,
 //! historical statistics, or even disregard popularity").
 //!
-//! All of these produce replica counts through the same Algorithm 1
+//! The estimators produce replica counts through the same Algorithm 1
 //! machinery; they differ only in the popularity *estimate* they feed it:
 //!
 //! - [`SymiPolicy`] (in `scheduler`):
@@ -16,6 +16,12 @@
 //!   same-iteration-oracle bounds) and scores token survival — the
 //!   policy-ablation harness, and the two estimators' only caller until
 //!   one of them earns a training run.
+//!
+//! [`FlexMoePolicy`] is the coarse-grained baseline's scheduler instead:
+//! interval-triggered, one replica at a time, no Algorithm 1. With host
+//! owners ([`crate::optimizer::Owners::hosts_of`]) it is FlexMoE, whose
+//! optimizer state migrates after every re-placement; with world owners it
+//! is the same placement over SYMI's decoupled state.
 
 use crate::scheduler::{compute_placement, SymiPolicy};
 use std::collections::HashMap;
@@ -129,6 +135,82 @@ impl PlacementPolicy for WindowMaxPolicy {
 
     fn on_world_shrink(&mut self, total_slots: usize) {
         self.total_slots = total_slots;
+    }
+}
+
+/// FlexMoE's interval-triggered, one-replica-at-a-time policy (Nie et al.,
+/// per §5's description): rebalancing triggers every `interval` iterations
+/// (the paper evaluates i ∈ {10, 50, 100}); each trigger iteratively shifts
+/// one replica from the least-loaded to the most-loaded class until a cost
+/// threshold (load ratio) is met or the move budget runs out.
+pub struct FlexMoePolicy {
+    pub total_slots: usize,
+    /// Rebalance every `interval` iterations (10/50/100 in the paper).
+    pub interval: u64,
+    /// Stop shifting when max/min load-per-replica falls below this.
+    pub load_ratio_threshold: f64,
+    /// Safety cap on replica moves per trigger.
+    pub max_moves: usize,
+    current: HashMap<usize, Vec<usize>>,
+    /// Replica moves performed at the last trigger, per layer (what the
+    /// coupled migration pays for).
+    pub moves_last_trigger: HashMap<usize, usize>,
+}
+
+impl FlexMoePolicy {
+    pub fn new(total_slots: usize, interval: u64) -> Self {
+        Self {
+            total_slots,
+            interval,
+            load_ratio_threshold: 1.5,
+            max_moves: 16,
+            current: HashMap::new(),
+            moves_last_trigger: HashMap::new(),
+        }
+    }
+
+    fn rebalance(&self, popularity: &[u64], counts: &mut [usize]) -> usize {
+        let load = |pop: u64, c: usize| pop as f64 / c as f64;
+        let mut moves = 0usize;
+        for _ in 0..self.max_moves {
+            let hot = (0..counts.len())
+                .max_by(|&a, &b| {
+                    load(popularity[a], counts[a]).total_cmp(&load(popularity[b], counts[b]))
+                })
+                .expect("non-empty");
+            let cold = (0..counts.len()).filter(|&i| counts[i] > 1 && i != hot).min_by(|&a, &b| {
+                load(popularity[a], counts[a]).total_cmp(&load(popularity[b], counts[b]))
+            });
+            let Some(cold) = cold else { break };
+            let hot_load = load(popularity[hot], counts[hot]);
+            let cold_load = load(popularity[cold], counts[cold]).max(1e-9);
+            if hot_load / cold_load < self.load_ratio_threshold {
+                break;
+            }
+            counts[cold] -= 1;
+            counts[hot] += 1;
+            moves += 1;
+        }
+        moves
+    }
+}
+
+impl PlacementPolicy for FlexMoePolicy {
+    fn name(&self) -> &'static str {
+        "flexmoe"
+    }
+
+    fn next_replicas(&mut self, layer: usize, popularity: &[u64], iteration: u64) -> Vec<usize> {
+        let e = popularity.len();
+        let uniform = self.total_slots / e;
+        assert_eq!(uniform * e, self.total_slots, "slots must divide for the initial layout");
+        let mut next = self.current.entry(layer).or_insert_with(|| vec![uniform; e]).clone();
+        if (iteration + 1).is_multiple_of(self.interval) {
+            let moves = self.rebalance(popularity, &mut next);
+            self.moves_last_trigger.insert(layer, moves);
+            self.current.insert(layer, next.clone());
+        }
+        next
     }
 }
 
@@ -348,6 +430,50 @@ mod tests {
             let s = evaluate_policy_on_trace(&t, TracePolicy::EmaPercent(a), 8, 100.0);
             assert!(s.is_finite() && (0.0..=1.0).contains(&s), "alpha%={a} survival={s}");
         }
+    }
+
+    #[test]
+    fn policy_only_rebalances_on_interval() {
+        let mut p = FlexMoePolicy::new(16, 10);
+        let skewed = [1000u64, 10, 10, 10];
+        for iter in 0..9 {
+            let r = p.next_replicas(0, &skewed, iter);
+            assert_eq!(r, vec![4, 4, 4, 4], "no rebalance before the interval");
+        }
+        let r = p.next_replicas(0, &skewed, 9);
+        assert!(r[0] > 4, "interval hit: hot class must gain replicas, got {r:?}");
+        assert_eq!(r.iter().sum::<usize>(), 16);
+    }
+
+    #[test]
+    fn policy_respects_min_one_replica() {
+        let mut p = FlexMoePolicy::new(8, 1);
+        p.max_moves = 100;
+        let extreme = [1_000_000u64, 0, 0, 0];
+        let r = p.next_replicas(0, &extreme, 0);
+        assert!(r.iter().all(|&c| c >= 1));
+        assert_eq!(r.iter().sum::<usize>(), 8);
+        assert_eq!(r[0], 5);
+    }
+
+    #[test]
+    fn policy_moves_incrementally_not_all_at_once() {
+        let mut p = FlexMoePolicy::new(64, 1);
+        p.max_moves = 2;
+        let skewed = [1000u64, 10, 10, 10, 10, 10, 10, 10];
+        let r = p.next_replicas(0, &skewed, 0);
+        // From uniform 8: at most 2 moves happened.
+        assert_eq!(r[0], 10, "exactly max_moves replicas shifted, got {r:?}");
+        assert_eq!(*p.moves_last_trigger.get(&0).unwrap(), 2);
+    }
+
+    #[test]
+    fn policy_is_per_layer() {
+        let mut p = FlexMoePolicy::new(16, 1);
+        let a = p.next_replicas(0, &[100, 1, 1, 1], 0);
+        let b = p.next_replicas(1, &[1, 100, 1, 1], 0);
+        assert!(a[0] > a[1]);
+        assert!(b[1] > b[0]);
     }
 
     #[test]

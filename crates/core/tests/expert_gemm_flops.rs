@@ -8,14 +8,14 @@
 //! `t_loc × d × E` GEMM. So one iteration issues
 //! `survived·10·d·d_ff + N·2·t_loc·d·E` FLOPs, which this test reads from
 //! the process-wide kernel counter around every iteration. It covers SYMI's
-//! configuration (`MoeLayerEngine::new`) and DeepSpeed's (`edp_sharded`
-//! over a striped placement under a uniform policy), on 2 and 3 ranks, with
+//! configuration (`MoeLayerEngine::new`) and DeepSpeed's (`build` over a
+//! striped placement, host owners and a uniform policy), on 2 and 3 ranks, with
 //! a slot capacity under which nothing drops and one under which tokens
 //! drop. The counter is global to the process, so this binary holds this
 //! one test.
 
-use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
-use symi_collectives::{Cluster, ClusterSpec};
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, Owners};
+use symi_collectives::{Cluster, ClusterSpec, MembershipView};
 use symi_model::train::UniformPolicy;
 use symi_tensor::{kernel_stats, AdamConfig, Matrix};
 
@@ -81,8 +81,10 @@ fn an_iteration_runs_five_expert_gemms_per_kept_row_and_the_router() {
             let symi = |rank| MoeLayerEngine::new(rank, nodes, cfg);
             let deepspeed = |rank| {
                 let placement = ExpertPlacement::striped(e, nodes, cfg.slots_per_rank);
+                let owners = Owners::hosts_of(&placement);
                 let policy = UniformPolicy { experts: e, total_slots: cfg.total_slots(nodes) };
-                MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, Box::new(policy))
+                let view = MembershipView::full(nodes);
+                MoeLayerEngine::build(rank, view, cfg, placement, owners, Box::new(policy))
             };
             let runs: [(&str, Vec<(u64, usize)>); 2] = [
                 ("SYMI", flops_per_iteration(nodes, cfg, symi)),

@@ -2,9 +2,10 @@
 //! parameters for the classes a rank hosts, fp32 optimizer state for its
 //! `1/N` chunk of every class, and nothing else).
 //!
-//! Two checks at `engine_params`' geometry (d 256, d_ff 1024, 4 classes,
+//! Three checks at `engine_params`' geometry (d 256, d_ff 1024, 4 classes,
 //! 4 slots per rank, 2 ranks, 32 tokens per rank), with a counting allocator
-//! that keeps each thread's live heap bytes and their high-water mark:
+//! that keeps each thread's live heap bytes, their high-water mark and the
+//! bytes it has allocated in all:
 //!
 //! 1. **Construction allocates only what it keeps.** Building an engine
 //!    streams each class's canonical weights a block at a time into the
@@ -21,13 +22,24 @@
 //!    distinct classes any placement so far has put on it. The tokens are
 //!    skewed enough that the placement moves and some rank's expert count
 //!    grows, yet no rank ever hosts as many classes as it has slots.
+//! 3. **A joiner allocates only what it keeps and what it sends.** A
+//!    standby rank joining the two members' world holds no optimizer chunk
+//!    until the re-shard exchange delivers its shards, and loads its slots
+//!    by publishing its masters straight into the weight scatter's sends
+//!    and its experts. So the bytes its thread allocates during the join
+//!    are those its engine holds after it, plus its binary16 weight sends,
+//!    plus a few KiB of agreement and plan bookkeeping: a zeroed chunk of
+//!    every class held until the exchange (8.4 MB here) fails this, and so
+//!    does a binary16 copy of the masters encoded before the scatter copies
+//!    it again (1.4 MB).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use symi::{EngineConfig, MoeLayerEngine};
-use symi_collectives::{Cluster, ClusterSpec};
-use symi_model::expert::INIT_BLOCK;
+use std::time::Duration;
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, Owners, SymiPolicy};
+use symi_collectives::{Cluster, ClusterSpec, MembershipView};
+use symi_model::expert::{param_count, INIT_BLOCK};
 use symi_tensor::{AdamConfig, Matrix};
 
 struct LiveAlloc;
@@ -35,9 +47,11 @@ struct LiveAlloc;
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
     static PEAK: Cell<isize> = const { Cell::new(0) };
+    static ALLOCATED: Cell<isize> = const { Cell::new(0) };
 }
 
 fn grow(bytes: usize) {
+    ALLOCATED.with(|c| c.set(c.get() + bytes as isize));
     let live = LIVE.with(|c| {
         c.set(c.get() + bytes as isize);
         c.get()
@@ -87,6 +101,9 @@ static ALLOCATOR: LiveAlloc = LiveAlloc;
 const NODES: usize = 2;
 const T_LOC: usize = 32;
 const ITERATIONS: usize = 12;
+/// What a membership change's agreement, plans and wire bookkeeping may
+/// allocate and drop: well under one class's binary16 chunk (350 KB here).
+const CONTROL_BYTES: isize = 64 << 10;
 
 fn cfg() -> EngineConfig {
     EngineConfig {
@@ -158,5 +175,49 @@ fn each_rank_holds_one_expert_per_class_it_has_hosted_at_most() {
     assert!(
         per_rank.iter().all(|&(_, most)| most < cfg.slots_per_rank),
         "a rank hosted as many classes as it has slots: {per_rank:?}"
+    );
+}
+
+#[test]
+fn a_joiner_allocates_only_what_it_keeps_and_what_it_sends() {
+    const WORLD: usize = NODES + 1;
+    let cfg = cfg();
+    let (per_rank, _) = Cluster::run(ClusterSpec::flat(WORLD), |ctx| {
+        let rank = ctx.rank();
+        if rank < NODES {
+            let view = MembershipView::partial(WORLD, NODES);
+            let placement = ExpertPlacement::uniform(cfg.expert_classes, NODES, cfg.slots_per_rank);
+            let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(NODES) });
+            let mut engine =
+                MoeLayerEngine::build(rank, view, cfg, placement, Owners::World, policy);
+            engine.admit(ctx, NODES).expect("admit");
+            return None;
+        }
+        let before = ALLOCATED.with(Cell::get);
+        let (engine, _) = MoeLayerEngine::join(ctx, cfg, Duration::from_secs(30)).expect("join");
+        let allocated = ALLOCATED.with(Cell::get) - before;
+        // Each owned chunk leaves once, as binary16, for every other host.
+        let me = engine.logical_rank();
+        let sent: isize = (0..cfg.expert_classes)
+            .map(|c| {
+                let others = engine.placement.host_ranks(c).iter().filter(|&&h| h != me).count();
+                (2 * engine.master_shard(c).len() * others) as isize
+            })
+            .sum();
+        let live = LIVE.with(Cell::get);
+        drop(engine);
+        let kept = live - LIVE.with(Cell::get);
+        Some((allocated, kept, sent))
+    });
+    let (allocated, kept, sent) = per_rank[NODES].expect("the joiner reports");
+    let rest = allocated - kept - sent;
+    println!(
+        "the joiner allocates {allocated} B: keeps {kept} B, sends {sent} B, and {rest} B more"
+    );
+    assert!(
+        rest <= CONTROL_BYTES,
+        "the joiner allocated {rest} B beyond the {kept} B it keeps and the {sent} B it sends; \
+         one class's optimizer chunk is {} B",
+        12 * param_count(cfg.d_model, cfg.d_ff) / WORLD
     );
 }

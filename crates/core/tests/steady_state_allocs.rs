@@ -30,9 +30,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine};
+use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, Owners};
 use symi_collectives::buffers::{MAX_IDLE, MIN_POOLED_BYTES};
-use symi_collectives::{Cluster, ClusterSpec};
+use symi_collectives::{Cluster, ClusterSpec, MembershipView};
 use symi_tensor::{AdamConfig, Matrix};
 
 struct CountingAlloc;
@@ -191,10 +191,12 @@ fn no_backward_finds_a_view_alive_and_allocations_per_iteration_do_not_grow() {
                 let mut engine = if edp {
                     let placement =
                         ExpertPlacement::striped(cfg.expert_classes, nodes, cfg.slots_per_rank);
+                    let owners = Owners::hosts_of(&placement);
                     let total_slots = cfg.total_slots(nodes);
                     let policy =
                         symi_model::UniformPolicy { experts: cfg.expert_classes, total_slots };
-                    MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, Box::new(policy))
+                    let view = MembershipView::full(nodes);
+                    MoeLayerEngine::build(rank, view, cfg, placement, owners, Box::new(policy))
                 } else {
                     MoeLayerEngine::new(rank, nodes, cfg)
                 };

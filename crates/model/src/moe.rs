@@ -62,8 +62,7 @@ impl MoeStats {
 
 /// One MoE layer: a router plus `E` expert FFNs (one canonical instance per
 /// class — replica count only affects capacity in this functional model;
-/// the distributed engines in `symi`/`symi-baselines` materialize physical
-/// replicas).
+/// the distributed engine in `symi` materializes physical replicas).
 ///
 /// The dispatch state backward replays (`kept`, per-class expert outputs)
 /// lives in persistent buffers and the gather/scatter scratch in a

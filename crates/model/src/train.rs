@@ -6,9 +6,9 @@
 //! fully synchronized distributed run (all replicas of a class hold the
 //! same weights after every optimizer step) — while the replica counts
 //! produced by the [`PlacementPolicy`] drive class capacities and therefore
-//! token drops. The physically-distributed engines in the `symi` and
-//! `symi-baselines` crates exercise the real communication paths and are
-//! cross-checked against this one in the integration tests.
+//! token drops. The physically-distributed engine in the `symi` crate
+//! exercises the real communication paths and is cross-checked against
+//! this one in the integration tests.
 
 use crate::config::ModelConfig;
 use crate::model::{GptMoe, StepStats};
@@ -23,7 +23,7 @@ use symi_workload::{DriftingCorpus, PopularityTrace};
 ///
 /// Implementations: [`UniformPolicy`] (DeepSpeed-style static), the SYMI
 /// Expert Placement Scheduler (`symi::scheduler::SymiPolicy`, Algorithm 1),
-/// and the FlexMoE interval policy (`symi_baselines::flexmoe`). Callers:
+/// and the FlexMoE interval policy (`symi::policies::FlexMoePolicy`). Callers:
 /// the [`Trainer`], and `symi::MoeLayerEngine`, which asks its policy for
 /// every next placement and tells it of every membership change.
 pub trait PlacementPolicy {

@@ -4,8 +4,7 @@
 //!
 //! Run: `cargo run --release -p symi-examples --bin train_compare [iters]`
 
-use symi::SymiPolicy;
-use symi_baselines::FlexMoePolicy;
+use symi::{FlexMoePolicy, SymiPolicy};
 use symi_model::{ModelConfig, PlacementPolicy, Trainer, UniformPolicy};
 use symi_workload::{CorpusConfig, DriftingCorpus};
 

@@ -2,7 +2,6 @@
 //! where the two systems genuinely differ.
 
 use symi::{EngineConfig, MoeLayerEngine};
-use symi_baselines::DeepSpeedMoeEngine;
 use symi_collectives::{Cluster, ClusterSpec};
 use symi_tensor::{AdamConfig, Matrix};
 
@@ -22,7 +21,7 @@ fn skewed_tokens(rank: usize, t_loc: usize) -> Matrix {
     })
 }
 
-fn symi_cfg(slot_capacity: usize) -> EngineConfig {
+fn engine_cfg(slot_capacity: usize) -> EngineConfig {
     EngineConfig {
         d_model: D,
         d_ff: DFF,
@@ -39,7 +38,7 @@ fn symi_cfg(slot_capacity: usize) -> EngineConfig {
 fn symi_survives_more_tokens_under_skew() {
     let cap = 4usize; // tight: uniform replication cannot absorb the skew
     let (symi_stats, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, symi_cfg(cap));
+        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, engine_cfg(cap));
         let x = skewed_tokens(ctx.rank(), 16);
         let target = Matrix::zeros(16, D);
         // Two iterations: the first observes popularity, the second runs
@@ -48,17 +47,7 @@ fn symi_survives_more_tokens_under_skew() {
         e.iteration(ctx, &x, &target).unwrap()
     });
     let (ds_stats, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e = DeepSpeedMoeEngine::new(
-            ctx.rank(),
-            NODES,
-            D,
-            DFF,
-            E,
-            S,
-            cap,
-            AdamConfig::default(),
-            77,
-        );
+        let mut e = symi_integration::deepspeed(ctx.rank(), NODES, engine_cfg(cap));
         let x = skewed_tokens(ctx.rank(), 16);
         let target = Matrix::zeros(16, D);
         let _ = e.iteration(ctx, &x, &target).unwrap();
@@ -79,7 +68,7 @@ fn symi_survives_more_tokens_under_skew() {
 #[test]
 fn symi_replication_tracks_the_hot_class() {
     let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, symi_cfg(1_000_000));
+        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, engine_cfg(1_000_000));
         let x = skewed_tokens(ctx.rank(), 16);
         let target = Matrix::zeros(16, D);
         let stats = e.iteration(ctx, &x, &target).unwrap();
@@ -105,7 +94,7 @@ fn symi_replication_tracks_the_hot_class() {
 fn engine_handles_every_token_on_one_class() {
     // Degenerate skew: identical tokens → a single class gets everything.
     let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, symi_cfg(1_000_000));
+        let mut e = MoeLayerEngine::new(ctx.rank(), NODES, engine_cfg(1_000_000));
         let x = Matrix::from_fn(8, D, |_, c| (c as f32 * 0.7).sin());
         let target = Matrix::zeros(8, D);
         let s1 = e.iteration(ctx, &x, &target).unwrap();
@@ -150,7 +139,7 @@ fn single_rank_cluster_works() {
 fn iteration_is_deterministic_across_runs() {
     let run = || {
         let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let mut e = MoeLayerEngine::new(ctx.rank(), NODES, symi_cfg(8));
+            let mut e = MoeLayerEngine::new(ctx.rank(), NODES, engine_cfg(8));
             let x = skewed_tokens(ctx.rank(), 8);
             let target = Matrix::zeros(8, D);
             let mut losses = Vec::new();
@@ -174,12 +163,12 @@ fn two_layer_engines_share_ranks_without_cross_talk() {
             let mut l0 = MoeLayerEngine::new(
                 ctx.rank(),
                 NODES,
-                EngineConfig { layer_id: 0, ..symi_cfg(1_000_000) },
+                EngineConfig { layer_id: 0, ..engine_cfg(1_000_000) },
             );
             let mut l1 = MoeLayerEngine::new(
                 ctx.rank(),
                 NODES,
-                EngineConfig { layer_id: 1, seed: 99, ..symi_cfg(1_000_000) },
+                EngineConfig { layer_id: 1, seed: 99, ..engine_cfg(1_000_000) },
             );
             let x0 = skewed_tokens(ctx.rank(), 8);
             let x1 = skewed_tokens(ctx.rank() + 7, 8);
@@ -198,7 +187,7 @@ fn two_layer_engines_share_ranks_without_cross_talk() {
             let mut e = MoeLayerEngine::new(
                 ctx.rank(),
                 NODES,
-                EngineConfig { layer_id, seed, ..symi_cfg(1_000_000) },
+                EngineConfig { layer_id, seed, ..engine_cfg(1_000_000) },
             );
             let x = skewed_tokens(ctx.rank() + shift, 8);
             let target = Matrix::zeros(8, D);

@@ -17,9 +17,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use symi::{EngineConfig, EngineSnapshot, JoinStats, MoeLayerEngine};
+use symi::{
+    EngineConfig, EngineSnapshot, ExpertPlacement, JoinStats, MoeLayerEngine, Owners, SymiPolicy,
+};
 use symi_collectives::coll::chunk_range;
-use symi_collectives::{Cluster, ClusterSpec, FaultPlan, MsgMatch, RetryPolicy, WirePhase};
+use symi_collectives::{
+    Cluster, ClusterSpec, FaultPlan, MembershipView, MsgMatch, RetryPolicy, WirePhase,
+};
 use symi_integration::assert_reshard_accounts;
 use symi_telemetry::ClusterTelemetry;
 use symi_tensor::{AdamConfig, Matrix};
@@ -50,6 +54,15 @@ fn cfg() -> EngineConfig {
         seed: 31,
         layer_id: 0,
     }
+}
+
+/// SYMI's engine on one of the `ACTIVE` initial members of the `WORLD`-rank
+/// cluster, the standbys left out of its view until they join.
+fn active_member(rank: usize) -> MoeLayerEngine {
+    let view = MembershipView::partial(WORLD, ACTIVE);
+    let placement = ExpertPlacement::uniform(E, ACTIVE, S);
+    let policy = Box::new(SymiPolicy { total_slots: cfg().total_slots(ACTIVE) });
+    MoeLayerEngine::build(rank, view, cfg(), placement, Owners::World, policy)
 }
 
 /// Mildly skewed token embeddings so the placement actually rebalances.
@@ -147,7 +160,7 @@ fn run_kill_then_join(
 
         // An initially-active rank: train, absorb the kill elastically,
         // then admit the standby at the JOIN_AT boundary.
-        let mut engine = MoeLayerEngine::new_in_world(ctx.rank(), ACTIVE, WORLD, cfg());
+        let mut engine = active_member(ctx.rank());
         engine.attach_telemetry(telemetry.handle(ctx.rank()));
         let x = tokens(ctx.rank());
         while engine.iteration_count() < JOIN_AT {
@@ -308,7 +321,7 @@ fn healthy_grow_admits_the_standby_without_a_preceding_kill() {
             assert_eq!(engine.membership().size(), WORLD);
             return (stats, post_losses, engine.degraded_iterations());
         }
-        let mut engine = MoeLayerEngine::new_in_world(ctx.rank(), ACTIVE, WORLD, cfg());
+        let mut engine = active_member(ctx.rank());
         let x = tokens(ctx.rank());
         while engine.iteration_count() < GROW_AT {
             engine.iteration(ctx, &x, &target).expect("healthy pre-grow iteration");

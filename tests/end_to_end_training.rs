@@ -1,8 +1,7 @@
 //! End-to-end convergence behaviour of the functional training stack:
 //! the three placement policies plugged into the same model/corpus.
 
-use symi::SymiPolicy;
-use symi_baselines::FlexMoePolicy;
+use symi::{FlexMoePolicy, SymiPolicy};
 use symi_model::{ModelConfig, Trainer, UniformPolicy};
 use symi_workload::{CorpusConfig, DriftingCorpus};
 

@@ -1,12 +1,37 @@
 //! Shared helpers for the cross-crate integration tests.
 
-use symi::{MoeLayerEngine, ReshardReport};
+use symi::{EngineConfig, ExpertPlacement, FlexMoePolicy, MoeLayerEngine, Owners, ReshardReport};
 use symi_collectives::coll::chunk_range;
+use symi_collectives::MembershipView;
+use symi_model::UniformPolicy;
 use symi_tensor::Matrix;
 
 /// Deterministic pseudo-token embeddings for a rank's local batch.
 pub fn token_matrix(rank: usize, t_loc: usize, d: usize) -> Matrix {
     Matrix::from_fn(t_loc, d, |r, c| (((rank * t_loc + r) * d + c) as f32 * 0.137).sin())
+}
+
+/// `rank`'s engine in DeepSpeed's configuration over `nodes` ranks (§5):
+/// uniform replicas striped over distinct ranks, a uniform policy that
+/// never moves them, and each class's optimizer state over its host ranks.
+pub fn deepspeed(rank: usize, nodes: usize, cfg: EngineConfig) -> MoeLayerEngine {
+    let placement = ExpertPlacement::striped(cfg.expert_classes, nodes, cfg.slots_per_rank);
+    let owners = Owners::hosts_of(&placement);
+    let policy = UniformPolicy { experts: cfg.expert_classes, total_slots: cfg.total_slots(nodes) };
+    let view = MembershipView::full(nodes);
+    MoeLayerEngine::build(rank, view, cfg, placement, owners, Box::new(policy))
+}
+
+/// `rank`'s engine in FlexMoE's configuration over `nodes` ranks: a uniform
+/// start that [`FlexMoePolicy`] re-places every `interval` iterations, and
+/// each class's optimizer state over its host ranks, following every
+/// re-placement.
+pub fn flexmoe(rank: usize, nodes: usize, cfg: EngineConfig, interval: u64) -> MoeLayerEngine {
+    let placement = ExpertPlacement::uniform(cfg.expert_classes, nodes, cfg.slots_per_rank);
+    let owners = Owners::hosts_of(&placement);
+    let policy = FlexMoePolicy::new(cfg.total_slots(nodes), interval);
+    let view = MembershipView::full(nodes);
+    MoeLayerEngine::build(rank, view, cfg, placement, owners, Box::new(policy))
 }
 
 /// The re-shard accounting identity of one member after a membership

@@ -8,10 +8,10 @@
 //! losses and expert weights must therefore agree to floating-point
 //! reassociation tolerance.
 
-use symi::{EngineConfig, ExpertPlacement, MoeLayerEngine, SymiPolicy};
-use symi_baselines::{flexmoe_engine, DeepSpeedMoeEngine};
-use symi_collectives::{Cluster, ClusterSpec};
-use symi_integration::token_matrix;
+use symi::{EngineConfig, ExpertPlacement, FlexMoePolicy, MoeLayerEngine, Owners, SymiPolicy};
+use symi_collectives::{Cluster, ClusterSpec, MembershipView};
+use symi_integration::{deepspeed, flexmoe, token_matrix};
+use symi_model::{PlacementPolicy, UniformPolicy};
 use symi_telemetry::Phase;
 use symi_tensor::{AdamConfig, Matrix};
 
@@ -24,6 +24,19 @@ const SEED: u64 = 31;
 const T_LOC: usize = 8;
 /// A slot capacity no batch here reaches.
 const NO_DROPS: usize = 1_000_000;
+
+fn config(slots_per_rank: usize, slot_capacity: usize) -> EngineConfig {
+    EngineConfig {
+        d_model: D,
+        d_ff: DFF,
+        expert_classes: E,
+        slots_per_rank,
+        slot_capacity,
+        adam: AdamConfig::default(),
+        seed: SEED,
+        layer_id: 0,
+    }
+}
 
 /// What one engine run observed; every field is identical on every rank.
 struct EngineRun {
@@ -64,17 +77,7 @@ fn engine_run(
 ) -> EngineRun {
     let Setup { nodes, slots_per_rank, slot_capacity, iters, drift } = setup;
     let (results, report) = Cluster::run(ClusterSpec::flat(nodes), |ctx| {
-        let cfg = EngineConfig {
-            d_model: D,
-            d_ff: DFF,
-            expert_classes: E,
-            slots_per_rank,
-            slot_capacity,
-            adam: AdamConfig::default(),
-            seed: SEED,
-            layer_id: 0,
-        };
-        let mut engine = build(ctx.rank(), cfg);
+        let mut engine = build(ctx.rank(), config(slots_per_rank, slot_capacity));
         let target = Matrix::zeros(T_LOC, D);
         let mut losses = Vec::new();
         let mut routing = Vec::new();
@@ -107,34 +110,6 @@ fn engine_run(
     EngineRun { losses, weights, routing, final_slots, churn, dropped, rebalance_bytes }
 }
 
-fn deepspeed_run(iters: usize) -> (Vec<f32>, Vec<Vec<f32>>) {
-    let (results, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut engine = DeepSpeedMoeEngine::new(
-            ctx.rank(),
-            NODES,
-            D,
-            DFF,
-            E,
-            S,
-            1_000_000,
-            AdamConfig::default(),
-            SEED,
-        );
-        let x = token_matrix(ctx.rank(), T_LOC, D);
-        let target = Matrix::zeros(T_LOC, D);
-        let mut losses = Vec::new();
-        for _ in 0..iters {
-            losses.push(engine.iteration(ctx, &x, &target).unwrap().loss);
-        }
-        let mut class_weights: Vec<Option<Vec<f32>>> = vec![None; E];
-        for (class, locals) in engine.placement.classes_on_rank(ctx.rank()) {
-            class_weights[class].get_or_insert_with(|| engine.slot_weights(locals[0]));
-        }
-        (losses, class_weights)
-    });
-    merge(results)
-}
-
 /// Per-rank observation: iteration losses plus each class's flat weights
 /// (present only on ranks hosting a replica).
 type RankView = (Vec<f32>, Vec<Option<Vec<f32>>>);
@@ -165,13 +140,13 @@ fn symi_and_deepspeed_engines_compute_the_same_training_math() {
     let iters = 5;
     let setup = Setup { nodes: NODES, slots_per_rank: S, slot_capacity: NO_DROPS, iters, drift: 0 };
     let symi = engine_run(setup, |rank, cfg| MoeLayerEngine::new(rank, NODES, cfg));
-    let (ds_losses, ds_weights) = deepspeed_run(iters);
+    let ds = engine_run(setup, |rank, cfg| deepspeed(rank, NODES, cfg));
     // Interval 2 triggers after iterations 1 and 3, inside the run.
-    let flex = engine_run(setup, |rank, cfg| flexmoe_engine(rank, NODES, cfg, 2));
+    let flex = engine_run(setup, |rank, cfg| flexmoe(rank, NODES, cfg, 2));
     assert!(flex.churn > 0, "FlexMoE must re-place within the run");
 
     for (system, losses, weights) in
-        [("DeepSpeed", &ds_losses, &ds_weights), ("FlexMoE", &flex.losses, &flex.weights)]
+        [("DeepSpeed", &ds.losses, &ds.weights), ("FlexMoE", &flex.losses, &flex.weights)]
     {
         for (t, (a, b)) in symi.losses.iter().zip(losses).enumerate() {
             assert!(
@@ -189,12 +164,40 @@ fn symi_and_deepspeed_engines_compute_the_same_training_math() {
     }
 }
 
+/// The placement policies the owner axis is crossed with.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Policy {
+    Symi,
+    /// Triggered every iteration, shifting replicas while the load ratio
+    /// exceeds 1.25: at the default 1.5 the 4-rank placement settles after
+    /// six slot moves.
+    FlexMoe,
+    Uniform,
+}
+
+impl Policy {
+    fn boxed(self, cfg: &EngineConfig, nodes: usize) -> Box<dyn PlacementPolicy> {
+        let total_slots = cfg.total_slots(nodes);
+        match self {
+            Policy::Symi => Box::new(SymiPolicy { total_slots }),
+            Policy::FlexMoe => {
+                let mut flexmoe = FlexMoePolicy::new(total_slots, 1);
+                flexmoe.load_ratio_threshold = 1.25;
+                Box::new(flexmoe)
+            }
+            Policy::Uniform => Box::new(UniformPolicy { experts: E, total_slots }),
+        }
+    }
+}
+
 /// The owner axis of the decoupling argument (§3.1, §3.3): where the
-/// optimizer state lives changes the bytes, never the routing. SYMI's
-/// policy runs world-owned (every rank owns `1/N` of every class) and
-/// host-owned (each class's state sharded over its current hosts and
-/// migrated after every re-placement), with capacity drops and a placement
-/// that moves every step.
+/// optimizer state lives changes the bytes, never the routing. Each policy
+/// — SYMI's, FlexMoE's and the uniform one — runs from a uniform start
+/// world-owned (every rank owns `1/N` of every class) and host-owned (each
+/// class's state sharded over its current hosts and migrated after every
+/// re-placement), with capacity drops. SYMI's placement and FlexMoE's keep
+/// moving; the uniform placement never moves, so its host-owned state
+/// never follows.
 ///
 /// Routing never reads an expert weight (the router is frozen), so
 /// popularity, kept counts and placements agree exactly at every size. At
@@ -204,39 +207,55 @@ fn symi_and_deepspeed_engines_compute_the_same_training_math() {
 /// that hosts no replica of a multi-host class steps it from the collect's
 /// replica sum, narrowed to binary16 on the wire, where a host owner sums
 /// the partials in f32 (DESIGN.md *The owner axis*). The masters then drift
-/// apart by that rounding: here the slots of a 7-iteration run already
-/// differ, by one binary16 unit in the last place, and the losses do from
+/// apart by that rounding: here SYMI's slots of a 7-iteration run already
+/// differ, by one binary16 unit in the last place, and its losses do from
 /// the 11th iteration on, by at most 4.3e-5 relative. Those two are held to
 /// a bound.
 #[test]
 fn owner_axis_keeps_routing_and_math_under_drops_and_churn() {
     for nodes in [2usize, 4] {
-        let setup = Setup { nodes, slots_per_rank: 4, slot_capacity: 3, iters: 12, drift: 1 };
-        let world = engine_run(setup, |rank, cfg| MoeLayerEngine::new(rank, nodes, cfg));
-        let hosts = engine_run(setup, |rank, cfg| {
-            let placement = ExpertPlacement::uniform(E, nodes, cfg.slots_per_rank);
-            let policy = Box::new(SymiPolicy { total_slots: cfg.total_slots(nodes) });
-            MoeLayerEngine::edp_sharded(rank, nodes, cfg, placement, policy)
-        });
-        assert!(world.dropped > 0, "{nodes} ranks: the capacity must drop tokens");
-        assert!(world.churn > setup.iters / 2, "{nodes} ranks: the placement must keep moving");
-        assert_eq!(world.routing, hosts.routing, "{nodes} ranks: routing read the owners");
-        assert_eq!(world.final_slots, hosts.final_slots, "{nodes} ranks: placements differ");
-        assert_eq!(world.churn, hosts.churn);
-        assert_eq!(world.rebalance_bytes, 0, "{nodes} ranks: world-owned state never moves");
-        assert!(hosts.rebalance_bytes > 0, "{nodes} ranks: host-owned state must follow");
-        if nodes == 2 {
-            assert_eq!(world.losses, hosts.losses, "2 ranks: losses must match bit for bit");
-            assert_eq!(world.weights, hosts.weights, "2 ranks: weights must match bit for bit");
-            continue;
-        }
-        for (t, (a, b)) in world.losses.iter().zip(&hosts.losses).enumerate() {
-            assert!((a - b).abs() <= 1e-4 * a.abs(), "iteration {t}: loss {a} vs {b}");
-        }
-        for (class, (a, b)) in world.weights.iter().zip(&hosts.weights).enumerate() {
-            for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-                let ulps = (f16_ordinal(x) - f16_ordinal(y)).abs();
-                assert!(ulps <= 1, "class {class} param {i}: {x} vs {y} ({ulps} binary16 ulps)");
+        for policy in [Policy::Symi, Policy::FlexMoe, Policy::Uniform] {
+            let at = format!("{policy:?}, {nodes} ranks");
+            let setup = Setup { nodes, slots_per_rank: 4, slot_capacity: 3, iters: 12, drift: 1 };
+            let cell = |owned_by_hosts: bool| {
+                engine_run(setup, |rank, cfg| {
+                    let placement = ExpertPlacement::uniform(E, nodes, cfg.slots_per_rank);
+                    let owners =
+                        if owned_by_hosts { Owners::hosts_of(&placement) } else { Owners::World };
+                    let view = MembershipView::full(nodes);
+                    let policy = policy.boxed(&cfg, nodes);
+                    MoeLayerEngine::build(rank, view, cfg, placement, owners, policy)
+                })
+            };
+            let (world, hosts) = (cell(false), cell(true));
+            assert!(world.dropped > 0, "{at}: the capacity must drop tokens");
+            if policy == Policy::Uniform {
+                assert_eq!(world.churn, 0, "{at}: the uniform placement never moves");
+                assert_eq!(hosts.rebalance_bytes, 0, "{at}: unmoved host-owned state stays");
+            } else {
+                assert!(world.churn > setup.iters / 2, "{at}: the placement must keep moving");
+                assert!(hosts.rebalance_bytes > 0, "{at}: host-owned state must follow");
+            }
+            assert_eq!(world.routing, hosts.routing, "{at}: routing read the owners");
+            assert_eq!(world.final_slots, hosts.final_slots, "{at}: placements differ");
+            assert_eq!(world.churn, hosts.churn, "{at}");
+            assert_eq!(world.rebalance_bytes, 0, "{at}: world-owned state never moves");
+            if nodes == 2 {
+                assert_eq!(world.losses, hosts.losses, "{at}: losses must match bit for bit");
+                assert_eq!(world.weights, hosts.weights, "{at}: weights must match bit for bit");
+                continue;
+            }
+            for (t, (a, b)) in world.losses.iter().zip(&hosts.losses).enumerate() {
+                assert!((a - b).abs() <= 1e-4 * a.abs(), "{at}, iteration {t}: loss {a} vs {b}");
+            }
+            for (class, (a, b)) in world.weights.iter().zip(&hosts.weights).enumerate() {
+                for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
+                    let ulps = (f16_ordinal(x) - f16_ordinal(y)).abs();
+                    assert!(
+                        ulps <= 1,
+                        "{at}, class {class} param {i}: {x} vs {y} ({ulps} binary16 ulps)"
+                    );
+                }
             }
         }
     }
@@ -262,36 +281,14 @@ fn traffic_volumes_are_comparable_between_systems() {
         let (_, report) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
             let x = token_matrix(ctx.rank(), T_LOC, D);
             let target = Matrix::zeros(T_LOC, D);
-            if symi {
-                let cfg = EngineConfig {
-                    d_model: D,
-                    d_ff: DFF,
-                    expert_classes: E,
-                    slots_per_rank: S,
-                    slot_capacity: 1_000_000,
-                    adam: AdamConfig::default(),
-                    seed: SEED,
-                    layer_id: 0,
-                };
-                let mut e = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
-                for _ in 0..3 {
-                    let _ = e.iteration(ctx, &x, &target).unwrap();
-                }
+            let cfg = config(S, NO_DROPS);
+            let mut e = if symi {
+                MoeLayerEngine::new(ctx.rank(), NODES, cfg)
             } else {
-                let mut e = DeepSpeedMoeEngine::new(
-                    ctx.rank(),
-                    NODES,
-                    D,
-                    DFF,
-                    E,
-                    S,
-                    1_000_000,
-                    AdamConfig::default(),
-                    SEED,
-                );
-                for _ in 0..3 {
-                    let _ = e.iteration(ctx, &x, &target).unwrap();
-                }
+                deepspeed(ctx.rank(), NODES, cfg)
+            };
+            for _ in 0..3 {
+                let _ = e.iteration(ctx, &x, &target).unwrap();
             }
         });
         report.total_bytes()

@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 
-use symi::{EngineConfig, MoeLayerEngine};
-use symi_baselines::{flexmoe_engine, DeepSpeedMoeEngine, FlexMoePolicy};
+use symi::{EngineConfig, FlexMoePolicy, MoeLayerEngine};
 use symi_collectives::{Cluster, ClusterSpec, RankCtx};
+use symi_integration::deepspeed;
 use symi_model::{ModelConfig, Trainer};
 use symi_telemetry::{ClusterTelemetry, IterationReport, JsonlSink, Phase, LINK_CLASSES};
 use symi_tensor::{AdamConfig, Matrix};
@@ -16,6 +16,20 @@ const NODES: usize = 4;
 const D: usize = 8;
 const E: usize = 4;
 const ITERS: u64 = 3;
+
+/// Every engine's configuration here, with experts `d_ff` wide.
+fn engine_cfg(d_ff: usize) -> EngineConfig {
+    EngineConfig {
+        d_model: D,
+        d_ff,
+        expert_classes: E,
+        slots_per_rank: 2,
+        slot_capacity: 8,
+        adam: AdamConfig::default(),
+        seed: 77,
+        layer_id: 0,
+    }
+}
 
 fn tokens(rank: usize, t_loc: usize) -> Matrix {
     Matrix::from_fn(t_loc, D, |r, c| {
@@ -57,16 +71,7 @@ fn run_symi(path: &std::path::Path) {
     let telemetry = ClusterTelemetry::new(NODES);
     telemetry.add_sink(Arc::new(JsonlSink::create(path).unwrap()));
     Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let cfg = EngineConfig {
-            d_model: D,
-            d_ff: 16,
-            expert_classes: E,
-            slots_per_rank: 2,
-            slot_capacity: 8,
-            adam: AdamConfig::default(),
-            seed: 77,
-            layer_id: 0,
-        };
+        let cfg = engine_cfg(16);
         let mut e = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let x = tokens(ctx.rank(), 16);
@@ -93,8 +98,7 @@ fn run_deepspeed(path: &std::path::Path) {
     let telemetry = ClusterTelemetry::new(NODES);
     telemetry.add_sink(Arc::new(JsonlSink::create(path).unwrap()));
     Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e =
-            DeepSpeedMoeEngine::new(ctx.rank(), NODES, D, 16, E, 2, 8, AdamConfig::default(), 77);
+        let mut e = deepspeed(ctx.rank(), NODES, engine_cfg(16));
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let x = tokens(ctx.rank(), 16);
         let target = Matrix::zeros(16, D);
@@ -222,16 +226,7 @@ fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
     };
     let telemetry = ClusterTelemetry::new(NODES);
     let (ran, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let cfg = EngineConfig {
-            d_model: D,
-            d_ff: 16,
-            expert_classes: E,
-            slots_per_rank: 2,
-            slot_capacity: 8,
-            adam: AdamConfig::default(),
-            seed: 77,
-            layer_id: 0,
-        };
+        let cfg = engine_cfg(16);
         let mut e = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
@@ -245,8 +240,7 @@ fn expert_load_gauges_account_for_every_surviving_token_per_rank() {
 
     let telemetry = ClusterTelemetry::new(NODES);
     let (survived, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e =
-            DeepSpeedMoeEngine::new(ctx.rank(), NODES, D, 16, E, 2, 8, AdamConfig::default(), 77);
+        let mut e = deepspeed(ctx.rank(), NODES, engine_cfg(16));
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
         e.iteration(ctx, &x, &target).unwrap().survived
@@ -270,16 +264,7 @@ fn slot_param_bytes_are_binary16_weights_and_f32_biases_per_hosted_class() {
     };
     let telemetry = ClusterTelemetry::new(NODES);
     let (hosted, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let cfg = EngineConfig {
-            d_model: D,
-            d_ff: ff,
-            expert_classes: E,
-            slots_per_rank: 2,
-            slot_capacity: 8,
-            adam: AdamConfig::default(),
-            seed: 77,
-            layer_id: 0,
-        };
+        let cfg = engine_cfg(ff);
         let mut e = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
@@ -293,8 +278,7 @@ fn slot_param_bytes_are_binary16_weights_and_f32_biases_per_hosted_class() {
 
     let telemetry = ClusterTelemetry::new(NODES);
     Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-        let mut e =
-            DeepSpeedMoeEngine::new(ctx.rank(), NODES, D, ff, E, 2, 8, AdamConfig::default(), 77);
+        let mut e = deepspeed(ctx.rank(), NODES, engine_cfg(ff));
         e.attach_telemetry(telemetry.handle(ctx.rank()));
         let (x, target) = (tokens(ctx.rank(), 16), Matrix::zeros(16, D));
         e.iteration(ctx, &x, &target).unwrap();
@@ -315,33 +299,11 @@ fn deepspeed_and_symi_pay_equal_optimizer_bytes_per_rank_at_uniform_replication(
     let shard_params = P * E / NODES;
     let run = |deepspeed: bool| {
         let (state_bytes, report) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let (mut symi, mut ds);
-            let e: &mut MoeLayerEngine = if deepspeed {
-                ds = DeepSpeedMoeEngine::new(
-                    ctx.rank(),
-                    NODES,
-                    D,
-                    16,
-                    E,
-                    2,
-                    8,
-                    AdamConfig::default(),
-                    77,
-                );
-                &mut ds
+            let mut e = if deepspeed {
+                symi_integration::deepspeed(ctx.rank(), NODES, engine_cfg(16))
             } else {
-                let cfg = EngineConfig {
-                    d_model: D,
-                    d_ff: 16,
-                    expert_classes: E,
-                    slots_per_rank: 2,
-                    slot_capacity: 8,
-                    adam: AdamConfig::default(),
-                    seed: 77,
-                    layer_id: 0,
-                };
-                symi = MoeLayerEngine::new(ctx.rank(), NODES, cfg);
-                &mut symi
+                let cfg = engine_cfg(16);
+                MoeLayerEngine::new(ctx.rank(), NODES, cfg)
             };
             // A registry per rank: the state gauge carries no rank suffix.
             let telemetry = ClusterTelemetry::new(NODES);
@@ -377,18 +339,9 @@ fn symi_optimizer_bytes_never_move_while_flexmoe_migrates_them() {
     const ROUNDS: usize = 6;
     let run = |flexmoe: bool| {
         let (per_rank, _) = Cluster::run(ClusterSpec::flat(NODES), |ctx| {
-            let cfg = EngineConfig {
-                d_model: D,
-                d_ff: 16,
-                expert_classes: E,
-                slots_per_rank: 2,
-                slot_capacity: 8,
-                adam: AdamConfig::default(),
-                seed: 77,
-                layer_id: 0,
-            };
+            let cfg = engine_cfg(16);
             let mut e = if flexmoe {
-                flexmoe_engine(ctx.rank(), NODES, cfg, 2)
+                symi_integration::flexmoe(ctx.rank(), NODES, cfg, 2)
             } else {
                 MoeLayerEngine::new(ctx.rank(), NODES, cfg)
             };
