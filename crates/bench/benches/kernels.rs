@@ -49,16 +49,13 @@
 //! kernel each layout ran. The shapes are `engine_tokens`' expert GEMMs,
 //! `trainer_lm`'s per-head attention and projection gradient, and
 //! `engine_params`' skinny expert (m 8 … 32) and gradient (k 8 … 24) GEMMs,
-//! on both sides of the kernel thresholds, and the two engines' router GEMMs
-//! (1024×64×4 and 32×256×4). `nn` runs the FMA tile with no
-//! transposes at all: the reference the kept `dot` `nt` is read against.
-//! Each row names the kernel each layout ran —
-//! `tile512` or `tile256` for the loop nest's register tile on the
-//! `Avx512` or `Avx2` family, `edge512_masked` or `edge_scalar` for its
-//! column edge where the whole GEMM is narrower than a panel (the two
-//! routers' rows, n = 4). The old-against-tile timings that set the
-//! `nt` threshold need both kernels at one shape, which the library offers
-//! no way to ask for; DESIGN.md *Compute kernels & threading* has them.
+//! and the two engines' router GEMMs (1024×64×4 and 32×256×4). `nn` runs
+//! the FMA tile with no transposes at all: the reference `nt`'s panel
+//! transposes and `tn`'s transposed A are read against. Each row names the
+//! kernel the three layouts ran — `tile512` or `tile256` for the loop
+//! nest's register tile on the `Avx512` or `Avx2` family, `edge512_masked`
+//! or `edge_scalar` for its column edge where the whole GEMM is narrower
+//! than a panel (the two routers' rows, n = 4).
 //!
 //! The **tile-width rows** time each layout on the 256-bit family (the 6×16
 //! tile) and on the 512-bit one (`force_simd_path`), all six interleaved,
@@ -126,9 +123,9 @@
 //!      expert's forward equals the f32 expert on the decoded weights bit
 //!      for bit (`nn`), and its two `nt` GEMMs (`dY·W2ᵀ`, `dPre·W1ᵀ`) equal
 //!      the one FMA chain per element on an x86 family (the f32 `nt` on the
-//!      decoded weights on the scalar one); from `NT_TILE_MIN_ROWS` rows its
-//!      whole backward equals the f32 expert's, its binary16 gradient the
-//!      f32 expert's narrowed. No speed floor.
+//!      decoded weights on the scalar one); its whole backward equals the
+//!      f32 expert's, its binary16 gradient the f32 expert's narrowed. No
+//!      speed floor.
 //!  13. **binary16 `tn`**: at `engine_params`' reductions 4 … 16 the
 //!      binary16 write of a slot gradient equals the f32 write-mode `tn`
 //!      narrowed under the same exponent, bit for bit, and its cold time
@@ -143,8 +140,6 @@ use symi_model::expert::ExpertFfn;
 use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
 use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
-#[cfg(target_arch = "x86_64")]
-use symi_tensor::simd::NT_TILE_MIN_ROWS;
 use symi_tensor::{
     half, pool, vmath, AdamConfig, AdamShard, AdamState, Dest, Grad, HalfMatrix, Matrix, ScaledHalf,
 };
@@ -834,22 +829,18 @@ const LAYOUT_SHAPES: &[(&str, usize, usize, usize)] = &[
 /// 64, four classes — fewer columns than a panel, so all column edge.
 const ROUTER_SHAPE: (usize, usize, usize) = (1024, 64, 4);
 
-/// The kernels `nn`, `nt` and `tn` run at m×k×n on the active path: the
-/// loop nest's 512-bit or 256-bit register tile — or, under 16 columns, its
-/// column edge: the masked 16-lane kernel on `Avx512`, scalar loops on
-/// `Avx2` — or, for an `nt` under `NT_TILE_MIN_ROWS` rows, the dot product.
-fn layout_kernels(m: usize, n: usize) -> [&'static str; 3] {
-    let tile = match (kernels::active_path(), n < 16) {
-        (SimdPath::Scalar, _) => return ["scalar"; 3],
+/// The kernel `nn`, `nt` and `tn` all run at n columns on the active path:
+/// the loop nest's 512-bit or 256-bit register tile — or, under 16 columns,
+/// its column edge: the masked 16-lane kernel on `Avx512`, scalar loops on
+/// `Avx2`.
+fn layout_kernel(n: usize) -> &'static str {
+    match (kernels::active_path(), n < 16) {
+        (SimdPath::Scalar, _) => "scalar",
         (SimdPath::Avx2, false) => "tile256",
         (SimdPath::Avx2, true) => "edge_scalar",
         (SimdPath::Avx512, false) => "tile512",
         (SimdPath::Avx512, true) => "edge512_masked",
-    };
-    #[cfg(target_arch = "x86_64")]
-    return [tile, if m >= NT_TILE_MIN_ROWS { tile } else { "dot" }, tile];
-    #[allow(unreachable_code)]
-    [tile; 3]
+    }
 }
 
 /// The three layouts' operands for one m×k×n product.
@@ -1007,7 +998,7 @@ fn bench_layouts() -> Value {
         group(&format!("layouts/{label}/{m}x{k}x{n}"));
         let inputs = layout_inputs(m, k, n);
         let ns = layout_ns(&inputs, REPS);
-        let [nn_kernel, nt_kernel, tn_kernel] = layout_kernels(m, n);
+        let kernel = layout_kernel(n);
         let flops = (2 * m * k * n) as f64;
         let mut o = Obj::new();
         o.set("group", Value::str(label));
@@ -1018,9 +1009,9 @@ fn bench_layouts() -> Value {
             o.set(&format!("{name}_ns"), Value::Num(t));
             o.set(&format!("{name}_gflops"), Value::Num(flops / t));
         }
-        o.set("nn_kernel", Value::str(nn_kernel));
-        o.set("nt_kernel", Value::str(nt_kernel));
-        o.set("tn_kernel", Value::str(tn_kernel));
+        for name in ["nn_kernel", "nt_kernel", "tn_kernel"] {
+            o.set(name, Value::str(kernel));
+        }
         o.set("nt_over_nn", Value::Num(ns[0] / ns[1]));
         o.set("tn_over_nn", Value::Num(ns[0] / ns[2]));
         let cold = if label == "engine_params_expert" {
@@ -1029,8 +1020,7 @@ fn bench_layouts() -> Value {
             String::new()
         };
         println!(
-            "layouts {label} {m}x{k}x{n}: nn {:.1} GFLOP/s ({nn_kernel}), nt {:.1} ({nt_kernel}), \
-             tn {:.1} ({tn_kernel}){cold}",
+            "layouts {label} {m}x{k}x{n} ({kernel}): nn {:.1} GFLOP/s, nt {:.1}, tn {:.1}{cold}",
             flops / ns[0],
             flops / ns[1],
             flops / ns[2],
@@ -1290,18 +1280,6 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   16 lanes — there too, `engine_tokens`' router `nn` (1024×64×4, all
 ///   column edge) equals the `Avx2` family's bit for bit at ≥ 4× its speed,
 ///   and `gelu_tanh_slice` on 16 lanes the 8-lane one at ≥ 1.3×.
-/// Whether an f32 `nt` with `m` output rows runs the kernel a binary16 one
-/// runs: the scalar family's, or the x86 tile from `NT_TILE_MIN_ROWS` rows.
-fn f32_nt_on_tile(m: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return kernels::active_path() == SimdPath::Scalar || m >= NT_TILE_MIN_ROWS;
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = m;
-        true
-    }
-}
-
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -1566,18 +1544,16 @@ fn smoke() {
             dpre.matmul_nt_into(&slot.w1, &mut got);
             assert_eq!(bits(&got), bits(&nt_oracle(&dpre, &w1)), "{label}: dPre·W1ᵀ");
             let (dx_slot, dx_f32) = (slot.backward(&dy), decoded.backward(&dy));
-            if f32_nt_on_tile(m) {
-                assert_eq!(bits(&dx_slot), bits(&dx_f32), "{label}: dx");
-                // The slot's binary16 gradient is the f32 one narrowed.
-                let grad = slot.flat_grads();
-                let mut want = vec![0u16; grad.len()];
-                half::narrow(decoded.flat_grads(), grad.exp(), &mut want);
-                assert_eq!(grad.bits(), &want[..], "{label}: gradient");
-            }
+            assert_eq!(bits(&dx_slot), bits(&dx_f32), "{label}: dx");
+            // The slot's binary16 gradient is the f32 one narrowed.
+            let grad = slot.flat_grads();
+            let mut want = vec![0u16; grad.len()];
+            half::narrow(decoded.flat_grads(), grad.exp(), &mut want);
+            assert_eq!(grad.bits(), &want[..], "{label}: gradient");
         }
         println!(
-            "smoke binary16 slots: forward = f32 on the decoded weights, nt = the FMA chain, \
-             bit for bit"
+            "smoke binary16 slots: forward and dx = f32 on the decoded weights, nt = the FMA \
+             chain, gradient = the f32 one narrowed, bit for bit"
         );
     });
 

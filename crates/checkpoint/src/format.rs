@@ -28,6 +28,7 @@
 //! same decoupling (§3) that keeps SYMI's optimizer state stationary.
 
 use symi::{valid_replica_counts, EngineConfig, EngineSnapshot, ShardState};
+use symi_model::expert::param_count;
 use symi_model::{Checkpoint, ModelConfig, TrainRecord};
 use symi_tensor::{AdamConfig, AdamState, Matrix};
 use symi_workload::PopularityTrace;
@@ -46,11 +47,6 @@ pub fn kind_name(kind: u32) -> &'static str {
         KIND_TRAINER => "trainer",
         _ => "unknown",
     }
-}
-
-/// Flat parameter count of one expert FFN — the unit the fp32 shards chunk.
-pub fn expert_param_count(cfg: &EngineConfig) -> usize {
-    cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_ff * cfg.d_model + cfg.d_model
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +454,7 @@ pub(crate) fn decode_engine(
     };
     let n_shards = r.count(24, "shards.len")?;
     check_eq_u64(file, "shards.len", n_shards as u64, expert_classes as u64)?;
-    let param_count = expert_param_count(&config);
+    let params = param_count(config.d_model, config.d_ff);
     let mut shards = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
         let offset = r.usize(&format!("shards[{i}].offset"))?;
@@ -468,12 +464,12 @@ pub(crate) fn decode_engine(
         let m = r.f32_vec(len, &format!("shards[{i}].m"))?;
         let v = r.f32_vec(len, &format!("shards[{i}].v"))?;
         let shard = ShardState { offset, master, m, v, t };
-        if let Err(bad) = shard.check_geometry(param_count, world_size, logical_rank) {
+        if let Err(bad) = shard.check_geometry(params, world_size, logical_rank) {
             return Err(CkptError::FieldMismatch {
                 file: file.into(),
                 field: format!("shards[{i}].{}", bad.trim_start_matches("shard.")),
                 detail: format!(
-                    "shard geometry disagrees with (params={param_count}, world={world_size}, rank={logical_rank})"
+                    "shard geometry disagrees with (params={params}, world={world_size}, rank={logical_rank})"
                 ),
             });
         }
@@ -869,7 +865,7 @@ mod tests {
 
     fn tiny_snapshot(cfg: &EngineConfig, world: usize, rank: usize) -> EngineSnapshot {
         use symi_collectives::coll::chunk_range;
-        let params = expert_param_count(cfg);
+        let params = param_count(cfg.d_model, cfg.d_ff);
         let (start, end) = chunk_range(params, world, rank);
         let len = end - start;
         let shard = |salt: f32| ShardState {

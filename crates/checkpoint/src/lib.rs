@@ -37,9 +37,7 @@ pub mod store;
 pub mod writer;
 
 pub use error::CkptError;
-pub use format::{
-    expert_param_count, inspect, kind_name, EngineFile, InspectInfo, RawCheckpoint, FORMAT_VERSION,
-};
+pub use format::{inspect, kind_name, EngineFile, InspectInfo, RawCheckpoint, FORMAT_VERSION};
 pub use manager::{CheckpointConfig, CheckpointManager, CheckpointStats};
 pub use store::{
     parse_engine_file_name, parse_trainer_file_name, CheckpointStore, LatestEngine, LatestTrainer,

@@ -285,7 +285,7 @@ mod tests {
 
     fn snap(c: &EngineConfig, iteration: u64, world: usize, rank: usize) -> EngineSnapshot {
         use symi_collectives::coll::chunk_range;
-        let params = format::expert_param_count(c);
+        let params = symi_model::expert::param_count(c.d_model, c.d_ff);
         let (start, end) = chunk_range(params, world, rank);
         let len = end - start;
         let shard = |salt: f32| symi::ShardState {

@@ -934,25 +934,20 @@ mod tests {
         decoded.load_flat(&half.flat_params());
         assert_eq!(half.param_bytes(), 2 * (2 * d * ff) + 4 * (ff + d));
         assert_eq!(decoded.param_bytes(), 4 * half.param_count());
-        // From 32 rows (`NT_TILE_MIN_ROWS` on x86) the f32 `nt` runs the
-        // tile a binary16 one always runs, so backward agrees too; below
-        // it only the forward (`nn`) is held to the same bits.
+        // Every GEMM folds a binary16 B as it folds the decoded f32 one, at
+        // any row count, so forward and backward agree bit for bit.
         for rows in [3, 40] {
             let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.29).sin());
             let dy = Matrix::from_fn(rows, d, |r, c| ((r + c) as f32 * 0.17).cos());
             assert_eq!(bits(half.forward(&x).as_slice()), bits(decoded.forward(&x).as_slice()));
             let (dx_half, dx_f32) = (half.backward(&dy), decoded.backward(&dy));
-            if rows >= 32 {
-                assert_eq!(bits(dx_half.as_slice()), bits(dx_f32.as_slice()));
-                // The binary16 gradient is the f32 one narrowed, bit for bit.
-                let want = decoded.flat_grads().clone();
-                let got = half.flat_grads();
-                let mut narrowed = vec![0u16; want.len()];
-                symi_tensor::half::narrow(&want, got.exp(), &mut narrowed);
-                assert_eq!(got.bits(), &narrowed[..]);
-            } else {
-                assert!(dx_half.max_abs_diff(&dx_f32) < 1e-5);
-            }
+            assert_eq!(bits(dx_half.as_slice()), bits(dx_f32.as_slice()), "dx at {rows} rows");
+            // The binary16 gradient is the f32 one narrowed, bit for bit.
+            let want = decoded.flat_grads().clone();
+            let got = half.flat_grads();
+            let mut narrowed = vec![0u16; want.len()];
+            symi_tensor::half::narrow(&want, got.exp(), &mut narrowed);
+            assert_eq!(got.bits(), &narrowed[..], "gradient at {rows} rows");
             half.zero_grad();
             decoded.zero_grad();
         }
@@ -1001,7 +996,8 @@ mod tests {
     #[test]
     fn weights_only_backward_writes_the_same_gradient() {
         fn check<W: WeightStorage>(make: impl Fn(usize, usize) -> ExpertFfn<W>, modes: usize) {
-            // 3 and 17 rows are under the x86 `nt` tile's `NT_TILE_MIN_ROWS`.
+            // Each row count leaves a row-tile remainder on both x86
+            // families (tiles of 6 and 12 rows), on either side of 32 rows.
             for (rows, d, ff) in [(3, 5, 19), (17, 7, 33), (41, 16, 40)] {
                 let x = Matrix::from_fn(rows, d, |r, c| ((r * d + c) as f32 * 0.37).sin() * 3.0);
                 let dys = [0.23f32, 0.41]

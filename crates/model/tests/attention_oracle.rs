@@ -12,10 +12,8 @@
 //!
 //! - at `ModelConfig::small_sim`'s shape (d 64, 4 heads, 32 sequences of
 //!   32), and at ragged ones — sequences of 5 and 7, one head, a head width
-//!   that is no multiple of 8 — whose whole batch stays under
-//!   `simd::NT_TILE_MIN_ROWS` rows, so the per-sequence and the whole-batch
-//!   `nt` products pick the same kernel on the AVX2 path (their rows are
-//!   then the same folds);
+//!   that is no multiple of 8 (every `nt` runs one kernel at any m, so the
+//!   per-sequence and the whole-batch products' rows are the same folds);
 //! - over two rounds that accumulate into the gradients, and for a backward
 //!   repeated after one forward (the benchmark's direct timing runs
 //!   backward 16 times per forward);

@@ -21,10 +21,8 @@
 //!   walks both operands along contiguous rows in a register tile of
 //!   independent dot products; the two x86 families transpose KC-long
 //!   panels of B (16 or 32 columns) into a per-thread buffer and run `nn`'s
-//!   tiles over them, except below [`crate::simd::NT_TILE_MIN_ROWS`] output
-//!   rows, where both keep a 256-bit dot-product tile. A binary16 B is
-//!   widened during the transpose and always runs the tile, at every m: the
-//!   dot-product kernel takes no panel to widen into.
+//!   tiles over them at every m. A binary16 B is widened during the
+//!   transpose.
 //!
 //! The scalar family reads a binary16 B by decoding the whole operand into
 //! its per-thread scratch first.
@@ -45,10 +43,10 @@
 //! tile, and the vector math on 16 lanes — where the CPU has AVX-512F. Detection picks the widest the CPU supports. The scalar family
 //! is **bit-exact** against the [`naive`] oracle (single accumulator folded
 //! over ascending `k`, mul-then-add). The two x86 families keep f32
-//! accumulation but use fused multiply-add (and, in the dot-product `nt`,
-//! fixed 8-lane k-splitting), so they are held to the oracle by a
-//! ULP/error-bound gate instead of `==` — see `tests/simd_oracle.rs` — and
-//! to each other by `==`: every tile folds every element the same way.
+//! accumulation but use fused multiply-add, so they are held to the oracle
+//! by a ULP/error-bound gate instead of `==` — see `tests/simd_oracle.rs` —
+//! and to each other by `==`: every tile folds every element the same way,
+//! one FMA chain over ascending k (mul-then-add in `nn`'s column edge).
 //! `SYMI_SIMD=scalar` pins the scalar family and `SYMI_SIMD=avx2` the
 //! 256-bit one; [`force_simd_path`] pins any family the CPU supports and
 //! refuses the others.
@@ -59,7 +57,7 @@
 //! function of its operands — independent of worker count and repeatable
 //! across runs; the two x86 families also give each other's bits. Work
 //! splits only across *output* elements, never across the `k` reduction;
-//! every share of a GEMM runs the kernel the whole GEMM's shape selects; and
+//! every share of a GEMM runs the same kernel; and
 //! share boundaries are aligned to that kernel's row tile — the active
 //! family's tile height (`pool::par_rows_planned`), so the full-tile/edge-tile
 //! decomposition — which decides, in the scalar family and in `nn`'s column
@@ -70,12 +68,9 @@
 //! `add_bias` → `gelu_tanh` sequence bit-for-bit on every path.
 //!
 //! A binary16 B ([`crate::half::HalfMatrix`]) gives the bits of the same
-//! GEMM on its decoded f32 values: the widening is exact and the kernels
-//! fold the widened panel as they fold an f32 one. The one shape where the
-//! two take different kernels is an x86 `nt` below
-//! [`crate::simd::NT_TILE_MIN_ROWS`] rows: there the binary16 B runs the
-//! tile, so each element is the one FMA chain over ascending k, where the f32
-//! B runs the dot product.
+//! GEMM on its decoded f32 values, in every layout at every shape: the
+//! widening is exact and the kernels fold the widened panel as they fold an
+//! f32 one.
 //!
 //! # Cost-model gate
 //!
@@ -321,34 +316,8 @@ pub fn f16_fast_path() -> bool {
     false
 }
 
-/// Row tile of the `nn` kernels for `path`.
-fn nn_row_tile(path: SimdPath) -> usize {
-    match path {
-        SimdPath::Scalar => MR,
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::tile_rows(path.wide()),
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
-    }
-}
-
-/// Row tile of the `nt` kernel `path` runs for an `m`-row GEMM over `b`.
-fn nt_row_tile(path: SimdPath, m: usize, b: BElems<'_>) -> usize {
-    match path {
-        SimdPath::Scalar => MR,
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 if crate::simd::nt_on_tile(m, b) => {
-            crate::simd::tile_rows(path.wide())
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 | SimdPath::Avx512 => crate::simd::MR_DOT,
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 | SimdPath::Avx512 => unreachable!("x86 path selected on non-x86_64"),
-    }
-}
-
-/// Row tile of the `tn` kernel `path` runs.
-fn tn_row_tile(path: SimdPath) -> usize {
+/// Row tile of the kernels `path` runs, in every layout.
+fn row_tile(path: SimdPath) -> usize {
     match path {
         SimdPath::Scalar => MR,
         #[cfg(target_arch = "x86_64")]
@@ -902,7 +871,7 @@ pub fn gemm_nn<B: BOperand + ?Sized>(
         return;
     }
     let path = active_path();
-    let mr = nn_row_tile(path);
+    let mr = row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     let belems = b.elems();
     let bias = bias.map(|bm| bm.as_slice());
@@ -939,7 +908,7 @@ pub(crate) fn gemm_nn_bias_gelu_tanh<B: BOperand + ?Sized>(
         return;
     }
     let path = active_path();
-    let mr = nn_row_tile(path);
+    let mr = row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     let belems = b.elems();
     let bias = bias.as_slice();
@@ -965,10 +934,9 @@ pub(crate) fn gemm_nn_bias_gelu_tanh<B: BOperand + ?Sized>(
 }
 
 /// `out (+)= a · bᵀ` (`b` is `n×k`). Scalar path: independent contiguous
-/// dot products, each one accumulator over ascending k. AVX2 path: one FMA
-/// chain over ascending k per element on `nn`'s tile from
-/// [`crate::simd::NT_TILE_MIN_ROWS`] output rows on — at every m for a
-/// binary16 B — and 8-lane dot products with a fixed reduction order below.
+/// dot products, each one accumulator over ascending k. x86 paths: one FMA
+/// chain over ascending k per element on `nn`'s tile, at every m and for an
+/// f32 or a binary16 B.
 pub(crate) fn gemm_nt<B: BOperand + ?Sized>(a: &Matrix, b: &B, out: &mut Matrix, acc: bool) {
     assert_eq!(
         a.cols(),
@@ -988,7 +956,7 @@ pub(crate) fn gemm_nt<B: BOperand + ?Sized>(a: &Matrix, b: &B, out: &mut Matrix,
     }
     let path = active_path();
     let belems = b.elems();
-    let mr = nt_row_tile(path, m, belems);
+    let mr = row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (k as u64));
     par_rows_planned(m, n, mr, shares, out.as_mut_slice(), |rows, chunk| {
         nt_rows_dispatch(path, a, belems, rows, k, n, chunk, acc);
@@ -1030,7 +998,7 @@ pub fn gemm_tn_slice(a: &Matrix, b: &Matrix, out: &mut [f32], acc: bool) {
         return;
     }
     let path = active_path();
-    let mr = tn_row_tile(path);
+    let mr = row_tile(path);
     let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (r as u64));
     let asl = a.as_slice();
     let bsl = b.as_slice();
@@ -1053,7 +1021,7 @@ pub fn gemm_tn_half(a: &Matrix, b: &Matrix, out: &mut [u16], exp: i32) {
     let t0 = Instant::now();
     if m > 0 && n > 0 {
         let path = active_path();
-        let mr = tn_row_tile(path);
+        let mr = row_tile(path);
         let shares = plan_shares(m, mr, 2 * (m as u64) * (n as u64) * (r as u64));
         let (asl, bsl) = (a.as_slice(), b.as_slice());
         par_rows_planned(m, n, mr, shares, out, |rows, chunk| {

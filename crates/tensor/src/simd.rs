@@ -68,23 +68,21 @@
 //! family, at different widths: the 256-bit family runs scalar loops
 //! (`f32::mul_add` for the FMA), the 512-bit one the masked kernel at the
 //! edge's width (`vmulps` + `vaddps`, or `vfmadd`). So every `tn` element
-//! and every tile-`nt` element — any tile, row edge or column edge — is one
+//! and every `nt` element — any tile, row edge or column edge — is one
 //! FMA chain over ascending k, started from `+0.0` or, accumulating, from
 //! the destination, and spilled to the f32 output at the same k-chunk
 //! boundaries; `nn` is that chain except in its column edge, which is the
 //! mul-then-add chain.
 //!
-//! # Skinny `nt` keeps its own kernel
+//! # One fold at every shape
 //!
-//! One shape is better served by the kernel the tile replaced, and keeps
-//! it; the choice reads the whole GEMM's shape, never a share's: `nt` over
-//! an f32 B with fewer than [`NT_TILE_MIN_ROWS`] output rows. The panel
-//! transposes cost the same at any m, and at a handful of rows they cost
-//! more than the tile saves. A binary16 B runs the tile at every m: the
-//! dot-product kernel takes no panel to widen into. The dot-product kernel
-//! is a 2×4 tile of independent dot products, each splitting k into 8-lane
-//! octets folded by FMA, reduced by a fixed pairwise horizontal sum, plus a
-//! scalar mul-then-add tail — a different fold from the tile's.
+//! Every GEMM of both families runs this nest, at any m, k and n, over an
+//! f32 or a binary16 B: no shape picks another kernel, so none picks
+//! another fold. Keep it so: SYMI resizes each class's replicas every
+//! iteration, which moves the row count of the `Trainer`'s expert backward
+//! GEMMs, and a kernel chosen by m would let the placement change the
+//! arithmetic, not only which tokens are kept. A skinny `nt` pays its panel
+//! transposes at any m (DESIGN.md *Kernel choice by shape*).
 //!
 //! `tn` runs the tile at every depth: at a short reduction what decides its
 //! time is the walk over the cold destination, which the row-block order
@@ -137,17 +135,6 @@ const KC: usize = 256;
 /// contiguous band of B's rows, where a [`KC`]-long one reads 64 bytes from
 /// each of 256 rows, 2 KB apart in a slot's `W1` (DESIGN.md *Tiling*).
 const KC_F16: usize = 64;
-/// Row tile of the dot-product `nt` kernel.
-pub(crate) const MR_DOT: usize = 2;
-
-/// `nt` GEMMs with at least this many output rows run on the FMA tile;
-/// fewer keep the dot-product kernel. Both kernels were timed interleaved
-/// in one process at `engine_params`' two expert `nt` shapes (k × n =
-/// 256 × 1024 and 1024 × 256; DESIGN.md *Compute kernels & threading*): at
-/// m 8 the tile takes 1.2–1.5× the dot product's time; the crossover is
-/// ≈ 16 rows in a quiet hour and ≈ 32 when neighbours load the memory
-/// system, and from 32 rows on the tile is ahead or level in both.
-pub const NT_TILE_MIN_ROWS: usize = 32;
 
 /// Runtime check for the two x86 families: AVX2, FMA and F16C (the loop
 /// nest widens a binary16 B with `VCVTPH2PS`; every AVX2 CPU has F16C).
@@ -1035,14 +1022,6 @@ pub(crate) fn nn_rows(
     }
 }
 
-/// Whether an `nt` GEMM with `m` output rows over `b` runs on the tile
-/// (else the dot-product kernel): a binary16 B always does. Read from the
-/// whole GEMM, never from a share, so every share at every worker count
-/// runs the same kernel.
-pub(crate) fn nt_on_tile(m: usize, b: BElems<'_>) -> bool {
-    matches!(b, BElems::F16(_)) || m >= NT_TILE_MIN_ROWS
-}
-
 /// Where a `tn` share's rows go: f32 elements, written or accumulated
 /// (`acc`), or binary16 bits in write mode, each element ×`scale` and
 /// narrowed as its tile stores it ([`crate::kernels::gemm_tn_half`]).
@@ -1086,9 +1065,9 @@ pub(crate) fn tn_rows(
     }
 }
 
-/// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`).
-/// `a` is the whole GEMM's A, so its rows (and `b`'s format) choose the
-/// kernel. `buf` is the caller's per-thread panel scratch (the tile only);
+/// AVX2 worker for a row range of `out (+)= a·bᵀ` (`b` row-major `n×k`),
+/// on the tile at every m: B's panel chunks are transposed — and, for a
+/// binary16 B, widened — into `buf`, the caller's per-thread panel scratch.
 /// `wide` as in [`nn_rows`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn nt_rows(
@@ -1105,168 +1084,27 @@ pub(crate) fn nt_rows(
     debug_assert!(if wide { have_avx512f() } else { have_avx2_fma() });
     assert!(rows.end <= a.rows() && k == a.cols() && b.len() >= n * k);
     assert!(chunk.len() >= rows.len() * n);
-    let (asl, a0, m, tile) = (a.as_slice(), rows.start * k, rows.len(), nt_on_tile(a.rows(), b));
-    let nest = tile_nest::<false, false>(wide);
+    let buf = panel_scratch(buf, k, wide);
+    let panels = match b {
+        BElems::F32(b) => Panels::Transposed { b, ldb: k, buf },
+        BElems::F16(b) => Panels::WidenedTransposed { b, ldb: k, buf },
+    };
     // SAFETY: as in `nn_rows`.
     unsafe {
-        match b {
-            BElems::F32(bsl) if !tile => nt_dot_rows(asl, bsl, rows, k, n, chunk, acc),
-            BElems::F32(b) => {
-                let panels = Panels::Transposed { b, ldb: k, buf: panel_scratch(buf, k, wide) };
-                nest(asl, a0, k, m, k, n, panels, chunk, acc, true, &mut [], 1.0)
-            }
-            BElems::F16(b) => {
-                let buf = panel_scratch(buf, k, wide);
-                let panels = Panels::WidenedTransposed { b, ldb: k, buf };
-                nest(asl, a0, k, m, k, n, panels, chunk, acc, true, &mut [], 1.0)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// nt at few rows: independent contiguous dot products
-// ---------------------------------------------------------------------------
-
-/// Fixed pairwise horizontal sum of a YMM: `(lo+hi)` 128-bit halves, then
-/// two pairwise 128-bit steps. Every dot product of the kernel reduces
-/// through this exact tree, so grouping of rows/columns never changes a
-/// result.
-#[target_feature(enable = "avx2")]
-unsafe fn hsum(v: __m256) -> f32 {
-    let lo = _mm256_castps256_ps128(v);
-    let hi = _mm256_extractf128_ps::<1>(v);
-    let q = _mm_add_ps(lo, hi);
-    let h = _mm_add_ps(q, _mm_movehl_ps(q, q));
-    _mm_cvtss_f32(_mm_add_ss(h, _mm_movehdup_ps(h)))
-}
-
-/// One dot product: FMA over 8-lane octets in ascending k, [`hsum`], then
-/// a scalar mul-add tail — the canonical per-element fold of the
-/// dot-product kernel (full tiles replay this schedule per accumulator).
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_f32(a: *const f32, b: *const f32, k: usize) -> f32 {
-    let k8 = k & !7usize;
-    let mut acc = _mm256_setzero_ps();
-    let mut kk = 0;
-    while kk < k8 {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(kk)), _mm256_loadu_ps(b.add(kk)), acc);
-        kk += 8;
-    }
-    let mut s = hsum(acc);
-    for t in k8..k {
-        s += *a.add(t) * *b.add(t);
-    }
-    s
-}
-
-/// The dot-product kernel over a row range: 2×4 tiles, edges through
-/// [`dot_f32`].
-///
-/// # Safety
-///
-/// AVX2 and FMA must be available; `asl` must hold `rows.end` rows of `k`,
-/// `bsl` `n` rows of `k` and `chunk` `rows.len()` rows of `n`.
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn nt_dot_rows(
-    asl: &[f32],
-    bsl: &[f32],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-    chunk: &mut [f32],
-    acc: bool,
-) {
-    const TJ: usize = 4;
-    let mlocal = rows.len();
-    let mut i = 0;
-    while i < mlocal {
-        let ih = MR_DOT.min(mlocal - i);
-        let mut j = 0;
-        while j < n {
-            let jh = TJ.min(n - j);
-            if ih == MR_DOT && jh == TJ {
-                kern_nt_2x4(
-                    asl.as_ptr().add((rows.start + i) * k),
-                    bsl.as_ptr().add(j * k),
-                    k,
-                    chunk.as_mut_ptr().add(i * n + j),
-                    n,
-                    acc,
-                );
-            } else {
-                for ii in 0..ih {
-                    let ap = asl.as_ptr().add((rows.start + i + ii) * k);
-                    for jj in 0..jh {
-                        let d = dot_f32(ap, bsl.as_ptr().add((j + jj) * k), k);
-                        let o = &mut chunk[(i + ii) * n + j + jj];
-                        *o = if acc { *o + d } else { d };
-                    }
-                }
-            }
-            j += jh;
-        }
-        i += ih;
-    }
-}
-
-/// 2×4 tile of dot products: 8 YMM accumulators, 6 loads / 8 FMAs per
-/// octet. Each accumulator's fold is exactly [`dot_f32`]'s schedule.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kern_nt_2x4(
-    ap: *const f32,
-    bp: *const f32,
-    k: usize,
-    op: *mut f32,
-    ldc: usize,
-    acc: bool,
-) {
-    let k8 = k & !7usize;
-    let z = _mm256_setzero_ps();
-    let (mut c00, mut c01, mut c02, mut c03) = (z, z, z, z);
-    let (mut c10, mut c11, mut c12, mut c13) = (z, z, z, z);
-    let a1 = ap.add(k);
-    let (b0, b1, b2, b3) = (bp, bp.add(k), bp.add(2 * k), bp.add(3 * k));
-    let mut kk = 0;
-    while kk < k8 {
-        let va0 = _mm256_loadu_ps(ap.add(kk));
-        let va1 = _mm256_loadu_ps(a1.add(kk));
-        let vb0 = _mm256_loadu_ps(b0.add(kk));
-        let vb1 = _mm256_loadu_ps(b1.add(kk));
-        let vb2 = _mm256_loadu_ps(b2.add(kk));
-        let vb3 = _mm256_loadu_ps(b3.add(kk));
-        c00 = _mm256_fmadd_ps(va0, vb0, c00);
-        c01 = _mm256_fmadd_ps(va0, vb1, c01);
-        c02 = _mm256_fmadd_ps(va0, vb2, c02);
-        c03 = _mm256_fmadd_ps(va0, vb3, c03);
-        c10 = _mm256_fmadd_ps(va1, vb0, c10);
-        c11 = _mm256_fmadd_ps(va1, vb1, c11);
-        c12 = _mm256_fmadd_ps(va1, vb2, c12);
-        c13 = _mm256_fmadd_ps(va1, vb3, c13);
-        kk += 8;
-    }
-    let mut s = [
-        [hsum(c00), hsum(c01), hsum(c02), hsum(c03)],
-        [hsum(c10), hsum(c11), hsum(c12), hsum(c13)],
-    ];
-    for t in k8..k {
-        let (x0, x1) = (*ap.add(t), *a1.add(t));
-        let (y0, y1, y2, y3) = (*b0.add(t), *b1.add(t), *b2.add(t), *b3.add(t));
-        s[0][0] += x0 * y0;
-        s[0][1] += x0 * y1;
-        s[0][2] += x0 * y2;
-        s[0][3] += x0 * y3;
-        s[1][0] += x1 * y0;
-        s[1][1] += x1 * y1;
-        s[1][2] += x1 * y2;
-        s[1][3] += x1 * y3;
-    }
-    for (ii, si) in s.iter().enumerate() {
-        for (jj, &sv) in si.iter().enumerate() {
-            let o = op.add(ii * ldc + jj);
-            *o = if acc { *o + sv } else { sv };
-        }
+        tile_nest::<false, false>(wide)(
+            a.as_slice(),
+            rows.start * k,
+            k,
+            rows.len(),
+            k,
+            n,
+            panels,
+            chunk,
+            acc,
+            true,
+            &mut [],
+            1.0,
+        )
     }
 }
 

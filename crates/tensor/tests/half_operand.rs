@@ -11,10 +11,8 @@
 //!   bias + GELU epilogue — equals the f32 GEMM on the decoded B, bit for
 //!   bit;
 //! - `nt` on the x86 families is the one FMA chain over ascending k at
-//!   every m (a binary16 B always runs the tile; the dot-product kernel,
-//!   which an f32 B runs below `NT_TILE_MIN_ROWS` rows, takes no panel), so
-//!   it equals the test-local `mul_add` fold `simd_oracle.rs` uses; on the
-//!   scalar family it equals the f32 `nt` on the decoded B.
+//!   every m, so it equals the test-local `mul_add` fold `simd_oracle.rs`
+//!   uses; on the scalar family it equals the f32 `nt` on the decoded B.
 //!
 //! Shapes cover m = 1, n below one 16-column panel, n mod 16 ∈ {1, 15}, k =
 //! 1, k either side of one, two and three 64-row chunks (the binary16 `nn`

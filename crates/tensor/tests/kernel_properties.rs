@@ -144,22 +144,14 @@ fn with_split_pool(f: impl FnOnce()) {
 fn active_path_gemm_is_invariant_across_worker_counts() {
     // Whatever family is active (AVX2 here if the host has it), the result
     // must not depend on how many workers executed: share bounds are
-    // tile-aligned, so the full/edge decomposition is split-invariant. The
-    // AVX2 `nt` picks its kernel from the GEMM's output rows (m below), so m
-    // runs below, at and above its threshold; `tn` (aᵀ·nn_ref, r = m) runs
-    // the tile at every depth, and 15–17 rows split its row blocks unevenly.
-    // A 4- or 8-worker split of a 33-row GEMM hands out shares of 6 rows:
-    // a share that chose the kernel for itself would run the other one,
-    // which for `nt` changes the bits.
-    #[cfg(target_arch = "x86_64")]
-    let thresholds = [symi_tensor::simd::NT_TILE_MIN_ROWS];
-    #[cfg(not(target_arch = "x86_64"))]
-    let thresholds: [usize; 0] = [];
+    // tile-aligned, so the full/edge decomposition is split-invariant. m
+    // runs either side of 32 rows, where the x86 `nt` once switched kernels;
+    // `tn` (aᵀ·nn_ref, r = m) runs the tile at every depth, and 15–17 rows
+    // split its row blocks unevenly. A 4- or 8-worker split of a 33-row
+    // GEMM hands out shares of 6 rows.
     let mut shapes = vec![(64usize, 37usize, 53usize), (13, 29, 17), (127, 65, 33)];
     shapes.extend([(15, 31, 40), (16, 33, 40), (17, 20, 17)]);
-    for t in thresholds {
-        shapes.extend([(t - 1, 31, 40), (t, 33, 40), (t + 1, 20, 17)]);
-    }
+    shapes.extend([(31, 31, 40), (32, 33, 40), (33, 20, 17)]);
     with_split_pool(|| {
         let mut rng = StdRng::seed_from_u64(505);
         for &(m, k, n) in &shapes {
@@ -200,8 +192,7 @@ fn both_tiles_agree_at_any_worker_count_where_the_wide_tile_ends() {
     // R×32 tiles and their remainders, 16×16 and 6×16 tiles and R×16
     // remainders. Both x86 families at 1 and at 4 workers must give one
     // result for all three layouts — k crosses the 256-long chunk, n mod 32
-    // is 0, 5, 16 or 21, and `nt` runs the dot-product kernel below 32 rows
-    // and the tile above. The shapes are `simd_oracle.rs`'s bitwise ones.
+    // is 0, 5, 16 or 21. The shapes are `simd_oracle.rs`'s bitwise ones.
     use symi_tensor::simd::MR_WIDE;
     let h = MR_WIDE;
     let kn = [(300, 64), (520, 37), (300, 48), (520, 53)];

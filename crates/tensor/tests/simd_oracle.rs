@@ -1,9 +1,9 @@
 //! SIMD-vs-naive-oracle accuracy gate.
 //!
 //! The scalar kernel family is bitwise-equal to the naive oracle (pinned in
-//! `kernel_properties.rs`). The AVX2 family uses FMA and, in the
-//! dot-product `nt`, 8-lane k-splitting, so its results legitimately differ
-//! from the oracle — but only within classical floating-point error bounds.
+//! `kernel_properties.rs`). The AVX2 family uses FMA, so its results
+//! legitimately differ from the oracle — but only within classical
+//! floating-point error bounds.
 //! These tests hold the *active* path (whatever the host resolves to) to an
 //! explicit gate:
 //!
@@ -21,14 +21,12 @@
 //! they are one FMA chain over ascending k, and [`fma_chain`] — a test-local
 //! `f32::mul_add` fold from `+0.0` or from the destination — reproduces
 //! them with `==`, on the 256-bit tile and on the 512-bit one alike. That
-//! covers every `tn` element, every element of an `nt` with at least
-//! `NT_TILE_MIN_ROWS` rows, and `nn`'s full-width columns (the first
-//! `16·⌊n/16⌋`). `nn`'s column edge folds mul-then-add — in scalar loops on
-//! the 256-bit family, in a masked 16-lane kernel on the 512-bit one — and
-//! [`mul_add_chain`], the same fold unfused, reproduces it with `==` on
-//! both. Only the dot-product `nt`, which splits k into octets, stays under
-//! the gate alone. `force_simd_path` refuses a family the CPU lacks, so
-//! these tests skip it instead.
+//! covers every `tn` element, every `nt` element at every m, and `nn`'s
+//! full-width columns (the first `16·⌊n/16⌋`). `nn`'s column edge folds
+//! mul-then-add — in scalar loops on the 256-bit family, in a masked
+//! 16-lane kernel on the 512-bit one — and [`mul_add_chain`], the same fold
+//! unfused, reproduces it with `==` on both. `force_simd_path` refuses a
+//! family the CPU lacks, so these tests skip it instead.
 
 use std::sync::{Mutex, MutexGuard};
 use symi_tensor::kernels::{self, naive, ulp_diff, SimdPath};
@@ -185,18 +183,25 @@ fn bits(x: &Matrix) -> Vec<u32> {
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
-    use symi_tensor::simd::{MR_WIDE, NT_TILE_MIN_ROWS};
+    use symi_tensor::simd::MR_WIDE;
     let _g = lock();
     let prev = kernels::active_path();
-    let (t, h) = (NT_TILE_MIN_ROWS, MR_WIDE);
+    let h = MR_WIDE;
     let mut shapes = edge_shapes();
-    // nt on either side of its threshold, and k across the 256-long chunk.
-    shapes.extend([(t - 1, 20, 33), (t, 20, 33), (t + 1, 300, 17), (64, 520, 48), (97, 33, 5)]);
+    // nt either side of the 32 rows where it once switched kernels, and k
+    // across the 256-long chunk.
+    shapes.extend([(31, 20, 33), (32, 20, 33), (33, 300, 17), (64, 520, 48), (97, 33, 5)]);
+    // The `Trainer`'s two expert-backward `nt` shapes (k×n 64×128 and
+    // 128×64) at m 1–33: replica right-sizing moves a class's kept rows
+    // every step.
+    for m in 1..=33 {
+        shapes.extend([(m, 64, 128), (m, 128, 64)]);
+    }
     // Every height of the 512-bit family's 32-column tile and its
     // remainders up to two tiles and a row, then three tiles and a row
-    // either side (`nt` runs the tile from 32 rows), with k across the
-    // chunk and n mod 32 at 0, 5, 16 and 21: whole 32-column panels, a
-    // column edge, a 16-column panel, and both.
+    // either side, with k across the chunk and n mod 32 at 0, 5, 16 and
+    // 21: whole 32-column panels, a column edge, a 16-column panel, and
+    // both.
     let kn = [(300, 64), (520, 37), (300, 48), (520, 53)];
     for (i, m) in (1..=2 * h + 1).chain([3 * h - 1, 3 * h, 3 * h + 1]).enumerate() {
         shapes.push((m, kn[i % 4].0, kn[i % 4].1));
@@ -250,10 +255,8 @@ fn avx2_single_chain_elements_equal_the_fma_chain_bitwise() {
             at.matmul_tn_acc(&b, &mut got);
             assert_eq!(bits(&got), bits(&chain_acc), "tn acc {label}");
 
-            // nt on the tile: every element.
-            if m >= NT_TILE_MIN_ROWS {
-                assert_eq!(bits(&a.matmul_nt(&bt)), bits(&chain), "nt {label}");
-            }
+            // nt: every shape, every element.
+            assert_eq!(bits(&a.matmul_nt(&bt)), bits(&chain), "nt {label}");
 
             // nn, write and accumulate mode: the full-width columns fuse,
             // the column edge (the last n mod 16) folds mul-then-add.

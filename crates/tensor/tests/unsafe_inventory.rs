@@ -14,7 +14,7 @@ use std::path::Path;
 
 /// `[unsafe fn, unsafe block, unsafe impl]` per file of `src/`; every file
 /// not listed has none.
-const EXPECTED: &[(&str, [usize; 3])] = &[("pool.rs", [0, 2, 1]), ("simd.rs", [15, 16, 0])];
+const EXPECTED: &[(&str, [usize; 3])] = &[("pool.rs", [0, 2, 1]), ("simd.rs", [11, 16, 0])];
 
 /// `line` up to its `//` comment, with string and char literals blanked.
 fn code_of(line: &str) -> String {
