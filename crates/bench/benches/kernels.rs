@@ -47,7 +47,8 @@
 //! product: at each m×k×n, `nn` = (m×k)·(k×n), `nt` = (m×k)·(n×k)ᵀ and
 //! `tn` = (k×m)ᵀ·(k×n), interleaved, single-threaded, in GFLOP/s and with the
 //! kernel each layout ran. The shapes are `engine_tokens`' expert GEMMs,
-//! `trainer_lm`'s per-head attention and projection gradient, and
+//! the per-head attention GEMM `trainer_lm` ran before the attention core
+//! and its projection gradient, and
 //! `engine_params`' skinny expert (m 8 … 32) and gradient (k 8 … 24) GEMMs,
 //! and the two engines' router GEMMs (1024×64×4 and 32×256×4). `nn` runs
 //! the FMA tile with no transposes at all: the reference `nt`'s panel
@@ -62,8 +63,17 @@
 //! and record whether the two families' outputs are equal bit for bit. At
 //! `engine_tokens`' expert GEMMs and `trainer_lm`'s LM head and projection
 //! the 512-bit family runs its 12×32 tile; at `trainer_lm`'s n = 16 router
-//! and per-head attention GEMMs, one 16-column panel, its masked 16×16
-//! tile. Hosts without AVX-512F leave the section empty.
+//! and at the per-head attention GEMMs' 32×32×16 (the attention core runs
+//! them now; the shape stays as a 16-column panel), its masked 16×16 tile.
+//! Hosts without AVX-512F leave the section empty.
+//!
+//! The **attention core rows** time `trainer_lm`'s per-(sequence, head)
+//! attention at `small_sim`'s geometry (32 sequences of 32 rows, 4 heads of
+//! 16 columns) in ns per (sequence, head) pair, forward and backward: the
+//! fused [`AttentionCore`] against the per-head GEMM composition it replaced
+//! (head blocks copied out, six GEMMs, the causal softmax, results copied
+//! back), interleaved, one thread, on the active family, with the two
+//! sides' outputs equal bit for bit.
 //!
 //! Then the **optimizer rows**: one Adam step over the repository
 //! benchmark's own shard sizes (262,784 parameters: `engine_params`' per-rank
@@ -76,6 +86,9 @@
 //! replaced (two widenings, the fold, Adam, two copies); and the **binary16
 //! codec rows** (slice encode/decode, ns per element, vector / scalar) at
 //! the same sizes.
+//!
+//! Every row group runs twice and records its second pass: in a fresh
+//! process a group's first pass read up to 1.8× slower than its second.
 //!
 //! With `SYMI_KERNEL_SMOKE=1` the binary instead runs the CI gate. Every
 //! check runs whatever the others' verdicts, prints `gate <name>: ok` or
@@ -131,17 +144,28 @@
 //!      narrowed under the same exponent, bit for bit, and its cold time
 //!      summed over those shapes is ≤ 1.0× the f32 write's on the active
 //!      family.
+//!  14. **attention core**: at `small_sim`'s geometry the fused attention
+//!      core's `O`, `dQ`, `dK` and `dV` equal the per-head GEMM
+//!      composition's bit for bit, and on an x86 family its forward and its
+//!      backward each run ≥ 1.3× faster than the composition's.
 
+use std::cell::RefCell;
 use std::path::Path;
 use std::time::Instant;
 
 use symi_bench::{bench, group};
 use symi_model::expert::ExpertFfn;
+use symi_model::ModelConfig;
 use symi_telemetry::json::{Obj, Value};
 use symi_tensor::kernels::{self, naive, SimdPath};
-use symi_tensor::ops::{gelu_backward_from_tanh_into, gelu_into, softmax_rows_into};
+use symi_tensor::ops::{
+    causal_softmax_in_place, gelu_backward_from_tanh_into, gelu_into, softmax_rows_backward_into,
+    softmax_rows_into,
+};
+use symi_tensor::rng::StdRng;
 use symi_tensor::{
-    half, pool, vmath, AdamConfig, AdamShard, AdamState, Dest, Grad, HalfMatrix, Matrix, ScaledHalf,
+    half, init, pool, vmath, AdamConfig, AdamShard, AdamState, AttentionCore, Dest, Grad,
+    HalfMatrix, Matrix, ScaledHalf,
 };
 
 /// (label, m, k, n): `out[m×n] = a[m×k] · b[k×n]`.
@@ -944,7 +968,8 @@ fn tile_width_ns(x: &LayoutInputs, reps: usize) -> ([f64; 6], bool) {
 /// (group, m, k, n) of the tile-width rows: `engine_tokens`' two expert
 /// GEMMs, `trainer_lm`'s LM head and one of its attention projections (the
 /// 12×32 tile on the 512-bit family), and `trainer_lm`'s n = 16 router and
-/// per-head attention GEMMs (one 16-column panel: the masked tile).
+/// the per-head attention GEMMs' shape (one 16-column panel: the masked
+/// tile).
 const TILE_WIDTH_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("engine_tokens_expert", 256, 64, 256),
     ("engine_tokens_expert", 256, 256, 64),
@@ -1223,6 +1248,193 @@ fn bench_f16_codec() -> Value {
 /// per element, ≤ 8 ULPs apart or within `4·k·ε` of the magnitude bound
 /// `|A|·|B|`. The active path may reassociate via FMA; bitwise equality is
 /// only promised on the forced-scalar path.
+/// The per-(sequence, head) part of `trainer_lm`'s attention as the layer
+/// ran it before [`AttentionCore`]: each head's Q, K, V (and `dO`) block
+/// copied out, the six per-head GEMMs, the causal softmax
+/// ([`causal_softmax_in_place`]) and its backward, and each result block
+/// copied back into the whole-batch matrix. The core is timed against it
+/// and held to its bits.
+struct PerHead {
+    seq_len: usize,
+    heads: usize,
+    probs: Vec<Matrix>,
+    /// `[qh, kh, vh, oh, dh, dp, ds]`.
+    blocks: [Matrix; 7],
+}
+
+/// Copies the `rows × cols` block of `m` at (`row0`, `col0`) into `out`.
+fn copy_block(m: &Matrix, row0: usize, rows: usize, col0: usize, cols: usize, out: &mut Matrix) {
+    out.resize_to(rows, cols);
+    for r in 0..rows {
+        out.row_mut(r).copy_from_slice(&m.row(row0 + r)[col0..col0 + cols]);
+    }
+}
+
+/// Writes `src` into `dst` at (`row0`, `col0`).
+fn set_block(dst: &mut Matrix, row0: usize, col0: usize, src: &Matrix) {
+    for r in 0..src.rows() {
+        dst.row_mut(row0 + r)[col0..col0 + src.cols()].copy_from_slice(src.row(r));
+    }
+}
+
+impl PerHead {
+    fn new(seq_len: usize, heads: usize) -> Self {
+        Self {
+            seq_len,
+            heads,
+            probs: Vec::new(),
+            blocks: std::array::from_fn(|_| Matrix::zeros(0, 0)),
+        }
+    }
+
+    fn forward(&mut self, q: &Matrix, k: &Matrix, v: &Matrix, concat: &mut Matrix) {
+        let (l, heads) = (self.seq_len, self.heads);
+        let dh = q.cols() / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let batch = q.rows() / l;
+        self.probs.resize_with(batch * heads, || Matrix::zeros(0, 0));
+        concat.resize_to(q.rows(), q.cols());
+        let [qh, kh, vh, oh, ..] = &mut self.blocks;
+        for b in 0..batch {
+            for h in 0..heads {
+                copy_block(q, b * l, l, h * dh, dh, qh);
+                copy_block(k, b * l, l, h * dh, dh, kh);
+                copy_block(v, b * l, l, h * dh, dh, vh);
+                let p = &mut self.probs[b * heads + h];
+                qh.matmul_nt_into(kh, p);
+                causal_softmax_in_place(p, scale);
+                p.matmul_into(vh, oh);
+                set_block(concat, b * l, h * dh, oh);
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn backward(
+        &mut self,
+        [q, k, v, dout]: [&Matrix; 4],
+        dq: &mut Matrix,
+        dk: &mut Matrix,
+        dv: &mut Matrix,
+    ) {
+        let (l, heads) = (self.seq_len, self.heads);
+        let dh = q.cols() / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        for m in [&mut *dq, &mut *dk, &mut *dv] {
+            m.resize_to(q.rows(), q.cols());
+        }
+        let [qh, kh, vh, oh, dhd, dp, ds] = &mut self.blocks;
+        for b in 0..q.rows() / l {
+            for h in 0..heads {
+                copy_block(dout, b * l, l, h * dh, dh, dhd);
+                copy_block(v, b * l, l, h * dh, dh, vh);
+                copy_block(q, b * l, l, h * dh, dh, qh);
+                copy_block(k, b * l, l, h * dh, dh, kh);
+                let p = &self.probs[b * heads + h];
+                dhd.matmul_nt_into(vh, dp);
+                p.matmul_tn_into(dhd, oh);
+                set_block(dv, b * l, h * dh, oh);
+                softmax_rows_backward_into(p, dp, ds);
+                ds.scale(scale);
+                ds.matmul_into(kh, oh);
+                set_block(dq, b * l, h * dh, oh);
+                ds.matmul_tn_into(qh, oh);
+                set_block(dk, b * l, h * dh, oh);
+            }
+        }
+    }
+}
+
+/// `trainer_lm`'s attention at `small_sim`'s geometry (32 sequences of 32
+/// rows, 4 heads of 16 columns): Q, K, V and `dO`, and both sides'
+/// outputs — `[O, dQ, dK, dV]` of the core, then of the per-head GEMMs.
+struct AttentionCase {
+    ins: [Matrix; 4],
+    core: AttentionCore,
+    per_head: PerHead,
+    outs: [[Matrix; 4]; 2],
+}
+
+impl AttentionCase {
+    fn new() -> Self {
+        let cfg = ModelConfig::small_sim();
+        let (rows, d) = (cfg.tokens_per_batch(), cfg.d_model);
+        let mut rng = StdRng::seed_from_u64(13);
+        let ins = [1.0, 1.0, 1.0, 0.05].map(|std| init::normal(rows, d, std, &mut rng));
+        Self {
+            ins,
+            core: AttentionCore::new(cfg.seq_len, cfg.n_heads),
+            per_head: PerHead::new(cfg.seq_len, cfg.n_heads),
+            outs: std::array::from_fn(|_| std::array::from_fn(|_| Matrix::zeros(0, 0))),
+        }
+    }
+
+    fn pairs(&self) -> usize {
+        self.ins[0].rows() / self.core.seq_len() * self.core.heads()
+    }
+
+    /// Min-of-`reps` ns of `[core forward, core backward, per-head forward,
+    /// per-head backward]`, interleaved, one thread, on the active family.
+    fn time(&mut self, reps: usize) -> Vec<f64> {
+        pool::set_threads(1);
+        let Self { ins: [q, k, v, dout], core, per_head, outs: [c, p] } = self;
+        let ([co, cq, ck, cv], [po, pq, pk, pv]) = (c, p);
+        let ins = [&*q, &*k, &*v, &*dout];
+        // Each side's backward reads what its forward cached.
+        let (core, per_head) = (RefCell::new(core), RefCell::new(per_head));
+        interleaved_min_ns(
+            reps,
+            &mut [
+                &mut || core.borrow_mut().forward(q, k, v, co),
+                &mut || core.borrow_mut().backward(q, k, v, dout, cq, ck, cv),
+                &mut || per_head.borrow_mut().forward(q, k, v, po),
+                &mut || per_head.borrow_mut().backward(ins, pq, pk, pv),
+            ],
+        )
+    }
+
+    /// Whether the two sides' last outputs are equal bit for bit.
+    fn same_bits(&self) -> bool {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        self.outs[0].iter().zip(&self.outs[1]).all(|(c, p)| bits(c) == bits(p))
+    }
+}
+
+/// The attention core against the per-head GEMM composition it replaced:
+/// ns per (sequence, head) pair, forward and backward, on the active
+/// family at `trainer_lm`'s geometry.
+fn bench_attention_core() -> Value {
+    // ≈ 0.5 s of reps: a min over a window longer than this host's bursts of
+    // outside load.
+    const REPS: usize = 200;
+    let mut case = AttentionCase::new();
+    let pairs = case.pairs();
+    group(&format!("attention_core/small_sim/{pairs}_pairs"));
+    let ns = case.time(REPS);
+    assert!(case.same_bits(), "the attention core's outputs differ from the per-head GEMMs'");
+    let per_pair = |t: f64| t / pairs as f64;
+    let mut o = Obj::new();
+    o.set("group", Value::str("small_sim"));
+    o.set("pairs", Value::u64(pairs as u64));
+    o.set("fwd_core_ns_per_pair", Value::Num(per_pair(ns[0])));
+    o.set("bwd_core_ns_per_pair", Value::Num(per_pair(ns[1])));
+    o.set("fwd_per_head_ns_per_pair", Value::Num(per_pair(ns[2])));
+    o.set("bwd_per_head_ns_per_pair", Value::Num(per_pair(ns[3])));
+    o.set("fwd_speedup", Value::Num(ns[2] / ns[0]));
+    o.set("bwd_speedup", Value::Num(ns[3] / ns[1]));
+    println!(
+        "attention_core small_sim: forward {:.0} ns/pair (per-head GEMMs {:.0}, {:.2}x), \
+         backward {:.0} ns/pair (per-head GEMMs {:.0}, {:.2}x), bit-identical",
+        per_pair(ns[0]),
+        per_pair(ns[2]),
+        ns[2] / ns[0],
+        per_pair(ns[1]),
+        per_pair(ns[3]),
+        ns[3] / ns[1],
+    );
+    Value::Arr(vec![Value::Obj(o)])
+}
+
 fn assert_oracle(got: &Matrix, oracle: &Matrix, absbound: &Matrix, k: usize, label: &str) {
     let scale = 4.0 * (k.max(1) as f32) * f32::EPSILON;
     for (i, ((&g, &o), &ab)) in
@@ -1248,7 +1460,7 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
     best
 }
 
-/// CI gate. Eleven checks, all cheap enough for every PR, each run to its
+/// CI gate. Its checks, all cheap enough for every PR, each run to its
 /// verdict ([`Gates`]) so a failure — a noisy host can fail the scaling one —
 /// masks none of the others:
 ///   correctness — tolerance-gated oracle comparison on the d256 shape;
@@ -1279,7 +1491,10 @@ fn time_gemm(a: &Matrix, b: &Matrix, out: &mut Matrix, reps: usize) -> f64 {
 ///   shapes the masked 16-column tile's do at ≥ 1.1×;
 ///   16 lanes — there too, `engine_tokens`' router `nn` (1024×64×4, all
 ///   column edge) equals the `Avx2` family's bit for bit at ≥ 4× its speed,
-///   and `gelu_tanh_slice` on 16 lanes the 8-lane one at ≥ 1.3×.
+///   and `gelu_tanh_slice` on 16 lanes the 8-lane one at ≥ 1.3×;
+///   attention core — at `small_sim`'s geometry the fused core equals the
+///   per-head GEMM composition bit for bit, and on an x86 family its
+///   forward and its backward each run at ≥ 1.3× the composition's speed.
 fn smoke() {
     let reps = 5;
     let max_t = *THREADS.last().unwrap();
@@ -1557,6 +1772,29 @@ fn smoke() {
         );
     });
 
+    // The attention core: the per-head GEMM composition's bits, faster, at
+    // `trainer_lm`'s geometry.
+    gates.run("14 attention core: the per-head GEMMs' bits, >= 1.3x", || {
+        let mut case = AttentionCase::new();
+        let pairs = case.pairs() as f64;
+        let ns = case.time(60);
+        let (fwd, bwd) = (ns[2] / ns[0], ns[3] / ns[1]);
+        println!(
+            "smoke attention core: forward {:.0} ns/pair ({fwd:.2}x the per-head GEMMs), \
+             backward {:.0} ns/pair ({bwd:.2}x)",
+            ns[0] / pairs,
+            ns[1] / pairs,
+        );
+        assert!(case.same_bits(), "the core's O, dQ, dK or dV differ from the per-head GEMMs'");
+        if kernels::active_path() != SimdPath::Scalar {
+            assert!(
+                fwd >= 1.3 && bwd >= 1.3,
+                "attention core under 1.3x the per-head GEMMs: forward {fwd:.2}x, \
+                 backward {bwd:.2}x"
+            );
+        }
+    });
+
     // The backward layouts at the forward's rate.
     gates.run("7 backward layouts: nt, tn >= 0.85x nn", || {
         for &(label, m, k, n) in LAYOUT_SHAPES.iter().filter(|s| s.0 == "engine_tokens_expert") {
@@ -1690,6 +1928,19 @@ impl Gates {
     }
 }
 
+/// A row group's rows from its second pass: the first, untimed, brings
+/// the process to the state the timed one measures. Run once per fresh
+/// process, a group's rows read up to 1.8× slower than on its second pass
+/// (`engine_params_expert` `nn` 67–78 against 122–128 GFLOP/s, the Adam
+/// f32 store 1.24–1.48 against 1.00–1.02 ns per parameter), and an untimed
+/// call of each row's kernels just before its timing did not close the gap.
+fn warmed(group: fn() -> Value) -> Value {
+    println!("\n(untimed pass)");
+    group();
+    println!("\n(timed pass)");
+    group()
+}
+
 fn main() {
     if std::env::var("SYMI_KERNEL_SMOKE").is_ok() {
         smoke();
@@ -1698,16 +1949,17 @@ fn main() {
 
     // The optimizer rows first, before the GEMM sections, as the smoke gate
     // times them.
-    let adam = bench_adam();
-    let f16_codec = bench_f16_codec();
-    let shapes = bench_shapes();
-    let activations = bench_activations();
-    let expert_ffn = bench_expert_ffn();
-    let expert_ffn_skinny = bench_expert_ffn_skinny();
-    let class_major = bench_class_major();
-    let gemm_tn_skinny = bench_gemm_tn_skinny();
-    let layouts = bench_layouts();
-    let tile_widths = bench_tile_widths();
+    let adam = warmed(bench_adam);
+    let f16_codec = warmed(bench_f16_codec);
+    let shapes = warmed(bench_shapes);
+    let activations = warmed(bench_activations);
+    let expert_ffn = warmed(bench_expert_ffn);
+    let expert_ffn_skinny = warmed(bench_expert_ffn_skinny);
+    let class_major = warmed(bench_class_major);
+    let gemm_tn_skinny = warmed(bench_gemm_tn_skinny);
+    let layouts = warmed(bench_layouts);
+    let tile_widths = warmed(bench_tile_widths);
+    let attention_core = warmed(bench_attention_core);
 
     let mut o = Obj::new();
     o.set("bench", Value::str("gemm_kernels"));
@@ -1721,6 +1973,7 @@ fn main() {
     o.set("gemm_tn_skinny", gemm_tn_skinny);
     o.set("layouts", layouts);
     o.set("tile_widths", tile_widths);
+    o.set("attention_core", attention_core);
     o.set("adam", adam);
     o.set("f16_codec", f16_codec);
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_kernels.json");

@@ -3,24 +3,23 @@
 //! Operates on a `(batch·seq_len) × d_model` activation matrix. The four
 //! projections (Q, K, V and the output's `Wo`), their weight gradients and
 //! their input gradient are one whole-batch GEMM each — twelve per layer per
-//! step. Only the per-head score / mix GEMMs run per (sequence, head), on
-//! column blocks of the batch's Q, K and V; the causal softmax scales and
-//! normalises each score row's `j ≤ i` part only, with no mask written
-//! ([`causal_softmax_in_place`]).
+//! step. Everything per (sequence, head) — the scores, the causal softmax
+//! and the value mix, and their backward — is one call of
+//! [`AttentionCore`], which reads each head's Q, K and V block where it
+//! lies in the whole-batch matrices and writes its output rows straight
+//! into the concatenated heads.
 //!
-//! Every result is bit for bit what running each sequence on its own gives:
-//! a whole-batch `nn` or `nt` product's rows are its per-sequence products'
-//! rows (rows never interact), and a whole-batch `tn` weight gradient is one
-//! ascending fold over all rows — the per-sequence accumulating calls
-//! continued where the previous one stopped (`tests/attention_oracle.rs`).
-//! The one proviso is the AVX2 `nt`, which picks its kernel by row count:
-//! both sides must pick the same one, as they do from `seq_len` 32 on
-//! (`small_sim`) or for a whole batch under 32 rows.
+//! Every result is bit for bit what running each sequence and head through
+//! its own GEMMs gives (`tests/attention_oracle.rs`): a whole-batch `nn` or
+//! `nt` product's rows are its per-sequence products' rows (rows never
+//! interact), a whole-batch `tn` weight gradient is one ascending fold over
+//! all rows — the per-sequence accumulating calls continued where the
+//! previous one stopped — and the core folds each element of the six
+//! per-head products as the per-head GEMM folds it (`symi_tensor::attention`).
 
 use std::cell::RefCell;
-use symi_tensor::ops::{causal_softmax_in_place, softmax_rows_backward_into};
 use symi_tensor::rng::StdRng;
-use symi_tensor::{init, Matrix};
+use symi_tensor::{init, AttentionCore, Matrix};
 
 thread_local! {
     /// Backward's whole-batch scratch: `dL/d concat` (then each
@@ -32,9 +31,8 @@ thread_local! {
 
 /// Multi-head causal self-attention layer.
 ///
-/// The forward cache and the per-head scratch are persistent, so
-/// steady-state iterations at a fixed batch shape perform no heap
-/// allocation.
+/// The forward cache is persistent, so steady-state iterations at a fixed
+/// batch shape perform no heap allocation.
 pub struct CausalAttention {
     pub wq: Matrix,
     pub wk: Matrix,
@@ -44,29 +42,15 @@ pub struct CausalAttention {
     pub wk_grad: Matrix,
     pub wv_grad: Matrix,
     pub wo_grad: Matrix,
-    n_heads: usize,
-    seq_len: usize,
     /// Forward cache, whole batch: the input and its three projections.
     x: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
-    /// Softmax probabilities of sequence `b`, head `h` at `b·n_heads + h`
-    /// (only grows; the first `cached_seqs·n_heads` are live).
-    probs: Vec<Matrix>,
     /// Concatenated head outputs (pre-`Wo`).
     concat: Matrix,
-    /// Sequences the cache holds.
-    cached_seqs: usize,
-    /// Per-(sequence, head) blocks: `seq_len × d_head` (`qh` … `dh`) and
-    /// `seq_len × seq_len` (`dp`, `ds`).
-    qh: Matrix,
-    kh: Matrix,
-    vh: Matrix,
-    oh: Matrix,
-    dh: Matrix,
-    dp: Matrix,
-    ds: Matrix,
+    /// The per-(sequence, head) part, with every head's probabilities.
+    core: AttentionCore,
 }
 
 impl CausalAttention {
@@ -83,31 +67,13 @@ impl CausalAttention {
             wk_grad: Matrix::zeros(d_model, d_model),
             wv_grad: Matrix::zeros(d_model, d_model),
             wo_grad: Matrix::zeros(d_model, d_model),
-            n_heads,
-            seq_len,
             x: empty(),
             q: empty(),
             k: empty(),
             v: empty(),
-            probs: Vec::new(),
             concat: empty(),
-            cached_seqs: 0,
-            qh: empty(),
-            kh: empty(),
-            vh: empty(),
-            oh: empty(),
-            dh: empty(),
-            dp: empty(),
-            ds: empty(),
+            core: AttentionCore::new(seq_len, n_heads),
         }
-    }
-
-    fn d_model(&self) -> usize {
-        self.wq.rows()
-    }
-
-    fn d_head(&self) -> usize {
-        self.d_model() / self.n_heads
     }
 
     /// Forward over a `(batch·L) × d_model` input.
@@ -119,34 +85,12 @@ impl CausalAttention {
 
     /// [`CausalAttention::forward`] into a reusable output buffer.
     pub fn forward_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        let l = self.seq_len;
-        assert_eq!(x.rows() % l, 0, "input must tile whole sequences");
-        let batch = x.rows() / l;
-        let (d, dh, heads) = (self.d_model(), self.d_head(), self.n_heads);
-        let scale = 1.0 / (dh as f32).sqrt();
         self.x.copy_from(x);
         x.matmul_into(&self.wq, &mut self.q);
         x.matmul_into(&self.wk, &mut self.k);
         x.matmul_into(&self.wv, &mut self.v);
-        if self.probs.len() < batch * heads {
-            self.probs.resize_with(batch * heads, || Matrix::zeros(0, 0));
-        }
-        self.cached_seqs = batch;
-
-        self.concat.resize_to(x.rows(), d);
-        for b in 0..batch {
-            for h in 0..heads {
-                copy_block(&self.q, b * l, l, h * dh, dh, &mut self.qh);
-                copy_block(&self.k, b * l, l, h * dh, dh, &mut self.kh);
-                copy_block(&self.v, b * l, l, h * dh, dh, &mut self.vh);
-                let p = &mut self.probs[b * heads + h];
-                self.qh.matmul_nt_into(&self.kh, p);
-                // Position i attends to j ≤ i.
-                causal_softmax_in_place(p, scale);
-                p.matmul_into(&self.vh, &mut self.oh);
-                set_block(&mut self.concat, b * l, h * dh, &self.oh);
-            }
-        }
+        // Position i attends to j ≤ i.
+        self.core.forward(&self.q, &self.k, &self.v, &mut self.concat);
         self.concat.matmul_into(&self.wo, out);
     }
 
@@ -160,42 +104,14 @@ impl CausalAttention {
     /// [`CausalAttention::backward`] into a reusable `dx` buffer. It reads
     /// the forward cache and leaves it intact, so it may run again.
     pub fn backward_into(&mut self, dy: &Matrix, dx: &mut Matrix) {
-        let l = self.seq_len;
-        let batch = dy.rows() / l;
-        assert_eq!(batch, self.cached_seqs, "backward without matching forward");
-        let (d, dh, heads) = (self.d_model(), self.d_head(), self.n_heads);
-        let scale = 1.0 / (dh as f32).sqrt();
+        let batch = dy.rows() / self.core.seq_len();
+        assert_eq!(batch, self.core.cached_seqs(), "backward without matching forward");
         BACKWARD_SCRATCH.with_borrow_mut(|[dconcat, dq, dk, dv]| {
             // Y = concat · Wo
             self.concat.matmul_tn_acc(dy, &mut self.wo_grad);
             dy.matmul_nt_into(&self.wo, dconcat);
 
-            for m in [&mut *dq, &mut *dk, &mut *dv] {
-                m.resize_to(dy.rows(), d);
-            }
-            for b in 0..batch {
-                for h in 0..heads {
-                    // dh: upstream gradient of this head's output block.
-                    copy_block(dconcat, b * l, l, h * dh, dh, &mut self.dh);
-                    copy_block(&self.v, b * l, l, h * dh, dh, &mut self.vh);
-                    copy_block(&self.q, b * l, l, h * dh, dh, &mut self.qh);
-                    copy_block(&self.k, b * l, l, h * dh, dh, &mut self.kh);
-                    let p = &self.probs[b * heads + h];
-
-                    // Oh = P · Vh
-                    self.dh.matmul_nt_into(&self.vh, &mut self.dp);
-                    p.matmul_tn_into(&self.dh, &mut self.oh); // dVh
-                    set_block(dv, b * l, h * dh, &self.oh);
-                    // P = softmax(S); S = scale · Qh Khᵀ (masked entries have
-                    // zero probability so their score grads vanish).
-                    softmax_rows_backward_into(p, &self.dp, &mut self.ds);
-                    self.ds.scale(scale);
-                    self.ds.matmul_into(&self.kh, &mut self.oh); // dQh
-                    set_block(dq, b * l, h * dh, &self.oh);
-                    self.ds.matmul_tn_into(&self.qh, &mut self.oh); // dKh
-                    set_block(dk, b * l, h * dh, &self.oh);
-                }
-            }
+            self.core.backward(&self.q, &self.k, &self.v, dconcat, dq, dk, dv);
 
             // Q = X Wq etc.
             self.x.matmul_tn_acc(dq, &mut self.wq_grad);
@@ -224,23 +140,6 @@ impl CausalAttention {
     }
 }
 
-/// Copies the `rows × cols` block of `m` at (`row0`, `col0`) into `out`,
-/// reusing `out`'s allocation.
-fn copy_block(m: &Matrix, row0: usize, rows: usize, col0: usize, cols: usize, out: &mut Matrix) {
-    out.resize_to(rows, cols);
-    for r in 0..rows {
-        out.row_mut(r).copy_from_slice(&m.row(row0 + r)[col0..col0 + cols]);
-    }
-}
-
-/// Writes `src` into `dst` at (`row0`, `col0`) (head blocks are disjoint, so
-/// a copy replaces a zero-then-add sequence).
-fn set_block(dst: &mut Matrix, row0: usize, col0: usize, src: &Matrix) {
-    for r in 0..src.rows() {
-        dst.row_mut(row0 + r)[col0..col0 + src.cols()].copy_from_slice(src.row(r));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,9 +149,9 @@ mod tests {
         // Rebuild a throwaway layer sharing the same weights for numeric
         // probing (forward mutates the cache, so we clone).
         let mut a = CausalAttention::new(
-            attn_template.d_model(),
-            attn_template.n_heads,
-            attn_template.seq_len,
+            attn_template.wq.rows(),
+            attn_template.core.heads(),
+            attn_template.core.seq_len(),
             0,
         );
         a.wq = attn_template.wq.clone();
@@ -350,9 +249,9 @@ mod tests {
         let mut attn = CausalAttention::new(4, 1, 3, 3);
         let x = Matrix::from_fn(3, 4, |r, c| if r == c { 1.0 } else { 0.1 });
         let _ = attn.forward(&x);
-        // Probability matrix of the only head: row 0 must be [1, 0, 0].
-        let p = &attn.probs[0];
-        assert!((p[(0, 0)] - 1.0).abs() < 1e-6);
-        assert!(p[(0, 1)].abs() < 1e-6 && p[(0, 2)].abs() < 1e-6);
+        // Probabilities of the only head: row 0 must be [1, 0, 0].
+        let p = |j| attn.core.prob(0, 0, 0, j);
+        assert!((p(0) - 1.0).abs() < 1e-6);
+        assert!(p(1).abs() < 1e-6 && p(2).abs() < 1e-6);
     }
 }

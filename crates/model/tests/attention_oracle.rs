@@ -14,6 +14,12 @@
 //!   32), and at ragged ones — sequences of 5 and 7, one head, a head width
 //!   that is no multiple of 8 (every `nt` runs one kernel at any m, so the
 //!   per-sequence and the whole-batch products' rows are the same folds);
+//! - where the attention core's folds change: a head width of 20 (each
+//!   `nn` product's FMA panel and its mul-then-add column edge in one head)
+//!   and 33-row sequences (a partial register of query lanes after full
+//!   ones);
+//! - with a NaN in one input row and `+inf` in another, where NaN
+//!   positions are compared and NaN payloads are not;
 //! - over two rounds that accumulate into the gradients, and for a backward
 //!   repeated after one forward (the benchmark's direct timing runs
 //!   backward 16 times per forward);
@@ -284,29 +290,52 @@ fn set_head(dst: &mut Matrix, src: &Matrix, h: usize, dh: usize) {
 // The comparison
 // ---------------------------------------------------------------------------
 
-fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {
+/// Equal bits, or — where `nan` allows it — both NaN (a NaN's payload is
+/// not compared).
+fn assert_bits(got: &Matrix, want: &Matrix, what: &str, nan: bool) {
     assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}: shape");
     for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        if nan && g.is_nan() && w.is_nan() {
+            continue;
+        }
         assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g:e} vs {w:e}");
     }
 }
 
-fn assert_grads(layer: &CausalAttention, oracle: &PerSequence, what: &str) {
-    assert_bits(&layer.wq_grad, &oracle.wq_grad, &format!("{what}: dWq"));
-    assert_bits(&layer.wk_grad, &oracle.wk_grad, &format!("{what}: dWk"));
-    assert_bits(&layer.wv_grad, &oracle.wv_grad, &format!("{what}: dWv"));
-    assert_bits(&layer.wo_grad, &oracle.wo_grad, &format!("{what}: dWo"));
+fn assert_grads(layer: &CausalAttention, oracle: &PerSequence, what: &str, nan: bool) {
+    assert_bits(&layer.wq_grad, &oracle.wq_grad, &format!("{what}: dWq"), nan);
+    assert_bits(&layer.wk_grad, &oracle.wk_grad, &format!("{what}: dWk"), nan);
+    assert_bits(&layer.wv_grad, &oracle.wv_grad, &format!("{what}: dWv"), nan);
+    assert_bits(&layer.wo_grad, &oracle.wo_grad, &format!("{what}: dWo"), nan);
+}
+
+/// Two rounds of (input, upstream gradient) for `batch` sequences.
+fn inputs(d: usize, seq_len: usize, batch: usize, seed: u64) -> Vec<(Matrix, Matrix)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows = seq_len * batch;
+    (0..2)
+        .map(|_| (init::normal(rows, d, 1.0, &mut rng), init::normal(rows, d, 0.05, &mut rng)))
+        .collect()
 }
 
 /// Two accumulating rounds (fresh input each), then a backward repeated
 /// after one forward; outputs, `dX` and the four weight gradients compared
 /// after every call.
 fn check(d: usize, heads: usize, seq_len: usize, batch: usize, seed: u64, label: &str) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rows = seq_len * batch;
-    let inputs: Vec<(Matrix, Matrix)> = (0..2)
-        .map(|_| (init::normal(rows, d, 1.0, &mut rng), init::normal(rows, d, 0.05, &mut rng)))
-        .collect();
+    check_inputs(d, heads, seq_len, &inputs(d, seq_len, batch, seed), seed, label, false);
+}
+
+/// [`check`] on the given rounds; `nan` compares NaN positions, not
+/// payloads.
+fn check_inputs(
+    d: usize,
+    heads: usize,
+    seq_len: usize,
+    inputs: &[(Matrix, Matrix)],
+    seed: u64,
+    label: &str,
+    nan: bool,
+) {
     on_each_path_and_pool(|setup| {
         let mut layer = CausalAttention::new(d, heads, seq_len, seed);
         let mut oracle = PerSequence::like(&layer, heads, seq_len);
@@ -314,16 +343,16 @@ fn check(d: usize, heads: usize, seq_len: usize, batch: usize, seed: u64, label:
         for (round, (x, dy)) in inputs.iter().enumerate() {
             let what = format!("{label}, {setup}, round {round}");
             layer.forward_into(x, &mut y);
-            assert_bits(&y, &oracle.forward(x), &format!("{what}: output"));
+            assert_bits(&y, &oracle.forward(x), &format!("{what}: output"), nan);
             layer.backward_into(dy, &mut dx);
-            assert_bits(&dx, &oracle.backward(dy), &format!("{what}: dX"));
-            assert_grads(&layer, &oracle, &what);
+            assert_bits(&dx, &oracle.backward(dy), &format!("{what}: dX"), nan);
+            assert_grads(&layer, &oracle, &what, nan);
         }
         let dy = &inputs[1].1;
         layer.backward_into(dy, &mut dx);
         let what = format!("{label}, {setup}, repeated backward");
-        assert_bits(&dx, &oracle.backward(dy), &format!("{what}: dX"));
-        assert_grads(&layer, &oracle, &what);
+        assert_bits(&dx, &oracle.backward(dy), &format!("{what}: dX"), nan);
+        assert_grads(&layer, &oracle, &what, nan);
     });
 }
 
@@ -336,8 +365,13 @@ fn whole_batch_attention_equals_the_per_sequence_loop_at_the_trainer_shape() {
 #[test]
 fn whole_batch_attention_equals_the_per_sequence_loop_at_ragged_shapes() {
     // (d_model, heads, seq_len, batch): one head, head widths 12 and 13,
-    // whole batches of 30 and 28 rows.
-    for &(d, heads, seq_len, batch) in &[(12, 1, 5, 6), (13, 1, 7, 4), (20, 2, 5, 3)] {
+    // whole batches of 30 and 28 rows; head width 20 — one 16-column panel
+    // and a 4-column edge in each `nn` — and 33 rows per sequence, so a
+    // partial register of query lanes follows two full 16-lane ones (four
+    // full 8-lane ones).
+    for &(d, heads, seq_len, batch) in
+        &[(12, 1, 5, 6), (13, 1, 7, 4), (20, 2, 5, 3), (40, 2, 9, 3), (32, 2, 33, 2)]
+    {
         check(
             d,
             heads,
@@ -347,4 +381,20 @@ fn whole_batch_attention_equals_the_per_sequence_loop_at_ragged_shapes() {
             &format!("d {d}, {heads} heads, L {seq_len} x {batch}"),
         );
     }
+}
+
+#[test]
+fn whole_batch_attention_equals_the_per_sequence_loop_with_non_finite_rows() {
+    // small_sim's heads over three sequences: a NaN in one row of the
+    // first, `+inf` in one row of the second, the third finite. The
+    // poisoned sequences' outputs and every weight gradient they reach are
+    // NaN in both; the finite sequence keeps its bits.
+    let cfg = ModelConfig::small_sim();
+    let (d, heads, seq_len) = (cfg.d_model, cfg.n_heads, cfg.seq_len);
+    let mut rounds = inputs(d, seq_len, 3, 23);
+    for (x, _) in &mut rounds {
+        x[(5, 7)] = f32::NAN;
+        x[(seq_len + 11, 30)] = f32::INFINITY;
+    }
+    check_inputs(d, heads, seq_len, &rounds, 23, "non-finite rows", true);
 }

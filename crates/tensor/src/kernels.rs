@@ -167,8 +167,13 @@ fn record(t0: Instant, m: usize, n: usize, k: usize) {
 }
 
 fn record_ns(ns: u64, m: usize, n: usize, k: usize) {
+    record_gemm(ns, 2 * (m as u64) * (n as u64) * (k as u64));
+}
+
+/// Adds `ns` of GEMM time and `flops` multiply-add FLOPs.
+pub(crate) fn record_gemm(ns: u64, flops: u64) {
     GEMM_NS.fetch_add(ns, Ordering::Relaxed);
-    GEMM_FLOPS.fetch_add(2 * (m as u64) * (n as u64) * (k as u64), Ordering::Relaxed);
+    GEMM_FLOPS.fetch_add(flops, Ordering::Relaxed);
 }
 
 /// Adds one activation pass over `elems` elements that took `ns`.

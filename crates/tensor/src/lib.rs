@@ -31,7 +31,9 @@
 //!   its weights as binary16 bits in the pass that updates them. A
 //!   [`HalfMatrix`] keeps such bits as a matrix, and `nn` / `nt` read it as
 //!   their B operand where it lies ([`BOperand`]), with the bits of the f32
-//!   GEMM on its decoded values. The
+//!   GEMM on its decoded values. Causal attention's per-(sequence, head)
+//!   work — scores, softmax, value mix and their backward — is one fused
+//!   pass ([`attention`]) that keeps the per-head GEMMs' bits. The
 //!   workspace's `unsafe` is
 //!   confined to this crate: the pool's scoped-dispatch lifetime erasure
 //!   (documented in [`pool`]) and the feature-gated `std::arch` intrinsics
@@ -42,6 +44,7 @@
 //!   model crate's per-layer gradient tests.
 
 pub mod adam;
+pub mod attention;
 pub mod gradcheck;
 pub mod half;
 pub mod init;
@@ -55,6 +58,7 @@ pub mod simd;
 pub mod vmath;
 
 pub use adam::{AdamConfig, AdamShard, AdamState, Dest, Grad, ShardStep};
+pub use attention::AttentionCore;
 pub use half::{HalfMatrix, HalfTerm, ScaledHalf};
 pub use kernels::{act_stats, kernel_stats, ActStats, BOperand, KernelStats};
 pub use matrix::Matrix;

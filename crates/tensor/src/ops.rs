@@ -91,6 +91,11 @@ fn normalize(row: &mut [f32], terms: usize) {
 /// `x`, so subtracting the max before the exponent pass changes no bit.) A
 /// NaN score poisons its row in both. Rows are few and short, so they run
 /// on the calling thread.
+///
+/// The attention layer runs [`crate::attention::AttentionCore`], whose
+/// softmax keeps these folds with a lane per row; this per-matrix form is
+/// the per-head composition's, which the kernel bench times the core
+/// against.
 pub fn causal_softmax_in_place(scores: &mut Matrix, scale: f32) {
     let n = scores.rows();
     assert_eq!(n, scores.cols(), "causal softmax needs a square score matrix");

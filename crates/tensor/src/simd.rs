@@ -98,6 +98,7 @@
 //! neither worker count nor register width changes a result.
 
 use crate::adam::{self, AdamCoeffs};
+use crate::attention::Geom;
 use crate::half::{self, f16_to_f32, f32_to_f16, HalfTerm};
 use crate::kernels::{kern_nn_edge, BElems};
 use crate::matrix::Matrix;
@@ -1396,8 +1397,353 @@ macro_rules! vector_math {
     };
 }
 
+/// The attention core's lanes ([`crate::attention`]) over the lane type `V`
+/// (`N` lanes) of the module it expands in: [`vector_math!`]'s primitives
+/// and `exp`, and `fma` (`vfmadd`: `a·b + c`, rounded once). A key-major
+/// block holds a score, a probability or a `dS` of query row `i` and key
+/// `j` at `j·w + i` (`w` = `Geom::lanes`), so one register holds a key's
+/// values for `N` consecutive query rows, and every per-row fold of the
+/// softmax runs in its row's lane in the row's order. The two score
+/// products read their operands' head blocks through 8×8 register
+/// transposes into scratch; the four mixes put a lane on each head column
+/// instead, read their B operand in place and write their rows in place,
+/// and take their coefficients key-major for their output rows (`Pᵀ·dO`
+/// and `dSᵀ·Q` from query-major copies). Nothing here is `unsafe`.
+macro_rules! attention_lanes {
+    ($feature:literal) => {
+        lane_fns! { $feature;
+            /// The `N` floats of `s` from `at`.
+            fn load_at(s: &[f32], at: usize) -> V {
+                load(s[at..at + N].try_into().expect("N floats"))
+            }
+
+            fn store_at(v: V, d: &mut [f32], at: usize) {
+                store(v, (&mut d[at..at + N]).try_into().expect("N floats"))
+            }
+
+            /// Lane `t` holds `i0 + t + 1`: key `j` is in lane `t`'s row
+            /// where `j` is below it.
+            fn row_ends(i0: usize) -> V {
+                let mut ends = [0.0f32; N];
+                for (t, e) in ends.iter_mut().enumerate() {
+                    *e = (i0 + t + 1) as f32;
+                }
+                load(&ends)
+            }
+
+            /// `t` in the lanes (rows from `i0`) whose row reaches key `j`
+            /// (`j ≤ i`), `f` in the others.
+            fn keep(j: usize, i0: usize, ends: V, t: V, f: V) -> V {
+                if j < i0 {
+                    t
+                } else {
+                    select_lt(splat(j as f32), ends, t, f)
+                }
+            }
+
+            /// Every key's scores against every block of query lanes, into
+            /// the key-major `st`, from both operands transposed (`at` the
+            /// queries', `bt` the keys'): all keys, or (`causal`) each
+            /// block's up to its last row.
+            fn scores(g: &Geom, at: &[f32], bt: &[f32], causal: bool, st: &mut [f32]) {
+                for i0 in (0..g.seq_len).step_by(N) {
+                    let keys = if causal { g.seq_len.min(i0 + N) } else { g.seq_len };
+                    let mut j = 0;
+                    while j + N <= keys {
+                        score_keys::<N>(g, at, bt, i0, j, st);
+                        j += N;
+                    }
+                    for j in j..keys {
+                        score_keys::<1>(g, at, bt, i0, j, st);
+                    }
+                }
+            }
+
+            /// The causal softmax of one pair's key-major scores `st` into
+            /// its probabilities `p`, a lane per query row: scale, the max
+            /// from `−inf` (`MAXPS` with the max second: a NaN score leaves
+            /// it, as `f32::max` does), `exp(s − max)`, the sum from `+0.0`
+            /// over the row's keys in order, one reciprocal, and every key
+            /// times it — the masked ones' `+0.0` too.
+            fn softmax(g: &Geom, st: &[f32], p: &mut [f32]) {
+                let (l, w, sc) = (g.seq_len, g.lanes, splat(g.scale));
+                for i0 in (0..l).step_by(N) {
+                    let (keys, ends) = (l.min(i0 + N), row_ends(i0));
+                    let mut max = splat(f32::NEG_INFINITY);
+                    for j in 0..keys {
+                        let s = mul(load_at(st, j * w + i0), sc);
+                        max = keep(j, i0, ends, max_sse(s, max), max);
+                    }
+                    let mut sum = splat(0.0);
+                    for j in 0..keys {
+                        let s = mul(load_at(st, j * w + i0), sc);
+                        let e = keep(j, i0, ends, exp(sub(s, max)), splat(0.0));
+                        sum = add(sum, e);
+                        store_at(e, p, j * w + i0);
+                    }
+                    let inv = div(splat(1.0), sum);
+                    for j in 0..keys {
+                        store_at(mul(load_at(p, j * w + i0), inv), p, j * w + i0);
+                    }
+                    let masked = mul(splat(0.0), inv);
+                    for j in keys..l {
+                        store_at(masked, p, j * w + i0);
+                    }
+                }
+            }
+
+            /// One pair's key-major `dP` into `dS` in place, given its
+            /// probabilities `p`: per query lane `dot = Σ_j P·dP` from
+            /// `start` over every key, mul-then-add, then
+            /// `P·(dP − dot)·scale`.
+            fn softmax_backward(g: &Geom, p: &[f32], ds: &mut [f32], start: f32) {
+                let (l, w, sc) = (g.seq_len, g.lanes, splat(g.scale));
+                for i0 in (0..l).step_by(N) {
+                    let mut dot = splat(start);
+                    for j in 0..l {
+                        let at = j * w + i0;
+                        dot = add(dot, mul(load_at(p, at), load_at(ds, at)));
+                    }
+                    for j in 0..l {
+                        let at = j * w + i0;
+                        let dp = sub(load_at(ds, at), dot);
+                        store_at(mul(mul(load_at(p, at), dp), sc), ds, at);
+                    }
+                }
+            }
+
+            /// The core's forward over every pair: Qᵀ and Kᵀ into scratch,
+            /// the causal scores, the softmax into the pair's probabilities,
+            /// and `P·V` into `out`.
+            pub(super) fn attention_forward(
+                g: Geom,
+                q: &[f32],
+                k: &[f32],
+                v: &[f32],
+                probs: &mut [f32],
+                scratch: &mut [f32],
+                out: &mut [f32]
+            ) {
+                let (w, d, head) = (g.lanes, g.d_model(), (g.seq_len, g.d_head));
+                let (at, rest) = scratch.split_at_mut(g.d_head * w);
+                let (bt, st) = rest.split_at_mut(g.d_head * w);
+                for (pair, p) in probs.chunks_exact_mut(g.block()).take(g.pairs).enumerate() {
+                    let o = g.origin(pair);
+                    super::transpose(q, o, d, head, at, w);
+                    super::transpose(k, o, d, head, bt, w);
+                    scores(&g, at, bt, true, st);
+                    softmax(&g, st, p);
+                    mix(&g, p, v, o, g.fused_nn(), out);
+                }
+            }
+
+            /// The core's backward over every pair: `dOᵀ` and Vᵀ into
+            /// scratch, `dP`, `dS`, then `dV = Pᵀ·dO`, `dQ = dS·K` and
+            /// `dK = dSᵀ·Q`.
+            pub(super) fn attention_backward(
+                g: Geom,
+                ins: [&[f32]; 4],
+                probs: &[f32],
+                scratch: &mut [f32],
+                outs: [&mut [f32]; 3]
+            ) {
+                let ([q, k, v, dout], [dq, dk, dv]) = (ins, outs);
+                let (l, w, d, head) = (g.seq_len, g.lanes, g.d_model(), (g.seq_len, g.d_head));
+                let (at, rest) = scratch.split_at_mut(g.d_head * w);
+                let (bt, rest) = rest.split_at_mut(g.d_head * w);
+                let (ds, rest) = rest.split_at_mut(g.block());
+                let (pq, dsq) = rest.split_at_mut(g.block());
+                let start = crate::attention::sum_start();
+                for (pair, p) in probs.chunks_exact(g.block()).take(g.pairs).enumerate() {
+                    let o = g.origin(pair);
+                    super::transpose(dout, o, d, head, at, w);
+                    super::transpose(v, o, d, head, bt, w);
+                    scores(&g, at, bt, false, ds);
+                    softmax_backward(&g, p, ds, start);
+                    // Query-major copies: the coefficients of `Pᵀ·dO` and
+                    // `dSᵀ·Q`, key-major for their output rows.
+                    super::transpose(p, 0, w, (l, l), pq, w);
+                    super::transpose(ds, 0, w, (l, l), dsq, w);
+                    mix(&g, pq, dout, o, g.d_head, dv);
+                    mix(&g, ds, k, o, g.fused_nn(), dq);
+                    mix(&g, dsq, q, o, g.d_head, dk);
+                }
+            }
+        }
+
+        /// Every row of `out[o + x·d + c] = Σ_y coef(x, y) · b[o + y·d + c]`
+        /// for one pair, with `coef(x, y)` at `y·w + x` in `cf`: its head
+        /// columns below `fused` by FMA, the others mul-then-add. Tiles
+        /// are `MIX_ROWS` rows by `MIX_VECS` registers where the head has
+        /// that many whole registers left, else `N` rows by one register;
+        /// their row remainders run a row at a time.
+        #[inline(never)]
+        #[target_feature(enable = $feature)]
+        fn mix(g: &Geom, cf: &[f32], b: &[f32], o: usize, fused: usize, out: &mut [f32]) {
+            let (l, dh) = (g.seq_len, g.d_head);
+            let mut c0 = 0;
+            while c0 < dh {
+                let wide = c0 + MIX_VECS * N <= dh;
+                let (rows, width) = if wide { (MIX_ROWS, N) } else { (N, N.min(dh - c0)) };
+                // `fused` and a wide tile's width are multiples of 16: no
+                // tile straddles `fused`.
+                let mut x = 0;
+                while x < l {
+                    let (full, at) = (x + rows <= l, (x, c0, width));
+                    match (wide, full, c0 < fused) {
+                        (true, true, true) => {
+                            mix_rows::<MIX_ROWS, MIX_VECS, true>(g, cf, b, o, at, out)
+                        }
+                        (true, true, false) => {
+                            mix_rows::<MIX_ROWS, MIX_VECS, false>(g, cf, b, o, at, out)
+                        }
+                        (true, false, true) => mix_rows::<1, MIX_VECS, true>(g, cf, b, o, at, out),
+                        (true, false, false) => {
+                            mix_rows::<1, MIX_VECS, false>(g, cf, b, o, at, out)
+                        }
+                        (false, true, true) => mix_rows::<N, 1, true>(g, cf, b, o, at, out),
+                        (false, true, false) => mix_rows::<N, 1, false>(g, cf, b, o, at, out),
+                        (false, false, true) => mix_rows::<1, 1, true>(g, cf, b, o, at, out),
+                        (false, false, false) => mix_rows::<1, 1, false>(g, cf, b, o, at, out),
+                    }
+                    x += if full { rows } else { 1 };
+                }
+                c0 += if wide { MIX_VECS * N } else { N };
+            }
+        }
+
+        /// Keys `j0 .. j0 + R` against the query lanes from `i0`:
+        /// `st[j·w + i] = Σ_c bt[c·w + j] · at[c·w + i]`, each one FMA
+        /// chain over ascending `c` from `+0.0`.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        fn score_keys<const R: usize>(
+            g: &Geom,
+            at: &[f32],
+            bt: &[f32],
+            i0: usize,
+            j0: usize,
+            st: &mut [f32],
+        ) {
+            let w = g.lanes;
+            let mut acc = [splat(0.0); R];
+            for c in 0..g.d_head {
+                let a = load_at(at, c * w + i0);
+                let keys: &[f32; R] = bt[c * w + j0..].first_chunk().expect("R keys");
+                for (acc, &key) in acc.iter_mut().zip(keys) {
+                    *acc = fma(splat(key), a, *acc);
+                }
+            }
+            for (r, acc) in acc.into_iter().enumerate() {
+                store_at(acc, st, (j0 + r) * w + i0);
+            }
+        }
+
+        /// Rows `x0 .. x0 + R`, head columns `c0 ..` of [`mix`]'s product
+        /// in `C` registers — whole ones, or one of `width ≤ N` columns —
+        /// each element a chain over ascending `y` from `+0.0`: FMA if
+        /// `FUSED`, else mul-then-add.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        fn mix_rows<const R: usize, const C: usize, const FUSED: bool>(
+            g: &Geom,
+            cf: &[f32],
+            b: &[f32],
+            o: usize,
+            (x0, c0, width): (usize, usize, usize),
+            out: &mut [f32],
+        ) {
+            debug_assert!(width == N || C == 1);
+            let d = g.d_model();
+            // The width is tested once, out here: inside the fold the
+            // partial load's branch kept the coefficients out of the FMAs'
+            // memory operands on 8 lanes.
+            let acc = if width == N {
+                mix_fold::<R, C, FUSED>(g, cf, x0, |y| {
+                    let mut row = [splat(0.0); C];
+                    for (t, v) in row.iter_mut().enumerate() {
+                        *v = load_at(b, o + y * d + c0 + t * N);
+                    }
+                    row
+                })
+            } else {
+                let at = |y| o + y * d + c0;
+                mix_fold::<R, C, FUSED>(g, cf, x0, |y| [load_part(&b[at(y)..at(y) + width]); C])
+            };
+            for (r, acc) in acc.into_iter().enumerate() {
+                let at = o + (x0 + r) * d + c0;
+                if width == N {
+                    for (t, acc) in acc.into_iter().enumerate() {
+                        store_at(acc, out, at + t * N);
+                    }
+                } else {
+                    store_part(acc[0], &mut out[at..at + width]);
+                }
+            }
+        }
+
+        /// The `R × C` accumulators of [`mix_rows`]: row `x0 + r` folds
+        /// `coef(x0 + r, y) · b_row(y)` over ascending `y`.
+        #[inline]
+        #[target_feature(enable = $feature)]
+        fn mix_fold<const R: usize, const C: usize, const FUSED: bool>(
+            g: &Geom,
+            cf: &[f32],
+            x0: usize,
+            b_row: impl Fn(usize) -> [V; C],
+        ) -> [[V; C]; R] {
+            let mut acc = [[splat(0.0); C]; R];
+            for y in 0..g.seq_len {
+                let bv = b_row(y);
+                let coefs: &[f32; R] =
+                    cf[y * g.lanes + x0..].first_chunk().expect("R coefficients");
+                for (acc, &c) in acc.iter_mut().zip(coefs) {
+                    let a = splat(c);
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = if FUSED { fma(a, bv, *acc) } else { add(*acc, mul(a, bv)) };
+                    }
+                }
+            }
+            acc
+        }
+    };
+}
+
+/// Transposes the `rows × cols` block of `m` at `o` (row stride `ld`) into
+/// `t` at row stride `w`: `t[c·w + r] = m[o + r·ld + c]`. Whole 8×8 blocks
+/// go through registers ([`transpose8`]), the ragged rest element by
+/// element.
+#[target_feature(enable = "avx2")]
+fn transpose(
+    m: &[f32],
+    o: usize,
+    ld: usize,
+    (rows, cols): (usize, usize),
+    t: &mut [f32],
+    w: usize,
+) {
+    let (r8, c8) = (rows / 8 * 8, cols / 8 * 8);
+    for r0 in (0..r8).step_by(8) {
+        for c0 in (0..c8).step_by(8) {
+            let mut block = [_mm256_setzero_ps(); 8];
+            for (r, row) in block.iter_mut().enumerate() {
+                *row = ymm::load(m[o + (r0 + r) * ld + c0..].first_chunk().expect("8 floats"));
+            }
+            for (c, col) in transpose8(block).into_iter().enumerate() {
+                ymm::store(col, t[(c0 + c) * w + r0..].first_chunk_mut().expect("8 floats"));
+            }
+        }
+    }
+    for r in 0..rows {
+        for c in if r < r8 { c8 } else { 0 }..cols {
+            t[c * w + r] = m[o + r * ld + c];
+        }
+    }
+}
+
 /// The 8-lane encoding: YMM registers, `avx2`.
 mod ymm {
+    use crate::attention::Geom;
     use crate::vmath;
     use core::arch::x86_64::*;
 
@@ -1455,12 +1801,24 @@ mod ymm {
     }
 
     vector_math!("avx2");
+
+    lane_fns! { "avx2,fma";
+        /// `a·b + c`, rounded once (`vfmadd`).
+        fn fma(a: V, b: V, c: V) -> V { _mm256_fmadd_ps(a, b, c) }
+    }
+
+    /// The attention mixes' tile: 6 rows × 2 YMM (twelve accumulators of
+    /// the sixteen registers; each broadcast feeds two FMAs).
+    const MIX_ROWS: usize = 6;
+    const MIX_VECS: usize = 2;
+    attention_lanes!("avx2,fma");
 }
 
 /// The 16-lane encoding: ZMM registers, `avx512f`. The bitwise and integer
 /// primitives run on the integer forms (`vpandd`, `vpaddd`, …): the float
 /// forms of the logic ops are AVX-512DQ, and on a bit pattern the two agree.
 mod zmm {
+    use crate::attention::Geom;
     use crate::vmath;
     use core::arch::x86_64::*;
 
@@ -1474,6 +1832,8 @@ mod zmm {
         fn sub(a: V, b: V) -> V { _mm512_sub_ps(a, b) }
         fn mul(a: V, b: V) -> V { _mm512_mul_ps(a, b) }
         fn div(a: V, b: V) -> V { _mm512_div_ps(a, b) }
+        /// `a·b + c`, rounded once (`vfmadd`).
+        fn fma(a: V, b: V, c: V) -> V { _mm512_fmadd_ps(a, b, c) }
         fn max_sse(a: V, b: V) -> V { _mm512_max_ps(a, b) }
         fn min_sse(a: V, b: V) -> V { _mm512_min_ps(a, b) }
         fn select_lt(a: V, b: V, t: V, f: V) -> V {
@@ -1526,6 +1886,12 @@ mod zmm {
     }
 
     vector_math!("avx512f");
+
+    /// The attention mixes' tile: 16 rows × 1 ZMM (sixteen accumulators;
+    /// a 16-column head is one register wide).
+    const MIX_ROWS: usize = 16;
+    const MIX_VECS: usize = 1;
+    attention_lanes!("avx512f");
 }
 
 /// Runs the named function of [`zmm`] when the 512-bit family is active,
@@ -1580,6 +1946,31 @@ pub(crate) fn gelu_from_tanh_slice(x: &[f32], t: &[f32], out: &mut [f32]) {
 /// Vector [`crate::vmath::gelu_backward_from_tanh_slice`].
 pub(crate) fn gelu_backward_from_tanh_slice(x: &[f32], t: &[f32], dy: &[f32], dx: &mut [f32]) {
     at_active_width!(gelu_backward_from_tanh_slice(x, t, dy, dx))
+}
+
+/// The attention core's forward ([`crate::attention`]) on the active width.
+pub(crate) fn attention_forward(
+    g: Geom,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    probs: &mut [f32],
+    scratch: &mut [f32],
+    out: &mut [f32],
+) {
+    at_active_width!(attention_forward(g, q, k, v, probs, scratch, out))
+}
+
+/// The attention core's backward ([`crate::attention`]) on the active
+/// width: Q, K, V and `dO` in, `dQ`, `dK` and `dV` out.
+pub(crate) fn attention_backward(
+    g: Geom,
+    ins: [&[f32]; 4],
+    probs: &[f32],
+    scratch: &mut [f32],
+    outs: [&mut [f32]; 3],
+) {
+    at_active_width!(attention_backward(g, ins, probs, scratch, outs))
 }
 
 /// Vector [`crate::vmath::max_abs`].
